@@ -11,10 +11,11 @@
 //! (see [`crate::gact`]), which Fig. 10 compares against.
 
 use crate::alignment::Alignment;
-use crate::cigar::{AlignOp, Cigar};
-use crate::xdrop::xdrop_tile_with_mode;
+use crate::cigar::Cigar;
+use crate::xdrop::{scores_fit_i32, xdrop_tile_scratch, TileScratch};
 use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Tiling parameters for GACT-X / GACT extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,17 +60,39 @@ impl TilingParams {
         }
     }
 
-    /// Validates parameter sanity.
+    /// The untiled software Y-drop extension of the LASTZ-like baseline
+    /// (see [`crate::greedy`]): a tile large enough that genome-scale
+    /// extensions rarely need more than a few.
+    pub fn ydrop(y: i64) -> TilingParams {
+        TilingParams {
+            tile_size: 8192,
+            overlap: 256,
+            y,
+            edge_traceback: false,
+        }
+    }
+
+    /// Validates parameter sanity, once per extension: the tile geometry,
+    /// and that a full tile under this scoring stays inside the kernel's
+    /// 32-bit scores (see [`scores_fit_i32`]), so no tile has to fall back
+    /// to a wider type.
     ///
     /// # Panics
     ///
-    /// Panics if `overlap >= tile_size` or `tile_size == 0`.
-    pub fn validate(&self) {
+    /// Panics if `overlap >= tile_size`, `tile_size == 0`, or the scores
+    /// of a `tile_size × tile_size` window could leave the `i32` range
+    /// the kernel keeps clear.
+    pub fn validate(&self, w: &SubstitutionMatrix, gaps: &GapPenalties) {
         assert!(self.tile_size > 0, "tile size must be positive");
         assert!(
             self.overlap < self.tile_size,
             "overlap {} must be smaller than tile size {}",
             self.overlap,
+            self.tile_size
+        );
+        assert!(
+            scores_fit_i32(self.tile_size, self.tile_size, w, gaps),
+            "tile size {} is too large for 32-bit scores under this scoring",
             self.tile_size
         );
     }
@@ -117,6 +140,179 @@ pub struct Extension {
     pub stats: ExtensionStats,
 }
 
+/// Which way an extension walks from the anchor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    /// Increasing coordinates, from the anchor inclusive.
+    Right,
+    /// Decreasing coordinates, from the anchor exclusive.
+    Left,
+}
+
+/// Buffers every tile of an extension reuses, in both directions: the
+/// kernel's scratch and, walking left, the reversed window of the
+/// current tile — never more than one tile of either sequence.
+#[derive(Debug, Default)]
+struct ExtendScratch {
+    tile: TileScratch,
+    rev_target: Vec<Base>,
+    rev_query: Vec<Base>,
+}
+
+thread_local! {
+    /// One scratch per worker thread, shared by all the extensions the
+    /// thread runs: after its largest tile a worker allocates nothing but
+    /// the CIGARs it returns. Its contents never carry meaning from one
+    /// tile to the next, so results do not depend on what ran before.
+    static SCRATCH: RefCell<ExtendScratch> = RefCell::new(ExtendScratch::default());
+}
+
+/// The next tile's window of `seq`: up to `len` bases starting `done`
+/// bases away from the anchor `at`, in walking order. Walking left that
+/// is the reverse of the bases before the anchor, copied into `rev`.
+fn window<'a>(
+    seq: &'a [Base],
+    at: usize,
+    done: usize,
+    len: usize,
+    direction: Direction,
+    rev: &'a mut Vec<Base>,
+) -> &'a [Base] {
+    match direction {
+        Direction::Right => &seq[at + done..at + done + len],
+        Direction::Left => {
+            rev.clear();
+            rev.extend(seq[at - done - len..at - done].iter().rev());
+            rev
+        }
+    }
+}
+
+/// One anchor's extension problem: what the tiles of both directions share.
+struct Anchored<'a> {
+    target: &'a [Base],
+    query: &'a [Base],
+    /// The anchor, clamped to the sequence ends.
+    t0: usize,
+    q0: usize,
+    w: &'a SubstitutionMatrix,
+    gaps: &'a GapPenalties,
+    params: &'a TilingParams,
+}
+
+impl<'a> Anchored<'a> {
+    /// Validates `params` under the scoring, once for the whole extension.
+    fn new(
+        target: &'a [Base],
+        query: &'a [Base],
+        t0: usize,
+        q0: usize,
+        w: &'a SubstitutionMatrix,
+        gaps: &'a GapPenalties,
+        params: &'a TilingParams,
+    ) -> Anchored<'a> {
+        params.validate(w, gaps);
+        Anchored {
+            target,
+            query,
+            t0: t0.min(target.len()),
+            q0: q0.min(query.len()),
+            w,
+            gaps,
+            params,
+        }
+    }
+
+    /// Walks tile by tile away from the anchor; the returned CIGAR is in
+    /// walking order (a left extension's is still back to front).
+    fn walk(&self, direction: Direction, scratch: &mut ExtendScratch) -> Extension {
+        let params = self.params;
+        // Bases available in the walking direction, and consumed so far.
+        let (avail_t, avail_q) = match direction {
+            Direction::Right => (self.target.len() - self.t0, self.query.len() - self.q0),
+            Direction::Left => (self.t0, self.q0),
+        };
+        let (mut t, mut q) = (0usize, 0usize);
+        let mut cigar = Cigar::new();
+        let mut stats = ExtensionStats::default();
+
+        loop {
+            let win_t = params.tile_size.min(avail_t - t);
+            let win_q = params.tile_size.min(avail_q - q);
+            if win_t == 0 || win_q == 0 {
+                break;
+            }
+            let tile = xdrop_tile_scratch(
+                window(
+                    self.target,
+                    self.t0,
+                    t,
+                    win_t,
+                    direction,
+                    &mut scratch.rev_target,
+                ),
+                window(
+                    self.query,
+                    self.q0,
+                    q,
+                    win_q,
+                    direction,
+                    &mut scratch.rev_query,
+                ),
+                self.w,
+                self.gaps,
+                params.y,
+                params.edge_traceback,
+                &mut scratch.tile,
+            );
+            stats.tiles += 1;
+            stats.cells += tile.cells;
+            stats.rows += tile.rows as u64;
+            stats.peak_traceback_bytes = stats.peak_traceback_bytes.max(tile.traceback_bytes);
+            if tile.max_score <= 0 {
+                break;
+            }
+
+            // A dimension constrains the commit point only when more
+            // sequence exists beyond this window; the overlap region next
+            // to such an edge is discarded and recomputed by the
+            // following tile.
+            let lim_t = if win_t < avail_t - t {
+                win_t.saturating_sub(params.overlap)
+            } else {
+                usize::MAX
+            };
+            let lim_q = if win_q < avail_q - q {
+                win_q.saturating_sub(params.overlap)
+            } else {
+                usize::MAX
+            };
+            let at_edge = tile.max_target >= lim_t || tile.max_query >= lim_q;
+            if !at_edge {
+                // The maximum sits strictly inside the tile: the X-drop
+                // wall (or both sequence ends) finished the alignment here.
+                cigar.extend_cigar(&tile.cigar);
+                t += tile.max_target;
+                q += tile.max_query;
+                break;
+            }
+            let (dt, dq) = commit_until_boundary(&mut cigar, &tile.cigar, lim_t, lim_q);
+            if dt == 0 && dq == 0 {
+                break;
+            }
+            t += dt;
+            q += dq;
+        }
+
+        Extension {
+            target_advance: t,
+            query_advance: q,
+            cigar,
+            stats,
+        }
+    }
+}
+
 /// Extends to the right (increasing coordinates) from `(t0, q0)`.
 pub fn extend_right(
     target: &[Base],
@@ -127,76 +323,16 @@ pub fn extend_right(
     gaps: &GapPenalties,
     params: &TilingParams,
 ) -> Extension {
-    params.validate();
-    let mut cigar = Cigar::new();
-    let mut stats = ExtensionStats::default();
-    let (mut t, mut q) = (t0, q0);
-
-    loop {
-        let t_end = (t + params.tile_size).min(target.len());
-        let q_end = (q + params.tile_size).min(query.len());
-        if t >= t_end || q >= q_end {
-            break;
-        }
-        let tile = xdrop_tile_with_mode(
-            &target[t..t_end],
-            &query[q..q_end],
-            w,
-            gaps,
-            params.y,
-            params.edge_traceback,
-        );
-        stats.tiles += 1;
-        stats.cells += tile.cells;
-        stats.rows += tile.rows as u64;
-        stats.peak_traceback_bytes = stats.peak_traceback_bytes.max(tile.traceback_bytes);
-        if tile.max_score <= 0 {
-            break;
-        }
-
-        // A dimension constrains the commit point only when more sequence
-        // exists beyond this window; the overlap region next to such an
-        // edge is discarded and recomputed by the following tile.
-        let lim_t = if t_end < target.len() {
-            (t_end - t).saturating_sub(params.overlap)
-        } else {
-            usize::MAX
-        };
-        let lim_q = if q_end < query.len() {
-            (q_end - q).saturating_sub(params.overlap)
-        } else {
-            usize::MAX
-        };
-        let at_edge = tile.max_target >= lim_t || tile.max_query >= lim_q;
-        if !at_edge {
-            // The maximum sits strictly inside the tile: the X-drop wall
-            // (or both sequence ends) finished the alignment here.
-            cigar.extend_cigar(&tile.cigar);
-            t += tile.max_target;
-            q += tile.max_query;
-            break;
-        }
-        let (committed, dt, dq) = truncate_at_boundary(&tile.cigar, lim_t, lim_q);
-        if dt == 0 && dq == 0 {
-            break;
-        }
-        cigar.extend_cigar(&committed);
-        t += dt;
-        q += dq;
-    }
-
-    Extension {
-        target_advance: t - t0,
-        query_advance: q - q0,
-        cigar,
-        stats,
-    }
+    let anchored = Anchored::new(target, query, t0, q0, w, gaps, params);
+    SCRATCH.with_borrow_mut(|scratch| anchored.walk(Direction::Right, scratch))
 }
 
 /// Extends to the left (decreasing coordinates) from `(t0, q0)` exclusive.
 ///
 /// The returned CIGAR is already in forward orientation, covering
-/// `[t0 - target_advance, t0)` × `[q0 - query_advance, q0)`.
+/// `[t0 - target_advance, t0)` × `[q0 - query_advance, q0)`. Only one
+/// tile window at a time is reversed, so the cost does not depend on how
+/// much sequence lies before the anchor.
 pub fn extend_left(
     target: &[Base],
     query: &[Base],
@@ -206,9 +342,8 @@ pub fn extend_left(
     gaps: &GapPenalties,
     params: &TilingParams,
 ) -> Extension {
-    let rev_t: Vec<Base> = target[..t0].iter().rev().copied().collect();
-    let rev_q: Vec<Base> = query[..q0].iter().rev().copied().collect();
-    let mut ext = extend_right(&rev_t, &rev_q, 0, 0, w, gaps, params);
+    let anchored = Anchored::new(target, query, t0, q0, w, gaps, params);
+    let mut ext = SCRATCH.with_borrow_mut(|scratch| anchored.walk(Direction::Left, scratch));
     ext.cigar.reverse();
     ext
 }
@@ -217,7 +352,10 @@ pub fn extend_left(
 /// alignment, as the Darwin-WGA extension stage does (Fig. 4c).
 ///
 /// Returns `None` when neither direction produced any aligned base.
-/// The final `score` is the exact rescore of the stitched path.
+/// The final `score` is the exact rescore of the stitched path. One
+/// scratch serves every tile of both directions (and the thread's later
+/// extensions), so beyond the returned alignment the call holds one
+/// tile's pointer arena and a few rows, however long the alignment grows.
 ///
 /// # Examples
 ///
@@ -245,32 +383,23 @@ pub fn extend_alignment(
     gaps: &GapPenalties,
     params: &TilingParams,
 ) -> Option<ExtendedAlignment> {
-    let right = extend_right(
-        target.as_slice(),
-        query.as_slice(),
-        anchor_t,
-        anchor_q,
-        w,
-        gaps,
-        params,
-    );
-    let left = extend_left(
-        target.as_slice(),
-        query.as_slice(),
-        anchor_t,
-        anchor_q,
-        w,
-        gaps,
-        params,
-    );
+    let (t, q) = (target.as_slice(), query.as_slice());
+    let anchored = Anchored::new(t, q, anchor_t, anchor_q, w, gaps, params);
+    let (right, left) = SCRATCH.with_borrow_mut(|scratch| {
+        (
+            anchored.walk(Direction::Right, scratch),
+            anchored.walk(Direction::Left, scratch),
+        )
+    });
 
-    let mut cigar = left.cigar.clone();
+    let mut cigar = left.cigar;
+    cigar.reverse();
     cigar.extend_cigar(&right.cigar);
     if cigar.aligned_pairs() == 0 {
         return None;
     }
-    let t_start = anchor_t - left.target_advance;
-    let q_start = anchor_q - left.query_advance;
+    let t_start = anchored.t0 - left.target_advance;
+    let q_start = anchored.q0 - left.query_advance;
     let mut alignment = Alignment::new(t_start, q_start, cigar, 0);
     alignment.score = alignment.rescore(target, query, w, gaps);
     let mut stats = left.stats;
@@ -287,35 +416,35 @@ pub struct ExtendedAlignment {
     pub stats: ExtensionStats,
 }
 
-/// Truncates `cigar` at the first point where the target advance reaches
-/// `lim_t` or the query advance reaches `lim_q`; returns the committed
-/// prefix and its (dt, dq) advance.
-fn truncate_at_boundary(cigar: &Cigar, lim_t: usize, lim_q: usize) -> (Cigar, usize, usize) {
-    let mut out = Cigar::new();
+/// Appends `tile` to `out` up to the first point where the target advance
+/// reaches `lim_t` or the query advance reaches `lim_q`; returns the
+/// `(dt, dq)` advance of what was appended.
+fn commit_until_boundary(
+    out: &mut Cigar,
+    tile: &Cigar,
+    lim_t: usize,
+    lim_q: usize,
+) -> (usize, usize) {
     let (mut dt, mut dq) = (0usize, 0usize);
-    for &(op, count) in cigar.runs() {
-        for _ in 0..count {
-            if dt >= lim_t || dq >= lim_q {
-                return (out, dt, dq);
-            }
-            match op {
-                AlignOp::Match | AlignOp::Subst => {
-                    dt += 1;
-                    dq += 1;
-                }
-                AlignOp::Insert => dq += 1,
-                AlignOp::Delete => dt += 1,
-            }
-            out.push(op, 1);
+    for &(op, count) in tile.runs() {
+        if dt >= lim_t || dq >= lim_q {
+            break;
         }
+        let (on_t, on_q) = (op.consumes_target(), op.consumes_query());
+        let room_t = if on_t { lim_t - dt } else { usize::MAX };
+        let room_q = if on_q { lim_q - dq } else { usize::MAX };
+        let take = (count as usize).min(room_t).min(room_q);
+        dt += if on_t { take } else { 0 };
+        dq += if on_q { take } else { 0 };
+        out.push(op, take as u32);
     }
-    (out, dt, dq)
+    (dt, dq)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genome::Sequence;
+    use crate::cigar::AlignOp;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -441,18 +570,104 @@ mod tests {
             y: 100,
             edge_traceback: false,
         };
-        p.validate();
+        p.validate(&dw().0, &dw().1);
     }
 
     #[test]
-    fn truncate_at_boundary_splits_runs() {
+    #[should_panic(expected = "32-bit scores")]
+    fn rejects_tile_too_large_for_i32_scores() {
+        let p = TilingParams {
+            tile_size: 1 << 20,
+            overlap: 128,
+            y: 9430,
+            edge_traceback: false,
+        };
+        p.validate(&dw().0, &dw().1);
+    }
+
+    #[test]
+    fn commit_until_boundary_splits_runs() {
         let mut c = Cigar::new();
         c.push(AlignOp::Match, 10);
         c.push(AlignOp::Delete, 5);
         c.push(AlignOp::Match, 10);
-        let (prefix, dt, dq) = truncate_at_boundary(&c, 12, 12);
-        assert_eq!(dt, 12);
-        assert_eq!(dq, 10);
+        let mut prefix = Cigar::new();
+        assert_eq!(commit_until_boundary(&mut prefix, &c, 12, 12), (12, 10));
         assert_eq!(prefix.to_string(), "10=2D");
+        // A limit already reached stops the walk even before an op that
+        // would not move along that axis.
+        let mut c = Cigar::new();
+        c.push(AlignOp::Match, 4);
+        c.push(AlignOp::Insert, 3);
+        let mut prefix = Cigar::new();
+        assert_eq!(
+            commit_until_boundary(&mut prefix, &c, 4, usize::MAX),
+            (4, 4)
+        );
+        assert_eq!(prefix.to_string(), "4=");
+        // Appending merges with what the extension already holds.
+        assert_eq!(
+            commit_until_boundary(&mut prefix, &c, usize::MAX, 6),
+            (4, 6)
+        );
+        assert_eq!(prefix.to_string(), "8=2I");
+    }
+
+    /// A ~10 % mutated copy with indels, so paths wander between tiles.
+    fn noisy_copy(s: &Sequence, rng: &mut StdRng) -> Sequence {
+        let mut out = Sequence::new();
+        for b in s.iter() {
+            match rng.gen_range(0..40) {
+                0 => {}
+                1 => {
+                    out.push(Base::from_code(rng.gen_range(0..4u8)));
+                    out.push(b);
+                }
+                2..=4 => out.push(Base::from_code(rng.gen_range(0..4u8))),
+                _ => out.push(b),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn left_extension_equals_right_extension_of_the_reversed_prefixes() {
+        // The definition the windowed walk must reproduce: reverse
+        // everything before the anchor, extend right, reverse the path.
+        let (w, g) = dw();
+        let mut tiles = 0;
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(40 + seed);
+            let t = random_seq(700, &mut rng);
+            let q = noisy_copy(&t, &mut rng);
+            let (t0, q0) = (t.len(), q.len());
+            let rev_t: Vec<Base> = t.as_slice()[..t0].iter().rev().copied().collect();
+            let rev_q: Vec<Base> = q.as_slice()[..q0].iter().rev().copied().collect();
+            let mut expected = extend_right(&rev_t, &rev_q, 0, 0, &w, &g, &small_params());
+            expected.cigar.reverse();
+            let left = extend_left(t.as_slice(), q.as_slice(), t0, q0, &w, &g, &small_params());
+            assert_eq!(left, expected, "seed {seed}");
+            tiles += left.stats.tiles;
+        }
+        assert!(
+            tiles > 40,
+            "walks too short to cross windows: {tiles} tiles"
+        );
+    }
+
+    #[test]
+    fn left_extension_reverses_one_tile_window_at_a_time() {
+        // Deep inside a long sequence the walk copies a tile, not the
+        // prefix: the reversed-window buffers end no larger than a tile.
+        let (w, g) = dw();
+        let mut rng = StdRng::seed_from_u64(6);
+        let t = random_seq(20_000, &mut rng);
+        let scratch = &mut ExtendScratch::default();
+        let (t0, p) = (t.len() - 100, small_params());
+        let left = Anchored::new(t.as_slice(), t.as_slice(), t0, t0, &w, &g, &p)
+            .walk(Direction::Left, scratch);
+        assert!(left.stats.tiles > 100 && left.target_advance == t0);
+        assert!(scratch.rev_target.capacity() <= 2 * p.tile_size);
+        assert!(scratch.rev_query.capacity() <= 2 * p.tile_size);
     }
 }

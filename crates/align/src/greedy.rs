@@ -49,13 +49,7 @@ pub fn ydrop_extend(
     gaps: &GapPenalties,
     ydrop: i64,
 ) -> Option<ExtendedAlignment> {
-    let params = TilingParams {
-        tile_size: 8192,
-        overlap: 256,
-        y: ydrop,
-        edge_traceback: false,
-    };
-    extend_alignment(target, query, anchor_t, anchor_q, w, gaps, &params)
+    extend_alignment(target, query, anchor_t, anchor_q, w, gaps, &TilingParams::ydrop(ydrop))
 }
 
 #[cfg(test)]

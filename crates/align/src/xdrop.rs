@@ -4,18 +4,42 @@
 //! with Needleman-Wunsch scoring (negative scores allowed), affine gaps,
 //! and X-drop row clipping: row `i` starts at the first column where the
 //! previous row's score exceeded `Vmax − Y` and stops once every further
-//! cell falls below it. Direction pointers (4 bits per cell in hardware)
-//! are stored only for computed cells, which is what gives GACT-X its
-//! constant, small traceback memory.
+//! cell falls below it.
+//!
+//! The kernel keeps per-cell state **only for traceback**, which is what
+//! gives GACT-X its constant, small traceback memory:
+//!
+//! * scores live in two rolling rows (V and F of the previous and the
+//!   current row) indexed by absolute column, with a `NEG_INF` sentinel
+//!   one past either end of the stored range, so the inner loop reads its
+//!   up/diagonal inputs without a range check; E is carried along the row
+//!   in two registers and never stored;
+//! * direction pointers (4 bits per cell in hardware, one byte here) go to
+//!   one flat arena, row after row, with a per-row `(jstart, offset, len)`
+//!   table — the only thing traceback reads;
+//! * all of it lives in a reusable [`TileScratch`], so a run of tiles
+//!   allocates nothing per row and nothing per tile except the CIGAR it
+//!   returns.
+//!
+//! Scores are `i32`; [`scores_fit_i32`] is the bound that makes that exact.
 //!
 //! Setting `y` very large disables clipping, which turns the kernel into a
 //! full-tile Needleman-Wunsch — exactly the GACT tile (Darwin, ASPLOS
 //! 2018) that Fig. 10 compares against.
 
+// lint: hot — no allocation per DP row is this kernel's memory claim
+
 use crate::cigar::{AlignOp, Cigar};
 use genome::{Base, GapPenalties, SubstitutionMatrix};
 
-const NEG_INF: i64 = i64::MIN / 4;
+/// Score of a cell no path reaches (pruned, or outside the stored range).
+const NEG_INF: i32 = i32::MIN / 4;
+/// A score is *live* (a real path score) iff it is above this.
+const DEAD: i32 = NEG_INF / 2;
+/// Every real score of an accepted tile lies within `±SCORE_LIMIT`.
+const SCORE_LIMIT: i64 = 1 << 27;
+/// `y` is clamped here: no two real scores are further apart.
+const Y_MAX: i64 = 2 * SCORE_LIMIT;
 
 /// Direction-pointer encoding: 2 bits of direction plus the two affine
 /// "came from gap-open" flags, as in the hardware's 4-bit pointers.
@@ -29,48 +53,53 @@ mod ptr {
     pub const F_OPEN: u8 = 0b1000;
 }
 
-/// One stored row of the ragged DP matrix.
-#[derive(Debug, Clone)]
-struct Row {
-    /// First stored column (inclusive, 0-based including the boundary
-    /// column 0).
+/// Where one stored row's pointers live in the arena.
+#[derive(Debug, Clone, Copy)]
+struct RowSpan {
+    /// First stored column (0 is the boundary column).
     jstart: usize,
-    /// V scores for stored columns.
-    v: Vec<i64>,
-    /// F scores (gap-in-target, moving top→down) for stored columns; E is
-    /// consumed within its own row and never stored across rows.
-    f: Vec<i64>,
-    /// 4-bit pointers for stored columns.
-    ptrs: Vec<u8>,
+    /// Arena index of that column's pointer.
+    offset: usize,
+    /// Stored columns; the last one is always live.
+    len: usize,
 }
 
-impl Row {
-    fn jend(&self) -> usize {
-        self.jstart + self.v.len()
-    }
+/// V and F (gap-in-target, moving top→down) of one cell of a rolling row;
+/// E is consumed within its own row and never stored.
+#[derive(Debug, Clone, Copy)]
+struct Scores {
+    v: i32,
+    f: i32,
+}
 
-    fn v_at(&self, j: usize) -> i64 {
-        if j >= self.jstart && j < self.jend() {
-            self.v[j - self.jstart]
-        } else {
-            NEG_INF
-        }
-    }
+/// What a pruned cell, or a sentinel, holds.
+const PRUNED: Scores = Scores {
+    v: NEG_INF,
+    f: NEG_INF,
+};
 
-    fn f_at(&self, j: usize) -> i64 {
-        if j >= self.jstart && j < self.jend() {
-            self.f[j - self.jstart]
-        } else {
-            NEG_INF
-        }
-    }
+/// Reusable buffers of the tile kernel; one instance serves any sequence
+/// of tiles of any sizes.
+///
+/// Nothing in here carries meaning from one tile to the next: every row
+/// writes the sentinels its successor will read, so stale contents of a
+/// larger earlier tile are never observed.
+#[derive(Debug, Default)]
+pub struct TileScratch {
+    /// The last stored row; column `j` is at index `j + 1`.
+    prev: Vec<Scores>,
+    /// The row being computed, same indexing.
+    cur: Vec<Scores>,
+    /// Pointer arena: the stored cells of every row, back to back.
+    ptrs: Vec<u8>,
+    /// One entry per stored row.
+    rows: Vec<RowSpan>,
+}
 
-    fn ptr_at(&self, j: usize) -> u8 {
-        if j >= self.jstart && j < self.jend() {
-            self.ptrs[j - self.jstart]
-        } else {
-            ptr::STOP
-        }
+impl TileScratch {
+    /// Empty scratch; buffers grow to the largest tile they meet.
+    pub fn new() -> TileScratch {
+        TileScratch::default()
     }
 }
 
@@ -90,7 +119,8 @@ pub struct TileResult {
     /// DP cells computed.
     pub cells: u64,
     /// Bytes of traceback memory the tile needed at 4 bits/cell — the
-    /// hardware BRAM requirement this tile would impose.
+    /// hardware BRAM requirement this tile would impose. (The software
+    /// arena spends one byte per stored cell, twice this.)
     pub traceback_bytes: u64,
     /// Number of rows that had at least one live cell.
     pub rows: usize,
@@ -98,11 +128,46 @@ pub struct TileResult {
     pub max_row_width: usize,
 }
 
+/// Whether the kernel's 32-bit arithmetic is exact for a
+/// `target_len × query_len` window under this scoring.
+///
+/// A path to any cell has at most `target_len + query_len` steps, each
+/// worth at most the largest `|substitution score|` or `open + extend`,
+/// so every real score stays within `±2^27`: far from the `i32::MIN / 4`
+/// sentinel, and never more than the clamp of `y` apart. Gap penalties
+/// must be non-negative magnitudes (the X-drop window only ever moves
+/// right because the boundary column's score falls row by row).
+pub fn scores_fit_i32(
+    target_len: usize,
+    query_len: usize,
+    w: &SubstitutionMatrix,
+    gaps: &GapPenalties,
+) -> bool {
+    if gaps.open < 0 || gaps.extend < 0 {
+        return false;
+    }
+    let mut step = (gaps.open as i64 + gaps.extend as i64).max(1);
+    for code in 0..5u8 {
+        for other in 0..5u8 {
+            let s = w.score(Base::from_code(code), Base::from_code(other)) as i64;
+            step = step.max(s.abs());
+        }
+    }
+    let steps = (target_len as u64)
+        .saturating_add(query_len as u64)
+        .saturating_add(2);
+    i64::try_from(steps).is_ok_and(|steps| steps.saturating_mul(step) <= SCORE_LIMIT)
+}
+
 /// Runs one GACT-X tile: global-start X-drop DP from the tile origin.
 ///
 /// `target` are the columns, `query` the rows. The path is anchored at
 /// `(0, 0)` — leading gaps are charged and retained, which is what lets
 /// neighbouring tiles be stitched (§III-D).
+///
+/// # Panics
+///
+/// Panics unless [`scores_fit_i32`] holds for the window.
 ///
 /// # Examples
 ///
@@ -148,188 +213,221 @@ pub fn xdrop_tile_with_mode(
     y: i64,
     edge_traceback: bool,
 ) -> TileResult {
-    let (n, m) = (target.len(), query.len());
-    let (open, extend) = (gaps.open as i64, gaps.extend as i64);
+    xdrop_tile_scratch(
+        target,
+        query,
+        w,
+        gaps,
+        y,
+        edge_traceback,
+        &mut TileScratch::new(),
+    )
+}
 
-    let mut rows: Vec<Row> = Vec::with_capacity(m + 1);
-    let mut vmax = 0i64;
-    let (mut max_i, mut max_j) = (0usize, 0usize);
-    let mut cells = 0u64;
+/// [`xdrop_tile_with_mode`] over caller-owned buffers: the form the tiling
+/// driver uses, one scratch for every tile of an extension.
+///
+/// `y` is clamped to `0..=2^28`; no two real scores are further apart, so
+/// anything larger already disables the drop test.
+pub fn xdrop_tile_scratch(
+    target: &[Base],
+    query: &[Base],
+    w: &SubstitutionMatrix,
+    gaps: &GapPenalties,
+    y: i64,
+    edge_traceback: bool,
+    scratch: &mut TileScratch,
+) -> TileResult {
+    let (n, m) = (target.len(), query.len());
+    assert!(
+        scores_fit_i32(n, m, w, gaps),
+        "a {n}x{m} tile under this scoring does not fit the kernel's 32-bit scores"
+    );
+    let y = y.clamp(0, Y_MAX) as i32;
+
+    let TileScratch {
+        prev,
+        cur,
+        ptrs,
+        rows,
+    } = scratch;
+    // Columns −1..=n+1 at indices 0..=n+2; whatever an earlier tile left
+    // behind is never read (see the sentinel writes below).
+    for row in [&mut *prev, &mut *cur] {
+        if row.len() < n + 3 {
+            row.resize(n + 3, PRUNED);
+        }
+    }
+    ptrs.clear();
+    rows.clear();
 
     // Row 0: origin plus leading deletions while above the drop threshold.
-    {
-        let mut v = vec![0i64];
-        let mut f = vec![NEG_INF];
-        let mut ptrs = vec![ptr::STOP];
-        let mut j = 1usize;
-        while j <= n {
-            let score = -(open + extend * j as i64);
-            if score < vmax - y {
-                break;
-            }
-            v.push(score);
-            f.push(NEG_INF);
-            ptrs.push(ptr::LEFT | if j == 1 { ptr::E_OPEN } else { 0 });
-            j += 1;
+    prev[1] = Scores { v: 0, f: NEG_INF };
+    ptrs.push(ptr::STOP);
+    let mut jend = 1usize;
+    while jend <= n {
+        let score = -(gaps.open + gaps.extend * jend as i32);
+        if score < -y {
+            break;
         }
-        cells += v.len() as u64;
-        rows.push(Row {
-            jstart: 0,
-            v,
-            f,
-            ptrs,
-        });
+        prev[jend + 1] = Scores {
+            v: score,
+            f: NEG_INF,
+        };
+        ptrs.push(ptr::LEFT | if jend == 1 { ptr::E_OPEN } else { 0 });
+        jend += 1;
     }
+    prev[0] = PRUNED;
+    prev[jend + 1] = PRUNED;
+    rows.push(RowSpan {
+        jstart: 0,
+        offset: 0,
+        len: jend,
+    });
+    let mut cells = jend as u64;
+    let mut stored_cells = jend as u64;
+    let mut max_row_width = jend;
+    // Best cell of the final column over the rows that reach it (edge
+    // traceback), earliest row first on ties.
+    let mut best_in_last_col = (jend == n + 1).then(|| (0usize, prev[n + 1].v));
+    // The stored range of the previous row ends at `prev_jend`
+    // (exclusive); its first live column is `prev_first_live`.
+    let mut prev_jend = jend;
+    let mut prev_first_live = 0usize;
+
+    let (mut max_i, mut max_j) = (0usize, 0usize);
+    let mut row = RowState {
+        open_extend: gaps.open + gaps.extend,
+        extend: gaps.extend,
+        y,
+        vmax: 0,
+        live_from: (-y).max(DEAD + 1),
+        max_j: None,
+        left_v: NEG_INF,
+        left_e: NEG_INF,
+    };
 
     for i in 1..=m {
-        let prev = &rows[i - 1];
-        // First live column of the previous row (pruned cells were stored
-        // as NEG_INF, so "live" ⇔ score survived the drop test).
-        let prev_first_live = (prev.jstart..prev.jend()).find(|&j| prev.v_at(j) > NEG_INF / 2);
         // Column 0 (left boundary: a pure leading insertion) is live while
-        // its score is above the drop threshold.
-        let col0 = -(open + extend * i as i64);
-        let col0_live = col0 >= vmax - y;
-        let jstart = match (col0_live, prev_first_live) {
-            (true, _) => 0,
-            (false, Some(first)) => first.max(1),
-            (false, None) => break, // nothing can feed this row
+        // its score is above the drop threshold. That score falls and Vmax
+        // rises row by row, so once dead it stays dead and `jstart` never
+        // decreases: a row reads its predecessor from `jstart − 1` on,
+        // which is inside that row's stored range or its left sentinel.
+        let col0 = -(gaps.open + gaps.extend * i as i32);
+        let jstart = if col0 >= row.vmax - y {
+            0
+        } else {
+            prev_first_live.max(1)
         };
         if jstart > n {
             break;
         }
+        // The five substitution scores this row's query base can meet.
+        let mut scores = [0i32; 8];
+        for code in 0..5u8 {
+            scores[code as usize] = w.score(Base::from_code(code), query[i - 1]);
+        }
+        let offset = ptrs.len();
+        ptrs.resize(offset + n + 1 - jstart, ptr::STOP);
+        let row_ptrs = &mut ptrs[offset..];
 
-        let mut v: Vec<i64> = Vec::new();
-        let mut e: Vec<i64> = Vec::new();
-        let mut f: Vec<i64> = Vec::new();
-        let mut ptrs: Vec<u8> = Vec::new();
-        let row_jstart = jstart;
-        let prev_jend = prev.jend();
-        let mut any_live = false;
-
+        (row.left_v, row.left_e, row.max_j) = (NEG_INF, NEG_INF, None);
         let mut j = jstart;
-        while j <= n {
-            let (val, e_val, f_val, p);
-            if j == 0 {
-                val = col0;
-                e_val = NEG_INF;
-                f_val = col0;
-                p = ptr::UP | if i == 1 { ptr::F_OPEN } else { 0 };
-            } else {
-                // E: from the left neighbour in this row.
-                let (left_v, left_e) = if j > row_jstart {
-                    let k = j - 1 - row_jstart;
-                    (v[k], e[k])
-                } else {
-                    (NEG_INF, NEG_INF)
-                };
-                let e_from_open = left_v.saturating_sub(open + extend);
-                let e_from_ext = left_e.saturating_sub(extend);
-                let (e_best, e_open_flag) = if e_from_open >= e_from_ext {
-                    (e_from_open, true)
-                } else {
-                    (e_from_ext, false)
-                };
-                // F: from above.
-                let f_from_open = prev.v_at(j).saturating_sub(open + extend);
-                let f_from_ext = prev.f_at(j).saturating_sub(extend);
-                let (f_best, f_open_flag) = if f_from_open >= f_from_ext {
-                    (f_from_open, true)
-                } else {
-                    (f_from_ext, false)
-                };
-                // Diagonal.
-                let diag = prev.v_at(j - 1);
-                let sub = if diag > NEG_INF / 2 {
-                    diag + w.score(target[j - 1], query[i - 1]) as i64
-                } else {
-                    NEG_INF
-                };
-
-                let mut best = sub;
-                let mut dir = ptr::DIAG;
-                if e_best > best {
-                    best = e_best;
-                    dir = ptr::LEFT;
-                }
-                if f_best > best {
-                    best = f_best;
-                    dir = ptr::UP;
-                }
-                val = best;
-                e_val = e_best;
-                f_val = f_best;
-                p = dir
-                    | if e_open_flag { ptr::E_OPEN } else { 0 }
-                    | if f_open_flag { ptr::F_OPEN } else { 0 };
-            }
-
-            cells += 1;
-            if val > vmax {
-                vmax = val;
-                max_i = i;
-                max_j = j;
-            }
-            // V dominates E and F, so a pruned V implies dead gap chains
-            // too; storing NEG_INF everywhere keeps the invariant simple.
-            let live = val >= vmax - y && val > NEG_INF / 2;
-            if live {
-                any_live = true;
-                v.push(val);
-                e.push(e_val);
-                f.push(f_val);
-                ptrs.push(p);
-            } else {
-                v.push(NEG_INF);
-                e.push(NEG_INF);
-                f.push(NEG_INF);
-                ptrs.push(ptr::STOP);
-            }
-
-            // Beyond the previous row's reach (no up/diag inputs), only the
-            // in-row E chain can keep cells alive; once it dies, stop.
-            let next_has_prev_input = j < prev_jend;
+        if j == 0 {
+            cur[1] = Scores { v: col0, f: col0 };
+            row_ptrs[0] = ptr::UP | if i == 1 { ptr::F_OPEN } else { 0 };
+            row.left_v = col0;
+            j = 1;
+        }
+        // Columns the previous row feeds: up and diagonal inputs come from
+        // its stored range or the sentinels around it, no range check.
+        let fed_end = prev_jend.min(n);
+        if j <= fed_end {
+            row.fed_cells(
+                j,
+                &prev[j..fed_end + 2],
+                &target[j - 1..fed_end],
+                &scores,
+                &mut cur[j + 1..fed_end + 2],
+                &mut row_ptrs[j - jstart..fed_end + 1 - jstart],
+            );
+            j = fed_end + 1;
+        }
+        // Beyond the previous row's reach only the in-row E chain can keep
+        // cells alive; once it dies, stop.
+        while j <= n && row.left_v > DEAD {
+            (cur[j + 1], row_ptrs[j - jstart]) = row.cell(j, NEG_INF, PRUNED, 0);
             j += 1;
-            if !next_has_prev_input && !live {
-                break;
-            }
+        }
+        cells += (j - jstart) as u64;
+        if let Some(j) = row.max_j {
+            (max_i, max_j) = (i, j);
         }
 
-        if !any_live {
+        // Pruned cells were stored as NEG_INF, so "live" ⇔ V survived.
+        let computed = &cur[jstart + 1..j + 1];
+        let Some(first_live) = computed.iter().position(|c| c.v > DEAD) else {
+            ptrs.truncate(offset);
             break;
-        }
-        // Trim trailing dead cells (nothing below can use them).
-        while v.len() > 1 && matches!(v.last(), Some(&x) if x <= NEG_INF / 2) {
-            v.pop();
-            f.pop();
-            ptrs.pop();
-        }
-        rows.push(Row {
-            jstart: row_jstart,
-            v,
-            f,
-            ptrs,
+        };
+        let last_live = computed
+            .iter()
+            .rposition(|c| c.v > DEAD)
+            .unwrap_or(first_live);
+        // Keep the row up to its last live cell (nothing below can use the
+        // dead tail) and fence it for the next row's reads. The right
+        // fence is already there: a row only stops on a pruned cell or at
+        // column n, beyond which the next row never looks.
+        jend = jstart + last_live + 1;
+        let len = jend - jstart;
+        ptrs.truncate(offset + len);
+        cur[jstart] = PRUNED;
+        debug_assert!(jend == n + 1 || cur[jend + 1].v == NEG_INF);
+        rows.push(RowSpan {
+            jstart,
+            offset,
+            len,
         });
+        stored_cells += len as u64;
+        max_row_width = max_row_width.max(len);
+        if jend == n + 1 && best_in_last_col.is_none_or(|(_, s)| cur[n + 1].v > s) {
+            best_in_last_col = Some((i, cur[n + 1].v));
+        }
+        std::mem::swap(prev, cur);
+        prev_jend = jend;
+        prev_first_live = jstart + first_live;
     }
+    let mut vmax = row.vmax;
 
     // Traceback: from the global maximum (GACT-X), or from the best cell
     // on the tile's far edge (GACT — the hardware tracebacks from the
     // last row/column so tiles always make edge-to-edge progress, which
     // is exactly what lets a wandering path terminate an alignment early,
-    // §VI-D).
+    // §VI-D): the last stored row left to right, then the final column
+    // top to bottom, first best wins.
     if edge_traceback {
-        if let Some((ei, ej, escore)) = best_edge_cell(&rows, n) {
-            max_i = ei;
-            max_j = ej;
-            vmax = escore;
+        let mut best: Option<(usize, usize, i32)> = None;
+        if let Some(last) = rows.last() {
+            for j in last.jstart..last.jstart + last.len {
+                let score = prev[j + 1].v;
+                if score > DEAD && best.is_none_or(|(_, _, s)| score > s) {
+                    best = Some((rows.len() - 1, j, score));
+                }
+            }
+        }
+        if let Some((i, score)) = best_in_last_col {
+            if best.is_none_or(|(_, _, s)| score > s) {
+                best = Some((i, n, score));
+            }
+        }
+        if let Some((i, j, score)) = best {
+            (max_i, max_j, vmax) = (i, j, score);
         }
     }
-    let cigar = traceback(&rows, max_i, max_j, target, query);
-    let stored_cells: u64 = rows.iter().map(|r| r.v.len() as u64).sum();
-    let max_row_width = rows.iter().map(|r| r.v.len()).max().unwrap_or(0);
+    let cigar = traceback(rows, ptrs, max_i, max_j, target, query);
 
     TileResult {
-        max_score: vmax,
+        max_score: vmax as i64,
         max_target: max_j,
         max_query: max_i,
         cigar,
@@ -340,80 +438,155 @@ pub fn xdrop_tile_with_mode(
     }
 }
 
-/// The best live cell on the far edge of the computed region: the last
-/// computed row, plus every row's cell in the final column `n`.
-fn best_edge_cell(rows: &[Row], n: usize) -> Option<(usize, usize, i64)> {
-    let mut best: Option<(usize, usize, i64)> = None;
-    let mut consider = |i: usize, j: usize, score: i64| {
-        if score > NEG_INF / 2 && best.is_none_or(|(_, _, s)| score > s) {
-            best = Some((i, j, score));
-        }
-    };
-    if let Some(last) = rows.last() {
-        let i = rows.len() - 1;
-        for j in last.jstart..last.jend() {
-            consider(i, j, last.v_at(j));
-        }
-    }
-    for (i, row) in rows.iter().enumerate() {
-        if row.jend() == n + 1 {
-            consider(i, n, row.v_at(n));
-        }
-    }
-    best
+/// What the DP carries from cell to cell along a row, and the constants
+/// the recurrences need.
+struct RowState {
+    /// Charge of a gap's first base (`open + extend`) and of each further.
+    open_extend: i32,
+    extend: i32,
+    y: i32,
+    /// Running `Vmax`, and the lowest score that survives it:
+    /// `max(Vmax − Y, DEAD + 1)`, the whole drop test in one compare.
+    vmax: i32,
+    live_from: i32,
+    /// Column that last raised `Vmax` in this row.
+    max_j: Option<usize>,
+    /// V and E of the cell to the left as stored (`NEG_INF` when pruned).
+    left_v: i32,
+    left_e: i32,
 }
 
-fn traceback(rows: &[Row], max_i: usize, max_j: usize, target: &[Base], query: &[Base]) -> Cigar {
-    let mut ops_rev: Vec<AlignOp> = Vec::new();
+impl RowState {
+    /// Computes the cell in column `j` from its diagonal, upper and
+    /// (carried) left neighbours, applies the drop test, and returns the
+    /// scores and pointer to store — `PRUNED`/`STOP` for a pruned cell.
+    /// V dominates E and F, so a pruned V implies dead gap chains too.
+    #[inline(always)]
+    fn cell(&mut self, j: usize, diag: i32, up: Scores, score: i32) -> (Scores, u8) {
+        // E: from the left neighbour in this row.
+        let e_open = self.left_v - self.open_extend;
+        let e_ext = self.left_e - self.extend;
+        let (e, e_flag) = if e_open >= e_ext {
+            (e_open, ptr::E_OPEN)
+        } else {
+            (e_ext, 0)
+        };
+        // F: from above.
+        let f_open = up.v - self.open_extend;
+        let f_ext = up.f - self.extend;
+        let (f, f_flag) = if f_open >= f_ext {
+            (f_open, ptr::F_OPEN)
+        } else {
+            (f_ext, 0)
+        };
+        // Diagonal.
+        let sub = if diag > DEAD { diag + score } else { NEG_INF };
+
+        let (mut v, mut dir) = (sub, ptr::DIAG);
+        if e > v {
+            (v, dir) = (e, ptr::LEFT);
+        }
+        if f > v {
+            (v, dir) = (f, ptr::UP);
+        }
+        if v > self.vmax {
+            (self.vmax, self.max_j) = (v, Some(j));
+            self.live_from = (v - self.y).max(DEAD + 1);
+        }
+        if v >= self.live_from {
+            (self.left_v, self.left_e) = (v, e);
+            (Scores { v, f }, dir | e_flag | f_flag)
+        } else {
+            (self.left_v, self.left_e) = (NEG_INF, NEG_INF);
+            (PRUNED, ptr::STOP)
+        }
+    }
+
+    /// The run of cells from column `j0` on that the previous row feeds:
+    /// `prev` holds that row from column `j0 − 1`, one entry more than the
+    /// cells to compute, `bases` the target bases under them. Out of line
+    /// so the loop gets the registers to itself.
+    #[inline(never)]
+    fn fed_cells(
+        &mut self,
+        j0: usize,
+        prev: &[Scores],
+        bases: &[Base],
+        scores: &[i32; 8],
+        out: &mut [Scores],
+        out_ptrs: &mut [u8],
+    ) {
+        let len = bases.len();
+        let (prev, out, out_ptrs) = (&prev[..len + 1], &mut out[..len], &mut out_ptrs[..len]);
+        for k in 0..len {
+            let score = scores[(bases[k].code() & 7) as usize];
+            (out[k], out_ptrs[k]) = self.cell(j0 + k, prev[k].v, prev[k + 1], score);
+        }
+    }
+}
+
+/// Walks the pointer arena back from `(max_i, max_j)` to the tile origin.
+fn traceback(
+    rows: &[RowSpan],
+    ptrs: &[u8],
+    max_i: usize,
+    max_j: usize,
+    target: &[Base],
+    query: &[Base],
+) -> Cigar {
+    let ptr_at = |i: usize, j: usize| -> u8 {
+        rows.get(i)
+            .filter(|row| j >= row.jstart && j - row.jstart < row.len)
+            .and_then(|row| ptrs.get(row.offset + j - row.jstart))
+            .copied()
+            .unwrap_or(ptr::STOP)
+    };
+    // Built back to front, reversed at the end.
+    let mut cigar = Cigar::new();
     let (mut i, mut j) = (max_i, max_j);
     let mut state = 0u8; // 0 = V, 2 = E, 3 = F
     while i > 0 || j > 0 {
-        let p = rows[i].ptr_at(j);
+        let p = ptr_at(i, j);
         match state {
             0 => match p & ptr::DIR_MASK {
-                ptr::STOP => break,
-                ptr::DIAG => {
+                ptr::DIAG if i > 0 && j > 0 => {
                     let op = if target[j - 1] == query[i - 1] && target[j - 1] != Base::N {
                         AlignOp::Match
                     } else {
                         AlignOp::Subst
                     };
-                    ops_rev.push(op);
+                    cigar.push(op, 1);
                     i -= 1;
                     j -= 1;
                 }
-                ptr::LEFT => state = 2,
-                ptr::UP => state = 3,
-                // DIR_MASK is two bits; STOP/DIAG/LEFT/UP cover all four
-                // values, so any other pattern means a corrupt pointer
-                // table — stop the traceback rather than crash.
+                ptr::LEFT if j > 0 => state = 2,
+                ptr::UP if i > 0 => state = 3,
+                // STOP, or a pointer off the matrix edge: only a corrupt
+                // pointer table gets here before the origin — stop the
+                // traceback rather than crash.
                 _ => break,
             },
-            2 => {
-                ops_rev.push(AlignOp::Delete);
-                let was_open = p & ptr::E_OPEN != 0;
+            2 if j > 0 => {
+                cigar.push(AlignOp::Delete, 1);
                 j -= 1;
-                if was_open {
+                if p & ptr::E_OPEN != 0 {
                     state = 0;
                 }
             }
-            3 => {
-                ops_rev.push(AlignOp::Insert);
-                let was_open = p & ptr::F_OPEN != 0;
+            3 if i > 0 => {
+                cigar.push(AlignOp::Insert, 1);
                 i -= 1;
-                if was_open {
+                if p & ptr::F_OPEN != 0 {
                     state = 0;
                 }
             }
-            // `state` is only ever assigned 0, 2 or 3 above; treat any
-            // other value as a finished traceback.
+            // `state` is only ever 0, 2 or 3, and a gap state never sits
+            // on the boundary it would cross; treat anything else as a
+            // finished traceback.
             _ => break,
         }
     }
-    let mut cigar = Cigar::new();
-    for op in ops_rev.into_iter().rev() {
-        cigar.push(op, 1);
-    }
+    cigar.reverse();
     cigar
 }
 
@@ -472,7 +645,12 @@ mod tests {
         let q = "ACGT".repeat(64);
         let tight = tile(&t, &q, 1000);
         let loose = tile(&t, &q, 1 << 40);
-        assert!(tight.cells < loose.cells / 2, "{} vs {}", tight.cells, loose.cells);
+        assert!(
+            tight.cells < loose.cells / 2,
+            "{} vs {}",
+            tight.cells,
+            loose.cells
+        );
         // Same optimal path found regardless.
         assert_eq!(tight.max_score, loose.max_score);
         assert_eq!(tight.cigar, loose.cigar);
@@ -536,5 +714,40 @@ mod tests {
         let tight = tile(&t, &q, 2000);
         let loose = tile(&t, &q, 1 << 40);
         assert!(tight.traceback_bytes < loose.traceback_bytes / 2);
+    }
+
+    #[test]
+    fn one_byte_per_stored_cell_and_nothing_else_grows() {
+        // The arena is the only per-cell state: 1 B per stored cell
+        // (= 2 × the 4-bit figure reported), and the rolling rows are
+        // O(tile width) whatever the number of rows.
+        let (w, g) = dw();
+        let t: Sequence = "ACGT".repeat(100).parse().unwrap();
+        let mut scratch = TileScratch::new();
+        let r = xdrop_tile_scratch(
+            t.as_slice(),
+            t.as_slice(),
+            &w,
+            &g,
+            9430,
+            false,
+            &mut scratch,
+        );
+        assert_eq!((scratch.ptrs.len() as u64).div_ceil(2), r.traceback_bytes);
+        assert_eq!(scratch.rows.len(), r.rows);
+        assert_eq!(scratch.prev.len(), t.len() + 3);
+    }
+
+    #[test]
+    fn oversized_tile_is_rejected_not_wrapped() {
+        let (w, g) = dw();
+        assert!(scores_fit_i32(8192, 8192, &w, &g));
+        assert!(!scores_fit_i32(1 << 17, 1 << 17, &w, &g));
+        assert!(!scores_fit_i32(usize::MAX, usize::MAX, &w, &g));
+        let negative = GapPenalties {
+            open: -1,
+            extend: 30,
+        };
+        assert!(!scores_fit_i32(10, 10, &w, &negative));
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::{WgaError, WgaResult};
 use align::gactx::TilingParams;
+use align::xdrop::scores_fit_i32;
 use genome::{GapPenalties, SubstitutionMatrix};
 use seed::{DsoftParams, SeedPattern};
 use serde::{Deserialize, Serialize};
@@ -169,6 +170,17 @@ pub enum ExtensionStage {
         /// Y-drop threshold.
         y: i64,
     },
+}
+
+impl ExtensionStage {
+    /// The tiling the shared extension driver runs this stage with.
+    pub fn tiling(&self) -> TilingParams {
+        match *self {
+            ExtensionStage::GactX(t) => t,
+            ExtensionStage::Gact { traceback_bytes } => TilingParams::gact_with_memory(traceback_bytes),
+            ExtensionStage::Ydrop { y } => TilingParams::ydrop(y),
+        }
+    }
 }
 
 /// Full pipeline parameters.
@@ -385,6 +397,12 @@ impl WgaParams {
                 }
             }
         }
+        let tile = self.extension.tiling().tile_size;
+        if !scores_fit_i32(tile, tile, &self.scoring, &self.gaps) {
+            return Err(WgaError::config(
+                "extension tile too large (or gap penalties negative) for the kernel's 32-bit scores",
+            ));
+        }
         if self.extension_threshold < 0 {
             return Err(WgaError::config(
                 "extension_threshold must be non-negative (alignments are scored locally)",
@@ -507,6 +525,8 @@ mod tests {
         });
         assert_rejected(p, "overlap");
         let mut p = WgaParams::darwin_wga();
+        p.extension = ExtensionStage::Gact { traceback_bytes: 1 << 40 };
+        assert_rejected(p.clone(), "32-bit");
         p.extension = ExtensionStage::Gact { traceback_bytes: 0 };
         assert_rejected(p, "traceback");
         let mut p = WgaParams::darwin_wga();

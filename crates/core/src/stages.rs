@@ -2,11 +2,11 @@
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
 use crate::budget::deadline_event;
-use crate::config::{ExtensionStage, FilterStage, GappedFilterParams, WgaParams};
+use crate::config::{FilterStage, GappedFilterParams, WgaParams};
 use crate::obs::{strand_code, Counter, Obs, SpanName};
 use crate::report::{BudgetKind, RunEvent, StageKind, Strand, WgaAlignment, WgaReport};
 use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
-use align::gactx::{self, ExtendedAlignment, TilingParams};
+use align::gactx::{self, ExtendedAlignment};
 use align::ungapped::ungapped_extend;
 use genome::Sequence;
 use seed::{Anchor, SeedHit, SeedTable};
@@ -124,16 +124,6 @@ pub fn run_extension(
     query: &Sequence,
     anchor: Anchor,
 ) -> Option<ExtendedAlignment> {
-    let tiling = match params.extension {
-        ExtensionStage::GactX(t) => t,
-        ExtensionStage::Gact { traceback_bytes } => TilingParams::gact_with_memory(traceback_bytes),
-        ExtensionStage::Ydrop { y } => TilingParams {
-            tile_size: 8192,
-            overlap: 256,
-            y,
-            edge_traceback: false,
-        },
-    };
     gactx::extend_alignment(
         target,
         query,
@@ -141,7 +131,7 @@ pub fn run_extension(
         anchor.query_pos.min(query.len()),
         &params.scoring,
         &params.gaps,
-        &tiling,
+        &params.extension.tiling(),
     )
 }
 

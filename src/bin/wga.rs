@@ -1,7 +1,7 @@
 //! `wga` — command-line whole-genome aligner.
 //!
 //! ```text
-//! wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms C]
+//! wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms N]
 //!     Write a synthetic species pair to <prefix>.target.fa /
 //!     <prefix>.query.fa plus <prefix>.exons.tsv with the ground-truth
 //!     conserved elements.
@@ -98,6 +98,11 @@
 //!     than the share threshold (default 500 = 5 points), a drift
 //!     score growing by more than the drift threshold (default 100 =
 //!     1 point), or a drift signal disappearing outright.
+//!
+//! In every subcommand --help (or -h) prints the usage and exits 0, and
+//! an argument starting with `--` that is not one of the subcommand's
+//! options — or is a second occurrence of one — is an error, never a
+//! file name.
 //! ```
 
 use darwin_wga::chain::chainer::chain_alignments;
@@ -123,17 +128,19 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("align") => cmd_align(&args[1..]),
-        Some("exons") => cmd_exons(&args[1..]),
-        Some("many") => cmd_many(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            eprint!("{}", USAGE);
-            Ok(())
+    let usage_only = args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h");
+    let result = if usage_only {
+        eprint!("{}", USAGE);
+        Ok(())
+    } else {
+        match args[0].as_str() {
+            "generate" => cmd_generate(&args[1..]),
+            "align" => cmd_align(&args[1..]),
+            "exons" => cmd_exons(&args[1..]),
+            "many" => cmd_many(&args[1..]),
+            "profile" => cmd_profile(&args[1..]),
+            other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
         }
-        Some(other) => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -146,7 +153,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  wga generate <prefix> [--len N] [--distance D] [--seed S]
+  wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms N]
   wga align <target.fa> <query.fa> [--baseline] [--threads N] [--maf out.maf]
             [--executor barrier|dataflow] [--queue-depth N]
             [--metrics-out metrics.json] [--trace-out trace.jsonl] [--progress]
@@ -192,6 +199,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// What is left once a subcommand has pulled out its options must be
+/// positionals: anything still starting with `--` is a misspelt option or
+/// the second occurrence of one, and would otherwise be taken for a file.
+fn reject_leftover_options(args: &[String]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(arg) => Err(format!("unknown or repeated option {arg}\n{USAGE}")),
+        None => Ok(()),
+    }
+}
+
 fn parse_opt<T: std::str::FromStr>(
     args: &mut Vec<String>,
     flag: &str,
@@ -209,6 +226,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let distance: f64 = parse_opt(&mut args, "--distance", 0.3)?;
     let seed: u64 = parse_opt(&mut args, "--seed", 42)?;
     let chroms: usize = parse_opt(&mut args, "--chroms", 1)?;
+    reject_leftover_options(&args)?;
     let prefix = args
         .first()
         .ok_or_else(|| format!("generate needs an output prefix\n{USAGE}"))?;
@@ -284,6 +302,7 @@ fn cmd_exons(args: &[String]) -> Result<(), String> {
 
     let mut args = args.to_vec();
     let coverage: f64 = parse_opt(&mut args, "--coverage", 0.5)?;
+    reject_leftover_options(&args)?;
     if args.len() != 2 {
         return Err(format!("exons needs <alignments.maf> <exons.tsv>\n{USAGE}"));
     }
@@ -369,6 +388,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         take_opt(&mut args, "--fault-plan")?.or_else(|| std::env::var("WGA_FAULT_PLAN").ok());
     let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
     let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
+    reject_leftover_options(&args)?;
     if args.len() != 2 {
         return Err(format!("align needs <target.fa> <query.fa>\n{USAGE}"));
     }
@@ -658,6 +678,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         take_opt(&mut args, "--fault-plan")?.or_else(|| std::env::var("WGA_FAULT_PLAN").ok());
     let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
     let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
+    reject_leftover_options(&args)?;
     if args.len() < 2 {
         return Err(format!("many needs at least two genome FASTAs\n{USAGE}"));
     }
@@ -766,6 +787,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                         .map_err(|_| format!("invalid value for --max-drift-centi: {v}"))
                 })
                 .transpose()?;
+            reject_leftover_options(&args)?;
             let [trace_path] = args.as_slice() else {
                 return Err(format!("profile report needs one <trace.jsonl>\n{USAGE}"));
             };
@@ -809,6 +831,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                     pdiff::Thresholds::default().drift_regression_centi,
                 )?,
             };
+            reject_leftover_options(&args)?;
             let [old_path, new_path] = args.as_slice() else {
                 return Err(format!("profile diff needs <old.json> <new.json>\n{USAGE}"));
             };

@@ -339,6 +339,117 @@ mod cli {
         ]);
         assert_clean_failure(&out, "bad line");
     }
+
+    /// A fresh empty directory to run `wga` in, so a test can see every
+    /// file the run wrote.
+    fn empty_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wga-edge-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn wga_in(dir: &std::path::Path, args: &[&str]) -> Output {
+        Command::new(env!("CARGO_BIN_EXE_wga"))
+            .current_dir(dir)
+            .args(args)
+            .output()
+            .expect("spawn wga")
+    }
+
+    fn files_in(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Asserts the failure of a misspelt or repeated option: exit 1, an
+    /// `error:` line naming the argument, then the usage text.
+    fn assert_option_rejected(out: &Output, arg: &str) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: unknown or repeated option {arg}").as_str()),
+            "stderr: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    }
+
+    #[test]
+    fn help_prints_usage_and_runs_nothing_in_every_subcommand() {
+        let dir = empty_dir("help");
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["generate", "--help"],
+            &["generate", "demo", "-h"],
+            &["align", "--help"],
+            &["exons", "--help"],
+            &["many", "a.fa", "--help"],
+            &["profile", "report", "--help"],
+        ] {
+            let out = wga_in(&dir, args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+            assert!(stderr.contains("wga generate <prefix>"), "{args:?}: {stderr}");
+        }
+        // In particular no `--help.target.fa`.
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+    }
+
+    #[test]
+    fn generate_usage_lists_chroms_and_rejects_unknown_options() {
+        let dir = empty_dir("generate-options");
+        let out = wga_in(&dir, &["generate", "demo", "--lenn", "500"]);
+        assert_option_rejected(&out, "--lenn");
+        let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(usage.contains("[--seed S] [--chroms N]"), "{usage}");
+        let out = wga_in(&dir, &["generate", "demo", "--len", "500", "--len", "600"]);
+        assert_option_rejected(&out, "--len");
+        // An option where the prefix belongs is not a prefix.
+        let out = wga_in(&dir, &["generate", "--prefix"]);
+        assert_option_rejected(&out, "--prefix");
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+        // And the accepted form still works.
+        let out = wga_in(&dir, &["generate", "demo", "--len", "600", "--chroms", "2"]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(files_in(&dir), ["demo.exons.tsv", "demo.query.fa", "demo.target.fa"]);
+    }
+
+    #[test]
+    fn align_names_a_repeated_or_misspelt_option() {
+        let good = tmp("options-good.fa", ">chr1\nACGTACGT\n");
+        let good = good.to_str().unwrap();
+        // Used to surface as "align needs <target.fa> <query.fa>".
+        let out = wga(&["align", good, good, "--threads", "1", "--threads", "2"]);
+        assert_option_rejected(&out, "--threads");
+        let out = wga(&["align", good, good, "--thread", "2"]);
+        assert_option_rejected(&out, "--thread");
+        let out = wga(&["align", good, good, "--baseline", "--baseline"]);
+        assert_option_rejected(&out, "--baseline");
+    }
+
+    #[test]
+    fn many_exons_and_profile_reject_unknown_options() {
+        let fa = tmp("options-many.fa", ">chr1\nACGTACGT\n");
+        let fa = fa.to_str().unwrap();
+        let out = wga(&["many", fa, fa, "--knnn", "2"]);
+        assert_option_rejected(&out, "--knnn");
+        let out = wga(&["many", fa, fa, "--threads", "1", "--threads", "1"]);
+        assert_option_rejected(&out, "--threads");
+        let out = wga(&["exons", "a.maf", "e.tsv", "--coverge", "0.5"]);
+        assert_option_rejected(&out, "--coverge");
+        let out = wga(&["profile", "report", "t.jsonl", "--jsn", "o.json"]);
+        assert_option_rejected(&out, "--jsn");
+        let out = wga(&["profile", "diff", "a.json", "b.json", "--max-drift", "1"]);
+        assert_option_rejected(&out, "--max-drift");
+    }
 }
 
 #[test]
