@@ -1,12 +1,14 @@
 //! End-to-end pipeline throughput: Darwin-WGA vs the LASTZ-like baseline
-//! on a small whole-genome alignment, plus thread scaling of the parallel
-//! driver.
+//! on a small whole-genome alignment, plus thread scaling of the barrier
+//! schedule.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wga_core::{config::WgaParams, parallel::run_parallel, pipeline::WgaPipeline};
+use seed::SeedTable;
+use wga_core::obs::Obs;
+use wga_core::{config::WgaParams, pipeline::run_pair, pipeline::WgaPipeline};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);
@@ -33,12 +35,12 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     group.bench_function("darwin_wga_30kb_4threads", |b| {
         b.iter(|| {
-            run_parallel(
-                &WgaParams::darwin_wga(),
-                black_box(&pair.target.sequence),
-                black_box(&pair.query.sequence),
-                4,
-            )
+            // Table build included, like the `WgaPipeline::run` rows.
+            let params = WgaParams::darwin_wga();
+            let target = black_box(&pair.target.sequence);
+            let table =
+                SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
+            run_pair(&params, &table, target, black_box(&pair.query.sequence), 4, Obs::off())
         })
     });
     group.finish();

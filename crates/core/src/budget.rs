@@ -1,17 +1,16 @@
 //! Shared resource-budget enforcement for every pipeline executor.
 //!
-//! The serial pipeline ([`crate::pipeline`]), the barrier parallel driver
-//! ([`crate::parallel`]) and the streaming dataflow executor
-//! ([`crate::dataflow`]) must degrade *identically* when a
-//! [`crate::config::ResourceBudget`] trips — the golden-report and
-//! fault-tolerance suites compare their outputs byte for byte. This
-//! module is the single implementation of the clamp rules all three
-//! drivers consume, so the truncation arithmetic and the
-//! [`RunEvent::BudgetExceeded`] records cannot drift apart.
+//! Every schedule — one thread, barrier ([`crate::pipeline::run_pair`])
+//! and the streaming dataflow executor ([`crate::dataflow`]) — must
+//! degrade *identically* when a [`crate::config::ResourceBudget`] trips:
+//! the golden-report and fault-tolerance suites compare their outputs
+//! byte for byte. This module is the single implementation of the clamp
+//! rules, consumed through `stages::seed_lane`, so the
+//! truncation arithmetic and the [`RunEvent::BudgetExceeded`] records
+//! cannot drift apart.
 
 use crate::config::{ResourceBudget, WgaParams};
-use crate::report::{BudgetKind, RunEvent, StageKind, WgaReport};
-use seed::SeedHit;
+use crate::report::{BudgetKind, RunEvent, StageKind};
 use std::time::Instant;
 
 /// Result of clamping one strand's seed-hit list against the seed-hit
@@ -31,9 +30,9 @@ pub struct HitClamp {
 /// (per pair, `tiles_used` consumed so far) to a strand's `hits`-long
 /// hit list.
 ///
-/// This is the budget arithmetic shared verbatim by every executor; the
-/// dataflow producer calls it directly because it plans both strands of
-/// a pair before any tile has executed.
+/// The one-thread and barrier schedules pass the tiles *executed* so
+/// far; the dataflow producer plans both strands of a pair before any
+/// tile has run and passes the tiles *planned*.
 pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitClamp {
     let mut take = hits;
     let mut events = Vec::new();
@@ -63,21 +62,6 @@ pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitC
         }
     }
     HitClamp { take, events }
-}
-
-/// Applies [`clamp_hit_count`] against a live [`WgaReport`], recording
-/// the tripped-budget events into it and returning the surviving prefix.
-///
-/// The serial and barrier-parallel drivers call this at the top of each
-/// strand's filter stage.
-pub fn clamp_hits<'h>(
-    params: &WgaParams,
-    hits: &'h [SeedHit],
-    report: &mut WgaReport,
-) -> &'h [SeedHit] {
-    let clamp = clamp_hit_count(params, hits.len(), report.workload.filter_tiles);
-    report.events.extend(clamp.events);
-    &hits[..clamp.take]
 }
 
 /// Builds the [`BudgetKind::Deadline`] event every executor records when

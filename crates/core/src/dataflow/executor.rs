@@ -21,6 +21,12 @@
 //! where the collector journals it (the pair is the checkpoint unit,
 //! exactly as in the barrier executor).
 //!
+//! Only the queues, pools, guards and watchdog live here. Every step a
+//! pair goes through — [`row_seed_table`], [`seed_lane`],
+//! [`filter_batch`], [`fold_batches`], [`extend_anchors`],
+//! [`commit_pair`], [`replay_pair`] — is the function the one-thread
+//! and barrier schedules call (see [`crate::stages`]).
+//!
 //! # Determinism
 //!
 //! Batches execute in arbitrary order but deposit into index-addressed
@@ -52,7 +58,6 @@
 //! executor would. Deadline runs are inherently timing-dependent, so no
 //! golden test covers that combination.
 
-use crate::budget::{clamp_hit_count, deadline_event};
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
 use crate::dataflow::ExecutorKind;
@@ -71,19 +76,19 @@ use crate::dataflow::queue::BoundedQueue;
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, Hook};
 use crate::filter_engine::FilterContext;
-use crate::genome_pipeline::{
-    append_supervised, AlignOptions, AssemblyReport, LocatedAlignment, SeedTableFn,
-};
+use crate::genome_pipeline::{AlignOptions, AssemblyReport, SeedTableFn};
 use crate::journal::{Journal, PairRecord};
-use crate::parallel::panic_message;
-use crate::report::{PairOutcome, RunEvent, RunOutcome, StageKind, Strand, WgaReport};
-use crate::shard::{extend_anchors_sharded, sharded_dsoft, sharded_seed_table, ThreadGrant};
-use crate::supervise::{self, RetryPolicy};
+use crate::report::{Strand, WgaReport};
+use crate::stages::{
+    commit_pair, extend_anchors, filter_batch, fold_batches, fold_pair, replay_pair,
+    row_seed_table, seed_lane, BatchResult, SeededLane,
+};
+use crate::supervise::{self, panic_message, RetryPolicy};
 use genome::assembly::Assembly;
 use genome::Sequence;
 use parking_lot::Mutex;
-use seed::{Anchor, SeedHit, SeedTable};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use seed::{SeedHit, SeedTable};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,14 +121,11 @@ impl StrandSeq<'_> {
 struct Lane<'a> {
     strand: Strand,
     query: StrandSeq<'a>,
-    seeds_queried: u64,
-    raw_hits: u64,
-    /// D-SOFT wall-clock for this strand.
-    seed_time: Duration,
+    /// The strand's seeding accounting.
+    seeded: SeededLane,
     /// [`FilterContext`] build wall-clock (counted as filtering time,
     /// matching the barrier executor's accounting).
     ctx_time: Duration,
-    clamp_events: Vec<RunEvent>,
     /// Filter results, index-addressed by batch; `deposited` counts how
     /// many are in.
     batches: Vec<Option<BatchResult>>,
@@ -142,29 +144,13 @@ struct PairJob<'a> {
 struct FilterTask<'a> {
     pair_id: usize,
     lane_idx: usize,
+    strand: Strand,
     batch_idx: usize,
     hits: Vec<SeedHit>,
     ctx: Arc<FilterContext>,
     target: &'a Sequence,
     query: StrandSeq<'a>,
     pair_start: Instant,
-}
-
-/// What the filter pool reports for one batch.
-struct BatchResult {
-    /// Anchors in hit order within the batch.
-    anchors: Vec<Anchor>,
-    /// Hits actually filtered (< `items` when the deadline stopped the
-    /// batch early).
-    processed: u64,
-    /// Hits the batch carried.
-    items: u64,
-    /// Panic message when the batch failed twice (worker + serial retry).
-    failed: Option<String>,
-    /// Filter wall-clock of the batch.
-    busy: Duration,
-    /// DP cells evaluated.
-    cells: u64,
 }
 
 /// Terminal result of one pair, headed for the collector.
@@ -192,12 +178,14 @@ impl<T> Drop for PoolGuard<'_, T> {
 /// Runs the full assembly-vs-assembly alignment through the streaming
 /// executor. Called by [`crate::genome_pipeline::align_assemblies_with`]
 /// once parameters are validated and the journal (if any) is open.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     params: &WgaParams,
     target: &Assembly,
     query: &Assembly,
     options: &AlignOptions,
     mut journal: Option<Journal>,
+    retry_policy: &RetryPolicy,
     obs: Obs<'_>,
     tables: Option<&SeedTableFn<'_>>,
 ) -> WgaResult<AssemblyReport> {
@@ -208,7 +196,7 @@ pub(crate) fn execute(
     let qn = qchroms.len();
     let npairs = tchroms.len() * qn;
 
-    // Replay journaled pairs up front; the producer skips them entirely.
+    // Take journaled pairs up front; the producer skips them entirely.
     let mut resumed: Vec<Option<PairRecord>> = Vec::with_capacity(npairs);
     for tchrom in tchroms {
         for qchrom in qchroms {
@@ -246,27 +234,18 @@ pub(crate) fn execute(
     // watchdog thread escalates a flat heartbeat by closing every queue,
     // so a wedged run drains into `Failed` pairs instead of hanging.
     let injector = obs.fault();
-    let retry_policy = injector.map_or(
-        RetryPolicy {
-            max_retries: options.max_retries,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::policy,
-    );
     let heartbeat = AtomicU64::new(0);
     let watchdog_stop = AtomicBool::new(false);
     let stalls = AtomicU64::new(0);
-    // Spare permits extension workers borrow so a lone big pair at the
-    // tail of a run fans its anchor extensions across idle capacity.
-    let thread_grant = ThreadGrant::new(threads.saturating_sub(1));
 
-    let scope_out = crossbeam::thread::scope(|scope| {
+    let (mut slots, journal_err, escaped) = std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         // --- Stall watchdog --------------------------------------------
         if options.stall_timeout_ms > 0 {
             let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
             let (watchdog_stop, heartbeat, stalls) = (&watchdog_stop, &heartbeat, &stalls);
             let timeout_ms = options.stall_timeout_ms;
-            scope.spawn(move |_| {
+            workers.push(scope.spawn(move || {
                 supervise::watch_heartbeat(watchdog_stop, heartbeat, timeout_ms, || {
                     stalls.fetch_add(1, Ordering::Relaxed);
                     if let Some(inj) = injector {
@@ -276,14 +255,14 @@ pub(crate) fn execute(
                     extend_q.close();
                     done_q.close();
                 });
-            });
+            }));
         }
         // --- Seeding producer ------------------------------------------
         {
             let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
             let (seed_meter, table_build_ns) = (&seed_meter, &table_build_ns);
             let (resumed_flags, heartbeat) = (&resumed_flags, &heartbeat);
-            scope.spawn(move |_| {
+            workers.push(scope.spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     produce(
                         params,
@@ -297,7 +276,7 @@ pub(crate) fn execute(
                         seed_meter,
                         table_build_ns,
                         heartbeat,
-                        &retry_policy,
+                        retry_policy,
                         threads,
                         obs,
                         tables,
@@ -305,153 +284,40 @@ pub(crate) fn execute(
                 }));
                 // Whatever happened, release the filter pool.
                 filter_q.close();
-            });
+            }));
         }
 
-        // --- Filter worker pool ----------------------------------------
+        // --- Filter and extension worker pools -------------------------
         for _ in 0..threads {
-            let (filter_q, extend_q) = (&filter_q, &extend_q);
+            let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
             let (filter_meter, filter_alive) = (&filter_meter, &filter_alive);
-            let heartbeat = &heartbeat;
-            scope.spawn(move |_| {
-                let _guard = PoolGuard {
-                    alive: filter_alive,
-                    downstream: extend_q,
-                };
-                let mut wait_buf = obs.buffer();
-                loop {
-                    let wait_timer = wait_buf.start();
-                    let wait = Instant::now();
-                    let Some(task) = filter_q.pop() else { break };
-                    filter_meter.add_idle(wait.elapsed());
-                    wait_buf.finish_for_pair(
-                        wait_timer,
-                        SpanName::QueueWait,
-                        task.pair_id as u64,
-                        STRAND_NA,
-                        QUEUE_FILTER_POP,
-                        0,
-                        0,
-                    );
-                    let pair_obs = obs.with_pair(task.pair_id as u64);
-                    let result = match gate_queue(
-                        injector,
-                        &retry_policy,
-                        Hook::QueuePop,
-                        task.pair_id as u64,
-                        &pair_obs,
-                    ) {
-                        Ok(()) => {
-                            let busy = Instant::now();
-                            let result = run_filter_batch(params, &task, pair_obs);
-                            filter_meter.add_busy(busy.elapsed());
-                            result
-                        }
-                        // A queue fault that survives its retry budget
-                        // fails the batch (and, downstream, the pair).
-                        Err(error) => BatchResult {
-                            anchors: Vec::new(),
-                            processed: 0,
-                            items: task.hits.len() as u64,
-                            failed: Some(format!("queue.pop fault: {error}")),
-                            busy: Duration::ZERO,
-                            cells: 0,
-                        },
-                    };
-                    filter_meter.add_items(result.processed);
-                    filter_meter.add_cells(result.cells);
-                    deposit(cells, extend_q, &task, result);
-                    heartbeat.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-
-        // --- Extension worker pool -------------------------------------
-        for _ in 0..threads {
-            let (extend_q, done_q) = (&extend_q, &done_q);
             let (ext_meter, ext_alive) = (&ext_meter, &ext_alive);
-            let (heartbeat, thread_grant) = (&heartbeat, &thread_grant);
-            scope.spawn(move |_| {
-                let _guard = PoolGuard {
-                    alive: ext_alive,
-                    downstream: done_q,
-                };
-                let mut wait_buf = obs.buffer();
-                loop {
-                    let wait_timer = wait_buf.start();
-                    let wait = Instant::now();
-                    let Some(job) = extend_q.pop() else { break };
-                    ext_meter.add_idle(wait.elapsed());
-                    wait_buf.finish_for_pair(
-                        wait_timer,
-                        SpanName::QueueWait,
-                        job.pair_id as u64,
-                        STRAND_NA,
-                        QUEUE_EXTEND_POP,
-                        0,
-                        0,
-                    );
-                    let pair_id = job.pair_id;
-                    let pair_obs = obs.with_pair(pair_id as u64);
-                    let gate = gate_queue(
-                        injector,
-                        &retry_policy,
-                        Hook::QueuePop,
-                        pair_id as u64,
-                        &pair_obs,
-                    );
-                    // A pair whose retry budget an earlier stage already
-                    // exhausted fails here instead of burning extension
-                    // work — the same `Failed` the other executors reach
-                    // through their pair-level panic containment.
-                    let result = match gate {
-                        Err(error) => Err(format!("queue.pop fault: {error}")),
-                        Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
-                            Err(format!("injected fault: pair {pair_id}: retries exhausted"))
-                        }
-                        Ok(()) => {
-                            let busy = Instant::now();
-                            // Borrow idle capacity for this pair's anchor
-                            // extensions; released win or lose, so a
-                            // panicking pair never leaks permits.
-                            let extra = thread_grant.acquire(threads.saturating_sub(1));
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                extend_pair(params, job, 1 + extra, pair_obs)
-                            }));
-                            thread_grant.release(extra);
-                            ext_meter.add_busy(busy.elapsed());
-                            result.map_err(|payload| panic_message(payload.as_ref()))
-                        }
-                    };
-                    let done = match result {
-                        Ok(report) => {
-                            ext_meter.add_items(report.counters.anchors_passed);
-                            ext_meter.add_cells(report.workload.extension_cells);
-                            PairDone {
-                                pair_id,
-                                result: Ok(report),
-                            }
-                        }
-                        Err(error) => PairDone {
-                            pair_id,
-                            result: Err(error),
-                        },
-                    };
-                    heartbeat.fetch_add(1, Ordering::Relaxed);
-                    if done_q.push(done).is_err() {
-                        break;
-                    }
-                }
-            });
+            let heartbeat = &heartbeat;
+            workers.push(scope.spawn(move || {
+                filter_worker(
+                    params,
+                    filter_q,
+                    extend_q,
+                    cells,
+                    filter_alive,
+                    filter_meter,
+                    heartbeat,
+                    retry_policy,
+                    obs,
+                )
+            }));
+            workers.push(scope.spawn(move || {
+                extend_worker(params, extend_q, done_q, ext_alive, ext_meter, heartbeat, retry_policy, obs)
+            }));
         }
 
         // --- Collector (this thread): journal + gather -----------------
-        let mut slots: Vec<Option<Result<WgaReport, String>>> = vec![None; npairs];
+        let mut slots: Vec<Option<PairRecord>> = vec![None; npairs];
         let mut journal_err: Option<WgaError> = None;
         let mut collector_buf = obs.buffer();
         loop {
             let wait_timer = collector_buf.start();
-            let Some(mut done) = done_q.pop() else { break };
+            let Some(done) = done_q.pop() else { break };
             collector_buf.finish_for_pair(
                 wait_timer,
                 SpanName::QueueWait,
@@ -462,79 +328,43 @@ pub(crate) fn execute(
                 0,
             );
             heartbeat.fetch_add(1, Ordering::Relaxed);
-            obs.add(Counter::PairsDone, 1);
-            match &mut done.result {
-                Ok(report) => {
-                    // Fold the pair's fault accounting into its counters
-                    // before the record is journaled — the same freeze
-                    // point the barrier executor uses, so a resumed run
-                    // replays the same numbers.
-                    if let Some(inj) = injector {
-                        let faults = inj.take_pair(done.pair_id as u64);
-                        report.counters.faults_injected += faults.injected;
-                        report.counters.retries += faults.retries;
-                    }
-                    if journal_err.is_none() {
-                        if let Some(j) = journal.as_mut() {
-                            let (ti, qi) = (done.pair_id / qn, done.pair_id % qn);
-                            let pair_obs = obs.with_pair(done.pair_id as u64);
-                            let ckpt_timer = collector_buf.start();
-                            let append = append_supervised(
-                                j,
-                                &PairRecord {
-                                    target_chrom: tchroms[ti].name.clone(),
-                                    query_chrom: qchroms[qi].name.clone(),
-                                    outcome: report.outcome(),
-                                    workload: report.workload,
-                                    timings: report.timings,
-                                    counters: report.counters,
-                                    alignments: report.alignments.clone(),
-                                },
-                                &retry_policy,
-                                injector,
-                                &pair_obs,
-                            );
-                            collector_buf.finish_for_pair(
-                                ckpt_timer,
-                                SpanName::Checkpoint,
-                                done.pair_id as u64,
-                                STRAND_NA,
-                                0,
-                                1,
-                                0,
-                            );
-                            if let Err(e) = append {
-                                // The journal is broken: stop feeding the
-                                // pipeline, drain what's in flight, and
-                                // surface the error after the scope ends.
-                                journal_err = Some(e);
-                                filter_q.close();
-                                extend_q.close();
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Failed pairs are not journaled; drop their per-pair
-                    // fault accounting (run totals keep it).
-                    if let Some(inj) = injector {
-                        let _ = inj.take_pair(done.pair_id as u64);
-                    }
+            let names = (
+                tchroms[done.pair_id / qn].name.as_str(),
+                qchroms[done.pair_id % qn].name.as_str(),
+            );
+            // Once an append has failed the journal is left alone.
+            let journal = journal.as_mut().filter(|_| journal_err.is_none());
+            let pair_obs = obs.with_pair(done.pair_id as u64);
+            match commit_pair(names, done.result, journal, retry_policy, pair_obs) {
+                Ok(record) => slots[done.pair_id] = Some(record),
+                Err(e) => {
+                    // The journal is broken: stop feeding the pipeline,
+                    // drain what's in flight, and surface the error
+                    // after the scope ends.
+                    journal_err = Some(e);
+                    filter_q.close();
+                    extend_q.close();
                 }
             }
-            slots[done.pair_id] = Some(done.result);
         }
         collector_buf.flush();
         watchdog_stop.store(true, Ordering::Relaxed);
-        (slots, journal_err)
+        // Every handle is joined by hand, so a panic that escaped a
+        // worker's containment layers arrives here as an `Err` instead
+        // of unwinding out of the scope.
+        let mut escaped = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                escaped.get_or_insert(payload);
+            }
+        }
+        (slots, journal_err, escaped)
     });
-    let (mut slots, journal_err) = match scope_out {
-        Ok(v) => v,
-        // A panic escaped every containment layer — an executor bug, not
-        // a pair failure; surface it like the barrier executor would.
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-
+    if let Some(payload) = escaped {
+        // An executor bug, not a pair failure; surface it like the
+        // barrier executor would.
+        resume_unwind(payload);
+    }
     if let Some(e) = journal_err {
         return Err(e);
     }
@@ -542,74 +372,41 @@ pub(crate) fn execute(
     // --- Deterministic assembly in canonical pair order -----------------
     let mut out = AssemblyReport::default();
     out.timings.seeding += Duration::from_nanos(table_build_ns.load(Ordering::Relaxed));
-    for (pair_id, record) in resumed.iter_mut().enumerate() {
-        let (ti, qi) = (pair_id / qn, pair_id % qn);
-        let (tname, qname) = (&tchroms[ti].name, &qchroms[qi].name);
-        let outcome = if let Some(record) = record.take() {
-            out.resumed_pairs += 1;
-            out.workload.merge(&record.workload);
-            out.timings.merge(&record.timings);
-            out.counters.merge(&record.counters);
-            out.alignments
-                .extend(record.alignments.into_iter().map(|aligned| LocatedAlignment {
-                    target_chrom: tname.clone(),
-                    query_chrom: qname.clone(),
-                    aligned,
-                }));
-            record.outcome
-        } else {
-            match slots[pair_id].take() {
-                Some(Ok(report)) => {
-                    let outcome = report.outcome();
-                    out.workload.merge(&report.workload);
-                    out.timings.merge(&report.timings);
-                    out.counters.merge(&report.counters);
-                    out.alignments
-                        .extend(report.alignments.into_iter().map(|aligned| LocatedAlignment {
-                            target_chrom: tname.clone(),
-                            query_chrom: qname.clone(),
-                            aligned,
-                        }));
-                    outcome
-                }
-                Some(Err(error)) => RunOutcome::Failed { error },
-                None => RunOutcome::Failed {
-                    error: if stalls.load(Ordering::Relaxed) > 0 {
-                        format!(
-                            "pair stalled: no progress for {}ms; aborted by watchdog",
-                            options.stall_timeout_ms
-                        )
-                    } else {
-                        "pair dropped: dataflow run aborted".to_string()
-                    },
-                },
-            }
-        };
-        out.pairs.push(PairOutcome {
-            target_chrom: tname.clone(),
-            query_chrom: qname.clone(),
-            outcome,
+    let stalls_detected = stalls.load(Ordering::Relaxed);
+    for (pair_id, record) in resumed.into_iter().enumerate() {
+        if let Some(record) = record {
+            replay_pair(&mut out, record);
+            continue;
+        }
+        let record = slots[pair_id].take().unwrap_or_else(|| {
+            let error = if stalls_detected > 0 {
+                format!(
+                    "pair stalled: no progress for {}ms; aborted by watchdog",
+                    options.stall_timeout_ms
+                )
+            } else {
+                "pair dropped: dataflow run aborted".to_string()
+            };
+            PairRecord::failed(&tchroms[pair_id / qn].name, &qchroms[pair_id % qn].name, error)
         });
+        fold_pair(&mut out, record);
     }
     out.alignments
         .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
-    let stalls_detected = stalls.load(Ordering::Relaxed);
     let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
     out.counters.stalls_detected += stalls_detected;
     out.stage_metrics = Some(ExecutorMetrics {
         executor: ExecutorKind::Dataflow,
         threads,
         queue_depth,
-        // The producer thread drives seeding, but since intra-pair
-        // sharding the table build and D-SOFT walk fan out over the
-        // whole pool.
+        // The producer thread drives seeding, but the table build and
+        // D-SOFT walk fan out over the whole pool.
         seeding: seed_meter.snapshot(threads, 0),
         filtering: filter_meter.snapshot(threads, filter_q.max_occupancy()),
         extension: ext_meter.snapshot(threads, extend_q.max_occupancy()),
         faults_injected,
         retries,
         stalls_detected,
-        spec_discard: out.counters.spec_discard,
     });
     Ok(out)
 }
@@ -662,82 +459,30 @@ fn produce<'a>(
     for &pair_id in &order {
         row_remaining[pair_id / qn] += 1;
     }
-    let mut row_tables: Vec<Option<Arc<SeedTable>>> = vec![None; tchroms.len()];
-    let mut row_failed: Vec<Option<String>> = vec![None; tchroms.len()];
+    let mut row_tables: Vec<Option<Result<Arc<SeedTable>, String>>> = vec![None; tchroms.len()];
 
     for pair_id in order {
         let ti = pair_id / qn;
-        let qi = pair_id % qn;
         let tchrom = &tchroms[ti];
-        let qchrom = &qchroms[qi];
+        let qchrom = &qchroms[pair_id % qn];
+        let pair_obs = obs.with_pair(pair_id as u64);
         row_remaining[ti] -= 1;
-        let row_done = row_remaining[ti] == 0;
 
-        'pair: {
-            if row_tables[ti].is_none() && row_failed[ti].is_none() {
+        // `Err` fails this pair; `Ok(false)` means a queue closed under
+        // us (shutdown in progress) and the producer is done.
+        let mut dispatch = || -> Result<bool, String> {
+            let table = row_tables[ti].get_or_insert_with(|| {
                 let busy = Instant::now();
-                if let Some(provider) = tables {
-                    // Shared-index mode: the provider owns build timing
-                    // and span accounting (a hit here may be a cache
-                    // lookup, not a build).
-                    match catch_unwind(AssertUnwindSafe(|| provider(ti))) {
-                        Ok(built) => {
-                            row_tables[ti] = Some(built);
-                            seed_meter.add_busy(busy.elapsed());
-                        }
-                        Err(payload) => {
-                            row_failed[ti] = Some(panic_message(payload.as_ref()));
-                        }
-                    }
-                } else {
-                    let mut buf = obs.with_pair(pair_id as u64).buffer();
-                    let table_timer = buf.start();
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        sharded_seed_table(params, &tchrom.sequence, threads)
-                    })) {
-                        Ok((built, build_time)) => {
-                            row_tables[ti] = Some(Arc::new(built));
-                            table_build_ns
-                                .fetch_add(build_time.as_nanos() as u64, Ordering::Relaxed);
-                            seed_meter.add_busy(busy.elapsed());
-                            buf.finish(
-                                table_timer,
-                                SpanName::SeedTable,
-                                STRAND_NA,
-                                ti as u64,
-                                1,
-                                tchrom.sequence.len() as u64,
-                            );
-                        }
-                        Err(payload) => {
-                            row_failed[ti] = Some(panic_message(payload.as_ref()));
-                        }
-                    }
-                }
-            }
+                row_seed_table(params, &tchrom.sequence, ti, threads, tables, pair_obs).map(
+                    |(table, build_time)| {
+                        table_build_ns.fetch_add(build_time.as_nanos() as u64, Ordering::Relaxed);
+                        seed_meter.add_busy(busy.elapsed());
+                        table
+                    },
+                )
+            });
+            let table = table.as_ref().map_err(|message| message.clone())?;
 
-            if let Some(message) = &row_failed[ti] {
-                let done = PairDone {
-                    pair_id,
-                    result: Err(format!("seed table build panicked: {message}")),
-                };
-                if done_q.push(done).is_err() {
-                    return;
-                }
-                break 'pair;
-            }
-            let Some(table) = row_tables[ti].as_ref() else {
-                let done = PairDone {
-                    pair_id,
-                    result: Err("seed table missing after build".into()),
-                };
-                if done_q.push(done).is_err() {
-                    return;
-                }
-                break 'pair;
-            };
-
-            let pair_start = Instant::now();
             let busy = Instant::now();
             let planned = catch_unwind(AssertUnwindSafe(|| {
                 plan_pair(
@@ -745,102 +490,40 @@ fn produce<'a>(
                     table,
                     &tchrom.sequence,
                     &qchrom.sequence,
+                    pair_id,
                     seed_meter,
                     threads,
-                    obs.with_pair(pair_id as u64),
+                    pair_obs,
                 )
             }));
             seed_meter.add_busy(busy.elapsed());
             heartbeat.fetch_add(1, Ordering::Relaxed);
-            let lanes = match planned {
-                Ok(lanes) => lanes,
-                Err(payload) => {
-                    let done = PairDone {
-                        pair_id,
-                        result: Err(panic_message(payload.as_ref())),
-                    };
-                    if done_q.push(done).is_err() {
-                        return;
-                    }
-                    break 'pair;
-                }
-            };
-
-            // Materialise the job and its tasks *before* registration, so
-            // a worker depositing the last batch always finds complete
-            // batch counts.
-            let mut tasks: Vec<FilterTask<'a>> = Vec::new();
-            let mut job_lanes: Vec<Lane<'a>> = Vec::with_capacity(lanes.len());
-            for (lane_idx, lane) in lanes.into_iter().enumerate() {
-                let batch_count = lane.hits.len().div_ceil(FILTER_BATCH_TILES);
-                for (batch_idx, chunk) in lane.hits.chunks(FILTER_BATCH_TILES).enumerate() {
-                    tasks.push(FilterTask {
-                        pair_id,
-                        lane_idx,
-                        batch_idx,
-                        hits: chunk.to_vec(),
-                        ctx: Arc::clone(&lane.ctx),
-                        target: &tchrom.sequence,
-                        query: lane.query.clone(),
-                        pair_start,
-                    });
-                }
-                let mut batches = Vec::new();
-                batches.resize_with(batch_count, || None);
-                job_lanes.push(Lane {
-                    strand: lane.strand,
-                    query: lane.query,
-                    seeds_queried: lane.seeds_queried,
-                    raw_hits: lane.raw_hits,
-                    seed_time: lane.seed_time,
-                    ctx_time: lane.ctx_time,
-                    clamp_events: lane.clamp_events,
-                    batches,
-                    deposited: 0,
-                });
-            }
-            let job = PairJob {
-                pair_id,
-                pair_start,
-                target: &tchrom.sequence,
-                lanes: job_lanes,
-            };
+            // The job and its tasks are complete *before* registration,
+            // so a worker depositing the last batch always finds
+            // complete batch counts.
+            let (job, tasks) = planned.map_err(|payload| panic_message(payload.as_ref()))?;
             if tasks.is_empty() {
                 // No hits anywhere: nothing for the filter pool, hand the
                 // pair straight to extension (it still carries seeding
                 // counters and clamp events).
-                if extend_q.push(job).is_err() {
-                    return;
-                }
-                break 'pair;
+                return Ok(extend_q.push(job).is_ok());
             }
-            *cells[pair_id].lock() = Some(job);
+            set_cell(cells, pair_id, Some(job));
             for task in tasks {
-                if let Err(error) = gate_queue(
-                    injector,
-                    retry_policy,
-                    Hook::QueuePush,
-                    pair_id as u64,
-                    &obs.with_pair(pair_id as u64),
-                ) {
+                if let Err(error) =
+                    gate_queue(injector, retry_policy, Hook::QueuePush, pair_id as u64, &pair_obs)
+                {
                     // The push fault survived its retry budget: cancel
                     // the pair (workers find its cell empty and drop
                     // their deposits) and fail it through `done_q`.
-                    *cells[pair_id].lock() = None;
-                    let done = PairDone {
-                        pair_id,
-                        result: Err(format!("queue.push fault: {error}")),
-                    };
-                    if done_q.push(done).is_err() {
-                        return;
-                    }
-                    break;
+                    set_cell(cells, pair_id, None);
+                    return Err(format!("queue.push fault: {error}"));
                 }
                 let mut wait_buf = obs.buffer();
                 let wait_timer = wait_buf.start();
                 let wait = Instant::now();
                 if filter_q.push(task).is_err() {
-                    return; // shutdown in progress (journal failure)
+                    return Ok(false); // shutdown in progress (journal failure)
                 }
                 seed_meter.add_idle(wait.elapsed());
                 wait_buf.finish_for_pair(
@@ -854,15 +537,161 @@ fn produce<'a>(
                 );
                 heartbeat.fetch_add(1, Ordering::Relaxed);
             }
+            Ok(true)
+        };
+        let keep_going = dispatch().unwrap_or_else(|error| {
+            let result = Err(error);
+            done_q.push(PairDone { pair_id, result }).is_ok()
+        });
+        if !keep_going {
+            return;
         }
 
         // Row finished: release its table before moving to the next
         // dispatched pair, bounding live tables by the number of
         // in-progress rows (one, since dispatch is sequential).
-        if row_done {
+        if row_remaining[ti] == 0 {
             row_tables[ti] = None;
         }
     }
+}
+
+/// One filter-pool worker: pops tile batches off `filter_q` until it
+/// closes, runs each through [`filter_batch`] and deposits the result
+/// in the pair's cell. The last of the pool's `alive` workers out —
+/// normally or unwinding — closes `extend_q`.
+#[allow(clippy::too_many_arguments)]
+fn filter_worker<'a>(
+    params: &WgaParams,
+    filter_q: &BoundedQueue<FilterTask<'a>>,
+    extend_q: &BoundedQueue<PairJob<'a>>,
+    cells: &[Mutex<Option<PairJob<'a>>>],
+    alive: &AtomicUsize,
+    meter: &StageMeter,
+    heartbeat: &AtomicU64,
+    retry_policy: &RetryPolicy,
+    obs: Obs<'_>,
+) {
+    let _guard = PoolGuard {
+        alive,
+        downstream: extend_q,
+    };
+    let mut wait_buf = obs.buffer();
+    loop {
+        let wait_timer = wait_buf.start();
+        let wait = Instant::now();
+        let Some(task) = filter_q.pop() else { break };
+        meter.add_idle(wait.elapsed());
+        wait_buf.finish_for_pair(
+            wait_timer,
+            SpanName::QueueWait,
+            task.pair_id as u64,
+            STRAND_NA,
+            QUEUE_FILTER_POP,
+            0,
+            0,
+        );
+        let pair_obs = obs.with_pair(task.pair_id as u64);
+        let gate = gate_queue(obs.fault(), retry_policy, Hook::QueuePop, task.pair_id as u64, &pair_obs);
+        let result = match gate {
+            Ok(()) => {
+                let busy = Instant::now();
+                let result = filter_batch(
+                    params,
+                    &task.ctx,
+                    task.target,
+                    task.query.seq(),
+                    &task.hits,
+                    task.pair_start,
+                    strand_code(task.strand),
+                    task.batch_idx,
+                    pair_obs,
+                );
+                meter.add_busy(busy.elapsed());
+                result
+            }
+            // A queue fault that survives its retry budget fails the
+            // batch (and, downstream, the pair).
+            Err(error) => {
+                BatchResult::failed(task.hits.len() as u64, format!("queue.pop fault: {error}"))
+            }
+        };
+        meter.add_items(result.processed);
+        meter.add_cells(result.cells);
+        deposit(cells, extend_q, &task, result);
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One extension-pool worker: pops whole pairs off `extend_q` until it
+/// closes, runs [`extend_pair`] under panic containment and hands the
+/// outcome to the collector. The last of the pool's `alive` workers
+/// out closes `done_q`.
+#[allow(clippy::too_many_arguments)]
+fn extend_worker(
+    params: &WgaParams,
+    extend_q: &BoundedQueue<PairJob<'_>>,
+    done_q: &BoundedQueue<PairDone>,
+    alive: &AtomicUsize,
+    meter: &StageMeter,
+    heartbeat: &AtomicU64,
+    retry_policy: &RetryPolicy,
+    obs: Obs<'_>,
+) {
+    let _guard = PoolGuard {
+        alive,
+        downstream: done_q,
+    };
+    let injector = obs.fault();
+    let mut wait_buf = obs.buffer();
+    loop {
+        let wait_timer = wait_buf.start();
+        let wait = Instant::now();
+        let Some(job) = extend_q.pop() else { break };
+        meter.add_idle(wait.elapsed());
+        wait_buf.finish_for_pair(
+            wait_timer,
+            SpanName::QueueWait,
+            job.pair_id as u64,
+            STRAND_NA,
+            QUEUE_EXTEND_POP,
+            0,
+            0,
+        );
+        let pair_id = job.pair_id;
+        let pair_obs = obs.with_pair(pair_id as u64);
+        let gate = gate_queue(injector, retry_policy, Hook::QueuePop, pair_id as u64, &pair_obs);
+        // A pair whose retry budget an earlier stage already exhausted
+        // fails here instead of burning extension work — the same
+        // `Failed` the other schedules reach through their pair-level
+        // panic containment.
+        let result = match gate {
+            Err(error) => Err(format!("queue.pop fault: {error}")),
+            Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
+                Err(format!("injected fault: pair {pair_id}: retries exhausted"))
+            }
+            Ok(()) => {
+                let busy = Instant::now();
+                let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)));
+                meter.add_busy(busy.elapsed());
+                result.map_err(|payload| panic_message(payload.as_ref()))
+            }
+        };
+        if let Ok(report) = &result {
+            meter.add_items(report.counters.anchors_passed);
+            meter.add_cells(report.workload.extension_cells);
+        }
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+        if done_q.push(PairDone { pair_id, result }).is_err() {
+            break;
+        }
+    }
+}
+
+/// Registers a planned pair's cell for the filter pool's deposits, or
+/// (with `None`) cancels it.
+fn set_cell<'a>(cells: &[Mutex<Option<PairJob<'a>>>], pair_id: usize, job: Option<PairJob<'a>>) {
+    *cells[pair_id].lock() = job;
 }
 
 /// Supervised chaos gate on a queue operation: injected errors are
@@ -895,194 +724,70 @@ fn gate_queue(
     .map_err(|e| e.to_string())
 }
 
-/// A planned (pair, strand) stream before task slicing.
-struct PlannedLane<'a> {
-    strand: Strand,
-    query: StrandSeq<'a>,
-    ctx: Arc<FilterContext>,
-    hits: Vec<SeedHit>,
-    seeds_queried: u64,
-    raw_hits: u64,
-    seed_time: Duration,
-    ctx_time: Duration,
-    clamp_events: Vec<RunEvent>,
-}
-
-/// Seeds and clamps both strands of one pair. The reverse strand's tile
-/// clamp charges the forward strand's *planned* tiles (see module docs
-/// for the single divergence this implies).
+/// Seeds and clamps both strands of one pair and cuts each strand's
+/// hits into filter tasks. The reverse strand's tile clamp charges the
+/// forward strand's *planned* tiles (see module docs for the single
+/// divergence this implies).
+#[allow(clippy::too_many_arguments)]
 fn plan_pair<'a>(
     params: &WgaParams,
     table: &SeedTable,
     target: &'a Sequence,
     query: &'a Sequence,
+    pair_id: usize,
     seed_meter: &StageMeter,
     threads: usize,
     obs: Obs<'_>,
-) -> Vec<PlannedLane<'a>> {
-    let mut lanes = Vec::with_capacity(if params.both_strands { 2 } else { 1 });
-    let fwd = plan_lane(
-        params,
-        table,
-        target,
-        StrandSeq::Forward(query),
-        Strand::Forward,
-        0,
-        seed_meter,
-        threads,
-        obs,
-    );
-    let fwd_tiles = fwd.hits.len() as u64;
-    lanes.push(fwd);
+) -> (PairJob<'a>, Vec<FilterTask<'a>>) {
+    let pair_start = Instant::now();
+    let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(2);
+    let mut tasks: Vec<FilterTask<'a>> = Vec::new();
+    let mut tiles_planned = 0u64;
+    let mut plan_lane = |query: StrandSeq<'a>, strand: Strand| {
+        let (hits, seeded) =
+            seed_lane(params, table, query.seq(), strand, threads, tiles_planned, obs);
+        tiles_planned += hits.len() as u64;
+        seed_meter.add_items(hits.len() as u64);
+        seed_meter.add_cells(seeded.seeds_queried);
+        let ctx_start = Instant::now();
+        let ctx = Arc::new(FilterContext::new(params, target, query.seq()));
+        let ctx_time = ctx_start.elapsed();
+        for (batch_idx, chunk) in hits.chunks(FILTER_BATCH_TILES).enumerate() {
+            tasks.push(FilterTask {
+                pair_id,
+                lane_idx: lanes.len(),
+                strand,
+                batch_idx,
+                hits: chunk.to_vec(),
+                ctx: Arc::clone(&ctx),
+                target,
+                query: query.clone(),
+                pair_start,
+            });
+        }
+        let mut batches = Vec::new();
+        batches.resize_with(hits.len().div_ceil(FILTER_BATCH_TILES), || None);
+        lanes.push(Lane {
+            strand,
+            query,
+            seeded,
+            ctx_time,
+            batches,
+            deposited: 0,
+        });
+    };
+    plan_lane(StrandSeq::Forward(query), Strand::Forward);
     if params.both_strands {
         let rc = Arc::new(query.reverse_complement());
-        lanes.push(plan_lane(
-            params,
-            table,
-            target,
-            StrandSeq::Reverse(rc),
-            Strand::Reverse,
-            fwd_tiles,
-            seed_meter,
-            threads,
-            obs,
-        ));
+        plan_lane(StrandSeq::Reverse(rc), Strand::Reverse);
     }
-    lanes
-}
-
-#[allow(clippy::too_many_arguments)]
-fn plan_lane<'a>(
-    params: &WgaParams,
-    table: &SeedTable,
-    target: &'a Sequence,
-    query: StrandSeq<'a>,
-    strand: Strand,
-    tiles_planned: u64,
-    seed_meter: &StageMeter,
-    threads: usize,
-    obs: Obs<'_>,
-) -> PlannedLane<'a> {
-    let mut buf = obs.buffer();
-    // Chaos hook: one `filter.batch` gate per (pair, strand) stream,
-    // planned in strand order — the same occurrence indices the serial
-    // and barrier drivers consume, so a plan hits every executor at the
-    // same logical point. The producer's `catch_unwind` contains the
-    // escalation panic, failing just this pair.
-    obs.fault_gate(Hook::FilterBatch);
-    let seed_timer = buf.start();
-    let seed_start = Instant::now();
-    let seeding = sharded_dsoft(table, query.seq(), &params.dsoft, params.shard_bases, threads);
-    let seed_time = seed_start.elapsed();
-    let clamp = clamp_hit_count(params, seeding.hits.len(), tiles_planned);
-    let mut hits = seeding.hits;
-    hits.truncate(clamp.take);
-    buf.finish(
-        seed_timer,
-        SpanName::Seed,
-        strand_code(strand),
-        0,
-        hits.len() as u64,
-        seeding.seeds_queried,
-    );
-    buf.flush();
-    seed_meter.add_items(hits.len() as u64);
-    seed_meter.add_cells(seeding.seeds_queried);
-    let ctx_start = Instant::now();
-    let ctx = Arc::new(FilterContext::new(params, target, query.seq()));
-    PlannedLane {
-        strand,
-        query,
-        ctx,
-        hits,
-        seeds_queried: seeding.seeds_queried,
-        raw_hits: seeding.raw_hits,
-        seed_time,
-        ctx_time: ctx_start.elapsed(),
-        clamp_events: clamp.events,
-    }
-}
-
-/// Runs one batch with the same containment as the barrier driver: the
-/// batch executes under `catch_unwind`, a panicked batch gets one serial
-/// retry, and a second panic yields a failed result (recorded later as
-/// [`RunEvent::BatchFailed`]) instead of killing the pair.
-fn run_filter_batch(params: &WgaParams, task: &FilterTask<'_>, obs: Obs<'_>) -> BatchResult {
-    match try_filter_batch(params, task, obs) {
-        Ok(result) => result,
-        Err(_first) => match try_filter_batch(params, task, obs) {
-            Ok(result) => result,
-            Err(message) => BatchResult {
-                anchors: Vec::new(),
-                processed: 0,
-                items: task.hits.len() as u64,
-                failed: Some(message),
-                busy: Duration::ZERO,
-                cells: 0,
-            },
-        },
-    }
-}
-
-fn try_filter_batch(
-    params: &WgaParams,
-    task: &FilterTask<'_>,
-    obs: Obs<'_>,
-) -> Result<BatchResult, String> {
-    let start = Instant::now();
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut buf = obs.buffer();
-        let batch_timer = buf.start();
-        let mut engine = task.ctx.engine();
-        let mut anchors = Vec::new();
-        let mut processed = 0u64;
-        let mut cells = 0u64;
-        for &hit in &task.hits {
-            if params.budget.deadline_exceeded(task.pair_start) {
-                break;
-            }
-            #[cfg(test)]
-            poison_check(hit);
-            let tile_timer = obs.timer();
-            let outcome = engine.filter_hit(params, task.target, task.query.seq(), hit);
-            obs.filter_tile(&tile_timer, outcome.cells);
-            cells += outcome.cells;
-            if let Some(anchor) = outcome.anchor {
-                anchors.push(anchor);
-            }
-            processed += 1;
-        }
-        buf.finish(
-            batch_timer,
-            SpanName::FilterBatch,
-            if task.lane_idx == 0 {
-                crate::obs::STRAND_FWD
-            } else {
-                crate::obs::STRAND_REV
-            },
-            task.batch_idx as u64,
-            processed,
-            cells,
-        );
-        BatchResult {
-            anchors,
-            processed,
-            items: task.hits.len() as u64,
-            failed: None,
-            busy: start.elapsed(),
-            cells,
-        }
-    }))
-    .map_err(|payload| panic_message(payload.as_ref()))
-}
-
-/// Test-only fault injection, mirroring the barrier driver's: a hit at
-/// `usize::MAX` (unreachable from real seeding) panics in the worker.
-#[cfg(test)]
-fn poison_check(hit: SeedHit) {
-    if hit.target_pos == usize::MAX {
-        panic!("poisoned filter hit");
-    }
+    let job = PairJob {
+        pair_id,
+        pair_start,
+        target,
+        lanes,
+    };
+    (job, tasks)
 }
 
 /// Files one batch result into its pair's cell; the worker that
@@ -1114,81 +819,153 @@ fn deposit<'a>(
 }
 
 /// The extension stage of one pair: reassembles each lane's anchors in
-/// hit order from the deposited batches, replays the barrier executor's
-/// event/counter accounting, and runs the anchor-absorption extension
-/// per lane — with `lane_threads - 1` speculative helpers when the
-/// worker borrowed spare permits (the commit order stays serial, so
-/// output is invariant to the grant).
-fn extend_pair(
-    params: &WgaParams,
-    mut job: PairJob<'_>,
-    lane_threads: usize,
-    obs: Obs<'_>,
-) -> WgaReport {
+/// hit order from the deposited batches and runs the anchor-absorption
+/// extension per lane, through the same accounting as every other
+/// schedule.
+fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport {
     let mut report = WgaReport::default();
-    let target = job.target;
-    for lane in &mut job.lanes {
-        report.timings.seeding += lane.seed_time;
-        report.workload.seeds += lane.seeds_queried;
-        report.counters.raw_seed_hits += lane.raw_hits;
-        report.events.append(&mut lane.clamp_events);
-
-        let mut anchors: Vec<Anchor> = Vec::new();
-        let mut deadline_hit = false;
-        let mut filter_time = lane.ctx_time;
-        for (idx, slot) in lane.batches.iter_mut().enumerate() {
-            let Some(batch) = slot.take() else {
-                // Every batch is deposited before a job is dispatched;
-                // an empty slot means accounting went wrong, so surface
-                // it as a failed batch instead of crashing the worker.
-                report.events.push(RunEvent::BatchFailed {
-                    stage: StageKind::Filtering,
-                    batch: idx,
-                    items: 0,
-                    message: "batch missing at extension".into(),
-                });
-                continue;
-            };
-            match batch.failed {
-                Some(message) => report.events.push(RunEvent::BatchFailed {
-                    stage: StageKind::Filtering,
-                    batch: idx,
-                    items: batch.items,
-                    message,
-                }),
-                None => {
-                    report.workload.filter_tiles += batch.processed;
-                    report.counters.hits_filtered += batch.processed;
-                    report.counters.filter_cells += batch.cells;
-                    if batch.processed < batch.items {
-                        deadline_hit = true;
-                    }
-                    filter_time += batch.busy;
-                    anchors.extend(batch.anchors);
-                }
-            }
-        }
-        if deadline_hit {
-            report
-                .events
-                .push(deadline_event(&params.budget, StageKind::Filtering, job.pair_start));
-        }
-        report.timings.filtering += filter_time;
-        report.counters.anchors_passed += anchors.len() as u64;
-        extend_anchors_sharded(
+    for lane in job.lanes {
+        // Every batch is deposited before a job is dispatched; an empty
+        // slot means accounting went wrong, so surface it as a failed
+        // batch instead of crashing the worker.
+        let batches = lane.batches.into_iter().map(|slot| {
+            slot.unwrap_or_else(|| BatchResult::failed(0, "batch missing at extension".into()))
+        });
+        let anchors =
+            fold_batches(params, lane.seeded, lane.ctx_time, batches, job.pair_start, &mut report);
+        extend_anchors(
             params,
-            target,
+            job.target,
             lane.query.seq(),
             lane.strand,
             anchors,
             job.pair_start,
             &mut report,
             obs,
-            lane_threads,
         );
     }
     report
         .alignments
         .sort_by_key(|a| std::cmp::Reverse(a.alignment.score));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::STRAND_FWD;
+    use crate::report::{RunEvent, StageKind};
+    use crate::shard::run_sharded;
+
+    /// Batch containment is one piece of code ([`filter_batch`] +
+    /// [`fold_batches`]), so it is tested once: the same poisoned hit
+    /// list, cut into the same one-hit batches, keeps every healthy
+    /// batch's anchors and records exactly one failed batch whether the
+    /// batches run inline (the one-thread schedule), through
+    /// [`run_sharded`] (barrier) or through the dataflow filter pool.
+    #[test]
+    fn panicking_batch_is_isolated_on_every_schedule() {
+        let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
+        let t: Sequence = core.parse().unwrap();
+        let q = t.clone();
+        let params = WgaParams::darwin_wga();
+        let ctx = Arc::new(FilterContext::new(&params, &t, &q));
+        let pair_start = Instant::now();
+        // A hit every 320 bp, then one that panics its batch (and the
+        // batch's one retry).
+        let mut hits: Vec<SeedHit> = (0..4).map(|i| SeedHit::new(i * 320, i * 320)).collect();
+        hits.push(SeedHit::new(usize::MAX, 0));
+
+        let fold = |batches: Vec<BatchResult>| {
+            let mut report = WgaReport::default();
+            let lane = SeededLane::default();
+            let anchors =
+                fold_batches(&params, lane, Duration::ZERO, batches, pair_start, &mut report);
+            (anchors, report)
+        };
+        let sharded = |hits: &[SeedHit], threads: usize| {
+            fold(run_sharded(hits.len(), threads, |i| {
+                let batch = &hits[i..=i];
+                filter_batch(&params, &ctx, &t, &q, batch, pair_start, STRAND_FWD, i, Obs::off())
+            }))
+        };
+        let pooled = |hits: &[SeedHit]| {
+            let filter_q = BoundedQueue::new(2);
+            let extend_q = BoundedQueue::new(1);
+            let mut batches = Vec::new();
+            batches.resize_with(hits.len(), || None);
+            let cells = [Mutex::new(Some(PairJob {
+                pair_id: 0,
+                pair_start,
+                target: &t,
+                lanes: vec![Lane {
+                    strand: Strand::Forward,
+                    query: StrandSeq::Forward(&q),
+                    seeded: SeededLane::default(),
+                    ctx_time: Duration::ZERO,
+                    batches,
+                    deposited: 0,
+                }],
+            }))];
+            let alive = AtomicUsize::new(2);
+            let (meter, heartbeat) = (StageMeter::default(), AtomicU64::new(0));
+            let policy = RetryPolicy::default();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        filter_worker(
+                            &params,
+                            &filter_q,
+                            &extend_q,
+                            &cells,
+                            &alive,
+                            &meter,
+                            &heartbeat,
+                            &policy,
+                            Obs::off(),
+                        )
+                    });
+                }
+                for (batch_idx, &hit) in hits.iter().enumerate() {
+                    let task = FilterTask {
+                        pair_id: 0,
+                        lane_idx: 0,
+                        strand: Strand::Forward,
+                        batch_idx,
+                        hits: vec![hit],
+                        ctx: Arc::clone(&ctx),
+                        target: &t,
+                        query: StrandSeq::Forward(&q),
+                        pair_start,
+                    };
+                    assert!(filter_q.push(task).is_ok());
+                }
+                filter_q.close();
+            });
+            let mut job = extend_q.pop().expect("the last deposit promotes the pair");
+            assert!(extend_q.pop().is_none(), "the last worker out closes extend_q");
+            let lane = job.lanes.remove(0);
+            fold(lane.batches.into_iter().map(|b| b.expect("deposited")).collect())
+        };
+
+        let (clean, clean_report) = sharded(&hits[..4], 1);
+        assert!(clean_report.events.is_empty());
+        assert!(!clean.is_empty());
+        for (schedule, (anchors, report)) in [
+            ("inline", sharded(&hits, 1)),
+            ("run_sharded", sharded(&hits, 4)),
+            ("dataflow pool", pooled(&hits)),
+        ] {
+            assert_eq!(anchors, clean, "{schedule}: healthy batches keep their anchors");
+            assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
+            assert_eq!(report.counters.hits_filtered, 4, "{schedule}");
+            match &report.events[..] {
+                [RunEvent::BatchFailed { stage, batch, items, message }] => {
+                    assert_eq!((*stage, *batch, *items), (StageKind::Filtering, 4, 1));
+                    assert!(message.contains("poisoned"), "{schedule}: {message}");
+                }
+                other => panic!("{schedule}: expected one failed batch, got {other:?}"),
+            }
+        }
+    }
 }

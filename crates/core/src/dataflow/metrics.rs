@@ -100,12 +100,6 @@ pub struct ExecutorMetrics {
     /// Watchdog stall escalations over the whole run.
     #[serde(default)]
     pub stalls_detected: u64,
-    /// Speculative extensions computed by shard helpers and discarded
-    /// unconsumed (the anchor was absorbed or truncated before the
-    /// commit loop reached it). Thread-schedule dependent — telemetry
-    /// only, never canonical. Absent in pre-existing metrics JSON.
-    #[serde(default)]
-    pub spec_discard: u64,
 }
 
 /// Former name of [`ExecutorMetrics`], kept for source compatibility
@@ -124,7 +118,7 @@ impl ExecutorMetrics {
             )
         }
         format!(
-            "{{\"executor\":\"{}\",\"threads\":{},\"queue_depth\":{},\"seeding\":{},\"filtering\":{},\"extension\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{},\"spec_discard\":{}}}",
+            "{{\"executor\":\"{}\",\"threads\":{},\"queue_depth\":{},\"seeding\":{},\"filtering\":{},\"extension\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
             self.executor.as_str(),
             self.threads,
             self.queue_depth,
@@ -133,8 +127,7 @@ impl ExecutorMetrics {
             stage(&self.extension),
             self.faults_injected,
             self.retries,
-            self.stalls_detected,
-            self.spec_discard
+            self.stalls_detected
         )
     }
 
@@ -161,13 +154,8 @@ impl ExecutorMetrics {
         } else {
             String::new()
         };
-        let spec = if self.spec_discard > 0 {
-            format!("\n  speculation spec_discard={}", self.spec_discard)
-        } else {
-            String::new()
-        };
         format!(
-            "stage metrics (executor={}, threads={}{queue}):\n{}\n{}\n{}{chaos}{spec}",
+            "stage metrics (executor={}, threads={}{queue}):\n{}\n{}\n{}{chaos}",
             self.executor.as_str(),
             self.threads,
             line("seeding", &self.seeding),
@@ -248,7 +236,7 @@ mod tests {
                 );
             }
         }
-        for field in ["faults_injected", "retries", "stalls_detected", "spec_discard"] {
+        for field in ["faults_injected", "retries", "stalls_detected"] {
             assert_eq!(
                 value.get(field).and_then(|v| v.as_int()),
                 Some(0),
@@ -275,12 +263,6 @@ mod tests {
         };
         assert!(chaotic.summary().contains("faults_injected=3"));
         assert!(chaotic.to_json().contains("\"faults_injected\":3"));
-        let speculative = ExecutorMetrics {
-            spec_discard: 7,
-            ..chaotic
-        };
-        assert!(speculative.summary().contains("spec_discard=7"));
-        assert!(speculative.to_json().contains("\"spec_discard\":7"));
     }
 
     #[test]
@@ -295,9 +277,16 @@ mod tests {
                    \"extension\":{\"workers\":2,\"items\":1,\"cells\":2,\"busy_us\":3,\"idle_us\":4,\"max_queue_occupancy\":5}}";
         let value = crate::journal::json::parse(old).unwrap();
         assert_eq!(value.get("threads").and_then(|v| v.as_int()), Some(2));
-        for field in ["faults_injected", "retries", "stalls_detected", "spec_discard"] {
+        for field in ["faults_injected", "retries", "stalls_detected"] {
             let n = value.get(field).and_then(|v| v.as_int()).unwrap_or(0);
             assert_eq!(n, 0, "{field} defaults to zero when absent");
         }
+        // The other direction: a payload from when extension speculated
+        // carries a counter this struct no longer has. It still parses,
+        // and the fields that remain read as before.
+        let speculative = old.replacen('{', "{\"spec_discard\":7,", 1);
+        let value = crate::journal::json::parse(&speculative).unwrap();
+        assert_eq!(value.get("spec_discard").and_then(|v| v.as_int()), Some(7));
+        assert_eq!(value.get("queue_depth").and_then(|v| v.as_int()), Some(8));
     }
 }

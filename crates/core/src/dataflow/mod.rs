@@ -40,8 +40,9 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// Which execution engine drives an assembly-scale run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum ExecutorKind {
-    /// Stage-barrier driver: the filter stage fans out per pair, seeding
-    /// and extension run serially ([`crate::parallel`]).
+    /// Stage-barrier schedule: within each pair seeding and the filter
+    /// batches fan out, each stage runs to completion before the next,
+    /// and one thread extends ([`crate::pipeline::run_pair`]).
     #[default]
     Barrier,
     /// Streaming executor: all three stages run concurrently over

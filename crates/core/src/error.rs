@@ -6,7 +6,7 @@
 //! caller (the `wga` CLI, a service, a test harness) can handle. Panics
 //! are reserved for programmer errors (violated invariants), and even
 //! those are contained per worker batch / per chromosome pair by the
-//! execution layer (see [`crate::parallel`] and
+//! execution layer (see `stages::filter_batch` and
 //! [`crate::genome_pipeline`]).
 
 use std::fmt;

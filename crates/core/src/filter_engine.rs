@@ -25,10 +25,11 @@
 //! this over thousands of random and adversarial tiles. Selection is via
 //! [`WgaParams::filter_engine`] / the CLI's `--filter-engine` flag.
 //!
-//! Usage shape (what [`crate::pipeline`] and [`crate::parallel`] do):
-//! build one [`FilterContext`] per chromosome pair and strand, share it
-//! read-only across workers, and have each worker materialise its own
-//! engine with [`FilterContext::engine`] for the batch of hits it owns.
+//! Usage shape (what every schedule does, through
+//! `stages::filter_batch`): build one [`FilterContext`] per
+//! chromosome pair and strand, share it read-only across workers, and
+//! materialise one engine with [`FilterContext::engine`] per batch of
+//! hits.
 
 use crate::config::{FilterEngineKind, FilterStage, WgaParams};
 use crate::stages::{gapped_outcome, run_filter, FilterOutcome};
@@ -163,8 +164,8 @@ enum ContextState {
 /// Holds the byte-encoded chromosome pair when the batched or SIMD
 /// engine is selected for a gapped filter stage (nothing otherwise —
 /// scalar filtering needs no shared state). `FilterContext` is `Sync`,
-/// so the parallel driver builds it outside the thread scope and each
-/// worker calls [`FilterContext::engine`] to get its own mutable engine.
+/// so it is built once outside any thread scope and each batch calls
+/// [`FilterContext::engine`] to get its own mutable engine.
 #[derive(Debug, Default)]
 pub struct FilterContext {
     state: ContextState,

@@ -14,26 +14,25 @@
 //! byte-identical final report (see [`AssemblyReport::canonical_text`]).
 //!
 //! The filter stage of every pair runs through the engine selected by
-//! [`WgaParams::filter_engine`] (scalar reference or batched wavefront,
-//! see [`crate::filter_engine`]); both the serial and the panic-isolated
-//! parallel drivers build one shared
-//! [`crate::filter_engine::FilterContext`] per pair/strand and feed whole
-//! batches of tiles to each worker's engine. Engine choice never changes
-//! results — the golden-file regression test pins the canonical report
-//! byte-identical across engines and thread counts.
+//! [`WgaParams::filter_engine`] (scalar reference, batched wavefront or
+//! explicit SIMD, see [`crate::filter_engine`]); every schedule builds
+//! one shared [`crate::filter_engine::FilterContext`] per pair/strand
+//! and feeds whole batches of tiles to an engine drawn from it
+//! (`stages::filter_batch`). Neither engine nor schedule
+//! changes results — the golden-file regression test pins the canonical
+//! report byte-identical across engines, executors and thread counts.
 
 use crate::config::WgaParams;
 use crate::dataflow::{ExecutorKind, ExecutorMetrics, StageMetrics, DEFAULT_QUEUE_DEPTH};
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::{FaultInjector, FaultPlan, Hook};
-use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
-use crate::obs::{Counter, Obs, SpanName, STRAND_NA};
-use crate::report::{
-    FunnelCounters, PairOutcome, RunOutcome, StageTimings, Strand, WgaAlignment, WgaReport,
-};
-use crate::supervise::{self, RetryPolicy};
+use crate::faultsim::{FaultInjector, FaultPlan};
+use crate::journal::{params_fingerprint, Journal, JournalStats};
+use crate::obs::{Counter, Obs};
+use crate::pipeline::run_pair;
+use crate::report::{FunnelCounters, PairOutcome, RunOutcome, StageTimings, Strand, WgaAlignment};
+use crate::stages::{commit_pair, fold_pair, replay_pair, row_seed_table};
+use crate::supervise::{panic_message, RetryPolicy};
 use genome::assembly::Assembly;
-use genome::Sequence;
 use hwsim::Workload;
 use seed::SeedTable;
 use serde::{Deserialize, Serialize};
@@ -55,9 +54,10 @@ pub struct LocatedAlignment {
 /// Execution options for [`align_assemblies_with`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignOptions {
-    /// Worker threads for the filter stage of each pair (`1` = serial).
-    /// The dataflow executor uses this as the size of *each* of its
-    /// filter and extension worker pools.
+    /// Worker threads for the seeding and filter stages of each pair
+    /// (`1` = a plain loop on the calling thread). The dataflow executor
+    /// uses this as the size of *each* of its filter and extension
+    /// worker pools.
     pub threads: usize,
     /// Checkpoint journal path. When set, completed pairs are made
     /// durable as they finish and a rerun with the same parameters skips
@@ -337,8 +337,16 @@ pub(crate) fn align_assemblies_provided(
     let journal_stats = journal.as_ref().map(Journal::stats);
 
     if options.executor == ExecutorKind::Dataflow {
-        let mut report =
-            crate::dataflow::execute(params, target, query, options, journal, obs, tables)?;
+        let mut report = crate::dataflow::execute(
+            params,
+            target,
+            query,
+            options,
+            journal,
+            &retry_policy,
+            obs,
+            tables,
+        )?;
         report.journal_stats = journal_stats;
         return Ok(report);
     }
@@ -348,161 +356,45 @@ pub(crate) fn align_assemblies_provided(
     let mut out = AssemblyReport::default();
     for (ti, tchrom) in target.chromosomes().iter().enumerate() {
         // Built lazily so a fully-journaled target row skips the build.
-        let mut table: Option<Arc<SeedTable>> = None;
-        let mut table_failed: Option<String> = None;
+        let mut table: Option<Result<Arc<SeedTable>, String>> = None;
         for (qi, qchrom) in query.chromosomes().iter().enumerate() {
             let pair_obs = obs.with_pair((ti * qn + qi) as u64);
-            if let Some(journal) = journal.as_mut() {
-                if let Some(record) = journal.take(&tchrom.name, &qchrom.name) {
-                    out.resumed_pairs += 1;
-                    out.workload.merge(&record.workload);
-                    out.timings.merge(&record.timings);
-                    out.counters.merge(&record.counters);
-                    obs.add(Counter::PairsDone, 1);
-                    out.pairs.push(PairOutcome {
-                        target_chrom: tchrom.name.clone(),
-                        query_chrom: qchrom.name.clone(),
-                        outcome: record.outcome,
-                    });
-                    out.alignments
-                        .extend(record.alignments.into_iter().map(|aligned| {
-                            LocatedAlignment {
-                                target_chrom: tchrom.name.clone(),
-                                query_chrom: qchrom.name.clone(),
-                                aligned,
-                            }
-                        }));
-                    continue;
-                }
+            let names = (tchrom.name.as_str(), qchrom.name.as_str());
+            if let Some(record) = journal.as_mut().and_then(|j| j.take(names.0, names.1)) {
+                obs.add(Counter::PairsDone, 1);
+                replay_pair(&mut out, record);
+                continue;
             }
-
-            if table.is_none() && table_failed.is_none() {
-                if let Some(provider) = tables {
-                    // Shared-index mode: the provider owns build timing
-                    // and span accounting (a hit here may be a cache
-                    // lookup, not a build).
-                    match catch_unwind(AssertUnwindSafe(|| provider(ti))) {
-                        Ok(built) => table = Some(built),
-                        Err(payload) => {
-                            table_failed =
-                                Some(crate::parallel::panic_message(payload.as_ref()));
-                        }
-                    }
-                } else {
-                    let mut buf = pair_obs.buffer();
-                    let table_timer = buf.start();
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        crate::shard::sharded_seed_table(params, &tchrom.sequence, options.threads)
-                    })) {
-                        Ok((built, build_time)) => {
-                            table = Some(Arc::new(built));
-                            out.timings.seeding += build_time;
-                            buf.finish(
-                                table_timer,
-                                SpanName::SeedTable,
-                                STRAND_NA,
-                                ti as u64,
-                                1,
-                                tchrom.sequence.len() as u64,
-                            );
-                        }
-                        Err(payload) => {
-                            table_failed =
-                                Some(crate::parallel::panic_message(payload.as_ref()));
-                        }
-                    }
-                }
-            }
-
-            let outcome = if let Some(message) = &table_failed {
-                RunOutcome::Failed {
-                    error: format!("seed table build panicked: {message}"),
-                }
-            } else if let Some(table) = &table {
-                match catch_unwind(AssertUnwindSafe(|| {
+            let table = table.get_or_insert_with(|| {
+                row_seed_table(params, &tchrom.sequence, ti, options.threads, tables, pair_obs).map(
+                    |(table, build_time)| {
+                        out.timings.seeding += build_time;
+                        table
+                    },
+                )
+            });
+            // A panicking pair is contained: it fails, the run goes on.
+            let result = match table {
+                Ok(table) => catch_unwind(AssertUnwindSafe(|| {
                     run_pair(
                         params,
-                        table.as_ref(),
+                        table,
                         &tchrom.sequence,
                         &qchrom.sequence,
                         options.threads,
                         pair_obs,
                     )
-                })) {
-                    Ok(mut report) => {
-                        // Fold the pair's fault accounting into its
-                        // counters before the record is journaled, so a
-                        // resumed run replays the same numbers.
-                        if let Some(inj) = injector.as_ref() {
-                            let faults = inj.take_pair(pair_obs.pair());
-                            report.counters.faults_injected += faults.injected;
-                            report.counters.retries += faults.retries;
-                        }
-                        let outcome = report.outcome();
-                        if let Some(journal) = journal.as_mut() {
-                            let mut buf = pair_obs.buffer();
-                            let ckpt_timer = buf.start();
-                            let record = PairRecord {
-                                target_chrom: tchrom.name.clone(),
-                                query_chrom: qchrom.name.clone(),
-                                outcome: outcome.clone(),
-                                workload: report.workload,
-                                timings: report.timings,
-                                counters: report.counters,
-                                alignments: report.alignments.clone(),
-                            };
-                            append_supervised(
-                                journal,
-                                &record,
-                                &retry_policy,
-                                injector.as_ref(),
-                                &pair_obs,
-                            )?;
-                            buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
-                        }
-                        out.workload.merge(&report.workload);
-                        out.timings.merge(&report.timings);
-                        out.counters.merge(&report.counters);
-                        obs.add(Counter::PairsDone, 1);
-                        out.alignments
-                            .extend(report.alignments.into_iter().map(|aligned| {
-                                LocatedAlignment {
-                                    target_chrom: tchrom.name.clone(),
-                                    query_chrom: qchrom.name.clone(),
-                                    aligned,
-                                }
-                            }));
-                        outcome
-                    }
-                    Err(payload) => {
-                        // Failed pairs are not journaled; drop their
-                        // per-pair fault accounting (run totals keep it).
-                        if let Some(inj) = injector.as_ref() {
-                            let _ = inj.take_pair(pair_obs.pair());
-                        }
-                        RunOutcome::Failed {
-                            error: crate::parallel::panic_message(payload.as_ref()),
-                        }
-                    }
-                }
-            } else {
-                // Unreachable: the build attempt always sets one of the
-                // two options above.
-                RunOutcome::Failed {
-                    error: "seed table unavailable".to_string(),
-                }
+                }))
+                .map_err(|payload| panic_message(payload.as_ref())),
+                Err(message) => Err(message.clone()),
             };
-            out.pairs.push(PairOutcome {
-                target_chrom: tchrom.name.clone(),
-                query_chrom: qchrom.name.clone(),
-                outcome,
-            });
+            let record = commit_pair(names, result, journal.as_mut(), &retry_policy, pair_obs)?;
+            fold_pair(&mut out, record);
         }
     }
     out.alignments
         .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
     let mut metrics = barrier_metrics(&out, options.threads);
-    metrics.spec_discard = out.counters.spec_discard;
     if let Some(inj) = injector.as_ref() {
         let (faults_injected, retries) = inj.totals();
         metrics.faults_injected = faults_injected;
@@ -513,48 +405,12 @@ pub(crate) fn align_assemblies_provided(
     Ok(out)
 }
 
-/// Appends one pair record under supervision: the write is retried with
-/// the run's backoff policy, and chaos runs inject `journal.append` /
-/// `journal.sync` faults around the real append. Retries count into the
-/// injector's run totals (the pair's own counters are already frozen
-/// inside `record`).
-pub(crate) fn append_supervised(
-    journal: &mut Journal,
-    record: &PairRecord,
-    policy: &RetryPolicy,
-    injector: Option<&FaultInjector>,
-    obs: &Obs<'_>,
-) -> WgaResult<()> {
-    let pair = obs.pair();
-    let site = (Hook::JournalAppend.code() << 32) | (pair & 0xFFFF_FFFF);
-    supervise::retry_io(
-        policy,
-        site,
-        |_| {
-            if let Some(inj) = injector {
-                inj.count_retry(pair);
-            }
-        },
-        || {
-            if let Some(inj) = injector {
-                inj.gate_io(Hook::JournalAppend, pair, Some(obs))?;
-            }
-            journal.append(record)?;
-            if let Some(inj) = injector {
-                inj.gate_io(Hook::JournalSync, pair, Some(obs))?;
-            }
-            Ok(())
-        },
-    )
-}
-
 /// Derives [`ExecutorMetrics`] for a barrier run from the aggregate
 /// timings, workload and funnel counters, so `--metrics-out` carries the
 /// same shape on every executor. Barrier stages run to completion one
 /// after another, so idle time and queue occupancy are zero by
-/// construction. Since intra-pair sharding, every stage — seed-table
-/// build, D-SOFT binning, filtering and (speculative) extension — fans
-/// out over the whole pool, so each stage reports `threads` workers.
+/// construction. Seeding (table build, D-SOFT binning) and filtering fan
+/// out over the whole pool; one thread extends a pair.
 fn barrier_metrics(out: &AssemblyReport, threads: usize) -> ExecutorMetrics {
     ExecutorMetrics {
         executor: ExecutorKind::Barrier,
@@ -577,7 +433,7 @@ fn barrier_metrics(out: &AssemblyReport, threads: usize) -> ExecutorMetrics {
             max_queue_occupancy: 0,
         },
         extension: StageMetrics {
-            workers: threads,
+            workers: 1,
             items: out.counters.anchors_passed,
             cells: out.workload.extension_cells,
             busy_us: out.timings.extension.as_micros() as u64,
@@ -586,23 +442,6 @@ fn barrier_metrics(out: &AssemblyReport, threads: usize) -> ExecutorMetrics {
         },
         // Fault totals are filled in by the caller from the injector.
         ..ExecutorMetrics::default()
-    }
-}
-
-/// Runs one chromosome pair serially or with a parallel filter stage.
-fn run_pair(
-    params: &WgaParams,
-    table: &SeedTable,
-    target: &Sequence,
-    query: &Sequence,
-    threads: usize,
-    obs: Obs<'_>,
-) -> WgaReport {
-    if threads > 1 {
-        crate::parallel::run_with_table_parallel_observed(params, table, target, query, threads, obs)
-    } else {
-        crate::pipeline::WgaPipeline::new(params.clone())
-            .run_with_table_observed(table, target, query, obs)
     }
 }
 

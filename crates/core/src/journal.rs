@@ -110,6 +110,22 @@ pub struct PairRecord {
     pub alignments: Vec<WgaAlignment>,
 }
 
+impl PairRecord {
+    /// The record of a pair that produced nothing. Never journaled (a
+    /// rerun retries the pair); it is what the run's report folds in.
+    pub(crate) fn failed(target_chrom: &str, query_chrom: &str, error: String) -> PairRecord {
+        PairRecord {
+            target_chrom: target_chrom.to_string(),
+            query_chrom: query_chrom.to_string(),
+            outcome: RunOutcome::Failed { error },
+            workload: Workload::default(),
+            timings: StageTimings::default(),
+            counters: FunnelCounters::default(),
+            alignments: Vec::new(),
+        }
+    }
+}
+
 /// Fingerprint of a parameter set, stored in the journal header so a
 /// resume with different parameters is rejected instead of silently
 /// mixing results. FNV-1a over the canonical debug rendering.
@@ -355,9 +371,9 @@ fn encode_timings(out: &mut String, t: &StageTimings) {
 
 fn encode_counters(out: &mut String, c: &FunnelCounters) {
     out.push_str(&format!(
-        "{{\"raw_seed_hits\":{},\"hits_filtered\":{},\"filter_cells\":{},\"anchors_passed\":{},\"anchors_absorbed\":{},\"alignments_kept\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{},\"spec_discard\":{}}}",
+        "{{\"raw_seed_hits\":{},\"hits_filtered\":{},\"filter_cells\":{},\"anchors_passed\":{},\"anchors_absorbed\":{},\"alignments_kept\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
         c.raw_seed_hits, c.hits_filtered, c.filter_cells, c.anchors_passed, c.anchors_absorbed, c.alignments_kept,
-        c.faults_injected, c.retries, c.stalls_detected, c.spec_discard
+        c.faults_injected, c.retries, c.stalls_detected
     ));
 }
 
@@ -657,7 +673,6 @@ fn decode_counters(value: Option<&json::Json>) -> Result<FunnelCounters, String>
         faults_injected: opt("faults_injected")?,
         retries: opt("retries")?,
         stalls_detected: opt("stalls_detected")?,
-        spec_discard: opt("spec_discard")?,
     })
 }
 
@@ -719,8 +734,8 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
 // --- Minimal JSON subset ------------------------------------------------
 
 /// Minimal dependency-free JSON subset used by the journal and by tools
-/// that validate this workspace's JSON artefacts (e.g. the
-/// `filter_throughput` bench's `BENCH_filter.json` schema check).
+/// that validate this workspace's JSON artefacts (trace lines,
+/// `--metrics-out` payloads, `profile_report.json`).
 ///
 /// Supports objects, arrays, strings, integers, booleans and `null` —
 /// no floats, which every JSON producer in this workspace avoids.
@@ -1052,7 +1067,6 @@ mod tests {
                 faults_injected: 1,
                 retries: 1,
                 stalls_detected: 0,
-                spec_discard: 2,
             },
             alignments: vec![WgaAlignment {
                 alignment: Alignment::new(5, 9, cigar, 1234),
@@ -1102,6 +1116,18 @@ mod tests {
         let record = sample_record();
         let legacy = strip_crc(&encode_record(&record));
         assert_eq!(decode_record(&legacy).unwrap(), record);
+        // So must records from when extension ran speculatively and
+        // counted its waste in a counter the struct no longer has —
+        // with or without their own checksum.
+        let speculative = legacy.replace(
+            "\"stalls_detected\":0}",
+            "\"stalls_detected\":0,\"spec_discard\":2}",
+        );
+        assert_ne!(speculative, legacy);
+        assert_eq!(decode_record(&speculative).unwrap(), record);
+        let crc = crc32c(speculative.as_bytes());
+        let sealed = format!("{},\"crc\":{crc}}}", &speculative[..speculative.len() - 1]);
+        assert_eq!(decode_record(&sealed).unwrap(), record);
     }
 
     #[test]

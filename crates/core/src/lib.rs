@@ -48,7 +48,6 @@ pub mod journal;
 pub mod maf;
 pub mod obs;
 pub mod pangenome;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub(crate) mod shard;

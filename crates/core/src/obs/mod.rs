@@ -1,14 +1,13 @@
 //! Unified observability layer: trace spans, counters, histograms.
 //!
-//! Every driver (serial [`crate::pipeline::WgaPipeline`], the
-//! panic-isolated parallel driver, the streaming dataflow executor and
+//! Every schedule ([`crate::pipeline::run_pair`] at one or many
+//! threads, the streaming dataflow executor, both behind
 //! [`crate::genome_pipeline::align_assemblies_observed`]) threads an
-//! [`Obs`] handle through its hot loops. The handle is a `Copy`
+//! [`Obs`] handle through the stage functions' hot loops. The handle is a `Copy`
 //! two-word value wrapping an optional `&dyn Recorder`; when
 //! observability is off (the default for every pre-existing entry
 //! point) the option is `None` and every instrumentation call reduces
-//! to a single branch — the overhead contract pinned by the
-//! `obs_overhead` bench binary.
+//! to a single branch.
 //!
 //! Three primitives:
 //!
@@ -115,8 +114,8 @@ pub enum SpanName {
     Seed,
     /// Seed-table construction for one target chromosome.
     SeedTable,
-    /// One batch of gapped filter tiles (a whole strand in the serial
-    /// driver, one worker batch in the parallel/dataflow drivers).
+    /// One batch of gapped filter tiles (a whole strand at one thread,
+    /// at most 64 hits under the barrier and dataflow schedules).
     FilterBatch,
     /// GACT-X extension of one surviving anchor (items = tiles).
     ExtendTile,
@@ -248,13 +247,10 @@ pub enum Counter {
     ExtensionRows,
     /// Alignments kept after extension.
     AlignmentsKept,
-    /// Speculative extensions computed by shard helpers but thrown away
-    /// unconsumed (anchor absorbed or truncated before commit).
-    SpecDiscard,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 8;
+pub const COUNTER_COUNT: usize = 7;
 
 impl Counter {
     /// Every counter, for trace rendering and schema tests.
@@ -266,7 +262,6 @@ impl Counter {
         Counter::ExtensionCells,
         Counter::ExtensionRows,
         Counter::AlignmentsKept,
-        Counter::SpecDiscard,
     ];
 
     /// The wire name used in trace JSONL `counter` lines.
@@ -279,7 +274,6 @@ impl Counter {
             Counter::ExtensionCells => "extend.cells",
             Counter::ExtensionRows => "extend.rows",
             Counter::AlignmentsKept => "alignments.kept",
-            Counter::SpecDiscard => "shard.spec_discard",
         }
     }
 }

@@ -1,22 +1,88 @@
-//! The seed–filter–extend pipeline (Fig. 4, Fig. 6).
+//! The seed–filter–extend pipeline (Fig. 4, Fig. 6) over one pair.
 //!
-//! [`WgaPipeline`] runs all three stages over a target/query pair. The
-//! filtering and extension stages are swappable via [`crate::config`], so
-//! the same driver is both Darwin-WGA (D-SOFT → BSW gapped filter →
+//! [`run_pair`] runs all three stages over a target/query pair; it is
+//! the one-thread schedule (a plain loop, the oracle every other
+//! configuration is compared against) and, at more threads, the
+//! barrier schedule: seeding and the filter batches fan out, each stage
+//! runs to completion before the next, one thread extends. The
+//! filtering and extension stages are swappable via [`crate::config`],
+//! so the same driver is both Darwin-WGA (D-SOFT → BSW gapped filter →
 //! GACT-X) and the LASTZ-like baseline (D-SOFT → ungapped filter →
 //! Y-drop), matching the paper's design where only the middle stage
-//! changes between the compared systems.
+//! changes between the compared systems. [`WgaPipeline`] is `run_pair`
+//! at one thread behind validated parameters.
 
-use crate::budget::{clamp_hits, deadline_event};
 use crate::config::WgaParams;
 use crate::error::WgaResult;
 use crate::filter_engine::FilterContext;
 use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
-use crate::report::{StageKind, Strand, WgaReport};
-use crate::stages::{extend_anchors, timed_seed_table};
+use crate::report::{Strand, WgaReport};
+use crate::shard::run_sharded;
+use crate::stages::{extend_anchors, filter_batch, fold_batches, seed_lane, timed_seed_table};
 use genome::Sequence;
-use seed::{dsoft_seeds, Anchor, SeedTable};
+use seed::{SeedHit, SeedTable};
 use std::time::Instant;
+
+/// Runs the full pipeline on one target/query pair against a pre-built
+/// seed table of `target` (table construction amortises across many
+/// query chromosomes), with seeding and filtering spread over `threads`
+/// workers. The report is identical at any thread count, and
+/// byte-identical whether `obs` is live or [`Obs::off`]: the recorder
+/// only *watches* the run.
+///
+/// At one thread nothing is spawned, locked or shared, and each strand
+/// is one filter batch.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`; parameters are the caller's to validate
+/// ([`WgaParams::validate`]).
+pub fn run_pair(
+    params: &WgaParams,
+    table: &SeedTable,
+    target: &Sequence,
+    query: &Sequence,
+    threads: usize,
+    obs: Obs<'_>,
+) -> WgaReport {
+    assert!(threads > 0, "need at least one thread");
+    let pair_start = Instant::now();
+    let mut report = WgaReport::default();
+    let mut run_strand = |query: &Sequence, strand: Strand| {
+        let tiles_used = report.workload.filter_tiles;
+        let (hits, lane) = seed_lane(params, table, query, strand, threads, tiles_used, obs);
+        // One filter context per strand (the batched engine encodes the
+        // pair here), shared read-only by every batch.
+        let ctx_start = Instant::now();
+        let ctx = FilterContext::new(params, target, query);
+        let ctx_time = ctx_start.elapsed();
+        // One thread: the whole strand is one batch (an empty one if
+        // nothing seeded). More: ~4 self-scheduled batches per worker,
+        // at most 64 hits each, so the worker that drew the expensive
+        // tiles does not straggle the pool; batch boundaries stay
+        // deterministic, only the batch→worker mapping varies.
+        let batches: Vec<&[SeedHit]> = if threads == 1 {
+            vec![&hits[..]]
+        } else {
+            let cut = hits.len().div_ceil(threads * 4).clamp(1, 64);
+            hits.chunks(cut).collect()
+        };
+        let scode = strand_code(strand);
+        let filtered = run_sharded(batches.len(), threads, |idx| {
+            filter_batch(params, &ctx, target, query, batches[idx], pair_start, scode, idx, obs)
+        });
+        let anchors = fold_batches(params, lane, ctx_time, filtered, pair_start, &mut report);
+        extend_anchors(params, target, query, strand, anchors, pair_start, &mut report, obs);
+    };
+    run_strand(query, Strand::Forward);
+    if params.both_strands {
+        run_strand(&query.reverse_complement(), Strand::Reverse);
+    }
+    report
+        .alignments
+        .sort_by_key(|a| std::cmp::Reverse(a.alignment.score));
+    report
+}
 
 /// A configured whole-genome-alignment pipeline.
 ///
@@ -88,117 +154,9 @@ impl WgaPipeline {
         let (table, build_time) = timed_seed_table(&self.params, target);
         buf.finish(table_timer, SpanName::SeedTable, STRAND_NA, 0, 1, target.len() as u64);
         buf.flush();
-        let mut report = self.run_with_table_observed(&table, target, query, obs);
+        let mut report = run_pair(&self.params, &table, target, query, 1, obs);
         report.timings.seeding += build_time;
         report
-    }
-
-    /// Runs the pipeline against a pre-built seed table of `target`
-    /// (table construction amortises across many query chromosomes).
-    pub fn run_with_table(
-        &self,
-        table: &SeedTable,
-        target: &Sequence,
-        query: &Sequence,
-    ) -> WgaReport {
-        self.run_with_table_observed(table, target, query, Obs::off())
-    }
-
-    /// [`WgaPipeline::run_with_table`] with an observation handle.
-    pub fn run_with_table_observed(
-        &self,
-        table: &SeedTable,
-        target: &Sequence,
-        query: &Sequence,
-        obs: Obs<'_>,
-    ) -> WgaReport {
-        let pair_start = Instant::now();
-        let mut report = WgaReport::default();
-        self.run_strand(table, target, query, Strand::Forward, pair_start, &mut report, obs);
-        if self.params.both_strands {
-            let rc = query.reverse_complement();
-            self.run_strand(table, target, &rc, Strand::Reverse, pair_start, &mut report, obs);
-        }
-        report
-            .alignments
-            .sort_by_key(|a| std::cmp::Reverse(a.alignment.score));
-        report
-    }
-
-    /// Runs seeding/filtering/extension for one query strand, appending
-    /// into `report`. `pair_start` anchors the per-pair deadline budget.
-    #[allow(clippy::too_many_arguments)]
-    fn run_strand(
-        &self,
-        table: &SeedTable,
-        target: &Sequence,
-        query: &Sequence,
-        strand: Strand,
-        pair_start: Instant,
-        report: &mut WgaReport,
-        obs: Obs<'_>,
-    ) {
-        let params = &self.params;
-        let scode = strand_code(strand);
-        let mut buf = obs.buffer();
-
-        // --- Seeding ---------------------------------------------------
-        let seed_timer = buf.start();
-        let seed_start = Instant::now();
-        let seeding = dsoft_seeds(table, query, &params.dsoft);
-        report.timings.seeding += seed_start.elapsed();
-        report.workload.seeds += seeding.seeds_queried;
-        report.counters.raw_seed_hits += seeding.raw_hits;
-        buf.finish(
-            seed_timer,
-            SpanName::Seed,
-            scode,
-            0,
-            seeding.hits.len() as u64,
-            seeding.seeds_queried,
-        );
-
-        // --- Filtering ---------------------------------------------------
-        // Chaos hook: the serial driver runs one filter batch per
-        // strand, so a `filter.batch` fault plan hits it here.
-        obs.fault_gate(crate::faultsim::Hook::FilterBatch);
-        let batch_timer = buf.start();
-        let filter_start = Instant::now();
-        let hits = clamp_hits(params, &seeding.hits, report);
-        // One filter context per strand (the batched engine encodes the
-        // pair here), one engine with reused scratch for the whole hit
-        // stream.
-        let filter_ctx = FilterContext::new(params, target, query);
-        let mut engine = filter_ctx.engine();
-        let mut anchors: Vec<Anchor> = Vec::new();
-        let mut tiles = 0u64;
-        let mut cells = 0u64;
-        for &hit in hits {
-            if params.budget.deadline_exceeded(pair_start) {
-                report
-                    .events
-                    .push(deadline_event(&params.budget, StageKind::Filtering, pair_start));
-                break;
-            }
-            let tile_timer = obs.timer();
-            let outcome = engine.filter_hit(params, target, query, hit);
-            obs.filter_tile(&tile_timer, outcome.cells);
-            tiles += 1;
-            cells += outcome.cells;
-            report.workload.filter_tiles += 1;
-            report.counters.hits_filtered += 1;
-            if let Some(anchor) = outcome.anchor {
-                anchors.push(anchor);
-            }
-        }
-        report.counters.filter_cells += cells;
-        report.timings.filtering += filter_start.elapsed();
-        report.counters.anchors_passed += anchors.len() as u64;
-        buf.finish(batch_timer, SpanName::FilterBatch, scode, 0, tiles, cells);
-        buf.flush();
-
-        // --- Extension ---------------------------------------------------
-        extend_anchors(params, target, query, strand, anchors, pair_start, report, obs);
     }
 }
 
@@ -404,5 +362,83 @@ mod tests {
         // the first few alignments instead of re-extending.
         assert!(report.counters.anchors_absorbed > 0);
         assert!(report.counters.alignments_kept < report.counters.anchors_passed / 2);
+    }
+
+    fn table_for(params: &WgaParams, target: &Sequence) -> SeedTable {
+        SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences)
+    }
+
+    #[test]
+    fn parallel_is_identical_to_serial() {
+        let pair = synthetic(0.2, 40_000, 17);
+        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+        let params = WgaParams::darwin_wga();
+        let serial = WgaPipeline::new(params.clone()).run(t, q);
+        let parallel = run_pair(&params, &table_for(&params, t), t, q, 4, Obs::off());
+        assert_eq!(serial.alignments, parallel.alignments);
+        assert_eq!(serial.workload, parallel.workload);
+        assert_eq!(serial.counters, parallel.counters);
+        assert!(parallel.events.is_empty());
+    }
+
+    #[test]
+    fn budget_capped_parallel_matches_serial() {
+        use crate::config::ResourceBudget;
+
+        let pair = synthetic(0.15, 30_000, 29);
+        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+        let params = WgaParams::darwin_wga().with_budget(ResourceBudget {
+            max_filter_tiles: Some(30),
+            ..ResourceBudget::default()
+        });
+        let serial = WgaPipeline::new(params.clone()).run(t, q);
+        let parallel = run_pair(&params, &table_for(&params, t), t, q, 3, Obs::off());
+        assert_eq!(serial.total_matches(), parallel.total_matches());
+        assert_eq!(serial.workload.filter_tiles, parallel.workload.filter_tiles);
+        assert_eq!(serial.events, parallel.events);
+        assert!(serial.is_degraded());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn zero_threads_rejected() {
+        let s: Sequence = "ACGT".parse().unwrap();
+        let params = WgaParams::darwin_wga();
+        run_pair(&params, &table_for(&params, &s), &s, &s, 0, Obs::off());
+    }
+
+    /// The one-thread schedule is a plain loop: every span of the pair is
+    /// recorded by the calling thread (nothing was spawned to record one
+    /// elsewhere), and each strand is exactly one `filter.batch`. The
+    /// same pair at four threads fans both out.
+    #[test]
+    fn one_thread_schedule_spawns_nothing_and_cuts_one_batch_per_strand() {
+        use crate::obs::{thread_id, TraceRecorder};
+
+        let pair = synthetic(0.2, 20_000, 8);
+        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+        let mut params = WgaParams::darwin_wga();
+        params.both_strands = true;
+        params.shard_bases = 512;
+        let table = table_for(&params, t);
+        let filter_batches = |threads: usize| {
+            let recorder = TraceRecorder::new();
+            let report = run_pair(&params, &table, t, q, threads, Obs::new(&recorder));
+            let spans = recorder.spans();
+            let tids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
+            let batches: Vec<(u8, u64)> = spans
+                .iter()
+                .filter(|s| s.name == SpanName::FilterBatch)
+                .map(|s| (s.strand, s.seq))
+                .collect();
+            (report, tids, batches)
+        };
+        let (serial, tids, batches) = filter_batches(1);
+        assert_eq!(tids.into_iter().collect::<Vec<_>>(), [thread_id()]);
+        assert_eq!(batches, [(crate::obs::STRAND_FWD, 0), (crate::obs::STRAND_REV, 0)]);
+        let (fanned, tids, batches) = filter_batches(4);
+        assert!(tids.len() > 1, "four threads must actually fan out");
+        assert!(batches.len() > 2);
+        assert_eq!(serial.alignments, fanned.alignments);
     }
 }

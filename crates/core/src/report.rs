@@ -92,8 +92,9 @@ pub enum RunEvent {
         /// What the stage observed / would have used when it tripped.
         observed: u64,
     },
-    /// A parallel worker batch panicked twice (once in a worker, once in
-    /// the serial retry) and its items were dropped from the result.
+    /// A filter batch panicked twice (its first run and its one retry)
+    /// or was failed by a queue fault; its items were dropped from the
+    /// result.
     BatchFailed {
         /// Stage the batch belonged to.
         stage: StageKind,
@@ -172,27 +173,9 @@ pub struct FunnelCounters {
     /// Watchdog stall escalations attributed to this pair.
     #[serde(default)]
     pub stalls_detected: u64,
-    /// Speculative extensions computed by shard helpers but discarded
-    /// unconsumed — the anchor was absorbed into an earlier chain or
-    /// truncated by budget before the serial commit loop reached it.
-    /// Thread-schedule dependent, so never part of canonical output;
-    /// absent (zero) in records serialized before the field.
-    #[serde(default)]
-    pub spec_discard: u64,
 }
 
 impl FunnelCounters {
-    /// Copy with [`FunnelCounters::spec_discard`] cleared — the equality
-    /// basis for cross-thread determinism checks. Speculation waste is
-    /// the one field that legitimately varies with scheduling; every
-    /// other counter must match a serial run exactly.
-    pub fn deterministic_view(&self) -> FunnelCounters {
-        FunnelCounters {
-            spec_discard: 0,
-            ..*self
-        }
-    }
-
     /// Merges another counter record.
     pub fn merge(&mut self, other: &FunnelCounters) {
         self.raw_seed_hits += other.raw_seed_hits;
@@ -204,7 +187,6 @@ impl FunnelCounters {
         self.faults_injected += other.faults_injected;
         self.retries += other.retries;
         self.stalls_detected += other.stalls_detected;
-        self.spec_discard += other.spec_discard;
     }
 }
 
@@ -332,7 +314,6 @@ mod tests {
             faults_injected: 2,
             retries: 1,
             stalls_detected: 1,
-            spec_discard: 3,
         };
         a.merge(&a.clone());
         assert_eq!(a.raw_seed_hits, 10);
@@ -341,6 +322,5 @@ mod tests {
         assert_eq!(a.faults_injected, 4);
         assert_eq!(a.retries, 2);
         assert_eq!(a.stalls_detected, 2);
-        assert_eq!(a.spec_discard, 6);
     }
 }

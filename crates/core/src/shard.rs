@@ -1,51 +1,49 @@
-//! Intra-pair sharding: position-space decomposition of seeding and
-//! extension, so one large chromosome pair no longer serialises a
-//! thread pool.
+//! Intra-pair sharding: position-space decomposition of seeding and the
+//! self-scheduled pool every fan-out in the crate runs on, so one large
+//! chromosome pair no longer serialises a thread pool.
 //!
 //! Before this module the unit of scheduled work was a whole chromosome
-//! pair: the seed table build and the D-SOFT walk ran on one thread and
-//! extension ran as a serial tail, so a single 120 kbp pair pinned one
-//! worker while the rest idled. Here every per-pair stage is split along
-//! its natural position axis into *shards* — independent work items a
-//! small self-scheduling pool claims off a shared cursor (smallest
-//! remaining work first, since claims follow ascending position order):
+//! pair: the seed table build and the D-SOFT walk ran on one thread, so
+//! a single 120 kbp pair pinned one worker while the rest idled. Here
+//! the seeding steps are split along their natural position axis into
+//! *shards* — independent work items a small self-scheduling pool
+//! ([`run_sharded`]) claims off a shared cursor (smallest remaining work
+//! first, since claims follow ascending position order):
 //!
 //! * **seed-table build** shards over target positions
 //!   ([`seed::table::SeedTable::build_partial`], merged in shard order);
 //! * **D-SOFT binning** shards over query chunks
 //!   ([`seed::dsoft::dsoft_seeds_range`], cuts aligned to `chunk_size`
-//!   so every diagonal band stays inside one shard);
-//! * **extension** runs anchors as independent speculative work items up
-//!   to chain order: workers compute [`run_extension`] for anchors in a
-//!   lookahead window while the calling thread *commits* results in the
-//!   exact serial order ([`extend_anchors_from`]), replaying budget
-//!   checks, absorption, fault gates and report mutation byte for byte.
+//!   so every diagonal band stays inside one shard).
+//!
+//! The barrier schedule fans its filter batches out through the same
+//! [`run_sharded`]. Extension is *not* sharded: whether an anchor is
+//! extended at all depends on what the better-scoring anchors before it
+//! absorbed, so workers running ahead of the commit loop mostly computed
+//! extensions it then discarded (EXPERIMENTS.md, "Speculative-extension
+//! waste").
 //!
 //! # Determinism and fault containment
 //!
 //! Sharding never reaches canonical output: merges reproduce the serial
 //! result bit for bit (see the merge rules on the seed-crate
-//! primitives), and the extension commit loop *is* the serial loop —
-//! workers only pre-compute pure per-anchor extensions. A panic inside
-//! any shard worker is caught, mapped to the lowest-failing-shard
-//! message deterministically, and re-raised on the calling thread via
-//! [`resume_unwind`] — exactly where the serial code would have
-//! panicked — so pair-level supervision (retry, `Failed` escalation)
-//! composes unchanged with shard-level parallelism.
+//! primitives). A panic inside any shard worker is caught, mapped to
+//! the lowest-failing-shard message deterministically, and re-raised on
+//! the calling thread via [`resume_unwind`] — exactly where the serial
+//! code would have panicked — so pair-level supervision (retry,
+//! `Failed` escalation) composes unchanged with shard-level
+//! parallelism.
 
 use crate::config::WgaParams;
-use crate::obs::{Counter, Obs};
-use crate::parallel::panic_message;
-use crate::report::{Strand, WgaReport};
-use crate::stages::{extend_anchors, extend_anchors_from, run_extension, timed_seed_table};
-use align::gactx::ExtendedAlignment;
+use crate::stages::timed_seed_table;
+use crate::supervise::panic_message;
 use genome::Sequence;
 use parking_lot::Mutex;
 use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams, DsoftResult};
-use seed::{Anchor, SeedTable};
+use seed::SeedTable;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cuts `0..len` into contiguous shards for `threads` workers.
@@ -96,24 +94,30 @@ where
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
     let workers = threads.min(count);
-    // Workers never unwind out of the closure (every `work` call is
-    // wrapped), so the scope result carries no panic of interest.
-    let _ = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                while !stop.load(Ordering::Relaxed) {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= count {
-                        break;
+    std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= count {
+                            break;
+                        }
+                        let outcome = catch_unwind(AssertUnwindSafe(|| work(idx)))
+                            .map_err(|payload| panic_message(payload.as_ref()));
+                        if outcome.is_err() {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        *slots[idx].lock() = Some(outcome);
                     }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| work(idx)))
-                        .map_err(|payload| panic_message(payload.as_ref()));
-                    if outcome.is_err() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    *slots[idx].lock() = Some(outcome);
-                }
-            });
+                })
+            })
+            .collect();
+        // Joined by hand so a worker that died outside `catch_unwind`
+        // is an `Err` here, not a panic out of the scope; the shard it
+        // was holding is the empty slot reported below.
+        for worker in pool {
+            let _ = worker.join();
         }
     });
     let mut values = Vec::with_capacity(count);
@@ -178,215 +182,10 @@ pub(crate) fn sharded_dsoft(
     merge_dsoft_results(parts)
 }
 
-/// A pool of spare worker permits shared across concurrent pair streams.
-///
-/// The dataflow executor sizes this at `threads`: each extension worker
-/// holds one implicit permit and borrows up to `max` spares while it
-/// runs a pair, so a lone big pair at the tail of a run can fan its
-/// anchor extensions across otherwise-idle workers (work-stealing-lite —
-/// output is invariant to how many permits a borrow wins).
-#[derive(Debug)]
-pub(crate) struct ThreadGrant {
-    spare: AtomicUsize,
-}
-
-impl ThreadGrant {
-    /// A pool holding `spare` loanable permits.
-    pub(crate) fn new(spare: usize) -> ThreadGrant {
-        ThreadGrant {
-            spare: AtomicUsize::new(spare),
-        }
-    }
-
-    /// Takes up to `max` permits from the pool, returning how many were
-    /// actually granted (possibly zero).
-    pub(crate) fn acquire(&self, max: usize) -> usize {
-        let mut granted = 0usize;
-        while granted < max {
-            let current = self.spare.load(Ordering::Relaxed);
-            if current == 0 {
-                break;
-            }
-            let take = current.min(max - granted);
-            if self
-                .spare
-                .compare_exchange(current, current - take, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                granted += take;
-            }
-        }
-        granted
-    }
-
-    /// Returns `n` permits to the pool.
-    pub(crate) fn release(&self, n: usize) {
-        self.spare.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Claim states for the speculative extension window.
-const CLAIM_FREE: u8 = 0;
-const CLAIM_TAKEN: u8 = 1;
-
-/// One speculated extension outcome: empty until a helper fills it with
-/// either the extension result or the message of a caught helper panic.
-type SpeculationSlot = Mutex<Option<Result<Option<ExtendedAlignment>, String>>>;
-
-/// [`extend_anchors`] with anchors speculatively extended by
-/// `threads - 1` helper workers while this thread commits results in
-/// serial order — byte-identical output at any thread count.
-///
-/// Anchors are pre-sorted with the commit loop's exact (stable)
-/// comparator so helper index *i* and commit index *i* name the same
-/// anchor. Helpers claim anchors from a bounded lookahead window past
-/// the commit frontier and run the pure [`run_extension`]; the commit
-/// loop ([`extend_anchors_from`]) performs every observable action —
-/// budget/deadline truncation, absorption, `extend.tile` fault gates,
-/// counters, report mutation — on the calling thread, in serial order.
-/// A helper panic is stored as its message and re-raised only if the
-/// commit loop actually reaches that anchor (an anchor absorbed or
-/// truncated before its turn never panics serially either).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_anchors_sharded(
-    params: &WgaParams,
-    target: &Sequence,
-    query: &Sequence,
-    strand: Strand,
-    mut anchors: Vec<Anchor>,
-    pair_start: Instant,
-    report: &mut WgaReport,
-    obs: Obs<'_>,
-    threads: usize,
-) {
-    if threads <= 1 || anchors.len() < 2 {
-        return extend_anchors(params, target, query, strand, anchors, pair_start, report, obs);
-    }
-    anchors.sort_by_key(|a| std::cmp::Reverse(a.filter_score));
-    let count = anchors.len();
-    let claims: Vec<AtomicU8> = (0..count).map(|_| AtomicU8::new(CLAIM_FREE)).collect();
-    let slots: Vec<SpeculationSlot> = (0..count).map(|_| Mutex::new(None)).collect();
-    let committed = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let window = threads * 8;
-    let helpers = (threads - 1).min(count);
-
-    let anchors_ref = &anchors;
-    let claims_ref = &claims;
-    let slots_ref = &slots;
-    let committed_ref = &committed;
-    let stop_ref = &stop;
-
-    let commit_result = crossbeam::thread::scope(|scope| {
-        for _ in 0..helpers {
-            scope.spawn(move |_| {
-                while !stop_ref.load(Ordering::Relaxed) {
-                    let base = committed_ref.load(Ordering::Relaxed);
-                    if base >= count {
-                        break;
-                    }
-                    let mut claimed = None;
-                    let limit = (base.saturating_add(window)).min(count);
-                    for (idx, claim) in claims_ref.iter().enumerate().take(limit).skip(base) {
-                        if claim
-                            .compare_exchange(
-                                CLAIM_FREE,
-                                CLAIM_TAKEN,
-                                Ordering::AcqRel,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            claimed = Some(idx);
-                            break;
-                        }
-                    }
-                    match claimed {
-                        Some(idx) => {
-                            let anchor = anchors_ref[idx];
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_extension(params, target, query, anchor)
-                            }))
-                            .map_err(|payload| panic_message(payload.as_ref()));
-                            *slots_ref[idx].lock() = Some(outcome);
-                        }
-                        // Window exhausted: the commit frontier is the
-                        // bottleneck, wait for it to advance.
-                        None => std::thread::yield_now(),
-                    }
-                }
-            });
-        }
-
-        // Commit thread: the serial loop verbatim, pulling speculated
-        // results where a helper got there first. Panics (fault-gate
-        // injections, re-raised helper failures) are caught so the stop
-        // flag is set before the scope joins the helpers, then re-raised
-        // outside the scope — the same escalation point as serial code.
-        let commit = catch_unwind(AssertUnwindSafe(|| {
-            extend_anchors_from(
-                params,
-                strand,
-                anchors_ref.clone(),
-                pair_start,
-                report,
-                obs,
-                &mut |seq, anchor| {
-                    committed_ref.store(seq, Ordering::Relaxed);
-                    if claims_ref[seq]
-                        .compare_exchange(
-                            CLAIM_FREE,
-                            CLAIM_TAKEN,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
-                        // No helper reached it: compute inline, exactly
-                        // the serial driver's code path.
-                        run_extension(params, target, query, anchor)
-                    } else {
-                        loop {
-                            if let Some(result) = slots_ref[seq].lock().take() {
-                                match result {
-                                    Ok(ext) => break ext,
-                                    Err(message) => resume_unwind(Box::new(message)),
-                                }
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                },
-            )
-        }));
-        stop_ref.store(true, Ordering::Relaxed);
-        commit
-    });
-
-    // Helper results still sitting in their slots were speculated but
-    // never consumed: the commit loop absorbed or truncated the anchor
-    // before reaching it. Pure telemetry — the value depends on the
-    // thread schedule, so it never feeds canonical output.
-    let discarded = slots.iter().filter(|slot| slot.lock().is_some()).count() as u64;
-    if discarded > 0 {
-        report.counters.spec_discard += discarded;
-        obs.add(Counter::SpecDiscard, discarded);
-    }
-
-    match commit_result {
-        Ok(Ok(())) => {}
-        Ok(Err(payload)) => resume_unwind(payload),
-        // A helper died outside its catch_unwind — escalate like any
-        // other pair-level panic.
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::WgaParams;
-    use crate::pipeline::WgaPipeline;
     use genome::evolve::{EvolutionParams, SyntheticPair};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -450,68 +249,5 @@ mod tests {
         let whole = dsoft_seeds(&serial, &pair.query.sequence, &params.dsoft);
         let split = sharded_dsoft(&sharded, &pair.query.sequence, &params.dsoft, 512, 4);
         assert_eq!(whole, split);
-    }
-
-    #[test]
-    fn thread_grant_loans_and_returns() {
-        let grant = ThreadGrant::new(3);
-        assert_eq!(grant.acquire(2), 2);
-        assert_eq!(grant.acquire(5), 1);
-        assert_eq!(grant.acquire(1), 0);
-        grant.release(3);
-        assert_eq!(grant.acquire(4), 3);
-    }
-
-    #[test]
-    fn sharded_extension_matches_serial_pipeline() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let pair = SyntheticPair::generate(25_000, &EvolutionParams::at_distance(0.25), &mut rng);
-        let params = WgaParams::darwin_wga();
-        let serial =
-            WgaPipeline::new(params.clone()).run(&pair.target.sequence, &pair.query.sequence);
-
-        // Rebuild the anchor set the serial run extended, then commit it
-        // through the speculative path at several widths.
-        let (table, _) = timed_seed_table(&params, &pair.target.sequence);
-        let seeding = dsoft_seeds(&table, &pair.query.sequence, &params.dsoft);
-        let mut anchors = Vec::new();
-        for &hit in &seeding.hits {
-            if let Some(anchor) = crate::stages::run_filter(
-                &params,
-                &pair.target.sequence,
-                &pair.query.sequence,
-                hit,
-            )
-            .anchor
-            {
-                anchors.push(anchor);
-            }
-        }
-        for threads in [2usize, 4, 8] {
-            let mut report = WgaReport::default();
-            extend_anchors_sharded(
-                &params,
-                &pair.target.sequence,
-                &pair.query.sequence,
-                Strand::Forward,
-                anchors.clone(),
-                Instant::now(),
-                &mut report,
-                Obs::off(),
-                threads,
-            );
-            report
-                .alignments
-                .sort_by_key(|a| std::cmp::Reverse(a.alignment.score));
-            assert_eq!(
-                serial.alignments, report.alignments,
-                "speculative commit diverged at {threads} threads"
-            );
-            assert_eq!(serial.workload.extension_cells, report.workload.extension_cells);
-            assert_eq!(
-                serial.counters.anchors_absorbed,
-                report.counters.anchors_absorbed
-            );
-        }
     }
 }

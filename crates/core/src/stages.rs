@@ -1,23 +1,53 @@
-//! Stage implementations: filtering and extension dispatch.
+//! The stage functions every schedule runs.
+//!
+//! The paper's machine has each stage once — D-SOFT in software, one
+//! kind of BSW array, one kind of GACT-X array — and only the FIFOs
+//! between them differ. So here: seeding (`seed_lane`), filtering
+//! (`filter_batch`, `fold_batches`), extension (`extend_anchors`)
+//! and the per-run pair bookkeeping (`row_seed_table`,
+//! `commit_pair`, `replay_pair`) each exist once, and the three
+//! executors are *schedules* over them:
+//!
+//! | step | 1 thread / barrier ([`crate::pipeline::run_pair`]) | dataflow ([`crate::dataflow`]) |
+//! |---|---|---|
+//! | `row_seed_table` | pair loop, once per target row | producer, once per target row |
+//! | `seed_lane` | per strand, clamp against tiles *executed* | producer, clamp against tiles *planned* |
+//! | `filter_batch` | inline (1 thread: one batch per strand) or through `shard::run_sharded` (≤ 64 hits) | filter pool, 64 hits per task |
+//! | `fold_batches` + `extend_anchors` | the calling thread | one extension worker per pair |
+//! | `commit_pair` / `replay_pair` | pair loop, canonical order | collector (completion order), then canonical-order assembly |
+//!
+//! Budgets, deadlines, batch containment, fault gates, fault-accounting
+//! freeze and journaling therefore cannot drift between executors.
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
-use crate::budget::deadline_event;
+use crate::budget::{clamp_hit_count, deadline_event};
 use crate::config::{FilterStage, GappedFilterParams, WgaParams};
-use crate::obs::{strand_code, Counter, Obs, SpanName};
-use crate::report::{BudgetKind, RunEvent, StageKind, Strand, WgaAlignment, WgaReport};
+use crate::error::WgaResult;
+use crate::faultsim::Hook;
+use crate::filter_engine::FilterContext;
+use crate::genome_pipeline::{AssemblyReport, LocatedAlignment, SeedTableFn};
+use crate::journal::{Journal, PairRecord};
+use crate::obs::{strand_code, Counter, Obs, SpanName, STRAND_NA};
+use crate::report::{
+    BudgetKind, PairOutcome, RunEvent, StageKind, Strand, WgaAlignment, WgaReport,
+};
+use crate::shard::{sharded_dsoft, sharded_seed_table};
+use crate::supervise::{self, panic_message, RetryPolicy};
 use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use align::gactx::{self, ExtendedAlignment};
 use align::ungapped::ungapped_extend;
 use genome::Sequence;
 use seed::{Anchor, SeedHit, SeedTable};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builds the seed table for `target`, returning it with the wall-clock
 /// the build took.
 ///
-/// Every driver (serial, barrier-parallel, dataflow, assembly) times the
-/// table build through this one helper and adds only the returned
-/// duration to `timings.seeding` — measuring it around a larger span
+/// Every schedule times the table build through this one helper (or
+/// its sharded twin) and adds only the returned duration to
+/// `timings.seeding` — measuring it around a larger span
 /// (the old pattern) silently folded filtering and extension time into
 /// the seeding figure.
 pub(crate) fn timed_seed_table(params: &WgaParams, target: &Sequence) -> (SeedTable, Duration) {
@@ -135,11 +165,234 @@ pub fn run_extension(
     )
 }
 
+/// One strand's seeding accounting, which [`fold_batches`] later writes
+/// into the pair's report.
+#[derive(Debug, Default)]
+pub(crate) struct SeededLane {
+    /// Seed positions D-SOFT queried.
+    pub(crate) seeds_queried: u64,
+    raw_hits: u64,
+    seed_time: Duration,
+    clamp_events: Vec<RunEvent>,
+}
+
+/// Seeds one query strand — D-SOFT sharded over `threads` (a plain
+/// call at one thread), recorded as the strand's `seed` span — then
+/// fires the strand's `filter.batch` chaos gate and clamps the hit list
+/// against the seed-hit budget and what is left of the pair's
+/// filter-tile budget after `tiles_used`. Returns the hits to filter —
+/// in stable positional order, and a budget keeps a prefix, so
+/// truncation is deterministic — and the strand's accounting.
+///
+/// The gate fires once per (pair, strand) on the thread driving the
+/// pair, so `filter.batch` occurrence indices are the same on every
+/// schedule; its escalation panic fails just this pair.
+pub(crate) fn seed_lane(
+    params: &WgaParams,
+    table: &SeedTable,
+    query: &Sequence,
+    strand: Strand,
+    threads: usize,
+    tiles_used: u64,
+    obs: Obs<'_>,
+) -> (Vec<SeedHit>, SeededLane) {
+    let mut buf = obs.buffer();
+    let seed_timer = buf.start();
+    let seed_start = Instant::now();
+    let seeding = sharded_dsoft(table, query, &params.dsoft, params.shard_bases, threads);
+    let seed_time = seed_start.elapsed();
+    buf.finish(
+        seed_timer,
+        SpanName::Seed,
+        strand_code(strand),
+        0,
+        seeding.hits.len() as u64,
+        seeding.seeds_queried,
+    );
+    buf.flush();
+    obs.fault_gate(Hook::FilterBatch);
+    let clamp = clamp_hit_count(params, seeding.hits.len(), tiles_used);
+    let mut hits = seeding.hits;
+    hits.truncate(clamp.take);
+    let lane = SeededLane {
+        seeds_queried: seeding.seeds_queried,
+        raw_hits: seeding.raw_hits,
+        seed_time,
+        clamp_events: clamp.events,
+    };
+    (hits, lane)
+}
+
+/// What filtering one batch of seed hits produced.
+#[derive(Debug)]
+pub(crate) struct BatchResult {
+    /// Anchors in hit order within the batch.
+    pub(crate) anchors: Vec<Anchor>,
+    /// Hits actually filtered (< `items` when the pair deadline stopped
+    /// the batch early; 0 for a failed batch).
+    pub(crate) processed: u64,
+    /// Hits the batch carried.
+    pub(crate) items: u64,
+    /// DP cells evaluated.
+    pub(crate) cells: u64,
+    /// Filter wall-clock of the batch.
+    busy: Duration,
+    /// Why the batch produced nothing: the message of its second panic,
+    /// or of the scheduling fault that kept it from running.
+    failed: Option<String>,
+}
+
+impl BatchResult {
+    /// A batch of `items` hits that produced nothing.
+    pub(crate) fn failed(items: u64, message: String) -> BatchResult {
+        BatchResult {
+            anchors: Vec::new(),
+            processed: 0,
+            items,
+            cells: 0,
+            busy: Duration::ZERO,
+            failed: Some(message),
+        }
+    }
+}
+
+/// Filters one batch of hits with one engine (and thus one DP scratch)
+/// drawn from the strand's shared [`FilterContext`], stopping early if
+/// the pair deadline passes.
+///
+/// A panic inside the batch is contained: the batch is retried once
+/// (transient poison often clears; a deterministic panic simply fires
+/// again), and a second panic yields a failed result that
+/// [`fold_batches`] records as [`RunEvent::BatchFailed`] while every
+/// other batch's anchors are kept. The `filter.batch` span carries
+/// `batch_idx` as its `seq`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn filter_batch(
+    params: &WgaParams,
+    ctx: &FilterContext,
+    target: &Sequence,
+    query: &Sequence,
+    hits: &[SeedHit],
+    pair_start: Instant,
+    strand: u8,
+    batch_idx: usize,
+    obs: Obs<'_>,
+) -> BatchResult {
+    let attempt = || {
+        catch_unwind(AssertUnwindSafe(|| {
+            let start = Instant::now();
+            let mut buf = obs.buffer();
+            let batch_timer = buf.start();
+            let mut engine = ctx.engine();
+            let mut anchors = Vec::new();
+            let mut processed = 0u64;
+            let mut cells = 0u64;
+            for &hit in hits {
+                if params.budget.deadline_exceeded(pair_start) {
+                    break;
+                }
+                #[cfg(test)]
+                poison_check(hit);
+                let tile_timer = obs.timer();
+                let outcome = engine.filter_hit(params, target, query, hit);
+                obs.filter_tile(&tile_timer, outcome.cells);
+                cells += outcome.cells;
+                anchors.extend(outcome.anchor);
+                processed += 1;
+            }
+            buf.finish(
+                batch_timer,
+                SpanName::FilterBatch,
+                strand,
+                batch_idx as u64,
+                processed,
+                cells,
+            );
+            BatchResult {
+                anchors,
+                processed,
+                items: hits.len() as u64,
+                cells,
+                busy: start.elapsed(),
+                failed: None,
+            }
+        }))
+    };
+    attempt().or_else(|_| attempt()).unwrap_or_else(|payload| {
+        BatchResult::failed(hits.len() as u64, panic_message(payload.as_ref()))
+    })
+}
+
+/// Test-only fault injection: a hit at `usize::MAX` (unreachable from
+/// real seeding, whose positions come from the seed table) panics
+/// inside the filter batch.
+#[cfg(test)]
+fn poison_check(hit: SeedHit) {
+    if hit.target_pos == usize::MAX {
+        panic!("poisoned filter hit");
+    }
+}
+
+/// Folds one strand's seeding accounting and its filter batches, taken
+/// in batch order so anchors come out in hit order, into `report`, and
+/// returns the strand's anchors.
+///
+/// Event order is the same on every schedule: the strand's budget
+/// clamps, one [`RunEvent::BatchFailed`] per failed batch, then a
+/// filtering-deadline event if any batch stopped short. Filtering time
+/// is `ctx_time` (the [`FilterContext`] build) plus every batch's own
+/// wall-clock: time spent filtering, which at more than one thread is
+/// more than the stage's elapsed time.
+pub(crate) fn fold_batches(
+    params: &WgaParams,
+    lane: SeededLane,
+    ctx_time: Duration,
+    batches: impl IntoIterator<Item = BatchResult>,
+    pair_start: Instant,
+    report: &mut WgaReport,
+) -> Vec<Anchor> {
+    report.timings.seeding += lane.seed_time;
+    report.workload.seeds += lane.seeds_queried;
+    report.counters.raw_seed_hits += lane.raw_hits;
+    report.events.extend(lane.clamp_events);
+
+    let mut anchors: Vec<Anchor> = Vec::new();
+    let mut deadline_hit = false;
+    let mut filter_time = ctx_time;
+    for (idx, batch) in batches.into_iter().enumerate() {
+        if let Some(message) = batch.failed {
+            report.events.push(RunEvent::BatchFailed {
+                stage: StageKind::Filtering,
+                batch: idx,
+                items: batch.items,
+                message,
+            });
+            continue;
+        }
+        report.workload.filter_tiles += batch.processed;
+        report.counters.hits_filtered += batch.processed;
+        report.counters.filter_cells += batch.cells;
+        deadline_hit |= batch.processed < batch.items;
+        filter_time += batch.busy;
+        anchors.extend(batch.anchors);
+    }
+    if deadline_hit {
+        report
+            .events
+            .push(deadline_event(&params.budget, StageKind::Filtering, pair_start));
+    }
+    report.timings.filtering += filter_time;
+    report.counters.anchors_passed += anchors.len() as u64;
+    anchors
+}
+
 /// Extends `anchors` best-scoring-first with anchor absorption, budget
 /// enforcement and deadline checks, appending results into `report`.
 ///
-/// Shared by the serial ([`crate::pipeline::WgaPipeline`]) and parallel
-/// ([`crate::parallel`]) drivers so budget semantics are identical: the
+/// One thread extends a pair on every schedule: whether an anchor is
+/// extended at all depends on what the better-scoring anchors before it
+/// absorbed, so extensions run ahead of this loop are mostly thrown
+/// away (EXPERIMENTS.md, "Speculative-extension waste"). The
 /// extension-cell budget and the pair deadline are checked before each
 /// anchor; on a trip a [`RunEvent::BudgetExceeded`] is recorded and the
 /// remaining (worse-scoring) anchors are skipped.
@@ -151,41 +404,10 @@ pub(crate) fn extend_anchors(
     target: &Sequence,
     query: &Sequence,
     strand: Strand,
-    anchors: Vec<Anchor>,
-    pair_start: Instant,
-    report: &mut WgaReport,
-    obs: Obs<'_>,
-) {
-    extend_anchors_from(
-        params,
-        strand,
-        anchors,
-        pair_start,
-        report,
-        obs,
-        &mut |_, anchor| run_extension(params, target, query, anchor),
-    );
-}
-
-/// The commit loop behind [`extend_anchors`], with the per-anchor
-/// extension supplied by `fetch(seq, anchor)` — `seq` is the anchor's
-/// index in descending-filter-score order.
-///
-/// The serial driver passes a closure that calls [`run_extension`]
-/// inline; [`crate::shard::extend_anchors_sharded`] passes one that
-/// collects results speculatively computed by worker threads. Everything
-/// observable — sort order, budget/deadline truncation, absorption,
-/// fault-gate firing order, counters, report mutation — lives here and
-/// runs on the calling thread, so both drivers are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_anchors_from(
-    params: &WgaParams,
-    strand: Strand,
     mut anchors: Vec<Anchor>,
     pair_start: Instant,
     report: &mut WgaReport,
     obs: Obs<'_>,
-    fetch: &mut dyn FnMut(usize, Anchor) -> Option<ExtendedAlignment>,
 ) {
     let ext_start = Instant::now();
     obs.add(Counter::AnchorsPassed, anchors.len() as u64);
@@ -226,11 +448,11 @@ pub(crate) fn extend_anchors_from(
             report.counters.anchors_absorbed += 1;
             continue;
         }
-        // Chaos hook: per-pair extension is serial on every executor,
+        // Chaos hook: per-pair extension is serial on every schedule,
         // so `extend.tile` occurrence indices line up across them.
-        obs.fault_gate(crate::faultsim::Hook::ExtendTile);
+        obs.fault_gate(Hook::ExtendTile);
         let anchor_timer = buf.start();
-        let Some(ext) = fetch(seq, anchor) else {
+        let Some(ext) = run_extension(params, target, query, anchor) else {
             continue;
         };
         obs.extension_anchor(ext.stats.tiles, ext.stats.cells, ext.stats.rows);
@@ -263,6 +485,153 @@ pub(crate) fn extend_anchors_from(
         .alignments
         .extend(kept.into_iter().map(|alignment| WgaAlignment { alignment, strand }));
     report.timings.extension += ext_start.elapsed();
+}
+
+/// The seed table of target row `row`, fetched from the many-genome
+/// provider when there is one (it owns build timing and span
+/// accounting: a hit may be a cache lookup, not a build) and otherwise
+/// built here, sharded over `threads`, under a `seed.table` span. The
+/// returned duration is the build wall-clock for `timings.seeding`.
+///
+/// Either way a panic is contained to an error message that fails every
+/// pair of the row.
+pub(crate) fn row_seed_table(
+    params: &WgaParams,
+    target: &Sequence,
+    row: usize,
+    threads: usize,
+    tables: Option<&SeedTableFn<'_>>,
+    obs: Obs<'_>,
+) -> Result<(Arc<SeedTable>, Duration), String> {
+    let mut buf = obs.buffer();
+    let table_timer = buf.start();
+    catch_unwind(AssertUnwindSafe(|| match tables {
+        Some(provider) => (provider(row), Duration::ZERO),
+        None => {
+            let (table, build_time) = sharded_seed_table(params, target, threads);
+            buf.finish(
+                table_timer,
+                SpanName::SeedTable,
+                STRAND_NA,
+                row as u64,
+                1,
+                target.len() as u64,
+            );
+            (Arc::new(table), build_time)
+        }
+    }))
+    .map_err(|payload| {
+        format!("seed table build panicked: {}", panic_message(payload.as_ref()))
+    })
+}
+
+/// Finishes one computed pair: counts it done (failed or not, so a
+/// progress meter reaches `pairs N/N` on a run that is over), freezes
+/// the pair's fault accounting into its counters *before* the record is
+/// journaled so a resumed run replays the same numbers, and appends the
+/// record to the checkpoint journal under supervision.
+///
+/// A failed pair (`Err` carrying the panic or fault message) is not
+/// journaled, so a rerun retries it, and its per-pair fault accounting
+/// is dropped (the run totals keep it).
+///
+/// # Errors
+///
+/// The journal append failed beyond its retry budget.
+pub(crate) fn commit_pair(
+    (target_chrom, query_chrom): (&str, &str),
+    result: Result<WgaReport, String>,
+    journal: Option<&mut Journal>,
+    policy: &RetryPolicy,
+    obs: Obs<'_>,
+) -> WgaResult<PairRecord> {
+    obs.add(Counter::PairsDone, 1);
+    let faults = obs
+        .fault()
+        .map(|injector| injector.take_pair(obs.pair()))
+        .unwrap_or_default();
+    let mut report = match result {
+        Ok(report) => report,
+        Err(error) => return Ok(PairRecord::failed(target_chrom, query_chrom, error)),
+    };
+    report.counters.faults_injected += faults.injected;
+    report.counters.retries += faults.retries;
+    let record = PairRecord {
+        target_chrom: target_chrom.to_string(),
+        query_chrom: query_chrom.to_string(),
+        outcome: report.outcome(),
+        workload: report.workload,
+        timings: report.timings,
+        counters: report.counters,
+        alignments: report.alignments,
+    };
+    if let Some(journal) = journal {
+        let mut buf = obs.buffer();
+        let ckpt_timer = buf.start();
+        append_supervised(journal, &record, policy, &obs)?;
+        buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
+    }
+    Ok(record)
+}
+
+/// Appends one pair record under supervision: the write is retried with
+/// the run's backoff policy, and chaos runs inject `journal.append` /
+/// `journal.sync` faults around the real append. Retries count into the
+/// injector's run totals (the pair's own counters are already frozen
+/// inside `record`).
+fn append_supervised(
+    journal: &mut Journal,
+    record: &PairRecord,
+    policy: &RetryPolicy,
+    obs: &Obs<'_>,
+) -> WgaResult<()> {
+    let pair = obs.pair();
+    let injector = obs.fault();
+    let site = (Hook::JournalAppend.code() << 32) | (pair & 0xFFFF_FFFF);
+    supervise::retry_io(
+        policy,
+        site,
+        |_| {
+            if let Some(inj) = injector {
+                inj.count_retry(pair);
+            }
+        },
+        || {
+            if let Some(inj) = injector {
+                inj.gate_io(Hook::JournalAppend, pair, Some(obs))?;
+            }
+            journal.append(record)?;
+            if let Some(inj) = injector {
+                inj.gate_io(Hook::JournalSync, pair, Some(obs))?;
+            }
+            Ok(())
+        },
+    )
+}
+
+/// Folds one pair — just committed, or replayed — into the run's
+/// report. Callers fold in canonical (target × query) order.
+pub(crate) fn fold_pair(out: &mut AssemblyReport, record: PairRecord) {
+    out.workload.merge(&record.workload);
+    out.timings.merge(&record.timings);
+    out.counters.merge(&record.counters);
+    out.alignments
+        .extend(record.alignments.into_iter().map(|aligned| LocatedAlignment {
+            target_chrom: record.target_chrom.clone(),
+            query_chrom: record.query_chrom.clone(),
+            aligned,
+        }));
+    out.pairs.push(PairOutcome {
+        target_chrom: record.target_chrom,
+        query_chrom: record.query_chrom,
+        outcome: record.outcome,
+    });
+}
+
+/// Folds a pair taken from the checkpoint journal instead of recomputed.
+pub(crate) fn replay_pair(out: &mut AssemblyReport, record: PairRecord) {
+    out.resumed_pairs += 1;
+    fold_pair(out, record);
 }
 
 #[cfg(test)]

@@ -25,6 +25,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
+/// Extracts a human-readable message from a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// How a supervised operation retries: attempt count, base/cap of the
 /// capped-exponential backoff, and the seed the deterministic jitter is
 /// drawn from (the fault plan's seed, or 0 without a plan).

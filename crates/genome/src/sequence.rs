@@ -143,23 +143,23 @@ impl Sequence {
     /// byte-oriented storage (matches the BRAM encoding in §IV).
     ///
     /// Returns `(packed_bytes, len)`; unpack with [`Sequence::from_packed3`].
-    pub fn to_packed3(&self) -> (bytes::Bytes, usize) {
-        let mut out = bytes::BytesMut::with_capacity((self.len() * 3).div_ceil(8));
+    pub fn to_packed3(&self) -> (Vec<u8>, usize) {
+        let mut out = Vec::with_capacity((self.len() * 3).div_ceil(8));
         let mut acc: u32 = 0;
         let mut nbits = 0u32;
         for &b in &self.bases {
             acc |= (b.code() as u32) << nbits;
             nbits += 3;
             while nbits >= 8 {
-                out.extend_from_slice(&[(acc & 0xff) as u8]);
+                out.push((acc & 0xff) as u8);
                 acc >>= 8;
                 nbits -= 8;
             }
         }
         if nbits > 0 {
-            out.extend_from_slice(&[(acc & 0xff) as u8]);
+            out.push((acc & 0xff) as u8);
         }
-        (out.freeze(), self.len())
+        (out, self.len())
     }
 
     /// Unpacks a sequence previously produced by [`Sequence::to_packed3`].

@@ -101,7 +101,14 @@ impl TraceFile {
     /// Reads and validates a whole trace from `reader`.
     pub fn read<R: BufRead>(reader: R) -> Result<TraceFile, ProfileError> {
         let known_spans: Vec<&str> = SpanName::ALL.iter().map(|n| n.as_str()).collect();
-        let known_counters: Vec<&str> = Counter::ALL.iter().map(|c| c.as_str()).collect();
+        // Traces written while extension still speculated carry a
+        // `shard.spec_discard` counter the recorder no longer has; it
+        // stays readable (and reads 0 from traces without it).
+        let known_counters: Vec<&str> = Counter::ALL
+            .iter()
+            .map(|c| c.as_str())
+            .chain(["shard.spec_discard"])
+            .collect();
         let known_hists: Vec<&str> = HistKind::ALL.iter().map(|h| h.as_str()).collect();
 
         let mut schema: Option<u64> = None;

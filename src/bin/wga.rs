@@ -17,12 +17,15 @@
 //!           [--fault-plan plan.json] [--max-retries N] [--stall-timeout-ms N]
 //!     Align query to target with Darwin-WGA (or the LASTZ-like baseline
 //!     with --baseline); print a run summary and the top chains; write
-//!     MAF if requested. --threads parallelises the filter stage of each
-//!     chromosome pair. --executor picks the execution engine: `barrier`
-//!     (default) fans out only the filter stage; `dataflow` streams
-//!     seeding, filtering and extension concurrently through bounded
-//!     queues of capacity --queue-depth (results are byte-identical
-//!     either way). --metrics-out writes the executor's per-stage
+//!     MAF if requested. --threads spreads the seeding (seed-table
+//!     build, D-SOFT) and filter stages of each chromosome pair over N
+//!     workers; one thread extends a pair; 1 (the default) is a plain
+//!     loop on the calling thread. --executor picks the execution
+//!     engine: `barrier` (default) runs each stage of a pair to
+//!     completion, one pair at a time; `dataflow` streams seeding,
+//!     filtering and extension of different pairs concurrently through
+//!     bounded queues of capacity --queue-depth (results are
+//!     byte-identical either way). --metrics-out writes the executor's per-stage
 //!     telemetry as JSON (every executor). --trace-out writes one JSON
 //!     line per pipeline span plus latency histograms (see DESIGN.md
 //!     "Observability"). --progress keeps a throttled one-line status on
@@ -32,8 +35,8 @@
 //!     wavefront engine; `simd` runs it with explicit SSE2/AVX2 lanes,
 //!     falling back to `batched` where unsupported; results are
 //!     identical in every case). --shard-size sets the minimum bases per
-//!     intra-pair shard for seeding/filtering/extension work items
-//!     (default 2048; purely a scheduling knob, output is byte-identical
+//!     intra-pair seeding shard (seed-table build and D-SOFT work items;
+//!     default 2048; purely a scheduling knob, output is byte-identical
 //!     for any value). --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
 //!     resumes where it left off. The --max-*/--deadline-ms budgets

@@ -17,10 +17,11 @@ use darwin_wga::align::bsw_fast::{
 };
 use darwin_wga::align::bsw_simd::{banded_smith_waterman_simd, BswSimdBatch, SimdScratch};
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::parallel::run_parallel;
-use darwin_wga::core::pipeline::WgaPipeline;
+use darwin_wga::core::obs::Obs;
+use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::{Base, GapPenalties, SubstitutionMatrix};
+use darwin_wga::seed::SeedTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,6 +353,8 @@ fn whole_pipeline_identical_across_engines_and_threads() {
         .with_filter_engine(FilterEngineKind::Simd)
         .with_shard_bases(512);
     let reference = WgaPipeline::new(scalar_params.clone()).run(t, q);
+    let table = SeedTable::build(t, &scalar_params.seed_pattern, scalar_params.max_seed_occurrences);
+    let run_parallel = |params: &WgaParams, threads| run_pair(params, &table, t, q, threads, Obs::off());
     assert!(
         !reference.alignments.is_empty(),
         "pipeline must produce alignments for the comparison to bite"
@@ -359,20 +362,14 @@ fn whole_pipeline_identical_across_engines_and_threads() {
     for (name, report) in [
         ("batched serial", WgaPipeline::new(batched_params.clone()).run(t, q)),
         ("simd serial", WgaPipeline::new(simd_params.clone()).run(t, q)),
-        ("scalar 3 threads", run_parallel(&scalar_params, t, q, 3)),
-        ("batched 3 threads", run_parallel(&batched_params, t, q, 3)),
-        ("simd 3 threads", run_parallel(&simd_params, t, q, 3)),
-        ("simd 8 threads", run_parallel(&simd_params, t, q, 8)),
-        ("batched 8 threads", run_parallel(&batched_params, t, q, 8)),
+        ("scalar 3 threads", run_parallel(&scalar_params, 3)),
+        ("batched 3 threads", run_parallel(&batched_params, 3)),
+        ("simd 3 threads", run_parallel(&simd_params, 3)),
+        ("simd 8 threads", run_parallel(&simd_params, 8)),
+        ("batched 8 threads", run_parallel(&batched_params, 8)),
     ] {
         assert_eq!(reference.alignments, report.alignments, "{name}");
         assert_eq!(reference.workload, report.workload, "{name}");
-        // spec_discard measures speculation waste and varies with the
-        // thread schedule; every other counter must match exactly.
-        assert_eq!(
-            reference.counters.deterministic_view(),
-            report.counters.deterministic_view(),
-            "{name}"
-        );
+        assert_eq!(reference.counters, report.counters, "{name}");
     }
 }

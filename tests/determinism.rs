@@ -1,6 +1,9 @@
 //! Determinism and parallel-equivalence integration tests.
 
-use darwin_wga::core::{config::WgaParams, parallel::run_parallel, pipeline::WgaPipeline};
+use darwin_wga::core::config::WgaParams;
+use darwin_wga::core::obs::Obs;
+use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
+use darwin_wga::seed::SeedTable;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::SeedableRng;
 
@@ -26,8 +29,20 @@ fn parallel_filtering_matches_serial_exactly() {
     let pair = pair(6);
     let params = WgaParams::darwin_wga();
     let serial = WgaPipeline::new(params.clone()).run(&pair.target.sequence, &pair.query.sequence);
+    let table = SeedTable::build(
+        &pair.target.sequence,
+        &params.seed_pattern,
+        params.max_seed_occurrences,
+    );
     for threads in [2usize, 3, 8] {
-        let par = run_parallel(&params, &pair.target.sequence, &pair.query.sequence, threads);
+        let par = run_pair(
+            &params,
+            &table,
+            &pair.target.sequence,
+            &pair.query.sequence,
+            threads,
+            Obs::off(),
+        );
         assert_eq!(serial.alignments, par.alignments, "threads={threads}");
         assert_eq!(serial.workload, par.workload);
     }

@@ -173,7 +173,7 @@ fn trace_jsonl_matches_schema() {
         }
     }
     assert_eq!(seen_schema, 1, "exactly one schema header");
-    // Exactly one line per counter, including `shard.spec_discard`.
+    // Exactly one line per counter.
     for required in &known_counters {
         assert_eq!(
             seen_counters.iter().filter(|c| *c == required).count(),
@@ -259,6 +259,53 @@ fn metrics_json_is_valid_on_every_executor() {
         assert_eq!(metrics.filtering.items, report.workload.filter_tiles);
         assert_eq!(metrics.seeding.cells, report.workload.seeds);
     }
+}
+
+/// A pair that fails still finishes: with one pair's retry budget
+/// exhausted, `pairs.done` reaches `pairs.total` on every schedule (a
+/// `--progress` meter must not end a finished run at `pairs 3/4` with a
+/// live ETA), and the canonical report is the same on all three.
+#[test]
+fn failed_pair_still_counts_as_done_on_every_schedule() {
+    use darwin_wga::core::faultsim::FaultPlan;
+
+    let (target, query, _) = golden_inputs();
+    let plan = FaultPlan::parse(concat!(
+        "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":13,\"faults\":[",
+        "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1,2],\"pair\":1}]}"
+    ))
+    .expect("fault plan parses");
+    let plan = std::sync::Arc::new(plan);
+    let mut canon: Vec<String> = Vec::new();
+    for (threads, executor) in [
+        (1, ExecutorKind::Barrier),
+        (3, ExecutorKind::Barrier),
+        (3, ExecutorKind::Dataflow),
+    ] {
+        let recorder = TraceRecorder::new();
+        let options = AlignOptions {
+            threads,
+            executor,
+            max_retries: 1,
+            fault_plan: Some(plan.clone()),
+            ..AlignOptions::default()
+        };
+        let report = align_assemblies_observed(
+            &WgaParams::darwin_wga(),
+            &target,
+            &query,
+            &options,
+            Obs::new(&recorder),
+        )
+        .expect("run succeeds");
+        assert_eq!(report.failed_pairs(), 1, "{executor:?}@{threads}");
+        let progress = recorder.progress();
+        assert_eq!(progress.pairs_total, 4, "{executor:?}@{threads}");
+        assert_eq!(progress.pairs_done, 4, "{executor:?}@{threads}");
+        canon.push(report.canonical_text());
+    }
+    assert_eq!(canon[0], canon[1]);
+    assert_eq!(canon[0], canon[2]);
 }
 
 /// Log2 histogram boundary behaviour via the public API: 0 → bucket 0,

@@ -17,8 +17,8 @@ use darwin_wga::align::nw::needleman_wunsch;
 use darwin_wga::align::sw::smith_waterman;
 use darwin_wga::align::xdrop::xdrop_tile;
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::parallel::run_parallel;
-use darwin_wga::core::pipeline::WgaPipeline;
+use darwin_wga::core::obs::Obs;
+use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
 use darwin_wga::seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams, DsoftResult};
 use darwin_wga::seed::{SeedPattern, SeedTable};
 use darwin_wga::genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
@@ -245,14 +245,10 @@ proptest! {
         let serial = WgaParams::darwin_wga();
         let sharded = serial.clone().with_shard_bases(1 << shard_pow);
         let reference = WgaPipeline::new(serial).run(&t, &q);
-        let report = run_parallel(&sharded, &t, &q, threads);
+        let table = SeedTable::build(&t, &sharded.seed_pattern, sharded.max_seed_occurrences);
+        let report = run_pair(&sharded, &table, &t, &q, threads, Obs::off());
         prop_assert_eq!(&reference.alignments, &report.alignments);
         prop_assert_eq!(&reference.workload, &report.workload);
-        // spec_discard counts discarded speculative work and depends on
-        // the thread schedule; the deterministic view must still match.
-        prop_assert_eq!(
-            reference.counters.deterministic_view(),
-            report.counters.deterministic_view()
-        );
+        prop_assert_eq!(reference.counters, report.counters);
     }
 }
