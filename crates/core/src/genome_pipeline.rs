@@ -34,6 +34,7 @@ use crate::stages::{commit_pair, fold_pair, replay_pair, row_seed_table};
 use crate::supervise::{panic_message, RetryPolicy};
 use genome::assembly::Assembly;
 use hwsim::Workload;
+use seed::table::MAX_TARGET_LEN;
 use seed::SeedTable;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -299,6 +300,19 @@ pub fn align_assemblies_observed(
 /// affected pairs exactly like an in-run seed-table build panic.
 pub type SeedTableFn<'p> = dyn Fn(usize) -> Arc<SeedTable> + Sync + 'p;
 
+/// Rejects a target chromosome longer than the seed table's `u32`
+/// positions can address — here, with the configuration errors, rather
+/// than by indexing a truncated chromosome.
+fn check_indexable(name: &str, len: usize) -> WgaResult<()> {
+    if len > MAX_TARGET_LEN {
+        return Err(WgaError::input(
+            name,
+            format!("{len} bases exceed the {MAX_TARGET_LEN} a seed table can index"),
+        ));
+    }
+    Ok(())
+}
+
 /// [`align_assemblies_observed`] with an optional external seed-table
 /// provider, so a many-genome orchestrator can share one index across
 /// the whole pair matrix instead of rebuilding per genome pair.
@@ -311,6 +325,9 @@ pub(crate) fn align_assemblies_provided(
     tables: Option<&SeedTableFn<'_>>,
 ) -> WgaResult<AssemblyReport> {
     params.validate()?;
+    for chrom in target.chromosomes() {
+        check_indexable(&chrom.name, chrom.sequence.len())?;
+    }
     if options.threads == 0 {
         return Err(WgaError::config("threads must be at least 1"));
     }
@@ -486,6 +503,15 @@ mod tests {
             homologous > 20 * paralogous.max(1),
             "homologous {homologous} vs cross {paralogous}"
         );
+    }
+
+    #[test]
+    fn target_beyond_u32_positions_is_a_typed_error() {
+        assert!(check_indexable("chr1", MAX_TARGET_LEN).is_ok());
+        let err = check_indexable("chr1", MAX_TARGET_LEN + 1).expect_err("must reject");
+        assert!(matches!(err, WgaError::Input { .. }), "{err:?}");
+        assert!(err.to_string().contains("chr1"), "{err}");
+        assert!(err.to_string().contains("4294967296 bases"), "{err}");
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! count reaches the threshold `h` contributes **at most one** seed hit to
 //! the filtering stage — this de-duplication of nearby hits is what keeps
 //! the (enormous) seeding output tractable for the filter.
+//!
+//! Memory follows one chunk, not the query: a band is keyed by its chunk,
+//! and query positions are walked in ascending order, so when the walk
+//! leaves a chunk every band of it has its final count and first hit.
+//! The walk keeps one hit counter per target bin and clears the touched
+//! ones at each chunk's end — the bin-count memory and non-zero-bin list
+//! of Darwin's D-SOFT unit — instead of a map of every band of the query.
 
 use crate::hit::SeedHit;
 use crate::pattern::SeedPattern;
 use crate::table::SeedTable;
 use genome::Sequence;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// D-SOFT parameters.
@@ -117,11 +123,13 @@ pub fn dsoft_seeds_range(
     let pattern: &SeedPattern = table.pattern();
     let qslice = query.as_slice();
     let mut result = DsoftResult::default();
-    // band key: (chunk index, target bin) → count and first hit.
-    // BTreeMap, not HashMap: `into_values` below iterates, and the
-    // hits it yields reach canonical output — ordered iteration keeps
-    // that path deterministic by construction (wga-lint: determinism).
-    let mut bands: BTreeMap<(u32, u32), (u32, SeedHit)> = BTreeMap::new();
+    // Query positions ascend, so a chunk's diagonal bands are complete
+    // when the walk leaves the chunk. Only the current chunk's bands are
+    // held, as Darwin's D-SOFT holds them: a hit count per target bin,
+    // and the first hit of every bin the chunk has touched — the list
+    // that says which counts to read and clear when the chunk ends.
+    let mut bin_counts = vec![0u32; table.position_end().div_ceil(params.bin_size)];
+    let mut first_hits: Vec<SeedHit> = Vec::new();
 
     let end = query
         .len()
@@ -131,35 +139,39 @@ pub fn dsoft_seeds_range(
     // same positions the whole-query walk samples inside this range.
     let mut qpos = qrange.start.div_ceil(params.query_stride) * params.query_stride;
     while qpos < end {
-        let words = if params.transitions {
-            pattern.extract_with_transitions(qslice, qpos)
-        } else {
-            pattern.extract(qslice, qpos).into_iter().collect()
-        };
-        result.seeds_queried += words.len() as u64;
-        let chunk = (qpos / params.chunk_size) as u32;
-        for word in words {
-            for &tpos in table.lookup(word) {
-                result.raw_hits += 1;
-                let bin = (tpos as usize / params.bin_size) as u32;
-                let entry = bands
-                    .entry((chunk, bin))
-                    .or_insert((0, SeedHit::new(tpos as usize, qpos)));
-                entry.0 += 1;
+        let chunk_end = (qpos - qpos % params.chunk_size)
+            .saturating_add(params.chunk_size)
+            .min(end);
+        while qpos < chunk_end {
+            if let Some(exact) = pattern.extract(qslice, qpos) {
+                let mut probe = |word: u64| {
+                    for &tpos in table.lookup(word) {
+                        result.raw_hits += 1;
+                        let count = &mut bin_counts[tpos as usize / params.bin_size];
+                        if *count == 0 {
+                            first_hits.push(SeedHit::new(tpos as usize, qpos));
+                        }
+                        *count += 1;
+                    }
+                };
+                probe(exact);
+                if params.transitions {
+                    pattern.transition_variants(exact).for_each(probe);
+                }
+                result.seeds_queried += pattern.words_per_position(params.transitions) as u64;
+            }
+            qpos = qpos.saturating_add(params.query_stride);
+        }
+        result.bands_touched += first_hits.len() as u64;
+        for hit in first_hits.drain(..) {
+            let count = std::mem::take(&mut bin_counts[hit.target_pos / params.bin_size]);
+            if count >= params.threshold {
+                result.hits.push(hit);
             }
         }
-        qpos += params.query_stride;
     }
 
-    result.bands_touched = bands.len() as u64;
-    let mut hits: Vec<SeedHit> = bands
-        .into_values()
-        .filter(|(count, _)| *count >= params.threshold)
-        .map(|(_, hit)| hit)
-        .collect();
-    hits.sort_unstable();
-    hits.dedup();
-    result.hits = hits;
+    result.hits.sort_unstable();
     result
 }
 

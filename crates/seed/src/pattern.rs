@@ -96,25 +96,30 @@ impl SeedPattern {
         Some(word)
     }
 
-    /// Extracts the exact word plus every one-transition variant
-    /// (Fig. 5b): `weight()` extra words where one sampled base is replaced
-    /// by its transition partner. The exact word is always first.
+    /// Every one-transition variant of `exact` (Fig. 5b), without
+    /// allocating: `weight()` words where one sampled base is replaced by
+    /// its transition partner, first sampled position first.
+    ///
+    /// The 2-bit codes put each base two away from its partner
+    /// (`A=0 ↔ G=2`, `C=1 ↔ T=3`), so a variant is `exact` with the high
+    /// bit of one base flipped.
+    #[inline]
+    pub fn transition_variants(&self, exact: u64) -> impl Iterator<Item = u64> {
+        // Sampled position k occupies bits [2*(m-1-k), 2*(m-1-k)+1].
+        (0..self.weight())
+            .rev()
+            .map(move |k| exact ^ (0b10 << (2 * k)))
+    }
+
+    /// Extracts the exact word plus every one-transition variant:
+    /// the exact word first, then [`SeedPattern::transition_variants`].
     pub fn extract_with_transitions(&self, seq: &[Base], pos: usize) -> Vec<u64> {
         let Some(exact) = self.extract(seq, pos) else {
             return Vec::new();
         };
-        let m = self.weight();
-        let mut words = Vec::with_capacity(m + 1);
-        words.push(exact);
-        for k in 0..m {
-            // Sampled position k occupies bits [2*(m-1-k), 2*(m-1-k)+1].
-            let shift = 2 * (m - 1 - k);
-            let code = ((exact >> shift) & 0b11) as u8;
-            let partner = Base::from_code(code).transition_partner().code2() as u64;
-            let variant = (exact & !(0b11u64 << shift)) | (partner << shift);
-            words.push(variant);
-        }
-        words
+        std::iter::once(exact)
+            .chain(self.transition_variants(exact))
+            .collect()
     }
 
     /// Number of distinct seed words a query position produces
@@ -272,6 +277,20 @@ mod tests {
         // All variants are distinct from the exact word.
         for v in &words[1..] {
             assert_ne!(*v, words[0]);
+        }
+    }
+
+    #[test]
+    fn transition_variants_flip_each_sampled_base_to_its_partner() {
+        let p = SeedPattern::lastz_default();
+        let s: Sequence = "ACGTTGCAACGTACGTTGC".parse().unwrap();
+        let exact = p.extract(s.as_slice(), 0).unwrap();
+        let variants: Vec<u64> = p.transition_variants(exact).collect();
+        assert_eq!(variants.len(), p.weight());
+        for (k, &off) in p.sampled_offsets().iter().enumerate() {
+            let mut mutated = s.as_slice().to_vec();
+            mutated[off] = mutated[off].transition_partner();
+            assert_eq!(variants[k], p.extract(&mutated, 0).unwrap(), "variant {k}");
         }
     }
 

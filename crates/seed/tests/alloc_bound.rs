@@ -1,0 +1,273 @@
+//! Bytes per base, asserted rather than assumed.
+//!
+//! The seed table is the largest resident of every workload, and ROADMAP
+//! item 1 wants the whole run under `a + b·N`. This binary pins the seed
+//! layer's `b` with a counting `#[global_allocator]` (std only, its own
+//! test binary so no other suite pays for it; the pattern of
+//! `crates/align/tests/alloc_bound.rs`): a built table keeps at most 16 B
+//! per indexed position plus its directory, building or merging one peaks
+//! at 32 B per position plus the counting sort's two directory-sized
+//! arrays, and D-SOFT's working set follows the target's bins and one
+//! chunk's bands — not the query — with no allocation per query position.
+//! The hash map this index replaced kept 74 B per position (99 B at its
+//! peak) in one heap `Vec` per word, and the whole-query band map grew
+//! with the query, one `Vec` of words per position; both would fail here.
+
+use genome::{Base, Sequence};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use seed::dsoft::{dsoft_seeds, DsoftParams, DsoftResult};
+use seed::{SeedHit, SeedPattern, SeedTable};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed (signed: a thread
+    /// may free what another allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of `LIVE` since the last [`measure`] began.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// `alloc`/`realloc` calls since the last [`measure`] began.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator with per-thread accounting. Tests run on threads
+/// of their own, so concurrent tests do not see each other.
+struct Counting;
+
+fn allocated(bytes: usize) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes as isize);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn freed(bytes: usize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as isize));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds, and returns its result;
+// the accounting touches only `Cell`s in const-initialised thread locals,
+// which neither allocate nor run destructors.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded; see the impl comment.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            allocated(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded; see the impl comment.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            allocated(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.dealloc(ptr, layout) };
+        freed(layout.size());
+    }
+
+    // Counted as the block changing size, not as a second block: that is
+    // what the system `realloc` does for the large blocks that matter here
+    // (it remaps them), and the bounds below are on what stays live.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded; see the impl comment.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            freed(layout.size());
+            allocated(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What running `f` cost this thread's heap.
+struct Measured<T> {
+    value: T,
+    /// Peak live bytes above what was live when `f` started.
+    peak: usize,
+    /// Bytes still live when `f` returned: what `value` holds.
+    retained: usize,
+    /// Allocator calls that returned memory.
+    allocs: u64,
+}
+
+fn measure<T>(f: impl FnOnce() -> T) -> Measured<T> {
+    let base = LIVE.get();
+    PEAK.set(base);
+    ALLOCS.set(0);
+    let value = f();
+    Measured {
+        value,
+        peak: (PEAK.get() - base).max(0) as usize,
+        retained: (LIVE.get() - base).max(0) as usize,
+        allocs: ALLOCS.get(),
+    }
+}
+
+const KIB: usize = 1024;
+
+/// The prefix directory of a pattern of weight above 8: 2^16 + 1 `u32`s.
+const DIRECTORY: usize = 4 * ((1 << 16) + 1);
+
+/// The pattern clone, a `Vec` header or two, the shard list.
+const SLACK: usize = 4 * KIB;
+
+fn random_dna(len: usize, seed: u64) -> Sequence {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+        .collect()
+}
+
+#[test]
+fn table_keeps_16_bytes_per_position_and_builds_in_32() {
+    let target = random_dna(150_000, 40);
+    let pattern = SeedPattern::lastz_default();
+
+    let built = measure(|| SeedTable::build(&target, &pattern, 1000));
+    let positions = built.value.positions_indexed() as usize;
+    assert_eq!(positions, target.len() - pattern.span() + 1);
+    eprintln!(
+        "build: {:.2} B/position resident, {:.2} B/position peak, {} distinct words",
+        (built.retained - DIRECTORY) as f64 / positions as f64,
+        (built.peak - 2 * DIRECTORY) as f64 / positions as f64,
+        built.value.distinct_words()
+    );
+    assert!(
+        built.retained <= 16 * positions + DIRECTORY + SLACK,
+        "{} B resident for {positions} positions",
+        built.retained
+    );
+    assert!(
+        built.peak <= 32 * positions + 2 * DIRECTORY + SLACK,
+        "build peaked at {} B for {positions} positions",
+        built.peak
+    );
+    // One heap `Vec` per word alone was 24 B of header and 16 B of block.
+    assert!(40 * positions > 2 * built.retained);
+
+    // Merging shards holds the shards' runs and the sorted run, then the
+    // sorted run and the table: the same 32 B either way.
+    let cuts = [0, 9_000, 9_000, 70_001, 149_990, target.len()];
+    let parts: Vec<_> = cuts
+        .windows(2)
+        .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
+        .collect();
+    let merged = measure(|| SeedTable::from_partials(&pattern, parts, 1000));
+    assert_eq!(merged.value.positions_indexed() as usize, positions);
+    assert!(
+        merged.peak <= 16 * positions + 2 * DIRECTORY + SLACK,
+        "merge peaked at {} B beyond the {positions} positions handed in",
+        merged.peak
+    );
+    assert!(
+        merged.allocs <= 16,
+        "{} allocations to merge",
+        merged.allocs
+    );
+}
+
+#[test]
+fn repeats_cost_four_bytes_a_position() {
+    // 40 kb of a 5 kb unit: 8 positions a word, all under the cap.
+    let unit = random_dna(5_000, 41);
+    let target: Sequence = (0..8).flat_map(|_| unit.iter()).collect();
+    let table = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), 1000));
+    let (positions, words) = (
+        table.value.positions_indexed() as usize,
+        table.value.distinct_words(),
+    );
+    assert!((4_990..=5_000).contains(&words), "{words} distinct words");
+    assert!(
+        table.retained <= 4 * positions + 12 * (words + 1) + DIRECTORY + SLACK,
+        "{} B resident for {positions} positions of {words} words",
+        table.retained
+    );
+}
+
+/// D-SOFT of `query` on a thread of its own.
+fn dsoft_cost(table: &SeedTable, query: &Sequence, params: &DsoftParams) -> Measured<DsoftResult> {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| measure(|| dsoft_seeds(table, query, params)))
+            .join()
+            .expect("measurement thread")
+    })
+}
+
+#[test]
+fn dsoft_working_set_follows_a_chunk_not_the_query() {
+    let target = random_dna(100_000, 42);
+    // The target with a substitution every twenty bases: seeds all along
+    // the main diagonal, noise bands everywhere else.
+    let mut rng = StdRng::seed_from_u64(43);
+    let query: Sequence = target
+        .iter()
+        .map(|base| match rng.gen_range(0u8..20) {
+            0 => base.transition_partner(),
+            _ => base,
+        })
+        .collect();
+    let doubled: Sequence = query.iter().chain(query.iter()).collect();
+    let table = SeedTable::build(&target, &SeedPattern::lastz_default(), 1000);
+    let params = DsoftParams::default();
+
+    let once = dsoft_cost(&table, &query, &params);
+    let twice = dsoft_cost(&table, &doubled, &params);
+    assert!(once.value.hits.len() > 1_000, "{}", once.value.hits.len());
+    assert!(twice.value.seeds_queried > 2 * once.value.seeds_queried - 1_000);
+    assert!(twice.value.bands_touched > 2 * once.value.bands_touched - 1_000);
+
+    // Beyond the hits it returns: a `u32` per target bin and the first
+    // hits of one chunk's bands.
+    let bins = target.len().div_ceil(params.bin_size);
+    let bound = 4 * bins + 4 * KIB;
+    let working_set = |cost: &Measured<DsoftResult>| {
+        cost.peak - cost.value.hits.capacity() * size_of::<SeedHit>()
+    };
+    eprintln!(
+        "dsoft: {} B and {} allocations for {} seeds in {} bands, {} B and {} for {} in {}",
+        working_set(&once),
+        once.allocs,
+        once.value.seeds_queried,
+        once.value.bands_touched,
+        working_set(&twice),
+        twice.allocs,
+        twice.value.seeds_queried,
+        twice.value.bands_touched
+    );
+    for (name, cost) in [("query", &once), ("doubled query", &twice)] {
+        assert!(
+            working_set(cost) <= bound,
+            "{name}: {} B live beyond the hits, bound {bound}",
+            working_set(cost)
+        );
+        // A map of every band of the query held 32 B an entry.
+        assert!(32 * cost.value.bands_touched as usize > 16 * bound);
+    }
+
+    // Nothing is allocated per query position: the band list and the hit
+    // list each double a few times, and twice the query doubles the hit
+    // list once more.
+    assert!(once.allocs <= 40, "{} allocations", once.allocs);
+    assert!(
+        twice.allocs <= once.allocs + 2,
+        "{} allocations for twice the query, {} for once",
+        twice.allocs,
+        once.allocs
+    );
+}
