@@ -6,10 +6,10 @@
 //! and `d-2` (substitution), so all of them update in parallel. This
 //! module is the software transcription of that dataflow:
 //!
-//! * sequences are **byte-encoded once** per chromosome pair (2-bit bases
-//!   plus the `N` code, one byte each) instead of re-reading the `Base`
-//!   enum per cell — [`BswBatch`] holds the encoded pair and a flattened
-//!   score table, shared read-only by every worker thread;
+//! * sequences are read as their **byte codes** (2-bit bases plus the
+//!   `N` code, one byte each — [`genome::Sequence::codes`], the
+//!   sequence's own memory) against a flattened score table that
+//!   [`BswBatch`] holds, shared read-only by every worker thread;
 //! * the DP runs in **anti-diagonal order** over three flat rolling
 //!   buffers indexed by row `i` — the software image of the systolic
 //!   array's processing elements — with a branch-free inner loop the
@@ -59,12 +59,6 @@ impl ScoreLut {
     }
 }
 
-/// Encodes a base slice into hardware codes (`A=0..T=3, N=4`), one byte
-/// per base.
-pub fn encode(seq: &[Base]) -> Vec<u8> {
-    seq.iter().map(|b| b.code()).collect()
-}
-
 /// Reusable per-worker DP buffers for [`bsw_wavefront`].
 ///
 /// Holds the three rolling anti-diagonal buffers (`V` on `d-1`/`d-2`,
@@ -90,7 +84,8 @@ impl WavefrontScratch {
     }
 }
 
-/// A chromosome pair encoded once for batched tile filtering.
+/// The scoring of one filter stage, flattened once for batched tile
+/// filtering.
 ///
 /// Immutable after construction and `Sync`, so the parallel driver shares
 /// one `BswBatch` across all filter workers; each worker brings its own
@@ -98,49 +93,33 @@ impl WavefrontScratch {
 /// its batch.
 #[derive(Debug, Clone)]
 pub struct BswBatch {
-    tcodes: Vec<u8>,
-    qcodes: Vec<u8>,
     lut: ScoreLut,
     gaps: GapPenalties,
     band: usize,
 }
 
 impl BswBatch {
-    /// Encodes `target`/`query` and flattens the scoring for batched runs.
-    pub fn new(
-        target: &[Base],
-        query: &[Base],
-        w: &SubstitutionMatrix,
-        gaps: &GapPenalties,
-        band: usize,
-    ) -> BswBatch {
+    /// Flattens the scoring for batched runs.
+    pub fn new(w: &SubstitutionMatrix, gaps: &GapPenalties, band: usize) -> BswBatch {
         BswBatch {
-            tcodes: encode(target),
-            qcodes: encode(query),
             lut: ScoreLut::new(w),
             gaps: *gaps,
             band,
         }
     }
 
-    /// Runs one filter tile over the given windows of the encoded pair.
+    /// Runs one filter tile over windows of the pair's codes
+    /// ([`genome::Sequence::codes`]).
     ///
     /// Bit-identical to running
-    /// [`crate::banded::banded_smith_waterman`] on the same slices.
+    /// [`crate::banded::banded_smith_waterman`] on the same windows.
     pub fn run_tile(
         &self,
-        t_range: std::ops::Range<usize>,
-        q_range: std::ops::Range<usize>,
+        tcodes: &[u8],
+        qcodes: &[u8],
         scratch: &mut WavefrontScratch,
     ) -> BandedOutcome {
-        bsw_wavefront(
-            &self.tcodes[t_range],
-            &self.qcodes[q_range],
-            &self.lut,
-            &self.gaps,
-            self.band,
-            scratch,
-        )
+        bsw_wavefront(tcodes, qcodes, &self.lut, &self.gaps, self.band, scratch)
     }
 }
 
@@ -287,8 +266,8 @@ pub fn bsw_wavefront(
     }
 }
 
-/// Convenience wrapper: encodes `target`/`query` and runs the wavefront
-/// kernel — a drop-in replacement for
+/// Convenience wrapper: runs the wavefront kernel on the codes of
+/// `target`/`query` — a drop-in replacement for
 /// [`crate::banded::banded_smith_waterman`] plus a scratch argument.
 ///
 /// # Examples
@@ -320,8 +299,8 @@ pub fn banded_smith_waterman_wavefront(
     scratch: &mut WavefrontScratch,
 ) -> BandedOutcome {
     bsw_wavefront(
-        &encode(target),
-        &encode(query),
+        Base::codes_of(target),
+        Base::codes_of(query),
         &ScoreLut::new(w),
         gaps,
         band,
@@ -418,8 +397,8 @@ mod tests {
             let q = seq(&"ACGGTCTGT".repeat(len.div_ceil(9))[..len]);
             let scalar = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 32);
             let fast = bsw_wavefront(
-                &encode(t.as_slice()),
-                &encode(q.as_slice()),
+                t.codes(),
+                q.codes(),
                 &ScoreLut::new(&w),
                 &g,
                 32,
@@ -434,7 +413,7 @@ mod tests {
         let (w, g) = dw();
         let t = seq(&"ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40));
         let q = seq(&"ACGGTCAGTCGATTGCAGTCCATGGACTGTTC".repeat(40));
-        let batch = BswBatch::new(t.as_slice(), q.as_slice(), &w, &g, 32);
+        let batch = BswBatch::new(&w, &g, 32);
         let mut scratch = WavefrontScratch::new();
         for start in (0..960).step_by(160) {
             let (tr, qr) = crate::banded::tile_around(
@@ -451,7 +430,7 @@ mod tests {
                 &g,
                 32,
             );
-            let fast = batch.run_tile(tr, qr, &mut scratch);
+            let fast = batch.run_tile(&t.codes()[tr], &q.codes()[qr], &mut scratch);
             assert_eq!(scalar, fast, "tile at {start}");
         }
     }

@@ -33,7 +33,7 @@
 // lint: hot — allocation-free inner loops are this kernel's whole point
 
 use crate::banded::BandedOutcome;
-use crate::bsw_fast::{bsw_wavefront, encode, ScoreLut, WavefrontScratch};
+use crate::bsw_fast::{bsw_wavefront, ScoreLut, WavefrontScratch};
 use genome::{Base, GapPenalties, SubstitutionMatrix};
 
 /// Sentinel for "no live gap chain": the saturating floor.
@@ -66,7 +66,8 @@ impl SimdScratch {
     }
 }
 
-/// A chromosome pair encoded once for SIMD tile filtering.
+/// The scoring of one filter stage, prepared once for SIMD tile
+/// filtering.
 ///
 /// The SIMD analogue of [`crate::bsw_fast::BswBatch`]: immutable after
 /// construction and `Sync`, shared read-only by every filter worker, each
@@ -76,8 +77,6 @@ impl SimdScratch {
 /// routes each tile to the widest exact kernel.
 #[derive(Debug, Clone)]
 pub struct BswSimdBatch {
-    tcodes: Vec<u8>,
-    qcodes: Vec<u8>,
     lut: ScoreLut,
     lut16: [i16; 64],
     gaps: GapPenalties,
@@ -91,15 +90,9 @@ pub struct BswSimdBatch {
 }
 
 impl BswSimdBatch {
-    /// Encodes `target`/`query` and probes scoring ranges and host
-    /// instruction sets for SIMD dispatch.
-    pub fn new(
-        target: &[Base],
-        query: &[Base],
-        w: &SubstitutionMatrix,
-        gaps: &GapPenalties,
-        band: usize,
-    ) -> BswSimdBatch {
+    /// Probes scoring ranges and host instruction sets for SIMD
+    /// dispatch.
+    pub fn new(w: &SubstitutionMatrix, gaps: &GapPenalties, band: usize) -> BswSimdBatch {
         let lut = ScoreLut::new(w);
         let mut lut16 = [0i16; 64];
         let mut max_match = 0i64;
@@ -123,8 +116,6 @@ impl BswSimdBatch {
             && open_extend <= i16::MAX as i32
             && gaps.extend <= i16::MAX as i32;
         BswSimdBatch {
-            tcodes: encode(target),
-            qcodes: encode(query),
             lut,
             lut16,
             gaps: *gaps,
@@ -159,18 +150,17 @@ impl BswSimdBatch {
             && (n.min(m) as i64).saturating_mul(self.max_match) <= i16::MAX as i64
     }
 
-    /// Runs one filter tile over the given windows of the encoded pair.
+    /// Runs one filter tile over windows of the pair's codes
+    /// ([`genome::Sequence::codes`]).
     ///
     /// Bit-identical to [`crate::bsw_fast::BswBatch::run_tile`] (and the
-    /// scalar reference) on the same slices, whichever kernel runs.
+    /// scalar reference) on the same windows, whichever kernel runs.
     pub fn run_tile(
         &self,
-        t_range: std::ops::Range<usize>,
-        q_range: std::ops::Range<usize>,
+        tcodes: &[u8],
+        qcodes: &[u8],
         scratch: &mut SimdScratch,
     ) -> BandedOutcome {
-        let tcodes = &self.tcodes[t_range];
-        let qcodes = &self.qcodes[q_range];
         if tcodes.is_empty() || qcodes.is_empty() {
             return BandedOutcome::default();
         }
@@ -226,8 +216,8 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Convenience wrapper: encodes `target`/`query` and runs the SIMD
-/// dispatch for one standalone tile — the three-way differential tests'
+/// Convenience wrapper: runs the SIMD dispatch on the codes of
+/// `target`/`query` as one standalone tile — the three-way differential tests'
 /// entry point.
 pub fn banded_smith_waterman_simd(
     target: &[Base],
@@ -237,9 +227,9 @@ pub fn banded_smith_waterman_simd(
     band: usize,
     scratch: &mut SimdScratch,
 ) -> BandedOutcome {
-    BswSimdBatch::new(target, query, w, gaps, band).run_tile(
-        0..target.len(),
-        0..query.len(),
+    BswSimdBatch::new(w, gaps, band).run_tile(
+        Base::codes_of(target),
+        Base::codes_of(query),
         scratch,
     )
 }
@@ -497,11 +487,11 @@ mod tests {
         // the tile must route to the exact i32 kernel.
         let (w, g) = dw();
         let t = seq(&"ACGT".repeat(100));
-        let batch = BswSimdBatch::new(t.as_slice(), t.as_slice(), &w, &g, 32);
+        let batch = BswSimdBatch::new(&w, &g, 32);
         assert!(!batch.tile_uses_simd(400, 400));
         assert!(batch.tile_uses_simd(320, 320));
         let mut scratch = SimdScratch::new();
-        let out = batch.run_tile(0..400, 0..400, &mut scratch);
+        let out = batch.run_tile(t.codes(), t.codes(), &mut scratch);
         let scalar = banded_smith_waterman(t.as_slice(), t.as_slice(), &w, &g, 32);
         assert_eq!(out, scalar);
     }
@@ -534,8 +524,7 @@ mod tests {
     #[test]
     fn lanes_reports_a_supported_width() {
         let (w, g) = dw();
-        let t = seq("ACGT");
-        let batch = BswSimdBatch::new(t.as_slice(), t.as_slice(), &w, &g, 4);
+        let batch = BswSimdBatch::new(&w, &g, 4);
         if cfg!(target_arch = "x86_64") && !simd_disabled_by_env() {
             assert!(batch.lanes() == 8 || batch.lanes() == 16);
         } else {

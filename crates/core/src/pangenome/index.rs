@@ -1,12 +1,14 @@
-//! The shared multi-genome seed index.
+//! The seed index of a many-genome run, one matrix row at a time.
 //!
-//! One [`MultiIndex`] serves the whole pair matrix: seed tables are
-//! keyed by `(genome, chromosome)` and built at most once per run via
-//! the sharded builder, then shared across every pair that aligns
-//! against that chromosome. This is the sweepga/FastGA unlock — a
+//! The joblist walks the pair matrix in `(a, b)` order, so every pair
+//! that aligns against target genome `a` is consecutive: a [`RowIndex`]
+//! holds that one genome's seed tables, keyed by chromosome and built at
+//! most once via the sharded builder, shared across the row's pairs and
+//! dropped when the row ends. This is the sweepga/FastGA unlock — a
 //! genome appearing in `N-1` pairs pays for its index once, not `N-1`
-//! times — and the tables are built *lazily*, so a kNN-sparsified run
-//! never indexes a genome whose pairs were all pruned.
+//! times — at the memory of one genome's index, not `N`. The tables are
+//! built *lazily*, so a kNN-sparsified or resumed run never indexes a
+//! chromosome none of whose pairs is computed.
 //!
 //! Frequency scaling: with `H` genomes in play, a k-mer present once
 //! per haplotype legitimately occurs `H` times across the index, so
@@ -20,12 +22,8 @@
 
 use crate::config::WgaParams;
 use genome::assembly::Assembly;
-use genome::Sequence;
-use parking_lot::Mutex;
 use seed::SeedTable;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Scales the k-mer frequency threshold for a many-genome run: a seed
 /// may legitimately occur once per genome, so the per-table occurrence
@@ -38,83 +36,46 @@ pub fn scaled_params(params: &WgaParams, genome_count: usize) -> WgaParams {
     scaled
 }
 
-/// Lazily-built, cached seed tables over a genome set.
-pub struct MultiIndex<'g> {
-    genomes: &'g [Assembly],
-    params: WgaParams,
+/// The lazily-built seed tables of one target genome: what every pair
+/// of one row of the pair matrix aligns against.
+#[derive(Debug)]
+pub struct RowIndex<'g> {
+    target: &'g Assembly,
+    params: &'g WgaParams,
     threads: usize,
-    tables: Mutex<BTreeMap<(usize, usize), Arc<SeedTable>>>,
-    builds: AtomicU64,
-    hits: AtomicU64,
+    /// One slot per chromosome of `target`.
+    tables: Vec<OnceLock<Arc<SeedTable>>>,
 }
 
-impl std::fmt::Debug for MultiIndex<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiIndex")
-            .field("genomes", &self.genomes.len())
-            .field("threads", &self.threads)
-            .field("builds", &self.builds())
-            .field("cache_hits", &self.cache_hits())
-            .finish()
-    }
-}
-
-impl<'g> MultiIndex<'g> {
-    /// Creates an empty index over `genomes`. `params` must already be
-    /// scaled (see [`scaled_params`]); `threads` feeds the sharded
+impl<'g> RowIndex<'g> {
+    /// An empty index over `target`'s chromosomes. `params` must already
+    /// be scaled (see [`scaled_params`]); `threads` feeds the sharded
     /// table builder.
-    pub fn new(params: WgaParams, genomes: &'g [Assembly], threads: usize) -> MultiIndex<'g> {
-        MultiIndex {
-            genomes,
+    pub fn new(params: &'g WgaParams, target: &'g Assembly, threads: usize) -> RowIndex<'g> {
+        RowIndex {
+            target,
             params,
             threads,
-            tables: Mutex::new(BTreeMap::new()),
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            tables: target.chromosomes().iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// The seed table of `genomes[genome]`'s chromosome `chrom`,
-    /// building and caching it on first use. Out-of-range indices
-    /// (unreachable from the orchestrator, which derives both from the
-    /// same genome slice) resolve to an empty table rather than a
-    /// panic, keeping this module panic-free.
-    pub fn table(&self, genome: usize, chrom: usize) -> Arc<SeedTable> {
-        let key = (genome, chrom);
-        let mut tables = self.tables.lock();
-        if let Some(table) = tables.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(table);
-        }
-        let empty = Sequence::new();
-        let sequence = self
-            .genomes
-            .get(genome)
-            .and_then(|g| g.chromosomes().get(chrom))
-            .map_or(&empty, |c| &c.sequence);
-        let (built, _build_time) =
-            crate::shard::sharded_seed_table(&self.params, sequence, self.threads);
-        let table = Arc::new(built);
-        tables.insert(key, Arc::clone(&table));
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        table
-    }
-
-    /// A provider closure for one genome's target side, in the shape
-    /// [`crate::genome_pipeline::SeedTableFn`] expects: chromosome
-    /// index in, shared table out.
-    pub fn provider(&self, genome: usize) -> impl Fn(usize) -> Arc<SeedTable> + Sync + '_ {
-        move |chrom| self.table(genome, chrom)
+    /// The seed table of the target's chromosome `chrom`, built on first
+    /// use — the shape [`crate::genome_pipeline::SeedTableFn`] expects
+    /// of a provider.
+    pub fn table(&self, chrom: usize) -> Arc<SeedTable> {
+        let table = self.tables[chrom].get_or_init(|| {
+            let sequence = &self.target.chromosomes()[chrom].sequence;
+            let (built, _build_time) =
+                crate::shard::sharded_seed_table(self.params, sequence, self.threads);
+            Arc::new(built)
+        });
+        Arc::clone(table)
     }
 
     /// Tables built so far (each chromosome at most once).
     pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Cache hits so far (lookups served without a build).
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.tables.iter().filter(|table| table.get().is_some()).count() as u64
     }
 }
 
@@ -125,14 +86,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn two_genomes() -> Vec<Assembly> {
+    fn two_chromosomes() -> Assembly {
         let mut rng = StdRng::seed_from_u64(2);
         let pair = SyntheticPair::generate(5_000, &EvolutionParams::at_distance(0.15), &mut rng);
         let mut a = Assembly::new("a");
         a.push("chrI", pair.target.sequence.clone());
-        let mut b = Assembly::new("b");
-        b.push("chr1", pair.query.sequence.clone());
-        vec![a, b]
+        a.push("chrII", pair.query.sequence.clone());
+        a
     }
 
     #[test]
@@ -146,32 +106,29 @@ mod tests {
     }
 
     #[test]
-    fn tables_build_once_and_hit_cache() {
-        let genomes = two_genomes();
-        let index = MultiIndex::new(scaled_params(&WgaParams::darwin_wga(), 2), &genomes, 2);
-        let t1 = index.table(0, 0);
-        let t2 = index.table(0, 0);
+    fn tables_build_once_and_only_when_asked_for() {
+        let genome = two_chromosomes();
+        let params = scaled_params(&WgaParams::darwin_wga(), 2);
+        let row = RowIndex::new(&params, &genome, 2);
+        assert_eq!(row.builds(), 0);
+        let t1 = row.table(1);
+        let t2 = row.table(1);
         assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(index.builds(), 1);
-        assert_eq!(index.cache_hits(), 1);
-        let _ = index.table(1, 0);
-        assert_eq!(index.builds(), 2);
+        assert_eq!(row.builds(), 1);
+        let _ = row.table(0);
+        assert_eq!(row.builds(), 2);
     }
 
     #[test]
-    fn cached_table_matches_fresh_build() {
-        let genomes = two_genomes();
+    fn shared_table_matches_fresh_build() {
+        let genome = two_chromosomes();
         let params = scaled_params(&WgaParams::darwin_wga(), 2);
-        let index = MultiIndex::new(params.clone(), &genomes, 3);
-        let shared = index.table(0, 0);
-        let (fresh, _) = crate::shard::sharded_seed_table(
-            &params,
-            &genomes[0].chromosomes()[0].sequence,
-            1,
-        );
+        let shared = RowIndex::new(&params, &genome, 3).table(0);
+        let (fresh, _) =
+            crate::shard::sharded_seed_table(&params, &genome.chromosomes()[0].sequence, 1);
         // Sharded builds are bit-identical across thread counts, so the
-        // cached table must equal a serial rebuild.
-        let seq = &genomes[1].chromosomes()[0].sequence;
+        // shared table must equal a serial rebuild.
+        let seq = &genome.chromosomes()[1].sequence;
         for pos in (0..seq.len().saturating_sub(32)).step_by(97) {
             let word = seq
                 .slice(pos..pos + 32)
@@ -180,13 +137,5 @@ mod tests {
                 .fold(0u64, |w, b| (w << 2) | u64::from(b.code() & 3));
             assert_eq!(shared.lookup(word), fresh.lookup(word), "word at {pos}");
         }
-    }
-
-    #[test]
-    fn out_of_range_resolves_to_empty_table() {
-        let genomes = two_genomes();
-        let index = MultiIndex::new(scaled_params(&WgaParams::darwin_wga(), 2), &genomes, 1);
-        let table = index.table(99, 0);
-        assert_eq!(table.lookup(0).len(), 0);
     }
 }

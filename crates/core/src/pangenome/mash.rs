@@ -130,7 +130,7 @@ mod tests {
         let s2 = Sketch::of_assembly(&a);
         assert_eq!(s1, s2);
         assert_eq!(s1.shared_with(&s1), s1.len() as u64);
-        assert!(s1.len() > 0);
+        assert!(!s1.is_empty());
     }
 
     #[test]

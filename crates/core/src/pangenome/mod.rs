@@ -2,11 +2,13 @@
 //!
 //! `wga many` aligns every (or every *near*, under `--knn`) unordered
 //! pair of an N-genome set through the existing pairwise pipeline,
-//! sharing one lazily-built seed index across the whole pair matrix:
+//! sharing each target genome's lazily-built seed index across its row
+//! of the pair matrix:
 //!
-//! * [`index::MultiIndex`] — seed tables keyed by `(genome, chrom)`,
-//!   built once via the sharded builder with the k-mer frequency cap
-//!   scaled by genome count ([`index::scaled_params`]);
+//! * [`index::RowIndex`] — one target genome's seed tables, keyed by
+//!   chromosome, built once via the sharded builder with the k-mer
+//!   frequency cap scaled by genome count ([`index::scaled_params`])
+//!   and dropped when the matrix moves on to the next target;
 //! * [`mash`] / [`joblist`] — integer-only bottom-k sketches and the
 //!   all-vs-all joblist, optionally kNN-sparsified;
 //! * the orchestrator ([`align_many`]) — runs each scheduled pair
@@ -39,7 +41,7 @@ use crate::obs::Obs;
 use crate::report::{FunnelCounters, RunOutcome, StageTimings, WgaAlignment};
 use genome::assembly::Assembly;
 use hwsim::Workload;
-use index::MultiIndex;
+use index::RowIndex;
 use joblist::PairPlan;
 use mash::Sketch;
 use plane_sweep::SweepStats;
@@ -71,9 +73,9 @@ pub struct ManyOptions {
     /// Keep only pairs where either genome ranks the other in its `k`
     /// nearest by sketch distance; `None` = all pairs.
     pub knn: Option<usize>,
-    /// Share one seed index across the matrix (default). `false`
-    /// rebuilds tables per pair — same bytes out, slower; exists so the
-    /// equivalence is testable.
+    /// Share a target genome's seed index across its pairs (default).
+    /// `false` rebuilds tables per pair — same bytes out, slower; exists
+    /// so the equivalence is testable.
     pub shared_index: bool,
 }
 
@@ -163,7 +165,8 @@ pub struct ManyReport {
     pub resumed_pairs: u64,
     /// The kNN setting the run used.
     pub knn: Option<usize>,
-    /// Seed tables built (shared-index mode builds each at most once).
+    /// Seed tables built (shared-index mode builds each at most once,
+    /// for the row of pairs that aligns against it).
     pub tables_built: u64,
 }
 
@@ -287,7 +290,6 @@ pub fn align_many_observed(
     let scaled = index::scaled_params(params, genomes.len());
     let sketches: Vec<Sketch> = genomes.iter().map(Sketch::of_assembly).collect();
     let plans: Vec<PairPlan> = joblist::build_joblist(&sketches, options.knn);
-    let shared_index = MultiIndex::new(scaled.clone(), genomes, options.threads);
 
     // Announce the matrix-wide chromosome-pair total once, up front, so
     // a progress meter shows run-level completion; the per-pair
@@ -315,70 +317,76 @@ pub fn align_many_observed(
     };
 
     let mut merged: Vec<ManyAlignment> = Vec::new();
-    for plan in &plans {
-        let target = &genomes[plan.a];
-        let query = &genomes[plan.b];
-        let mut pair = ManyPair {
-            target_genome: target.name.clone(),
-            query_genome: query.name.clone(),
-            scheduled: plan.scheduled,
-            shared: plan.shared,
-            completed: 0,
-            degraded: 0,
-            failed: 0,
-        };
-        if !plan.scheduled {
-            report.pairs.push(pair);
-            continue;
-        }
-
-        let align_options = AlignOptions {
-            threads: options.threads,
-            checkpoint: options
-                .checkpoint_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("pair_{:03}_{:03}.journal", plan.a, plan.b))),
-            executor: options.executor,
-            queue_depth: options.queue_depth,
-            max_retries: options.max_retries,
-            stall_timeout_ms: options.stall_timeout_ms,
-            fault_plan: options.fault_plan.clone(),
-        };
-        let provider;
-        let tables: Option<&SeedTableFn<'_>> = if options.shared_index {
-            provider = shared_index.provider(plan.a);
-            Some(&provider)
-        } else {
-            None
-        };
-        let inner =
-            align_assemblies_provided(&scaled, target, query, &align_options, pair_obs, tables)?;
-
-        for outcome in &inner.pairs {
-            match &outcome.outcome {
-                RunOutcome::Completed => pair.completed += 1,
-                RunOutcome::Degraded { .. } => pair.degraded += 1,
-                RunOutcome::Failed { .. } => pair.failed += 1,
+    // The joblist is in `(a, b)` order, so a target genome's pairs are
+    // one run of it: its seed tables live for that run and no longer.
+    for row in plans.chunk_by(|x, y| x.a == y.a) {
+        let target = &genomes[row[0].a];
+        let row_index = RowIndex::new(&scaled, target, options.threads);
+        let provider = |chrom| row_index.table(chrom);
+        let tables: Option<&SeedTableFn<'_>> = options.shared_index.then_some(&provider);
+        for plan in row {
+            let query = &genomes[plan.b];
+            let mut pair = ManyPair {
+                target_genome: target.name.clone(),
+                query_genome: query.name.clone(),
+                scheduled: plan.scheduled,
+                shared: plan.shared,
+                completed: 0,
+                degraded: 0,
+                failed: 0,
+            };
+            if !plan.scheduled {
+                report.pairs.push(pair);
+                continue;
             }
+
+            let align_options = AlignOptions {
+                threads: options.threads,
+                checkpoint: options
+                    .checkpoint_dir
+                    .as_ref()
+                    .map(|dir| dir.join(format!("pair_{:03}_{:03}.journal", plan.a, plan.b))),
+                executor: options.executor,
+                queue_depth: options.queue_depth,
+                max_retries: options.max_retries,
+                stall_timeout_ms: options.stall_timeout_ms,
+                fault_plan: options.fault_plan.clone(),
+            };
+            let inner = align_assemblies_provided(
+                &scaled,
+                target,
+                query,
+                &align_options,
+                pair_obs,
+                tables,
+            )?;
+
+            for outcome in &inner.pairs {
+                match &outcome.outcome {
+                    RunOutcome::Completed => pair.completed += 1,
+                    RunOutcome::Degraded { .. } => pair.degraded += 1,
+                    RunOutcome::Failed { .. } => pair.failed += 1,
+                }
+            }
+            report.workload.merge(&inner.workload);
+            report.timings.merge(&inner.timings);
+            report.counters.merge(&inner.counters);
+            report.resumed_pairs += inner.resumed_pairs;
+            merged.extend(inner.alignments.into_iter().map(|located| ManyAlignment {
+                target_genome: target.name.clone(),
+                target_chrom: located.target_chrom,
+                query_genome: query.name.clone(),
+                query_chrom: located.query_chrom,
+                aligned: located.aligned,
+            }));
+            report.pairs.push(pair);
         }
-        report.workload.merge(&inner.workload);
-        report.timings.merge(&inner.timings);
-        report.counters.merge(&inner.counters);
-        report.resumed_pairs += inner.resumed_pairs;
-        merged.extend(inner.alignments.into_iter().map(|located| ManyAlignment {
-            target_genome: target.name.clone(),
-            target_chrom: located.target_chrom,
-            query_genome: query.name.clone(),
-            query_chrom: located.query_chrom,
-            aligned: located.aligned,
-        }));
-        report.pairs.push(pair);
+        report.tables_built += row_index.builds();
     }
 
     let (kept, sweep) = plane_sweep::plane_sweep(merged);
     report.alignments = kept;
     report.sweep = sweep;
-    report.tables_built = shared_index.builds();
     Ok(report)
 }
 

@@ -51,8 +51,8 @@ pub fn run_pair(
     let mut run_strand = |query: &Sequence, strand: Strand| {
         let tiles_used = report.workload.filter_tiles;
         let (hits, lane) = seed_lane(params, table, query, strand, threads, tiles_used, obs);
-        // One filter context per strand (the batched engine encodes the
-        // pair here), shared read-only by every batch.
+        // One filter context per strand (the fast engines' flattened
+        // scoring), shared read-only by every batch.
         let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
         let ctx_time = ctx_start.elapsed();

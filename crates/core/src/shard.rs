@@ -11,8 +11,8 @@
 //! first, since claims follow ascending position order):
 //!
 //! * **seed-table build** shards over target positions
-//!   ([`seed::table::SeedTable::build_partial`] extracts a shard's
-//!   (word, position) run, one sort in `from_partials` merges them);
+//!   ([`seed::table::SeedTable::build_partial`] extracts the word of
+//!   every window of a shard, one sort in `from_partials` merges them);
 //! * **D-SOFT binning** shards over query chunks
 //!   ([`seed::dsoft::dsoft_seeds_range`], cuts aligned to `chunk_size`
 //!   so every diagonal band stays inside one shard).

@@ -1,0 +1,119 @@
+//! Index memory follows one genome, not the genome count.
+//!
+//! `wga many` keeps the seed tables of the target genome in hand — one
+//! row of the pair matrix — and drops them when the matrix moves to the
+//! next target. This binary pins that with a counting `#[global_allocator]`
+//! (std only, a test binary of its own like `crates/seed/tests/alloc_bound.rs`
+//! and `crates/align/tests/alloc_bound.rs`): the live-heap high-water of
+//! `align_many` over six genomes is that over three of them plus a slack
+//! that does not hold one more table. An index that lives for the run
+//! holds five tables at the end of six genomes and two at the end of
+//! three, and fails here by three tables.
+
+use genome::assembly::Assembly;
+use genome::evolve::{EvolutionParams, SyntheticPair};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use wga_core::config::WgaParams;
+use wga_core::pangenome::{align_many, ManyOptions, ManyReport};
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of `LIVE` since the last [`measure`] began.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// The system allocator with per-thread accounting: one thread runs the
+/// whole of a one-thread `align_many`.
+struct Counting;
+
+fn resized(from: usize, to: usize) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() - from as isize + to as isize);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds, and returns its result;
+// the accounting touches only `Cell`s in const-initialised thread locals,
+// which neither allocate nor run destructors.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded; see the impl comment.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            resized(0, layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded; see the impl comment.
+        unsafe { System.dealloc(ptr, layout) };
+        resized(layout.size(), 0);
+    }
+
+    // `alloc_zeroed` and `realloc` keep their defaults, which go through
+    // the two methods above.
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its value with the peak of live bytes above what
+/// was live when it started.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.get();
+    PEAK.set(base);
+    let value = f();
+    (value, (PEAK.get() - base).max(0) as usize)
+}
+
+/// Three clusters of two ~20 kb genomes: each genome aligns to its
+/// cluster mate and to nothing else.
+fn six_genomes() -> Vec<Assembly> {
+    let mut rng = StdRng::seed_from_u64(61);
+    let mut genomes = Vec::new();
+    for cluster in 0..3 {
+        let pair = SyntheticPair::generate(20_000, &EvolutionParams::at_distance(0.12), &mut rng);
+        for (side, sequence) in [("t", pair.target.sequence), ("q", pair.query.sequence)] {
+            let mut genome = Assembly::new(format!("c{cluster}{side}"));
+            genome.push("chr", sequence);
+            genomes.push(genome);
+        }
+    }
+    genomes
+}
+
+fn run(genomes: &[Assembly]) -> ManyReport {
+    align_many(&WgaParams::darwin_wga(), genomes, &ManyOptions::default()).expect("run succeeds")
+}
+
+#[test]
+fn live_heap_of_a_many_genome_run_does_not_grow_with_the_genome_count() {
+    let genomes = six_genomes();
+    // Once unmeasured, so the per-thread kernel scratches are grown.
+    run(&genomes);
+
+    let (three, peak_of_three) = measure(|| run(&genomes[..3]));
+    let (six, peak_of_six) = measure(|| run(&genomes));
+    assert_eq!(three.tables_built, 2);
+    assert_eq!(six.tables_built, 5);
+    assert!(six.alignments.len() > three.alignments.len());
+
+    // One table of a genome here is ~16 B a base and a 2^15-entry
+    // directory, some 450 KB. The slack is for what does follow the
+    // genome count: six sketches against three, fifteen pair records
+    // against three, the alignments of three related pairs against one.
+    let slack = 192 * 1024;
+    eprintln!("live-heap high-water: {peak_of_three} B over 3 genomes, {peak_of_six} B over 6");
+    assert!(
+        peak_of_six <= peak_of_three + slack,
+        "{peak_of_six} B live over 6 genomes, {peak_of_three} B over 3"
+    );
+}

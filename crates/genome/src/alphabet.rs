@@ -61,6 +61,18 @@ impl Base {
         self as u8
     }
 
+    /// The [`Base::code`]s of `bases`, one byte each, without copying.
+    #[inline]
+    pub fn codes_of(bases: &[Base]) -> &[u8] {
+        // A fieldless `#[repr(u8)]` enum is one initialised byte, its
+        // discriminant — what `code()` returns — so the run has the size,
+        // alignment and validity of `[u8]` of the same length.
+        // SAFETY: layout as above; the cast goes only this way (any `Base`
+        // is a valid `u8`, not the reverse) and the borrow is shared, so
+        // nothing can write a non-`Base` byte through it.
+        unsafe { std::slice::from_raw_parts(bases.as_ptr().cast::<u8>(), bases.len()) }
+    }
+
     /// Reconstructs a base from a 3-bit hardware code.
     ///
     /// Codes `0..=3` map to `A/C/G/T`; everything else maps to `N`.

@@ -93,20 +93,40 @@ impl From<io::Error> for FastaError {
 /// assert_eq!(records[0].sequence.len(), 8);
 /// # Ok::<(), genome::fasta::FastaError>(())
 /// ```
-pub fn read<R: BufRead>(reader: R) -> Result<Vec<Record>, FastaError> {
+pub fn read<R: BufRead>(mut reader: R) -> Result<Vec<Record>, FastaError> {
     let mut records: Vec<Record> = Vec::new();
     let mut current: Option<Record> = None;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim_end();
+    // A finished record gives back its growth slack: a 187 kb chromosome
+    // would otherwise sit in a 256 KiB block for the whole run.
+    let mut finish = |record: Option<Record>| {
+        if let Some(mut record) = record {
+            record.sequence.shrink_to_fit();
+            records.push(record);
+        }
+    };
+    // One buffer for every line, read as bytes: a sequence line need not
+    // be UTF-8 to be reported for what is wrong with it.
+    let mut buffer = Vec::new();
+    let mut number = 0usize;
+    loop {
+        buffer.clear();
+        if reader.read_until(b'\n', &mut buffer)? == 0 {
+            break;
+        }
+        number += 1;
+        let line = buffer.trim_ascii_end();
         if line.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix('>') {
-            if let Some(rec) = current.take() {
-                records.push(rec);
-            }
-            let description = header.trim().to_string();
+        if let Some(header) = line.strip_prefix(b">") {
+            finish(current.take());
+            let description = std::str::from_utf8(header)
+                .map_err(|_| {
+                    let reason = format!("line {number}: header is not valid UTF-8");
+                    io::Error::new(io::ErrorKind::InvalidData, reason)
+                })?
+                .trim()
+                .to_string();
             let name = description
                 .split_whitespace()
                 .next()
@@ -120,22 +140,18 @@ pub fn read<R: BufRead>(reader: R) -> Result<Vec<Record>, FastaError> {
         } else {
             let rec = current
                 .as_mut()
-                .ok_or(FastaError::MissingHeader { line: idx + 1 })?;
-            for &byte in line.as_bytes() {
+                .ok_or(FastaError::MissingHeader { line: number })?;
+            for &byte in line {
                 if byte.is_ascii_whitespace() {
                     continue;
                 }
-                let base = crate::Base::from_ascii(byte).ok_or(FastaError::InvalidBase {
-                    line: idx + 1,
-                    byte,
-                })?;
+                let base = crate::Base::from_ascii(byte)
+                    .ok_or(FastaError::InvalidBase { line: number, byte })?;
                 rec.sequence.push(base);
             }
         }
     }
-    if let Some(rec) = current.take() {
-        records.push(rec);
-    }
+    finish(current.take());
     Ok(records)
 }
 
@@ -193,6 +209,18 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_utf8_sequence_byte_is_an_invalid_base_with_its_line() {
+        let err = read(&b">a\nACGT\n\nAC\xffT\n"[..]).unwrap_err();
+        assert!(
+            matches!(err, FastaError::InvalidBase { line: 4, byte: 0xff }),
+            "{err}"
+        );
+        // In a header the line number is all there is to say.
+        let err = read(&b">a\nACGT\n>b\xff\nAC\n"[..]).unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
     }
 
     #[test]

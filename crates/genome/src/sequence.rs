@@ -74,6 +74,13 @@ impl Sequence {
         &self.bases
     }
 
+    /// The bases as their hardware codes (`A=0..T=3, N=4`), one byte
+    /// each: the same memory as [`Sequence::as_slice`], not a copy, so a
+    /// kernel that works on codes reads a tile window of it directly.
+    pub fn codes(&self) -> &[u8] {
+        Base::codes_of(&self.bases)
+    }
+
     /// Returns the base at `index`, or `None` when out of bounds.
     pub fn get(&self, index: usize) -> Option<Base> {
         self.bases.get(index).copied()
@@ -82,6 +89,11 @@ impl Sequence {
     /// Appends one base.
     pub fn push(&mut self, base: Base) {
         self.bases.push(base);
+    }
+
+    /// Gives back the capacity growth left beyond the bases held.
+    pub fn shrink_to_fit(&mut self) {
+        self.bases.shrink_to_fit();
     }
 
     /// Borrowed view of `range`.
@@ -283,6 +295,16 @@ mod tests {
         let s: Sequence = "ACGTACGT".parse().unwrap();
         assert_eq!(s.subsequence(2..6).as_slice(), s.slice(2..6));
         assert_eq!(s.subsequence(2..6).to_string(), "GTAC");
+    }
+
+    #[test]
+    fn codes_are_the_bases_in_place() {
+        let s: Sequence = "ACGTNNTGCA".parse().unwrap();
+        let expected: Vec<u8> = s.iter().map(Base::code).collect();
+        assert_eq!(s.codes(), expected);
+        assert_eq!(s.codes().as_ptr(), s.as_slice().as_ptr().cast::<u8>());
+        assert_eq!(&s.codes()[3..6], [3, 4, 4]);
+        assert!(Sequence::new().codes().is_empty());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! one flat array of positions. This is that layout for a word space too
 //! large to point into directly (4^12 words for the default seed, 4^31 at
 //! the widest): the distinct words that occur, sorted, each with the
-//! offset of its run in one `positions` array, and a fixed directory over
-//! the words' top bits in front so a lookup searches a handful of words.
+//! offset of its run in one `positions` array, and a directory over the
+//! words' top bits in front, sized to the target, so a lookup searches a
+//! handful of words.
 
 use crate::pattern::SeedPattern;
 use genome::Sequence;
@@ -16,14 +17,21 @@ use std::ops::Range;
 /// a target before building (the pipeline does, with a typed error).
 pub const MAX_TARGET_LEN: usize = u32::MAX as usize;
 
-/// The directory is indexed by this many of a word's top bits (all of
-/// them for a pattern of weight 8 or less): 2^16 + 1 `u32`s, 256 KiB,
-/// which leaves a lookup of the default 24-bit word at most 256 words to
-/// search and, on a 100 Mbp target, a few hundred.
-const DIRECTORY_BITS: u32 = 16;
+/// The directory is indexed by a word's top bits: as many as leave about
+/// one indexed position per entry (`⌈log2 positions⌉`), so a 2 k-position
+/// chromosome pays 8 KiB for it and no target more entries than twice its
+/// positions — but at least these, which keeps a lookup in a tiny table
+/// from searching every word…
+const MIN_DIRECTORY_BITS: u32 = 8;
+/// …and at most these: 2^16 + 1 `u32`s, 256 KiB, whatever the target. A
+/// 100 Mbp target then searches a few hundred words per lookup, while a
+/// directory that kept following the target would, on the 50–190 kbp
+/// ones, cost more than it saves (DESIGN.md, "Seed index").
+const MAX_DIRECTORY_BITS: u32 = 16;
 
-/// One indexed window: its seed word and where it starts.
-type Entry = (u64, u32);
+/// Marks a window holding an `N` in a shard's word run. No pattern has
+/// more than 31 sampled bases, so no word has more than 62 bits.
+const NO_WORD: u64 = u64::MAX;
 
 /// An index of every seed word in the target genome.
 ///
@@ -91,27 +99,41 @@ impl SeedTable {
             .saturating_sub(pattern.span().saturating_sub(1));
         let clamp = |pos: usize| u32::try_from(pos).unwrap_or(u32::MAX);
         let (start, end) = (clamp(range.start), clamp(range.end.min(indexable)));
-        // Exact unless windows hold an `N`, so the run never regrows.
-        let mut entries = Vec::with_capacity(end.saturating_sub(start) as usize);
-        for pos in start..end {
-            if let Some(word) = pattern.extract(slice, pos as usize) {
-                entries.push((word, pos));
-            }
+        let mut indexed = 0u64;
+        let words = (start..end)
+            .map(|pos| match pattern.extract(slice, pos as usize) {
+                Some(word) => {
+                    indexed += 1;
+                    word
+                }
+                None => NO_WORD,
+            })
+            .collect();
+        PartialSeedTable {
+            start,
+            words,
+            indexed,
         }
-        PartialSeedTable { entries }
     }
 
     /// Merges per-shard runs into a whole-target [`SeedTable`].
     ///
     /// One counting sort on the directory prefix scatters every shard's
-    /// entries into their bucket, each bucket is sorted by (word,
-    /// position), and one pass over the sorted run emits the three flat
-    /// arrays. Sorting by position inside a word puts every position list
-    /// in ascending order whatever order the shards arrive in — exactly
-    /// the serial build's lists. The `max_occurrences` repeat cap is
-    /// applied to the merged run, against whole-target counts, so a
-    /// repeat word split across shards is still dropped exactly as the
-    /// serial build drops it.
+    /// words, each beside its position, into their bucket, each bucket is
+    /// sorted by (word, position), and one pass over the sorted run
+    /// squeezes it into the table's arrays where it lies: the distinct
+    /// words to the front of `words`, the positions of the words under
+    /// the cap to the front of `positions`, only `offsets` allocated anew.
+    /// Sorting by position inside a word puts every position list in
+    /// ascending order whatever order the shards arrive in — exactly the
+    /// serial build's lists. The `max_occurrences` repeat cap is applied
+    /// to the merged run, against whole-target counts, so a repeat word
+    /// split across shards is still dropped exactly as the serial build
+    /// drops it.
+    ///
+    /// At its peak, while the first shard is scattered, the build holds
+    /// the shards' 8 B a window and 12 B per indexed position; sorting a
+    /// bucket of more than a couple of dozen entries borrows 4 B for each.
     ///
     /// # Panics
     ///
@@ -122,67 +144,90 @@ impl SeedTable {
         parts: impl IntoIterator<Item = PartialSeedTable>,
         max_occurrences: usize,
     ) -> SeedTable {
+        let parts: Vec<PartialSeedTable> = parts.into_iter().collect();
+        let total: u64 = parts.iter().map(|part| part.indexed).sum();
+        assert!(
+            total <= MAX_TARGET_LEN as u64,
+            "{total} entries overflow u32 offsets"
+        );
+        let total = total as usize;
+
         let word_bits = 2 * pattern.weight() as u32;
-        let directory_bits = word_bits.min(DIRECTORY_BITS);
+        // ⌈log2 total⌉, inside the directory's limits and the word.
+        let directory_bits = total
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(MIN_DIRECTORY_BITS, MAX_DIRECTORY_BITS)
+            .min(word_bits);
         let directory_shift = word_bits - directory_bits;
         let bucket = |word: u64| (word >> directory_shift) as usize;
 
-        let parts: Vec<PartialSeedTable> = parts.into_iter().collect();
-        let total: usize = parts.iter().map(|part| part.entries.len()).sum();
-        assert!(
-            total <= MAX_TARGET_LEN,
-            "{total} entries overflow u32 offsets"
-        );
-
-        // bounds[p]..bounds[p + 1] is bucket p's stretch of the sorted run.
+        // bounds[p] is where bucket p's stretch of the sorted run starts.
         let mut bounds = vec![0u32; (1usize << directory_bits) + 1];
         for part in &parts {
-            for &(word, _) in &part.entries {
+            for &word in part.words.iter().filter(|&&word| word != NO_WORD) {
                 bounds[bucket(word) + 1] += 1;
             }
         }
         accumulate(&mut bounds);
-        let mut sorted: Vec<Entry> = vec![(0, 0); total];
-        let mut cursor = bounds.clone();
+        // Each bucket's start doubles as its fill cursor, which leaves
+        // bounds[p] where bucket p *ends*.
+        let mut words = vec![0u64; total];
+        let mut positions = vec![0u32; total];
         for part in parts {
-            for entry in part.entries {
-                let slot = &mut cursor[bucket(entry.0)];
-                sorted[*slot as usize] = entry;
-                *slot += 1;
+            for (word, pos) in part.words.into_iter().zip(part.start..) {
+                if word != NO_WORD {
+                    let slot = &mut bounds[bucket(word)];
+                    words[*slot as usize] = word;
+                    positions[*slot as usize] = pos;
+                    *slot += 1;
+                }
             }
         }
-        drop(cursor);
-        for bound in bounds.windows(2) {
-            sorted[bound[0] as usize..bound[1] as usize].sort_unstable();
+        let mut order = Vec::new();
+        let mut start = 0usize;
+        for &end in &bounds[..bounds.len() - 1] {
+            let end = end as usize;
+            sort_pairs(&mut words[start..end], &mut positions[start..end], &mut order);
+            start = end;
         }
 
-        // Sized first, so the resident arrays carry no growth slack.
-        let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
-        let (mut kept_words, mut kept_positions, mut dropped_repeats) = (0usize, 0usize, 0u64);
-        for run in runs() {
+        // Sized first, so `offsets` carries no growth slack.
+        let (mut kept_words, mut dropped_repeats) = (0usize, 0u64);
+        for run in words.chunk_by(|a, b| a == b) {
             if run.len() > max_occurrences {
                 dropped_repeats += run.len() as u64;
             } else {
                 kept_words += 1;
-                kept_positions += run.len();
             }
         }
-        let mut words = Vec::with_capacity(kept_words);
         let mut offsets = Vec::with_capacity(kept_words + 1);
-        let mut positions = Vec::with_capacity(kept_positions);
         let mut directory = bounds;
         directory.fill(0);
-        let mut position_end = 0usize;
-        for run in runs().filter(|run| run.len() <= max_occurrences) {
-            let (word, last) = run[run.len() - 1];
-            directory[bucket(word) + 1] += 1;
-            words.push(word);
-            offsets.push(positions.len() as u32);
-            positions.extend(run.iter().map(|&(_, pos)| pos));
-            position_end = position_end.max(last as usize + 1);
+        let (mut run_start, mut kept_positions, mut position_end) = (0usize, 0usize, 0usize);
+        while run_start < total {
+            let word = words[run_start];
+            let run_end = run_start
+                + words[run_start..]
+                    .iter()
+                    .take_while(|&&next| next == word)
+                    .count();
+            if run_end - run_start <= max_occurrences {
+                directory[bucket(word) + 1] += 1;
+                words[offsets.len()] = word;
+                offsets.push(kept_positions as u32);
+                positions.copy_within(run_start..run_end, kept_positions);
+                kept_positions += run_end - run_start;
+                position_end = position_end.max(positions[kept_positions - 1] as usize + 1);
+            }
+            run_start = run_end;
         }
-        offsets.push(positions.len() as u32);
+        offsets.push(kept_positions as u32);
         accumulate(&mut directory);
+        words.truncate(kept_words);
+        words.shrink_to_fit();
+        positions.truncate(kept_positions);
+        positions.shrink_to_fit();
 
         SeedTable {
             words,
@@ -254,27 +299,77 @@ fn accumulate(counts: &mut [u32]) {
     }
 }
 
-/// One shard of a [`SeedTable`] under construction: the (word, position)
-/// run of an ascending range of target positions, in position order,
-/// before the sort and the repeat cap.
+/// Sorts the parallel slices `words` and `positions` by (word, position),
+/// in place: insertion for the handful of entries a bucket usually holds;
+/// for the bucket a low-complexity target piles up, a sort of its indices
+/// in `order` (4 B an entry, reused from bucket to bucket) and one move
+/// per entry, so no input costs more than `n log n`.
+fn sort_pairs(words: &mut [u64], positions: &mut [u32], order: &mut Vec<u32>) {
+    let len = words.len();
+    assert_eq!(len, positions.len());
+    let key = |words: &[u64], positions: &[u32], i: usize| (words[i], positions[i]);
+    if len <= 24 {
+        for i in 1..len {
+            let moving = key(words, positions, i);
+            let mut hole = i;
+            while hole > 0 && key(words, positions, hole - 1) > moving {
+                words[hole] = words[hole - 1];
+                positions[hole] = positions[hole - 1];
+                hole -= 1;
+            }
+            (words[hole], positions[hole]) = moving;
+        }
+        return;
+    }
+    // `order[k]` is the index of the entry that belongs at `k`; each
+    // entry moves home along the cycles of that permutation, and
+    // `order[k] == k` marks `k` as placed.
+    order.clear();
+    order.extend(0..len as u32);
+    order.sort_unstable_by_key(|&i| key(words, positions, i as usize));
+    for start in 0..len {
+        let displaced = key(words, positions, start);
+        let mut hole = start;
+        loop {
+            let from = std::mem::replace(&mut order[hole], hole as u32) as usize;
+            if from == start {
+                (words[hole], positions[hole]) = displaced;
+                break;
+            }
+            (words[hole], positions[hole]) = key(words, positions, from);
+            hole = from;
+        }
+    }
+}
+
+/// One shard of a [`SeedTable`] under construction: the seed word of
+/// every window of an ascending range of target positions, in position
+/// order, before the sort and the repeat cap.
 ///
 /// Produced by [`SeedTable::build_partial`], consumed by
 /// [`SeedTable::from_partials`].
 #[derive(Debug)]
 pub struct PartialSeedTable {
-    entries: Vec<Entry>,
+    /// The target position of `words[0]`; `words[i]` is at `start + i`.
+    start: u32,
+    /// [`NO_WORD`] where the window holds an `N`.
+    words: Vec<u64>,
+    /// How many of `words` are words.
+    indexed: u64,
 }
 
 impl PartialSeedTable {
     /// Number of positions this shard indexed.
     pub fn positions_indexed(&self) -> u64 {
-        self.entries.len() as u64
+        self.indexed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Entry = (u64, u32);
 
     #[test]
     fn indexes_all_positions() {
@@ -329,6 +424,28 @@ mod tests {
             assert_eq!(table.lookup(word), &[2]);
             for wide in [1 << (2 * p.weight()), word | 1 << 62, u64::MAX] {
                 assert!(table.lookup(wide).is_empty(), "{p}: {wide:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_sort_orders_by_word_then_position_at_every_length() {
+        // Either side of the insertion/heapsort switch, few distinct
+        // words (long ties on the word) and many.
+        for len in [0usize, 1, 2, 23, 24, 25, 26, 100, 1_000] {
+            for distinct in [1u64, 3, 1 << 40] {
+                let mut state = len as u64 * 31 + distinct;
+                let mut next = || {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state >> 20
+                };
+                let mut pairs: Vec<Entry> =
+                    (0..len).map(|_| (next() % distinct, next() as u32)).collect();
+                let (mut words, mut positions): (Vec<u64>, Vec<u32>) = pairs.iter().copied().unzip();
+                sort_pairs(&mut words, &mut positions, &mut Vec::new());
+                pairs.sort_unstable();
+                let sorted: Vec<Entry> = words.into_iter().zip(positions).collect();
+                assert_eq!(sorted, pairs, "{len} pairs of {distinct} words");
             }
         }
     }

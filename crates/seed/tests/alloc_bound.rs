@@ -5,13 +5,17 @@
 //! layer's `b` with a counting `#[global_allocator]` (std only, its own
 //! test binary so no other suite pays for it; the pattern of
 //! `crates/align/tests/alloc_bound.rs`): a built table keeps at most 16 B
-//! per indexed position plus its directory, building or merging one peaks
-//! at 32 B per position plus the counting sort's two directory-sized
-//! arrays, and D-SOFT's working set follows the target's bins and one
+//! per indexed position plus its directory, building one — serially or
+//! from shards — peaks at 20 B per position plus that one directory (8 B a
+//! window in the shards' word runs, 12 B in the run being sorted), the
+//! directory follows the target (one entry per position or so, 2^8 to
+//! 2^16), and D-SOFT's working set follows the target's bins and one
 //! chunk's bands — not the query — with no allocation per query position.
-//! The hash map this index replaced kept 74 B per position (99 B at its
-//! peak) in one heap `Vec` per word, and the whole-query band map grew
-//! with the query, one `Vec` of words per position; both would fail here.
+//! The padded `(u64, u32)` entries this build replaced peaked at 32 B per
+//! position behind a fixed 256 KiB directory and two transient copies of
+//! it; the hash map before them kept 74 B per position (99 B at its peak)
+//! in one heap `Vec` per word, and the whole-query band map grew with the
+//! query, one `Vec` of words per position: all three would fail here.
 
 use genome::{Base, Sequence};
 use rand::rngs::StdRng;
@@ -120,8 +124,12 @@ fn measure<T>(f: impl FnOnce() -> T) -> Measured<T> {
 
 const KIB: usize = 1024;
 
-/// The prefix directory of a pattern of weight above 8: 2^16 + 1 `u32`s.
-const DIRECTORY: usize = 4 * ((1 << 16) + 1);
+/// The prefix directory of a table of `positions` (a pattern of weight
+/// above 8): 2^⌈log2 positions⌉ + 1 `u32`s, from 2^8 to 2^16.
+fn directory(positions: usize) -> usize {
+    let bits = positions.next_power_of_two().trailing_zeros().clamp(8, 16);
+    4 * ((1 << bits) + 1)
+}
 
 /// The pattern clone, a `Vec` header or two, the shard list.
 const SLACK: usize = 4 * KIB;
@@ -134,43 +142,57 @@ fn random_dna(len: usize, seed: u64) -> Sequence {
 }
 
 #[test]
-fn table_keeps_16_bytes_per_position_and_builds_in_32() {
+fn table_keeps_16_bytes_per_position_and_builds_in_20() {
     let target = random_dna(150_000, 40);
     let pattern = SeedPattern::lastz_default();
 
     let built = measure(|| SeedTable::build(&target, &pattern, 1000));
     let positions = built.value.positions_indexed() as usize;
     assert_eq!(positions, target.len() - pattern.span() + 1);
+    let directory = directory(positions);
+    assert_eq!(directory, 4 * ((1 << 16) + 1));
     eprintln!(
         "build: {:.2} B/position resident, {:.2} B/position peak, {} distinct words",
-        (built.retained - DIRECTORY) as f64 / positions as f64,
-        (built.peak - 2 * DIRECTORY) as f64 / positions as f64,
+        (built.retained - directory) as f64 / positions as f64,
+        (built.peak - directory) as f64 / positions as f64,
         built.value.distinct_words()
     );
     assert!(
-        built.retained <= 16 * positions + DIRECTORY + SLACK,
+        built.retained <= 16 * positions + directory + SLACK,
         "{} B resident for {positions} positions",
         built.retained
     );
     assert!(
-        built.peak <= 32 * positions + 2 * DIRECTORY + SLACK,
+        built.peak <= 20 * positions + directory + SLACK,
         "build peaked at {} B for {positions} positions",
         built.peak
     );
     // One heap `Vec` per word alone was 24 B of header and 16 B of block.
     assert!(40 * positions > 2 * built.retained);
 
-    // Merging shards holds the shards' runs and the sorted run, then the
-    // sorted run and the table: the same 32 B either way.
-    let cuts = [0, 9_000, 9_000, 70_001, 149_990, target.len()];
-    let parts: Vec<_> = cuts
-        .windows(2)
-        .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
-        .collect();
-    let merged = measure(|| SeedTable::from_partials(&pattern, parts, 1000));
-    assert_eq!(merged.value.positions_indexed() as usize, positions);
+    // Sharded, the shards' word runs are all live when the first is
+    // scattered: the same 20 B, however uneven the cuts.
+    let cuts = [0, 9_000, 70_001, 149_990, target.len()];
+    let shards = || -> Vec<_> {
+        cuts.windows(2)
+            .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
+            .collect()
+    };
+    let sharded = measure(|| SeedTable::from_partials(&pattern, shards(), 1000));
+    assert_eq!(sharded.value.positions_indexed() as usize, positions);
+    assert_eq!(sharded.retained, built.retained);
     assert!(
-        merged.peak <= 16 * positions + 2 * DIRECTORY + SLACK,
+        sharded.peak <= 20 * positions + directory + SLACK,
+        "sharded build peaked at {} B for {positions} positions",
+        sharded.peak
+    );
+
+    // The merge itself adds the run being sorted to the shards handed in,
+    // and nothing per word or per bucket.
+    let parts = shards();
+    let merged = measure(|| SeedTable::from_partials(&pattern, parts, 1000));
+    assert!(
+        merged.peak <= 12 * positions + directory + SLACK,
         "merge peaked at {} B beyond the {positions} positions handed in",
         merged.peak
     );
@@ -179,6 +201,29 @@ fn table_keeps_16_bytes_per_position_and_builds_in_32() {
         "{} allocations to merge",
         merged.allocs
     );
+}
+
+#[test]
+fn directory_follows_a_small_target() {
+    // 2 000 positions: 2^11 + 1 entries, 8 KiB, where a fixed 16-bit
+    // directory spent 256 KiB — eight times the table behind it.
+    let pattern = SeedPattern::lastz_default();
+    let target = random_dna(2_000 + pattern.span() - 1, 44);
+    let built = measure(|| SeedTable::build(&target, &pattern, 1000));
+    let positions = built.value.positions_indexed() as usize;
+    assert_eq!(positions, 2_000);
+    assert_eq!(directory(positions), 4 * ((1 << 11) + 1));
+    for (what, bytes, per_position) in [("resident", built.retained, 16), ("peak", built.peak, 20)] {
+        assert!(
+            bytes <= per_position * positions + directory(positions) + SLACK,
+            "{bytes} B {what} for {positions} positions"
+        );
+    }
+    // Never more entries than twice the positions, never fewer than 2^8.
+    assert_eq!(directory(129), 4 * ((1 << 8) + 1));
+    assert_eq!(directory(0), 4 * ((1 << 8) + 1));
+    let tiny = measure(|| SeedTable::build(&random_dna(60, 45), &pattern, 1000));
+    assert!(tiny.retained <= 16 * 60 + directory(60) + SLACK, "{} B", tiny.retained);
 }
 
 #[test]
@@ -193,9 +238,31 @@ fn repeats_cost_four_bytes_a_position() {
     );
     assert!((4_990..=5_000).contains(&words), "{words} distinct words");
     assert!(
-        table.retained <= 4 * positions + 12 * (words + 1) + DIRECTORY + SLACK,
+        table.retained <= 4 * positions + 12 * (words + 1) + directory(positions) + SLACK,
         "{} B resident for {positions} positions of {words} words",
         table.retained
+    );
+}
+
+#[test]
+fn a_crowded_bucket_sorts_inside_the_same_peak() {
+    // Poly-A with a random base every dozen: most words share their top
+    // bits, so one bucket holds most of the table and sorts through its
+    // 4 B-an-entry index scratch rather than by insertion.
+    let mut rng = StdRng::seed_from_u64(46);
+    let target: Sequence = (0..60_000)
+        .map(|_| match rng.gen_range(0u8..12) {
+            0 => Base::from_code(rng.gen_range(0u8..4)),
+            _ => Base::A,
+        })
+        .collect();
+    let built = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), usize::MAX));
+    let positions = built.value.positions_indexed() as usize;
+    assert!(built.value.lookup(0).len() > positions / 8, "the poly-A word crowds bucket 0");
+    assert!(
+        built.peak <= 20 * positions + directory(positions) + SLACK,
+        "build peaked at {} B for {positions} positions",
+        built.peak
     );
 }
 

@@ -9,7 +9,9 @@
 //! `positions_indexed` / `dropped_repeats` / `distinct_words`, and that
 //! D-SOFT returns the **identical `DsoftResult`** in all four fields, over
 //! sequences with `N` runs and low-complexity stretches, narrow, default
-//! and wide patterns, every repeat cap regime and arbitrary shard cuts.
+//! and wide patterns, every repeat cap regime and arbitrary shard cuts —
+//! and, since the directory is sized to the target, at every target size
+//! where its width changes.
 
 mod hash_oracle;
 
@@ -218,4 +220,39 @@ fn generated_cases_exercise_bands_and_the_repeat_cap() {
         "{crowded_bands} of 64 cases crowd their bands"
     );
     assert!(capped >= 16, "{capped} of 64 cases hit the repeat cap");
+}
+
+/// The directory has ⌈log2 positions⌉ bits between 8 and 16 (and never
+/// more than the word): a table one position either side of every power
+/// of two, and at both ends of the range, answers like the hash table.
+#[test]
+fn every_directory_width_answers_like_the_hash_table() {
+    let mut sizes = vec![0usize, 1, 255, 256, 257];
+    sizes.extend((9..=17).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]));
+    // A 24-bit word behind every directory width, and a 10-bit word the
+    // directory covers whole once the target outgrows it.
+    for (pattern, cap) in [(SeedPattern::lastz_default(), 1000), (SeedPattern::exact(5), 300)] {
+        for &positions in &sizes {
+            let len = if positions == 0 { 0 } else { positions + pattern.span() - 1 };
+            let mut rng = StdRng::seed_from_u64(positions as u64);
+            let target: Sequence =
+                (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+            let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
+            assert_eq!(oracle.positions_indexed(), positions as u64);
+            let cuts = [0, positions / 3, positions / 3, len];
+            let parts = cuts.windows(2).map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]));
+            for (name, table) in [
+                ("serial", SeedTable::build(&target, &pattern, cap)),
+                ("sharded", SeedTable::from_partials(&pattern, parts, cap)),
+            ] {
+                let label = format!("{name}, {pattern}, {positions} positions");
+                assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
+                assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
+                assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
+                for word in probe_words(&target, &pattern) {
+                    assert_eq!(table.lookup(word), oracle.lookup(word), "{label}: word {word:#x}");
+                }
+            }
+        }
+    }
 }

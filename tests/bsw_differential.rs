@@ -13,7 +13,7 @@
 
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use darwin_wga::align::bsw_fast::{
-    banded_smith_waterman_wavefront, encode, bsw_wavefront, BswBatch, ScoreLut, WavefrontScratch,
+    banded_smith_waterman_wavefront, bsw_wavefront, BswBatch, ScoreLut, WavefrontScratch,
 };
 use darwin_wga::align::bsw_simd::{banded_smith_waterman_simd, BswSimdBatch, SimdScratch};
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
@@ -285,8 +285,8 @@ fn surviving_tile_sets_are_identical() {
     let mut rng = StdRng::seed_from_u64(4242);
     let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(0.35), &mut rng);
     let (t, q) = (&pair.target.sequence, &pair.query.sequence);
-    let batch = BswBatch::new(t.as_slice(), q.as_slice(), &w, &g, 32);
-    let simd_batch = BswSimdBatch::new(t.as_slice(), q.as_slice(), &w, &g, 32);
+    let batch = BswBatch::new(&w, &g, 32);
+    let simd_batch = BswSimdBatch::new(&w, &g, 32);
     let mut scratch = WavefrontScratch::new();
     let mut simd_scratch = SimdScratch::new();
     let mut scalar_survivors = Vec::new();
@@ -298,9 +298,10 @@ fn surviving_tile_sets_are_identical() {
         let qpos = tpos.saturating_sub(jitter.gen_range(0usize..48));
         let (tr, qr) = tile_around(tpos, qpos, 320, t.len(), q.len());
         let scalar = banded_smith_waterman(&t.as_slice()[tr.clone()], &q.as_slice()[qr.clone()], &w, &g, 32);
-        let fast = batch.run_tile(tr.clone(), qr.clone(), &mut scratch);
+        let (tcodes, qcodes) = (&t.codes()[tr], &q.codes()[qr]);
+        let fast = batch.run_tile(tcodes, qcodes, &mut scratch);
         assert_eq!(scalar, fast, "tile {k}");
-        let simd = simd_batch.run_tile(tr, qr, &mut simd_scratch);
+        let simd = simd_batch.run_tile(tcodes, qcodes, &mut simd_scratch);
         assert_eq!(scalar, simd, "tile {k} (simd)");
         if scalar.max_score >= THRESHOLD {
             scalar_survivors.push(k);
@@ -333,7 +334,7 @@ fn encoded_kernel_matches_base_wrapper() {
     let q = mutate(&mut rng, &t, 0.1, 0.05);
     let lut = ScoreLut::new(&w);
     let mut scratch = WavefrontScratch::new();
-    let a = bsw_wavefront(&encode(&t), &encode(&q), &lut, &g, 32, &mut scratch);
+    let a = bsw_wavefront(Base::codes_of(&t), Base::codes_of(&q), &lut, &g, 32, &mut scratch);
     let b = banded_smith_waterman_wavefront(&t, &q, &w, &g, 32, &mut scratch);
     assert_eq!(a, b);
 }

@@ -191,6 +191,19 @@ mod cli {
     }
 
     #[test]
+    fn align_names_the_line_of_a_non_utf8_sequence_byte() {
+        let good = tmp("latin1-good.fa", ">chr1\nACGTACGT\n");
+        let bad = tmp("latin1.fa", "");
+        std::fs::write(&bad, b">chr1\nACGT\nAC\xe9T\n").unwrap();
+        let out = wga(&[
+            "align",
+            good.to_str().unwrap(),
+            bad.to_str().unwrap(),
+        ]);
+        assert_clean_failure(&out, "line 3: invalid sequence byte 0xe9");
+    }
+
+    #[test]
     fn align_rejects_duplicate_record_names() {
         let good = tmp("dup-good.fa", ">chr1\nACGTACGT\n");
         let bad = tmp("dup.fa", ">chr1\nACGT\n>chr1\nTTTT\n");

@@ -4,8 +4,11 @@
 //! report and the PAF rendering are byte-identical across executors,
 //! thread counts, shard sizes and shared-index vs per-pair-index modes;
 //! kNN sparsification provably skips distant pairs while leaving the
-//! near-pair alignments untouched; and a run killed mid-matrix resumes
-//! from its checkpoint directory into the byte-identical report.
+//! near-pair alignments untouched; a run killed mid-matrix resumes
+//! from its checkpoint directory into the byte-identical report; and a
+//! chromosome's seed table is built once, for the one row of the matrix
+//! that aligns against it, however the row is pruned, scheduled or
+//! resumed.
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::dataflow::ExecutorKind;
@@ -177,6 +180,44 @@ fn knn_skips_distant_pairs_and_keeps_near_alignments() {
 }
 
 #[test]
+fn each_chromosome_is_indexed_once_for_its_row() {
+    // Every genome but the last is the target of a row; a table per
+    // chromosome of each, whatever runs the row's pairs.
+    let genomes = multi_chromosome_genomes();
+    let serial = run(&genomes, &ManyOptions::default());
+    assert_eq!(serial.tables_built, 4, "two chromosomes of g0 and of g1");
+    let dataflow = run(
+        &genomes,
+        &ManyOptions {
+            threads: 2,
+            executor: ExecutorKind::Dataflow,
+            ..ManyOptions::default()
+        },
+    );
+    assert_eq!(dataflow.tables_built, 4, "rows interleaved smallest pair first");
+    assert_eq!(dataflow.canonical_text(), serial.canonical_text());
+
+    // Pruned to nearest neighbours, only a genome that is still the
+    // target of a scheduled pair is indexed, and still once.
+    let genomes = clustered_genomes(3, 5_000, 23);
+    let knn = run(
+        &genomes,
+        &ManyOptions {
+            knn: Some(1),
+            ..ManyOptions::default()
+        },
+    );
+    let targets: std::collections::BTreeSet<&str> = knn
+        .pairs
+        .iter()
+        .filter(|p| p.scheduled)
+        .map(|p| p.target_genome.as_str())
+        .collect();
+    assert!(targets.len() < genomes.len() - 1, "knn=1 leaves some row empty: {targets:?}");
+    assert_eq!(knn.tables_built, targets.len() as u64);
+}
+
+#[test]
 fn kill_mid_matrix_then_resume_matches_uninterrupted() {
     let genomes = multi_chromosome_genomes();
     let golden = run(&genomes, &ManyOptions::default());
@@ -184,6 +225,7 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
         golden.pairs.iter().all(|p| p.failed == 0),
         "uninterrupted run must be clean"
     );
+    assert_eq!(golden.tables_built, 4);
 
     // A panic injected at the journal append of inner chromosome pair 3
     // is the moral equivalent of `kill -9` mid-checkpoint: the first
@@ -216,6 +258,8 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
         resumed.resumed_pairs, 3,
         "three chromosome pairs survived the kill"
     );
+    // g0's chrI is replayed against g1 and still indexed, once, for g2.
+    assert_eq!(resumed.tables_built, 4);
     assert_eq!(resumed.canonical_text(), golden.canonical_text());
     assert_eq!(paf_text(&resumed, &genomes), paf_text(&golden, &genomes));
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,5 +282,7 @@ fn checkpointed_rerun_replays_every_pair() {
         "every (single-chromosome) genome pair replays from its journal"
     );
     assert_eq!(second.canonical_text(), first.canonical_text());
+    assert_eq!(first.tables_built, genomes.len() as u64 - 1);
+    assert_eq!(second.tables_built, 0, "a replayed row indexes nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
