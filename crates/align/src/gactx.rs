@@ -113,7 +113,8 @@ pub struct ExtensionStats {
     pub cells: u64,
     /// DP rows processed across all tiles.
     pub rows: u64,
-    /// Peak per-tile traceback memory (bytes at 4 bits/cell).
+    /// Peak per-tile traceback memory (bytes at 4 bits/cell): the longest
+    /// the kernel's pointer arena was over the extension's tiles.
     pub peak_traceback_bytes: u64,
 }
 
@@ -162,8 +163,10 @@ struct ExtendScratch {
 thread_local! {
     /// One scratch per worker thread, shared by all the extensions the
     /// thread runs: after its largest tile a worker allocates nothing but
-    /// the CIGARs it returns. Its contents never carry meaning from one
-    /// tile to the next, so results do not depend on what ran before.
+    /// the CIGARs it returns, and holds that tile's `traceback_bytes` (at
+    /// up to twice that in arena capacity) plus a few rows. Its contents
+    /// never carry meaning from one tile to the next, so results do not
+    /// depend on what ran before.
     static SCRATCH: RefCell<ExtendScratch> = RefCell::new(ExtendScratch::default());
 }
 

@@ -14,9 +14,11 @@
 //!   one past either end of the stored range, so the inner loop reads its
 //!   up/diagonal inputs without a range check; E is carried along the row
 //!   in two registers and never stored;
-//! * direction pointers (4 bits per cell in hardware, one byte here) go to
-//!   one flat arena, row after row, with a per-row `(jstart, offset, len)`
-//!   table — the only thing traceback reads;
+//! * direction pointers are 4 bits per cell, as in the hardware: the row
+//!   being computed writes one byte per cell into a reused row buffer, and
+//!   once the row is finalised its live cells are packed two to a byte
+//!   into one flat arena, row after row with no padding, under a per-row
+//!   `(jstart, offset, len)` table — the only thing traceback reads;
 //! * all of it lives in a reusable [`TileScratch`], so a run of tiles
 //!   allocates nothing per row and nothing per tile except the CIGAR it
 //!   returns.
@@ -42,7 +44,8 @@ const SCORE_LIMIT: i64 = 1 << 27;
 const Y_MAX: i64 = 2 * SCORE_LIMIT;
 
 /// Direction-pointer encoding: 2 bits of direction plus the two affine
-/// "came from gap-open" flags, as in the hardware's 4-bit pointers.
+/// "came from gap-open" flags, as in the hardware's 4-bit pointers. Every
+/// pointer fits a nibble, which is what the arena stores.
 mod ptr {
     pub const STOP: u8 = 0;
     pub const DIAG: u8 = 1;
@@ -58,7 +61,8 @@ mod ptr {
 struct RowSpan {
     /// First stored column (0 is the boundary column).
     jstart: usize,
-    /// Arena index of that column's pointer.
+    /// Arena index of that column's pointer, in nibbles: nibble `k` is
+    /// the low (even `k`) or high (odd `k`) half of arena byte `k / 2`.
     offset: usize,
     /// Stored columns; the last one is always live.
     len: usize,
@@ -90,7 +94,12 @@ pub struct TileScratch {
     prev: Vec<Scores>,
     /// The row being computed, same indexing.
     cur: Vec<Scores>,
-    /// Pointer arena: the stored cells of every row, back to back.
+    /// Pointers of the row being computed, one byte each, from the row's
+    /// first column on. Only the cells a row wrote are ever packed.
+    row_buf: Vec<u8>,
+    /// Pointer arena: the stored cells of every row back to back, two to
+    /// a byte, low nibble first; an odd total leaves the last high nibble
+    /// zero.
     ptrs: Vec<u8>,
     /// One entry per stored row.
     rows: Vec<RowSpan>,
@@ -119,8 +128,8 @@ pub struct TileResult {
     /// DP cells computed.
     pub cells: u64,
     /// Bytes of traceback memory the tile needed at 4 bits/cell — the
-    /// hardware BRAM requirement this tile would impose. (The software
-    /// arena spends one byte per stored cell, twice this.)
+    /// hardware BRAM requirement this tile would impose, and exactly the
+    /// length of the software's pointer arena.
     pub traceback_bytes: u64,
     /// Number of rows that had at least one live cell.
     pub rows: usize,
@@ -248,6 +257,7 @@ pub fn xdrop_tile_scratch(
     let TileScratch {
         prev,
         cur,
+        row_buf,
         ptrs,
         rows,
     } = scratch;
@@ -258,12 +268,16 @@ pub fn xdrop_tile_scratch(
             row.resize(n + 3, PRUNED);
         }
     }
+    // A row packs exactly the cells it wrote, so no fill between rows.
+    if row_buf.len() < n + 1 {
+        row_buf.resize(n + 1, ptr::STOP);
+    }
     ptrs.clear();
     rows.clear();
 
     // Row 0: origin plus leading deletions while above the drop threshold.
     prev[1] = Scores { v: 0, f: NEG_INF };
-    ptrs.push(ptr::STOP);
+    row_buf[0] = ptr::STOP;
     let mut jend = 1usize;
     while jend <= n {
         let score = -(gaps.open + gaps.extend * jend as i32);
@@ -274,18 +288,20 @@ pub fn xdrop_tile_scratch(
             v: score,
             f: NEG_INF,
         };
-        ptrs.push(ptr::LEFT | if jend == 1 { ptr::E_OPEN } else { 0 });
+        row_buf[jend] = ptr::LEFT | if jend == 1 { ptr::E_OPEN } else { 0 };
         jend += 1;
     }
     prev[0] = PRUNED;
     prev[jend + 1] = PRUNED;
+    pack_row(ptrs, 0, &row_buf[..jend]);
     rows.push(RowSpan {
         jstart: 0,
         offset: 0,
         len: jend,
     });
     let mut cells = jend as u64;
-    let mut stored_cells = jend as u64;
+    // Cells stored so far: the arena's length in nibbles.
+    let mut stored_cells = jend;
     let mut max_row_width = jend;
     // Best cell of the final column over the rows that reach it (edge
     // traceback), earliest row first on ties.
@@ -327,9 +343,7 @@ pub fn xdrop_tile_scratch(
         for code in 0..5u8 {
             scores[code as usize] = w.score(Base::from_code(code), query[i - 1]);
         }
-        let offset = ptrs.len();
-        ptrs.resize(offset + n + 1 - jstart, ptr::STOP);
-        let row_ptrs = &mut ptrs[offset..];
+        let row_ptrs = &mut row_buf[..n + 1 - jstart];
 
         (row.left_v, row.left_e, row.max_j) = (NEG_INF, NEG_INF, None);
         let mut j = jstart;
@@ -367,7 +381,6 @@ pub fn xdrop_tile_scratch(
         // Pruned cells were stored as NEG_INF, so "live" ⇔ V survived.
         let computed = &cur[jstart + 1..j + 1];
         let Some(first_live) = computed.iter().position(|c| c.v > DEAD) else {
-            ptrs.truncate(offset);
             break;
         };
         let last_live = computed
@@ -380,15 +393,15 @@ pub fn xdrop_tile_scratch(
         // column n, beyond which the next row never looks.
         jend = jstart + last_live + 1;
         let len = jend - jstart;
-        ptrs.truncate(offset + len);
+        pack_row(ptrs, stored_cells, &row_ptrs[..len]);
         cur[jstart] = PRUNED;
         debug_assert!(jend == n + 1 || cur[jend + 1].v == NEG_INF);
         rows.push(RowSpan {
             jstart,
-            offset,
+            offset: stored_cells,
             len,
         });
-        stored_cells += len as u64;
+        stored_cells += len;
         max_row_width = max_row_width.max(len);
         if jend == n + 1 && best_in_last_col.is_none_or(|(_, s)| cur[n + 1].v > s) {
             best_in_last_col = Some((i, cur[n + 1].v));
@@ -432,7 +445,7 @@ pub fn xdrop_tile_scratch(
         max_query: max_i,
         cigar,
         cells,
-        traceback_bytes: stored_cells.div_ceil(2),
+        traceback_bytes: (stored_cells as u64).div_ceil(2),
         rows: rows.len(),
         max_row_width,
     }
@@ -525,6 +538,31 @@ impl RowState {
     }
 }
 
+/// Appends one finalised row's pointers to the arena, which holds `stored`
+/// nibbles so far. An odd `stored` left the last byte's high nibble open:
+/// the row's first pointer goes there, the rest two to a byte, and an odd
+/// tail leaves its own high nibble zero for the next row.
+fn pack_row(arena: &mut Vec<u8>, stored: usize, mut row: &[u8]) {
+    debug_assert_eq!(arena.len(), stored.div_ceil(2));
+    if stored % 2 == 1 {
+        if let (Some(open), Some((first, rest))) = (arena.last_mut(), row.split_first()) {
+            *open |= first << 4;
+            row = rest;
+        }
+    }
+    let pairs = row.chunks_exact(2);
+    let tail = pairs.remainder().first().copied();
+    // Taken as one `u16` the pair packs with a shift and an or, which the
+    // compiler turns into vector shifts and packs; written byte by byte
+    // (`pair[0] | pair[1] << 4`) the loop stays scalar, and that shows in
+    // the kernel's cells/s.
+    arena.extend(pairs.map(|pair| {
+        let both = u16::from_le_bytes([pair[0], pair[1]]);
+        (both | both >> 4) as u8
+    }));
+    arena.extend(tail);
+}
+
 /// Walks the pointer arena back from `(max_i, max_j)` to the tile origin.
 fn traceback(
     rows: &[RowSpan],
@@ -537,8 +575,11 @@ fn traceback(
     let ptr_at = |i: usize, j: usize| -> u8 {
         rows.get(i)
             .filter(|row| j >= row.jstart && j - row.jstart < row.len)
-            .and_then(|row| ptrs.get(row.offset + j - row.jstart))
-            .copied()
+            .map(|row| row.offset + j - row.jstart)
+            .and_then(|nibble| {
+                ptrs.get(nibble / 2)
+                    .map(|byte| byte >> (4 * (nibble % 2)) & 0xF)
+            })
             .unwrap_or(ptr::STOP)
     };
     // Built back to front, reversed at the end.
@@ -717,25 +758,46 @@ mod tests {
     }
 
     #[test]
-    fn one_byte_per_stored_cell_and_nothing_else_grows() {
-        // The arena is the only per-cell state: 1 B per stored cell
-        // (= 2 × the 4-bit figure reported), and the rolling rows are
-        // O(tile width) whatever the number of rows.
+    fn half_a_byte_per_stored_cell_and_nothing_else_grows() {
+        // The arena is the only per-cell state and it is exactly the
+        // 4-bit figure reported: rows back to back in nibbles, no padding,
+        // an odd total's last high nibble zero. The row buffer and the
+        // rolling rows are O(tile width) whatever the number of rows.
         let (w, g) = dw();
         let t: Sequence = "ACGT".repeat(100).parse().unwrap();
         let mut scratch = TileScratch::new();
-        let r = xdrop_tile_scratch(
-            t.as_slice(),
-            t.as_slice(),
-            &w,
-            &g,
-            9430,
-            false,
-            &mut scratch,
-        );
-        assert_eq!((scratch.ptrs.len() as u64).div_ceil(2), r.traceback_bytes);
-        assert_eq!(scratch.rows.len(), r.rows);
-        assert_eq!(scratch.prev.len(), t.len() + 3);
+        let (mut odd_len, mut even_len, mut odd_jstart, mut odd_total) =
+            (false, false, false, false);
+        for (q_len, y) in [(400, 9430), (399, 700), (123, 1 << 40)] {
+            let r = xdrop_tile_scratch(
+                t.as_slice(),
+                &t.as_slice()[..q_len],
+                &w,
+                &g,
+                y,
+                false,
+                &mut scratch,
+            );
+            let mut stored = 0;
+            for row in &scratch.rows {
+                assert_eq!(row.offset, stored);
+                stored += row.len;
+                odd_len |= row.len % 2 == 1;
+                even_len |= row.len % 2 == 0;
+                odd_jstart |= row.jstart % 2 == 1;
+            }
+            assert_eq!(scratch.ptrs.len() as u64, r.traceback_bytes);
+            assert_eq!(scratch.ptrs.len(), stored.div_ceil(2));
+            if stored % 2 == 1 {
+                assert_eq!(scratch.ptrs[stored / 2] >> 4, ptr::STOP);
+                odd_total = true;
+            }
+            assert_eq!(scratch.rows.len(), r.rows);
+            assert_eq!(scratch.row_buf.len(), t.len() + 1);
+            assert_eq!(scratch.prev.len(), t.len() + 3);
+        }
+        // Every shape that decides which half of a byte a pointer takes.
+        assert!(odd_len && even_len && odd_jstart && odd_total);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! GACT-X's case is constant, small traceback memory: 4 bits per computed
 //! cell of one tile, however long the alignment. The software kernel
-//! spends one byte per stored cell in a reused arena plus a few rolling
-//! rows, and this binary holds it to that with a counting
+//! spends the same half byte per stored cell in a reused arena plus a few
+//! rolling rows, and this binary holds it to that with a counting
 //! `#[global_allocator]` (std only, its own test binary so no other suite
 //! pays for it): peak live heap during an extension is bounded by the
 //! largest tile's stored cells, does not follow the alignment's length,
 //! and the number of allocations does not follow the number of DP rows.
 //! The kernel this one replaced kept 17 B per cell in four fresh `Vec`s
 //! per row, and its left extension copied the whole prefix of both
-//! sequences; both would fail here.
+//! sequences; both would fail here, as does an arena of one byte per cell.
 
 use align::gactx::{
     extend_alignment, extend_left, ExtendedAlignment, ExtensionStats, TilingParams,
@@ -123,12 +123,12 @@ fn scoring() -> (SubstitutionMatrix, GapPenalties) {
     (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga())
 }
 
-/// The issue's bound: 2 B per stored cell of the largest tile — the byte
-/// arena at up to twice its length in capacity, `peak_traceback_bytes`
-/// being half a byte per cell — plus 256 KiB for rows, row table, window
-/// buffers and CIGARs.
+/// The issue's bound: 1 B per stored cell of the largest tile — the
+/// nibble arena, whose length is `peak_traceback_bytes`, at up to twice
+/// that in capacity — plus 256 KiB for rows, row buffer, row table,
+/// window buffers and CIGARs.
 fn bound(stats: &ExtensionStats) -> usize {
-    4 * stats.peak_traceback_bytes as usize + 256 * KIB
+    2 * stats.peak_traceback_bytes as usize + 256 * KIB
 }
 
 /// An evolved pair at distance 0.30 with no turnover insertions, so one
@@ -154,7 +154,7 @@ fn extension_cost(len: usize) -> Measured<ExtendedAlignment> {
 }
 
 #[test]
-fn extension_peak_heap_is_two_bytes_per_stored_cell_and_constant_in_length() {
+fn extension_peak_heap_is_one_byte_per_stored_cell_and_constant_in_length() {
     let cost = extension_cost(6_000);
     let (stats, span) = (cost.value.stats, cost.value.alignment.target_span());
     assert!(

@@ -302,12 +302,20 @@ fn maximum_on_the_last_row_and_column() {
 #[test]
 fn a_small_tile_after_a_large_one_sees_no_stale_state() {
     // The scratch is never cleared between tiles: rows keep the scores,
-    // and the arena the pointers, of whatever ran before. The sentinel
-    // writes alone must fence the small tile off from them.
+    // the row buffer and the arena the pointers, of whatever ran before.
+    // The sentinel writes alone must fence the small tile's scores off
+    // from them, and its rows, shorter than what is lying in the row
+    // buffer, must pack only what they wrote: the unrelated pair leaves
+    // that buffer full of gap pointers, so a pack that read it by
+    // absolute column or past the row's cells turns a diagonal into a
+    // gap. (The one byte after a row's last live cell is harmless by
+    // construction: it is the row's own pruned cell, or past column n.)
     let scratch = &mut TileScratch::new();
     let mut rng = StdRng::seed_from_u64(10);
     let big_t = random_bases(&mut rng, 900, 0);
     let big_q = mutate(&mut rng, &big_t, 0.1, 0.03);
+    let gappy_t = random_bases(&mut rng, 400, 0);
+    let gappy_q = random_bases(&mut rng, 380, 0);
     for y in [600, 9430, NO_DROP] {
         for seed in 0..12 {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
@@ -322,7 +330,75 @@ fn a_small_tile_after_a_large_one_sees_no_stale_state() {
             assert_eq!(check_tile(&t, &q, y, scratch), fresh);
             check_tile(&big_t, &big_q, 2000, scratch);
             assert_eq!(check_tile(&t, &q, y, scratch), fresh);
+            check_tile(&gappy_t, &gappy_q, NO_DROP, scratch);
+            assert_eq!(check_tile(&t, &q, y, scratch), fresh);
         }
+    }
+}
+
+#[test]
+fn nibble_packed_rows_of_every_shape_trace_back_identically() {
+    // The arena holds two pointers to a byte with no padding between
+    // rows, so a row starts on either half of a byte depending on every
+    // row before it. Shapes that put each half to work:
+    let scratch = &mut TileScratch::new();
+    let mut rng = StdRng::seed_from_u64(11);
+    let s = random_bases(&mut rng, 64, 0);
+
+    // Single-cell rows: no target, so every row is its boundary cell and
+    // consecutive rows alternate between the low and the high nibble;
+    // `y` decides how many there are, an odd or an even number.
+    for y in [430 + 30, 430 + 30 * 2, 430 + 30 * 7, 430 + 30 * 8, NO_DROP] {
+        let r = check_tile(&[], &s, y, scratch);
+        assert_eq!(r.max_row_width, 1);
+        assert_eq!(r.traceback_bytes, (r.rows as u64).div_ceil(2));
+    }
+
+    // Full rows of 3 to 7 cells under scores that make a long leading
+    // insertion cheap: the target is the query's last `n` bases, found
+    // nowhere else in it, so the path runs up column 0 through every row
+    // — rows that, at an odd width, start on a low and a high nibble in
+    // turn.
+    let cheap_gaps = (
+        SubstitutionMatrix::simple(100, 100),
+        GapPenalties::new(1, 1),
+    );
+    let q = bases(&format!("{}CCGGTT", "A".repeat(58)));
+    for n in 2..=6 {
+        let t = &q[q.len() - n..];
+        for edge in [false, true] {
+            let (w, g) = &cheap_gaps;
+            let expected = ragged_oracle::xdrop_tile_with_mode(t, &q, w, g, NO_DROP, edge);
+            let got = xdrop_tile_scratch(t, &q, w, g, NO_DROP, edge, scratch);
+            assert_eq!(got, expected, "n={n} edge={edge}");
+            assert_eq!((got.rows, got.max_row_width), (q.len() + 1, n + 1));
+            assert_eq!(got.cigar.to_string(), format!("{}I{n}=", q.len() - n));
+        }
+    }
+
+    // A band sliding down the diagonal: under a tight `y` each row starts
+    // one column further right than the last, so odd and even first
+    // columns alternate, and shifting the pair by `skip` flips which rows
+    // get which. Widths of both parities come with the noise.
+    for skip in 0..4 {
+        for y in [100, 460, 1000] {
+            let r = check_tile(&s[skip..], &s, y, scratch);
+            assert!(r.max_row_width < 40, "band {} wide", r.max_row_width);
+            let q = mutate(&mut rng, &s, 0.1, 0.05);
+            check_tile(&s[skip..], &q, y, scratch);
+            check_tile(&q, &s[skip..], y, scratch);
+        }
+    }
+
+    // The last computed row truncated to nothing: the pair matches, then
+    // stops matching, and under a tight `y` a row comes up with no live
+    // cell. It stores no pointer and ends the tile (with a target, an
+    // early end can only be that).
+    let mut q = s[..30].to_vec();
+    q.extend(random_bases(&mut rng, 34, 1000));
+    for y in [0, 100, 460] {
+        let r = check_tile(&s, &q, y, scratch);
+        assert!(r.rows > 1 && r.rows <= q.len(), "{} rows", r.rows);
     }
 }
 

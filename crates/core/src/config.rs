@@ -129,13 +129,14 @@ pub enum FilterEngineKind {
     Scalar,
     /// Batched wavefront kernel ([`align::bsw_fast`]): chromosome pair
     /// encoded once, anti-diagonal DP over reused flat buffers, no
-    /// per-tile allocation. The default.
-    #[default]
+    /// per-tile allocation. What `Simd` falls back to.
     Batched,
     /// Explicit-SIMD wavefront kernel ([`align::bsw_simd`]): saturating
     /// `i16` lanes (8 per SSE2 vector, 16 per AVX2 vector) over the same
     /// flat buffers, with a per-tile exact `i32` fallback. Falls back to
-    /// the batched kernel entirely on hosts without x86-64 SIMD.
+    /// the batched kernel entirely on hosts without x86-64 SIMD. The
+    /// default.
+    #[default]
     Simd,
 }
 
@@ -551,10 +552,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_engine_defaults_batched_and_parses() {
+    fn filter_engine_defaults_simd_and_parses() {
         assert_eq!(
             WgaParams::darwin_wga().filter_engine,
-            FilterEngineKind::Batched
+            FilterEngineKind::Simd
         );
         assert_eq!(
             "scalar".parse::<FilterEngineKind>().unwrap(),

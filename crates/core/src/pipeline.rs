@@ -72,6 +72,10 @@ pub fn run_pair(
             filter_batch(params, &ctx, target, query, batches[idx], pair_start, scode, idx, obs)
         });
         let anchors = fold_batches(params, lane, ctx_time, filtered, pair_start, &mut report);
+        // Extension needs the anchors only; the strand's hit list would
+        // otherwise sit under the run's memory high-water.
+        drop(batches);
+        drop((hits, ctx));
         extend_anchors(params, target, query, strand, anchors, pair_start, &mut report, obs);
     };
     run_strand(query, Strand::Forward);

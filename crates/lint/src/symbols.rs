@@ -327,7 +327,7 @@ pub fn extract(lexed: &Lexed<'_>, file: usize) -> FileSymbols {
 fn macro_declares_fn(toks: &[Tok<'_>], body: (usize, usize)) -> bool {
     let (start, end) = body;
     let mut k = start;
-    while k + 1 <= end {
+    while k < end {
         if toks[k].text == "fn" {
             // `fn $name` lexes as `fn` `$` `name`; plain `fn name` too.
             match toks.get(k + 1) {

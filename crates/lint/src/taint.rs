@@ -88,10 +88,9 @@ pub fn analyze(
             report.sites.push(TaintSite {
                 file: fi,
                 line: graph.fns[node].line,
-                msg: format!(
-                    "module is reachable from pipeline entry points but listed in \
-                     neither [determinism] nor [determinism-exempt] — classify it"
-                ),
+                msg: "module is reachable from pipeline entry points but listed in \
+                      neither [determinism] nor [determinism-exempt] — classify it"
+                    .to_string(),
                 waived: false,
                 chain,
             });

@@ -31,11 +31,11 @@
 //!     "Observability"). --progress keeps a throttled one-line status on
 //!     stderr: pairs done, live cells/s, filter survival, ETA. Neither
 //!     flag changes results. --filter-engine picks the BSW
-//!     implementation for gapped filtering (default `batched`, the
-//!     wavefront engine; `simd` runs it with explicit SSE2/AVX2 lanes,
-//!     falling back to `batched` where unsupported; results are
-//!     identical in every case). --shard-size sets the minimum bases per
-//!     intra-pair seeding shard (seed-table build and D-SOFT work items;
+//!     implementation for gapped filtering (default `simd`, the
+//!     wavefront engine with explicit SSE2/AVX2 lanes, falling back to
+//!     `batched`, the same wavefront without them, where unsupported;
+//!     results are identical in every case). --shard-size sets the
+//!     minimum bases per intra-pair seeding shard (seed-table build and D-SOFT work items;
 //!     default 2048; purely a scheduling knob, output is byte-identical
 //!     for any value). --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run

@@ -3,11 +3,11 @@
 //! A deterministic synthetic genome pair is checked in under
 //! `tests/data/` together with the expected [`AssemblyReport`] rendering
 //! (`AssemblyReport::canonical_text`). The test replays the full
-//! seed→filter→extend pipeline over the checked-in FASTA for **both**
+//! seed→filter→extend pipeline over the checked-in FASTA for all **three**
 //! filter engines at 1 and 3 worker threads, and for **both executors**
 //! (stage-barrier and streaming dataflow) at 1, 3 and 8 threads, and
 //! requires the report to stay byte-identical in every configuration —
-//! any behavioural drift in seeding, either BSW engine, extension,
+//! any behavioural drift in seeding, any BSW engine, extension,
 //! chaining, the parallel driver or the dataflow executor shows up as a
 //! diff against a file in version control.
 //!
@@ -98,7 +98,11 @@ fn golden_report_is_stable_across_engines_and_threads() {
         "golden report looks truncated"
     );
 
-    for engine in [FilterEngineKind::Scalar, FilterEngineKind::Batched] {
+    for engine in [
+        FilterEngineKind::Scalar,
+        FilterEngineKind::Batched,
+        FilterEngineKind::Simd,
+    ] {
         for threads in [1usize, 3] {
             let params = WgaParams::darwin_wga().with_filter_engine(engine);
             let options = AlignOptions {
