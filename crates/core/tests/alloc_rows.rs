@@ -106,8 +106,8 @@ fn live_heap_of_a_many_genome_run_does_not_grow_with_the_genome_count() {
     assert_eq!(six.tables_built, 5);
     assert!(six.alignments.len() > three.alignments.len());
 
-    // One table of a genome here is ~16 B a base and a 2^15-entry
-    // directory, some 450 KB. The slack is for what does follow the
+    // One table of a genome here is 6 B a base and a 2^15-entry
+    // directory, some 250 KB. The slack is for what does follow the
     // genome count: six sketches against three, fifteen pair records
     // against three, the alignments of three related pairs against one.
     let slack = 192 * 1024;

@@ -16,7 +16,7 @@
 
 use crate::hit::SeedHit;
 use crate::pattern::SeedPattern;
-use crate::table::SeedTable;
+use crate::table::{with_keys, Key, SeedTable};
 use genome::Sequence;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -120,6 +120,21 @@ pub fn dsoft_seeds_range(
     qrange: Range<usize>,
 ) -> DsoftResult {
     params.validate();
+    // The key width is settled here, once: inside `walk` a lookup is
+    // straight-line code, not a dispatch per word.
+    with_keys!(table.keys(), keys => walk(table, keys, query, params, qrange))
+}
+
+/// [`dsoft_seeds_range`] over a table whose key type is known: `keys` are
+/// `table`'s.
+fn walk<K: Key>(
+    table: &SeedTable,
+    keys: &[K],
+    query: &Sequence,
+    params: &DsoftParams,
+    qrange: Range<usize>,
+) -> DsoftResult {
+    let buckets = table.buckets(keys);
     let pattern: &SeedPattern = table.pattern();
     let qslice = query.as_slice();
     let mut result = DsoftResult::default();
@@ -138,14 +153,22 @@ pub fn dsoft_seeds_range(
     // First multiple of the stride at or after the shard start — the
     // same positions the whole-query walk samples inside this range.
     let mut qpos = qrange.start.div_ceil(params.query_stride) * params.query_stride;
+    let variants = if params.transitions { pattern.weight() } else { 0 };
     while qpos < end {
         let chunk_end = (qpos - qpos % params.chunk_size)
             .saturating_add(params.chunk_size)
             .min(end);
         while qpos < chunk_end {
             if let Some(exact) = pattern.extract(qslice, qpos) {
-                let mut probe = |word: u64| {
-                    for &tpos in table.lookup(word) {
+                // The exact word, then its variants in
+                // `transition_variants`' order, in one loop with one
+                // counter: its body is compiled in here, which a closure
+                // called for the exact word and again for the variants
+                // was not (DESIGN.md, "Seed index").
+                let mut word = exact;
+                let mut left = variants;
+                loop {
+                    for &tpos in buckets.find(word) {
                         result.raw_hits += 1;
                         let count = &mut bin_counts[tpos as usize / params.bin_size];
                         if *count == 0 {
@@ -153,10 +176,11 @@ pub fn dsoft_seeds_range(
                         }
                         *count += 1;
                     }
-                };
-                probe(exact);
-                if params.transitions {
-                    pattern.transition_variants(exact).for_each(probe);
+                    if left == 0 {
+                        break;
+                    }
+                    left -= 1;
+                    word = SeedPattern::transition_variant(exact, left);
                 }
                 result.seeds_queried += pattern.words_per_position(params.transitions) as u64;
             }

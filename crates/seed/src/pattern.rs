@@ -108,7 +108,17 @@ impl SeedPattern {
         // Sampled position k occupies bits [2*(m-1-k), 2*(m-1-k)+1].
         (0..self.weight())
             .rev()
-            .map(move |k| exact ^ (0b10 << (2 * k)))
+            .map(move |field| SeedPattern::transition_variant(exact, field))
+    }
+
+    /// `exact` with the base in its 2-bit field `field` (0 is the last
+    /// sampled position, `weight() - 1` the first) replaced by its
+    /// transition partner: one word of
+    /// [`SeedPattern::transition_variants`], for a caller that counts
+    /// the fields down itself.
+    #[inline]
+    pub fn transition_variant(exact: u64, field: usize) -> u64 {
+        exact ^ (0b10 << (2 * field))
     }
 
     /// Extracts the exact word plus every one-transition variant:

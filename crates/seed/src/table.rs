@@ -1,37 +1,46 @@
 //! Seed table: a flat sorted index from seed words to target positions.
 //!
-//! Darwin's D-SOFT reads a *seed position table*: a pointer table over
-//! one flat array of positions. This is that layout for a word space too
-//! large to point into directly (4^12 words for the default seed, 4^31 at
-//! the widest): the distinct words that occur, sorted, each with the
-//! offset of its run in one `positions` array, and a directory over the
-//! words' top bits in front, sized to the target, so a lookup searches a
-//! handful of words.
+//! Darwin's D-SOFT reads a *seed position table*: a pointer table indexed
+//! by the seed word over one flat array of positions. This is that layout
+//! for a word space too large to point into whole (4^12 words for the
+//! default seed, 4^31 at the widest): the pointer table — the *directory*
+//! — is indexed by the word's top bits, as many as the target has
+//! positions for, and beside each position lies a *key*, the word's bits
+//! below that prefix, in the narrowest integer that holds them. Entries
+//! are sorted by (word, position), so inside a directory bucket the keys
+//! ascend and a run of equal keys is one word's position list. The word
+//! itself is stored nowhere: the bucket implies its top bits and the key
+//! is the rest. When the directory covers the whole word there are no
+//! keys, and what is left is the paper's two tables.
 
 use crate::pattern::SeedPattern;
 use genome::Sequence;
 use std::ops::Range;
 
-/// Longest target a table can index: positions and offsets are `u32`.
-/// Windows starting at or past it are not indexed; callers reject such
-/// a target before building (the pipeline does, with a typed error).
+/// Longest target a table can index: positions and directory entries are
+/// `u32`. Windows starting at or past it are not indexed; callers reject
+/// such a target before building (the pipeline does, with a typed error).
 pub const MAX_TARGET_LEN: usize = u32::MAX as usize;
 
 /// The directory is indexed by a word's top bits: as many as leave about
 /// one indexed position per entry (`⌈log2 positions⌉`), so a 2 k-position
 /// chromosome pays 8 KiB for it and no target more entries than twice its
 /// positions — but at least these, which keeps a lookup in a tiny table
-/// from searching every word…
+/// from searching every entry…
 const MIN_DIRECTORY_BITS: u32 = 8;
 /// …and at most these: 2^16 + 1 `u32`s, 256 KiB, whatever the target. A
-/// 100 Mbp target then searches a few hundred words per lookup, while a
-/// directory that kept following the target would, on the 50–190 kbp
-/// ones, cost more than it saves (DESIGN.md, "Seed index").
+/// 100 Mbp target then searches a couple of thousand keys per lookup,
+/// while a directory that kept following the target would, on the
+/// 50–190 kbp ones, cost more than it saves (DESIGN.md, "Seed index").
 const MAX_DIRECTORY_BITS: u32 = 16;
 
 /// Marks a window holding an `N` in a shard's word run. No pattern has
 /// more than 31 sampled bases, so no word has more than 62 bits.
 const NO_WORD: u64 = u64::MAX;
+
+/// A bucket of at most this many entries is sorted by insertion where it
+/// lies; a longer one goes through the `(key, position)` scratch.
+const INSERTION_SORT_MAX: usize = 24;
 
 /// An index of every seed word in the target genome.
 ///
@@ -55,19 +64,109 @@ const NO_WORD: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeedTable {
-    /// The distinct words that survived the repeat cap, ascending.
-    words: Vec<u64>,
-    /// `positions[offsets[i]..offsets[i + 1]]` are `words[i]`'s, ascending.
-    offsets: Vec<u32>,
+    /// Every position whose word survived the repeat cap, sorted by
+    /// (word, position).
     positions: Vec<u32>,
-    /// `words[directory[p]..directory[p + 1]]` are the words whose top
-    /// bits (`word >> directory_shift`) equal `p`.
+    /// Parallel to `positions`: each entry's word below `key_bits`.
+    keys: Keys,
+    /// Entries `directory[p]..directory[p + 1]` are those whose word's
+    /// top bits (`word >> key_bits`) equal `p`.
     directory: Vec<u32>,
-    directory_shift: u32,
+    key_bits: u32,
     pattern: SeedPattern,
     positions_indexed: u64,
     dropped_repeats: u64,
+    distinct_words: usize,
     position_end: usize,
+}
+
+/// One key per kept position, in the narrowest type holding `key_bits`.
+#[derive(Debug, Clone)]
+pub(crate) enum Keys {
+    /// No bits below the directory prefix: a bucket is one word.
+    None(Vec<()>),
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+    U64(Vec<u64>),
+}
+
+/// The low bits of a seed word, as stored beside a position.
+pub(crate) trait Key: Copy + Ord + Default {
+    /// `bits`, which the caller has masked to the table's `key_bits`.
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Key for () {
+    fn from_bits(_: u64) {}
+}
+
+macro_rules! impl_key {
+    ($($int:ty),*) => {$(
+        impl Key for $int {
+            #[inline]
+            fn from_bits(bits: u64) -> $int {
+                bits as $int
+            }
+        }
+    )*};
+}
+impl_key!(u8, u16, u32, u64);
+
+/// Evaluates `$body` with `$keys` bound to the key vector inside, once
+/// per key width: how a caller picks its monomorphic code before a loop
+/// instead of inside it.
+macro_rules! with_keys {
+    ($table_keys:expr, $keys:ident => $body:expr) => {
+        match $table_keys {
+            $crate::table::Keys::None($keys) => $body,
+            $crate::table::Keys::U8($keys) => $body,
+            $crate::table::Keys::U16($keys) => $body,
+            $crate::table::Keys::U32($keys) => $body,
+            $crate::table::Keys::U64($keys) => $body,
+        }
+    };
+}
+pub(crate) use with_keys;
+
+/// A table's arrays with the key width resolved.
+pub(crate) struct Buckets<'a, K> {
+    keys: &'a [K],
+    positions: &'a [u32],
+    directory: &'a [u32],
+    key_bits: u32,
+}
+
+impl<'a, K: Key> Buckets<'a, K> {
+    /// Target positions whose window hashes to `word`.
+    #[inline]
+    pub(crate) fn find(&self, word: u64) -> &'a [u32] {
+        // A word wider than the pattern's 2·weight bits is in no table,
+        // and its prefix would index past the directory.
+        let bucket = usize::try_from(word >> self.key_bits)
+            .ok()
+            .and_then(|prefix| self.directory.get(prefix..)?.get(..2));
+        let Some(&[lo, hi]) = bucket else {
+            return &[];
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        let key = K::from_bits(word & low_mask(self.key_bits));
+        let keys = &self.keys[lo..hi];
+        // Most probes miss, and a miss ends here, on a branch that goes
+        // one way. A hit lands anywhere in its run and widens to it.
+        let Ok(hit) = keys.binary_search(&key) else {
+            return &[];
+        };
+        let same = |other: &&K| **other == key;
+        let from = hit - keys[..hit].iter().rev().take_while(same).count();
+        let to = hit + keys[hit..].iter().take_while(same).count();
+        &self.positions[lo + from..lo + to]
+    }
+}
+
+/// The bits of a word that its key keeps.
+fn low_mask(key_bits: u32) -> u64 {
+    (1 << key_bits) - 1
 }
 
 impl SeedTable {
@@ -119,21 +218,23 @@ impl SeedTable {
     /// Merges per-shard runs into a whole-target [`SeedTable`].
     ///
     /// One counting sort on the directory prefix scatters every shard's
-    /// words, each beside its position, into their bucket, each bucket is
-    /// sorted by (word, position), and one pass over the sorted run
-    /// squeezes it into the table's arrays where it lies: the distinct
-    /// words to the front of `words`, the positions of the words under
-    /// the cap to the front of `positions`, only `offsets` allocated anew.
-    /// Sorting by position inside a word puts every position list in
-    /// ascending order whatever order the shards arrive in — exactly the
-    /// serial build's lists. The `max_occurrences` repeat cap is applied
-    /// to the merged run, against whole-target counts, so a repeat word
-    /// split across shards is still dropped exactly as the serial build
-    /// drops it.
+    /// positions, each beside its key, into their bucket; then, a bucket
+    /// at a time, the bucket is sorted by (key, position) and squeezed
+    /// down over the dropped entries before it: the runs of equal keys no
+    /// longer than `max_occurrences` stay, the longer ones go. Nothing
+    /// but the two arrays and the directory is allocated. Sorting by
+    /// position inside a key puts every position list in ascending order
+    /// whatever order the shards arrive in — exactly the serial build's
+    /// lists. The repeat cap is applied to the merged runs, against
+    /// whole-target counts, so a repeat word split across shards is still
+    /// dropped exactly as the serial build drops it.
     ///
     /// At its peak, while the first shard is scattered, the build holds
-    /// the shards' 8 B a window and 12 B per indexed position; sorting a
-    /// bucket of more than a couple of dozen entries borrows 4 B for each.
+    /// the shards' 8 B a window and a position and a key — 5 B for the
+    /// default seed on a target past 2^15 positions, 6 B below — per
+    /// indexed position; sorting a bucket of more than a couple of dozen entries
+    /// borrows a `(key, position)` pair for each, after the shards are
+    /// gone.
     ///
     /// # Panics
     ///
@@ -148,7 +249,7 @@ impl SeedTable {
         let total: u64 = parts.iter().map(|part| part.indexed).sum();
         assert!(
             total <= MAX_TARGET_LEN as u64,
-            "{total} entries overflow u32 offsets"
+            "{total} entries overflow u32 directory entries"
         );
         let total = total as usize;
 
@@ -159,107 +260,43 @@ impl SeedTable {
             .trailing_zeros()
             .clamp(MIN_DIRECTORY_BITS, MAX_DIRECTORY_BITS)
             .min(word_bits);
-        let directory_shift = word_bits - directory_bits;
-        let bucket = |word: u64| (word >> directory_shift) as usize;
+        let key_bits = word_bits - directory_bits;
 
         // bounds[p] is where bucket p's stretch of the sorted run starts.
         let mut bounds = vec![0u32; (1usize << directory_bits) + 1];
         for part in &parts {
             for &word in part.words.iter().filter(|&&word| word != NO_WORD) {
-                bounds[bucket(word) + 1] += 1;
+                bounds[(word >> key_bits) as usize + 1] += 1;
             }
         }
         accumulate(&mut bounds);
-        // Each bucket's start doubles as its fill cursor, which leaves
-        // bounds[p] where bucket p *ends*.
-        let mut words = vec![0u64; total];
-        let mut positions = vec![0u32; total];
-        for part in parts {
-            for (word, pos) in part.words.into_iter().zip(part.start..) {
-                if word != NO_WORD {
-                    let slot = &mut bounds[bucket(word)];
-                    words[*slot as usize] = word;
-                    positions[*slot as usize] = pos;
-                    *slot += 1;
-                }
-            }
-        }
-        let mut order = Vec::new();
-        let mut start = 0usize;
-        for &end in &bounds[..bounds.len() - 1] {
-            let end = end as usize;
-            sort_pairs(&mut words[start..end], &mut positions[start..end], &mut order);
-            start = end;
-        }
 
-        // Sized first, so `offsets` carries no growth slack.
-        let (mut kept_words, mut dropped_repeats) = (0usize, 0u64);
-        for run in words.chunk_by(|a, b| a == b) {
-            if run.len() > max_occurrences {
-                dropped_repeats += run.len() as u64;
-            } else {
-                kept_words += 1;
-            }
+        match key_bits {
+            0 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::None),
+            1..=8 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U8),
+            9..=16 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U16),
+            17..=32 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U32),
+            _ => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U64),
         }
-        let mut offsets = Vec::with_capacity(kept_words + 1);
-        let mut directory = bounds;
-        directory.fill(0);
-        let (mut run_start, mut kept_positions, mut position_end) = (0usize, 0usize, 0usize);
-        while run_start < total {
-            let word = words[run_start];
-            let run_end = run_start
-                + words[run_start..]
-                    .iter()
-                    .take_while(|&&next| next == word)
-                    .count();
-            if run_end - run_start <= max_occurrences {
-                directory[bucket(word) + 1] += 1;
-                words[offsets.len()] = word;
-                offsets.push(kept_positions as u32);
-                positions.copy_within(run_start..run_end, kept_positions);
-                kept_positions += run_end - run_start;
-                position_end = position_end.max(positions[kept_positions - 1] as usize + 1);
-            }
-            run_start = run_end;
-        }
-        offsets.push(kept_positions as u32);
-        accumulate(&mut directory);
-        words.truncate(kept_words);
-        words.shrink_to_fit();
-        positions.truncate(kept_positions);
-        positions.shrink_to_fit();
+    }
 
-        SeedTable {
-            words,
-            offsets,
-            positions,
-            directory,
-            directory_shift,
-            pattern: pattern.clone(),
-            positions_indexed: total as u64,
-            dropped_repeats,
-            position_end,
+    /// The table's arrays behind `keys`, its key vector.
+    pub(crate) fn buckets<'a, K>(&'a self, keys: &'a [K]) -> Buckets<'a, K> {
+        Buckets {
+            keys,
+            positions: &self.positions,
+            directory: &self.directory,
+            key_bits: self.key_bits,
         }
+    }
+
+    pub(crate) fn keys(&self) -> &Keys {
+        &self.keys
     }
 
     /// Target positions whose window hashes to `word`.
     pub fn lookup(&self, word: u64) -> &[u32] {
-        // A word wider than the pattern's 2·weight bits is in no table,
-        // and its prefix would index past the directory.
-        let bucket = usize::try_from(word >> self.directory_shift)
-            .ok()
-            .and_then(|prefix| self.directory.get(prefix..)?.get(..2));
-        let Some(&[lo, hi]) = bucket else {
-            return &[];
-        };
-        let (lo, hi) = (lo as usize, hi as usize);
-        match self.words[lo..hi].binary_search(&word) {
-            Ok(i) => {
-                let (from, to) = (self.offsets[lo + i], self.offsets[lo + i + 1]);
-                &self.positions[from as usize..to as usize]
-            }
-            Err(_) => &[],
-        }
+        with_keys!(&self.keys, keys => self.buckets(keys).find(word))
     }
 
     /// The pattern this table was built with.
@@ -279,7 +316,7 @@ impl SeedTable {
 
     /// Number of distinct words present.
     pub fn distinct_words(&self) -> usize {
-        self.words.len()
+        self.distinct_words
     }
 
     /// One past the largest position any [`SeedTable::lookup`] returns
@@ -299,46 +336,109 @@ fn accumulate(counts: &mut [u32]) {
     }
 }
 
-/// Sorts the parallel slices `words` and `positions` by (word, position),
-/// in place: insertion for the handful of entries a bucket usually holds;
-/// for the bucket a low-complexity target piles up, a sort of its indices
-/// in `order` (4 B an entry, reused from bucket to bucket) and one move
-/// per entry, so no input costs more than `n log n`.
-fn sort_pairs(words: &mut [u64], positions: &mut [u32], order: &mut Vec<u32>) {
-    let len = words.len();
-    assert_eq!(len, positions.len());
-    let key = |words: &[u64], positions: &[u32], i: usize| (words[i], positions[i]);
-    if len <= 24 {
-        for i in 1..len {
-            let moving = key(words, positions, i);
-            let mut hole = i;
-            while hole > 0 && key(words, positions, hole - 1) > moving {
-                words[hole] = words[hole - 1];
-                positions[hole] = positions[hole - 1];
-                hole -= 1;
+/// The rest of [`SeedTable::from_partials`] once the key width `K` is
+/// known: scatter, sort and squeeze. `directory[p]` comes in as where
+/// bucket `p` starts in the uncapped run, its last entry as the run's
+/// length.
+fn assemble<K: Key>(
+    pattern: &SeedPattern,
+    parts: Vec<PartialSeedTable>,
+    max_occurrences: usize,
+    mut directory: Vec<u32>,
+    key_bits: u32,
+    wrap: fn(Vec<K>) -> Keys,
+) -> SeedTable {
+    let mask = low_mask(key_bits);
+    let buckets = directory.len() - 1;
+    let total = directory[buckets] as usize;
+    let mut keys = vec![K::default(); total];
+    let mut positions = vec![0u32; total];
+    // Each bucket's start doubles as its fill cursor, which leaves
+    // directory[p] where bucket p *ends*.
+    for part in parts {
+        for (word, pos) in part.words.into_iter().zip(part.start..) {
+            if word != NO_WORD {
+                let slot = &mut directory[(word >> key_bits) as usize];
+                keys[*slot as usize] = K::from_bits(word & mask);
+                positions[*slot as usize] = pos;
+                *slot += 1;
             }
-            (words[hole], positions[hole]) = moving;
+        }
+    }
+
+    let mut scratch = Vec::new();
+    let (mut start, mut kept) = (0usize, 0usize);
+    let (mut dropped_repeats, mut distinct_words, mut position_end) = (0u64, 0usize, 0usize);
+    for slot in &mut directory[..buckets] {
+        // In the kept run a bucket starts where the ones before it
+        // were squeezed to.
+        let end = std::mem::replace(slot, kept as u32) as usize;
+        sort_bucket(&mut keys[start..end], &mut positions[start..end], &mut scratch);
+        // A run of equal keys is one word: it cannot leave its bucket.
+        while start < end {
+            let key = keys[start];
+            let run = keys[start..end].iter().take_while(|&&next| next == key).count();
+            if run > max_occurrences {
+                dropped_repeats += run as u64;
+            } else {
+                // Until something is dropped a run already lies in place.
+                if kept != start {
+                    keys.copy_within(start..start + run, kept);
+                    positions.copy_within(start..start + run, kept);
+                }
+                kept += run;
+                distinct_words += 1;
+                position_end = position_end.max(positions[kept - 1] as usize + 1);
+            }
+            start += run;
+        }
+    }
+    directory[buckets] = kept as u32;
+    keys.truncate(kept);
+    keys.shrink_to_fit();
+    positions.truncate(kept);
+    positions.shrink_to_fit();
+
+    SeedTable {
+        positions,
+        keys: wrap(keys),
+        directory,
+        key_bits,
+        pattern: pattern.clone(),
+        positions_indexed: total as u64,
+        dropped_repeats,
+        distinct_words,
+        position_end,
+    }
+}
+
+/// Sorts one bucket's parallel slices by (key, position): by insertion
+/// where they lie for the handful of entries a bucket usually holds; for
+/// the bucket a low-complexity target piles up, as pairs in `scratch`
+/// (reused from bucket to bucket), so no input costs more than `n log n`.
+fn sort_bucket<K: Key>(keys: &mut [K], positions: &mut [u32], scratch: &mut Vec<(K, u32)>) {
+    let len = keys.len();
+    assert_eq!(len, positions.len());
+    if len > INSERTION_SORT_MAX {
+        scratch.clear();
+        // Exactly the largest bucket so far, not the next power of two.
+        scratch.reserve_exact(len);
+        scratch.extend(keys.iter().copied().zip(positions.iter().copied()));
+        scratch.sort_unstable();
+        for ((key, position), &sorted) in keys.iter_mut().zip(positions.iter_mut()).zip(&*scratch) {
+            (*key, *position) = sorted;
         }
         return;
     }
-    // `order[k]` is the index of the entry that belongs at `k`; each
-    // entry moves home along the cycles of that permutation, and
-    // `order[k] == k` marks `k` as placed.
-    order.clear();
-    order.extend(0..len as u32);
-    order.sort_unstable_by_key(|&i| key(words, positions, i as usize));
-    for start in 0..len {
-        let displaced = key(words, positions, start);
-        let mut hole = start;
-        loop {
-            let from = std::mem::replace(&mut order[hole], hole as u32) as usize;
-            if from == start {
-                (words[hole], positions[hole]) = displaced;
-                break;
-            }
-            (words[hole], positions[hole]) = key(words, positions, from);
-            hole = from;
+    for i in 1..len {
+        let moving = (keys[i], positions[i]);
+        let mut hole = i;
+        while hole > 0 && (keys[hole - 1], positions[hole - 1]) > moving {
+            keys[hole] = keys[hole - 1];
+            positions[hole] = positions[hole - 1];
+            hole -= 1;
         }
+        (keys[hole], positions[hole]) = moving;
     }
 }
 
@@ -368,8 +468,6 @@ impl PartialSeedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    type Entry = (u64, u32);
 
     #[test]
     fn indexes_all_positions() {
@@ -429,25 +527,122 @@ mod tests {
     }
 
     #[test]
-    fn pair_sort_orders_by_word_then_position_at_every_length() {
-        // Either side of the insertion/heapsort switch, few distinct
-        // words (long ties on the word) and many.
+    fn bucket_sort_orders_by_key_then_position_at_every_length() {
+        // Either side of the insertion/scratch switch, few distinct keys
+        // (long ties on the key) and many, at the narrowest key width and
+        // the widest.
+        fn check<K: Key + std::fmt::Debug>(len: usize, distinct: u64, scratch: &mut Vec<(K, u32)>) {
+            let mut state = len as u64 * 31 + distinct;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 20
+            };
+            let mut pairs: Vec<(K, u32)> = (0..len)
+                .map(|_| (K::from_bits(next() % distinct), next() as u32))
+                .collect();
+            let (mut keys, mut positions): (Vec<K>, Vec<u32>) = pairs.iter().copied().unzip();
+            sort_bucket(&mut keys, &mut positions, scratch);
+            pairs.sort_unstable();
+            let sorted: Vec<(K, u32)> = keys.into_iter().zip(positions).collect();
+            assert_eq!(sorted, pairs, "{len} pairs of {distinct} keys");
+        }
+        // One scratch per width across every length, as a build reuses it.
+        let (mut narrow, mut wide) = (Vec::new(), Vec::new());
         for len in [0usize, 1, 2, 23, 24, 25, 26, 100, 1_000] {
+            check::<u8>(len, 1, &mut narrow);
+            check::<u8>(len, 3, &mut narrow);
+            check::<u8>(len, 1 << 8, &mut narrow);
             for distinct in [1u64, 3, 1 << 40] {
-                let mut state = len as u64 * 31 + distinct;
-                let mut next = || {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    state >> 20
-                };
-                let mut pairs: Vec<Entry> =
-                    (0..len).map(|_| (next() % distinct, next() as u32)).collect();
-                let (mut words, mut positions): (Vec<u64>, Vec<u32>) = pairs.iter().copied().unzip();
-                sort_pairs(&mut words, &mut positions, &mut Vec::new());
-                pairs.sort_unstable();
-                let sorted: Vec<Entry> = words.into_iter().zip(positions).collect();
-                assert_eq!(sorted, pairs, "{len} pairs of {distinct} words");
+                check::<u64>(len, distinct, &mut wide);
             }
         }
+    }
+
+    #[test]
+    fn keys_take_the_narrowest_width_that_holds_the_bits_below_the_directory() {
+        let lcg_dna = |len: usize| -> Sequence {
+            let mut state = len as u64;
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    genome::Base::from_code((state >> 33) as u8 % 4)
+                })
+                .collect()
+        };
+        // 100 positions sit behind an 8-bit directory, 300 behind 9 bits,
+        // 40 000 behind 16.
+        for (pattern, positions, key_bits, key_bytes) in [
+            (SeedPattern::exact(4), 100, 0, 0),
+            (SeedPattern::exact(5), 300, 1, 1),
+            (SeedPattern::exact(8), 100, 8, 1),
+            (SeedPattern::exact(9), 300, 9, 2),
+            (SeedPattern::exact(12), 100, 16, 2),
+            (SeedPattern::exact(13), 300, 17, 4),
+            (SeedPattern::exact(20), 100, 32, 4),
+            (SeedPattern::exact(21), 300, 33, 8),
+            (SeedPattern::exact(31), 100, 54, 8),
+            (SeedPattern::lastz_default(), 40_000, 8, 1),
+            (SeedPattern::lastz_default(), 30_000, 9, 2),
+        ] {
+            let target = lcg_dna(positions + pattern.span() - 1);
+            let table = SeedTable::build(&target, &pattern, usize::MAX);
+            assert_eq!(table.positions.len(), positions, "{pattern}");
+            assert_eq!(table.key_bits, key_bits, "{pattern} over {positions} positions");
+            let (bytes, keys) = match &table.keys {
+                Keys::None(keys) => (0, keys.len()),
+                Keys::U8(keys) => (1, keys.len()),
+                Keys::U16(keys) => (2, keys.len()),
+                Keys::U32(keys) => (4, keys.len()),
+                Keys::U64(keys) => (8, keys.len()),
+            };
+            assert_eq!(bytes, key_bytes, "{pattern} over {positions} positions");
+            assert_eq!(keys, positions, "one key a position");
+            assert_eq!(table.directory.len(), (1 << (2 * pattern.weight() as u32 - key_bits)) + 1);
+        }
+    }
+
+    #[test]
+    fn a_run_of_equal_keys_is_one_word_wherever_it_lies_in_its_bucket() {
+        // One window per `N`-separated 6-mer. A 12-bit word behind an
+        // 8-bit directory: the first four bases pick the bucket, the last
+        // two are the key.
+        let t: Sequence = "AAAATT N CCCCGG N AAAAAA N AAAAAC N CCCCGG N AAAATT N AAAAAA N CCCCGG N GGGGGG"
+            .replace(' ', "")
+            .parse()
+            .unwrap();
+        let p = SeedPattern::exact(6);
+        let word = |kmer: &str| p.extract(kmer.parse::<Sequence>().unwrap().as_slice(), 0).unwrap();
+        let table = SeedTable::build(&t, &p, usize::MAX);
+        assert_eq!((table.key_bits, table.distinct_words()), (4, 5));
+        let Keys::U8(keys) = &table.keys else {
+            panic!("a 4-bit key is a byte");
+        };
+        let bucket = |prefix: &str| {
+            let prefix = (word(&format!("{prefix}AA")) >> 4) as usize;
+            table.directory[prefix] as usize..table.directory[prefix + 1] as usize
+        };
+        // A run that opens its bucket, one that closes it, one between…
+        assert_eq!(keys[bucket("AAAA")], [0b0000, 0b0000, 0b0001, 0b1111, 0b1111]);
+        assert_eq!(table.positions[bucket("AAAA")], [14, 42, 21, 0, 35]);
+        // …and one that is all of it.
+        assert_eq!(keys[bucket("CCCC")], [0b1010, 0b1010, 0b1010]);
+        assert_eq!(table.lookup(word("AAAAAA")), &[14, 42]);
+        assert_eq!(table.lookup(word("AAAAAC")), &[21]);
+        assert_eq!(table.lookup(word("AAAATT")), &[0, 35]);
+        assert_eq!(table.lookup(word("CCCCGG")), &[7, 28, 49]);
+        assert_eq!(table.lookup(word("GGGGGG")), &[56]);
+        // The same key in the bucket next door is another word.
+        assert!(table.lookup(word("AAACTT")).is_empty());
+        assert!(table.lookup(word("AAAAAG")).is_empty());
+
+        // The cap counts a run, not its bucket: five entries share the
+        // AAAA bucket and none of its words has more than two.
+        let capped = SeedTable::build(&t, &p, 2);
+        assert_eq!((capped.distinct_words(), capped.dropped_repeats()), (4, 3));
+        assert!(capped.lookup(word("CCCCGG")).is_empty());
+        assert_eq!(capped.lookup(word("AAAATT")), &[0, 35]);
+        assert_eq!(capped.lookup(word("GGGGGG")), &[56]);
+        assert_eq!(capped.position_end(), 57);
     }
 
     fn assert_tables_equal(a: &SeedTable, b: &SeedTable, t: &Sequence, p: &SeedPattern) {

@@ -4,18 +4,22 @@
 //! item 1 wants the whole run under `a + b·N`. This binary pins the seed
 //! layer's `b` with a counting `#[global_allocator]` (std only, its own
 //! test binary so no other suite pays for it; the pattern of
-//! `crates/align/tests/alloc_bound.rs`): a built table keeps at most 16 B
-//! per indexed position plus its directory, building one — serially or
-//! from shards — peaks at 20 B per position plus that one directory (8 B a
-//! window in the shards' word runs, 12 B in the run being sorted), the
-//! directory follows the target (one entry per position or so, 2^8 to
-//! 2^16), and D-SOFT's working set follows the target's bins and one
-//! chunk's bands — not the query — with no allocation per query position.
-//! The padded `(u64, u32)` entries this build replaced peaked at 32 B per
-//! position behind a fixed 256 KiB directory and two transient copies of
-//! it; the hash map before them kept 74 B per position (99 B at its peak)
-//! in one heap `Vec` per word, and the whole-query band map grew with the
-//! query, one `Vec` of words per position: all three would fail here.
+//! `crates/align/tests/alloc_bound.rs`): a built table keeps a `u32`
+//! position and a key per indexed position — 5 B for the default seed on
+//! a target of 2^16 positions or more, 6 B below that — plus its
+//! directory, building one — serially or from shards — peaks at 8 B a
+//! window more (the shards' word runs, live while the first is
+//! scattered), the directory follows the target (one entry per position
+//! or so, 2^8 to 2^16), and D-SOFT's working set follows the target's
+//! bins and one chunk's bands — not the query — with no allocation per
+//! query position. The three arrays this layout replaced stored each
+//! distinct word whole beside an offset and kept 16 B per position (20 B
+//! at the build's peak); the padded `(u64, u32)` entries before them
+//! peaked at 32 B behind a fixed 256 KiB directory and two transient
+//! copies of it; the hash map before those kept 74 B per position (99 B
+//! at its peak) in one heap `Vec` per word, and the whole-query band map
+//! grew with the query, one `Vec` of words per position: all four would
+//! fail here.
 
 use genome::{Base, Sequence};
 use rand::rngs::StdRng;
@@ -124,12 +128,26 @@ fn measure<T>(f: impl FnOnce() -> T) -> Measured<T> {
 
 const KIB: usize = 1024;
 
-/// The prefix directory of a table of `positions` (a pattern of weight
-/// above 8): 2^⌈log2 positions⌉ + 1 `u32`s, from 2^8 to 2^16.
-fn directory(positions: usize) -> usize {
-    let bits = positions.next_power_of_two().trailing_zeros().clamp(8, 16);
-    4 * ((1 << bits) + 1)
+/// Directory bits of a table of `positions` (a pattern of weight above
+/// 8): ⌈log2 positions⌉, from 8 to 16.
+fn directory_bits(positions: usize) -> u32 {
+    positions.next_power_of_two().trailing_zeros().clamp(8, 16)
 }
+
+/// The prefix directory of such a table: 2^bits + 1 `u32`s.
+fn directory(positions: usize) -> usize {
+    4 * ((1 << directory_bits(positions)) + 1)
+}
+
+/// What the default seed's table keeps per indexed position: the `u32`
+/// position and the 24-bit word's bits below the directory prefix, in
+/// one byte when 8 bits or fewer are left, in two otherwise.
+fn entry(positions: usize) -> usize {
+    4 + if 24 - directory_bits(positions) <= 8 { 1 } else { 2 }
+}
+
+/// What a shard's word run costs the build per window, until scattered.
+const SHARD: usize = 8;
 
 /// The pattern clone, a `Vec` header or two, the shard list.
 const SLACK: usize = 4 * KIB;
@@ -142,7 +160,7 @@ fn random_dna(len: usize, seed: u64) -> Sequence {
 }
 
 #[test]
-fn table_keeps_16_bytes_per_position_and_builds_in_20() {
+fn table_keeps_5_bytes_per_position_and_builds_in_13() {
     let target = random_dna(150_000, 40);
     let pattern = SeedPattern::lastz_default();
 
@@ -151,6 +169,7 @@ fn table_keeps_16_bytes_per_position_and_builds_in_20() {
     assert_eq!(positions, target.len() - pattern.span() + 1);
     let directory = directory(positions);
     assert_eq!(directory, 4 * ((1 << 16) + 1));
+    assert_eq!(entry(positions), 5);
     eprintln!(
         "build: {:.2} B/position resident, {:.2} B/position peak, {} distinct words",
         (built.retained - directory) as f64 / positions as f64,
@@ -158,12 +177,12 @@ fn table_keeps_16_bytes_per_position_and_builds_in_20() {
         built.value.distinct_words()
     );
     assert!(
-        built.retained <= 16 * positions + directory + SLACK,
+        built.retained <= 5 * positions + directory + SLACK,
         "{} B resident for {positions} positions",
         built.retained
     );
     assert!(
-        built.peak <= 20 * positions + directory + SLACK,
+        built.peak <= (5 + SHARD) * positions + directory + SLACK,
         "build peaked at {} B for {positions} positions",
         built.peak
     );
@@ -171,7 +190,7 @@ fn table_keeps_16_bytes_per_position_and_builds_in_20() {
     assert!(40 * positions > 2 * built.retained);
 
     // Sharded, the shards' word runs are all live when the first is
-    // scattered: the same 20 B, however uneven the cuts.
+    // scattered: the same 13 B, however uneven the cuts.
     let cuts = [0, 9_000, 70_001, 149_990, target.len()];
     let shards = || -> Vec<_> {
         cuts.windows(2)
@@ -182,17 +201,17 @@ fn table_keeps_16_bytes_per_position_and_builds_in_20() {
     assert_eq!(sharded.value.positions_indexed() as usize, positions);
     assert_eq!(sharded.retained, built.retained);
     assert!(
-        sharded.peak <= 20 * positions + directory + SLACK,
+        sharded.peak <= (5 + SHARD) * positions + directory + SLACK,
         "sharded build peaked at {} B for {positions} positions",
         sharded.peak
     );
 
-    // The merge itself adds the run being sorted to the shards handed in,
-    // and nothing per word or per bucket.
+    // The merge itself adds the table to the shards handed in, and
+    // nothing per word or per bucket.
     let parts = shards();
     let merged = measure(|| SeedTable::from_partials(&pattern, parts, 1000));
     assert!(
-        merged.peak <= 12 * positions + directory + SLACK,
+        merged.peak <= 5 * positions + directory + SLACK,
         "merge peaked at {} B beyond the {positions} positions handed in",
         merged.peak
     );
@@ -204,43 +223,61 @@ fn table_keeps_16_bytes_per_position_and_builds_in_20() {
 }
 
 #[test]
-fn directory_follows_a_small_target() {
+fn a_small_target_keeps_6_bytes_per_position_behind_a_directory_its_size() {
     // 2 000 positions: 2^11 + 1 entries, 8 KiB, where a fixed 16-bit
-    // directory spent 256 KiB — eight times the table behind it.
+    // directory spent 256 KiB — eight times the table behind it — and 13
+    // of the word's 24 bits left for the key, so two bytes of it.
     let pattern = SeedPattern::lastz_default();
     let target = random_dna(2_000 + pattern.span() - 1, 44);
     let built = measure(|| SeedTable::build(&target, &pattern, 1000));
     let positions = built.value.positions_indexed() as usize;
     assert_eq!(positions, 2_000);
     assert_eq!(directory(positions), 4 * ((1 << 11) + 1));
-    for (what, bytes, per_position) in [("resident", built.retained, 16), ("peak", built.peak, 20)] {
+    assert_eq!(entry(positions), 6);
+    for (what, bytes, per_position) in [("resident", built.retained, 6), ("peak", built.peak, 6 + SHARD)] {
         assert!(
             bytes <= per_position * positions + directory(positions) + SLACK,
             "{bytes} B {what} for {positions} positions"
         );
     }
-    // Never more entries than twice the positions, never fewer than 2^8.
+    // Never more entries than twice the positions, never fewer than 2^8
+    // (which leaves a 16-bit key).
     assert_eq!(directory(129), 4 * ((1 << 8) + 1));
     assert_eq!(directory(0), 4 * ((1 << 8) + 1));
+    assert_eq!(entry(60), 6);
     let tiny = measure(|| SeedTable::build(&random_dna(60, 45), &pattern, 1000));
-    assert!(tiny.retained <= 16 * 60 + directory(60) + SLACK, "{} B", tiny.retained);
+    assert!(tiny.retained <= 6 * 60 + directory(60) + SLACK, "{} B", tiny.retained);
 }
 
 #[test]
-fn repeats_cost_four_bytes_a_position() {
-    // 40 kb of a 5 kb unit: 8 positions a word, all under the cap.
+fn repeats_cost_what_unique_words_cost() {
+    // 40 kb of a 5 kb unit: 8 positions a word, all under the cap. A run
+    // of equal keys is the word's position list — there is no entry per
+    // word to save on — so the table is byte for byte the size of one
+    // over as many positions that all differ.
+    let pattern = SeedPattern::lastz_default();
     let unit = random_dna(5_000, 41);
     let target: Sequence = (0..8).flat_map(|_| unit.iter()).collect();
-    let table = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), 1000));
+    let repeats = measure(|| SeedTable::build(&target, &pattern, 1000));
+    let unique = measure(|| SeedTable::build(&random_dna(target.len(), 47), &pattern, 1000));
     let (positions, words) = (
-        table.value.positions_indexed() as usize,
-        table.value.distinct_words(),
+        repeats.value.positions_indexed() as usize,
+        repeats.value.distinct_words(),
     );
     assert!((4_990..=5_000).contains(&words), "{words} distinct words");
+    assert_eq!(unique.value.positions_indexed() as usize, positions);
+    assert!(unique.value.distinct_words() > 7 * words);
+    eprintln!(
+        "repeats: {} B for {positions} positions of {words} words, {} B of {} words",
+        repeats.retained,
+        unique.retained,
+        unique.value.distinct_words()
+    );
+    assert_eq!(repeats.retained, unique.retained);
     assert!(
-        table.retained <= 4 * positions + 12 * (words + 1) + directory(positions) + SLACK,
+        repeats.retained <= 5 * positions + directory(positions) + SLACK,
         "{} B resident for {positions} positions of {words} words",
-        table.retained
+        repeats.retained
     );
 }
 
@@ -248,22 +285,32 @@ fn repeats_cost_four_bytes_a_position() {
 fn a_crowded_bucket_sorts_inside_the_same_peak() {
     // Poly-A with a random base every dozen: most words share their top
     // bits, so one bucket holds most of the table and sorts through its
-    // 4 B-an-entry index scratch rather than by insertion.
+    // `(key, position)` scratch rather than by insertion — 8 B an entry,
+    // borrowed after the shards' 8 B a window are given back, so even
+    // pure poly-A, one bucket of one word, peaks where random DNA does.
     let mut rng = StdRng::seed_from_u64(46);
-    let target: Sequence = (0..60_000)
+    let sprinkled: Sequence = (0..60_000)
         .map(|_| match rng.gen_range(0u8..12) {
             0 => Base::from_code(rng.gen_range(0u8..4)),
             _ => Base::A,
         })
         .collect();
-    let built = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), usize::MAX));
-    let positions = built.value.positions_indexed() as usize;
-    assert!(built.value.lookup(0).len() > positions / 8, "the poly-A word crowds bucket 0");
-    assert!(
-        built.peak <= 20 * positions + directory(positions) + SLACK,
-        "build peaked at {} B for {positions} positions",
-        built.peak
-    );
+    let pure: Sequence = std::iter::repeat_n(Base::A, 60_000).collect();
+    for (target, crowded) in [(sprinkled, 8), (pure, 1)] {
+        let built = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), usize::MAX));
+        let positions = built.value.positions_indexed() as usize;
+        let crowd = built.value.lookup(0).len();
+        assert!(crowd >= positions / crowded, "the poly-A word crowds bucket 0");
+        eprintln!(
+            "crowded: {:.2} B/position peak, {crowd} of {positions} positions under one word",
+            (built.peak - directory(positions)) as f64 / positions as f64
+        );
+        assert!(
+            built.peak <= (entry(positions) + SHARD) * positions + directory(positions) + SLACK,
+            "build peaked at {} B for {positions} positions",
+            built.peak
+        );
+    }
 }
 
 /// D-SOFT of `query` on a thread of its own.

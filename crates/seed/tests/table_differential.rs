@@ -1,7 +1,7 @@
 //! Differential wall for the seed index.
 //!
-//! `seed::table` is three flat arrays behind a prefix directory and
-//! `seed::dsoft` holds one chunk's bands at a time. What they replaced —
+//! `seed::table` is a position and a key per entry behind a prefix
+//! directory and `seed::dsoft` holds one chunk's bands at a time. What they replaced —
 //! a `HashMap<u64, Vec<u32>>` and a `BTreeMap` of every band of the query
 //! — lives on in `hash_oracle`, unchanged, as the reference (as the
 //! ragged-row kernel does for GACT-X). This harness proves the rewrite
@@ -11,7 +11,7 @@
 //! sequences with `N` runs and low-complexity stretches, narrow, default
 //! and wide patterns, every repeat cap regime and arbitrary shard cuts —
 //! and, since the directory is sized to the target, at every target size
-//! where its width changes.
+//! where its width changes, and at every width of the key beside it.
 
 mod hash_oracle;
 
@@ -251,6 +251,127 @@ fn every_directory_width_answers_like_the_hash_table() {
                 assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
                 for word in probe_words(&target, &pattern) {
                     assert_eq!(table.lookup(word), oracle.lookup(word), "{label}: word {word:#x}");
+                }
+            }
+        }
+    }
+}
+
+/// Bits of a word of `pattern` that a table of `positions` keeps as the
+/// key: those below a directory prefix of ⌈log2 positions⌉ bits, from 8
+/// to 16 and never more than the word.
+fn key_bits(pattern: &SeedPattern, positions: usize) -> u32 {
+    let word_bits = 2 * pattern.weight() as u32;
+    let directory_bits = positions.next_power_of_two().trailing_zeros().clamp(8, 16);
+    word_bits - directory_bits.min(word_bits)
+}
+
+/// A target of exactly `positions` windows of `exact(k)` whose buckets
+/// hold every arrangement of a run of equal keys. `run` windows of
+/// poly-A then a C: the all-zero word's run opens bucket 0 and larger
+/// keys follow it. A G then `run` windows of poly-T: the all-ones word's
+/// run closes the last bucket behind smaller keys. `ACGT` over and over:
+/// four words, each a run that is the whole of its bucket (when the
+/// prefix covers four bases). An `N`, and random bases to make up the
+/// count — with a stretch of them copied in twice more, so that words of
+/// any width come in threes.
+fn bucket_edges_target(k: usize, run: usize, positions: usize, seed: u64) -> Sequence {
+    let pattern = SeedPattern::exact(k);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut random = |n: usize| -> Vec<Base> {
+        (0..n).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect()
+    };
+    let unit = random(k + 4);
+    let mut bases = vec![Base::A; k + run - 1];
+    bases.push(Base::C);
+    bases.extend(random(3));
+    bases.extend([Base::A, Base::C, Base::G, Base::T].iter().cycle().take(k + 4 * run));
+    bases.push(Base::N);
+    bases.extend(unit.iter().chain(&random(2)).chain(&unit).chain(&random(1)).chain(&unit));
+    bases.push(Base::G);
+    bases.extend(vec![Base::T; k + run - 1]);
+    let windows = |bases: &[Base]| (0..bases.len()).filter(|&pos| pattern.extract(bases, pos).is_some()).count();
+    assert!(windows(&bases) <= positions, "{} windows before padding", windows(&bases));
+    // Padding goes in front, so poly-T still ends the target.
+    let mut padded = random(positions - windows(&bases));
+    padded.push(Base::C);
+    padded.extend(bases);
+    while windows(&padded) > positions {
+        padded.remove(0);
+    }
+    assert_eq!(windows(&padded), positions);
+    padded.into_iter().collect()
+}
+
+/// The key beside a position is a `u8`, `u16`, `u32` or `u64` — or
+/// nothing, when the directory covers the word: a table at every width,
+/// at the last key size that fits it and the first that does not, under
+/// caps that keep a run, drop exactly it, and drop everything, built
+/// whole and from uneven shards handed over back to front, answers like
+/// the hash table, and D-SOFT over it — each width is its own walk —
+/// returns what the whole-query map did.
+#[test]
+fn every_key_width_answers_like_the_hash_table() {
+    const RUN: usize = 5;
+    // (k, positions, key bits): an 8-bit directory up to 256 positions,
+    // a 9-bit one up to 512.
+    let widths = [
+        (4, 200, 0),
+        (5, 400, 1),
+        (8, 250, 8),
+        (9, 300, 9),
+        (12, 256, 16),
+        (13, 257, 17),
+        (20, 200, 32),
+        (21, 512, 33),
+        (31, 180, 54),
+    ];
+    for (k, positions, bits) in widths {
+        let pattern = SeedPattern::exact(k);
+        assert_eq!(key_bits(&pattern, positions), bits, "exact({k}) over {positions} positions");
+        let target = bucket_edges_target(k, RUN, positions, k as u64);
+        let query = related_query(&target, 7 * k as u64);
+        let probes = probe_words(&target, &pattern);
+        let poly_a = hash_oracle::SeedTable::build(&target, &pattern, usize::MAX).lookup(0).len();
+        assert!(poly_a >= RUN, "exact({k}): poly-A run of {poly_a}");
+        for cap in [1, poly_a, poly_a - 1, usize::MAX] {
+            let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
+            assert_eq!(oracle.positions_indexed(), positions as u64);
+            assert_eq!(oracle.lookup(0).len(), if cap >= poly_a { poly_a } else { 0 });
+            let cuts = [0, 1, positions / 5, positions / 5, positions - 3, target.len()];
+            let reversed: Vec<PartialSeedTable> = cuts
+                .windows(2)
+                .rev()
+                .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
+                .collect();
+            for (name, table) in [
+                ("serial", SeedTable::build(&target, &pattern, cap)),
+                ("sharded, parts reversed", SeedTable::from_partials(&pattern, reversed, cap)),
+            ] {
+                let label = format!("{name}, exact({k}), {bits} key bits, cap {cap}");
+                assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
+                assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
+                assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
+                let mut largest = None;
+                for &word in &probes {
+                    let found = table.lookup(word);
+                    assert_eq!(found, oracle.lookup(word), "{label}: word {word:#x}");
+                    largest = largest.max(found.last().copied());
+                }
+                assert_eq!(table.position_end(), largest.map_or(0, |pos| pos as usize + 1), "{label}");
+                for transitions in [false, true] {
+                    let params = DsoftParams {
+                        chunk_size: 32,
+                        bin_size: 16,
+                        threshold: 1,
+                        transitions,
+                        query_stride: 1,
+                    };
+                    assert_eq!(
+                        dsoft_seeds(&table, &query, &params),
+                        hash_oracle::dsoft_seeds_range(&oracle, &query, &params, 0..query.len()),
+                        "{label}, transitions {transitions}"
+                    );
                 }
             }
         }
