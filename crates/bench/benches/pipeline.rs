@@ -7,6 +7,7 @@ use genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seed::SeedTable;
+use std::sync::Arc;
 use wga_core::obs::Obs;
 use wga_core::{config::WgaParams, pipeline::run_pair, pipeline::WgaPipeline};
 
@@ -40,7 +41,7 @@ fn bench_pipeline(c: &mut Criterion) {
             let target = black_box(&pair.target.sequence);
             let table =
                 SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
-            run_pair(&params, &table, target, black_box(&pair.query.sequence), 4, Obs::off())
+            run_pair(&params, Arc::new(table), target, black_box(&pair.query.sequence), 4, Obs::off())
         })
     });
     group.finish();

@@ -213,8 +213,8 @@ pub struct WgaParams {
     /// Per-run resource budgets (unbounded by default).
     #[serde(default)]
     pub budget: ResourceBudget,
-    /// Minimum intra-pair shard size in bases for the sharded seeding
-    /// and seed-table builds (see [`crate::shard`]). Purely a
+    /// Minimum intra-pair shard size in bases for sharded D-SOFT
+    /// seeding (see [`crate::shard`]). Purely a
     /// performance knob: canonical output is byte-identical for every
     /// shard size. D-SOFT shard cuts are rounded up to whole D-SOFT
     /// chunks so diagonal-band counts never split across shards.

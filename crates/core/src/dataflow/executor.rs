@@ -473,7 +473,7 @@ fn produce<'a>(
         let mut dispatch = || -> Result<bool, String> {
             let table = row_tables[ti].get_or_insert_with(|| {
                 let busy = Instant::now();
-                row_seed_table(params, &tchrom.sequence, ti, threads, tables, pair_obs).map(
+                row_seed_table(params, &tchrom.sequence, ti, tables, pair_obs).map(
                     |(table, build_time)| {
                         table_build_ns.fetch_add(build_time.as_nanos() as u64, Ordering::Relaxed);
                         seed_meter.add_busy(busy.elapsed());
@@ -874,7 +874,7 @@ mod tests {
         // A hit every 320 bp, then one that panics its batch (and the
         // batch's one retry).
         let mut hits: Vec<SeedHit> = (0..4).map(|i| SeedHit::new(i * 320, i * 320)).collect();
-        hits.push(SeedHit::new(usize::MAX, 0));
+        hits.push(SeedHit::new(u32::MAX as usize, 0));
 
         let fold = |batches: Vec<BatchResult>| {
             let mut report = WgaReport::default();

@@ -83,7 +83,7 @@ fn tile_codes<'s>(
     hit: SeedHit,
 ) -> (usize, usize, &'s [u8], &'s [u8]) {
     let (t_range, q_range) =
-        tile_around(hit.target_pos, hit.query_pos, tile_size, target.len(), query.len());
+        tile_around(hit.target_pos as usize, hit.query_pos as usize, tile_size, target.len(), query.len());
     let (t0, q0) = (t_range.start, q_range.start);
     (t0, q0, &target.codes()[t_range], &query.codes()[q_range])
 }

@@ -300,14 +300,15 @@ pub fn align_assemblies_observed(
 /// affected pairs exactly like an in-run seed-table build panic.
 pub type SeedTableFn<'p> = dyn Fn(usize) -> Arc<SeedTable> + Sync + 'p;
 
-/// Rejects a target chromosome longer than the seed table's `u32`
-/// positions can address — here, with the configuration errors, rather
-/// than by indexing a truncated chromosome.
+/// Rejects a chromosome longer than a `u32` seed position can address —
+/// a target's in the seed table, a query's in a seed hit — here, with
+/// the configuration errors, rather than by seeding a truncated
+/// chromosome.
 fn check_indexable(name: &str, len: usize) -> WgaResult<()> {
     if len > MAX_TARGET_LEN {
         return Err(WgaError::input(
             name,
-            format!("{len} bases exceed the {MAX_TARGET_LEN} a seed table can index"),
+            format!("{len} bases exceed the {MAX_TARGET_LEN} a seed position can address"),
         ));
     }
     Ok(())
@@ -325,7 +326,7 @@ pub(crate) fn align_assemblies_provided(
     tables: Option<&SeedTableFn<'_>>,
 ) -> WgaResult<AssemblyReport> {
     params.validate()?;
-    for chrom in target.chromosomes() {
+    for chrom in target.chromosomes().iter().chain(query.chromosomes()) {
         check_indexable(&chrom.name, chrom.sequence.len())?;
     }
     if options.threads == 0 {
@@ -372,8 +373,10 @@ pub(crate) fn align_assemblies_provided(
     obs.set_total_pairs((target.chromosomes().len() * qn) as u64);
     let mut out = AssemblyReport::default();
     for (ti, tchrom) in target.chromosomes().iter().enumerate() {
-        // Built lazily so a fully-journaled target row skips the build.
-        let mut table: Option<Result<Arc<SeedTable>, String>> = None;
+        // Built lazily so a fully-journaled target row skips the build,
+        // and handed over whole to the row's last pair, which frees it
+        // at its last lookup.
+        let mut row_table: Option<Result<Arc<SeedTable>, String>> = None;
         for (qi, qchrom) in query.chromosomes().iter().enumerate() {
             let pair_obs = obs.with_pair((ti * qn + qi) as u64);
             let names = (tchrom.name.as_str(), qchrom.name.as_str());
@@ -382,17 +385,20 @@ pub(crate) fn align_assemblies_provided(
                 replay_pair(&mut out, record);
                 continue;
             }
-            let table = table.get_or_insert_with(|| {
-                row_seed_table(params, &tchrom.sequence, ti, options.threads, tables, pair_obs).map(
+            let table = row_table.take().unwrap_or_else(|| {
+                row_seed_table(params, &tchrom.sequence, ti, tables, pair_obs).map(
                     |(table, build_time)| {
                         out.timings.seeding += build_time;
                         table
                     },
                 )
             });
+            if qi + 1 < qn {
+                row_table = Some(table.clone());
+            }
             // A panicking pair is contained: it fails, the run goes on.
-            let result = match table {
-                Ok(table) => catch_unwind(AssertUnwindSafe(|| {
+            let result = table.and_then(|table| {
+                catch_unwind(AssertUnwindSafe(|| {
                     run_pair(
                         params,
                         table,
@@ -402,9 +408,8 @@ pub(crate) fn align_assemblies_provided(
                         pair_obs,
                     )
                 }))
-                .map_err(|payload| panic_message(payload.as_ref())),
-                Err(message) => Err(message.clone()),
-            };
+                .map_err(|payload| panic_message(payload.as_ref()))
+            });
             let record = commit_pair(names, result, journal.as_mut(), &retry_policy, pair_obs)?;
             fold_pair(&mut out, record);
         }
@@ -466,6 +471,7 @@ fn barrier_metrics(out: &AssemblyReport, threads: usize) -> ExecutorMetrics {
 mod tests {
     use super::*;
     use genome::evolve::{EvolutionParams, SyntheticPair};
+    use seed::SeedHit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -505,8 +511,11 @@ mod tests {
         );
     }
 
+    /// One check for both sides of a pair: a target position sits in the
+    /// seed table as a `u32`, a query position in a seed hit.
     #[test]
-    fn target_beyond_u32_positions_is_a_typed_error() {
+    fn chromosome_beyond_u32_positions_is_a_typed_error() {
+        assert_eq!(MAX_TARGET_LEN, SeedHit::new(usize::MAX, usize::MAX).query_pos as usize);
         assert!(check_indexable("chr1", MAX_TARGET_LEN).is_ok());
         let err = check_indexable("chr1", MAX_TARGET_LEN + 1).expect_err("must reject");
         assert!(matches!(err, WgaError::Input { .. }), "{err:?}");

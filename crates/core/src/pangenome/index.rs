@@ -3,8 +3,8 @@
 //! The joblist walks the pair matrix in `(a, b)` order, so every pair
 //! that aligns against target genome `a` is consecutive: a [`RowIndex`]
 //! holds that one genome's seed tables, keyed by chromosome and built at
-//! most once via the sharded builder, shared across the row's pairs and
-//! dropped when the row ends. This is the sweepga/FastGA unlock — a
+//! most once, shared across the row's pairs and dropped when the row
+//! ends. This is the sweepga/FastGA unlock — a
 //! genome appearing in `N-1` pairs pays for its index once, not `N-1`
 //! times — at the memory of one genome's index, not `N`. The tables are
 //! built *lazily*, so a kNN-sparsified or resumed run never indexes a
@@ -16,11 +16,12 @@
 //! count (sweepga scales its adaptive frequency threshold by haplotype
 //! count the same way). Both the shared-index and per-pair-index modes
 //! align with the *scaled* parameters, which is what makes their
-//! outputs byte-identical: the sharded table build is bit-deterministic
-//! for any thread count, so equal parameters mean equal tables mean
-//! equal reports.
+//! outputs byte-identical: the table build is a function of the target
+//! and the parameters, so equal parameters mean equal tables mean equal
+//! reports.
 
 use crate::config::WgaParams;
+use crate::stages::timed_seed_table;
 use genome::assembly::Assembly;
 use seed::SeedTable;
 use std::sync::{Arc, OnceLock};
@@ -42,20 +43,17 @@ pub fn scaled_params(params: &WgaParams, genome_count: usize) -> WgaParams {
 pub struct RowIndex<'g> {
     target: &'g Assembly,
     params: &'g WgaParams,
-    threads: usize,
     /// One slot per chromosome of `target`.
     tables: Vec<OnceLock<Arc<SeedTable>>>,
 }
 
 impl<'g> RowIndex<'g> {
     /// An empty index over `target`'s chromosomes. `params` must already
-    /// be scaled (see [`scaled_params`]); `threads` feeds the sharded
-    /// table builder.
-    pub fn new(params: &'g WgaParams, target: &'g Assembly, threads: usize) -> RowIndex<'g> {
+    /// be scaled (see [`scaled_params`]).
+    pub fn new(params: &'g WgaParams, target: &'g Assembly) -> RowIndex<'g> {
         RowIndex {
             target,
             params,
-            threads,
             tables: target.chromosomes().iter().map(|_| OnceLock::new()).collect(),
         }
     }
@@ -66,8 +64,7 @@ impl<'g> RowIndex<'g> {
     pub fn table(&self, chrom: usize) -> Arc<SeedTable> {
         let table = self.tables[chrom].get_or_init(|| {
             let sequence = &self.target.chromosomes()[chrom].sequence;
-            let (built, _build_time) =
-                crate::shard::sharded_seed_table(self.params, sequence, self.threads);
+            let (built, _build_time) = timed_seed_table(self.params, sequence);
             Arc::new(built)
         });
         Arc::clone(table)
@@ -109,7 +106,7 @@ mod tests {
     fn tables_build_once_and_only_when_asked_for() {
         let genome = two_chromosomes();
         let params = scaled_params(&WgaParams::darwin_wga(), 2);
-        let row = RowIndex::new(&params, &genome, 2);
+        let row = RowIndex::new(&params, &genome);
         assert_eq!(row.builds(), 0);
         let t1 = row.table(1);
         let t2 = row.table(1);
@@ -123,11 +120,8 @@ mod tests {
     fn shared_table_matches_fresh_build() {
         let genome = two_chromosomes();
         let params = scaled_params(&WgaParams::darwin_wga(), 2);
-        let shared = RowIndex::new(&params, &genome, 3).table(0);
-        let (fresh, _) =
-            crate::shard::sharded_seed_table(&params, &genome.chromosomes()[0].sequence, 1);
-        // Sharded builds are bit-identical across thread counts, so the
-        // shared table must equal a serial rebuild.
+        let shared = RowIndex::new(&params, &genome).table(0);
+        let (fresh, _) = timed_seed_table(&params, &genome.chromosomes()[0].sequence);
         let seq = &genome.chromosomes()[1].sequence;
         for pos in (0..seq.len().saturating_sub(32)).step_by(97) {
             let word = seq

@@ -6,7 +6,7 @@
 //! of the pair matrix:
 //!
 //! * [`index::RowIndex`] — one target genome's seed tables, keyed by
-//!   chromosome, built once via the sharded builder with the k-mer
+//!   chromosome, built once with the k-mer
 //!   frequency cap scaled by genome count ([`index::scaled_params`])
 //!   and dropped when the matrix moves on to the next target;
 //! * [`mash`] / [`joblist`] — integer-only bottom-k sketches and the
@@ -321,7 +321,7 @@ pub fn align_many_observed(
     // one run of it: its seed tables live for that run and no longer.
     for row in plans.chunk_by(|x, y| x.a == y.a) {
         let target = &genomes[row[0].a];
-        let row_index = RowIndex::new(&scaled, target, options.threads);
+        let row_index = RowIndex::new(&scaled, target);
         let provider = |chrom| row_index.table(chrom);
         let tables: Option<&SeedTableFn<'_>> = options.shared_index.then_some(&provider);
         for plan in row {

@@ -21,6 +21,7 @@ use crate::shard::run_sharded;
 use crate::stages::{extend_anchors, filter_batch, fold_batches, seed_lane, timed_seed_table};
 use genome::Sequence;
 use seed::{SeedHit, SeedTable};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the full pipeline on one target/query pair against a pre-built
@@ -29,6 +30,11 @@ use std::time::Instant;
 /// workers. The report is identical at any thread count, and
 /// byte-identical whether `obs` is live or [`Obs::off`]: the recorder
 /// only *watches* the run.
+///
+/// The pair owns its handle on `table` and gives it up after its last
+/// lookup — the last strand's seeding — so a caller that hands over the
+/// only handle (the target's last pair) has the table freed before the
+/// filter and the extension allocate, not under them.
 ///
 /// At one thread nothing is spawned, locked or shared, and each strand
 /// is one filter batch.
@@ -39,7 +45,7 @@ use std::time::Instant;
 /// ([`WgaParams::validate`]).
 pub fn run_pair(
     params: &WgaParams,
-    table: &SeedTable,
+    table: Arc<SeedTable>,
     target: &Sequence,
     query: &Sequence,
     threads: usize,
@@ -48,9 +54,10 @@ pub fn run_pair(
     assert!(threads > 0, "need at least one thread");
     let pair_start = Instant::now();
     let mut report = WgaReport::default();
-    let mut run_strand = |query: &Sequence, strand: Strand| {
+    let mut run_strand = |table: Arc<SeedTable>, query: &Sequence, strand: Strand| {
         let tiles_used = report.workload.filter_tiles;
-        let (hits, lane) = seed_lane(params, table, query, strand, threads, tiles_used, obs);
+        let (hits, lane) = seed_lane(params, &table, query, strand, threads, tiles_used, obs);
+        drop(table);
         // One filter context per strand (the fast engines' flattened
         // scoring), shared read-only by every batch.
         let ctx_start = Instant::now();
@@ -78,9 +85,11 @@ pub fn run_pair(
         drop((hits, ctx));
         extend_anchors(params, target, query, strand, anchors, pair_start, &mut report, obs);
     };
-    run_strand(query, Strand::Forward);
     if params.both_strands {
-        run_strand(&query.reverse_complement(), Strand::Reverse);
+        run_strand(Arc::clone(&table), query, Strand::Forward);
+        run_strand(table, &query.reverse_complement(), Strand::Reverse);
+    } else {
+        run_strand(table, query, Strand::Forward);
     }
     report
         .alignments
@@ -158,7 +167,7 @@ impl WgaPipeline {
         let (table, build_time) = timed_seed_table(&self.params, target);
         buf.finish(table_timer, SpanName::SeedTable, STRAND_NA, 0, 1, target.len() as u64);
         buf.flush();
-        let mut report = run_pair(&self.params, &table, target, query, 1, obs);
+        let mut report = run_pair(&self.params, Arc::new(table), target, query, 1, obs);
         report.timings.seeding += build_time;
         report
     }
@@ -368,8 +377,8 @@ mod tests {
         assert!(report.counters.alignments_kept < report.counters.anchors_passed / 2);
     }
 
-    fn table_for(params: &WgaParams, target: &Sequence) -> SeedTable {
-        SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences)
+    fn table_for(params: &WgaParams, target: &Sequence) -> Arc<SeedTable> {
+        Arc::new(SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences))
     }
 
     #[test]
@@ -378,7 +387,7 @@ mod tests {
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);
         let params = WgaParams::darwin_wga();
         let serial = WgaPipeline::new(params.clone()).run(t, q);
-        let parallel = run_pair(&params, &table_for(&params, t), t, q, 4, Obs::off());
+        let parallel = run_pair(&params, table_for(&params, t), t, q, 4, Obs::off());
         assert_eq!(serial.alignments, parallel.alignments);
         assert_eq!(serial.workload, parallel.workload);
         assert_eq!(serial.counters, parallel.counters);
@@ -396,7 +405,7 @@ mod tests {
             ..ResourceBudget::default()
         });
         let serial = WgaPipeline::new(params.clone()).run(t, q);
-        let parallel = run_pair(&params, &table_for(&params, t), t, q, 3, Obs::off());
+        let parallel = run_pair(&params, table_for(&params, t), t, q, 3, Obs::off());
         assert_eq!(serial.total_matches(), parallel.total_matches());
         assert_eq!(serial.workload.filter_tiles, parallel.workload.filter_tiles);
         assert_eq!(serial.events, parallel.events);
@@ -408,7 +417,7 @@ mod tests {
     fn zero_threads_rejected() {
         let s: Sequence = "ACGT".parse().unwrap();
         let params = WgaParams::darwin_wga();
-        run_pair(&params, &table_for(&params, &s), &s, &s, 0, Obs::off());
+        run_pair(&params, table_for(&params, &s), &s, &s, 0, Obs::off());
     }
 
     /// The one-thread schedule is a plain loop: every span of the pair is
@@ -427,7 +436,7 @@ mod tests {
         let table = table_for(&params, t);
         let filter_batches = |threads: usize| {
             let recorder = TraceRecorder::new();
-            let report = run_pair(&params, &table, t, q, threads, Obs::new(&recorder));
+            let report = run_pair(&params, Arc::clone(&table), t, q, threads, Obs::new(&recorder));
             let spans = recorder.spans();
             let tids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
             let batches: Vec<(u8, u64)> = spans

@@ -1,24 +1,22 @@
-//! Intra-pair sharding: position-space decomposition of seeding and the
+//! Intra-pair sharding: position-space decomposition of D-SOFT and the
 //! self-scheduled pool every fan-out in the crate runs on, so one large
 //! chromosome pair no longer serialises a thread pool.
 //!
 //! Before this module the unit of scheduled work was a whole chromosome
-//! pair: the seed table build and the D-SOFT walk ran on one thread, so
-//! a single 120 kbp pair pinned one worker while the rest idled. Here
-//! the seeding steps are split along their natural position axis into
-//! *shards* — independent work items a small self-scheduling pool
+//! pair: the D-SOFT walk ran on one thread, so a single 120 kbp pair
+//! pinned one worker while the rest idled. Here D-SOFT binning is split
+//! along the query into *shards* ([`seed::dsoft::dsoft_seeds_range`],
+//! cuts aligned to `chunk_size` so every diagonal band stays inside one
+//! shard) — independent work items a small self-scheduling pool
 //! ([`run_sharded`]) claims off a shared cursor (smallest remaining work
-//! first, since claims follow ascending position order):
-//!
-//! * **seed-table build** shards over target positions
-//!   ([`seed::table::SeedTable::build_partial`] extracts the word of
-//!   every window of a shard, one sort in `from_partials` merges them);
-//! * **D-SOFT binning** shards over query chunks
-//!   ([`seed::dsoft::dsoft_seeds_range`], cuts aligned to `chunk_size`
-//!   so every diagonal band stays inside one shard).
+//! first, since claims follow ascending position order). `--shard-size`
+//! is the floor on a shard's bases. The seed table is *not* built from
+//! shards: its count, scatter and sort are one thread's, and the words
+//! the shards once extracted for them are now read straight from the
+//! target (DESIGN.md, "Seed index").
 //!
 //! The barrier schedule fans its filter batches out through the same
-//! [`run_sharded`]. Extension is *not* sharded: whether an anchor is
+//! [`run_sharded`]. Extension is *not* sharded either: whether an anchor is
 //! extended at all depends on what the better-scoring anchors before it
 //! absorbed, so workers running ahead of the commit loop mostly computed
 //! extensions it then discarded (EXPERIMENTS.md, "Speculative-extension
@@ -35,8 +33,6 @@
 //! `Failed` escalation) composes unchanged with shard-level
 //! parallelism.
 
-use crate::config::WgaParams;
-use crate::stages::timed_seed_table;
 use crate::supervise::panic_message;
 use genome::Sequence;
 use parking_lot::Mutex;
@@ -45,7 +41,6 @@ use seed::SeedTable;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// Cuts `0..len` into contiguous shards for `threads` workers.
 ///
@@ -138,28 +133,6 @@ where
     values
 }
 
-/// Sharded [`SeedTable`] build over target-position ranges; bit-identical
-/// to the serial build for any thread count.
-pub(crate) fn sharded_seed_table(
-    params: &WgaParams,
-    target: &Sequence,
-    threads: usize,
-) -> (SeedTable, Duration) {
-    if threads <= 1 {
-        return timed_seed_table(params, target);
-    }
-    let shards = shard_ranges(target.len(), threads, params.shard_bases, 1);
-    if shards.len() <= 1 {
-        return timed_seed_table(params, target);
-    }
-    let start = Instant::now();
-    let parts = run_sharded(shards.len(), threads, |i| {
-        SeedTable::build_partial(target, &params.seed_pattern, shards[i].clone())
-    });
-    let table = SeedTable::from_partials(&params.seed_pattern, parts, params.max_seed_occurrences);
-    (table, start.elapsed())
-}
-
 /// Sharded D-SOFT seeding over chunk-aligned query ranges; bit-identical
 /// to [`dsoft_seeds`] for any thread count (cuts land on `chunk_size`
 /// boundaries, so every diagonal band is confined to one shard).
@@ -187,6 +160,7 @@ pub(crate) fn sharded_dsoft(
 mod tests {
     use super::*;
     use crate::config::WgaParams;
+    use crate::stages::timed_seed_table;
     use genome::evolve::{EvolutionParams, SyntheticPair};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -239,16 +213,11 @@ mod tests {
     fn sharded_seeding_matches_serial() {
         let mut rng = StdRng::seed_from_u64(23);
         let pair = SyntheticPair::generate(30_000, &EvolutionParams::at_distance(0.2), &mut rng);
-        let mut params = WgaParams::darwin_wga();
-        params.shard_bases = 512; // force many shards
-        let (serial, _) = timed_seed_table(&params, &pair.target.sequence);
-        let (sharded, _) = sharded_seed_table(&params, &pair.target.sequence, 4);
-        assert_eq!(serial.positions_indexed(), sharded.positions_indexed());
-        assert_eq!(serial.distinct_words(), sharded.distinct_words());
-        assert_eq!(serial.dropped_repeats(), sharded.dropped_repeats());
-
-        let whole = dsoft_seeds(&serial, &pair.query.sequence, &params.dsoft);
-        let split = sharded_dsoft(&sharded, &pair.query.sequence, &params.dsoft, 512, 4);
+        let params = WgaParams::darwin_wga();
+        let (table, _) = timed_seed_table(&params, &pair.target.sequence);
+        let whole = dsoft_seeds(&table, &pair.query.sequence, &params.dsoft);
+        // 512 bases a shard: many shards.
+        let split = sharded_dsoft(&table, &pair.query.sequence, &params.dsoft, 512, 4);
         assert_eq!(whole, split);
     }
 }

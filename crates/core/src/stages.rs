@@ -31,7 +31,7 @@ use crate::obs::{strand_code, Counter, Obs, SpanName, STRAND_NA};
 use crate::report::{
     BudgetKind, PairOutcome, RunEvent, StageKind, Strand, WgaAlignment, WgaReport,
 };
-use crate::shard::{sharded_dsoft, sharded_seed_table};
+use crate::shard::sharded_dsoft;
 use crate::supervise::{self, panic_message, RetryPolicy};
 use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use align::gactx::{self, ExtendedAlignment};
@@ -45,11 +45,10 @@ use std::time::{Duration, Instant};
 /// Builds the seed table for `target`, returning it with the wall-clock
 /// the build took.
 ///
-/// Every schedule times the table build through this one helper (or
-/// its sharded twin) and adds only the returned duration to
-/// `timings.seeding` — measuring it around a larger span
-/// (the old pattern) silently folded filtering and extension time into
-/// the seeding figure.
+/// Every schedule times the table build through this one helper and
+/// adds only the returned duration to `timings.seeding` — measuring it
+/// around a larger span (the old pattern) silently folded filtering and
+/// extension time into the seeding figure.
 pub(crate) fn timed_seed_table(params: &WgaParams, target: &Sequence) -> (SeedTable, Duration) {
     let start = Instant::now();
     let table = SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
@@ -103,8 +102,8 @@ pub fn run_filter(
     match params.filter {
         FilterStage::Gapped(f) => {
             let (t_range, q_range) = tile_around(
-                hit.target_pos,
-                hit.query_pos,
+                hit.target_pos as usize,
+                hit.query_pos as usize,
                 f.tile_size,
                 target.len(),
                 query.len(),
@@ -120,16 +119,17 @@ pub fn run_filter(
             gapped_outcome(&f, t0, q0, out)
         }
         FilterStage::Ungapped(f) => {
+            let (target_pos, query_pos) = (hit.target_pos as usize, hit.query_pos as usize);
             let seed_len = params
                 .seed_pattern
                 .span()
-                .min(target.len() - hit.target_pos)
-                .min(query.len() - hit.query_pos);
+                .min(target.len() - target_pos)
+                .min(query.len() - query_pos);
             let out = ungapped_extend(
                 target.as_slice(),
                 query.as_slice(),
-                hit.target_pos,
-                hit.query_pos,
+                target_pos,
+                query_pos,
                 seed_len,
                 &params.scoring,
                 f.xdrop,
@@ -323,12 +323,12 @@ pub(crate) fn filter_batch(
     })
 }
 
-/// Test-only fault injection: a hit at `usize::MAX` (unreachable from
-/// real seeding, whose positions come from the seed table) panics
+/// Test-only fault injection: a hit at `u32::MAX` (unreachable from
+/// real seeding: the seed table's last position is one below it) panics
 /// inside the filter batch.
 #[cfg(test)]
 fn poison_check(hit: SeedHit) {
-    if hit.target_pos == usize::MAX {
+    if hit.target_pos == u32::MAX {
         panic!("poisoned filter hit");
     }
 }
@@ -490,7 +490,7 @@ pub(crate) fn extend_anchors(
 /// The seed table of target row `row`, fetched from the many-genome
 /// provider when there is one (it owns build timing and span
 /// accounting: a hit may be a cache lookup, not a build) and otherwise
-/// built here, sharded over `threads`, under a `seed.table` span. The
+/// built here, by the calling thread, under a `seed.table` span. The
 /// returned duration is the build wall-clock for `timings.seeding`.
 ///
 /// Either way a panic is contained to an error message that fails every
@@ -499,7 +499,6 @@ pub(crate) fn row_seed_table(
     params: &WgaParams,
     target: &Sequence,
     row: usize,
-    threads: usize,
     tables: Option<&SeedTableFn<'_>>,
     obs: Obs<'_>,
 ) -> Result<(Arc<SeedTable>, Duration), String> {
@@ -508,7 +507,7 @@ pub(crate) fn row_seed_table(
     catch_unwind(AssertUnwindSafe(|| match tables {
         Some(provider) => (provider(row), Duration::ZERO),
         None => {
-            let (table, build_time) = sharded_seed_table(params, target, threads);
+            let (table, build_time) = timed_seed_table(params, target);
             buf.finish(
                 table_timer,
                 SpanName::SeedTable,

@@ -1,4 +1,5 @@
-//! Index memory follows one genome, not the genome count.
+//! Index memory follows one genome, not the genome count — and not the
+//! extension.
 //!
 //! `wga many` keeps the seed tables of the target genome in hand — one
 //! row of the pair matrix — and drops them when the matrix moves to the
@@ -9,6 +10,16 @@
 //! that does not hold one more table. An index that lives for the run
 //! holds five tables at the end of six genomes and two at the end of
 //! three, and fails here by three tables.
+//!
+//! Inside a row a table lives to its last lookup, not to the row's last
+//! extension: the row's last pair is handed the row's own handle and
+//! drops it after seeding its last strand. The second test pins that by
+//! running one pair twice — alone, and with a 400-base second query
+//! chromosome that keeps the row's handle alive under the first pair's
+//! extension — and asks that the run alone peaks at the larger of the
+//! table and the extension, not at their sum. A row loop that frees a
+//! table after the row's last extension peaks the same in both, and
+//! fails here by half of what the extension holds.
 
 use genome::assembly::Assembly;
 use genome::evolve::{EvolutionParams, SyntheticPair};
@@ -16,7 +27,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use seed::SeedTable;
 use wga_core::config::WgaParams;
+use wga_core::genome_pipeline::{align_assemblies, align_assemblies_observed, AlignOptions};
+use wga_core::obs::{Obs, SpanName, TraceRecorder};
 use wga_core::pangenome::{align_many, ManyOptions, ManyReport};
 
 thread_local! {
@@ -116,4 +130,56 @@ fn live_heap_of_a_many_genome_run_does_not_grow_with_the_genome_count() {
         peak_of_six <= peak_of_three + slack,
         "{peak_of_six} B live over 6 genomes, {peak_of_three} B over 3"
     );
+}
+
+#[test]
+fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
+    // Long alignments: what the extension holds (its traceback arena
+    // above all) is several times what seeding holds beside the table.
+    let mut rng = StdRng::seed_from_u64(62);
+    let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(0.30), &mut rng);
+    let params = WgaParams::darwin_wga();
+    let mut target = Assembly::new("t");
+    target.push("chrT", pair.target.sequence.clone());
+    let mut alone = Assembly::new("q");
+    alone.push("chrQ", pair.query.sequence.clone());
+    // The same query, then a chromosome too short to matter: the first
+    // pair is no longer the row's last, so it shares the row's table.
+    let mut followed = alone.clone();
+    followed.push("chrTiny", pair.query.sequence.subsequence(0..400));
+
+    let before = LIVE.get();
+    let table = SeedTable::build(&pair.target.sequence, &params.seed_pattern, params.max_seed_occurrences);
+    let table_bytes = (LIVE.get() - before) as usize;
+    drop(table);
+    assert!(table_bytes > 5 * pair.target.sequence.len());
+
+    // Once unmeasured, so the per-thread kernel scratches are grown.
+    align_assemblies(&params, &target, &followed);
+    let (one, peak_alone) = measure(|| align_assemblies(&params, &target, &alone));
+    let (two, peak_followed) = measure(|| align_assemblies(&params, &target, &followed));
+    assert_eq!((one.pairs.len(), two.pairs.len()), (1, 2));
+    assert!(one.total_matches() > 20_000, "{}", one.total_matches());
+    assert_eq!(one.for_pair("chrT", "chrQ").len(), two.for_pair("chrT", "chrQ").len());
+    eprintln!(
+        "live-heap high-water: {peak_alone} B alone, {peak_followed} B sharing the row's table of {table_bytes} B"
+    );
+    // Followed, the pair extends over the row's table: the run peaks at
+    // the table plus what the extension holds. Alone it peaks at the
+    // larger of the two humps — the table with seeding's few tens of KB,
+    // or the extension by itself — not at their sum.
+    let extension = peak_followed.saturating_sub(table_bytes);
+    assert!(extension > 128 * 1024, "the extension holds {extension} B");
+    assert!(
+        peak_alone <= table_bytes.max(extension) + extension / 2,
+        "{peak_alone} B alone, {peak_followed} B under a shared table of {table_bytes} B"
+    );
+
+    // Sharing is sharing: the row of two pairs built its table once.
+    let recorder = TraceRecorder::new();
+    let observed = align_assemblies_observed(&params, &target, &followed, &AlignOptions::default(), Obs::new(&recorder))
+        .expect("run succeeds");
+    assert_eq!(observed.pairs.len(), 2);
+    let builds = recorder.spans().iter().filter(|span| span.name == SpanName::SeedTable).count();
+    assert_eq!(builds, 1);
 }

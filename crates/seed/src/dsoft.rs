@@ -188,7 +188,7 @@ fn walk<K: Key>(
         }
         result.bands_touched += first_hits.len() as u64;
         for hit in first_hits.drain(..) {
-            let count = std::mem::take(&mut bin_counts[hit.target_pos / params.bin_size]);
+            let count = std::mem::take(&mut bin_counts[hit.target_pos as usize / params.bin_size]);
             if count >= params.threshold {
                 result.hits.push(hit);
             }

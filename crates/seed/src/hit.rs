@@ -3,27 +3,33 @@
 use serde::{Deserialize, Serialize};
 
 /// A seed hit: a spaced-seed match between target and query.
+///
+/// Eight bytes, positions as the seed table stores them: a strand's hit
+/// list grows with the product of the two lengths, and every filter
+/// batch carries its share of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SeedHit {
     /// Target position of the seed window start.
-    pub target_pos: usize,
+    pub target_pos: u32,
     /// Query position of the seed window start.
-    pub query_pos: usize,
+    pub query_pos: u32,
 }
 
 impl SeedHit {
-    /// Creates a seed hit.
+    /// Creates a seed hit. A position past `u32::MAX` saturates there:
+    /// the pipeline rejects a chromosome that long before it seeds.
     pub fn new(target_pos: usize, query_pos: usize) -> SeedHit {
+        let clamp = |pos: usize| u32::try_from(pos).unwrap_or(u32::MAX);
         SeedHit {
-            target_pos,
-            query_pos,
+            target_pos: clamp(target_pos),
+            query_pos: clamp(query_pos),
         }
     }
 
     /// The hit's diagonal (`target - query`), which is constant along a
     /// gap-free alignment.
-    pub fn diagonal(&self) -> isize {
-        self.target_pos as isize - self.query_pos as isize
+    pub fn diagonal(&self) -> i64 {
+        i64::from(self.target_pos) - i64::from(self.query_pos)
     }
 }
 

@@ -96,6 +96,13 @@ impl SeedPattern {
         Some(word)
     }
 
+    /// The word of every window of `seq`, in position order: what
+    /// [`SeedPattern::extract`] returns at 0, 1, 2, …, without the
+    /// positions where it returns `None`.
+    pub fn words<'a>(&'a self, seq: &'a [Base]) -> Words<'a> {
+        Words::new(self, seq)
+    }
+
     /// Every one-transition variant of `exact` (Fig. 5b), without
     /// allocating: `weight()` words where one sampled base is replaced by
     /// its transition partner, first sampled position first.
@@ -140,6 +147,110 @@ impl SeedPattern {
         } else {
             1
         }
+    }
+}
+
+/// Widest pattern whose window rolls through one `u64`, two bits a base.
+const ROLLING_SPAN_MAX: usize = 32;
+
+/// One run of consecutive `1`s of a pattern: where its bases lie in the
+/// rolling window and where in the word.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// How far right of its place in the window the run sits in the word.
+    shift: u32,
+    /// The run's bits in the word.
+    mask: u64,
+}
+
+/// Iterator over `(position, word)` of every window of a sequence that
+/// has a word; see [`SeedPattern::words`].
+///
+/// The window is rolled, not re-read: the last 32 bases sit in a `u64`
+/// two bits each (newest lowest) beside one `N` bit each, a base is
+/// shifted into both per position, and the word is gathered with one
+/// shift-and-mask per run of `1`s — six for the 12-of-19 seed, where
+/// [`SeedPattern::extract`] loads twelve bases. A pattern wider than 32
+/// bases does not fit the window and is read through `extract`, one
+/// position at a time.
+#[derive(Debug, Clone)]
+pub struct Words<'a> {
+    pattern: &'a SeedPattern,
+    seq: &'a [Base],
+    /// Start of the next window.
+    pos: usize,
+    /// Empty when the pattern is too wide to roll.
+    runs: Vec<Run>,
+    /// The window's `N` bits at the sampled offsets.
+    n_mask: u64,
+    codes: u64,
+    ns: u64,
+}
+
+impl<'a> Words<'a> {
+    fn new(pattern: &'a SeedPattern, seq: &'a [Base]) -> Words<'a> {
+        let mut words = Words {
+            pattern,
+            seq,
+            pos: 0,
+            runs: Vec::new(),
+            n_mask: 0,
+            codes: 0,
+            ns: 0,
+        };
+        if pattern.span > ROLLING_SPAN_MAX {
+            return words;
+        }
+        // Sampled offset `off` is `span - 1 - off` bases behind the
+        // window's newest, and the `k`-th sampled offset from the end is
+        // field `k` of the word.
+        for (field, &off) in pattern.sampled.iter().rev().enumerate() {
+            let behind = pattern.span - 1 - off;
+            words.n_mask |= 1 << behind;
+            let shift = 2 * (behind - field) as u32;
+            let mask = 0b11 << (2 * field);
+            match words.runs.last_mut() {
+                Some(run) if run.shift == shift => run.mask |= mask,
+                _ => words.runs.push(Run { shift, mask }),
+            }
+        }
+        for &base in seq.iter().take(pattern.span - 1) {
+            words.push(base);
+        }
+        words
+    }
+
+    #[inline]
+    fn push(&mut self, base: Base) {
+        // A=0 … T=3 are their own 2-bit codes; N=4 is the bit above.
+        let code = u64::from(base.code());
+        self.codes = (self.codes << 2) | (code & 0b11);
+        self.ns = (self.ns << 1) | (code >> 2);
+    }
+}
+
+impl Iterator for Words<'_> {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        while let Some(&newest) = self.seq.get(self.pos + self.pattern.span - 1) {
+            let pos = self.pos;
+            self.pos += 1;
+            if self.runs.is_empty() {
+                if let Some(word) = self.pattern.extract(self.seq, pos) {
+                    return Some((pos, word));
+                }
+                continue;
+            }
+            self.push(newest);
+            if self.ns & self.n_mask == 0 {
+                let codes = self.codes;
+                let word = self.runs.iter().fold(0, |word, run| word | ((codes >> run.shift) & run.mask));
+                return Some((pos, word));
+            }
+        }
+        None
     }
 }
 
@@ -270,6 +381,69 @@ mod tests {
         assert_eq!(p.extract(s.as_slice(), 6), None); // overruns
         assert!(p.extract(s.as_slice(), 0).is_some());
         assert!(p.extract(s.as_slice(), 5).is_some());
+    }
+
+    /// Targets that stress the rolled window: random bases with an `N`
+    /// first, last, and every 37th base (37 is coprime to every span
+    /// here, so an `N` meets each offset of each pattern, sampled or
+    /// not), a run of `N` longer than any span, and every length from
+    /// empty through a few past the widest span.
+    fn rolling_targets() -> Vec<Vec<Base>> {
+        let mut state = 7u64;
+        let mut random = |len: usize| -> Vec<Base> {
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    Base::from_code((state >> 33) as u8 % 4)
+                })
+                .collect()
+        };
+        let mut sprinkled = random(400);
+        for at in (0..sprinkled.len()).step_by(37).chain([sprinkled.len() - 1]) {
+            sprinkled[at] = Base::N;
+        }
+        let mut gapped = random(150);
+        gapped.splice(60..60, vec![Base::N; 45]);
+        let mut targets = vec![sprinkled, gapped, vec![Base::N; 50]];
+        targets.extend((0..=44).map(&mut random));
+        targets
+    }
+
+    #[test]
+    fn rolled_words_equal_extract_at_every_position() {
+        // The last is 40 wide: past 32 bases the window does not roll.
+        let wide = "1101000110000010011100101000011000100111";
+        let patterns = [
+            SeedPattern::lastz_default(),
+            SeedPattern::exact(4),
+            SeedPattern::exact(31),
+            format!("1{}1", "0".repeat(30)).parse().unwrap(),
+            format!("1{}1", "0".repeat(31)).parse().unwrap(),
+            wide.parse().unwrap(),
+        ];
+        assert_eq!(patterns.iter().map(SeedPattern::span).collect::<Vec<_>>(), [19, 4, 31, 32, 33, 40]);
+        for pattern in &patterns {
+            let mut with_n = 0;
+            for target in rolling_targets() {
+                let expected: Vec<(usize, u64)> = (0..target.len() + 2)
+                    .filter_map(|pos| Some((pos, pattern.extract(&target, pos)?)))
+                    .collect();
+                with_n += usize::from(expected.len() + pattern.span() <= target.len());
+                let rolled: Vec<(usize, u64)> = pattern.words(&target).collect();
+                assert_eq!(rolled, expected, "{pattern} over {} bases", target.len());
+            }
+            assert!(with_n >= 2, "{pattern}: an `N` must cost some target a window");
+        }
+    }
+
+    #[test]
+    fn words_gather_one_run_of_ones_at_a_time() {
+        let runs = |pattern: &SeedPattern| Words::new(pattern, &[]).runs.len();
+        assert_eq!(runs(&SeedPattern::lastz_default()), 6);
+        assert_eq!(runs(&SeedPattern::exact(31)), 1);
+        assert_eq!(runs(&"10101".parse().unwrap()), 3);
+        // Too wide to roll: no runs, every word through `extract`.
+        assert_eq!(runs(&format!("1{}1", "0".repeat(31)).parse().unwrap()), 0);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! keys, and what is left is the paper's two tables.
 
 use crate::pattern::SeedPattern;
-use genome::Sequence;
-use std::ops::Range;
+use genome::{Base, Sequence};
 
 /// Longest target a table can index: positions and directory entries are
 /// `u32`. Windows starting at or past it are not indexed; callers reject
@@ -23,9 +22,10 @@ use std::ops::Range;
 pub const MAX_TARGET_LEN: usize = u32::MAX as usize;
 
 /// The directory is indexed by a word's top bits: as many as leave about
-/// one indexed position per entry (`⌈log2 positions⌉`), so a 2 k-position
+/// one window per entry (`⌈log2 windows⌉`: it is sized before the words
+/// are read, so a window an `N` spoils still counts), so a 2 k-position
 /// chromosome pays 8 KiB for it and no target more entries than twice its
-/// positions — but at least these, which keeps a lookup in a tiny table
+/// windows — but at least these, which keeps a lookup in a tiny table
 /// from searching every entry…
 const MIN_DIRECTORY_BITS: u32 = 8;
 /// …and at most these: 2^16 + 1 `u32`s, 256 KiB, whatever the target. A
@@ -34,12 +34,8 @@ const MIN_DIRECTORY_BITS: u32 = 8;
 /// 50–190 kbp ones, cost more than it saves (DESIGN.md, "Seed index").
 const MAX_DIRECTORY_BITS: u32 = 16;
 
-/// Marks a window holding an `N` in a shard's word run. No pattern has
-/// more than 31 sampled bases, so no word has more than 62 bits.
-const NO_WORD: u64 = u64::MAX;
-
-/// A bucket of at most this many entries is sorted by insertion where it
-/// lies; a longer one goes through the `(key, position)` scratch.
+/// A bucket of at most this many entries is sorted by insertion; a
+/// longer one is first split on its keys' bits. Either way where it lies.
 const INSERTION_SORT_MAX: usize = 24;
 
 /// An index of every seed word in the target genome.
@@ -95,10 +91,15 @@ pub(crate) enum Keys {
 pub(crate) trait Key: Copy + Ord + Default {
     /// `bits`, which the caller has masked to the table's `key_bits`.
     fn from_bits(bits: u64) -> Self;
+    /// The bits [`Key::from_bits`] was given.
+    fn bits(self) -> u64;
 }
 
 impl Key for () {
     fn from_bits(_: u64) {}
+    fn bits(self) -> u64 {
+        0
+    }
 }
 
 macro_rules! impl_key {
@@ -107,6 +108,10 @@ macro_rules! impl_key {
             #[inline]
             fn from_bits(bits: u64) -> $int {
                 bits as $int
+            }
+            #[inline]
+            fn bits(self) -> u64 {
+                u64::from(self)
             }
         }
     )*};
@@ -174,88 +179,27 @@ impl SeedTable {
     ///
     /// `max_occurrences` caps the per-word position list; words over the
     /// cap are removed entirely.
+    ///
+    /// The table is built where it will lie, from two reads of the
+    /// target ([`SeedPattern::words`] rolls the window, so a read is
+    /// cheap): the first counts each directory bucket's words, the second
+    /// puts every position, beside its key, into its bucket. Then, a
+    /// bucket at a time, the bucket is sorted by (key, position) and
+    /// squeezed down over the dropped entries before it: the runs of
+    /// equal keys no longer than `max_occurrences` stay, the longer ones
+    /// go. Nothing but the two arrays and the directory is allocated, so
+    /// the build peaks at what an uncapped table keeps: a position and a
+    /// key — 5 B for the default seed on a target past 2^15 windows, 6 B
+    /// below — per indexed position.
     pub fn build(target: &Sequence, pattern: &SeedPattern, max_occurrences: usize) -> SeedTable {
-        let whole = SeedTable::build_partial(target, pattern, 0..target.len());
-        SeedTable::from_partials(pattern, [whole], max_occurrences)
-    }
-
-    /// Indexes one shard of target positions (`range ∩ 0..indexable`).
-    ///
-    /// Sharded building is *exact*: indexing disjoint ranges covering
-    /// `0..target.len()` and merging them with
-    /// [`SeedTable::from_partials`] reproduces [`SeedTable::build`]
-    /// bit for bit, for any cut points. Each position's seed window may
-    /// read past `range.end` into the next shard's bases — ownership of
-    /// a *position* is what partitions the work, not the bases it reads.
-    pub fn build_partial(
-        target: &Sequence,
-        pattern: &SeedPattern,
-        range: Range<usize>,
-    ) -> PartialSeedTable {
-        let slice = target.as_slice();
-        let indexable = target
-            .len()
-            .saturating_sub(pattern.span().saturating_sub(1));
-        let clamp = |pos: usize| u32::try_from(pos).unwrap_or(u32::MAX);
-        let (start, end) = (clamp(range.start), clamp(range.end.min(indexable)));
-        let mut indexed = 0u64;
-        let words = (start..end)
-            .map(|pos| match pattern.extract(slice, pos as usize) {
-                Some(word) => {
-                    indexed += 1;
-                    word
-                }
-                None => NO_WORD,
-            })
-            .collect();
-        PartialSeedTable {
-            start,
-            words,
-            indexed,
-        }
-    }
-
-    /// Merges per-shard runs into a whole-target [`SeedTable`].
-    ///
-    /// One counting sort on the directory prefix scatters every shard's
-    /// positions, each beside its key, into their bucket; then, a bucket
-    /// at a time, the bucket is sorted by (key, position) and squeezed
-    /// down over the dropped entries before it: the runs of equal keys no
-    /// longer than `max_occurrences` stay, the longer ones go. Nothing
-    /// but the two arrays and the directory is allocated. Sorting by
-    /// position inside a key puts every position list in ascending order
-    /// whatever order the shards arrive in — exactly the serial build's
-    /// lists. The repeat cap is applied to the merged runs, against
-    /// whole-target counts, so a repeat word split across shards is still
-    /// dropped exactly as the serial build drops it.
-    ///
-    /// At its peak, while the first shard is scattered, the build holds
-    /// the shards' 8 B a window and a position and a key — 5 B for the
-    /// default seed on a target past 2^15 positions, 6 B below — per
-    /// indexed position; sorting a bucket of more than a couple of dozen entries
-    /// borrows a `(key, position)` pair for each, after the shards are
-    /// gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards hold more than [`MAX_TARGET_LEN`] entries
-    /// together, which disjoint shards of one target cannot.
-    pub fn from_partials(
-        pattern: &SeedPattern,
-        parts: impl IntoIterator<Item = PartialSeedTable>,
-        max_occurrences: usize,
-    ) -> SeedTable {
-        let parts: Vec<PartialSeedTable> = parts.into_iter().collect();
-        let total: u64 = parts.iter().map(|part| part.indexed).sum();
-        assert!(
-            total <= MAX_TARGET_LEN as u64,
-            "{total} entries overflow u32 directory entries"
-        );
-        let total = total as usize;
+        // A window starting at or past `MAX_TARGET_LEN` is not indexed.
+        let reach = MAX_TARGET_LEN.saturating_add(pattern.span() - 1);
+        let bases = &target.as_slice()[..target.len().min(reach)];
+        let windows = (bases.len() + 1).saturating_sub(pattern.span());
 
         let word_bits = 2 * pattern.weight() as u32;
-        // ⌈log2 total⌉, inside the directory's limits and the word.
-        let directory_bits = total
+        // ⌈log2 windows⌉, inside the directory's limits and the word.
+        let directory_bits = windows
             .next_power_of_two()
             .trailing_zeros()
             .clamp(MIN_DIRECTORY_BITS, MAX_DIRECTORY_BITS)
@@ -264,19 +208,17 @@ impl SeedTable {
 
         // bounds[p] is where bucket p's stretch of the sorted run starts.
         let mut bounds = vec![0u32; (1usize << directory_bits) + 1];
-        for part in &parts {
-            for &word in part.words.iter().filter(|&&word| word != NO_WORD) {
-                bounds[(word >> key_bits) as usize + 1] += 1;
-            }
+        for (_, word) in pattern.words(bases) {
+            bounds[(word >> key_bits) as usize + 1] += 1;
         }
         accumulate(&mut bounds);
 
         match key_bits {
-            0 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::None),
-            1..=8 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U8),
-            9..=16 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U16),
-            17..=32 => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U32),
-            _ => assemble(pattern, parts, max_occurrences, bounds, key_bits, Keys::U64),
+            0 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::None),
+            1..=8 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U8),
+            9..=16 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U16),
+            17..=32 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U32),
+            _ => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U64),
         }
     }
 
@@ -336,13 +278,12 @@ fn accumulate(counts: &mut [u32]) {
     }
 }
 
-/// The rest of [`SeedTable::from_partials`] once the key width `K` is
-/// known: scatter, sort and squeeze. `directory[p]` comes in as where
-/// bucket `p` starts in the uncapped run, its last entry as the run's
-/// length.
+/// The rest of [`SeedTable::build`] once the key width `K` is known:
+/// scatter, sort and squeeze. `directory[p]` comes in as where bucket `p`
+/// starts in the uncapped run, its last entry as the run's length.
 fn assemble<K: Key>(
     pattern: &SeedPattern,
-    parts: Vec<PartialSeedTable>,
+    bases: &[Base],
     max_occurrences: usize,
     mut directory: Vec<u32>,
     key_bits: u32,
@@ -355,25 +296,20 @@ fn assemble<K: Key>(
     let mut positions = vec![0u32; total];
     // Each bucket's start doubles as its fill cursor, which leaves
     // directory[p] where bucket p *ends*.
-    for part in parts {
-        for (word, pos) in part.words.into_iter().zip(part.start..) {
-            if word != NO_WORD {
-                let slot = &mut directory[(word >> key_bits) as usize];
-                keys[*slot as usize] = K::from_bits(word & mask);
-                positions[*slot as usize] = pos;
-                *slot += 1;
-            }
-        }
+    for (pos, word) in pattern.words(bases) {
+        let slot = &mut directory[(word >> key_bits) as usize];
+        keys[*slot as usize] = K::from_bits(word & mask);
+        positions[*slot as usize] = pos as u32;
+        *slot += 1;
     }
 
-    let mut scratch = Vec::new();
     let (mut start, mut kept) = (0usize, 0usize);
     let (mut dropped_repeats, mut distinct_words, mut position_end) = (0u64, 0usize, 0usize);
     for slot in &mut directory[..buckets] {
         // In the kept run a bucket starts where the ones before it
         // were squeezed to.
         let end = std::mem::replace(slot, kept as u32) as usize;
-        sort_bucket(&mut keys[start..end], &mut positions[start..end], &mut scratch);
+        sort_bucket(&mut keys[start..end], &mut positions[start..end], key_bits);
         // A run of equal keys is one word: it cannot leave its bucket.
         while start < end {
             let key = keys[start];
@@ -412,22 +348,37 @@ fn assemble<K: Key>(
     }
 }
 
-/// Sorts one bucket's parallel slices by (key, position): by insertion
-/// where they lie for the handful of entries a bucket usually holds; for
-/// the bucket a low-complexity target piles up, as pairs in `scratch`
-/// (reused from bucket to bucket), so no input costs more than `n log n`.
-fn sort_bucket<K: Key>(keys: &mut [K], positions: &mut [u32], scratch: &mut Vec<(K, u32)>) {
+/// Sorts one bucket's parallel slices by (key, position) where they lie;
+/// the keys agree above their low `bits` bits. The handful of entries a
+/// bucket usually holds is sorted by insertion. The bucket a long or a
+/// low-complexity target piles up is first split on the highest of those
+/// bits, zeros before ones, and each side sorted in turn — the radix
+/// twin of quicksort, whose pivots no input can make bad — until a side
+/// is a handful or one key, whose positions the standard in-place sort
+/// orders. So no input costs more than `n (bits + log n)`, and none
+/// borrows memory to sort in.
+fn sort_bucket<K: Key>(keys: &mut [K], positions: &mut [u32], bits: u32) {
     let len = keys.len();
     assert_eq!(len, positions.len());
     if len > INSERTION_SORT_MAX {
-        scratch.clear();
-        // Exactly the largest bucket so far, not the next power of two.
-        scratch.reserve_exact(len);
-        scratch.extend(keys.iter().copied().zip(positions.iter().copied()));
-        scratch.sort_unstable();
-        for ((key, position), &sorted) in keys.iter_mut().zip(positions.iter_mut()).zip(&*scratch) {
-            (*key, *position) = sorted;
+        let Some(bit) = bits.checked_sub(1) else {
+            positions.sort_unstable();
+            return;
+        };
+        let (mut zeros, mut ones) = (0, len);
+        while zeros < ones {
+            if (keys[zeros].bits() >> bit) & 1 == 0 {
+                zeros += 1;
+            } else {
+                ones -= 1;
+                keys.swap(zeros, ones);
+                positions.swap(zeros, ones);
+            }
         }
+        let (keys, one_keys) = keys.split_at_mut(zeros);
+        let (positions, one_positions) = positions.split_at_mut(zeros);
+        sort_bucket(keys, positions, bit);
+        sort_bucket(one_keys, one_positions, bit);
         return;
     }
     for i in 1..len {
@@ -439,29 +390,6 @@ fn sort_bucket<K: Key>(keys: &mut [K], positions: &mut [u32], scratch: &mut Vec<
             hole -= 1;
         }
         (keys[hole], positions[hole]) = moving;
-    }
-}
-
-/// One shard of a [`SeedTable`] under construction: the seed word of
-/// every window of an ascending range of target positions, in position
-/// order, before the sort and the repeat cap.
-///
-/// Produced by [`SeedTable::build_partial`], consumed by
-/// [`SeedTable::from_partials`].
-#[derive(Debug)]
-pub struct PartialSeedTable {
-    /// The target position of `words[0]`; `words[i]` is at `start + i`.
-    start: u32,
-    /// [`NO_WORD`] where the window holds an `N`.
-    words: Vec<u64>,
-    /// How many of `words` are words.
-    indexed: u64,
-}
-
-impl PartialSeedTable {
-    /// Number of positions this shard indexed.
-    pub fn positions_indexed(&self) -> u64 {
-        self.indexed
     }
 }
 
@@ -528,10 +456,10 @@ mod tests {
 
     #[test]
     fn bucket_sort_orders_by_key_then_position_at_every_length() {
-        // Either side of the insertion/scratch switch, few distinct keys
+        // Either side of the insertion/split switch, few distinct keys
         // (long ties on the key) and many, at the narrowest key width and
         // the widest.
-        fn check<K: Key + std::fmt::Debug>(len: usize, distinct: u64, scratch: &mut Vec<(K, u32)>) {
+        fn check<K: Key + std::fmt::Debug>(len: usize, distinct: u64) {
             let mut state = len as u64 * 31 + distinct;
             let mut next = || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -541,19 +469,17 @@ mod tests {
                 .map(|_| (K::from_bits(next() % distinct), next() as u32))
                 .collect();
             let (mut keys, mut positions): (Vec<K>, Vec<u32>) = pairs.iter().copied().unzip();
-            sort_bucket(&mut keys, &mut positions, scratch);
+            sort_bucket(&mut keys, &mut positions, distinct.next_power_of_two().trailing_zeros());
             pairs.sort_unstable();
             let sorted: Vec<(K, u32)> = keys.into_iter().zip(positions).collect();
             assert_eq!(sorted, pairs, "{len} pairs of {distinct} keys");
         }
-        // One scratch per width across every length, as a build reuses it.
-        let (mut narrow, mut wide) = (Vec::new(), Vec::new());
         for len in [0usize, 1, 2, 23, 24, 25, 26, 100, 1_000] {
-            check::<u8>(len, 1, &mut narrow);
-            check::<u8>(len, 3, &mut narrow);
-            check::<u8>(len, 1 << 8, &mut narrow);
+            for distinct in [1u64, 3, 1 << 8] {
+                check::<u8>(len, distinct);
+            }
             for distinct in [1u64, 3, 1 << 40] {
-                check::<u64>(len, distinct, &mut wide);
+                check::<u64>(len, distinct);
             }
         }
     }
@@ -643,58 +569,6 @@ mod tests {
         assert_eq!(capped.lookup(word("AAAATT")), &[0, 35]);
         assert_eq!(capped.lookup(word("GGGGGG")), &[56]);
         assert_eq!(capped.position_end(), 57);
-    }
-
-    fn assert_tables_equal(a: &SeedTable, b: &SeedTable, t: &Sequence, p: &SeedPattern) {
-        assert_eq!(a.positions_indexed(), b.positions_indexed());
-        assert_eq!(a.dropped_repeats(), b.dropped_repeats());
-        assert_eq!(a.distinct_words(), b.distinct_words());
-        for pos in 0..t.len() {
-            if let Some(word) = p.extract(t.as_slice(), pos) {
-                assert_eq!(a.lookup(word), b.lookup(word), "word at {pos}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_build_matches_serial_at_any_cut() {
-        let t: Sequence = "ACGTACGTACGGTCAGTCGATTGCAGTCACGTACGT"
-            .repeat(6)
-            .parse()
-            .unwrap();
-        let p = SeedPattern::exact(8);
-        for max_occ in [usize::MAX, 4] {
-            let serial = SeedTable::build(&t, &p, max_occ);
-            // Deliberately unaligned cuts, an empty shard, a shard past
-            // the last indexable position.
-            for cuts in [
-                vec![0, 50, 50, 131, t.len()],
-                vec![0, 1, t.len() - 2, t.len()],
-            ] {
-                let parts: Vec<PartialSeedTable> = cuts
-                    .windows(2)
-                    .map(|w| SeedTable::build_partial(&t, &p, w[0]..w[1]))
-                    .collect();
-                let merged = SeedTable::from_partials(&p, parts, max_occ);
-                assert_tables_equal(&serial, &merged, &t, &p);
-            }
-        }
-    }
-
-    #[test]
-    fn repeat_cap_applies_to_whole_target_counts() {
-        // Every shard is under the cap on its own; only the merged count
-        // crosses it — the cap must act on merged lists.
-        let t: Sequence = "AAAAAAAAAAAAAAAA".parse().unwrap();
-        let p = SeedPattern::exact(4);
-        let parts = [0..6, 6..t.len()]
-            .into_iter()
-            .map(|r| SeedTable::build_partial(&t, &p, r))
-            .collect::<Vec<_>>();
-        assert!(parts.iter().all(|part| part.positions_indexed() <= 7));
-        let merged = SeedTable::from_partials(&p, parts, 8);
-        assert_eq!(merged.distinct_words(), 0);
-        assert_eq!(merged.dropped_repeats(), 13);
     }
 
     #[test]

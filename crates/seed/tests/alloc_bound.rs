@@ -7,12 +7,13 @@
 //! `crates/align/tests/alloc_bound.rs`): a built table keeps a `u32`
 //! position and a key per indexed position — 5 B for the default seed on
 //! a target of 2^16 positions or more, 6 B below that — plus its
-//! directory, building one — serially or from shards — peaks at 8 B a
-//! window more (the shards' word runs, live while the first is
-//! scattered), the directory follows the target (one entry per position
-//! or so, 2^8 to 2^16), and D-SOFT's working set follows the target's
-//! bins and one chunk's bands — not the query — with no allocation per
-//! query position. The three arrays this layout replaced stored each
+//! directory, building one peaks at exactly that (the table is filled
+//! and sorted where it will lie; the `u64` word staged per window until
+//! PR 20 read 13 B here), the directory follows the target (one entry per
+//! window or so, 2^8 to 2^16), a seed hit is 8 B, and D-SOFT's working
+//! set follows the target's bins and one chunk's bands — not the query —
+//! with no allocation per query position. The three arrays this layout
+//! replaced stored each
 //! distinct word whole beside an offset and kept 16 B per position (20 B
 //! at the build's peak); the padded `(u64, u32)` entries before them
 //! peaked at 32 B behind a fixed 256 KiB directory and two transient
@@ -146,10 +147,7 @@ fn entry(positions: usize) -> usize {
     4 + if 24 - directory_bits(positions) <= 8 { 1 } else { 2 }
 }
 
-/// What a shard's word run costs the build per window, until scattered.
-const SHARD: usize = 8;
-
-/// The pattern clone, a `Vec` header or two, the shard list.
+/// The pattern clone, the rolled window's runs, a `Vec` header or two.
 const SLACK: usize = 4 * KIB;
 
 fn random_dna(len: usize, seed: u64) -> Sequence {
@@ -160,7 +158,7 @@ fn random_dna(len: usize, seed: u64) -> Sequence {
 }
 
 #[test]
-fn table_keeps_5_bytes_per_position_and_builds_in_13() {
+fn table_keeps_5_bytes_per_position_and_builds_in_no_more() {
     let target = random_dna(150_000, 40);
     let pattern = SeedPattern::lastz_default();
 
@@ -181,49 +179,25 @@ fn table_keeps_5_bytes_per_position_and_builds_in_13() {
         "{} B resident for {positions} positions",
         built.retained
     );
+    // Nothing is staged per window: the build's peak is the table.
     assert!(
-        built.peak <= (5 + SHARD) * positions + directory + SLACK,
+        built.peak <= 5 * positions + directory + SLACK,
         "build peaked at {} B for {positions} positions",
         built.peak
     );
+    // …and nothing is allocated per word or per bucket.
+    assert!(built.allocs <= 16, "{} allocations to build", built.allocs);
     // One heap `Vec` per word alone was 24 B of header and 16 B of block.
     assert!(40 * positions > 2 * built.retained);
-
-    // Sharded, the shards' word runs are all live when the first is
-    // scattered: the same 13 B, however uneven the cuts.
-    let cuts = [0, 9_000, 70_001, 149_990, target.len()];
-    let shards = || -> Vec<_> {
-        cuts.windows(2)
-            .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
-            .collect()
-    };
-    let sharded = measure(|| SeedTable::from_partials(&pattern, shards(), 1000));
-    assert_eq!(sharded.value.positions_indexed() as usize, positions);
-    assert_eq!(sharded.retained, built.retained);
-    assert!(
-        sharded.peak <= (5 + SHARD) * positions + directory + SLACK,
-        "sharded build peaked at {} B for {positions} positions",
-        sharded.peak
-    );
-
-    // The merge itself adds the table to the shards handed in, and
-    // nothing per word or per bucket.
-    let parts = shards();
-    let merged = measure(|| SeedTable::from_partials(&pattern, parts, 1000));
-    assert!(
-        merged.peak <= 5 * positions + directory + SLACK,
-        "merge peaked at {} B beyond the {positions} positions handed in",
-        merged.peak
-    );
-    assert!(
-        merged.allocs <= 16,
-        "{} allocations to merge",
-        merged.allocs
-    );
 }
 
 #[test]
-fn a_small_target_keeps_6_bytes_per_position_behind_a_directory_its_size() {
+fn a_seed_hit_is_two_u32s() {
+    assert_eq!(size_of::<SeedHit>(), 8);
+}
+
+#[test]
+fn a_small_target_builds_in_6_bytes_per_position_behind_a_directory_its_size() {
     // 2 000 positions: 2^11 + 1 entries, 8 KiB, where a fixed 16-bit
     // directory spent 256 KiB — eight times the table behind it — and 13
     // of the word's 24 bits left for the key, so two bytes of it.
@@ -234,9 +208,9 @@ fn a_small_target_keeps_6_bytes_per_position_behind_a_directory_its_size() {
     assert_eq!(positions, 2_000);
     assert_eq!(directory(positions), 4 * ((1 << 11) + 1));
     assert_eq!(entry(positions), 6);
-    for (what, bytes, per_position) in [("resident", built.retained, 6), ("peak", built.peak, 6 + SHARD)] {
+    for (what, bytes) in [("resident", built.retained), ("peak", built.peak)] {
         assert!(
-            bytes <= per_position * positions + directory(positions) + SLACK,
+            bytes <= 6 * positions + directory(positions) + SLACK,
             "{bytes} B {what} for {positions} positions"
         );
     }
@@ -245,8 +219,10 @@ fn a_small_target_keeps_6_bytes_per_position_behind_a_directory_its_size() {
     assert_eq!(directory(129), 4 * ((1 << 8) + 1));
     assert_eq!(directory(0), 4 * ((1 << 8) + 1));
     assert_eq!(entry(60), 6);
-    let tiny = measure(|| SeedTable::build(&random_dna(60, 45), &pattern, 1000));
-    assert!(tiny.retained <= 6 * 60 + directory(60) + SLACK, "{} B", tiny.retained);
+    let sixty = random_dna(60 + pattern.span() - 1, 45);
+    let tiny = measure(|| SeedTable::build(&sixty, &pattern, 1000));
+    assert_eq!(tiny.value.positions_indexed(), 60);
+    assert!(tiny.peak <= 6 * 60 + directory(60) + SLACK, "{} B", tiny.peak);
 }
 
 #[test]
@@ -282,12 +258,12 @@ fn repeats_cost_what_unique_words_cost() {
 }
 
 #[test]
-fn a_crowded_bucket_sorts_inside_the_same_peak() {
+fn a_crowded_bucket_sorts_where_it_lies() {
     // Poly-A with a random base every dozen: most words share their top
-    // bits, so one bucket holds most of the table and sorts through its
-    // `(key, position)` scratch rather than by insertion — 8 B an entry,
-    // borrowed after the shards' 8 B a window are given back, so even
-    // pure poly-A, one bucket of one word, peaks where random DNA does.
+    // bits, so one bucket holds most of the table and sorts as a heap
+    // rather than by insertion — in place, where a `(key, position)`
+    // scratch borrowed 8 B an entry — so even pure poly-A, one bucket of
+    // one word, peaks at the table and nothing more.
     let mut rng = StdRng::seed_from_u64(46);
     let sprinkled: Sequence = (0..60_000)
         .map(|_| match rng.gen_range(0u8..12) {
@@ -306,7 +282,7 @@ fn a_crowded_bucket_sorts_inside_the_same_peak() {
             (built.peak - directory(positions)) as f64 / positions as f64
         );
         assert!(
-            built.peak <= (entry(positions) + SHARD) * positions + directory(positions) + SLACK,
+            built.peak <= entry(positions) * positions + directory(positions) + SLACK,
             "build peaked at {} B for {positions} positions",
             built.peak
         );

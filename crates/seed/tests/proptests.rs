@@ -36,8 +36,8 @@ proptest! {
         };
         let result = dsoft_seeds(&table, &query, &params);
         for hit in &result.hits {
-            let tw = pattern.extract(target.as_slice(), hit.target_pos);
-            let qw = pattern.extract(query.as_slice(), hit.query_pos);
+            let tw = pattern.extract(target.as_slice(), hit.target_pos as usize);
+            let qw = pattern.extract(query.as_slice(), hit.query_pos as usize);
             prop_assert!(tw.is_some() && qw.is_some());
             prop_assert_eq!(tw, qw, "hit {:?} is not a word match", hit);
         }
@@ -59,7 +59,7 @@ proptest! {
             let mut transitions = 0;
             let mut transversions = 0;
             for k in 0..10 {
-                let (a, b) = (target.as_slice()[hit.target_pos + k], query.as_slice()[hit.query_pos + k]);
+                let (a, b) = (target.as_slice()[hit.target_pos as usize + k], query.as_slice()[hit.query_pos as usize + k]);
                 if a.is_transition(b) {
                     transitions += 1;
                 } else if a != b {

@@ -9,10 +9,21 @@
 //! `positions_indexed` / `dropped_repeats` / `distinct_words`, and that
 //! D-SOFT returns the **identical `DsoftResult`** in all four fields, over
 //! sequences with `N` runs and low-complexity stretches, narrow, default
-//! and wide patterns, every repeat cap regime and arbitrary shard cuts —
-//! and, since the directory is sized to the target, at every target size
-//! where its width changes, and at every width of the key beside it.
+//! and wide patterns and every repeat cap regime — and, since the
+//! directory is sized to the target, at every target size where its width
+//! changes, and at every width of the key beside it.
+//!
+//! The table reads its words off a rolled window (`SeedPattern::words`)
+//! where the oracle calls `SeedPattern::extract` position by position, so
+//! every target here also comes *spoiled*: an `N` for its first and last
+//! base, a lone `N` that every offset of the pattern slides over, and a
+//! run of `N` longer than the span; the patterns reach past the 32 bases
+//! the window holds, where the table falls back on `extract` itself; and
+//! the targets go down to the span, one base short of it, and nothing.
 
+// Moved here whole, the oracle still has the sharded build the table
+// under test no longer has; nothing cuts it any more.
+#[allow(dead_code)]
 mod hash_oracle;
 
 use genome::{Base, Sequence};
@@ -20,17 +31,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams};
-use seed::table::PartialSeedTable;
 use seed::{SeedPattern, SeedTable};
 
-/// Random bases, an `N` run, or a short unit repeated (homopolymers,
+/// Random bases, an `N` run (shorter than the spans or longer), or a
+/// short unit repeated (homopolymers,
 /// dinucleotide and trinucleotide repeats: the words the repeat cap and
 /// the within-bucket sort exist for).
 fn segment() -> impl Strategy<Value = Vec<Base>> {
     prop_oneof![
         4 => prop::collection::vec(0u8..4, 1..120)
             .prop_map(|codes| codes.into_iter().map(Base::from_code).collect::<Vec<Base>>()),
-        1 => (1usize..12).prop_map(|len| vec![Base::N; len]),
+        1 => prop_oneof![1usize..12, 20usize..45].prop_map(|len| vec![Base::N; len]),
         2 => (prop::collection::vec(0u8..4, 1..4), 4usize..80).prop_map(|(unit, len)| {
             unit.iter().cycle().take(len).map(|&code| Base::from_code(code)).collect::<Vec<Base>>()
         }),
@@ -42,14 +53,43 @@ fn messy_dna(max_segments: usize) -> impl Strategy<Value = Sequence> {
         .prop_map(|segments| segments.into_iter().flatten().collect())
 }
 
+/// `exact(weight)` pulled apart in the middle by `gap` don't-cares: the
+/// same word and key widths over a wider window.
+fn spaced(weight: usize, gap: usize) -> SeedPattern {
+    let (left, right) = (weight / 2, weight - weight / 2);
+    format!("{}{}{}", "1".repeat(left), "0".repeat(gap), "1".repeat(right))
+        .parse()
+        .expect("a pattern")
+}
+
 /// Narrow words (the directory covers every bit), the default spaced
-/// seed (24 bits behind a 16-bit directory), and a 40-bit word.
+/// seed (24 bits behind a 16-bit directory), a 40-bit word, and windows
+/// of 32 bases (the last that rolls), 33 and 40 (read by `extract`).
 fn pattern() -> impl Strategy<Value = SeedPattern> {
     prop_oneof![
         4 => (4usize..=16).prop_map(SeedPattern::exact),
         2 => Just(SeedPattern::lastz_default()),
         1 => Just(SeedPattern::exact(20)),
+        1 => (20usize..=21).prop_map(|weight| spaced(weight, 12)),
+        1 => Just(spaced(10, 30)),
     ]
+}
+
+/// `target` with what the rolled window must not trip on: an `N` for the
+/// first base and the last, a lone `N` a quarter of the way in (every
+/// offset of the pattern, sampled or not, slides over it) and, half way,
+/// a run of `N` three longer than `span`.
+fn spoiled(target: &Sequence, span: usize) -> Sequence {
+    let mut bases = target.as_slice().to_vec();
+    if let [first, .., last] = &mut bases[..] {
+        (*first, *last) = (Base::N, Base::N);
+    }
+    if let Some(lone) = bases.get_mut(target.len() / 4) {
+        *lone = Base::N;
+    }
+    let half = bases.len() / 2;
+    bases.splice(half..half, vec![Base::N; span + 3]);
+    bases.into_iter().collect()
 }
 
 fn cap() -> impl Strategy<Value = usize> {
@@ -106,48 +146,9 @@ proptest! {
         target in messy_dna(14),
         pattern in pattern(),
         cap in cap(),
-        raw_cuts in prop::collection::vec(0usize..1500, 0..6),
     ) {
         let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
-        // Unaligned cuts, empty shards (repeated cuts) and shards past
-        // the last base, always covering 0..len.
-        let mut cuts = raw_cuts;
-        cuts.extend([0, target.len()]);
-        cuts.sort_unstable();
-        let shards = || cuts.windows(2).map(|w| w[0]..w[1]);
-        let parts = || -> Vec<PartialSeedTable> {
-            shards().map(|range| SeedTable::build_partial(&target, &pattern, range)).collect()
-        };
-        let oracle_parts: Vec<hash_oracle::PartialSeedTable> = shards()
-            .map(|range| hash_oracle::SeedTable::build_partial(&target, &pattern, range))
-            .collect();
-        for (part, oracle_part) in parts().iter().zip(&oracle_parts) {
-            prop_assert_eq!(part.positions_indexed(), oracle_part.positions_indexed());
-        }
-        let oracle_sharded = hash_oracle::SeedTable::from_partials(&pattern, oracle_parts, cap);
-        let mut reversed = parts();
-        reversed.reverse();
-        let tables = [
-            ("serial", SeedTable::build(&target, &pattern, cap)),
-            ("sharded", SeedTable::from_partials(&pattern, parts(), cap)),
-            ("sharded, parts reversed", SeedTable::from_partials(&pattern, reversed, cap)),
-        ];
-        let probes = probe_words(&target, &pattern);
-        for (name, table) in &tables {
-            prop_assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{}", name);
-            prop_assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{}", name);
-            prop_assert_eq!(table.distinct_words(), oracle.distinct_words(), "{}", name);
-            prop_assert_eq!(table.distinct_words(), oracle_sharded.distinct_words(), "{}", name);
-            let mut largest = None;
-            for &word in &probes {
-                let found = table.lookup(word);
-                prop_assert_eq!(found, oracle.lookup(word), "{}: word {:#x}", name, word);
-                prop_assert_eq!(found, oracle_sharded.lookup(word), "{}: word {:#x}", name, word);
-                largest = largest.max(found.last().copied());
-            }
-            let position_end = largest.map_or(0, |pos| pos as usize + 1);
-            prop_assert_eq!(table.position_end(), position_end, "{}", name);
-        }
+        assert_answers_like(&oracle, &target, &pattern, cap, "generated");
     }
 
     #[test]
@@ -222,9 +223,29 @@ fn generated_cases_exercise_bands_and_the_repeat_cap() {
     assert!(capped >= 16, "{capped} of 64 cases hit the repeat cap");
 }
 
-/// The directory has ⌈log2 positions⌉ bits between 8 and 16 (and never
-/// more than the word): a table one position either side of every power
-/// of two, and at both ends of the range, answers like the hash table.
+/// What [`SeedTable::build`] must share with the oracle's table of the
+/// same target: the three counts, the slice behind every probe word, and
+/// the end of the positions.
+fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, pattern: &SeedPattern, cap: usize, label: &str) -> SeedTable {
+    let table = SeedTable::build(target, pattern, cap);
+    assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
+    assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
+    assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
+    let mut largest = None;
+    for word in probe_words(target, pattern) {
+        let found = table.lookup(word);
+        assert_eq!(found, oracle.lookup(word), "{label}: word {word:#x}");
+        largest = largest.max(found.last().copied());
+    }
+    assert_eq!(table.position_end(), largest.map_or(0, |pos| pos as usize + 1), "{label}");
+    table
+}
+
+/// The directory has ⌈log2 windows⌉ bits between 8 and 16 (and never
+/// more than the word): a table one window either side of every power
+/// of two, and at both ends of the range, answers like the hash table —
+/// over clean bases, where every window is a position, and spoiled,
+/// where the count of words and the count of windows part.
 #[test]
 fn every_directory_width_answers_like_the_hash_table() {
     let mut sizes = vec![0usize, 1, 255, 256, 257];
@@ -235,23 +256,16 @@ fn every_directory_width_answers_like_the_hash_table() {
         for &positions in &sizes {
             let len = if positions == 0 { 0 } else { positions + pattern.span() - 1 };
             let mut rng = StdRng::seed_from_u64(positions as u64);
-            let target: Sequence =
+            let clean: Sequence =
                 (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
-            let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
-            assert_eq!(oracle.positions_indexed(), positions as u64);
-            let cuts = [0, positions / 3, positions / 3, len];
-            let parts = cuts.windows(2).map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]));
-            for (name, table) in [
-                ("serial", SeedTable::build(&target, &pattern, cap)),
-                ("sharded", SeedTable::from_partials(&pattern, parts, cap)),
-            ] {
-                let label = format!("{name}, {pattern}, {positions} positions");
-                assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
-                assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
-                assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
-                for word in probe_words(&target, &pattern) {
-                    assert_eq!(table.lookup(word), oracle.lookup(word), "{label}: word {word:#x}");
+            for (name, target) in [("spoiled", spoiled(&clean, pattern.span())), ("clean", clean)] {
+                let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
+                if name == "clean" {
+                    assert_eq!(oracle.positions_indexed(), positions as u64);
+                } else {
+                    assert!(oracle.positions_indexed() < positions.max(1) as u64);
                 }
+                assert_answers_like(&oracle, &target, &pattern, cap, &format!("{name}, {pattern}, {positions} positions"));
             }
         }
     }
@@ -266,31 +280,31 @@ fn key_bits(pattern: &SeedPattern, positions: usize) -> u32 {
     word_bits - directory_bits.min(word_bits)
 }
 
-/// A target of exactly `positions` windows of `exact(k)` whose buckets
+/// A target of exactly `positions` windows of `pattern` whose buckets
 /// hold every arrangement of a run of equal keys. `run` windows of
 /// poly-A then a C: the all-zero word's run opens bucket 0 and larger
 /// keys follow it. A G then `run` windows of poly-T: the all-ones word's
 /// run closes the last bucket behind smaller keys. `ACGT` over and over:
-/// four words, each a run that is the whole of its bucket (when the
-/// prefix covers four bases). An `N`, and random bases to make up the
+/// a few words, each a run that is the whole of its bucket (when the
+/// prefix covers them). An `N`, and random bases to make up the
 /// count — with a stretch of them copied in twice more, so that words of
 /// any width come in threes.
-fn bucket_edges_target(k: usize, run: usize, positions: usize, seed: u64) -> Sequence {
-    let pattern = SeedPattern::exact(k);
+fn bucket_edges_target(pattern: &SeedPattern, run: usize, positions: usize, seed: u64) -> Sequence {
+    let span = pattern.span();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut random = |n: usize| -> Vec<Base> {
         (0..n).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect()
     };
-    let unit = random(k + 4);
-    let mut bases = vec![Base::A; k + run - 1];
+    let unit = random(span + 4);
+    let mut bases = vec![Base::A; span + run - 1];
     bases.push(Base::C);
     bases.extend(random(3));
-    bases.extend([Base::A, Base::C, Base::G, Base::T].iter().cycle().take(k + 4 * run));
+    bases.extend([Base::A, Base::C, Base::G, Base::T].iter().cycle().take(span + 4 * run));
     bases.push(Base::N);
     bases.extend(unit.iter().chain(&random(2)).chain(&unit).chain(&random(1)).chain(&unit));
     bases.push(Base::G);
-    bases.extend(vec![Base::T; k + run - 1]);
-    let windows = |bases: &[Base]| (0..bases.len()).filter(|&pos| pattern.extract(bases, pos).is_some()).count();
+    bases.extend(vec![Base::T; span + run - 1]);
+    let windows = |bases: &[Base]| pattern.words(bases).count();
     assert!(windows(&bases) <= positions, "{} windows before padding", windows(&bases));
     // Padding goes in front, so poly-T still ends the target.
     let mut padded = random(positions - windows(&bases));
@@ -306,10 +320,13 @@ fn bucket_edges_target(k: usize, run: usize, positions: usize, seed: u64) -> Seq
 /// The key beside a position is a `u8`, `u16`, `u32` or `u64` — or
 /// nothing, when the directory covers the word: a table at every width,
 /// at the last key size that fits it and the first that does not, under
-/// caps that keep a run, drop exactly it, and drop everything, built
-/// whole and from uneven shards handed over back to front, answers like
-/// the hash table, and D-SOFT over it — each width is its own walk —
-/// returns what the whole-query map did.
+/// caps that keep a run, drop exactly it, and drop everything, answers
+/// like the hash table, and D-SOFT over it — each width is its own walk —
+/// returns what the whole-query map did. Each width runs over the
+/// contiguous pattern and over the same weight spread across a window
+/// twelve bases wider (32 bases at weight 20, the last that rolls; 33 and
+/// 43 at weights 21 and 31, read by `extract`), on the target as built
+/// and spoiled.
 #[test]
 fn every_key_width_answers_like_the_hash_table() {
     const RUN: usize = 5;
@@ -324,49 +341,90 @@ fn every_key_width_answers_like_the_hash_table() {
         (13, 257, 17),
         (20, 200, 32),
         (21, 512, 33),
-        (31, 180, 54),
+        (31, 250, 54),
     ];
     for (k, positions, bits) in widths {
-        let pattern = SeedPattern::exact(k);
-        assert_eq!(key_bits(&pattern, positions), bits, "exact({k}) over {positions} positions");
-        let target = bucket_edges_target(k, RUN, positions, k as u64);
-        let query = related_query(&target, 7 * k as u64);
-        let probes = probe_words(&target, &pattern);
-        let poly_a = hash_oracle::SeedTable::build(&target, &pattern, usize::MAX).lookup(0).len();
-        assert!(poly_a >= RUN, "exact({k}): poly-A run of {poly_a}");
-        for cap in [1, poly_a, poly_a - 1, usize::MAX] {
-            let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
-            assert_eq!(oracle.positions_indexed(), positions as u64);
-            assert_eq!(oracle.lookup(0).len(), if cap >= poly_a { poly_a } else { 0 });
-            let cuts = [0, 1, positions / 5, positions / 5, positions - 3, target.len()];
-            let reversed: Vec<PartialSeedTable> = cuts
-                .windows(2)
-                .rev()
-                .map(|w| SeedTable::build_partial(&target, &pattern, w[0]..w[1]))
-                .collect();
-            for (name, table) in [
-                ("serial", SeedTable::build(&target, &pattern, cap)),
-                ("sharded, parts reversed", SeedTable::from_partials(&pattern, reversed, cap)),
-            ] {
-                let label = format!("{name}, exact({k}), {bits} key bits, cap {cap}");
-                assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
-                assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
-                assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
-                let mut largest = None;
-                for &word in &probes {
-                    let found = table.lookup(word);
-                    assert_eq!(found, oracle.lookup(word), "{label}: word {word:#x}");
-                    largest = largest.max(found.last().copied());
+        for pattern in [SeedPattern::exact(k), spaced(k, 12)] {
+            assert_eq!(key_bits(&pattern, positions), bits, "{pattern} over {positions} positions");
+            let edges = bucket_edges_target(&pattern, RUN, positions, k as u64);
+            for (name, target) in [("spoiled", spoiled(&edges, pattern.span())), ("edges", edges)] {
+                let query = related_query(&target, 7 * k as u64);
+                let uncapped = hash_oracle::SeedTable::build(&target, &pattern, usize::MAX);
+                let poly_a = uncapped.lookup(0).len();
+                if name == "edges" {
+                    assert!(poly_a >= RUN, "{pattern}: poly-A run of {poly_a}");
+                    assert_eq!(uncapped.positions_indexed(), positions as u64);
                 }
-                assert_eq!(table.position_end(), largest.map_or(0, |pos| pos as usize + 1), "{label}");
+                // Spoiling may land in the poly-A run: the caps stay where
+                // a run of `RUN` would put them.
+                let run = poly_a.max(RUN);
+                for cap in [1, run, run - 1, usize::MAX] {
+                    let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
+                    assert_eq!(oracle.lookup(0).len(), if cap >= poly_a { poly_a } else { 0 });
+                    let label = format!("{pattern}, {name}, {bits} key bits, cap {cap}");
+                    let table = assert_answers_like(&oracle, &target, &pattern, cap, &label);
+                    for transitions in [false, true] {
+                        let params = DsoftParams {
+                            chunk_size: 32,
+                            bin_size: 16,
+                            threshold: 1,
+                            transitions,
+                            query_stride: 1,
+                        };
+                        assert_eq!(
+                            dsoft_seeds(&table, &query, &params),
+                            hash_oracle::dsoft_seeds_range(&oracle, &query, &params, 0..query.len()),
+                            "{label}, transitions {transitions}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Targets about as long as the window: empty, one base, one short of
+/// the span (no window), the span (one), one more (two), twice the span
+/// — clean, and with an `N` first, last, and both — under every pattern
+/// shape: contiguous and spaced, the narrowest span and the widest that
+/// rolls, and two that do not.
+#[test]
+fn targets_about_the_span_answer_like_the_hash_table() {
+    let patterns = [
+        SeedPattern::lastz_default(),
+        SeedPattern::exact(4),
+        SeedPattern::exact(31),
+        spaced(20, 12),
+        spaced(21, 12),
+        spaced(10, 30),
+    ];
+    for pattern in &patterns {
+        let span = pattern.span();
+        for len in [0, 1, span - 1, span, span + 1, 2 * span] {
+            let mut rng = StdRng::seed_from_u64((span * 100 + len) as u64);
+            let clean: Vec<Base> = (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+            for (n_first, n_last) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut bases = clean.clone();
+                if let [first, .., last] = &mut bases[..] {
+                    if n_first {
+                        *first = Base::N;
+                    }
+                    if n_last {
+                        *last = Base::N;
+                    }
+                }
+                let target: Sequence = bases.into_iter().collect();
+                let label = format!("{pattern} over {len} bases, N first {n_first}, last {n_last}");
+                let oracle = hash_oracle::SeedTable::build(&target, pattern, usize::MAX);
+                let windows = (len + 1).saturating_sub(span) as u64;
+                assert!(oracle.positions_indexed() <= windows, "{label}");
+                if !(n_first || n_last) {
+                    assert_eq!(oracle.positions_indexed(), windows, "{label}");
+                }
+                let table = assert_answers_like(&oracle, &target, pattern, usize::MAX, &label);
+                let query: Sequence = clean.iter().chain(&clean).copied().collect();
                 for transitions in [false, true] {
-                    let params = DsoftParams {
-                        chunk_size: 32,
-                        bin_size: 16,
-                        threshold: 1,
-                        transitions,
-                        query_stride: 1,
-                    };
+                    let params = DsoftParams { chunk_size: 8, bin_size: 8, threshold: 1, transitions, query_stride: 1 };
                     assert_eq!(
                         dsoft_seeds(&table, &query, &params),
                         hash_oracle::dsoft_seeds_range(&oracle, &query, &params, 0..query.len()),

@@ -35,8 +35,8 @@
 //!     wavefront engine with explicit SSE2/AVX2 lanes, falling back to
 //!     `batched`, the same wavefront without them, where unsupported;
 //!     results are identical in every case). --shard-size sets the
-//!     minimum bases per intra-pair seeding shard (seed-table build and D-SOFT work items;
-//!     default 2048; purely a scheduling knob, output is byte-identical
+//!     minimum bases per D-SOFT shard (the only sharded seeding step: a
+//!     seed table is built by one thread; default 2048; purely a scheduling knob, output is byte-identical
 //!     for any value). --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
 //!     resumes where it left off. The --max-*/--deadline-ms budgets

@@ -24,6 +24,7 @@ use darwin_wga::genome::{Base, GapPenalties, SubstitutionMatrix};
 use darwin_wga::seed::SeedTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const THRESHOLD: i64 = 4000;
 
@@ -354,8 +355,9 @@ fn whole_pipeline_identical_across_engines_and_threads() {
         .with_filter_engine(FilterEngineKind::Simd)
         .with_shard_bases(512);
     let reference = WgaPipeline::new(scalar_params.clone()).run(t, q);
-    let table = SeedTable::build(t, &scalar_params.seed_pattern, scalar_params.max_seed_occurrences);
-    let run_parallel = |params: &WgaParams, threads| run_pair(params, &table, t, q, threads, Obs::off());
+    let table = Arc::new(SeedTable::build(t, &scalar_params.seed_pattern, scalar_params.max_seed_occurrences));
+    let run_parallel =
+        |params: &WgaParams, threads| run_pair(params, Arc::clone(&table), t, q, threads, Obs::off());
     assert!(
         !reference.alignments.is_empty(),
         "pipeline must produce alignments for the comparison to bite"

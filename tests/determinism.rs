@@ -6,6 +6,7 @@ use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
 use darwin_wga::seed::SeedTable;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn pair(seed: u64) -> SyntheticPair {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -29,15 +30,15 @@ fn parallel_filtering_matches_serial_exactly() {
     let pair = pair(6);
     let params = WgaParams::darwin_wga();
     let serial = WgaPipeline::new(params.clone()).run(&pair.target.sequence, &pair.query.sequence);
-    let table = SeedTable::build(
+    let table = Arc::new(SeedTable::build(
         &pair.target.sequence,
         &params.seed_pattern,
         params.max_seed_occurrences,
-    );
+    ));
     for threads in [2usize, 3, 8] {
         let par = run_pair(
             &params,
-            &table,
+            Arc::clone(&table),
             &pair.target.sequence,
             &pair.query.sequence,
             threads,

@@ -23,6 +23,7 @@ use darwin_wga::seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_result
 use darwin_wga::seed::{SeedPattern, SeedTable};
 use darwin_wga::genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn dna_strategy(min: usize, max: usize) -> impl Strategy<Value = Sequence> {
     prop::collection::vec(0u8..4, min..max)
@@ -246,7 +247,7 @@ proptest! {
         let sharded = serial.clone().with_shard_bases(1 << shard_pow);
         let reference = WgaPipeline::new(serial).run(&t, &q);
         let table = SeedTable::build(&t, &sharded.seed_pattern, sharded.max_seed_occurrences);
-        let report = run_pair(&sharded, &table, &t, &q, threads, Obs::off());
+        let report = run_pair(&sharded, Arc::new(table), &t, &q, threads, Obs::off());
         prop_assert_eq!(&reference.alignments, &report.alignments);
         prop_assert_eq!(&reference.workload, &report.workload);
         prop_assert_eq!(reference.counters, report.counters);
