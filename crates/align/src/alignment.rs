@@ -2,14 +2,13 @@
 
 use crate::cigar::{AlignOp, Cigar};
 use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
-use serde::{Deserialize, Serialize};
 
 /// A scored local alignment between a target and a query region.
 ///
 /// Coordinates are half-open (`start..end`) on the forward strand of each
 /// sequence; `cigar.target_len() == target_end - target_start` and likewise
 /// for the query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alignment {
     /// Target start (inclusive).
     pub target_start: usize,

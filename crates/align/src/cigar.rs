@@ -1,7 +1,6 @@
 //! Alignment operations and CIGAR strings.
 
 use genome::{GapPenalties, SubstitutionMatrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One class of alignment column.
@@ -10,7 +9,7 @@ use std::fmt;
 /// consumes a query base only (gap in the target); `Delete` consumes a
 /// target base only (gap in the query). This follows the convention of
 /// §IV's equations 1–2, where *insertion* advances along the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlignOp {
     /// Aligned pair of identical bases.
     Match,
@@ -60,7 +59,7 @@ impl AlignOp {
 /// assert_eq!(c.target_len(), 8);
 /// assert_eq!(c.query_len(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Cigar {
     runs: Vec<(AlignOp, u32)>,
 }

@@ -14,11 +14,10 @@ use crate::alignment::Alignment;
 use crate::cigar::Cigar;
 use crate::xdrop::{scores_fit_i32, xdrop_tile_scratch, TileScratch};
 use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Tiling parameters for GACT-X / GACT extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilingParams {
     /// Tile size `Te` in bases (target and query window length).
     pub tile_size: usize,
@@ -105,7 +104,7 @@ impl Default for TilingParams {
 }
 
 /// Workload counters accumulated over an extension.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtensionStats {
     /// Tiles processed.
     pub tiles: u64,

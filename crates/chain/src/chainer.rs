@@ -8,11 +8,10 @@
 
 use crate::gapcost::LooseGapCost;
 use align::Alignment;
-use serde::{Deserialize, Serialize};
 
 /// One chain: indices into the input alignment slice, in order, plus the
 /// chain score.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chain {
     /// Member alignment indices, ordered by coordinate.
     pub members: Vec<usize>,

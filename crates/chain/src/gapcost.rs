@@ -6,8 +6,6 @@
 //! verbatim. Costs are interpolated between breakpoints and extrapolated
 //! with the final slope beyond the table.
 
-use serde::{Deserialize, Serialize};
-
 /// Breakpoint positions of the `loose` table.
 const POSITIONS: [u64; 11] = [
     1, 2, 3, 11, 111, 2111, 12111, 32111, 72111, 152111, 252111,
@@ -22,7 +20,7 @@ const BOTH: [u64; 11] = [
 ];
 
 /// The piecewise-linear gap cost model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LooseGapCost;
 
 impl LooseGapCost {

@@ -7,7 +7,6 @@
 //! members): map a target position or interval to query coordinates.
 
 use align::{AlignOp, Alignment};
-use serde::{Deserialize, Serialize};
 
 /// A liftover index over alignments, keyed by target position.
 #[derive(Debug, Clone)]
@@ -17,7 +16,7 @@ pub struct Liftover<'a> {
 }
 
 /// A lifted interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiftedInterval {
     /// Query start (inclusive).
     pub query_start: usize,

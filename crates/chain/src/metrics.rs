@@ -9,7 +9,6 @@
 use crate::chainer::Chain;
 use align::{AlignOp, Alignment};
 use genome::annotation::Interval;
-use serde::{Deserialize, Serialize};
 
 /// Scores of the top `k` chains (best first); shorter if fewer chains.
 pub fn top_k_scores(chains: &[Chain], k: usize) -> Vec<i64> {
@@ -107,7 +106,7 @@ pub fn aligned_target_intervals(alignment: &Alignment) -> Vec<(usize, usize)> {
 /// alignments cover at least `min_coverage` of its bases with aligned
 /// columns. The paper approximated this oracle with TBLASTX; we have
 /// ground-truth intervals from the evolution model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExonRecovery {
     /// Total exons assessed.
     pub total: usize,
@@ -180,7 +179,7 @@ pub fn exon_recovery(
 /// Log₂-binned histogram of ungapped block lengths (Fig. 2).
 ///
 /// Bin `i` counts blocks with length in `[2^i, 2^(i+1))`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockLengthHistogram {
     bins: Vec<u64>,
     total_blocks: u64,

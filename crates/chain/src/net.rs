@@ -9,11 +9,10 @@
 
 use crate::chainer::Chain;
 use align::Alignment;
-use serde::{Deserialize, Serialize};
 
 /// One net entry: a chain admitted into the net with (possibly) a
 /// truncated target interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetEntry {
     /// Index into the input chain slice.
     pub chain_index: usize,
@@ -26,7 +25,7 @@ pub struct NetEntry {
 }
 
 /// A target-disjoint selection of chains.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Net {
     entries: Vec<NetEntry>,
 }

@@ -13,10 +13,9 @@
 use crate::chainer::Chain;
 use align::{AlignOp, Alignment};
 use genome::Sequence;
-use serde::{Deserialize, Serialize};
 
 /// Aligned-column substitution counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubstitutionCounts {
     /// Aligned pairs with identical bases.
     pub matches: u64,

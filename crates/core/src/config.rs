@@ -5,7 +5,6 @@ use align::gactx::TilingParams;
 use align::xdrop::scores_fit_i32;
 use genome::{GapPenalties, SubstitutionMatrix};
 use seed::{DsoftParams, SeedPattern};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Resource budgets for one chromosome-pair run.
@@ -20,7 +19,7 @@ use std::time::{Duration, Instant};
 /// the run continues instead of OOMing or hanging.
 ///
 /// All limits default to `None` (unbounded).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
     /// Maximum seed hits handed to the filter per query strand.
     pub max_seed_hits: Option<u64>,
@@ -53,7 +52,7 @@ impl ResourceBudget {
 }
 
 /// Gapped (BSW) filter parameters — Darwin-WGA's filtering stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GappedFilterParams {
     /// Filter tile size `T_f`.
     pub tile_size: usize,
@@ -78,7 +77,7 @@ impl Default for GappedFilterParams {
 
 /// Ungapped (LASTZ-style) filter parameters — the baseline's filtering
 /// stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UngappedFilterParams {
     /// X-drop value for the diagonal extension.
     pub xdrop: i32,
@@ -97,7 +96,7 @@ impl Default for UngappedFilterParams {
 }
 
 /// Which filtering algorithm the pipeline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterStage {
     /// Banded Smith-Waterman gapped filtering (Darwin-WGA).
     Gapped(GappedFilterParams),
@@ -122,7 +121,7 @@ impl FilterStage {
 /// anchor coordinates, same cell counts (enforced by the three-way
 /// differential-oracle harness in `tests/bsw_differential.rs`) — so this
 /// is purely a performance choice. See [`crate::filter_engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterEngineKind {
     /// Row-major scalar reference kernel ([`align::banded`]), allocating
     /// per tile. Kept as the oracle and for differential testing.
@@ -157,7 +156,7 @@ impl std::str::FromStr for FilterEngineKind {
 }
 
 /// Which extension algorithm the pipeline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtensionStage {
     /// GACT-X tiled extension (Darwin-WGA).
     GactX(TilingParams),
@@ -185,7 +184,7 @@ impl ExtensionStage {
 }
 
 /// Full pipeline parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WgaParams {
     /// Substitution matrix `W` (Table IIa).
     pub scoring: SubstitutionMatrix,
@@ -202,7 +201,6 @@ pub struct WgaParams {
     /// Which BSW implementation executes a gapped filtering stage
     /// (results are identical either way; ignored for ungapped
     /// filtering).
-    #[serde(default)]
     pub filter_engine: FilterEngineKind,
     /// Extension stage.
     pub extension: ExtensionStage,
@@ -211,20 +209,13 @@ pub struct WgaParams {
     /// Also search the reverse-complement strand of the query.
     pub both_strands: bool,
     /// Per-run resource budgets (unbounded by default).
-    #[serde(default)]
     pub budget: ResourceBudget,
     /// Minimum intra-pair shard size in bases for sharded D-SOFT
     /// seeding (see [`crate::shard`]). Purely a
     /// performance knob: canonical output is byte-identical for every
     /// shard size. D-SOFT shard cuts are rounded up to whole D-SOFT
     /// chunks so diagonal-band counts never split across shards.
-    #[serde(default = "default_shard_bases")]
     pub shard_bases: usize,
-}
-
-/// Serde default for [`WgaParams::shard_bases`].
-fn default_shard_bases() -> usize {
-    2048
 }
 
 impl WgaParams {
@@ -258,7 +249,7 @@ impl WgaParams {
             extension_threshold: 4000,
             both_strands: false,
             budget: ResourceBudget::default(),
-            shard_bases: default_shard_bases(),
+            shard_bases: 2048,
         }
     }
 

@@ -84,9 +84,9 @@ use crate::stages::{
     row_seed_table, seed_lane, BatchResult, SeededLane,
 };
 use crate::supervise::{self, panic_message, RetryPolicy};
+use crate::sync::Mutex;
 use genome::assembly::Assembly;
 use genome::Sequence;
-use parking_lot::Mutex;
 use seed::{SeedHit, SeedTable};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -393,21 +393,15 @@ pub(crate) fn execute(
     }
     out.alignments
         .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
-    let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
     out.counters.stalls_detected += stalls_detected;
-    out.stage_metrics = Some(ExecutorMetrics {
-        executor: ExecutorKind::Dataflow,
-        threads,
-        queue_depth,
-        // The producer thread drives seeding, but the table build and
-        // D-SOFT walk fan out over the whole pool.
-        seeding: seed_meter.snapshot(threads, 0),
-        filtering: filter_meter.snapshot(threads, filter_q.max_occupancy()),
-        extension: ext_meter.snapshot(threads, extend_q.max_occupancy()),
-        faults_injected,
-        retries,
-        stalls_detected,
-    });
+    let mut metrics = ExecutorMetrics::from_report(ExecutorKind::Dataflow, threads, &out, injector);
+    metrics.queue_depth = queue_depth;
+    metrics.stalls_detected = stalls_detected;
+    metrics.extension.workers = threads;
+    seed_meter.fill(&mut metrics.seeding, 0);
+    filter_meter.fill(&mut metrics.filtering, filter_q.max_occupancy());
+    ext_meter.fill(&mut metrics.extension, extend_q.max_occupancy());
+    out.stage_metrics = Some(metrics);
     Ok(out)
 }
 
@@ -472,31 +466,18 @@ fn produce<'a>(
         // us (shutdown in progress) and the producer is done.
         let mut dispatch = || -> Result<bool, String> {
             let table = row_tables[ti].get_or_insert_with(|| {
-                let busy = Instant::now();
                 row_seed_table(params, &tchrom.sequence, ti, tables, pair_obs).map(
                     |(table, build_time)| {
                         table_build_ns.fetch_add(build_time.as_nanos() as u64, Ordering::Relaxed);
-                        seed_meter.add_busy(busy.elapsed());
                         table
                     },
                 )
             });
             let table = table.as_ref().map_err(|message| message.clone())?;
 
-            let busy = Instant::now();
             let planned = catch_unwind(AssertUnwindSafe(|| {
-                plan_pair(
-                    params,
-                    table,
-                    &tchrom.sequence,
-                    &qchrom.sequence,
-                    pair_id,
-                    seed_meter,
-                    threads,
-                    pair_obs,
-                )
+                plan_pair(params, table, &tchrom.sequence, &qchrom.sequence, pair_id, threads, pair_obs)
             }));
-            seed_meter.add_busy(busy.elapsed());
             heartbeat.fetch_add(1, Ordering::Relaxed);
             // The job and its tasks are complete *before* registration,
             // so a worker depositing the last batch always finds
@@ -594,30 +575,23 @@ fn filter_worker<'a>(
         let pair_obs = obs.with_pair(task.pair_id as u64);
         let gate = gate_queue(obs.fault(), retry_policy, Hook::QueuePop, task.pair_id as u64, &pair_obs);
         let result = match gate {
-            Ok(()) => {
-                let busy = Instant::now();
-                let result = filter_batch(
-                    params,
-                    &task.ctx,
-                    task.target,
-                    task.query.seq(),
-                    &task.hits,
-                    task.pair_start,
-                    strand_code(task.strand),
-                    task.batch_idx,
-                    pair_obs,
-                );
-                meter.add_busy(busy.elapsed());
-                result
-            }
+            Ok(()) => filter_batch(
+                params,
+                &task.ctx,
+                task.target,
+                task.query.seq(),
+                &task.hits,
+                task.pair_start,
+                strand_code(task.strand),
+                task.batch_idx,
+                pair_obs,
+            ),
             // A queue fault that survives its retry budget fails the
             // batch (and, downstream, the pair).
             Err(error) => {
                 BatchResult::failed(task.hits.len() as u64, format!("queue.pop fault: {error}"))
             }
         };
-        meter.add_items(result.processed);
-        meter.add_cells(result.cells);
         deposit(cells, extend_q, &task, result);
         heartbeat.fetch_add(1, Ordering::Relaxed);
     }
@@ -670,17 +644,9 @@ fn extend_worker(
             Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
                 Err(format!("injected fault: pair {pair_id}: retries exhausted"))
             }
-            Ok(()) => {
-                let busy = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)));
-                meter.add_busy(busy.elapsed());
-                result.map_err(|payload| panic_message(payload.as_ref()))
-            }
+            Ok(()) => catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
+                .map_err(|payload| panic_message(payload.as_ref())),
         };
-        if let Ok(report) = &result {
-            meter.add_items(report.counters.anchors_passed);
-            meter.add_cells(report.workload.extension_cells);
-        }
         heartbeat.fetch_add(1, Ordering::Relaxed);
         if done_q.push(PairDone { pair_id, result }).is_err() {
             break;
@@ -728,14 +694,12 @@ fn gate_queue(
 /// hits into filter tasks. The reverse strand's tile clamp charges the
 /// forward strand's *planned* tiles (see module docs for the single
 /// divergence this implies).
-#[allow(clippy::too_many_arguments)]
 fn plan_pair<'a>(
     params: &WgaParams,
     table: &SeedTable,
     target: &'a Sequence,
     query: &'a Sequence,
     pair_id: usize,
-    seed_meter: &StageMeter,
     threads: usize,
     obs: Obs<'_>,
 ) -> (PairJob<'a>, Vec<FilterTask<'a>>) {
@@ -747,8 +711,6 @@ fn plan_pair<'a>(
         let (hits, seeded) =
             seed_lane(params, table, query.seq(), strand, threads, tiles_planned, obs);
         tiles_planned += hits.len() as u64;
-        seed_meter.add_items(hits.len() as u64);
-        seed_meter.add_cells(seeded.seeds_queried);
         let ctx_start = Instant::now();
         let ctx = Arc::new(FilterContext::new(params, target, query.seq()));
         let ctx_time = ctx_start.elapsed();

@@ -1,60 +1,42 @@
 //! Per-stage telemetry of the executors.
 //!
 //! The hardware paper evaluates its decoupled arrays by occupancy and
-//! throughput per stage; this module is the software equivalent. In the
-//! dataflow executor each worker pool accumulates items/cells processed
-//! and busy/idle time into lock-free counters, snapshotted into an
-//! [`ExecutorMetrics`] at the end of the run; the barrier executor
-//! derives the same shape from its aggregated timings and funnel
-//! counters, so `--metrics-out` works on every executor.
+//! throughput per stage; this module is the software equivalent. Each
+//! stage's items, cells and busy time are read off the run's folded
+//! report ([`ExecutorMetrics::from_report`]) on every executor, so
+//! `--metrics-out` means the same thing on each; the dataflow executor
+//! adds what a report cannot know — the time its pools spent blocked on
+//! their queues ([`StageMeter`]), the queues' high-water marks and the
+//! pool sizes.
 
 use crate::dataflow::ExecutorKind;
-use serde::{Deserialize, Serialize};
+use crate::faultsim::FaultInjector;
+use crate::genome_pipeline::AssemblyReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Live accumulator one worker pool writes into (relaxed atomics — the
-/// counters are telemetry, not synchronisation).
+/// Time one dataflow worker pool spent blocked on its queue (a relaxed
+/// atomic — telemetry, not synchronisation).
 #[derive(Debug, Default)]
 pub(crate) struct StageMeter {
-    items: AtomicU64,
-    cells: AtomicU64,
-    busy_ns: AtomicU64,
     idle_ns: AtomicU64,
 }
 
 impl StageMeter {
-    pub(crate) fn add_items(&self, n: u64) {
-        self.items.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_cells(&self, n: u64) {
-        self.cells.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_busy(&self, d: Duration) {
-        self.busy_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     pub(crate) fn add_idle(&self, d: Duration) {
         self.idle_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Freezes the counters into a snapshot.
-    pub(crate) fn snapshot(&self, workers: usize, max_queue_occupancy: usize) -> StageMetrics {
-        StageMetrics {
-            workers,
-            items: self.items.load(Ordering::Relaxed),
-            cells: self.cells.load(Ordering::Relaxed),
-            busy_us: self.busy_ns.load(Ordering::Relaxed) / 1_000,
-            idle_us: self.idle_ns.load(Ordering::Relaxed) / 1_000,
-            max_queue_occupancy: max_queue_occupancy as u64,
-        }
+    /// Writes the pool's idle time and its input queue's high-water
+    /// mark into `stage`.
+    pub(crate) fn fill(&self, stage: &mut StageMetrics, max_queue_occupancy: usize) {
+        stage.idle_us = self.idle_ns.load(Ordering::Relaxed) / 1_000;
+        stage.max_queue_occupancy = max_queue_occupancy as u64;
     }
 }
 
 /// Snapshot of one stage's telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Threads in the stage's worker pool (1 for the seeding producer).
     pub workers: usize,
@@ -74,10 +56,9 @@ pub struct StageMetrics {
 }
 
 /// Whole-run telemetry of one executor run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorMetrics {
     /// Which executor produced these metrics.
-    #[serde(default)]
     pub executor: ExecutorKind,
     /// Worker threads per pool.
     pub threads: usize,
@@ -91,22 +72,59 @@ pub struct ExecutorMetrics {
     pub extension: StageMetrics,
     /// Faults injected by `--fault-plan` across the whole run (zero
     /// outside chaos runs; absent in pre-existing metrics JSON).
-    #[serde(default)]
     pub faults_injected: u64,
     /// Supervised retries consumed recovering from injected or real
     /// transient failures.
-    #[serde(default)]
     pub retries: u64,
     /// Watchdog stall escalations over the whole run.
-    #[serde(default)]
     pub stalls_detected: u64,
 }
 
-/// Former name of [`ExecutorMetrics`], kept for source compatibility
-/// from when only the dataflow executor reported stage telemetry.
-pub type DataflowMetrics = ExecutorMetrics;
-
 impl ExecutorMetrics {
+    /// The telemetry of a run whose pairs are all folded into `out`:
+    /// each stage's items, cells and busy time come from the report
+    /// (pairs replayed from a journal included, work spent on a pair
+    /// that went on to fail excluded), the fault totals from the run's
+    /// injector. Seeding and filtering fan out over `threads`, one
+    /// thread extends a pair, and idle time and queue occupancy read
+    /// zero, as on the barrier schedule; the dataflow executor
+    /// overwrites what its pools and queues know better.
+    pub(crate) fn from_report(
+        executor: ExecutorKind,
+        threads: usize,
+        out: &AssemblyReport,
+        injector: Option<&FaultInjector>,
+    ) -> ExecutorMetrics {
+        let stage = |workers, items, cells, busy: Duration| StageMetrics {
+            workers,
+            items,
+            cells,
+            busy_us: busy.as_micros() as u64,
+            ..StageMetrics::default()
+        };
+        let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
+        ExecutorMetrics {
+            executor,
+            threads,
+            seeding: stage(threads, out.counters.hits_filtered, out.workload.seeds, out.timings.seeding),
+            filtering: stage(
+                threads,
+                out.workload.filter_tiles,
+                out.counters.filter_cells,
+                out.timings.filtering,
+            ),
+            extension: stage(
+                1,
+                out.counters.anchors_passed,
+                out.workload.extension_cells,
+                out.timings.extension,
+            ),
+            faults_injected,
+            retries,
+            ..ExecutorMetrics::default()
+        }
+    }
+
     /// Renders the metrics as a stable, integer-only JSON document
     /// (the `--metrics-out` payload). Integer-only keeps the schema
     /// diffable and platform-independent, like the bench JSON files.
@@ -170,20 +188,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn meter_accumulates_and_snapshots() {
+    fn meter_accumulates_idle_and_fills_the_queue_side() {
         let m = StageMeter::default();
-        m.add_items(3);
-        m.add_items(4);
-        m.add_cells(100);
-        m.add_busy(Duration::from_micros(1500));
-        m.add_idle(Duration::from_micros(250));
-        let s = m.snapshot(4, 7);
-        assert_eq!(s.workers, 4);
-        assert_eq!(s.items, 7);
-        assert_eq!(s.cells, 100);
-        assert_eq!(s.busy_us, 1500);
-        assert_eq!(s.idle_us, 250);
-        assert_eq!(s.max_queue_occupancy, 7);
+        m.add_idle(Duration::from_micros(100));
+        m.add_idle(Duration::from_micros(150));
+        let mut s = StageMetrics {
+            workers: 1,
+            items: 7,
+            cells: 100,
+            busy_us: 1500,
+            ..StageMetrics::default()
+        };
+        m.fill(&mut s, 7);
+        assert_eq!((s.idle_us, s.max_queue_occupancy), (250, 7));
+        assert_eq!((s.workers, s.items, s.cells, s.busy_us), (1, 7, 100, 1500), "the report's side stays");
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod executor;
 mod metrics;
 mod queue;
 
-pub use metrics::{DataflowMetrics, ExecutorMetrics, StageMetrics};
+pub use metrics::{ExecutorMetrics, StageMetrics};
 pub use queue::BoundedQueue;
 
 pub(crate) use executor::execute;
@@ -38,7 +38,7 @@ pub(crate) use executor::execute;
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
 /// Which execution engine drives an assembly-scale run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// Stage-barrier schedule: within each pair seeding and the filter
     /// batches fan out, each stage runs to completion before the next,
@@ -139,6 +139,10 @@ mod tests {
         let params = WgaParams::darwin_wga();
         let barrier = run(&params, &target, &query, ExecutorKind::Barrier, 1, 64);
         assert!(barrier.total_matches() > 0);
+        let bm = barrier.stage_metrics.expect("barrier sets metrics too");
+        let work = |m: &ExecutorMetrics| {
+            [m.seeding, m.filtering, m.extension].map(|stage| (stage.items, stage.cells))
+        };
         for threads in [1, 2, 4] {
             for queue_depth in [1, 3, 64] {
                 let dataflow = run(
@@ -161,11 +165,11 @@ mod tests {
                 assert_eq!(metrics.queue_depth, queue_depth);
                 assert_eq!(metrics.filtering.items, barrier.workload.filter_tiles);
                 assert!(metrics.filtering.max_queue_occupancy <= queue_depth as u64);
+                // Both read every stage's work off the folded report.
+                assert_eq!(work(&metrics), work(&bm), "threads={threads}");
+                assert_eq!(metrics.extension.workers, threads);
             }
         }
-        // Since the observability PR the barrier executor reports stage
-        // metrics too, derived from its aggregate timings and counters.
-        let bm = barrier.stage_metrics.expect("barrier sets metrics too");
         assert_eq!(bm.executor, ExecutorKind::Barrier);
         assert_eq!(bm.filtering.items, barrier.workload.filter_tiles);
         assert_eq!(bm.threads, 1);

@@ -2,15 +2,16 @@
 //! fixed-depth hardware FIFOs between Darwin-WGA's D-SOFT, BSW and
 //! GACT-X arrays.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-//! shim has no condvar). Lock poisoning is deliberately ignored
-//! (`into_inner` on a poisoned guard): a worker panic is already
-//! contained by the executor's `catch_unwind` layers, and the queue's
-//! state — a `VecDeque` plus two flags — is valid after any interleaving
-//! of pushes and pops.
+//! Built on the crate's non-poisoning `sync::Mutex` and `std::sync::Condvar`.
+//! Lock poisoning is deliberately ignored (there, and on the two
+//! `Condvar::wait` returns here): a worker panic is already contained by
+//! the executor's `catch_unwind` layers, and the queue's state — a
+//! `VecDeque` plus two flags — is valid after any interleaving of pushes
+//! and pops.
 
+use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Condvar;
 
 /// A blocking bounded FIFO shared by producers and consumers.
 #[derive(Debug)]
@@ -52,16 +53,12 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Pushes an item, blocking while the queue is full (backpressure).
     ///
     /// Returns `Err(item)` when the queue has been closed — the caller
     /// is racing a shutdown and should drop the work.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         while state.items.len() >= self.capacity && !state.closed {
             state = self
                 .not_full
@@ -83,7 +80,7 @@ impl<T> BoundedQueue<T> {
     /// Returns `None` once the queue is closed *and* drained — consumers
     /// use this as their termination signal.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
                 drop(state);
@@ -103,14 +100,14 @@ impl<T> BoundedQueue<T> {
     /// Closes the queue: blocked pushers fail, and poppers drain the
     /// remaining items before seeing `None`. Idempotent.
     pub fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     /// Highest number of items the queue ever held at once.
     pub fn max_occupancy(&self) -> usize {
-        self.lock().max_occupancy
+        self.state.lock().max_occupancy
     }
 }
 

@@ -31,12 +31,12 @@ use crate::error::{WgaError, WgaResult};
 use crate::journal::json::{self, Json};
 use crate::obs::Obs;
 use crate::supervise::RetryPolicy;
+use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -290,7 +290,7 @@ pub struct PairFaults {
 ///
 /// Shared by reference (via [`Obs`]) across every executor thread; all
 /// interior state is behind atomics or mutexes, and lock poisoning is
-/// absorbed (`PoisonError::into_inner`) so an injected panic cannot
+/// absorbed (by `crate::sync::Mutex`) so an injected panic cannot
 /// wedge the injector itself.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -311,10 +311,6 @@ pub struct FaultInjector {
     retries_total: AtomicU64,
     /// Set by the watchdog (or a test) to cut injected latency short.
     abort: AtomicBool,
-}
-
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FaultInjector {
@@ -353,7 +349,7 @@ impl FaultInjector {
     /// implement short writes.
     pub fn probe(&self, hook: Hook, pair: u64) -> Option<(FaultKind, u64)> {
         let occ = {
-            let mut occs = locked(&self.occurrences);
+            let mut occs = self.occurrences.lock();
             let slot = occs.entry((hook.code(), pair)).or_insert(0);
             let occ = *slot;
             *slot += 1;
@@ -368,27 +364,27 @@ impl FaultInjector {
 
     /// Records one injection against `pair`'s journal counters.
     fn count_pair_injection(&self, pair: u64) {
-        locked(&self.per_pair).entry(pair).or_default().injected += 1;
+        self.per_pair.lock().entry(pair).or_default().injected += 1;
     }
 
     /// Counts one supervised retry (global + per-pair).
     pub fn count_retry(&self, pair: u64) {
         self.retries_total.fetch_add(1, Ordering::Relaxed);
-        locked(&self.per_pair).entry(pair).or_default().retries += 1;
+        self.per_pair.lock().entry(pair).or_default().retries += 1;
     }
 
     /// Whether `pair`'s injected-error retry budget is exhausted.
     pub fn is_poisoned(&self, pair: u64) -> bool {
-        locked(&self.poisoned).contains(&pair)
+        self.poisoned.lock().contains(&pair)
     }
 
     fn poison(&self, pair: u64) {
-        locked(&self.poisoned).insert(pair);
+        self.poisoned.lock().insert(pair);
     }
 
     /// Takes (and clears) the per-pair fault accounting for `pair`.
     pub fn take_pair(&self, pair: u64) -> PairFaults {
-        locked(&self.per_pair).remove(&pair).unwrap_or_default()
+        self.per_pair.lock().remove(&pair).unwrap_or_default()
     }
 
     /// Run totals: `(faults_injected, retries)`.
@@ -469,7 +465,7 @@ impl FaultInjector {
                 }
                 FaultKind::Error | FaultKind::ShortWrite => {
                     let attempt = {
-                        let mut attempts = locked(&self.attempts);
+                        let mut attempts = self.attempts.lock();
                         let slot = attempts.entry((hook.code(), pair)).or_insert(0);
                         let attempt = *slot;
                         *slot += 1;

@@ -23,7 +23,7 @@
 //! report byte-identical across engines, executors and thread counts.
 
 use crate::config::WgaParams;
-use crate::dataflow::{ExecutorKind, ExecutorMetrics, StageMetrics, DEFAULT_QUEUE_DEPTH};
+use crate::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{params_fingerprint, Journal, JournalStats};
@@ -36,13 +36,12 @@ use genome::assembly::Assembly;
 use hwsim::Workload;
 use seed::table::MAX_TARGET_LEN;
 use seed::SeedTable;
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// One alignment located on a chromosome pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocatedAlignment {
     /// Target chromosome name.
     pub target_chrom: String,
@@ -100,7 +99,7 @@ impl Default for AlignOptions {
 }
 
 /// Assembly-level run output.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AssemblyReport {
     /// All alignments across chromosome pairs.
     pub alignments: Vec<LocatedAlignment>,
@@ -110,25 +109,20 @@ pub struct AssemblyReport {
     pub timings: StageTimings,
     /// Aggregate funnel counters across all pairs. Excluded from
     /// [`AssemblyReport::canonical_text`], like timings.
-    #[serde(default)]
     pub counters: FunnelCounters,
     /// Per-pair outcomes, in canonical (target × query) order.
-    #[serde(default)]
     pub pairs: Vec<PairOutcome>,
     /// Pairs replayed from the checkpoint journal instead of recomputed.
-    #[serde(default)]
     pub resumed_pairs: u64,
     /// Per-stage telemetry of the executor that ran this report (set by
     /// both the barrier and dataflow executors). Excluded from
     /// [`AssemblyReport::canonical_text`], like timings: telemetry varies
     /// run to run, results do not.
-    #[serde(default)]
     pub stage_metrics: Option<ExecutorMetrics>,
     /// What journal recovery found when this run resumed from a
     /// checkpoint (`None` without a checkpoint). Excluded from
     /// [`AssemblyReport::canonical_text`]: recovery circumstances vary,
     /// results do not.
-    #[serde(default)]
     pub journal_stats: Option<JournalStats>,
 }
 
@@ -416,55 +410,14 @@ pub(crate) fn align_assemblies_provided(
     }
     out.alignments
         .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
-    let mut metrics = barrier_metrics(&out, options.threads);
-    if let Some(inj) = injector.as_ref() {
-        let (faults_injected, retries) = inj.totals();
-        metrics.faults_injected = faults_injected;
-        metrics.retries = retries;
-    }
-    out.stage_metrics = Some(metrics);
+    out.stage_metrics = Some(ExecutorMetrics::from_report(
+        ExecutorKind::Barrier,
+        options.threads,
+        &out,
+        injector.as_ref(),
+    ));
     out.journal_stats = journal_stats;
     Ok(out)
-}
-
-/// Derives [`ExecutorMetrics`] for a barrier run from the aggregate
-/// timings, workload and funnel counters, so `--metrics-out` carries the
-/// same shape on every executor. Barrier stages run to completion one
-/// after another, so idle time and queue occupancy are zero by
-/// construction. Seeding (table build, D-SOFT binning) and filtering fan
-/// out over the whole pool; one thread extends a pair.
-fn barrier_metrics(out: &AssemblyReport, threads: usize) -> ExecutorMetrics {
-    ExecutorMetrics {
-        executor: ExecutorKind::Barrier,
-        threads,
-        queue_depth: 0,
-        seeding: StageMetrics {
-            workers: threads,
-            items: out.counters.hits_filtered,
-            cells: out.workload.seeds,
-            busy_us: out.timings.seeding.as_micros() as u64,
-            idle_us: 0,
-            max_queue_occupancy: 0,
-        },
-        filtering: StageMetrics {
-            workers: threads,
-            items: out.workload.filter_tiles,
-            cells: out.counters.filter_cells,
-            busy_us: out.timings.filtering.as_micros() as u64,
-            idle_us: 0,
-            max_queue_occupancy: 0,
-        },
-        extension: StageMetrics {
-            workers: 1,
-            items: out.counters.anchors_passed,
-            cells: out.workload.extension_cells,
-            busy_us: out.timings.extension.as_micros() as u64,
-            idle_us: 0,
-            max_queue_occupancy: 0,
-        },
-        // Fault totals are filled in by the caller from the injector.
-        ..ExecutorMetrics::default()
-    }
 }
 
 #[cfg(test)]

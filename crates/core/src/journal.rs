@@ -28,7 +28,6 @@ use crate::report::{
 };
 use align::{AlignOp, Alignment, Cigar};
 use hwsim::Workload;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -78,7 +77,7 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// What recovery found in an existing journal, surfaced at resume time
 /// (and in the assembly report) so damage is visible without being
 /// fatal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Pair records successfully recovered.
     pub records_recovered: u64,
@@ -1199,6 +1198,16 @@ mod tests {
         let err = Journal::open(&path, &fp_b).unwrap_err();
         assert!(matches!(err, WgaError::Checkpoint { .. }), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The fingerprint hashes `WgaParams`' `Debug` rendering, so a
+    /// renamed field or a changed derive silently orphans every journal
+    /// written before it. These are the values the parent of PR 21
+    /// wrote: while they hold, its `--checkpoint` journals still resume.
+    #[test]
+    fn fingerprints_of_the_two_presets_are_pinned() {
+        assert_eq!(params_fingerprint(&WgaParams::darwin_wga()), "c101066a06e1bd8f");
+        assert_eq!(params_fingerprint(&WgaParams::lastz_baseline()), "5f947ee48ae4fce9");
     }
 
     #[test]

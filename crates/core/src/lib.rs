@@ -53,6 +53,7 @@ pub mod report;
 pub(crate) mod shard;
 pub mod stages;
 pub mod supervise;
+mod sync;
 
 pub use config::WgaParams;
 pub use error::{WgaError, WgaResult};

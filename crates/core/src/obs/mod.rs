@@ -4,7 +4,7 @@
 //! threads, the streaming dataflow executor, both behind
 //! [`crate::genome_pipeline::align_assemblies_observed`]) threads an
 //! [`Obs`] handle through the stage functions' hot loops. The handle is a `Copy`
-//! two-word value wrapping an optional `&dyn Recorder`; when
+//! few-word value wrapping an optional `&TraceRecorder`; when
 //! observability is off (the default for every pre-existing entry
 //! point) the option is `None` and every instrumentation call reduces
 //! to a single branch.
@@ -23,11 +23,9 @@
 //!   size distributions (per-tile filter latency, per-tile DP cells,
 //!   extension tiles per anchor).
 //!
-//! The concrete [`TraceRecorder`] renders everything as JSONL with
+//! The [`TraceRecorder`] renders everything as JSONL with
 //! deterministic integer-only fields (see [`Span::to_json_line`] and
-//! [`TraceRecorder::write_trace`]); the [`NullRecorder`] ignores
-//! everything and reports itself disabled so [`Obs::new`] folds it into
-//! the no-op path.
+//! [`TraceRecorder::write_trace`]).
 
 mod histogram;
 mod progress;
@@ -36,7 +34,7 @@ pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
 use crate::report::Strand;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -310,47 +308,6 @@ impl HistKind {
     }
 }
 
-/// Sink for observability events. All methods default to no-ops so a
-/// recorder only implements what it wants; `Sync` because one recorder
-/// is shared by every worker thread.
-pub trait Recorder: Sync {
-    /// Whether instrumentation should run at all. [`Obs::new`] maps a
-    /// disabled recorder to the `None` fast path, so a recorder that
-    /// returns `false` here never sees another call.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Takes ownership of a batch of finished spans. Implementations
-    /// must leave `spans` empty (the buffer is reused).
-    fn flush_spans(&self, spans: &mut Vec<Span>) {
-        spans.clear();
-    }
-
-    /// Adds `n` to a funnel counter.
-    fn add(&self, counter: Counter, n: u64) {
-        let _ = (counter, n);
-    }
-
-    /// Records one histogram sample.
-    fn observe(&self, hist: HistKind, value: u64) {
-        let _ = (hist, value);
-    }
-
-    /// Announces the total number of pairs the run will process, for
-    /// progress/ETA reporting.
-    fn set_total_pairs(&self, pairs: u64) {
-        let _ = pairs;
-    }
-}
-
-/// A recorder that ignores everything. Reports itself disabled, so
-/// `Obs::new(&NullRecorder)` behaves exactly like [`Obs::off`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
-
 /// The observation handle threaded through the drivers.
 ///
 /// `Copy` and a few words wide; cloning it into worker closures is
@@ -360,7 +317,7 @@ impl Recorder for NullRecorder {}
 /// makes every `fault_gate` call a single branch.
 #[derive(Clone, Copy)]
 pub struct Obs<'a> {
-    rec: Option<&'a dyn Recorder>,
+    rec: Option<&'a TraceRecorder>,
     fault: Option<&'a crate::faultsim::FaultInjector>,
     epoch: Instant,
     pair: u64,
@@ -391,12 +348,10 @@ impl Obs<'static> {
 }
 
 impl<'a> Obs<'a> {
-    /// A handle feeding `recorder`. A recorder whose
-    /// [`Recorder::enabled`] returns `false` is folded into the
-    /// disabled fast path.
-    pub fn new(recorder: &'a dyn Recorder) -> Obs<'a> {
+    /// A handle feeding `recorder`.
+    pub fn new(recorder: &'a TraceRecorder) -> Obs<'a> {
         Obs {
-            rec: recorder.enabled().then_some(recorder),
+            rec: Some(recorder),
             fault: None,
             epoch: Instant::now(),
             pair: NO_PAIR,
@@ -745,6 +700,24 @@ impl TraceRecorder {
         }
     }
 
+    /// Takes a batch of finished spans, leaving `spans` empty (the
+    /// buffer is reused).
+    fn flush_spans(&self, spans: &mut Vec<Span>) {
+        self.spans.lock().append(spans);
+    }
+
+    fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn observe(&self, hist: HistKind, value: u64) {
+        self.hists[hist as usize].observe(value);
+    }
+
+    fn set_total_pairs(&self, pairs: u64) {
+        self.total_pairs.store(pairs, Ordering::Relaxed);
+    }
+
     /// Current value of one funnel counter.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize].load(Ordering::Relaxed)
@@ -819,43 +792,25 @@ impl Default for TraceRecorder {
     }
 }
 
-impl Recorder for TraceRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn flush_spans(&self, spans: &mut Vec<Span>) {
-        self.spans.lock().append(spans);
-    }
-
-    fn add(&self, counter: Counter, n: u64) {
-        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn observe(&self, hist: HistKind, value: u64) {
-        self.hists[hist as usize].observe(value);
-    }
-
-    fn set_total_pairs(&self, pairs: u64) {
-        self.total_pairs.store(pairs, Ordering::Relaxed);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn null_recorder_folds_to_off_path() {
-        let obs = Obs::new(&NullRecorder);
+    fn off_handle_records_nothing_and_reads_no_clock() {
+        let obs = Obs::off();
         assert!(!obs.is_enabled());
         let timer = obs.timer();
+        assert!(timer.0.is_none(), "a disabled timer never reads the clock");
         obs.filter_tile(&timer, 100); // must be a no-op, not a panic
+        obs.add(Counter::PairsDone, 1);
         let mut buf = obs.buffer();
+        assert_eq!(buf.alloc_id(), NO_SPAN);
         let t = buf.start();
+        assert!(t.0.is_none());
         buf.finish(t, SpanName::Seed, STRAND_FWD, 0, 1, 2);
-        buf.flush();
-        assert!(buf.spans.is_empty());
+        assert!(buf.spans.is_empty(), "no span without a recorder");
     }
 
     #[test]

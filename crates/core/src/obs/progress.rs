@@ -132,7 +132,7 @@ fn print_line(recorder: &TraceRecorder, width: &mut usize, last: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{Counter, Recorder};
+    use crate::obs::Counter;
 
     #[test]
     fn progress_line_formats() {

@@ -2,11 +2,10 @@
 
 use align::Alignment;
 use hwsim::Workload;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Query strand an alignment was found on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Strand {
     /// Forward (query as given).
     #[default]
@@ -17,7 +16,7 @@ pub enum Strand {
 }
 
 /// One output alignment with strand information.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WgaAlignment {
     /// The alignment (query coordinates are on `strand`).
     pub alignment: Alignment,
@@ -26,7 +25,7 @@ pub struct WgaAlignment {
 }
 
 /// Wall-clock time spent per pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Seeding (table build + D-SOFT).
     pub seeding: Duration,
@@ -51,7 +50,7 @@ impl StageTimings {
 }
 
 /// Which resource budget a [`RunEvent::BudgetExceeded`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// [`crate::config::ResourceBudget::max_seed_hits`] (per strand).
     SeedHits,
@@ -65,7 +64,7 @@ pub enum BudgetKind {
 }
 
 /// Which pipeline stage an event occurred in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// Seed-table lookup / D-SOFT banding.
     Seeding,
@@ -77,7 +76,7 @@ pub enum StageKind {
 
 /// One noteworthy event of a pipeline run: graceful degradation instead
 /// of unbounded work (budgets) or process death (worker panics).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunEvent {
     /// A resource budget tripped; the stage truncated its work
     /// deterministically and the run continued.
@@ -108,7 +107,7 @@ pub enum RunEvent {
 }
 
 /// Per-chromosome-pair status of an assembly-scale run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The pair ran to completion with no degradation.
     Completed,
@@ -135,7 +134,7 @@ impl RunOutcome {
 
 /// One chromosome pair's outcome within an
 /// [`crate::genome_pipeline::AssemblyReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairOutcome {
     /// Target chromosome name.
     pub target_chrom: String,
@@ -146,7 +145,7 @@ pub struct PairOutcome {
 }
 
 /// Funnel counters: how many candidates each stage saw and passed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunnelCounters {
     /// Raw seed hits before diagonal-band deduplication.
     pub raw_seed_hits: u64,
@@ -154,7 +153,6 @@ pub struct FunnelCounters {
     pub hits_filtered: u64,
     /// DP cells spent in the gapped filter. Absent (zero) in records
     /// serialized before this field existed.
-    #[serde(default)]
     pub filter_cells: u64,
     /// Anchors that passed the filter threshold.
     pub anchors_passed: u64,
@@ -164,14 +162,11 @@ pub struct FunnelCounters {
     pub alignments_kept: u64,
     /// Faults injected into this pair by `--fault-plan` (zero outside
     /// chaos runs; absent in records serialized before the field).
-    #[serde(default)]
     pub faults_injected: u64,
     /// Supervised retries this pair consumed recovering from injected
     /// or real transient failures.
-    #[serde(default)]
     pub retries: u64,
     /// Watchdog stall escalations attributed to this pair.
-    #[serde(default)]
     pub stalls_detected: u64,
 }
 
@@ -191,7 +186,7 @@ impl FunnelCounters {
 }
 
 /// Complete output of one pipeline run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WgaReport {
     /// Output alignments, best score first.
     pub alignments: Vec<WgaAlignment>,
@@ -203,7 +198,6 @@ pub struct WgaReport {
     pub counters: FunnelCounters,
     /// Degradation events (tripped budgets, failed worker batches), in
     /// the order they occurred. Empty for a clean run.
-    #[serde(default)]
     pub events: Vec<RunEvent>,
 }
 

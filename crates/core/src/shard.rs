@@ -34,8 +34,8 @@
 //! parallelism.
 
 use crate::supervise::panic_message;
+use crate::sync::Mutex;
 use genome::Sequence;
-use parking_lot::Mutex;
 use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams, DsoftResult};
 use seed::SeedTable;
 use std::ops::Range;

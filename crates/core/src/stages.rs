@@ -170,7 +170,7 @@ pub fn run_extension(
 #[derive(Debug, Default)]
 pub(crate) struct SeededLane {
     /// Seed positions D-SOFT queried.
-    pub(crate) seeds_queried: u64,
+    seeds_queried: u64,
     raw_hits: u64,
     seed_time: Duration,
     clamp_events: Vec<RunEvent>,
@@ -230,11 +230,11 @@ pub(crate) struct BatchResult {
     pub(crate) anchors: Vec<Anchor>,
     /// Hits actually filtered (< `items` when the pair deadline stopped
     /// the batch early; 0 for a failed batch).
-    pub(crate) processed: u64,
+    processed: u64,
     /// Hits the batch carried.
     pub(crate) items: u64,
     /// DP cells evaluated.
-    pub(crate) cells: u64,
+    cells: u64,
     /// Filter wall-clock of the batch.
     busy: Duration,
     /// Why the batch produced nothing: the message of its second panic,

@@ -4,7 +4,6 @@
 //! keep one byte per base in [`crate::Sequence`] but expose the same 3-bit
 //! code via [`Base::code`] so the hardware model and packed storage agree.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single nucleotide of the extended DNA alphabet.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(b, Base::A);
 /// assert_eq!(b.complement(), Base::T);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Base {
     /// Adenine.

@@ -5,13 +5,12 @@
 //! the paper did not have (it had to approximate one with TBLASTX), which we
 //! use for the exon-recovery metric of Table III.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A half-open interval `[start, end)` on a sequence, with a label.
 ///
 /// Used for conserved elements ("exons") in the synthetic ancestor.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Start coordinate (inclusive).
     pub start: usize,
@@ -69,7 +68,7 @@ impl Interval {
 /// `map[i] == Some(j)` means ancestral base `i` survives (possibly
 /// substituted) at descendant position `j`; `None` means it was deleted.
 /// Positions are strictly increasing over the surviving entries.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinateMap {
     map: Vec<Option<u32>>,
     descendant_len: usize,

@@ -7,11 +7,10 @@
 
 use crate::fasta::{self, FastaError, Record};
 use crate::sequence::Sequence;
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 
 /// One chromosome of an assembly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chromosome {
     /// Chromosome name (e.g. `chrX`).
     pub name: String,
@@ -20,7 +19,7 @@ pub struct Chromosome {
 }
 
 /// A named, ordered collection of chromosomes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Assembly {
     /// Assembly name (e.g. `ce11`).
     pub name: String,

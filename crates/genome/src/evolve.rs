@@ -19,10 +19,9 @@ use crate::annotation::{CoordinateMap, Interval};
 use crate::markov::MarkovModel;
 use crate::sequence::Sequence;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the two-lineage evolution model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvolutionParams {
     /// Total pairwise distance between the two descendants, in expected
     /// substitutions per site (each lineage receives half).
@@ -99,7 +98,7 @@ impl Default for EvolutionParams {
 }
 
 /// One evolved lineage: the descendant sequence plus ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lineage {
     /// Descendant sequence.
     pub sequence: Sequence,
@@ -117,7 +116,7 @@ pub struct Lineage {
 }
 
 /// A complete synthetic species pair with ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticPair {
     /// The ancestral sequence.
     pub ancestor: Sequence,
@@ -415,7 +414,7 @@ fn poisson_like<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> usize {
 
 /// A named species pair from the paper's evaluation with its Fig. 8
 /// phylogenetic distance and a scaled default size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeciesPair {
     /// Target assembly name (e.g. `ce11`).
     pub target: &'static str,

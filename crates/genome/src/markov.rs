@@ -8,10 +8,9 @@ use crate::alphabet::Base;
 use crate::sequence::Sequence;
 use crate::stats::DinucleotideCounts;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A first-order Markov model over `{A, C, G, T}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovModel {
     initial: [f64; 4],
     transition: [[f64; 4]; 4],

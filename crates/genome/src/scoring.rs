@@ -6,7 +6,6 @@
 //! subtracted by the DP recurrences, matching equations 1–3 of §IV).
 
 use crate::alphabet::Base;
-use serde::{Deserialize, Serialize};
 
 /// A 5×5 substitution score matrix over `{A, C, G, T, N}`.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(w.score(Base::A, Base::G), -25); // transitions are cheap
 /// assert_eq!(w.score(Base::A, Base::T), -100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubstitutionMatrix {
     scores: [[i32; 5]; 5],
 }
@@ -94,7 +93,7 @@ impl Default for SubstitutionMatrix {
 /// Opening a gap of length `L` costs `open + L * extend` in total (the
 /// "open" charge applies to the first gapped base in addition to its
 /// extension charge, matching LASTZ and equations 1–2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapPenalties {
     /// Gap-open penalty (positive).
     pub open: i32,

@@ -1,7 +1,6 @@
 //! Owned DNA sequences and borrowed views.
 
 use crate::alphabet::{Base, ParseBaseError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, Range};
 
@@ -22,7 +21,7 @@ use std::ops::{Index, Range};
 /// assert_eq!(seq.reverse_complement().to_string(), "NACGT");
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Sequence {
     bases: Vec<Base>,
 }

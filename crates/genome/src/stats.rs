@@ -7,10 +7,9 @@
 
 use crate::alphabet::Base;
 use crate::sequence::Sequence;
-use serde::{Deserialize, Serialize};
 
 /// Counts of each base.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BaseCounts {
     counts: [u64; 5],
 }
@@ -49,7 +48,7 @@ impl BaseCounts {
 /// A 4×4 matrix of dinucleotide counts over unambiguous adjacent pairs.
 ///
 /// Pairs containing `N` are skipped (both as first and second element).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DinucleotideCounts {
     counts: [[u64; 4]; 4],
 }

@@ -7,8 +7,6 @@
 //! provisioning changes, which is how the paper itself sizes the chip
 //! ("scaled the area and power estimates accordingly").
 
-use serde::{Deserialize, Serialize};
-
 /// Published Table IV constants (per component, at the default config).
 mod constants {
     /// BSW logic: 64 × 64-PE arrays → 16.6 mm², 25.6 W.
@@ -25,7 +23,7 @@ mod constants {
 }
 
 /// One row of the breakdown table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentRow {
     /// Component name.
     pub component: String,
@@ -38,7 +36,7 @@ pub struct ComponentRow {
 }
 
 /// ASIC provisioning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsicProvisioning {
     /// Number of BSW arrays.
     pub bsw_arrays: usize,

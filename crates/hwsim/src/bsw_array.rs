@@ -6,10 +6,9 @@
 //! of `T_f` bases takes `⌈T_f/Npe⌉` stripes.
 
 use crate::systolic::ArrayConfig;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one BSW filter tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BswTileGeometry {
     /// Tile size `T_f` in bases (target and query window).
     pub tile_size: usize,
@@ -64,7 +63,7 @@ impl Default for BswTileGeometry {
 }
 
 /// A bank of identical BSW arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BswBank {
     /// Per-array configuration.
     pub array: ArrayConfig,

@@ -6,10 +6,8 @@
 //! the 3.1 W estimate of Table IV. We model channels as a flat aggregate
 //! bandwidth and expose the min(compute, memory) arbitration.
 
-use serde::{Deserialize, Serialize};
-
 /// A DRAM subsystem: some number of identical channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Number of channels.
     pub channels: usize,

@@ -8,10 +8,8 @@
 //! answers provisioning questions like "how many arrays would a bigger
 //! part take?".
 
-use serde::{Deserialize, Serialize};
-
 /// An FPGA part's usable resources (after shell/DMA overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaPart {
     /// Part name.
     pub name: &'static str,
@@ -37,7 +35,7 @@ impl FpgaPart {
 }
 
 /// Per-PE resource costs for the two array types.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeCosts {
     /// LUTs per BSW PE (score-only datapath).
     pub bsw_luts_per_pe: u64,
@@ -64,7 +62,7 @@ impl PeCosts {
 }
 
 /// A candidate mapping of arrays onto a part.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mapping {
     /// BSW arrays.
     pub bsw_arrays: usize,

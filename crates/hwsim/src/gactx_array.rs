@@ -11,14 +11,13 @@
 //! reflects the actual workload of the run being simulated.
 
 use crate::systolic::ArrayConfig;
-use serde::{Deserialize, Serialize};
 
 /// Per-tile traceback SRAM provisioned in hardware (Table IV: 16 KB per
 /// PE; 64 PEs × 16 KB = 1 MB per array).
 pub const TRACEBACK_BYTES_PER_PE: u64 = 16 * 1024;
 
 /// A bank of GACT-X extension arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GactXBank {
     /// Per-array configuration.
     pub array: ArrayConfig,

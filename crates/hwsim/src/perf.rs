@@ -8,10 +8,9 @@
 //! factors.
 
 use crate::platform::{AcceleratorConfig, CpuConfig};
-use serde::{Deserialize, Serialize};
 
 /// Workload counters of one whole-genome alignment run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Workload {
     /// Seed words queried (the paper's "Seeds" column).
     pub seeds: u64,
@@ -39,7 +38,7 @@ impl Workload {
 /// Measured single-machine software throughputs, used both for the
 /// software rows of Table V and for the stage that stays in software on
 /// the accelerated platform (seeding).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftwareThroughput {
     /// Seed lookups per second (all threads).
     pub seeds_per_second: f64,
@@ -54,7 +53,7 @@ pub struct SoftwareThroughput {
 }
 
 /// Runtime breakdown of one platform on one workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RuntimeBreakdown {
     /// Seeding seconds (always software).
     pub seeding_s: f64,
@@ -132,7 +131,7 @@ pub fn perf_per_watt_improvement(
 }
 
 /// Energy and dollar cost of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunCost {
     /// Wall-clock seconds.
     pub seconds: f64,
@@ -164,7 +163,7 @@ pub fn accelerator_run_cost(seconds: f64, acc: &AcceleratorConfig) -> RunCost {
 /// offloaded stage. Integer by construction, so trace consumers can diff
 /// them across runs; the observability layer emits them as `hwsim.bsw` /
 /// `hwsim.gactx` trace spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeledCycles {
     /// Filter tiles offloaded to the BSW bank.
     pub bsw_tiles: u64,

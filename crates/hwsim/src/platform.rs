@@ -3,10 +3,9 @@
 use crate::bsw_array::BswBank;
 use crate::dram::DramConfig;
 use crate::gactx_array::GactXBank;
-use serde::{Deserialize, Serialize};
 
 /// The software baseline platform: an AWS c4.8xlarge instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Hardware threads available (the paper uses all 36).
     pub threads: usize,
@@ -28,7 +27,7 @@ impl CpuConfig {
 }
 
 /// An accelerator platform: BSW bank + GACT-X bank + DRAM + cost/power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorConfig {
     /// Banded Smith-Waterman filter arrays.
     pub bsw: BswBank,

@@ -8,10 +8,9 @@
 //! but passes only a small fraction, so few extension arrays keep up.
 
 use crate::platform::{AcceleratorConfig, CpuConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-stage demand of a run, in units each stage processes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageDemand {
     /// Seed lookups per output unit of work (fed by software).
     pub seeds: f64,
@@ -41,7 +40,7 @@ impl StageDemand {
 
 /// Steady-state utilisation of every stage when the pipeline runs at the
 /// bottleneck's rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineBalance {
     /// Whole-run completions per second at steady state.
     pub runs_per_second: f64,
@@ -56,7 +55,7 @@ pub struct PipelineBalance {
 }
 
 /// Pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Software seeding.
     Seeding,

@@ -8,10 +8,8 @@
 //! `c + Npe` cycles (fill + drain), and a tile takes the sum over its
 //! stripes plus a fixed per-tile configuration overhead.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of one linear systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayConfig {
     /// Number of processing elements (`Npe`).
     pub num_pe: usize,

@@ -22,8 +22,7 @@
 //!   (`// lint: hot`) and `// SAFETY:` annotations live here;
 //! * a per-token `test` mask: any item under a `#[cfg(test)]` attribute
 //!   is marked test code, brace-matched mid-file rather than assuming
-//!   test modules sit at the bottom (the old `panic_audit.sh` truncated
-//!   at the first `#[cfg(test)]`, which this replaces).
+//!   test modules sit at the bottom.
 
 /// Token classes the rules distinguish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p wga-lint                         # all rules, repo root
-//! cargo run -p wga-lint -- --rule panics        # one rule (panic_audit.sh)
+//! cargo run -p wga-lint -- --rule panics        # one rule
 //! cargo run -p wga-lint -- --json out.json      # report path override
 //! ```
 //!

@@ -1,12 +1,11 @@
 //! Amino acids and the standard genetic code.
 
 use genome::{Base, Sequence};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The twenty proteinogenic amino acids, the stop signal, and the
 /// unknown residue `X` (produced when a codon contains an `N`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum AminoAcid {
@@ -121,7 +120,7 @@ pub fn translate_codon(c1: Base, c2: Base, c3: Base) -> AminoAcid {
 }
 
 /// A reading frame of a DNA sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Frame {
     /// Frame offset within the strand (0, 1 or 2).
     pub offset: u8,
@@ -153,7 +152,7 @@ impl Frame {
 }
 
 /// A translated frame: the peptide plus the mapping back to DNA.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedFrame {
     /// The frame translated.
     pub frame: Frame,

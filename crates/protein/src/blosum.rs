@@ -2,10 +2,9 @@
 //! the scoring scheme TBLASTX uses in amino-acid space.
 
 use crate::amino::AminoAcid;
-use serde::{Deserialize, Serialize};
 
 /// Amino-acid substitution scores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProteinMatrix {
     scores: Vec<i32>, // COUNT × COUNT, row-major
 }

@@ -10,11 +10,10 @@
 use crate::amino::{translate, AminoAcid, Frame, TranslatedFrame};
 use crate::blosum::ProteinMatrix;
 use genome::Sequence;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Parameters of the translated search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TblastxParams {
     /// Seed word length in residues (BLAST's default for proteins is 3;
     /// 4 keeps the laptop-scale hit count tractable).
@@ -39,7 +38,7 @@ impl Default for TblastxParams {
 }
 
 /// One translated hit mapped back to DNA coordinates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedHit {
     /// Target frame.
     pub target_frame: Frame,

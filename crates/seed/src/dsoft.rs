@@ -18,11 +18,10 @@ use crate::hit::SeedHit;
 use crate::pattern::SeedPattern;
 use crate::table::{with_keys, Key, SeedTable};
 use genome::Sequence;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// D-SOFT parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsoftParams {
     /// Query chunk size `c` (bases).
     pub chunk_size: usize,

@@ -1,13 +1,11 @@
 //! Seed hits and anchors shared between pipeline stages.
 
-use serde::{Deserialize, Serialize};
-
 /// A seed hit: a spaced-seed match between target and query.
 ///
 /// Eight bytes, positions as the seed table stores them: a strand's hit
 /// list grows with the product of the two lengths, and every filter
 /// batch carries its share of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeedHit {
     /// Target position of the seed window start.
     pub target_pos: u32,
@@ -35,7 +33,7 @@ impl SeedHit {
 
 /// An anchor produced by the filtering stage: the position of the filter
 /// tile's maximum score, from which the extension stage starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Anchor {
     /// Target coordinate.
     pub target_pos: usize,

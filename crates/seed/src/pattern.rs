@@ -9,7 +9,6 @@
 //! describes.
 
 use genome::Base;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -25,7 +24,7 @@ use std::str::FromStr;
 /// assert_eq!(p.span(), 19);
 /// assert_eq!(p.weight(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeedPattern {
     /// Offsets of the `1` positions within the span.
     sampled: Vec<usize>,

@@ -236,6 +236,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     if chroms == 0 {
         return Err("--chroms must be at least 1".into());
     }
+    // `inf`, `nan` and `-1` all parse as an `f64`; none is a distance.
+    if !(distance.is_finite() && distance >= 0.0) {
+        return Err(format!("invalid value for --distance: {distance}"));
+    }
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut target_records = Vec::new();

@@ -436,6 +436,16 @@ mod cli {
     }
 
     #[test]
+    fn generate_rejects_a_non_finite_or_negative_distance() {
+        let dir = empty_dir("generate-distance");
+        for bad in ["inf", "nan", "-1"] {
+            let out = wga_in(&dir, &["generate", "demo", "--len", "3000", "--distance", bad]);
+            assert_clean_failure(&out, "invalid value for --distance");
+        }
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+    }
+
+    #[test]
     fn align_names_a_repeated_or_misspelt_option() {
         let good = tmp("options-good.fa", ">chr1\nACGTACGT\n");
         let good = good.to_str().unwrap();
