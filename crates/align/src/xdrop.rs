@@ -99,7 +99,8 @@ pub struct TileScratch {
     row_buf: Vec<u8>,
     /// Pointer arena: the stored cells of every row back to back, two to
     /// a byte, low nibble first; an odd total leaves the last high nibble
-    /// zero.
+    /// zero. Its capacity is the largest window's cell count, reserved
+    /// in one piece.
     ptrs: Vec<u8>,
     /// One entry per stored row.
     rows: Vec<RowSpan>,
@@ -274,6 +275,12 @@ pub fn xdrop_tile_scratch(
     }
     ptrs.clear();
     rows.clear();
+    // The arena is reserved once, at what the window could store with no
+    // cell pruned: growing it by doubling would leave each outgrown copy
+    // behind in the heap, under the extension's high-water, while pages
+    // of a reservation cost nothing until a row is packed into them. If
+    // the reservation fails, `pack_row` grows the arena as it goes.
+    let _ = ptrs.try_reserve_exact(((n + 1) * (m + 1)).div_ceil(2));
 
     // Row 0: origin plus leading deletions while above the drop threshold.
     prev[1] = Scores { v: 0, f: NEG_INF };

@@ -6,15 +6,21 @@
 //! rolling rows, and this binary holds it to that with a counting
 //! `#[global_allocator]` (std only, its own test binary so no other suite
 //! pays for it): peak live heap during an extension is bounded by the
-//! largest tile's stored cells, does not follow the alignment's length,
-//! and the number of allocations does not follow the number of DP rows.
-//! The kernel this one replaced kept 17 B per cell in four fresh `Vec`s
+//! largest window the tiling can cut — the arena is reserved once, at
+//! half a byte for every cell of that window, so that it never moves —
+//! does not follow the alignment's length, and the number of
+//! allocations does not follow the number of DP rows or of tiles. The
+//! kernel this one replaced kept 17 B per cell in four fresh `Vec`s
 //! per row, and its left extension copied the whole prefix of both
 //! sequences; both would fail here, as does an arena of one byte per cell.
+//!
+//! The allocator counts what was *asked for*. Of a reserved arena only
+//! the pages rows were packed into are ever resident — `traceback_bytes`
+//! of them, which `xdrop`'s unit tests pin to the arena's length, 4 bits
+//! a stored cell; EXPERIMENTS.md ("Performance ledger — PR 22") has the
+//! resident-set readings.
 
-use align::gactx::{
-    extend_alignment, extend_left, ExtendedAlignment, ExtensionStats, TilingParams,
-};
+use align::gactx::{extend_alignment, extend_left, ExtendedAlignment, TilingParams};
 use align::xdrop::{xdrop_tile_scratch, TileScratch};
 use genome::evolve::{EvolutionParams, SyntheticPair};
 use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
@@ -31,7 +37,14 @@ thread_local! {
     static PEAK: Cell<isize> = const { Cell::new(0) };
     /// `alloc`/`realloc` calls since the last [`measure`] began.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Those of them that asked for [`ARENA_SIZED`] bytes or more.
+    static ARENA_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Nothing but the pointer arena of a full-size tile is this large: the
+/// rolling rows of a 1920-column tile are 15 KiB each, and a CIGAR of
+/// this size would hold 65 000 runs.
+const ARENA_SIZED: usize = 1024 * KIB;
 
 /// The system allocator with per-thread accounting. Tests run on threads
 /// of their own, so concurrent tests do not see each other.
@@ -44,6 +57,9 @@ fn allocated(bytes: usize) {
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
     });
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if bytes >= ARENA_SIZED {
+        let _ = ARENA_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 fn freed(bytes: usize) {
@@ -103,17 +119,21 @@ struct Measured<T> {
     peak: usize,
     /// Allocator calls that returned memory.
     allocs: u64,
+    /// Those that returned [`ARENA_SIZED`] bytes or more.
+    arena_allocs: u64,
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> Measured<T> {
     let base = LIVE.get();
     PEAK.set(base);
     ALLOCS.set(0);
+    ARENA_ALLOCS.set(0);
     let value = f();
     Measured {
         value,
         peak: (PEAK.get() - base).max(0) as usize,
         allocs: ALLOCS.get(),
+        arena_allocs: ARENA_ALLOCS.get(),
     }
 }
 
@@ -123,12 +143,12 @@ fn scoring() -> (SubstitutionMatrix, GapPenalties) {
     (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga())
 }
 
-/// The issue's bound: 1 B per stored cell of the largest tile — the
-/// nibble arena, whose length is `peak_traceback_bytes`, at up to twice
-/// that in capacity — plus 256 KiB for rows, row buffer, row table,
-/// window buffers and CIGARs.
-fn bound(stats: &ExtensionStats) -> usize {
-    2 * stats.peak_traceback_bytes as usize + 256 * KIB
+/// The bound: the nibble arena at its one reservation — half a byte for
+/// every cell of the largest window `params` can cut, stored or pruned —
+/// plus 256 KiB for rows, row buffer, row table, window buffers and
+/// CIGARs. It depends on the tiling alone, not on the sequences.
+fn bound(params: &TilingParams) -> usize {
+    (params.tile_size + 1).pow(2).div_ceil(2) + 256 * KIB
 }
 
 /// An evolved pair at distance 0.30 with no turnover insertions, so one
@@ -154,7 +174,8 @@ fn extension_cost(len: usize) -> Measured<ExtendedAlignment> {
 }
 
 #[test]
-fn extension_peak_heap_is_one_byte_per_stored_cell_and_constant_in_length() {
+fn extension_peak_heap_is_one_window_of_nibbles_and_constant_in_length() {
+    let bound = bound(&TilingParams::gactx_default());
     let cost = extension_cost(6_000);
     let (stats, span) = (cost.value.stats, cost.value.alignment.target_span());
     assert!(
@@ -165,13 +186,15 @@ fn extension_peak_heap_is_one_byte_per_stored_cell_and_constant_in_length() {
     let stored = 2 * stats.peak_traceback_bytes as usize;
     assert!(stored > 500_000, "largest tile stores only {stored} cells");
     assert!(
-        cost.peak <= bound(&stats),
-        "peak {} B over {} B for {stored} stored cells",
-        cost.peak,
-        bound(&stats)
+        cost.peak <= bound,
+        "peak {} B over {bound} B for {stored} stored cells",
+        cost.peak
     );
     // The ragged kernel held V (8 B), F (8 B) and a pointer per cell.
-    assert!(17 * stored > 4 * bound(&stats));
+    assert!(17 * stored > 2 * bound);
+    // One arena for the whole extension, both directions: never regrown,
+    // so no outgrown copy is left behind in the heap.
+    assert_eq!(cost.arena_allocs, 1);
 
     // Four times the alignment, the same memory: what is held follows the
     // largest tile, not the path (whose CIGAR is the only thing to grow).
@@ -182,13 +205,14 @@ fn extension_peak_heap_is_one_byte_per_stored_cell_and_constant_in_length() {
     );
     assert!(long_span > 3 * span, "span {long_span} against {span}");
     assert!(long_stats.rows > 3 * stats.rows);
-    assert!(long_cost.peak <= bound(&long_stats) + 256 * KIB);
+    assert!(long_cost.peak <= bound + 256 * KIB);
     assert!(
-        long_cost.peak < 2 * cost.peak,
+        long_cost.peak <= cost.peak + 256 * KIB,
         "peak grew with length: {} B against {} B",
         long_cost.peak,
         cost.peak
     );
+    assert_eq!(long_cost.arena_allocs, 1);
 
     // Nothing is allocated per DP row: the kernel it replaced made four
     // allocations a row; this one's count follows tiles (a CIGAR each).
@@ -226,6 +250,33 @@ fn a_warm_scratch_allocates_the_same_for_eight_times_the_rows() {
 }
 
 #[test]
+fn the_arena_is_allocated_once_over_tiles_no_larger_than_the_first() {
+    let (w, g) = scoring();
+    let mut rng = StdRng::seed_from_u64(33);
+    let s: Vec<Base> = (0..1600)
+        .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+        .collect();
+    let scratch = &mut TileScratch::new();
+    let arena = (s.len() + 1).pow(2).div_ceil(2);
+    // Cold: the arena arrives in one piece, at the window's bound, not by
+    // doubling towards the fraction of it this diagonal stores.
+    let first = measure(|| xdrop_tile_scratch(&s, &s, &w, &g, 9430, false, scratch));
+    assert!(4 * (first.value.traceback_bytes as usize) < arena);
+    assert_eq!(first.arena_allocs, 1);
+    assert!((arena..arena + 128 * KIB).contains(&first.peak), "{} B", first.peak);
+    // Then never again, whatever the later tiles store: all of it, with
+    // the drop test off, is the most a window can.
+    for (cols, rows, y) in [(1600, 200, 9430), (800, 1600, 9430), (1600, 1600, i64::MAX)] {
+        let next = measure(|| xdrop_tile_scratch(&s[..cols], &s[..rows], &w, &g, y, false, scratch));
+        assert_eq!((next.allocs, next.arena_allocs), (1, 0), "{cols}x{rows}");
+    }
+    // A larger window is the one thing that moves it, once more.
+    let wide: Vec<Base> = s.iter().chain(&s).copied().collect();
+    let larger = measure(|| xdrop_tile_scratch(&wide, &s, &w, &g, 9430, false, scratch));
+    assert_eq!(larger.arena_allocs, 1);
+}
+
+#[test]
 fn left_extension_deep_in_a_long_sequence_allocates_a_tile_not_the_prefix() {
     // 4 Mbp of unrelated sequence, then 6 kb of homology ending at the
     // anchor. Walking left must cost what the homology's tiles cost; the
@@ -258,7 +309,7 @@ fn left_extension_deep_in_a_long_sequence_allocates_a_tile_not_the_prefix() {
         "{}",
         left.target_advance
     );
-    assert!(cost.peak <= bound(&left.stats), "peak {} B", cost.peak);
+    assert!(cost.peak <= bound(&params), "peak {} B", cost.peak);
     assert!(
         cost.peak < t.len() / 2,
         "peak {} B follows the prefix",

@@ -7,10 +7,12 @@
 //! byte for byte. This module is the single implementation of the clamp
 //! rules, consumed through `stages::seed_lane`, so the
 //! truncation arithmetic and the [`RunEvent::BudgetExceeded`] records
-//! cannot drift apart.
+//! cannot drift apart — and of how a strand that is never held whole
+//! still keeps exactly the prefix those rules name ([`SmallestHits`]).
 
 use crate::config::{ResourceBudget, WgaParams};
 use crate::report::{BudgetKind, RunEvent, StageKind};
+use seed::SeedHit;
 use std::time::Instant;
 
 /// Result of clamping one strand's seed-hit list against the seed-hit
@@ -31,8 +33,8 @@ pub struct HitClamp {
 /// hit list.
 ///
 /// The one-thread and barrier schedules pass the tiles *executed* so
-/// far; the dataflow producer plans both strands of a pair before any
-/// tile has run and passes the tiles *planned*.
+/// far; the dataflow producer opens the second strand of a pair while
+/// tiles of the first may still be queued and passes the tiles *queued*.
 pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitClamp {
     let mut take = hits;
     let mut events = Vec::new();
@@ -62,6 +64,53 @@ pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitC
         }
     }
     HitClamp { take, events }
+}
+
+/// The `cap` smallest hits of a stream, and how many hits it had, in
+/// O(`cap`) memory: what a budgeted strand keeps of its D-SOFT walk so
+/// that [`clamp_hit_count`]'s prefix rule needs no strand-long list. The
+/// buffer is cut back to its `cap` smallest whenever it reaches twice
+/// that; hits arrive in any order (they are distinct, so the result does
+/// not depend on it).
+#[derive(Debug)]
+pub(crate) struct SmallestHits {
+    cap: usize,
+    kept: Vec<SeedHit>,
+    seen: usize,
+}
+
+impl SmallestHits {
+    /// Room for the most hits the budgets could let through with
+    /// `tiles_used` filter tiles already spent.
+    pub(crate) fn new(params: &WgaParams, tiles_used: u64) -> SmallestHits {
+        let tiles_left = params.budget.max_filter_tiles.map(|limit| limit.saturating_sub(tiles_used));
+        let cap = params.budget.max_seed_hits.into_iter().chain(tiles_left).min();
+        let cap = cap.map_or(usize::MAX, |cap| usize::try_from(cap).unwrap_or(usize::MAX));
+        SmallestHits { cap, kept: Vec::new(), seen: 0 }
+    }
+
+    pub(crate) fn absorb(&mut self, hits: &[SeedHit]) {
+        self.seen += hits.len();
+        if self.cap == 0 {
+            return;
+        }
+        for &hit in hits {
+            self.kept.push(hit);
+            if self.kept.len() >= self.cap.saturating_mul(2) {
+                self.kept.select_nth_unstable(self.cap - 1);
+                self.kept.truncate(self.cap);
+            }
+        }
+    }
+
+    /// The clamp of everything absorbed, and the hits it keeps in
+    /// (target, query) order.
+    pub(crate) fn finish(mut self, params: &WgaParams, tiles_used: u64) -> (HitClamp, Vec<SeedHit>) {
+        let clamp = clamp_hit_count(params, self.seen, tiles_used);
+        self.kept.sort_unstable();
+        self.kept.truncate(clamp.take);
+        (clamp, self.kept)
+    }
 }
 
 /// Builds the [`BudgetKind::Deadline`] event every executor records when
@@ -152,6 +201,30 @@ mod tests {
             clamp.events[1],
             RunEvent::BudgetExceeded { budget: BudgetKind::FilterTiles, .. }
         ));
+    }
+
+    #[test]
+    fn smallest_hits_keeps_the_clamped_prefix_in_bounded_memory() {
+        let p = params_with(ResourceBudget {
+            max_seed_hits: Some(10),
+            max_filter_tiles: Some(12),
+            ..ResourceBudget::default()
+        });
+        // 1000 distinct hits in a scrambled order, fed in uneven pieces.
+        let hits: Vec<SeedHit> =
+            (0..1000usize).map(|i| SeedHit::new(i * 7919 % 1000, i)).collect();
+        let mut sorted = hits.clone();
+        sorted.sort_unstable();
+        for tiles_used in [0, 5, 12] {
+            let mut smallest = SmallestHits::new(&p, tiles_used);
+            for piece in hits.chunks(37) {
+                smallest.absorb(piece);
+                assert!(smallest.kept.len() < 20);
+            }
+            let (clamp, kept) = smallest.finish(&p, tiles_used);
+            assert_eq!(clamp, clamp_hit_count(&p, 1000, tiles_used));
+            assert_eq!(kept, sorted[..clamp.take]);
+        }
     }
 
     #[test]

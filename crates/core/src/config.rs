@@ -210,11 +210,11 @@ pub struct WgaParams {
     pub both_strands: bool,
     /// Per-run resource budgets (unbounded by default).
     pub budget: ResourceBudget,
-    /// Minimum intra-pair shard size in bases for sharded D-SOFT
-    /// seeding (see [`crate::shard`]). Purely a
+    /// Bases per query range — the unit a strand is seeded and
+    /// filtered in on every schedule (see [`crate::shard`]). Purely a
     /// performance knob: canonical output is byte-identical for every
-    /// shard size. D-SOFT shard cuts are rounded up to whole D-SOFT
-    /// chunks so diagonal-band counts never split across shards.
+    /// size. Cuts are rounded up to whole D-SOFT chunks so
+    /// diagonal-band counts never split across ranges.
     pub shard_bases: usize,
 }
 
@@ -301,8 +301,7 @@ impl WgaParams {
         self
     }
 
-    /// Sets the minimum intra-pair shard size, preserving everything
-    /// else.
+    /// Sets the bases per query range, preserving everything else.
     pub fn with_shard_bases(mut self, shard_bases: usize) -> WgaParams {
         self.shard_bases = shard_bases;
         self

@@ -9,30 +9,32 @@
 //! ```
 //!
 //! The producer walks chromosome pairs in canonical (target × query)
-//! order, builds each target row's seed table once, runs D-SOFT per
-//! strand, applies the shared budget clamp ([`crate::budget`]) and cuts
-//! the clamped hit list into fixed-size tile batches pushed into
-//! `filter_q`. Filter workers run batches through the pair's shared
-//! [`FilterContext`] and deposit results into the pair's cell; the
-//! worker that deposits a pair's last batch promotes the whole pair into
-//! `extend_q`. Extension workers run the sequential anchor-absorption
+//! order, builds each target row's seed table once and runs D-SOFT one
+//! query range at a time, moving each range's hits into a task pushed
+//! into `filter_q` — the hits in flight are bounded by the queue, no
+//! strand's list exists (a budgeted strand is seeded whole first, by
+//! [`seed_lane`], keeping only what the shared clamp of
+//! [`crate::budget`] lets through). Filter workers run batches through
+//! the strand's shared [`FilterContext`] and deposit results into the
+//! pair's cell; once the producer has sealed the pair, whoever leaves it
+//! with no batch outstanding promotes the whole pair into `extend_q`. Extension workers run the sequential anchor-absorption
 //! stage per pair — a pair is one *stream*, so absorption state never
 //! crosses threads — and emit the finished [`WgaReport`] into `done_q`,
 //! where the collector journals it (the pair is the checkpoint unit,
 //! exactly as in the barrier executor).
 //!
 //! Only the queues, pools, guards and watchdog live here. Every step a
-//! pair goes through — [`row_seed_table`], [`seed_lane`],
+//! pair goes through — [`row_seed_table`], [`seed_lane`], [`seed_range`],
 //! [`filter_batch`], [`fold_batches`], [`extend_anchors`],
 //! [`commit_pair`], [`replay_pair`] — is the function the one-thread
 //! and barrier schedules call (see [`crate::stages`]).
 //!
 //! # Determinism
 //!
-//! Batches execute in arbitrary order but deposit into index-addressed
-//! slots; the extension stage reads them back in batch order, so anchors
-//! reach [`extend_anchors`] in hit order — the same order the barrier
-//! executor produces. The collector stores per-pair results by pair id
+//! Batches execute and deposit in arbitrary order, each under its
+//! range index; [`fold_batches`] takes them in range order and puts
+//! their survivors back in hit order, so anchors reach
+//! [`extend_anchors`] in the order the barrier executor produces. The collector stores per-pair results by pair id
 //! and the final report is assembled in canonical pair order, making the
 //! output byte-identical to the barrier executor at any thread count
 //! (`tests/golden_report.rs` pins this).
@@ -50,7 +52,7 @@
 //! # Known divergence from the barrier executor
 //!
 //! The producer applies the filter-tile budget *statically* (the reverse
-//! strand's clamp assumes every planned forward tile executes). Absent a
+//! strand's clamp assumes every queued forward tile executes). Absent a
 //! deadline or a double-panicked batch, planned == executed and the
 //! clamp is identical to the barrier's; under a mid-pair deadline or a
 //! failed batch with `max_filter_tiles` set on a both-strand run, the
@@ -61,7 +63,7 @@
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
 use crate::dataflow::ExecutorKind;
-use crate::obs::{strand_code, Counter, Obs, SpanName, STRAND_NA};
+use crate::obs::{strand_code, Counter, Obs, SpanBuf, SpanName, STRAND_NA};
 
 /// `seq` codes on `queue.wait` spans, naming the queue the worker
 /// blocked on (see `SpanName::QueueWait`).
@@ -79,33 +81,27 @@ use crate::filter_engine::FilterContext;
 use crate::genome_pipeline::{AlignOptions, AssemblyReport, SeedTableFn};
 use crate::journal::{Journal, PairRecord};
 use crate::report::{Strand, WgaReport};
+use crate::shard::QueryRanges;
 use crate::stages::{
     commit_pair, extend_anchors, filter_batch, fold_batches, fold_pair, replay_pair,
-    row_seed_table, seed_lane, BatchResult, SeededLane,
+    row_seed_table, seed_lane, seed_range, BatchResult, SeededLane,
 };
 use crate::supervise::{self, panic_message, RetryPolicy};
 use crate::sync::Mutex;
 use genome::assembly::Assembly;
 use genome::Sequence;
+use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Seed hits per filter task. Small enough that a pair's tiles spread
-/// across the pool, large enough to amortise queue traffic and engine
-/// scratch reuse (the hardware streams tiles through its arrays in
-/// batches for the same reason).
-const FILTER_BATCH_TILES: usize = 64;
-
 /// A query strand's sequence: the forward strand borrows the assembly,
-/// the reverse strand owns its reverse complement behind an `Arc` shared
-/// by every task of the lane.
-#[derive(Clone)]
+/// the reverse strand owns its reverse complement.
 enum StrandSeq<'a> {
     Forward(&'a Sequence),
-    Reverse(Arc<Sequence>),
+    Reverse(Sequence),
 }
 
 impl StrandSeq<'_> {
@@ -117,40 +113,46 @@ impl StrandSeq<'_> {
     }
 }
 
-/// One (pair, strand) stream planned by the producer.
-struct Lane<'a> {
+/// What the filter tasks of one (pair, strand) stream share.
+struct Stream<'a> {
+    pair_id: usize,
+    lane_idx: usize,
     strand: Strand,
+    pair_start: Instant,
+    target: &'a Sequence,
     query: StrandSeq<'a>,
-    /// The strand's seeding accounting.
+    ctx: FilterContext,
+}
+
+/// One (pair, strand) stream opened by the producer.
+struct Lane<'a> {
+    stream: Arc<Stream<'a>>,
+    /// The strand's seeding accounting, written when its last range is
+    /// seeded.
     seeded: SeededLane,
     /// [`FilterContext`] build wall-clock (counted as filtering time,
     /// matching the barrier executor's accounting).
     ctx_time: Duration,
-    /// Filter results, index-addressed by batch; `deposited` counts how
-    /// many are in.
-    batches: Vec<Option<BatchResult>>,
-    deposited: usize,
+    /// Filter results in the order they were deposited.
+    batches: Vec<BatchResult>,
 }
 
 /// All filter-stage state of one chromosome pair in flight.
+#[derive(Default)]
 struct PairJob<'a> {
     pair_id: usize,
-    pair_start: Instant,
-    target: &'a Sequence,
     lanes: Vec<Lane<'a>>,
+    /// Filter tasks queued and not yet deposited.
+    outstanding: usize,
+    /// The producer has queued the pair's last task.
+    sealed: bool,
 }
 
-/// One batch of seed hits for the filter pool.
+/// One query range's seed hits for the filter pool.
 struct FilterTask<'a> {
-    pair_id: usize,
-    lane_idx: usize,
-    strand: Strand,
+    stream: Arc<Stream<'a>>,
     batch_idx: usize,
     hits: Vec<SeedHit>,
-    ctx: Arc<FilterContext>,
-    target: &'a Sequence,
-    query: StrandSeq<'a>,
-    pair_start: Instant,
 }
 
 /// Terminal result of one pair, headed for the collector.
@@ -277,7 +279,6 @@ pub(crate) fn execute(
                         table_build_ns,
                         heartbeat,
                         retry_policy,
-                        threads,
                         obs,
                         tables,
                     )
@@ -407,8 +408,8 @@ pub(crate) fn execute(
 
 /// The seeding producer: dispatches pairs smallest-remaining-work-first
 /// (ties broken by pair id, so uniform matrices keep the old FIFO
-/// walk), plans both strands of each non-resumed pair under panic
-/// isolation, registers the pair's cell and feeds tile batches into
+/// walk), registers each non-resumed pair's cell and streams both its
+/// strands under panic isolation, a range's hits at a time, into
 /// `filter_q` (blocking on backpressure). Dispatch order never reaches
 /// canonical output: the collector assembles results in pair-id order,
 /// and fault occurrences are counted per `(hook, pair)`.
@@ -426,7 +427,6 @@ fn produce<'a>(
     table_build_ns: &AtomicU64,
     heartbeat: &AtomicU64,
     retry_policy: &RetryPolicy,
-    threads: usize,
     obs: Obs<'_>,
     tables: Option<&SeedTableFn<'_>>,
 ) {
@@ -475,36 +475,16 @@ fn produce<'a>(
             });
             let table = table.as_ref().map_err(|message| message.clone())?;
 
-            let planned = catch_unwind(AssertUnwindSafe(|| {
-                plan_pair(params, table, &tchrom.sequence, &qchrom.sequence, pair_id, threads, pair_obs)
-            }));
-            heartbeat.fetch_add(1, Ordering::Relaxed);
-            // The job and its tasks are complete *before* registration,
-            // so a worker depositing the last batch always finds
-            // complete batch counts.
-            let (job, tasks) = planned.map_err(|payload| panic_message(payload.as_ref()))?;
-            if tasks.is_empty() {
-                // No hits anywhere: nothing for the filter pool, hand the
-                // pair straight to extension (it still carries seeding
-                // counters and clamp events).
-                return Ok(extend_q.push(job).is_ok());
-            }
-            set_cell(cells, pair_id, Some(job));
-            for task in tasks {
-                if let Err(error) =
-                    gate_queue(injector, retry_policy, Hook::QueuePush, pair_id as u64, &pair_obs)
-                {
-                    // The push fault survived its retry budget: cancel
-                    // the pair (workers find its cell empty and drop
-                    // their deposits) and fail it through `done_q`.
-                    set_cell(cells, pair_id, None);
-                    return Err(format!("queue.push fault: {error}"));
-                }
+            // Queues one filter task: `Err` fails the pair, `Ok(false)`
+            // means shutdown is in progress (journal failure).
+            let push = |task: FilterTask<'a>| -> Result<bool, String> {
+                gate_queue(injector, retry_policy, Hook::QueuePush, pair_id as u64, &pair_obs)
+                    .map_err(|error| format!("queue.push fault: {error}"))?;
                 let mut wait_buf = obs.buffer();
                 let wait_timer = wait_buf.start();
                 let wait = Instant::now();
                 if filter_q.push(task).is_err() {
-                    return Ok(false); // shutdown in progress (journal failure)
+                    return Ok(false);
                 }
                 seed_meter.add_idle(wait.elapsed());
                 wait_buf.finish_for_pair(
@@ -517,8 +497,13 @@ fn produce<'a>(
                     0,
                 );
                 heartbeat.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(true)
+                Ok(true)
+            };
+            let (target, query) = (&tchrom.sequence, &qchrom.sequence);
+            let streamed =
+                stream_pair(params, table, target, query, pair_id, cells, extend_q, push, pair_obs);
+            heartbeat.fetch_add(1, Ordering::Relaxed);
+            streamed
         };
         let keep_going = dispatch().unwrap_or_else(|error| {
             let result = Err(error);
@@ -537,10 +522,12 @@ fn produce<'a>(
     }
 }
 
-/// One filter-pool worker: pops tile batches off `filter_q` until it
+/// One filter-pool worker: pops range batches off `filter_q` until it
 /// closes, runs each through [`filter_batch`] and deposits the result
-/// in the pair's cell. The last of the pool's `alive` workers out —
-/// normally or unwinding — closes `extend_q`.
+/// in the pair's cell. A run of tasks of one strand shares one engine —
+/// its DP scratch is drawn per worker and strand, not per range. The
+/// last of the pool's `alive` workers out — normally or unwinding —
+/// closes `extend_q`.
 #[allow(clippy::too_many_arguments)]
 fn filter_worker<'a>(
     params: &WgaParams,
@@ -558,42 +545,62 @@ fn filter_worker<'a>(
         downstream: extend_q,
     };
     let mut wait_buf = obs.buffer();
-    loop {
-        let wait_timer = wait_buf.start();
+    // The next task, with the wait for it metered (a named fn, so
+    // `wga-lint` sees this stage's pop beside its push).
+    fn pop<'a>(
+        filter_q: &BoundedQueue<FilterTask<'a>>,
+        meter: &StageMeter,
+        buf: &mut SpanBuf<'_>,
+    ) -> Option<FilterTask<'a>> {
+        let wait_timer = buf.start();
         let wait = Instant::now();
-        let Some(task) = filter_q.pop() else { break };
+        let task = filter_q.pop()?;
         meter.add_idle(wait.elapsed());
-        wait_buf.finish_for_pair(
-            wait_timer,
-            SpanName::QueueWait,
-            task.pair_id as u64,
-            STRAND_NA,
-            QUEUE_FILTER_POP,
-            0,
-            0,
-        );
-        let pair_obs = obs.with_pair(task.pair_id as u64);
-        let gate = gate_queue(obs.fault(), retry_policy, Hook::QueuePop, task.pair_id as u64, &pair_obs);
-        let result = match gate {
-            Ok(()) => filter_batch(
-                params,
-                &task.ctx,
-                task.target,
-                task.query.seq(),
-                &task.hits,
-                task.pair_start,
-                strand_code(task.strand),
-                task.batch_idx,
-                pair_obs,
-            ),
-            // A queue fault that survives its retry budget fails the
-            // batch (and, downstream, the pair).
-            Err(error) => {
-                BatchResult::failed(task.hits.len() as u64, format!("queue.pop fault: {error}"))
+        let pair = task.stream.pair_id as u64;
+        buf.finish_for_pair(wait_timer, SpanName::QueueWait, pair, STRAND_NA, QUEUE_FILTER_POP, 0, 0);
+        Some(task)
+    }
+    let mut pop = || pop(filter_q, meter, &mut wait_buf);
+    let mut next = pop();
+    while let Some(first) = next.take() {
+        let stream = Arc::clone(&first.stream);
+        let mut engine = stream.ctx.engine();
+        let pair_obs = obs.with_pair(stream.pair_id as u64);
+        let mut same_stream = Some(first);
+        while let Some(FilterTask { batch_idx, hits, .. }) = same_stream.take() {
+            let gate =
+                gate_queue(obs.fault(), retry_policy, Hook::QueuePop, stream.pair_id as u64, &pair_obs);
+            let result = match gate {
+                Ok(()) => filter_batch(
+                    params,
+                    &mut *engine,
+                    stream.target,
+                    stream.query.seq(),
+                    &hits,
+                    stream.pair_start,
+                    strand_code(stream.strand),
+                    batch_idx,
+                    pair_obs,
+                ),
+                // A queue fault that survives its retry budget fails the
+                // batch (and, downstream, the pair).
+                Err(error) => {
+                    let message = format!("queue.pop fault: {error}");
+                    BatchResult::failed(batch_idx, hits.len() as u64, message)
+                }
+            };
+            // `false` only while a shutdown is racing us; the pair is
+            // then reported as dropped by the final assembly.
+            update_cell(cells, extend_q, stream.pair_id, |job| {
+                job.lanes[stream.lane_idx].batches.push(result);
+                job.outstanding -= 1;
+            });
+            heartbeat.fetch_add(1, Ordering::Relaxed);
+            next = pop();
+            if next.as_ref().is_some_and(|task| Arc::ptr_eq(&task.stream, &stream)) {
+                same_stream = next.take();
             }
-        };
-        deposit(cells, extend_q, &task, result);
-        heartbeat.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -654,10 +661,27 @@ fn extend_worker(
     }
 }
 
-/// Registers a planned pair's cell for the filter pool's deposits, or
-/// (with `None`) cancels it.
-fn set_cell<'a>(cells: &[Mutex<Option<PairJob<'a>>>], pair_id: usize, job: Option<PairJob<'a>>) {
-    *cells[pair_id].lock() = job;
+/// Applies `update` to a pair's job under its cell's lock (nothing, if
+/// the pair was cancelled) and then, if the producer has sealed the pair
+/// and no queued batch is outstanding, promotes the job to the extension
+/// queue. `false` if that queue had closed.
+fn update_cell<'a>(
+    cells: &[Mutex<Option<PairJob<'a>>>],
+    extend_q: &BoundedQueue<PairJob<'a>>,
+    pair_id: usize,
+    update: impl FnOnce(&mut PairJob<'a>),
+) -> bool {
+    let mut slot = cells[pair_id].lock();
+    let Some(job) = slot.as_mut() else {
+        return true;
+    };
+    update(job);
+    if !job.sealed || job.outstanding > 0 {
+        return true;
+    }
+    let job = slot.take();
+    drop(slot);
+    job.is_none_or(|job| extend_q.push(job).is_ok())
 }
 
 /// Supervised chaos gate on a queue operation: injected errors are
@@ -690,121 +714,86 @@ fn gate_queue(
     .map_err(|e| e.to_string())
 }
 
-/// Seeds and clamps both strands of one pair and cuts each strand's
-/// hits into filter tasks. The reverse strand's tile clamp charges the
-/// forward strand's *planned* tiles (see module docs for the single
-/// divergence this implies).
-fn plan_pair<'a>(
+/// Streams both strands of one pair into the filter pool: registers the
+/// pair's cell, opens each strand ([`seed_lane`]: its chaos gate, and a
+/// budgeted strand's clamp — the reverse strand's charges the forward
+/// strand's *queued* tiles, see module docs for the single divergence
+/// this implies), then seeds range after range, moving each range's hits
+/// into a task for `push`, and seals the pair. `Ok(false)` is `push`'s
+/// (shutdown). On `push`'s `Err` — a fault that survived its retry
+/// budget — or a panic (a `filter.batch` gate's escalation) the pair is
+/// cancelled: workers find its cell empty and drop their deposits, and
+/// the caller fails it through `done_q`.
+#[allow(clippy::too_many_arguments)]
+fn stream_pair<'a>(
     params: &WgaParams,
     table: &SeedTable,
     target: &'a Sequence,
     query: &'a Sequence,
     pair_id: usize,
-    threads: usize,
-    obs: Obs<'_>,
-) -> (PairJob<'a>, Vec<FilterTask<'a>>) {
-    let pair_start = Instant::now();
-    let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(2);
-    let mut tasks: Vec<FilterTask<'a>> = Vec::new();
-    let mut tiles_planned = 0u64;
-    let mut plan_lane = |query: StrandSeq<'a>, strand: Strand| {
-        let (hits, seeded) =
-            seed_lane(params, table, query.seq(), strand, threads, tiles_planned, obs);
-        tiles_planned += hits.len() as u64;
-        let ctx_start = Instant::now();
-        let ctx = Arc::new(FilterContext::new(params, target, query.seq()));
-        let ctx_time = ctx_start.elapsed();
-        for (batch_idx, chunk) in hits.chunks(FILTER_BATCH_TILES).enumerate() {
-            tasks.push(FilterTask {
-                pair_id,
-                lane_idx: lanes.len(),
-                strand,
-                batch_idx,
-                hits: chunk.to_vec(),
-                ctx: Arc::clone(&ctx),
-                target,
-                query: query.clone(),
-                pair_start,
-            });
-        }
-        let mut batches = Vec::new();
-        batches.resize_with(hits.len().div_ceil(FILTER_BATCH_TILES), || None);
-        lanes.push(Lane {
-            strand,
-            query,
-            seeded,
-            ctx_time,
-            batches,
-            deposited: 0,
-        });
-    };
-    plan_lane(StrandSeq::Forward(query), Strand::Forward);
-    if params.both_strands {
-        let rc = Arc::new(query.reverse_complement());
-        plan_lane(StrandSeq::Reverse(rc), Strand::Reverse);
-    }
-    let job = PairJob {
-        pair_id,
-        pair_start,
-        target,
-        lanes,
-    };
-    (job, tasks)
-}
-
-/// Files one batch result into its pair's cell; the worker that
-/// completes the pair's last outstanding batch promotes the job to the
-/// extension queue.
-fn deposit<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
     extend_q: &BoundedQueue<PairJob<'a>>,
-    task: &FilterTask<'a>,
-    result: BatchResult,
-) {
-    let mut slot = cells[task.pair_id].lock();
-    let Some(job) = slot.as_mut() else {
-        return; // pair was cancelled by a shutdown
-    };
-    let lane = &mut job.lanes[task.lane_idx];
-    lane.batches[task.batch_idx] = Some(result);
-    lane.deposited += 1;
-    let complete = job.lanes.iter().all(|l| l.deposited == l.batches.len());
-    if complete {
-        // The slot is still `Some`: we just deposited into it above.
-        if let Some(job) = slot.take() {
-            drop(slot);
-            // Err only while a shutdown is racing us; the pair is then
-            // reported as dropped by the final assembly.
-            let _ = extend_q.push(job);
+    push: impl Fn(FilterTask<'a>) -> Result<bool, String>,
+    obs: Obs<'_>,
+) -> Result<bool, String> {
+    let pair_start = Instant::now();
+    *cells[pair_id].lock() = Some(PairJob { pair_id, ..PairJob::default() });
+    let streamed = catch_unwind(AssertUnwindSafe(|| {
+        let mut scratch = DsoftScratch::default();
+        let mut tiles_queued = 0u64;
+        let mut strands = vec![(StrandSeq::Forward(query), Strand::Forward)];
+        if params.both_strands {
+            strands.push((StrandSeq::Reverse(query.reverse_complement()), Strand::Reverse));
         }
+        for (lane_idx, (query, strand)) in strands.into_iter().enumerate() {
+            let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.seq().len());
+            let (mut seeded, kept) =
+                seed_lane(params, table, query.seq(), strand, ranges, 1, tiles_queued, obs);
+            let ctx_start = Instant::now();
+            let ctx = FilterContext::new(params, target, query.seq());
+            let ctx_time = ctx_start.elapsed();
+            let stream = Arc::new(Stream { pair_id, lane_idx, strand, pair_start, target, query, ctx });
+            // The strand's accounting is filed when its last range is seeded.
+            let lane = Lane { stream: Arc::clone(&stream), seeded: SeededLane::default(), ctx_time, batches: Vec::new() };
+            update_cell(cells, extend_q, pair_id, |job| job.lanes.push(lane));
+            let query = stream.query.seq();
+            for batch_idx in 0..ranges.count() {
+                let kept = kept.as_deref();
+                let (cost, hits) =
+                    seed_range(params, table, query, strand, ranges, batch_idx, kept, &mut scratch, obs);
+                seeded.add(cost);
+                if hits.is_empty() {
+                    continue;
+                }
+                tiles_queued += hits.len() as u64;
+                update_cell(cells, extend_q, pair_id, |job| job.outstanding += 1);
+                if !push(FilterTask { stream: Arc::clone(&stream), batch_idx, hits })? {
+                    return Ok(false);
+                }
+            }
+            update_cell(cells, extend_q, pair_id, |job| job.lanes[lane_idx].seeded = seeded);
+        }
+        // No hits anywhere, or every batch already deposited: the pair goes
+        // straight to extension (it still carries seeding counters and
+        // clamp events).
+        Ok(update_cell(cells, extend_q, pair_id, |job| job.sealed = true))
+    }))
+    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
+    if streamed.is_err() {
+        *cells[pair_id].lock() = None;
     }
+    streamed
 }
 
-/// The extension stage of one pair: reassembles each lane's anchors in
-/// hit order from the deposited batches and runs the anchor-absorption
-/// extension per lane, through the same accounting as every other
-/// schedule.
+/// The extension stage of one pair: folds each lane's deposited batches
+/// and runs the anchor-absorption extension per lane, through the same
+/// accounting as every other schedule.
 fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport {
     let mut report = WgaReport::default();
-    for lane in job.lanes {
-        // Every batch is deposited before a job is dispatched; an empty
-        // slot means accounting went wrong, so surface it as a failed
-        // batch instead of crashing the worker.
-        let batches = lane.batches.into_iter().map(|slot| {
-            slot.unwrap_or_else(|| BatchResult::failed(0, "batch missing at extension".into()))
-        });
-        let anchors =
-            fold_batches(params, lane.seeded, lane.ctx_time, batches, job.pair_start, &mut report);
-        extend_anchors(
-            params,
-            job.target,
-            lane.query.seq(),
-            lane.strand,
-            anchors,
-            job.pair_start,
-            &mut report,
-            obs,
-        );
+    for Lane { stream, seeded, ctx_time, batches } in job.lanes {
+        let (start, query) = (stream.pair_start, stream.query.seq());
+        let anchors = fold_batches(params, seeded, ctx_time, batches, start, &mut report);
+        extend_anchors(params, stream.target, query, stream.strand, anchors, start, &mut report, obs);
     }
     report
         .alignments
@@ -821,22 +810,30 @@ mod tests {
 
     /// Batch containment is one piece of code ([`filter_batch`] +
     /// [`fold_batches`]), so it is tested once: the same poisoned hit
-    /// list, cut into the same one-hit batches, keeps every healthy
-    /// batch's anchors and records exactly one failed batch whether the
-    /// batches run inline (the one-thread schedule), through
-    /// [`run_sharded`] (barrier) or through the dataflow filter pool.
+    /// list, cut into the same query ranges, keeps every healthy range's
+    /// anchors and records exactly one failed batch — the poisoned hit's
+    /// range, by the same index — whether the ranges run inline (the
+    /// one-thread schedule), through [`run_sharded`] (barrier) or through
+    /// the dataflow filter pool.
     #[test]
     fn panicking_batch_is_isolated_on_every_schedule() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
         let t: Sequence = core.parse().unwrap();
         let q = t.clone();
-        let params = WgaParams::darwin_wga();
-        let ctx = Arc::new(FilterContext::new(&params, &t, &q));
+        let mut params = WgaParams::darwin_wga();
+        params.shard_bases = 256;
+        let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, q.len());
+        assert_eq!(ranges.count(), 5);
+        let ctx = FilterContext::new(&params, &t, &q);
         let pair_start = Instant::now();
-        // A hit every 320 bp, then one that panics its batch (and the
-        // batch's one retry).
+        // A hit every 320 bp — ranges 0, 1, 2 and 3 — then one in range 4
+        // that panics its batch (and the batch's one retry).
         let mut hits: Vec<SeedHit> = (0..4).map(|i| SeedHit::new(i * 320, i * 320)).collect();
-        hits.push(SeedHit::new(u32::MAX as usize, 0));
+        hits.push(SeedHit::new(u32::MAX as usize, 1100));
+        let in_range = |hits: &[SeedHit], idx: usize| -> Vec<SeedHit> {
+            let of = |hit: &&SeedHit| ranges.index_of(hit.query_pos as usize) == idx;
+            hits.iter().filter(of).copied().collect()
+        };
 
         let fold = |batches: Vec<BatchResult>| {
             let mut report = WgaReport::default();
@@ -846,68 +843,47 @@ mod tests {
             (anchors, report)
         };
         let sharded = |hits: &[SeedHit], threads: usize| {
-            fold(run_sharded(hits.len(), threads, |i| {
-                let batch = &hits[i..=i];
-                filter_batch(&params, &ctx, &t, &q, batch, pair_start, STRAND_FWD, i, Obs::off())
+            fold(run_sharded(ranges.count(), threads, || ctx.engine(), |engine, i| {
+                let batch = in_range(hits, i);
+                filter_batch(&params, &mut **engine, &t, &q, &batch, pair_start, STRAND_FWD, i, Obs::off())
             }))
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
             let extend_q = BoundedQueue::new(1);
-            let mut batches = Vec::new();
-            batches.resize_with(hits.len(), || None);
-            let cells = [Mutex::new(Some(PairJob {
+            let stream = Arc::new(Stream {
                 pair_id: 0,
+                lane_idx: 0,
+                strand: Strand::Forward,
                 pair_start,
                 target: &t,
-                lanes: vec![Lane {
-                    strand: Strand::Forward,
-                    query: StrandSeq::Forward(&q),
-                    seeded: SeededLane::default(),
-                    ctx_time: Duration::ZERO,
-                    batches,
-                    deposited: 0,
-                }],
-            }))];
+                query: StrandSeq::Forward(&q),
+                ctx: FilterContext::new(&params, &t, &q),
+            });
+            let (seeded, ctx_time) = (SeededLane::default(), Duration::ZERO);
+            let lane = Lane { stream: Arc::clone(&stream), seeded, ctx_time, batches: Vec::new() };
+            let cells = [Mutex::new(Some(PairJob { lanes: vec![lane], ..PairJob::default() }))];
             let alive = AtomicUsize::new(2);
             let (meter, heartbeat) = (StageMeter::default(), AtomicU64::new(0));
             let policy = RetryPolicy::default();
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
-                        filter_worker(
-                            &params,
-                            &filter_q,
-                            &extend_q,
-                            &cells,
-                            &alive,
-                            &meter,
-                            &heartbeat,
-                            &policy,
-                            Obs::off(),
-                        )
+                        let obs = Obs::off();
+                        filter_worker(&params, &filter_q, &extend_q, &cells, &alive, &meter, &heartbeat, &policy, obs)
                     });
                 }
-                for (batch_idx, &hit) in hits.iter().enumerate() {
-                    let task = FilterTask {
-                        pair_id: 0,
-                        lane_idx: 0,
-                        strand: Strand::Forward,
-                        batch_idx,
-                        hits: vec![hit],
-                        ctx: Arc::clone(&ctx),
-                        target: &t,
-                        query: StrandSeq::Forward(&q),
-                        pair_start,
-                    };
+                for batch_idx in 0..ranges.count() {
+                    let task = FilterTask { stream: Arc::clone(&stream), batch_idx, hits: in_range(hits, batch_idx) };
+                    update_cell(&cells, &extend_q, 0, |job| job.outstanding += 1);
                     assert!(filter_q.push(task).is_ok());
                 }
+                assert!(update_cell(&cells, &extend_q, 0, |job| job.sealed = true));
                 filter_q.close();
             });
-            let mut job = extend_q.pop().expect("the last deposit promotes the pair");
+            let mut job = extend_q.pop().expect("the last deposit, or the seal, promotes the pair");
             assert!(extend_q.pop().is_none(), "the last worker out closes extend_q");
-            let lane = job.lanes.remove(0);
-            fold(lane.batches.into_iter().map(|b| b.expect("deposited")).collect())
+            fold(job.lanes.remove(0).batches)
         };
 
         let (clean, clean_report) = sharded(&hits[..4], 1);
@@ -923,7 +899,7 @@ mod tests {
             assert_eq!(report.counters.hits_filtered, 4, "{schedule}");
             match &report.events[..] {
                 [RunEvent::BatchFailed { stage, batch, items, message }] => {
-                    assert_eq!((*stage, *batch, *items), (StageKind::Filtering, 4, 1));
+                    assert_eq!((*stage, *batch, *items), (StageKind::Filtering, 4, 1), "{schedule}");
                     assert!(message.contains("poisoned"), "{schedule}: {message}");
                 }
                 other => panic!("{schedule}: expected one failed batch, got {other:?}"),

@@ -26,11 +26,12 @@
 //! this over thousands of random and adversarial tiles. Selection is via
 //! [`WgaParams::filter_engine`] / the CLI's `--filter-engine` flag.
 //!
-//! Usage shape (what every schedule does, through
+//! Usage shape (what every schedule does, around
 //! `stages::filter_batch`): build one [`FilterContext`] per
 //! chromosome pair and strand, share it read-only across workers, and
-//! materialise one engine with [`FilterContext::engine`] per batch of
-//! hits.
+//! materialise one engine with [`FilterContext::engine`] per worker
+//! and strand — its scratch serves every batch of hits that worker
+//! filters there.
 
 use crate::config::{FilterEngineKind, FilterStage, WgaParams};
 use crate::stages::{gapped_outcome, run_filter, FilterOutcome};
@@ -44,7 +45,7 @@ use seed::SeedHit;
 ///
 /// Implementations may keep mutable scratch (the batched engine's
 /// wavefront buffers), which is why filtering takes `&mut self`; create
-/// one engine per worker/batch via [`FilterContext::engine`].
+/// one engine per worker and strand via [`FilterContext::engine`].
 pub trait FilterEngine {
     /// Filters one seed hit, returning the anchor (if the tile passed
     /// the threshold) and the DP cells evaluated.
@@ -166,7 +167,7 @@ enum ContextState {
 /// filtering needs no shared state), and no part of the pair: engines
 /// read each tile out of the sequences [`FilterEngine::filter_hit`] is
 /// handed. `FilterContext` is `Sync`, so it is built once outside any
-/// thread scope and each batch calls [`FilterContext::engine`] to get
+/// thread scope and each worker calls [`FilterContext::engine`] to get
 /// its own mutable engine.
 #[derive(Debug, Default)]
 pub struct FilterContext {
@@ -200,7 +201,7 @@ impl FilterContext {
         FilterContext { state }
     }
 
-    /// Materialises a fresh engine for one worker's batch of hits.
+    /// Materialises a fresh engine for one worker's batches of hits.
     ///
     /// Batched and SIMD contexts yield their engine with its own
     /// scratch; scalar contexts yield the stateless

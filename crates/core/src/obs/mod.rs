@@ -108,12 +108,13 @@ pub fn strand_code(strand: Strand) -> u8 {
 /// Names of the spans the drivers emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanName {
-    /// D-SOFT seeding of one strand of one pair.
+    /// D-SOFT seeding of one query range of one strand of one pair
+    /// (`seq` = the range's index).
     Seed,
     /// Seed-table construction for one target chromosome.
     SeedTable,
-    /// One batch of gapped filter tiles (a whole strand at one thread,
-    /// at most 64 hits under the barrier and dataflow schedules).
+    /// One batch of gapped filter tiles: one query range's seed hits,
+    /// on every schedule (`seq` = the range's index).
     FilterBatch,
     /// GACT-X extension of one surviving anchor (items = tiles).
     ExtendTile,

@@ -3,8 +3,9 @@
 //! [`run_pair`] runs all three stages over a target/query pair; it is
 //! the one-thread schedule (a plain loop, the oracle every other
 //! configuration is compared against) and, at more threads, the
-//! barrier schedule: seeding and the filter batches fan out, each stage
-//! runs to completion before the next, one thread extends. The
+//! barrier schedule: a strand's query ranges fan out, each seeded and
+//! filtered by the worker that claimed it, and one thread extends once
+//! they are all in. The
 //! filtering and extension stages are swappable via [`crate::config`],
 //! so the same driver is both Darwin-WGA (D-SOFT → BSW gapped filter →
 //! GACT-X) and the LASTZ-like baseline (D-SOFT → ungapped filter →
@@ -17,10 +18,13 @@ use crate::error::WgaResult;
 use crate::filter_engine::FilterContext;
 use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
 use crate::report::{Strand, WgaReport};
-use crate::shard::run_sharded;
-use crate::stages::{extend_anchors, filter_batch, fold_batches, seed_lane, timed_seed_table};
+use crate::shard::{run_sharded, QueryRanges};
+use crate::stages::{
+    extend_anchors, filter_batch, fold_batches, seed_lane, seed_range, timed_seed_table,
+};
 use genome::Sequence;
-use seed::{SeedHit, SeedTable};
+use seed::dsoft::DsoftScratch;
+use seed::SeedTable;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,13 +35,14 @@ use std::time::Instant;
 /// byte-identical whether `obs` is live or [`Obs::off`]: the recorder
 /// only *watches* the run.
 ///
-/// The pair owns its handle on `table` and gives it up after its last
-/// lookup — the last strand's seeding — so a caller that hands over the
-/// only handle (the target's last pair) has the table freed before the
-/// filter and the extension allocate, not under them.
-///
-/// At one thread nothing is spawned, locked or shared, and each strand
-/// is one filter batch.
+/// A strand goes through one query range at a time — seeded, filtered,
+/// and only its survivors kept — so no strand's hit list ever exists;
+/// each worker holds one range's hits, one D-SOFT scratch and one filter
+/// engine (at one thread nothing is spawned, locked or shared: the same
+/// ranges in a plain loop). The pair owns its handle on `table` and
+/// gives it up after its last lookup — the last strand's last range —
+/// so a caller that hands over the only handle (the target's last pair)
+/// has the table freed before the extension allocates, not under it.
 ///
 /// # Panics
 ///
@@ -55,34 +60,27 @@ pub fn run_pair(
     let pair_start = Instant::now();
     let mut report = WgaReport::default();
     let mut run_strand = |table: Arc<SeedTable>, query: &Sequence, strand: Strand| {
+        let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.len());
         let tiles_used = report.workload.filter_tiles;
-        let (hits, lane) = seed_lane(params, &table, query, strand, threads, tiles_used, obs);
-        drop(table);
+        let (mut lane, kept) =
+            seed_lane(params, &table, query, strand, ranges, threads, tiles_used, obs);
         // One filter context per strand (the fast engines' flattened
-        // scoring), shared read-only by every batch.
+        // scoring), shared read-only by every worker's engine.
         let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
         let ctx_time = ctx_start.elapsed();
-        // One thread: the whole strand is one batch (an empty one if
-        // nothing seeded). More: ~4 self-scheduled batches per worker,
-        // at most 64 hits each, so the worker that drew the expensive
-        // tiles does not straggle the pool; batch boundaries stay
-        // deterministic, only the batch→worker mapping varies.
-        let batches: Vec<&[SeedHit]> = if threads == 1 {
-            vec![&hits[..]]
-        } else {
-            let cut = hits.len().div_ceil(threads * 4).clamp(1, 64);
-            hits.chunks(cut).collect()
-        };
         let scode = strand_code(strand);
-        let filtered = run_sharded(batches.len(), threads, |idx| {
-            filter_batch(params, &ctx, target, query, batches[idx], pair_start, scode, idx, obs)
+        let worker = || (DsoftScratch::default(), ctx.engine());
+        let filtered = run_sharded(ranges.count(), threads, worker, |(scratch, engine), idx| {
+            let kept = kept.as_deref();
+            let (cost, hits) = seed_range(params, &table, query, strand, ranges, idx, kept, scratch, obs);
+            let engine = &mut **engine;
+            (cost, filter_batch(params, engine, target, query, &hits, pair_start, scode, idx, obs))
         });
-        let anchors = fold_batches(params, lane, ctx_time, filtered, pair_start, &mut report);
-        // Extension needs the anchors only; the strand's hit list would
-        // otherwise sit under the run's memory high-water.
-        drop(batches);
-        drop((hits, ctx));
+        drop(table);
+        let (costs, batches): (Vec<_>, Vec<_>) = filtered.into_iter().unzip();
+        costs.into_iter().for_each(|cost| lane.add(cost));
+        let anchors = fold_batches(params, lane, ctx_time, batches, pair_start, &mut report);
         extend_anchors(params, target, query, strand, anchors, pair_start, &mut report, obs);
     };
     if params.both_strands {
@@ -382,34 +380,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_identical_to_serial() {
-        let pair = synthetic(0.2, 40_000, 17);
-        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
-        let params = WgaParams::darwin_wga();
-        let serial = WgaPipeline::new(params.clone()).run(t, q);
-        let parallel = run_pair(&params, table_for(&params, t), t, q, 4, Obs::off());
-        assert_eq!(serial.alignments, parallel.alignments);
-        assert_eq!(serial.workload, parallel.workload);
-        assert_eq!(serial.counters, parallel.counters);
-        assert!(parallel.events.is_empty());
-    }
-
-    #[test]
-    fn budget_capped_parallel_matches_serial() {
+    fn parallel_is_identical_to_serial_with_and_without_a_budget() {
         use crate::config::ResourceBudget;
 
-        let pair = synthetic(0.15, 30_000, 29);
+        let pair = synthetic(0.2, 40_000, 17);
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);
-        let params = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_filter_tiles: Some(30),
-            ..ResourceBudget::default()
-        });
-        let serial = WgaPipeline::new(params.clone()).run(t, q);
-        let parallel = run_pair(&params, table_for(&params, t), t, q, 3, Obs::off());
-        assert_eq!(serial.total_matches(), parallel.total_matches());
-        assert_eq!(serial.workload.filter_tiles, parallel.workload.filter_tiles);
-        assert_eq!(serial.events, parallel.events);
-        assert!(serial.is_degraded());
+        for max_filter_tiles in [None, Some(30)] {
+            let budget = ResourceBudget { max_filter_tiles, ..ResourceBudget::default() };
+            let params = WgaParams::darwin_wga().with_budget(budget);
+            let serial = WgaPipeline::new(params.clone()).run(t, q);
+            let parallel = run_pair(&params, table_for(&params, t), t, q, 4, Obs::off());
+            assert_eq!(serial.alignments, parallel.alignments);
+            assert_eq!(serial.workload, parallel.workload);
+            assert_eq!(serial.counters, parallel.counters);
+            assert_eq!(serial.events, parallel.events);
+            assert_eq!(serial.is_degraded(), max_filter_tiles.is_some());
+        }
     }
 
     #[test]
@@ -422,36 +408,42 @@ mod tests {
 
     /// The one-thread schedule is a plain loop: every span of the pair is
     /// recorded by the calling thread (nothing was spawned to record one
-    /// elsewhere), and each strand is exactly one `filter.batch`. The
-    /// same pair at four threads fans both out.
+    /// elsewhere). The same pair at four threads fans out — over the
+    /// same ranges, one `seed` and one `filter.batch` span each: the cuts
+    /// follow `shard_bases`, not the thread count.
     #[test]
-    fn one_thread_schedule_spawns_nothing_and_cuts_one_batch_per_strand() {
-        use crate::obs::{thread_id, TraceRecorder};
+    fn one_thread_schedule_spawns_nothing_and_cuts_the_ranges_four_threads_cut() {
+        use crate::obs::{thread_id, TraceRecorder, STRAND_FWD, STRAND_REV};
 
         let pair = synthetic(0.2, 20_000, 8);
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);
         let mut params = WgaParams::darwin_wga();
         params.both_strands = true;
-        params.shard_bases = 512;
+        params.shard_bases = 500; // rounds up to four chunks
         let table = table_for(&params, t);
-        let filter_batches = |threads: usize| {
+        let traced = |threads: usize| {
             let recorder = TraceRecorder::new();
             let report = run_pair(&params, Arc::clone(&table), t, q, threads, Obs::new(&recorder));
             let spans = recorder.spans();
             let tids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
-            let batches: Vec<(u8, u64)> = spans
-                .iter()
-                .filter(|s| s.name == SpanName::FilterBatch)
-                .map(|s| (s.strand, s.seq))
-                .collect();
-            (report, tids, batches)
+            let ranges_of = |name: SpanName| {
+                let mut ranges: Vec<(u8, u64)> =
+                    spans.iter().filter(|s| s.name == name).map(|s| (s.strand, s.seq)).collect();
+                ranges.sort_unstable();
+                ranges
+            };
+            (report, tids, ranges_of(SpanName::Seed), ranges_of(SpanName::FilterBatch))
         };
-        let (serial, tids, batches) = filter_batches(1);
+        let (serial, tids, seeded, filtered) = traced(1);
         assert_eq!(tids.into_iter().collect::<Vec<_>>(), [thread_id()]);
-        assert_eq!(batches, [(crate::obs::STRAND_FWD, 0), (crate::obs::STRAND_REV, 0)]);
-        let (fanned, tids, batches) = filter_batches(4);
+        let count = q.len().div_ceil(512) as u64;
+        let expected: Vec<(u8, u64)> =
+            [STRAND_FWD, STRAND_REV].into_iter().flat_map(|s| (0..count).map(move |i| (s, i))).collect();
+        assert_eq!(seeded, expected);
+        assert_eq!(filtered, expected);
+        let (fanned, tids, seeded, filtered) = traced(4);
         assert!(tids.len() > 1, "four threads must actually fan out");
-        assert!(batches.len() > 2);
+        assert_eq!((seeded, filtered), (expected.clone(), expected));
         assert_eq!(serial.alignments, fanned.alignments);
     }
 }

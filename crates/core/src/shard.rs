@@ -1,89 +1,93 @@
-//! Intra-pair sharding: position-space decomposition of D-SOFT and the
-//! self-scheduled pool every fan-out in the crate runs on, so one large
-//! chromosome pair no longer serialises a thread pool.
+//! Intra-pair sharding: the query ranges a strand is seeded and filtered
+//! in, and the self-scheduled pool every fan-out in the crate runs on,
+//! so one large chromosome pair no longer serialises a thread pool.
 //!
-//! Before this module the unit of scheduled work was a whole chromosome
-//! pair: the D-SOFT walk ran on one thread, so a single 120 kbp pair
-//! pinned one worker while the rest idled. Here D-SOFT binning is split
-//! along the query into *shards* ([`seed::dsoft::dsoft_seeds_range`],
-//! cuts aligned to `chunk_size` so every diagonal band stays inside one
-//! shard) — independent work items a small self-scheduling pool
-//! ([`run_sharded`]) claims off a shared cursor (smallest remaining work
-//! first, since claims follow ascending position order). `--shard-size`
-//! is the floor on a shard's bases. The seed table is *not* built from
-//! shards: its count, scatter and sort are one thread's, and the words
-//! the shards once extracted for them are now read straight from the
-//! target (DESIGN.md, "Seed index").
-//!
-//! The barrier schedule fans its filter batches out through the same
-//! [`run_sharded`]. Extension is *not* sharded either: whether an anchor is
-//! extended at all depends on what the better-scoring anchors before it
-//! absorbed, so workers running ahead of the commit loop mostly computed
-//! extensions it then discarded (EXPERIMENTS.md, "Speculative-extension
-//! waste").
+//! The unit of work inside a pair is a *query range* ([`QueryRanges`]):
+//! `--shard-size` bases rounded up to whole D-SOFT chunks, so every
+//! diagonal band stays inside one range and the cuts depend on the
+//! parameters alone — not on the thread count, not on the schedule. A
+//! range is seeded, its hits are filtered, and only the survivors
+//! outlive it: no schedule holds a strand's hit list (DESIGN.md, "Seed →
+//! filter streaming"). One thread walks the ranges in a plain loop; the
+//! barrier schedule hands them to [`run_sharded`], whose workers claim
+//! indices off a shared cursor in ascending position order, each with
+//! its own D-SOFT scratch and filter engine; the dataflow producer seeds
+//! them one after another and queues each range's hits for the filter
+//! pool. Neither the seed table (one thread's count, scatter and sort)
+//! nor the extension is sharded: whether an anchor is extended at all
+//! depends on what the better-scoring anchors before it absorbed
+//! (EXPERIMENTS.md, "Speculative-extension waste").
 //!
 //! # Determinism and fault containment
 //!
-//! Sharding never reaches canonical output: merges reproduce the serial
-//! result bit for bit (see the merge rules on the seed-crate
-//! primitives). A panic inside any shard worker is caught, mapped to
-//! the lowest-failing-shard message deterministically, and re-raised on
-//! the calling thread via [`resume_unwind`] — exactly where the serial
-//! code would have panicked — so pair-level supervision (retry,
-//! `Failed` escalation) composes unchanged with shard-level
-//! parallelism.
+//! Sharding never reaches canonical output: survivors are put back in
+//! hit order before the extension sees them, whatever range size cut
+//! them. A panic inside any shard worker is caught, mapped to the
+//! lowest-failing-shard message deterministically, and re-raised on the
+//! calling thread via [`resume_unwind`] — exactly where the serial code
+//! would have panicked — so pair-level supervision (retry, `Failed`
+//! escalation) composes unchanged with shard-level parallelism.
 
 use crate::supervise::panic_message;
 use crate::sync::Mutex;
-use genome::Sequence;
-use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams, DsoftResult};
-use seed::SeedTable;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Cuts `0..len` into contiguous shards for `threads` workers.
-///
-/// Targets ~4 shards per worker (self-scheduling slack so a slow shard
-/// does not straggle the pool) but never below `min_bases` per shard
-/// (tiny shards are all merge overhead), and rounds the shard size up to
-/// a multiple of `align` — D-SOFT requires chunk-aligned cuts.
-pub(crate) fn shard_ranges(
+/// The chunk-aligned ranges one query strand is seeded and filtered in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryRanges {
+    /// Bases per range: `shard_bases` rounded up to whole D-SOFT chunks.
+    size: usize,
+    /// Query length.
     len: usize,
-    threads: usize,
-    min_bases: usize,
-    align: usize,
-) -> Vec<Range<usize>> {
-    let align = align.max(1);
-    if len == 0 {
-        return Vec::new();
+}
+
+impl QueryRanges {
+    pub(crate) fn new(shard_bases: usize, chunk_size: usize, len: usize) -> QueryRanges {
+        let chunk = chunk_size.max(1);
+        let size = shard_bases.max(1).div_ceil(chunk).saturating_mul(chunk);
+        QueryRanges { size, len }
     }
-    let raw = len.div_ceil(threads.max(1) * 4).max(min_bases.max(1));
-    let size = raw.div_ceil(align) * align;
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    while start < len {
-        let end = start.saturating_add(size).min(len);
-        ranges.push(start..end);
-        start = end;
+
+    /// Number of ranges; none for an empty query.
+    pub(crate) fn count(&self) -> usize {
+        self.len.div_ceil(self.size)
     }
-    ranges
+
+    /// Range `idx`, the last one cut short at the query's end.
+    pub(crate) fn get(&self, idx: usize) -> Range<usize> {
+        let start = idx.saturating_mul(self.size).min(self.len);
+        start..start.saturating_add(self.size).min(self.len)
+    }
+
+    /// The range holding query position `pos`.
+    pub(crate) fn index_of(&self, pos: usize) -> usize {
+        pos / self.size
+    }
 }
 
 /// Runs `work(0..count)` across up to `threads` workers claiming shard
-/// indices off a shared cursor, returning results in index order.
+/// indices off a shared cursor, returning results in index order. Each
+/// worker (the calling thread, at one thread) makes itself one `state`
+/// and hands it to every shard it claims.
 ///
 /// Panics inside `work` are caught per shard; after the pool drains,
 /// the lowest-indexed failure is re-raised on the calling thread (claims
 /// follow the monotonic cursor, so a deterministic panic in shard *i*
 /// always reports shard *i*'s message regardless of interleaving).
-pub(crate) fn run_sharded<T, F>(count: usize, threads: usize, work: F) -> Vec<T>
+pub(crate) fn run_sharded<S, T>(
+    count: usize,
+    threads: usize,
+    state: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
 {
     if threads <= 1 || count <= 1 {
-        return (0..count).map(work).collect();
+        let mut state = state();
+        return (0..count).map(|idx| work(&mut state, idx)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -94,12 +98,13 @@ where
         let pool: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut state = state();
                     while !stop.load(Ordering::Relaxed) {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         if idx >= count {
                             break;
                         }
-                        let outcome = catch_unwind(AssertUnwindSafe(|| work(idx)))
+                        let outcome = catch_unwind(AssertUnwindSafe(|| work(&mut state, idx)))
                             .map_err(|payload| panic_message(payload.as_ref()));
                         if outcome.is_err() {
                             stop.store(true, Ordering::Relaxed);
@@ -133,52 +138,27 @@ where
     values
 }
 
-/// Sharded D-SOFT seeding over chunk-aligned query ranges; bit-identical
-/// to [`dsoft_seeds`] for any thread count (cuts land on `chunk_size`
-/// boundaries, so every diagonal band is confined to one shard).
-pub(crate) fn sharded_dsoft(
-    table: &SeedTable,
-    query: &Sequence,
-    dsoft: &DsoftParams,
-    shard_bases: usize,
-    threads: usize,
-) -> DsoftResult {
-    if threads <= 1 {
-        return dsoft_seeds(table, query, dsoft);
-    }
-    let shards = shard_ranges(query.len(), threads, shard_bases, dsoft.chunk_size);
-    if shards.len() <= 1 {
-        return dsoft_seeds(table, query, dsoft);
-    }
-    let parts = run_sharded(shards.len(), threads, |i| {
-        dsoft_seeds_range(table, query, dsoft, shards[i].clone())
-    });
-    merge_dsoft_results(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WgaParams;
-    use crate::stages::timed_seed_table;
-    use genome::evolve::{EvolutionParams, SyntheticPair};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
-    fn shard_ranges_cover_and_align() {
-        for (len, threads, min, align) in
-            [(100_000, 8, 2048, 128), (5_000, 2, 2048, 1), (129, 8, 1, 64), (0, 4, 2048, 128)]
+    fn query_ranges_cover_and_align() {
+        for (len, shard, chunk) in
+            [(100_000, 2048, 128), (5_000, 2048, 1), (129, 1, 64), (0, 2048, 128), (4096, 2048, 128)]
         {
-            let ranges = shard_ranges(len, threads, min, align);
+            let ranges = QueryRanges::new(shard, chunk, len);
             let mut expect = 0usize;
-            for r in &ranges {
+            for idx in 0..ranges.count() {
+                let r = ranges.get(idx);
                 assert_eq!(r.start, expect, "contiguous");
                 assert!(r.end > r.start, "non-empty");
+                assert_eq!(r.start % chunk, 0, "aligned cut");
                 if r.end != len {
-                    assert_eq!(r.end % align.max(1), 0, "aligned cut");
-                    assert!(r.end - r.start >= min.min(len), "respects floor");
+                    assert!(r.end - r.start >= shard, "respects floor");
                 }
+                assert_eq!(ranges.index_of(r.start), idx);
+                assert_eq!(ranges.index_of(r.end - 1), idx);
                 expect = r.end;
             }
             assert_eq!(expect, len, "covers 0..len");
@@ -187,17 +167,29 @@ mod tests {
 
     #[test]
     fn run_sharded_matches_serial_map() {
-        let squares: Vec<usize> = run_sharded(37, 4, |i| i * i);
+        let squares: Vec<usize> = run_sharded(37, 4, || (), |(), i| i * i);
         assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        let empty: Vec<usize> = run_sharded(0, 4, |i| i);
+        let empty: Vec<usize> = run_sharded(0, 4, || (), |(), i| i);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn run_sharded_makes_one_state_per_worker() {
+        for threads in [1, 3] {
+            let made = AtomicUsize::new(0);
+            let state = || made.fetch_add(1, Ordering::Relaxed);
+            let by: Vec<usize> = run_sharded(40, threads, state, |worker, _| *worker);
+            let workers = made.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&workers), "{workers} states at {threads} threads");
+            assert!(by.iter().all(|&worker| worker < workers));
+        }
     }
 
     #[test]
     fn run_sharded_reports_lowest_failing_shard() {
         for _ in 0..16 {
             let err = catch_unwind(AssertUnwindSafe(|| {
-                run_sharded(64, 4, |i| {
+                run_sharded(64, 4, || (), |(), i| {
                     if i == 7 || i == 40 {
                         panic!("shard {i} poisoned");
                     }
@@ -207,17 +199,5 @@ mod tests {
             .expect_err("must escalate");
             assert_eq!(panic_message(err.as_ref()), "shard 7 poisoned");
         }
-    }
-
-    #[test]
-    fn sharded_seeding_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let pair = SyntheticPair::generate(30_000, &EvolutionParams::at_distance(0.2), &mut rng);
-        let params = WgaParams::darwin_wga();
-        let (table, _) = timed_seed_table(&params, &pair.target.sequence);
-        let whole = dsoft_seeds(&table, &pair.query.sequence, &params.dsoft);
-        // 512 bases a shard: many shards.
-        let split = sharded_dsoft(&table, &pair.query.sequence, &params.dsoft, 512, 4);
-        assert_eq!(whole, split);
     }
 }

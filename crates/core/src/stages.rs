@@ -2,17 +2,19 @@
 //!
 //! The paper's machine has each stage once — D-SOFT in software, one
 //! kind of BSW array, one kind of GACT-X array — and only the FIFOs
-//! between them differ. So here: seeding (`seed_lane`), filtering
-//! (`filter_batch`, `fold_batches`), extension (`extend_anchors`)
-//! and the per-run pair bookkeeping (`row_seed_table`,
-//! `commit_pair`, `replay_pair`) each exist once, and the three
-//! executors are *schedules* over them:
+//! between them differ. So here: seeding (`seed_lane`, `seed_range`),
+//! filtering (`filter_batch`, `fold_batches`), extension
+//! (`extend_anchors`) and the per-run pair bookkeeping
+//! (`row_seed_table`, `commit_pair`, `replay_pair`) each exist once, and
+//! the three executors are *schedules* over them. The unit between
+//! seeding and filtering is one query range ([`QueryRanges`]) on all
+//! three: no schedule holds a strand's hits.
 //!
 //! | step | 1 thread / barrier ([`crate::pipeline::run_pair`]) | dataflow ([`crate::dataflow`]) |
 //! |---|---|---|
 //! | `row_seed_table` | pair loop, once per target row | producer, once per target row |
-//! | `seed_lane` | per strand, clamp against tiles *executed* | producer, clamp against tiles *planned* |
-//! | `filter_batch` | inline (1 thread: one batch per strand) or through `shard::run_sharded` (≤ 64 hits) | filter pool, 64 hits per task |
+//! | `seed_lane` | per strand: the chaos gate; a budget clamps against tiles *executed* | producer, per strand; clamps against tiles *queued* |
+//! | `seed_range` → `filter_batch` | per range, by one worker: a loop (1 thread) or `shard::run_sharded` | producer seeds a range and moves its hits into a task; filter pool runs it |
 //! | `fold_batches` + `extend_anchors` | the calling thread | one extension worker per pair |
 //! | `commit_pair` / `replay_pair` | pair loop, canonical order | collector (completion order), then canonical-order assembly |
 //!
@@ -20,23 +22,25 @@
 //! freeze and journaling therefore cannot drift between executors.
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
-use crate::budget::{clamp_hit_count, deadline_event};
+use crate::budget::{deadline_event, SmallestHits};
 use crate::config::{FilterStage, GappedFilterParams, WgaParams};
 use crate::error::WgaResult;
 use crate::faultsim::Hook;
-use crate::filter_engine::FilterContext;
+use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, LocatedAlignment, SeedTableFn};
 use crate::journal::{Journal, PairRecord};
 use crate::obs::{strand_code, Counter, Obs, SpanName, STRAND_NA};
 use crate::report::{
     BudgetKind, PairOutcome, RunEvent, StageKind, Strand, WgaAlignment, WgaReport,
 };
-use crate::shard::sharded_dsoft;
+use crate::shard::{run_sharded, QueryRanges};
 use crate::supervise::{self, panic_message, RetryPolicy};
+use crate::sync::Mutex;
 use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use align::gactx::{self, ExtendedAlignment};
 use align::ungapped::ungapped_extend;
 use genome::Sequence;
+use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
 use seed::{Anchor, SeedHit, SeedTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -165,74 +169,118 @@ pub fn run_extension(
     )
 }
 
-/// One strand's seeding accounting, which [`fold_batches`] later writes
-/// into the pair's report.
+/// Seeding accounting — a strand's, which [`fold_batches`] later writes
+/// into the pair's report, summed from its ranges'.
 #[derive(Debug, Default)]
 pub(crate) struct SeededLane {
     /// Seed positions D-SOFT queried.
     seeds_queried: u64,
     raw_hits: u64,
+    /// D-SOFT wall-clock, range by range.
     seed_time: Duration,
     clamp_events: Vec<RunEvent>,
 }
 
-/// Seeds one query strand — D-SOFT sharded over `threads` (a plain
-/// call at one thread), recorded as the strand's `seed` span — then
-/// fires the strand's `filter.batch` chaos gate and clamps the hit list
-/// against the seed-hit budget and what is left of the pair's
-/// filter-tile budget after `tiles_used`. Returns the hits to filter —
-/// in stable positional order, and a budget keeps a prefix, so
-/// truncation is deterministic — and the strand's accounting.
+impl SeededLane {
+    pub(crate) fn add(&mut self, range: SeededLane) {
+        self.seeds_queried += range.seeds_queried;
+        self.raw_hits += range.raw_hits;
+        self.seed_time += range.seed_time;
+    }
+}
+
+/// The hits to filter in query range `idx` of a strand, in (target,
+/// query) order, with what seeding them cost: the range's share of what
+/// the budget `kept` ([`seed_lane`] has seeded the strand already), or,
+/// streaming, a D-SOFT walk of the range, recorded as a `seed` span with
+/// the range index as its `seq`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn seed_range(
+    params: &WgaParams,
+    table: &SeedTable,
+    query: &Sequence,
+    strand: Strand,
+    ranges: QueryRanges,
+    idx: usize,
+    kept: Option<&[SeedHit]>,
+    scratch: &mut DsoftScratch,
+    obs: Obs<'_>,
+) -> (SeededLane, Vec<SeedHit>) {
+    if let Some(kept) = kept {
+        let range_of = |hit: &SeedHit| ranges.index_of(hit.query_pos as usize);
+        let start = kept.partition_point(|hit| range_of(hit) < idx);
+        let len = kept[start..].partition_point(|hit| range_of(hit) == idx);
+        return (SeededLane::default(), kept[start..start + len].to_vec());
+    }
+    let mut buf = obs.buffer();
+    let seed_timer = buf.start();
+    let start = Instant::now();
+    let seeding = dsoft_seeds_range_in(table, query, &params.dsoft, ranges.get(idx), scratch);
+    let seed_time = start.elapsed();
+    let (found, seeds_queried) = (seeding.hits.len() as u64, seeding.seeds_queried);
+    buf.finish(seed_timer, SpanName::Seed, strand_code(strand), idx as u64, found, seeds_queried);
+    let cost = SeededLane { seeds_queried, raw_hits: seeding.raw_hits, seed_time, ..SeededLane::default() };
+    (cost, seeding.hits)
+}
+
+/// Opens one query strand: fires the strand's `filter.batch` chaos gate
+/// and, when a seed-hit or filter-tile budget is set, settles what the
+/// budget keeps. Returns the strand's accounting and, for a budgeted
+/// strand, the hits to filter, grouped by range and in hit order inside
+/// one; `None` means the caller streams. Either way the caller then
+/// takes [`seed_range`] → [`filter_batch`] one range at a time.
 ///
 /// The gate fires once per (pair, strand) on the thread driving the
 /// pair, so `filter.batch` occurrence indices are the same on every
 /// schedule; its escalation panic fails just this pair.
+///
+/// A budget keeps the first `take` hits of the strand in (target,
+/// query) order and reports how many there were, which only the whole
+/// walk can say: the strand is seeded here, over `threads` workers,
+/// holding no more than [`SmallestHits`] does.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn seed_lane(
     params: &WgaParams,
     table: &SeedTable,
     query: &Sequence,
     strand: Strand,
+    ranges: QueryRanges,
     threads: usize,
     tiles_used: u64,
     obs: Obs<'_>,
-) -> (Vec<SeedHit>, SeededLane) {
-    let mut buf = obs.buffer();
-    let seed_timer = buf.start();
-    let seed_start = Instant::now();
-    let seeding = sharded_dsoft(table, query, &params.dsoft, params.shard_bases, threads);
-    let seed_time = seed_start.elapsed();
-    buf.finish(
-        seed_timer,
-        SpanName::Seed,
-        strand_code(strand),
-        0,
-        seeding.hits.len() as u64,
-        seeding.seeds_queried,
-    );
-    buf.flush();
+) -> (SeededLane, Option<Vec<SeedHit>>) {
     obs.fault_gate(Hook::FilterBatch);
-    let clamp = clamp_hit_count(params, seeding.hits.len(), tiles_used);
-    let mut hits = seeding.hits;
-    hits.truncate(clamp.take);
-    let lane = SeededLane {
-        seeds_queried: seeding.seeds_queried,
-        raw_hits: seeding.raw_hits,
-        seed_time,
-        clamp_events: clamp.events,
-    };
-    (hits, lane)
+    let mut lane = SeededLane::default();
+    if params.budget.max_seed_hits.is_none() && params.budget.max_filter_tiles.is_none() {
+        return (lane, None);
+    }
+    let smallest = Mutex::new(SmallestHits::new(params, tiles_used));
+    let seeded = run_sharded(ranges.count(), threads, DsoftScratch::default, |scratch, idx| {
+        let (cost, hits) = seed_range(params, table, query, strand, ranges, idx, None, scratch, obs);
+        smallest.lock().absorb(&hits);
+        cost
+    });
+    seeded.into_iter().for_each(|cost| lane.add(cost));
+    let (clamp, mut kept) = smallest.into_inner().finish(params, tiles_used);
+    lane.clamp_events = clamp.events;
+    kept.sort_by_key(|hit| ranges.index_of(hit.query_pos as usize));
+    (lane, Some(kept))
 }
 
-/// What filtering one batch of seed hits produced.
-#[derive(Debug)]
+/// What filtering one batch of seed hits — one query range's — produced.
+#[derive(Debug, Default)]
 pub(crate) struct BatchResult {
-    /// Anchors in hit order within the batch.
-    pub(crate) anchors: Vec<Anchor>,
+    /// The batch's range index.
+    batch: usize,
+    /// The hits that passed, each with its anchor, in hit order within
+    /// the batch. The hit is kept so [`fold_batches`] can put a strand's
+    /// anchors back in hit order.
+    survivors: Vec<(SeedHit, Anchor)>,
     /// Hits actually filtered (< `items` when the pair deadline stopped
     /// the batch early; 0 for a failed batch).
     processed: u64,
     /// Hits the batch carried.
-    pub(crate) items: u64,
+    items: u64,
     /// DP cells evaluated.
     cells: u64,
     /// Filter wall-clock of the batch.
@@ -243,21 +291,15 @@ pub(crate) struct BatchResult {
 }
 
 impl BatchResult {
-    /// A batch of `items` hits that produced nothing.
-    pub(crate) fn failed(items: u64, message: String) -> BatchResult {
-        BatchResult {
-            anchors: Vec::new(),
-            processed: 0,
-            items,
-            cells: 0,
-            busy: Duration::ZERO,
-            failed: Some(message),
-        }
+    /// Batch `batch` of `items` hits that produced nothing.
+    pub(crate) fn failed(batch: usize, items: u64, message: String) -> BatchResult {
+        BatchResult { batch, items, failed: Some(message), ..BatchResult::default() }
     }
 }
 
-/// Filters one batch of hits with one engine (and thus one DP scratch)
-/// drawn from the strand's shared [`FilterContext`], stopping early if
+/// Filters one batch of hits with the worker's `engine` (drawn once per
+/// worker and strand from the strand's shared [`FilterContext`], so its
+/// DP scratch serves every batch the worker runs), stopping early if
 /// the pair deadline passes.
 ///
 /// A panic inside the batch is contained: the batch is retried once
@@ -266,10 +308,12 @@ impl BatchResult {
 /// [`fold_batches`] records as [`RunEvent::BatchFailed`] while every
 /// other batch's anchors are kept. The `filter.batch` span carries
 /// `batch_idx` as its `seq`.
+///
+/// [`FilterContext`]: crate::filter_engine::FilterContext
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn filter_batch(
     params: &WgaParams,
-    ctx: &FilterContext,
+    engine: &mut dyn FilterEngine,
     target: &Sequence,
     query: &Sequence,
     hits: &[SeedHit],
@@ -278,13 +322,12 @@ pub(crate) fn filter_batch(
     batch_idx: usize,
     obs: Obs<'_>,
 ) -> BatchResult {
-    let attempt = || {
+    let mut attempt = || {
         catch_unwind(AssertUnwindSafe(|| {
             let start = Instant::now();
             let mut buf = obs.buffer();
             let batch_timer = buf.start();
-            let mut engine = ctx.engine();
-            let mut anchors = Vec::new();
+            let mut survivors = Vec::new();
             let mut processed = 0u64;
             let mut cells = 0u64;
             for &hit in hits {
@@ -297,7 +340,7 @@ pub(crate) fn filter_batch(
                 let outcome = engine.filter_hit(params, target, query, hit);
                 obs.filter_tile(&tile_timer, outcome.cells);
                 cells += outcome.cells;
-                anchors.extend(outcome.anchor);
+                survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
                 processed += 1;
             }
             buf.finish(
@@ -309,7 +352,8 @@ pub(crate) fn filter_batch(
                 cells,
             );
             BatchResult {
-                anchors,
+                batch: batch_idx,
+                survivors,
                 processed,
                 items: hits.len() as u64,
                 cells,
@@ -319,7 +363,7 @@ pub(crate) fn filter_batch(
         }))
     };
     attempt().or_else(|_| attempt()).unwrap_or_else(|payload| {
-        BatchResult::failed(hits.len() as u64, panic_message(payload.as_ref()))
+        BatchResult::failed(batch_idx, hits.len() as u64, panic_message(payload.as_ref()))
     })
 }
 
@@ -333,21 +377,23 @@ fn poison_check(hit: SeedHit) {
     }
 }
 
-/// Folds one strand's seeding accounting and its filter batches, taken
-/// in batch order so anchors come out in hit order, into `report`, and
-/// returns the strand's anchors.
+/// Folds one strand's seeding accounting and its filter batches into
+/// `report`, and returns the strand's anchors in hit order — (target,
+/// query), the order one D-SOFT walk of the whole strand emits — so that
+/// neither the range size nor the order batches finished in reaches the
+/// extension's stable score sort.
 ///
 /// Event order is the same on every schedule: the strand's budget
-/// clamps, one [`RunEvent::BatchFailed`] per failed batch, then a
-/// filtering-deadline event if any batch stopped short. Filtering time
-/// is `ctx_time` (the [`FilterContext`] build) plus every batch's own
-/// wall-clock: time spent filtering, which at more than one thread is
-/// more than the stage's elapsed time.
+/// clamps, one [`RunEvent::BatchFailed`] per failed batch in range
+/// order, then a filtering-deadline event if any batch stopped short.
+/// Filtering time is `ctx_time` (the filter context's build) plus every
+/// batch's own wall-clock: time spent filtering, which at more than one
+/// thread is more than the stage's elapsed time.
 pub(crate) fn fold_batches(
     params: &WgaParams,
     lane: SeededLane,
     ctx_time: Duration,
-    batches: impl IntoIterator<Item = BatchResult>,
+    mut batches: Vec<BatchResult>,
     pair_start: Instant,
     report: &mut WgaReport,
 ) -> Vec<Anchor> {
@@ -356,14 +402,15 @@ pub(crate) fn fold_batches(
     report.counters.raw_seed_hits += lane.raw_hits;
     report.events.extend(lane.clamp_events);
 
-    let mut anchors: Vec<Anchor> = Vec::new();
+    batches.sort_by_key(|batch| batch.batch);
+    let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
     let mut deadline_hit = false;
     let mut filter_time = ctx_time;
-    for (idx, batch) in batches.into_iter().enumerate() {
+    for batch in batches {
         if let Some(message) = batch.failed {
             report.events.push(RunEvent::BatchFailed {
                 stage: StageKind::Filtering,
-                batch: idx,
+                batch: batch.batch,
                 items: batch.items,
                 message,
             });
@@ -374,7 +421,7 @@ pub(crate) fn fold_batches(
         report.counters.filter_cells += batch.cells;
         deadline_hit |= batch.processed < batch.items;
         filter_time += batch.busy;
-        anchors.extend(batch.anchors);
+        survivors.extend(batch.survivors);
     }
     if deadline_hit {
         report
@@ -382,8 +429,9 @@ pub(crate) fn fold_batches(
             .push(deadline_event(&params.budget, StageKind::Filtering, pair_start));
     }
     report.timings.filtering += filter_time;
-    report.counters.anchors_passed += anchors.len() as u64;
-    anchors
+    report.counters.anchors_passed += survivors.len() as u64;
+    survivors.sort_unstable_by_key(|&(hit, _)| hit);
+    survivors.into_iter().map(|(_, anchor)| anchor).collect()
 }
 
 /// Extends `anchors` best-scoring-first with anchor absorption, budget

@@ -20,9 +20,20 @@
 //! table and the extension, not at their sum. A row loop that frees a
 //! table after the row's last extension peaks the same in both, and
 //! fails here by half of what the extension holds.
+//!
+//! And beside the table a pair holds no list that follows the *product*
+//! of the two lengths: a strand is seeded and filtered one query range
+//! at a time, so only the survivors outlive a range. The third test runs
+//! a distant pair — at distance 1.3 nearly every D-SOFT hit is noise the
+//! filter rejects — and asks that the run peak within 64 KiB of its
+//! table and its reverse-complemented query, and no higher when the
+//! query doubles in unrelated sequence (twice the hits). A pipeline that
+//! materialises a strand's hits before filtering them fails both, by
+//! 8 B a hit.
 
 use genome::assembly::Assembly;
 use genome::evolve::{EvolutionParams, SyntheticPair};
+use genome::markov::MarkovModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -182,4 +193,48 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
     assert_eq!(observed.pairs.len(), 2);
     let builds = recorder.spans().iter().filter(|span| span.name == SpanName::SeedTable).count();
     assert_eq!(builds, 1);
+}
+
+#[test]
+fn a_pair_holds_its_table_and_sequences_not_its_hits() {
+    let mut rng = StdRng::seed_from_u64(63);
+    let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(1.3), &mut rng);
+    let mut params = WgaParams::darwin_wga();
+    params.both_strands = true;
+    let mut target = Assembly::new("t");
+    target.push("chrT", pair.target.sequence.clone());
+    let mut query = Assembly::new("q");
+    query.push("chrQ", pair.query.sequence.clone());
+    // The same query followed by as much sequence again that aligns to
+    // nothing: twice the noise hits, no more survivors.
+    let mut doubled_sequence = pair.query.sequence.clone();
+    doubled_sequence.extend(MarkovModel::genome_like().generate(pair.query.sequence.len(), &mut rng).iter());
+    let mut doubled = Assembly::new("q");
+    doubled.push("chrQ", doubled_sequence);
+
+    let before = LIVE.get();
+    let table = SeedTable::build(&pair.target.sequence, &params.seed_pattern, params.max_seed_occurrences);
+    let table_bytes = (LIVE.get() - before) as usize;
+    drop(table);
+
+    // Once unmeasured, so the per-thread kernel scratches are grown.
+    align_assemblies(&params, &target, &doubled);
+    let (one, peak) = measure(|| align_assemblies(&params, &target, &query));
+    let (two, peak_doubled) = measure(|| align_assemblies(&params, &target, &doubled));
+    let tiles = (one.workload.filter_tiles, two.workload.filter_tiles);
+    assert!(tiles.0 > 16_000 && tiles.1 > 2 * tiles.0 - tiles.0 / 4, "{tiles:?} filter tiles");
+    // What a materialised hit list would add: 8 B a hit of the larger
+    // strand, far outside the slack.
+    assert!(8 * tiles.0 / 2 > 64 * 1024);
+
+    // The reverse strand's copy of the query is the one sequence a pair
+    // allocates; the assemblies are the caller's.
+    let (query_bytes, doubled_bytes) = (query.total_bases(), doubled.total_bases());
+    eprintln!(
+        "live-heap high-water: {peak} B for {} tiles, {peak_doubled} B for {}, beside a table of {table_bytes} B and queries of {query_bytes} and {doubled_bytes} B",
+        tiles.0, tiles.1
+    );
+    let slack = 64 * 1024;
+    assert!(peak <= table_bytes + query_bytes + slack, "{peak} B for one pair");
+    assert!(peak_doubled <= table_bytes + doubled_bytes + slack, "{peak_doubled} B for the doubled query");
 }

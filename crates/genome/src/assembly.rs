@@ -82,7 +82,22 @@ impl Assembly {
     /// [`FastaError::DuplicateName`] when two records share a name, so
     /// malformed user input surfaces as an error rather than a panic.
     pub fn from_fasta<R: BufRead>(name: impl Into<String>, reader: R) -> Result<Assembly, FastaError> {
-        let records = fasta::read(reader)?;
+        Assembly::from_fasta_sized(name, reader, 0)
+    }
+
+    /// [`Assembly::from_fasta`] over input known to be `byte_len` bytes
+    /// long (see [`fasta::read_sized`]): each chromosome is allocated
+    /// once instead of grown.
+    ///
+    /// # Errors
+    ///
+    /// As [`Assembly::from_fasta`].
+    pub fn from_fasta_sized<R: BufRead>(
+        name: impl Into<String>,
+        reader: R,
+        byte_len: usize,
+    ) -> Result<Assembly, FastaError> {
+        let records = fasta::read_sized(reader, byte_len)?;
         let mut assembly = Assembly::new(name);
         for rec in records {
             if assembly.chromosome(&rec.name).is_some() {

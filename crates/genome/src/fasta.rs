@@ -93,10 +93,25 @@ impl From<io::Error> for FastaError {
 /// assert_eq!(records[0].sequence.len(), 8);
 /// # Ok::<(), genome::fasta::FastaError>(())
 /// ```
-pub fn read<R: BufRead>(mut reader: R) -> Result<Vec<Record>, FastaError> {
+pub fn read<R: BufRead>(reader: R) -> Result<Vec<Record>, FastaError> {
+    read_sized(reader, 0)
+}
+
+/// [`read`] for input of a known size: `byte_len` is how many bytes the
+/// reader will yield (a file's length), and each record's sequence is
+/// allocated once, at the bytes still unread when its header is met —
+/// its own length for a one-record file — instead of growing there by
+/// doubling, a transient of twice the chromosome and more. A hint that
+/// is too small (0: none) only brings the growth back.
+///
+/// # Errors
+///
+/// As [`read`].
+pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Record>, FastaError> {
     let mut records: Vec<Record> = Vec::new();
     let mut current: Option<Record> = None;
-    // A finished record gives back its growth slack: a 187 kb chromosome
+    let mut consumed = 0usize;
+    // A finished record gives back its slack: a 187 kb chromosome
     // would otherwise sit in a 256 KiB block for the whole run.
     let mut finish = |record: Option<Record>| {
         if let Some(mut record) = record {
@@ -110,9 +125,11 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<Vec<Record>, FastaError> {
     let mut number = 0usize;
     loop {
         buffer.clear();
-        if reader.read_until(b'\n', &mut buffer)? == 0 {
+        let read = reader.read_until(b'\n', &mut buffer)?;
+        if read == 0 {
             break;
         }
+        consumed += read;
         number += 1;
         let line = buffer.trim_ascii_end();
         if line.is_empty() {
@@ -132,11 +149,9 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<Vec<Record>, FastaError> {
                 .next()
                 .unwrap_or("")
                 .to_string();
-            current = Some(Record {
-                name,
-                description,
-                sequence: Sequence::new(),
-            });
+            let mut sequence = Sequence::new();
+            sequence.reserve_hint(byte_len.saturating_sub(consumed));
+            current = Some(Record { name, description, sequence });
         } else {
             let rec = current
                 .as_mut()
@@ -221,6 +236,15 @@ mod tests {
         // In a header the line number is all there is to say.
         let err = read(&b">a\nACGT\n>b\xff\nAC\n"[..]).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
+    }
+
+    #[test]
+    fn read_sized_equals_read_whatever_the_hint() {
+        let input = b">chr1 test\nACGT\nacgt\n\n>chr2\nTTTT\n>empty\n";
+        let expected = read(&input[..]).unwrap();
+        for byte_len in [0, 3, input.len(), 10 * input.len(), usize::MAX] {
+            assert_eq!(read_sized(&input[..], byte_len).unwrap(), expected, "hint {byte_len}");
+        }
     }
 
     #[test]

@@ -90,6 +90,13 @@ impl Sequence {
         self.bases.push(base);
     }
 
+    /// Asks for room for `additional` more bases in one allocation. A
+    /// hint: if the allocator cannot give it (a size taken from a file's
+    /// length can be anything), the sequence simply grows as it is pushed.
+    pub fn reserve_hint(&mut self, additional: usize) {
+        let _ = self.bases.try_reserve_exact(additional);
+    }
+
     /// Gives back the capacity growth left beyond the bases held.
     pub fn shrink_to_fit(&mut self) {
         self.bases.shrink_to_fit();

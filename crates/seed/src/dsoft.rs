@@ -74,6 +74,22 @@ pub struct DsoftResult {
     pub bands_touched: u64,
 }
 
+/// What a D-SOFT walk holds besides its output — Darwin's bin-count
+/// memory and non-zero-bin list — owned by the caller so that a run of
+/// walks (a strand's query ranges, one after another on one worker)
+/// allocates and zeroes it once, not once per range.
+///
+/// Every bin counter is zero whenever a walk is not inside a chunk, so
+/// one scratch serves any sequence of walks, over any tables.
+#[derive(Debug, Default)]
+pub struct DsoftScratch {
+    /// Seed hits of the current chunk per target bin.
+    bin_counts: Vec<u32>,
+    /// The first hit of every bin the current chunk has touched: which
+    /// counters to read and clear when the chunk ends.
+    first_hits: Vec<SeedHit>,
+}
+
 /// Runs D-SOFT seeding of `query` against an indexed target.
 ///
 /// Returns at most one hit per (chunk, target-bin) diagonal band — the
@@ -118,10 +134,22 @@ pub fn dsoft_seeds_range(
     params: &DsoftParams,
     qrange: Range<usize>,
 ) -> DsoftResult {
+    dsoft_seeds_range_in(table, query, params, qrange, &mut DsoftScratch::default())
+}
+
+/// [`dsoft_seeds_range`] over a caller-owned [`DsoftScratch`]: the form a
+/// driver walking many ranges uses, one scratch per worker.
+pub fn dsoft_seeds_range_in(
+    table: &SeedTable,
+    query: &Sequence,
+    params: &DsoftParams,
+    qrange: Range<usize>,
+    scratch: &mut DsoftScratch,
+) -> DsoftResult {
     params.validate();
     // The key width is settled here, once: inside `walk` a lookup is
     // straight-line code, not a dispatch per word.
-    with_keys!(table.keys(), keys => walk(table, keys, query, params, qrange))
+    with_keys!(table.keys(), keys => walk(table, keys, query, params, qrange, scratch))
 }
 
 /// [`dsoft_seeds_range`] over a table whose key type is known: `keys` are
@@ -132,6 +160,7 @@ fn walk<K: Key>(
     query: &Sequence,
     params: &DsoftParams,
     qrange: Range<usize>,
+    scratch: &mut DsoftScratch,
 ) -> DsoftResult {
     let buckets = table.buckets(keys);
     let pattern: &SeedPattern = table.pattern();
@@ -142,8 +171,8 @@ fn walk<K: Key>(
     // held, as Darwin's D-SOFT holds them: a hit count per target bin,
     // and the first hit of every bin the chunk has touched — the list
     // that says which counts to read and clear when the chunk ends.
-    let mut bin_counts = vec![0u32; table.position_end().div_ceil(params.bin_size)];
-    let mut first_hits: Vec<SeedHit> = Vec::new();
+    let DsoftScratch { bin_counts, first_hits } = scratch;
+    bin_counts.resize(table.position_end().div_ceil(params.bin_size), 0);
 
     let end = query
         .len()

@@ -35,9 +35,11 @@
 //!     wavefront engine with explicit SSE2/AVX2 lanes, falling back to
 //!     `batched`, the same wavefront without them, where unsupported;
 //!     results are identical in every case). --shard-size sets the
-//!     minimum bases per D-SOFT shard (the only sharded seeding step: a
-//!     seed table is built by one thread; default 2048; purely a scheduling knob, output is byte-identical
-//!     for any value). --checkpoint
+//!     bases per query range (rounded up to whole D-SOFT chunks; default
+//!     2048): a strand is seeded and filtered one range at a time on
+//!     every executor, so a range's seed hits are the most a worker ever
+//!     holds and no strand-long hit list exists. Purely a scheduling
+//!     knob: output is byte-identical for any value. --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
 //!     resumes where it left off. The --max-*/--deadline-ms budgets
 //!     bound work per pair; a tripped budget degrades the run
@@ -294,8 +296,10 @@ fn read_assembly(path: &str) -> Result<Assembly, String> {
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.to_string());
-    let assembly =
-        Assembly::from_fasta(name, BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    // The file's length sizes each chromosome's buffer once.
+    let byte_len = file.metadata().map_or(0, |m| usize::try_from(m.len()).unwrap_or(0));
+    let assembly = Assembly::from_fasta_sized(name, BufReader::new(file), byte_len)
+        .map_err(|e| format!("{path}: {e}"))?;
     if assembly.is_empty() {
         return Err(format!("{path}: no records"));
     }

@@ -434,3 +434,59 @@ fn watchdog_escalates_injected_stall_to_pair_failure() {
         other => panic!("stalled pair 0 should fail, got {other:?}"),
     }
 }
+
+/// A strand is seeded and filtered one query range at a time, but the
+/// `filter.batch` hook still fires once per (pair, strand): occurrence
+/// *k* is the *k*-th strand of the pair, never its *k*-th range. With
+/// both strands on, `"at":[0,1]` injects before the forward strand's
+/// first range and before the reverse strand's first range, and a third
+/// occurrence does not exist — identically on the three executors.
+#[test]
+fn filter_batch_occurrences_count_strands_not_ranges() {
+    use darwin_wga::core::genome_pipeline::align_assemblies_observed;
+    use darwin_wga::core::obs::{Obs, SpanName, TraceRecorder, STRAND_FWD, STRAND_REV};
+
+    let (target, query) = four_pair_assemblies();
+    let mut params = WgaParams::darwin_wga();
+    params.both_strands = true;
+    params.shard_bases = 512; // a dozen ranges and more a strand
+    let clean = run_within(120, &params, &target, &query, AlignOptions::default(), "clean");
+    let latency = |at: &str| {
+        plan(5, &format!("{{\"hook\":\"filter.batch\",\"kind\":\"latency\",\"at\":{at},\"ms\":1,\"pair\":0}}"))
+    };
+    for (name, threads, executor) in EXECUTORS {
+        let options = |at: &str| AlignOptions {
+            threads,
+            executor,
+            fault_plan: Some(latency(at)),
+            ..AlignOptions::default()
+        };
+        let recorder = TraceRecorder::new();
+        let report =
+            align_assemblies_observed(&params, &target, &query, &options("[0,1]"), Obs::new(&recorder))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.canonical_text(), clean.canonical_text(), "{name}");
+        assert_eq!(report.counters.faults_injected, 2, "{name}");
+        let spans = recorder.spans();
+        let of_pair_0 = |name: SpanName| spans.iter().filter(move |s| s.pair == 0 && s.name == name);
+        let mut faults: Vec<u64> = of_pair_0(SpanName::Fault).map(|s| s.start_us).collect();
+        faults.sort_unstable();
+        let seeded = |strand: u8| {
+            let starts = of_pair_0(SpanName::Seed).filter(move |s| s.strand == strand).map(|s| s.start_us);
+            (starts.clone().min().expect("seeded"), starts.clone().max().expect("seeded"), starts.count())
+        };
+        let ((fwd_first, fwd_last, fwd_ranges), (rev_first, _, rev_ranges)) =
+            (seeded(STRAND_FWD), seeded(STRAND_REV));
+        assert!(fwd_ranges > 10 && rev_ranges > 10, "{name}: {fwd_ranges} + {rev_ranges} ranges");
+        assert_eq!(faults.len(), 2, "{name}");
+        assert!(faults[0] <= fwd_first, "{name}: occurrence 0 opens the forward strand");
+        assert!(
+            fwd_last <= faults[1] && faults[1] <= rev_first,
+            "{name}: occurrence 1 opens the reverse strand, not the forward strand's second range"
+        );
+
+        let none = run_within(120, &params, &target, &query, options("[2,3,4]"), name);
+        assert_eq!(none.counters.faults_injected, 0, "{name}: a pair has two strands");
+        assert_eq!(none.canonical_text(), clean.canonical_text(), "{name}");
+    }
+}
