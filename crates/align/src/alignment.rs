@@ -90,14 +90,14 @@ impl Alignment {
         for op in self.cigar.iter_ops() {
             match op {
                 AlignOp::Match => {
-                    if target[t] != query[q] || target[t] == Base::N {
+                    if target.get(t) != query.get(q) || target.get(t) == Some(Base::N) {
                         return Err(format!("op '=' at t={t} q={q} on differing bases"));
                     }
                     t += 1;
                     q += 1;
                 }
                 AlignOp::Subst => {
-                    if target[t] == query[q] && target[t] != Base::N {
+                    if target.get(t) == query.get(q) && target.get(t) != Some(Base::N) {
                         return Err(format!("op 'X' at t={t} q={q} on equal bases"));
                     }
                     t += 1;
@@ -122,21 +122,21 @@ impl Alignment {
         let (mut t, mut q) = (self.target_start, self.query_start);
         let mut score = 0i64;
         for &(op, count) in self.cigar.runs() {
+            let count = count as usize;
             match op {
                 AlignOp::Match | AlignOp::Subst => {
-                    for _ in 0..count {
-                        score += w.score(target[t], query[q]) as i64;
-                        t += 1;
-                        q += 1;
-                    }
+                    let pairs = target.iter().skip(t).zip(query.iter().skip(q)).take(count);
+                    score += pairs.map(|(a, b)| w.score(a, b) as i64).sum::<i64>();
+                    t += count;
+                    q += count;
                 }
                 AlignOp::Insert => {
-                    score -= gaps.cost(count as usize);
-                    q += count as usize;
+                    score -= gaps.cost(count);
+                    q += count;
                 }
                 AlignOp::Delete => {
-                    score -= gaps.cost(count as usize);
-                    t += count as usize;
+                    score -= gaps.cost(count);
+                    t += count;
                 }
             }
         }
@@ -213,7 +213,9 @@ impl<'a> CigarBuilder<'a> {
 
     /// Consumes one aligned pair, classifying match vs substitution.
     pub fn aligned(&mut self) {
-        let op = if self.target[self.t] == self.query[self.q] && self.target[self.t] != Base::N {
+        let (a, b) = (self.target.get(self.t), self.query.get(self.q));
+        assert!(a.is_some() && b.is_some(), "aligned pair past a sequence's end");
+        let op = if a == b && a != Some(Base::N) {
             AlignOp::Match
         } else {
             AlignOp::Subst

@@ -45,8 +45,8 @@ pub struct BandedOutcome {
 /// let t: Sequence = "ACGTACGTACGT".parse()?;
 /// let q: Sequence = "ACGTACGTACGT".parse()?;
 /// let out = align::banded::banded_smith_waterman(
-///     t.as_slice(),
-///     q.as_slice(),
+///     &t.to_bases(),
+///     &q.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(),
 ///     &GapPenalties::darwin_wga(),
 ///     4,
@@ -160,8 +160,8 @@ mod tests {
         let (w, g) = dw();
         let t: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGG".parse().unwrap();
         let q: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGG".parse().unwrap();
-        let banded = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 8);
-        let full = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 8);
+        let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         assert_eq!(banded.max_score, full.best_score);
     }
 
@@ -171,8 +171,8 @@ mod tests {
         // Query has a 3-base deletion relative to target.
         let t: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGGATCGGATTACA".parse().unwrap();
         let q: Sequence = "ACGGTCAGTCGAGCAGTCAGCTAGCTAGGATCGGATTACA".parse().unwrap();
-        let banded = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 8);
-        let full = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 8);
+        let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         assert_eq!(banded.max_score, full.best_score);
         assert!(banded.max_score > 2000);
     }
@@ -183,8 +183,8 @@ mod tests {
         // 20-base offset: alignment lies on a far diagonal.
         let t: Sequence = format!("{}{}", "T".repeat(20), "ACGGTCAGTCGA").parse().unwrap();
         let q: Sequence = "ACGGTCAGTCGA".parse().unwrap();
-        let wide = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 32);
-        let narrow = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 4);
+        let wide = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 32);
+        let narrow = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 4);
         assert!(wide.max_score > narrow.max_score);
     }
 
@@ -194,7 +194,7 @@ mod tests {
         let t: Sequence = "ACGT".repeat(100).parse().unwrap();
         let q: Sequence = "ACGT".repeat(100).parse().unwrap();
         let band = 16usize;
-        let out = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
+        let out = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
         assert!(out.cells <= (400 * (2 * band as u64 + 1)));
         assert!(out.cells >= 400);
     }
@@ -203,7 +203,7 @@ mod tests {
     fn empty_inputs_score_zero() {
         let (w, g) = dw();
         let t: Sequence = "ACGT".parse().unwrap();
-        let out = banded_smith_waterman(t.as_slice(), &[], &w, &g, 4);
+        let out = banded_smith_waterman(&t.to_bases(), &[], &w, &g, 4);
         assert_eq!(out.max_score, 0);
         assert_eq!(out.cells, 0);
     }
@@ -213,7 +213,7 @@ mod tests {
         let (w, g) = dw();
         let t: Sequence = "ACGTACGTTTTTTTTT".parse().unwrap();
         let q: Sequence = "ACGTACGTCCCCCCCC".parse().unwrap();
-        let out = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 4);
+        let out = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 4);
         // Max is at the end of the 8-base shared prefix.
         assert_eq!(out.target_pos, 7);
         assert_eq!(out.query_pos, 7);

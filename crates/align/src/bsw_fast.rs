@@ -280,8 +280,8 @@ pub fn bsw_wavefront(
 /// let q: Sequence = "ACGTACGTACGT".parse()?;
 /// let mut scratch = WavefrontScratch::new();
 /// let out = banded_smith_waterman_wavefront(
-///     t.as_slice(),
-///     q.as_slice(),
+///     &t.to_bases(),
+///     &q.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(),
 ///     &GapPenalties::darwin_wga(),
 ///     4,
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn matches_scalar_on_perfect_match() {
         let t = seq("ACGTACGTACGT");
-        assert_identical(t.as_slice(), t.as_slice(), 4);
+        assert_identical(&t.to_bases(), &t.to_bases(), 4);
     }
 
     #[test]
@@ -341,7 +341,7 @@ mod tests {
         let t = seq("ACGGTCAGTCGATTGCAGTCAGCTAGCTAGGATCGGATTACA");
         let q = seq("ACGGTCAGTCGAGCAGTCAGCTAGCTAGGATCGGATTACA");
         for band in [1, 2, 4, 8, 32] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
         }
     }
 
@@ -352,7 +352,7 @@ mod tests {
         let t = seq(&"A".repeat(50));
         let q = seq(&"A".repeat(47));
         for band in [1, 3, 16, 64] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
         }
     }
 
@@ -361,8 +361,8 @@ mod tests {
         let t = seq(&"ACGT".repeat(30));
         let q = seq(&"ACGT".repeat(7));
         for band in [1, 5, 33, 200] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
-            assert_identical(q.as_slice(), t.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
+            assert_identical(&q.to_bases(), &t.to_bases(), band);
         }
     }
 
@@ -371,7 +371,7 @@ mod tests {
         let t = seq("ACGTNNNNACGTACGTNACGT");
         let q = seq("ACGTACNNGTACGTNNNACGT");
         for band in [2, 8] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
         }
     }
 
@@ -381,10 +381,10 @@ mod tests {
         let t = seq("ACGT");
         let mut scratch = WavefrontScratch::new();
         let out =
-            banded_smith_waterman_wavefront(t.as_slice(), &[], &w, &g, 4, &mut scratch);
+            banded_smith_waterman_wavefront(&t.to_bases(), &[], &w, &g, 4, &mut scratch);
         assert_eq!(out, BandedOutcome::default());
         let out =
-            banded_smith_waterman_wavefront(&[], t.as_slice(), &w, &g, 4, &mut scratch);
+            banded_smith_waterman_wavefront(&[], &t.to_bases(), &w, &g, 4, &mut scratch);
         assert_eq!(out, BandedOutcome::default());
     }
 
@@ -395,10 +395,10 @@ mod tests {
         for len in [1usize, 7, 64, 3, 320, 5] {
             let t = seq(&"ACGGTCAGT".repeat(len.div_ceil(9))[..len]);
             let q = seq(&"ACGGTCTGT".repeat(len.div_ceil(9))[..len]);
-            let scalar = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 32);
+            let scalar = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 32);
             let fast = bsw_wavefront(
-                t.codes(),
-                q.codes(),
+                Base::codes_of(&t.to_bases()),
+                Base::codes_of(&q.to_bases()),
                 &ScoreLut::new(&w),
                 &g,
                 32,
@@ -424,13 +424,13 @@ mod tests {
                 q.len(),
             );
             let scalar = banded_smith_waterman(
-                &t.as_slice()[tr.clone()],
-                &q.as_slice()[qr.clone()],
+                &t.to_bases()[tr.clone()],
+                &q.to_bases()[qr.clone()],
                 &w,
                 &g,
                 32,
             );
-            let fast = batch.run_tile(&t.codes()[tr], &q.codes()[qr], &mut scratch);
+            let fast = batch.run_tile(Base::codes_of(&t.to_bases()[tr]), Base::codes_of(&q.to_bases()[qr]), &mut scratch);
             assert_eq!(scalar, fast, "tile at {start}");
         }
     }

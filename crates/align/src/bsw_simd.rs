@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn matches_scalar_on_perfect_match() {
         let t = seq("ACGTACGTACGT");
-        assert_identical(t.as_slice(), t.as_slice(), 4);
+        assert_identical(&t.to_bases(), &t.to_bases(), 4);
     }
 
     #[test]
@@ -458,7 +458,7 @@ mod tests {
             let t = seq(&base[..len]);
             let q = seq(&base[..len.min(base.len())]);
             for band in [1, 8, 16, 64] {
-                assert_identical(t.as_slice(), q.as_slice(), band);
+                assert_identical(&t.to_bases(), &q.to_bases(), band);
             }
         }
     }
@@ -468,7 +468,7 @@ mod tests {
         let t = seq(&"A".repeat(50));
         let q = seq(&"A".repeat(47));
         for band in [1, 3, 16, 64] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
         }
     }
 
@@ -477,7 +477,7 @@ mod tests {
         let t = seq(&"N".repeat(40));
         let q = seq(&"N".repeat(37));
         for band in [2, 32] {
-            assert_identical(t.as_slice(), q.as_slice(), band);
+            assert_identical(&t.to_bases(), &q.to_bases(), band);
         }
     }
 
@@ -491,8 +491,8 @@ mod tests {
         assert!(!batch.tile_uses_simd(400, 400));
         assert!(batch.tile_uses_simd(320, 320));
         let mut scratch = SimdScratch::new();
-        let out = batch.run_tile(t.codes(), t.codes(), &mut scratch);
-        let scalar = banded_smith_waterman(t.as_slice(), t.as_slice(), &w, &g, 32);
+        let out = batch.run_tile(Base::codes_of(&t.to_bases()), Base::codes_of(&t.to_bases()), &mut scratch);
+        let scalar = banded_smith_waterman(&t.to_bases(), &t.to_bases(), &w, &g, 32);
         assert_eq!(out, scalar);
     }
 
@@ -501,9 +501,9 @@ mod tests {
         let (w, g) = dw();
         let t = seq("ACGT");
         let mut scratch = SimdScratch::new();
-        let out = banded_smith_waterman_simd(t.as_slice(), &[], &w, &g, 4, &mut scratch);
+        let out = banded_smith_waterman_simd(&t.to_bases(), &[], &w, &g, 4, &mut scratch);
         assert_eq!(out, BandedOutcome::default());
-        let out = banded_smith_waterman_simd(&[], t.as_slice(), &w, &g, 4, &mut scratch);
+        let out = banded_smith_waterman_simd(&[], &t.to_bases(), &w, &g, 4, &mut scratch);
         assert_eq!(out, BandedOutcome::default());
     }
 
@@ -514,9 +514,9 @@ mod tests {
         for len in [1usize, 7, 64, 3, 320, 5, 17] {
             let t = seq(&"ACGGTCAGT".repeat(len.div_ceil(9))[..len]);
             let q = seq(&"ACGGTCTGT".repeat(len.div_ceil(9))[..len]);
-            let scalar = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, 32);
+            let scalar = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 32);
             let simd =
-                banded_smith_waterman_simd(t.as_slice(), q.as_slice(), &w, &g, 32, &mut scratch);
+                banded_smith_waterman_simd(&t.to_bases(), &q.to_bases(), &w, &g, 32, &mut scratch);
             assert_eq!(scalar, simd, "len={len}");
         }
     }

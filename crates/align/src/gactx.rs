@@ -150,13 +150,13 @@ enum Direction {
 }
 
 /// Buffers every tile of an extension reuses, in both directions: the
-/// kernel's scratch and, walking left, the reversed window of the
-/// current tile — never more than one tile of either sequence.
+/// kernel's scratch and the current tile's two windows, unpacked a byte a
+/// base — never more than one tile of either sequence.
 #[derive(Debug, Default)]
 struct ExtendScratch {
     tile: TileScratch,
-    rev_target: Vec<Base>,
-    rev_query: Vec<Base>,
+    target: Vec<Base>,
+    query: Vec<Base>,
 }
 
 thread_local! {
@@ -169,31 +169,27 @@ thread_local! {
     static SCRATCH: RefCell<ExtendScratch> = RefCell::new(ExtendScratch::default());
 }
 
-/// The next tile's window of `seq`: up to `len` bases starting `done`
-/// bases away from the anchor `at`, in walking order. Walking left that
-/// is the reverse of the bases before the anchor, copied into `rev`.
+/// The next tile's window of `seq`, unpacked into `out`: up to `len`
+/// bases starting `done` bases away from the anchor `at`, in walking
+/// order. Walking left that is the reverse of the bases before the anchor.
 fn window<'a>(
-    seq: &'a [Base],
+    seq: &Sequence,
     at: usize,
     done: usize,
     len: usize,
     direction: Direction,
-    rev: &'a mut Vec<Base>,
+    out: &'a mut Vec<Base>,
 ) -> &'a [Base] {
     match direction {
-        Direction::Right => &seq[at + done..at + done + len],
-        Direction::Left => {
-            rev.clear();
-            rev.extend(seq[at - done - len..at - done].iter().rev());
-            rev
-        }
+        Direction::Right => seq.window(at + done..at + done + len, false, out),
+        Direction::Left => seq.window(at - done - len..at - done, true, out),
     }
 }
 
 /// One anchor's extension problem: what the tiles of both directions share.
 struct Anchored<'a> {
-    target: &'a [Base],
-    query: &'a [Base],
+    target: &'a Sequence,
+    query: &'a Sequence,
     /// The anchor, clamped to the sequence ends.
     t0: usize,
     q0: usize,
@@ -205,8 +201,8 @@ struct Anchored<'a> {
 impl<'a> Anchored<'a> {
     /// Validates `params` under the scoring, once for the whole extension.
     fn new(
-        target: &'a [Base],
-        query: &'a [Base],
+        target: &'a Sequence,
+        query: &'a Sequence,
         t0: usize,
         q0: usize,
         w: &'a SubstitutionMatrix,
@@ -251,7 +247,7 @@ impl<'a> Anchored<'a> {
                     t,
                     win_t,
                     direction,
-                    &mut scratch.rev_target,
+                    &mut scratch.target,
                 ),
                 window(
                     self.query,
@@ -259,7 +255,7 @@ impl<'a> Anchored<'a> {
                     q,
                     win_q,
                     direction,
-                    &mut scratch.rev_query,
+                    &mut scratch.query,
                 ),
                 self.w,
                 self.gaps,
@@ -317,8 +313,8 @@ impl<'a> Anchored<'a> {
 
 /// Extends to the right (increasing coordinates) from `(t0, q0)`.
 pub fn extend_right(
-    target: &[Base],
-    query: &[Base],
+    target: &Sequence,
+    query: &Sequence,
     t0: usize,
     q0: usize,
     w: &SubstitutionMatrix,
@@ -333,11 +329,11 @@ pub fn extend_right(
 ///
 /// The returned CIGAR is already in forward orientation, covering
 /// `[t0 - target_advance, t0)` × `[q0 - query_advance, q0)`. Only one
-/// tile window at a time is reversed, so the cost does not depend on how
+/// tile window at a time is unpacked, so the cost does not depend on how
 /// much sequence lies before the anchor.
 pub fn extend_left(
-    target: &[Base],
-    query: &[Base],
+    target: &Sequence,
+    query: &Sequence,
     t0: usize,
     q0: usize,
     w: &SubstitutionMatrix,
@@ -385,8 +381,7 @@ pub fn extend_alignment(
     gaps: &GapPenalties,
     params: &TilingParams,
 ) -> Option<ExtendedAlignment> {
-    let (t, q) = (target.as_slice(), query.as_slice());
-    let anchored = Anchored::new(t, q, anchor_t, anchor_q, w, gaps, params);
+    let anchored = Anchored::new(target, query, anchor_t, anchor_q, w, gaps, params);
     let (right, left) = SCRATCH.with_borrow_mut(|scratch| {
         (
             anchored.walk(Direction::Right, scratch),
@@ -489,7 +484,7 @@ mod tests {
         let base = random_seq(600, &mut rng);
         // Query: same sequence with a 12-base deletion at position 300.
         let mut q = base.subsequence(0..300);
-        q.extend(base.slice(312..600).iter().copied());
+        q.extend(base.iter().skip(312).take(600 - 312));
         let a = extend_alignment(&base, &q, 100, 100, &w, &g, &small_params()).unwrap();
         a.alignment.validate(&base, &q).unwrap();
         assert_eq!(a.alignment.cigar.count(AlignOp::Delete), 12);
@@ -516,8 +511,8 @@ mod tests {
         let (w, g) = dw();
         let mut rng = StdRng::seed_from_u64(4);
         let s = random_seq(300, &mut rng);
-        let right = extend_right(s.as_slice(), s.as_slice(), 0, 0, &w, &g, &small_params());
-        let left = extend_left(s.as_slice(), s.as_slice(), 300, 300, &w, &g, &small_params());
+        let right = extend_right(&s, &s, 0, 0, &w, &g, &small_params());
+        let left = extend_left(&s, &s, 300, 300, &w, &g, &small_params());
         assert_eq!(right.target_advance, left.target_advance);
         assert_eq!(right.cigar.matches(), left.cigar.matches());
     }
@@ -643,11 +638,11 @@ mod tests {
             let t = random_seq(700, &mut rng);
             let q = noisy_copy(&t, &mut rng);
             let (t0, q0) = (t.len(), q.len());
-            let rev_t: Vec<Base> = t.as_slice()[..t0].iter().rev().copied().collect();
-            let rev_q: Vec<Base> = q.as_slice()[..q0].iter().rev().copied().collect();
+            let rev_t: Sequence = t.iter().rev().collect();
+            let rev_q: Sequence = q.iter().rev().collect();
             let mut expected = extend_right(&rev_t, &rev_q, 0, 0, &w, &g, &small_params());
             expected.cigar.reverse();
-            let left = extend_left(t.as_slice(), q.as_slice(), t0, q0, &w, &g, &small_params());
+            let left = extend_left(&t, &q, t0, q0, &w, &g, &small_params());
             assert_eq!(left, expected, "seed {seed}");
             tiles += left.stats.tiles;
         }
@@ -658,18 +653,18 @@ mod tests {
     }
 
     #[test]
-    fn left_extension_reverses_one_tile_window_at_a_time() {
-        // Deep inside a long sequence the walk copies a tile, not the
-        // prefix: the reversed-window buffers end no larger than a tile.
+    fn left_extension_unpacks_one_tile_window_at_a_time() {
+        // Deep inside a long sequence the walk unpacks a tile, not the
+        // prefix: the window buffers end no larger than a tile.
         let (w, g) = dw();
         let mut rng = StdRng::seed_from_u64(6);
         let t = random_seq(20_000, &mut rng);
         let scratch = &mut ExtendScratch::default();
         let (t0, p) = (t.len() - 100, small_params());
-        let left = Anchored::new(t.as_slice(), t.as_slice(), t0, t0, &w, &g, &p)
+        let left = Anchored::new(&t, &t, t0, t0, &w, &g, &p)
             .walk(Direction::Left, scratch);
         assert!(left.stats.tiles > 100 && left.target_advance == t0);
-        assert!(scratch.rev_target.capacity() <= 2 * p.tile_size);
-        assert!(scratch.rev_query.capacity() <= 2 * p.tile_size);
+        assert!(scratch.target.capacity() <= 2 * p.tile_size);
+        assert!(scratch.query.capacity() <= 2 * p.tile_size);
     }
 }

@@ -32,8 +32,8 @@ pub struct GlobalResult {
 /// let t: Sequence = "ACGTACGT".parse()?;
 /// let q: Sequence = "ACGACGT".parse()?;
 /// let r = align::nw::needleman_wunsch(
-///     t.as_slice(),
-///     q.as_slice(),
+///     &t.to_bases(),
+///     &q.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(),
 ///     &GapPenalties::darwin_wga(),
 /// );
@@ -174,8 +174,8 @@ mod tests {
         let t: Sequence = t.parse().unwrap();
         let q: Sequence = q.parse().unwrap();
         needleman_wunsch(
-            t.as_slice(),
-            q.as_slice(),
+            &t.to_bases(),
+            &q.to_bases(),
             &SubstitutionMatrix::darwin_wga(),
             &GapPenalties::darwin_wga(),
         )
@@ -223,7 +223,7 @@ mod tests {
         let q: Sequence = "ACGGTCATTCGATTAGCAGTCAGCTTAGCT".parse().unwrap();
         let w = SubstitutionMatrix::darwin_wga();
         let g = GapPenalties::darwin_wga();
-        let r = needleman_wunsch(t.as_slice(), q.as_slice(), &w, &g);
+        let r = needleman_wunsch(&t.to_bases(), &q.to_bases(), &w, &g);
         let a = crate::alignment::Alignment::new(0, 0, r.cigar.clone(), r.score);
         a.validate(&t, &q).unwrap();
         assert_eq!(r.score, a.rescore(&t, &q, &w, &g));

@@ -35,8 +35,8 @@ pub struct LocalResult {
 /// let t: Sequence = "AAACGTACGTAAA".parse()?;
 /// let q: Sequence = "CGTACGT".parse()?;
 /// let r = align::sw::smith_waterman(
-///     t.as_slice(),
-///     q.as_slice(),
+///     &t.to_bases(),
+///     &q.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(),
 ///     &GapPenalties::darwin_wga(),
 /// );
@@ -197,8 +197,8 @@ mod tests {
         let t: Sequence = t.parse().unwrap();
         let q: Sequence = q.parse().unwrap();
         smith_waterman(
-            t.as_slice(),
-            q.as_slice(),
+            &t.to_bases(),
+            &q.to_bases(),
             &SubstitutionMatrix::darwin_wga(),
             &GapPenalties::darwin_wga(),
         )
@@ -257,7 +257,7 @@ mod tests {
         let q: Sequence = "ACGGTCAGTTTCGATTGCAGTCTGCTAGCTAGG".parse().unwrap();
         let w = SubstitutionMatrix::darwin_wga();
         let g = GapPenalties::darwin_wga();
-        let r = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let r = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         let a = r.alignment.unwrap();
         a.validate(&t, &q).unwrap();
         assert_eq!(a.score, a.rescore(&t, &q, &w, &g));

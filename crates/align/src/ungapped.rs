@@ -8,7 +8,7 @@
 //! whole premise is that gap-free conserved blocks get shorter than the
 //! 30-match threshold as lineages diverge.
 
-use genome::{Base, SubstitutionMatrix};
+use genome::{Base, Sequence, SubstitutionMatrix};
 
 /// Result of ungapped X-drop extension of one seed hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,7 +50,7 @@ pub struct UngappedOutcome {
 /// let t: Sequence = "TTTTACGTACGTACGTTTTT".parse()?;
 /// let q: Sequence = "GGGGACGTACGTACGTGGGG".parse()?;
 /// let out = align::ungapped::ungapped_extend(
-///     t.as_slice(), q.as_slice(), 8, 8, 4,
+///     &t, &q, 8, 8, 4,
 ///     &SubstitutionMatrix::darwin_wga(), 500,
 /// );
 /// assert_eq!(out.target_start, 4);
@@ -58,8 +58,8 @@ pub struct UngappedOutcome {
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
 pub fn ungapped_extend(
-    target: &[Base],
-    query: &[Base],
+    target: &Sequence,
+    query: &Sequence,
     seed_t: usize,
     seed_q: usize,
     seed_len: usize,
@@ -70,64 +70,19 @@ pub fn ungapped_extend(
         seed_t + seed_len <= target.len() && seed_q + seed_len <= query.len(),
         "seed outside sequences"
     );
-    let mut cells = 0u64;
+    let mut cells = seed_len as u64;
+    let diagonal = |t: usize, q: usize| target.iter().skip(t).zip(query.iter().skip(q));
 
     // Score of the seed region itself.
-    let mut seed_score = 0i64;
-    for k in 0..seed_len {
-        seed_score += w.score(target[seed_t + k], query[seed_q + k]) as i64;
-        cells += 1;
-    }
-
-    // Right extension from the end of the seed.
-    let right_best;
-    let mut right_best_len = 0usize;
-    {
-        let mut run = 0i64;
-        let mut best = 0i64;
-        let (mut t, mut q) = (seed_t + seed_len, seed_q + seed_len);
-        let mut len = 0usize;
-        while t < target.len() && q < query.len() {
-            run += w.score(target[t], query[q]) as i64;
-            cells += 1;
-            len += 1;
-            if run > best {
-                best = run;
-                right_best_len = len;
-            }
-            if run < best - xdrop as i64 {
-                break;
-            }
-            t += 1;
-            q += 1;
-        }
-        right_best = best;
-    }
-
-    // Left extension from the start of the seed.
-    let left_best;
-    let mut left_best_len = 0usize;
-    {
-        let mut run = 0i64;
-        let mut best = 0i64;
-        let mut len = 0usize;
-        let (mut t, mut q) = (seed_t, seed_q);
-        while t > 0 && q > 0 {
-            t -= 1;
-            q -= 1;
-            run += w.score(target[t], query[q]) as i64;
-            cells += 1;
-            len += 1;
-            if run > best {
-                best = run;
-                left_best_len = len;
-            }
-            if run < best - xdrop as i64 {
-                break;
-            }
-        }
-        left_best = best;
-    }
+    let seed_score: i64 = diagonal(seed_t, seed_q)
+        .take(seed_len)
+        .map(|(a, b)| w.score(a, b) as i64)
+        .sum();
+    // Right from the end of the seed, left from its start.
+    let right = diagonal(seed_t + seed_len, seed_q + seed_len);
+    let (right_best, right_best_len) = walk_diagonal(right, w, xdrop, &mut cells);
+    let left = target.iter().take(seed_t).rev().zip(query.iter().take(seed_q).rev());
+    let (left_best, left_best_len) = walk_diagonal(left, w, xdrop, &mut cells);
 
     let score = seed_score + left_best + right_best;
     let target_start = seed_t - left_best_len;
@@ -146,17 +101,40 @@ pub fn ungapped_extend(
     }
 }
 
+/// Extends over `pairs`, the diagonal's bases in walking order, until
+/// the running score falls more than `xdrop` below its best: that best
+/// and how many pairs reach it.
+fn walk_diagonal(
+    pairs: impl Iterator<Item = (Base, Base)>,
+    w: &SubstitutionMatrix,
+    xdrop: i32,
+    cells: &mut u64,
+) -> (i64, usize) {
+    let (mut run, mut best, mut best_len) = (0i64, 0i64, 0usize);
+    for (len, (a, b)) in pairs.enumerate() {
+        run += w.score(a, b) as i64;
+        *cells += 1;
+        if run > best {
+            best = run;
+            best_len = len + 1;
+        }
+        if run < best - xdrop as i64 {
+            break;
+        }
+    }
+    (best, best_len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genome::Sequence;
 
     fn run(t: &str, q: &str, st: usize, sq: usize, len: usize, xdrop: i32) -> UngappedOutcome {
         let t: Sequence = t.parse().unwrap();
         let q: Sequence = q.parse().unwrap();
         ungapped_extend(
-            t.as_slice(),
-            q.as_slice(),
+            &t,
+            &q,
             st,
             sq,
             len,

@@ -187,8 +187,8 @@ pub fn scores_fit_i32(
 /// let t: Sequence = "ACGTACGTACGT".parse()?;
 /// let q: Sequence = "ACGTACGGACGT".parse()?;
 /// let r = align::xdrop::xdrop_tile(
-///     t.as_slice(),
-///     q.as_slice(),
+///     &t.to_bases(),
+///     &q.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(),
 ///     &GapPenalties::darwin_wga(),
 ///     9_430,
@@ -651,7 +651,7 @@ mod tests {
     fn tile(t: &str, q: &str, y: i64) -> TileResult {
         let t: Sequence = t.parse().unwrap();
         let q: Sequence = q.parse().unwrap();
-        xdrop_tile(t.as_slice(), q.as_slice(), &dw().0, &dw().1, y)
+        xdrop_tile(&t.to_bases(), &q.to_bases(), &dw().0, &dw().1, y)
     }
 
     #[test]
@@ -668,7 +668,7 @@ mod tests {
         let (w, g) = dw();
         let t: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGGATCGGA".parse().unwrap();
         let q: Sequence = "ACGGTCAGTTTCGATTGCAGTCTGCTAGCTAGGGA".parse().unwrap();
-        let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, 9430);
+        let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430);
         let a = crate::alignment::Alignment::new(0, 0, r.cigar.clone(), r.max_score);
         a.validate(&t, &q).unwrap();
         assert_eq!(r.max_score, a.rescore(&t, &q, &w, &g));
@@ -681,8 +681,8 @@ mod tests {
         let (w, g) = dw();
         let t: Sequence = "ACGGTCAGTCGATTGCAGTC".parse().unwrap();
         let q: Sequence = "ACGGTCAGTCGATTGCAGTC".parse().unwrap();
-        let full = needleman_wunsch(t.as_slice(), q.as_slice(), &w, &g);
-        let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, 1 << 40);
+        let full = needleman_wunsch(&t.to_bases(), &q.to_bases(), &w, &g);
+        let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, 1 << 40);
         assert_eq!(r.max_score, full.score);
         assert_eq!(r.cells, 21 * 21); // the full (n+1)×(m+1) matrix
     }
@@ -777,8 +777,8 @@ mod tests {
             (false, false, false, false);
         for (q_len, y) in [(400, 9430), (399, 700), (123, 1 << 40)] {
             let r = xdrop_tile_scratch(
-                t.as_slice(),
-                &t.as_slice()[..q_len],
+                &t.to_bases(),
+                &t.to_bases()[..q_len],
                 &w,
                 &g,
                 y,

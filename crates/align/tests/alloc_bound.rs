@@ -294,8 +294,8 @@ fn left_extension_deep_in_a_long_sequence_allocates_a_tile_not_the_prefix() {
     let params = TilingParams::gactx_default();
     let cost = measure(|| {
         extend_left(
-            t.as_slice(),
-            q.as_slice(),
+            &t,
+            &q,
             t.len(),
             q.len(),
             &w,

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn sw_alignment_validates_and_scores_exactly((t, q) in related_pair()) {
         let (w, g) = scoring();
-        let r = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let r = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         if let Some(a) = r.alignment {
             prop_assert!(a.validate(&t, &q).is_ok(), "{:?}", a.validate(&t, &q));
             prop_assert_eq!(a.score, a.rescore(&t, &q, &w, &g));
@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn nw_covers_both_sequences_and_scores_exactly((t, q) in related_pair()) {
         let (w, g) = scoring();
-        let r = needleman_wunsch(t.as_slice(), q.as_slice(), &w, &g);
+        let r = needleman_wunsch(&t.to_bases(), &q.to_bases(), &w, &g);
         prop_assert_eq!(r.cigar.target_len(), t.len());
         prop_assert_eq!(r.cigar.query_len(), q.len());
         let a = Alignment::new(0, 0, r.cigar.clone(), r.score);
@@ -69,8 +69,8 @@ proptest! {
     #[test]
     fn banded_score_never_exceeds_full_sw((t, q) in related_pair(), band in 1usize..64) {
         let (w, g) = scoring();
-        let banded = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
-        let full = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
+        let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         prop_assert!(banded.max_score <= full.best_score,
             "banded {} > full {}", banded.max_score, full.best_score);
     }
@@ -80,7 +80,7 @@ proptest! {
         let (w, g) = scoring();
         let mut prev = i64::MIN;
         for band in [1usize, 4, 16, 64, 256] {
-            let out = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
+            let out = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
             prop_assert!(out.max_score >= prev);
             prev = out.max_score;
         }
@@ -90,15 +90,15 @@ proptest! {
     fn wide_band_equals_full_sw((t, q) in related_pair()) {
         let (w, g) = scoring();
         let band = t.len().max(q.len()) + 1;
-        let banded = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
-        let full = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
+        let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         prop_assert_eq!(banded.max_score, full.best_score);
     }
 
     #[test]
     fn xdrop_path_validates_and_scores_to_vmax((t, q) in related_pair(), y in 500i64..20_000) {
         let (w, g) = scoring();
-        let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, y);
+        let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, y);
         let a = Alignment::new(0, 0, r.cigar.clone(), r.max_score);
         prop_assert!(a.validate(&t, &q).is_ok(), "{:?}", a.validate(&t, &q));
         prop_assert_eq!(r.max_score, a.rescore(&t, &q, &w, &g));
@@ -111,7 +111,7 @@ proptest! {
         let (w, g) = scoring();
         let mut prev = i64::MIN;
         for y in [200i64, 1_000, 5_000, 25_000, i64::MAX / 8] {
-            let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, y);
+            let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, y);
             prop_assert!(r.max_score >= prev, "y {}: {} < {}", y, r.max_score, prev);
             prev = r.max_score;
         }
@@ -122,8 +122,8 @@ proptest! {
         // The unclipped kernel's Vmax is a max over all cells, so it is at
         // least the (m,n)-cell global score.
         let (w, g) = scoring();
-        let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, i64::MAX / 8);
-        let full = needleman_wunsch(t.as_slice(), q.as_slice(), &w, &g);
+        let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, i64::MAX / 8);
+        let full = needleman_wunsch(&t.to_bases(), &q.to_bases(), &w, &g);
         prop_assert!(r.max_score >= full.score);
     }
 

@@ -57,7 +57,7 @@ fn text(bases: &[Base]) -> String {
 }
 
 fn bases(s: &str) -> Vec<Base> {
-    s.parse::<Sequence>().expect("test DNA").as_slice().to_vec()
+    s.parse::<Sequence>().expect("test DNA").to_bases()
 }
 
 fn random_bases(rng: &mut StdRng, len: usize, n_per_mille: u64) -> Vec<Base> {
@@ -125,8 +125,8 @@ fn evolved_pairs_are_identical_at_three_distances() {
         let pair =
             SyntheticPair::generate(6_000, &EvolutionParams::at_distance(distance), &mut rng);
         let (t, q) = (
-            pair.target.sequence.as_slice(),
-            pair.query.sequence.as_slice(),
+            &pair.target.sequence.to_bases(),
+            &pair.query.sequence.to_bases(),
         );
         let anchors = pair.orthologous_pairs();
         assert!(
@@ -418,7 +418,7 @@ fn flanked_related_pair() -> impl Strategy<Value = (Sequence, Sequence)> {
     )
         .prop_map(|(core, flank_t, flank_q, seed)| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let noisy = mutate(&mut rng, core.as_slice(), 0.1, 0.04);
+            let noisy = mutate(&mut rng, &core.to_bases(), 0.1, 0.04);
             let mut t = flank_t.clone();
             t.extend(core.iter());
             t.extend(flank_q.iter());
@@ -443,7 +443,7 @@ proptest! {
         gact in any::<bool>(),
     ) {
         let (w, g) = scoring();
-        let optimum = smith_waterman(t.as_slice(), q.as_slice(), &w, &g).best_score;
+        let optimum = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g).best_score;
         let params = TilingParams {
             tile_size: tile,
             overlap: tile / 4,
@@ -463,7 +463,7 @@ proptest! {
     #[test]
     fn single_unclipped_tile_equals_full_smith_waterman((t, q) in flanked_related_pair()) {
         let (w, g) = scoring();
-        let sw = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
+        let sw = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
         if let Some(best) = sw.alignment {
             let params = TilingParams {
                 tile_size: t.len().max(q.len()) + 1,

@@ -15,8 +15,8 @@ use rand::SeedableRng;
 fn bench_bsw(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let model = MarkovModel::genome_like();
-    let target = model.generate(320, &mut rng);
-    let query = model.generate(320, &mut rng);
+    let target = model.generate(320, &mut rng).to_bases();
+    let query = model.generate(320, &mut rng).to_bases();
     let w = SubstitutionMatrix::darwin_wga();
     let g = GapPenalties::darwin_wga();
 
@@ -25,8 +25,8 @@ fn bench_bsw(c: &mut Criterion) {
     group.bench_function("tile_320_band_32", |b| {
         b.iter(|| {
             banded_smith_waterman(
-                black_box(target.as_slice()),
-                black_box(query.as_slice()),
+                black_box(&target),
+                black_box(&query),
                 &w,
                 &g,
                 32,
@@ -38,8 +38,8 @@ fn bench_bsw(c: &mut Criterion) {
         group.bench_function(format!("tile_320_band_{band}"), |b| {
             b.iter(|| {
                 banded_smith_waterman(
-                    black_box(target.as_slice()),
-                    black_box(query.as_slice()),
+                    black_box(&target),
+                    black_box(&query),
                     &w,
                     &g,
                     band,

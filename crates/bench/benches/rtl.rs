@@ -14,8 +14,8 @@ use rand::SeedableRng;
 fn bench_rtl(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(17);
     let model = MarkovModel::genome_like();
-    let t = model.generate(320, &mut rng);
-    let q = model.generate(320, &mut rng);
+    let t = model.generate(320, &mut rng).to_bases();
+    let q = model.generate(320, &mut rng).to_bases();
     let w = SubstitutionMatrix::darwin_wga();
     let g = GapPenalties::darwin_wga();
     let geometry = BswTileGeometry::darwin_wga();
@@ -25,8 +25,8 @@ fn bench_rtl(c: &mut Criterion) {
     group.bench_function("bsw_tile_sim", |b| {
         b.iter(|| {
             simulate_bsw_tile(
-                black_box(t.as_slice()),
-                black_box(q.as_slice()),
+                black_box(&t),
+                black_box(&q),
                 &w,
                 &g,
                 &geometry,
@@ -37,8 +37,8 @@ fn bench_rtl(c: &mut Criterion) {
     group.bench_function("gactx_tile_sim", |b| {
         b.iter(|| {
             simulate_gactx_tile(
-                black_box(t.as_slice()),
-                black_box(t.as_slice()),
+                black_box(&t),
+                black_box(&t),
                 &w,
                 &g,
                 9430,

@@ -30,6 +30,7 @@ fn setup() -> (Sequence, Sequence) {
 
 fn bench_filters(c: &mut Criterion) {
     let (target, query) = setup();
+    let (target_bases, query_bases) = (target.to_bases(), query.to_bases());
     let w = SubstitutionMatrix::darwin_wga();
     let g = GapPenalties::darwin_wga();
 
@@ -37,8 +38,8 @@ fn bench_filters(c: &mut Criterion) {
     group.bench_function("ungapped_xdrop", |b| {
         b.iter(|| {
             ungapped_extend(
-                black_box(target.as_slice()),
-                black_box(query.as_slice()),
+                black_box(&target),
+                black_box(&query),
                 100,
                 100,
                 19,
@@ -50,8 +51,8 @@ fn bench_filters(c: &mut Criterion) {
     group.bench_function("gapped_bsw_tile", |b| {
         b.iter(|| {
             banded_smith_waterman(
-                black_box(target.as_slice()),
-                black_box(query.as_slice()),
+                black_box(&target_bases),
+                black_box(&query_bases),
                 &w,
                 &g,
                 32,

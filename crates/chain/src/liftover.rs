@@ -216,8 +216,8 @@ mod tests {
         pair: &genome::evolve::SyntheticPair,
     ) -> Vec<Alignment> {
         let r = align::sw::smith_waterman(
-            pair.target.sequence.as_slice(),
-            pair.query.sequence.as_slice(),
+            &pair.target.sequence.to_bases(),
+            &pair.query.sequence.to_bases(),
             &genome::SubstitutionMatrix::darwin_wga(),
             &genome::GapPenalties::darwin_wga(),
         );

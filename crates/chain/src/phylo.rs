@@ -33,8 +33,8 @@ impl SubstitutionCounts {
         for &(op, n) in alignment.cigar.runs() {
             match op {
                 AlignOp::Match | AlignOp::Subst => {
-                    for _ in 0..n {
-                        let (a, b) = (target[t], query[q]);
+                    let pairs = target.iter().skip(t).zip(query.iter().skip(q));
+                    for (a, b) in pairs.take(n as usize) {
                         if a == b {
                             counts.matches += 1;
                         } else if a.is_transition(b) {
@@ -42,9 +42,9 @@ impl SubstitutionCounts {
                         } else if a.is_transversion(b) {
                             counts.transversions += 1;
                         }
-                        t += 1;
-                        q += 1;
                     }
+                    t += n as usize;
+                    q += n as usize;
                 }
                 AlignOp::Insert => q += n as usize,
                 AlignOp::Delete => t += n as usize,

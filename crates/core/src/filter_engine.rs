@@ -10,10 +10,11 @@
 //!   and the oracle everything else is measured against;
 //! * [`BatchedFilterEngine`] drives [`align::bsw_fast`]: the scoring is
 //!   flattened **once** into a shared [`BswBatch`] ([`FilterContext`]),
-//!   tiles are windows of the pair's own byte codes
-//!   ([`Sequence::codes`], no copy), and each worker reuses one
-//!   [`WavefrontScratch`] across its whole batch of tiles — the software
-//!   analogue of streaming tiles through the paper's systolic array;
+//!   a tile's two windows are unpacked from the pair's packed planes
+//!   into the engine's own 2 × `T_f` bytes ([`Sequence::window`]), and
+//!   each worker reuses one [`WavefrontScratch`] across its whole batch
+//!   of tiles — the software analogue of streaming tiles through the
+//!   paper's systolic array;
 //! * [`SimdFilterEngine`] drives [`align::bsw_simd`]: the same wavefront
 //!   with the inner loop as explicit saturating `i16` vector lanes
 //!   (8 per SSE2 vector, 16 per AVX2 vector), falling back per tile to
@@ -34,11 +35,10 @@
 //! filters there.
 
 use crate::config::{FilterEngineKind, FilterStage, WgaParams};
-use crate::stages::{gapped_outcome, run_filter, FilterOutcome};
-use align::banded::tile_around;
+use crate::stages::{gapped_outcome, run_filter_in, FilterOutcome, TileWindows};
 use align::bsw_fast::{BswBatch, WavefrontScratch};
 use align::bsw_simd::{BswSimdBatch, SimdScratch};
-use genome::Sequence;
+use genome::{Base, Sequence};
 use seed::SeedHit;
 
 /// One BSW filter implementation, stateful per worker.
@@ -60,8 +60,10 @@ pub trait FilterEngine {
 
 /// Reference engine: per-hit scalar BSW (or ungapped extension),
 /// delegating to [`crate::stages::run_filter`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScalarFilterEngine;
+#[derive(Debug, Default)]
+pub struct ScalarFilterEngine {
+    windows: TileWindows,
+}
 
 impl FilterEngine for ScalarFilterEngine {
     fn filter_hit(
@@ -71,22 +73,8 @@ impl FilterEngine for ScalarFilterEngine {
         query: &Sequence,
         hit: SeedHit,
     ) -> FilterOutcome {
-        run_filter(params, target, query, hit)
+        run_filter_in(params, target, query, hit, &mut self.windows)
     }
-}
-
-/// The filter tile around `hit`, as the fast kernels read it: its origin
-/// in the pair and the two windows of the pair's byte codes.
-fn tile_codes<'s>(
-    tile_size: usize,
-    target: &'s Sequence,
-    query: &'s Sequence,
-    hit: SeedHit,
-) -> (usize, usize, &'s [u8], &'s [u8]) {
-    let (t_range, q_range) =
-        tile_around(hit.target_pos as usize, hit.query_pos as usize, tile_size, target.len(), query.len());
-    let (t0, q0) = (t_range.start, q_range.start);
-    (t0, q0, &target.codes()[t_range], &query.codes()[q_range])
 }
 
 /// Batched wavefront engine: tiles run against a shared [`BswBatch`]
@@ -95,6 +83,7 @@ fn tile_codes<'s>(
 pub struct BatchedFilterEngine<'c> {
     batch: &'c BswBatch,
     scratch: WavefrontScratch,
+    windows: TileWindows,
 }
 
 impl FilterEngine for BatchedFilterEngine<'_> {
@@ -107,13 +96,13 @@ impl FilterEngine for BatchedFilterEngine<'_> {
     ) -> FilterOutcome {
         match params.filter {
             FilterStage::Gapped(f) => {
-                let (t0, q0, tcodes, qcodes) = tile_codes(f.tile_size, target, query, hit);
-                let out = self.batch.run_tile(tcodes, qcodes, &mut self.scratch);
+                let (t0, q0, t, q) = self.windows.around(f.tile_size, target, query, hit);
+                let out = self.batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch);
                 gapped_outcome(&f, t0, q0, out)
             }
             // The batched kernel only accelerates the gapped DP; an
             // ungapped filter stage falls back to the reference path.
-            FilterStage::Ungapped(_) => run_filter(params, target, query, hit),
+            FilterStage::Ungapped(_) => run_filter_in(params, target, query, hit, &mut self.windows),
         }
     }
 }
@@ -125,6 +114,7 @@ impl FilterEngine for BatchedFilterEngine<'_> {
 pub struct SimdFilterEngine<'c> {
     batch: &'c BswSimdBatch,
     scratch: SimdScratch,
+    windows: TileWindows,
 }
 
 impl FilterEngine for SimdFilterEngine<'_> {
@@ -137,13 +127,13 @@ impl FilterEngine for SimdFilterEngine<'_> {
     ) -> FilterOutcome {
         match params.filter {
             FilterStage::Gapped(f) => {
-                let (t0, q0, tcodes, qcodes) = tile_codes(f.tile_size, target, query, hit);
-                let out = self.batch.run_tile(tcodes, qcodes, &mut self.scratch);
+                let (t0, q0, t, q) = self.windows.around(f.tile_size, target, query, hit);
+                let out = self.batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch);
                 gapped_outcome(&f, t0, q0, out)
             }
             // The SIMD kernel only accelerates the gapped DP; an
             // ungapped filter stage falls back to the reference path.
-            FilterStage::Ungapped(_) => run_filter(params, target, query, hit),
+            FilterStage::Ungapped(_) => run_filter_in(params, target, query, hit, &mut self.windows),
         }
     }
 }
@@ -211,12 +201,14 @@ impl FilterContext {
             ContextState::Batched(batch) => Box::new(BatchedFilterEngine {
                 batch,
                 scratch: WavefrontScratch::new(),
+                windows: TileWindows::default(),
             }),
             ContextState::Simd(batch) => Box::new(SimdFilterEngine {
                 batch,
                 scratch: SimdScratch::new(),
+                windows: TileWindows::default(),
             }),
-            ContextState::Scalar => Box::new(ScalarFilterEngine),
+            ContextState::Scalar => Box::new(ScalarFilterEngine::default()),
         }
     }
 }
@@ -224,6 +216,7 @@ impl FilterContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::run_filter;
     use genome::evolve::{EvolutionParams, SyntheticPair};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -68,26 +68,30 @@ pub fn write_maf_blocks<W: Write>(
     query: &Sequence,
     alignments: &[WgaAlignment],
 ) -> io::Result<()> {
+    // One alignment's two spans at a time, unpacked a byte a base.
+    let (mut t_bases, mut q_bases) = (Vec::new(), Vec::new());
     for wa in alignments {
         let a = &wa.alignment;
-        let (mut t, mut q) = (a.target_start, a.query_start);
+        let t_span = target.window(a.target_start..a.target_end, false, &mut t_bases);
+        let q_span = query.window(a.query_start..a.query_end, false, &mut q_bases);
+        let (mut t, mut q) = (0, 0);
         let mut t_text = String::with_capacity(a.cigar.len());
         let mut q_text = String::with_capacity(a.cigar.len());
         for op in a.cigar.iter_ops() {
             match op {
                 AlignOp::Match | AlignOp::Subst => {
-                    t_text.push(char::from(target[t]));
-                    q_text.push(char::from(query[q]));
+                    t_text.push(char::from(t_span[t]));
+                    q_text.push(char::from(q_span[q]));
                     t += 1;
                     q += 1;
                 }
                 AlignOp::Insert => {
                     t_text.push('-');
-                    q_text.push(char::from(query[q]));
+                    q_text.push(char::from(q_span[q]));
                     q += 1;
                 }
                 AlignOp::Delete => {
-                    t_text.push(char::from(target[t]));
+                    t_text.push(char::from(t_span[t]));
                     q_text.push('-');
                     t += 1;
                 }

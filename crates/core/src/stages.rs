@@ -39,7 +39,7 @@ use crate::sync::Mutex;
 use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use align::gactx::{self, ExtendedAlignment};
 use align::ungapped::ungapped_extend;
-use genome::Sequence;
+use genome::{Base, Sequence};
 use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
 use seed::{Anchor, SeedHit, SeedTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,6 +91,32 @@ pub(crate) fn gapped_outcome(
     }
 }
 
+/// A filter tile's two windows, unpacked a byte a base: 2 × `T_f` bytes
+/// (640 at the default tile), owned by whoever filters a run of hits so
+/// that no tile allocates them.
+#[derive(Debug, Default)]
+pub(crate) struct TileWindows {
+    target: Vec<Base>,
+    query: Vec<Base>,
+}
+
+impl TileWindows {
+    /// Unpacks the `tile_size` tile around `hit` (Fig. 4b): its origin in
+    /// the pair and its target and query windows.
+    pub(crate) fn around(
+        &mut self,
+        tile_size: usize,
+        target: &Sequence,
+        query: &Sequence,
+        hit: SeedHit,
+    ) -> (usize, usize, &[Base], &[Base]) {
+        let (t_range, q_range) =
+            tile_around(hit.target_pos as usize, hit.query_pos as usize, tile_size, target.len(), query.len());
+        let (t0, q0) = (t_range.start, q_range.start);
+        (t0, q0, target.window(t_range, false, &mut self.target), query.window(q_range, false, &mut self.query))
+    }
+}
+
 /// Runs the configured filter on one seed hit.
 ///
 /// For the gapped filter a `T_f`-sized tile is centred on the hit
@@ -103,23 +129,21 @@ pub fn run_filter(
     query: &Sequence,
     hit: SeedHit,
 ) -> FilterOutcome {
+    run_filter_in(params, target, query, hit, &mut TileWindows::default())
+}
+
+/// [`run_filter`] over a caller's [`TileWindows`].
+pub(crate) fn run_filter_in(
+    params: &WgaParams,
+    target: &Sequence,
+    query: &Sequence,
+    hit: SeedHit,
+    windows: &mut TileWindows,
+) -> FilterOutcome {
     match params.filter {
         FilterStage::Gapped(f) => {
-            let (t_range, q_range) = tile_around(
-                hit.target_pos as usize,
-                hit.query_pos as usize,
-                f.tile_size,
-                target.len(),
-                query.len(),
-            );
-            let (t0, q0) = (t_range.start, q_range.start);
-            let out = banded_smith_waterman(
-                &target.as_slice()[t_range],
-                &query.as_slice()[q_range],
-                &params.scoring,
-                &params.gaps,
-                f.band,
-            );
+            let (t0, q0, t, q) = windows.around(f.tile_size, target, query, hit);
+            let out = banded_smith_waterman(t, q, &params.scoring, &params.gaps, f.band);
             gapped_outcome(&f, t0, q0, out)
         }
         FilterStage::Ungapped(f) => {
@@ -130,8 +154,8 @@ pub fn run_filter(
                 .min(target.len() - target_pos)
                 .min(query.len() - query_pos);
             let out = ungapped_extend(
-                target.as_slice(),
-                query.as_slice(),
+                target,
+                query,
                 target_pos,
                 query_pos,
                 seed_len,

@@ -26,10 +26,15 @@
 //! at a time, so only the survivors outlive a range. The third test runs
 //! a distant pair — at distance 1.3 nearly every D-SOFT hit is noise the
 //! filter rejects — and asks that the run peak within 64 KiB of its
-//! table and its reverse-complemented query, and no higher when the
-//! query doubles in unrelated sequence (twice the hits). A pipeline that
-//! materialises a strand's hits before filtering them fails both, by
-//! 8 B a hit.
+//! table and its reverse-complemented query (3/8 B a base), and no
+//! higher when the query doubles in unrelated sequence (twice the hits).
+//! A pipeline that materialises a strand's hits before filtering them
+//! fails both, by 8 B a hit.
+//!
+//! And a sequence is its two bit planes from the first byte read: the
+//! fourth test reads a 200 kb FASTA record and asks that the read peak at
+//! 3/8 B a base and end holding the same. A reader that fills a byte
+//! vector and packs it afterwards fails by 5/8 B a base.
 
 use genome::assembly::Assembly;
 use genome::evolve::{EvolutionParams, SyntheticPair};
@@ -83,8 +88,21 @@ unsafe impl GlobalAlloc for Counting {
         resized(layout.size(), 0);
     }
 
-    // `alloc_zeroed` and `realloc` keep their defaults, which go through
-    // the two methods above.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded; see the impl comment.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() && new_size > layout.size() {
+            // Growing may move the block: both are live while it is copied.
+            resized(0, new_size);
+            resized(layout.size(), 0);
+        } else if !p.is_null() {
+            // Shrinking gives the tail back where the block lies.
+            resized(layout.size(), new_size);
+        }
+        p
+    }
+
+    // `alloc_zeroed` keeps its default, which goes through `alloc`.
 }
 
 #[global_allocator]
@@ -97,6 +115,12 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.set(base);
     let value = f();
     (value, (PEAK.get() - base).max(0) as usize)
+}
+
+/// What a sequence of `bases` holds: a 2-bit code and an `N` bit a base,
+/// each plane in whole `u64`s.
+fn packed_bytes(bases: usize) -> usize {
+    8 * (bases.div_ceil(32) + bases.div_ceil(64))
 }
 
 /// Three clusters of two ~20 kb genomes: each genome aligns to its
@@ -228,8 +252,8 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
     assert!(8 * tiles.0 / 2 > 64 * 1024);
 
     // The reverse strand's copy of the query is the one sequence a pair
-    // allocates; the assemblies are the caller's.
-    let (query_bytes, doubled_bytes) = (query.total_bases(), doubled.total_bases());
+    // allocates, at 3/8 B a base; the assemblies are the caller's.
+    let (query_bytes, doubled_bytes) = (packed_bytes(query.total_bases()), packed_bytes(doubled.total_bases()));
     eprintln!(
         "live-heap high-water: {peak} B for {} tiles, {peak_doubled} B for {}, beside a table of {table_bytes} B and queries of {query_bytes} and {doubled_bytes} B",
         tiles.0, tiles.1
@@ -237,4 +261,23 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
     let slack = 64 * 1024;
     assert!(peak <= table_bytes + query_bytes + slack, "{peak} B for one pair");
     assert!(peak_doubled <= table_bytes + doubled_bytes + slack, "{peak_doubled} B for the doubled query");
+}
+
+#[test]
+fn a_fasta_record_is_read_straight_into_its_two_planes() {
+    let bases = 200_000;
+    let record = MarkovModel::genome_like().generate(bases, &mut StdRng::seed_from_u64(64));
+    let mut genome = Assembly::new("g");
+    genome.push("chr", record);
+    let mut file = Vec::new();
+    genome.to_fasta(&mut file).expect("a Vec takes every write");
+
+    let before = LIVE.get();
+    let (read, peak) = measure(|| Assembly::from_fasta_sized("g", &file[..], file.len()).expect("it was just written"));
+    let held = (LIVE.get() - before) as usize;
+    assert_eq!(read, genome);
+    eprintln!("live heap: {peak} B at the peak of the read, {held} B after it, for {} B packed", packed_bytes(bases));
+    let slack = 4 * 1024;
+    assert!(peak <= packed_bytes(bases) + slack, "{peak} B at the peak of reading {bases} bases");
+    assert!(held <= packed_bytes(bases) + slack && held >= packed_bytes(bases), "{held} B held for {bases} bases");
 }

@@ -1,8 +1,9 @@
 //! The extended DNA alphabet `{A, C, G, T, N}` used throughout Darwin-WGA.
 //!
-//! The hardware stores bases using 3 bits (§IV of the paper); in software we
-//! keep one byte per base in [`crate::Sequence`] but expose the same 3-bit
-//! code via [`Base::code`] so the hardware model and packed storage agree.
+//! The hardware stores bases using 3 bits (§IV of the paper), and so does
+//! [`crate::Sequence`]: the low two bits of [`Base::code`] in one plane, the
+//! `N` bit above them in another. A [`Base`] by itself — one base of a tile
+//! window a kernel has had unpacked — is that code in a byte.
 
 use std::fmt;
 

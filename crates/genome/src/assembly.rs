@@ -5,7 +5,7 @@
 //! and remove mitochondrial DNA and unmapped and unlocalized contigs",
 //! §V-A). An [`Assembly`] is an ordered set of named chromosomes.
 
-use crate::fasta::{self, FastaError, Record};
+use crate::fasta::{self, FastaError};
 use crate::sequence::Sequence;
 use std::io::{BufRead, Write};
 
@@ -113,17 +113,12 @@ impl Assembly {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn to_fasta<W: Write>(&self, writer: W) -> std::io::Result<()> {
-        let records: Vec<Record> = self
-            .chromosomes
-            .iter()
-            .map(|c| Record {
-                name: c.name.clone(),
-                description: format!("{} {}", c.name, self.name),
-                sequence: c.sequence.clone(),
-            })
-            .collect();
-        fasta::write(writer, &records)
+    pub fn to_fasta<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
+        for c in &self.chromosomes {
+            let header = format!("{} {}", c.name, self.name);
+            fasta::write_record(&mut writer, &header, &c.sequence)?;
+        }
+        writer.flush()
     }
 }
 

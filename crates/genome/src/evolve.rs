@@ -247,7 +247,10 @@ fn evolve_lineage<R: Rng + ?Sized>(
         }
     }
 
-    let mut sequence = Sequence::with_capacity(ancestor.len() + ancestor.len() / 10);
+    // Built a byte a base (a duplication splices into the middle) and
+    // packed once at the end.
+    let ancestor = &ancestor.to_bases()[..];
+    let mut sequence: Vec<Base> = Vec::with_capacity(ancestor.len() + ancestor.len() / 10);
     let mut map: Vec<Option<u32>> = Vec::with_capacity(ancestor.len());
     let mut substitutions = 0u64;
     let mut indel_events = 0u64;
@@ -269,7 +272,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
         if rng.gen::<f64>() < p_turnover * sub_factor {
             let len = sample_geometric(params.turnover_mean_len as f64, rng).max(50);
             let inserted = insert_model.generate(len, rng);
-            sequence.extend(inserted.iter());
+            sequence.extend(inserted.to_bases());
             indel_events += 1;
             indel_bases += len as u64;
         }
@@ -293,7 +296,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
             } else {
                 // Insertion before current base.
                 let inserted = insert_model.generate(len, rng);
-                sequence.extend(inserted.iter());
+                sequence.extend(inserted.to_bases());
                 // Current ancestral base copied afterwards (fall through by
                 // not consuming `pos` here; handle copy below).
                 copy_base(
@@ -334,12 +337,8 @@ fn evolve_lineage<R: Rng + ?Sized>(
             .clamp(100, sequence.len() / 2);
         let src = rng.gen_range(0..sequence.len() - dlen);
         let dst = rng.gen_range(0..sequence.len());
-        let segment = sequence.subsequence(src..src + dlen);
-        let mut rebuilt = Sequence::with_capacity(sequence.len() + dlen);
-        rebuilt.extend(sequence.slice(0..dst).iter().copied());
-        rebuilt.extend(segment.iter());
-        rebuilt.extend(sequence.slice(dst..sequence.len()).iter().copied());
-        sequence = rebuilt;
+        let segment = sequence[src..src + dlen].to_vec();
+        sequence.splice(dst..dst, segment);
         // Shift the coordinate map across the insertion point.
         for entry in map.iter_mut().flatten() {
             if (*entry as usize) >= dst {
@@ -355,7 +354,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
         .collect();
 
     Lineage {
-        sequence,
+        sequence: Sequence::from_bases(sequence),
         coordinates,
         conserved: conserved_projected,
         substitutions,
@@ -366,12 +365,12 @@ fn evolve_lineage<R: Rng + ?Sized>(
 
 #[allow(clippy::too_many_arguments)]
 fn copy_base<R: Rng + ?Sized>(
-    ancestor: &Sequence,
+    ancestor: &[Base],
     pos: usize,
     p_sub: f64,
     params: &EvolutionParams,
     rng: &mut R,
-    sequence: &mut Sequence,
+    sequence: &mut Vec<Base>,
     map: &mut Vec<Option<u32>>,
     substitutions: &mut u64,
 ) {
@@ -511,7 +510,7 @@ mod tests {
             let pairs = p.orthologous_pairs();
             let matches = pairs
                 .iter()
-                .filter(|&&(t, q)| p.target.sequence[t] == p.query.sequence[q])
+                .filter(|&&(t, q)| p.target.sequence.get(t) == p.query.sequence.get(q))
                 .count();
             matches as f64 / pairs.len() as f64
         };
@@ -536,7 +535,7 @@ mod tests {
         }
         let (mut m_in, mut n_in, mut m_out, mut n_out) = (0u64, 0u64, 0u64, 0u64);
         for &(t, q) in &pairs {
-            let is_match = p.target.sequence[t] == p.query.sequence[q];
+            let is_match = p.target.sequence.get(t) == p.query.sequence.get(q);
             if cons[t] {
                 n_in += 1;
                 m_in += is_match as u64;
@@ -558,7 +557,7 @@ mod tests {
         let p = pair(0.4, 50_000, 5);
         let (mut ts, mut tv) = (0u64, 0u64);
         for &(t, q) in &p.orthologous_pairs() {
-            let (a, b) = (p.target.sequence[t], p.query.sequence[q]);
+            let (a, b) = (p.target.sequence.get(t).unwrap(), p.query.sequence.get(q).unwrap());
             if a.is_transition(b) {
                 ts += 1;
             } else if a.is_transversion(b) {

@@ -3,6 +3,7 @@
 //! Darwin-WGA consumes plain (uncompressed) FASTA with one or more records;
 //! record names are the first whitespace-delimited token of the header.
 
+use crate::alphabet::Base;
 use crate::sequence::Sequence;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -160,7 +161,7 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
                 if byte.is_ascii_whitespace() {
                     continue;
                 }
-                let base = crate::Base::from_ascii(byte)
+                let base = Base::from_ascii(byte)
                     .ok_or(FastaError::InvalidBase { line: number, byte })?;
                 rec.sequence.push(base);
             }
@@ -179,16 +180,24 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
 /// Propagates I/O errors from the writer.
 pub fn write<W: Write>(mut writer: W, records: &[Record]) -> io::Result<()> {
     for rec in records {
-        if rec.description.is_empty() {
-            writeln!(writer, ">{}", rec.name)?;
-        } else {
-            writeln!(writer, ">{}", rec.description)?;
+        let header = if rec.description.is_empty() { &rec.name } else { &rec.description };
+        write_record(&mut writer, header, &rec.sequence)?;
+    }
+    writer.flush()
+}
+
+/// Writes one record: `>header`, then the sequence 70 bases a line, each
+/// unpacked into one line's buffer — nothing as long as the sequence is.
+pub(crate) fn write_record<W: Write>(writer: &mut W, header: &str, sequence: &Sequence) -> io::Result<()> {
+    writeln!(writer, ">{header}")?;
+    let mut line = Vec::new();
+    for start in (0..sequence.len()).step_by(70) {
+        let bases = sequence.window(start..sequence.len().min(start + 70), false, &mut line);
+        let mut ascii = [b'\n'; 71];
+        for (letter, base) in ascii.iter_mut().zip(bases) {
+            *letter = base.to_ascii();
         }
-        let ascii: Vec<u8> = rec.sequence.iter().map(|b| b.to_ascii()).collect();
-        for chunk in ascii.chunks(70) {
-            writer.write_all(chunk)?;
-            writer.write_all(b"\n")?;
-        }
+        writer.write_all(&ascii[..bases.len() + 1])?;
     }
     Ok(())
 }

@@ -99,17 +99,17 @@ impl MarkovModel {
 
     /// Generates a sequence of `len` bases.
     pub fn generate<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Sequence {
-        let mut seq = Sequence::with_capacity(len);
         if len == 0 {
-            return seq;
+            return Sequence::new();
         }
+        let mut bases = Vec::with_capacity(len);
         let mut state = sample(&self.initial, rng);
-        seq.push(Base::from_code(state as u8));
+        bases.push(Base::from_code(state as u8));
         for _ in 1..len {
             state = sample(&self.transition[state], rng);
-            seq.push(Base::from_code(state as u8));
+            bases.push(Base::from_code(state as u8));
         }
-        seq
+        Sequence::from_bases(bases)
     }
 }
 

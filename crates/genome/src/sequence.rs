@@ -1,14 +1,44 @@
-//! Owned DNA sequences and borrowed views.
+//! Owned DNA sequences, stored at the paper's three bits a base.
+// lint: hot
 
 use crate::alphabet::{Base, ParseBaseError};
 use std::fmt;
-use std::ops::{Index, Range};
+use std::ops::Range;
+
+/// Bases in one word of the code plane.
+const CODES_PER_WORD: usize = 32;
+/// Bases in one word of the `N` plane.
+const NS_PER_WORD: usize = 64;
+
+/// The four bases a byte of the code plane holds, first base highest.
+const UNPACK: [[Base; 4]; 256] = {
+    let mut table = [[Base::A; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 0;
+        while k < 4 {
+            table[byte][k] = Base::DNA[(byte >> (6 - 2 * k)) & 0b11];
+            k += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 /// An owned DNA sequence over the extended alphabet.
 ///
-/// Internally one byte per base (the 3-bit hardware code, zero-extended).
-/// Construction validates input, so a `Sequence` always contains valid
-/// bases.
+/// Two bit planes and a length, 3/8 of a byte a base whatever the
+/// bases are (§IV's 3-bit code, split): a 2-bit code per base, 32 to a
+/// `u64`, and one `N` bit per base, 64 to a `u64`, each word filled from
+/// its highest bits down so that consecutive bases read left to right.
+/// The form is canonical — the code under an `N` is zero, and so is the
+/// padding past the last base — so two sequences of equal bases are
+/// equal, and hash alike, word for word. Construction validates input,
+/// so a `Sequence` always contains valid bases.
+///
+/// Nothing borrows the bases as a slice: a kernel asks for the window it
+/// is about to read ([`Sequence::window`]) and gets it unpacked into its
+/// own scratch.
 ///
 /// # Examples
 ///
@@ -17,31 +47,43 @@ use std::ops::{Index, Range};
 ///
 /// let seq: Sequence = "ACGTN".parse()?;
 /// assert_eq!(seq.len(), 5);
-/// assert_eq!(seq[0], Base::A);
+/// assert_eq!(seq.get(0), Some(Base::A));
 /// assert_eq!(seq.reverse_complement().to_string(), "NACGT");
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Sequence {
-    bases: Vec<Base>,
+    codes: Vec<u64>,
+    ns: Vec<u64>,
+    len: usize,
 }
 
 impl Sequence {
     /// Creates an empty sequence.
     pub fn new() -> Sequence {
-        Sequence { bases: Vec::new() }
+        Sequence::default()
     }
 
     /// Creates an empty sequence with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Sequence {
-        Sequence {
-            bases: Vec::with_capacity(capacity),
-        }
+        let mut sequence = Sequence::new();
+        sequence.reserve_hint(capacity);
+        sequence
     }
 
     /// Builds a sequence from raw bases.
     pub fn from_bases(bases: Vec<Base>) -> Sequence {
-        Sequence { bases }
+        // A word at a time: `bits` of every base's code from `shift` up,
+        // first base highest, a short last chunk moved up to the top.
+        let word = |chunk: &[Base], bits: usize, shift: u8| {
+            let field = |base: &Base| u64::from(base.code() >> shift) & ((1 << bits) - 1);
+            chunk.iter().fold(0, |word, base| word << bits | field(base)) << (64 - bits * chunk.len())
+        };
+        Sequence {
+            codes: bases.chunks(CODES_PER_WORD).map(|chunk| word(chunk, 2, 0)).collect(),
+            ns: bases.chunks(NS_PER_WORD).map(|chunk| word(chunk, 1, 2)).collect(),
+            len: bases.len(),
+        }
     }
 
     /// Parses ASCII bytes into a sequence.
@@ -51,64 +93,125 @@ impl Sequence {
     /// Returns [`ParseBaseError`] on the first byte that is not a letter
     /// (IUPAC ambiguity letters are accepted and map to `N`).
     pub fn from_ascii(bytes: &[u8]) -> Result<Sequence, ParseBaseError> {
-        let mut bases = Vec::with_capacity(bytes.len());
+        let mut sequence = Sequence::with_capacity(bytes.len());
         for &byte in bytes {
-            bases.push(Base::try_from(byte)?);
+            sequence.push(Base::try_from(byte)?);
         }
-        Ok(Sequence { bases })
+        Ok(sequence)
     }
 
     /// Number of bases.
     pub fn len(&self) -> usize {
-        self.bases.len()
+        self.len
     }
 
     /// Whether the sequence is empty.
     pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
-    }
-
-    /// The bases as a slice.
-    pub fn as_slice(&self) -> &[Base] {
-        &self.bases
-    }
-
-    /// The bases as their hardware codes (`A=0..T=3, N=4`), one byte
-    /// each: the same memory as [`Sequence::as_slice`], not a copy, so a
-    /// kernel that works on codes reads a tile window of it directly.
-    pub fn codes(&self) -> &[u8] {
-        Base::codes_of(&self.bases)
+        self.len == 0
     }
 
     /// Returns the base at `index`, or `None` when out of bounds.
+    #[inline]
     pub fn get(&self, index: usize) -> Option<Base> {
-        self.bases.get(index).copied()
+        (index < self.len).then(|| self.base(index))
+    }
+
+    /// The base at `index < len`.
+    #[inline]
+    fn base(&self, index: usize) -> Base {
+        let code = self.codes[index / CODES_PER_WORD] >> (62 - 2 * (index % CODES_PER_WORD));
+        let n = self.ns[index / NS_PER_WORD] >> (63 - index % NS_PER_WORD);
+        Base::from_code((code & 0b11 | (n & 1) << 2) as u8)
     }
 
     /// Appends one base.
+    #[inline]
     pub fn push(&mut self, base: Base) {
-        self.bases.push(base);
+        let (at, code) = (self.len, u64::from(base.code()));
+        if at % CODES_PER_WORD == 0 {
+            self.codes.push(0);
+        }
+        if at % NS_PER_WORD == 0 {
+            self.ns.push(0);
+        }
+        // A=0 … T=3 are their own 2-bit codes; N=4 is the bit above.
+        self.codes[at / CODES_PER_WORD] |= (code & 0b11) << (62 - 2 * (at % CODES_PER_WORD));
+        self.ns[at / NS_PER_WORD] |= (code >> 2) << (63 - at % NS_PER_WORD);
+        self.len += 1;
     }
 
-    /// Asks for room for `additional` more bases in one allocation. A
-    /// hint: if the allocator cannot give it (a size taken from a file's
-    /// length can be anything), the sequence simply grows as it is pushed.
+    /// Asks for room for `additional` more bases in one allocation a
+    /// plane. A hint: if the allocator cannot give it (a size taken from
+    /// a file's length can be anything), the sequence simply grows as it
+    /// is pushed.
     pub fn reserve_hint(&mut self, additional: usize) {
-        let _ = self.bases.try_reserve_exact(additional);
+        let total = self.len.saturating_add(additional);
+        let _ = self.codes.try_reserve_exact(total.div_ceil(CODES_PER_WORD) - self.codes.len());
+        let _ = self.ns.try_reserve_exact(total.div_ceil(NS_PER_WORD) - self.ns.len());
     }
 
     /// Gives back the capacity growth left beyond the bases held.
     pub fn shrink_to_fit(&mut self) {
-        self.bases.shrink_to_fit();
+        self.codes.shrink_to_fit();
+        self.ns.shrink_to_fit();
     }
 
-    /// Borrowed view of `range`.
+    /// The 32 bases from `pos` on as the planes hold them: their codes
+    /// two bits each, the base at `pos` highest, and their `N` bits in the
+    /// low half of the second word, the base at `pos` at bit 31. Zero
+    /// past the end of the sequence.
+    #[inline]
+    pub fn packed(&self, pos: usize) -> (u64, u64) {
+        // `word[at]` shifted up by `by < 64` bits, filled from `word[at + 1]`.
+        let from = |plane: &[u64], at: usize, by: usize| {
+            let word = |at: usize| plane.get(at).copied().unwrap_or(0);
+            word(at) << by | word(at + 1) >> 1 >> (63 - by)
+        };
+        let codes = from(&self.codes, pos / CODES_PER_WORD, 2 * (pos % CODES_PER_WORD));
+        let ns = from(&self.ns, pos / NS_PER_WORD, pos % NS_PER_WORD);
+        (codes, ns >> 32)
+    }
+
+    /// Unpacks `range` into `out`, one byte a base, and returns it: the
+    /// bases in order, or, `reversed`, last first (not complemented) — a
+    /// tile window as a kernel walks it. `out` is the caller's scratch;
+    /// it is overwritten and grows to the longest window asked of it.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: Range<usize>) -> &[Base] {
-        &self.bases[range]
+    pub fn window<'a>(&self, range: Range<usize>, reversed: bool, out: &'a mut Vec<Base>) -> &'a [Base] {
+        assert!(range.start <= range.end && range.end <= self.len, "window {range:?} of {} bases", self.len);
+        out.resize(range.len(), Base::A);
+        let mut chunk = [Base::A; CODES_PER_WORD];
+        for (index, from) in range.clone().step_by(CODES_PER_WORD).enumerate() {
+            let (codes, mut ns) = self.packed(from);
+            // Four bases a lookup; the code under an `N` unpacked as `A`.
+            for (quad, byte) in chunk.chunks_exact_mut(4).zip(codes.to_be_bytes()) {
+                quad.copy_from_slice(&UNPACK[usize::from(byte)]);
+            }
+            while ns != 0 {
+                chunk[31 - ns.trailing_zeros() as usize] = Base::N;
+                ns &= ns - 1;
+            }
+            let count = (range.end - from).min(CODES_PER_WORD);
+            let at = index * CODES_PER_WORD;
+            if reversed {
+                let to = range.len() - at;
+                out[to - count..to].copy_from_slice(&chunk[..count]);
+                out[to - count..to].reverse();
+            } else {
+                out[at..at + count].copy_from_slice(&chunk[..count]);
+            }
+        }
+        out
+    }
+
+    /// Every base, one byte each.
+    pub fn to_bases(&self) -> Vec<Base> {
+        let mut bases = Vec::new();
+        self.window(0..self.len, false, &mut bases);
+        bases
     }
 
     /// An owned sub-sequence of `range`.
@@ -117,21 +220,18 @@ impl Sequence {
     ///
     /// Panics if the range is out of bounds.
     pub fn subsequence(&self, range: Range<usize>) -> Sequence {
-        Sequence {
-            bases: self.bases[range].to_vec(),
-        }
+        assert!(range.end <= self.len, "subsequence {range:?} of {} bases", self.len);
+        self.iter().skip(range.start).take(range.len()).collect()
     }
 
     /// The reverse complement of this sequence.
     pub fn reverse_complement(&self) -> Sequence {
-        Sequence {
-            bases: self.bases.iter().rev().map(|b| b.complement()).collect(),
-        }
+        self.iter().rev().map(Base::complement).collect()
     }
 
     /// Iterator over bases.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = Base> + ExactSizeIterator + '_ {
-        self.bases.iter().copied()
+    pub fn iter(&self) -> Iter<'_> {
+        Iter { sequence: self, range: 0..self.len }
     }
 
     /// Fraction of bases that are `G` or `C` (ambiguous bases excluded from
@@ -140,7 +240,7 @@ impl Sequence {
     pub fn gc_content(&self) -> f64 {
         let mut gc = 0usize;
         let mut total = 0usize;
-        for &b in &self.bases {
+        for b in self {
             match b {
                 Base::G | Base::C => {
                     gc += 1;
@@ -156,60 +256,51 @@ impl Sequence {
             gc as f64 / total as f64
         }
     }
+}
 
-    /// Packs the sequence into 3-bit codes, little-end first, for
-    /// byte-oriented storage (matches the BRAM encoding in §IV).
-    ///
-    /// Returns `(packed_bytes, len)`; unpack with [`Sequence::from_packed3`].
-    pub fn to_packed3(&self) -> (Vec<u8>, usize) {
-        let mut out = Vec::with_capacity((self.len() * 3).div_ceil(8));
-        let mut acc: u32 = 0;
-        let mut nbits = 0u32;
-        for &b in &self.bases {
-            acc |= (b.code() as u32) << nbits;
-            nbits += 3;
-            while nbits >= 8 {
-                out.push((acc & 0xff) as u8);
-                acc >>= 8;
-                nbits -= 8;
-            }
-        }
-        if nbits > 0 {
-            out.push((acc & 0xff) as u8);
-        }
-        (out, self.len())
+/// Iterator over a [`Sequence`]'s bases; see [`Sequence::iter`]. Skipping
+/// (`nth`, and so `skip` and `take`, from either end) costs nothing.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    sequence: &'a Sequence,
+    range: Range<usize>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = Base;
+
+    #[inline]
+    fn next(&mut self) -> Option<Base> {
+        self.range.next().map(|index| self.sequence.base(index))
     }
 
-    /// Unpacks a sequence previously produced by [`Sequence::to_packed3`].
-    pub fn from_packed3(packed: &[u8], len: usize) -> Sequence {
-        let mut bases = Vec::with_capacity(len);
-        let mut acc: u32 = 0;
-        let mut nbits = 0u32;
-        let mut iter = packed.iter();
-        for _ in 0..len {
-            while nbits < 3 {
-                acc |= (*iter.next().unwrap_or(&0) as u32) << nbits;
-                nbits += 8;
-            }
-            bases.push(Base::from_code((acc & 0b111) as u8));
-            acc >>= 3;
-            nbits -= 3;
-        }
-        Sequence { bases }
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<Base> {
+        self.range.nth(n).map(|index| self.sequence.base(index))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
     }
 }
 
-impl Index<usize> for Sequence {
-    type Output = Base;
+impl DoubleEndedIterator for Iter<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Base> {
+        self.range.next_back().map(|index| self.sequence.base(index))
+    }
 
-    fn index(&self, index: usize) -> &Base {
-        &self.bases[index]
+    #[inline]
+    fn nth_back(&mut self, n: usize) -> Option<Base> {
+        self.range.nth_back(n).map(|index| self.sequence.base(index))
     }
 }
+
+impl ExactSizeIterator for Iter<'_> {}
 
 impl fmt::Display for Sequence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &b in &self.bases {
+        for b in self {
             write!(f, "{}", b)?;
         }
         Ok(())
@@ -226,45 +317,34 @@ impl std::str::FromStr for Sequence {
 
 impl FromIterator<Base> for Sequence {
     fn from_iter<I: IntoIterator<Item = Base>>(iter: I) -> Sequence {
-        Sequence {
-            bases: iter.into_iter().collect(),
-        }
+        let mut sequence = Sequence::new();
+        sequence.extend(iter);
+        sequence
     }
 }
 
 impl Extend<Base> for Sequence {
     fn extend<I: IntoIterator<Item = Base>>(&mut self, iter: I) {
-        self.bases.extend(iter);
-    }
-}
-
-impl AsRef<[Base]> for Sequence {
-    fn as_ref(&self) -> &[Base] {
-        &self.bases
+        let iter = iter.into_iter();
+        self.reserve_hint(iter.size_hint().0);
+        for base in iter {
+            self.push(base);
+        }
     }
 }
 
 impl From<Vec<Base>> for Sequence {
     fn from(bases: Vec<Base>) -> Sequence {
-        Sequence { bases }
+        Sequence::from_bases(bases)
     }
 }
 
 impl<'a> IntoIterator for &'a Sequence {
     type Item = Base;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Base>>;
+    type IntoIter = Iter<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.bases.iter().copied()
-    }
-}
-
-impl IntoIterator for Sequence {
-    type Item = Base;
-    type IntoIter = std::vec::IntoIter<Base>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.bases.into_iter()
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -297,20 +377,26 @@ mod tests {
     }
 
     #[test]
-    fn subsequence_and_slice_agree() {
+    fn subsequence_and_window_agree() {
         let s: Sequence = "ACGTACGT".parse().unwrap();
-        assert_eq!(s.subsequence(2..6).as_slice(), s.slice(2..6));
+        let mut scratch = Vec::new();
+        assert_eq!(s.subsequence(2..6).to_bases(), s.window(2..6, false, &mut scratch));
         assert_eq!(s.subsequence(2..6).to_string(), "GTAC");
+        assert_eq!(s.window(2..6, true, &mut scratch), [Base::C, Base::A, Base::T, Base::G]);
     }
 
     #[test]
-    fn codes_are_the_bases_in_place() {
-        let s: Sequence = "ACGTNNTGCA".parse().unwrap();
-        let expected: Vec<u8> = s.iter().map(Base::code).collect();
-        assert_eq!(s.codes(), expected);
-        assert_eq!(s.codes().as_ptr(), s.as_slice().as_ptr().cast::<u8>());
-        assert_eq!(&s.codes()[3..6], [3, 4, 4]);
-        assert!(Sequence::new().codes().is_empty());
+    fn storage_is_three_eighths_of_a_byte_a_base_and_canonical() {
+        let s: Sequence = "ACGTN".repeat(40).parse().unwrap();
+        assert_eq!((s.codes.len(), s.ns.len()), (7, 4));
+        // The code under an `N` and the padding past the end are zero:
+        // the derived `Eq` and `Hash` then compare bases.
+        assert_eq!(s.codes[0] >> 54, 0b00_01_10_11_00);
+        assert_eq!(s.ns[0] >> 59, 0b00001);
+        assert_eq!(s.codes[6] << 16, 0);
+        assert_eq!(s.ns[3] << 8, 0);
+        assert_eq!(s.packed(195), (0b00_01_10_11_00 << 54, 0b00001 << 27));
+        assert_eq!(s.packed(200), (0, 0));
     }
 
     #[test]
@@ -321,23 +407,6 @@ mod tests {
         assert!((t.gc_content() - 0.5).abs() < 1e-12);
         let all_n: Sequence = "NNN".parse().unwrap();
         assert_eq!(all_n.gc_content(), 0.0);
-    }
-
-    #[test]
-    fn packed3_round_trip() {
-        let s: Sequence = "ACGTNACGTTGCAACGTN".parse().unwrap();
-        let (packed, len) = s.to_packed3();
-        assert!(packed.len() <= (len * 3).div_ceil(8));
-        assert_eq!(Sequence::from_packed3(&packed, len), s);
-    }
-
-    #[test]
-    fn packed3_empty() {
-        let s = Sequence::new();
-        let (packed, len) = s.to_packed3();
-        assert_eq!(len, 0);
-        assert!(packed.is_empty());
-        assert_eq!(Sequence::from_packed3(&packed, 0), s);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use rand::Rng;
 /// ```
 pub fn shuffle_dinucleotides<R: Rng + ?Sized>(seq: &Sequence, rng: &mut R) -> Sequence {
     let mut out = Sequence::with_capacity(seq.len());
-    let bases = seq.as_slice();
+    let bases = &seq.to_bases()[..];
     let mut i = 0;
     while i < bases.len() {
         if bases[i] == Base::N {
@@ -169,8 +169,8 @@ mod tests {
         let s: Sequence = "CAGTGACCTGATCGATCGTAG".parse().unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let shuffled = shuffle_dinucleotides(&s, &mut rng);
-        assert_eq!(shuffled[0], s[0]);
-        assert_eq!(shuffled[shuffled.len() - 1], s[s.len() - 1]);
+        assert_eq!(shuffled.get(0), s.get(0));
+        assert_eq!(shuffled.iter().next_back(), s.iter().next_back());
     }
 
     #[test]
@@ -179,7 +179,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let shuffled = shuffle_dinucleotides(&s, &mut rng);
         for i in 8..12 {
-            assert_eq!(shuffled[i], Base::N);
+            assert_eq!(shuffled.get(i), Some(Base::N));
         }
         assert_eq!(
             DinucleotideCounts::from_sequence(&s),

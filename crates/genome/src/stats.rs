@@ -57,9 +57,7 @@ impl DinucleotideCounts {
     /// Counts adjacent unambiguous pairs in `seq`.
     pub fn from_sequence(seq: &Sequence) -> DinucleotideCounts {
         let mut counts = [[0u64; 4]; 4];
-        let s = seq.as_slice();
-        for w in s.windows(2) {
-            let (a, b) = (w[0], w[1]);
+        for (a, b) in seq.iter().zip(seq.iter().skip(1)) {
             if a != Base::N && b != Base::N {
                 counts[a.code() as usize][b.code() as usize] += 1;
             }

@@ -39,12 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn packed3_round_trip(seq in sequence_strategy(500)) {
-        let (packed, len) = seq.to_packed3();
-        prop_assert_eq!(Sequence::from_packed3(&packed, len), seq);
-    }
-
-    #[test]
     fn display_parse_round_trip(seq in sequence_strategy(300)) {
         let text = seq.to_string();
         let parsed: Sequence = text.parse().unwrap();

@@ -109,7 +109,7 @@ pub struct SimOutcome {
 /// let s: Sequence = "ACGTACGTACGT".parse()?;
 /// let geometry = BswTileGeometry { tile_size: 12, band: 4 };
 /// let out = simulate_bsw_tile(
-///     s.as_slice(), s.as_slice(),
+///     &s.to_bases(), &s.to_bases(),
 ///     &SubstitutionMatrix::darwin_wga(), &GapPenalties::darwin_wga(),
 ///     &geometry, &ArrayConfig::fpga(),
 /// );
@@ -290,14 +290,14 @@ mod tests {
             let t = model.generate(320, &mut rng);
             let q = mutated(&t, 0.05 * trial as f64 / 8.0 + 0.02, &mut rng);
             let sim = simulate_bsw_tile(
-                t.as_slice(),
-                q.as_slice(),
+                &t.to_bases(),
+                &q.to_bases(),
                 &w,
                 &g,
                 &geometry,
                 &ArrayConfig::fpga(),
             );
-            let sw = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, geometry.band);
+            let sw = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, geometry.band);
             assert_eq!(sim.max_score, sw.max_score, "trial {trial}");
             assert!(sim.max_score > 4000, "tile should pass the filter");
         }
@@ -316,8 +316,8 @@ mod tests {
             let t = model.generate(96, &mut rng);
             let q = model.generate(96, &mut rng);
             let sim = simulate_bsw_tile(
-                t.as_slice(),
-                q.as_slice(),
+                &t.to_bases(),
+                &q.to_bases(),
                 &w,
                 &g,
                 &geometry,
@@ -327,7 +327,7 @@ mod tests {
                     tile_overhead_cycles: 0,
                 },
             );
-            let sw = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, geometry.band);
+            let sw = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, geometry.band);
             assert_eq!(sim.max_score, sw.max_score, "trial {trial}");
         }
     }
@@ -340,17 +340,17 @@ mod tests {
         let t = model.generate(320, &mut rng);
         // 10-base deletion in the query at position 150.
         let mut q = t.subsequence(0..150);
-        q.extend(t.slice(160..320).iter().copied());
+        q.extend(t.iter().skip(160).take(320 - 160));
         let geometry = BswTileGeometry::darwin_wga();
         let sim = simulate_bsw_tile(
-            t.as_slice(),
-            q.as_slice(),
+            &t.to_bases(),
+            &q.to_bases(),
             &w,
             &g,
             &geometry,
             &ArrayConfig::fpga(),
         );
-        let sw = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, geometry.band);
+        let sw = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, geometry.band);
         assert_eq!(sim.max_score, sw.max_score);
     }
 
@@ -363,7 +363,7 @@ mod tests {
         let q = model.generate(320, &mut rng);
         let geometry = BswTileGeometry::darwin_wga();
         let array = ArrayConfig::fpga();
-        let sim = simulate_bsw_tile(t.as_slice(), q.as_slice(), &w, &g, &geometry, &array);
+        let sim = simulate_bsw_tile(&t.to_bases(), &q.to_bases(), &w, &g, &geometry, &array);
         // The analytic formula uses the paper's 1-based equations 4–5; the
         // simulator computes the exact 0-based band union, which differs
         // by at most one column per stripe.
@@ -383,8 +383,8 @@ mod tests {
         let s: Sequence = "ACGTACGT".parse().unwrap();
         let geometry = BswTileGeometry::darwin_wga();
         let sim = simulate_bsw_tile(
-            s.as_slice(),
-            s.as_slice(),
+            &s.to_bases(),
+            &s.to_bases(),
             &w,
             &g,
             &geometry,

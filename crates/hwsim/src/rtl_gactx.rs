@@ -415,8 +415,8 @@ mod tests {
         for trial in 0..6 {
             let t = model.generate(400, &mut rng);
             let q = mutated(&t, 0.02 + 0.02 * trial as f64, &mut rng);
-            let sim = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 9430, &fpga());
-            let sw = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, 9430);
+            let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430, &fpga());
+            let sw = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430);
             assert_eq!(sim.max_score, sw.max_score, "trial {trial}");
             assert_eq!(sim.max_target, sw.max_target, "trial {trial}");
             assert_eq!(sim.max_query, sw.max_query, "trial {trial}");
@@ -431,9 +431,9 @@ mod tests {
         let t = model.generate(500, &mut rng);
         // Insert a 15-base deletion so the path has a real gap.
         let mut q = t.subsequence(0..230);
-        q.extend(t.slice(245..500).iter().copied());
+        q.extend(t.iter().skip(245).take(500 - 245));
         let q = mutated(&q, 0.05, &mut rng);
-        let sim = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 9430, &fpga());
+        let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430, &fpga());
         let a = Alignment::new(0, 0, sim.cigar.clone(), sim.max_score);
         a.validate(&t, &q).unwrap();
         assert_eq!(sim.max_score, a.rescore(&t, &q, &w, &g));
@@ -449,8 +449,8 @@ mod tests {
         let model = MarkovModel::genome_like();
         let t = model.generate(512, &mut rng);
         let q = mutated(&t, 0.05, &mut rng);
-        let tight = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 2000, &fpga());
-        let loose = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 1 << 40, &fpga());
+        let tight = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 2000, &fpga());
+        let loose = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 1 << 40, &fpga());
         assert!(
             tight.bram_words < loose.bram_words,
             "tight {} vs loose {}",
@@ -467,7 +467,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let model = MarkovModel::genome_like();
         let t = model.generate(300, &mut rng);
-        let sim = simulate_gactx_tile(t.as_slice(), t.as_slice(), &w, &g, 9430, &fpga());
+        let sim = simulate_gactx_tile(&t.to_bases(), &t.to_bases(), &w, &g, 9430, &fpga());
         // Perfect self-alignment: the walk is exactly 300 diagonal steps.
         assert_eq!(sim.traceback_cycles, 300);
         assert_eq!(sim.cigar.to_string(), "300=");
@@ -482,7 +482,7 @@ mod tests {
         let model = MarkovModel::genome_like();
         let t = model.generate(1920, &mut rng);
         let q = mutated(&t, 0.15, &mut rng);
-        let sim = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 9430, &fpga());
+        let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430, &fpga());
         assert!(
             sim.bram_bytes <= crate::gactx_array::GactXBank::asic().traceback_capacity(),
             "{} bytes",

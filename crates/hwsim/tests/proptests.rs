@@ -32,8 +32,8 @@ proptest! {
         let (w, g) = scoring();
         let geometry = BswTileGeometry { tile_size: 128, band };
         let array = ArrayConfig { num_pe: npe, freq_hz: 1.0e8, tile_overhead_cycles: 0 };
-        let sim = simulate_bsw_tile(t.as_slice(), q.as_slice(), &w, &g, &geometry, &array);
-        let sw = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
+        let sim = simulate_bsw_tile(&t.to_bases(), &q.to_bases(), &w, &g, &geometry, &array);
+        let sw = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
         prop_assert_eq!(sim.max_score, sw.max_score);
     }
 
@@ -45,7 +45,7 @@ proptest! {
     ) {
         let (w, g) = scoring();
         let array = ArrayConfig { num_pe: npe, freq_hz: 1.0e8, tile_overhead_cycles: 0 };
-        let sim = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, 9430, &array);
+        let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430, &array);
         let a = align::Alignment::new(0, 0, sim.cigar.clone(), sim.max_score);
         prop_assert!(a.validate(&t, &q).is_ok(), "{:?}", a.validate(&t, &q));
         prop_assert_eq!(sim.max_score, a.rescore(&t, &q, &w, &g));
@@ -61,9 +61,9 @@ proptest! {
         // software kernel (below) and the unpruned kernel (above).
         let (w, g) = scoring();
         let array = ArrayConfig::fpga();
-        let sim = simulate_gactx_tile(t.as_slice(), q.as_slice(), &w, &g, y, &array);
-        let lower = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, y);
-        let upper = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, i64::MAX / 8);
+        let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, y, &array);
+        let lower = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, y);
+        let upper = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, i64::MAX / 8);
         prop_assert!(sim.max_score >= lower.max_score,
             "sim {} < software {}", sim.max_score, lower.max_score);
         prop_assert!(sim.max_score <= upper.max_score,
@@ -80,7 +80,7 @@ proptest! {
             let geometry = BswTileGeometry { tile_size: tile, band: 8 };
             let array = ArrayConfig { num_pe: npe, freq_hz: 1.0e8, tile_overhead_cycles: 0 };
             let t: Sequence = (0..tile).map(|i| Base::from_code((i % 4) as u8)).collect();
-            let sim = simulate_bsw_tile(t.as_slice(), t.as_slice(), &w, &g, &geometry, &array);
+            let sim = simulate_bsw_tile(&t.to_bases(), &t.to_bases(), &w, &g, &geometry, &array);
             prop_assert!(sim.cycles > prev);
             prev = sim.cycles;
         }

@@ -178,19 +178,9 @@ impl TranslatedFrame {
 
 /// Translates `seq` in the given frame.
 pub fn translate(seq: &Sequence, frame: Frame) -> TranslatedFrame {
-    let dna: Sequence;
-    let source = if frame.reverse {
-        dna = seq.reverse_complement();
-        dna.as_slice()
-    } else {
-        seq.as_slice()
-    };
-    let mut peptide = Vec::with_capacity(source.len() / 3);
-    let mut i = frame.offset as usize;
-    while i + 3 <= source.len() {
-        peptide.push(translate_codon(source[i], source[i + 1], source[i + 2]));
-        i += 3;
-    }
+    let source = if frame.reverse { seq.reverse_complement().to_bases() } else { seq.to_bases() };
+    let codons = source.get(frame.offset as usize..).unwrap_or_default().chunks_exact(3);
+    let peptide = codons.map(|c| translate_codon(c[0], c[1], c[2])).collect();
     TranslatedFrame {
         frame,
         peptide,

@@ -164,7 +164,6 @@ fn walk<K: Key>(
 ) -> DsoftResult {
     let buckets = table.buckets(keys);
     let pattern: &SeedPattern = table.pattern();
-    let qslice = query.as_slice();
     let mut result = DsoftResult::default();
     // Query positions ascend, so a chunk's diagonal bands are complete
     // when the walk leaves the chunk. Only the current chunk's bands are
@@ -187,7 +186,7 @@ fn walk<K: Key>(
             .saturating_add(params.chunk_size)
             .min(end);
         while qpos < chunk_end {
-            if let Some(exact) = pattern.extract(qslice, qpos) {
+            if let Some(exact) = pattern.extract(query, qpos) {
                 // The exact word, then its variants in
                 // `transition_variants`' order, in one loop with one
                 // counter: its body is compiled in here, which a closure

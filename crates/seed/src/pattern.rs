@@ -8,7 +8,7 @@
 //! position by `(m + 1)` — the computation/sensitivity trade-off the paper
 //! describes.
 
-use genome::Base;
+use genome::{Base, Sequence};
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,11 +24,30 @@ use std::str::FromStr;
 /// assert_eq!(p.span(), 19);
 /// assert_eq!(p.weight(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SeedPattern {
     /// Offsets of the `1` positions within the span.
     sampled: Vec<usize>,
     span: usize,
+    /// How a word is gathered from [`Sequence::packed`]: one shift and
+    /// mask per run of consecutive `1`s. Empty when the pattern is wider
+    /// than the 32 bases that holds.
+    runs: Vec<Run>,
+    /// The packed window's `N` bits at the sampled offsets.
+    n_mask: u64,
+}
+
+/// Widest pattern whose window [`Sequence::packed`] holds whole.
+const PACKED_SPAN_MAX: usize = 32;
+
+/// One run of consecutive `1`s of a pattern: where its bases lie in the
+/// packed window and where in the word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Run {
+    /// How far right of its place in the window the run sits in the word.
+    shift: u32,
+    /// The run's bits in the word.
+    mask: u64,
 }
 
 impl SeedPattern {
@@ -36,15 +55,27 @@ impl SeedPattern {
     /// (`1110100110010101111`).
     pub fn lastz_default() -> SeedPattern {
         const BITS: &str = "1110100110010101111";
-        SeedPattern {
-            sampled: BITS
-                .bytes()
-                .enumerate()
-                .filter(|&(_, b)| b == b'1')
-                .map(|(i, _)| i)
-                .collect(),
-            span: BITS.len(),
+        let ones = BITS.bytes().enumerate().filter(|&(_, b)| b == b'1');
+        SeedPattern::new(ones.map(|(i, _)| i).collect(), BITS.len())
+    }
+
+    /// The pattern sampling the ascending offsets `sampled` of `span` bases.
+    fn new(sampled: Vec<usize>, span: usize) -> SeedPattern {
+        let (mut runs, mut n_mask) = (Vec::<Run>::new(), 0);
+        if span <= PACKED_SPAN_MAX {
+            // The window's first base is its field 31, and the `k`-th
+            // sampled offset from the end is field `k` of the word.
+            for (field, &off) in sampled.iter().rev().enumerate() {
+                n_mask |= 1 << (31 - off);
+                let shift = 2 * (31 - off - field) as u32;
+                let mask = 0b11 << (2 * field);
+                match runs.last_mut() {
+                    Some(run) if run.shift == shift => run.mask |= mask,
+                    _ => runs.push(Run { shift, mask }),
+                }
+            }
         }
+        SeedPattern { sampled, span, runs, n_mask }
     }
 
     /// A contiguous k-mer seed (all positions sampled).
@@ -54,10 +85,7 @@ impl SeedPattern {
     /// Panics if `k == 0` or `k > 31`.
     pub fn exact(k: usize) -> SeedPattern {
         assert!(k > 0 && k <= 31, "k must be in 1..=31");
-        SeedPattern {
-            sampled: (0..k).collect(),
-            span: k,
-        }
+        SeedPattern::new((0..k).collect(), k)
     }
 
     /// Window length the pattern covers.
@@ -79,27 +107,45 @@ impl SeedPattern {
     ///
     /// Returns `None` when the window overruns the sequence or any sampled
     /// base is `N` (ambiguous bases never seed).
+    ///
+    /// The window is read as the sequence stores it — 32 bases of 2-bit
+    /// codes in one word, their `N` bits in another — and the word is
+    /// gathered with one shift-and-mask per run of `1`s, six for the
+    /// 12-of-19 seed. A pattern wider than 32 bases is read base by base.
     #[inline]
-    pub fn extract(&self, seq: &[Base], pos: usize) -> Option<u64> {
+    pub fn extract(&self, seq: &Sequence, pos: usize) -> Option<u64> {
         if pos + self.span > seq.len() {
             return None;
         }
-        let mut word = 0u64;
-        for &off in &self.sampled {
-            let b = seq[pos + off];
-            if b == Base::N {
-                return None;
-            }
-            word = (word << 2) | b.code2() as u64;
+        if self.runs.is_empty() {
+            return self.extract_wide(seq, pos);
         }
-        Some(word)
+        let (codes, ns) = seq.packed(pos);
+        self.gather(codes, ns)
+    }
+
+    /// The word of a packed window ([`Sequence::packed`]), `None` when it
+    /// samples an `N`.
+    #[inline]
+    fn gather(&self, codes: u64, ns: u64) -> Option<u64> {
+        let gather = |word, run: &Run| word | ((codes >> run.shift) & run.mask);
+        (ns & self.n_mask == 0).then(|| self.runs.iter().fold(0, gather))
+    }
+
+    /// [`SeedPattern::extract`] for a pattern wider than a packed window.
+    fn extract_wide(&self, seq: &Sequence, pos: usize) -> Option<u64> {
+        self.sampled.iter().try_fold(0u64, |word, &off| match seq.get(pos + off)? {
+            Base::N => None,
+            base => Some((word << 2) | u64::from(base.code())),
+        })
     }
 
     /// The word of every window of `seq`, in position order: what
     /// [`SeedPattern::extract`] returns at 0, 1, 2, …, without the
     /// positions where it returns `None`.
-    pub fn words<'a>(&'a self, seq: &'a [Base]) -> Words<'a> {
-        Words::new(self, seq)
+    pub fn words<'a>(&'a self, seq: &'a Sequence) -> Words<'a> {
+        let windows = (seq.len() + 1).saturating_sub(self.span);
+        Words { pattern: self, seq, pos: 0, windows }
     }
 
     /// Every one-transition variant of `exact` (Fig. 5b), without
@@ -129,7 +175,7 @@ impl SeedPattern {
 
     /// Extracts the exact word plus every one-transition variant:
     /// the exact word first, then [`SeedPattern::transition_variants`].
-    pub fn extract_with_transitions(&self, seq: &[Base], pos: usize) -> Vec<u64> {
+    pub fn extract_with_transitions(&self, seq: &Sequence, pos: usize) -> Vec<u64> {
         let Some(exact) = self.extract(seq, pos) else {
             return Vec::new();
         };
@@ -149,107 +195,65 @@ impl SeedPattern {
     }
 }
 
-/// Widest pattern whose window rolls through one `u64`, two bits a base.
-const ROLLING_SPAN_MAX: usize = 32;
-
-/// One run of consecutive `1`s of a pattern: where its bases lie in the
-/// rolling window and where in the word.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    /// How far right of its place in the window the run sits in the word.
-    shift: u32,
-    /// The run's bits in the word.
-    mask: u64,
-}
-
 /// Iterator over `(position, word)` of every window of a sequence that
 /// has a word; see [`SeedPattern::words`].
 ///
-/// The window is rolled, not re-read: the last 32 bases sit in a `u64`
-/// two bits each (newest lowest) beside one `N` bit each, a base is
-/// shifted into both per position, and the word is gathered with one
-/// shift-and-mask per run of `1`s — six for the 12-of-19 seed, where
-/// [`SeedPattern::extract`] loads twelve bases. A pattern wider than 32
-/// bases does not fit the window and is read through `extract`, one
-/// position at a time.
+/// Taken a word at a time (`next`) it is [`SeedPattern::extract`] at
+/// every position. Consumed whole (`fold`, and so `for_each`, as the
+/// table build does) the packed window is rolled, not re-read: two
+/// packed reads every 32 positions, between them one base a position
+/// shifted from the second into the first — two bits into the codes, one
+/// into the `N` bits, as the planes hold them.
 #[derive(Debug, Clone)]
 pub struct Words<'a> {
     pattern: &'a SeedPattern,
-    seq: &'a [Base],
-    /// Start of the next window.
+    seq: &'a Sequence,
+    /// Start of the next window, and one past the last.
     pos: usize,
-    /// Empty when the pattern is too wide to roll.
-    runs: Vec<Run>,
-    /// The window's `N` bits at the sampled offsets.
-    n_mask: u64,
-    codes: u64,
-    ns: u64,
+    windows: usize,
 }
 
-impl<'a> Words<'a> {
-    fn new(pattern: &'a SeedPattern, seq: &'a [Base]) -> Words<'a> {
-        let mut words = Words {
-            pattern,
-            seq,
-            pos: 0,
-            runs: Vec::new(),
-            n_mask: 0,
-            codes: 0,
-            ns: 0,
-        };
-        if pattern.span > ROLLING_SPAN_MAX {
-            return words;
-        }
-        // Sampled offset `off` is `span - 1 - off` bases behind the
-        // window's newest, and the `k`-th sampled offset from the end is
-        // field `k` of the word.
-        for (field, &off) in pattern.sampled.iter().rev().enumerate() {
-            let behind = pattern.span - 1 - off;
-            words.n_mask |= 1 << behind;
-            let shift = 2 * (behind - field) as u32;
-            let mask = 0b11 << (2 * field);
-            match words.runs.last_mut() {
-                Some(run) if run.shift == shift => run.mask |= mask,
-                _ => words.runs.push(Run { shift, mask }),
-            }
-        }
-        for &base in seq.iter().take(pattern.span - 1) {
-            words.push(base);
-        }
-        words
-    }
-
-    #[inline]
-    fn push(&mut self, base: Base) {
-        // A=0 … T=3 are their own 2-bit codes; N=4 is the bit above.
-        let code = u64::from(base.code());
-        self.codes = (self.codes << 2) | (code & 0b11);
-        self.ns = (self.ns << 1) | (code >> 2);
+impl Words<'_> {
+    /// Only the windows starting before `pos`.
+    pub fn before(mut self, pos: usize) -> Self {
+        self.windows = self.windows.min(pos);
+        self
     }
 }
 
 impl Iterator for Words<'_> {
     type Item = (usize, u64);
 
-    #[inline]
     fn next(&mut self) -> Option<(usize, u64)> {
-        while let Some(&newest) = self.seq.get(self.pos + self.pattern.span - 1) {
-            let pos = self.pos;
+        while self.pos < self.windows {
             self.pos += 1;
-            if self.runs.is_empty() {
-                if let Some(word) = self.pattern.extract(self.seq, pos) {
-                    return Some((pos, word));
-                }
-                continue;
-            }
-            self.push(newest);
-            if self.ns & self.n_mask == 0 {
-                let codes = self.codes;
-                let word = self.runs.iter().fold(0, |word, run| word | ((codes >> run.shift) & run.mask));
-                return Some((pos, word));
+            if let Some(word) = self.pattern.extract(self.seq, self.pos - 1) {
+                return Some((self.pos - 1, word));
             }
         }
         None
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, (usize, u64)) -> B>(mut self, mut acc: B, mut f: F) -> B {
+        if self.pattern.runs.is_empty() {
+            for item in self.by_ref() {
+                acc = f(acc, item);
+            }
+            return acc;
+        }
+        for block in (self.pos..self.windows).step_by(32) {
+            let ((mut codes, mut ns), (mut next_codes, mut next_ns)) = (self.seq.packed(block), self.seq.packed(block + 32));
+            for pos in block..self.windows.min(block + 32) {
+                if let Some(word) = self.pattern.gather(codes, ns) {
+                    acc = f(acc, (pos, word));
+                }
+                // The `N` bits above bit 31 go stale; the mask has none there.
+                (codes, ns) = (codes << 2 | next_codes >> 62, ns << 1 | (next_ns >> 31) & 1);
+                (next_codes, next_ns) = (next_codes << 2, next_ns << 1);
+            }
+        }
+        acc
     }
 }
 
@@ -277,10 +281,15 @@ impl FromStr for SeedPattern {
         if !s.starts_with('1') || !s.ends_with('1') {
             return Err(ParsePatternError::UntrimmedEnds);
         }
-        Ok(SeedPattern {
-            sampled,
-            span: s.len(),
-        })
+        Ok(SeedPattern::new(sampled, s.len()))
+    }
+}
+
+/// The pattern itself, without what `new` derives from it: a journal's
+/// parameter fingerprint hashes this rendering, so it must not move.
+impl fmt::Debug for SeedPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SeedPattern").field("sampled", &self.sampled).field("span", &self.span).finish()
     }
 }
 
@@ -367,81 +376,28 @@ mod tests {
         let p: SeedPattern = "101".parse().unwrap();
         let a: Sequence = "ACA".parse().unwrap();
         let b: Sequence = "ATA".parse().unwrap();
-        assert_eq!(p.extract(a.as_slice(), 0), p.extract(b.as_slice(), 0));
+        assert_eq!(p.extract(&a, 0), p.extract(&b, 0));
         let c: Sequence = "TCA".parse().unwrap();
-        assert_ne!(p.extract(a.as_slice(), 0), p.extract(c.as_slice(), 0));
+        assert_ne!(p.extract(&a, 0), p.extract(&c, 0));
     }
 
     #[test]
     fn extract_rejects_n_and_overruns() {
         let p = SeedPattern::exact(4);
         let s: Sequence = "ACGTNACGT".parse().unwrap();
-        assert_eq!(p.extract(s.as_slice(), 1), None); // contains N
-        assert_eq!(p.extract(s.as_slice(), 6), None); // overruns
-        assert!(p.extract(s.as_slice(), 0).is_some());
-        assert!(p.extract(s.as_slice(), 5).is_some());
-    }
-
-    /// Targets that stress the rolled window: random bases with an `N`
-    /// first, last, and every 37th base (37 is coprime to every span
-    /// here, so an `N` meets each offset of each pattern, sampled or
-    /// not), a run of `N` longer than any span, and every length from
-    /// empty through a few past the widest span.
-    fn rolling_targets() -> Vec<Vec<Base>> {
-        let mut state = 7u64;
-        let mut random = |len: usize| -> Vec<Base> {
-            (0..len)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    Base::from_code((state >> 33) as u8 % 4)
-                })
-                .collect()
-        };
-        let mut sprinkled = random(400);
-        for at in (0..sprinkled.len()).step_by(37).chain([sprinkled.len() - 1]) {
-            sprinkled[at] = Base::N;
-        }
-        let mut gapped = random(150);
-        gapped.splice(60..60, vec![Base::N; 45]);
-        let mut targets = vec![sprinkled, gapped, vec![Base::N; 50]];
-        targets.extend((0..=44).map(&mut random));
-        targets
-    }
-
-    #[test]
-    fn rolled_words_equal_extract_at_every_position() {
-        // The last is 40 wide: past 32 bases the window does not roll.
-        let wide = "1101000110000010011100101000011000100111";
-        let patterns = [
-            SeedPattern::lastz_default(),
-            SeedPattern::exact(4),
-            SeedPattern::exact(31),
-            format!("1{}1", "0".repeat(30)).parse().unwrap(),
-            format!("1{}1", "0".repeat(31)).parse().unwrap(),
-            wide.parse().unwrap(),
-        ];
-        assert_eq!(patterns.iter().map(SeedPattern::span).collect::<Vec<_>>(), [19, 4, 31, 32, 33, 40]);
-        for pattern in &patterns {
-            let mut with_n = 0;
-            for target in rolling_targets() {
-                let expected: Vec<(usize, u64)> = (0..target.len() + 2)
-                    .filter_map(|pos| Some((pos, pattern.extract(&target, pos)?)))
-                    .collect();
-                with_n += usize::from(expected.len() + pattern.span() <= target.len());
-                let rolled: Vec<(usize, u64)> = pattern.words(&target).collect();
-                assert_eq!(rolled, expected, "{pattern} over {} bases", target.len());
-            }
-            assert!(with_n >= 2, "{pattern}: an `N` must cost some target a window");
-        }
+        assert_eq!(p.extract(&s, 1), None); // contains N
+        assert_eq!(p.extract(&s, 6), None); // overruns
+        assert!(p.extract(&s, 0).is_some());
+        assert!(p.extract(&s, 5).is_some());
     }
 
     #[test]
     fn words_gather_one_run_of_ones_at_a_time() {
-        let runs = |pattern: &SeedPattern| Words::new(pattern, &[]).runs.len();
+        let runs = |pattern: &SeedPattern| pattern.runs.len();
         assert_eq!(runs(&SeedPattern::lastz_default()), 6);
         assert_eq!(runs(&SeedPattern::exact(31)), 1);
         assert_eq!(runs(&"10101".parse().unwrap()), 3);
-        // Too wide to roll: no runs, every word through `extract`.
+        // Wider than a packed window: no runs, every word base by base.
         assert_eq!(runs(&format!("1{}1", "0".repeat(31)).parse().unwrap()), 0);
     }
 
@@ -449,14 +405,14 @@ mod tests {
     fn transition_variants_count_and_match() {
         let p = SeedPattern::exact(4);
         let s: Sequence = "ACGT".parse().unwrap();
-        let words = p.extract_with_transitions(s.as_slice(), 0);
+        let words = p.extract_with_transitions(&s, 0);
         assert_eq!(words.len(), 5);
         // The transition variant at position 0 equals the word of "GCGT".
         let g: Sequence = "GCGT".parse().unwrap();
-        assert_eq!(words[1], p.extract(g.as_slice(), 0).unwrap());
+        assert_eq!(words[1], p.extract(&g, 0).unwrap());
         // The variant at position 3 equals the word of "ACGC".
         let c: Sequence = "ACGC".parse().unwrap();
-        assert_eq!(words[4], p.extract(c.as_slice(), 0).unwrap());
+        assert_eq!(words[4], p.extract(&c, 0).unwrap());
         // All variants are distinct from the exact word.
         for v in &words[1..] {
             assert_ne!(*v, words[0]);
@@ -467,13 +423,13 @@ mod tests {
     fn transition_variants_flip_each_sampled_base_to_its_partner() {
         let p = SeedPattern::lastz_default();
         let s: Sequence = "ACGTTGCAACGTACGTTGC".parse().unwrap();
-        let exact = p.extract(s.as_slice(), 0).unwrap();
+        let exact = p.extract(&s, 0).unwrap();
         let variants: Vec<u64> = p.transition_variants(exact).collect();
         assert_eq!(variants.len(), p.weight());
         for (k, &off) in p.sampled_offsets().iter().enumerate() {
-            let mut mutated = s.as_slice().to_vec();
+            let mut mutated = s.to_bases();
             mutated[off] = mutated[off].transition_partner();
-            assert_eq!(variants[k], p.extract(&mutated, 0).unwrap(), "variant {k}");
+            assert_eq!(variants[k], p.extract(&mutated.into(), 0).unwrap(), "variant {k}");
         }
     }
 

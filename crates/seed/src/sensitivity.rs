@@ -8,7 +8,7 @@
 //! Carlo per region.
 
 use crate::pattern::SeedPattern;
-use genome::Base;
+use genome::Sequence;
 use rand::Rng;
 
 /// Probability that a single position produces a seed hit, given the
@@ -133,8 +133,8 @@ fn window_hits(pattern: &SeedPattern, window: &[u8], allow_transition: bool) -> 
 /// model: whether the windows at `pos` of `a` and `b` seed-match.
 pub fn sequences_hit(
     pattern: &SeedPattern,
-    a: &[Base],
-    b: &[Base],
+    a: &Sequence,
+    b: &Sequence,
     pos: usize,
     allow_transition: bool,
 ) -> bool {
@@ -217,13 +217,13 @@ mod tests {
     #[test]
     fn sequences_hit_validates_model_semantics() {
         let p = SeedPattern::exact(6);
-        let a: genome::Sequence = "ACGTAC".parse().unwrap();
-        let exact: genome::Sequence = "ACGTAC".parse().unwrap();
-        let ts: genome::Sequence = "GCGTAC".parse().unwrap(); // A→G transition
-        let tv: genome::Sequence = "CCGTAC".parse().unwrap(); // A→C transversion
-        assert!(sequences_hit(&p, a.as_slice(), exact.as_slice(), 0, false));
-        assert!(!sequences_hit(&p, a.as_slice(), ts.as_slice(), 0, false));
-        assert!(sequences_hit(&p, a.as_slice(), ts.as_slice(), 0, true));
-        assert!(!sequences_hit(&p, a.as_slice(), tv.as_slice(), 0, true));
+        let a: Sequence = "ACGTAC".parse().unwrap();
+        let exact: Sequence = "ACGTAC".parse().unwrap();
+        let ts: Sequence = "GCGTAC".parse().unwrap(); // A→G transition
+        let tv: Sequence = "CCGTAC".parse().unwrap(); // A→C transversion
+        assert!(sequences_hit(&p, &a, &exact, 0, false));
+        assert!(!sequences_hit(&p, &a, &ts, 0, false));
+        assert!(sequences_hit(&p, &a, &ts, 0, true));
+        assert!(!sequences_hit(&p, &a, &tv, 0, true));
     }
 }

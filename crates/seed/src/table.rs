@@ -13,8 +13,8 @@
 //! is the rest. When the directory covers the whole word there are no
 //! keys, and what is left is the paper's two tables.
 
-use crate::pattern::SeedPattern;
-use genome::{Base, Sequence};
+use crate::pattern::{SeedPattern, Words};
+use genome::Sequence;
 
 /// Longest target a table can index: positions and directory entries are
 /// `u32`. Windows starting at or past it are not indexed; callers reject
@@ -54,7 +54,7 @@ const INSERTION_SORT_MAX: usize = 24;
 /// let target: Sequence = "ACGTACGTACGT".parse()?;
 /// let pattern = SeedPattern::exact(8);
 /// let table = SeedTable::build(&target, &pattern, usize::MAX);
-/// let word = pattern.extract(target.as_slice(), 0).unwrap();
+/// let word = pattern.extract(&target, 0).unwrap();
 /// assert_eq!(table.lookup(word), &[0, 4]);
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
@@ -181,8 +181,8 @@ impl SeedTable {
     /// cap are removed entirely.
     ///
     /// The table is built where it will lie, from two reads of the
-    /// target ([`SeedPattern::words`] rolls the window, so a read is
-    /// cheap): the first counts each directory bucket's words, the second
+    /// target ([`SeedPattern::words`] rolls the packed window, so a read
+    /// is cheap): the first counts each directory bucket's words, the second
     /// puts every position, beside its key, into its bucket. Then, a
     /// bucket at a time, the bucket is sorted by (key, position) and
     /// squeezed down over the dropped entries before it: the runs of
@@ -192,10 +192,7 @@ impl SeedTable {
     /// key — 5 B for the default seed on a target past 2^15 windows, 6 B
     /// below — per indexed position.
     pub fn build(target: &Sequence, pattern: &SeedPattern, max_occurrences: usize) -> SeedTable {
-        // A window starting at or past `MAX_TARGET_LEN` is not indexed.
-        let reach = MAX_TARGET_LEN.saturating_add(pattern.span() - 1);
-        let bases = &target.as_slice()[..target.len().min(reach)];
-        let windows = (bases.len() + 1).saturating_sub(pattern.span());
+        let windows = (target.len() + 1).saturating_sub(pattern.span()).min(MAX_TARGET_LEN);
 
         let word_bits = 2 * pattern.weight() as u32;
         // ⌈log2 windows⌉, inside the directory's limits and the word.
@@ -208,17 +205,15 @@ impl SeedTable {
 
         // bounds[p] is where bucket p's stretch of the sorted run starts.
         let mut bounds = vec![0u32; (1usize << directory_bits) + 1];
-        for (_, word) in pattern.words(bases) {
-            bounds[(word >> key_bits) as usize + 1] += 1;
-        }
+        indexed_words(pattern, target).for_each(|(_, word)| bounds[(word >> key_bits) as usize + 1] += 1);
         accumulate(&mut bounds);
 
         match key_bits {
-            0 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::None),
-            1..=8 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U8),
-            9..=16 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U16),
-            17..=32 => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U32),
-            _ => assemble(pattern, bases, max_occurrences, bounds, key_bits, Keys::U64),
+            0 => assemble(pattern, target, max_occurrences, bounds, key_bits, Keys::None),
+            1..=8 => assemble(pattern, target, max_occurrences, bounds, key_bits, Keys::U8),
+            9..=16 => assemble(pattern, target, max_occurrences, bounds, key_bits, Keys::U16),
+            17..=32 => assemble(pattern, target, max_occurrences, bounds, key_bits, Keys::U32),
+            _ => assemble(pattern, target, max_occurrences, bounds, key_bits, Keys::U64),
         }
     }
 
@@ -268,6 +263,12 @@ impl SeedTable {
     }
 }
 
+/// The words a table indexes: every window's, but that a window starting
+/// at or past [`MAX_TARGET_LEN`] is not indexed.
+fn indexed_words<'a>(pattern: &'a SeedPattern, target: &'a Sequence) -> Words<'a> {
+    pattern.words(target).before(MAX_TARGET_LEN)
+}
+
 /// Turns per-bucket counts stored at `counts[p + 1]` into boundaries:
 /// afterwards bucket `p` is `counts[p]..counts[p + 1]`.
 fn accumulate(counts: &mut [u32]) {
@@ -283,7 +284,7 @@ fn accumulate(counts: &mut [u32]) {
 /// starts in the uncapped run, its last entry as the run's length.
 fn assemble<K: Key>(
     pattern: &SeedPattern,
-    bases: &[Base],
+    target: &Sequence,
     max_occurrences: usize,
     mut directory: Vec<u32>,
     key_bits: u32,
@@ -296,12 +297,12 @@ fn assemble<K: Key>(
     let mut positions = vec![0u32; total];
     // Each bucket's start doubles as its fill cursor, which leaves
     // directory[p] where bucket p *ends*.
-    for (pos, word) in pattern.words(bases) {
+    indexed_words(pattern, target).for_each(|(pos, word)| {
         let slot = &mut directory[(word >> key_bits) as usize];
         keys[*slot as usize] = K::from_bits(word & mask);
         positions[*slot as usize] = pos as u32;
         *slot += 1;
-    }
+    });
 
     let (mut start, mut kept) = (0usize, 0usize);
     let (mut dropped_repeats, mut distinct_words, mut position_end) = (0u64, 0usize, 0usize);
@@ -403,7 +404,7 @@ mod tests {
         let p = SeedPattern::exact(4);
         let table = SeedTable::build(&t, &p, usize::MAX);
         assert_eq!(table.positions_indexed(), 7);
-        let word = p.extract(t.as_slice(), 1).unwrap();
+        let word = p.extract(&t, 1).unwrap();
         assert_eq!(table.lookup(word), &[1, 5]);
     }
 
@@ -446,7 +447,7 @@ mod tests {
         ] {
             let table = SeedTable::build(&t, &p, usize::MAX);
             assert_eq!(table.positions_indexed() as usize, t.len() - p.span() + 1);
-            let word = p.extract(t.as_slice(), 2).unwrap();
+            let word = p.extract(&t, 2).unwrap();
             assert_eq!(table.lookup(word), &[2]);
             for wide in [1 << (2 * p.weight()), word | 1 << 62, u64::MAX] {
                 assert!(table.lookup(wide).is_empty(), "{p}: {wide:#x}");
@@ -537,7 +538,7 @@ mod tests {
             .parse()
             .unwrap();
         let p = SeedPattern::exact(6);
-        let word = |kmer: &str| p.extract(kmer.parse::<Sequence>().unwrap().as_slice(), 0).unwrap();
+        let word = |kmer: &str| p.extract(&kmer.parse().unwrap(), 0).unwrap();
         let table = SeedTable::build(&t, &p, usize::MAX);
         assert_eq!((table.key_bits, table.distinct_words()), (4, 5));
         let Keys::U8(keys) = &table.keys else {
@@ -578,7 +579,7 @@ mod tests {
         let t: Sequence = "AGA".parse().unwrap();
         let q: Sequence = "ATA".parse().unwrap();
         let table = SeedTable::build(&t, &p, usize::MAX);
-        let qword = p.extract(q.as_slice(), 0).unwrap();
+        let qword = p.extract(&q, 0).unwrap();
         assert_eq!(table.lookup(qword), &[0]);
     }
 }

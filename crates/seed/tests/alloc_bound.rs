@@ -147,7 +147,7 @@ fn entry(positions: usize) -> usize {
     4 + if 24 - directory_bits(positions) <= 8 { 1 } else { 2 }
 }
 
-/// The pattern clone, the rolled window's runs, a `Vec` header or two.
+/// The pattern clone with its gather runs, a `Vec` header or two.
 const SLACK: usize = 4 * KIB;
 
 fn random_dna(len: usize, seed: u64) -> Sequence {

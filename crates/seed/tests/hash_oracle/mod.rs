@@ -8,12 +8,31 @@
 //! the same slice and D-SOFT must return the same [`DsoftResult`] field
 //! for field.
 
-use genome::Sequence;
+use genome::{Base, Sequence};
 use seed::dsoft::{DsoftParams, DsoftResult};
 use seed::hit::SeedHit;
 use seed::pattern::SeedPattern;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
+
+/// `SeedPattern::extract` as it read a sequence kept one byte a base —
+/// the word of the window at `pos`, `None` when it overruns `seq` or
+/// samples an `N` — moved here when the sequence went to two bit planes
+/// and the pattern to gathering its word from them.
+pub fn extract(pattern: &SeedPattern, seq: &[Base], pos: usize) -> Option<u64> {
+    if pos + pattern.span() > seq.len() {
+        return None;
+    }
+    let mut word = 0u64;
+    for &off in pattern.sampled_offsets() {
+        let b = seq[pos + off];
+        if b == Base::N {
+            return None;
+        }
+        word = (word << 2) | b.code2() as u64;
+    }
+    Some(word)
+}
 
 /// An index of every seed word in the target genome.
 ///
@@ -36,11 +55,11 @@ impl SeedTable {
     /// cap are removed entirely.
     pub fn build(target: &Sequence, pattern: &SeedPattern, max_occurrences: usize) -> SeedTable {
         let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let slice = target.as_slice();
+        let slice = &target.to_bases();
         let mut positions_indexed = 0u64;
         let end = target.len().saturating_sub(pattern.span().saturating_sub(1));
         for pos in 0..end {
-            if let Some(word) = pattern.extract(slice, pos) {
+            if let Some(word) = extract(pattern, slice, pos) {
                 index.entry(word).or_default().push(pos as u32);
                 positions_indexed += 1;
             }
@@ -77,14 +96,14 @@ impl SeedTable {
         range: Range<usize>,
     ) -> PartialSeedTable {
         let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let slice = target.as_slice();
+        let slice = &target.to_bases();
         let mut positions_indexed = 0u64;
         let end = target
             .len()
             .saturating_sub(pattern.span().saturating_sub(1))
             .min(range.end);
         for pos in range.start..end {
-            if let Some(word) = pattern.extract(slice, pos) {
+            if let Some(word) = extract(pattern, slice, pos) {
                 index.entry(word).or_default().push(pos as u32);
                 positions_indexed += 1;
             }
@@ -204,7 +223,7 @@ pub fn dsoft_seeds_range(
 ) -> DsoftResult {
     params.validate();
     let pattern: &SeedPattern = table.pattern();
-    let qslice = query.as_slice();
+    let qslice = &query.to_bases();
     let mut result = DsoftResult::default();
     // band key: (chunk index, target bin) → count and first hit.
     // BTreeMap, not HashMap: `into_values` below iterates, and the
@@ -220,11 +239,10 @@ pub fn dsoft_seeds_range(
     // same positions the whole-query walk samples inside this range.
     let mut qpos = qrange.start.div_ceil(params.query_stride) * params.query_stride;
     while qpos < end {
-        let words = if params.transitions {
-            pattern.extract_with_transitions(qslice, qpos)
-        } else {
-            pattern.extract(qslice, qpos).into_iter().collect()
-        };
+        let mut words: Vec<u64> = extract(pattern, qslice, qpos).into_iter().collect();
+        if let (true, Some(&exact)) = (params.transitions, words.first()) {
+            words.extend(pattern.transition_variants(exact));
+        }
         result.seeds_queried += words.len() as u64;
         let chunk = (qpos / params.chunk_size) as u32;
         for word in words {

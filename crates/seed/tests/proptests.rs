@@ -17,7 +17,7 @@ proptest! {
         let pattern = SeedPattern::exact(8);
         let table = SeedTable::build(&target, &pattern, usize::MAX);
         for pos in 0..target.len().saturating_sub(7) {
-            if let Some(word) = pattern.extract(target.as_slice(), pos) {
+            if let Some(word) = pattern.extract(&target, pos) {
                 prop_assert!(table.lookup(word).contains(&(pos as u32)));
             }
         }
@@ -36,8 +36,8 @@ proptest! {
         };
         let result = dsoft_seeds(&table, &query, &params);
         for hit in &result.hits {
-            let tw = pattern.extract(target.as_slice(), hit.target_pos as usize);
-            let qw = pattern.extract(query.as_slice(), hit.query_pos as usize);
+            let tw = pattern.extract(&target, hit.target_pos as usize);
+            let qw = pattern.extract(&query, hit.query_pos as usize);
             prop_assert!(tw.is_some() && qw.is_some());
             prop_assert_eq!(tw, qw, "hit {:?} is not a word match", hit);
         }
@@ -59,7 +59,8 @@ proptest! {
             let mut transitions = 0;
             let mut transversions = 0;
             for k in 0..10 {
-                let (a, b) = (target.as_slice()[hit.target_pos as usize + k], query.as_slice()[hit.query_pos as usize + k]);
+                let a = target.get(hit.target_pos as usize + k).unwrap();
+                let b = query.get(hit.query_pos as usize + k).unwrap();
                 if a.is_transition(b) {
                     transitions += 1;
                 } else if a != b {
@@ -112,13 +113,13 @@ proptest! {
         let mut rng_seq: Vec<Base> = (0..pattern.span() + pos + 4)
             .map(|i| Base::from_code((i % 4) as u8))
             .collect();
-        let w1 = pattern.extract(&rng_seq, pos);
+        let w1 = pattern.extract(&rng_seq.clone().into(), pos);
         for off in 0..pattern.span() {
             if !pattern.sampled_offsets().contains(&off) {
                 rng_seq[pos + off] = rng_seq[pos + off].complement();
             }
         }
-        let w2 = pattern.extract(&rng_seq, pos);
+        let w2 = pattern.extract(&rng_seq.into(), pos);
         prop_assert_eq!(w1, w2);
     }
 }

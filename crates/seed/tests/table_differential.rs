@@ -13,13 +13,17 @@
 //! directory is sized to the target, at every target size where its width
 //! changes, and at every width of the key beside it.
 //!
-//! The table reads its words off a rolled window (`SeedPattern::words`)
-//! where the oracle calls `SeedPattern::extract` position by position, so
-//! every target here also comes *spoiled*: an `N` for its first and last
-//! base, a lone `N` that every offset of the pattern slides over, and a
-//! run of `N` longer than the span; the patterns reach past the 32 bases
-//! the window holds, where the table falls back on `extract` itself; and
-//! the targets go down to the span, one base short of it, and nothing.
+//! The table gathers its words from the sequence's packed planes
+//! (`SeedPattern::extract`, 32 bases of 2-bit codes and their `N` bits a
+//! read) where the oracle reads a byte a base (`hash_oracle::extract`,
+//! the extract of before the planes), so every target here also comes
+//! *spoiled*: an `N` for its first and last base, a lone `N` that every
+//! offset of the pattern slides over, and a run of `N` longer than the
+//! span; the patterns reach past the 32 bases a packed read holds, where
+//! `extract` goes base by base; and the targets go down to the span, one
+//! base short of it, and nothing. The two extracts are also compared
+//! directly, at every position of targets cut and spoiled at the planes'
+//! 32- and 64-base seams.
 
 // Moved here whole, the oracle still has the sharded build the table
 // under test no longer has; nothing cuts it any more.
@@ -64,7 +68,8 @@ fn spaced(weight: usize, gap: usize) -> SeedPattern {
 
 /// Narrow words (the directory covers every bit), the default spaced
 /// seed (24 bits behind a 16-bit directory), a 40-bit word, and windows
-/// of 32 bases (the last that rolls), 33 and 40 (read by `extract`).
+/// of 32 bases (the last a packed read holds), 33 and 40 (read base by
+/// base).
 fn pattern() -> impl Strategy<Value = SeedPattern> {
     prop_oneof![
         4 => (4usize..=16).prop_map(SeedPattern::exact),
@@ -75,12 +80,12 @@ fn pattern() -> impl Strategy<Value = SeedPattern> {
     ]
 }
 
-/// `target` with what the rolled window must not trip on: an `N` for the
+/// `target` with what the packed read must not trip on: an `N` for the
 /// first base and the last, a lone `N` a quarter of the way in (every
 /// offset of the pattern, sampled or not, slides over it) and, half way,
 /// a run of `N` three longer than `span`.
 fn spoiled(target: &Sequence, span: usize) -> Sequence {
-    let mut bases = target.as_slice().to_vec();
+    let mut bases = target.to_bases();
     if let [first, .., last] = &mut bases[..] {
         (*first, *last) = (Base::N, Base::N);
     }
@@ -100,7 +105,7 @@ fn cap() -> impl Strategy<Value = usize> {
 /// substitutions (half of them transitions) every dozen bases or so.
 fn related_query(target: &Sequence, seed: u64) -> Sequence {
     let mut rng = StdRng::seed_from_u64(seed);
-    let bases = target.as_slice();
+    let bases = &target.to_bases();
     let origin = rng.gen_range(0..bases.len().max(1));
     bases[origin..]
         .iter()
@@ -117,9 +122,9 @@ fn related_query(target: &Sequence, seed: u64) -> Sequence {
 /// (mostly absent from its table), and words outside the pattern's
 /// `2 * weight` bits altogether.
 fn probe_words(sequence: &Sequence, pattern: &SeedPattern) -> Vec<u64> {
-    let slice = sequence.as_slice();
+    let slice = &sequence.to_bases();
     let mut words: Vec<u64> = (0..slice.len())
-        .filter_map(|pos| pattern.extract(slice, pos))
+        .filter_map(|pos| hash_oracle::extract(pattern, slice, pos))
         .collect();
     let neighbours: Vec<u64> = words
         .iter()
@@ -241,6 +246,85 @@ fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, patte
     table
 }
 
+/// Targets that stress a packed read: at every length ≡ 0, 1, 31, 32,
+/// 33, 63, 64, 65 (mod 64), random bases clean, with an `N` first and
+/// last, with one on each side of every 32-base seam, and with runs of
+/// 1, 19, 40 and 700 of them starting short of a seam; then an `N` every
+/// 37th base (coprime to every span here, so it meets each offset of
+/// each pattern, sampled or not) and every length from empty through a
+/// few past the widest span.
+fn seam_targets() -> Vec<Vec<Base>> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut random = |len: usize| -> Vec<Base> {
+        (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect()
+    };
+    let spoil = |mut bases: Vec<Base>, at: &mut dyn Iterator<Item = usize>| {
+        for at in at {
+            if let Some(base) = bases.get_mut(at) {
+                *base = Base::N;
+            }
+        }
+        bases
+    };
+    let mut targets: Vec<Vec<Base>> = (0..=44).map(&mut random).collect();
+    targets.push(spoil(random(400), &mut (0..400).step_by(37).chain([399])));
+    for words in [0usize, 2, 14] {
+        for rest in [0usize, 1, 31, 32, 33, 63, 64, 65] {
+            let len = 64 * words + rest;
+            targets.push(random(len));
+            targets.push(spoil(random(len), &mut [0, len.saturating_sub(1)].into_iter()));
+            targets.push(spoil(random(len), &mut (1..=len / 32 + 1).flat_map(|seam| [32 * seam - 1, 32 * seam])));
+            for run in [1usize, 19, 40, 700] {
+                targets.push(spoil(random(len), &mut (59..59 + run)));
+            }
+        }
+    }
+    targets
+}
+
+/// `extract` and `words` read the packed planes; the oracle's `extract`
+/// reads bytes. At every position and a few past the end, over the
+/// default seed, windows of 31 and 32 bases (the widest a packed read
+/// holds) and of 33 and 40 (read base by base), they return the same.
+#[test]
+fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
+    let wide = "1101000110000010011100101000011000100111";
+    let patterns = [
+        SeedPattern::lastz_default(),
+        SeedPattern::exact(4),
+        SeedPattern::exact(31),
+        format!("1{}1", "0".repeat(30)).parse().unwrap(),
+        format!("1{}1", "0".repeat(31)).parse().unwrap(),
+        wide.parse().unwrap(),
+    ];
+    assert_eq!(patterns.iter().map(SeedPattern::span).collect::<Vec<_>>(), [19, 4, 31, 32, 33, 40]);
+    let targets = seam_targets();
+    for pattern in &patterns {
+        let mut with_n = 0;
+        for bases in &targets {
+            let packed = Sequence::from_bases(bases.clone());
+            let mut expected = Vec::new();
+            for pos in 0..bases.len() + 3 {
+                let word = hash_oracle::extract(pattern, bases, pos);
+                assert_eq!(pattern.extract(&packed, pos), word, "{pattern} at {pos} of {}", bases.len());
+                expected.extend(word.map(|word| (pos, word)));
+            }
+            with_n += usize::from(expected.len() + pattern.span() <= bases.len());
+            // Word by word, and whole, as the table build takes them —
+            // the rolled loop, from the start and from a window inside.
+            let mut words = pattern.words(&packed);
+            let stepped: Vec<(usize, u64)> = words.by_ref().take(3).collect();
+            let mut rest = Vec::new();
+            words.for_each(|word| rest.push(word));
+            assert_eq!([stepped, rest].concat(), expected, "{pattern} over {} bases", bases.len());
+            let mut whole = Vec::new();
+            pattern.words(&packed).for_each(|word| whole.push(word));
+            assert_eq!(whole, expected, "{pattern} over {} bases, rolled", bases.len());
+        }
+        assert!(with_n >= 100, "{pattern}: an `N` cost only {with_n} targets a window");
+    }
+}
+
 /// The directory has ⌈log2 windows⌉ bits between 8 and 16 (and never
 /// more than the word): a table one window either side of every power
 /// of two, and at both ends of the range, answers like the hash table —
@@ -304,7 +388,7 @@ fn bucket_edges_target(pattern: &SeedPattern, run: usize, positions: usize, seed
     bases.extend(unit.iter().chain(&random(2)).chain(&unit).chain(&random(1)).chain(&unit));
     bases.push(Base::G);
     bases.extend(vec![Base::T; span + run - 1]);
-    let windows = |bases: &[Base]| pattern.words(bases).count();
+    let windows = |bases: &[Base]| (0..bases.len()).filter_map(|pos| hash_oracle::extract(pattern, bases, pos)).count();
     assert!(windows(&bases) <= positions, "{} windows before padding", windows(&bases));
     // Padding goes in front, so poly-T still ends the target.
     let mut padded = random(positions - windows(&bases));
@@ -324,8 +408,8 @@ fn bucket_edges_target(pattern: &SeedPattern, run: usize, positions: usize, seed
 /// like the hash table, and D-SOFT over it — each width is its own walk —
 /// returns what the whole-query map did. Each width runs over the
 /// contiguous pattern and over the same weight spread across a window
-/// twelve bases wider (32 bases at weight 20, the last that rolls; 33 and
-/// 43 at weights 21 and 31, read by `extract`), on the target as built
+/// twelve bases wider (32 bases at weight 20, the last a packed read
+/// holds; 33 and 43 at weights 21 and 31, read base by base), on the target as built
 /// and spoiled.
 #[test]
 fn every_key_width_answers_like_the_hash_table() {
@@ -386,8 +470,8 @@ fn every_key_width_answers_like_the_hash_table() {
 /// Targets about as long as the window: empty, one base, one short of
 /// the span (no window), the span (one), one more (two), twice the span
 /// — clean, and with an `N` first, last, and both — under every pattern
-/// shape: contiguous and spaced, the narrowest span and the widest that
-/// rolls, and two that do not.
+/// shape: contiguous and spaced, the narrowest span and the widest a
+/// packed read holds, and two it does not.
 #[test]
 fn targets_about_the_span_answer_like_the_hash_table() {
     let patterns = [

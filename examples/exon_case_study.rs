@@ -75,7 +75,7 @@ fn main() {
     let g = GapPenalties::darwin_wga();
     let (seed_t, seed_q) = (exon_t_start + 5, exon_q_start + 5);
 
-    let ug = ungapped::ungapped_extend(target.as_slice(), query.as_slice(), seed_t, seed_q, 12, &w, 910);
+    let ug = ungapped::ungapped_extend(&target, &query, seed_t, seed_q, 12, &w, 910);
     println!("Ungapped X-drop filter (LASTZ stage):");
     println!(
         "  best segment {}..{} on the seed diagonal, score {} (threshold 3000) → {}",
@@ -87,8 +87,8 @@ fn main() {
 
     let (tr, qr) = banded::tile_around(seed_t, seed_q, 320, target.len(), query.len());
     let bsw = banded::banded_smith_waterman(
-        &target.as_slice()[tr],
-        &query.as_slice()[qr],
+        &target.to_bases()[tr],
+        &query.to_bases()[qr],
         &w,
         &g,
         32,

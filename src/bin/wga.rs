@@ -254,13 +254,11 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             &EvolutionParams::at_distance(distance),
             &mut rng,
         );
-        let make = |name: String, seq: &Sequence| fasta::Record {
-            description: format!("{name} synthetic len={} distance={distance}", seq.len()),
+        let make = |name: String, sequence: Sequence| fasta::Record {
+            description: format!("{name} synthetic len={} distance={distance}", sequence.len()),
             name,
-            sequence: seq.clone(),
+            sequence,
         };
-        target_records.push(make(format!("chr{}", c + 1), &pair.target.sequence));
-        query_records.push(make(format!("chr{}", c + 1), &pair.query.sequence));
         for iv in &pair.target.conserved {
             exons.push_str(&format!(
                 "chr{}\t{}\t{}\t{}\n",
@@ -273,6 +271,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         }
         t_total += pair.target.sequence.len();
         q_total += pair.query.sequence.len();
+        target_records.push(make(format!("chr{}", c + 1), pair.target.sequence));
+        query_records.push(make(format!("chr{}", c + 1), pair.query.sequence));
     }
 
     let write_fa = |path: &str, records: &[fasta::Record]| -> Result<(), String> {

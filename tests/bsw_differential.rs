@@ -138,11 +138,11 @@ fn thousand_seeded_random_tiles_are_identical() {
             &EvolutionParams::at_distance(milli as f64 / 1000.0),
             &mut rng,
         );
-        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+        let (t, q) = (pair.target.sequence.to_bases(), pair.query.sequence.to_bases());
         for k in 0..80 {
             let pos = 100 + k * 160;
             let (tr, qr) = tile_around(pos, pos, 320, t.len(), q.len());
-            check_tile(&t.as_slice()[tr], &q.as_slice()[qr], 32, &mut scratch);
+            check_tile(&t[tr], &q[qr], 32, &mut scratch);
             tiles += 1;
         }
     }
@@ -285,7 +285,7 @@ fn surviving_tile_sets_are_identical() {
     let (w, g) = scoring();
     let mut rng = StdRng::seed_from_u64(4242);
     let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(0.35), &mut rng);
-    let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+    let (t, q) = (pair.target.sequence.to_bases(), pair.query.sequence.to_bases());
     let batch = BswBatch::new(&w, &g, 32);
     let simd_batch = BswSimdBatch::new(&w, &g, 32);
     let mut scratch = WavefrontScratch::new();
@@ -298,8 +298,8 @@ fn surviving_tile_sets_are_identical() {
         let tpos = 160 + k * 160;
         let qpos = tpos.saturating_sub(jitter.gen_range(0usize..48));
         let (tr, qr) = tile_around(tpos, qpos, 320, t.len(), q.len());
-        let scalar = banded_smith_waterman(&t.as_slice()[tr.clone()], &q.as_slice()[qr.clone()], &w, &g, 32);
-        let (tcodes, qcodes) = (&t.codes()[tr], &q.codes()[qr]);
+        let scalar = banded_smith_waterman(&t[tr.clone()], &q[qr.clone()], &w, &g, 32);
+        let (tcodes, qcodes) = (Base::codes_of(&t[tr]), Base::codes_of(&q[qr]));
         let fast = batch.run_tile(tcodes, qcodes, &mut scratch);
         assert_eq!(scalar, fast, "tile {k}");
         let simd = simd_batch.run_tile(tcodes, qcodes, &mut simd_scratch);

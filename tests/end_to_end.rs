@@ -22,7 +22,7 @@ fn full_pipeline_recovers_most_orthologs_on_moderate_pair() {
     let truth: Vec<(usize, usize)> = pair.orthologous_pairs();
     let true_identical = truth
         .iter()
-        .filter(|&&(t, q)| pair.target.sequence[t] == pair.query.sequence[q])
+        .filter(|&&(t, q)| pair.target.sequence.get(t) == pair.query.sequence.get(q))
         .count() as f64;
     // Note the numerator is not strictly bounded by the denominator:
     // around indels the aligner legitimately places gaps differently from

@@ -11,6 +11,14 @@
 //! chaining, the parallel driver or the dataflow executor shows up as a
 //! diff against a file in version control.
 //!
+//! A second pair, `golden_n.*`, is the first stamped with what real
+//! assemblies carry and the synthetic one does not: runs of `N` (1, 19,
+//! 40 and 700 long, across the 32- and 64-base seams of the packed
+//! sequence planes, one of them inside the pair's longest alignment),
+//! soft-masked lower case and IUPAC ambiguity letters. Its report was
+//! recorded while a sequence was still one byte a base, so it pins that
+//! the packed storage reads every such base as the byte storage did.
+//!
 //! To regenerate after an *intentional* output change:
 //!
 //! ```text
@@ -24,6 +32,7 @@ use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
+use darwin_wga::genome::Base;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -153,6 +162,151 @@ fn golden_report_is_stable_across_engines_and_threads() {
                 .expect("every executor reports stage metrics");
             assert_eq!(metrics.executor, executor, "metrics tag their executor");
             assert_eq!(metrics.threads, threads);
+        }
+    }
+}
+
+/// One edit of the N golden: `text` over the record's bases from `at`.
+struct Stamp {
+    record: &'static str,
+    at: usize,
+    text: String,
+}
+
+/// What `golden_n.*` lays over the checked-in pair. The positions are
+/// chosen against the 32 bases of a code word and the 64 of an `N`-mask
+/// word: a run ends on a seam, starts on one, or spans several, and the
+/// 19-run sits inside `chrI`×`chr1`'s longest alignment (1925 + 3 975).
+fn n_stamps(target: bool) -> Vec<Stamp> {
+    let n = |count: usize| "N".repeat(count);
+    let stamp = |record, at, text: String| Stamp { record, at, text };
+    if target {
+        vec![
+            stamp("chrI", 0, n(1)),
+            stamp("chrI", 63, n(1)),
+            stamp("chrI", 500, "acgtacgtttgacca".repeat(20).to_string()),
+            stamp("chrI", 1200, "RYKMSWBDHVrykmswbdhv".to_string()),
+            stamp("chrI", 2999, n(19)),
+            stamp("chrI", 4076, n(40)),
+            stamp("chrI", 6790, n(700)),
+            stamp("chrI", 9482, n(1)),
+            stamp("chrII", 32, n(1)),
+            stamp("chrII", 5520, n(40)),
+            stamp("chrII", 9984, n(19)),
+        ]
+    } else {
+        vec![
+            stamp("chr1", 31, n(1)),
+            stamp("chr1", 64, n(1)),
+            stamp("chr1", 4480, n(19)),
+            stamp("chr1", 8000, "nnnnnnnnnnNNNNNNNNNNxxxxxxxxxxXXXXXXXXXX".to_string()),
+            stamp("chr1", 11624, n(1)),
+            stamp("chr2", 0, n(40)),
+            stamp("chr2", 1300, "ggatccaaagtc".repeat(30).to_string()),
+            stamp("chr2", 2400, n(700)),
+            stamp("chr2", 6700, "WSN".to_string()),
+        ]
+    }
+}
+
+/// The FASTA text `source` with `stamps` laid over its records, rewrapped
+/// at 70 columns. By hand, not through `fasta::write`: the lower case and
+/// the IUPAC letters have to reach the file as they are.
+fn stamp_fasta(source: &str, stamps: &[Stamp]) -> String {
+    let mut records: Vec<(String, Vec<u8>)> = Vec::new();
+    for line in source.lines() {
+        match line.strip_prefix('>') {
+            Some(header) => records.push((header.to_string(), Vec::new())),
+            None => records.last_mut().expect("header first").1.extend(line.bytes()),
+        }
+    }
+    for stamp in stamps {
+        let (_, bases) = records
+            .iter_mut()
+            .find(|(header, _)| header.split_whitespace().next() == Some(stamp.record))
+            .expect("stamped record exists");
+        bases[stamp.at..stamp.at + stamp.text.len()].copy_from_slice(stamp.text.as_bytes());
+    }
+    let mut out = String::new();
+    for (header, bases) in records {
+        out.push_str(&format!(">{header}\n"));
+        for line in bases.chunks(70) {
+            out.push_str(std::str::from_utf8(line).expect("ASCII"));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn n_golden_is_stable_across_engines_and_schedules() {
+    let dir = data_dir();
+
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        for (file, target) in [("target", true), ("query", false)] {
+            let source = fs::read_to_string(dir.join(format!("golden.{file}.fa")))
+                .expect("golden FASTA present — regenerate it first");
+            let stamped = stamp_fasta(&source, &n_stamps(target));
+            fs::write(dir.join(format!("golden_n.{file}.fa")), stamped).unwrap();
+        }
+        let target = load_assembly("golden-target", "golden_n.target.fa");
+        let query = load_assembly("golden-query", "golden_n.query.fa");
+        let report = align_assemblies_with(
+            &WgaParams::darwin_wga(),
+            &target,
+            &query,
+            &AlignOptions::default(),
+        )
+        .expect("golden run succeeds");
+        fs::write(dir.join("golden_n.report.txt"), report.canonical_text()).unwrap();
+        println!("regenerated N golden files in {}", dir.display());
+        return;
+    }
+
+    let target = load_assembly("golden-target", "golden_n.target.fa");
+    let query = load_assembly("golden-query", "golden_n.query.fa");
+    let expected = fs::read_to_string(dir.join("golden_n.report.txt"))
+        .expect("golden_n.report.txt present — regenerate with GOLDEN_REGEN=1");
+    assert!(
+        expected.contains("aln\t") && expected.ends_with('\n'),
+        "N golden report looks truncated"
+    );
+    let ambiguous = |assembly: &Assembly| -> usize {
+        assembly
+            .chromosomes()
+            .iter()
+            .map(|c| c.sequence.iter().filter(|&b| b == Base::N).count())
+            .sum()
+    };
+    assert_eq!((ambiguous(&target), ambiguous(&query)), (842, 805), "the stamps reached the files");
+
+    for engine in [
+        FilterEngineKind::Scalar,
+        FilterEngineKind::Batched,
+        FilterEngineKind::Simd,
+    ] {
+        for (executor, threads) in [
+            (ExecutorKind::Barrier, 1usize),
+            (ExecutorKind::Barrier, 2),
+            (ExecutorKind::Dataflow, 2),
+        ] {
+            let params = WgaParams::darwin_wga().with_filter_engine(engine);
+            let options = AlignOptions {
+                threads,
+                executor,
+                ..AlignOptions::default()
+            };
+            let report = align_assemblies_with(&params, &target, &query, &options)
+                .expect("pipeline run succeeds");
+            assert_eq!(report.failed_pairs(), 0, "{engine:?}/{executor:?}/{threads}t: failed pairs");
+            let got = report.canonical_text();
+            assert!(
+                got == expected,
+                "{engine:?} engine on {executor:?} at {threads} thread(s) diverged from the \
+                 N golden report (got {} bytes, expected {})",
+                got.len(),
+                expected.len()
+            );
         }
     }
 }

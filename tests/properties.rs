@@ -69,15 +69,15 @@ proptest! {
         // may differ under ties: row-major order is not transpose-
         // invariant.)
         let (w, g) = scoring();
-        let fwd = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
-        let rev = banded_smith_waterman(q.as_slice(), t.as_slice(), &w, &g, band);
+        let fwd = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
+        let rev = banded_smith_waterman(&q.to_bases(), &t.to_bases(), &w, &g, band);
         prop_assert_eq!(fwd.max_score, rev.max_score);
         prop_assert_eq!(fwd.cells, rev.cells);
         // The swapped argmax must attain the same maximum in the
         // transposed matrix; spot-check via the wavefront engine too.
         let mut scratch = WavefrontScratch::new();
         let wf_rev = banded_smith_waterman_wavefront(
-            q.as_slice(), t.as_slice(), &w, &g, band, &mut scratch);
+            &q.to_bases(), &t.to_bases(), &w, &g, band, &mut scratch);
         prop_assert_eq!(rev, wf_rev);
     }
 
@@ -86,13 +86,13 @@ proptest! {
         // Banding only removes paths, so the banded maximum is a lower
         // bound on the full Gotoh local optimum — for both engines.
         let (w, g) = scoring();
-        let full = smith_waterman(t.as_slice(), q.as_slice(), &w, &g);
-        let banded = banded_smith_waterman(t.as_slice(), q.as_slice(), &w, &g, band);
+        let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
+        let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
         prop_assert!(banded.max_score <= full.best_score,
             "banded {} > full {}", banded.max_score, full.best_score);
         let mut scratch = WavefrontScratch::new();
         let wf = banded_smith_waterman_wavefront(
-            t.as_slice(), q.as_slice(), &w, &g, band, &mut scratch);
+            &t.to_bases(), &q.to_bases(), &w, &g, band, &mut scratch);
         prop_assert!(wf.max_score <= full.best_score);
         prop_assert_eq!(wf, banded);
     }
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn sw_cigar_consumes_exactly_the_aligned_spans((t, q) in related_pair()) {
         let (w, g) = scoring();
-        if let Some(a) = smith_waterman(t.as_slice(), q.as_slice(), &w, &g).alignment {
+        if let Some(a) = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g).alignment {
             prop_assert_eq!(a.cigar.target_len(), a.target_span());
             prop_assert_eq!(a.cigar.query_len(), a.query_span());
             prop_assert!(a.validate(&t, &q).is_ok());
@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn nw_cigar_consumes_both_sequences_completely((t, q) in related_pair()) {
         let (w, g) = scoring();
-        let r = needleman_wunsch(t.as_slice(), q.as_slice(), &w, &g);
+        let r = needleman_wunsch(&t.to_bases(), &q.to_bases(), &w, &g);
         prop_assert_eq!(r.cigar.target_len(), t.len());
         prop_assert_eq!(r.cigar.query_len(), q.len());
     }
@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn xdrop_cigar_consumes_exactly_the_reported_spans((t, q) in related_pair()) {
         let (w, g) = scoring();
-        let r = xdrop_tile(t.as_slice(), q.as_slice(), &w, &g, 9430);
+        let r = xdrop_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430);
         prop_assert_eq!(r.cigar.target_len(), r.max_target);
         prop_assert_eq!(r.cigar.query_len(), r.max_query);
     }

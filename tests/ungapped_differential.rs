@@ -115,7 +115,8 @@ fn check_extension(
     xdrop: i32,
     naive: i64,
 ) -> i64 {
-    let out = ungapped_extend(target, query, seed_t, seed_q, seed_len, w, xdrop);
+    let (packed_t, packed_q) = (target.to_vec().into(), query.to_vec().into());
+    let out = ungapped_extend(&packed_t, &packed_q, seed_t, seed_q, seed_len, w, xdrop);
     assert!(
         out.target_start <= seed_t && out.target_end >= seed_t + seed_len,
         "segment [{}, {}) does not cover seed at {} (len {})",
@@ -212,8 +213,8 @@ fn unbounded_xdrop_equals_naive_on_evolved_exon_islands() {
     let pair = SyntheticPair::generate(12_000, &EvolutionParams::at_distance(0.5), &mut rng);
     let mut orth = pair.orthologous_pairs();
     orth.sort_unstable();
-    let t = pair.target.sequence.as_slice();
-    let q = pair.query.sequence.as_slice();
+    let t = &pair.target.sequence.to_bases();
+    let q = &pair.query.sequence.to_bases();
 
     // Window the comparison to ±600 around each anchor so the quadratic
     // oracle stays cheap; both sides see the identical windowed input.
@@ -256,8 +257,8 @@ fn gapped_filter_recovers_islands_the_ungapped_filter_drops() {
     let pair = SyntheticPair::generate(30_000, &EvolutionParams::at_distance(0.45), &mut rng);
     let mut orth = pair.orthologous_pairs();
     orth.sort_unstable();
-    let t = pair.target.sequence.as_slice();
-    let q = pair.query.sequence.as_slice();
+    let t = &pair.target.sequence.to_bases();
+    let q = &pair.query.sequence.to_bases();
 
     // Match conserved islands across the lineages by their ancestral
     // label ("exon_N"); islands deleted in either lineage drop out.
@@ -292,7 +293,7 @@ fn gapped_filter_recovers_islands_the_ungapped_filter_drops() {
         let best_ungapped = anchors
             .iter()
             .step_by(step)
-            .map(|&(tp, qp)| ungapped_extend(t, q, tp, qp, 1, &w, 910).score)
+            .map(|&(tp, qp)| ungapped_extend(&pair.target.sequence, &pair.query.sequence, tp, qp, 1, &w, 910).score)
             .max()
             .unwrap();
 
