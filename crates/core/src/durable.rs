@@ -1,13 +1,15 @@
 //! Crash-safe artifact writes: tmp file → fsync → rename → dir fsync.
 //!
 //! The report, `--metrics-out` and `--trace-out` artifacts are written
-//! through [`write_atomic`], so a crash (or an injected
+//! through [`write_atomic`] and the MAF, block by block, through
+//! [`write_atomic_with`], so a crash (or an injected
 //! [`crate::faultsim::FaultKind::ShortWrite`]) at any point leaves
 //! either the complete old file or the complete new file at the
 //! destination — never a half-written JSON/JSONL document. The recipe
 //! is the classic one:
 //!
-//! 1. write the full payload to `<path>.tmp` in the same directory,
+//! 1. write the full payload to `<path>.tmp` in the same directory
+//!    (all at once, or as the caller renders it),
 //! 2. `fsync` the tmp file (data durable before the name flips),
 //! 3. `rename` over the destination (atomic on POSIX),
 //! 4. `fsync` the parent directory (the rename itself durable).
@@ -19,7 +21,7 @@
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultKind, Hook, PAIRLESS};
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// The sibling tmp path an atomic write of `path` stages through.
@@ -45,13 +47,56 @@ pub fn pre_open_check(path: &Path) -> WgaResult<()> {
     Ok(())
 }
 
-/// Atomically replaces `path` with `bytes` (tmp + fsync + rename +
-/// parent-dir fsync).
+/// Atomically replaces `path` with what `render` writes (tmp + fsync +
+/// rename + parent-dir fsync). The writer is buffered and over the tmp
+/// file itself, so an artifact of any size is staged as it is rendered
+/// and never held in memory.
 ///
 /// # Errors
 ///
-/// [`WgaError::Io`] on any step; the destination is untouched unless
-/// the rename itself succeeded.
+/// [`WgaError::Io`] on any step, `render`'s own errors included; the
+/// destination is untouched unless the rename itself succeeded.
+pub fn write_atomic_with(
+    path: &Path,
+    render: impl FnOnce(&mut BufWriter<&File>) -> std::io::Result<()>,
+) -> WgaResult<()> {
+    stage(path, |file| {
+        let mut writer = BufWriter::new(file);
+        render(&mut writer)?;
+        // A dropped `BufWriter` swallows its last write's error.
+        writer.flush()
+    })?;
+    commit(path)
+}
+
+/// Steps 1 and 2: writes `path`'s tmp sibling and makes it durable.
+fn stage(path: &Path, write: impl FnOnce(&File) -> std::io::Result<()>) -> WgaResult<()> {
+    let tmp = tmp_path(path);
+    let file =
+        File::create(&tmp).map_err(|e| WgaError::io(format!("create {}", tmp.display()), e))?;
+    write(&file).map_err(|e| WgaError::io(format!("write {}", tmp.display()), e))?;
+    file.sync_all()
+        .map_err(|e| WgaError::io(format!("fsync {}", tmp.display()), e))
+}
+
+/// Steps 3 and 4: flips the name and makes the flip durable.
+fn commit(path: &Path) -> WgaResult<()> {
+    let tmp = tmp_path(path);
+    fs::rename(&tmp, path).map_err(|e| {
+        WgaError::io(
+            format!("rename {} -> {}", tmp.display(), path.display()),
+            e,
+        )
+    })?;
+    sync_parent_dir(path)
+}
+
+/// [`write_atomic_with`] for a payload already in memory, written
+/// unbuffered.
+///
+/// # Errors
+///
+/// As [`write_atomic_with`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> WgaResult<()> {
     write_atomic_gated(path, bytes, None)
 }
@@ -70,47 +115,30 @@ pub fn write_atomic_gated(
     bytes: &[u8],
     gate: Option<(&FaultInjector, Hook)>,
 ) -> WgaResult<()> {
-    let io_err = |ctx: String, e: std::io::Error| WgaError::io(ctx, e);
-    let mut short = false;
     if let Some((injector, hook)) = gate {
         match injector.probe(hook, PAIRLESS) {
             None => {}
-            Some((FaultKind::ShortWrite, _)) => short = true,
+            Some((FaultKind::ShortWrite, _)) => {
+                // The simulated crash: data partially staged, rename never ran.
+                stage(path, |mut file| file.write_all(&bytes[..bytes.len() / 2]))?;
+                return Err(WgaError::io(
+                    format!("write {}", tmp_path(path).display()),
+                    std::io::Error::other("injected short write"),
+                ));
+            }
             Some((FaultKind::Latency, ms)) => {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
             Some((FaultKind::Error | FaultKind::Panic, _)) => {
-                return Err(io_err(
+                return Err(WgaError::io(
                     format!("write {}", path.display()),
                     std::io::Error::other("injected I/O error"),
                 ));
             }
         }
     }
-
-    let tmp = tmp_path(path);
-    let mut file =
-        File::create(&tmp).map_err(|e| io_err(format!("create {}", tmp.display()), e))?;
-    let payload = if short { &bytes[..bytes.len() / 2] } else { bytes };
-    file.write_all(payload)
-        .map_err(|e| io_err(format!("write {}", tmp.display()), e))?;
-    file.sync_all()
-        .map_err(|e| io_err(format!("fsync {}", tmp.display()), e))?;
-    drop(file);
-    if short {
-        // The simulated crash: data partially staged, rename never ran.
-        return Err(io_err(
-            format!("write {}", tmp.display()),
-            std::io::Error::other("injected short write"),
-        ));
-    }
-    fs::rename(&tmp, path).map_err(|e| {
-        io_err(
-            format!("rename {} -> {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
-    sync_parent_dir(path)
+    stage(path, |mut file| file.write_all(bytes))?;
+    commit(path)
 }
 
 /// Fsyncs `path`'s parent directory so the rename is durable. A no-op
@@ -151,6 +179,29 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":2}\n");
         assert!(!tmp_path(&path).exists(), "tmp renamed away");
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rendered_write_replaces_content_and_a_failed_render_does_not() {
+        let path = tmp_dir_file("rendered.maf");
+        write_atomic_with(&path, |w| {
+            for block in 0..3 {
+                writeln!(w, "a score={block}")?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a score=0\na score=1\na score=2\n");
+        // A render that fails midway: the error comes back, the
+        // destination keeps the last complete file.
+        let torn = write_atomic_with(&path, |w| {
+            writeln!(w, "a score=9")?;
+            Err(std::io::Error::other("render failed"))
+        });
+        assert!(torn.unwrap_err().to_string().contains("render failed"));
+        assert_eq!(fs::read(&path).unwrap(), b"a score=0\na score=1\na score=2\n");
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(tmp_path(&path));
     }
 
     #[test]

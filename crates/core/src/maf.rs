@@ -60,13 +60,13 @@ pub fn write_maf<W: Write>(
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_maf_blocks<W: Write>(
+pub fn write_maf_blocks<'a, W: Write>(
     mut writer: W,
     target_name: &str,
     target: &Sequence,
     query_name: &str,
     query: &Sequence,
-    alignments: &[WgaAlignment],
+    alignments: impl IntoIterator<Item = &'a WgaAlignment>,
 ) -> io::Result<()> {
     // One alignment's two spans at a time, unpacked a byte a base.
     let (mut t_bases, mut q_bases) = (Vec::new(), Vec::new());

@@ -65,25 +65,49 @@ impl Interval {
 
 /// Maps ancestral coordinates to descendant coordinates.
 ///
-/// `map[i] == Some(j)` means ancestral base `i` survives (possibly
-/// substituted) at descendant position `j`; `None` means it was deleted.
-/// Positions are strictly increasing over the surviving entries.
+/// One `u32` an ancestral base: the descendant position at which base `i`
+/// survives (possibly substituted), or [`DELETED`]. Positions are strictly
+/// increasing over the surviving entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinateMap {
-    map: Vec<Option<u32>>,
+    map: Vec<u32>,
     descendant_len: usize,
 }
 
+/// The entry of an ancestral base that was deleted. No position: a
+/// descendant is shorter than `u32::MAX` bases.
+pub(crate) const DELETED: u32 = u32::MAX;
+
 impl CoordinateMap {
-    /// Builds a map from raw entries.
+    /// The longest descendant a map addresses: positions below [`DELETED`].
+    pub const MAX_DESCENDANT_LEN: usize = DELETED as usize - 1;
+
+    /// Builds a map from raw entries, `None` for a deleted base.
     ///
     /// # Panics
     ///
     /// Panics if surviving positions are not strictly increasing or exceed
-    /// `descendant_len`.
+    /// `descendant_len`, or if `descendant_len` does not fit below the
+    /// `u32` sentinel.
     pub fn from_entries(map: Vec<Option<u32>>, descendant_len: usize) -> CoordinateMap {
+        let stored = |p: u32| {
+            assert!(p != DELETED, "coordinate {p} out of bounds");
+            p
+        };
+        let map = map.into_iter().map(|entry| entry.map_or(DELETED, stored)).collect();
+        CoordinateMap::from_positions(map, descendant_len)
+    }
+
+    /// [`CoordinateMap::from_entries`] over the stored form, [`DELETED`]
+    /// for a deleted base; checks the same.
+    pub(crate) fn from_positions(map: Vec<u32>, descendant_len: usize) -> CoordinateMap {
+        assert!(
+            descendant_len <= Self::MAX_DESCENDANT_LEN,
+            "{descendant_len} bases exceed the {} a coordinate map can address",
+            Self::MAX_DESCENDANT_LEN
+        );
         let mut prev: Option<u32> = None;
-        for &entry in map.iter().flatten() {
+        for &entry in map.iter().filter(|&&entry| entry != DELETED) {
             assert!(
                 prev.is_none_or(|p| entry > p),
                 "coordinate map not increasing"
@@ -112,12 +136,12 @@ impl CoordinateMap {
 
     /// Descendant position of ancestral base `pos`, if it survives.
     pub fn lookup(&self, pos: usize) -> Option<usize> {
-        self.map.get(pos).copied().flatten().map(|p| p as usize)
+        self.map.get(pos).filter(|&&p| p != DELETED).map(|&p| p as usize)
     }
 
     /// Number of ancestral bases that survive in the descendant.
     pub fn surviving(&self) -> usize {
-        self.map.iter().filter(|e| e.is_some()).count()
+        self.map.iter().filter(|&&p| p != DELETED).count()
     }
 
     /// Projects an ancestral interval to the descendant: the smallest

@@ -15,7 +15,7 @@
 //! distant pairs.
 
 use crate::alphabet::Base;
-use crate::annotation::{CoordinateMap, Interval};
+use crate::annotation::{CoordinateMap, Interval, DELETED};
 use crate::markov::MarkovModel;
 use crate::sequence::Sequence;
 use rand::Rng;
@@ -73,6 +73,21 @@ impl EvolutionParams {
             distance,
             ..EvolutionParams::default()
         }
+    }
+
+    /// Probability of a turnover insertion before a non-conserved base.
+    /// Turnover accumulates with evolutionary time, like substitutions: the
+    /// nominal per-kb rate applies at a lineage distance of 0.25.
+    fn turnover_probability(&self) -> f64 {
+        self.turnover_per_kb / 1000.0 * (self.distance / 2.0 / 0.25)
+    }
+
+    /// Descendant bases to expect of a `len`-base ancestor, from above:
+    /// every base counted as unconserved, indels as cancelling. Sizes a
+    /// lineage's buffer, and is what `wga generate` refuses lengths by.
+    pub fn expected_descendant_len(&self, len: usize) -> usize {
+        let gain = self.turnover_probability().min(1.0) * self.turnover_mean_len.max(50) as f64;
+        (len as f64 * (1.0 + gain)) as usize
     }
 }
 
@@ -150,12 +165,14 @@ impl SyntheticPair {
         params: &EvolutionParams,
         rng: &mut R,
     ) -> SyntheticPair {
-        let ancestor = MarkovModel::genome_like().generate(len, rng);
+        // A byte a base while the lineages read it, packed once after.
+        let mut ancestor = Vec::new();
+        MarkovModel::genome_like().generate_into(&mut ancestor, len, rng);
         let ancestral_conserved = place_conserved_elements(len, params, rng);
         let target = evolve_lineage(&ancestor, &ancestral_conserved, params, rng);
         let query = evolve_lineage(&ancestor, &ancestral_conserved, params, rng);
         SyntheticPair {
-            ancestor,
+            ancestor: Sequence::from_bases(ancestor),
             ancestral_conserved,
             target,
             query,
@@ -223,12 +240,16 @@ fn sample_power_law<R: Rng + ?Sized>(lo: usize, hi: usize, rng: &mut R) -> usize
 }
 
 /// Evolves one lineage for `params.distance / 2` substitutions per site.
+/// `conserved` is sorted and disjoint, as [`place_conserved_elements`]
+/// leaves it. Which draws are made and in what order is the contract
+/// (DESIGN.md "Synthetic genomes"): change memory, never a draw.
 fn evolve_lineage<R: Rng + ?Sized>(
-    ancestor: &Sequence,
+    ancestor: &[Base],
     conserved: &[Interval],
     params: &EvolutionParams,
     rng: &mut R,
 ) -> Lineage {
+    debug_assert!(conserved.windows(2).all(|w| w[0].end <= w[1].start));
     let lineage_distance = params.distance / 2.0;
     // Per-site probabilities. For the distances in the paper (≤ ~0.3 per
     // lineage) treating distance as probability is adequate; multiple hits
@@ -236,33 +257,26 @@ fn evolve_lineage<R: Rng + ?Sized>(
     // measure anyway.
     let p_sub = lineage_distance.min(0.75);
     let p_indel = (p_sub * params.indels_per_substitution).min(0.5);
-
-    // Conserved membership lookup.
-    let mut conserved_mask = vec![false; ancestor.len()];
-    for iv in conserved {
-        for pos in iv.range() {
-            if pos < conserved_mask.len() {
-                conserved_mask[pos] = true;
-            }
-        }
-    }
+    let p_turnover = params.turnover_probability();
 
     // Built a byte a base (a duplication splices into the middle) and
-    // packed once at the end.
-    let ancestor = &ancestor.to_bases()[..];
-    let mut sequence: Vec<Base> = Vec::with_capacity(ancestor.len() + ancestor.len() / 10);
-    let mut map: Vec<Option<u32>> = Vec::with_capacity(ancestor.len());
+    // packed once at the end; every insertion appends in place.
+    let mut sequence = Vec::with_capacity(params.expected_descendant_len(ancestor.len()));
+    let mut map: Vec<u32> = Vec::with_capacity(ancestor.len());
     let mut substitutions = 0u64;
     let mut indel_events = 0u64;
     let mut indel_bases = 0u64;
 
     let insert_model = MarkovModel::genome_like();
-    // Turnover accumulates with evolutionary time, like substitutions: the
-    // nominal per-kb rate applies at a lineage distance of 0.25.
-    let p_turnover = params.turnover_per_kb / 1000.0 * (lineage_distance / 0.25);
+    // The first conserved element that ends past `pos`.
+    let mut element = 0usize;
     let mut pos = 0usize;
     while pos < ancestor.len() {
-        let (sub_factor, indel_factor) = if conserved_mask[pos] {
+        while conserved.get(element).is_some_and(|iv| iv.end <= pos) {
+            element += 1;
+        }
+        let in_element = conserved.get(element).is_some_and(|iv| iv.start <= pos);
+        let (sub_factor, indel_factor) = if in_element {
             (params.conserved_rate_factor, params.conserved_indel_factor)
         } else {
             (1.0, 1.0)
@@ -271,8 +285,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
         // Conserved elements resist turnover like they resist substitutions.
         if rng.gen::<f64>() < p_turnover * sub_factor {
             let len = sample_geometric(params.turnover_mean_len as f64, rng).max(50);
-            let inserted = insert_model.generate(len, rng);
-            sequence.extend(inserted.to_bases());
+            insert_model.generate_into(&mut sequence, len, rng);
             indel_events += 1;
             indel_bases += len as u64;
         }
@@ -289,46 +302,38 @@ fn evolve_lineage<R: Rng + ?Sized>(
             if rng.gen::<bool>() {
                 // Deletion: skip `len` ancestral bases.
                 let end = (pos + len).min(ancestor.len());
-                for _ in pos..end {
-                    map.push(None);
-                }
+                map.resize(map.len() + (end - pos), DELETED);
                 pos = end;
-            } else {
-                // Insertion before current base.
-                let inserted = insert_model.generate(len, rng);
-                sequence.extend(inserted.to_bases());
-                // Current ancestral base copied afterwards (fall through by
-                // not consuming `pos` here; handle copy below).
-                copy_base(
-                    ancestor,
-                    pos,
-                    p_sub * sub_factor,
-                    params,
-                    rng,
-                    &mut sequence,
-                    &mut map,
-                    &mut substitutions,
-                );
-                pos += 1;
+                continue;
             }
-        } else {
-            copy_base(
-                ancestor,
-                pos,
-                p_sub * sub_factor,
-                params,
-                rng,
-                &mut sequence,
-                &mut map,
-                &mut substitutions,
-            );
-            pos += 1;
+            // Insertion before the current base, which is copied after it.
+            insert_model.generate_into(&mut sequence, len, rng);
         }
+        let mut base = ancestor[pos];
+        if base != Base::N && rng.gen::<f64>() < p_sub * sub_factor {
+            substitutions += 1;
+            base = if rng.gen::<f64>() < params.transition_fraction {
+                base.transition_partner()
+            } else {
+                // One of the two transversions, uniformly, in `Base::DNA`
+                // order: a purine's are C and T, a pyrimidine's A and G.
+                let options = if base.is_purine() {
+                    [Base::C, Base::T]
+                } else {
+                    [Base::A, Base::G]
+                };
+                options[rng.gen_range(0..options.len())]
+            };
+        }
+        map.push(sequence.len() as u32);
+        sequence.push(base);
+        pos += 1;
     }
 
     // Segmental duplications: copy a segment to a random position.
     let expected_dups = params.duplications_per_mbp * (sequence.len() as f64 / 1e6);
     let n_dups = poisson_like(expected_dups, rng);
+    let mut shifts = Shifts::default();
     for _ in 0..n_dups {
         if sequence.len() < 2 * params.duplication_mean_len {
             break;
@@ -337,17 +342,14 @@ fn evolve_lineage<R: Rng + ?Sized>(
             .clamp(100, sequence.len() / 2);
         let src = rng.gen_range(0..sequence.len() - dlen);
         let dst = rng.gen_range(0..sequence.len());
-        let segment = sequence[src..src + dlen].to_vec();
-        sequence.splice(dst..dst, segment);
-        // Shift the coordinate map across the insertion point.
-        for entry in map.iter_mut().flatten() {
-            if (*entry as usize) >= dst {
-                *entry += dlen as u32;
-            }
-        }
+        // Appended, then turned into place.
+        sequence.extend_from_within(src..src + dlen);
+        sequence[dst..].rotate_right(dlen);
+        shifts.insert_at(dst, dlen);
     }
+    shifts.apply(&mut map);
 
-    let coordinates = CoordinateMap::from_entries(map, sequence.len());
+    let coordinates = CoordinateMap::from_positions(map, sequence.len());
     let conserved_projected = conserved
         .iter()
         .filter_map(|iv| coordinates.project(iv))
@@ -363,34 +365,41 @@ fn evolve_lineage<R: Rng + ?Sized>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn copy_base<R: Rng + ?Sized>(
-    ancestor: &[Base],
-    pos: usize,
-    p_sub: f64,
-    params: &EvolutionParams,
-    rng: &mut R,
-    sequence: &mut Vec<Base>,
-    map: &mut Vec<Option<u32>>,
-    substitutions: &mut u64,
-) {
-    let mut base = ancestor[pos];
-    if base != Base::N && rng.gen::<f64>() < p_sub {
-        *substitutions += 1;
-        base = if rng.gen::<f64>() < params.transition_fraction {
-            base.transition_partner()
-        } else {
-            // One of the two transversions, uniformly.
-            let options: Vec<Base> = Base::DNA
-                .iter()
-                .copied()
-                .filter(|&b| base.is_transversion(b))
-                .collect();
-            options[rng.gen_range(0..options.len())]
-        };
+/// What a lineage's duplications do to its coordinate map, composed so the
+/// map is walked once, not once a duplication. An insertion moves the
+/// positions at or past it right and keeps their order, so each shifts a
+/// suffix of the positions as they were before any: `(first position
+/// shifted, by how much)`, sorted.
+#[derive(Default)]
+struct Shifts(Vec<(usize, usize)>);
+
+impl Shifts {
+    /// Records `dlen` bases inserted at `dst`, a position in the sequence
+    /// as the earlier insertions left it.
+    fn insert_at(&mut self, dst: usize, dlen: usize) {
+        // Between two recorded starts every position has moved by the same
+        // amount; the first such stretch reaching `dst` holds the start.
+        let (mut at, mut from, mut moved) = (0, 0, 0);
+        while at < self.0.len() && dst.saturating_sub(moved).max(from) >= self.0[at].0 {
+            from = self.0[at].0;
+            moved += self.0[at].1;
+            at += 1;
+        }
+        self.0.insert(at, (dst.saturating_sub(moved).max(from), dlen));
     }
-    map.push(Some(sequence.len() as u32));
-    sequence.push(base);
+
+    /// Moves every surviving entry of `map` (increasing) to where the
+    /// recorded insertions left it.
+    fn apply(&self, map: &mut [u32]) {
+        let (mut at, mut moved) = (0, 0);
+        for entry in map.iter_mut().filter(|entry| **entry != DELETED) {
+            while at < self.0.len() && self.0[at].0 <= *entry as usize {
+                moved += self.0[at].1 as u32;
+                at += 1;
+            }
+            *entry += moved;
+        }
+    }
 }
 
 /// Cheap Poisson-ish sampler (sum of Bernoulli over unit intervals).
@@ -602,6 +611,29 @@ mod tests {
         assert!(pairs[0].distance > pairs[1].distance);
         assert!(pairs[1].distance > pairs[2].distance);
         assert!(pairs[2].distance > pairs[3].distance);
+    }
+
+    #[test]
+    fn composed_shifts_equal_one_map_walk_per_duplication() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for round in 0..200 {
+            let mut walked: Vec<u32> = (0..60u32)
+                .map(|i| if rng.gen_range(0..4) == 0 { DELETED } else { 3 * i + round % 3 })
+                .collect();
+            let mut composed = walked.clone();
+            let mut shifts = Shifts::default();
+            let mut len = 200usize;
+            for _ in 0..rng.gen_range(0..12) {
+                let (dst, dlen) = (rng.gen_range(0..len), rng.gen_range(1..40usize));
+                for entry in walked.iter_mut().filter(|e| **e != DELETED && **e as usize >= dst) {
+                    *entry += dlen as u32;
+                }
+                shifts.insert_at(dst, dlen);
+                len += dlen;
+            }
+            shifts.apply(&mut composed);
+            assert_eq!(composed, walked, "round {round}: {:?}", shifts.0);
+        }
     }
 
     #[test]

@@ -99,17 +99,21 @@ impl MarkovModel {
 
     /// Generates a sequence of `len` bases.
     pub fn generate<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Sequence {
-        if len == 0 {
-            return Sequence::new();
-        }
         let mut bases = Vec::with_capacity(len);
-        let mut state = sample(&self.initial, rng);
-        bases.push(Base::from_code(state as u8));
-        for _ in 1..len {
-            state = sample(&self.transition[state], rng);
-            bases.push(Base::from_code(state as u8));
-        }
+        self.generate_into(&mut bases, len, rng);
         Sequence::from_bases(bases)
+    }
+
+    /// Appends `len` bases of a fresh chain to `out`: one draw a base, the
+    /// first from the initial distribution (none when `len` is 0).
+    pub fn generate_into<R: Rng + ?Sized>(&self, out: &mut Vec<Base>, len: usize, rng: &mut R) {
+        out.reserve(len);
+        let mut dist = &self.initial;
+        for _ in 0..len {
+            let state = sample(dist, rng);
+            out.push(Base::from_code(state as u8));
+            dist = &self.transition[state];
+        }
     }
 }
 
@@ -128,16 +132,16 @@ fn validate_distribution(dist: &[f64; 4]) {
     assert!(dist.iter().all(|&p| p >= 0.0), "negative probability");
 }
 
+/// The first index whose running sum exceeds the draw (3 if none does),
+/// counted instead of searched: the sums never decrease, so the draw is at
+/// or above exactly the ones before that index.
+#[inline]
 fn sample<R: Rng + ?Sized>(dist: &[f64; 4], rng: &mut R) -> usize {
     let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &p) in dist.iter().enumerate() {
-        acc += p;
-        if x < acc {
-            return i;
-        }
-    }
-    3
+    let c0 = 0.0 + dist[0];
+    let c1 = c0 + dist[1];
+    let c2 = c1 + dist[2];
+    usize::from(x >= c0) + usize::from(x >= c1) + usize::from(x >= c2)
 }
 
 #[cfg(test)]

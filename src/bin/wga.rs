@@ -4,7 +4,10 @@
 //! wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms N]
 //!     Write a synthetic species pair to <prefix>.target.fa /
 //!     <prefix>.query.fa plus <prefix>.exons.tsv with the ground-truth
-//!     conserved elements.
+//!     conserved elements. --len is the ancestor's bases over all
+//!     chromosomes, split evenly and the remainder dropped (so at least
+//!     --chroms); a chromosome whose descendants would pass what a
+//!     `u32` position addresses is refused.
 //!
 //! wga align <target.fa> <query.fa> [--baseline] [--threads N] [--maf out.maf]
 //!           [--executor barrier|dataflow] [--queue-depth N]
@@ -121,6 +124,7 @@ use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::core::supervise::{self, RetryPolicy};
 use darwin_wga::core::{config::WgaParams, maf};
+use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::{fasta, Sequence};
@@ -159,6 +163,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage:
   wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms N]
+            (--len is split evenly over --chroms, the remainder dropped)
   wga align <target.fa> <query.fa> [--baseline] [--threads N] [--maf out.maf]
             [--executor barrier|dataflow] [--queue-depth N]
             [--metrics-out metrics.json] [--trace-out trace.jsonl] [--progress]
@@ -242,6 +247,21 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     if !(distance.is_finite() && distance >= 0.0) {
         return Err(format!("invalid value for --distance: {distance}"));
     }
+    // Split evenly, the remainder dropped: fewer bases than chromosomes
+    // would be records of none.
+    if len < chroms {
+        return Err(format!("--len must be at least --chroms ({len} < {chroms})"));
+    }
+    let params = EvolutionParams::at_distance(distance);
+    // Descendant lengths are drawn: leave a quarter over the expectation.
+    let expected = params.expected_descendant_len(len / chroms);
+    if expected.saturating_add(expected / 4) > CoordinateMap::MAX_DESCENDANT_LEN {
+        return Err(format!(
+            "--len: a chromosome of {} bases grows to about {expected} at distance {distance}, which exceed the {} a coordinate map can address",
+            len / chroms,
+            CoordinateMap::MAX_DESCENDANT_LEN
+        ));
+    }
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut target_records = Vec::new();
@@ -249,11 +269,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut exons = String::from("#chrom\tlabel\tstart\tend\n");
     let (mut t_total, mut q_total, mut exon_total) = (0usize, 0usize, 0usize);
     for c in 0..chroms {
-        let pair = SyntheticPair::generate(
-            len / chroms,
-            &EvolutionParams::at_distance(distance),
-            &mut rng,
-        );
+        let pair = SyntheticPair::generate(len / chroms, &params, &mut rng);
         let make = |name: String, sequence: Sequence| fasta::Record {
             description: format!("{name} synthetic len={} distance={distance}", sequence.len()),
             name,
@@ -615,33 +631,27 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     chain_buf.flush();
 
     if let Some(path) = maf_path {
-        // Rendered fully in memory, then placed atomically: a crash
-        // mid-run can never leave a torn MAF at the destination.
-        let mut out: Vec<u8> = Vec::new();
-        writeln!(out, "##maf version=1 scoring=darwin-wga").map_err(|e| format!("{path}: {e}"))?;
-        for tchrom in target.chromosomes() {
-            for qchrom in query.chromosomes() {
-                let aligned: Vec<_> = report
-                    .for_pair(&tchrom.name, &qchrom.name)
-                    .iter()
-                    .map(|la| la.aligned.clone())
-                    .collect();
-                if aligned.is_empty() {
-                    continue;
+        // Rendered block by block into the tmp sibling, then placed
+        // atomically: a crash mid-run can never leave a torn MAF at the
+        // destination, and the file is never held in memory.
+        durable::write_atomic_with(std::path::Path::new(&path), |out| {
+            writeln!(out, "##maf version=1 scoring=darwin-wga")?;
+            for tchrom in target.chromosomes() {
+                for qchrom in query.chromosomes() {
+                    let located = report.for_pair(&tchrom.name, &qchrom.name);
+                    maf::write_maf_blocks(
+                        &mut *out,
+                        &tchrom.name,
+                        &tchrom.sequence,
+                        &qchrom.name,
+                        &qchrom.sequence,
+                        located.iter().map(|la| &la.aligned),
+                    )?;
                 }
-                maf::write_maf_blocks(
-                    &mut out,
-                    &tchrom.name,
-                    &tchrom.sequence,
-                    &qchrom.name,
-                    &qchrom.sequence,
-                    &aligned,
-                )
-                .map_err(|e| format!("{path}: {e}"))?;
             }
-        }
-        durable::write_atomic(std::path::Path::new(&path), &out)
-            .map_err(|e| e.to_string())?;
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
         println!("MAF written to {path}");
     }
 

@@ -446,6 +446,27 @@ mod cli {
     }
 
     #[test]
+    fn generate_rejects_a_length_it_cannot_honour() {
+        let dir = empty_dir("generate-length");
+        // Both used to exit 0 with FASTA records of no bases.
+        let out = wga_in(&dir, &["generate", "demo", "--len", "0"]);
+        assert_clean_failure(&out, "--len must be at least --chroms (0 < 1)");
+        let out = wga_in(&dir, &["generate", "demo", "--len", "10", "--chroms", "20"]);
+        assert_clean_failure(&out, "--len must be at least --chroms (10 < 20)");
+        // A descendant position is a `u32`: the ancestor fits one, its
+        // descendants at this distance (2.75 bases a base) would not.
+        let out = wga_in(
+            &dir,
+            &["generate", "demo", "--len", "4000000000", "--chroms", "2", "--distance", "1.3"],
+        );
+        assert_clean_failure(&out, "exceed the 4294967294 a coordinate map can address");
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+        // One base a chromosome is a length it can.
+        let out = wga_in(&dir, &["generate", "demo", "--len", "3", "--chroms", "3"]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+
+    #[test]
     fn align_names_a_repeated_or_misspelt_option() {
         let good = tmp("options-good.fa", ">chr1\nACGTACGT\n");
         let good = good.to_str().unwrap();
