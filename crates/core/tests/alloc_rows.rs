@@ -201,8 +201,12 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
     let before = LIVE.get();
     let table = SeedTable::build(&pair.target.sequence, &params.seed_pattern, params.max_seed_occurrences);
     let table_bytes = (LIVE.get() - before) as usize;
+    // 4 B a window and the directory: large enough that a table still
+    // alive under the extension would show.
+    let windows = pair.target.sequence.len() + 1 - params.seed_pattern.span();
+    assert!(table.heap_bytes() > 4 * windows, "{} B for {windows} windows", table.heap_bytes());
+    assert!(table_bytes >= table.heap_bytes());
     drop(table);
-    assert!(table_bytes > 5 * pair.target.sequence.len());
 
     // Once unmeasured, so the per-thread kernel scratches are grown.
     align_assemblies(&params, &target, &followed);

@@ -16,7 +16,7 @@
 
 use crate::hit::SeedHit;
 use crate::pattern::SeedPattern;
-use crate::table::{with_keys, Key, SeedTable};
+use crate::table::{Entries, SeedTable};
 use genome::Sequence;
 use std::ops::Range;
 
@@ -147,22 +147,26 @@ pub fn dsoft_seeds_range_in(
     scratch: &mut DsoftScratch,
 ) -> DsoftResult {
     params.validate();
-    // The key width is settled here, once: inside `walk` a lookup is
+    // The entry width is settled here, once: inside `walk` a lookup is
     // straight-line code, not a dispatch per word.
-    with_keys!(table.keys(), keys => walk(table, keys, query, params, qrange, scratch))
+    match table.entries() {
+        Entries::Narrow(entries) => walk(table, entries, query, params, qrange, scratch),
+        Entries::Wide(entries) => walk(table, entries, query, params, qrange, scratch),
+    }
 }
 
-/// [`dsoft_seeds_range`] over a table whose key type is known: `keys` are
-/// `table`'s.
-fn walk<K: Key>(
+/// [`dsoft_seeds_range`] over a table whose entry width is known:
+/// `entries` are `table`'s.
+fn walk<E: Copy + Into<u64>>(
     table: &SeedTable,
-    keys: &[K],
+    entries: &[E],
     query: &Sequence,
     params: &DsoftParams,
     qrange: Range<usize>,
     scratch: &mut DsoftScratch,
 ) -> DsoftResult {
-    let buckets = table.buckets(keys);
+    let directory = table.directory();
+    let position_mask = directory.position_mask();
     let pattern: &SeedPattern = table.pattern();
     let mut result = DsoftResult::default();
     // Query positions ascend, so a chunk's diagonal bands are complete
@@ -195,11 +199,12 @@ fn walk<K: Key>(
                 let mut word = exact;
                 let mut left = variants;
                 loop {
-                    for &tpos in buckets.find(word) {
+                    for &entry in directory.run(entries, word) {
+                        let tpos = (entry.into() & position_mask) as usize;
                         result.raw_hits += 1;
-                        let count = &mut bin_counts[tpos as usize / params.bin_size];
+                        let count = &mut bin_counts[tpos / params.bin_size];
                         if *count == 0 {
-                            first_hits.push(SeedHit::new(tpos as usize, qpos));
+                            first_hits.push(SeedHit::new(tpos, qpos));
                         }
                         *count += 1;
                     }

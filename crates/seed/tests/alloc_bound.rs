@@ -4,23 +4,14 @@
 //! item 1 wants the whole run under `a + b·N`. This binary pins the seed
 //! layer's `b` with a counting `#[global_allocator]` (std only, its own
 //! test binary so no other suite pays for it; the pattern of
-//! `crates/align/tests/alloc_bound.rs`): a built table keeps a `u32`
-//! position and a key per indexed position — 5 B for the default seed on
-//! a target of 2^16 positions or more, 6 B below that — plus its
-//! directory, building one peaks at exactly that (the table is filled
-//! and sorted where it will lie; the `u64` word staged per window until
-//! PR 20 read 13 B here), the directory follows the target (one entry per
-//! window or so, 2^8 to 2^16), a seed hit is 8 B, and D-SOFT's working
-//! set follows the target's bins and one chunk's bands — not the query —
-//! with no allocation per query position. The three arrays this layout
-//! replaced stored each
-//! distinct word whole beside an offset and kept 16 B per position (20 B
-//! at the build's peak); the padded `(u64, u32)` entries before them
-//! peaked at 32 B behind a fixed 256 KiB directory and two transient
-//! copies of it; the hash map before those kept 74 B per position (99 B
-//! at its peak) in one heap `Vec` per word, and the whole-query band map
-//! grew with the query, one `Vec` of words per position: all four would
-//! fail here.
+//! `crates/align/tests/alloc_bound.rs`): a built table keeps one `u32`
+//! entry per indexed window — the word's key and the position in one
+//! integer — plus a directory of one `u32` per 8–16 windows (2^8 entries
+//! at least), `SeedTable::heap_bytes` is exactly what it keeps, building
+//! one peaks at exactly that (the table is filled and sorted where it
+//! will lie; nothing is staged per window), a seed hit is 8 B, and
+//! D-SOFT's working set follows the target's bins and one chunk's
+//! bands — not the query — with no allocation per query position.
 
 use genome::{Base, Sequence};
 use rand::rngs::StdRng;
@@ -129,26 +120,24 @@ fn measure<T>(f: impl FnOnce() -> T) -> Measured<T> {
 
 const KIB: usize = 1024;
 
-/// Directory bits of a table of `positions` (a pattern of weight above
-/// 8): ⌈log2 positions⌉, from 8 to 16.
-fn directory_bits(positions: usize) -> u32 {
-    positions.next_power_of_two().trailing_zeros().clamp(8, 16)
+/// Directory bits of the default seed's table over `windows` windows:
+/// ⌈log2 windows⌉ − 4, at least 8 — 8 to 16 windows a bucket.
+fn directory_bits(windows: usize) -> u32 {
+    windows.next_power_of_two().trailing_zeros().saturating_sub(4).max(8)
 }
 
-/// The prefix directory of such a table: 2^bits + 1 `u32`s.
-fn directory(positions: usize) -> usize {
-    4 * ((1 << directory_bits(positions)) + 1)
+/// The most the default seed's table over `windows` windows keeps: a
+/// `u32` entry a window — key and position in one integer — and
+/// 2^d + 1 `u32`s of directory.
+fn table_bound(windows: usize) -> usize {
+    4 * windows + 4 * ((1 << directory_bits(windows)) + 1)
 }
 
-/// What the default seed's table keeps per indexed position: the `u32`
-/// position and the 24-bit word's bits below the directory prefix, in
-/// one byte when 8 bits or fewer are left, in two otherwise.
-fn entry(positions: usize) -> usize {
-    4 + if 24 - directory_bits(positions) <= 8 { 1 } else { 2 }
+/// What a table's clone of its pattern holds on the heap: all that it
+/// keeps besides [`SeedTable::heap_bytes`].
+fn pattern_bytes(pattern: &SeedPattern) -> usize {
+    measure(|| pattern.clone()).retained
 }
-
-/// The pattern clone with its gather runs, a `Vec` header or two.
-const SLACK: usize = 4 * KIB;
 
 fn random_dna(len: usize, seed: u64) -> Sequence {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -158,37 +147,37 @@ fn random_dna(len: usize, seed: u64) -> Sequence {
 }
 
 #[test]
-fn table_keeps_5_bytes_per_position_and_builds_in_no_more() {
-    let target = random_dna(150_000, 40);
+fn table_keeps_4_bytes_a_window_behind_a_directory_of_8_to_16_windows_a_bucket() {
     let pattern = SeedPattern::lastz_default();
-
-    let built = measure(|| SeedTable::build(&target, &pattern, 1000));
-    let positions = built.value.positions_indexed() as usize;
-    assert_eq!(positions, target.len() - pattern.span() + 1);
-    let directory = directory(positions);
-    assert_eq!(directory, 4 * ((1 << 16) + 1));
-    assert_eq!(entry(positions), 5);
-    eprintln!(
-        "build: {:.2} B/position resident, {:.2} B/position peak, {} distinct words",
-        (built.retained - directory) as f64 / positions as f64,
-        (built.peak - directory) as f64 / positions as f64,
-        built.value.distinct_words()
-    );
-    assert!(
-        built.retained <= 5 * positions + directory + SLACK,
-        "{} B resident for {positions} positions",
-        built.retained
-    );
-    // Nothing is staged per window: the build's peak is the table.
-    assert!(
-        built.peak <= 5 * positions + directory + SLACK,
-        "build peaked at {} B for {positions} positions",
-        built.peak
-    );
-    // …and nothing is allocated per word or per bucket.
-    assert!(built.allocs <= 16, "{} allocations to build", built.allocs);
-    // One heap `Vec` per word alone was 24 B of header and 16 B of block.
-    assert!(40 * positions > 2 * built.retained);
+    let cloned = pattern_bytes(&pattern);
+    // The 8-bit floor (1 KiB) below 2^12 windows, ⌈log2⌉ − 4 past it: 60
+    // and 2 000 windows sit on the floor, 150 000 behind 14 bits (64 KiB).
+    for (windows, seed, bits) in [(60, 45, 8), (2_000, 44, 8), (150_000, 40, 14)] {
+        let target = random_dna(windows + pattern.span() - 1, seed);
+        let built = measure(|| SeedTable::build(&target, &pattern, 1000));
+        let table = &built.value;
+        assert_eq!(table.positions_indexed() as usize, windows);
+        assert_eq!(directory_bits(windows), bits);
+        // Nothing is dropped: every window is an entry.
+        assert_eq!(table.heap_bytes(), table_bound(windows), "{windows} windows");
+        // `heap_bytes` is the table's heap to the byte.
+        assert_eq!(built.retained, table.heap_bytes() + cloned, "{windows} windows");
+        eprintln!(
+            "build: {:.2} B/window resident, {:.2} B/window peak, {windows} windows of {} distinct words",
+            built.retained as f64 / windows as f64,
+            built.peak as f64 / windows as f64,
+            table.distinct_words()
+        );
+        // Nothing is staged per window: the build's peak is the table…
+        for (what, bytes) in [("resident", built.retained), ("peak", built.peak)] {
+            assert!(
+                bytes <= table_bound(windows) + cloned,
+                "{bytes} B {what} for {windows} windows"
+            );
+        }
+        // …and nothing is allocated per word or per bucket.
+        assert!(built.allocs <= 16, "{} allocations to build", built.allocs);
+    }
 }
 
 #[test]
@@ -197,95 +186,44 @@ fn a_seed_hit_is_two_u32s() {
 }
 
 #[test]
-fn a_small_target_builds_in_6_bytes_per_position_behind_a_directory_its_size() {
-    // 2 000 positions: 2^11 + 1 entries, 8 KiB, where a fixed 16-bit
-    // directory spent 256 KiB — eight times the table behind it — and 13
-    // of the word's 24 bits left for the key, so two bytes of it.
+fn poly_a_a_crowded_bucket_repeats_and_random_sequence_cost_alike() {
+    // Pure poly-A is one bucket of one word; poly-A with a random base
+    // every dozen crowds bucket 0 with many words; 8 copies of a 7.5 kb
+    // unit put 8 positions under each word. An entry is a window whatever
+    // its word — there is no per-word entry to save on, and the sort
+    // borrows nothing — so each table is, resident and at its build's
+    // peak, byte for byte the table of as many random windows.
     let pattern = SeedPattern::lastz_default();
-    let target = random_dna(2_000 + pattern.span() - 1, 44);
-    let built = measure(|| SeedTable::build(&target, &pattern, 1000));
-    let positions = built.value.positions_indexed() as usize;
-    assert_eq!(positions, 2_000);
-    assert_eq!(directory(positions), 4 * ((1 << 11) + 1));
-    assert_eq!(entry(positions), 6);
-    for (what, bytes) in [("resident", built.retained), ("peak", built.peak)] {
-        assert!(
-            bytes <= 6 * positions + directory(positions) + SLACK,
-            "{bytes} B {what} for {positions} positions"
-        );
-    }
-    // Never more entries than twice the positions, never fewer than 2^8
-    // (which leaves a 16-bit key).
-    assert_eq!(directory(129), 4 * ((1 << 8) + 1));
-    assert_eq!(directory(0), 4 * ((1 << 8) + 1));
-    assert_eq!(entry(60), 6);
-    let sixty = random_dna(60 + pattern.span() - 1, 45);
-    let tiny = measure(|| SeedTable::build(&sixty, &pattern, 1000));
-    assert_eq!(tiny.value.positions_indexed(), 60);
-    assert!(tiny.peak <= 6 * 60 + directory(60) + SLACK, "{} B", tiny.peak);
-}
-
-#[test]
-fn repeats_cost_what_unique_words_cost() {
-    // 40 kb of a 5 kb unit: 8 positions a word, all under the cap. A run
-    // of equal keys is the word's position list — there is no entry per
-    // word to save on — so the table is byte for byte the size of one
-    // over as many positions that all differ.
-    let pattern = SeedPattern::lastz_default();
-    let unit = random_dna(5_000, 41);
-    let target: Sequence = (0..8).flat_map(|_| unit.iter()).collect();
-    let repeats = measure(|| SeedTable::build(&target, &pattern, 1000));
-    let unique = measure(|| SeedTable::build(&random_dna(target.len(), 47), &pattern, 1000));
-    let (positions, words) = (
-        repeats.value.positions_indexed() as usize,
-        repeats.value.distinct_words(),
-    );
-    assert!((4_990..=5_000).contains(&words), "{words} distinct words");
-    assert_eq!(unique.value.positions_indexed() as usize, positions);
-    assert!(unique.value.distinct_words() > 7 * words);
-    eprintln!(
-        "repeats: {} B for {positions} positions of {words} words, {} B of {} words",
-        repeats.retained,
-        unique.retained,
-        unique.value.distinct_words()
-    );
-    assert_eq!(repeats.retained, unique.retained);
-    assert!(
-        repeats.retained <= 5 * positions + directory(positions) + SLACK,
-        "{} B resident for {positions} positions of {words} words",
-        repeats.retained
-    );
-}
-
-#[test]
-fn a_crowded_bucket_sorts_where_it_lies() {
-    // Poly-A with a random base every dozen: most words share their top
-    // bits, so one bucket holds most of the table and sorts as a heap
-    // rather than by insertion — in place, where a `(key, position)`
-    // scratch borrowed 8 B an entry — so even pure poly-A, one bucket of
-    // one word, peaks at the table and nothing more.
+    let len = 60_000;
     let mut rng = StdRng::seed_from_u64(46);
-    let sprinkled: Sequence = (0..60_000)
+    let sprinkled: Sequence = (0..len)
         .map(|_| match rng.gen_range(0u8..12) {
             0 => Base::from_code(rng.gen_range(0u8..4)),
             _ => Base::A,
         })
         .collect();
-    let pure: Sequence = std::iter::repeat_n(Base::A, 60_000).collect();
-    for (target, crowded) in [(sprinkled, 8), (pure, 1)] {
-        let built = measure(|| SeedTable::build(&target, &SeedPattern::lastz_default(), usize::MAX));
-        let positions = built.value.positions_indexed() as usize;
-        let crowd = built.value.lookup(0).len();
-        assert!(crowd >= positions / crowded, "the poly-A word crowds bucket 0");
+    let pure: Sequence = std::iter::repeat_n(Base::A, len).collect();
+    let unit = random_dna(len / 8, 41);
+    let repeats: Sequence = (0..8).flat_map(|_| unit.iter()).collect();
+    let windows = len - pattern.span() + 1;
+    let random = random_dna(len, 47);
+    let random = measure(|| SeedTable::build(&random, &pattern, usize::MAX));
+    assert_eq!(random.value.positions_indexed() as usize, windows);
+    assert!(random.peak <= table_bound(windows) + pattern_bytes(&pattern), "{} B", random.peak);
+    let crowds = [("sprinkled", sprinkled, windows / 8), ("poly-A", pure, windows), ("repeats", repeats, 0)];
+    for (name, target, crowd) in crowds {
+        let built = measure(|| SeedTable::build(&target, &pattern, usize::MAX));
+        assert!(built.value.lookup(0).len() >= crowd, "{name}: the poly-A word crowds bucket 0");
+        let words = built.value.distinct_words();
+        if name == "repeats" {
+            assert!((7_490..=7_500).contains(&words), "{name}: {words} distinct words");
+        }
         eprintln!(
-            "crowded: {:.2} B/position peak, {crowd} of {positions} positions under one word",
-            (built.peak - directory(positions)) as f64 / positions as f64
+            "{name}: {} B resident, {} B peak for {windows} windows of {words} words; random: {} B, {} B",
+            built.retained, built.peak, random.retained, random.peak
         );
-        assert!(
-            built.peak <= entry(positions) * positions + directory(positions) + SLACK,
-            "build peaked at {} B for {positions} positions",
-            built.peak
-        );
+        assert_eq!(built.value.heap_bytes(), random.value.heap_bytes(), "{name}");
+        assert_eq!((built.retained, built.peak), (random.retained, random.peak), "{name}");
     }
 }
 

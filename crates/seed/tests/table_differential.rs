@@ -1,22 +1,22 @@
 //! Differential wall for the seed index.
 //!
-//! `seed::table` is a position and a key per entry behind a prefix
-//! directory and `seed::dsoft` holds one chunk's bands at a time. What they replaced —
-//! a `HashMap<u64, Vec<u32>>` and a `BTreeMap` of every band of the query
-//! — lives on in `hash_oracle`, unchanged, as the reference (as the
-//! ragged-row kernel does for GACT-X). This harness proves the rewrite
-//! answers every `lookup` with the identical slice, counts the identical
+//! `seed::table` is one integer per entry, key and position, behind a
+//! prefix directory and `seed::dsoft` holds one chunk's bands at a time.
+//! The reference is `hash_oracle`: a `HashMap<u64, Vec<u32>>` table and a
+//! `BTreeMap` of every band of the query (as the ragged-row kernel is for
+//! GACT-X). This harness proves the table
+//! answers every `lookup` with the identical positions, counts the identical
 //! `positions_indexed` / `dropped_repeats` / `distinct_words`, and that
 //! D-SOFT returns the **identical `DsoftResult`** in all four fields, over
 //! sequences with `N` runs and low-complexity stretches, narrow, default
 //! and wide patterns and every repeat cap regime — and, since the
-//! directory is sized to the target, at every target size where its width
-//! changes, and at every width of the key beside it.
+//! directory and the position field are sized to the target, at every
+//! target size where either width changes, and at both entry widths.
 //!
 //! The table gathers its words from the sequence's packed planes
 //! (`SeedPattern::extract`, 32 bases of 2-bit codes and their `N` bits a
-//! read) where the oracle reads a byte a base (`hash_oracle::extract`,
-//! the extract of before the planes), so every target here also comes
+//! read) where the oracle reads a byte a base (`hash_oracle::extract`),
+//! so every target here also comes
 //! *spoiled*: an `N` for its first and last base, a lone `N` that every
 //! offset of the pattern slides over, and a run of `N` longer than the
 //! span; the patterns reach past the 32 bases a packed read holds, where
@@ -34,6 +34,7 @@ use genome::{Base, Sequence};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams};
 use seed::{SeedPattern, SeedTable};
 
@@ -67,7 +68,7 @@ fn spaced(weight: usize, gap: usize) -> SeedPattern {
 }
 
 /// Narrow words (the directory covers every bit), the default spaced
-/// seed (24 bits behind a 16-bit directory), a 40-bit word, and windows
+/// seed (24 bits behind the 8-bit floor), a 40-bit word, and windows
 /// of 32 bases (the last a packed read holds), 33 and 40 (read base by
 /// base).
 fn pattern() -> impl Strategy<Value = SeedPattern> {
@@ -238,7 +239,7 @@ fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, patte
     assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
     let mut largest = None;
     for word in probe_words(target, pattern) {
-        let found = table.lookup(word);
+        let found: Vec<u32> = table.lookup(word).collect();
         assert_eq!(found, oracle.lookup(word), "{label}: word {word:#x}");
         largest = largest.max(found.last().copied());
     }
@@ -325,43 +326,80 @@ fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
     }
 }
 
-/// The directory has ⌈log2 windows⌉ bits between 8 and 16 (and never
-/// more than the word): a table one window either side of every power
-/// of two, and at both ends of the range, answers like the hash table —
-/// over clean bases, where every window is a position, and spoiled,
-/// where the count of words and the count of windows part.
-#[test]
-fn every_directory_width_answers_like_the_hash_table() {
-    let mut sizes = vec![0usize, 1, 255, 256, 257];
-    sizes.extend((9..=17).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]));
-    // A 24-bit word behind every directory width, and a 10-bit word the
-    // directory covers whole once the target outgrows it.
-    for (pattern, cap) in [(SeedPattern::lastz_default(), 1000), (SeedPattern::exact(5), 300)] {
-        for &positions in &sizes {
-            let len = if positions == 0 { 0 } else { positions + pattern.span() - 1 };
-            let mut rng = StdRng::seed_from_u64(positions as u64);
-            let clean: Sequence =
-                (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
-            for (name, target) in [("spoiled", spoiled(&clean, pattern.span())), ("clean", clean)] {
-                let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
-                if name == "clean" {
-                    assert_eq!(oracle.positions_indexed(), positions as u64);
-                } else {
-                    assert!(oracle.positions_indexed() < positions.max(1) as u64);
+/// A table's layout over `windows` windows of `pattern`, by the rules
+/// `SeedTable::build` follows: the directory's bits — `⌈log2 windows⌉ − 4`,
+/// at least 8, no more than the word, and for a 62-bit word enough that
+/// key and position fit 64 bits — and the bytes of an entry: 4 while the
+/// key's bits and the position's fit 32, 8 past.
+fn layout(pattern: &SeedPattern, windows: usize) -> (u32, usize) {
+    let word_bits = 2 * pattern.weight() as u32;
+    let pos_bits = windows.next_power_of_two().trailing_zeros();
+    let directory_bits = pos_bits.saturating_sub(4).max(8).max((word_bits + pos_bits).saturating_sub(64)).min(word_bits);
+    (directory_bits, if word_bits - directory_bits + pos_bits <= 32 { 4 } else { 8 })
+}
+
+/// Tables of `2^k − 1`, `2^k` and `2^k + 1` windows for every `k` of
+/// `ks`, where the position's bits (`⌈log2⌉`) and from 2^12 up the
+/// directory's (`⌈log2⌉ − 4`) cross, answer like the hash table — under
+/// `exact(14)` (28 bits, the last word whose entry is always a `u32`),
+/// `exact(15)` (30 bits: a `u32` up to 2^10 windows, a `u64` past), the
+/// default seed, `exact(31)` (62 bits, whose directory widens so that
+/// key and position fit a `u64`), and `exact(5)` under a cap of 300: a
+/// 10-bit word the directory covers whole (no key bits) past 2^13
+/// windows and is clamped to past 2^14, with ever more windows a bucket
+/// (a few of its words outgrow the cap at 2^18 windows, every one from
+/// 2^19). Clean, every window is
+/// a word, so `heap_bytes` pins the directory's width and the entry's; at
+/// `2^k` windows the last one sits at `2^pos_bits − 1`, the largest
+/// position the mask keeps. Spoiled (the first `spoiled_ks` of them), the
+/// count of words and of windows part.
+fn directory_and_position_edges(ks: RangeInclusive<u32>, spoiled_ks: RangeInclusive<u32>) {
+    let patterns = [
+        (SeedPattern::exact(14), usize::MAX),
+        (SeedPattern::exact(15), usize::MAX),
+        (SeedPattern::lastz_default(), usize::MAX),
+        (SeedPattern::exact(31), usize::MAX),
+        (SeedPattern::exact(5), 300),
+    ];
+    for k in ks {
+        for windows in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+            for (pattern, cap) in &patterns {
+                let mut rng = StdRng::seed_from_u64(64 * windows as u64 + pattern.weight() as u64);
+                let clean: Sequence =
+                    (0..windows + pattern.span() - 1).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+                let (bits, entry_bytes) = layout(pattern, windows);
+                let label = format!("{pattern} over {windows} windows, cap {cap}, {bits}-bit directory, {entry_bytes} B entries");
+                let oracle = hash_oracle::SeedTable::build(&clean, pattern, *cap);
+                assert_eq!(oracle.positions_indexed(), windows as u64, "{label}");
+                let table = assert_answers_like(&oracle, &clean, pattern, *cap, &label);
+                let kept = windows - table.dropped_repeats() as usize;
+                assert_eq!(table.heap_bytes(), entry_bytes * kept + 4 * ((1 << bits) + 1), "{label}");
+                if table.dropped_repeats() == 0 {
+                    assert_eq!(table.position_end(), windows, "{label}: the last window");
                 }
-                assert_answers_like(&oracle, &target, &pattern, cap, &format!("{name}, {pattern}, {positions} positions"));
+                if spoiled_ks.contains(&k) {
+                    let target = spoiled(&clean, pattern.span());
+                    let oracle = hash_oracle::SeedTable::build(&target, pattern, (*cap).min(1000));
+                    assert!(oracle.positions_indexed() < windows as u64);
+                    assert_answers_like(&oracle, &target, pattern, (*cap).min(1000), &format!("spoiled, {label}"));
+                }
             }
         }
     }
 }
 
-/// Bits of a word of `pattern` that a table of `positions` keeps as the
-/// key: those below a directory prefix of ⌈log2 positions⌉ bits, from 8
-/// to 16 and never more than the word.
-fn key_bits(pattern: &SeedPattern, positions: usize) -> u32 {
-    let word_bits = 2 * pattern.weight() as u32;
-    let directory_bits = positions.next_power_of_two().trailing_zeros().clamp(8, 16);
-    word_bits - directory_bits.min(word_bits)
+#[test]
+fn every_directory_and_position_width_answers_like_the_hash_table() {
+    directory_and_position_edges(8..=16, 8..=16);
+}
+
+/// The sweep past 2^16 windows, to 2^20 + 1 (21 position bits behind a
+/// 17-bit directory), spoiled at 2^17: the release job runs it, a debug
+/// build skips it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes in a debug build; the release job runs it")]
+fn directory_and_position_widths_past_2_16_windows_answer_like_the_hash_table() {
+    directory_and_position_edges(17..=20, 17..=17);
 }
 
 /// A target of exactly `positions` windows of `pattern` whose buckets
@@ -401,37 +439,39 @@ fn bucket_edges_target(pattern: &SeedPattern, run: usize, positions: usize, seed
     padded.into_iter().collect()
 }
 
-/// The key beside a position is a `u8`, `u16`, `u32` or `u64` — or
-/// nothing, when the directory covers the word: a table at every width,
-/// at the last key size that fits it and the first that does not, under
-/// caps that keep a run, drop exactly it, and drop everything, answers
-/// like the hash table, and D-SOFT over it — each width is its own walk —
-/// returns what the whole-query map did. Each width runs over the
-/// contiguous pattern and over the same weight spread across a window
-/// twelve bases wider (32 bases at weight 20, the last a packed read
-/// holds; 33 and 43 at weights 21 and 31, read base by base), on the target as built
-/// and spoiled.
+/// An entry is a `u32` or a `u64`, and its key empty when the directory
+/// covers the word: a table of each, at the last size a `u32` holds and
+/// the first it does not, under caps that keep a run, drop exactly it,
+/// and drop everything, answers like the hash table, and D-SOFT over it —
+/// each width is its own walk — returns what the whole-query map did.
+/// Each runs over the contiguous pattern and over the same weight spread
+/// across a window twelve bases wider (32 bases at weight 20, the last a
+/// packed read holds; 33 and 43 at weights 21 and 31, read base by base),
+/// on the target as built and spoiled.
 #[test]
-fn every_key_width_answers_like_the_hash_table() {
+fn every_entry_width_answers_like_the_hash_table() {
     const RUN: usize = 5;
-    // (k, positions, key bits): an 8-bit directory up to 256 positions,
-    // a 9-bit one up to 512.
+    // (k, positions, bytes an entry): no key bits; 8 above 9 position
+    // bits; key and position in exactly 32 bits (20 + 12, 22 + 10) and
+    // one past (22 + 11); wider words; and exactly 64 (51 + 13, behind
+    // 11 directory bits).
     let widths = [
-        (4, 200, 0),
-        (5, 400, 1),
-        (8, 250, 8),
-        (9, 300, 9),
-        (12, 256, 16),
-        (13, 257, 17),
-        (20, 200, 32),
-        (21, 512, 33),
-        (31, 250, 54),
+        (4, 200, 4),
+        (8, 300, 4),
+        (14, 4_000, 4),
+        (15, 900, 4),
+        (15, 1_100, 8),
+        (20, 200, 8),
+        (21, 300, 8),
+        (31, 250, 8),
+        (31, 5_000, 8),
     ];
-    for (k, positions, bits) in widths {
+    for (k, positions, entry_bytes) in widths {
         for pattern in [SeedPattern::exact(k), spaced(k, 12)] {
-            assert_eq!(key_bits(&pattern, positions), bits, "{pattern} over {positions} positions");
             let edges = bucket_edges_target(&pattern, RUN, positions, k as u64);
             for (name, target) in [("spoiled", spoiled(&edges, pattern.span())), ("edges", edges)] {
+                let (bits, bytes) = layout(&pattern, target.len() + 1 - pattern.span());
+                assert_eq!(bytes, entry_bytes, "{pattern}, {name}, {positions} positions");
                 let query = related_query(&target, 7 * k as u64);
                 let uncapped = hash_oracle::SeedTable::build(&target, &pattern, usize::MAX);
                 let poly_a = uncapped.lookup(0).len();
@@ -445,7 +485,7 @@ fn every_key_width_answers_like_the_hash_table() {
                 for cap in [1, run, run - 1, usize::MAX] {
                     let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
                     assert_eq!(oracle.lookup(0).len(), if cap >= poly_a { poly_a } else { 0 });
-                    let label = format!("{pattern}, {name}, {bits} key bits, cap {cap}");
+                    let label = format!("{pattern}, {name}, {bits}-bit directory, {bytes} B entries, cap {cap}");
                     let table = assert_answers_like(&oracle, &target, &pattern, cap, &label);
                     for transitions in [false, true] {
                         let params = DsoftParams {
