@@ -63,12 +63,6 @@ impl Alignment {
         self.cigar.matches()
     }
 
-    /// Fraction of aligned pairs that match.
-    // lint: allow(determinism): display-only fraction; canonical_text carries score + CIGAR, never this value
-    pub fn identity(&self) -> f64 {
-        self.cigar.identity()
-    }
-
     /// Verifies this alignment against the sequences: coordinates in
     /// bounds, CIGAR spans consistent, and `Match`/`Subst` ops agreeing
     /// with the actual bases. Returns a description of the first
@@ -142,47 +136,6 @@ impl Alignment {
         }
         score
     }
-
-    /// Whether this alignment's target and query intervals both overlap
-    /// `other`'s (used by anchor absorption).
-    pub fn overlaps(&self, other: &Alignment) -> bool {
-        let t_overlap =
-            self.target_start < other.target_end && other.target_start < self.target_end;
-        let q_overlap = self.query_start < other.query_end && other.query_start < self.query_end;
-        t_overlap && q_overlap
-    }
-
-    /// Whether the diagonal point `(t, q)` lies on this alignment's path.
-    pub fn contains_point(&self, t: usize, q: usize) -> bool {
-        if !(self.target_start..self.target_end).contains(&t)
-            || !(self.query_start..self.query_end).contains(&q)
-        {
-            return false;
-        }
-        let (mut ct, mut cq) = (self.target_start, self.query_start);
-        for &(op, count) in self.cigar.runs() {
-            let (dt, dq) = match op {
-                AlignOp::Match | AlignOp::Subst => (count as usize, count as usize),
-                AlignOp::Insert => (0, count as usize),
-                AlignOp::Delete => (count as usize, 0),
-            };
-            if matches!(op, AlignOp::Match | AlignOp::Subst)
-                && t >= ct
-                && t < ct + dt
-                && q >= cq
-                && q < cq + dq
-                && t - ct == q - cq
-            {
-                return true;
-            }
-            ct += dt;
-            cq += dq;
-            if ct > t && cq > q {
-                break;
-            }
-        }
-        false
-    }
 }
 
 /// Builds a CIGAR by classifying aligned pairs of the given sequences.
@@ -229,12 +182,6 @@ impl<'a> CigarBuilder<'a> {
     pub fn insert(&mut self, len: u32) {
         self.cigar.push(AlignOp::Insert, len);
         self.q += len as usize;
-    }
-
-    /// Consumes `len` target bases as a deletion.
-    pub fn delete(&mut self, len: u32) {
-        self.cigar.push(AlignOp::Delete, len);
-        self.t += len as usize;
     }
 
     /// Current target coordinate.
@@ -288,7 +235,6 @@ mod tests {
         let a = Alignment::new(0, 0, b.finish(), 1);
         a.validate(&t, &q).unwrap();
         assert_eq!(a.matches(), 8);
-        assert_eq!(a.identity(), 1.0);
     }
 
     #[test]
@@ -317,31 +263,5 @@ mod tests {
         // matches: A,C,G,T,A,C,G,T = 91+100+100+91+91+100+100+91 = 764
         // gap of 1: 430+30 = 460
         assert_eq!(a.rescore(&t, &q, &w, &g), 764 - 460);
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let mut c = Cigar::new();
-        c.push(AlignOp::Match, 10);
-        let a = Alignment::new(0, 0, c.clone(), 0);
-        let b = Alignment::new(5, 5, c.clone(), 0);
-        let far = Alignment::new(100, 100, c, 0);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&far));
-    }
-
-    #[test]
-    fn contains_point_follows_path() {
-        let mut c = Cigar::new();
-        c.push(AlignOp::Match, 3);
-        c.push(AlignOp::Delete, 2);
-        c.push(AlignOp::Match, 3);
-        let a = Alignment::new(10, 20, c, 0);
-        assert!(a.contains_point(10, 20));
-        assert!(a.contains_point(12, 22));
-        assert!(!a.contains_point(13, 23)); // inside the deletion
-        assert!(a.contains_point(15, 23));
-        assert!(!a.contains_point(9, 19));
-        assert!(!a.contains_point(12, 21)); // off-diagonal
     }
 }

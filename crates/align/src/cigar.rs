@@ -1,6 +1,5 @@
 //! Alignment operations and CIGAR strings.
 
-use genome::{GapPenalties, SubstitutionMatrix};
 use std::fmt;
 
 /// One class of alignment column.
@@ -137,14 +136,6 @@ impl Cigar {
             .sum()
     }
 
-    /// Number of gap-open events (maximal runs of `Insert` or `Delete`).
-    pub fn gap_opens(&self) -> u64 {
-        self.runs
-            .iter()
-            .filter(|&&(op, _)| matches!(op, AlignOp::Insert | AlignOp::Delete))
-            .count() as u64
-    }
-
     /// Target bases consumed.
     pub fn target_len(&self) -> usize {
         self.runs
@@ -161,17 +152,6 @@ impl Cigar {
             .filter(|&&(op, _)| op.consumes_query())
             .map(|&(_, c)| c as usize)
             .sum()
-    }
-
-    /// Fraction of aligned pairs that match (0 when nothing is aligned).
-    // lint: allow(determinism): display-only fraction; canonical_text carries score + CIGAR, never this value
-    pub fn identity(&self) -> f64 {
-        let aligned = self.aligned_pairs();
-        if aligned == 0 {
-            0.0
-        } else {
-            self.matches() as f64 / aligned as f64
-        }
     }
 
     /// Reverses the operation order in place (used when a left extension,
@@ -202,22 +182,6 @@ impl Cigar {
             blocks.push(current);
         }
         blocks
-    }
-
-    /// Recomputes the alignment score under `w`/`gaps`, counting `Match`
-    /// runs at the matrix's maximum score and `Subst` at a representative
-    /// mismatch. Prefer [`crate::alignment::Alignment::rescore`] when the
-    /// sequences are available.
-    pub fn approximate_score(&self, w: &SubstitutionMatrix, gaps: &GapPenalties) -> i64 {
-        let mut score = 0i64;
-        for &(op, count) in &self.runs {
-            match op {
-                AlignOp::Match => score += w.max_score() as i64 * count as i64,
-                AlignOp::Subst => score += -90i64 * count as i64,
-                AlignOp::Insert | AlignOp::Delete => score -= gaps.cost(count as usize),
-            }
-        }
-        score
     }
 }
 
@@ -278,8 +242,6 @@ mod tests {
         assert_eq!(c.aligned_pairs(), 21);
         assert_eq!(c.target_len(), 22);
         assert_eq!(c.query_len(), 24);
-        assert_eq!(c.gap_opens(), 2);
-        assert!((c.identity() - 19.0 / 21.0).abs() < 1e-12);
     }
 
     #[test]
@@ -293,7 +255,6 @@ mod tests {
         assert_eq!(Cigar::new().to_string(), "*");
         assert_eq!(sample().to_string(), "10=2X3I5=1D4=");
         assert!(Cigar::new().is_empty());
-        assert_eq!(Cigar::new().identity(), 0.0);
     }
 
     #[test]

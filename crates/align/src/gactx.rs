@@ -8,7 +8,7 @@
 //! a tile's `Vmax` is not positive.
 //!
 //! With `y` set effectively infinite the same driver becomes plain GACT
-//! (see [`crate::gact`]), which Fig. 10 compares against.
+//! ([`TilingParams::gact_with_memory`]), which Fig. 10 compares against.
 
 use crate::alignment::Alignment;
 use crate::cigar::Cigar;
@@ -59,9 +59,9 @@ impl TilingParams {
         }
     }
 
-    /// The untiled software Y-drop extension of the LASTZ-like baseline
-    /// (see [`crate::greedy`]): a tile large enough that genome-scale
-    /// extensions rarely need more than a few.
+    /// The untiled software Y-drop extension of the LASTZ-like baseline:
+    /// same scoring and drop rule as GACT-X, in a tile large enough that
+    /// genome-scale extensions rarely need more than a few.
     pub fn ydrop(y: i64) -> TilingParams {
         TilingParams {
             tile_size: 8192,
@@ -311,20 +311,6 @@ impl<'a> Anchored<'a> {
     }
 }
 
-/// Extends to the right (increasing coordinates) from `(t0, q0)`.
-pub fn extend_right(
-    target: &Sequence,
-    query: &Sequence,
-    t0: usize,
-    q0: usize,
-    w: &SubstitutionMatrix,
-    gaps: &GapPenalties,
-    params: &TilingParams,
-) -> Extension {
-    let anchored = Anchored::new(target, query, t0, q0, w, gaps, params);
-    SCRATCH.with_borrow_mut(|scratch| anchored.walk(Direction::Right, scratch))
-}
-
 /// Extends to the left (decreasing coordinates) from `(t0, q0)` exclusive.
 ///
 /// The returned CIGAR is already in forward orientation, covering
@@ -458,6 +444,13 @@ mod tests {
         }
     }
 
+    /// The right walk from the origin, as `extend_alignment` runs it.
+    fn walk_right(t: &Sequence, q: &Sequence, params: &TilingParams) -> Extension {
+        let (w, g) = dw();
+        let anchored = Anchored::new(t, q, 0, 0, &w, &g, params);
+        SCRATCH.with_borrow_mut(|scratch| anchored.walk(Direction::Right, scratch))
+    }
+
     fn random_seq(len: usize, rng: &mut StdRng) -> Sequence {
         (0..len)
             .map(|_| Base::from_code(rng.gen_range(0..4u8)))
@@ -511,7 +504,7 @@ mod tests {
         let (w, g) = dw();
         let mut rng = StdRng::seed_from_u64(4);
         let s = random_seq(300, &mut rng);
-        let right = extend_right(&s, &s, 0, 0, &w, &g, &small_params());
+        let right = walk_right(&s, &s, &small_params());
         let left = extend_left(&s, &s, 300, 300, &w, &g, &small_params());
         assert_eq!(right.target_advance, left.target_advance);
         assert_eq!(right.cigar.matches(), left.cigar.matches());
@@ -556,6 +549,121 @@ mod tests {
         assert_eq!(TilingParams::gact_with_memory(2 * 1024 * 1024).tile_size, 2048);
         let t1m = TilingParams::gact_with_memory(1024 * 1024).tile_size;
         assert!((1440..=1456).contains(&t1m));
+    }
+
+    #[test]
+    fn gact_aligns_clean_sequences() {
+        let (w, g) = dw();
+        let mut rng = StdRng::seed_from_u64(1);
+        let s = random_seq(800, &mut rng);
+        // 128 KB → tile 512; plenty for a clean 800 bp alignment.
+        let gact = TilingParams::gact_with_memory(128 * 1024);
+        let a = extend_alignment(&s, &s, 400, 400, &w, &g, &gact).unwrap();
+        assert_eq!(a.alignment.matches(), 800);
+    }
+
+    #[test]
+    fn gact_costs_more_cells_than_gactx_for_same_alignment() {
+        let (w, g) = dw();
+        let mut rng = StdRng::seed_from_u64(2);
+        let s = random_seq(1200, &mut rng);
+        let gact_params = TilingParams::gact_with_memory(128 * 1024);
+        let gact = extend_alignment(&s, &s, 600, 600, &w, &g, &gact_params).unwrap();
+        // Same 512-base tile, but a Y tight enough that the band (~70
+        // columns) is far narrower than the tile. On identical sequences
+        // the optimal path is the main diagonal, so quality is unchanged.
+        let gactx_params = TilingParams {
+            tile_size: 512,
+            overlap: 128,
+            y: 1500,
+            edge_traceback: false,
+        };
+        let gactx = extend_alignment(&s, &s, 600, 600, &w, &g, &gactx_params).unwrap();
+        assert_eq!(gact.alignment.matches(), gactx.alignment.matches());
+        assert!(
+            gact.stats.cells > 2 * gactx.stats.cells,
+            "GACT {} cells vs GACT-X {}",
+            gact.stats.cells,
+            gactx.stats.cells
+        );
+        assert!(
+            gact.stats.peak_traceback_bytes > 2 * gactx.stats.peak_traceback_bytes,
+            "GACT {} bytes vs GACT-X {}",
+            gact.stats.peak_traceback_bytes,
+            gactx.stats.peak_traceback_bytes
+        );
+    }
+
+    #[test]
+    fn gact_with_small_memory_cannot_cross_long_gaps() {
+        let (w, g) = dw();
+        let mut rng = StdRng::seed_from_u64(3);
+        let left_arm = random_seq(400, &mut rng);
+        let right_arm = random_seq(400, &mut rng);
+        let gap = random_seq(250, &mut rng);
+        // Target has a 250-base insertion between the arms.
+        let mut target = left_arm.clone();
+        target.extend(gap.iter());
+        target.extend(right_arm.iter());
+        let mut query = left_arm.clone();
+        query.extend(right_arm.iter());
+
+        // GACT with a tiny memory budget (tile 181 < gap) stalls inside the
+        // gap; GACT-X with an equally small *memory* crosses it because its
+        // banded tile is larger.
+        let gact_params = TilingParams::gact_with_memory(16 * 1024);
+        let small = extend_alignment(&target, &query, 100, 100, &w, &g, &gact_params).unwrap();
+        let gactx_params = TilingParams {
+            tile_size: 720, // what ~16 KB buys at a ~45-col band
+            overlap: 128,
+            y: 9430,
+            edge_traceback: false,
+        };
+        let gactx = extend_alignment(&target, &query, 100, 100, &w, &g, &gactx_params).unwrap();
+        assert!(
+            gactx.alignment.matches() > small.alignment.matches(),
+            "GACT-X {} vs GACT {}",
+            gactx.alignment.matches(),
+            small.alignment.matches()
+        );
+        assert!(gactx.alignment.matches() >= 700);
+    }
+
+    #[test]
+    fn ydrop_and_gactx_find_equivalent_alignments() {
+        let (w, g) = dw();
+        let mut rng = StdRng::seed_from_u64(7);
+        let t = random_seq(2000, &mut rng);
+        let q: Sequence = t
+            .iter()
+            .map(|b| {
+                if rng.gen::<f64>() < 0.08 {
+                    Base::from_code(rng.gen_range(0..4u8))
+                } else {
+                    b
+                }
+            })
+            .collect();
+        let ydrop = TilingParams::ydrop(9430);
+        let ydrop = extend_alignment(&t, &q, 1000, 1000, &w, &g, &ydrop).unwrap();
+        let gactx = TilingParams::gactx_default();
+        let gactx = extend_alignment(&t, &q, 1000, 1000, &w, &g, &gactx).unwrap();
+        let ratio = ydrop.alignment.matches() as f64 / gactx.alignment.matches() as f64;
+        assert!(
+            (0.95..=1.05).contains(&ratio),
+            "y-drop {} vs gact-x {}",
+            ydrop.alignment.matches(),
+            gactx.alignment.matches()
+        );
+    }
+
+    #[test]
+    fn ydrop_returns_none_on_garbage_anchor() {
+        let (w, g) = dw();
+        let t: Sequence = "AAAAAAAAAA".parse().unwrap();
+        let q: Sequence = "CCCCCCCCCC".parse().unwrap();
+        let ydrop = TilingParams::ydrop(9430);
+        assert!(extend_alignment(&t, &q, 5, 5, &w, &g, &ydrop).is_none());
     }
 
     #[test]
@@ -640,7 +748,7 @@ mod tests {
             let (t0, q0) = (t.len(), q.len());
             let rev_t: Sequence = t.iter().rev().collect();
             let rev_q: Sequence = q.iter().rev().collect();
-            let mut expected = extend_right(&rev_t, &rev_q, 0, 0, &w, &g, &small_params());
+            let mut expected = walk_right(&rev_t, &rev_q, &small_params());
             expected.cigar.reverse();
             let left = extend_left(&t, &q, t0, q0, &w, &g, &small_params());
             assert_eq!(left, expected, "seed {seed}");

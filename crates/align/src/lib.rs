@@ -11,10 +11,11 @@
 //!   anti-diagonal dataflow and is bit-identical to [`banded`], and
 //!   [`bsw_simd`], the explicit 16-lane `i16` SIMD transcription of the
 //!   same wavefront (bit-identical again, with an exact `i32` fallback);
-//! * the *extension* algorithms — [`xdrop`] (the per-tile X-drop kernel),
-//!   [`gactx`] (GACT-X tiled extension, the paper's contribution),
-//!   [`gact`] (the prior Darwin algorithm Fig. 10 compares against) and
-//!   [`greedy`] (the software Y-drop extension of the LASTZ baseline).
+//! * the *extension* algorithms — [`xdrop`] (the per-tile X-drop kernel)
+//!   and [`gactx`] (GACT-X tiled extension, the paper's contribution),
+//!   whose tiling parameters also give the prior Darwin algorithm GACT
+//!   that Fig. 10 compares against and the LASTZ baseline's untiled
+//!   Y-drop extension.
 //!
 //! # Quick start
 //!
@@ -42,9 +43,7 @@ pub mod banded;
 pub mod bsw_fast;
 pub mod bsw_simd;
 pub mod cigar;
-pub mod gact;
 pub mod gactx;
-pub mod greedy;
 pub mod nw;
 pub mod sw;
 pub mod ungapped;

@@ -233,7 +233,6 @@ mod tests {
     fn prefers_one_long_gap_over_two_short() {
         // Affine penalties should merge gaps when possible.
         let r = run("AAAACCCCAAAA", "AAAAAAAA");
-        assert_eq!(r.cigar.gap_opens(), 1);
-        assert_eq!(r.cigar.count(AlignOp::Delete), 4);
+        assert_eq!(r.cigar.to_string(), "4=4D4=");
     }
 }

@@ -187,7 +187,7 @@ fn homopolymers_and_short_repeats_break_ties_identically() {
     }
     // Scores where a substitution, a gap-open and a gap-extension cost the
     // same, so `>=` against `>` anywhere in the recurrences shows.
-    let w = SubstitutionMatrix::simple(2, 2);
+    let w = SubstitutionMatrix::from_table([[2, -2, -2, -2], [-2, 2, -2, -2], [-2, -2, 2, -2], [-2, -2, -2, 2]]);
     let g = GapPenalties::new(1, 1);
     let mut rng = StdRng::seed_from_u64(77);
     for _ in 0..200 {
@@ -360,7 +360,12 @@ fn nibble_packed_rows_of_every_shape_trace_back_identically() {
     // — rows that, at an odd width, start on a low and a high nibble in
     // turn.
     let cheap_gaps = (
-        SubstitutionMatrix::simple(100, 100),
+        SubstitutionMatrix::from_table([
+            [100, -100, -100, -100],
+            [-100, 100, -100, -100],
+            [-100, -100, 100, -100],
+            [-100, -100, -100, 100],
+        ]),
         GapPenalties::new(1, 1),
     );
     let q = bases(&format!("{}CCGGTT", "A".repeat(58)));

@@ -30,9 +30,7 @@
 pub mod browser;
 pub mod chainer;
 pub mod gapcost;
-pub mod liftover;
 pub mod metrics;
-pub mod net;
 pub mod phylo;
 
 pub use chainer::{chain_alignments, Chain};

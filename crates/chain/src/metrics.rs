@@ -116,17 +116,6 @@ pub struct ExonRecovery {
     pub min_coverage: f64,
 }
 
-impl ExonRecovery {
-    /// Fraction of exons found.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.found as f64 / self.total as f64
-        }
-    }
-}
-
 /// Computes exon recovery for `exons` (target coordinates) against the
 /// aligned columns of all chain members.
 pub fn exon_recovery(
@@ -359,7 +348,6 @@ mod tests {
         assert_eq!(r.found, 1);
         let r = exon_recovery(&chains, &alignments, &exons, 0.2);
         assert_eq!(r.found, 2);
-        assert!((r.fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

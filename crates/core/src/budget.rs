@@ -130,7 +130,10 @@ mod tests {
     use crate::config::ResourceBudget;
 
     fn params_with(budget: ResourceBudget) -> WgaParams {
-        WgaParams::darwin_wga().with_budget(budget)
+        WgaParams {
+            budget,
+            ..WgaParams::darwin_wga()
+        }
     }
 
     #[test]

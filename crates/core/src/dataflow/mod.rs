@@ -178,13 +178,16 @@ mod tests {
     #[test]
     fn dataflow_matches_barrier_with_budgets_and_both_strands() {
         let (target, query) = assemblies(202, &[(10_000, 0.25)]);
-        let mut params = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_seed_hits: Some(40),
-            max_filter_tiles: Some(60),
-            max_extension_cells: Some(2_000_000),
-            ..ResourceBudget::default()
-        });
-        params.both_strands = true;
+        let params = WgaParams {
+            budget: ResourceBudget {
+                max_seed_hits: Some(40),
+                max_filter_tiles: Some(60),
+                max_extension_cells: Some(2_000_000),
+                ..ResourceBudget::default()
+            },
+            both_strands: true,
+            ..WgaParams::darwin_wga()
+        };
         let barrier = run(&params, &target, &query, ExecutorKind::Barrier, 2, 64);
         let dataflow = run(&params, &target, &query, ExecutorKind::Dataflow, 3, 8);
         assert_eq!(barrier.canonical_text(), dataflow.canonical_text());

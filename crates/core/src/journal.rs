@@ -264,11 +264,6 @@ impl Journal {
         })
     }
 
-    /// Number of pairs recovered from disk at open time.
-    pub fn recovered_pairs(&self) -> usize {
-        self.recovered.len()
-    }
-
     /// What recovery found at open time: records kept, corrupt records
     /// skipped, torn tail dropped.
     pub fn stats(&self) -> JournalStats {
@@ -370,8 +365,8 @@ fn encode_timings(out: &mut String, t: &StageTimings) {
 
 fn encode_counters(out: &mut String, c: &FunnelCounters) {
     out.push_str(&format!(
-        "{{\"raw_seed_hits\":{},\"hits_filtered\":{},\"filter_cells\":{},\"anchors_passed\":{},\"anchors_absorbed\":{},\"alignments_kept\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
-        c.raw_seed_hits, c.hits_filtered, c.filter_cells, c.anchors_passed, c.anchors_absorbed, c.alignments_kept,
+        "{{\"raw_seed_hits\":{},\"filter_cells\":{},\"anchors_passed\":{},\"anchors_absorbed\":{},\"alignments_kept\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
+        c.raw_seed_hits, c.filter_cells, c.anchors_passed, c.anchors_absorbed, c.alignments_kept,
         c.faults_injected, c.retries, c.stalls_detected
     ));
 }
@@ -664,7 +659,6 @@ fn decode_counters(value: Option<&json::Json>) -> Result<FunnelCounters, String>
     };
     Ok(FunnelCounters {
         raw_seed_hits: opt("raw_seed_hits")?,
-        hits_filtered: opt("hits_filtered")?,
         filter_cells: opt("filter_cells")?,
         anchors_passed: opt("anchors_passed")?,
         anchors_absorbed: opt("anchors_absorbed")?,
@@ -1058,7 +1052,6 @@ mod tests {
             },
             counters: FunnelCounters {
                 raw_seed_hits: 25,
-                hits_filtered: 20,
                 filter_cells: 6400,
                 anchors_passed: 3,
                 anchors_absorbed: 1,
@@ -1115,18 +1108,21 @@ mod tests {
         let record = sample_record();
         let legacy = strip_crc(&encode_record(&record));
         assert_eq!(decode_record(&legacy).unwrap(), record);
-        // So must records from when extension ran speculatively and
-        // counted its waste in a counter the struct no longer has —
-        // with or without their own checksum.
-        let speculative = legacy.replace(
-            "\"stalls_detected\":0}",
-            "\"stalls_detected\":0,\"spec_discard\":2}",
-        );
-        assert_ne!(speculative, legacy);
-        assert_eq!(decode_record(&speculative).unwrap(), record);
-        let crc = crc32c(speculative.as_bytes());
-        let sealed = format!("{},\"crc\":{crc}}}", &speculative[..speculative.len() - 1]);
-        assert_eq!(decode_record(&sealed).unwrap(), record);
+        // So must records carrying a counter the struct no longer has —
+        // the waste of speculative extension, or the hits filtered, which
+        // always equalled `workload.filter_tiles` — with or without
+        // their own checksum.
+        for (now, then) in [
+            ("\"stalls_detected\":0}", "\"stalls_detected\":0,\"spec_discard\":2}"),
+            ("\"raw_seed_hits\":25,", "\"raw_seed_hits\":25,\"hits_filtered\":20,"),
+        ] {
+            let old = legacy.replace(now, then);
+            assert_ne!(old, legacy);
+            assert_eq!(decode_record(&old).unwrap(), record);
+            let crc = crc32c(old.as_bytes());
+            let sealed = format!("{},\"crc\":{crc}}}", &old[..old.len() - 1]);
+            assert_eq!(decode_record(&sealed).unwrap(), record);
+        }
     }
 
     #[test]
@@ -1170,7 +1166,7 @@ mod tests {
         let fp = params_fingerprint(&params);
         {
             let mut journal = Journal::open(&path, &fp).unwrap();
-            assert_eq!(journal.recovered_pairs(), 0);
+            assert_eq!(journal.recovered.len(), 0);
             journal.append(&sample_record()).unwrap();
         }
         // Simulate a torn final line from a crash mid-append.
@@ -1179,7 +1175,7 @@ mod tests {
             f.write_all(b"{\"target_chrom\":\"chrII\",\"query_ch").unwrap();
         }
         let mut journal = Journal::open(&path, &fp).unwrap();
-        assert_eq!(journal.recovered_pairs(), 1);
+        assert_eq!(journal.recovered.len(), 1);
         let rec = journal.take("chr\"I\\", "chr1").unwrap();
         assert_eq!(rec, sample_record());
         assert!(journal.take("chr\"I\\", "chr1").is_none());
@@ -1230,7 +1226,7 @@ mod tests {
             f.write_all(encode_record(&rec).as_bytes()).unwrap();
         }
         let journal = Journal::open(&path, &fp).unwrap();
-        assert_eq!(journal.recovered_pairs(), 2, "both valid records survive");
+        assert_eq!(journal.recovered.len(), 2, "both valid records survive");
         let stats = journal.stats();
         assert_eq!(stats.records_recovered, 2);
         assert_eq!(stats.corrupt_records_skipped, 1);
@@ -1240,7 +1236,7 @@ mod tests {
         // clean.
         let journal = Journal::open(&path, &fp).unwrap();
         assert_eq!(journal.stats().corrupt_records_skipped, 0);
-        assert_eq!(journal.recovered_pairs(), 2);
+        assert_eq!(journal.recovered.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
 

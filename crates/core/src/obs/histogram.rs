@@ -37,14 +37,6 @@ impl Log2Histogram {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
-    /// Smallest value that lands in `bucket` (the bucket's lower bound).
-    pub fn bucket_lower_bound(bucket: usize) -> u64 {
-        match bucket {
-            0 => 0,
-            b => 1u64 << (b - 1),
-        }
-    }
-
     /// Records one sample.
     #[inline]
     pub fn observe(&self, value: u64) {
@@ -100,12 +92,6 @@ impl Log2Histogram {
         Some(LOG2_BUCKETS - 1)
     }
 
-    /// Lower bound of the [`Log2Histogram::percentile_bucket`] bucket:
-    /// a conservative integer value estimate for the percentile.
-    pub fn percentile_lower_bound(&self, permille: u64) -> Option<u64> {
-        self.percentile_bucket(permille).map(Self::bucket_lower_bound)
-    }
-
     /// Total number of recorded samples.
     pub fn total(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
@@ -153,14 +139,13 @@ mod tests {
     }
 
     #[test]
-    fn lower_bounds_invert_bucket_index() {
-        for bucket in 0..LOG2_BUCKETS {
-            let lo = Log2Histogram::bucket_lower_bound(bucket);
+    fn buckets_open_at_powers_of_two() {
+        assert_eq!(Log2Histogram::bucket_index(0), 0);
+        for bucket in 1..LOG2_BUCKETS {
+            let lo = 1u64 << (bucket - 1);
             assert_eq!(Log2Histogram::bucket_index(lo), bucket, "bucket {bucket}");
-            if lo > 0 {
-                // One below the lower bound falls in the previous bucket.
-                assert_eq!(Log2Histogram::bucket_index(lo - 1), bucket - 1);
-            }
+            // One below the lower bound falls in the previous bucket.
+            assert_eq!(Log2Histogram::bucket_index(lo - 1), bucket - 1);
         }
     }
 
@@ -181,7 +166,6 @@ mod tests {
         assert!(h.snapshot().is_empty());
         for p in [0, 500, 1000] {
             assert_eq!(h.percentile_bucket(p), None);
-            assert_eq!(h.percentile_lower_bound(p), None);
         }
     }
 
@@ -194,7 +178,6 @@ mod tests {
         for p in [0, 1, 250, 500, 900, 999, 1000] {
             assert_eq!(h.percentile_bucket(p), Some(7), "p={p}");
         }
-        assert_eq!(h.percentile_lower_bound(500), Some(64));
     }
 
     #[test]
@@ -208,7 +191,6 @@ mod tests {
         assert_eq!(h.total(), 5);
         assert_eq!(h.snapshot(), vec![(LOG2_BUCKETS - 1, 5)]);
         assert_eq!(h.percentile_bucket(1000), Some(LOG2_BUCKETS - 1));
-        assert_eq!(h.percentile_lower_bound(1000), Some(1 << 63));
     }
 
     #[test]
@@ -254,7 +236,6 @@ mod tests {
         assert_eq!(h.percentile_bucket(900), Some(2));
         assert_eq!(h.percentile_bucket(901), Some(13));
         assert_eq!(h.percentile_bucket(1000), Some(13));
-        assert_eq!(h.percentile_lower_bound(1000), Some(4096));
     }
 
     #[test]

@@ -427,12 +427,6 @@ impl<'a> Obs<'a> {
         self.pair
     }
 
-    /// Whether a live recorder is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.rec.is_some()
-    }
-
     /// Adds `n` to a funnel counter (no-op when disabled).
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
@@ -801,7 +795,7 @@ mod tests {
     #[test]
     fn off_handle_records_nothing_and_reads_no_clock() {
         let obs = Obs::off();
-        assert!(!obs.is_enabled());
+        assert!(obs.rec.is_none());
         let timer = obs.timer();
         assert!(timer.0.is_none(), "a disabled timer never reads the clock");
         obs.filter_tile(&timer, 100); // must be a no-op, not a panic
@@ -818,7 +812,7 @@ mod tests {
     fn trace_recorder_collects_spans_counters_hists() {
         let rec = TraceRecorder::new();
         let obs = Obs::new(&rec).with_pair(3);
-        assert!(obs.is_enabled());
+        assert!(obs.rec.is_some());
         assert_eq!(obs.pair(), 3);
 
         let timer = obs.timer();

@@ -14,7 +14,6 @@
 //! at one thread behind validated parameters.
 
 use crate::config::WgaParams;
-use crate::error::WgaResult;
 use crate::filter_engine::FilterContext;
 use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
 use crate::report::{Strand, WgaReport};
@@ -122,8 +121,7 @@ impl WgaPipeline {
     /// # Panics
     ///
     /// Panics if the parameters are degenerate (see
-    /// [`WgaParams::validate`]); use [`WgaPipeline::try_new`] for a typed
-    /// error instead.
+    /// [`WgaParams::validate`], which returns a typed error instead).
     pub fn new(params: WgaParams) -> WgaPipeline {
         let checked = params.validate();
         assert!(
@@ -132,18 +130,6 @@ impl WgaPipeline {
             checked.err().map(|e| e.to_string()).unwrap_or_default()
         );
         WgaPipeline { params }
-    }
-
-    /// Creates a pipeline, rejecting degenerate parameters with a typed
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::error::WgaError::Config`] when
-    /// [`WgaParams::validate`] rejects the parameters.
-    pub fn try_new(params: WgaParams) -> WgaResult<WgaPipeline> {
-        params.validate()?;
-        Ok(WgaPipeline { params })
     }
 
     /// The pipeline's parameters.
@@ -195,10 +181,9 @@ mod tests {
         let found = report.total_matches() as f64;
         assert!(found > 0.6 * truth, "found {found} of {truth}");
         // Funnel consistency.
-        assert!(report.counters.hits_filtered > 0);
-        assert!(report.counters.anchors_passed <= report.counters.hits_filtered);
+        assert!(report.workload.filter_tiles > 0);
+        assert!(report.counters.anchors_passed <= report.workload.filter_tiles);
         assert!(report.counters.alignments_kept <= report.counters.anchors_passed);
-        assert_eq!(report.workload.filter_tiles, report.counters.hits_filtered);
     }
 
     #[test]
@@ -264,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_degenerate_config() {
-        let mut params = WgaParams::darwin_wga();
-        params.extension_threshold = -5;
-        assert!(WgaPipeline::try_new(params).is_err());
-        assert!(WgaPipeline::try_new(WgaParams::darwin_wga()).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "invalid configuration")]
     fn new_panics_on_degenerate_config() {
         let mut params = WgaParams::darwin_wga();
@@ -287,17 +264,20 @@ mod tests {
         let pair = synthetic(0.1, 30_000, 1);
         let unbounded = WgaPipeline::new(WgaParams::darwin_wga())
             .run(&pair.target.sequence, &pair.query.sequence);
-        assert!(!unbounded.is_degraded());
+        assert!(unbounded.events.is_empty());
         assert!(unbounded.workload.filter_tiles > 40);
 
         let cap = 40u64;
-        let params = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_filter_tiles: Some(cap),
-            ..ResourceBudget::default()
-        });
+        let params = WgaParams {
+            budget: ResourceBudget {
+                max_filter_tiles: Some(cap),
+                ..ResourceBudget::default()
+            },
+            ..WgaParams::darwin_wga()
+        };
         let capped = WgaPipeline::new(params).run(&pair.target.sequence, &pair.query.sequence);
         assert_eq!(capped.workload.filter_tiles, cap);
-        assert!(capped.is_degraded());
+        assert!(!capped.events.is_empty());
         assert!(capped.events.iter().any(|e| matches!(
             e,
             RunEvent::BudgetExceeded {
@@ -306,10 +286,13 @@ mod tests {
             }
         )));
         // Deterministic: the same capped run twice is identical.
-        let params2 = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_filter_tiles: Some(cap),
-            ..ResourceBudget::default()
-        });
+        let params2 = WgaParams {
+            budget: ResourceBudget {
+                max_filter_tiles: Some(cap),
+                ..ResourceBudget::default()
+            },
+            ..WgaParams::darwin_wga()
+        };
         let again = WgaPipeline::new(params2).run(&pair.target.sequence, &pair.query.sequence);
         assert_eq!(capped.total_matches(), again.total_matches());
         assert_eq!(capped.events, again.events);
@@ -321,12 +304,15 @@ mod tests {
         use crate::report::{BudgetKind, RunEvent};
 
         let pair = synthetic(0.1, 30_000, 2);
-        let params = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_seed_hits: Some(25),
-            ..ResourceBudget::default()
-        });
+        let params = WgaParams {
+            budget: ResourceBudget {
+                max_seed_hits: Some(25),
+                ..ResourceBudget::default()
+            },
+            ..WgaParams::darwin_wga()
+        };
         let report = WgaPipeline::new(params).run(&pair.target.sequence, &pair.query.sequence);
-        assert!(report.counters.hits_filtered <= 25);
+        assert!(report.workload.filter_tiles <= 25);
         assert!(report.events.iter().any(|e| matches!(
             e,
             RunEvent::BudgetExceeded {
@@ -349,10 +335,13 @@ mod tests {
             .run(&pair.target.sequence, &pair.query.sequence);
         let limit = unbounded.workload.extension_cells / 10;
         assert!(limit > 0);
-        let params = WgaParams::darwin_wga().with_budget(ResourceBudget {
-            max_extension_cells: Some(limit),
-            ..ResourceBudget::default()
-        });
+        let params = WgaParams {
+            budget: ResourceBudget {
+                max_extension_cells: Some(limit),
+                ..ResourceBudget::default()
+            },
+            ..WgaParams::darwin_wga()
+        };
         let capped = WgaPipeline::new(params).run(&pair.target.sequence, &pair.query.sequence);
         assert!(capped.workload.extension_cells < unbounded.workload.extension_cells);
         assert!(capped.events.iter().any(|e| matches!(
@@ -387,14 +376,17 @@ mod tests {
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);
         for max_filter_tiles in [None, Some(30)] {
             let budget = ResourceBudget { max_filter_tiles, ..ResourceBudget::default() };
-            let params = WgaParams::darwin_wga().with_budget(budget);
+            let params = WgaParams {
+                budget,
+                ..WgaParams::darwin_wga()
+            };
             let serial = WgaPipeline::new(params.clone()).run(t, q);
             let parallel = run_pair(&params, table_for(&params, t), t, q, 4, Obs::off());
             assert_eq!(serial.alignments, parallel.alignments);
             assert_eq!(serial.workload, parallel.workload);
             assert_eq!(serial.counters, parallel.counters);
             assert_eq!(serial.events, parallel.events);
-            assert_eq!(serial.is_degraded(), max_filter_tiles.is_some());
+            assert_eq!(!serial.events.is_empty(), max_filter_tiles.is_some());
         }
     }
 

@@ -125,13 +125,6 @@ pub enum RunOutcome {
     },
 }
 
-impl RunOutcome {
-    /// Whether the pair contributed results (completed or degraded).
-    pub fn has_results(&self) -> bool {
-        !matches!(self, RunOutcome::Failed { .. })
-    }
-}
-
 /// One chromosome pair's outcome within an
 /// [`crate::genome_pipeline::AssemblyReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,10 +140,10 @@ pub struct PairOutcome {
 /// Funnel counters: how many candidates each stage saw and passed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunnelCounters {
-    /// Raw seed hits before diagonal-band deduplication.
+    /// Raw seed hits before diagonal-band deduplication. (The seed hits
+    /// handed to the filter, one per qualifying band, are
+    /// [`Workload::filter_tiles`].)
     pub raw_seed_hits: u64,
-    /// Seed hits handed to the filter (one per qualifying band).
-    pub hits_filtered: u64,
     /// DP cells spent in the gapped filter. Absent (zero) in records
     /// serialized before this field existed.
     pub filter_cells: u64,
@@ -174,7 +167,6 @@ impl FunnelCounters {
     /// Merges another counter record.
     pub fn merge(&mut self, other: &FunnelCounters) {
         self.raw_seed_hits += other.raw_seed_hits;
-        self.hits_filtered += other.hits_filtered;
         self.filter_cells += other.filter_cells;
         self.anchors_passed += other.anchors_passed;
         self.anchors_absorbed += other.anchors_absorbed;
@@ -202,11 +194,6 @@ pub struct WgaReport {
 }
 
 impl WgaReport {
-    /// Whether any budget tripped or any worker batch failed.
-    pub fn is_degraded(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// The run's [`RunOutcome`]: `Completed` when clean, `Degraded`
     /// carrying the event list otherwise.
     pub fn outcome(&self) -> RunOutcome {
@@ -276,7 +263,6 @@ mod tests {
     #[test]
     fn outcome_reflects_events() {
         let mut report = WgaReport::default();
-        assert!(!report.is_degraded());
         assert_eq!(report.outcome(), RunOutcome::Completed);
         report.events.push(RunEvent::BudgetExceeded {
             budget: BudgetKind::FilterTiles,
@@ -284,23 +270,16 @@ mod tests {
             limit: 10,
             observed: 25,
         });
-        assert!(report.is_degraded());
         match report.outcome() {
             RunOutcome::Degraded { events } => assert_eq!(events.len(), 1),
             other => panic!("expected degraded, got {other:?}"),
         }
-        assert!(report.outcome().has_results());
-        let failed = RunOutcome::Failed {
-            error: "worker panicked".into(),
-        };
-        assert!(!failed.has_results());
     }
 
     #[test]
     fn counters_merge() {
         let mut a = FunnelCounters {
             raw_seed_hits: 5,
-            hits_filtered: 4,
             filter_cells: 400,
             anchors_passed: 3,
             anchors_absorbed: 1,

@@ -441,7 +441,6 @@ pub(crate) fn fold_batches(
             continue;
         }
         report.workload.filter_tiles += batch.processed;
-        report.counters.hits_filtered += batch.processed;
         report.counters.filter_cells += batch.cells;
         deadline_hit |= batch.processed < batch.items;
         filter_time += batch.busy;

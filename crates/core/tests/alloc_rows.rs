@@ -286,10 +286,11 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
 fn a_fasta_record_is_read_straight_into_its_two_planes() {
     let bases = 200_000;
     let record = MarkovModel::genome_like().generate(bases, &mut StdRng::seed_from_u64(64));
+    let mut file = Vec::new();
+    let fasta = [genome::fasta::Record { name: "chr".into(), description: "chr g".into(), sequence: record.clone() }];
+    genome::fasta::write(&mut file, &fasta).expect("a Vec takes every write");
     let mut genome = Assembly::new("g");
     genome.push("chr", record);
-    let mut file = Vec::new();
-    genome.to_fasta(&mut file).expect("a Vec takes every write");
 
     let before = LIVE.get();
     let (read, peak) = measure(|| Assembly::from_fasta_sized("g", &file[..], file.len()).expect("it was just written"));

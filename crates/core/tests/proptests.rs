@@ -86,13 +86,12 @@ proptest! {
             .run(&pair.target.sequence, &pair.query.sequence);
 
         // Funnel monotonicity.
-        prop_assert!(report.counters.anchors_passed <= report.counters.hits_filtered);
+        prop_assert!(report.counters.anchors_passed <= report.workload.filter_tiles);
         prop_assert!(
             report.counters.alignments_kept + report.counters.anchors_absorbed
                 <= report.counters.anchors_passed
         );
         prop_assert_eq!(report.counters.alignments_kept, report.alignments.len() as u64);
-        prop_assert_eq!(report.workload.filter_tiles, report.counters.hits_filtered);
 
         for wa in &report.alignments {
             // Every alignment is consistent and above the threshold.
@@ -181,7 +180,7 @@ proptest! {
             ResourceBudget { max_filter_tiles: Some(hits[0] + hits[1] / 2), ..ResourceBudget::default() },
         ];
         for (which, budget) in budgets.into_iter().enumerate() {
-            let params = base.clone().with_budget(budget);
+            let params = WgaParams { budget, ..base.clone() };
             let expected = match which {
                 0 => unbudgeted.canonical_text(),
                 _ => whole_list_oracle(&params, target, &query).0.canonical_text(),
@@ -189,7 +188,7 @@ proptest! {
             prop_assert_eq!(expected.contains("\tdegraded("), which > 0, "budget {}", which);
             // One chunk a range, the default, and one range for the strand.
             for shard_bases in [1, base.shard_bases, usize::MAX] {
-                let params = params.clone().with_shard_bases(shard_bases);
+                let params = WgaParams { shard_bases, ..params.clone() };
                 for (threads, executor) in
                     [(1, ExecutorKind::Barrier), (2, ExecutorKind::Barrier), (2, ExecutorKind::Dataflow)]
                 {

@@ -148,12 +148,6 @@ impl Base {
         matches!(self, Base::A | Base::G)
     }
 
-    /// Whether this is a pyrimidine (`C` or `T`).
-    #[inline]
-    pub fn is_pyrimidine(self) -> bool {
-        matches!(self, Base::C | Base::T)
-    }
-
     /// The transition partner of an unambiguous base (`A↔G`, `C↔T`);
     /// `N` maps to itself.
     #[inline]
@@ -268,11 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn purine_pyrimidine_partition() {
+    fn purines_are_a_and_g() {
         let purines: Vec<_> = Base::DNA.iter().filter(|b| b.is_purine()).collect();
-        let pyrimidines: Vec<_> = Base::DNA.iter().filter(|b| b.is_pyrimidine()).collect();
-        assert_eq!(purines.len(), 2);
-        assert_eq!(pyrimidines.len(), 2);
+        assert_eq!(purines, [&Base::A, &Base::G]);
     }
 
     #[test]

@@ -82,24 +82,14 @@ impl CoordinateMap {
     /// The longest descendant a map addresses: positions below [`DELETED`].
     pub const MAX_DESCENDANT_LEN: usize = DELETED as usize - 1;
 
-    /// Builds a map from raw entries, `None` for a deleted base.
+    /// Builds a map from one entry an ancestral base, [`DELETED`] for a
+    /// deleted one.
     ///
     /// # Panics
     ///
     /// Panics if surviving positions are not strictly increasing or exceed
     /// `descendant_len`, or if `descendant_len` does not fit below the
     /// `u32` sentinel.
-    pub fn from_entries(map: Vec<Option<u32>>, descendant_len: usize) -> CoordinateMap {
-        let stored = |p: u32| {
-            assert!(p != DELETED, "coordinate {p} out of bounds");
-            p
-        };
-        let map = map.into_iter().map(|entry| entry.map_or(DELETED, stored)).collect();
-        CoordinateMap::from_positions(map, descendant_len)
-    }
-
-    /// [`CoordinateMap::from_entries`] over the stored form, [`DELETED`]
-    /// for a deleted base; checks the same.
     pub(crate) fn from_positions(map: Vec<u32>, descendant_len: usize) -> CoordinateMap {
         assert!(
             descendant_len <= Self::MAX_DESCENDANT_LEN,
@@ -137,11 +127,6 @@ impl CoordinateMap {
     /// Descendant position of ancestral base `pos`, if it survives.
     pub fn lookup(&self, pos: usize) -> Option<usize> {
         self.map.get(pos).filter(|&&p| p != DELETED).map(|&p| p as usize)
-    }
-
-    /// Number of ancestral bases that survive in the descendant.
-    pub fn surviving(&self) -> usize {
-        self.map.iter().filter(|&&p| p != DELETED).count()
     }
 
     /// Projects an ancestral interval to the descendant: the smallest
@@ -208,16 +193,12 @@ mod tests {
     #[test]
     fn coordinate_map_lookup_and_project() {
         // ancestor len 6; base 2 deleted; insertion shifted tail.
-        let map = CoordinateMap::from_entries(
-            vec![Some(0), Some(1), None, Some(4), Some(5), Some(6)],
-            7,
-        );
+        let map = CoordinateMap::from_positions(vec![0, 1, DELETED, 4, 5, 6], 7);
         assert_eq!(map.ancestor_len(), 6);
         assert_eq!(map.descendant_len(), 7);
         assert_eq!(map.lookup(0), Some(0));
         assert_eq!(map.lookup(2), None);
         assert_eq!(map.lookup(3), Some(4));
-        assert_eq!(map.surviving(), 5);
 
         let projected = map.project(&Interval::new(1, 5, "e")).unwrap();
         assert_eq!((projected.start, projected.end), (1, 6));
@@ -229,13 +210,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "not increasing")]
     fn coordinate_map_rejects_decreasing() {
-        CoordinateMap::from_entries(vec![Some(3), Some(2)], 5);
+        CoordinateMap::from_positions(vec![3, 2], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 4294967294 a coordinate map can address")]
+    fn coordinate_map_rejects_a_descendant_its_sentinel_would_alias() {
+        CoordinateMap::from_positions(Vec::new(), u32::MAX as usize);
     }
 
     #[test]
     fn orthologous_pairs_intersect_survivors() {
-        let a = CoordinateMap::from_entries(vec![Some(0), None, Some(1), Some(2)], 3);
-        let b = CoordinateMap::from_entries(vec![Some(0), Some(1), Some(2), None], 3);
+        let a = CoordinateMap::from_positions(vec![0, DELETED, 1, 2], 3);
+        let b = CoordinateMap::from_positions(vec![0, 1, 2, DELETED], 3);
         assert_eq!(orthologous_pairs(&a, &b), vec![(0, 0), (1, 2)]);
     }
 }

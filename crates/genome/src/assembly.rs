@@ -7,7 +7,7 @@
 
 use crate::fasta::{self, FastaError};
 use crate::sequence::Sequence;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// One chromosome of an assembly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,19 +107,6 @@ impl Assembly {
         }
         Ok(assembly)
     }
-
-    /// Writes the assembly as FASTA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn to_fasta<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        for c in &self.chromosomes {
-            let header = format!("{} {}", c.name, self.name);
-            fasta::write_record(&mut writer, &header, &c.sequence)?;
-        }
-        writer.flush()
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +149,9 @@ mod tests {
     fn fasta_round_trip() {
         let a = sample();
         let mut buf = Vec::new();
-        a.to_fasta(&mut buf).unwrap();
+        for c in a.chromosomes() {
+            fasta::write_record(&mut buf, &c.name, &c.sequence).unwrap();
+        }
         let b = Assembly::from_fasta("test1", &buf[..]).unwrap();
         assert_eq!(a, b);
     }

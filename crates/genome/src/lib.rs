@@ -1,8 +1,8 @@
 //! Genome substrate for the Darwin-WGA reproduction.
 //!
 //! This crate provides everything the aligner needs below the alignment
-//! layer: the DNA alphabet and sequences, FASTA I/O, scoring matrices,
-//! sequence statistics, a dinucleotide-preserving shuffler (for the paper's
+//! layer: the DNA alphabet and sequences, FASTA I/O, scoring matrices, a
+//! dinucleotide-preserving shuffler (for the paper's
 //! false-positive analysis), and a synthetic two-lineage evolution model
 //! that substitutes for the real genome assemblies of Table I.
 //!
@@ -33,7 +33,6 @@ pub mod markov;
 pub mod scoring;
 pub mod sequence;
 pub mod shuffle;
-pub mod stats;
 
 pub use alphabet::{Base, ParseBaseError};
 pub use scoring::{GapPenalties, SubstitutionMatrix};

@@ -6,7 +6,6 @@
 
 use crate::alphabet::Base;
 use crate::sequence::Sequence;
-use crate::stats::DinucleotideCounts;
 use rand::Rng;
 
 /// A first-order Markov model over `{A, C, G, T}`.
@@ -17,14 +16,6 @@ pub struct MarkovModel {
 }
 
 impl MarkovModel {
-    /// A uniform i.i.d. model.
-    pub fn uniform() -> MarkovModel {
-        MarkovModel {
-            initial: [0.25; 4],
-            transition: [[0.25; 4]; 4],
-        }
-    }
-
     /// A model with genome-like composition: ~41% GC (typical for the
     /// invertebrate genomes in Table I) and a depleted CpG dinucleotide
     /// (obs/exp ≈ 0.25), plus mild AA/TT enrichment.
@@ -48,41 +39,6 @@ impl MarkovModel {
         transition[t][a] = 0.27;
         MarkovModel {
             initial: [0.295, 0.205, 0.205, 0.295],
-            transition,
-        }
-    }
-
-    /// Creates a model with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any distribution does not sum to 1 within 1e-6, or contains
-    /// a negative probability.
-    pub fn from_parts(initial: [f64; 4], transition: [[f64; 4]; 4]) -> MarkovModel {
-        validate_distribution(&initial);
-        for row in &transition {
-            validate_distribution(row);
-        }
-        MarkovModel { initial, transition }
-    }
-
-    /// Fits a model to the dinucleotide counts of an observed sequence.
-    /// Rows without observations fall back to uniform.
-    pub fn fit(counts: &DinucleotideCounts) -> MarkovModel {
-        let transition = counts.transition_probabilities();
-        let mut initial = [0.0f64; 4];
-        let total: u64 = counts.total();
-        if total == 0 {
-            return MarkovModel::uniform();
-        }
-        for (i, init) in initial.iter_mut().enumerate() {
-            let row_total: u64 = (0..4)
-                .map(|j| counts.count(Base::from_code(i as u8), Base::from_code(j as u8)))
-                .sum();
-            *init = row_total as f64 / total as f64;
-        }
-        MarkovModel {
-            initial,
             transition,
         }
     }
@@ -123,15 +79,6 @@ impl Default for MarkovModel {
     }
 }
 
-fn validate_distribution(dist: &[f64; 4]) {
-    let sum: f64 = dist.iter().sum();
-    assert!(
-        (sum - 1.0).abs() < 1e-6,
-        "distribution sums to {sum}, expected 1"
-    );
-    assert!(dist.iter().all(|&p| p >= 0.0), "negative probability");
-}
-
 /// The first index whose running sum exceeds the draw (3 if none does),
 /// counted instead of searched: the sums never decrease, so the draw is at
 /// or above exactly the ones before that index.
@@ -147,7 +94,6 @@ fn sample<R: Rng + ?Sized>(dist: &[f64; 4], rng: &mut R) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::BaseCounts;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -163,42 +109,13 @@ mod tests {
     #[test]
     fn genome_like_depletes_cpg() {
         let mut rng = StdRng::seed_from_u64(2);
-        let seq = MarkovModel::genome_like().generate(200_000, &mut rng);
-        let d = DinucleotideCounts::from_sequence(&seq);
-        let cpg = d.obs_exp_ratio(Base::C, Base::G).unwrap();
-        assert!(cpg < 0.5, "CpG obs/exp {cpg} not depleted");
-        let gc = seq.gc_content();
+        let bases = MarkovModel::genome_like().generate(200_000, &mut rng).to_bases();
+        let n = bases.len() as f64;
+        let freq = |b: Base| bases.iter().filter(|&&x| x == b).count() as f64 / n;
+        let cpg = bases.windows(2).filter(|w| *w == [Base::C, Base::G]).count() as f64;
+        let obs_exp = cpg / ((n - 1.0) * freq(Base::C) * freq(Base::G));
+        assert!(obs_exp < 0.5, "CpG obs/exp {obs_exp} not depleted");
+        let gc = freq(Base::C) + freq(Base::G);
         assert!((0.35..0.47).contains(&gc), "GC content {gc}");
-    }
-
-    #[test]
-    fn uniform_model_is_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let seq = MarkovModel::uniform().generate(100_000, &mut rng);
-        let c = BaseCounts::from_sequence(&seq);
-        for &b in &Base::DNA {
-            let f = c.frequency(b);
-            assert!((0.23..0.27).contains(&f), "{b} frequency {f}");
-        }
-    }
-
-    #[test]
-    fn fit_recovers_transition_structure() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let seq = MarkovModel::genome_like().generate(300_000, &mut rng);
-        let fitted = MarkovModel::fit(&DinucleotideCounts::from_sequence(&seq));
-        let orig = MarkovModel::genome_like();
-        for i in 0..4 {
-            for j in 0..4 {
-                let d = (fitted.transition()[i][j] - orig.transition()[i][j]).abs();
-                assert!(d < 0.02, "transition[{i}][{j}] off by {d}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "distribution sums")]
-    fn from_parts_validates() {
-        MarkovModel::from_parts([0.5, 0.5, 0.5, 0.5], [[0.25; 4]; 4]);
     }
 }

@@ -43,17 +43,6 @@ impl SubstitutionMatrix {
         SubstitutionMatrix::from_table(table)
     }
 
-    /// A simple `+match/-mismatch` matrix.
-    pub fn simple(match_score: i32, mismatch_penalty: i32) -> SubstitutionMatrix {
-        let mut table = [[0i32; 4]; 4];
-        for (i, row) in table.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = if i == j { match_score } else { -mismatch_penalty.abs() };
-            }
-        }
-        SubstitutionMatrix::from_table(table)
-    }
-
     /// Builds from an explicit 4×4 table (row = first base, column = second,
     /// in `A C G T` order); `N` rows/columns get [`Self::N_SCORE`].
     pub fn from_table(table: [[i32; 4]; 4]) -> SubstitutionMatrix {
@@ -189,13 +178,6 @@ mod tests {
             assert_eq!(w.score(Base::N, b), SubstitutionMatrix::N_SCORE);
             assert_eq!(w.score(b, Base::N), SubstitutionMatrix::N_SCORE);
         }
-    }
-
-    #[test]
-    fn simple_matrix() {
-        let w = SubstitutionMatrix::simple(2, 3);
-        assert_eq!(w.score(Base::A, Base::A), 2);
-        assert_eq!(w.score(Base::A, Base::T), -3);
     }
 
     #[test]

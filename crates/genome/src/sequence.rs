@@ -234,28 +234,6 @@ impl Sequence {
         Iter { sequence: self, range: 0..self.len }
     }
 
-    /// Fraction of bases that are `G` or `C` (ambiguous bases excluded from
-    /// the denominator). Returns 0.0 for sequences with no unambiguous bases.
-    // lint: allow(determinism): stats display only — never feeds canonical output; one IEEE-exact division
-    pub fn gc_content(&self) -> f64 {
-        let mut gc = 0usize;
-        let mut total = 0usize;
-        for b in self {
-            match b {
-                Base::G | Base::C => {
-                    gc += 1;
-                    total += 1;
-                }
-                Base::A | Base::T => total += 1,
-                Base::N => {}
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            gc as f64 / total as f64
-        }
-    }
 }
 
 /// Iterator over a [`Sequence`]'s bases; see [`Sequence::iter`]. Skipping
@@ -397,16 +375,6 @@ mod tests {
         assert_eq!(s.ns[3] << 8, 0);
         assert_eq!(s.packed(195), (0b00_01_10_11_00 << 54, 0b00001 << 27));
         assert_eq!(s.packed(200), (0, 0));
-    }
-
-    #[test]
-    fn gc_content_ignores_n() {
-        let s: Sequence = "GCGCNNNN".parse().unwrap();
-        assert!((s.gc_content() - 1.0).abs() < 1e-12);
-        let t: Sequence = "ATGCNN".parse().unwrap();
-        assert!((t.gc_content() - 0.5).abs() < 1e-12);
-        let all_n: Sequence = "NNN".parse().unwrap();
-        assert_eq!(all_n.gc_content(), 0.0);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The generator's draws are its contract (DESIGN.md "Synthetic genomes"):
 //! what a speed-up of `MarkovModel` or `evolve` may never change, checked
-//! with generators that return chosen words or count what is asked of them
-//! — and, beside it, what the 4 B coordinate map refuses to hold.
+//! with generators that return chosen words or count what is asked of them.
 
-use genome::annotation::CoordinateMap;
 use genome::evolve::{EvolutionParams, SyntheticPair};
 use genome::markov::MarkovModel;
 use genome::Base;
@@ -45,14 +43,25 @@ impl RngCore for Counted {
 
 #[test]
 fn a_draw_equal_to_a_running_sum_falls_in_the_next_bin() {
-    // Uniform model: the running sums are 0.25, 0.5, 0.75, and 0, 1/4,
-    // 1/2, 3/4 are draws that exist. `x < sum` picks the bin, so a draw
-    // *on* a sum belongs to the bin above it; no seeded stream is likely
-    // to land on one, which is why only chosen words can pin this.
+    // `x < sum` picks the bin, so a draw *on* a running sum belongs to
+    // the bin above it; no seeded stream is likely to land on one, which
+    // is why only chosen words can pin this. The sums used are ones a draw
+    // (a multiple of 2^-53) can equal: 0.5 and 0.705 of the initial row
+    // (G's row is the same), 0.345 of A's.
+    let model = MarkovModel::genome_like();
+    let sum = |row: &[f64; 4], k: usize| row[..=k].iter().fold(0.0, |s, p| s + p);
+    let word = |x: f64| {
+        let units = x * (1u64 << 53) as f64;
+        assert_eq!(units.fract(), 0.0, "no draw equals {x}");
+        (units as u64) << 11
+    };
+    let (initial, rows) = (model.initial(), model.transition());
+    let on_a = word(sum(&rows[0], 0));
+    let words = vec![word(sum(initial, 1)), word(sum(&rows[2], 2)), 0, on_a - (1 << 11), on_a];
     let mut out = vec![Base::N];
-    let mut rng = Replay(vec![0, 1 << 62, 2 << 62, 3 << 62, (1 << 62) - (1 << 11)].into_iter());
-    MarkovModel::uniform().generate_into(&mut out, 5, &mut rng);
-    assert_eq!(out, [Base::N, Base::A, Base::C, Base::G, Base::T, Base::A]);
+    let mut rng = Replay(words.into_iter());
+    model.generate_into(&mut out, 5, &mut rng);
+    assert_eq!(out, [Base::N, Base::G, Base::T, Base::A, Base::A, Base::C]);
     assert_eq!(rng.0.len(), 0, "one draw a base");
 }
 
@@ -91,16 +100,4 @@ fn an_unevolved_pair_draws_three_rolls_a_base_a_lineage() {
     assert_eq!(pair.query.sequence, pair.ancestor);
     assert_eq!((pair.target.indel_events, pair.target.substitutions), (0, 0));
     assert_eq!(rng.1, len + 2 * (3 * len + 1));
-}
-
-#[test]
-#[should_panic(expected = "exceed the 4294967294 a coordinate map can address")]
-fn a_coordinate_map_rejects_a_descendant_its_sentinel_would_alias() {
-    CoordinateMap::from_entries(Vec::new(), u32::MAX as usize);
-}
-
-#[test]
-#[should_panic(expected = "out of bounds")]
-fn a_coordinate_map_rejects_its_sentinel_as_a_position() {
-    CoordinateMap::from_entries(vec![Some(u32::MAX)], CoordinateMap::MAX_DESCENDANT_LEN);
 }

@@ -115,11 +115,6 @@ impl BswBank {
     pub fn cycles_for_workload(&self, tiles: u64) -> u64 {
         tiles * self.geometry.cycles_per_tile(&self.array)
     }
-
-    /// DRAM bandwidth demanded at full throughput, bytes/second.
-    pub fn bandwidth_demand(&self) -> f64 {
-        self.tiles_per_second() * self.geometry.bytes_per_tile() as f64
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +156,6 @@ mod tests {
         // Paper: 70M tiles/s for 64 arrays at 1 GHz.
         let tps = BswBank::asic().tiles_per_second();
         assert!((5.0e7..9.0e7).contains(&tps), "{tps}");
-    }
-
-    #[test]
-    fn bandwidth_demand_scales_with_tile_bytes() {
-        let bank = BswBank::fpga();
-        let bw = bank.bandwidth_demand();
-        // Paper quotes ~2.1 GB/s for the FPGA BSW stage.
-        assert!((1.0e9..8.0e9).contains(&bw), "{bw}");
     }
 
     #[test]

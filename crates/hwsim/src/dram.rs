@@ -58,11 +58,6 @@ impl DramConfig {
         }
         compute_tiles_per_s.min(self.total_bandwidth() / bytes_per_tile)
     }
-
-    /// Whether a demand of `bytes_per_second` saturates the memory system.
-    pub fn is_bottleneck(&self, bytes_per_second: f64) -> bool {
-        bytes_per_second >= self.total_bandwidth()
-    }
 }
 
 #[cfg(test)]
@@ -87,8 +82,6 @@ mod tests {
         // 1 MB per tile: only ~18K tiles/s possible.
         let capped = d.cap_throughput(1.0e6, 1.0e6);
         assert!((capped - 19.2e3).abs() < 1.0);
-        assert!(d.is_bottleneck(20.0e9));
-        assert!(!d.is_bottleneck(1.0e9));
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl GactXBank {
         }
     }
 
-    /// Traceback SRAM available per array.
-    pub fn traceback_capacity(&self) -> u64 {
-        self.array.num_pe as u64 * TRACEBACK_BYTES_PER_PE
-    }
-
     /// Cycles one array spends on a tile with the given measured DP
     /// workload.
     ///
@@ -135,12 +130,6 @@ mod tests {
         let (cells, rows) = paper_tile();
         let tps = GactXBank::asic().tiles_per_second(cells as f64, rows as f64);
         assert!((1.5e5..7.0e5).contains(&tps), "{tps}");
-    }
-
-    #[test]
-    fn traceback_capacity_is_1mb_at_64_pe() {
-        assert_eq!(GactXBank::asic().traceback_capacity(), 1024 * 1024);
-        assert_eq!(GactXBank::fpga().traceback_capacity(), 512 * 1024);
     }
 
     #[test]

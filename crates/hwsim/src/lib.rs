@@ -38,13 +38,11 @@
 pub mod area;
 pub mod bsw_array;
 pub mod dram;
-pub mod fpga_resources;
 pub mod gactx_array;
 pub mod perf;
 pub mod platform;
 pub mod rtl;
 pub mod rtl_gactx;
-pub mod schedule;
 pub mod systolic;
 
 pub use perf::{ModeledCycles, RuntimeBreakdown, SoftwareThroughput, Workload};

@@ -130,35 +130,6 @@ pub fn perf_per_watt_improvement(
     (sw_seconds * cpu.power_w) / (hw_seconds * acc.power_w)
 }
 
-/// Energy and dollar cost of one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunCost {
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Energy in joules (seconds × platform watts).
-    pub joules: f64,
-    /// Cloud cost in dollars (None when the platform has no hourly price).
-    pub dollars: Option<f64>,
-}
-
-/// Cost of running `seconds` on the CPU baseline.
-pub fn cpu_run_cost(seconds: f64, cpu: &CpuConfig) -> RunCost {
-    RunCost {
-        seconds,
-        joules: seconds * cpu.power_w,
-        dollars: Some(seconds / 3600.0 * cpu.price_per_hour),
-    }
-}
-
-/// Cost of running `seconds` on an accelerator platform.
-pub fn accelerator_run_cost(seconds: f64, acc: &AcceleratorConfig) -> RunCost {
-    RunCost {
-        seconds,
-        joules: seconds * acc.power_w,
-        dollars: acc.price_per_hour.map(|p| seconds / 3600.0 * p),
-    }
-}
-
 /// Modeled accelerator cycle counts for one workload, one figure per
 /// offloaded stage. Integer by construction, so trace consumers can diff
 /// them across runs; the observability layer emits them as `hwsim.bsw` /
@@ -290,19 +261,6 @@ mod tests {
     fn asic_has_no_dollar_price() {
         let asic = AcceleratorConfig::asic();
         perf_per_dollar_improvement(1.0, &CpuConfig::c4_8xlarge(), 1.0, &asic);
-    }
-
-    #[test]
-    fn run_costs() {
-        let cpu = CpuConfig::c4_8xlarge();
-        let c = cpu_run_cost(3600.0, &cpu);
-        assert!((c.joules - 215.0 * 3600.0).abs() < 1e-6);
-        assert!((c.dollars.unwrap() - 1.59).abs() < 1e-9);
-        let fpga = accelerator_run_cost(3600.0, &AcceleratorConfig::fpga());
-        assert!((fpga.dollars.unwrap() - 1.65).abs() < 1e-9);
-        let asic = accelerator_run_cost(10.0, &AcceleratorConfig::asic());
-        assert_eq!(asic.dollars, None);
-        assert!((asic.joules - 433.4).abs() < 1e-6);
     }
 
     #[test]

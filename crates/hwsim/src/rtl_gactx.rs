@@ -484,7 +484,7 @@ mod tests {
         let q = mutated(&t, 0.15, &mut rng);
         let sim = simulate_gactx_tile(&t.to_bases(), &q.to_bases(), &w, &g, 9430, &fpga());
         assert!(
-            sim.bram_bytes <= crate::gactx_array::GactXBank::asic().traceback_capacity(),
+            sim.bram_bytes <= 64 * crate::gactx_array::TRACEBACK_BYTES_PER_PE,
             "{} bytes",
             sim.bram_bytes
         );

@@ -98,6 +98,44 @@ impl Graph {
         (parent, seen)
     }
 
+    /// Name-mention closure from `roots`, the `dead` rule's reach: a fn
+    /// is reached when it is a root or when its name appears as an
+    /// identifier in the non-test body of a reached fn. That covers
+    /// calls, fns passed as values (`.map(decode)`) and `Type::new()`
+    /// alike, and over-approximates by name rather than missing a use.
+    pub fn reach_by_mention(&self, lexed: &[Lexed<'_>], roots: &[usize]) -> Vec<bool> {
+        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, f) in self.fns.iter().enumerate() {
+            by_name.entry(f.name.as_str()).or_default().push(i);
+        }
+        let mut seen = vec![false; self.fns.len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for &r in roots {
+            if r < seen.len() && !seen[r] {
+                seen[r] = true;
+                stack.push(r);
+            }
+        }
+        while let Some(u) = stack.pop() {
+            let Some((start, end)) = self.fns[u].body else {
+                continue;
+            };
+            let lx = &lexed[self.fns[u].file];
+            for (tok, &test) in lx.toks.iter().zip(&lx.test).take(end + 1).skip(start) {
+                if test || tok.kind != TokKind::Ident {
+                    continue;
+                }
+                for &v in by_name.get(tok.text).into_iter().flatten() {
+                    if !seen[v] {
+                        seen[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
     /// Call path from a BFS root to `node`, rendered as fn quals
     /// (`entry -> mid -> leaf`). Empty when `node` was not reached.
     pub fn chain(&self, parent: &[usize], seen: &[bool], node: usize) -> Vec<String> {
@@ -526,6 +564,26 @@ fn drive(e: &dyn Engine) { e.run(); }
         assert!(seen[leaf]);
         assert!(!seen[id(&g, "island")]);
         assert_eq!(g.chain(&parent, &seen, leaf), vec!["entry", "mid", "leaf"]);
+    }
+
+    #[test]
+    fn mention_closure_reaches_values_and_constructors() {
+        let src = "
+fn entry() { let v = xs.map(decode); let p = P::new(); }
+fn decode() { leaf() }
+fn leaf() {}
+struct P;
+impl P { fn new() -> P { P } }
+fn island() { leaf() }
+";
+        let lexed = vec![lex(src)];
+        let syms = vec![extract(&lexed[0], 0)];
+        let g = build(&["crates/a/src/lib.rs".to_string()], &lexed, &syms);
+        let seen = g.reach_by_mention(&lexed, &g.nodes_named(&["entry".to_string()]));
+        for name in ["entry", "decode", "leaf", "new"] {
+            assert!(seen[id(&g, name)], "{name}");
+        }
+        assert!(!seen[id(&g, "island")]);
     }
 
     #[test]

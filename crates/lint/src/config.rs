@@ -5,12 +5,13 @@
 //! which directories hold library code, which are exempt from the
 //! panics rule, which must be panic-free with no baseline at all,
 //! per-directory panic baselines, the module set that feeds
-//! `canonical_text` (determinism rule), and the dataflow directories
-//! whose queue graph the deadlock rule checks.
+//! `canonical_text` (determinism rule), and what roots the `dead` rule's
+//! search besides the entry points (`[entry-dirs]`, `[oracles]`).
 //!
 //! Format: `[section]` headers, one entry per line, `#` comments.
-//! Baseline entries are `<dir> <count>`. Paths are relative to the
-//! workspace root and use `/` separators.
+//! Baseline entries are `<dir> <count>`; an `[oracles]` entry must
+//! carry a `# reason`. Paths are relative to the workspace root and use
+//! `/` separators.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -76,9 +77,17 @@ pub struct Config {
     /// panic-reachability and taint BFS (e.g. `align_assemblies`,
     /// `execute`, `main`).
     pub entry_points: Vec<String>,
-    /// Directories holding dataflow stage/queue code; the deadlock
-    /// rule runs only on these.
-    pub deadlock_dirs: Vec<PathBuf>,
+    /// Directories outside `[scan]` whose code calls into the scanned
+    /// tree (examples, benchmarks). The `dead` rule lexes them for the
+    /// names they mention, every one a root; no rule reports a site in
+    /// them.
+    pub entry_dirs: Vec<PathBuf>,
+    /// `name`, `Type::name` or `module::name` of fns only tests call
+    /// (references production is compared against, accessors a test
+    /// binary observes it through): exempt from the `dead` rule and
+    /// roots of its search, but not entry points of the panics or taint
+    /// passes.
+    pub oracles: Vec<String>,
 }
 
 impl Config {
@@ -142,7 +151,17 @@ impl Config {
                 "determinism-exempt" => cfg.determinism_exempt.push(PathBuf::from(line)),
                 "determinism-sinks" => cfg.determinism_sinks.push(line.to_string()),
                 "entry-points" => cfg.entry_points.push(line.to_string()),
-                "deadlock" => cfg.deadlock_dirs.push(PathBuf::from(line)),
+                "entry-dirs" => cfg.entry_dirs.push(PathBuf::from(line)),
+                "oracles" => {
+                    let reason = raw.find('#').map_or("", |p| raw[p + 1..].trim());
+                    if reason.is_empty() {
+                        return Err(LintError::Manifest {
+                            line: lineno,
+                            msg: format!("oracle `{}` needs a `# reason`", line),
+                        });
+                    }
+                    cfg.oracles.push(line.to_string());
+                }
                 "" => {
                     return Err(LintError::Manifest {
                         line: lineno,
@@ -235,8 +254,11 @@ paf_text
 align_assemblies
 execute
 
-[deadlock]
-crates/core/src/dataflow
+[entry-dirs]
+examples
+
+[oracles]
+sw::smith_waterman  # reference aligner
 ";
 
     #[test]
@@ -250,7 +272,8 @@ crates/core/src/dataflow
         assert_eq!(cfg.determinism_exempt.len(), 1);
         assert_eq!(cfg.determinism_sinks, vec!["canonical_text", "paf_text"]);
         assert_eq!(cfg.entry_points, vec!["align_assemblies", "execute"]);
-        assert_eq!(cfg.deadlock_dirs.len(), 1);
+        assert_eq!(cfg.entry_dirs, vec![PathBuf::from("examples")]);
+        assert_eq!(cfg.oracles, vec!["sw::smith_waterman"]);
     }
 
     #[test]
@@ -288,5 +311,6 @@ crates/genome/src
         assert!(Config::parse(PathBuf::new(), "stray\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[nope]\nx\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[baseline panics]\nno-count\n").is_err());
+        assert!(Config::parse(PathBuf::new(), "[oracles]\nsw::smith_waterman\n").is_err());
     }
 }

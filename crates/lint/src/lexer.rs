@@ -70,17 +70,6 @@ pub struct Lexed<'a> {
     pub test: Vec<bool>,
 }
 
-impl Lexed<'_> {
-    /// Number of the last line in the file (0 for an empty file).
-    pub fn last_line(&self) -> u32 {
-        self.toks
-            .last()
-            .map(|t| t.line)
-            .max(self.comments.last().map(|c| c.line))
-            .unwrap_or(0)
-    }
-}
-
 fn is_ident_start(c: u8) -> bool {
     c.is_ascii_alphabetic() || c == b'_' || c >= 0x80
 }

@@ -22,6 +22,13 @@
 //!   (b) nondeterminism sources taint callee→caller, and a canonical
 //!   sink (`[determinism-sinks]`) that transitively reaches an
 //!   unwaived source is a violation with the sink→source chain.
+//! * **dead** — every non-test fn must be reached by a name-mention
+//!   closure ([`callgraph::Graph::reach_by_mention`]) rooted at the
+//!   entry points, at every name the `[entry-dirs]` (examples,
+//!   benchmarks) mention, at the `[oracles]` tests compare production
+//!   against, and at trait-impl and macro-generated fns, which the
+//!   language or a macro calls. A stale `[oracles]` entry is a finding
+//!   too.
 //! * **deadlock** — workspace-wide: the stage→queue graph over every
 //!   `BoundedQueue` must be acyclic, and no queue push, zero-arg
 //!   `.join()`, or call to a fn whose effect summary pushes/joins may
@@ -38,7 +45,10 @@
 //! free fns in other crates can alias, and calls into external crates
 //! are explicit *unknown edges* that confer no reachability. The
 //! passes over-approximate reachability and taint rather than prove
-//! their absence.
+//! their absence. The `dead` rule's closure is coarser still — any fn
+//! whose name a reached body mentions is reached — so it can miss dead
+//! code but never reports a fn that a scanned body, entry dir or oracle
+//! uses.
 
 pub mod callgraph;
 pub mod config;
@@ -49,7 +59,7 @@ pub mod rules;
 pub mod symbols;
 pub mod taint;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -61,6 +71,7 @@ pub const RULES: &[&str] = &[
     "panics",
     "determinism",
     "taint",
+    "dead",
     "deadlock",
     "hot-loop",
     "unsafe",
@@ -116,6 +127,8 @@ pub struct Analysis {
     /// Entry-point fns matched / fns reachable from them.
     pub entry_fns: usize,
     pub reachable_fns: usize,
+    /// Fns the `dead` rule's name-mention closure reached.
+    pub dead_reached: usize,
     /// Deadlock-rule queue-graph shape.
     pub queues: usize,
     pub edges: usize,
@@ -204,21 +217,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
     let on = |rule: &str| analysis.enabled.contains(&rule);
 
     // Collect and read every scanned file first; lexes borrow sources.
-    let mut files: Vec<PathBuf> = Vec::new();
-    for dir in &cfg.scan_dirs {
-        walk(&cfg.root, dir, &mut files)?;
-    }
-    files.sort();
-    files.dedup();
-    let mut sources: Vec<String> = Vec::with_capacity(files.len());
-    for rel in &files {
-        let abs = cfg.root.join(rel);
-        let src = fs::read_to_string(&abs).map_err(|e| LintError::Io {
-            path: abs,
-            msg: e.to_string(),
-        })?;
-        sources.push(src);
-    }
+    let (files, sources) = read_tree(&cfg.root, &cfg.scan_dirs)?;
     let lexed: Vec<lexer::Lexed<'_>> = sources.iter().map(|s| lex_source(s)).collect();
     let dirs: Vec<rules::Directives> = lexed.iter().map(rules::scan_directives).collect();
     analysis.files_scanned = files.len();
@@ -413,6 +412,70 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
         analysis.timings.push(("taint", t.elapsed().as_micros()));
     }
 
+    // --- dead: fns no entry point, entry dir or oracle reaches -------
+    if on("dead") {
+        let t = Instant::now();
+        let mentioned = entry_dir_names(cfg)?;
+        let mut dead_roots = roots.clone();
+        dead_roots.extend((0..graph.fns.len()).filter(|&i| {
+            let f = &graph.fns[i];
+            // Trait-impl methods (`Display::fmt`, `Iterator::next`) are
+            // called by the language, macro-generated fns by a macro.
+            f.from_macro
+                || (f.impl_type.is_some() && f.trait_name.is_some())
+                || mentioned.contains(f.name.as_str())
+        }));
+        let oracle_hits: Vec<Vec<usize>> = cfg
+            .oracles
+            .iter()
+            .map(|oracle| (0..graph.fns.len()).filter(|&i| names_oracle(&graph, i, oracle)).collect())
+            .collect();
+        // An entry is stale when the search reaches what it names without
+        // it: the list stays as short as the tests need.
+        for (k, oracle) in cfg.oracles.iter().enumerate() {
+            let others = oracle_hits.iter().enumerate().filter(|&(j, _)| j != k);
+            let roots: Vec<usize> = dead_roots
+                .iter()
+                .copied()
+                .chain(others.flat_map(|(_, hits)| hits.iter().copied()))
+                .collect();
+            let reached = graph.reach_by_mention(&lexed, &roots);
+            let stale = if oracle_hits[k].is_empty() {
+                "names no scanned fn"
+            } else if oracle_hits[k].iter().all(|&i| reached[i]) {
+                "is reached without being listed"
+            } else {
+                continue;
+            };
+            analysis.sites.push(Site {
+                rule: "dead",
+                file: "[oracles]".into(),
+                line: 0,
+                msg: format!("oracle `{}` {}", oracle, stale),
+                status: SiteStatus::Violation,
+                chain: Vec::new(),
+            });
+        }
+        dead_roots.extend(oracle_hits.into_iter().flatten());
+        let seen = graph.reach_by_mention(&lexed, &dead_roots);
+        analysis.dead_reached = seen.iter().filter(|&&s| s).count();
+        for (f, _) in graph.fns.iter().zip(&seen).filter(|(_, &s)| !s) {
+            analysis.sites.push(Site {
+                rule: "dead",
+                file: rel_names[f.file].clone(),
+                line: f.line,
+                msg: format!("{} is reached from no entry point, entry dir or oracle", f.qual()),
+                status: if dirs[f.file].waived("dead", f.line) {
+                    SiteStatus::Waived
+                } else {
+                    SiteStatus::Violation
+                },
+                chain: Vec::new(),
+            });
+        }
+        analysis.timings.push(("dead", t.elapsed().as_micros()));
+    }
+
     // --- deadlock: workspace-wide queue/lock/join discipline --------
     if on("deadlock") {
         let t = Instant::now();
@@ -485,6 +548,60 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
         .sites
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(analysis)
+}
+
+/// Every `.rs` file under `dirs` (sorted, deduplicated) and its text.
+fn read_tree(root: &Path, dirs: &[PathBuf]) -> Result<(Vec<PathBuf>, Vec<String>), LintError> {
+    let mut files: Vec<PathBuf> = Vec::new();
+    for dir in dirs {
+        walk(root, dir, &mut files)?;
+    }
+    files.sort();
+    files.dedup();
+    let mut sources: Vec<String> = Vec::with_capacity(files.len());
+    for rel in &files {
+        let abs = root.join(rel);
+        let src = fs::read_to_string(&abs).map_err(|e| LintError::Io {
+            path: abs,
+            msg: e.to_string(),
+        })?;
+        sources.push(src);
+    }
+    Ok((files, sources))
+}
+
+/// Every identifier the `[entry-dirs]` files mention: each names a
+/// root of the `dead` rule's search.
+fn entry_dir_names(cfg: &Config) -> Result<BTreeSet<String>, LintError> {
+    let (_, sources) = read_tree(&cfg.root, &cfg.entry_dirs)?;
+    let mut names = BTreeSet::new();
+    for src in &sources {
+        let lexed = lexer::lex(src);
+        let idents = lexed.toks.iter().filter(|t| t.kind == lexer::TokKind::Ident);
+        names.extend(idents.map(|t| t.text.to_string()));
+    }
+    Ok(names)
+}
+
+/// Whether node `i` is what an `[oracles]` entry names: `name`, or
+/// `Q::name` where `Q` is the fn's impl type or its module (the file
+/// stem, or the directory of a `mod.rs`).
+fn names_oracle(graph: &callgraph::Graph, i: usize, oracle: &str) -> bool {
+    let f = &graph.fns[i];
+    let (qual, name) = match oracle.rsplit_once("::") {
+        Some((q, n)) => (Some(q), n),
+        None => (None, oracle),
+    };
+    if f.name != name {
+        return false;
+    }
+    let Some(qual) = qual else { return true };
+    let mut path = graph.files[f.file].trim_end_matches(".rs").rsplit('/');
+    let module = match path.next() {
+        Some("mod") => path.next(),
+        stem => stem,
+    };
+    f.impl_type.as_deref() == Some(qual) || module == Some(qual)
 }
 
 /// Thin wrapper so `sources.iter().map(...)` gets a fn pointer with

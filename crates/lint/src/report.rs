@@ -40,6 +40,12 @@ pub fn human(a: &Analysis) -> String {
                     ));
                 }
             }
+            "dead" => {
+                out.push_str(&format!(
+                    "  dead        {} of {} fns reached, {} found, {} waived, {} violations\n",
+                    a.dead_reached, a.fns, s.found, s.waived, s.violations
+                ));
+            }
             "deadlock" => {
                 out.push_str(&format!(
                     "  deadlock    {} queues, {} edges, {} cycles, {} found, {} waived, {} violations\n",
@@ -138,6 +144,10 @@ pub fn json(a: &Analysis) -> String {
                 "    \"panics\": {{\"found\": {}, \"waived\": {}, \"baselined\": {}, \"violations\": {}}}{}\n",
                 s.found, s.waived, s.baselined, s.violations, comma
             )),
+            "dead" => out.push_str(&format!(
+                "    \"dead\": {{\"reached\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
+                a.dead_reached, s.found, s.waived, s.violations, comma
+            )),
             "deadlock" => out.push_str(&format!(
                 "    \"deadlock\": {{\"queues\": {}, \"edges\": {}, \"cycles\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
                 a.queues, a.edges, a.cycles, s.found, s.waived, s.violations, comma
@@ -232,11 +242,12 @@ mod tests {
             unknown_edges: 4,
             entry_fns: 2,
             reachable_fns: 9,
+            dead_reached: 11,
             queues: 3,
             edges: 2,
             cycles: 0,
             hot_files: 1,
-            enabled: vec!["panics", "determinism", "taint", "deadlock", "hot-loop", "unsafe"],
+            enabled: vec!["panics", "determinism", "taint", "dead", "deadlock", "hot-loop", "unsafe"],
             timings: vec![("callgraph", 1234), ("panics", 567)],
         }
     }
@@ -251,6 +262,9 @@ mod tests {
         ));
         assert!(j.contains("\"chain\": [\"execute\", \"step\"]"));
         assert!(j.contains("\"status\": \"baselined\""));
+        assert!(j.contains(
+            "\"dead\": {\"reached\": 11, \"found\": 0, \"waived\": 0, \"violations\": 0}"
+        ));
     }
 
     #[test]
@@ -278,6 +292,7 @@ mod tests {
         assert!(h.contains("VIOLATIONS (2):"));
         assert!(h.contains("chain: execute -> step"));
         assert!(h.contains("call graph  12 fns"));
+        assert!(h.contains("dead        11 of 12 fns reached"));
         assert!(h.contains("timing"));
     }
 }

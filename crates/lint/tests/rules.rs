@@ -113,7 +113,7 @@ fn determinism_only_runs_on_manifest_modules() {
 
 #[test]
 fn deadlock_clean_chain_is_acyclic() {
-    let a = analyze("[scan]\ndeadlock_ok\n[deadlock]\ndeadlock_ok\n", &["deadlock"]);
+    let a = analyze("[scan]\ndeadlock_ok\n", &["deadlock"]);
     assert_eq!(a.queues, 3);
     assert_eq!(a.edges, 2);
     assert_eq!(a.cycles, 0);
@@ -122,10 +122,7 @@ fn deadlock_clean_chain_is_acyclic() {
 
 #[test]
 fn deadlock_cycle_through_helper_call_detected() {
-    let a = analyze(
-        "[scan]\ndeadlock_cycle\n[deadlock]\ndeadlock_cycle\n",
-        &["deadlock"],
-    );
+    let a = analyze("[scan]\ndeadlock_cycle\n", &["deadlock"]);
     assert_eq!(a.cycles, 1, "{:#?}", a.sites);
     let v = violations(&a);
     assert_eq!(v.len(), 1);
@@ -135,10 +132,7 @@ fn deadlock_cycle_through_helper_call_detected() {
 
 #[test]
 fn deadlock_push_under_held_lock_detected() {
-    let a = analyze(
-        "[scan]\ndeadlock_lock\n[deadlock]\ndeadlock_lock\n",
-        &["deadlock"],
-    );
+    let a = analyze("[scan]\ndeadlock_lock\n", &["deadlock"]);
     assert_eq!(a.cycles, 0);
     let v = violations(&a);
     assert_eq!(v.len(), 1, "{:#?}", a.sites);
@@ -181,11 +175,11 @@ hot
 unsafe_audit
 [determinism]
 determinism/canonical.rs
-[deadlock]
-deadlock_cycle
-deadlock_lock
 ";
-    let a = analyze(manifest, RULES);
+    // These fixtures name no entry point, so every fn in them is dead by
+    // construction; the dead rule has its own fixture below.
+    let rules: Vec<&'static str> = RULES.iter().copied().filter(|r| *r != "dead").collect();
+    let a = analyze(manifest, &rules);
     assert!(a.total_violations() > 0);
     for v in violations(&a) {
         let expected = match v.file.split('/').next().unwrap_or("") {
@@ -229,14 +223,17 @@ fn workspace_is_clean_under_checked_in_manifest() {
             .join("\n")
     );
     // The deadlock rule really parsed the dataflow: the three-queue
-    // chain must be present and acyclic (since v2 it scans the whole
-    // workspace, not just the [deadlock] dirs).
+    // chain must be present and acyclic.
     assert_eq!(a.queues, 3);
     assert_eq!(a.edges, 2);
     assert_eq!(a.cycles, 0);
     // banded.rs + bsw_fast.rs + bsw_simd.rs + xdrop.rs carry their hot
     // tags, and sequence.rs for its unpack loop.
     assert_eq!(a.hot_files, 5);
+    // Every non-test fn is reached from an entry point, an example or
+    // benchmark, or an oracle.
+    assert_eq!(a.stats("dead").found, 0);
+    assert_eq!(a.dead_reached, a.fns);
     // The call graph actually covered the workspace: entry points
     // resolved and reachability is non-trivial. Loose bounds — exact
     // shapes are pinned by the fixture crates, not the living tree.
@@ -366,4 +363,53 @@ fn taint_sink_reports_source_with_chain() {
          (wall clock: Instant::now at taint_flow/report.rs:15)"
     );
     assert_eq!(v[0].chain, vec!["canonical_text", "compute", "tick"]);
+}
+
+// --- dead-code fixture -----------------------------------------------
+
+#[test]
+fn dead_reports_only_the_unreachable_pub_fn() {
+    let a = analyze(
+        "[scan]\ndead_code/src\n[entry-points]\nexecute\n\
+         [entry-dirs]\ndead_code/examples\n\
+         [oracles]\nreference_parse  # compared against in tests\n",
+        &["dead"],
+    );
+    // execute, decode, Parser::{new, run, fmt}, reference_parse,
+    // example_helper, orphan; the example's own fns are not nodes.
+    assert_eq!(a.fns, 8);
+    assert_eq!(a.dead_reached, 7);
+    let v: Vec<(&str, u32, &str)> = a
+        .sites
+        .iter()
+        .map(|s| (s.file.as_str(), s.line, s.msg.as_str()))
+        .collect();
+    assert_eq!(
+        v,
+        [(
+            "dead_code/src/lib.rs",
+            44,
+            "orphan is reached from no entry point, entry dir or oracle"
+        )]
+    );
+    assert_eq!(a.total_violations(), 1);
+}
+
+#[test]
+fn dead_flags_a_stale_oracle_entry() {
+    let a = analyze(
+        "[scan]\ndead_code/src\n[entry-points]\nexecute\n\
+         [entry-dirs]\ndead_code/examples\n\
+         [oracles]\nreference_parse  # compared against in tests\n\
+         orphan  # now listed\nParser::run  # reached anyway\nmissing  # deleted\n",
+        &["dead"],
+    );
+    let msgs: Vec<&str> = violations(&a).iter().map(|s| s.msg.as_str()).collect();
+    assert_eq!(
+        msgs,
+        [
+            "oracle `Parser::run` is reached without being listed",
+            "oracle `missing` names no scanned fn",
+        ]
+    );
 }

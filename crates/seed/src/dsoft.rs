@@ -191,8 +191,8 @@ fn walk<E: Copy + Into<u64>>(
             .min(end);
         while qpos < chunk_end {
             if let Some(exact) = pattern.extract(query, qpos) {
-                // The exact word, then its variants in
-                // `transition_variants`' order, in one loop with one
+                // The exact word, then its variants first sampled
+                // position first, in one loop with one
                 // counter: its body is compiled in here, which a closure
                 // called for the exact word and again for the variants
                 // was not (DESIGN.md, "Seed index").

@@ -27,7 +27,6 @@
 pub mod dsoft;
 pub mod hit;
 pub mod pattern;
-pub mod sensitivity;
 pub mod table;
 
 pub use dsoft::{dsoft_seeds, DsoftParams, DsoftResult};

@@ -98,11 +98,6 @@ impl SeedPattern {
         self.sampled.len()
     }
 
-    /// Offsets of the sampled positions.
-    pub fn sampled_offsets(&self) -> &[usize] {
-        &self.sampled
-    }
-
     /// Extracts the seed word from a window starting at `pos`.
     ///
     /// Returns `None` when the window overruns the sequence or any sampled
@@ -148,40 +143,17 @@ impl SeedPattern {
         Words { pattern: self, seq, pos: 0, windows }
     }
 
-    /// Every one-transition variant of `exact` (Fig. 5b), without
-    /// allocating: `weight()` words where one sampled base is replaced by
-    /// its transition partner, first sampled position first.
+    /// `exact` with the base in its 2-bit field `field` (0 is the last
+    /// sampled position, `weight() - 1` the first) replaced by its
+    /// transition partner: one of the `weight()` one-transition variants
+    /// of a word (Fig. 5b).
     ///
     /// The 2-bit codes put each base two away from its partner
     /// (`A=0 ↔ G=2`, `C=1 ↔ T=3`), so a variant is `exact` with the high
     /// bit of one base flipped.
     #[inline]
-    pub fn transition_variants(&self, exact: u64) -> impl Iterator<Item = u64> {
-        // Sampled position k occupies bits [2*(m-1-k), 2*(m-1-k)+1].
-        (0..self.weight())
-            .rev()
-            .map(move |field| SeedPattern::transition_variant(exact, field))
-    }
-
-    /// `exact` with the base in its 2-bit field `field` (0 is the last
-    /// sampled position, `weight() - 1` the first) replaced by its
-    /// transition partner: one word of
-    /// [`SeedPattern::transition_variants`], for a caller that counts
-    /// the fields down itself.
-    #[inline]
     pub fn transition_variant(exact: u64, field: usize) -> u64 {
         exact ^ (0b10 << (2 * field))
-    }
-
-    /// Extracts the exact word plus every one-transition variant:
-    /// the exact word first, then [`SeedPattern::transition_variants`].
-    pub fn extract_with_transitions(&self, seq: &Sequence, pos: usize) -> Vec<u64> {
-        let Some(exact) = self.extract(seq, pos) else {
-            return Vec::new();
-        };
-        std::iter::once(exact)
-            .chain(self.transition_variants(exact))
-            .collect()
     }
 
     /// Number of distinct seed words a query position produces
@@ -351,7 +323,7 @@ mod tests {
     fn parse_round_trip() {
         let p: SeedPattern = "1101".parse().unwrap();
         assert_eq!(p.to_string(), "1101");
-        assert_eq!(p.sampled_offsets(), &[0, 1, 3]);
+        assert_eq!(p.sampled, [0, 1, 3]);
     }
 
     #[test]
@@ -402,34 +374,16 @@ mod tests {
     }
 
     #[test]
-    fn transition_variants_count_and_match() {
-        let p = SeedPattern::exact(4);
-        let s: Sequence = "ACGT".parse().unwrap();
-        let words = p.extract_with_transitions(&s, 0);
-        assert_eq!(words.len(), 5);
-        // The transition variant at position 0 equals the word of "GCGT".
-        let g: Sequence = "GCGT".parse().unwrap();
-        assert_eq!(words[1], p.extract(&g, 0).unwrap());
-        // The variant at position 3 equals the word of "ACGC".
-        let c: Sequence = "ACGC".parse().unwrap();
-        assert_eq!(words[4], p.extract(&c, 0).unwrap());
-        // All variants are distinct from the exact word.
-        for v in &words[1..] {
-            assert_ne!(*v, words[0]);
-        }
-    }
-
-    #[test]
     fn transition_variants_flip_each_sampled_base_to_its_partner() {
         let p = SeedPattern::lastz_default();
         let s: Sequence = "ACGTTGCAACGTACGTTGC".parse().unwrap();
         let exact = p.extract(&s, 0).unwrap();
-        let variants: Vec<u64> = p.transition_variants(exact).collect();
-        assert_eq!(variants.len(), p.weight());
-        for (k, &off) in p.sampled_offsets().iter().enumerate() {
+        // The k-th sampled position is field `weight() - 1 - k`.
+        for (k, &off) in p.sampled.iter().enumerate() {
             let mut mutated = s.to_bases();
             mutated[off] = mutated[off].transition_partner();
-            assert_eq!(variants[k], p.extract(&mutated.into(), 0).unwrap(), "variant {k}");
+            let variant = SeedPattern::transition_variant(exact, p.weight() - 1 - k);
+            assert_eq!(variant, p.extract(&mutated.into(), 0).unwrap(), "variant {k}");
         }
     }
 

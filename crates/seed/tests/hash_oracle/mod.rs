@@ -24,7 +24,8 @@ pub fn extract(pattern: &SeedPattern, seq: &[Base], pos: usize) -> Option<u64> {
         return None;
     }
     let mut word = 0u64;
-    for &off in pattern.sampled_offsets() {
+    let sampled = pattern.to_string().into_bytes();
+    for off in (0..sampled.len()).filter(|&off| sampled[off] == b'1') {
         let b = seq[pos + off];
         if b == Base::N {
             return None;
@@ -82,81 +83,6 @@ impl SeedTable {
         }
     }
 
-    /// Indexes one shard of target positions (`range ∩ 0..indexable`).
-    ///
-    /// Sharded building is *exact*: indexing disjoint ascending ranges
-    /// covering `0..target.len()` and merging them with
-    /// [`SeedTable::from_partials`] reproduces [`SeedTable::build`]
-    /// bit for bit, for any cut points. Each position's seed window may
-    /// read past `range.end` into the next shard's bases — ownership of
-    /// a *position* is what partitions the work, not the bases it reads.
-    pub fn build_partial(
-        target: &Sequence,
-        pattern: &SeedPattern,
-        range: Range<usize>,
-    ) -> PartialSeedTable {
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let slice = &target.to_bases();
-        let mut positions_indexed = 0u64;
-        let end = target
-            .len()
-            .saturating_sub(pattern.span().saturating_sub(1))
-            .min(range.end);
-        for pos in range.start..end {
-            if let Some(word) = extract(pattern, slice, pos) {
-                index.entry(word).or_default().push(pos as u32);
-                positions_indexed += 1;
-            }
-        }
-        PartialSeedTable {
-            index,
-            positions_indexed,
-        }
-    }
-
-    /// Merges per-shard partial tables into a whole-target [`SeedTable`].
-    ///
-    /// Parts must be passed in ascending shard order: each per-word
-    /// position list is already ascending within a part, so appending
-    /// parts in order keeps the merged lists ascending — identical to
-    /// the serial build's push order. The `max_occurrences` repeat cap
-    /// is applied **after** the merge, against whole-target counts, so
-    /// a repeat word split across shards is still dropped exactly as
-    /// the serial build drops it.
-    pub fn from_partials(
-        pattern: &SeedPattern,
-        parts: impl IntoIterator<Item = PartialSeedTable>,
-        max_occurrences: usize,
-    ) -> SeedTable {
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut positions_indexed = 0u64;
-        for part in parts {
-            positions_indexed += part.positions_indexed;
-            // lint: allow(determinism): word visit order is free — appends
-            // to different words are independent, and per-word appends
-            // happen in part order, so every merged list is ascending.
-            for (word, mut positions) in part.index {
-                index.entry(word).or_default().append(&mut positions);
-            }
-        }
-        let mut dropped_repeats = 0u64;
-        // lint: allow(determinism): per-entry predicate + commutative sum — visit order cannot change the surviving set or the count
-        index.retain(|_, positions| {
-            if positions.len() > max_occurrences {
-                dropped_repeats += positions.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-        SeedTable {
-            index,
-            pattern: pattern.clone(),
-            positions_indexed,
-            dropped_repeats,
-        }
-    }
-
     /// Target positions whose window hashes to `word`.
     pub fn lookup(&self, word: u64) -> &[u32] {
         self.index.get(&word).map(Vec::as_slice).unwrap_or(&[])
@@ -180,24 +106,6 @@ impl SeedTable {
     /// Number of distinct words present.
     pub fn distinct_words(&self) -> usize {
         self.index.len()
-    }
-}
-
-/// One shard of a [`SeedTable`] under construction: the index over an
-/// ascending range of target positions, before the repeat cap.
-///
-/// Produced by [`SeedTable::build_partial`], consumed (in shard order)
-/// by [`SeedTable::from_partials`].
-#[derive(Debug)]
-pub struct PartialSeedTable {
-    index: HashMap<u64, Vec<u32>>,
-    positions_indexed: u64,
-}
-
-impl PartialSeedTable {
-    /// Number of positions this shard indexed.
-    pub fn positions_indexed(&self) -> u64 {
-        self.positions_indexed
     }
 }
 
@@ -241,7 +149,8 @@ pub fn dsoft_seeds_range(
     while qpos < end {
         let mut words: Vec<u64> = extract(pattern, qslice, qpos).into_iter().collect();
         if let (true, Some(&exact)) = (params.transitions, words.first()) {
-            words.extend(pattern.transition_variants(exact));
+            let fields = (0..pattern.weight()).rev();
+            words.extend(fields.map(|field| SeedPattern::transition_variant(exact, field)));
         }
         result.seeds_queried += words.len() as u64;
         let chunk = (qpos / params.chunk_size) as u32;

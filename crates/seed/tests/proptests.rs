@@ -115,7 +115,7 @@ proptest! {
             .collect();
         let w1 = pattern.extract(&rng_seq.clone().into(), pos);
         for off in 0..pattern.span() {
-            if !pattern.sampled_offsets().contains(&off) {
+            if pattern_str.as_bytes()[off] == b'0' {
                 rng_seq[pos + off] = rng_seq[pos + off].complement();
             }
         }

@@ -25,9 +25,6 @@
 //! directly, at every position of targets cut and spoiled at the planes'
 //! 32- and 64-base seams.
 
-// Moved here whole, the oracle still has the sharded build the table
-// under test no longer has; nothing cuts it any more.
-#[allow(dead_code)]
 mod hash_oracle;
 
 use genome::{Base, Sequence};
@@ -130,7 +127,7 @@ fn probe_words(sequence: &Sequence, pattern: &SeedPattern) -> Vec<u64> {
     let neighbours: Vec<u64> = words
         .iter()
         .step_by(7)
-        .flat_map(|&word| pattern.transition_variants(word))
+        .flat_map(|&word| (0..pattern.weight()).map(move |field| SeedPattern::transition_variant(word, field)))
         .collect();
     words.extend(neighbours);
     let word_bits = 2 * pattern.weight();

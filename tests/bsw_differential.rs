@@ -351,9 +351,10 @@ fn whole_pipeline_identical_across_engines_and_threads() {
     let (t, q) = (&pair.target.sequence, &pair.query.sequence);
     let scalar_params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Scalar);
     let batched_params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Batched);
-    let simd_params = WgaParams::darwin_wga()
-        .with_filter_engine(FilterEngineKind::Simd)
-        .with_shard_bases(512);
+    let simd_params = WgaParams {
+        shard_bases: 512,
+        ..WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Simd)
+    };
     let reference = WgaPipeline::new(scalar_params.clone()).run(t, q);
     let table = Arc::new(SeedTable::build(t, &scalar_params.seed_pattern, scalar_params.max_seed_occurrences));
     let run_parallel =

@@ -221,8 +221,6 @@ fn budget_capped_repeat_dense_pair_degrades_gracefully() {
         capped.workload,
         unbounded.workload
     );
-    // Degraded, not failed: the pair still produced usable output.
-    assert!(capped.pairs[0].outcome.has_results());
 }
 
 /// Budget-capped truncation is deterministic across thread counts: the

@@ -31,6 +31,7 @@ use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
 use darwin_wga::genome::assembly::Assembly;
+use darwin_wga::genome::fasta;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::Base;
 use rand::rngs::StdRng;
@@ -80,12 +81,18 @@ fn golden_report_is_stable_across_engines_and_threads() {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         fs::create_dir_all(&dir).expect("create tests/data");
         let (target, query) = generate_assemblies();
-        target
-            .to_fasta(fs::File::create(dir.join("golden.target.fa")).unwrap())
-            .unwrap();
-        query
-            .to_fasta(fs::File::create(dir.join("golden.query.fa")).unwrap())
-            .unwrap();
+        for (assembly, file) in [(&target, "golden.target.fa"), (&query, "golden.query.fa")] {
+            let records: Vec<fasta::Record> = assembly
+                .chromosomes()
+                .iter()
+                .map(|c| fasta::Record {
+                    name: c.name.clone(),
+                    description: format!("{} {}", c.name, assembly.name),
+                    sequence: c.sequence.clone(),
+                })
+                .collect();
+            fasta::write(fs::File::create(dir.join(file)).unwrap(), &records).unwrap();
+        }
         let report = align_assemblies_with(
             &WgaParams::darwin_wga(),
             &target,

@@ -323,11 +323,9 @@ fn histogram_bucket_boundaries() {
         snapshot,
         vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1), (11, 1), (64, 1)]
     );
-    for (bucket, _) in snapshot {
-        let lower = Log2Histogram::bucket_lower_bound(bucket);
-        if bucket > 0 {
-            assert_eq!(Log2Histogram::bucket_index(lower), bucket);
-        }
+    // Bucket b > 0 opens at 2^(b-1).
+    for (bucket, _) in snapshot.into_iter().filter(|&(b, _)| b > 0) {
+        assert_eq!(Log2Histogram::bucket_index(1 << (bucket - 1)), bucket);
     }
 }
 

@@ -244,7 +244,7 @@ proptest! {
         // both randomised), the committed chain output — alignments,
         // workload, counters — is exactly the serial pipeline's.
         let serial = WgaParams::darwin_wga();
-        let sharded = serial.clone().with_shard_bases(1 << shard_pow);
+        let sharded = WgaParams { shard_bases: 1 << shard_pow, ..serial.clone() };
         let reference = WgaPipeline::new(serial).run(&t, &q);
         let table = SeedTable::build(&t, &sharded.seed_pattern, sharded.max_seed_occurrences);
         let report = run_pair(&sharded, Arc::new(table), &t, &q, threads, Obs::off());

@@ -83,7 +83,7 @@ fn sharded_runs_match_unsharded_baseline() {
     let (target, query) = assemblies();
     // Baseline: serial executor, shards effectively disabled by a shard
     // floor larger than any chromosome.
-    let unsharded = WgaParams::darwin_wga().with_shard_bases(1 << 30);
+    let unsharded = WgaParams { shard_bases: 1 << 30, ..WgaParams::darwin_wga() };
     let baseline = run_within(
         120,
         &unsharded,
@@ -99,7 +99,7 @@ fn sharded_runs_match_unsharded_baseline() {
     let golden = baseline.canonical_text();
     // Small shards force every stage through the sharded paths even on
     // this modest pair (12 kb / 256 b floor = dozens of work items).
-    let sharded = WgaParams::darwin_wga().with_shard_bases(256);
+    let sharded = WgaParams { shard_bases: 256, ..WgaParams::darwin_wga() };
     for (name, threads, executor) in MATRIX {
         let opts = AlignOptions { threads, executor, ..AlignOptions::default() };
         let report = run_within(120, &sharded, &target, &query, opts, name);
@@ -119,7 +119,7 @@ fn sharded_runs_match_under_fault_injection() {
     // byte-identical to the clean unsharded baseline on every
     // executor x thread-count row.
     let (target, query) = assemblies();
-    let unsharded = WgaParams::darwin_wga().with_shard_bases(1 << 30);
+    let unsharded = WgaParams { shard_bases: 1 << 30, ..WgaParams::darwin_wga() };
     let clean = run_within(
         120,
         &unsharded,
@@ -129,7 +129,7 @@ fn sharded_runs_match_under_fault_injection() {
         "clean baseline",
     );
     let golden = clean.canonical_text();
-    let sharded = WgaParams::darwin_wga().with_shard_bases(256);
+    let sharded = WgaParams { shard_bases: 256, ..WgaParams::darwin_wga() };
     let faults = concat!(
         "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0],\"ms\":1},",
         "{\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[0],\"ms\":1}"
@@ -160,7 +160,7 @@ fn sharded_panic_escalates_to_identical_pair_failure() {
     // the serial path would, so the failed-pair report is byte-identical
     // across the whole matrix.
     let (target, query) = assemblies();
-    let sharded = WgaParams::darwin_wga().with_shard_bases(256);
+    let sharded = WgaParams { shard_bases: 256, ..WgaParams::darwin_wga() };
     let fault = "{\"hook\":\"extend.tile\",\"kind\":\"panic\",\"at\":[0],\"ms\":1}";
     let mut reference: Option<String> = None;
     for (name, threads, executor) in MATRIX {
