@@ -29,8 +29,10 @@
 //!     filtering and extension of different pairs concurrently through
 //!     bounded queues of capacity --queue-depth (results are
 //!     byte-identical either way). --metrics-out writes the executor's per-stage
-//!     telemetry as JSON (every executor). --trace-out writes one JSON
-//!     line per pipeline span plus latency histograms (see DESIGN.md
+//!     telemetry as JSON (every executor), with the process's resident
+//!     high-water and its anonymous / file-backed split under
+//!     `"process"` where `/proc/self/status` is readable. --trace-out
+//!     writes one JSON line per pipeline span plus latency histograms (see DESIGN.md
 //!     "Observability"). --progress keeps a throttled one-line status on
 //!     stderr: pairs done, live cells/s, filter survival, ETA. Neither
 //!     flag changes results. --filter-engine picks the BSW
@@ -556,9 +558,16 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     if let Some(metrics) = &report.stage_metrics {
         println!("{}", metrics.summary());
         if let Some(path) = metrics_out.as_ref() {
+            let mut json = metrics.to_json();
+            if let Some(process) = process_memory_json() {
+                // Spliced in as the object's last key: `to_json` ends in
+                // the object's closing brace.
+                json.pop();
+                json.push_str(&format!(",\"process\":{process}}}"));
+            }
             write_sink(
                 path,
-                format!("{}\n", metrics.to_json()).as_bytes(),
+                format!("{json}\n").as_bytes(),
                 Hook::MetricsSink,
                 cli_injector.as_ref(),
                 &retry_policy,
@@ -874,6 +883,26 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         }
         _ => Err(format!("profile needs a 'report' or 'diff' subcommand\n{USAGE}")),
     }
+}
+
+/// The run's memory as the kernel counts it in `/proc/self/status`, as the
+/// `--metrics-out` `"process"` object (KiB): the resident high-water and
+/// the resident set now, split into anonymous and file-backed pages.
+/// `None` where the file or a field cannot be read.
+fn process_memory_json() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = |field: &str| -> Option<u64> {
+        status.lines().find_map(|line| {
+            let value = line.strip_prefix(field)?.strip_prefix(':')?;
+            value.trim().strip_suffix("kB")?.trim_end().parse().ok()
+        })
+    };
+    Some(format!(
+        "{{\"vm_hwm_kb\":{},\"rss_anon_kb\":{},\"rss_file_kb\":{}}}",
+        kb("VmHWM")?,
+        kb("RssAnon")?,
+        kb("RssFile")?
+    ))
 }
 
 /// Writes one output artifact atomically under supervision: the write is

@@ -122,6 +122,7 @@ fn n_runs_inside_sequences_are_handled() {
 /// Malformed user input must exit with code 1 and a single clean error
 /// line — never a panic, never a backtrace.
 mod cli {
+    use darwin_wga::core::journal::json::{self, Json};
     use std::path::PathBuf;
     use std::process::{Command, Output};
 
@@ -289,6 +290,22 @@ mod cli {
         assert!(json.contains("\"executor\":\"barrier\""), "{json}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("stage metrics"), "stdout: {stdout}");
+        // The process's memory from /proc/self/status. The kernel keeps
+        // VmHWM at least the resident set it last saw, and the resident
+        // set is anonymous + file-backed + shared-memory pages.
+        let doc = json::parse(json.trim_end()).expect("metrics JSON parses");
+        let process = doc
+            .get("process")
+            .unwrap_or_else(|| panic!("no process key: {json}"));
+        let kb = |key: &str| {
+            process
+                .get(key)
+                .and_then(Json::as_int)
+                .unwrap_or_else(|| panic!("process.{key} missing: {json}"))
+        };
+        let (hwm, anon, file) = (kb("vm_hwm_kb"), kb("rss_anon_kb"), kb("rss_file_kb"));
+        assert!(anon > 0 && file > 0, "{json}");
+        assert!(anon + file <= hwm, "{json}");
     }
 
     #[test]
