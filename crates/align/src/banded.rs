@@ -11,7 +11,8 @@
 //! sensitivity improvement: indels inside the band no longer kill a true
 //! positive.
 
-// lint: hot — allocation-free inner loops are this kernel's whole point
+// Allocation-free inner loops are this kernel's whole point;
+// `crates/align/tests/alloc_bound.rs` counts them.
 
 use genome::{Base, GapPenalties, SubstitutionMatrix};
 

@@ -24,7 +24,8 @@
 //! differential-oracle harness (`tests/bsw_differential.rs`) enforces over
 //! thousands of random and adversarial tiles.
 
-// lint: hot — allocation-free inner loops are this kernel's whole point
+// Allocation-free inner loops are this kernel's whole point;
+// `crates/align/tests/alloc_bound.rs` counts them.
 
 use crate::banded::BandedOutcome;
 use genome::{Base, GapPenalties, SubstitutionMatrix};

@@ -30,7 +30,8 @@
 //! every input — enforced by the three-way differential oracle in
 //! `tests/bsw_differential.rs`.
 
-// lint: hot — allocation-free inner loops are this kernel's whole point
+// Allocation-free inner loops are this kernel's whole point;
+// `crates/align/tests/alloc_bound.rs` counts them.
 
 use crate::banded::BandedOutcome;
 use crate::bsw_fast::{bsw_wavefront, ScoreLut, WavefrontScratch};
@@ -298,9 +299,6 @@ macro_rules! wavefront_i16_kernel {
             let (mut best_i, mut best_j) = (0usize, 0usize);
             let mut cells = 0u64;
 
-            // SAFETY: every pointer below stays in bounds — row indices
-            // are at most hi + 1 + LANES <= m + 1 + LANES_MAX < len, and
-            // score indices at most width - 1 + LANES < len.
             let voe = $set1(oe);
             let vext = $set1(ext);
 
@@ -337,19 +335,24 @@ macro_rules! wavefront_i16_kernel {
                 let fcp = f_cur.as_mut_ptr();
                 let mut k = 0usize;
                 while k < width {
-                    let vl = $loadu(vp.add(lo + k) as *const $vec);
-                    let el = $loadu(ep.add(lo + k) as *const $vec);
-                    let vu = $loadu(vp.add(lo - 1 + k) as *const $vec);
-                    let fu = $loadu(fp.add(lo - 1 + k) as *const $vec);
-                    let vd = $loadu(dp.add(lo - 1 + k) as *const $vec);
-                    let sub = $loadu(sp.add(k) as *const $vec);
-                    let e = $max($subs(vl, voe), $subs(el, vext));
-                    let f = $max($subs(vu, voe), $subs(fu, vext));
-                    let zero = $set1(0);
-                    let val = $max($max($adds(vd, sub), $max(e, f)), zero);
-                    $storeu(vcp.add(lo + k) as *mut $vec, val);
-                    $storeu(ecp.add(lo + k) as *mut $vec, e);
-                    $storeu(fcp.add(lo + k) as *mut $vec, f);
+                    // SAFETY: every pointer stays in bounds — row indices
+                    // are at most hi + 1 + LANES <= m + 1 + LANES_MAX < len,
+                    // and score indices at most width - 1 + LANES < len.
+                    unsafe {
+                        let vl = $loadu(vp.add(lo + k) as *const $vec);
+                        let el = $loadu(ep.add(lo + k) as *const $vec);
+                        let vu = $loadu(vp.add(lo - 1 + k) as *const $vec);
+                        let fu = $loadu(fp.add(lo - 1 + k) as *const $vec);
+                        let vd = $loadu(dp.add(lo - 1 + k) as *const $vec);
+                        let sub = $loadu(sp.add(k) as *const $vec);
+                        let e = $max($subs(vl, voe), $subs(el, vext));
+                        let f = $max($subs(vu, voe), $subs(fu, vext));
+                        let zero = $set1(0);
+                        let val = $max($max($adds(vd, sub), $max(e, f)), zero);
+                        $storeu(vcp.add(lo + k) as *mut $vec, val);
+                        $storeu(ecp.add(lo + k) as *mut $vec, e);
+                        $storeu(fcp.add(lo + k) as *mut $vec, f);
+                    }
                     k += LANES;
                 }
 

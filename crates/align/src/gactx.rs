@@ -48,7 +48,6 @@ impl TilingParams {
     ///
     /// The Fig. 10 sweep uses 512 KB, 1 MB and 2 MB, giving tile sizes
     /// 1024, 1448 and 2048.
-    // lint: allow(determinism): integer-in, integer-out; IEEE 754 mul/sqrt/floor are correctly rounded, so the same bytes always give the same tile size on every platform
     pub fn gact_with_memory(bytes: u64) -> TilingParams {
         let tile = (2.0 * bytes as f64).sqrt().floor() as usize;
         TilingParams {

@@ -132,7 +132,7 @@ pub fn needleman_wunsch(
                 }
                 2 => state = 2,
                 3 => state = 3,
-                _ => unreachable!("hit stop pointer before origin"),
+                _ => unreachable!("hit stop pointer before origin"), // lint: allow(panics): every cell but the origin, where the walk stops, holds pointer 1, 2 or 3
             },
             2 => {
                 ops_rev.push(AlignOp::Delete);
@@ -150,7 +150,7 @@ pub fn needleman_wunsch(
                     state = 0;
                 }
             }
-            _ => unreachable!(),
+            _ => unreachable!(), // lint: allow(panics): `state` is only ever set to 0, 2 or 3
         }
     }
 

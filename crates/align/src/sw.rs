@@ -152,7 +152,7 @@ pub fn smith_waterman(
                 }
                 2 => state = 2,
                 3 => state = 3,
-                _ => unreachable!(),
+                _ => unreachable!(), // lint: allow(panics): the fill writes pointers 0 to 3 only
             },
             2 => {
                 ops_rev.push(AlignOp::Delete); // consumes target (column)
@@ -170,7 +170,7 @@ pub fn smith_waterman(
                     state = 0;
                 }
             }
-            _ => unreachable!(),
+            _ => unreachable!(), // lint: allow(panics): `state` is only ever set to 0, 2 or 3
         }
     }
 

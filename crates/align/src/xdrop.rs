@@ -29,7 +29,8 @@
 //! full-tile Needleman-Wunsch — exactly the GACT tile (Darwin, ASPLOS
 //! 2018) that Fig. 10 compares against.
 
-// lint: hot — no allocation per DP row is this kernel's memory claim
+// No allocation per DP row is this kernel's memory claim;
+// `crates/align/tests/alloc_bound.rs` counts them.
 
 use crate::cigar::{AlignOp, Cigar};
 use genome::{Base, GapPenalties, SubstitutionMatrix};

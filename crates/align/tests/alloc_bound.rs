@@ -19,7 +19,15 @@
 //! of them, which `xdrop`'s unit tests pin to the arena's length, 4 bits
 //! a stored cell; EXPERIMENTS.md ("Performance ledger — PR 22") has the
 //! resident-set readings.
+//!
+//! The filter kernels are held to the same rule: a warm scratch filters
+//! tile after tile without allocating, a tile window unpacks into a warm
+//! buffer without allocating, and the scalar banded kernel allocates per
+//! tile, never per row.
 
+use align::banded::banded_smith_waterman;
+use align::bsw_fast::{BswBatch, WavefrontScratch};
+use align::bsw_simd::{BswSimdBatch, SimdScratch};
 use align::gactx::{extend_alignment, extend_left, ExtendedAlignment, TilingParams};
 use align::xdrop::{xdrop_tile_scratch, TileScratch};
 use genome::evolve::{EvolutionParams, SyntheticPair};
@@ -315,4 +323,69 @@ fn left_extension_deep_in_a_long_sequence_allocates_a_tile_not_the_prefix() {
         "peak {} B follows the prefix",
         cost.peak
     );
+}
+
+#[test]
+fn filter_kernels_and_tile_windows_allocate_nothing_per_tile_or_row() {
+    let (w, g) = scoring();
+    let mut rng = StdRng::seed_from_u64(34);
+    let seq: Sequence = (0..4_000)
+        .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+        .collect();
+    let bases = seq.to_bases();
+    let codes = Base::codes_of(&bases);
+    // The pipeline's filter tiles are 320 bases a side with a band of 32;
+    // at that size every tile fits the SIMD engine's i16 score bound.
+    let (tile, band) = (320, 32);
+    let tiles: Vec<(usize, usize, usize, usize)> = (0..200)
+        .map(|_| {
+            let (n, m) = (rng.gen_range(1..=tile), rng.gen_range(1..=tile));
+            (rng.gen_range(0..=4_000 - n), rng.gen_range(0..=4_000 - m), n, m)
+        })
+        .collect();
+
+    // A warm scratch: one full-size tile first, then 200 of any size.
+    let fast = BswBatch::new(&w, &g, band);
+    let fast_scratch = &mut WavefrontScratch::new();
+    fast.run_tile(&codes[..tile], &codes[tile..2 * tile], fast_scratch);
+    let fast_run = measure(|| {
+        let cells = tiles.iter().map(|&(t, q, n, m)| {
+            fast.run_tile(&codes[t..t + n], &codes[q..q + m], fast_scratch).cells
+        });
+        cells.sum::<u64>()
+    });
+    let simd = BswSimdBatch::new(&w, &g, band);
+    let simd_scratch = &mut SimdScratch::new();
+    simd.run_tile(&codes[..tile], &codes[tile..2 * tile], simd_scratch);
+    let simd_run = measure(|| {
+        let cells = tiles.iter().map(|&(t, q, n, m)| {
+            simd.run_tile(&codes[t..t + n], &codes[q..q + m], simd_scratch).cells
+        });
+        cells.sum::<u64>()
+    });
+    assert_eq!(fast_run.value, simd_run.value);
+    assert!(fast_run.value > 500_000, "{} cells", fast_run.value);
+    assert_eq!(fast_run.allocs, 0, "bsw_fast over {} tiles", tiles.len());
+    assert_eq!(simd_run.allocs, 0, "bsw_simd over {} tiles", tiles.len());
+
+    // A tile window unpacks into its warm buffer, either way round.
+    let window = &mut Vec::new();
+    seq.window(0..tile, false, window);
+    let unpacked = measure(|| {
+        let lens = tiles.iter().map(|&(t, _, n, _)| {
+            seq.window(t..t + n, false, window).len() + seq.window(t..t + n, true, window).len()
+        });
+        lens.sum::<usize>()
+    });
+    assert!(unpacked.value > 2 * tiles.len());
+    assert_eq!(unpacked.allocs, 0, "Sequence::window over {} tiles", tiles.len());
+
+    // The scalar kernel's rows are allocated once a tile: a tile twice as
+    // long makes no more allocations.
+    let scalar = |n: usize| {
+        measure(|| banded_smith_waterman(&bases[..n], &bases[n..2 * n], &w, &g, band))
+    };
+    let (short, long) = (scalar(tile), scalar(2 * tile));
+    assert!(long.value.cells > short.value.cells);
+    assert_eq!(short.allocs, long.allocs, "banded_smith_waterman: {tile} against {} rows", 2 * tile);
 }

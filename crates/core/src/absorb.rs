@@ -82,7 +82,6 @@ impl AbsorptionGrid {
 /// Used to resolve staggered re-extensions: an anchor just past an
 /// alignment's X-drop stopping point re-extends across the same region,
 /// producing a near-duplicate that absorption's point test cannot catch.
-// lint: allow(determinism): integer spans in, one IEEE-exact div/min each — correctly rounded, bit-stable across platforms
 pub fn containment_fraction(inner: &Alignment, outer: &Alignment) -> f64 {
     let t_ov = span_overlap(
         inner.target_start,
@@ -109,7 +108,6 @@ pub fn containment_fraction(inner: &Alignment, outer: &Alignment) -> f64 {
 ///   scores are replaced by it;
 /// * otherwise the candidate is simply added.
 pub fn merge_into_kept(kept: &mut Vec<Alignment>, candidate: Alignment) -> bool {
-    // lint: allow(determinism): exact literal threshold compared against an IEEE-exact ratio — same result everywhere
     const CONTAINED: f64 = 0.7;
     for existing in kept.iter() {
         if containment_fraction(&candidate, existing) > CONTAINED

@@ -1,7 +1,7 @@
 //! Supervision primitives: capped-exponential retry with deterministic
 //! jitter, and a heartbeat watchdog for the dataflow executor.
 //!
-//! This module is deliberately panic-free (its wga-lint baseline is 0):
+//! This module is deliberately panic-free (`wga-lint` fails any panic site):
 //! the supervisor must never take down the run it is supervising. It is
 //! also integer-only — backoff jitter is drawn from a splitmix64 hash of
 //! `(seed, site, attempt)` instead of a float RNG, so a chaos run under

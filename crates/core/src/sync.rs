@@ -5,8 +5,7 @@
 //! fault injector's counters), and every holder that can panic is
 //! already contained by an executor's `catch_unwind`, so a panicked
 //! holder must not wedge the rest of the run. Poison is absorbed here
-//! and nowhere else. Call sites are spelled `.lock()` because that is
-//! the token `wga-lint`'s held-guard rule recognises a guard by.
+//! and nowhere else.
 
 use std::sync::MutexGuard;
 

@@ -1,5 +1,4 @@
 //! Owned DNA sequences, stored at the paper's three bits a base.
-// lint: hot
 
 use crate::alphabet::{Base, ParseBaseError};
 use std::fmt;

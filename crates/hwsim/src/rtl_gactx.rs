@@ -348,7 +348,7 @@ fn walk_traceback(
                     }
                     ptr::LEFT => state = 2,
                     ptr::UP => state = 3,
-                    _ => unreachable!(),
+                    _ => unreachable!(), // lint: allow(panics): a two-bit direction field has these four values only
                 }
             }
             2 => {
@@ -367,7 +367,7 @@ fn walk_traceback(
                     state = 0;
                 }
             }
-            _ => unreachable!(),
+            _ => unreachable!(), // lint: allow(panics): `state` is only ever set to 0, 2 or 3
         }
     }
     let mut cigar = Cigar::new();

@@ -3,22 +3,21 @@
 //! The manifest (`scripts/wga-lint.manifest`) is the single checked-in
 //! source of truth for what the linter scans and what it tolerates:
 //! which directories hold library code, which are exempt from the
-//! panics rule, which must be panic-free with no baseline at all,
-//! per-directory panic baselines, the module set that feeds
-//! `canonical_text` (determinism rule), and what roots the `dead` rule's
+//! panics rule, the entry points every reachability pass starts from,
+//! the module set that feeds `canonical_text` and its classification
+//! (determinism and taint rules), and what roots the `dead` rule's
 //! search besides the entry points (`[entry-dirs]`, `[oracles]`).
 //!
-//! Format: `[section]` headers, one entry per line, `#` comments.
-//! Baseline entries are `<dir> <count>`; an `[oracles]` entry must
-//! carry a `# reason`. Paths are relative to the workspace root and use
-//! `/` separators.
+//! Format: `[section]` headers, one entry per line, `#` comments. An
+//! `[oracles]` entry must carry a `# reason`. Paths are relative to the
+//! workspace root and use `/` separators.
 
 use std::fmt;
 use std::path::PathBuf;
 
 /// Everything that can go wrong in the linter. The lint crate holds
-/// itself to its own panics rule (zero baseline), so every fallible
-/// path returns this instead of unwrapping.
+/// itself to its own panics rule, so every fallible path returns this
+/// instead of unwrapping.
 #[derive(Debug)]
 pub enum LintError {
     /// Filesystem failure reading a source file or writing the report.
@@ -54,13 +53,6 @@ pub struct Config {
     pub scan_dirs: Vec<PathBuf>,
     /// Directory prefixes the panics rule skips entirely (bench code).
     pub panics_exempt: Vec<PathBuf>,
-    /// Directory prefixes that must have *zero* panic sites — baselines
-    /// do not apply here (the obs layer must never panic).
-    pub panics_forbidden: Vec<PathBuf>,
-    /// Per-directory allowed counts of pre-existing panic sites; the
-    /// longest matching prefix wins. A directory not listed has
-    /// baseline 0.
-    pub panic_baselines: Vec<(PathBuf, usize)>,
     /// Files whose code feeds `canonical_text`; the determinism rule
     /// runs only on these.
     pub determinism_files: Vec<PathBuf>,
@@ -125,28 +117,6 @@ impl Config {
             match section.as_str() {
                 "scan" => cfg.scan_dirs.push(PathBuf::from(line)),
                 "panics-exempt" => cfg.panics_exempt.push(PathBuf::from(line)),
-                "panics-forbidden" => cfg.panics_forbidden.push(PathBuf::from(line)),
-                "baseline panics" => {
-                    let (dir, count) = match line.rsplit_once(char::is_whitespace) {
-                        Some((d, c)) => (d.trim(), c),
-                        None => {
-                            return Err(LintError::Manifest {
-                                line: lineno,
-                                msg: format!("baseline entry `{}` needs `<dir> <count>`", line),
-                            });
-                        }
-                    };
-                    let count: usize = match count.parse() {
-                        Ok(c) => c,
-                        Err(_) => {
-                            return Err(LintError::Manifest {
-                                line: lineno,
-                                msg: format!("baseline count `{}` is not an integer", count),
-                            });
-                        }
-                    };
-                    cfg.panic_baselines.push((PathBuf::from(dir), count));
-                }
                 "determinism" => cfg.determinism_files.push(PathBuf::from(line)),
                 "determinism-exempt" => cfg.determinism_exempt.push(PathBuf::from(line)),
                 "determinism-sinks" => cfg.determinism_sinks.push(line.to_string()),
@@ -176,41 +146,7 @@ impl Config {
                 }
             }
         }
-        // Longest-prefix baseline lookup depends on order only for
-        // ties; sort so equal manifests always resolve identically.
-        cfg.panic_baselines.sort();
         Ok(cfg)
-    }
-
-    /// Baseline for `file` (a root-relative path): the longest
-    /// `[baseline panics]` prefix that contains it, with its allowed
-    /// count. Unlisted code has baseline 0 attributed to the nearest
-    /// scan dir containing it (or the file's parent as a fallback).
-    pub fn baseline_for(&self, file: &std::path::Path) -> (PathBuf, usize) {
-        let mut best: Option<(&PathBuf, usize)> = None;
-        for (dir, count) in &self.panic_baselines {
-            if file.starts_with(dir) {
-                let better = match best {
-                    Some((b, _)) => dir.components().count() > b.components().count(),
-                    None => true,
-                };
-                if better {
-                    best = Some((dir, *count));
-                }
-            }
-        }
-        if let Some((dir, count)) = best {
-            return (dir.clone(), count);
-        }
-        for dir in &self.scan_dirs {
-            if file.starts_with(dir) {
-                return (dir.clone(), 0);
-            }
-        }
-        (
-            file.parent().map(PathBuf::from).unwrap_or_default(),
-            0,
-        )
     }
 
     /// Whether `file` sits under any of the given directory prefixes.
@@ -222,7 +158,6 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     const SAMPLE: &str = "
 # comment
@@ -232,13 +167,6 @@ crates/core/src
 
 [panics-exempt]
 crates/bench/src
-
-[panics-forbidden]
-crates/core/src/obs
-
-[baseline panics]
-crates/core/src 3
-src 2
 
 [determinism]
 crates/genome/src/sequence.rs
@@ -266,8 +194,6 @@ sw::smith_waterman  # reference aligner
         let cfg = Config::parse(PathBuf::from("/tmp"), SAMPLE).unwrap();
         assert_eq!(cfg.scan_dirs.len(), 2);
         assert_eq!(cfg.panics_exempt.len(), 1);
-        assert_eq!(cfg.panics_forbidden.len(), 1);
-        assert_eq!(cfg.panic_baselines.len(), 2);
         assert_eq!(cfg.determinism_files.len(), 1);
         assert_eq!(cfg.determinism_exempt.len(), 1);
         assert_eq!(cfg.determinism_sinks, vec!["canonical_text", "paf_text"]);
@@ -277,40 +203,13 @@ sw::smith_waterman  # reference aligner
     }
 
     #[test]
-    fn longest_prefix_baseline_wins() {
-        let text = "
-[scan]
-crates/core/src
-[baseline panics]
-crates/core/src 5
-crates/core/src/dataflow 1
-";
-        let cfg = Config::parse(PathBuf::new(), text).unwrap();
-        let (dir, n) = cfg.baseline_for(Path::new("crates/core/src/dataflow/executor.rs"));
-        assert_eq!(dir, PathBuf::from("crates/core/src/dataflow"));
-        assert_eq!(n, 1);
-        let (dir, n) = cfg.baseline_for(Path::new("crates/core/src/lib.rs"));
-        assert_eq!(dir, PathBuf::from("crates/core/src"));
-        assert_eq!(n, 5);
-    }
-
-    #[test]
-    fn unlisted_dir_gets_zero_baseline_at_scan_dir() {
-        let text = "
-[scan]
-crates/genome/src
-";
-        let cfg = Config::parse(PathBuf::new(), text).unwrap();
-        let (dir, n) = cfg.baseline_for(Path::new("crates/genome/src/fasta.rs"));
-        assert_eq!(dir, PathBuf::from("crates/genome/src"));
-        assert_eq!(n, 0);
-    }
-
-    #[test]
     fn rejects_orphan_entry_and_bad_section() {
         assert!(Config::parse(PathBuf::new(), "stray\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[nope]\nx\n").is_err());
-        assert!(Config::parse(PathBuf::new(), "[baseline panics]\nno-count\n").is_err());
+        // The sections of the deleted per-directory panic policy are
+        // unknown now, so a stale manifest fails loudly.
+        assert!(Config::parse(PathBuf::new(), "[baseline panics]\nsrc 2\n").is_err());
+        assert!(Config::parse(PathBuf::new(), "[panics-forbidden]\nsrc\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[oracles]\nsw::smith_waterman\n").is_err());
     }
 }

@@ -1,25 +1,14 @@
-//! Generalized lock-and-queue discipline: interprocedural effect
-//! summaries over the whole workspace (the PR 5 deadlock rule covered
-//! only `core/src/dataflow`; this pass also sees `supervise`,
-//! `faultsim` gates, `pangenome` orchestration and everything else in
-//! `[scan]`).
+//! The `deadlock` rule: the stage→queue graph over the whole workspace
+//! must be acyclic.
 //!
-//! Invariants checked:
-//!
-//! 1. **The stage→queue graph is acyclic.** Every scope that pops one
-//!    bounded queue and pushes another creates an edge `popped →
-//!    pushed`; a cycle means a stage can block on a queue that only
-//!    drains through itself. Queues are identified workspace-wide by
-//!    binding name (`BoundedQueue` ascription or constructor).
-//! 2. **No blocking effect under a held lock guard.** A bounded-queue
-//!    `push`, a zero-arg `JoinHandle::join()`, or a call to any fn
-//!    whose *effect summary* contains a push or join, while a
-//!    `let`-bound lock guard is live, couples backpressure or thread
-//!    exit with lock acquisition — the classic deadlock shape.
-//!
-//! Effect summaries propagate push/pop/join sets through direct calls
-//! by callee name to a fixpoint, so a push three calls deep under a
-//! guard is still flagged at the guarded call site.
+//! Every scope that pops one bounded queue and pushes another creates
+//! an edge `popped → pushed`; a cycle means a stage can block on a
+//! queue that only drains through itself. Queues are identified
+//! workspace-wide by binding name (`BoundedQueue` ascription or
+//! constructor). Effect summaries propagate push/pop sets through
+//! direct calls by callee name to a fixpoint, so a push three calls
+//! deep still makes its edge. Lock and queue interleavings at run time
+//! are the TSAN job's and the timeout-wrapped dataflow suites' to check.
 //!
 //! Scoping choice: closures are **separate** scopes here — `execute`
 //! only spawns the stages, so merging their endpoints into it would
@@ -44,7 +33,6 @@ struct Scope {
     end: usize,
     pushes: Vec<String>,
     pops: Vec<String>,
-    joins: bool,
     calls: Vec<String>,
 }
 
@@ -53,7 +41,6 @@ struct Scope {
 struct Summary {
     pushes: Vec<String>,
     pops: Vec<String>,
-    joins: bool,
 }
 
 /// Aggregate result of the effects rule over the scanned workspace.
@@ -90,7 +77,7 @@ pub fn analyze(files: &[(&Lexed<'_>, &Directives)]) -> EffectsReport {
     queues.sort();
     queues.dedup();
 
-    // Pass 2: scopes with direct push/pop/join/call sets.
+    // Pass 2: scopes with direct push/pop/call sets.
     let mut scopes: Vec<Scope> = Vec::new();
     let mut fn_names: Vec<String> = Vec::new();
     for (fi, (lexed, _)) in files.iter().enumerate() {
@@ -114,7 +101,6 @@ pub fn analyze(files: &[(&Lexed<'_>, &Directives)]) -> EffectsReport {
             let entry = summaries.entry(n.clone()).or_default();
             merge(&mut entry.pushes, &s.pushes);
             merge(&mut entry.pops, &s.pops);
-            entry.joins |= s.joins;
         }
     }
     loop {
@@ -128,15 +114,13 @@ pub fn analyze(files: &[(&Lexed<'_>, &Directives)]) -> EffectsReport {
                 if let Some(cs) = snapshot.get(callee) {
                     merge(&mut add.pushes, &cs.pushes);
                     merge(&mut add.pops, &cs.pops);
-                    add.joins |= cs.joins;
                 }
             }
             if let Some(entry) = summaries.get_mut(n) {
-                let before = (entry.pushes.len(), entry.pops.len(), entry.joins);
+                let before = (entry.pushes.len(), entry.pops.len());
                 merge(&mut entry.pushes, &add.pushes);
                 merge(&mut entry.pops, &add.pops);
-                entry.joins |= add.joins;
-                if (entry.pushes.len(), entry.pops.len(), entry.joins) != before {
+                if (entry.pushes.len(), entry.pops.len()) != before {
                     changed = true;
                 }
             }
@@ -198,22 +182,6 @@ pub fn analyze(files: &[(&Lexed<'_>, &Directives)]) -> EffectsReport {
                 tok: 0,
             },
         ));
-    }
-
-    // Pass 6: blocking effects under a held guard, per file. The
-    // interprocedural arm only trusts names with exactly one defining
-    // scope — `new`/`push`/`flush` are defined many times over and a
-    // name-based match against the wrong one is worse than silence.
-    let mut def_count: BTreeMap<&str, usize> = BTreeMap::new();
-    for s in &scopes {
-        if let Some(n) = &s.name {
-            *def_count.entry(n.as_str()).or_insert(0) += 1;
-        }
-    }
-    for (fi, (lexed, dir)) in files.iter().enumerate() {
-        for site in held_guard_effects(lexed, dir, &queues, &summaries, &def_count) {
-            report.sites.push((fi, site));
-        }
     }
 
     report.queues = queues;
@@ -290,7 +258,6 @@ fn collect_scopes(lexed: &Lexed<'_>, file: usize, scopes: &mut Vec<Scope>) {
                         end: close,
                         pushes: Vec::new(),
                         pops: Vec::new(),
-                        joins: false,
                         calls: Vec::new(),
                     });
                     i += 2;
@@ -317,7 +284,6 @@ fn collect_scopes(lexed: &Lexed<'_>, file: usize, scopes: &mut Vec<Scope>) {
                         end,
                         pushes: Vec::new(),
                         pops: Vec::new(),
-                        joins: false,
                         calls: Vec::new(),
                     });
                 }
@@ -379,16 +345,7 @@ fn closure_body(toks: &[crate::lexer::Tok<'_>], i: usize) -> (usize, usize) {
     (i, toks.len().saturating_sub(1))
 }
 
-/// Whether token `i` starts a zero-arg `.join()` — a thread join, not
-/// `slice.join(sep)` which always takes an argument.
-fn is_thread_join(toks: &[crate::lexer::Tok<'_>], i: usize) -> bool {
-    toks[i].text == "."
-        && matches!(toks.get(i + 1), Some(m) if m.text == "join")
-        && matches!(toks.get(i + 2), Some(p) if p.text == "(")
-        && matches!(toks.get(i + 3), Some(p) if p.text == ")")
-}
-
-/// Fills push/pop/join/call sets, attributing each token to its
+/// Fills push/pop/call sets, attributing each token to its
 /// innermost scope in the same file.
 fn fill_endpoints(
     lexed: &Lexed<'_>,
@@ -403,13 +360,6 @@ fn fill_endpoints(
             continue;
         }
         let t = &toks[i];
-        // .join() — attribute to the innermost scope.
-        if is_thread_join(toks, i) {
-            if let Some(scope) = innermost_scope(scopes, file, i) {
-                scope.joins = true;
-            }
-            continue;
-        }
         if t.kind != TokKind::Ident {
             continue;
         }
@@ -524,177 +474,6 @@ fn find_cycles(queues: &[String], edges: &[Edge]) -> Vec<String> {
     cycles
 }
 
-/// Blocking effects while a `let`-bound lock guard is live: a direct
-/// bounded-queue push, a direct zero-arg `.join()`, or a plain call to
-/// a uniquely-named fn whose summary contains either. Method-style
-/// calls (`x.flush()`, `map.insert(..)`) are never matched against
-/// summaries — std trait names collide with workspace fns constantly.
-fn held_guard_effects(
-    lexed: &Lexed<'_>,
-    dir: &Directives,
-    queues: &[String],
-    summaries: &BTreeMap<String, Summary>,
-    def_count: &BTreeMap<&str, usize>,
-) -> Vec<RawSite> {
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    // (guard name, brace depth at binding)
-    let mut locks: Vec<(String, i64)> = Vec::new();
-    // A lock binding activates once its statement ends.
-    let mut pending: Option<(String, usize)> = None;
-
-    for i in 0..toks.len() {
-        if lexed.test[i] {
-            continue;
-        }
-        let t = &toks[i];
-        match t.text {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                locks.retain(|(_, d)| *d <= depth);
-            }
-            _ => {}
-        }
-        if let Some((name, end)) = &pending {
-            if i >= *end {
-                locks.push((name.clone(), depth));
-                pending = None;
-            }
-        }
-        // `let [mut] g = …lock()…;`
-        if t.text == "let" && pending.is_none() {
-            if let Some((name, end)) = lock_binding(toks, i) {
-                pending = Some((name, end));
-            }
-        }
-        // drop(g) releases.
-        if t.text == "drop"
-            && matches!(toks.get(i + 1), Some(p) if p.text == "(")
-            && matches!(toks.get(i + 3), Some(p) if p.text == ")")
-        {
-            if let Some(g) = toks.get(i + 2) {
-                locks.retain(|(name, _)| name != g.text);
-            }
-        }
-        if locks.is_empty() {
-            continue;
-        }
-        let guards = || {
-            locks
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>()
-                .join("`, `")
-        };
-        // q.push( while a guard is live.
-        if t.kind == TokKind::Ident
-            && queues.iter().any(|q| q == t.text)
-            && matches!(toks.get(i + 1), Some(d) if d.text == ".")
-            && matches!(toks.get(i + 2), Some(m) if m.text == "push")
-            && matches!(toks.get(i + 3), Some(p) if p.text == "(")
-        {
-            out.push(RawSite {
-                line: t.line,
-                msg: format!(
-                    "bounded-queue {}.push() while lock guard `{}` is held",
-                    t.text,
-                    guards()
-                ),
-                waived: dir.waived("deadlock", t.line),
-                tok: i,
-            });
-        }
-        // .join() while a guard is live.
-        if is_thread_join(toks, i) {
-            let line = toks[i + 1].line;
-            out.push(RawSite {
-                line,
-                msg: format!(
-                    "thread .join() while lock guard `{}` is held",
-                    guards()
-                ),
-                waived: dir.waived("deadlock", line),
-                tok: i + 1,
-            });
-        }
-        // Plain name( where name's summary pushes or joins — and the
-        // name has exactly one definition, so the match is meaningful.
-        if t.kind == TokKind::Ident
-            && t.text != "drop"
-            && matches!(toks.get(i + 1), Some(p) if p.text == "(")
-            && !(i >= 1 && (toks[i - 1].text == "fn" || toks[i - 1].text == "."))
-            && def_count.get(t.text).copied().unwrap_or(0) == 1
-        {
-            if let Some(s) = summaries.get(t.text) {
-                if !s.pushes.is_empty() || s.joins {
-                    let effect = if !s.pushes.is_empty() {
-                        format!("pushes bounded queue `{}`", s.pushes.join("`, `"))
-                    } else {
-                        "joins a thread".to_string()
-                    };
-                    out.push(RawSite {
-                        line: t.line,
-                        msg: format!(
-                            "call to {}() which {} while lock guard `{}` is held",
-                            t.text,
-                            effect,
-                            guards()
-                        ),
-                        waived: dir.waived("deadlock", t.line),
-                        tok: i,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// If the `let` at `i` binds a lock guard (`let [mut] g = … .lock( …;`),
-/// returns (guard name, token index of the terminating `;`).
-fn lock_binding(toks: &[crate::lexer::Tok<'_>], i: usize) -> Option<(String, usize)> {
-    let mut j = i + 1;
-    if matches!(toks.get(j), Some(t) if t.text == "mut") {
-        j += 1;
-    }
-    let name = match toks.get(j) {
-        // `let _ = x.lock()…;` drops the guard at the end of the
-        // statement — the wildcard never holds anything.
-        Some(t) if t.kind == TokKind::Ident && t.text != "_" => t.text.to_string(),
-        _ => return None,
-    };
-    if !matches!(toks.get(j + 1), Some(t) if t.text == "=") {
-        return None;
-    }
-    let mut depth = 0i64;
-    let mut has_lock = false;
-    let mut k = j + 2;
-    while k < toks.len() {
-        match toks[k].text {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                if depth == 0 {
-                    return None; // ran out of the statement
-                }
-                depth -= 1;
-            }
-            ";" if depth == 0 => {
-                return if has_lock { Some((name, k)) } else { None };
-            }
-            "." if matches!(toks.get(k + 1), Some(m) if m.text == "lock")
-                && matches!(toks.get(k + 2), Some(p) if p.text == "(") =>
-            {
-                has_lock = true;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,151 +557,5 @@ fn retry(work_q: &BoundedQueue<u32>) {
 ";
         let r = run(&[src]);
         assert_eq!(r.cycles.len(), 1);
-    }
-
-    #[test]
-    fn push_under_held_lock_flagged_and_drop_releases() {
-        let src = "
-fn deposit(cells: &M, out_q: &BoundedQueue<u32>) {
-    let out_q: &BoundedQueue<u32> = out_q;
-    let mut slot = cells.lock();
-    *slot = 1;
-    out_q.push(1);
-}
-fn deposit_ok(cells: &M, out_q: &BoundedQueue<u32>) {
-    let mut slot = cells.lock();
-    *slot = 1;
-    drop(slot);
-    out_q.push(1);
-}
-fn scoped_ok(cells: &M, out_q: &BoundedQueue<u32>) {
-    { let g = cells.lock(); }
-    out_q.push(1);
-}
-";
-        let r = run(&[src]);
-        let held: Vec<_> = r
-            .sites
-            .iter()
-            .filter(|(_, s)| s.msg.contains("lock guard"))
-            .collect();
-        assert_eq!(held.len(), 1, "{:?}", r.sites);
-        assert!(held[0].1.msg.contains("slot"));
-    }
-
-    #[test]
-    fn temporary_lock_is_not_a_guard() {
-        // `*cells.lock() = x;` releases at the end of the statement —
-        // the executor's producer does exactly this before pushing.
-        let src = "
-fn produce(cells: &M, q: &BoundedQueue<u32>) {
-    let q: &BoundedQueue<u32> = q;
-    *cells.lock() = 1;
-    q.push(1);
-}
-";
-        let r = run(&[src]);
-        assert!(r.sites.is_empty(), "{:?}", r.sites);
-    }
-
-    #[test]
-    fn join_under_held_lock_flagged() {
-        let src = "
-fn shutdown(state: &M, handle: H) {
-    let g = state.lock();
-    let _ = handle.join();
-}
-fn shutdown_ok(state: &M, handle: H) {
-    { let g = state.lock(); }
-    let _ = handle.join();
-}
-fn join_with_arg_is_not_a_thread(parts: &[String], state: &M) {
-    let g = state.lock();
-    let s = parts.join(\", \");
-}
-";
-        let r = run(&[src]);
-        let held: Vec<_> = r
-            .sites
-            .iter()
-            .filter(|(_, s)| s.msg.contains(".join()"))
-            .collect();
-        assert_eq!(held.len(), 1, "{:?}", r.sites);
-        assert!(held[0].1.msg.contains("`g`"));
-    }
-
-    #[test]
-    fn call_to_pushing_fn_under_guard_flagged_interprocedurally() {
-        let src = "
-fn outer(cells: &M, out_q: &BoundedQueue<u32>) {
-    let out_q: &BoundedQueue<u32> = out_q;
-    let g = cells.lock();
-    relay(out_q);
-}
-fn relay(out_q: &BoundedQueue<u32>) { via(out_q); }
-fn via(out_q: &BoundedQueue<u32>) { let _ = out_q.push(1); }
-";
-        let r = run(&[src]);
-        let held: Vec<_> = r
-            .sites
-            .iter()
-            .filter(|(_, s)| s.msg.contains("call to relay"))
-            .collect();
-        assert_eq!(held.len(), 1, "{:?}", r.sites);
-        assert!(held[0].1.msg.contains("out_q"));
-    }
-
-    #[test]
-    fn ambiguous_fn_name_is_not_matched_under_guard() {
-        // Two fns named `new`, one of which joins: a bare `new(...)`
-        // call under a guard cannot be attributed and must not flag.
-        let src = "
-fn outer(cells: &M) {
-    let g = cells.lock();
-    let x = new();
-}
-fn new() -> u32 { 1 }
-";
-        let joins_elsewhere = "
-fn new(h: H) { let _ = h.join(); }
-";
-        let r = run(&[src, joins_elsewhere]);
-        assert!(
-            r.sites.iter().all(|(_, s)| !s.msg.contains("call to")),
-            "{:?}",
-            r.sites
-        );
-    }
-
-    #[test]
-    fn method_call_is_not_matched_against_summaries() {
-        // `err.flush()` is std Write::flush; a workspace fn named
-        // `flush` that joins must not taint the method call.
-        let src = "
-fn print_line(out: &O) {
-    let mut err = out.lock();
-    let _ = err.flush();
-}
-fn flush(h: H) { let _ = h.join(); }
-";
-        let r = run(&[src]);
-        assert!(
-            r.sites.iter().all(|(_, s)| !s.msg.contains("call to")),
-            "{:?}",
-            r.sites
-        );
-    }
-
-    #[test]
-    fn wildcard_let_is_not_a_guard() {
-        let src = "
-fn poke(cells: &M, q: &BoundedQueue<u32>) {
-    let q: &BoundedQueue<u32> = q;
-    let _ = cells.lock();
-    q.push(1);
-}
-";
-        let r = run(&[src]);
-        assert!(r.sites.is_empty(), "{:?}", r.sites);
     }
 }

@@ -18,8 +18,7 @@
 //! Two side channels come out of the lex besides the token stream:
 //!
 //! * every comment, with its line and whether code precedes it on the
-//!   same line — waivers (`// lint: allow(rule): why`), file tags
-//!   (`// lint: hot`) and `// SAFETY:` annotations live here;
+//!   same line — waivers (`// lint: allow(rule): why`) live here;
 //! * a per-token `test` mask: any item under a `#[cfg(test)]` attribute
 //!   is marked test code, brace-matched mid-file rather than assuming
 //!   test modules sit at the bottom.
@@ -133,7 +132,8 @@ pub fn lex(src: &str) -> Lexed<'_> {
                         j += 1;
                     }
                 }
-                let end = j.saturating_sub(2).max(start);
+                // An unterminated comment runs to the end of the file.
+                let end = if depth == 0 { j - 2 } else { j };
                 comments.push(Comment {
                     line: start_line,
                     text: src[start..end].to_string(),
@@ -343,7 +343,8 @@ fn scan_string(b: &[u8], i: usize) -> (usize, u32) {
             _ => j += 1,
         }
     }
-    (j, lines)
+    // An escape at the very end steps past it.
+    (j.min(b.len()), lines)
 }
 
 /// Scans a char/byte literal starting at the opening quote.
@@ -357,7 +358,7 @@ fn scan_char(b: &[u8], i: usize) -> usize {
             _ => j += 1,
         }
     }
-    j
+    j.min(b.len())
 }
 
 /// Scans a numeric literal; classifies float vs integer.

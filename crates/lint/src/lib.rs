@@ -1,27 +1,26 @@
 //! `wga-lint` — project-invariant static analyzer for the Darwin-WGA
 //! workspace.
 //!
-//! Since v2 the linter is *interprocedural*: a symbol table
-//! ([`symbols`]) and a workspace call graph ([`callgraph`]) sit on the
-//! hand-rolled lexer ([`lexer`]), and three of the rules run fixpoint
-//! passes over that graph instead of flat token scans:
+//! The linter keeps the checks that have caught defects (EXPERIMENTS.md,
+//! "wga-lint by its record"). A symbol table ([`symbols`]) and a
+//! workspace call graph ([`callgraph`]) sit on the hand-rolled lexer
+//! ([`lexer`]), and the rules run passes over that graph rather than
+//! flat token scans alone:
 //!
 //! * **panics** — `.unwrap()`/`.expect(`/`panic!`-family in non-test
-//!   library code. Sites whose enclosing fn is reachable from a
-//!   pipeline entry point (`[entry-points]`) are hard violations that
-//!   carry the full entry→site call chain; unreachable sites fall back
-//!   to the per-directory baselines, and `[panics-forbidden]` dirs
-//!   tolerate nothing either way. `self.unwrap()`/`self.expect(..)`
-//!   calls that resolve to a method the enclosing impl defines are
-//!   *calls*, not panic sites.
-//! * **determinism** — hash-map/set iteration, wall-clock reads and
-//!   float use in the manifest's `[determinism]` module set (the code
-//!   that feeds `canonical_text`).
+//!   code anywhere in `[scan]` outside `[panics-exempt]`. Every
+//!   unwaived site is a violation; one whose enclosing fn is reachable
+//!   from a pipeline entry point (`[entry-points]`) carries the full
+//!   entry→site call chain. `self.unwrap()`/`self.expect(..)` calls
+//!   that resolve to a method the enclosing impl defines are *calls*,
+//!   not panic sites.
+//! * **determinism** — hash-map/set iteration in the manifest's
+//!   `[determinism]` module set (the code that feeds `canonical_text`).
 //! * **taint** — (a) every file reachable from an entry point must be
 //!   classified in `[determinism]` or `[determinism-exempt]`;
-//!   (b) nondeterminism sources taint callee→caller, and a canonical
-//!   sink (`[determinism-sinks]`) that transitively reaches an
-//!   unwaived source is a violation with the sink→source chain.
+//!   (b) hash iteration and spawn ordering taint callee→caller, and a
+//!   canonical sink (`[determinism-sinks]`) that transitively reaches
+//!   an unwaived source is a violation with the sink→source chain.
 //! * **dead** — every non-test fn must be reached by a name-mention
 //!   closure ([`callgraph::Graph::reach_by_mention`]) rooted at the
 //!   entry points, at every name the `[entry-dirs]` (examples,
@@ -30,12 +29,14 @@
 //!   language or a macro calls. A stale `[oracles]` entry is a finding
 //!   too.
 //! * **deadlock** — workspace-wide: the stage→queue graph over every
-//!   `BoundedQueue` must be acyclic, and no queue push, zero-arg
-//!   `.join()`, or call to a fn whose effect summary pushes/joins may
-//!   happen under a held lock guard ([`effects`]).
-//! * **hot-loop** — no allocation/formatting in loop bodies of files
-//!   tagged `// lint: hot`.
-//! * **unsafe** — every `unsafe` needs a `// SAFETY:` comment.
+//!   `BoundedQueue` must be acyclic ([`effects`]).
+//!
+//! Some invariants are checked more directly elsewhere, so the linter
+//! leaves them alone: `// SAFETY:` comments by rustc's and clippy's
+//! workspace lints, allocation in the kernels' hot loops by
+//! `crates/align/tests/alloc_bound.rs`, floats and clocks by the
+//! byte-identical `canonical_text` goldens, lock/queue interleavings by
+//! the TSAN job and the timeout-wrapped dataflow suites.
 //!
 //! Any rule can be waived per site with
 //! `// lint: allow(<rule>): <why>` — the *why* is mandatory.
@@ -59,7 +60,7 @@ pub mod rules;
 pub mod symbols;
 pub mod taint;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -67,15 +68,7 @@ use std::time::Instant;
 pub use config::{Config, LintError};
 
 /// All rule names, in reporting order.
-pub const RULES: &[&str] = &[
-    "panics",
-    "determinism",
-    "taint",
-    "dead",
-    "deadlock",
-    "hot-loop",
-    "unsafe",
-];
+pub const RULES: &[&str] = &["panics", "determinism", "taint", "dead", "deadlock"];
 
 /// What became of one rule hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +77,16 @@ pub enum SiteStatus {
     Violation,
     /// Covered by a `// lint: allow(...)` waiver.
     Waived,
-    /// Absorbed by a per-directory panic baseline.
-    Baselined,
+}
+
+impl SiteStatus {
+    fn of(waived: bool) -> SiteStatus {
+        if waived {
+            SiteStatus::Waived
+        } else {
+            SiteStatus::Violation
+        }
+    }
 }
 
 /// One rule hit, resolved.
@@ -108,7 +109,6 @@ pub struct Site {
 pub struct RuleStats {
     pub found: usize,
     pub waived: usize,
-    pub baselined: usize,
     pub violations: usize,
 }
 
@@ -117,9 +117,6 @@ pub struct RuleStats {
 pub struct Analysis {
     pub files_scanned: usize,
     pub sites: Vec<Site>,
-    /// Panic accounting per baseline directory:
-    /// (dir, non-waived *unreachable* sites found, allowed).
-    pub baseline_dirs: Vec<(String, usize, usize)>,
     /// Call-graph shape.
     pub fns: usize,
     pub call_edges: usize,
@@ -133,8 +130,6 @@ pub struct Analysis {
     pub queues: usize,
     pub edges: usize,
     pub cycles: usize,
-    /// Files carrying `// lint: hot`.
-    pub hot_files: usize,
     /// Rules that actually ran, in [`RULES`] order.
     pub enabled: Vec<&'static str>,
     /// Per-rule wall time in microseconds, in [`RULES`] order for the
@@ -152,13 +147,12 @@ impl Analysis {
             match site.status {
                 SiteStatus::Violation => s.violations += 1,
                 SiteStatus::Waived => s.waived += 1,
-                SiteStatus::Baselined => s.baselined += 1,
             }
         }
         s
     }
 
-    /// Non-waived, non-baselined site count — the exit-code driver.
+    /// Non-waived site count — the exit-code driver.
     pub fn total_violations(&self) -> usize {
         self.sites
             .iter()
@@ -221,10 +215,11 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
     let lexed: Vec<lexer::Lexed<'_>> = sources.iter().map(|s| lex_source(s)).collect();
     let dirs: Vec<rules::Directives> = lexed.iter().map(rules::scan_directives).collect();
     analysis.files_scanned = files.len();
-    analysis.hot_files = dirs.iter().filter(|d| d.hot).count();
 
-    let rel_str = |p: &Path| -> String { p.to_string_lossy().replace('\\', "/") };
-    let rel_names: Vec<String> = files.iter().map(|p| rel_str(p)).collect();
+    let rel_names: Vec<String> = files
+        .iter()
+        .map(|p| p.to_string_lossy().replace('\\', "/"))
+        .collect();
 
     // --- symbol table + workspace call graph ------------------------
     let t0 = Instant::now();
@@ -270,96 +265,39 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
             .any(|f| f.name == name && f.impl_type.as_deref() == Some(owner.as_str()))
     };
 
-    // --- panics: reachability split, then baseline aggregation ------
+    // --- panics: every unwaived site, reachable ones with a chain ---
     if on("panics") {
         let t = Instant::now();
-        // Non-waived *unreachable* site indexes grouped by baseline dir.
-        let mut groups: BTreeMap<PathBuf, (usize, Vec<usize>)> = BTreeMap::new();
         for (fi, rel) in files.iter().enumerate() {
             if Config::under_any(rel, &cfg.panics_exempt) {
                 continue;
             }
-            let forbidden = Config::under_any(rel, &cfg.panics_forbidden);
             for raw in rules::panics(&lexed[fi], &dirs[fi]) {
                 if is_self_method(fi, raw.tok) {
                     continue;
                 }
-                let enclosing = graph.enclosing_fn(fi, raw.tok);
-                let reachable = enclosing.map(|n| entry_seen[n]).unwrap_or(false);
-                if raw.waived {
-                    analysis.sites.push(Site {
-                        rule: "panics",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: raw.msg,
-                        status: SiteStatus::Waived,
-                        chain: Vec::new(),
-                    });
-                } else if forbidden {
-                    analysis.sites.push(Site {
-                        rule: "panics",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: format!("{} — in a panic-forbidden directory", raw.msg),
-                        status: SiteStatus::Violation,
-                        chain: Vec::new(),
-                    });
-                } else if reachable {
-                    let node = enclosing.unwrap_or(0);
-                    let chain = graph.chain(&entry_parent, &entry_seen, node);
-                    analysis.sites.push(Site {
-                        rule: "panics",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: format!(
+                let reachable = graph.enclosing_fn(fi, raw.tok).filter(|&n| entry_seen[n]);
+                let (msg, chain) = match reachable {
+                    Some(node) if !raw.waived => {
+                        let chain = graph.chain(&entry_parent, &entry_seen, node);
+                        let msg = format!(
                             "{} — reachable from pipeline entry points via {}",
                             raw.msg,
                             chain.join(" -> ")
-                        ),
-                        status: SiteStatus::Violation,
-                        chain,
-                    });
-                } else {
-                    let (bdir, allowed) = cfg.baseline_for(rel);
-                    let idx = analysis.sites.len();
-                    analysis.sites.push(Site {
-                        rule: "panics",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: raw.msg,
-                        status: SiteStatus::Violation, // resolved below
-                        chain: Vec::new(),
-                    });
-                    let entry = groups.entry(bdir).or_insert((allowed, Vec::new()));
-                    entry.1.push(idx);
-                }
+                        );
+                        (msg, chain)
+                    }
+                    _ => (raw.msg, Vec::new()),
+                };
+                analysis.sites.push(Site {
+                    rule: "panics",
+                    file: rel_names[fi].clone(),
+                    line: raw.line,
+                    msg,
+                    status: SiteStatus::of(raw.waived),
+                    chain,
+                });
             }
-        }
-        // Dirs with a manifest baseline but no sites still show up in
-        // the accounting, so headroom drift is visible.
-        for (bdir, allowed) in &cfg.panic_baselines {
-            groups.entry(bdir.clone()).or_insert((*allowed, Vec::new()));
-        }
-        for (bdir, (allowed, idxs)) in groups {
-            let found = idxs.len();
-            if found > allowed {
-                for i in idxs {
-                    analysis.sites[i].msg = format!(
-                        "{} — {}: {} found > {} allowed",
-                        analysis.sites[i].msg,
-                        rel_str(&bdir),
-                        found,
-                        allowed
-                    );
-                }
-            } else {
-                for i in idxs {
-                    analysis.sites[i].status = SiteStatus::Baselined;
-                }
-            }
-            analysis
-                .baseline_dirs
-                .push((rel_str(&bdir), found, allowed));
         }
         analysis.timings.push(("panics", t.elapsed().as_micros()));
     }
@@ -377,11 +315,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                     file: rel_names[fi].clone(),
                     line: raw.line,
                     msg: raw.msg,
-                    status: if raw.waived {
-                        SiteStatus::Waived
-                    } else {
-                        SiteStatus::Violation
-                    },
+                    status: SiteStatus::of(raw.waived),
                     chain: Vec::new(),
                 });
             }
@@ -401,11 +335,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 file: rel_names[site.file].clone(),
                 line: site.line,
                 msg: site.msg,
-                status: if site.waived {
-                    SiteStatus::Waived
-                } else {
-                    SiteStatus::Violation
-                },
+                status: SiteStatus::of(site.waived),
                 chain: site.chain,
             });
         }
@@ -465,18 +395,14 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 file: rel_names[f.file].clone(),
                 line: f.line,
                 msg: format!("{} is reached from no entry point, entry dir or oracle", f.qual()),
-                status: if dirs[f.file].waived("dead", f.line) {
-                    SiteStatus::Waived
-                } else {
-                    SiteStatus::Violation
-                },
+                status: SiteStatus::of(dirs[f.file].waived("dead", f.line)),
                 chain: Vec::new(),
             });
         }
         analysis.timings.push(("dead", t.elapsed().as_micros()));
     }
 
-    // --- deadlock: workspace-wide queue/lock/join discipline --------
+    // --- deadlock: the workspace-wide queue graph is acyclic ---------
     if on("deadlock") {
         let t = Instant::now();
         let pairs: Vec<(&lexer::Lexed<'_>, &rules::Directives)> =
@@ -491,57 +417,11 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 file: rel_names[fi].clone(),
                 line: raw.line,
                 msg: raw.msg,
-                status: if raw.waived {
-                    SiteStatus::Waived
-                } else {
-                    SiteStatus::Violation
-                },
+                status: SiteStatus::of(raw.waived),
                 chain: Vec::new(),
             });
         }
         analysis.timings.push(("deadlock", t.elapsed().as_micros()));
-    }
-
-    // --- hot-loop + unsafe: every scanned file ----------------------
-    if on("hot-loop") || on("unsafe") {
-        let t = Instant::now();
-        for (fi, _) in files.iter().enumerate() {
-            if on("hot-loop") {
-                for raw in rules::hot_loop(&lexed[fi], &dirs[fi]) {
-                    analysis.sites.push(Site {
-                        rule: "hot-loop",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: raw.msg,
-                        status: if raw.waived {
-                            SiteStatus::Waived
-                        } else {
-                            SiteStatus::Violation
-                        },
-                        chain: Vec::new(),
-                    });
-                }
-            }
-            if on("unsafe") {
-                for raw in rules::unsafe_audit(&lexed[fi], &dirs[fi]) {
-                    analysis.sites.push(Site {
-                        rule: "unsafe",
-                        file: rel_names[fi].clone(),
-                        line: raw.line,
-                        msg: raw.msg,
-                        status: if raw.waived {
-                            SiteStatus::Waived
-                        } else {
-                            SiteStatus::Violation
-                        },
-                        chain: Vec::new(),
-                    });
-                }
-            }
-        }
-        analysis
-            .timings
-            .push(("hot-loop+unsafe", t.elapsed().as_micros()));
     }
 
     analysis

@@ -23,8 +23,8 @@ struct Args {
 }
 
 const USAGE: &str = "wga-lint [--root DIR] [--manifest PATH] [--rule NAME]... \
-[--json PATH] [--no-json]\n  rules: panics, determinism, taint, dead, deadlock, \
-hot-loop, unsafe (default: all)";
+[--json PATH] [--no-json]\n  rules: panics, determinism, taint, dead, deadlock \
+(default: all)";
 
 fn parse_args() -> Result<Args, LintError> {
     let mut args = Args {

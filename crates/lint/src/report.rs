@@ -1,13 +1,13 @@
 //! Report rendering: a human summary for the terminal and the
-//! schema-2 `lint_report.json` CI consumes.
+//! schema-3 `lint_report.json` CI consumes.
 //!
 //! The JSON is **byte-stable**: same tree + same manifest ⇒ identical
 //! bytes, so CI can diff it against a committed expectations file.
 //! That is why per-rule wall times live only in the human output —
 //! they would make every run unique. Every finding is serialized
-//! (violations, waived, baselined) with its call chain when the rule
-//! produced one, so waiver and baseline drift shows up in the diff
-//! too, not just hard failures.
+//! (violations and waived) with its call chain when the rule produced
+//! one, so waiver drift shows up in the diff too, not just hard
+//! failures.
 
 use crate::{Analysis, SiteStatus};
 
@@ -28,18 +28,6 @@ pub fn human(a: &Analysis) -> String {
     for rule in &a.enabled {
         let s = a.stats(rule);
         match *rule {
-            "panics" => {
-                out.push_str(&format!(
-                    "  panics      {} found, {} waived, {} baselined, {} violations\n",
-                    s.found, s.waived, s.baselined, s.violations
-                ));
-                for (dir, found, allowed) in &a.baseline_dirs {
-                    out.push_str(&format!(
-                        "              baseline {}: {} found / {} allowed\n",
-                        dir, found, allowed
-                    ));
-                }
-            }
             "dead" => {
                 out.push_str(&format!(
                     "  dead        {} of {} fns reached, {} found, {} waived, {} violations\n",
@@ -50,12 +38,6 @@ pub fn human(a: &Analysis) -> String {
                 out.push_str(&format!(
                     "  deadlock    {} queues, {} edges, {} cycles, {} found, {} waived, {} violations\n",
                     a.queues, a.edges, a.cycles, s.found, s.waived, s.violations
-                ));
-            }
-            "hot-loop" => {
-                out.push_str(&format!(
-                    "  hot-loop    {} tagged files, {} found, {} waived, {} violations\n",
-                    a.hot_files, s.found, s.waived, s.violations
                 ));
             }
             _ => {
@@ -110,27 +92,18 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// `lint_report.json` body, schema 2. Deterministic byte-for-byte:
+/// `lint_report.json` body, schema 3. Deterministic byte-for-byte:
 /// no timestamps, no timings, sites already sorted by (file, line,
 /// rule) upstream.
 pub fn json(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"wga-lint\",\n");
-    out.push_str("  \"lint_schema\": 2,\n");
+    out.push_str("  \"lint_schema\": 3,\n");
     out.push_str(&format!("  \"files\": {},\n", a.files_scanned));
-    let mut total_waived = 0usize;
-    let mut total_baselined = 0usize;
-    for s in &a.sites {
-        match s.status {
-            SiteStatus::Waived => total_waived += 1,
-            SiteStatus::Baselined => total_baselined += 1,
-            SiteStatus::Violation => {}
-        }
-    }
+    let waived = a.sites.len() - a.total_violations();
     out.push_str(&format!("  \"violations\": {},\n", a.total_violations()));
-    out.push_str(&format!("  \"waived\": {},\n", total_waived));
-    out.push_str(&format!("  \"baselined\": {},\n", total_baselined));
+    out.push_str(&format!("  \"waived\": {},\n", waived));
     out.push_str(&format!(
         "  \"graph\": {{\"fns\": {}, \"call_edges\": {}, \"unknown_edges\": {}, \"entry_fns\": {}, \"reachable_fns\": {}}},\n",
         a.fns, a.call_edges, a.unknown_edges, a.entry_fns, a.reachable_fns
@@ -140,10 +113,6 @@ pub fn json(a: &Analysis) -> String {
         let s = a.stats(rule);
         let comma = if i + 1 == a.enabled.len() { "" } else { "," };
         match *rule {
-            "panics" => out.push_str(&format!(
-                "    \"panics\": {{\"found\": {}, \"waived\": {}, \"baselined\": {}, \"violations\": {}}}{}\n",
-                s.found, s.waived, s.baselined, s.violations, comma
-            )),
             "dead" => out.push_str(&format!(
                 "    \"dead\": {{\"reached\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
                 a.dead_reached, s.found, s.waived, s.violations, comma
@@ -152,10 +121,6 @@ pub fn json(a: &Analysis) -> String {
                 "    \"deadlock\": {{\"queues\": {}, \"edges\": {}, \"cycles\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
                 a.queues, a.edges, a.cycles, s.found, s.waived, s.violations, comma
             )),
-            "hot-loop" => out.push_str(&format!(
-                "    \"hot-loop\": {{\"files\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
-                a.hot_files, s.found, s.waived, s.violations, comma
-            )),
             other => out.push_str(&format!(
                 "    \"{}\": {{\"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
                 other, s.found, s.waived, s.violations, comma
@@ -163,22 +128,12 @@ pub fn json(a: &Analysis) -> String {
         }
     }
     out.push_str("  },\n");
-    out.push_str("  \"baselines\": [\n");
-    for (i, (dir, found, allowed)) in a.baseline_dirs.iter().enumerate() {
-        let comma = if i + 1 == a.baseline_dirs.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"dir\": \"{}\", \"found\": {}, \"allowed\": {}}}{}\n",
-            esc(dir), found, allowed, comma
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"findings\": [\n");
     for (i, s) in a.sites.iter().enumerate() {
         let comma = if i + 1 == a.sites.len() { "" } else { "," };
         let status = match s.status {
             SiteStatus::Violation => "violation",
             SiteStatus::Waived => "waived",
-            SiteStatus::Baselined => "baselined",
         };
         let chain = s
             .chain
@@ -216,7 +171,7 @@ mod tests {
                     file: "src/a.rs".into(),
                     line: 3,
                     msg: ".unwrap()".into(),
-                    status: SiteStatus::Baselined,
+                    status: SiteStatus::Waived,
                     chain: Vec::new(),
                 },
                 Site {
@@ -228,15 +183,14 @@ mod tests {
                     chain: vec!["execute".into(), "step".into()],
                 },
                 Site {
-                    rule: "unsafe",
+                    rule: "panics",
                     file: "src/b.rs".into(),
                     line: 9,
-                    msg: "unsafe without a // SAFETY: comment".into(),
+                    msg: "unreachable!".into(),
                     status: SiteStatus::Violation,
                     chain: Vec::new(),
                 },
             ],
-            baseline_dirs: vec![("src".into(), 1, 1)],
             fns: 12,
             call_edges: 18,
             unknown_edges: 4,
@@ -246,22 +200,23 @@ mod tests {
             queues: 3,
             edges: 2,
             cycles: 0,
-            hot_files: 1,
-            enabled: vec!["panics", "determinism", "taint", "dead", "deadlock", "hot-loop", "unsafe"],
+            enabled: vec!["panics", "determinism", "taint", "dead", "deadlock"],
             timings: vec![("callgraph", 1234), ("panics", 567)],
         }
     }
 
     #[test]
-    fn json_is_schema_2_with_graph_and_chains() {
+    fn json_is_schema_3_with_graph_and_chains() {
         let j = json(&sample());
-        assert!(j.contains("\"lint_schema\": 2"));
+        assert!(j.contains("\"lint_schema\": 3"));
         assert!(j.contains("\"violations\": 2"));
+        assert!(j.contains("\"waived\": 1"));
+        assert!(!j.contains("baseline"));
         assert!(j.contains(
             "\"graph\": {\"fns\": 12, \"call_edges\": 18, \"unknown_edges\": 4, \"entry_fns\": 2, \"reachable_fns\": 9}"
         ));
         assert!(j.contains("\"chain\": [\"execute\", \"step\"]"));
-        assert!(j.contains("\"status\": \"baselined\""));
+        assert!(j.contains("\"status\": \"waived\""));
         assert!(j.contains(
             "\"dead\": {\"reached\": 11, \"found\": 0, \"waived\": 0, \"violations\": 0}"
         ));
@@ -287,8 +242,8 @@ mod tests {
     #[test]
     fn human_lists_violation_with_location_and_chain() {
         let h = human(&sample());
-        assert!(h.contains("src/b.rs:9 [unsafe]"));
-        assert!(h.contains("baseline src: 1 found / 1 allowed"));
+        assert!(h.contains("src/b.rs:9 [panics] unreachable!"));
+        assert!(h.contains("panics      3 found, 1 waived, 2 violations"));
         assert!(h.contains("VIOLATIONS (2):"));
         assert!(h.contains("chain: execute -> step"));
         assert!(h.contains("call graph  12 fns"));

@@ -1,12 +1,10 @@
-//! Per-file rules: panics, determinism, hot-loop hygiene, unsafe
-//! audit — plus the comment-directive layer (waivers and file tags)
-//! they all consult.
+//! Per-file rules: panic sites, hash iteration and spawn ordering —
+//! plus the waiver layer they all consult.
 //!
 //! Each rule walks the token stream from [`crate::lexer`], skipping
-//! test-masked tokens, and returns raw sites. Aggregation policy
-//! (panic baselines, forbidden directories) lives in `lib.rs`; this
-//! module only answers "where does the pattern occur, and is that
-//! line waived".
+//! test-masked tokens, and returns raw sites. Reachability and chains
+//! are added in `lib.rs`; this module only answers "where does the
+//! pattern occur, and is that line waived".
 
 use crate::lexer::{Lexed, TokKind, item_end};
 
@@ -23,11 +21,9 @@ pub struct Waiver {
     pub end: u32,
 }
 
-/// Comment directives extracted from one file.
+/// The waivers of one file.
 #[derive(Debug, Default)]
 pub struct Directives {
-    /// File carries `// lint: hot` — hot-loop rule applies.
-    pub hot: bool,
     pub waivers: Vec<Waiver>,
 }
 
@@ -67,16 +63,7 @@ pub fn scan_directives(lexed: &Lexed<'_>) -> Directives {
         let Some(rest) = c.text.trim_start().strip_prefix("lint:") else {
             continue;
         };
-        let body = rest.trim();
-        if let Some(rest) = body.strip_prefix("hot") {
-            // `// lint: hot` possibly followed by prose, but not e.g.
-            // a hypothetical `lint: hotfix` directive.
-            if rest.is_empty() || !rest.starts_with(|ch: char| ch.is_ascii_alphanumeric()) {
-                out.hot = true;
-                continue;
-            }
-        }
-        let Some(rest) = body.strip_prefix("allow(") else {
+        let Some(rest) = rest.trim().strip_prefix("allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {
@@ -171,7 +158,7 @@ const HASH_ITER_METHODS: &[&str] = &[
 ];
 
 /// Determinism violations in a canonical-output module: hash-map/set
-/// iteration, wall-clock reads, and float literals/types.
+/// iteration, the one order no golden can pin down.
 pub fn determinism(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
     let toks = &lexed.toks;
     let mut out = Vec::new();
@@ -219,78 +206,39 @@ pub fn determinism(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
 
     // Pass 2: flag order-observing uses.
     for i in 0..toks.len() {
-        if lexed.test[i] {
+        let t = &toks[i];
+        if lexed.test[i] || t.kind != TokKind::Ident {
             continue;
         }
-        let t = &toks[i];
-        match t.kind {
-            TokKind::Ident => {
-                // name . iter ( …   where name is hash-bound
-                if hash_names.contains(&t.text)
-                    && matches!(toks.get(i + 1), Some(d) if d.text == ".")
-                    && matches!(toks.get(i + 2), Some(m) if m.kind == TokKind::Ident && HASH_ITER_METHODS.contains(&m.text))
-                    && matches!(toks.get(i + 3), Some(p) if p.text == "(")
-                {
-                    out.push(RawSite {
-                        line: t.line,
-                        msg: format!("hash iteration: {}.{}()", t.text, toks[i + 2].text),
-                        waived: dir.waived("determinism", t.line),
-                        tok: i,
-                    });
-                }
-                // for … in [&][mut] name {
-                if t.text == "in" {
-                    let mut j = i + 1;
-                    while matches!(toks.get(j), Some(x) if x.text == "&" || x.text == "mut") {
-                        j += 1;
-                    }
-                    if matches!(toks.get(j), Some(x) if x.kind == TokKind::Ident && hash_names.contains(&x.text))
-                        && matches!(toks.get(j + 1), Some(b) if b.text == "{")
-                    {
-                        out.push(RawSite {
-                            line: toks[j].line,
-                            msg: format!("hash iteration: for … in {}", toks[j].text),
-                            waived: dir.waived("determinism", toks[j].line),
-                            tok: j,
-                        });
-                    }
-                }
-                if t.text == "Instant"
-                    && matches!(toks.get(i + 1), Some(c) if c.text == ":")
-                {
-                    out.push(RawSite {
-                        line: t.line,
-                        msg: "wall clock: Instant::now".to_string(),
-                        waived: dir.waived("determinism", t.line),
-                        tok: i,
-                    });
-                }
-                if t.text == "SystemTime" {
-                    out.push(RawSite {
-                        line: t.line,
-                        msg: "wall clock: SystemTime".to_string(),
-                        waived: dir.waived("determinism", t.line),
-                        tok: i,
-                    });
-                }
-                if t.text == "f32" || t.text == "f64" {
-                    out.push(RawSite {
-                        line: t.line,
-                        msg: format!("float type: {}", t.text),
-                        waived: dir.waived("determinism", t.line),
-                        tok: i,
-                    });
-                }
+        // name . iter ( …   where name is hash-bound
+        if hash_names.contains(&t.text)
+            && matches!(toks.get(i + 1), Some(d) if d.text == ".")
+            && matches!(toks.get(i + 2), Some(m) if m.kind == TokKind::Ident && HASH_ITER_METHODS.contains(&m.text))
+            && matches!(toks.get(i + 3), Some(p) if p.text == "(")
+        {
+            out.push(RawSite {
+                line: t.line,
+                msg: format!("hash iteration: {}.{}()", t.text, toks[i + 2].text),
+                waived: dir.waived("determinism", t.line),
+                tok: i,
+            });
+        }
+        // for … in [&][mut] name {
+        if t.text == "in" {
+            let mut j = i + 1;
+            while matches!(toks.get(j), Some(x) if x.text == "&" || x.text == "mut") {
+                j += 1;
             }
-            TokKind::Float => {
+            if matches!(toks.get(j), Some(x) if x.kind == TokKind::Ident && hash_names.contains(&x.text))
+                && matches!(toks.get(j + 1), Some(b) if b.text == "{")
+            {
                 out.push(RawSite {
-                    line: t.line,
-                    msg: format!("float literal: {}", t.text),
-                    waived: dir.waived("determinism", t.line),
-                    tok: i,
+                    line: toks[j].line,
+                    msg: format!("hash iteration: for … in {}", toks[j].text),
+                    waived: dir.waived("determinism", toks[j].line),
+                    tok: j,
                 });
             }
-            _ => {}
         }
     }
     out
@@ -318,157 +266,6 @@ pub fn spawn_sources(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
                 line: t.line,
                 msg: "spawn ordering".to_string(),
                 waived: dir.waived("determinism", t.line),
-                tok: i,
-            });
-        }
-    }
-    out
-}
-
-/// Allocation and formatting calls inside loop bodies of a file tagged
-/// `// lint: hot`. Returns empty for untagged files.
-pub fn hot_loop(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
-    if !dir.hot {
-        return Vec::new();
-    }
-    let toks = &lexed.toks;
-    let mut in_loop = vec![false; toks.len()];
-
-    for i in 0..toks.len() {
-        if lexed.test[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let kw = toks[i].text;
-        if kw != "for" && kw != "while" && kw != "loop" {
-            continue;
-        }
-        // `impl Trait for Type` and `for<'a>` bounds are not loops: a
-        // loop `for` never follows an identifier or `>`, and never
-        // precedes `<`.
-        if kw == "for" {
-            if i > 0 && (toks[i - 1].kind == TokKind::Ident || toks[i - 1].text == ">") {
-                continue;
-            }
-            if matches!(toks.get(i + 1), Some(t) if t.text == "<") {
-                continue;
-            }
-        }
-        // Body = first `{` outside parens/brackets after the keyword.
-        let mut paren = 0i64;
-        let mut bracket = 0i64;
-        let mut j = i + 1;
-        let open = loop {
-            match toks.get(j) {
-                None => break None,
-                Some(t) => match t.text {
-                    "(" => paren += 1,
-                    ")" => paren -= 1,
-                    "[" => bracket += 1,
-                    "]" => bracket -= 1,
-                    "{" if paren == 0 && bracket == 0 => break Some(j),
-                    ";" if paren == 0 && bracket == 0 => break None,
-                    _ => {}
-                },
-            }
-            j += 1;
-        };
-        let Some(open) = open else { continue };
-        let close = crate::lexer::item_end(toks, open);
-        for flag in in_loop.iter_mut().take(close + 1).skip(open) {
-            *flag = true;
-        }
-    }
-
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if lexed.test[i] || !in_loop[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.text == "Vec"
-            && matches!(toks.get(i + 1), Some(c) if c.text == ":")
-            && matches!(toks.get(i + 2), Some(c) if c.text == ":")
-            && matches!(toks.get(i + 3), Some(m) if m.text == "new")
-        {
-            out.push(RawSite {
-                line: t.line,
-                msg: "Vec::new in hot loop".to_string(),
-                waived: dir.waived("hot-loop", t.line),
-                tok: i,
-            });
-        }
-        if t.text == "."
-            && matches!(toks.get(i + 1), Some(m) if m.text == "to_vec")
-            && matches!(toks.get(i + 2), Some(p) if p.text == "(")
-        {
-            let line = toks[i + 1].line;
-            out.push(RawSite {
-                line,
-                msg: ".to_vec() in hot loop".to_string(),
-                waived: dir.waived("hot-loop", line),
-                tok: i + 1,
-            });
-        }
-        if t.text == "."
-            && matches!(toks.get(i + 1), Some(m) if m.text == "clone")
-            && matches!(toks.get(i + 2), Some(p) if p.text == "(")
-            && matches!(toks.get(i + 3), Some(p) if p.text == ")")
-        {
-            let line = toks[i + 1].line;
-            out.push(RawSite {
-                line,
-                msg: ".clone() in hot loop".to_string(),
-                waived: dir.waived("hot-loop", line),
-                tok: i + 1,
-            });
-        }
-        if t.text == "format"
-            && matches!(toks.get(i + 1), Some(p) if p.text == "!")
-        {
-            out.push(RawSite {
-                line: t.line,
-                msg: "format! in hot loop".to_string(),
-                waived: dir.waived("hot-loop", t.line),
-                tok: i,
-            });
-        }
-    }
-    out
-}
-
-/// `unsafe` tokens in non-test code with no `// SAFETY:` comment on
-/// the same line or within the three lines above. Each SAFETY comment
-/// annotates at most one `unsafe` (the first one after it), so two
-/// stacked blocks need two comments.
-pub fn unsafe_audit(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
-    let mut safety: Vec<(u32, bool)> = lexed
-        .comments
-        .iter()
-        .filter(|c| c.text.trim_start().starts_with("SAFETY:"))
-        .map(|c| (c.line, false))
-        .collect();
-    let mut out = Vec::new();
-    for i in 0..lexed.toks.len() {
-        if lexed.test[i] {
-            continue;
-        }
-        let t = &lexed.toks[i];
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let lo = t.line.saturating_sub(3);
-        let annotated = safety
-            .iter_mut()
-            .find(|(line, used)| !used && *line >= lo && *line <= t.line)
-            .map(|slot| {
-                slot.1 = true;
-            })
-            .is_some();
-        if !annotated {
-            out.push(RawSite {
-                line: t.line,
-                msg: "unsafe without a // SAFETY: comment".to_string(),
-                waived: dir.waived("unsafe", t.line),
                 tok: i,
             });
         }
@@ -568,7 +365,7 @@ fn f() {
     }
 
     #[test]
-    fn determinism_flags_clocks_and_floats() {
+    fn determinism_ignores_clocks_and_floats() {
         let src = "
 fn f() -> f64 {
     let t = Instant::now();
@@ -576,60 +373,19 @@ fn f() -> f64 {
     frac
 }
 ";
-        let sites = raw(src, determinism);
-        // f64 type, Instant::now, 0.5 literal
-        assert_eq!(sites.len(), 3, "{:?}", sites);
+        assert!(raw(src, determinism).is_empty());
     }
 
     #[test]
     fn determinism_waiver_on_item() {
         let src = "
-// lint: allow(determinism): display-only fraction, never in canonical_text
-fn gc_fraction(gc: usize, n: usize) -> f64 {
-    gc as f64 / n as f64
+// lint: allow(determinism): commutative sum, visit order cannot change it
+fn total(m: &HashMap<u32, u64>) -> u64 {
+    m.values().sum()
 }
 ";
         let sites = raw(src, determinism);
         assert!(!sites.is_empty());
         assert!(sites.iter().all(|s| s.waived));
-    }
-
-    #[test]
-    fn hot_loop_needs_tag_and_loop_body() {
-        let untagged = "fn f() { for i in 0..3 { let v = Vec::new(); } }";
-        assert!(raw(untagged, hot_loop).is_empty());
-
-        let tagged = "
-// lint: hot
-fn f() {
-    let outside = Vec::new();
-    for i in 0..3 {
-        let v: Vec<u8> = Vec::new();
-        let s = format!(\"{}\", i);
-        let c = x.clone();
-        let d = x.clone_from_slice(y);
-        let t = y.to_vec();
-    }
-}
-impl Display for Foo { fn fmt(&self) { let v = Vec::new(); } }
-";
-        let sites = raw(tagged, hot_loop);
-        // Vec::new, format!, .clone(), .to_vec() — not the impl body,
-        // not the pre-loop Vec::new, not clone_from_slice.
-        assert_eq!(sites.len(), 4, "{:?}", sites);
-    }
-
-    #[test]
-    fn unsafe_audit_wants_safety_comment() {
-        let src = "
-fn f() {
-    // SAFETY: index is bounds-checked above
-    let a = unsafe { *p.add(i) };
-    let b = unsafe { *p.add(j) };
-}
-";
-        let sites = raw(src, unsafe_audit);
-        assert_eq!(sites.len(), 1);
-        assert_eq!(sites[0].line, 5);
     }
 }

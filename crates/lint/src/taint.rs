@@ -13,8 +13,8 @@
 //!    human decides which side of the line it lives on, instead of
 //!    silently rotting off the roster (the PR 8/PR 9 failure mode).
 //!
-//! 2. **Tainted sinks** — nondeterminism *sources* (hash iteration,
-//!    wall clocks, floats, thread spawns) taint their enclosing fn;
+//! 2. **Tainted sinks** — nondeterminism *sources* (hash iteration and
+//!    thread spawns) taint their enclosing fn;
 //!    taint flows callee→caller, so a sink fn (`canonical_text`,
 //!    `paf_text`, …, from `[determinism-sinks]`) is tainted exactly
 //!    when some transitive callee contains an unwaived source. Each
@@ -226,7 +226,7 @@ mod tests {
                 "
 fn entry() { canonical_text(); }
 fn canonical_text() { fmt_row(); }
-fn fmt_row() { let frac = 0.5; }
+fn fmt_row(m: &HashMap<u32, u32>) { let v: Vec<u32> = m.values().copied().collect(); }
 ",
             )],
             &["entry"],
@@ -234,7 +234,7 @@ fn fmt_row() { let frac = 0.5; }
         let sink_sites: Vec<_> = r.sites.iter().filter(|s| s.msg.contains("sink")).collect();
         assert_eq!(sink_sites.len(), 1, "{:#?}", r.sites);
         assert_eq!(sink_sites[0].chain, vec!["canonical_text", "fmt_row"]);
-        assert!(sink_sites[0].msg.contains("float literal"));
+        assert!(sink_sites[0].msg.contains("hash iteration"));
     }
 
     #[test]
@@ -246,8 +246,8 @@ fn fmt_row() { let frac = 0.5; }
                 "
 fn entry() { canonical_text(); }
 fn canonical_text() { fmt_row(); }
-// lint: allow(determinism): display-only fraction, never canonical bytes
-fn fmt_row() { let frac = 0.5; }
+// lint: allow(determinism): commutative sum, visit order cannot change it
+fn fmt_row(m: &HashMap<u32, u32>) -> u32 { m.values().sum() }
 ",
             )],
             &["entry"],

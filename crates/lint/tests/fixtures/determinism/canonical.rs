@@ -1,7 +1,6 @@
-//! Determinism fixture: exactly FIVE non-waived violations — two hash
-//! iterations, one wall-clock read, one float literal, one float type
-//! — plus two waived float sites and order-safe decoys that must not
-//! count.
+//! Determinism fixture: exactly TWO non-waived violations — two hash
+//! iterations — plus one waived hash iteration and order-safe decoys
+//! that must not count: point reads, a `BTreeMap`, a clock and floats.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -28,17 +27,13 @@ pub fn ordered_iteration_is_fine(ordered: BTreeMap<String, i64>) -> Vec<i64> {
     ordered.into_values().collect()
 }
 
-pub fn wall_clock() -> u64 {
-    let t = Instant::now(); // violation 3
-    t.elapsed().as_nanos() as u64
+pub fn clocks_and_floats_are_not_sources(n: u64) -> u64 {
+    // The canonical_text goldens pin what these could change.
+    let t = Instant::now();
+    (n as f64 * 0.5) as u64 + t.elapsed().as_nanos() as u64
 }
 
-pub fn float_leak(n: u64) -> u64 {
-    let x = 0.5; // violation 4 (float literal)
-    (n as f64 * x) as u64 // violation 5 (f64 type)
-}
-
-// lint: allow(determinism): fixture waiver — display-only value
-pub fn waived_float(n: u64) -> f64 {
-    n as f64
+// lint: allow(determinism): fixture waiver — a commutative sum
+pub fn waived_sum(totals: &HashMap<String, i64>) -> i64 {
+    totals.values().sum()
 }

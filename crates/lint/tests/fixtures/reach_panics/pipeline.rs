@@ -1,6 +1,6 @@
 //! Reachability fixture: one panic site two calls deep from the entry
-//! point (hard violation with its chain) and one in an orphan fn
-//! nothing calls (baseline-eligible).
+//! point (a violation with its chain) and one in an orphan fn nothing
+//! calls (a violation with no chain).
 
 pub fn execute() {
     stage_a();

@@ -1,5 +1,5 @@
 //! Taint fixture: `canonical_text` is a canonical sink that reaches a
-//! wall-clock read two calls down. The file is entry-reachable, so it
+//! hash iteration two calls down. The file is entry-reachable, so it
 //! must also be classified in `[determinism]` / `[determinism-exempt]`
 //! or the surface check fires.
 
@@ -8,11 +8,11 @@ pub fn canonical_text() -> String {
 }
 
 fn compute() -> u64 {
-    tick()
+    tick(&HashMap::new())
 }
 
-fn tick() -> u64 {
-    std::time::Instant::now().elapsed().as_nanos() as u64
+fn tick(counts: &HashMap<u64, u64>) -> u64 {
+    counts.keys().copied().next().unwrap_or(0)
 }
 
 fn render(x: u64) -> String {

@@ -25,9 +25,8 @@
 //!
 //! Everything in this crate is integer arithmetic over data already in
 //! the trace: no wall clocks, no floats, no hash-order iteration — the
-//! same determinism discipline `wga-lint` enforces on the pipeline's
-//! canonical surface, so one trace always produces one byte-exact
-//! report.
+//! discipline of the pipeline's canonical surface (`wga-lint` checks
+//! the hash order), so one trace always produces one byte-exact report.
 
 pub mod analyze;
 pub mod diff;
