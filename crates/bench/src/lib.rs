@@ -1,9 +1,10 @@
 //! Shared harness utilities for regenerating the paper's tables and
 //! figures.
 //!
-//! Each table/figure has a dedicated binary (`src/bin/`); the functions
-//! here generate the synthetic species pairs, run a configured pipeline,
-//! chain its output and compute the Table III metric set.
+//! Each table/figure is a subcommand of the `repro` binary
+//! (`src/bin/repro/`); the functions here generate the synthetic species
+//! pairs, run a configured pipeline, chain its output and compute the
+//! Table III metric set.
 
 #![warn(missing_docs)]
 

@@ -2,8 +2,8 @@
 //!
 //! The manifest (`scripts/wga-lint.manifest`) is the single checked-in
 //! source of truth for what the linter scans and what it tolerates:
-//! which directories hold library code, which are exempt from the
-//! panics rule, the entry points every reachability pass starts from,
+//! which directories hold the code every rule checks, the entry points
+//! every reachability pass starts from,
 //! the module set that feeds `canonical_text` and its classification
 //! (determinism and taint rules), and what roots the `dead` rule's
 //! search besides the entry points (`[entry-dirs]`, `[oracles]`).
@@ -51,8 +51,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Directories scanned for `.rs` files (recursively).
     pub scan_dirs: Vec<PathBuf>,
-    /// Directory prefixes the panics rule skips entirely (bench code).
-    pub panics_exempt: Vec<PathBuf>,
     /// Files whose code feeds `canonical_text`; the determinism rule
     /// runs only on these.
     pub determinism_files: Vec<PathBuf>,
@@ -116,7 +114,6 @@ impl Config {
             }
             match section.as_str() {
                 "scan" => cfg.scan_dirs.push(PathBuf::from(line)),
-                "panics-exempt" => cfg.panics_exempt.push(PathBuf::from(line)),
                 "determinism" => cfg.determinism_files.push(PathBuf::from(line)),
                 "determinism-exempt" => cfg.determinism_exempt.push(PathBuf::from(line)),
                 "determinism-sinks" => cfg.determinism_sinks.push(line.to_string()),
@@ -165,9 +162,6 @@ mod tests {
 src
 crates/core/src
 
-[panics-exempt]
-crates/bench/src
-
 [determinism]
 crates/genome/src/sequence.rs
 
@@ -193,7 +187,6 @@ sw::smith_waterman  # reference aligner
     fn parses_all_sections() {
         let cfg = Config::parse(PathBuf::from("/tmp"), SAMPLE).unwrap();
         assert_eq!(cfg.scan_dirs.len(), 2);
-        assert_eq!(cfg.panics_exempt.len(), 1);
         assert_eq!(cfg.determinism_files.len(), 1);
         assert_eq!(cfg.determinism_exempt.len(), 1);
         assert_eq!(cfg.determinism_sinks, vec!["canonical_text", "paf_text"]);
@@ -210,6 +203,7 @@ sw::smith_waterman  # reference aligner
         // unknown now, so a stale manifest fails loudly.
         assert!(Config::parse(PathBuf::new(), "[baseline panics]\nsrc 2\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[panics-forbidden]\nsrc\n").is_err());
+        assert!(Config::parse(PathBuf::new(), "[panics-exempt]\nsrc\n").is_err());
         assert!(Config::parse(PathBuf::new(), "[oracles]\nsw::smith_waterman\n").is_err());
     }
 }

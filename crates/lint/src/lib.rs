@@ -8,7 +8,7 @@
 //! flat token scans alone:
 //!
 //! * **panics** — `.unwrap()`/`.expect(`/`panic!`-family in non-test
-//!   code anywhere in `[scan]` outside `[panics-exempt]`. Every
+//!   code anywhere in `[scan]`. Every
 //!   unwaived site is a violation; one whose enclosing fn is reachable
 //!   from a pipeline entry point (`[entry-points]`) carries the full
 //!   entry→site call chain. `self.unwrap()`/`self.expect(..)` calls
@@ -268,11 +268,8 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
     // --- panics: every unwaived site, reachable ones with a chain ---
     if on("panics") {
         let t = Instant::now();
-        for (fi, rel) in files.iter().enumerate() {
-            if Config::under_any(rel, &cfg.panics_exempt) {
-                continue;
-            }
-            for raw in rules::panics(&lexed[fi], &dirs[fi]) {
+        for (fi, file_dirs) in dirs.iter().enumerate() {
+            for raw in rules::panics(&lexed[fi], file_dirs) {
                 if is_self_method(fi, raw.tok) {
                     continue;
                 }

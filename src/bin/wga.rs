@@ -64,7 +64,7 @@
 //!
 //! wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
 //!          [--paf-out out.paf] [--report-out report.txt]
-//!          [--per-pair-index] [--baseline] [--threads N]
+//!          [--baseline] [--threads N]
 //!          [--executor barrier|dataflow] [--queue-depth N]
 //!          [--filter-engine scalar|batched|simd] [--shard-size N]
 //!          [--checkpoint dir] [--fault-plan plan.json]
@@ -78,10 +78,8 @@
 //!     --paf-out writes the survivors as PAF and --report-out the
 //!     canonical report, both atomically. --checkpoint names a
 //!     *directory* holding one journal per genome pair, so an
-//!     interrupted run resumes at pair granularity. --per-pair-index
-//!     rebuilds seed tables per pair instead of sharing (same bytes
-//!     out; exists to test the equivalence). Output is byte-identical
-//!     across executors, thread counts, shard sizes and index modes.
+//!     interrupted run resumes at pair granularity. Output is
+//!     byte-identical across executors, thread counts and shard sizes.
 //!     --progress keeps a throttled matrix-wide status line on stderr
 //!     (chromosome pairs done across all genome pairs, ETA).
 //!
@@ -176,7 +174,7 @@ usage:
             [--fault-plan plan.json] [--max-retries N] [--stall-timeout-ms N]
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
-           [--paf-out out.paf] [--report-out report.txt] [--per-pair-index]
+           [--paf-out out.paf] [--report-out report.txt]
            [--baseline] [--threads N] [--executor barrier|dataflow]
            [--queue-depth N] [--filter-engine scalar|batched|simd]
            [--shard-size N] [--checkpoint dir] [--fault-plan plan.json]
@@ -692,7 +690,6 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let baseline = take_flag(&mut args, "--baseline");
     let progress = take_flag(&mut args, "--progress");
-    let per_pair_index = take_flag(&mut args, "--per-pair-index");
     let threads: usize = parse_opt(&mut args, "--threads", 1)?;
     let executor: ExecutorKind = parse_opt(&mut args, "--executor", ExecutorKind::Barrier)?;
     let queue_depth: usize = parse_opt(&mut args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?;
@@ -750,7 +747,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         fault_plan,
         checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
         knn,
-        shared_index: !per_pair_index,
+        shared_index: true,
     };
     eprintln!(
         "many-genome alignment: {} genomes, {} total bp, knn={}...",
