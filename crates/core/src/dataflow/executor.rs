@@ -76,7 +76,7 @@ pub const QUEUE_EXTEND_POP: u64 = 2;
 pub const QUEUE_DONE_POP: u64 = 3;
 use crate::dataflow::queue::BoundedQueue;
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::{FaultInjector, Hook};
+use crate::faultsim::Hook;
 use crate::filter_engine::FilterContext;
 use crate::genome_pipeline::{AlignOptions, AssemblyReport, SeedTableFn};
 use crate::journal::{Journal, PairRecord};
@@ -478,7 +478,8 @@ fn produce<'a>(
             // Queues one filter task: `Err` fails the pair, `Ok(false)`
             // means shutdown is in progress (journal failure).
             let push = |task: FilterTask<'a>| -> Result<bool, String> {
-                gate_queue(injector, retry_policy, Hook::QueuePush, pair_id as u64, &pair_obs)
+                let pair = pair_obs.pair();
+                supervise::supervised(retry_policy, injector, Hook::QueuePush, pair, Some(&pair_obs), || Ok(()))
                     .map_err(|error| format!("queue.push fault: {error}"))?;
                 let mut wait_buf = obs.buffer();
                 let wait_timer = wait_buf.start();
@@ -568,8 +569,9 @@ fn filter_worker<'a>(
         let pair_obs = obs.with_pair(stream.pair_id as u64);
         let mut same_stream = Some(first);
         while let Some(FilterTask { batch_idx, hits, .. }) = same_stream.take() {
+            let pair = pair_obs.pair();
             let gate =
-                gate_queue(obs.fault(), retry_policy, Hook::QueuePop, stream.pair_id as u64, &pair_obs);
+                supervise::supervised(retry_policy, obs.fault(), Hook::QueuePop, pair, Some(&pair_obs), || Ok(()));
             let result = match gate {
                 Ok(()) => filter_batch(
                     params,
@@ -641,7 +643,9 @@ fn extend_worker(
         );
         let pair_id = job.pair_id;
         let pair_obs = obs.with_pair(pair_id as u64);
-        let gate = gate_queue(injector, retry_policy, Hook::QueuePop, pair_id as u64, &pair_obs);
+        let pair = pair_obs.pair();
+        let gate =
+            supervise::supervised(retry_policy, injector, Hook::QueuePop, pair, Some(&pair_obs), || Ok(()));
         // A pair whose retry budget an earlier stage already exhausted
         // fails here instead of burning extension work — the same
         // `Failed` the other schedules reach through their pair-level
@@ -682,36 +686,6 @@ fn update_cell<'a>(
     let job = slot.take();
     drop(slot);
     job.is_none_or(|job| extend_q.push(job).is_ok())
-}
-
-/// Supervised chaos gate on a queue operation: injected errors are
-/// retried with the run's backoff policy (counted into the injector's
-/// totals), injected panics are contained to an error, and the failure
-/// that survives the budget is returned for the caller to escalate.
-fn gate_queue(
-    injector: Option<&FaultInjector>,
-    policy: &RetryPolicy,
-    hook: Hook,
-    pair: u64,
-    obs: &Obs<'_>,
-) -> Result<(), String> {
-    let Some(inj) = injector else {
-        return Ok(());
-    };
-    let site = (hook.code() << 32) | (pair & 0xFFFF_FFFF);
-    supervise::retry_io(
-        policy,
-        site,
-        |_| inj.count_retry(pair),
-        || match catch_unwind(AssertUnwindSafe(|| inj.gate_io(hook, pair, Some(obs)))) {
-            Ok(result) => result,
-            Err(payload) => Err(WgaError::io(
-                hook.as_str(),
-                std::io::Error::other(panic_message(payload.as_ref())),
-            )),
-        },
-    )
-    .map_err(|e| e.to_string())
 }
 
 /// Streams both strands of one pair into the filter pool: registers the

@@ -12,6 +12,7 @@
 use crate::dataflow::ExecutorKind;
 use crate::faultsim::FaultInjector;
 use crate::genome_pipeline::AssemblyReport;
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -125,28 +126,32 @@ impl ExecutorMetrics {
         }
     }
 
-    /// Renders the metrics as a stable, integer-only JSON document
-    /// (the `--metrics-out` payload). Integer-only keeps the schema
-    /// diffable and platform-independent, like the bench JSON files.
-    pub fn to_json(&self) -> String {
-        fn stage(s: &StageMetrics) -> String {
-            format!(
-                "{{\"workers\":{},\"items\":{},\"cells\":{},\"busy_us\":{},\"idle_us\":{},\"max_queue_occupancy\":{}}}",
-                s.workers, s.items, s.cells, s.busy_us, s.idle_us, s.max_queue_occupancy
-            )
-        }
-        format!(
-            "{{\"executor\":\"{}\",\"threads\":{},\"queue_depth\":{},\"seeding\":{},\"filtering\":{},\"extension\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
-            self.executor.as_str(),
-            self.threads,
-            self.queue_depth,
-            stage(&self.seeding),
-            stage(&self.filtering),
-            stage(&self.extension),
-            self.faults_injected,
-            self.retries,
-            self.stalls_detected
-        )
+    /// The metrics as a stable, integer-only JSON object (the
+    /// `--metrics-out` payload, which the CLI extends with a `process`
+    /// member). Integer-only keeps the schema diffable and
+    /// platform-independent, like the bench JSON files.
+    pub fn to_json(&self) -> Json {
+        let stage = |s: &StageMetrics| {
+            Json::obj([
+                ("workers", s.workers.into()),
+                ("items", s.items.into()),
+                ("cells", s.cells.into()),
+                ("busy_us", s.busy_us.into()),
+                ("idle_us", s.idle_us.into()),
+                ("max_queue_occupancy", s.max_queue_occupancy.into()),
+            ])
+        };
+        Json::obj([
+            ("executor", self.executor.as_str().into()),
+            ("threads", self.threads.into()),
+            ("queue_depth", self.queue_depth.into()),
+            ("seeding", stage(&self.seeding)),
+            ("filtering", stage(&self.filtering)),
+            ("extension", stage(&self.extension)),
+            ("faults_injected", self.faults_injected.into()),
+            ("retries", self.retries.into()),
+            ("stalls_detected", self.stalls_detected.into()),
+        ])
     }
 
     /// One-line human summary for CLI output.
@@ -205,62 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn json_is_integer_only_and_parses() {
+    fn summary_names_the_executor_its_queue_and_any_chaos() {
         let metrics = ExecutorMetrics {
             executor: ExecutorKind::Dataflow,
-            threads: 8,
             queue_depth: 64,
-            seeding: StageMetrics {
-                workers: 1,
-                items: 10,
-                cells: 1000,
-                busy_us: 5,
-                idle_us: 0,
-                max_queue_occupancy: 0,
-            },
             ..ExecutorMetrics::default()
         };
-        let json = metrics.to_json();
-        assert!(
-            !json.replace("\"executor\":\"dataflow\"", "").contains('.'),
-            "integer-only: {json}"
-        );
-        let value = crate::journal::json::parse(&json).unwrap();
-        assert_eq!(
-            value.get("executor").and_then(|v| v.as_str().map(String::from)),
-            Some("dataflow".to_string())
-        );
-        assert_eq!(value.get("threads").and_then(|v| v.as_int()), Some(8));
-        assert_eq!(
-            value
-                .get("seeding")
-                .and_then(|s| s.get("cells"))
-                .and_then(|v| v.as_int()),
-            Some(1000)
-        );
-        for key in ["seeding", "filtering", "extension"] {
-            let stage = value.get(key).unwrap();
-            for field in [
-                "workers",
-                "items",
-                "cells",
-                "busy_us",
-                "idle_us",
-                "max_queue_occupancy",
-            ] {
-                assert!(
-                    stage.get(field).and_then(|v| v.as_int()).is_some(),
-                    "{key}.{field}"
-                );
-            }
-        }
-        for field in ["faults_injected", "retries", "stalls_detected"] {
-            assert_eq!(
-                value.get(field).and_then(|v| v.as_int()),
-                Some(0),
-                "{field}"
-            );
-        }
         assert!(metrics.summary().contains("executor=dataflow"));
         assert!(metrics.summary().contains("queue-depth=64"));
         assert!(
@@ -273,14 +228,12 @@ mod tests {
         };
         assert!(barrier.summary().contains("executor=barrier"));
         assert!(!barrier.summary().contains("queue-depth"));
-        assert!(barrier.to_json().contains("\"executor\":\"barrier\""));
         let chaotic = ExecutorMetrics {
             faults_injected: 3,
             retries: 2,
             ..metrics
         };
         assert!(chaotic.summary().contains("faults_injected=3"));
-        assert!(chaotic.to_json().contains("\"faults_injected\":3"));
     }
 
     #[test]
@@ -293,18 +246,17 @@ mod tests {
                    \"seeding\":{\"workers\":1,\"items\":1,\"cells\":2,\"busy_us\":3,\"idle_us\":4,\"max_queue_occupancy\":0},\
                    \"filtering\":{\"workers\":2,\"items\":1,\"cells\":2,\"busy_us\":3,\"idle_us\":4,\"max_queue_occupancy\":5},\
                    \"extension\":{\"workers\":2,\"items\":1,\"cells\":2,\"busy_us\":3,\"idle_us\":4,\"max_queue_occupancy\":5}}";
-        let value = crate::journal::json::parse(old).unwrap();
-        assert_eq!(value.get("threads").and_then(|v| v.as_int()), Some(2));
+        let value = crate::json::parse(old).unwrap();
+        assert_eq!(value.u64("threads"), Ok(2));
         for field in ["faults_injected", "retries", "stalls_detected"] {
-            let n = value.get(field).and_then(|v| v.as_int()).unwrap_or(0);
-            assert_eq!(n, 0, "{field} defaults to zero when absent");
+            assert_eq!(value.get_u64(field), Ok(None), "{field} is absent");
         }
         // The other direction: a payload from when extension speculated
         // carries a counter this struct no longer has. It still parses,
         // and the fields that remain read as before.
         let speculative = old.replacen('{', "{\"spec_discard\":7,", 1);
-        let value = crate::journal::json::parse(&speculative).unwrap();
-        assert_eq!(value.get("spec_discard").and_then(|v| v.as_int()), Some(7));
-        assert_eq!(value.get("queue_depth").and_then(|v| v.as_int()), Some(8));
+        let value = crate::json::parse(&speculative).unwrap();
+        assert_eq!(value.u64("spec_discard"), Ok(7));
+        assert_eq!(value.u64("queue_depth"), Ok(8));
     }
 }

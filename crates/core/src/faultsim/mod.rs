@@ -1,7 +1,7 @@
 //! Deterministic, seedable fault injection for chaos testing.
 //!
-//! A [`FaultPlan`] (`--fault-plan plan.json` / `WGA_FAULT_PLAN`) names
-//! *hook points* in the pipeline — FASTA reads, journal appends/fsyncs,
+//! A [`FaultPlan`] (`--fault-plan plan.json`) names *hook points* in
+//! the pipeline — FASTA reads, journal appends/fsyncs,
 //! bounded-queue pushes/pops, filter batches, extension tiles, and the
 //! metrics/trace sinks — and for each hook lists which occurrences to
 //! fail and how: an error return, an injected panic, artificial
@@ -28,7 +28,7 @@
 //! code), so a chaos run is auditable from its trace.
 
 use crate::error::{WgaError, WgaResult};
-use crate::journal::json::{self, Json};
+use crate::json::{self, Json};
 use crate::obs::Obs;
 use crate::supervise::RetryPolicy;
 use crate::sync::Mutex;
@@ -198,7 +198,7 @@ pub struct FaultPlan {
 /// Document format tag of a fault-plan file.
 pub const PLAN_FORMAT: &str = "wga-fault-plan";
 /// Fault-plan schema version this build reads and writes.
-pub const PLAN_VERSION: i128 = 1;
+pub const PLAN_VERSION: u64 = 1;
 
 impl FaultPlan {
     /// Parses a fault-plan JSON document.
@@ -209,58 +209,40 @@ impl FaultPlan {
     /// format/version tag, or an unknown hook/kind name.
     pub fn parse(text: &str) -> WgaResult<FaultPlan> {
         let bad = |msg: String| WgaError::config(format!("fault plan: {msg}"));
-        let doc = json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let doc = json::parse(text).map_err(bad)?;
         if doc.get("format").and_then(Json::as_str) != Some(PLAN_FORMAT) {
             return Err(bad(format!("missing format tag {PLAN_FORMAT:?}")));
         }
-        match doc.get("version").and_then(Json::as_int) {
+        match doc.get_u64("version").map_err(bad)? {
             Some(PLAN_VERSION) => {}
             other => return Err(bad(format!("unsupported version {other:?}"))),
         }
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_int)
-            .map_or(0, |s| s as u64);
-        let mut rules = Vec::new();
-        let faults = doc
-            .get("faults")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing \"faults\" array".to_string()))?;
-        for (i, f) in faults.iter().enumerate() {
-            let hook_name = f
-                .get("hook")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad(format!("fault #{i}: missing hook")))?;
-            let hook = Hook::parse(hook_name)
-                .ok_or_else(|| bad(format!("fault #{i}: unknown hook {hook_name:?}")))?;
-            let kind_name = f
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad(format!("fault #{i}: missing kind")))?;
-            let kind = FaultKind::parse(kind_name)
-                .ok_or_else(|| bad(format!("fault #{i}: unknown kind {kind_name:?}")))?;
-            let at_arr = f
-                .get("at")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad(format!("fault #{i}: missing \"at\" array")))?;
-            let mut at = Vec::with_capacity(at_arr.len());
-            for a in at_arr {
-                let v = a
-                    .as_int()
-                    .ok_or_else(|| bad(format!("fault #{i}: non-integer \"at\" entry")))?;
-                at.push(v as u64);
-            }
-            let pair = f.get("pair").and_then(Json::as_int).map(|p| p as u64);
-            let ms = f.get("ms").and_then(Json::as_int).map_or(10, |m| m as u64);
-            rules.push(FaultRule {
-                hook,
-                kind,
-                at,
-                pair,
-                ms,
-            });
-        }
-        Ok(FaultPlan { seed, rules })
+        let rule = |f: &Json| -> Result<FaultRule, String> {
+            let hook = f.str("hook")?;
+            let kind = f.str("kind")?;
+            Ok(FaultRule {
+                hook: Hook::parse(hook).ok_or_else(|| format!("unknown hook {hook:?}"))?,
+                kind: FaultKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
+                at: f
+                    .arr("at")?
+                    .iter()
+                    .map(|a| a.as_u64().ok_or("non-u64 \"at\" entry"))
+                    .collect::<Result<_, _>>()?,
+                pair: f.get_u64("pair")?,
+                ms: f.get_u64("ms")?.unwrap_or(10),
+            })
+        };
+        let rules = doc
+            .arr("faults")
+            .map_err(bad)?
+            .iter()
+            .enumerate()
+            .map(|(i, f)| rule(f).map_err(|e| bad(format!("fault #{i}: {e}"))))
+            .collect::<WgaResult<_>>()?;
+        Ok(FaultPlan {
+            seed: doc.get_u64("seed").map_err(bad)?.unwrap_or(0),
+            rules,
+        })
     }
 
     /// Reads and parses a fault-plan file.
@@ -335,7 +317,7 @@ impl FaultInjector {
         }
     }
 
-    /// The retry policy (shared with the journal/sink `retry_io`
+    /// The retry policy (shared with the journal/sink `supervised`
     /// wrappers so all supervised retries pace identically).
     pub fn policy(&self) -> RetryPolicy {
         self.policy
@@ -487,19 +469,22 @@ impl FaultInjector {
         }
     }
 
-    /// I/O gate (journal appends/fsyncs, queue operations): injected
-    /// faults surface as an error return for the caller's own
-    /// supervised-retry wrapper; latency sleeps in place. Never
-    /// panics except for explicit [`FaultKind::Panic`] rules.
+    /// I/O gate (journal appends/fsyncs, queue operations, FASTA reads),
+    /// the one [`crate::supervise::supervised`] runs before each attempt:
+    /// injected faults surface as an error return for its retries;
+    /// latency sleeps in place. Never panics except for explicit
+    /// [`FaultKind::Panic`] rules, and not for those on a queue
+    /// operation either, which fails like an error instead: a worker
+    /// parked on a queue must not unwind out of its pool.
     ///
     /// # Errors
     ///
-    /// [`WgaError::Io`] for `error`/`short-write` injections (and for
-    /// watchdog-aborted stalls).
+    /// [`WgaError::Io`] for `error`/`short-write` injections, queue
+    /// panics and watchdog-aborted stalls.
     ///
     /// # Panics
     ///
-    /// Only for [`FaultKind::Panic`] injections.
+    /// Only for [`FaultKind::Panic`] injections off the queues.
     pub fn gate_io(&self, hook: Hook, pair: u64, obs: Option<&Obs<'_>>) -> WgaResult<()> {
         let Some((kind, ms)) = self.probe(hook, pair) else {
             return Ok(());
@@ -515,6 +500,9 @@ impl FaultInjector {
                     return Err(injected("stall aborted by watchdog"));
                 }
                 Ok(())
+            }
+            FaultKind::Panic if matches!(hook, Hook::QueuePush | Hook::QueuePop) => {
+                Err(injected(&format!("fault: {} pair {pair}: panic", hook.as_str())))
             }
             FaultKind::Panic => {
                 // lint: allow(panics): the injected panic itself — exercises the executors' panic containment

@@ -79,8 +79,7 @@ pub struct AlignOptions {
     /// closed and unfinished pairs fail instead of hanging. `0` (the
     /// default) disables the watchdog; ignored by the other executors.
     pub stall_timeout_ms: u64,
-    /// Fault-injection plan (`--fault-plan` / `WGA_FAULT_PLAN`). `None`
-    /// outside chaos runs.
+    /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 

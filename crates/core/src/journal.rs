@@ -10,19 +10,19 @@
 //! journaled pairs and recomputes only the rest, producing a report
 //! identical to an uninterrupted run.
 //!
-//! The encoding is a self-contained JSON subset (objects, arrays,
-//! strings, integers) written and parsed by this module — the workspace
-//! deliberately has no JSON dependency. Since format version 2 every
-//! record carries a trailing CRC32C over its own bytes, so bit rot is
-//! detected rather than silently decoded; version-1 journals (no CRC)
-//! still decode. Damage is tolerated, not fatal: a torn final line
-//! (crash mid-append) is dropped, a corrupt *interior* record is
-//! skipped — its pair simply re-runs on resume — and both are counted
-//! in [`JournalStats`]. Only a header mismatch (wrong format, wrong
-//! parameter fingerprint) aborts the resume.
+//! Every line is one [`crate::json`] object, rendered and parsed there
+//! (the workspace deliberately has no JSON dependency). Since format
+//! version 2 every record carries a trailing CRC32C over its own bytes,
+//! so bit rot is detected rather than silently decoded; version-1
+//! journals (no CRC) still decode. Damage is tolerated, not fatal: a
+//! torn final line (crash mid-append) is dropped, a corrupt *interior*
+//! record is skipped — its pair simply re-runs on resume — and both are
+//! counted in [`JournalStats`]. Only a header mismatch (wrong format,
+//! wrong parameter fingerprint) aborts the resume.
 
 use crate::config::WgaParams;
 use crate::error::{WgaError, WgaResult};
+use crate::json::{self, Json};
 use crate::report::{
     BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageKind, StageTimings, Strand, WgaAlignment,
 };
@@ -37,7 +37,7 @@ use std::time::Duration;
 /// Journal format marker.
 const FORMAT: &str = "wga-journal";
 /// Journal format version written to new headers (2 = CRC'd records).
-const VERSION: i128 = 2;
+const VERSION: u64 = 2;
 
 /// CRC32C (Castagnoli) lookup table, built at compile time. The
 /// reflected polynomial matches the SSE4.2 `crc32` instruction and the
@@ -165,8 +165,10 @@ impl Journal {
     /// is not a wga journal at all.
     pub fn open(path: &Path, fingerprint: &str) -> WgaResult<Journal> {
         let display = path.display().to_string();
-        let existing = match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
+        // A byte that is not UTF-8 is damage to its line, which then
+        // fails to decode like any other corrupt record.
+        let existing = match std::fs::read(path) {
+            Ok(bytes) => Some(String::from_utf8_lossy(&bytes).into_owned()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(WgaError::io(&display, e)),
         };
@@ -243,15 +245,12 @@ impl Journal {
             .open(path)
             .map_err(|e| WgaError::io(&display, e))?;
         if needs_header {
-            let mut line = String::new();
-            line.push_str("{\"format\":");
-            push_str_json(&mut line, FORMAT);
-            line.push_str(",\"version\":");
-            line.push_str(&VERSION.to_string());
-            line.push_str(",\"params_fingerprint\":");
-            push_str_json(&mut line, fingerprint);
-            line.push_str("}\n");
-            file.write_all(line.as_bytes())
+            let header = Json::obj([
+                ("format", FORMAT.into()),
+                ("version", VERSION.into()),
+                ("params_fingerprint", fingerprint.into()),
+            ]);
+            file.write_all(format!("{header}\n").as_bytes())
                 .and_then(|()| file.sync_data())
                 .map_err(|e| WgaError::io(&display, e))?;
         }
@@ -296,18 +295,17 @@ impl Journal {
 
 fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
     let value = json::parse(line)?;
-    match value.get("format").and_then(json::Json::as_str) {
-        Some(FORMAT) => {}
-        _ => return Err("not a wga journal".into()),
+    if value.get("format").and_then(Json::as_str) != Some(FORMAT) {
+        return Err("not a wga journal".into());
     }
-    match value.get("version").and_then(json::Json::as_int) {
+    match value.get_u64("version")? {
         // Version 1 journals predate per-record CRCs; their records
         // simply skip the CRC check.
         Some(1 | VERSION) => {}
         Some(v) => return Err(format!("unsupported journal version {v}")),
         None => return Err("missing journal version".into()),
     }
-    match value.get("params_fingerprint").and_then(json::Json::as_str) {
+    match value.get("params_fingerprint").and_then(Json::as_str) {
         Some(f) if f == fingerprint => Ok(()),
         Some(_) => Err(
             "journal was written with different parameters; delete it or rerun with the \
@@ -320,55 +318,22 @@ fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
 
 // --- Encoding -----------------------------------------------------------
 
-fn push_str_json(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// The five workload counters, as the journal and `profile_report.json`
+/// both write them.
+impl From<&Workload> for Json {
+    fn from(w: &Workload) -> Json {
+        Json::obj([
+            ("seeds", w.seeds.into()),
+            ("filter_tiles", w.filter_tiles.into()),
+            ("extension_tiles", w.extension_tiles.into()),
+            ("extension_cells", w.extension_cells.into()),
+            ("extension_rows", w.extension_rows.into()),
+        ])
     }
-    out.push('"');
 }
 
-fn push_field(out: &mut String, key: &str, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str_json(out, key);
-    out.push(':');
-}
-
-fn encode_workload(out: &mut String, w: &Workload) {
-    out.push_str(&format!(
-        "{{\"seeds\":{},\"filter_tiles\":{},\"extension_tiles\":{},\"extension_cells\":{},\"extension_rows\":{}}}",
-        w.seeds, w.filter_tiles, w.extension_tiles, w.extension_cells, w.extension_rows
-    ));
-}
-
-fn encode_timings(out: &mut String, t: &StageTimings) {
-    out.push_str(&format!(
-        "{{\"seeding\":{},\"filtering\":{},\"extension\":{}}}",
-        t.seeding.as_micros(),
-        t.filtering.as_micros(),
-        t.extension.as_micros()
-    ));
-}
-
-fn encode_counters(out: &mut String, c: &FunnelCounters) {
-    out.push_str(&format!(
-        "{{\"raw_seed_hits\":{},\"filter_cells\":{},\"anchors_passed\":{},\"anchors_absorbed\":{},\"alignments_kept\":{},\"faults_injected\":{},\"retries\":{},\"stalls_detected\":{}}}",
-        c.raw_seed_hits, c.filter_cells, c.anchors_passed, c.anchors_absorbed, c.alignments_kept,
-        c.faults_injected, c.retries, c.stalls_detected
-    ));
+fn micros(d: Duration) -> Json {
+    Json::Int(d.as_micros() as i128)
 }
 
 fn budget_kind_name(kind: BudgetKind) -> &'static str {
@@ -388,134 +353,101 @@ fn stage_kind_name(stage: StageKind) -> &'static str {
     }
 }
 
-fn encode_event(out: &mut String, event: &RunEvent) {
+fn encode_event(event: &RunEvent) -> Json {
     match event {
         RunEvent::BudgetExceeded {
             budget,
             stage,
             limit,
             observed,
-        } => {
-            out.push_str(&format!(
-                "{{\"type\":\"budget\",\"budget\":\"{}\",\"stage\":\"{}\",\"limit\":{limit},\"observed\":{observed}}}",
-                budget_kind_name(*budget),
-                stage_kind_name(*stage)
-            ));
-        }
+        } => Json::obj([
+            ("type", "budget".into()),
+            ("budget", budget_kind_name(*budget).into()),
+            ("stage", stage_kind_name(*stage).into()),
+            ("limit", (*limit).into()),
+            ("observed", (*observed).into()),
+        ]),
         RunEvent::BatchFailed {
             stage,
             batch,
             items,
             message,
-        } => {
-            out.push_str(&format!(
-                "{{\"type\":\"batch_failed\",\"stage\":\"{}\",\"batch\":{batch},\"items\":{items},\"message\":",
-                stage_kind_name(*stage)
-            ));
-            push_str_json(out, message);
-            out.push('}');
-        }
+        } => Json::obj([
+            ("type", "batch_failed".into()),
+            ("stage", stage_kind_name(*stage).into()),
+            ("batch", (*batch).into()),
+            ("items", (*items).into()),
+            ("message", message.as_str().into()),
+        ]),
     }
 }
 
-fn encode_outcome(out: &mut String, outcome: &RunOutcome) {
+fn encode_outcome(outcome: &RunOutcome) -> Json {
     match outcome {
-        RunOutcome::Completed => out.push_str("{\"status\":\"completed\"}"),
-        RunOutcome::Degraded { events } => {
-            out.push_str("{\"status\":\"degraded\",\"events\":[");
-            for (i, event) in events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                encode_event(out, event);
-            }
-            out.push_str("]}");
-        }
+        RunOutcome::Completed => Json::obj([("status", "completed".into())]),
+        RunOutcome::Degraded { events } => Json::obj([
+            ("status", "degraded".into()),
+            ("events", Json::Arr(events.iter().map(encode_event).collect())),
+        ]),
         RunOutcome::Failed { error } => {
-            out.push_str("{\"status\":\"failed\",\"error\":");
-            push_str_json(out, error);
-            out.push('}');
+            Json::obj([("status", "failed".into()), ("error", error.as_str().into())])
         }
     }
 }
 
-fn encode_alignment(out: &mut String, wa: &WgaAlignment) {
+fn encode_alignment(wa: &WgaAlignment) -> Json {
     let a = &wa.alignment;
-    out.push_str(&format!(
-        "{{\"t\":{},\"q\":{},\"score\":{},\"strand\":\"{}\",\"cigar\":",
-        a.target_start,
-        a.query_start,
-        a.score,
-        match wa.strand {
-            Strand::Forward => '+',
-            Strand::Reverse => '-',
-        }
-    ));
-    push_str_json(out, &a.cigar.to_string());
-    out.push('}');
+    let strand = match wa.strand {
+        Strand::Forward => "+",
+        Strand::Reverse => "-",
+    };
+    Json::obj([
+        ("t", a.target_start.into()),
+        ("q", a.query_start.into()),
+        ("score", Json::Int(a.score.into())),
+        ("strand", strand.into()),
+        ("cigar", a.cigar.to_string().as_str().into()),
+    ])
 }
 
 fn encode_record(record: &PairRecord) -> String {
-    let mut out = String::with_capacity(256 + record.alignments.len() * 48);
-    out.push('{');
-    let mut first = true;
-    push_field(&mut out, "target_chrom", &mut first);
-    push_str_json(&mut out, &record.target_chrom);
-    push_field(&mut out, "query_chrom", &mut first);
-    push_str_json(&mut out, &record.query_chrom);
-    push_field(&mut out, "outcome", &mut first);
-    encode_outcome(&mut out, &record.outcome);
-    push_field(&mut out, "workload", &mut first);
-    encode_workload(&mut out, &record.workload);
-    push_field(&mut out, "timings_us", &mut first);
-    encode_timings(&mut out, &record.timings);
-    push_field(&mut out, "counters", &mut first);
-    encode_counters(&mut out, &record.counters);
-    push_field(&mut out, "alignments", &mut first);
-    out.push('[');
-    for (i, wa) in record.alignments.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_alignment(&mut out, wa);
-    }
-    out.push(']');
-    out.push('}');
-    // Self-checksum: CRC32C over the record *without* the crc field,
-    // appended as the final member. decode strips the suffix, restores
-    // the '}' and recomputes.
-    let crc = crc32c(out.as_bytes());
-    out.pop();
-    out.push_str(&format!(",\"crc\":{crc}}}\n"));
-    out
+    let (t, c) = (&record.timings, &record.counters);
+    let mut line = Json::obj([
+        ("target_chrom", record.target_chrom.as_str().into()),
+        ("query_chrom", record.query_chrom.as_str().into()),
+        ("outcome", encode_outcome(&record.outcome)),
+        ("workload", (&record.workload).into()),
+        (
+            "timings_us",
+            Json::obj([
+                ("seeding", micros(t.seeding)),
+                ("filtering", micros(t.filtering)),
+                ("extension", micros(t.extension)),
+            ]),
+        ),
+        (
+            "counters",
+            Json::obj([
+                ("raw_seed_hits", c.raw_seed_hits.into()),
+                ("filter_cells", c.filter_cells.into()),
+                ("anchors_passed", c.anchors_passed.into()),
+                ("anchors_absorbed", c.anchors_absorbed.into()),
+                ("alignments_kept", c.alignments_kept.into()),
+                ("faults_injected", c.faults_injected.into()),
+                ("retries", c.retries.into()),
+                ("stalls_detected", c.stalls_detected.into()),
+            ]),
+        ),
+        ("alignments", Json::Arr(record.alignments.iter().map(encode_alignment).collect())),
+    ]);
+    // Self-checksum: CRC32C over the record *without* the crc member,
+    // which goes last. decode strips it, restores the '}' and recomputes.
+    let crc = crc32c(line.to_string().as_bytes());
+    line.push("crc", u64::from(crc).into());
+    format!("{line}\n")
 }
 
 // --- Decoding -----------------------------------------------------------
-
-fn field<'j>(obj: &'j json::Json, key: &str) -> Result<&'j json::Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn str_field(obj: &json::Json, key: &str) -> Result<String, String> {
-    field(obj, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field {key:?} is not a string"))
-}
-
-fn u64_field(obj: &json::Json, key: &str) -> Result<u64, String> {
-    let n = field(obj, key)?
-        .as_int()
-        .ok_or_else(|| format!("field {key:?} is not an integer"))?;
-    u64::try_from(n).map_err(|_| format!("field {key:?} out of range"))
-}
-
-fn i64_field(obj: &json::Json, key: &str) -> Result<i64, String> {
-    let n = field(obj, key)?
-        .as_int()
-        .ok_or_else(|| format!("field {key:?} is not an integer"))?;
-    i64::try_from(n).map_err(|_| format!("field {key:?} out of range"))
-}
 
 fn decode_budget_kind(name: &str) -> Result<BudgetKind, String> {
     match name {
@@ -536,38 +468,32 @@ fn decode_stage_kind(name: &str) -> Result<StageKind, String> {
     }
 }
 
-fn decode_event(value: &json::Json) -> Result<RunEvent, String> {
-    match str_field(value, "type")?.as_str() {
+fn decode_event(value: &Json) -> Result<RunEvent, String> {
+    match value.str("type")? {
         "budget" => Ok(RunEvent::BudgetExceeded {
-            budget: decode_budget_kind(&str_field(value, "budget")?)?,
-            stage: decode_stage_kind(&str_field(value, "stage")?)?,
-            limit: u64_field(value, "limit")?,
-            observed: u64_field(value, "observed")?,
+            budget: decode_budget_kind(value.str("budget")?)?,
+            stage: decode_stage_kind(value.str("stage")?)?,
+            limit: value.u64("limit")?,
+            observed: value.u64("observed")?,
         }),
         "batch_failed" => Ok(RunEvent::BatchFailed {
-            stage: decode_stage_kind(&str_field(value, "stage")?)?,
-            batch: u64_field(value, "batch")? as usize,
-            items: u64_field(value, "items")?,
-            message: str_field(value, "message")?,
+            stage: decode_stage_kind(value.str("stage")?)?,
+            batch: value.u64("batch")? as usize,
+            items: value.u64("items")?,
+            message: value.str("message")?.to_string(),
         }),
         other => Err(format!("unknown event type {other:?}")),
     }
 }
 
-fn decode_outcome(value: &json::Json) -> Result<RunOutcome, String> {
-    match str_field(value, "status")?.as_str() {
+fn decode_outcome(value: &Json) -> Result<RunOutcome, String> {
+    match value.str("status")? {
         "completed" => Ok(RunOutcome::Completed),
-        "degraded" => {
-            let events = field(value, "events")?
-                .as_arr()
-                .ok_or("events is not an array")?
-                .iter()
-                .map(decode_event)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(RunOutcome::Degraded { events })
-        }
+        "degraded" => Ok(RunOutcome::Degraded {
+            events: value.arr("events")?.iter().map(decode_event).collect::<Result<_, _>>()?,
+        }),
         "failed" => Ok(RunOutcome::Failed {
-            error: str_field(value, "error")?,
+            error: value.str("error")?.to_string(),
         }),
         other => Err(format!("unknown outcome status {other:?}")),
     }
@@ -612,29 +538,30 @@ fn decode_cigar(text: &str) -> Result<Cigar, String> {
     Ok(cigar)
 }
 
-fn decode_alignment(value: &json::Json) -> Result<WgaAlignment, String> {
-    let target_start = u64_field(value, "t")? as usize;
-    let query_start = u64_field(value, "q")? as usize;
-    let score = i64_field(value, "score")?;
-    let strand = match str_field(value, "strand")?.as_str() {
+fn decode_alignment(value: &Json) -> Result<WgaAlignment, String> {
+    let strand = match value.str("strand")? {
         "+" => Strand::Forward,
         "-" => Strand::Reverse,
         other => return Err(format!("unknown strand {other:?}")),
     };
-    let cigar = decode_cigar(&str_field(value, "cigar")?)?;
+    let (t, q) = (value.u64("t")? as usize, value.u64("q")? as usize);
+    let cigar = decode_cigar(value.str("cigar")?)?;
+    if t.checked_add(cigar.target_len()).is_none() || q.checked_add(cigar.query_len()).is_none() {
+        return Err("alignment ends past the largest position".into());
+    }
     Ok(WgaAlignment {
-        alignment: Alignment::new(target_start, query_start, cigar, score),
+        alignment: Alignment::new(t, q, cigar, value.i64("score")?),
         strand,
     })
 }
 
-fn decode_workload(value: &json::Json) -> Result<Workload, String> {
+fn decode_workload(value: &Json) -> Result<Workload, String> {
     Ok(Workload {
-        seeds: u64_field(value, "seeds")?,
-        filter_tiles: u64_field(value, "filter_tiles")?,
-        extension_tiles: u64_field(value, "extension_tiles")?,
-        extension_cells: u64_field(value, "extension_cells")?,
-        extension_rows: u64_field(value, "extension_rows")?,
+        seeds: value.u64("seeds")?,
+        filter_tiles: value.u64("filter_tiles")?,
+        extension_tiles: value.u64("extension_tiles")?,
+        extension_cells: value.u64("extension_cells")?,
+        extension_rows: value.u64("extension_rows")?,
     })
 }
 
@@ -642,21 +569,11 @@ fn decode_workload(value: &json::Json) -> Result<Workload, String> {
 /// stay readable: a missing `counters` object (records predating the
 /// field) and missing individual keys (counters added later) both decode
 /// as zero.
-fn decode_counters(value: Option<&json::Json>) -> Result<FunnelCounters, String> {
+fn decode_counters(value: Option<&Json>) -> Result<FunnelCounters, String> {
     let Some(value) = value else {
         return Ok(FunnelCounters::default());
     };
-    let opt = |key: &str| -> Result<u64, String> {
-        match value.get(key) {
-            None => Ok(0),
-            Some(v) => {
-                let n = v
-                    .as_int()
-                    .ok_or_else(|| format!("field {key:?} is not an integer"))?;
-                u64::try_from(n).map_err(|_| format!("field {key:?} out of range"))
-            }
-        }
-    };
+    let opt = |key: &str| value.get_u64(key).map(Option::unwrap_or_default);
     Ok(FunnelCounters {
         raw_seed_hits: opt("raw_seed_hits")?,
         filter_cells: opt("filter_cells")?,
@@ -669,11 +586,11 @@ fn decode_counters(value: Option<&json::Json>) -> Result<FunnelCounters, String>
     })
 }
 
-fn decode_timings(value: &json::Json) -> Result<StageTimings, String> {
+fn decode_timings(value: &Json) -> Result<StageTimings, String> {
     Ok(StageTimings {
-        seeding: Duration::from_micros(u64_field(value, "seeding")?),
-        filtering: Duration::from_micros(u64_field(value, "filtering")?),
-        extension: Duration::from_micros(u64_field(value, "extension")?),
+        seeding: Duration::from_micros(value.u64("seeding")?),
+        filtering: Duration::from_micros(value.u64("filtering")?),
+        extension: Duration::from_micros(value.u64("extension")?),
     })
 }
 
@@ -700,314 +617,18 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
     let value = json::parse(line)?;
     // Version-2 records carry a CRC; version-1 records (no crc field)
     // are accepted unchecked.
-    if let Some(crc) = value.get("crc") {
-        let expected = crc
-            .as_int()
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or("crc field is not a u32")?;
-        verify_crc(line, expected)?;
+    if let Some(crc) = value.get_u64("crc")? {
+        verify_crc(line, u32::try_from(crc).map_err(|_| "crc field is not a u32")?)?;
     }
-    let alignments = field(&value, "alignments")?
-        .as_arr()
-        .ok_or("alignments is not an array")?
-        .iter()
-        .map(decode_alignment)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(PairRecord {
-        target_chrom: str_field(&value, "target_chrom")?,
-        query_chrom: str_field(&value, "query_chrom")?,
-        outcome: decode_outcome(field(&value, "outcome")?)?,
-        workload: decode_workload(field(&value, "workload")?)?,
-        timings: decode_timings(field(&value, "timings_us")?)?,
+        target_chrom: value.str("target_chrom")?.to_string(),
+        query_chrom: value.str("query_chrom")?.to_string(),
+        outcome: decode_outcome(value.member("outcome")?)?,
+        workload: decode_workload(value.member("workload")?)?,
+        timings: decode_timings(value.member("timings_us")?)?,
         counters: decode_counters(value.get("counters"))?,
-        alignments,
+        alignments: value.arr("alignments")?.iter().map(decode_alignment).collect::<Result<_, _>>()?,
     })
-}
-
-// --- Minimal JSON subset ------------------------------------------------
-
-/// Minimal dependency-free JSON subset used by the journal and by tools
-/// that validate this workspace's JSON artefacts (trace lines,
-/// `--metrics-out` payloads, `profile_report.json`).
-///
-/// Supports objects, arrays, strings, integers, booleans and `null` —
-/// no floats, which every JSON producer in this workspace avoids.
-pub mod json {
-    /// A parsed JSON value. Numbers are integers only — the journal never
-    /// writes floats.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Integer (the journal emits no floats).
-        Int(i128),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<Json>),
-        /// Object, in source order.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object member lookup.
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The value as a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The value as an integer.
-        pub fn as_int(&self) -> Option<i128> {
-            match self {
-                Json::Int(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The value as an array.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document, rejecting trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'t> {
-        bytes: &'t [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}",
-                    byte as char, self.pos
-                ))
-            }
-        }
-
-        fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Json::Str(self.string()?)),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(b'-') | Some(b'0'..=b'9') => self.number(),
-                _ => Err(format!("unexpected value at byte {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut members = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                members.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-            text.parse::<i128>()
-                .map(Json::Int)
-                .map_err(|_| format!("bad number at byte {start}"))
-        }
-
-        fn hex4(&mut self) -> Result<u32, String> {
-            let mut value = 0u32;
-            for _ in 0..4 {
-                let b = self
-                    .peek()
-                    .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-                let digit = (b as char)
-                    .to_digit(16)
-                    .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                value = value * 16 + digit;
-                self.pos += 1;
-            }
-            Ok(value)
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let start = self.pos;
-                // Consume a run of plain bytes in one go.
-                while self
-                    .peek()
-                    .is_some_and(|b| b != b'"' && b != b'\\')
-                {
-                    self.pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid utf-8 near byte {start}"))?,
-                );
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let escape = self
-                            .peek()
-                            .ok_or_else(|| format!("truncated escape at byte {}", self.pos))?;
-                        self.pos += 1;
-                        match escape {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hi = self.hex4()?;
-                                let code = if (0xd800..0xdc00).contains(&hi) {
-                                    // Surrogate pair: expect \uXXXX low half.
-                                    self.expect(b'\\')?;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err("unpaired surrogate".into());
-                                    }
-                                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                                } else {
-                                    hi
-                                };
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or("bad \\u escape codepoint")?,
-                                );
-                            }
-                            other => {
-                                return Err(format!("unknown escape \\{}", other as char));
-                            }
-                        }
-                    }
-                    None => return Err("unterminated string".into()),
-                    // The scan loop above stops only on `"`, `\` or
-                    // end-of-input, but a corrupt journal deserves an
-                    // error, not a crash.
-                    Some(other) => {
-                        return Err(format!(
-                            "unexpected byte {:#04x} in string at byte {}",
-                            other, self.pos
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1089,12 +710,9 @@ mod tests {
         // (or the crc) existed.
         let record = sample_record();
         let line = strip_crc(&encode_record(&record));
-        let counters_json = {
-            let mut buf = String::new();
-            encode_counters(&mut buf, &record.counters);
-            buf
-        };
-        let legacy = line.replace(&format!(",\"counters\":{counters_json}"), "");
+        let start = line.find(",\"counters\":").expect("encoded line has counters");
+        let end = start + line[start..].find('}').expect("counters object closes") + 1;
+        let legacy = format!("{}{}", &line[..start], &line[end..]);
         assert_ne!(legacy, line, "counters field should have been stripped");
         let parsed = decode_record(legacy.trim_end()).unwrap();
         assert_eq!(parsed.counters, FunnelCounters::default());
@@ -1268,15 +886,5 @@ mod tests {
         );
         assert!(journal.take("chrII", "chr1").is_some(), "undamaged pair resumes");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_rejects_trailing() {
-        let v = json::parse(r#"{"a":"xA\n\"","b":[1,-2],"c":null}"#).unwrap();
-        assert_eq!(v.get("a").and_then(json::Json::as_str), Some("xA\n\""));
-        let arr = v.get("b").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(arr[1].as_int(), Some(-2));
-        assert!(json::parse("{} trailing").is_err());
-        assert!(json::parse(r#"{"a":}"#).is_err());
     }
 }

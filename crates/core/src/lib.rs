@@ -45,6 +45,7 @@ pub mod faultsim;
 pub mod filter_engine;
 pub mod genome_pipeline;
 pub mod journal;
+pub mod json;
 pub mod maf;
 pub mod obs;
 pub mod pangenome;

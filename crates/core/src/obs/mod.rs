@@ -24,8 +24,9 @@
 //!   extension tiles per anchor).
 //!
 //! The [`TraceRecorder`] renders everything as JSONL with
-//! deterministic integer-only fields (see [`Span::to_json_line`] and
-//! [`TraceRecorder::write_trace`]).
+//! deterministic integer-only fields, one [`TraceLine`] a line: this
+//! module alone defines what a trace line is, in both directions
+//! (`wga profile` reads traces back through [`TraceLine::from_json`]).
 
 mod histogram;
 mod progress;
@@ -33,6 +34,7 @@ mod progress;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
+use crate::json::Json;
 use crate::report::Strand;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,25 +208,116 @@ pub struct Span {
     pub parent: u64,
 }
 
-impl Span {
-    /// Renders the span as one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"span\":\"{}\",\"pair\":{},\"strand\":{},\"seq\":{},\
-             \"start_us\":{},\"dur_us\":{},\"items\":{},\"cells\":{},\
-             \"tid\":{},\"id\":{},\"parent\":{}}}",
-            self.name.as_str(),
-            self.pair,
-            self.strand,
-            self.seq,
-            self.start_us,
-            self.dur_us,
-            self.items,
-            self.cells,
-            self.tid,
-            self.id,
-            self.parent
-        )
+/// One line of a `--trace-out` file: what [`TraceRecorder::write_trace`]
+/// renders and `wga profile` reads back, both through this type. Every
+/// value is an integer, so a line is deterministic in shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceLine {
+    /// `{"schema":N}`, the first line since schema 2 ([`TRACE_SCHEMA`]).
+    Schema(u64),
+    /// `{"span":NAME,"pair":…,"strand":…,"seq":…,"start_us":…,"dur_us":…,
+    /// "items":…,"cells":…,"tid":…,"id":…,"parent":…}`. A schema-1 span
+    /// has no `tid`/`id`/`parent`; they read as 0.
+    Span(Span),
+    /// `{"counter":NAME,"value":N}`, by wire name, so a reader keeps a
+    /// counter this recorder no longer has.
+    Counter(String, u64),
+    /// `{"hist":NAME,"total":N,"buckets":[[bucket,count],…]}`, empty
+    /// buckets omitted, ascending.
+    Hist(HistKind, u64, Vec<(usize, u64)>),
+}
+
+impl TraceLine {
+    /// The line as JSON.
+    pub fn to_json(&self) -> Json {
+        match self {
+            TraceLine::Schema(version) => Json::obj([("schema", (*version).into())]),
+            TraceLine::Span(s) => Json::obj([
+                ("span", s.name.as_str().into()),
+                ("pair", s.pair.into()),
+                ("strand", u64::from(s.strand).into()),
+                ("seq", s.seq.into()),
+                ("start_us", s.start_us.into()),
+                ("dur_us", s.dur_us.into()),
+                ("items", s.items.into()),
+                ("cells", s.cells.into()),
+                ("tid", s.tid.into()),
+                ("id", s.id.into()),
+                ("parent", s.parent.into()),
+            ]),
+            TraceLine::Counter(name, value) => {
+                Json::obj([("counter", name.as_str().into()), ("value", (*value).into())])
+            }
+            TraceLine::Hist(kind, total, buckets) => Json::obj([
+                ("hist", kind.as_str().into()),
+                ("total", (*total).into()),
+                (
+                    "buckets",
+                    Json::Arr(
+                        buckets
+                            .iter()
+                            .map(|&(bucket, count)| Json::Arr(vec![bucket.into(), count.into()]))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        }
+    }
+
+    /// Reads one line: its kind, a known span or histogram name, and
+    /// every field of that kind, present (`tid`/`id`/`parent` aside) and
+    /// a `u64`. Errors name what is wrong.
+    pub fn from_json(doc: &Json) -> Result<TraceLine, String> {
+        if doc.get("schema").is_some() {
+            return doc.u64("schema").map(TraceLine::Schema);
+        }
+        if let Some(name) = doc.get("span").and_then(Json::as_str) {
+            let name = SpanName::ALL
+                .into_iter()
+                .find(|n| n.as_str() == name)
+                .ok_or_else(|| format!("unknown span name {name:?}"))?;
+            let strand = doc.u64("strand")?;
+            if strand > u64::from(STRAND_NA) {
+                return Err(format!("strand code out of range: {strand}"));
+            }
+            let schema_2 = |key: &str| doc.get_u64(key).map(Option::unwrap_or_default);
+            return Ok(TraceLine::Span(Span {
+                name,
+                pair: doc.u64("pair")?,
+                strand: strand as u8,
+                seq: doc.u64("seq")?,
+                start_us: doc.u64("start_us")?,
+                dur_us: doc.u64("dur_us")?,
+                items: doc.u64("items")?,
+                cells: doc.u64("cells")?,
+                tid: schema_2("tid")?,
+                id: schema_2("id")?,
+                parent: schema_2("parent")?,
+            }));
+        }
+        if let Some(name) = doc.get("counter").and_then(Json::as_str) {
+            return Ok(TraceLine::Counter(name.to_string(), doc.u64("value")?));
+        }
+        if let Some(name) = doc.get("hist").and_then(Json::as_str) {
+            let kind = HistKind::ALL
+                .into_iter()
+                .find(|k| k.as_str() == name)
+                .ok_or_else(|| format!("unknown histogram {name:?}"))?;
+            let buckets = doc
+                .arr("buckets")?
+                .iter()
+                .map(|entry| match entry.as_arr() {
+                    Some([bucket, count]) => bucket
+                        .as_u64()
+                        .zip(count.as_u64())
+                        .map(|(bucket, count)| (bucket as usize, count))
+                        .ok_or("bucket entry is not two integers"),
+                    _ => Err("bucket entry is not [index, count]"),
+                })
+                .collect::<Result<_, _>>()?;
+            return Ok(TraceLine::Hist(kind, doc.u64("total")?, buckets));
+        }
+        Err("line is neither a schema header, a span, a counter, nor a histogram".into())
     }
 }
 
@@ -278,7 +371,7 @@ impl Counter {
 }
 
 /// Histogram families maintained by the recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HistKind {
     /// Wall-clock nanoseconds per gapped filter tile.
     FilterTileNs,
@@ -743,39 +836,24 @@ impl TraceRecorder {
         }
     }
 
-    /// Writes the full trace as JSONL: a `{"schema":N}` header line
-    /// (see [`TRACE_SCHEMA`]), one `{"span":…}` line per span
-    /// (timeline order), one `{"counter":…}` line per funnel counter,
-    /// then one `{"hist":…}` line per histogram family. Integer fields
-    /// only.
+    /// Writes the full trace as JSONL, one [`TraceLine`] a line: the
+    /// `{"schema":N}` header (see [`TRACE_SCHEMA`]), every span in
+    /// timeline order, every funnel counter, then every histogram family.
     pub fn write_trace<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        writeln!(w, "{{\"schema\":{TRACE_SCHEMA}}}")?;
-        for span in self.spans() {
-            writeln!(w, "{}", span.to_json_line())?;
-        }
-        for counter in Counter::ALL {
-            writeln!(
-                w,
-                "{{\"counter\":\"{}\",\"value\":{}}}",
-                counter.as_str(),
-                self.counter(counter)
-            )?;
-        }
-        for kind in HistKind::ALL {
+        let spans = self.spans().into_iter().map(TraceLine::Span);
+        let counters = Counter::ALL
+            .into_iter()
+            .map(|c| TraceLine::Counter(c.as_str().to_string(), self.counter(c)));
+        let hists = HistKind::ALL.into_iter().map(|kind| {
             let hist = self.histogram(kind);
-            let mut line = format!(
-                "{{\"hist\":\"{}\",\"total\":{},\"buckets\":[",
-                kind.as_str(),
-                hist.total()
-            );
-            for (i, (bucket, count)) in hist.snapshot().into_iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!("[{bucket},{count}]"));
-            }
-            line.push_str("]}");
-            writeln!(w, "{line}")?;
+            TraceLine::Hist(kind, hist.total(), hist.snapshot())
+        });
+        for line in std::iter::once(TraceLine::Schema(TRACE_SCHEMA))
+            .chain(spans)
+            .chain(counters)
+            .chain(hists)
+        {
+            writeln!(w, "{}", line.to_json())?;
         }
         Ok(())
     }
@@ -844,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn span_json_line_shape() {
+    fn span_line_shape_and_round_trip() {
         let span = Span {
             name: SpanName::ExtendTile,
             pair: 2,
@@ -858,8 +936,9 @@ mod tests {
             id: (1 << 40) | 6,
             parent: (1 << 40) | 5,
         };
+        let line = TraceLine::Span(span).to_json().to_string();
         assert_eq!(
-            span.to_json_line(),
+            line,
             format!(
                 "{{\"span\":\"extend.tile\",\"pair\":2,\"strand\":1,\"seq\":9,\
                  \"start_us\":10,\"dur_us\":20,\"items\":4,\"cells\":512,\
@@ -868,6 +947,26 @@ mod tests {
                 (1u64 << 40) | 5
             )
         );
+        let doc = crate::json::parse(&line).unwrap();
+        assert_eq!(TraceLine::from_json(&doc), Ok(TraceLine::Span(span)));
+        // A schema-1 span: no tid/id/parent, read as zero.
+        let old = crate::json::parse(
+            r#"{"span":"seed","pair":0,"strand":0,"seq":0,"start_us":1,"dur_us":2,"items":3,"cells":4}"#,
+        )
+        .unwrap();
+        let Ok(TraceLine::Span(old)) = TraceLine::from_json(&old) else { panic!("schema-1 span") };
+        assert_eq!((old.name, old.cells, old.tid, old.id, old.parent), (SpanName::Seed, 4, 0, 0, 0));
+        for (bad, why) in [
+            (r#"{"span":"bogus","pair":0}"#, "unknown span name"),
+            (r#"{"span":"seed","pair":0,"strand":3}"#, "strand code out of range"),
+            (r#"{"span":"seed","strand":0,"pair":-1}"#, "\"pair\""),
+            (r#"{"hist":"filter.tile_ns","total":1,"buckets":[[1]]}"#, "bucket entry"),
+            (r#"{"hist":"nope","total":0,"buckets":[]}"#, "unknown histogram"),
+            (r#"{"other":1}"#, "neither"),
+        ] {
+            let err = TraceLine::from_json(&crate::json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -921,18 +1020,18 @@ mod tests {
         let mut counters = 0;
         let mut hists = 0;
         for (i, line) in text.lines().enumerate() {
-            let value = crate::journal::json::parse(line).expect("valid JSON line");
-            if let Some(v) = value.get("schema") {
-                assert_eq!(i, 0, "schema header must be the first line");
-                assert_eq!(v.as_int(), Some(TRACE_SCHEMA as i128));
-                schema += 1;
-            } else if value.get("span").is_some() {
-                spans += 1;
-            } else if value.get("counter").is_some() {
-                counters += 1;
-            } else {
-                assert!(value.get("hist").is_some(), "line is schema, span, counter or hist");
-                hists += 1;
+            let value = crate::json::parse(line).expect("valid JSON line");
+            let parsed = TraceLine::from_json(&value).expect("a trace line");
+            assert_eq!(parsed.to_json().to_string(), line, "re-renders byte for byte");
+            match parsed {
+                TraceLine::Schema(v) => {
+                    assert_eq!(i, 0, "schema header must be the first line");
+                    assert_eq!(v, TRACE_SCHEMA);
+                    schema += 1;
+                }
+                TraceLine::Span(_) => spans += 1,
+                TraceLine::Counter(..) => counters += 1,
+                TraceLine::Hist(..) => hists += 1,
             }
         }
         assert_eq!(schema, 1);

@@ -638,45 +638,17 @@ pub(crate) fn commit_pair(
     if let Some(journal) = journal {
         let mut buf = obs.buffer();
         let ckpt_timer = buf.start();
-        append_supervised(journal, &record, policy, &obs)?;
+        // Chaos runs inject `journal.append` faults before the append and
+        // `journal.sync` faults after it. Retries count into the
+        // injector's run totals: the pair's own are frozen in `record`.
+        let (pair, injector) = (obs.pair(), obs.fault());
+        supervise::supervised(policy, injector, Hook::JournalAppend, pair, Some(&obs), || {
+            journal.append(&record)?;
+            injector.map_or(Ok(()), |inj| inj.gate_io(Hook::JournalSync, pair, Some(&obs)))
+        })?;
         buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
     }
     Ok(record)
-}
-
-/// Appends one pair record under supervision: the write is retried with
-/// the run's backoff policy, and chaos runs inject `journal.append` /
-/// `journal.sync` faults around the real append. Retries count into the
-/// injector's run totals (the pair's own counters are already frozen
-/// inside `record`).
-fn append_supervised(
-    journal: &mut Journal,
-    record: &PairRecord,
-    policy: &RetryPolicy,
-    obs: &Obs<'_>,
-) -> WgaResult<()> {
-    let pair = obs.pair();
-    let injector = obs.fault();
-    let site = (Hook::JournalAppend.code() << 32) | (pair & 0xFFFF_FFFF);
-    supervise::retry_io(
-        policy,
-        site,
-        |_| {
-            if let Some(inj) = injector {
-                inj.count_retry(pair);
-            }
-        },
-        || {
-            if let Some(inj) = injector {
-                inj.gate_io(Hook::JournalAppend, pair, Some(obs))?;
-            }
-            journal.append(record)?;
-            if let Some(inj) = injector {
-                inj.gate_io(Hook::JournalSync, pair, Some(obs))?;
-            }
-            Ok(())
-        },
-    )
 }
 
 /// Folds one pair — just committed, or replayed — into the run's

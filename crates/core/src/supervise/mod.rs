@@ -12,15 +12,18 @@
 //!
 //! * [`crate::faultsim::FaultInjector::gate`] uses [`RetryPolicy`] to
 //!   pace its internal retry loop for injected errors.
-//! * Journal appends and CLI sink writes wrap their I/O in
-//!   [`retry_io`], which retries *real* transient failures with the
-//!   same policy.
+//! * Every I/O fault site — journal appends, dataflow queue operations,
+//!   the CLI's FASTA reads and output sinks — is one [`supervised`]
+//!   call, which gates it, retries *real* and injected transient
+//!   failures with the same policy and counts the retries.
 //! * The dataflow executor spawns [`watch_heartbeat`] when
 //!   `--stall-timeout-ms` is set; it escalates a stage that stops
 //!   making progress (see `DESIGN.md`, "Fault injection &
 //!   supervision").
 
 use crate::error::WgaResult;
+use crate::faultsim::{FaultInjector, Hook};
+use crate::obs::Obs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
@@ -99,28 +102,38 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `op`, retrying up to `policy.max_retries` times on `Err` with
-/// the policy's backoff. `on_retry(attempt)` fires before each retry so
-/// the caller can count it (into `ExecutorMetrics::retries` / the fault
-/// injector's totals).
-pub fn retry_io<T>(
+/// One supervised fault site — a journal append, a queue operation, a
+/// FASTA read, an output sink. `op` runs under `policy`: an `Err` is
+/// retried up to `policy.max_retries` times after the backoff keyed to
+/// `(hook, pair)`, each retry counted against `pair` in `injector`'s
+/// totals. In a chaos run every attempt first passes the injector's
+/// [`FaultInjector::gate_io`] at `hook`, so an injected error fails the
+/// attempt like a real one. A sink, whose short write `durable` stages,
+/// gates inside `op` and passes no injector here.
+pub fn supervised<T>(
     policy: &RetryPolicy,
-    site: u64,
-    mut on_retry: impl FnMut(u32),
+    injector: Option<&FaultInjector>,
+    hook: Hook,
+    pair: u64,
+    obs: Option<&Obs<'_>>,
     mut op: impl FnMut() -> WgaResult<T>,
 ) -> WgaResult<T> {
+    let site = (hook.code() << 32) | (pair & 0xFFFF_FFFF);
     let mut attempt = 0u32;
     loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if attempt >= policy.max_retries {
-                    return Err(e);
+        let result = match injector {
+            Some(inj) => inj.gate_io(hook, pair, obs).and_then(|()| op()),
+            None => op(),
+        };
+        match result {
+            Err(_) if attempt < policy.max_retries => {
+                if let Some(inj) = injector {
+                    inj.count_retry(pair);
                 }
-                on_retry(attempt);
                 policy.sleep_backoff(site, attempt);
                 attempt += 1;
             }
+            result => return result,
         }
     }
 }
@@ -202,55 +215,62 @@ mod tests {
         }
     }
 
+    const NO_SLEEP: RetryPolicy = RetryPolicy {
+        max_retries: 3,
+        base_ms: 0,
+        cap_ms: 0,
+        seed: 1,
+    };
+
     #[test]
-    fn retry_io_succeeds_after_transient_failures() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            base_ms: 0,
-            cap_ms: 0,
-            seed: 1,
-        };
+    fn supervised_succeeds_after_transient_failures() {
         let failures = AtomicUsize::new(2);
-        let retried = AtomicUsize::new(0);
-        let out = retry_io(
-            &p,
-            9,
-            |_| {
-                retried.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                if failures.load(Ordering::Relaxed) > 0 {
-                    failures.fetch_sub(1, Ordering::Relaxed);
-                    Err(WgaError::config("transient"))
-                } else {
-                    Ok(99)
-                }
-            },
-        );
+        let out = supervised(&NO_SLEEP, None, Hook::JournalAppend, 9, None, || {
+            if failures.load(Ordering::Relaxed) > 0 {
+                failures.fetch_sub(1, Ordering::Relaxed);
+                Err(WgaError::config("transient"))
+            } else {
+                Ok(99)
+            }
+        });
         assert_eq!(out.ok(), Some(99));
-        assert_eq!(retried.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn retry_io_exhausts_and_returns_last_error() {
-        let p = RetryPolicy {
+    fn supervised_exhausts_and_returns_last_error() {
+        let policy = RetryPolicy {
             max_retries: 2,
-            base_ms: 0,
-            cap_ms: 0,
-            seed: 1,
+            ..NO_SLEEP
         };
         let attempts = AtomicUsize::new(0);
-        let out: WgaResult<()> = retry_io(
-            &p,
-            9,
-            |_| {},
-            || {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                Err(WgaError::config("permanent"))
-            },
-        );
+        let out: WgaResult<()> = supervised(&policy, None, Hook::JournalAppend, 9, None, || {
+            attempts.fetch_add(1, Ordering::Relaxed);
+            Err(WgaError::config("permanent"))
+        });
         assert!(out.is_err());
         assert_eq!(attempts.load(Ordering::Relaxed), 3, "1 try + 2 retries");
+    }
+
+    #[test]
+    fn supervised_gates_every_attempt_and_counts_the_retries() {
+        let plan = crate::faultsim::FaultPlan::parse(
+            "{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[\
+             {\"hook\":\"queue.pop\",\"kind\":\"error\",\"at\":[0]},\
+             {\"hook\":\"queue.pop\",\"kind\":\"panic\",\"at\":[1]}]}",
+        )
+        .unwrap();
+        let injector = FaultInjector::new(plan, 0);
+        let ran = AtomicUsize::new(0);
+        let out = supervised(&NO_SLEEP, Some(&injector), Hook::QueuePop, 4, None, || {
+            ran.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        });
+        assert!(out.is_ok());
+        // An injected error, then a queue panic that fails like one, then
+        // a clean gate: the operation ran once, after two retries.
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(injector.totals(), (2, 2));
+        assert_eq!(injector.take_pair(4).retries, 2);
     }
 
     #[test]

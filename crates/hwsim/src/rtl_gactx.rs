@@ -257,9 +257,6 @@ pub fn simulate_gactx_tile(
             j += 1;
         }
         let cols = stripe.ptrs.len() as u64;
-        if std::env::var("RTL_DEBUG").is_ok() {
-            eprintln!("stripe {s}: jstart {jstart} cols {cols} vmax {vmax}");
-        }
         compute_cycles += array.stripe_cycles(cols);
         let stripe_dead = stripe.ptrs.iter().all(|col| col.iter().all(|&p| p == ptr::STOP));
         stripes.push(stripe);

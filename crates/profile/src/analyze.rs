@@ -4,12 +4,9 @@
 //! a fixed order, so the same trace always yields the same
 //! [`Attribution`] — the invariant the byte-identical report rests on.
 
-use crate::trace::{SpanRec, TraceFile};
+use crate::trace::TraceFile;
 use std::collections::BTreeMap;
-use wga_core::obs::SpanName;
-
-/// Pairless spans carry this pair id on the wire.
-const NO_PAIR: u64 = u64::MAX;
+use wga_core::obs::{Span, SpanName, NO_PAIR, NO_SPAN};
 
 /// Aggregate over every span of one stage (wire name).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,8 +116,17 @@ fn share_centi(part: u64, whole: u64) -> u64 {
     part.saturating_mul(10_000).checked_div(whole).unwrap_or(0)
 }
 
-fn top_k(spans: &[&SpanRec], k: usize) -> Vec<TopSpan> {
-    let mut ranked: Vec<&SpanRec> = spans.to_vec();
+/// `hwsim.*` spans carry modeled cycles, not time on a thread.
+fn modeled(span: &Span) -> bool {
+    matches!(span.name, SpanName::HwsimBsw | SpanName::HwsimGactx)
+}
+
+fn end_us(span: &Span) -> u64 {
+    span.start_us.saturating_add(span.dur_us)
+}
+
+fn top_k(trace: &TraceFile, name: SpanName, k: usize) -> Vec<TopSpan> {
+    let mut ranked: Vec<&Span> = trace.spans_named(name).collect();
     ranked.sort_by_key(|s| (std::cmp::Reverse(s.dur_us), s.start_us, s.pair, s.seq, s.id));
     ranked
         .into_iter()
@@ -142,15 +148,14 @@ impl Attribution {
     pub fn compute(trace: &TraceFile, k: usize) -> Attribution {
         let mut stages = Vec::with_capacity(SpanName::ALL.len());
         for name in SpanName::ALL {
-            let wire = name.as_str();
             let mut agg = StageAgg {
-                stage: wire,
+                stage: name.as_str(),
                 spans: 0,
                 total_us: 0,
                 items: 0,
                 cells: 0,
             };
-            for s in trace.spans_named(wire) {
+            for s in trace.spans_named(name) {
                 agg.spans += 1;
                 agg.total_us = agg.total_us.saturating_add(s.dur_us);
                 agg.items = agg.items.saturating_add(s.items);
@@ -158,15 +163,16 @@ impl Attribution {
             }
             stages.push(agg);
         }
-        let stage_total =
-            |wire: &str| stages.iter().find(|a| a.stage == wire).map_or(0, |a| a.total_us);
-        let lane_total = stage_total("extend");
-        let seed_t = stage_total("seed").saturating_add(stage_total("seed.table"));
-        let filter_t = stage_total("filter.batch");
+        let stage_total = |name: SpanName| {
+            stages.iter().find(|a| a.stage == name.as_str()).map_or(0, |a| a.total_us)
+        };
+        let lane_total = stage_total(SpanName::Extend);
+        let seed_t = stage_total(SpanName::Seed).saturating_add(stage_total(SpanName::SeedTable));
+        let filter_t = stage_total(SpanName::FilterBatch);
         let extend_t = if lane_total > 0 {
             lane_total
         } else {
-            stage_total("extend.tile")
+            stage_total(SpanName::ExtendTile)
         };
         let pipeline_t = seed_t.saturating_add(filter_t).saturating_add(extend_t);
 
@@ -180,14 +186,14 @@ impl Attribution {
                 .entry(s.tid)
                 .or_insert((0, 0, 0, u64::MAX, 0));
             w.0 += 1;
-            if s.name == "queue.wait" {
+            if s.name == SpanName::QueueWait {
                 w.2 = w.2.saturating_add(s.dur_us);
-            } else if !s.name.starts_with("hwsim.") && s.parent == 0 {
+            } else if !modeled(s) && s.parent == NO_SPAN {
                 w.1 = w.1.saturating_add(s.dur_us);
             }
-            if !s.name.starts_with("hwsim.") {
+            if !modeled(s) {
                 w.3 = w.3.min(s.start_us);
-                w.4 = w.4.max(s.end_us());
+                w.4 = w.4.max(end_us(s));
             }
         }
         let workers: Vec<WorkerAgg> = workers
@@ -211,11 +217,11 @@ impl Attribution {
                 continue;
             }
             let p = per_pair.entry(s.pair).or_insert((0, 0, 0, 0));
-            match s.name.as_str() {
-                "seed" | "seed.table" => p.0 = p.0.saturating_add(s.dur_us),
-                "filter.batch" => p.1 = p.1.max(s.dur_us),
-                "extend" => p.2 = p.2.saturating_add(s.dur_us),
-                "extend.tile" => p.3 = p.3.saturating_add(s.dur_us),
+            match s.name {
+                SpanName::Seed | SpanName::SeedTable => p.0 = p.0.saturating_add(s.dur_us),
+                SpanName::FilterBatch => p.1 = p.1.max(s.dur_us),
+                SpanName::Extend => p.2 = p.2.saturating_add(s.dur_us),
+                SpanName::ExtendTile => p.3 = p.3.saturating_add(s.dur_us),
                 _ => {}
             }
         }
@@ -238,20 +244,15 @@ impl Attribution {
 
         let mut wall_min = u64::MAX;
         let mut wall_max = 0u64;
-        for s in &trace.spans {
-            if s.name.starts_with("hwsim.") {
-                continue;
-            }
+        for s in trace.spans.iter().filter(|s| !modeled(s)) {
             wall_min = wall_min.min(s.start_us);
-            wall_max = wall_max.max(s.end_us());
+            wall_max = wall_max.max(end_us(s));
         }
         let wall_us = if wall_min == u64::MAX { 0 } else { wall_max - wall_min };
 
-        let filter_spans: Vec<&SpanRec> = trace.spans_named("filter.batch").collect();
-        let extend_spans: Vec<&SpanRec> = trace.spans_named("extend.tile").collect();
-        let extended_tiles = extend_spans.len() as u64;
+        let extended_tiles = trace.spans_named(SpanName::ExtendTile).count() as u64;
         let spec_discard = trace.counter("shard.spec_discard");
-        let fault_spans = trace.spans_named("fault").count() as u64;
+        let fault_spans = trace.spans_named(SpanName::Fault).count() as u64;
 
         Attribution {
             stages,
@@ -262,8 +263,8 @@ impl Attribution {
             pairs,
             critical,
             wall_us,
-            top_filter_batches: top_k(&filter_spans, k),
-            top_extend_tiles: top_k(&extend_spans, k),
+            top_filter_batches: top_k(trace, SpanName::FilterBatch, k),
+            top_extend_tiles: top_k(trace, SpanName::ExtendTile, k),
             spec_discard,
             extended_tiles,
             discard_centi: share_centi(spec_discard, spec_discard.saturating_add(extended_tiles)),

@@ -9,7 +9,7 @@
 use crate::report::fmt_centi;
 use crate::ProfileError;
 use std::fmt::Write as _;
-use wga_core::journal::json::{self, Json};
+use wga_core::json::{self, Json};
 
 /// Regression thresholds, all integer centi-percent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,44 +50,38 @@ pub struct ReportSummary {
     pub discard_centi: u64,
 }
 
-fn int_at(doc: &Json, path: &[&str]) -> Result<u64, ProfileError> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur
-            .get(key)
-            .ok_or_else(|| ProfileError::msg(format!("report missing field {}", path.join("."))))?;
-    }
-    cur.as_int()
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| ProfileError::msg(format!("report field {} is not an integer", path.join("."))))
-}
-
 impl ReportSummary {
     /// Parses a `profile_report.json` document.
     pub fn from_json(text: &str) -> Result<ReportSummary, ProfileError> {
         let doc = json::parse(text).map_err(|e| ProfileError::msg(format!("invalid report JSON: {e}")))?;
-        let schema = int_at(&doc, &["profile_schema"])?;
+        ReportSummary::read(&doc).map_err(|e| ProfileError::msg(format!("report: {e}")))
+    }
+
+    fn read(doc: &Json) -> Result<ReportSummary, String> {
+        let schema = doc.u64("profile_schema")?;
         if schema != crate::report::PROFILE_SCHEMA {
-            return Err(ProfileError::msg(format!(
+            return Err(format!(
                 "unsupported profile_schema {schema} (expected {})",
                 crate::report::PROFILE_SCHEMA
-            )));
+            ));
         }
-        let drift_of = |stage: &str| -> Result<Option<u64>, ProfileError> {
-            if int_at(&doc, &["drift", stage, "present"])? == 0 {
+        let (shares, drift) = (doc.member("shares")?, doc.member("drift")?);
+        let drift_of = |stage: &str| -> Result<Option<u64>, String> {
+            let stage = drift.member(stage)?;
+            if stage.u64("present")? == 0 {
                 Ok(None)
             } else {
-                int_at(&doc, &["drift", stage, "drift_centi"]).map(Some)
+                stage.u64("drift_centi").map(Some)
             }
         };
         Ok(ReportSummary {
             profile_schema: schema,
-            seed_centi: int_at(&doc, &["shares", "seed_centi"])?,
-            filter_centi: int_at(&doc, &["shares", "filter_centi"])?,
-            extend_centi: int_at(&doc, &["shares", "extend_centi"])?,
+            seed_centi: shares.u64("seed_centi")?,
+            filter_centi: shares.u64("filter_centi")?,
+            extend_centi: shares.u64("extend_centi")?,
             bsw_drift_centi: drift_of("bsw")?,
             gactx_drift_centi: drift_of("gactx")?,
-            discard_centi: int_at(&doc, &["speculation", "discard_centi"])?,
+            discard_centi: doc.member("speculation")?.u64("discard_centi")?,
         })
     }
 }

@@ -16,6 +16,7 @@
 use crate::trace::TraceFile;
 use hwsim::perf::{replay_trace_workload, ModeledCycles, Workload};
 use hwsim::AcceleratorConfig;
+use wga_core::obs::{Counter, HistKind, SpanName};
 
 /// Drift of one offloaded stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +45,8 @@ fn stage(present: bool, recorded: u64, replayed: u64) -> DriftStage {
     }
 }
 
-fn offmedian_centi(trace: &TraceFile, hist: &str) -> u64 {
-    let Some(h) = trace.hists.get(hist) else { return 0 };
+fn offmedian_centi(trace: &TraceFile, hist: HistKind) -> u64 {
+    let Some(h) = trace.hists.get(&hist) else { return 0 };
     if h.total == 0 {
         return 0;
     }
@@ -81,19 +82,19 @@ impl Drift {
     /// Extracts the workload from `trace`, replays it, and scores the
     /// gap against the recorded `hwsim.*` spans.
     pub fn compute(trace: &TraceFile) -> Drift {
-        let seeds: u64 = trace.spans_named("seed").map(|s| s.cells).sum();
-        let extension_tiles: u64 = trace.spans_named("extend.tile").map(|s| s.items).sum();
+        let seeds: u64 = trace.spans_named(SpanName::Seed).map(|s| s.cells).sum();
+        let extension_tiles: u64 = trace.spans_named(SpanName::ExtendTile).map(|s| s.items).sum();
         let (workload, replayed) = replay_trace_workload(
             seeds,
-            trace.counter("filter.tiles"),
+            trace.counter(Counter::FilterTiles.as_str()),
             extension_tiles,
-            trace.counter("extend.cells"),
-            trace.counter("extend.rows"),
+            trace.counter(Counter::ExtensionCells.as_str()),
+            trace.counter(Counter::ExtensionRows.as_str()),
             &AcceleratorConfig::fpga(),
         );
 
-        let bsw_spans: Vec<_> = trace.spans_named("hwsim.bsw").collect();
-        let gactx_spans: Vec<_> = trace.spans_named("hwsim.gactx").collect();
+        let bsw_spans: Vec<_> = trace.spans_named(SpanName::HwsimBsw).collect();
+        let gactx_spans: Vec<_> = trace.spans_named(SpanName::HwsimGactx).collect();
         let bsw_recorded: u64 = bsw_spans.iter().map(|s| s.cells).sum();
         let gactx_recorded: u64 = gactx_spans.iter().map(|s| s.cells).sum();
 
@@ -102,8 +103,8 @@ impl Drift {
             replayed,
             bsw: stage(!bsw_spans.is_empty(), bsw_recorded, replayed.bsw_cycles),
             gactx: stage(!gactx_spans.is_empty(), gactx_recorded, replayed.gactx_cycles),
-            filter_time_offmedian_centi: offmedian_centi(trace, "filter.tile_ns"),
-            filter_cells_offmedian_centi: offmedian_centi(trace, "filter.tile_cells"),
+            filter_time_offmedian_centi: offmedian_centi(trace, HistKind::FilterTileNs),
+            filter_cells_offmedian_centi: offmedian_centi(trace, HistKind::FilterTileCells),
         }
     }
 

@@ -5,9 +5,11 @@
 //! bytes into decisions:
 //!
 //! * [`trace`] — a streaming, schema-validated JSONL reader
-//!   ([`TraceFile`]) that reconstructs the per-pair, per-stage span
-//!   timeline. Headerless traces parse as schema 1; traces tagged with
-//!   a higher major than [`wga_core::obs::TRACE_SCHEMA`] are rejected.
+//!   ([`TraceFile`]) that reconstructs the per-pair, per-stage timeline
+//!   of `wga_core::obs::Span`s, each line read by the
+//!   `wga_core::obs::TraceLine` that wrote it. Headerless traces parse
+//!   as schema 1; traces tagged with a higher major than
+//!   [`wga_core::obs::TRACE_SCHEMA`] are rejected.
 //! * [`analyze`] — per-stage attribution (busy vs queue-wait vs idle
 //!   per worker), a critical-path estimate through the
 //!   seed → filter → extend chain of every pair, top-K slowest
@@ -38,7 +40,7 @@ pub use analyze::Attribution;
 pub use diff::{DiffOutcome, Thresholds};
 pub use drift::Drift;
 pub use report::ProfileReport;
-pub use trace::{SpanRec, TraceFile};
+pub use trace::TraceFile;
 
 /// Error type for trace parsing and report handling: a message plus
 /// the (1-based) trace line it arose on, when known.

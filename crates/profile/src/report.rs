@@ -1,16 +1,18 @@
 //! The `profile_report.json` artifact and its human rendering.
 //!
-//! The JSON is handwritten with a fixed field order and integer-only
-//! values (shares and drift are centi-percent, durations are
-//! microseconds, cycles are cycles), so the same trace always produces
-//! byte-identical output — that is what lets CI diff reports across
-//! commits. The human table is a rendering of the same numbers.
+//! The JSON is one `wga_core::json` object, one top-level member a line,
+//! with a fixed field order and integer-only values (shares and drift
+//! are centi-percent, durations are microseconds, cycles are cycles), so
+//! the same trace always produces byte-identical output — that is what
+//! lets CI diff reports across commits. The human table is a rendering
+//! of the same numbers.
 
 use crate::analyze::{Attribution, TopSpan};
-use crate::drift::Drift;
+use crate::drift::{Drift, DriftStage};
 use crate::trace::TraceFile;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use wga_core::json::Json;
 
 /// Version of the report layout itself (bump on field changes).
 pub const PROFILE_SCHEMA: u64 = 1;
@@ -35,19 +37,31 @@ pub fn fmt_centi(centi: u64) -> String {
     format!("{}.{:02}%", centi / 100, centi % 100)
 }
 
-fn push_top(out: &mut String, key: &str, entries: &[TopSpan]) {
-    let _ = write!(out, "\"{key}\":[");
-    for (i, t) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"pair\":{},\"strand\":{},\"seq\":{},\"dur_us\":{},\"items\":{},\"cells\":{}}}",
-            t.pair, t.strand, t.seq, t.dur_us, t.items, t.cells
-        );
-    }
-    out.push(']');
+fn top_json(entries: &[TopSpan]) -> Json {
+    Json::Arr(
+        entries
+            .iter()
+            .map(|t| {
+                Json::obj([
+                    ("pair", t.pair.into()),
+                    ("strand", u64::from(t.strand).into()),
+                    ("seq", t.seq.into()),
+                    ("dur_us", t.dur_us.into()),
+                    ("items", t.items.into()),
+                    ("cells", t.cells.into()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+fn drift_json(s: &DriftStage) -> Json {
+    Json::obj([
+        ("present", u64::from(s.present).into()),
+        ("recorded_cycles", s.recorded_cycles.into()),
+        ("replayed_cycles", s.replayed_cycles.into()),
+        ("drift_centi", s.drift_centi.into()),
+    ])
 }
 
 impl ProfileReport {
@@ -64,97 +78,86 @@ impl ProfileReport {
     }
 
     /// Serialises the report: fixed field order, integers only, one
-    /// top-level key per line. Byte-identical for identical traces.
+    /// top-level member per line. Byte-identical for identical traces.
     pub fn to_json(&self) -> String {
         let a = &self.attr;
         let d = &self.drift;
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        let _ = writeln!(out, "\"profile_schema\":{PROFILE_SCHEMA},");
-        let _ = writeln!(out, "\"trace_schema\":{},", self.trace_schema);
-        let _ = writeln!(out, "\"total_spans\":{},", self.total_spans);
-        let _ = writeln!(
-            out,
-            "\"workload\":{{\"seeds\":{},\"filter_tiles\":{},\"extension_tiles\":{},\"extension_cells\":{},\"extension_rows\":{}}},",
-            d.workload.seeds,
-            d.workload.filter_tiles,
-            d.workload.extension_tiles,
-            d.workload.extension_cells,
-            d.workload.extension_rows
-        );
-        out.push_str("\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("},\n");
-        out.push_str("\"stages\":[");
-        for (i, s) in a.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"stage\":\"{}\",\"spans\":{},\"total_us\":{},\"items\":{},\"cells\":{}}}",
-                s.stage, s.spans, s.total_us, s.items, s.cells
-            );
-        }
-        out.push_str("],\n");
-        let _ = writeln!(
-            out,
-            "\"shares\":{{\"seed_centi\":{},\"filter_centi\":{},\"extend_centi\":{}}},",
-            a.seed_share_centi, a.filter_share_centi, a.extend_share_centi
-        );
-        out.push_str("\"workers\":[");
-        for (i, w) in a.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tid\":{},\"spans\":{},\"busy_us\":{},\"wait_us\":{},\"idle_us\":{}}}",
-                w.tid, w.spans, w.busy_us, w.wait_us, w.idle_us
-            );
-        }
-        out.push_str("],\n");
+        let stages = a.stages.iter().map(|s| {
+            Json::obj([
+                ("stage", s.stage.into()),
+                ("spans", s.spans.into()),
+                ("total_us", s.total_us.into()),
+                ("items", s.items.into()),
+                ("cells", s.cells.into()),
+            ])
+        });
+        let workers = a.workers.iter().map(|w| {
+            Json::obj([
+                ("tid", w.tid.into()),
+                ("spans", w.spans.into()),
+                ("busy_us", w.busy_us.into()),
+                ("wait_us", w.wait_us.into()),
+                ("idle_us", w.idle_us.into()),
+            ])
+        });
         // A pairless trace reports pair u64::MAX with all-zero legs.
         let (cp_pair, cp_seed, cp_filter, cp_extend, cp_total) = match &a.critical {
             Some(c) => (c.pair, c.seed_us, c.filter_us, c.extend_us, c.total_us),
             None => (u64::MAX, 0, 0, 0, 0),
         };
-        let _ = writeln!(
-            out,
-            "\"critical_path\":{{\"pairs\":{},\"pair\":{cp_pair},\"seed_us\":{cp_seed},\"filter_us\":{cp_filter},\"extend_us\":{cp_extend},\"total_us\":{cp_total},\"wall_us\":{}}},",
-            a.pairs, a.wall_us
-        );
-        push_top(&mut out, "top_filter_batches", &a.top_filter_batches);
-        out.push_str(",\n");
-        push_top(&mut out, "top_extend_tiles", &a.top_extend_tiles);
-        out.push_str(",\n");
-        let _ = writeln!(
-            out,
-            "\"speculation\":{{\"spec_discard\":{},\"extended\":{},\"discard_centi\":{}}},",
-            a.spec_discard, a.extended_tiles, a.discard_centi
-        );
-        let _ = writeln!(out, "\"faults\":{{\"spans\":{}}},", a.fault_spans);
-        let _ = writeln!(
-            out,
-            "\"drift\":{{\"bsw\":{{\"present\":{},\"recorded_cycles\":{},\"replayed_cycles\":{},\"drift_centi\":{}}},\"gactx\":{{\"present\":{},\"recorded_cycles\":{},\"replayed_cycles\":{},\"drift_centi\":{}}},\"filter_time_offmedian_centi\":{},\"filter_cells_offmedian_centi\":{}}}",
-            u64::from(d.bsw.present),
-            d.bsw.recorded_cycles,
-            d.bsw.replayed_cycles,
-            d.bsw.drift_centi,
-            u64::from(d.gactx.present),
-            d.gactx.recorded_cycles,
-            d.gactx.replayed_cycles,
-            d.gactx.drift_centi,
-            d.filter_time_offmedian_centi,
-            d.filter_cells_offmedian_centi
-        );
-        out.push_str("}\n");
-        out
+        Json::obj([
+            ("profile_schema", PROFILE_SCHEMA.into()),
+            ("trace_schema", self.trace_schema.into()),
+            ("total_spans", self.total_spans.into()),
+            ("workload", (&d.workload).into()),
+            (
+                "counters",
+                Json::Obj(self.counters.iter().map(|(name, &v)| (name.clone(), v.into())).collect()),
+            ),
+            ("stages", Json::Arr(stages.collect())),
+            (
+                "shares",
+                Json::obj([
+                    ("seed_centi", a.seed_share_centi.into()),
+                    ("filter_centi", a.filter_share_centi.into()),
+                    ("extend_centi", a.extend_share_centi.into()),
+                ]),
+            ),
+            ("workers", Json::Arr(workers.collect())),
+            (
+                "critical_path",
+                Json::obj([
+                    ("pairs", a.pairs.into()),
+                    ("pair", cp_pair.into()),
+                    ("seed_us", cp_seed.into()),
+                    ("filter_us", cp_filter.into()),
+                    ("extend_us", cp_extend.into()),
+                    ("total_us", cp_total.into()),
+                    ("wall_us", a.wall_us.into()),
+                ]),
+            ),
+            ("top_filter_batches", top_json(&a.top_filter_batches)),
+            ("top_extend_tiles", top_json(&a.top_extend_tiles)),
+            (
+                "speculation",
+                Json::obj([
+                    ("spec_discard", a.spec_discard.into()),
+                    ("extended", a.extended_tiles.into()),
+                    ("discard_centi", a.discard_centi.into()),
+                ]),
+            ),
+            ("faults", Json::obj([("spans", a.fault_spans.into())])),
+            (
+                "drift",
+                Json::obj([
+                    ("bsw", drift_json(&d.bsw)),
+                    ("gactx", drift_json(&d.gactx)),
+                    ("filter_time_offmedian_centi", d.filter_time_offmedian_centi.into()),
+                    ("filter_cells_offmedian_centi", d.filter_cells_offmedian_centi.into()),
+                ]),
+            ),
+        ])
+        .to_lines()
     }
 
     /// Renders the human-readable table `wga profile report` prints.
@@ -287,9 +290,9 @@ mod tests {
         }
         assert!(r1.contains("\"profile_schema\":1"));
         assert!(r1.contains("\"trace_schema\":2"));
-        // Valid JSON by the crate's own parser (single document).
-        let joined = r1.replace('\n', "");
-        wga_core::journal::json::parse(&joined).expect("report is valid JSON");
+        // Valid JSON, and parsed it renders back to the same bytes.
+        let doc = wga_core::json::parse(&r1).expect("report is valid JSON");
+        assert_eq!(doc.to_lines(), r1);
     }
 
     #[test]

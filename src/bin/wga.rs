@@ -49,9 +49,8 @@
 //!     resumes where it left off. The --max-*/--deadline-ms budgets
 //!     bound work per pair; a tripped budget degrades the run
 //!     (truncating the worst-scoring work first) instead of aborting it.
-//!     --fault-plan (or the WGA_FAULT_PLAN env var) loads a
-//!     deterministic fault-injection plan for chaos testing (see
-//!     DESIGN.md "Fault injection & supervision"). --max-retries sets
+//!     --fault-plan loads a deterministic fault-injection plan for chaos
+//!     testing (see DESIGN.md "Fault injection & supervision"). --max-retries sets
 //!     the supervised retry budget per fault site (default 1);
 //!     --stall-timeout-ms arms the dataflow stall watchdog (0, the
 //!     default, disables it). The MAF, metrics and trace artifacts are
@@ -120,6 +119,7 @@ use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
 use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook, PAIRLESS};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::json::Json;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::core::supervise::{self, RetryPolicy};
@@ -411,8 +411,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     let max_filter_tiles = take_opt(&mut args, "--max-filter-tiles")?;
     let max_extension_cells = take_opt(&mut args, "--max-extension-cells")?;
     let deadline_ms = take_opt(&mut args, "--deadline-ms")?;
-    let fault_plan_path =
-        take_opt(&mut args, "--fault-plan")?.or_else(|| std::env::var("WGA_FAULT_PLAN").ok());
+    let fault_plan_path = take_opt(&mut args, "--fault-plan")?;
     let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
     let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
     reject_leftover_options(&args)?;
@@ -447,21 +446,10 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     );
 
     let read_supervised = |path: &str| -> Result<Assembly, String> {
-        supervise::retry_io(
-            &retry_policy,
-            Hook::FastaRead.code() << 32,
-            |_| {
-                if let Some(inj) = cli_injector.as_ref() {
-                    inj.count_retry(PAIRLESS);
-                }
-            },
-            || {
-                if let Some(inj) = cli_injector.as_ref() {
-                    inj.gate_io(Hook::FastaRead, PAIRLESS, None)?;
-                }
-                read_assembly(path).map_err(WgaError::config)
-            },
-        )
+        let injector = cli_injector.as_ref();
+        supervise::supervised(&retry_policy, injector, Hook::FastaRead, PAIRLESS, None, || {
+            read_assembly(path).map_err(WgaError::config)
+        })
         .map_err(|e| e.to_string())
     };
     let target = read_supervised(&args[0])?;
@@ -557,11 +545,8 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         println!("{}", metrics.summary());
         if let Some(path) = metrics_out.as_ref() {
             let mut json = metrics.to_json();
-            if let Some(process) = process_memory_json() {
-                // Spliced in as the object's last key: `to_json` ends in
-                // the object's closing brace.
-                json.pop();
-                json.push_str(&format!(",\"process\":{process}}}"));
+            if let Some(process) = process_memory() {
+                json.push("process", process);
             }
             write_sink(
                 path,
@@ -701,8 +686,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     let filter_engine = take_opt(&mut args, "--filter-engine")?;
     let shard_size = take_opt(&mut args, "--shard-size")?;
     let checkpoint_dir = take_opt(&mut args, "--checkpoint")?;
-    let fault_plan_path =
-        take_opt(&mut args, "--fault-plan")?.or_else(|| std::env::var("WGA_FAULT_PLAN").ok());
+    let fault_plan_path = take_opt(&mut args, "--fault-plan")?;
     let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
     let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
     reject_leftover_options(&args)?;
@@ -886,7 +870,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// `--metrics-out` `"process"` object (KiB): the resident high-water and
 /// the resident set now, split into anonymous and file-backed pages.
 /// `None` where the file or a field cannot be read.
-fn process_memory_json() -> Option<String> {
+fn process_memory() -> Option<Json> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb = |field: &str| -> Option<u64> {
         status.lines().find_map(|line| {
@@ -894,12 +878,11 @@ fn process_memory_json() -> Option<String> {
             value.trim().strip_suffix("kB")?.trim_end().parse().ok()
         })
     };
-    Some(format!(
-        "{{\"vm_hwm_kb\":{},\"rss_anon_kb\":{},\"rss_file_kb\":{}}}",
-        kb("VmHWM")?,
-        kb("RssAnon")?,
-        kb("RssFile")?
-    ))
+    Some(Json::obj([
+        ("vm_hwm_kb", kb("VmHWM")?.into()),
+        ("rss_anon_kb", kb("RssAnon")?.into()),
+        ("rss_file_kb", kb("RssFile")?.into()),
+    ]))
 }
 
 /// Writes one output artifact atomically under supervision: the write is
@@ -913,15 +896,9 @@ fn write_sink(
     injector: Option<&FaultInjector>,
     policy: &RetryPolicy,
 ) -> Result<(), String> {
-    supervise::retry_io(
-        policy,
-        hook.code() << 32,
-        |_| {
-            if let Some(inj) = injector {
-                inj.count_retry(PAIRLESS);
-            }
-        },
-        || durable::write_atomic_gated(std::path::Path::new(path), bytes, injector.map(|inj| (inj, hook))),
-    )
+    let gate = injector.map(|inj| (inj, hook));
+    supervise::supervised(policy, None, hook, PAIRLESS, None, || {
+        durable::write_atomic_gated(std::path::Path::new(path), bytes, gate)
+    })
     .map_err(|e| e.to_string())
 }

@@ -122,7 +122,7 @@ fn n_runs_inside_sequences_are_handled() {
 /// Malformed user input must exit with code 1 and a single clean error
 /// line — never a panic, never a backtrace.
 mod cli {
-    use darwin_wga::core::journal::json::{self, Json};
+    use darwin_wga::core::json;
     use std::path::PathBuf;
     use std::process::{Command, Output};
 
@@ -299,9 +299,8 @@ mod cli {
             .unwrap_or_else(|| panic!("no process key: {json}"));
         let kb = |key: &str| {
             process
-                .get(key)
-                .and_then(Json::as_int)
-                .unwrap_or_else(|| panic!("process.{key} missing: {json}"))
+                .u64(key)
+                .unwrap_or_else(|e| panic!("process: {e}: {json}"))
         };
         let (hwm, anon, file) = (kb("vm_hwm_kb"), kb("rss_anon_kb"), kb("rss_file_kb"));
         assert!(anon > 0 && file > 0, "{json}");

@@ -18,10 +18,10 @@
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
-use darwin_wga::core::journal::json::{self, Json};
+use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::obs::{
-    Counter, HistKind, Log2Histogram, Obs, SpanName, TraceRecorder, NO_SPAN, STRAND_NA,
-    TRACE_SCHEMA,
+    Counter, HistKind, Log2Histogram, Obs, SpanName, TraceLine, TraceRecorder, NO_SPAN,
+    STRAND_NA, TRACE_SCHEMA,
 };
 use darwin_wga::genome::assembly::Assembly;
 use std::fs;
@@ -46,11 +46,8 @@ fn golden_inputs() -> (Assembly, Assembly, String) {
     (target, query, expected)
 }
 
-fn int_field(obj: &Json, key: &str) -> i128 {
-    obj.get(key)
-        .unwrap_or_else(|| panic!("missing field {key:?} in {obj:?}"))
-        .as_int()
-        .unwrap_or_else(|| panic!("field {key:?} is not an integer in {obj:?}"))
+fn int_field(obj: &Json, key: &str) -> u64 {
+    obj.u64(key).unwrap_or_else(|e| panic!("{e} in {obj:?}"))
 }
 
 /// Recorder on vs recorder off: same bytes on every executor × filter
@@ -128,9 +125,9 @@ fn trace_jsonl_matches_schema() {
     let mut seen_schema = 0usize;
     for (idx, line) in text.lines().enumerate() {
         let doc = json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-        if let Some(version) = doc.get("schema") {
+        if doc.get("schema").is_some() {
             assert_eq!(idx, 0, "schema header must be the first line");
-            assert_eq!(version.as_int(), Some(TRACE_SCHEMA as i128));
+            assert_eq!(int_field(&doc, "schema"), TRACE_SCHEMA);
             seen_schema += 1;
         } else if let Some(name) = doc.get("span").and_then(Json::as_str) {
             assert!(known.contains(&name), "unknown span name {name:?}");
@@ -138,7 +135,7 @@ fn trace_jsonl_matches_schema() {
                 "pair", "strand", "seq", "start_us", "dur_us", "items", "cells", "tid", "id",
                 "parent",
             ] {
-                assert!(int_field(&doc, key) >= 0, "{name}: negative {key}");
+                int_field(&doc, key);
             }
             let strand = int_field(&doc, "strand");
             assert!((0..=2).contains(&strand), "strand code out of range");
@@ -149,21 +146,21 @@ fn trace_jsonl_matches_schema() {
             seen_spans.push(name.to_string());
         } else if let Some(name) = doc.get("counter").and_then(Json::as_str) {
             assert!(known_counters.contains(&name), "unknown counter {name:?}");
-            assert!(int_field(&doc, "value") >= 0, "{name}: negative value");
+            int_field(&doc, "value");
             seen_counters.push(name.to_string());
         } else if let Some(name) = doc.get("hist").and_then(Json::as_str) {
             assert!(known_hists.contains(&name), "unknown histogram {name:?}");
             let total = int_field(&doc, "total");
             let buckets = doc.get("buckets").and_then(Json::as_arr).expect("buckets");
-            let mut sum = 0i128;
-            let mut last_bucket = -1i128;
+            let mut sum = 0u64;
+            let mut last_bucket = None;
             for entry in buckets {
                 let pair = entry.as_arr().expect("bucket entry is [index, count]");
                 assert_eq!(pair.len(), 2);
-                let (b, c) = (pair[0].as_int().unwrap(), pair[1].as_int().unwrap());
-                assert!(b > last_bucket, "buckets not strictly ascending");
+                let (b, c) = (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap());
+                assert!(last_bucket < Some(b), "buckets not strictly ascending");
                 assert!(c > 0, "empty buckets must be omitted");
-                last_bucket = b;
+                last_bucket = Some(b);
                 sum += c;
             }
             assert_eq!(sum, total, "{name}: bucket counts must sum to total");
@@ -247,12 +244,12 @@ fn metrics_json_is_valid_on_every_executor() {
         .expect("run succeeds");
         let metrics = report.stage_metrics.expect("metrics on every executor");
         assert_eq!(metrics.executor, executor);
-        let doc = json::parse(&metrics.to_json()).expect("metrics JSON parses");
+        let doc = json::parse(&metrics.to_json().to_string()).expect("metrics JSON parses");
         assert_eq!(doc.get("executor").and_then(Json::as_str), Some(tag));
         for stage in ["seeding", "filtering", "extension"] {
             let s = doc.get(stage).unwrap_or_else(|| panic!("missing {stage}"));
             for key in ["workers", "items", "cells", "busy_us", "idle_us", "max_queue_occupancy"] {
-                assert!(int_field(s, key) >= 0);
+                int_field(s, key);
             }
         }
         // Both executors agree on what work the run contained.
@@ -329,8 +326,8 @@ fn histogram_bucket_boundaries() {
     }
 }
 
-/// `Span::to_json_line` is the schema: field order and integer-only
-/// rendering pinned byte-for-byte so external consumers can rely on it.
+/// `TraceLine::Span` is the schema: a recorded span renders as one
+/// integer-only line that reads back to the same span.
 #[test]
 fn span_line_is_byte_stable() {
     let recorder = TraceRecorder::new();
@@ -341,8 +338,9 @@ fn span_line_is_byte_stable() {
     buf.flush();
     let spans = recorder.spans();
     assert_eq!(spans.len(), 1);
-    let line = spans[0].to_json_line();
+    let line = TraceLine::Span(spans[0]).to_json().to_string();
     let doc = json::parse(&line).expect("span line parses");
+    assert_eq!(TraceLine::from_json(&doc), Ok(TraceLine::Span(spans[0])));
     assert_eq!(doc.get("span").and_then(Json::as_str), Some("chain"));
     assert_eq!(int_field(&doc, "pair"), 3);
     assert_eq!(int_field(&doc, "seq"), 7);
@@ -352,7 +350,7 @@ fn span_line_is_byte_stable() {
     // span id, and NO_SPAN parent for a top-level span.
     assert!(int_field(&doc, "tid") >= 1);
     assert!(int_field(&doc, "id") > 0);
-    assert_eq!(int_field(&doc, "parent"), NO_SPAN as i128);
+    assert_eq!(int_field(&doc, "parent"), NO_SPAN);
 }
 
 /// A threaded dataflow run records `queue.wait` spans on the known
