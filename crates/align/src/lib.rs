@@ -6,11 +6,11 @@
 //!   [`nw`] (global) — used as exact oracles in tests;
 //! * the two *filtering* kernels the paper compares — [`ungapped`]
 //!   (LASTZ's X-drop ungapped extension) and [`banded`] (Darwin-WGA's
-//!   banded Smith-Waterman, "BSW") — plus [`bsw_fast`], the batched
-//!   wavefront BSW engine that mirrors the systolic array's
-//!   anti-diagonal dataflow and is bit-identical to [`banded`], and
-//!   [`bsw_simd`], the explicit 16-lane `i16` SIMD transcription of the
-//!   same wavefront (bit-identical again, with an exact `i32` fallback);
+//!   banded Smith-Waterman, "BSW") — plus [`bsw_fast`], the wavefront
+//!   BSW that mirrors the systolic array's anti-diagonal dataflow and is
+//!   bit-identical to [`banded`]: one prepared batch that runs each tile
+//!   in exact `i32` lanes or, where its scores fit, in the explicit
+//!   SSE2/AVX2 `i16` lanes of [`bsw_simd`];
 //! * the *extension* algorithms — [`xdrop`] (the per-tile X-drop kernel)
 //!   and [`gactx`] (GACT-X tiled extension, the paper's contribution),
 //!   whose tiling parameters also give the prior Darwin algorithm GACT

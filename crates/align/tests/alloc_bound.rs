@@ -26,8 +26,7 @@
 //! tile, never per row.
 
 use align::banded::banded_smith_waterman;
-use align::bsw_fast::{BswBatch, WavefrontScratch};
-use align::bsw_simd::{BswSimdBatch, SimdScratch};
+use align::bsw_fast::{BswBatch, BswScratch};
 use align::gactx::{extend_alignment, extend_left, ExtendedAlignment, TilingParams};
 use align::xdrop::{xdrop_tile_scratch, TileScratch};
 use genome::evolve::{EvolutionParams, SyntheticPair};
@@ -344,29 +343,24 @@ fn filter_kernels_and_tile_windows_allocate_nothing_per_tile_or_row() {
         })
         .collect();
 
-    // A warm scratch: one full-size tile first, then 200 of any size.
-    let fast = BswBatch::new(&w, &g, band);
-    let fast_scratch = &mut WavefrontScratch::new();
-    fast.run_tile(&codes[..tile], &codes[tile..2 * tile], fast_scratch);
-    let fast_run = measure(|| {
-        let cells = tiles.iter().map(|&(t, q, n, m)| {
-            fast.run_tile(&codes[t..t + n], &codes[q..q + m], fast_scratch).cells
-        });
-        cells.sum::<u64>()
-    });
-    let simd = BswSimdBatch::new(&w, &g, band);
-    let simd_scratch = &mut SimdScratch::new();
-    simd.run_tile(&codes[..tile], &codes[tile..2 * tile], simd_scratch);
-    let simd_run = measure(|| {
-        let cells = tiles.iter().map(|&(t, q, n, m)| {
-            simd.run_tile(&codes[t..t + n], &codes[q..q + m], simd_scratch).cells
-        });
-        cells.sum::<u64>()
-    });
+    // A warm scratch: one full-size tile first, then 200 of any size, on
+    // the i32 kernel and on the i16 lanes.
+    let run = |simd: bool| {
+        let batch = BswBatch::new(&w, &g, band, simd);
+        let scratch = &mut BswScratch::default();
+        batch.run_tile(&codes[..tile], &codes[tile..2 * tile], scratch);
+        measure(|| {
+            let cells = tiles.iter().map(|&(t, q, n, m)| {
+                batch.run_tile(&codes[t..t + n], &codes[q..q + m], scratch).cells
+            });
+            cells.sum::<u64>()
+        })
+    };
+    let (fast_run, simd_run) = (run(false), run(true));
     assert_eq!(fast_run.value, simd_run.value);
     assert!(fast_run.value > 500_000, "{} cells", fast_run.value);
-    assert_eq!(fast_run.allocs, 0, "bsw_fast over {} tiles", tiles.len());
-    assert_eq!(simd_run.allocs, 0, "bsw_simd over {} tiles", tiles.len());
+    assert_eq!(fast_run.allocs, 0, "i32 kernel over {} tiles", tiles.len());
+    assert_eq!(simd_run.allocs, 0, "i16 lanes over {} tiles", tiles.len());
 
     // A tile window unpacks into its warm buffer, either way round.
     let window = &mut Vec::new();

@@ -22,7 +22,7 @@ use seed::Anchor;
 use std::time::Instant;
 use wga_bench::paper_pair;
 use wga_core::config::WgaParams;
-use wga_core::stages::run_filter;
+use wga_core::filter_engine::run_filter;
 
 struct Outcome {
     label: &'static str,

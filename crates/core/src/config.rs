@@ -109,26 +109,26 @@ impl FilterStage {
     }
 }
 
-/// Which BSW filter *implementation* executes the gapped filtering
-/// stage.
+/// Which kernel the one filter engine runs the gapped DP on.
 ///
-/// Every engine computes the identical banded DP — same scores, same
+/// Every kernel computes the identical banded DP — same scores, same
 /// anchor coordinates, same cell counts (enforced by the three-way
 /// differential-oracle harness in `tests/bsw_differential.rs`) — so this
-/// is purely a performance choice. See [`crate::filter_engine`].
+/// is purely a performance choice, and not part of a journal's parameter
+/// fingerprint. See [`crate::filter_engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterEngineKind {
     /// Row-major scalar reference kernel ([`align::banded`]), allocating
     /// per tile. Kept as the oracle and for differential testing.
     Scalar,
-    /// Batched wavefront kernel ([`align::bsw_fast`]): chromosome pair
-    /// encoded once, anti-diagonal DP over reused flat buffers, no
-    /// per-tile allocation. What `Simd` falls back to.
+    /// The prepared wavefront batch ([`align::bsw_fast::BswBatch`]) with
+    /// its 16-bit lanes off: anti-diagonal DP over reused flat buffers in
+    /// exact `i32` lanes, no per-tile allocation.
     Batched,
-    /// Explicit-SIMD wavefront kernel ([`align::bsw_simd`]): saturating
-    /// `i16` lanes (8 per SSE2 vector, 16 per AVX2 vector) over the same
-    /// flat buffers, with a per-tile exact `i32` fallback. Falls back to
-    /// the batched kernel entirely on hosts without x86-64 SIMD. The
+    /// The same batch with its 16-bit lanes on: a tile whose scores fit
+    /// runs in saturating `i16` lanes (8 per SSE2 vector, 16 per AVX2
+    /// vector, [`align::bsw_simd`]), any other tile — every tile on a
+    /// host without x86-64 SIMD — in the `i32` lanes of `Batched`. The
     /// default.
     #[default]
     Simd,

@@ -63,7 +63,7 @@
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
 use crate::dataflow::ExecutorKind;
-use crate::obs::{strand_code, Counter, Obs, SpanBuf, SpanName, STRAND_NA};
+use crate::obs::{strand_code, Obs, SpanBuf, SpanName, STRAND_NA};
 
 /// `seq` codes on `queue.wait` spans, naming the queue the worker
 /// blocked on (see `SpanName::QueueWait`).
@@ -199,22 +199,18 @@ pub(crate) fn execute(
     let npairs = tchroms.len() * qn;
 
     // Take journaled pairs up front; the producer skips them entirely.
+    obs.set_total_pairs(npairs as u64);
     let mut resumed: Vec<Option<PairRecord>> = Vec::with_capacity(npairs);
     for tchrom in tchroms {
         for qchrom in qchroms {
-            resumed.push(
-                journal
-                    .as_mut()
-                    .and_then(|j| j.take(&tchrom.name, &qchrom.name)),
-            );
+            let record = journal.as_mut().and_then(|j| j.take(&tchrom.name, &qchrom.name));
+            if let Some(record) = &record {
+                obs.pair_done(record);
+            }
+            resumed.push(record);
         }
     }
     let resumed_flags: Vec<bool> = resumed.iter().map(Option::is_some).collect();
-    obs.set_total_pairs(npairs as u64);
-    obs.add(
-        Counter::PairsDone,
-        resumed_flags.iter().filter(|f| **f).count() as u64,
-    );
 
     let filter_q: BoundedQueue<FilterTask<'_>> = BoundedQueue::new(queue_depth);
     let extend_q: BoundedQueue<PairJob<'_>> = BoundedQueue::new(queue_depth);
@@ -575,7 +571,7 @@ fn filter_worker<'a>(
             let result = match gate {
                 Ok(()) => filter_batch(
                     params,
-                    &mut *engine,
+                    &mut engine,
                     stream.target,
                     stream.query.seq(),
                     &hits,
@@ -819,7 +815,7 @@ mod tests {
         let sharded = |hits: &[SeedHit], threads: usize| {
             fold(run_sharded(ranges.count(), threads, || ctx.engine(), |engine, i| {
                 let batch = in_range(hits, i);
-                filter_batch(&params, &mut **engine, &t, &q, &batch, pair_start, STRAND_FWD, i, Obs::off())
+                filter_batch(&params, engine, &t, &q, &batch, pair_start, STRAND_FWD, i, Obs::off())
             }))
         };
         let pooled = |hits: &[SeedHit]| {
@@ -870,7 +866,8 @@ mod tests {
         ] {
             assert_eq!(anchors, clean, "{schedule}: healthy batches keep their anchors");
             assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
-            assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
+            let cells = clean_report.counters.filter_cells;
+            assert_eq!(report.counters.filter_cells, cells, "{schedule}: the failed batch's cells stay out");
             match &report.events[..] {
                 [RunEvent::BatchFailed { stage, batch, items, message }] => {
                     assert_eq!((*stage, *batch, *items), (StageKind::Filtering, 4, 1), "{schedule}");

@@ -1,167 +1,70 @@
-//! Pluggable BSW filter engines: scalar reference, batched wavefront,
-//! and explicit SIMD.
+//! The BSW filter stage: one seed hit in, at most one anchor out (§III-A,
+//! Fig. 4).
 //!
-//! The filtering stage dominates pipeline runtime (§III-A), so it gets
-//! three interchangeable implementations behind the [`FilterEngine`]
-//! trait:
+//! The filtering stage dominates pipeline runtime (§III-A). A hit is
+//! decided once, here, for every schedule: for the gapped filter a
+//! `T_f`-sized tile is centred on the hit (Fig. 4b), its two windows are
+//! unpacked from the pair's packed planes into the engine's own 2 × `T_f`
+//! bytes ([`Sequence::window`]), and banded Smith-Waterman returns
+//! `V_max` and its position `x_max`; for the ungapped filter the hit is
+//! extended along its diagonal. Either way the anchor is the position of
+//! the maximum score.
 //!
-//! * [`ScalarFilterEngine`] calls the row-major reference kernel
-//!   ([`align::banded`]) per hit, allocating DP rows per tile — simple,
-//!   and the oracle everything else is measured against;
-//! * [`BatchedFilterEngine`] drives [`align::bsw_fast`]: the scoring is
-//!   flattened **once** into a shared [`BswBatch`] ([`FilterContext`]),
-//!   a tile's two windows are unpacked from the pair's packed planes
-//!   into the engine's own 2 × `T_f` bytes ([`Sequence::window`]), and
-//!   each worker reuses one [`WavefrontScratch`] across its whole batch
-//!   of tiles — the software analogue of streaming tiles through the
-//!   paper's systolic array;
-//! * [`SimdFilterEngine`] drives [`align::bsw_simd`]: the same wavefront
-//!   with the inner loop as explicit saturating `i16` vector lanes
-//!   (8 per SSE2 vector, 16 per AVX2 vector), falling back per tile to
-//!   the exact `i32` kernel when a tile could overflow 16 bits, and
-//!   falling back entirely to the batched engine on hosts without
-//!   x86-64 SIMD.
+//! The gapped DP runs on one of two kernels, chosen by
+//! [`WgaParams::filter_engine`] / the CLI's `--filter-engine`:
+//!
+//! * `scalar` — the row-major reference kernel ([`align::banded`]),
+//!   allocating DP rows per tile: simple, and the oracle everything else
+//!   is measured against;
+//! * `batched` and `simd` (the default) — one [`BswBatch`]
+//!   ([`align::bsw_fast`]): the scoring flattened **once** per strand
+//!   into a shared [`FilterContext`], each worker reusing one
+//!   [`BswScratch`] across its whole run of tiles — the software analogue
+//!   of streaming tiles through the paper's systolic array. `simd` runs a
+//!   tile whose scores fit 16 bits in explicit SSE2/AVX2 `i16` lanes and
+//!   any other tile in exact `i32` lanes; `batched` is the same batch
+//!   with its 16-bit lanes off.
 //!
 //! All produce bit-identical [`FilterOutcome`]s (same scores, anchor
 //! coordinates and cell counts); `tests/bsw_differential.rs` enforces
-//! this over thousands of random and adversarial tiles. Selection is via
-//! [`WgaParams::filter_engine`] / the CLI's `--filter-engine` flag.
+//! this over thousands of random and adversarial tiles.
 //!
 //! Usage shape (what every schedule does, around
 //! `stages::filter_batch`): build one [`FilterContext`] per
 //! chromosome pair and strand, share it read-only across workers, and
-//! materialise one engine with [`FilterContext::engine`] per worker
+//! draw one [`FilterEngine`] with [`FilterContext::engine`] per worker
 //! and strand — its scratch serves every batch of hits that worker
 //! filters there.
 
 use crate::config::{FilterEngineKind, FilterStage, WgaParams};
-use crate::stages::{gapped_outcome, run_filter_in, FilterOutcome, TileWindows};
-use align::bsw_fast::{BswBatch, WavefrontScratch};
-use align::bsw_simd::{BswSimdBatch, SimdScratch};
+use align::banded::{banded_smith_waterman, tile_around};
+use align::bsw_fast::{BswBatch, BswScratch};
+use align::ungapped::ungapped_extend;
 use genome::{Base, Sequence};
-use seed::SeedHit;
+use seed::{Anchor, SeedHit};
 
-/// One BSW filter implementation, stateful per worker.
-///
-/// Implementations may keep mutable scratch (the batched engine's
-/// wavefront buffers), which is why filtering takes `&mut self`; create
-/// one engine per worker and strand via [`FilterContext::engine`].
-pub trait FilterEngine {
-    /// Filters one seed hit, returning the anchor (if the tile passed
-    /// the threshold) and the DP cells evaluated.
-    fn filter_hit(
-        &mut self,
-        params: &WgaParams,
-        target: &Sequence,
-        query: &Sequence,
-        hit: SeedHit,
-    ) -> FilterOutcome;
-}
-
-/// Reference engine: per-hit scalar BSW (or ungapped extension),
-/// delegating to [`crate::stages::run_filter`].
-#[derive(Debug, Default)]
-pub struct ScalarFilterEngine {
-    windows: TileWindows,
-}
-
-impl FilterEngine for ScalarFilterEngine {
-    fn filter_hit(
-        &mut self,
-        params: &WgaParams,
-        target: &Sequence,
-        query: &Sequence,
-        hit: SeedHit,
-    ) -> FilterOutcome {
-        run_filter_in(params, target, query, hit, &mut self.windows)
-    }
-}
-
-/// Batched wavefront engine: tiles run against a shared [`BswBatch`]
-/// with this engine's private reusable scratch.
-#[derive(Debug)]
-pub struct BatchedFilterEngine<'c> {
-    batch: &'c BswBatch,
-    scratch: WavefrontScratch,
-    windows: TileWindows,
-}
-
-impl FilterEngine for BatchedFilterEngine<'_> {
-    fn filter_hit(
-        &mut self,
-        params: &WgaParams,
-        target: &Sequence,
-        query: &Sequence,
-        hit: SeedHit,
-    ) -> FilterOutcome {
-        match params.filter {
-            FilterStage::Gapped(f) => {
-                let (t0, q0, t, q) = self.windows.around(f.tile_size, target, query, hit);
-                let out = self.batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch);
-                gapped_outcome(&f, t0, q0, out)
-            }
-            // The batched kernel only accelerates the gapped DP; an
-            // ungapped filter stage falls back to the reference path.
-            FilterStage::Ungapped(_) => run_filter_in(params, target, query, hit, &mut self.windows),
-        }
-    }
-}
-
-/// Explicit-SIMD wavefront engine: tiles run against a shared
-/// [`BswSimdBatch`] with this engine's private reusable scratch;
-/// oversized tiles route to the exact `i32` kernel inside the batch.
-#[derive(Debug)]
-pub struct SimdFilterEngine<'c> {
-    batch: &'c BswSimdBatch,
-    scratch: SimdScratch,
-    windows: TileWindows,
-}
-
-impl FilterEngine for SimdFilterEngine<'_> {
-    fn filter_hit(
-        &mut self,
-        params: &WgaParams,
-        target: &Sequence,
-        query: &Sequence,
-        hit: SeedHit,
-    ) -> FilterOutcome {
-        match params.filter {
-            FilterStage::Gapped(f) => {
-                let (t0, q0, t, q) = self.windows.around(f.tile_size, target, query, hit);
-                let out = self.batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch);
-                gapped_outcome(&f, t0, q0, out)
-            }
-            // The SIMD kernel only accelerates the gapped DP; an
-            // ungapped filter stage falls back to the reference path.
-            FilterStage::Ungapped(_) => run_filter_in(params, target, query, hit, &mut self.windows),
-        }
-    }
-}
-
-/// The shared state behind a [`FilterContext`]: which engine family the
-/// run selected, with its prepared scoring where one exists.
-#[derive(Debug, Default)]
-enum ContextState {
-    /// Scalar engine (or an ungapped stage): no shared state needed.
-    #[default]
-    Scalar,
-    Batched(BswBatch),
-    Simd(BswSimdBatch),
+/// Result of filtering one seed hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FilterOutcome {
+    /// The anchor, when the hit passed the threshold.
+    pub anchor: Option<Anchor>,
+    /// DP cells (gapped) or diagonal cells (ungapped) evaluated.
+    pub cells: u64,
 }
 
 /// Shared per-(pair, strand) filter state, built once and handed
 /// read-only to every filter worker.
 ///
-/// Holds the flattened scoring when the batched or SIMD engine is
-/// selected for a gapped filter stage (nothing otherwise — scalar
-/// filtering needs no shared state), and no part of the pair: engines
-/// read each tile out of the sequences [`FilterEngine::filter_hit`] is
-/// handed. `FilterContext` is `Sync`, so it is built once outside any
-/// thread scope and each worker calls [`FilterContext::engine`] to get
-/// its own mutable engine.
+/// Holds the flattened scoring when a batched engine runs a gapped
+/// filter stage (nothing otherwise — scalar and ungapped filtering need
+/// no shared state), and no part of the pair: engines read each tile out
+/// of the sequences [`FilterEngine::filter_hit`] is handed.
+/// `FilterContext` is `Sync`, so it is built once outside any thread
+/// scope and each worker calls [`FilterContext::engine`] to get its own
+/// mutable engine.
 #[derive(Debug, Default)]
 pub struct FilterContext {
-    state: ContextState,
+    batch: Option<BswBatch>,
 }
 
 impl FilterContext {
@@ -169,54 +72,121 @@ impl FilterContext {
     ///
     /// Constant work: the pair is not read, let alone copied (its two
     /// arguments stay because `bench/`, which no change to the program
-    /// may edit, calls this signature). A SIMD request on
-    /// a host without x86-64 SIMD builds the batched context instead (the
-    /// documented runtime fallback — the engines are bit-identical, so
-    /// only throughput changes).
+    /// may edit, calls this signature).
     pub fn new(params: &WgaParams, _target: &Sequence, _query: &Sequence) -> FilterContext {
-        let state = match (params.filter_engine, params.filter) {
-            (FilterEngineKind::Batched, FilterStage::Gapped(f)) => {
-                ContextState::Batched(BswBatch::new(&params.scoring, &params.gaps, f.band))
+        let batch = match (params.filter_engine, params.filter) {
+            (FilterEngineKind::Scalar, _) | (_, FilterStage::Ungapped(_)) => None,
+            (kind, FilterStage::Gapped(f)) => {
+                let simd = kind == FilterEngineKind::Simd;
+                Some(BswBatch::new(&params.scoring, &params.gaps, f.band, simd))
             }
-            (FilterEngineKind::Simd, FilterStage::Gapped(f)) => {
-                let batch = BswSimdBatch::new(&params.scoring, &params.gaps, f.band);
-                if batch.lanes() > 0 {
-                    ContextState::Simd(batch)
-                } else {
-                    ContextState::Batched(BswBatch::new(&params.scoring, &params.gaps, f.band))
-                }
-            }
-            _ => ContextState::Scalar,
         };
-        FilterContext { state }
+        FilterContext { batch }
     }
 
-    /// Materialises a fresh engine for one worker's batches of hits.
-    ///
-    /// Batched and SIMD contexts yield their engine with its own
-    /// scratch; scalar contexts yield the stateless
-    /// [`ScalarFilterEngine`].
-    pub fn engine(&self) -> Box<dyn FilterEngine + Send + '_> {
-        match &self.state {
-            ContextState::Batched(batch) => Box::new(BatchedFilterEngine {
-                batch,
-                scratch: WavefrontScratch::new(),
-                windows: TileWindows::default(),
-            }),
-            ContextState::Simd(batch) => Box::new(SimdFilterEngine {
-                batch,
-                scratch: SimdScratch::new(),
-                windows: TileWindows::default(),
-            }),
-            ContextState::Scalar => Box::new(ScalarFilterEngine::default()),
+    /// A fresh engine, with its own scratch, for one worker's batches of
+    /// hits.
+    pub fn engine(&self) -> FilterEngine<'_> {
+        FilterEngine {
+            batch: self.batch.as_ref(),
+            ..FilterEngine::default()
         }
     }
+}
+
+/// One worker's filter: the context's shared batch (none for the scalar
+/// kernel) plus the worker's own DP scratch and tile windows, which is
+/// why filtering takes `&mut self`.
+#[derive(Debug, Default)]
+pub struct FilterEngine<'c> {
+    batch: Option<&'c BswBatch>,
+    scratch: BswScratch,
+    /// A filter tile's two windows, unpacked a byte a base: 2 × `T_f`
+    /// bytes (640 at the default tile), reused so that no tile allocates
+    /// them.
+    windows: [Vec<Base>; 2],
+}
+
+impl FilterEngine<'_> {
+    /// Filters one seed hit, returning the anchor (if the tile passed
+    /// the threshold) and the DP cells evaluated.
+    pub fn filter_hit(
+        &mut self,
+        params: &WgaParams,
+        target: &Sequence,
+        query: &Sequence,
+        hit: SeedHit,
+    ) -> FilterOutcome {
+        let (target_pos, query_pos) = (hit.target_pos as usize, hit.query_pos as usize);
+        let (anchor, cells) = match params.filter {
+            FilterStage::Gapped(f) => {
+                let (t_range, q_range) = tile_around(
+                    target_pos,
+                    query_pos,
+                    f.tile_size,
+                    target.len(),
+                    query.len(),
+                );
+                let (t0, q0) = (t_range.start, q_range.start);
+                let [tw, qw] = &mut self.windows;
+                let (t, q) = (
+                    target.window(t_range, false, tw),
+                    query.window(q_range, false, qw),
+                );
+                let out = match self.batch {
+                    Some(batch) => {
+                        batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch)
+                    }
+                    None => banded_smith_waterman(t, q, &params.scoring, &params.gaps, f.band),
+                };
+                let anchor = (out.max_score >= f.threshold).then(|| Anchor {
+                    target_pos: t0 + out.target_pos,
+                    query_pos: q0 + out.query_pos,
+                    filter_score: out.max_score,
+                });
+                (anchor, out.cells)
+            }
+            FilterStage::Ungapped(f) => {
+                let seed_len = params
+                    .seed_pattern
+                    .span()
+                    .min(target.len() - target_pos)
+                    .min(query.len() - query_pos);
+                let out = ungapped_extend(
+                    target,
+                    query,
+                    target_pos,
+                    query_pos,
+                    seed_len,
+                    &params.scoring,
+                    f.xdrop,
+                );
+                let anchor = (out.score >= f.threshold).then_some(Anchor {
+                    target_pos: out.anchor_target,
+                    query_pos: out.anchor_query,
+                    filter_score: out.score,
+                });
+                (anchor, out.cells)
+            }
+        };
+        FilterOutcome { anchor, cells }
+    }
+}
+
+/// Runs the configured filter on one seed hit with the scalar kernel —
+/// the one-shot oracle every engine must equal.
+pub fn run_filter(
+    params: &WgaParams,
+    target: &Sequence,
+    query: &Sequence,
+    hit: SeedHit,
+) -> FilterOutcome {
+    FilterEngine::default().filter_hit(params, target, query, hit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::run_filter;
     use genome::evolve::{EvolutionParams, SyntheticPair};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -225,6 +195,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let p = SyntheticPair::generate(6000, &EvolutionParams::at_distance(0.25), &mut rng);
         (p.target.sequence, p.query.sequence)
+    }
+
+    /// 128 bp shared core with long distinct flanks (longer than the
+    /// 320-base filter tile, so a hit in the flank sees no homology).
+    fn flanked() -> (Sequence, Sequence) {
+        let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(4);
+        let t = format!("{}{}{}", "T".repeat(400), core, "T".repeat(400))
+            .parse()
+            .unwrap();
+        let q = format!("{}{}{}", "G".repeat(400), core, "G".repeat(400))
+            .parse()
+            .unwrap();
+        (t, q)
     }
 
     #[test]
@@ -247,47 +230,72 @@ mod tests {
     }
 
     #[test]
-    fn scalar_params_build_no_batch_context() {
+    fn only_batched_gapped_engines_build_a_batch() {
         let (t, q) = pair();
-        let params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Scalar);
-        let ctx = FilterContext::new(&params, &t, &q);
-        assert!(matches!(ctx.state, ContextState::Scalar));
-        let params = WgaParams::lastz_baseline();
-        let ctx = FilterContext::new(&params, &t, &q);
+        let batch_of = |params: WgaParams| FilterContext::new(&params, &t, &q).batch;
+        let darwin = WgaParams::darwin_wga;
+        assert!(batch_of(darwin().with_filter_engine(FilterEngineKind::Scalar)).is_none());
         assert!(
-            matches!(ctx.state, ContextState::Scalar),
+            batch_of(WgaParams::lastz_baseline()).is_none(),
             "ungapped stage never builds a batch"
         );
+        let batched =
+            batch_of(darwin().with_filter_engine(FilterEngineKind::Batched)).expect("a batch");
+        assert!(
+            !batched.tile_uses_simd(320, 320),
+            "batched runs every tile in i32 lanes"
+        );
+        let simd = batch_of(darwin().with_filter_engine(FilterEngineKind::Simd)).expect("a batch");
+        assert_eq!(simd.tile_uses_simd(320, 320), cfg!(target_arch = "x86_64"));
     }
 
     #[test]
-    fn simd_params_build_simd_or_batched_context() {
-        let (t, q) = pair();
-        let params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Simd);
-        let ctx = FilterContext::new(&params, &t, &q);
-        // On x86-64 the SIMD batch must materialise; elsewhere the
-        // documented fallback is the batched engine.
-        if cfg!(target_arch = "x86_64") {
-            assert!(matches!(ctx.state, ContextState::Simd(_)));
-        } else {
-            assert!(matches!(ctx.state, ContextState::Batched(_)));
-        }
-    }
-
-    #[test]
-    fn batched_engine_handles_ungapped_fallback() {
+    fn batched_engines_handle_an_ungapped_stage() {
         let (t, q) = pair();
         // Batched/SIMD engine requested but the stage is ungapped:
         // behaviour must match the reference path exactly.
         for kind in [FilterEngineKind::Batched, FilterEngineKind::Simd] {
             let params = WgaParams::lastz_baseline().with_filter_engine(kind);
             let ctx = FilterContext::new(&params, &t, &q);
-            let mut engine = ctx.engine();
             let hit = SeedHit::new(500, 497);
             assert_eq!(
-                engine.filter_hit(&params, &t, &q, hit),
+                ctx.engine().filter_hit(&params, &t, &q, hit),
                 run_filter(&params, &t, &q, hit)
             );
+        }
+    }
+
+    #[test]
+    fn gapped_filter_passes_true_hit() {
+        let (t, q) = flanked();
+        let out = run_filter(&WgaParams::darwin_wga(), &t, &q, SeedHit::new(420, 420));
+        let anchor = out.anchor.expect("true hit should pass");
+        assert!(anchor.filter_score >= 4000);
+        assert!(out.cells > 0);
+    }
+
+    #[test]
+    fn gapped_filter_rejects_noise() {
+        let (t, q) = flanked();
+        // A hit in the mismatching flank region.
+        let out = run_filter(&WgaParams::darwin_wga(), &t, &q, SeedHit::new(10, 10));
+        assert!(out.anchor.is_none());
+    }
+
+    #[test]
+    fn ungapped_filter_passes_true_hit() {
+        let (t, q) = flanked();
+        let out = run_filter(&WgaParams::lastz_baseline(), &t, &q, SeedHit::new(420, 420));
+        assert!(out.anchor.is_some());
+    }
+
+    #[test]
+    fn filter_near_sequence_edges_does_not_panic() {
+        let (t, q) = flanked();
+        for params in [WgaParams::darwin_wga(), WgaParams::lastz_baseline()] {
+            let _ = run_filter(&params, &t, &q, SeedHit::new(0, 0));
+            let last = SeedHit::new(t.len() - 20, q.len() - 20);
+            let _ = run_filter(&params, &t, &q, last);
         }
     }
 }

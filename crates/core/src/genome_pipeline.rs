@@ -27,7 +27,7 @@ use crate::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{params_fingerprint, Journal, JournalStats};
-use crate::obs::{Counter, Obs};
+use crate::obs::Obs;
 use crate::pipeline::run_pair;
 use crate::report::{FunnelCounters, PairOutcome, RunOutcome, StageTimings, Strand, WgaAlignment};
 use crate::stages::{commit_pair, fold_pair, replay_pair, row_seed_table};
@@ -374,7 +374,7 @@ pub(crate) fn align_assemblies_provided(
             let pair_obs = obs.with_pair((ti * qn + qi) as u64);
             let names = (tchrom.name.as_str(), qchrom.name.as_str());
             if let Some(record) = journal.as_mut().and_then(|j| j.take(names.0, names.1)) {
-                obs.add(Counter::PairsDone, 1);
+                obs.pair_done(&record);
                 replay_pair(&mut out, record);
                 continue;
             }

@@ -127,9 +127,18 @@ impl PairRecord {
 
 /// Fingerprint of a parameter set, stored in the journal header so a
 /// resume with different parameters is rejected instead of silently
-/// mixing results. FNV-1a over the canonical debug rendering.
+/// mixing results. FNV-1a over the canonical debug rendering, with the
+/// output-neutral knobs — the filter engine and the query range size —
+/// reset to the [`WgaParams::darwin_wga`] defaults, so a journal resumes
+/// whichever of them wrote it.
 pub fn params_fingerprint(params: &WgaParams) -> String {
-    let repr = format!("{params:?}");
+    let defaults = WgaParams::darwin_wga();
+    let neutral = WgaParams {
+        filter_engine: defaults.filter_engine,
+        shard_bases: defaults.shard_bases,
+        ..params.clone()
+    };
+    let repr = format!("{neutral:?}");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in repr.bytes() {
         hash ^= byte as u64;
@@ -634,6 +643,7 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FilterEngineKind;
 
     fn sample_record() -> PairRecord {
         let mut cigar = Cigar::new();
@@ -822,6 +832,17 @@ mod tests {
     fn fingerprints_of_the_two_presets_are_pinned() {
         assert_eq!(params_fingerprint(&WgaParams::darwin_wga()), "c101066a06e1bd8f");
         assert_eq!(params_fingerprint(&WgaParams::lastz_baseline()), "5f947ee48ae4fce9");
+    }
+
+    #[test]
+    fn output_neutral_knobs_leave_the_fingerprint_alone() {
+        let fp = params_fingerprint(&WgaParams::darwin_wga());
+        for engine in [FilterEngineKind::Scalar, FilterEngineKind::Batched, FilterEngineKind::Simd] {
+            let params = WgaParams { shard_bases: 512, ..WgaParams::darwin_wga().with_filter_engine(engine) };
+            assert_eq!(params_fingerprint(&params), fp, "{engine:?}");
+        }
+        let tighter = WgaParams::darwin_wga().with_filter_threshold(4001);
+        assert_ne!(params_fingerprint(&tighter), fp, "output-changing fields still count");
     }
 
     #[test]

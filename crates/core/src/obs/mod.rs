@@ -17,8 +17,10 @@
 //!   batch boundaries, so the shared span list is touched once per
 //!   batch rather than once per tile.
 //! * **Counters** ([`Counter`]) — relaxed atomic funnel totals (pairs
-//!   done, filter tiles, DP cells, …) cheap enough for live progress
-//!   reporting.
+//!   done, filter tiles, DP cells, …), folded in one finished pair at a
+//!   time from the same [`PairRecord`] the run's report is folded from
+//!   ([`Obs::pair_done`]), so a trace counts exactly what the report
+//!   does.
 //! * **Histograms** ([`Log2Histogram`]) — log2-bucketed latency and
 //!   size distributions (per-tile filter latency, per-tile DP cells,
 //!   extension tiles per anchor).
@@ -34,6 +36,7 @@ mod progress;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
+use crate::journal::PairRecord;
 use crate::json::Json;
 use crate::report::Strand;
 use crate::sync::Mutex;
@@ -321,10 +324,12 @@ impl TraceLine {
     }
 }
 
-/// Funnel counters maintained by the recorder (relaxed atomics).
+/// Funnel counters maintained by the recorder (relaxed atomics), each
+/// the sum of one report field over the finished pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Chromosome pairs finished (computed or replayed from a journal).
+    /// Chromosome pairs finished (computed, failed or replayed from a
+    /// journal).
     PairsDone,
     /// Gapped filter tiles executed.
     FilterTiles,
@@ -332,6 +337,8 @@ pub enum Counter {
     FilterCells,
     /// Anchors that survived the filter threshold.
     AnchorsPassed,
+    /// GACT-X tiles spent in extension.
+    ExtensionTiles,
     /// DP cells spent in GACT-X extension.
     ExtensionCells,
     /// DP rows spent in GACT-X extension (with cells and tiles, enough
@@ -342,7 +349,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 7;
+pub const COUNTER_COUNT: usize = 8;
 
 impl Counter {
     /// Every counter, for trace rendering and schema tests.
@@ -351,6 +358,7 @@ impl Counter {
         Counter::FilterTiles,
         Counter::FilterCells,
         Counter::AnchorsPassed,
+        Counter::ExtensionTiles,
         Counter::ExtensionCells,
         Counter::ExtensionRows,
         Counter::AlignmentsKept,
@@ -363,6 +371,7 @@ impl Counter {
             Counter::FilterTiles => "filter.tiles",
             Counter::FilterCells => "filter.cells",
             Counter::AnchorsPassed => "anchors.passed",
+            Counter::ExtensionTiles => "extend.tiles",
             Counter::ExtensionCells => "extend.cells",
             Counter::ExtensionRows => "extend.rows",
             Counter::AlignmentsKept => "alignments.kept",
@@ -520,11 +529,26 @@ impl<'a> Obs<'a> {
         self.pair
     }
 
-    /// Adds `n` to a funnel counter (no-op when disabled).
-    #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
+    /// Folds one finished pair — committed, failed or replayed from a
+    /// journal — into the funnel counters (no-op when disabled). The
+    /// record is what the run's report is folded from, so the counters
+    /// and the report cannot disagree: a retried batch's tiles count
+    /// once, a failed pair's not at all, a replayed pair's as journaled.
+    pub fn pair_done(&self, record: &PairRecord) {
         if let Some(rec) = self.rec {
-            rec.add(counter, n);
+            let (work, funnel) = (&record.workload, &record.counters);
+            for (counter, n) in [
+                (Counter::PairsDone, 1),
+                (Counter::FilterTiles, work.filter_tiles),
+                (Counter::FilterCells, funnel.filter_cells),
+                (Counter::AnchorsPassed, funnel.anchors_passed),
+                (Counter::ExtensionTiles, work.extension_tiles),
+                (Counter::ExtensionCells, work.extension_cells),
+                (Counter::ExtensionRows, work.extension_rows),
+                (Counter::AlignmentsKept, funnel.alignments_kept),
+            ] {
+                rec.add(counter, n);
+            }
         }
     }
 
@@ -554,27 +578,14 @@ impl<'a> Obs<'a> {
         SpanTimer(self.rec.map(|_| Instant::now()))
     }
 
-    /// Per-filter-tile instrumentation: latency + cell histograms and
-    /// the tile/cell counters. `timer` must come from [`Obs::timer`]
-    /// taken just before the tile ran.
+    /// Per-filter-tile instrumentation: the latency and cell
+    /// histograms. `timer` must come from [`Obs::timer`] taken just
+    /// before the tile ran.
     #[inline]
     pub fn filter_tile(&self, timer: &SpanTimer, cells: u64) {
         if let (Some(rec), Some(start)) = (self.rec, timer.0) {
             rec.observe(HistKind::FilterTileNs, start.elapsed().as_nanos() as u64);
             rec.observe(HistKind::FilterTileCells, cells);
-            rec.add(Counter::FilterTiles, 1);
-            rec.add(Counter::FilterCells, cells);
-        }
-    }
-
-    /// Per-extended-anchor instrumentation: tiles-per-anchor histogram
-    /// and the extension cell/row counters.
-    #[inline]
-    pub fn extension_anchor(&self, tiles: u64, cells: u64, rows: u64) {
-        if let Some(rec) = self.rec {
-            rec.observe(HistKind::ExtendTilesPerAnchor, tiles);
-            rec.add(Counter::ExtensionCells, cells);
-            rec.add(Counter::ExtensionRows, rows);
         }
     }
 
@@ -877,7 +888,7 @@ mod tests {
         let timer = obs.timer();
         assert!(timer.0.is_none(), "a disabled timer never reads the clock");
         obs.filter_tile(&timer, 100); // must be a no-op, not a panic
-        obs.add(Counter::PairsDone, 1);
+        obs.pair_done(&PairRecord::failed("chrI", "chr1", String::new()));
         let mut buf = obs.buffer();
         assert_eq!(buf.alloc_id(), NO_SPAN);
         let t = buf.start();
@@ -895,8 +906,14 @@ mod tests {
 
         let timer = obs.timer();
         obs.filter_tile(&timer, 640);
-        obs.extension_anchor(5, 1_000, 40);
-        obs.add(Counter::PairsDone, 1);
+        obs.observe(HistKind::ExtendTilesPerAnchor, 5);
+        let mut record = PairRecord::failed("chrI", "chr1", String::new());
+        record.workload.filter_tiles = 1;
+        record.counters.filter_cells = 640;
+        record.workload.extension_tiles = 5;
+        record.workload.extension_cells = 1_000;
+        record.workload.extension_rows = 40;
+        obs.pair_done(&record);
 
         {
             let mut buf = obs.buffer();
@@ -907,6 +924,7 @@ mod tests {
 
         assert_eq!(rec.counter(Counter::FilterTiles), 1);
         assert_eq!(rec.counter(Counter::FilterCells), 640);
+        assert_eq!(rec.counter(Counter::ExtensionTiles), 5);
         assert_eq!(rec.counter(Counter::ExtensionCells), 1_000);
         assert_eq!(rec.counter(Counter::ExtensionRows), 40);
         assert_eq!(rec.counter(Counter::PairsDone), 1);

@@ -63,8 +63,8 @@ pub fn run_pair(
         let tiles_used = report.workload.filter_tiles;
         let (mut lane, kept) =
             seed_lane(params, &table, query, strand, ranges, threads, tiles_used, obs);
-        // One filter context per strand (the fast engines' flattened
-        // scoring), shared read-only by every worker's engine.
+        // One filter context per strand (the batch's flattened scoring),
+        // shared read-only by every worker's engine.
         let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
         let ctx_time = ctx_start.elapsed();
@@ -73,7 +73,6 @@ pub fn run_pair(
         let filtered = run_sharded(ranges.count(), threads, worker, |(scratch, engine), idx| {
             let kept = kept.as_deref();
             let (cost, hits) = seed_range(params, &table, query, strand, ranges, idx, kept, scratch, obs);
-            let engine = &mut **engine;
             (cost, filter_batch(params, engine, target, query, &hits, pair_start, scode, idx, obs))
         });
         drop(table);
@@ -144,7 +143,9 @@ impl WgaPipeline {
 
     /// [`WgaPipeline::run`] with an observation handle. The report is
     /// byte-identical whether `obs` is live or [`Obs::off`]; the
-    /// recorder only *watches* the run.
+    /// recorder only *watches* the run. It gets spans and histograms: its
+    /// funnel counters are folded from finished pair records
+    /// ([`Obs::pair_done`]), which only the assembly drivers keep.
     pub fn run_observed(&self, target: &Sequence, query: &Sequence, obs: Obs<'_>) -> WgaReport {
         let mut buf = obs.buffer();
         let table_timer = buf.start();

@@ -23,23 +23,21 @@
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
 use crate::budget::{deadline_event, SmallestHits};
-use crate::config::{FilterStage, GappedFilterParams, WgaParams};
+use crate::config::WgaParams;
 use crate::error::WgaResult;
 use crate::faultsim::Hook;
 use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, LocatedAlignment, SeedTableFn};
 use crate::journal::{Journal, PairRecord};
-use crate::obs::{strand_code, Counter, Obs, SpanName, STRAND_NA};
+use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
 use crate::report::{
     BudgetKind, PairOutcome, RunEvent, StageKind, Strand, WgaAlignment, WgaReport,
 };
 use crate::shard::{run_sharded, QueryRanges};
 use crate::supervise::{self, panic_message, RetryPolicy};
 use crate::sync::Mutex;
-use align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use align::gactx::{self, ExtendedAlignment};
-use align::ungapped::ungapped_extend;
-use genome::{Base, Sequence};
+use genome::Sequence;
 use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
 use seed::{Anchor, SeedHit, SeedTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,122 +55,6 @@ pub(crate) fn timed_seed_table(params: &WgaParams, target: &Sequence) -> (SeedTa
     let start = Instant::now();
     let table = SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
     (table, start.elapsed())
-}
-
-/// Result of filtering one seed hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterOutcome {
-    /// The anchor, when the hit passed the threshold.
-    pub anchor: Option<Anchor>,
-    /// DP cells (gapped) or diagonal cells (ungapped) evaluated.
-    pub cells: u64,
-}
-
-/// Thresholds one gapped-filter tile result into a [`FilterOutcome`],
-/// translating tile-local maximum coordinates back to chromosome space.
-///
-/// Shared by [`run_filter`] and the batched engine in
-/// [`crate::filter_engine`], so both BSW implementations apply byte-for-
-/// byte identical anchor construction.
-pub(crate) fn gapped_outcome(
-    f: &GappedFilterParams,
-    t0: usize,
-    q0: usize,
-    out: BandedOutcome,
-) -> FilterOutcome {
-    let anchor = (out.max_score >= f.threshold).then(|| Anchor {
-        target_pos: t0 + out.target_pos,
-        query_pos: q0 + out.query_pos,
-        filter_score: out.max_score,
-    });
-    FilterOutcome {
-        anchor,
-        cells: out.cells,
-    }
-}
-
-/// A filter tile's two windows, unpacked a byte a base: 2 × `T_f` bytes
-/// (640 at the default tile), owned by whoever filters a run of hits so
-/// that no tile allocates them.
-#[derive(Debug, Default)]
-pub(crate) struct TileWindows {
-    target: Vec<Base>,
-    query: Vec<Base>,
-}
-
-impl TileWindows {
-    /// Unpacks the `tile_size` tile around `hit` (Fig. 4b): its origin in
-    /// the pair and its target and query windows.
-    pub(crate) fn around(
-        &mut self,
-        tile_size: usize,
-        target: &Sequence,
-        query: &Sequence,
-        hit: SeedHit,
-    ) -> (usize, usize, &[Base], &[Base]) {
-        let (t_range, q_range) =
-            tile_around(hit.target_pos as usize, hit.query_pos as usize, tile_size, target.len(), query.len());
-        let (t0, q0) = (t_range.start, q_range.start);
-        (t0, q0, target.window(t_range, false, &mut self.target), query.window(q_range, false, &mut self.query))
-    }
-}
-
-/// Runs the configured filter on one seed hit.
-///
-/// For the gapped filter a `T_f`-sized tile is centred on the hit
-/// (Fig. 4b) and banded Smith-Waterman returns `V_max` and its position
-/// `x_max`; for the ungapped filter the hit is extended along its
-/// diagonal. Either way the anchor is the position of the maximum score.
-pub fn run_filter(
-    params: &WgaParams,
-    target: &Sequence,
-    query: &Sequence,
-    hit: SeedHit,
-) -> FilterOutcome {
-    run_filter_in(params, target, query, hit, &mut TileWindows::default())
-}
-
-/// [`run_filter`] over a caller's [`TileWindows`].
-pub(crate) fn run_filter_in(
-    params: &WgaParams,
-    target: &Sequence,
-    query: &Sequence,
-    hit: SeedHit,
-    windows: &mut TileWindows,
-) -> FilterOutcome {
-    match params.filter {
-        FilterStage::Gapped(f) => {
-            let (t0, q0, t, q) = windows.around(f.tile_size, target, query, hit);
-            let out = banded_smith_waterman(t, q, &params.scoring, &params.gaps, f.band);
-            gapped_outcome(&f, t0, q0, out)
-        }
-        FilterStage::Ungapped(f) => {
-            let (target_pos, query_pos) = (hit.target_pos as usize, hit.query_pos as usize);
-            let seed_len = params
-                .seed_pattern
-                .span()
-                .min(target.len() - target_pos)
-                .min(query.len() - query_pos);
-            let out = ungapped_extend(
-                target,
-                query,
-                target_pos,
-                query_pos,
-                seed_len,
-                &params.scoring,
-                f.xdrop,
-            );
-            let anchor = (out.score >= f.threshold).then_some(Anchor {
-                target_pos: out.anchor_target,
-                query_pos: out.anchor_query,
-                filter_score: out.score,
-            });
-            FilterOutcome {
-                anchor,
-                cells: out.cells,
-            }
-        }
-    }
 }
 
 /// Runs the configured extension from one anchor.
@@ -337,7 +219,7 @@ impl BatchResult {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn filter_batch(
     params: &WgaParams,
-    engine: &mut dyn FilterEngine,
+    engine: &mut FilterEngine<'_>,
     target: &Sequence,
     query: &Sequence,
     hits: &[SeedHit],
@@ -481,7 +363,6 @@ pub(crate) fn extend_anchors(
     obs: Obs<'_>,
 ) {
     let ext_start = Instant::now();
-    obs.add(Counter::AnchorsPassed, anchors.len() as u64);
     let anchors_in = anchors.len() as u64;
     let scode = strand_code(strand);
     let mut buf = obs.buffer();
@@ -526,7 +407,7 @@ pub(crate) fn extend_anchors(
         let Some(ext) = run_extension(params, target, query, anchor) else {
             continue;
         };
-        obs.extension_anchor(ext.stats.tiles, ext.stats.cells, ext.stats.rows);
+        obs.observe(HistKind::ExtendTilesPerAnchor, ext.stats.tiles);
         lane_cells += ext.stats.cells;
         buf.finish(
             anchor_timer,
@@ -550,7 +431,6 @@ pub(crate) fn extend_anchors(
     }
     buf.set_parent(crate::obs::NO_SPAN);
     buf.finish_with_id(lane_timer, lane_id, SpanName::Extend, scode, 0, anchors_in, lane_cells);
-    obs.add(Counter::AlignmentsKept, kept.len() as u64);
     report.counters.alignments_kept += kept.len() as u64;
     report
         .alignments
@@ -595,11 +475,12 @@ pub(crate) fn row_seed_table(
     })
 }
 
-/// Finishes one computed pair: counts it done (failed or not, so a
-/// progress meter reaches `pairs N/N` on a run that is over), freezes
-/// the pair's fault accounting into its counters *before* the record is
-/// journaled so a resumed run replays the same numbers, and appends the
-/// record to the checkpoint journal under supervision.
+/// Finishes one computed pair: freezes the pair's fault accounting into
+/// its counters *before* the record is journaled so a resumed run
+/// replays the same numbers, folds the record into the trace's counters
+/// ([`Obs::pair_done`]; failed or not, so a progress meter reaches
+/// `pairs N/N` on a run that is over), and appends it to the checkpoint
+/// journal under supervision.
 ///
 /// A failed pair (`Err` carrying the panic or fault message) is not
 /// journaled, so a rerun retries it, and its per-pair fault accounting
@@ -615,14 +496,17 @@ pub(crate) fn commit_pair(
     policy: &RetryPolicy,
     obs: Obs<'_>,
 ) -> WgaResult<PairRecord> {
-    obs.add(Counter::PairsDone, 1);
     let faults = obs
         .fault()
         .map(|injector| injector.take_pair(obs.pair()))
         .unwrap_or_default();
     let mut report = match result {
         Ok(report) => report,
-        Err(error) => return Ok(PairRecord::failed(target_chrom, query_chrom, error)),
+        Err(error) => {
+            let record = PairRecord::failed(target_chrom, query_chrom, error);
+            obs.pair_done(&record);
+            return Ok(record);
+        }
     };
     report.counters.faults_injected += faults.injected;
     report.counters.retries += faults.retries;
@@ -635,6 +519,7 @@ pub(crate) fn commit_pair(
         counters: report.counters,
         alignments: report.alignments,
     };
+    obs.pair_done(&record);
     if let Some(journal) = journal {
         let mut buf = obs.buffer();
         let ckpt_timer = buf.start();
@@ -695,33 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn gapped_filter_passes_true_hit() {
-        let (t, q) = sequences();
-        let params = WgaParams::darwin_wga();
-        let out = run_filter(&params, &t, &q, SeedHit::new(420, 420));
-        let anchor = out.anchor.expect("true hit should pass");
-        assert!(anchor.filter_score >= 4000);
-        assert!(out.cells > 0);
-    }
-
-    #[test]
-    fn gapped_filter_rejects_noise() {
-        let (t, q) = sequences();
-        let params = WgaParams::darwin_wga();
-        // A hit in the mismatching flank region.
-        let out = run_filter(&params, &t, &q, SeedHit::new(10, 10));
-        assert!(out.anchor.is_none());
-    }
-
-    #[test]
-    fn ungapped_filter_passes_true_hit() {
-        let (t, q) = sequences();
-        let params = WgaParams::lastz_baseline();
-        let out = run_filter(&params, &t, &q, SeedHit::new(420, 420));
-        assert!(out.anchor.is_some());
-    }
-
-    #[test]
     fn extension_produces_full_alignment() {
         let (t, q) = sequences();
         let params = WgaParams::darwin_wga();
@@ -732,15 +590,5 @@ mod tests {
         };
         let ext = run_extension(&params, &t, &q, anchor).expect("alignment");
         assert!(ext.alignment.matches() >= 120);
-    }
-
-    #[test]
-    fn filter_near_sequence_edges_does_not_panic() {
-        let (t, q) = sequences();
-        for params in [WgaParams::darwin_wga(), WgaParams::lastz_baseline()] {
-            let _ = run_filter(&params, &t, &q, SeedHit::new(0, 0));
-            let last = SeedHit::new(t.len() - 20, q.len() - 20);
-            let _ = run_filter(&params, &t, &q, last);
-        }
     }
 }

@@ -11,10 +11,11 @@ use wga_core::absorb::{merge_into_kept, AbsorptionGrid};
 use wga_core::budget::clamp_hit_count;
 use wga_core::config::{ResourceBudget, WgaParams};
 use wga_core::dataflow::ExecutorKind;
+use wga_core::filter_engine::run_filter;
 use wga_core::genome_pipeline::{align_assemblies_with, AlignOptions, AssemblyReport, LocatedAlignment};
 use wga_core::pipeline::WgaPipeline;
 use wga_core::report::{PairOutcome, RunOutcome, Strand, WgaAlignment};
-use wga_core::stages::{run_extension, run_filter};
+use wga_core::stages::run_extension;
 
 fn synthetic(distance: f64, len: usize, seed: u64) -> SyntheticPair {
     let mut rng = StdRng::seed_from_u64(seed);

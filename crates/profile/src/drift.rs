@@ -3,8 +3,9 @@
 //! `wga align --trace-out` records the accelerator cycle models' output
 //! as `hwsim.bsw` / `hwsim.gactx` spans (cycles in the `cells` field),
 //! computed from the run's own in-memory workload. This module
-//! re-derives that workload *from the trace* — seed spans, counters,
-//! extension tile spans — and replays it through the same models
+//! re-derives that workload *from the trace* — seed spans and counters
+//! (`extend.tile` spans for traces older than the `extend.tiles`
+//! counter) — and replays it through the same models
 //! ([`hwsim::perf::replay_trace_workload`], FPGA config, matching the
 //! recording side in `wga align`). Any gap between recorded and
 //! replayed cycles means the trace no longer captures the workload the
@@ -83,7 +84,10 @@ impl Drift {
     /// gap against the recorded `hwsim.*` spans.
     pub fn compute(trace: &TraceFile) -> Drift {
         let seeds: u64 = trace.spans_named(SpanName::Seed).map(|s| s.cells).sum();
-        let extension_tiles: u64 = trace.spans_named(SpanName::ExtendTile).map(|s| s.items).sum();
+        let extension_tiles = match trace.counters.get(Counter::ExtensionTiles.as_str()) {
+            Some(&tiles) => tiles,
+            None => trace.spans_named(SpanName::ExtendTile).map(|s| s.items).sum(),
+        };
         let (workload, replayed) = replay_trace_workload(
             seeds,
             trace.counter(Counter::FilterTiles.as_str()),

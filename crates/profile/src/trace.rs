@@ -37,7 +37,8 @@ pub struct TraceFile {
     /// Schema-1 spans carry `tid`/`id`/`parent` 0.
     pub spans: Vec<Span>,
     /// Funnel counters by wire name; known counters missing from the
-    /// trace (older schemas) are present with value 0.
+    /// trace (older schemas) are present with value 0, except
+    /// `extend.tiles`, which is present only in traces that carry it.
     pub counters: BTreeMap<String, u64>,
     /// Histograms by kind.
     pub hists: BTreeMap<HistKind, HistRec>,
@@ -57,8 +58,11 @@ impl TraceFile {
 
         let mut schema: Option<u64> = None;
         let mut spans = Vec::new();
+        // `extend.tiles` is newer than the profile report: its absence is
+        // what tells the drift score to sum `extend.tile` spans instead.
         let mut counters: BTreeMap<String, u64> = known_counters
             .iter()
+            .filter(|c| **c != Counter::ExtensionTiles.as_str())
             .map(|c| (c.to_string(), 0u64))
             .collect();
         let mut seen_counters: BTreeMap<String, ()> = BTreeMap::new();

@@ -34,19 +34,24 @@
 //!     `"process"` where `/proc/self/status` is readable. --trace-out
 //!     writes one JSON line per pipeline span plus latency histograms (see DESIGN.md
 //!     "Observability"). --progress keeps a throttled one-line status on
-//!     stderr: pairs done, live cells/s, filter survival, ETA. Neither
-//!     flag changes results. --filter-engine picks the BSW
-//!     implementation for gapped filtering (default `simd`, the
-//!     wavefront engine with explicit SSE2/AVX2 lanes, falling back to
-//!     `batched`, the same wavefront without them, where unsupported;
-//!     results are identical in every case). --shard-size sets the
+//!     stderr: pairs done, cells/s, filter survival, ETA, advancing as
+//!     each chromosome pair finishes (the trace's counters are folded
+//!     from finished pairs). Neither flag changes results.
+//!     --filter-engine picks the BSW kernel for gapped filtering:
+//!     `scalar`, the row-major reference; `batched`, the anti-diagonal
+//!     wavefront in exact 32-bit lanes; `simd` (the default), the same
+//!     wavefront in explicit SSE2/AVX2 16-bit lanes wherever a tile's
+//!     scores fit them. Results are identical in every case, and a
+//!     --checkpoint journal resumes under any engine. --shard-size sets the
 //!     bases per query range (rounded up to whole D-SOFT chunks; default
 //!     2048): a strand is seeded and filtered one range at a time on
 //!     every executor, so a range's seed hits are the most a worker ever
 //!     holds and no strand-long hit list exists. Purely a scheduling
 //!     knob: output is byte-identical for any value. --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
-//!     resumes where it left off. The --max-*/--deadline-ms budgets
+//!     resumes where it left off (at any --filter-engine and
+//!     --shard-size; the other parameters must match). The
+//!     --max-*/--deadline-ms budgets
 //!     bound work per pair; a tripped budget degrades the run
 //!     (truncating the worst-scoring work first) instead of aborting it.
 //!     --fault-plan loads a deterministic fault-injection plan for chaos
@@ -80,7 +85,8 @@
 //!     interrupted run resumes at pair granularity. Output is
 //!     byte-identical across executors, thread counts and shard sizes.
 //!     --progress keeps a throttled matrix-wide status line on stderr
-//!     (chromosome pairs done across all genome pairs, ETA).
+//!     (chromosome pairs done across all genome pairs, ETA), advancing
+//!     as each chromosome pair finishes.
 //!
 //! wga profile report <trace.jsonl> [--json out.json] [--baseline out.json]
 //!                    [--top K] [--max-drift-centi N]
@@ -123,7 +129,8 @@ use darwin_wga::core::json::Json;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::core::supervise::{self, RetryPolicy};
-use darwin_wga::core::{config::WgaParams, maf};
+use darwin_wga::core::config::{ResourceBudget, WgaParams};
+use darwin_wga::core::maf;
 use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -167,6 +174,7 @@ usage:
   wga align <target.fa> <query.fa> [--baseline] [--threads N] [--maf out.maf]
             [--executor barrier|dataflow] [--queue-depth N]
             [--metrics-out metrics.json] [--trace-out trace.jsonl] [--progress]
+            (--progress advances as each chromosome pair finishes)
             [--filter-engine scalar|batched|simd] [--shard-size N]
             [--checkpoint run.journal]
             [--max-seed-hits N] [--max-filter-tiles N]
@@ -227,6 +235,65 @@ fn parse_opt<T: std::str::FromStr>(
     match take_opt(args, flag)? {
         Some(v) => v.parse().map_err(|_| format!("invalid value for {flag}: {v}")),
         None => Ok(default),
+    }
+}
+
+/// The options `align` and `many` share, pulled out of the argument list
+/// before either takes its own.
+struct RunFlags {
+    baseline: bool,
+    progress: bool,
+    threads: usize,
+    executor: ExecutorKind,
+    queue_depth: usize,
+    filter_engine: Option<String>,
+    shard_size: Option<String>,
+    fault_plan: Option<String>,
+    max_retries: u32,
+    stall_timeout_ms: u64,
+}
+
+impl RunFlags {
+    fn take(args: &mut Vec<String>) -> Result<RunFlags, String> {
+        Ok(RunFlags {
+            baseline: take_flag(args, "--baseline"),
+            progress: take_flag(args, "--progress"),
+            threads: parse_opt(args, "--threads", 1)?,
+            executor: parse_opt(args, "--executor", ExecutorKind::Barrier)?,
+            queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
+            filter_engine: take_opt(args, "--filter-engine")?,
+            shard_size: take_opt(args, "--shard-size")?,
+            fault_plan: take_opt(args, "--fault-plan")?,
+            max_retries: parse_opt(args, "--max-retries", 1)?,
+            stall_timeout_ms: parse_opt(args, "--stall-timeout-ms", 0)?,
+        })
+    }
+
+    /// The run's parameters — the preset, its engine and range size, and
+    /// `budget` — validated.
+    fn params(&self, budget: ResourceBudget) -> Result<WgaParams, String> {
+        let mut params = if self.baseline {
+            WgaParams::lastz_baseline()
+        } else {
+            WgaParams::darwin_wga()
+        };
+        if let Some(engine) = &self.filter_engine {
+            params.filter_engine = engine.parse()?;
+        }
+        if let Some(shard) = &self.shard_size {
+            params.shard_bases = shard
+                .parse()
+                .map_err(|_| format!("invalid value for --shard-size: {shard}"))?;
+        }
+        params.budget = budget;
+        params.validate().map_err(|e| e.to_string())?;
+        Ok(params)
+    }
+
+    /// The `--fault-plan`, read and parsed.
+    fn fault_plan(&self) -> Result<Option<Arc<FaultPlan>>, String> {
+        let plan = self.fault_plan.as_ref().map(|p| FaultPlan::from_file(std::path::Path::new(p)));
+        plan.transpose().map(|plan| plan.map(Arc::new)).map_err(|e| e.to_string())
     }
 }
 
@@ -396,24 +463,15 @@ fn cmd_exons(args: &[String]) -> Result<(), String> {
 
 fn cmd_align(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let baseline = take_flag(&mut args, "--baseline");
-    let threads: usize = parse_opt(&mut args, "--threads", 1)?;
-    let executor: ExecutorKind = parse_opt(&mut args, "--executor", ExecutorKind::Barrier)?;
-    let queue_depth: usize = parse_opt(&mut args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?;
+    let run = RunFlags::take(&mut args)?;
     let metrics_out = take_opt(&mut args, "--metrics-out")?;
     let trace_out = take_opt(&mut args, "--trace-out")?;
-    let progress = take_flag(&mut args, "--progress");
     let maf_path = take_opt(&mut args, "--maf")?;
-    let filter_engine = take_opt(&mut args, "--filter-engine")?;
-    let shard_size = take_opt(&mut args, "--shard-size")?;
     let checkpoint = take_opt(&mut args, "--checkpoint")?;
     let max_seed_hits = take_opt(&mut args, "--max-seed-hits")?;
     let max_filter_tiles = take_opt(&mut args, "--max-filter-tiles")?;
     let max_extension_cells = take_opt(&mut args, "--max-extension-cells")?;
     let deadline_ms = take_opt(&mut args, "--deadline-ms")?;
-    let fault_plan_path = take_opt(&mut args, "--fault-plan")?;
-    let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
-    let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
     reject_leftover_options(&args)?;
     if args.len() != 2 {
         return Err(format!("align needs <target.fa> <query.fa>\n{USAGE}"));
@@ -426,20 +484,17 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         .transpose()
     };
 
-    let fault_plan = fault_plan_path
-        .map(|p| FaultPlan::from_file(std::path::Path::new(&p)).map_err(|e| e.to_string()))
-        .transpose()?
-        .map(Arc::new);
+    let fault_plan = run.fault_plan()?;
     // The executors build their own injector from `options.fault_plan`;
     // this one serves the CLI-side hooks (FASTA reads and the
     // metrics/trace sinks). Occurrence spaces are disjoint by hook, so
     // the split never double-injects.
     let cli_injector = fault_plan
         .as_ref()
-        .map(|plan| FaultInjector::new((**plan).clone(), max_retries));
+        .map(|plan| FaultInjector::new((**plan).clone(), run.max_retries));
     let retry_policy = cli_injector.as_ref().map_or(
         RetryPolicy {
-            max_retries,
+            max_retries: run.max_retries,
             ..RetryPolicy::default()
         },
         FaultInjector::policy,
@@ -455,25 +510,12 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     let target = read_supervised(&args[0])?;
     let query = read_supervised(&args[1])?;
 
-    let mut params = if baseline {
-        WgaParams::lastz_baseline()
-    } else {
-        WgaParams::darwin_wga()
-    };
-    if let Some(engine) = filter_engine {
-        params.filter_engine = engine.parse()?;
-    }
-    if let Some(shard) = shard_size {
-        params.shard_bases = shard
-            .parse()
-            .map_err(|_| format!("invalid value for --shard-size: {shard}"))?;
-    }
-    params.budget.max_seed_hits = parse_u64("--max-seed-hits", max_seed_hits)?;
-    params.budget.max_filter_tiles = parse_u64("--max-filter-tiles", max_filter_tiles)?;
-    params.budget.max_extension_cells = parse_u64("--max-extension-cells", max_extension_cells)?;
-    params.budget.deadline = parse_u64("--deadline-ms", deadline_ms)?
-        .map(std::time::Duration::from_millis);
-    params.validate().map_err(|e| e.to_string())?;
+    let params = run.params(ResourceBudget {
+        max_seed_hits: parse_u64("--max-seed-hits", max_seed_hits)?,
+        max_filter_tiles: parse_u64("--max-filter-tiles", max_filter_tiles)?,
+        max_extension_cells: parse_u64("--max-extension-cells", max_extension_cells)?,
+        deadline: parse_u64("--deadline-ms", deadline_ms)?.map(std::time::Duration::from_millis),
+    })?;
     // Stage each output's tmp sibling up front so an unwritable path
     // fails before the run, not after hours of alignment; the final
     // writes go through the atomic tmp+rename path in `durable`.
@@ -487,12 +529,12 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     check_out(&trace_out)?;
     check_out(&maf_path)?;
     let recorder: Option<Arc<TraceRecorder>> =
-        (trace_out.is_some() || progress).then(TraceRecorder::new).map(Arc::new);
+        (trace_out.is_some() || run.progress).then(TraceRecorder::new).map(Arc::new);
     let obs = match &recorder {
         Some(rec) => Obs::new(rec.as_ref()),
         None => Obs::off(),
     };
-    let meter = if progress {
+    let meter = if run.progress {
         recorder
             .clone()
             .map(|rec| ProgressMeter::start(rec, std::time::Duration::from_millis(200)))
@@ -500,12 +542,12 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         None
     };
     let options = AlignOptions {
-        threads,
+        threads: run.threads,
         checkpoint: checkpoint.map(std::path::PathBuf::from),
-        executor,
-        queue_depth,
-        max_retries,
-        stall_timeout_ms,
+        executor: run.executor,
+        queue_depth: run.queue_depth,
+        max_retries: run.max_retries,
+        stall_timeout_ms: run.stall_timeout_ms,
         fault_plan: fault_plan.clone(),
     };
     eprintln!(
@@ -516,7 +558,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         query.name,
         query.len(),
         query.total_bases(),
-        if baseline { "LASTZ-like baseline" } else { "Darwin-WGA" },
+        if run.baseline { "LASTZ-like baseline" } else { "Darwin-WGA" },
     );
 
     let start = std::time::Instant::now();
@@ -673,45 +715,20 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     use darwin_wga::core::pangenome::{self, ManyOptions};
 
     let mut args = args.to_vec();
-    let baseline = take_flag(&mut args, "--baseline");
-    let progress = take_flag(&mut args, "--progress");
-    let threads: usize = parse_opt(&mut args, "--threads", 1)?;
-    let executor: ExecutorKind = parse_opt(&mut args, "--executor", ExecutorKind::Barrier)?;
-    let queue_depth: usize = parse_opt(&mut args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?;
+    let run = RunFlags::take(&mut args)?;
     let knn = take_opt(&mut args, "--knn")?
         .map(|v| v.parse::<usize>().map_err(|_| format!("invalid value for --knn: {v}")))
         .transpose()?;
     let paf_out = take_opt(&mut args, "--paf-out")?;
     let report_out = take_opt(&mut args, "--report-out")?;
-    let filter_engine = take_opt(&mut args, "--filter-engine")?;
-    let shard_size = take_opt(&mut args, "--shard-size")?;
     let checkpoint_dir = take_opt(&mut args, "--checkpoint")?;
-    let fault_plan_path = take_opt(&mut args, "--fault-plan")?;
-    let max_retries: u32 = parse_opt(&mut args, "--max-retries", 1)?;
-    let stall_timeout_ms: u64 = parse_opt(&mut args, "--stall-timeout-ms", 0)?;
     reject_leftover_options(&args)?;
     if args.len() < 2 {
         return Err(format!("many needs at least two genome FASTAs\n{USAGE}"));
     }
 
-    let mut params = if baseline {
-        WgaParams::lastz_baseline()
-    } else {
-        WgaParams::darwin_wga()
-    };
-    if let Some(engine) = filter_engine {
-        params.filter_engine = engine.parse()?;
-    }
-    if let Some(shard) = shard_size {
-        params.shard_bases = shard
-            .parse()
-            .map_err(|_| format!("invalid value for --shard-size: {shard}"))?;
-    }
-    params.validate().map_err(|e| e.to_string())?;
-    let fault_plan = fault_plan_path
-        .map(|p| FaultPlan::from_file(std::path::Path::new(&p)).map_err(|e| e.to_string()))
-        .transpose()?
-        .map(Arc::new);
+    let params = run.params(ResourceBudget::default())?;
+    let fault_plan = run.fault_plan()?;
 
     // Fail unwritable outputs before the run, not after it.
     for path in [&paf_out, &report_out].into_iter().flatten() {
@@ -723,11 +740,11 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         .map(|path| read_assembly(path))
         .collect::<Result<_, _>>()?;
     let options = ManyOptions {
-        threads,
-        executor,
-        queue_depth,
-        max_retries,
-        stall_timeout_ms,
+        threads: run.threads,
+        executor: run.executor,
+        queue_depth: run.queue_depth,
+        max_retries: run.max_retries,
+        stall_timeout_ms: run.stall_timeout_ms,
         fault_plan,
         checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
         knn,
@@ -743,7 +760,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     // --progress runs the whole matrix under a trace recorder: the
     // orchestrator announces the grand chromosome-pair total up front
     // and the meter renders pairs-done / ETA across genome pairs.
-    let recorder: Option<Arc<TraceRecorder>> = progress.then(TraceRecorder::new).map(Arc::new);
+    let recorder: Option<Arc<TraceRecorder>> = run.progress.then(TraceRecorder::new).map(Arc::new);
     let obs = match &recorder {
         Some(rec) => Obs::new(rec.as_ref()),
         None => Obs::off(),

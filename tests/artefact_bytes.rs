@@ -63,6 +63,40 @@ fn golden_journal_resumes_every_pair_into_the_golden_report() {
     let _ = fs::remove_file(&path);
 }
 
+/// The filter engine and the query range size change no output, so they
+/// are not in the parameter fingerprint: a journal cut to 2 of its 4
+/// records resumes into the golden report whichever engine and range
+/// size wrote it and whichever resume it.
+#[test]
+fn a_journal_resumes_across_engines_and_range_sizes() {
+    use darwin_wga::core::config::FilterEngineKind;
+    let (target, query) = (load("t", "golden.target.fa"), load("q", "golden.query.fa"));
+    let path = scratch("engines.journal");
+    let run = |params: &WgaParams| {
+        let options = AlignOptions { checkpoint: Some(path.clone()), ..AlignOptions::default() };
+        align_assemblies_with(params, &target, &query, &options).expect("the journal resumes")
+    };
+    let cut = |text: &str| -> String { text.lines().take(3).map(|line| format!("{line}\n")).collect() };
+    let darwin = WgaParams::darwin_wga;
+    let scalar = WgaParams { shard_bases: 512, ..darwin().with_filter_engine(FilterEngineKind::Scalar) };
+    let batched = WgaParams { shard_bases: 128, ..darwin().with_filter_engine(FilterEngineKind::Batched) };
+    // Written by `scalar` at 512-base ranges, resumed at the defaults; the
+    // fixture, written at the defaults, resumed by `batched` at 128.
+    for (written, resumed) in [(Some(&scalar), darwin()), (None, batched.clone())] {
+        match written {
+            Some(params) => {
+                run(params);
+                fs::write(&path, cut(&fs::read_to_string(&path).unwrap())).unwrap();
+            }
+            None => fs::write(&path, cut(&fixture("golden.journal"))).unwrap(),
+        }
+        let report = run(&resumed);
+        assert_eq!(report.resumed_pairs, 2);
+        assert_eq!(report.canonical_text(), fixture("golden.report.txt"));
+        let _ = fs::remove_file(&path);
+    }
+}
+
 /// Decoding a record and appending it again writes its line back, CRC
 /// included; a fresh journal's header is the fixture's first line.
 #[test]

@@ -1,9 +1,10 @@
 //! Differential-oracle harness: three filter engines against each other.
 //!
-//! `align::bsw_fast` re-derives the banded DP in anti-diagonal order over
-//! reused buffers, and `align::bsw_simd` re-derives it again with explicit
-//! `i16` SIMD lanes (SSE2/AVX2) plus an exact `i32` fallback. This harness
-//! proves both rewrites are *bit-identical* to
+//! `align::bsw_fast::BswBatch` re-derives the banded DP in anti-diagonal
+//! order over reused buffers, in exact `i32` lanes (the `batched` engine,
+//! 16-bit lanes off) or, where a tile's scores fit, in explicit `i16`
+//! SIMD lanes (SSE2/AVX2: the `simd` engine). This harness proves both
+//! are *bit-identical* to
 //! `align::banded::banded_smith_waterman` — same `max_score`, same argmax
 //! coordinates (including the scalar's row-major tie-break), same cell
 //! counts — over thousands of seeded-random tiles, adversarial
@@ -12,10 +13,7 @@
 //! exact same set of tiles at the paper's `H_f = 4000` threshold.
 
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
-use darwin_wga::align::bsw_fast::{
-    banded_smith_waterman_wavefront, bsw_wavefront, BswBatch, ScoreLut, WavefrontScratch,
-};
-use darwin_wga::align::bsw_simd::{banded_smith_waterman_simd, BswSimdBatch, SimdScratch};
+use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::obs::Obs;
 use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
@@ -32,24 +30,19 @@ fn scoring() -> (SubstitutionMatrix, GapPenalties) {
     (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga())
 }
 
-/// Reusable scratch for all three engines under comparison.
-struct Oracle {
-    wave: WavefrontScratch,
-    simd: SimdScratch,
-}
-
-impl Oracle {
-    fn new() -> Oracle {
-        Oracle { wave: WavefrontScratch::new(), simd: SimdScratch::new() }
-    }
+/// One standalone tile through a fresh batch: `simd` off is the
+/// `batched` engine, on the `simd` one.
+fn run_batch(t: &[Base], q: &[Base], band: usize, simd: bool, scratch: &mut BswScratch) -> BandedOutcome {
+    let (w, g) = scoring();
+    BswBatch::new(&w, &g, band, simd).run_tile(Base::codes_of(t), Base::codes_of(q), scratch)
 }
 
 /// Runs all three kernels on one tile and asserts the full outcomes match.
 /// Returns the (shared) outcome so callers can build surviving sets.
-fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut Oracle) -> BandedOutcome {
+fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) -> BandedOutcome {
     let (w, g) = scoring();
     let scalar = banded_smith_waterman(t, q, &w, &g, band);
-    let fast = banded_smith_waterman_wavefront(t, q, &w, &g, band, &mut scratch.wave);
+    let fast = run_batch(t, q, band, false, scratch);
     assert_eq!(
         scalar,
         fast,
@@ -57,7 +50,7 @@ fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut Oracle) -> Band
         t.len(),
         q.len()
     );
-    let simd = banded_smith_waterman_simd(t, q, &w, &g, band, &mut scratch.simd);
+    let simd = run_batch(t, q, band, true, scratch);
     assert_eq!(
         scalar,
         simd,
@@ -102,7 +95,7 @@ fn mutate(rng: &mut StdRng, t: &[Base], sub_p: f64, indel_p: f64) -> Vec<Base> {
 
 #[test]
 fn thousand_seeded_random_tiles_are_identical() {
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     let bands = [1usize, 2, 3, 8, 32, 64, 513];
     let mut tiles = 0u64;
     // Unrelated random sequences (noise tiles: the filter's common case).
@@ -153,7 +146,7 @@ fn thousand_seeded_random_tiles_are_identical() {
 fn adversarial_all_gap_tiles() {
     // Optimal paths forced through long gaps: the query is the target
     // with a large block deleted / the target with a block inserted.
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     let mut rng = StdRng::seed_from_u64(77);
     for &(block, band) in &[(10usize, 32usize), (40, 32), (31, 32), (33, 32), (64, 80)] {
         let t = random_bases(&mut rng, 320, 0);
@@ -174,7 +167,7 @@ fn adversarial_homopolymer_ties() {
     // reaches the same maximum, so the argmax is decided purely by the
     // scalar's row-major first-improvement rule. Any tie-break slip in
     // the wavefront order shows up here.
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     for (n, m) in [(60usize, 60usize), (60, 45), (45, 60), (320, 317), (1, 300)] {
         let t = vec![Base::A; n];
         let q = vec![Base::A; m];
@@ -196,7 +189,7 @@ fn adversarial_band_edge_optimum() {
     // query carries a `band`-base prefix insertion, so the best path
     // hugs the edge where out-of-band sentinel reads are adjacent.
     let mut rng = StdRng::seed_from_u64(88);
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     for band in [1usize, 2, 8, 32] {
         let core = random_bases(&mut rng, 200, 0);
         for shift in [band.saturating_sub(1), band, band + 1] {
@@ -211,7 +204,7 @@ fn adversarial_band_edge_optimum() {
 
 #[test]
 fn degenerate_inputs_are_identical() {
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     let (w, g) = scoring();
     for (t, q) in [
         (vec![], vec![]),
@@ -222,10 +215,8 @@ fn degenerate_inputs_are_identical() {
     ] {
         for band in [1usize, 7, 1000] {
             let scalar = banded_smith_waterman(&t, &q, &w, &g, band);
-            let fast = banded_smith_waterman_wavefront(&t, &q, &w, &g, band, &mut scratch.wave);
-            assert_eq!(scalar, fast);
-            let simd = banded_smith_waterman_simd(&t, &q, &w, &g, band, &mut scratch.simd);
-            assert_eq!(scalar, simd);
+            assert_eq!(scalar, run_batch(&t, &q, band, false, &mut scratch));
+            assert_eq!(scalar, run_batch(&t, &q, band, true, &mut scratch));
         }
     }
 }
@@ -235,7 +226,7 @@ fn lane_boundary_adversaries_are_identical() {
     // Tile dimensions chosen to straddle the SIMD lane widths (8 for
     // SSE2, 16 for AVX2): lengths congruent to 0, 1, and lane-1 mod the
     // lane width stress the ragged final vector and the epilogue masking.
-    let mut scratch = Oracle::new();
+    let mut scratch = BswScratch::default();
     let mut rng = StdRng::seed_from_u64(50_505);
     for lane in [8usize, 16] {
         for mult in [1usize, 3, 20] {
@@ -286,10 +277,10 @@ fn surviving_tile_sets_are_identical() {
     let mut rng = StdRng::seed_from_u64(4242);
     let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(0.35), &mut rng);
     let (t, q) = (pair.target.sequence.to_bases(), pair.query.sequence.to_bases());
-    let batch = BswBatch::new(&w, &g, 32);
-    let simd_batch = BswSimdBatch::new(&w, &g, 32);
-    let mut scratch = WavefrontScratch::new();
-    let mut simd_scratch = SimdScratch::new();
+    let batch = BswBatch::new(&w, &g, 32, false);
+    let simd_batch = BswBatch::new(&w, &g, 32, true);
+    let mut scratch = BswScratch::default();
+    let mut simd_scratch = BswScratch::default();
     let mut scalar_survivors = Vec::new();
     let mut batched_survivors = Vec::new();
     let mut simd_survivors = Vec::new();
@@ -328,16 +319,22 @@ fn surviving_tile_sets_are_identical() {
 
 #[test]
 fn encoded_kernel_matches_base_wrapper() {
-    // The low-level encoded entry point and the &[Base] wrapper agree.
+    // One batch and scratch carried across tiles of shrinking and growing
+    // size agree with a fresh batch and scratch per tile, in both lane
+    // widths.
     let (w, g) = scoring();
     let mut rng = StdRng::seed_from_u64(99);
     let t = random_bases(&mut rng, 300, 30);
     let q = mutate(&mut rng, &t, 0.1, 0.05);
-    let lut = ScoreLut::new(&w);
-    let mut scratch = WavefrontScratch::new();
-    let a = bsw_wavefront(Base::codes_of(&t), Base::codes_of(&q), &lut, &g, 32, &mut scratch);
-    let b = banded_smith_waterman_wavefront(&t, &q, &w, &g, 32, &mut scratch);
-    assert_eq!(a, b);
+    for simd in [false, true] {
+        let batch = BswBatch::new(&w, &g, 32, simd);
+        let mut scratch = BswScratch::default();
+        for len in [300, 17, 200, 300] {
+            let (t, q) = (&t[..len], &q[..len.min(q.len())]);
+            let warm = batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut scratch);
+            assert_eq!(warm, run_batch(t, q, 32, simd, &mut BswScratch::default()), "simd={simd} len={len}");
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //!    traces declaring a major above the writer's are rejected.
 //! 3. **Zero drift by construction** — a trace recorded by a real run
 //!    (workload counters + hwsim spans from the same run) replays
-//!    through the cycle models to exactly the recorded figures.
+//!    through the cycle models to exactly the recorded figures, a run
+//!    resumed from a checkpoint journal included.
 //! 4. **The diff gate** — a report diffed against itself passes; a
 //!    perturbed report trips the thresholds.
 
@@ -37,22 +38,21 @@ fn load_assembly(name: &str, file: &str) -> Assembly {
 /// Runs the golden workload with a recorder, emits the hwsim spans the
 /// way `wga align` does, and returns the serialised trace.
 fn golden_trace(threads: usize, executor: ExecutorKind) -> String {
+    traced_run(&AlignOptions {
+        threads,
+        executor,
+        ..AlignOptions::default()
+    })
+}
+
+/// [`golden_trace`] under any options.
+fn traced_run(options: &AlignOptions) -> String {
     let target = load_assembly("golden-target", "golden.target.fa");
     let query = load_assembly("golden-query", "golden.query.fa");
     let recorder = TraceRecorder::new();
     let obs = Obs::new(&recorder);
-    let report = align_assemblies_observed(
-        &WgaParams::darwin_wga(),
-        &target,
-        &query,
-        &AlignOptions {
-            threads,
-            executor,
-            ..AlignOptions::default()
-        },
-        obs,
-    )
-    .expect("golden run succeeds");
+    let report = align_assemblies_observed(&WgaParams::darwin_wga(), &target, &query, options, obs)
+        .expect("golden run succeeds");
     let modeled =
         hwsim::perf::modeled_cycles(&report.workload, &hwsim::AcceleratorConfig::fpga());
     obs.hwsim_spans(
@@ -109,6 +109,38 @@ fn real_run_traces_have_zero_drift_on_every_executor() {
         assert!(drift.workload.filter_tiles > 0);
         assert!(drift.workload.extension_cells > 0);
         assert!(drift.workload.extension_rows > 0);
+    }
+}
+
+/// A run resumed from a journal cut to 2 of its 4 records: the hwsim
+/// spans model every pair of the report, replayed ones included, and so
+/// must the trace's counters, or the drift gate fails a healthy run.
+#[test]
+fn resumed_run_trace_has_zero_drift_on_every_executor() {
+    let golden = fs::read_to_string(data_dir().join("golden.journal")).expect("golden journal");
+    let cut: String = golden.lines().take(3).map(|line| format!("{line}\n")).collect();
+    for (threads, executor) in [(1, ExecutorKind::Barrier), (3, ExecutorKind::Dataflow)] {
+        let path = std::env::temp_dir().join(format!("wga-profile-resume-{}-{threads}.journal", std::process::id()));
+        fs::write(&path, &cut).expect("journal copy");
+        let options = AlignOptions {
+            threads,
+            executor,
+            checkpoint: Some(path.clone()),
+            ..AlignOptions::default()
+        };
+        let trace = TraceFile::parse(&traced_run(&options)).expect("parses");
+        let _ = fs::remove_file(&path);
+        let drift = Drift::compute(&trace);
+        assert_eq!(
+            drift.max_gated_centi(),
+            Some(0),
+            "{executor:?}/{threads}t: bsw {} vs {}, gactx {} vs {}",
+            drift.bsw.recorded_cycles,
+            drift.bsw.replayed_cycles,
+            drift.gactx.recorded_cycles,
+            drift.gactx.replayed_cycles,
+        );
+        assert_eq!(trace.counter("pairs.done"), 4, "{executor:?}/{threads}t");
     }
 }
 

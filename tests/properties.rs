@@ -11,7 +11,7 @@
 //! pipeline outputs.
 
 use darwin_wga::align::banded::banded_smith_waterman;
-use darwin_wga::align::bsw_fast::{banded_smith_waterman_wavefront, WavefrontScratch};
+use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
 use darwin_wga::align::cigar::{AlignOp, Cigar};
 use darwin_wga::align::nw::needleman_wunsch;
 use darwin_wga::align::sw::smith_waterman;
@@ -75,9 +75,9 @@ proptest! {
         prop_assert_eq!(fwd.cells, rev.cells);
         // The swapped argmax must attain the same maximum in the
         // transposed matrix; spot-check via the wavefront engine too.
-        let mut scratch = WavefrontScratch::new();
-        let wf_rev = banded_smith_waterman_wavefront(
-            &q.to_bases(), &t.to_bases(), &w, &g, band, &mut scratch);
+        let (tb, qb) = (t.to_bases(), q.to_bases());
+        let wf_rev = BswBatch::new(&w, &g, band, false)
+            .run_tile(Base::codes_of(&qb), Base::codes_of(&tb), &mut BswScratch::default());
         prop_assert_eq!(rev, wf_rev);
     }
 
@@ -90,9 +90,9 @@ proptest! {
         let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, band);
         prop_assert!(banded.max_score <= full.best_score,
             "banded {} > full {}", banded.max_score, full.best_score);
-        let mut scratch = WavefrontScratch::new();
-        let wf = banded_smith_waterman_wavefront(
-            &t.to_bases(), &q.to_bases(), &w, &g, band, &mut scratch);
+        let (tb, qb) = (t.to_bases(), q.to_bases());
+        let wf = BswBatch::new(&w, &g, band, false)
+            .run_tile(Base::codes_of(&tb), Base::codes_of(&qb), &mut BswScratch::default());
         prop_assert!(wf.max_score <= full.best_score);
         prop_assert_eq!(wf, banded);
     }
