@@ -30,7 +30,7 @@ impl SubstitutionCounts {
     pub fn from_alignment(alignment: &Alignment, target: &Sequence, query: &Sequence) -> Self {
         let mut counts = SubstitutionCounts::default();
         let (mut t, mut q) = (alignment.target_start, alignment.query_start);
-        for &(op, n) in alignment.cigar.runs() {
+        for (op, n) in alignment.cigar.runs() {
             match op {
                 AlignOp::Match | AlignOp::Subst => {
                     let pairs = target.iter().skip(t).zip(query.iter().skip(q));

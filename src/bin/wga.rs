@@ -93,6 +93,7 @@
 //! file name.
 //! ```
 
+use darwin_wga::align::Alignment;
 use darwin_wga::chain::chainer::chain_alignments;
 use darwin_wga::chain::metrics;
 use darwin_wga::core::config::{ResourceBudget, WgaParams};
@@ -398,7 +399,7 @@ fn cmd_exons(args: &[String]) -> Result<(), String> {
 
     // Group alignments per target chromosome.
     use std::collections::HashMap;
-    let mut per_chrom: HashMap<String, Vec<darwin_wga::align::Alignment>> = HashMap::new();
+    let mut per_chrom: HashMap<String, Vec<Alignment>> = HashMap::new();
     for b in blocks {
         per_chrom
             .entry(b.target.name.clone())
@@ -569,20 +570,6 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     );
     if let Some(metrics) = &report.stage_metrics {
         println!("{}", metrics.summary());
-        if let Some(path) = metrics_out.as_ref() {
-            let mut json = metrics.to_json();
-            if let Some(process) = process_memory() {
-                json.push("process", process);
-            }
-            write_sink(
-                path,
-                format!("{json}\n").as_bytes(),
-                Hook::MetricsSink,
-                cli_injector.as_ref(),
-                &retry_policy,
-            )?;
-            println!("stage metrics written to {path}");
-        }
     }
     for pair in &report.pairs {
         match &pair.outcome {
@@ -605,10 +592,10 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     let mut chain_buf = obs.buffer();
     for (ti, tchrom) in target.chromosomes().iter().enumerate() {
         for (qi, qchrom) in query.chromosomes().iter().enumerate() {
-            let alignments: Vec<_> = report
+            let alignments: Vec<&Alignment> = report
                 .for_pair(&tchrom.name, &qchrom.name)
                 .iter()
-                .map(|la| la.aligned.alignment.clone())
+                .map(|la| &la.aligned.alignment)
                 .collect();
             if alignments.is_empty() {
                 continue;
@@ -680,6 +667,23 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         let injector = cli_injector.as_ref();
         write_sink(path, &buf, Hook::TraceSink, injector, &retry_policy)?;
         println!("trace written to {path}");
+    }
+
+    // Last, so the `"process"` high-water covers the whole command:
+    // chaining, the MAF and the trace included.
+    if let (Some(metrics), Some(path)) = (&report.stage_metrics, &metrics_out) {
+        let mut json = metrics.to_json();
+        if let Some(process) = process_memory() {
+            json.push("process", process);
+        }
+        write_sink(
+            path,
+            format!("{json}\n").as_bytes(),
+            Hook::MetricsSink,
+            cli_injector.as_ref(),
+            &retry_policy,
+        )?;
+        println!("stage metrics written to {path}");
     }
     Ok(())
 }

@@ -29,7 +29,7 @@
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::dataflow::ExecutorKind;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions, AssemblyReport};
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::fasta;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -72,6 +72,16 @@ fn load_assembly(name: &str, file: &str) -> Assembly {
         )
     }));
     Assembly::from_fasta(name, reader).expect("checked-in FASTA parses")
+}
+
+/// Every alignment of a finished report holds its CIGAR at 4 bytes a
+/// run and no spare capacity.
+fn assert_exact_cigars(report: &AssemblyReport, run: &str) {
+    assert!(!report.alignments.is_empty(), "{run}: no alignments");
+    for located in &report.alignments {
+        let cigar = &located.aligned.alignment.cigar;
+        assert_eq!(cigar.heap_bytes(), 4 * cigar.runs().len(), "{run}: {cigar}");
+    }
 }
 
 #[test]
@@ -164,6 +174,7 @@ fn golden_report_is_stable_across_engines_and_threads() {
                 got.len(),
                 expected.len()
             );
+            assert_exact_cigars(&report, &format!("{executor:?}/{threads}t"));
             let metrics = report
                 .stage_metrics
                 .expect("every executor reports stage metrics");
@@ -171,6 +182,25 @@ fn golden_report_is_stable_across_engines_and_threads() {
             assert_eq!(metrics.threads, threads);
         }
     }
+}
+
+/// Alignments replayed from the golden journal hold exactly their runs
+/// too: the journal's CIGAR text is parsed into an exact-size CIGAR.
+#[test]
+fn golden_journal_replays_exact_size_cigars() {
+    let target = load_assembly("golden-target", "golden.target.fa");
+    let query = load_assembly("golden-query", "golden.query.fa");
+    let path = std::env::temp_dir().join(format!("wga-golden-exact-{}.journal", std::process::id()));
+    fs::copy(data_dir().join("golden.journal"), &path).unwrap();
+    let options = AlignOptions {
+        checkpoint: Some(path.clone()),
+        ..AlignOptions::default()
+    };
+    let report = align_assemblies_with(&WgaParams::darwin_wga(), &target, &query, &options)
+        .expect("the golden journal resumes");
+    let _ = fs::remove_file(&path);
+    assert_eq!(report.resumed_pairs, 4);
+    assert_exact_cigars(&report, "resumed");
 }
 
 /// One edit of the N golden: `text` over the record's bases from `at`.
