@@ -290,10 +290,8 @@ mod tests {
     fn dataflow_checkpoint_resume_is_byte_identical() {
         let (target, query) = assemblies(707, &[(9_000, 0.2), (7_000, 0.3)]);
         let params = WgaParams::darwin_wga();
-        let path = std::env::temp_dir().join(format!(
-            "wga-dataflow-ckpt-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("wga-dataflow-ckpt-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let opts = AlignOptions {
             threads: 3,
