@@ -6,8 +6,9 @@
 //! extension overlap instead of running to a barrier (PAPER.md §IV).
 //! This module is that architecture in software:
 //!
-//! * a **seeding producer** walks chromosome pairs in canonical order
-//!   and emits per-(pair, strand) tile batches;
+//! * a **seeding producer** walks the target rows one at a time, the row
+//!   with the least work first and a row's pairs smallest first, and
+//!   emits one tile batch per query range of each (pair, strand);
 //! * a **filter worker pool** consumes batches through the shared
 //!   [`crate::filter_engine::FilterContext`] (the BSW array analogue);
 //! * an **extension worker pool** runs GACT-X per independent pair

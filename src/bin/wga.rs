@@ -281,6 +281,23 @@ impl RunFlags {
             .map(|plan| plan.map(Arc::new))
             .map_err(|e| e.to_string())
     }
+
+    /// The supervision of the hooks the CLI fires itself (FASTA reads and
+    /// the metrics/trace sinks): an injector drawn from `plan` and the
+    /// retry policy they run under. The executors build their own
+    /// injector from the same plan; occurrence spaces are disjoint by
+    /// hook, so the split never double-injects.
+    fn cli_supervision(&self, plan: Option<&FaultPlan>) -> (Option<FaultInjector>, RetryPolicy) {
+        let injector = plan.map(|plan| FaultInjector::new(plan.clone(), self.max_retries));
+        let policy = injector.as_ref().map_or(
+            RetryPolicy {
+                max_retries: self.max_retries,
+                ..RetryPolicy::default()
+            },
+            FaultInjector::policy,
+        );
+        (injector, policy)
+    }
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
@@ -364,8 +381,25 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads one genome FASTA under the run's supervision: every attempt
+/// passes the `fasta.read` fault gate, and a failed one is retried under
+/// `policy`. The error names the file, an injected fault's too.
+fn read_genome(
+    path: &str,
+    injector: Option<&FaultInjector>,
+    policy: &RetryPolicy,
+) -> Result<Assembly, String> {
+    supervise::supervised(policy, injector, Hook::FastaRead, PAIRLESS, None, || {
+        read_assembly(path).map_err(|message| WgaError::input(path, message))
+    })
+    .map_err(|e| match e {
+        WgaError::Input { .. } => e.to_string(),
+        injected => format!("{path}: {injected}"),
+    })
+}
+
 fn read_assembly(path: &str) -> Result<Assembly, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let file = File::open(path).map_err(|e| e.to_string())?;
     let name = std::path::Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
@@ -375,9 +409,9 @@ fn read_assembly(path: &str) -> Result<Assembly, String> {
         .metadata()
         .map_or(0, |m| usize::try_from(m.len()).unwrap_or(0));
     let assembly = Assembly::from_fasta_sized(name, BufReader::new(file), byte_len)
-        .map_err(|e| format!("{path}: {e}"))?;
+        .map_err(|e| e.to_string())?;
     if assembly.is_empty() {
-        return Err(format!("{path}: no records"));
+        return Err("no records".into());
     }
     Ok(assembly)
 }
@@ -479,35 +513,9 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     }
 
     let fault_plan = run.fault_plan()?;
-    // The executors build their own injector from `options.fault_plan`;
-    // this one serves the CLI-side hooks (FASTA reads and the
-    // metrics/trace sinks). Occurrence spaces are disjoint by hook, so
-    // the split never double-injects.
-    let cli_injector = fault_plan
-        .as_ref()
-        .map(|plan| FaultInjector::new((**plan).clone(), run.max_retries));
-    let retry_policy = cli_injector.as_ref().map_or(
-        RetryPolicy {
-            max_retries: run.max_retries,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::policy,
-    );
-
-    let read_supervised = |path: &str| -> Result<Assembly, String> {
-        let injector = cli_injector.as_ref();
-        supervise::supervised(
-            &retry_policy,
-            injector,
-            Hook::FastaRead,
-            PAIRLESS,
-            None,
-            || read_assembly(path).map_err(WgaError::config),
-        )
-        .map_err(|e| e.to_string())
-    };
-    let target = read_supervised(&args[0])?;
-    let query = read_supervised(&args[1])?;
+    let (cli_injector, retry_policy) = run.cli_supervision(fault_plan.as_deref());
+    let target = read_genome(&args[0], cli_injector.as_ref(), &retry_policy)?;
+    let query = read_genome(&args[1], cli_injector.as_ref(), &retry_policy)?;
 
     let params = run.params(budget)?;
     // Stage each output's tmp sibling up front so an unwritable path
@@ -704,6 +712,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
 
     let params = run.params(ResourceBudget::default())?;
     let fault_plan = run.fault_plan()?;
+    let (cli_injector, retry_policy) = run.cli_supervision(fault_plan.as_deref());
 
     // Fail unwritable outputs before the run, not after it.
     for path in [&paf_out, &report_out].into_iter().flatten() {
@@ -712,7 +721,7 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
 
     let genomes: Vec<Assembly> = args
         .iter()
-        .map(|path| read_assembly(path))
+        .map(|path| read_genome(path, cli_injector.as_ref(), &retry_policy))
         .collect::<Result<_, _>>()?;
     let options = ManyOptions {
         threads: run.threads,

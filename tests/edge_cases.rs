@@ -548,6 +548,83 @@ mod cli {
         ]);
         assert_option_rejected(&out, "--max-drift-regression-centi");
     }
+
+    /// One side of the checked-in golden pair.
+    fn golden(side: &str) -> String {
+        format!("{}/tests/data/golden.{side}.fa", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// `--executor` picks the schedule of a run on more than one thread
+    /// and changes no output byte; a value naming no schedule is refused.
+    #[test]
+    fn align_executor_changes_no_output_byte() {
+        let dir = empty_dir("executor");
+        let (t, q) = (golden("target"), golden("query"));
+        let maf_of = |flags: &[&str]| -> Vec<u8> {
+            let mut args = vec!["align", t.as_str(), q.as_str(), "--maf", "out.maf"];
+            args.extend_from_slice(flags);
+            let out = wga_in(&dir, &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+            std::fs::read(dir.join("out.maf")).unwrap()
+        };
+        let one_thread = maf_of(&["--threads", "1"]);
+        assert!(one_thread.starts_with(b"##maf") && one_thread.len() > 1_000);
+        for flags in [
+            &["--threads", "2"][..],
+            &["--threads", "2", "--executor", "barrier"],
+            &["--threads", "2", "--executor", "dataflow"],
+        ] {
+            assert!(maf_of(flags) == one_thread, "{flags:?} changed the MAF");
+        }
+        let out = wga_in(&dir, &["align", &t, &q, "--executor", "bogus"]);
+        assert_clean_failure(&out, "invalid value for --executor: bogus");
+    }
+
+    /// Both run subcommands load their genomes through the supervised
+    /// `fasta.read` hook: an injected read error with a retry left
+    /// changes no output byte, and with no retry left the run fails
+    /// naming the file, before it starts.
+    #[test]
+    fn many_and_align_read_their_genomes_under_the_fasta_read_hook() {
+        let dir = empty_dir("fasta-read");
+        let (t, q) = (golden("target"), golden("query"));
+        let plan = dir.join("plan.json");
+        std::fs::write(
+            &plan,
+            r#"{"format":"wga-fault-plan","version":1,"faults":[
+                {"hook":"fasta.read","kind":"error","at":[0]}]}"#,
+        )
+        .unwrap();
+        let plan = plan.to_str().unwrap();
+        let paf_of = |flags: &[&str]| -> Vec<u8> {
+            let mut args = vec!["many", t.as_str(), q.as_str(), "--paf-out", "out.paf"];
+            args.extend_from_slice(flags);
+            let out = wga_in(&dir, &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+            std::fs::read(dir.join("out.paf")).unwrap()
+        };
+        let clean = paf_of(&[]);
+        assert!(!clean.is_empty());
+        assert!(
+            paf_of(&["--fault-plan", plan]) == clean,
+            "the retried read changed the PAF"
+        );
+        for subcommand in ["many", "align"] {
+            let args = [
+                subcommand,
+                &t,
+                &q,
+                "--fault-plan",
+                plan,
+                "--max-retries",
+                "0",
+            ];
+            let out = wga_in(&dir, &args);
+            assert_clean_failure(&out, &format!("{t}: fasta.read: injected I/O error"));
+        }
+    }
 }
 
 #[test]
