@@ -172,8 +172,8 @@ pub struct FaultRule {
     pub kind: FaultKind,
     /// Which occurrences of the hook (per pair) to hit, 0-based.
     pub at: Vec<u64>,
-    /// Restrict to one pair id (`None` = every pair, including
-    /// [`PAIRLESS`] hooks).
+    /// Restrict to one pair id, an index over the run's whole pair
+    /// matrix (`None` = every pair, including [`PAIRLESS`] hooks).
     pub pair: Option<u64>,
     /// Stall duration for [`FaultKind::Latency`], milliseconds.
     pub ms: u64,

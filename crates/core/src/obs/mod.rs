@@ -417,7 +417,6 @@ pub struct Obs<'a> {
     fault: Option<&'a crate::faultsim::FaultInjector>,
     epoch: Instant,
     pair: u64,
-    mute_totals: bool,
 }
 
 impl std::fmt::Debug for Obs<'_> {
@@ -438,7 +437,6 @@ impl Obs<'static> {
             fault: None,
             epoch: Instant::now(),
             pair: NO_PAIR,
-            mute_totals: false,
         }
     }
 }
@@ -451,24 +449,12 @@ impl<'a> Obs<'a> {
             fault: None,
             epoch: Instant::now(),
             pair: NO_PAIR,
-            mute_totals: false,
         }
     }
 
     /// A copy of this handle attributing subsequent spans to `pair`.
     pub fn with_pair(self, pair: u64) -> Obs<'a> {
         Obs { pair, ..self }
-    }
-
-    /// A copy of this handle that drops [`Obs::set_total_pairs`] calls.
-    /// An orchestrator that announces a grand total up front (the
-    /// many-genome driver) hands this to the per-pair pipelines so
-    /// their own per-run totals cannot clobber it.
-    pub fn with_muted_totals(self) -> Obs<'a> {
-        Obs {
-            mute_totals: true,
-            ..self
-        }
     }
 
     /// A copy of this handle carrying (or dropping) a fault injector.
@@ -565,13 +551,10 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Forwards the run's total pair count to the recorder (dropped on
-    /// a [`Obs::with_muted_totals`] handle).
+    /// Forwards the run's total pair count to the recorder.
     pub fn set_total_pairs(&self, pairs: u64) {
         if let Some(rec) = self.rec {
-            if !self.mute_totals {
-                rec.set_total_pairs(pairs);
-            }
+            rec.set_total_pairs(pairs);
         }
     }
 

@@ -21,6 +21,15 @@
 //! table after the row's last extension peaks the same in both, and
 //! fails here by half of what the extension holds.
 //!
+//! Across threads it is the same. The dataflow executor's producer
+//! builds a row's table at the row's first pair and drops it before the
+//! next row's build, so the third test runs two rows at two threads —
+//! long targets, short queries, so the tables dwarf everything else —
+//! and asks that the run peak below the larger table plus half the
+//! smaller. A producer that holds a table past its row fails by half the
+//! smaller table. This one test counts every thread's allocations, not
+//! its own, so it runs alone: the others hold [`ALONE`] shared.
+//!
 //! And beside the table a pair holds no list that follows the *product*
 //! of the two lengths: a strand is seeded and filtered one query range
 //! at a time, so only the survivors outlive a range. The third test runs
@@ -52,9 +61,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use seed::SeedTable;
 use wga_core::config::WgaParams;
-use wga_core::genome_pipeline::{align_assemblies, align_assemblies_observed, AlignOptions};
+use wga_core::dataflow::ExecutorKind;
+use wga_core::genome_pipeline::{align_assemblies, align_assemblies_observed, align_assemblies_with, AlignOptions};
 use wga_core::obs::{Obs, SpanName, TraceRecorder};
 use wga_core::pangenome::{align_many, ManyOptions, ManyReport};
 
@@ -68,11 +80,27 @@ thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator with per-thread accounting: one thread runs the
-/// whole of a one-thread `align_many`.
+/// Bytes every thread has allocated and not yet freed, and their
+/// high-water since the last [`measure_all`] began.
+static ALL_LIVE: AtomicIsize = AtomicIsize::new(0);
+static ALL_PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Held exclusively by the one test that reads [`ALL_LIVE`], shared by
+/// every other.
+static ALONE: RwLock<()> = RwLock::new(());
+
+fn beside_others() -> RwLockReadGuard<'static, ()> {
+    ALONE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The system allocator with per-thread accounting — one thread runs the
+/// whole of a one-thread `align_many` — and a process-wide count.
 struct Counting;
 
 fn resized(from: usize, to: usize) {
+    let delta = to as isize - from as isize;
+    let all = ALL_LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    ALL_PEAK.fetch_max(all, Ordering::Relaxed);
     // `try_with`: the allocator outlives a thread's locals.
     if to > from {
         let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
@@ -132,6 +160,14 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (value, (PEAK.get() - base).max(0) as usize)
 }
 
+/// [`measure`] over every thread: the caller must hold [`ALONE`].
+fn measure_all<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = ALL_LIVE.load(Ordering::Relaxed);
+    ALL_PEAK.store(base, Ordering::Relaxed);
+    let value = f();
+    (value, (ALL_PEAK.load(Ordering::Relaxed) - base).max(0) as usize)
+}
+
 /// What a sequence of `bases` holds: a 2-bit code and an `N` bit a base,
 /// each plane in whole `u64`s.
 fn packed_bytes(bases: usize) -> usize {
@@ -160,6 +196,7 @@ fn run(genomes: &[Assembly]) -> ManyReport {
 
 #[test]
 fn live_heap_of_a_many_genome_run_does_not_grow_with_the_genome_count() {
+    let _shared = beside_others();
     let genomes = six_genomes();
     // Once unmeasured, so the per-thread kernel scratches are grown.
     run(&genomes);
@@ -184,6 +221,7 @@ fn live_heap_of_a_many_genome_run_does_not_grow_with_the_genome_count() {
 
 #[test]
 fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
+    let _shared = beside_others();
     // Long alignments: what the extension holds (its traceback arena
     // above all) is several times what seeding holds beside the table.
     let mut rng = StdRng::seed_from_u64(62);
@@ -239,7 +277,38 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
 }
 
 #[test]
+fn the_dataflow_producer_never_holds_two_rows_tables() {
+    let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = StdRng::seed_from_u64(66);
+    let model = MarkovModel::genome_like();
+    let params = WgaParams::darwin_wga();
+    let mut target = Assembly::new("t");
+    target.push("large", model.generate(400_000, &mut rng));
+    target.push("small", model.generate(200_000, &mut rng));
+    let mut query = Assembly::new("q");
+    query.push("q0", model.generate(2_000, &mut rng));
+    query.push("q1", model.generate(3_000, &mut rng));
+    let table_bytes = |chrom: usize| {
+        let sequence = &target.chromosomes()[chrom].sequence;
+        measure_all(|| SeedTable::build(sequence, &params.seed_pattern, params.max_seed_occurrences)).1
+    };
+    let (large, small) = (table_bytes(0), table_bytes(1));
+    assert!(small > 400 * 1024, "{small} B for the smaller table");
+
+    let options = AlignOptions { threads: 2, executor: ExecutorKind::Dataflow, ..AlignOptions::default() };
+    let run = || align_assemblies_with(&params, &target, &query, &options).expect("run succeeds");
+    // Once unmeasured, so the per-thread kernel scratches are grown.
+    run();
+    let (report, peak) = measure_all(run);
+    assert_eq!((report.pairs.len(), report.failed_pairs()), (4, 0));
+    eprintln!("live-heap high-water over every thread: {peak} B beside tables of {large} and {small} B");
+    assert!(peak >= large, "{peak} B: the larger table was built");
+    assert!(peak < large + small / 2, "{peak} B: both rows' tables of {large} and {small} B were live");
+}
+
+#[test]
 fn a_pair_holds_its_table_and_sequences_not_its_hits() {
+    let _shared = beside_others();
     let mut rng = StdRng::seed_from_u64(63);
     let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(1.3), &mut rng);
     let mut params = WgaParams::darwin_wga();
@@ -284,6 +353,7 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
 
 #[test]
 fn a_fasta_record_is_read_straight_into_its_two_planes() {
+    let _shared = beside_others();
     let bases = 200_000;
     let record = MarkovModel::genome_like().generate(bases, &mut StdRng::seed_from_u64(64));
     let mut file = Vec::new();
@@ -304,6 +374,7 @@ fn a_fasta_record_is_read_straight_into_its_two_planes() {
 
 #[test]
 fn the_generator_allocates_by_the_lineage_not_by_the_event() {
+    let _shared = beside_others();
     let bases = 200_000;
     let params = EvolutionParams::at_distance(1.3);
     let blocks_before = ALLOCATIONS.get();

@@ -61,15 +61,18 @@
 //!
 //! wga many <genome1.fa> <genome2.fa> [more.fa ...]
 //!     Many-genome mode: align every unordered pair of the genome set
-//!     through the pairwise pipeline, sharing one lazily-built seed
-//!     index across the whole matrix (the k-mer frequency cap scales
-//!     with genome count). --knn K aligns only pairs where either
+//!     as one run of the pairwise pipeline over the pair matrix, each
+//!     target chromosome's seed table built once for every genome pair
+//!     with that target (the k-mer frequency cap scales with genome
+//!     count). --knn K aligns only pairs where either
 //!     genome ranks the other among its K nearest by sketch distance.
 //!     Overlapping alignments are deduplicated by a plane sweep;
 //!     --paf-out writes the survivors as PAF and --report-out the
 //!     canonical report, both atomically. --checkpoint names a
 //!     *directory* holding one journal per genome pair, so an
-//!     interrupted run resumes at pair granularity. Output is
+//!     interrupted run resumes at chromosome-pair granularity. A
+//!     --fault-plan's "pair" is a chromosome pair's id over the whole
+//!     matrix. Output is
 //!     byte-identical across executors, thread counts and shard sizes.
 //!     --progress keeps a throttled matrix-wide status line on stderr
 //!     (chromosome pairs done across all genome pairs, ETA), advancing
@@ -732,7 +735,6 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         fault_plan,
         checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
         knn,
-        shared_index: true,
     };
     eprintln!(
         "many-genome alignment: {} genomes, {} total bp, knn={}...",
@@ -741,9 +743,9 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         knn.map_or("all".to_string(), |k| k.to_string()),
     );
 
-    // --progress runs the whole matrix under a trace recorder: the
-    // orchestrator announces the grand chromosome-pair total up front
-    // and the meter renders pairs-done / ETA across genome pairs.
+    // --progress runs the whole matrix under a trace recorder: the one
+    // run announces the matrix's chromosome-pair total up front and the
+    // meter renders pairs-done / ETA across genome pairs.
     let (recorder, meter) = start_recorder(false, run.progress);
     let obs = recorder.as_deref().map_or(Obs::off(), Obs::new);
 
