@@ -21,23 +21,24 @@
 //! stage per pair — a pair is one *stream*, so absorption state never
 //! crosses threads — and emit the finished [`WgaReport`] into `done_q`,
 //! where the collector journals it (the pair is the checkpoint unit,
-//! exactly as in the barrier executor).
+//! exactly as in the one-thread loop).
 //!
 //! Only the queues, pools, guards and watchdog live here. Every step a
 //! pair goes through — [`row_seed_table`], [`seed_lane`], [`seed_range`],
 //! [`filter_batch`], [`fold_batches`], [`extend_anchors`],
 //! [`Journals::commit`], [`assemble`] — is the function the one-thread
-//! and barrier schedules call (see [`crate::stages`]).
+//! loop calls (see [`crate::stages`]).
 //!
 //! # Determinism
 //!
 //! Batches execute and deposit in arbitrary order, each under its
 //! range index; [`fold_batches`] takes them in range order and puts
 //! their survivors back in hit order, so anchors reach
-//! [`extend_anchors`] in the order the barrier executor produces. The collector stores per-pair results by pair id
-//! and the final report is assembled in canonical pair order, making the
-//! output byte-identical to the barrier executor at any thread count
-//! (`tests/golden_report.rs` pins this).
+//! [`extend_anchors`] in the order the one-thread loop produces. The
+//! collector stores per-pair results by pair id and the final report is
+//! assembled in canonical pair order, making the output byte-identical to
+//! `--threads 1` at any thread count (`tests/golden_report.rs` pins
+//! this).
 //!
 //! # Shutdown protocol (deadlock freedom)
 //!
@@ -49,20 +50,19 @@
 //! outside its `catch_unwind` layers still releases the downstream
 //! stages instead of deadlocking the scope.
 //!
-//! # Known divergence from the barrier executor
+//! # Known divergence between `--threads 1` and `--threads N`
 //!
 //! The producer applies the filter-tile budget *statically* (the reverse
 //! strand's clamp assumes every queued forward tile executes). Absent a
 //! deadline or a double-panicked batch, planned == executed and the
-//! clamp is identical to the barrier's; under a mid-pair deadline or a
-//! failed batch with `max_filter_tiles` set on a both-strand run, the
-//! reverse strand may be clamped slightly tighter than the barrier
-//! executor would. Deadline runs are inherently timing-dependent, so no
-//! golden test covers that combination.
+//! clamp is identical to the one-thread loop's; under a mid-pair deadline
+//! or a failed batch with `max_filter_tiles` set on a both-strand run,
+//! the reverse strand may be clamped slightly tighter than at one thread.
+//! Deadline runs are inherently timing-dependent, so no golden test
+//! covers that combination.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
-use crate::dataflow::ExecutorKind;
 use crate::obs::{strand_code, Obs, SpanBuf, SpanName, STRAND_NA};
 
 /// `seq` codes on `queue.wait` spans, naming the queue the worker
@@ -130,7 +130,7 @@ struct Lane<'a> {
     /// seeded.
     seeded: SeededLane,
     /// [`FilterContext`] build wall-clock (counted as filtering time,
-    /// matching the barrier executor's accounting).
+    /// matching the one-thread loop's accounting).
     ctx_time: Duration,
     /// Filter results in the order they were deposited.
     batches: Vec<BatchResult>,
@@ -338,7 +338,7 @@ pub(crate) fn execute(
     });
     if let Some(payload) = escaped {
         // An executor bug, not a pair failure; surface it like the
-        // barrier executor would.
+        // one-thread loop would.
         resume_unwind(payload);
     }
     if let Some(e) = journal_err {
@@ -364,11 +364,9 @@ pub(crate) fn execute(
             })
         });
     let metrics = |total: &AssemblyReport| {
-        let mut metrics =
-            ExecutorMetrics::from_report(ExecutorKind::Dataflow, threads, total, injector);
+        let mut metrics = ExecutorMetrics::from_report(threads, total, injector);
         metrics.queue_depth = queue_depth;
         metrics.stalls_detected = stalls;
-        metrics.extension.workers = threads;
         seed_meter.fill(&mut metrics.seeding, 0);
         filter_meter.fill(&mut metrics.filtering, filter_q.max_occupancy());
         ext_meter.fill(&mut metrics.extension, extend_q.max_occupancy());
@@ -745,7 +743,6 @@ fn stream_pair<'a>(
                 query.seq(),
                 strand,
                 ranges,
-                1,
                 tiles_queued,
                 obs,
             );
@@ -851,7 +848,6 @@ mod tests {
     use super::*;
     use crate::obs::{TraceRecorder, STRAND_FWD};
     use crate::report::{RunEvent, StageKind};
-    use crate::shard::run_sharded;
     use genome::assembly::Assembly;
     use genome::Base;
 
@@ -891,7 +887,6 @@ mod tests {
         assert_eq!(matrix.rows, [vec![0, 1, 4], vec![2, 3, 5]]);
         let options = AlignOptions {
             threads: 2,
-            executor: ExecutorKind::Dataflow,
             ..AlignOptions::default()
         };
         let recorder = TraceRecorder::new();
@@ -923,8 +918,7 @@ mod tests {
     /// list, cut into the same query ranges, keeps every healthy range's
     /// anchors and records exactly one failed batch — the poisoned hit's
     /// range, by the same index — whether the ranges run inline (the
-    /// one-thread schedule), through [`run_sharded`] (barrier) or through
-    /// the dataflow filter pool.
+    /// one-thread schedule) or through the dataflow filter pool.
     #[test]
     fn panicking_batch_is_isolated_on_every_schedule() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
@@ -958,26 +952,24 @@ mod tests {
             );
             (anchors, report)
         };
-        let sharded = |hits: &[SeedHit], threads: usize| {
-            fold(run_sharded(
-                ranges.count(),
-                threads,
-                || ctx.engine(),
-                |engine, i| {
-                    let batch = in_range(hits, i);
-                    filter_batch(
-                        &params,
-                        engine,
-                        &t,
-                        &q,
-                        &batch,
-                        pair_start,
-                        STRAND_FWD,
-                        i,
-                        Obs::off(),
-                    )
-                },
-            ))
+        let inline = |hits: &[SeedHit]| {
+            let mut engine = ctx.engine();
+            let batches = (0..ranges.count()).map(|i| {
+                let batch = in_range(hits, i);
+                let scode = STRAND_FWD;
+                filter_batch(
+                    &params,
+                    &mut engine,
+                    &t,
+                    &q,
+                    &batch,
+                    pair_start,
+                    scode,
+                    i,
+                    Obs::off(),
+                )
+            });
+            fold(batches.collect())
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
@@ -1037,14 +1029,12 @@ mod tests {
             fold(job.lanes.remove(0).batches)
         };
 
-        let (clean, clean_report) = sharded(&hits[..4], 1);
+        let (clean, clean_report) = inline(&hits[..4]);
         assert!(clean_report.events.is_empty());
         assert!(!clean.is_empty());
-        for (schedule, (anchors, report)) in [
-            ("inline", sharded(&hits, 1)),
-            ("run_sharded", sharded(&hits, 4)),
-            ("dataflow pool", pooled(&hits)),
-        ] {
+        for (schedule, (anchors, report)) in
+            [("inline", inline(&hits)), ("dataflow pool", pooled(&hits))]
+        {
             assert_eq!(
                 anchors, clean,
                 "{schedule}: healthy batches keep their anchors"

@@ -1,7 +1,7 @@
 //! The crate's one mutex: `lock()` returns the guard and cannot poison.
 //!
 //! Every mutex in this crate guards state that is valid after any
-//! interleaving (a span list, a result slot, a queue's `VecDeque`, the
+//! interleaving (a span list, a pair's cell, a queue's `VecDeque`, the
 //! fault injector's counters), and every holder that can panic is
 //! already contained by an executor's `catch_unwind`, so a panicked
 //! holder must not wedge the rest of the run. Poison is absorbed here
@@ -20,10 +20,6 @@ impl<T> Mutex<T> {
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 

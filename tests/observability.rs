@@ -4,20 +4,20 @@
 //!
 //! 1. **Inertness** — running with a live [`TraceRecorder`] produces a
 //!    report byte-identical to the checked-in golden report (and hence to
-//!    a recorder-off run) on every executor and thread count. The
+//!    a recorder-off run) on every schedule and thread count. The
 //!    observability layer may observe; it may never perturb.
 //! 2. **Trace schema** — `TraceRecorder::write_trace` emits JSONL that
 //!    the repo's own JSON parser accepts: every span line carries the
 //!    full integer field set and a known span name; every counter line
 //!    carries a known counter name and non-negative value; every
 //!    histogram line carries sorted log2 buckets that sum to its total.
-//! 3. **Metrics universality** — every executor reports
+//! 3. **Metrics universality** — both schedules report
 //!    [`ExecutorMetrics`] whose JSON round-trips through the parser and
-//!    is tagged with the executor that produced it.
+//!    is tagged with the schedule that produced it.
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::dataflow::ExecutorKind;
-use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::obs::{
     Counter, HistKind, Log2Histogram, Obs, SpanName, TraceLine, TraceRecorder, NO_SPAN, STRAND_NA,
@@ -46,12 +46,19 @@ fn golden_inputs() -> (Assembly, Assembly, String) {
     (target, query, expected)
 }
 
+/// The golden pair under the default parameters and `options`.
+fn run_golden(options: &AlignOptions, obs: Obs<'_>) -> AssemblyReport {
+    let (target, query, _) = golden_inputs();
+    align_assemblies_observed(&WgaParams::darwin_wga(), &target, &query, options, obs)
+        .expect("run succeeds")
+}
+
 fn int_field(obj: &Json, key: &str) -> u64 {
     obj.u64(key).unwrap_or_else(|e| panic!("{e} in {obj:?}"))
 }
 
-/// Recorder on vs recorder off: same bytes on every executor × filter
-/// engine × thread count — the "provably inert" acceptance gate. The
+/// Recorder on vs recorder off: same bytes on every filter engine ×
+/// thread count — the "provably inert" acceptance gate. The
 /// schema-2 span fields (tid/id/parent, extend lane spans, queue-wait
 /// spans) must leave the canonical report untouched too.
 #[test]
@@ -63,33 +70,25 @@ fn golden_report_is_identical_with_recorder_on() {
         FilterEngineKind::Simd,
     ] {
         let params = WgaParams::darwin_wga().with_filter_engine(engine);
-        for executor in [ExecutorKind::Barrier, ExecutorKind::Dataflow] {
-            for threads in [1usize, 3] {
-                let options = AlignOptions {
-                    threads,
-                    executor,
-                    ..AlignOptions::default()
-                };
-                let recorder = TraceRecorder::new();
-                let observed = align_assemblies_observed(
-                    &params,
-                    &target,
-                    &query,
-                    &options,
-                    Obs::new(&recorder),
-                )
-                .expect("observed run succeeds");
-                assert_eq!(
-                    observed.canonical_text(),
-                    expected,
-                    "{executor:?}/{engine:?}/{threads}t: recorder changed the report"
-                );
-                // The recorder actually saw the run, i.e. the comparison
-                // above exercised live instrumentation, not a no-op.
-                assert_eq!(recorder.counter(Counter::PairsDone), 4);
-                assert!(recorder.counter(Counter::FilterTiles) > 0);
-                assert!(!recorder.spans().is_empty());
-            }
+        for threads in [1usize, 3] {
+            let options = AlignOptions {
+                threads,
+                ..AlignOptions::default()
+            };
+            let recorder = TraceRecorder::new();
+            let observed =
+                align_assemblies_observed(&params, &target, &query, &options, Obs::new(&recorder))
+                    .expect("observed run succeeds");
+            assert_eq!(
+                observed.canonical_text(),
+                expected,
+                "{engine:?}/{threads}t: recorder changed the report"
+            );
+            // The recorder actually saw the run, i.e. the comparison
+            // above exercised live instrumentation, not a no-op.
+            assert_eq!(recorder.counter(Counter::PairsDone), 4);
+            assert!(recorder.counter(Counter::FilterTiles) > 0);
+            assert!(!recorder.spans().is_empty());
         }
     }
 }
@@ -100,16 +99,8 @@ fn golden_report_is_identical_with_recorder_on() {
 /// histogram lines carry sorted buckets summing to their totals.
 #[test]
 fn trace_jsonl_matches_schema() {
-    let (target, query, _) = golden_inputs();
     let recorder = TraceRecorder::new();
-    let report = align_assemblies_observed(
-        &WgaParams::darwin_wga(),
-        &target,
-        &query,
-        &AlignOptions::default(),
-        Obs::new(&recorder),
-    )
-    .expect("run succeeds");
+    let report = run_golden(&AlignOptions::default(), Obs::new(&recorder));
     assert!(!report.alignments.is_empty());
 
     let mut out = Vec::new();
@@ -208,21 +199,14 @@ fn trace_jsonl_matches_schema() {
 /// A checkpointed run emits `checkpoint` spans, one per computed pair.
 #[test]
 fn checkpointed_run_traces_checkpoint_spans() {
-    let (target, query, _) = golden_inputs();
     let path = std::env::temp_dir().join(format!("wga-obs-ckpt-{}.jsonl", std::process::id()));
     let _ = fs::remove_file(&path);
     let recorder = TraceRecorder::new();
-    align_assemblies_observed(
-        &WgaParams::darwin_wga(),
-        &target,
-        &query,
-        &AlignOptions {
-            checkpoint: Some(path.clone()),
-            ..AlignOptions::default()
-        },
-        Obs::new(&recorder),
-    )
-    .expect("run succeeds");
+    let options = AlignOptions {
+        checkpoint: Some(path.clone()),
+        ..AlignOptions::default()
+    };
+    run_golden(&options, Obs::new(&recorder));
     let _ = fs::remove_file(&path);
     let checkpoints = recorder
         .spans()
@@ -232,28 +216,19 @@ fn checkpointed_run_traces_checkpoint_spans() {
     assert_eq!(checkpoints, 4, "one checkpoint span per journaled pair");
 }
 
-/// Every executor emits metrics; the JSON parses and names its executor.
+/// Both schedules emit metrics; the JSON parses and names the schedule.
 #[test]
 fn metrics_json_is_valid_on_every_executor() {
-    let (target, query, _) = golden_inputs();
-    for (executor, tag) in [
-        (ExecutorKind::Barrier, "barrier"),
-        (ExecutorKind::Dataflow, "dataflow"),
+    for (threads, executor, tag) in [
+        (1, ExecutorKind::Barrier, "barrier"),
+        (2, ExecutorKind::Dataflow, "dataflow"),
     ] {
         let options = AlignOptions {
-            threads: 2,
-            executor,
+            threads,
             ..AlignOptions::default()
         };
-        let report = align_assemblies_observed(
-            &WgaParams::darwin_wga(),
-            &target,
-            &query,
-            &options,
-            Obs::off(),
-        )
-        .expect("run succeeds");
-        let metrics = report.stage_metrics.expect("metrics on every executor");
+        let report = run_golden(&options, Obs::off());
+        let metrics = report.stage_metrics.expect("metrics on both schedules");
         assert_eq!(metrics.executor, executor);
         let doc = json::parse(&metrics.to_json().to_string()).expect("metrics JSON parses");
         assert_eq!(doc.get("executor").and_then(Json::as_str), Some(tag));
@@ -270,7 +245,7 @@ fn metrics_json_is_valid_on_every_executor() {
                 int_field(s, key);
             }
         }
-        // Both executors agree on what work the run contained.
+        // Both schedules agree on what work the run contained.
         assert_eq!(metrics.filtering.items, report.workload.filter_tiles);
         assert_eq!(metrics.seeding.cells, report.workload.seeds);
     }
@@ -279,12 +254,11 @@ fn metrics_json_is_valid_on_every_executor() {
 /// A pair that fails still finishes: with one pair's retry budget
 /// exhausted, `pairs.done` reaches `pairs.total` on every schedule (a
 /// `--progress` meter must not end a finished run at `pairs 3/4` with a
-/// live ETA), and the canonical report is the same on all three.
+/// live ETA), and the canonical report is the same on both.
 #[test]
 fn failed_pair_still_counts_as_done_on_every_schedule() {
     use darwin_wga::core::faultsim::FaultPlan;
 
-    let (target, query, _) = golden_inputs();
     let plan = FaultPlan::parse(concat!(
         "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":13,\"faults\":[",
         "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1,2],\"pair\":1}]}"
@@ -292,35 +266,22 @@ fn failed_pair_still_counts_as_done_on_every_schedule() {
     .expect("fault plan parses");
     let plan = std::sync::Arc::new(plan);
     let mut canon: Vec<String> = Vec::new();
-    for (threads, executor) in [
-        (1, ExecutorKind::Barrier),
-        (3, ExecutorKind::Barrier),
-        (3, ExecutorKind::Dataflow),
-    ] {
+    for threads in [1, 3] {
         let recorder = TraceRecorder::new();
         let options = AlignOptions {
             threads,
-            executor,
             max_retries: 1,
             fault_plan: Some(plan.clone()),
             ..AlignOptions::default()
         };
-        let report = align_assemblies_observed(
-            &WgaParams::darwin_wga(),
-            &target,
-            &query,
-            &options,
-            Obs::new(&recorder),
-        )
-        .expect("run succeeds");
-        assert_eq!(report.failed_pairs(), 1, "{executor:?}@{threads}");
+        let report = run_golden(&options, Obs::new(&recorder));
+        assert_eq!(report.failed_pairs(), 1, "--threads {threads}");
         let progress = recorder.progress();
-        assert_eq!(progress.pairs_total, 4, "{executor:?}@{threads}");
-        assert_eq!(progress.pairs_done, 4, "{executor:?}@{threads}");
+        assert_eq!(progress.pairs_total, 4, "--threads {threads}");
+        assert_eq!(progress.pairs_done, 4, "--threads {threads}");
         canon.push(report.canonical_text());
     }
     assert_eq!(canon[0], canon[1]);
-    assert_eq!(canon[0], canon[2]);
 }
 
 /// A run resumed from the whole golden journal computed nothing: its
@@ -329,45 +290,29 @@ fn failed_pair_still_counts_as_done_on_every_schedule() {
 /// count the replayed pairs as the report does.
 #[test]
 fn fully_resumed_run_spends_no_cells_in_progress() {
-    let (target, query, _) = golden_inputs();
-    for (threads, executor) in [
-        (1, ExecutorKind::Barrier),
-        (3, ExecutorKind::Barrier),
-        (3, ExecutorKind::Dataflow),
-    ] {
+    for threads in [1, 3] {
         let path = std::env::temp_dir().join(format!(
-            "wga-obs-resume-{}-{threads}-{executor:?}.journal",
+            "wga-obs-resume-{}-{threads}.journal",
             std::process::id()
         ));
         fs::copy(data_dir().join("golden.journal"), &path).expect("journal copy");
         let recorder = TraceRecorder::new();
         let options = AlignOptions {
             threads,
-            executor,
             checkpoint: Some(path.clone()),
             ..AlignOptions::default()
         };
-        let report = align_assemblies_observed(
-            &WgaParams::darwin_wga(),
-            &target,
-            &query,
-            &options,
-            Obs::new(&recorder),
-        )
-        .expect("the journal resumes");
+        let report = run_golden(&options, Obs::new(&recorder));
         let _ = fs::remove_file(&path);
-        assert_eq!(report.resumed_pairs, 4, "{executor:?}@{threads}");
+        assert_eq!(report.resumed_pairs, 4, "--threads {threads}");
         let progress = recorder.progress();
         assert_eq!(
             (progress.pairs_done, progress.pairs_total, progress.cells),
             (4, 4, 0),
-            "{executor:?}@{threads}"
+            "--threads {threads}"
         );
         let cells = recorder.counter(Counter::FilterCells);
-        assert_eq!(
-            cells, report.counters.filter_cells,
-            "{executor:?}@{threads}"
-        );
+        assert_eq!(cells, report.counters.filter_cells, "--threads {threads}");
         assert!(cells > 0);
     }
 }
@@ -425,20 +370,12 @@ fn span_line_is_byte_stable() {
 /// `extend` lane span recorded by the same thread.
 #[test]
 fn dataflow_run_records_queue_waits_and_extend_lanes() {
-    let (target, query, _) = golden_inputs();
     let recorder = TraceRecorder::new();
-    align_assemblies_observed(
-        &WgaParams::darwin_wga(),
-        &target,
-        &query,
-        &AlignOptions {
-            threads: 3,
-            executor: ExecutorKind::Dataflow,
-            ..AlignOptions::default()
-        },
-        Obs::new(&recorder),
-    )
-    .expect("run succeeds");
+    let options = AlignOptions {
+        threads: 3,
+        ..AlignOptions::default()
+    };
+    run_golden(&options, Obs::new(&recorder));
     let spans = recorder.spans();
 
     let waits: Vec<_> = spans

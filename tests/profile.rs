@@ -9,13 +9,12 @@
 //!    traces declaring a major above the writer's are rejected.
 //! 3. **The trace counts what the report does** — every counter of a
 //!    real run's trace equals the report field it is folded from, on
-//!    every executor, a run resumed from a checkpoint journal included;
+//!    both schedules, a run resumed from a checkpoint journal included;
 //!    so the report's modeled cycles are the report's workload's.
 //! 4. **The diff gate** — a report diffed against itself passes; a
 //!    perturbed report trips the thresholds.
 
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::obs::{Counter, Obs, TraceRecorder};
 use darwin_wga::genome::assembly::Assembly;
@@ -37,10 +36,9 @@ fn load_assembly(name: &str, file: &str) -> Assembly {
 
 /// Runs the golden workload with a recorder and returns the serialised
 /// trace.
-fn golden_trace(threads: usize, executor: ExecutorKind) -> String {
+fn golden_trace(threads: usize) -> String {
     traced_run(&AlignOptions {
         threads,
-        executor,
         ..AlignOptions::default()
     })
     .1
@@ -59,12 +57,9 @@ fn traced_run(options: &AlignOptions) -> (AssemblyReport, String) {
     (report, String::from_utf8(out).expect("trace is UTF-8"))
 }
 
-/// The executors and thread counts every counter check runs on.
-const SCHEDULES: [(usize, ExecutorKind); 3] = [
-    (1, ExecutorKind::Barrier),
-    (3, ExecutorKind::Barrier),
-    (3, ExecutorKind::Dataflow),
-];
+/// The thread counts every counter check runs on: the one-thread loop
+/// and the dataflow executor.
+const SCHEDULES: [usize; 2] = [1, 3];
 
 /// Every counter of `trace` equals the report field it is folded from,
 /// and the profile report models the report's own workload.
@@ -100,7 +95,7 @@ fn assert_counters_equal_report(trace: &str, report: &AssemblyReport, run: &str)
 
 #[test]
 fn report_json_is_byte_identical_for_one_trace() {
-    let trace_text = golden_trace(1, ExecutorKind::Barrier);
+    let trace_text = golden_trace(1);
     let a = ProfileReport::build(&TraceFile::parse(&trace_text).expect("parses"), 5).to_json();
     let b = ProfileReport::build(&TraceFile::parse(&trace_text).expect("parses"), 5).to_json();
     assert_eq!(a, b, "same trace must yield byte-identical reports");
@@ -118,14 +113,13 @@ fn report_json_is_byte_identical_for_one_trace() {
 
 #[test]
 fn fresh_run_trace_counters_equal_the_report_on_every_executor() {
-    for (threads, executor) in SCHEDULES {
+    for threads in SCHEDULES {
         let options = AlignOptions {
             threads,
-            executor,
             ..AlignOptions::default()
         };
         let (report, trace) = traced_run(&options);
-        assert_counters_equal_report(&trace, &report, &format!("{executor:?}@{threads}"));
+        assert_counters_equal_report(&trace, &report, &format!("--threads {threads}"));
     }
 }
 
@@ -139,28 +133,27 @@ fn resumed_run_trace_counters_equal_the_report_on_every_executor() {
         .take(3)
         .map(|line| format!("{line}\n"))
         .collect();
-    for (threads, executor) in SCHEDULES {
+    for threads in SCHEDULES {
         let path = std::env::temp_dir().join(format!(
-            "wga-profile-resume-{}-{threads}-{executor:?}.journal",
+            "wga-profile-resume-{}-{threads}.journal",
             std::process::id()
         ));
         fs::write(&path, &cut).expect("journal copy");
         let options = AlignOptions {
             threads,
-            executor,
             checkpoint: Some(path.clone()),
             ..AlignOptions::default()
         };
         let (report, trace) = traced_run(&options);
         let _ = fs::remove_file(&path);
-        assert_eq!(report.resumed_pairs, 2, "{executor:?}@{threads}");
-        assert_counters_equal_report(&trace, &report, &format!("{executor:?}@{threads} resumed"));
+        assert_eq!(report.resumed_pairs, 2, "--threads {threads}");
+        assert_counters_equal_report(&trace, &report, &format!("--threads {threads} resumed"));
     }
 }
 
 #[test]
 fn attribution_reconstructs_the_timeline() {
-    let trace = TraceFile::parse(&golden_trace(3, ExecutorKind::Dataflow)).expect("parses");
+    let trace = TraceFile::parse(&golden_trace(3)).expect("parses");
     let attr = Attribution::compute(&trace, 5);
     assert_eq!(attr.pairs, 4, "golden workload has 4 chromosome pairs");
     let critical = attr.critical.expect("critical path over a real run");
@@ -189,7 +182,7 @@ fn attribution_reconstructs_the_timeline() {
 
 #[test]
 fn headerless_trace_parses_as_schema_1_and_unknown_major_is_rejected() {
-    let with_header = golden_trace(1, ExecutorKind::Barrier);
+    let with_header = golden_trace(1);
     let headerless: String = with_header
         .lines()
         .filter(|l| !l.starts_with("{\"schema\""))
@@ -208,7 +201,7 @@ fn headerless_trace_parses_as_schema_1_and_unknown_major_is_rejected() {
 
 #[test]
 fn diff_gate_passes_self_and_fails_perturbation() {
-    let trace_text = golden_trace(1, ExecutorKind::Barrier);
+    let trace_text = golden_trace(1);
     let json = ProfileReport::build(&TraceFile::parse(&trace_text).expect("parses"), 5).to_json();
     let summary = diff::ReportSummary::from_json(&json).expect("summary parses");
     let thresholds = diff::Thresholds::default();

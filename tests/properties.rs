@@ -17,15 +17,15 @@ use darwin_wga::align::nw::needleman_wunsch;
 use darwin_wga::align::sw::smith_waterman;
 use darwin_wga::align::xdrop::xdrop_tile;
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::obs::Obs;
-use darwin_wga::core::pipeline::{run_pair, WgaPipeline};
+use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::pipeline::WgaPipeline;
+use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
 use darwin_wga::seed::dsoft::{
     dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams, DsoftResult,
 };
 use darwin_wga::seed::{SeedPattern, SeedTable};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn dna_strategy(min: usize, max: usize) -> impl Strategy<Value = Sequence> {
     prop::collection::vec(0u8..4, min..max)
@@ -242,16 +242,20 @@ proptest! {
         threads in 2usize..9,
         shard_pow in 6usize..11,
     ) {
-        // Tile scheduling order is free: however the self-scheduled
-        // workers interleave shard claims (thread count and shard floor
-        // both randomised), the committed chain output — alignments,
+        // Tile scheduling order is free: however the dataflow filter pool
+        // interleaves the ranges (thread count and range size both
+        // randomised), the committed chain output — alignments,
         // workload, counters — is exactly the serial pipeline's.
         let serial = WgaParams::darwin_wga();
         let sharded = WgaParams { shard_bases: 1 << shard_pow, ..serial.clone() };
         let reference = WgaPipeline::new(serial).run(&t, &q);
-        let table = SeedTable::build(&t, &sharded.seed_pattern, sharded.max_seed_occurrences);
-        let report = run_pair(&sharded, Arc::new(table), &t, &q, threads, Obs::off());
-        prop_assert_eq!(&reference.alignments, &report.alignments);
+        let (mut target, mut query) = (Assembly::new("t"), Assembly::new("q"));
+        target.push("t", t);
+        query.push("q", q);
+        let options = AlignOptions { threads, ..AlignOptions::default() };
+        let report = align_assemblies_with(&sharded, &target, &query, &options).unwrap();
+        let alignments: Vec<_> = report.alignments.into_iter().map(|a| a.aligned).collect();
+        prop_assert_eq!(&reference.alignments, &alignments);
         prop_assert_eq!(&reference.workload, &report.workload);
         prop_assert_eq!(reference.counters, report.counters);
     }
