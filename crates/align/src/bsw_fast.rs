@@ -69,9 +69,9 @@ pub struct BswScratch {
 /// Immutable after construction and `Sync`, so the parallel drivers share
 /// one across all filter workers; each worker brings its own
 /// [`BswScratch`]. Construction decides once whether the scoring fits
-/// 16-bit lanes and which instruction set the host offers;
-/// [`BswBatch::run_tile`] then routes each tile to the widest exact
-/// kernel.
+/// 16-bit lanes and whether the host is x86-64;
+/// [`BswBatch::run_tile`] then routes each tile to the narrowest exact
+/// kernel its size allows.
 ///
 /// # Examples
 ///
@@ -81,11 +81,9 @@ pub struct BswScratch {
 ///
 /// let t = "ACGTACGTACGT".parse::<Sequence>()?.to_bases();
 /// let (w, g) = (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga());
-/// let mut scratch = BswScratch::default();
-/// for simd in [false, true] {
-///     let out = BswBatch::new(&w, &g, 4, simd).run_tile(Base::codes_of(&t), Base::codes_of(&t), &mut scratch);
-///     assert_eq!(out.max_score, 3 * (91 + 100 + 100 + 91));
-/// }
+/// let batch = BswBatch::new(&w, &g, 4);
+/// let out = batch.run_tile(Base::codes_of(&t), Base::codes_of(&t), &mut BswScratch::default());
+/// assert_eq!(out.max_score, 3 * (91 + 100 + 100 + 91));
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -96,19 +94,18 @@ pub struct BswBatch {
     band: usize,
     /// Largest substitution score; bounds achievable V values.
     max_match: i64,
-    /// A tile whose scores fit runs in `i16` lanes: the lanes were asked
-    /// for, the scoring fits them, and the host is x86-64.
+    /// A tile whose scores fit runs in `i16` lanes: the scoring fits
+    /// them and the host is x86-64.
     narrow: bool,
 }
 
 impl BswBatch {
     /// Flattens the scoring into code-indexed tables (entry
     /// `(a << 3) | b` holds `w.score(a, b)`, so a lookup needs no bounds
-    /// check). With `simd` off, or where the scoring or the host rules
-    /// 16-bit lanes out, every tile runs the `i32` kernel; with it on, the
-    /// 16-bit kernel takes AVX2's 16 lanes where the host has them and
-    /// SSE2's 8 otherwise.
-    pub fn new(w: &SubstitutionMatrix, gaps: &GapPenalties, band: usize, simd: bool) -> BswBatch {
+    /// check). Where the scoring or the host rules 16-bit lanes out,
+    /// every tile runs the `i32` kernel; otherwise the 16-bit kernel takes
+    /// AVX2's 16 lanes where the host has them and SSE2's 8 otherwise.
+    pub fn new(w: &SubstitutionMatrix, gaps: &GapPenalties, band: usize) -> BswBatch {
         let (mut lut, mut lut16) = ([0i32; 64], [0i16; 64]);
         let (mut max_match, mut entries_fit) = (0i64, true);
         for a in 0u8..5 {
@@ -127,7 +124,7 @@ impl BswBatch {
         let penalties_fit = gaps.open >= 0
             && gaps.extend >= 0
             && gaps.open.saturating_add(gaps.extend) <= i16::MAX as i32;
-        let narrow = simd && entries_fit && penalties_fit && cfg!(target_arch = "x86_64");
+        let narrow = entries_fit && penalties_fit && cfg!(target_arch = "x86_64");
         BswBatch {
             lut,
             lut16,
@@ -347,25 +344,14 @@ mod tests {
         (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga())
     }
 
-    /// One standalone tile on both kernels, each against the scalar
+    /// One standalone tile through the batch against the scalar
     /// reference.
     fn assert_identical_on(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) {
         let (w, g) = dw();
         let scalar = banded_smith_waterman(t, q, &w, &g, band);
-        for simd in [false, true] {
-            let fast = BswBatch::new(&w, &g, band, simd).run_tile(
-                Base::codes_of(t),
-                Base::codes_of(q),
-                scratch,
-            );
-            assert_eq!(
-                scalar,
-                fast,
-                "simd={simd} band={band} n={} m={}",
-                t.len(),
-                q.len()
-            );
-        }
+        let fast =
+            BswBatch::new(&w, &g, band).run_tile(Base::codes_of(t), Base::codes_of(q), scratch);
+        assert_eq!(scalar, fast, "band={band} n={} m={}", t.len(), q.len());
     }
 
     fn assert_identical(t: &[Base], q: &[Base], band: usize) {
@@ -448,23 +434,22 @@ mod tests {
         let (w, g) = dw();
         let t = seq("ACGT").to_bases();
         let mut scratch = BswScratch::default();
-        for simd in [false, true] {
-            let batch = BswBatch::new(&w, &g, 4, simd);
-            assert_eq!(
-                batch.run_tile(Base::codes_of(&t), &[], &mut scratch),
-                BandedOutcome::default()
-            );
-            assert_eq!(
-                batch.run_tile(&[], Base::codes_of(&t), &mut scratch),
-                BandedOutcome::default()
-            );
-        }
+        let batch = BswBatch::new(&w, &g, 4);
+        assert_eq!(
+            batch.run_tile(Base::codes_of(&t), &[], &mut scratch),
+            BandedOutcome::default()
+        );
+        assert_eq!(
+            batch.run_tile(&[], Base::codes_of(&t), &mut scratch),
+            BandedOutcome::default()
+        );
     }
 
     #[test]
     fn scratch_reuse_across_differently_sized_tiles() {
         let mut scratch = BswScratch::default();
-        for len in [1usize, 7, 64, 3, 320, 5, 17] {
+        // 400 runs the i32 kernel, the rest the i16 lanes on x86-64.
+        for len in [1usize, 7, 64, 3, 320, 5, 400, 17] {
             let t = seq(&"ACGGTCAGT".repeat(len.div_ceil(9))[..len]);
             let q = seq(&"ACGGTCTGT".repeat(len.div_ceil(9))[..len]);
             assert_identical_on(&t.to_bases(), &q.to_bases(), 32, &mut scratch);
@@ -472,15 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn oversized_tiles_run_the_i32_kernel_and_still_match() {
+    fn oversized_tiles_and_wide_penalties_run_the_i32_kernel_and_still_match() {
         // 400 x 400 at max match 100 exceeds the i16 bound (40000), so
-        // the tile must route to the exact i32 kernel.
+        // the tile must route to the exact i32 kernel; so must every tile
+        // of a scoring whose gap open does not fit 16 bits.
         let (w, g) = dw();
         let t = seq(&"ACGT".repeat(100)).to_bases();
-        let batch = BswBatch::new(&w, &g, 32, true);
+        let batch = BswBatch::new(&w, &g, 32);
         assert!(!batch.tile_uses_simd(400, 400));
         assert_eq!(batch.tile_uses_simd(320, 320), cfg!(target_arch = "x86_64"));
-        assert!(!BswBatch::new(&w, &g, 32, false).tile_uses_simd(320, 320));
+        let wide = GapPenalties::new(40_000, 30);
+        assert!(!BswBatch::new(&w, &wide, 32).tile_uses_simd(1, 1));
         assert_identical(&t, &t, 32);
     }
 

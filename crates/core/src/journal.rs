@@ -890,11 +890,7 @@ mod tests {
     #[test]
     fn output_neutral_knobs_leave_the_fingerprint_alone() {
         let fp = params_fingerprint(&WgaParams::darwin_wga());
-        for engine in [
-            FilterEngineKind::Scalar,
-            FilterEngineKind::Batched,
-            FilterEngineKind::Simd,
-        ] {
+        for engine in [FilterEngineKind::Scalar, FilterEngineKind::Simd] {
             let params = WgaParams {
                 shard_bases: 512,
                 ..WgaParams::darwin_wga().with_filter_engine(engine)

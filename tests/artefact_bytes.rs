@@ -97,13 +97,13 @@ fn a_journal_resumes_across_engines_and_range_sizes() {
         shard_bases: 512,
         ..darwin().with_filter_engine(FilterEngineKind::Scalar)
     };
-    let batched = WgaParams {
+    let fine = WgaParams {
         shard_bases: 128,
-        ..darwin().with_filter_engine(FilterEngineKind::Batched)
+        ..darwin()
     };
     // Written by `scalar` at 512-base ranges, resumed at the defaults; the
-    // fixture, written at the defaults, resumed by `batched` at 128.
-    for (written, resumed) in [(Some(&scalar), darwin()), (None, batched.clone())] {
+    // fixture, written at the defaults, resumed at 128-base ranges.
+    for (written, resumed) in [(Some(&scalar), darwin()), (None, fine)] {
         match written {
             Some(params) => {
                 run(params);

@@ -1,16 +1,22 @@
-//! Differential-oracle harness: three filter engines against each other.
+//! Differential-oracle harness: the filter's wavefront batch against the
+//! scalar reference.
 //!
 //! `align::bsw_fast::BswBatch` re-derives the banded DP in anti-diagonal
-//! order over reused buffers, in exact `i32` lanes (the `batched` engine,
-//! 16-bit lanes off) or, where a tile's scores fit, in explicit `i16`
-//! SIMD lanes (SSE2/AVX2: the `simd` engine). This harness proves both
-//! are *bit-identical* to
+//! order over reused buffers, in explicit `i16` SIMD lanes (SSE2/AVX2)
+//! where a tile's scores fit them and in exact `i32` lanes otherwise.
+//! This harness proves both are *bit-identical* to
 //! `align::banded::banded_smith_waterman` — same `max_score`, same argmax
 //! coordinates (including the scalar's row-major tie-break), same cell
 //! counts — over thousands of seeded-random tiles, adversarial
 //! constructions (including lane-boundary lengths and saturation-edge
-//! tiles), and whole-pipeline runs, and that all three engines pass the
+//! tiles), and whole-pipeline runs, and that both engines pass the
 //! exact same set of tiles at the paper's `H_f = 4000` threshold.
+//!
+//! Every tile runs under two scorings, and the batch picks its lanes
+//! from each as it does in production: Darwin's, whose tiles up to 327
+//! bases a side fit the `i16` lanes on x86-64, and the same scoring
+//! × 400, whose entries and gap penalties pass `i16`, so that every tile
+//! of it runs the `i32` kernel on any host.
 
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
@@ -29,41 +35,37 @@ fn scoring() -> (SubstitutionMatrix, GapPenalties) {
     (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga())
 }
 
-/// One standalone tile through a fresh batch: `simd` off is the
-/// `batched` engine, on the `simd` one.
-fn run_batch(
-    t: &[Base],
-    q: &[Base],
-    band: usize,
-    simd: bool,
-    scratch: &mut BswScratch,
-) -> BandedOutcome {
+/// Darwin's scoring × 400: no tile of it fits the `i16` lanes.
+fn wide_scoring() -> (SubstitutionMatrix, GapPenalties) {
     let (w, g) = scoring();
-    BswBatch::new(&w, &g, band, simd).run_tile(Base::codes_of(t), Base::codes_of(q), scratch)
+    let score = |a: usize, b: usize| w.score(Base::from_code(a as u8), Base::from_code(b as u8));
+    let table = std::array::from_fn(|a| std::array::from_fn(|b| 400 * score(a, b)));
+    let gaps = GapPenalties::new(400 * g.open, 400 * g.extend);
+    (SubstitutionMatrix::from_table(table), gaps)
 }
 
-/// Runs all three kernels on one tile and asserts the full outcomes match.
-/// Returns the (shared) outcome so callers can build surviving sets.
+/// Runs one tile through the scalar kernel and a fresh batch under each
+/// scoring, asserts the full outcomes match, and returns Darwin's (so
+/// callers can build surviving sets).
 fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) -> BandedOutcome {
-    let (w, g) = scoring();
-    let scalar = banded_smith_waterman(t, q, &w, &g, band);
-    let fast = run_batch(t, q, band, false, scratch);
-    assert_eq!(
-        scalar,
-        fast,
-        "scalar vs batched disagree: band={band} n={} m={}",
-        t.len(),
-        q.len()
+    let (n, m) = (t.len(), q.len());
+    let [(darwin, _), (_, wide_simd)] = [scoring(), wide_scoring()].map(|(w, g)| {
+        let batch = BswBatch::new(&w, &g, band);
+        let simd = batch.tile_uses_simd(n, m);
+        let scalar = banded_smith_waterman(t, q, &w, &g, band);
+        let fast = batch.run_tile(Base::codes_of(t), Base::codes_of(q), scratch);
+        let max = w.max_score();
+        assert_eq!(
+            scalar, fast,
+            "simd={simd} max match {max}: band={band} n={n} m={m}"
+        );
+        (scalar, simd)
+    });
+    assert!(
+        !wide_simd,
+        "a wide-score tile took the i16 lanes: n={n} m={m}"
     );
-    let simd = run_batch(t, q, band, true, scratch);
-    assert_eq!(
-        scalar,
-        simd,
-        "scalar vs simd disagree: band={band} n={} m={}",
-        t.len(),
-        q.len()
-    );
-    scalar
+    darwin
 }
 
 fn random_bases(rng: &mut StdRng, len: usize, n_fraction_millis: u64) -> Vec<Base> {
@@ -217,7 +219,6 @@ fn adversarial_band_edge_optimum() {
 #[test]
 fn degenerate_inputs_are_identical() {
     let mut scratch = BswScratch::default();
-    let (w, g) = scoring();
     for (t, q) in [
         (vec![], vec![]),
         (vec![Base::A], vec![]),
@@ -226,9 +227,7 @@ fn degenerate_inputs_are_identical() {
         (vec![Base::N; 50], vec![Base::N; 50]),
     ] {
         for band in [1usize, 7, 1000] {
-            let scalar = banded_smith_waterman(&t, &q, &w, &g, band);
-            assert_eq!(scalar, run_batch(&t, &q, band, false, &mut scratch));
-            assert_eq!(scalar, run_batch(&t, &q, band, true, &mut scratch));
+            check_tile(&t, &q, band, &mut scratch);
         }
     }
 }
@@ -290,8 +289,8 @@ fn lane_boundary_adversaries_are_identical() {
 
 #[test]
 fn surviving_tile_sets_are_identical() {
-    // The acceptance property the pipeline actually depends on: all
-    // three engines pass exactly the same tiles at H_f = 4000.
+    // The acceptance property the pipeline actually depends on: both
+    // engines pass exactly the same tiles at H_f = 4000.
     let (w, g) = scoring();
     let mut rng = StdRng::seed_from_u64(4242);
     let pair = SyntheticPair::generate(40_000, &EvolutionParams::at_distance(0.35), &mut rng);
@@ -299,12 +298,9 @@ fn surviving_tile_sets_are_identical() {
         pair.target.sequence.to_bases(),
         pair.query.sequence.to_bases(),
     );
-    let batch = BswBatch::new(&w, &g, 32, false);
-    let simd_batch = BswBatch::new(&w, &g, 32, true);
+    let batch = BswBatch::new(&w, &g, 32);
     let mut scratch = BswScratch::default();
-    let mut simd_scratch = BswScratch::default();
     let mut scalar_survivors = Vec::new();
-    let mut batched_survivors = Vec::new();
     let mut simd_survivors = Vec::new();
     let mut jitter = StdRng::seed_from_u64(4343);
     for k in 0..240usize {
@@ -313,21 +309,15 @@ fn surviving_tile_sets_are_identical() {
         let (tr, qr) = tile_around(tpos, qpos, 320, t.len(), q.len());
         let scalar = banded_smith_waterman(&t[tr.clone()], &q[qr.clone()], &w, &g, 32);
         let (tcodes, qcodes) = (Base::codes_of(&t[tr]), Base::codes_of(&q[qr]));
-        let fast = batch.run_tile(tcodes, qcodes, &mut scratch);
-        assert_eq!(scalar, fast, "tile {k}");
-        let simd = simd_batch.run_tile(tcodes, qcodes, &mut simd_scratch);
-        assert_eq!(scalar, simd, "tile {k} (simd)");
+        let simd = batch.run_tile(tcodes, qcodes, &mut scratch);
+        assert_eq!(scalar, simd, "tile {k}");
         if scalar.max_score >= THRESHOLD {
             scalar_survivors.push(k);
-        }
-        if fast.max_score >= THRESHOLD {
-            batched_survivors.push(k);
         }
         if simd.max_score >= THRESHOLD {
             simd_survivors.push(k);
         }
     }
-    assert_eq!(scalar_survivors, batched_survivors);
     assert_eq!(scalar_survivors, simd_survivors);
     assert!(
         !scalar_survivors.is_empty(),
@@ -342,38 +332,34 @@ fn surviving_tile_sets_are_identical() {
 #[test]
 fn encoded_kernel_matches_base_wrapper() {
     // One batch and scratch carried across tiles of shrinking and growing
-    // size agree with a fresh batch and scratch per tile, in both lane
-    // widths.
-    let (w, g) = scoring();
+    // size agree with a fresh batch and scratch per tile, under both
+    // scorings.
     let mut rng = StdRng::seed_from_u64(99);
     let t = random_bases(&mut rng, 300, 30);
     let q = mutate(&mut rng, &t, 0.1, 0.05);
-    for simd in [false, true] {
-        let batch = BswBatch::new(&w, &g, 32, simd);
+    for (w, g) in [scoring(), wide_scoring()] {
+        let batch = BswBatch::new(&w, &g, 32);
         let mut scratch = BswScratch::default();
         for len in [300, 17, 200, 300] {
             let (t, q) = (&t[..len], &q[..len.min(q.len())]);
-            let warm = batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut scratch);
-            assert_eq!(
-                warm,
-                run_batch(t, q, 32, simd, &mut BswScratch::default()),
-                "simd={simd} len={len}"
-            );
+            let (tcodes, qcodes) = (Base::codes_of(t), Base::codes_of(q));
+            let warm = batch.run_tile(tcodes, qcodes, &mut scratch);
+            let fresh =
+                BswBatch::new(&w, &g, 32).run_tile(tcodes, qcodes, &mut BswScratch::default());
+            assert_eq!(warm, fresh, "max match {} len={len}", w.max_score());
         }
     }
 }
 
 #[test]
 fn whole_pipeline_identical_across_engines_and_threads() {
-    // End-to-end: scalar, batched, and simd engines, serial and parallel
-    // at several widths, all produce the identical report on the same
-    // pair — including with intra-pair sharding forced on via a small
-    // shard size.
+    // End-to-end: both engines, serial and parallel at several widths,
+    // produce the identical report on the same pair — including with
+    // intra-pair sharding forced on via a small shard size.
     let mut rng = StdRng::seed_from_u64(606);
     let pair = SyntheticPair::generate(30_000, &EvolutionParams::at_distance(0.3), &mut rng);
     let (t, q) = (&pair.target.sequence, &pair.query.sequence);
     let scalar_params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Scalar);
-    let batched_params = WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Batched);
     let simd_params = WgaParams {
         shard_bases: 512,
         ..WgaParams::darwin_wga().with_filter_engine(FilterEngineKind::Simd)
@@ -400,13 +386,10 @@ fn whole_pipeline_identical_across_engines_and_threads() {
         "pipeline must produce alignments for the comparison to bite"
     );
     for (name, report) in [
-        ("batched serial", serial(&batched_params)),
         ("simd serial", serial(&simd_params)),
         ("scalar 3 threads", run_parallel(&scalar_params, 3)),
-        ("batched 3 threads", run_parallel(&batched_params, 3)),
         ("simd 3 threads", run_parallel(&simd_params, 3)),
         ("simd 8 threads", run_parallel(&simd_params, 8)),
-        ("batched 8 threads", run_parallel(&batched_params, 8)),
     ] {
         assert_eq!(reference, report, "{name}");
     }

@@ -3,7 +3,7 @@
 //! A deterministic synthetic genome pair is checked in under
 //! `tests/data/` together with the expected [`AssemblyReport`] rendering
 //! (`AssemblyReport::canonical_text`). The test replays the full
-//! seed→filter→extend pipeline over the checked-in FASTA for all **three**
+//! seed→filter→extend pipeline over the checked-in FASTA for **both**
 //! filter engines on **both schedules** — the one-thread loop and the
 //! streaming dataflow executor at 3 threads (and at 8 on the default
 //! engine) — and requires the report to stay byte-identical in every
@@ -85,11 +85,7 @@ fn assert_exact_cigars(report: &AssemblyReport, run: &str) {
     }
 }
 
-const ENGINES: [FilterEngineKind; 3] = [
-    FilterEngineKind::Scalar,
-    FilterEngineKind::Batched,
-    FilterEngineKind::Simd,
-];
+const ENGINES: [FilterEngineKind; 2] = [FilterEngineKind::Scalar, FilterEngineKind::Simd];
 
 /// Runs the pair on `engine` at `threads`, checks that no pair failed and
 /// that the report is the `golden` one's `expected` text, and returns it.

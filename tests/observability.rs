@@ -64,11 +64,7 @@ fn int_field(obj: &Json, key: &str) -> u64 {
 #[test]
 fn golden_report_is_identical_with_recorder_on() {
     let (target, query, expected) = golden_inputs();
-    for engine in [
-        FilterEngineKind::Scalar,
-        FilterEngineKind::Batched,
-        FilterEngineKind::Simd,
-    ] {
+    for engine in [FilterEngineKind::Scalar, FilterEngineKind::Simd] {
         let params = WgaParams::darwin_wga().with_filter_engine(engine);
         for threads in [1usize, 3] {
             let options = AlignOptions {

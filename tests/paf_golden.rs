@@ -2,7 +2,7 @@
 //!
 //! The checked-in genome pair under `tests/data/` (shared with
 //! `golden_report.rs`) runs through many-genome mode and must render
-//! the byte-identical `tests/data/golden.paf` for all three filter engines
+//! the byte-identical `tests/data/golden.paf` for both filter engines
 //! at 1, 3 and 8 threads. A round-trip pass
 //! re-parses every emitted line and checks it against the report it
 //! came from: column count, interval sanity, the reverse-strand query
@@ -67,11 +67,7 @@ fn golden_paf_is_stable_across_engines_executors_and_threads() {
         "golden PAF looks truncated"
     );
 
-    for engine in [
-        FilterEngineKind::Scalar,
-        FilterEngineKind::Batched,
-        FilterEngineKind::Simd,
-    ] {
+    for engine in [FilterEngineKind::Scalar, FilterEngineKind::Simd] {
         let params = WgaParams::darwin_wga().with_filter_engine(engine);
         for threads in [1usize, 3, 8] {
             let options = ManyOptions {
