@@ -189,19 +189,32 @@ mod cli {
         assert_clean_failure(&out, "duplicate record name");
     }
 
+    /// `align` and `many` check every option and output path before they
+    /// read the first input byte: with FASTAs that do not exist, the
+    /// error names the bad value, not the missing file.
     #[test]
-    fn align_rejects_zero_threads() {
-        let good = tmp("threads-good.fa", ">chr1\nACGTACGT\n");
-        let out = wga(&[
-            "align",
-            good.to_str().unwrap(),
-            good.to_str().unwrap(),
-            "--threads",
-            "0",
-        ]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-        assert!(stderr.contains("invalid configuration"), "stderr: {stderr}");
+    fn align_and_many_reject_a_bad_option_before_reading_a_fasta() {
+        let dir = std::env::temp_dir().join(format!("wga-edge-no-such-dir-{}", std::process::id()));
+        let (fa, out) = (dir.join("in.fa"), dir.join("out.maf"));
+        let (fa, out) = (fa.to_str().unwrap(), out.to_str().unwrap());
+        let shared: [(&[&str], &str); 4] = [
+            (&["--threads", "0"], "threads must be"),
+            (&["--threads", "2", "--queue-depth", "0"], "queue depth"),
+            (&["--shard-size", "0"], "shard_bases"),
+            (&["--filter-engine", "batched"], r#""scalar" or "simd""#),
+        ];
+        let align = [(&["--maf", out][..], "out.maf")];
+        let many = [
+            (&["--paf-out", out][..], "out.maf"),
+            (&["--knn", "0"], "knn must be"),
+        ];
+        for (command, own) in [("align", &align[..]), ("many", &many)] {
+            for &(bad, named) in shared.iter().chain(own) {
+                let run = wga(&[&[command, fa, fa][..], bad].concat());
+                assert_clean_failure(&run, named);
+                assert!(!String::from_utf8_lossy(&run.stderr).contains("in.fa"));
+            }
+        }
     }
 
     /// `--metrics-out` / `--trace-out` pointing at an unwritable path
