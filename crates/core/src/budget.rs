@@ -33,9 +33,9 @@ pub struct HitClamp {
 /// (per pair, `tiles_used` consumed so far) to a strand's `hits`-long
 /// hit list.
 ///
-/// The one-thread schedule passes the tiles *executed* so far; the
-/// dataflow producer opens the second strand of a pair while tiles of
-/// the first may still be queued and passes the tiles *queued*.
+/// Both schedules pass the tiles *queued* for filtering so far — the
+/// hits handed to a filter batch, whether or not a deadline or a failed
+/// batch kept them from running — so a clamp never waits on filtering.
 pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitClamp {
     let mut take = hits;
     let mut events = Vec::new();

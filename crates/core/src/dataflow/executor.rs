@@ -1,11 +1,11 @@
-//! The streaming executor: seeding producer → filter pool → extension
-//! pool over bounded queues.
+//! The streaming executor: a seeding producer feeds one worker pool
+//! over bounded queues.
 //!
 //! # Topology
 //!
 //! ```text
-//! producer ──filter_q──▶ filter workers ──extend_q──▶ extension workers ──done_q──▶ collector
-//! (1 thread)  (bounded)   (N threads)     (bounded)    (N threads)        (bounded)  (main thread)
+//! producer ──filter_q──▶ workers ──done_q──▶ collector
+//! (1 thread)  (bounded)  (N threads) (bounded) (main thread)
 //! ```
 //!
 //! The producer walks the target rows one at a time, smallest first,
@@ -14,20 +14,23 @@
 //! into `filter_q` — the hits in flight are bounded by the queue, no
 //! strand's list exists (a budgeted strand is seeded whole first, by
 //! [`seed_lane`], keeping only what the shared clamp of
-//! [`crate::budget`] lets through). Filter workers run batches through
-//! the strand's shared [`FilterContext`] and deposit results into the
-//! pair's cell; once the producer has sealed the pair, whoever leaves it
-//! with no batch outstanding promotes the whole pair into `extend_q`. Extension workers run the sequential anchor-absorption
+//! [`crate::budget`] lets through). Workers run batches through the
+//! strand's shared [`FilterContext`] and deposit results into the
+//! pair's cell. Once the producer has sealed the pair, the worker whose
+//! deposit leaves it with no batch outstanding extends it on the spot;
+//! if none is outstanding at the seal, the producer queues the pair as
+//! an extension task instead of extending it itself, which would stall
+//! seeding behind it. Extension runs the sequential anchor-absorption
 //! stage per pair — a pair is one *stream*, so absorption state never
-//! crosses threads — and emit the finished [`WgaReport`] into `done_q`,
+//! crosses threads — and the finished [`WgaReport`] goes into `done_q`,
 //! where the collector journals it (the pair is the checkpoint unit,
 //! exactly as in the one-thread loop).
 //!
-//! Only the queues, pools, guards and watchdog live here. Every step a
-//! pair goes through — [`row_seed_table`], [`seed_lane`], [`seed_range`],
-//! [`filter_batch`], [`fold_batches`], [`extend_anchors`],
-//! [`Journals::commit`], [`assemble`] — is the function the one-thread
-//! loop calls (see [`crate::stages`]).
+//! Only the queues, the pool, its guard and the watchdog live here.
+//! Every step a pair goes through — [`row_seed_table`], [`seed_lane`],
+//! [`seed_range`], [`filter_batch`], [`fold_batches`],
+//! [`extend_anchors`], [`Journals::commit`], [`assemble`] — is the
+//! function the one-thread loop calls (see [`crate::stages`]).
 //!
 //! # Determinism
 //!
@@ -42,36 +45,24 @@
 //!
 //! # Shutdown protocol (deadlock freedom)
 //!
-//! Queues form an acyclic chain, and each stage closes its *downstream*
-//! queue when it finishes: the producer closes `filter_q` when all pairs
-//! are planned; the last filter worker to exit closes `extend_q`; the
-//! last extension worker closes `done_q`, which ends the collector loop.
-//! The close-on-exit is a `Drop` guard, so even a worker panicking
-//! outside its `catch_unwind` layers still releases the downstream
-//! stages instead of deadlocking the scope.
-//!
-//! # Known divergence between `--threads 1` and `--threads N`
-//!
-//! The producer applies the filter-tile budget *statically* (the reverse
-//! strand's clamp assumes every queued forward tile executes). Absent a
-//! deadline or a double-panicked batch, planned == executed and the
-//! clamp is identical to the one-thread loop's; under a mid-pair deadline
-//! or a failed batch with `max_filter_tiles` set on a both-strand run,
-//! the reverse strand may be clamped slightly tighter than at one thread.
-//! Deadline runs are inherently timing-dependent, so no golden test
-//! covers that combination.
+//! Queues form an acyclic chain — no worker pushes into the queue it
+//! pops — and each stage closes its *downstream* queue when it
+//! finishes: the producer closes `filter_q` when all pairs are planned;
+//! the last worker to exit closes `done_q`, which ends the collector
+//! loop. The close-on-exit is a `Drop` guard, so even a worker panicking
+//! outside its `catch_unwind` layers still releases the collector
+//! instead of deadlocking the scope.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
 use crate::obs::{strand_code, Obs, SpanBuf, SpanName, STRAND_NA};
 
-/// `seq` codes on `queue.wait` spans, naming the queue the worker
-/// blocked on (see `SpanName::QueueWait`).
+/// `seq` codes on `queue.wait` spans, naming the queue a thread blocked
+/// on (see `SpanName::QueueWait`). Code 2 named the retired extension
+/// queue and is not reused, so old traces read the same.
 pub const QUEUE_SEED_PUSH: u64 = 0;
-/// Filter worker blocked popping `filter_q`.
+/// Worker blocked popping `filter_q`.
 pub const QUEUE_FILTER_POP: u64 = 1;
-/// Extension worker blocked popping `extend_q`.
-pub const QUEUE_EXTEND_POP: u64 = 2;
 /// Collector blocked popping `done_q`.
 pub const QUEUE_DONE_POP: u64 = 3;
 use crate::dataflow::queue::BoundedQueue;
@@ -147,11 +138,18 @@ struct PairJob<'a> {
     sealed: bool,
 }
 
-/// One query range's seed hits for the filter pool.
+/// One query range's seed hits for the pool.
 struct FilterTask<'a> {
     stream: Arc<Stream<'a>>,
     batch_idx: usize,
     hits: Vec<SeedHit>,
+}
+
+/// What the pool pops: a range to filter, or a pair that no batch was
+/// outstanding for when the producer sealed it.
+enum Task<'a> {
+    Batch(FilterTask<'a>),
+    Extend(PairJob<'a>),
 }
 
 /// Terminal result of one pair, headed for the collector.
@@ -160,18 +158,18 @@ struct PairDone {
     result: Result<WgaReport, String>,
 }
 
-/// Decrements the pool's live-worker count on drop and closes the
-/// downstream queue when this was the last worker — the stage-shutdown
-/// cascade survives even a panic that escapes a worker's `catch_unwind`.
-struct PoolGuard<'q, T> {
+/// Decrements the pool's live-worker count on drop and closes `done_q`
+/// when this was the last worker — the shutdown cascade survives even a
+/// panic that escapes a worker's `catch_unwind`.
+struct PoolGuard<'q> {
     alive: &'q AtomicUsize,
-    downstream: &'q BoundedQueue<T>,
+    done_q: &'q BoundedQueue<PairDone>,
 }
 
-impl<T> Drop for PoolGuard<'_, T> {
+impl Drop for PoolGuard<'_> {
     fn drop(&mut self) {
         if self.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.downstream.close();
+            self.done_q.close();
         }
     }
 }
@@ -193,8 +191,7 @@ pub(crate) fn execute(
     let queue_depth = options.queue_depth;
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
 
-    let filter_q: BoundedQueue<FilterTask<'_>> = BoundedQueue::new(queue_depth);
-    let extend_q: BoundedQueue<PairJob<'_>> = BoundedQueue::new(queue_depth);
+    let filter_q: BoundedQueue<Task<'_>> = BoundedQueue::new(queue_depth);
     let done_q: BoundedQueue<PairDone> = BoundedQueue::new(queue_depth);
     let cells: Vec<Mutex<Option<PairJob<'_>>>> =
         matrix.pairs.iter().map(|_| Mutex::new(None)).collect();
@@ -202,9 +199,7 @@ pub(crate) fn execute(
 
     let seed_meter = StageMeter::default();
     let filter_meter = StageMeter::default();
-    let ext_meter = StageMeter::default();
-    let filter_alive = AtomicUsize::new(threads);
-    let ext_alive = AtomicUsize::new(threads);
+    let alive = AtomicUsize::new(threads);
 
     // Supervision state: the fault injector rides in on `obs` (built by
     // `align_matrix`), every stage bumps the heartbeat on
@@ -220,7 +215,7 @@ pub(crate) fn execute(
         let mut workers = Vec::new();
         // --- Stall watchdog --------------------------------------------
         if options.stall_timeout_ms > 0 {
-            let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
+            let (filter_q, done_q) = (&filter_q, &done_q);
             let (watchdog_stop, heartbeat, stalls) = (&watchdog_stop, &heartbeat, &stalls);
             let timeout_ms = options.stall_timeout_ms;
             workers.push(scope.spawn(move || {
@@ -230,14 +225,13 @@ pub(crate) fn execute(
                         inj.request_abort();
                     }
                     filter_q.close();
-                    extend_q.close();
                     done_q.close();
                 });
             }));
         }
         // --- Seeding producer ------------------------------------------
         {
-            let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
+            let (filter_q, done_q) = (&filter_q, &done_q);
             let (seed_meter, resumed, heartbeat) = (&seed_meter, &resumed, &heartbeat);
             workers.push(scope.spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -247,7 +241,6 @@ pub(crate) fn execute(
                         resumed,
                         cells,
                         filter_q,
-                        extend_q,
                         done_q,
                         seed_meter,
                         builds,
@@ -256,37 +249,23 @@ pub(crate) fn execute(
                         obs,
                     )
                 }));
-                // Whatever happened, release the filter pool.
+                // Whatever happened, release the pool.
                 filter_q.close();
             }));
         }
 
-        // --- Filter and extension worker pools -------------------------
+        // --- Worker pool ----------------------------------------------
         for _ in 0..threads {
-            let (filter_q, extend_q, done_q) = (&filter_q, &extend_q, &done_q);
-            let (filter_meter, filter_alive) = (&filter_meter, &filter_alive);
-            let (ext_meter, ext_alive) = (&ext_meter, &ext_alive);
-            let heartbeat = &heartbeat;
+            let (filter_q, done_q) = (&filter_q, &done_q);
+            let (filter_meter, alive, heartbeat) = (&filter_meter, &alive, &heartbeat);
             workers.push(scope.spawn(move || {
-                filter_worker(
+                worker(
                     params,
                     filter_q,
-                    extend_q,
-                    cells,
-                    filter_alive,
-                    filter_meter,
-                    heartbeat,
-                    retry_policy,
-                    obs,
-                )
-            }));
-            workers.push(scope.spawn(move || {
-                extend_worker(
-                    params,
-                    extend_q,
                     done_q,
-                    ext_alive,
-                    ext_meter,
+                    cells,
+                    alive,
+                    filter_meter,
                     heartbeat,
                     retry_policy,
                     obs,
@@ -319,7 +298,6 @@ pub(crate) fn execute(
                     // after the scope ends.
                     journal_err = Some(e);
                     filter_q.close();
-                    extend_q.close();
                 }
             }
         }
@@ -369,7 +347,6 @@ pub(crate) fn execute(
         metrics.stalls_detected = stalls;
         seed_meter.fill(&mut metrics.seeding, 0);
         filter_meter.fill(&mut metrics.filtering, filter_q.max_occupancy());
-        ext_meter.fill(&mut metrics.extension, extend_q.max_occupancy());
         metrics
     };
     let run = (&*journals, builds);
@@ -381,7 +358,8 @@ pub(crate) fn execute(
 /// first (ties broken by pair id, so uniform matrices keep the old FIFO
 /// walk), registers each non-resumed pair's cell and streams both its
 /// strands under panic isolation, a range's hits at a time, into
-/// `filter_q` (blocking on backpressure). A row's pairs go back to back,
+/// `filter_q` (blocking on backpressure), then the pair itself if no
+/// batch of it is outstanding by then. A row's pairs go back to back,
 /// so one row's seed table is alive at a time, across every block of
 /// the row; a genome's rows go back to back, so only its blocks'
 /// journals are open. Dispatch order never reaches canonical output: the
@@ -393,8 +371,7 @@ fn produce<'a>(
     matrix: &'a PairMatrix<'a>,
     resumed: &[bool],
     cells: &[Mutex<Option<PairJob<'a>>>],
-    filter_q: &BoundedQueue<FilterTask<'a>>,
-    extend_q: &BoundedQueue<PairJob<'a>>,
+    filter_q: &BoundedQueue<Task<'a>>,
     done_q: &BoundedQueue<PairDone>,
     seed_meter: &StageMeter,
     builds: &TableBuilds,
@@ -454,19 +431,22 @@ fn produce<'a>(
                 )
             });
             let table = table.as_ref().map_err(|message| message.clone())?;
-            // Queues one filter task: `Err` fails the pair, `Ok(false)`
-            // means shutdown is in progress (journal failure).
-            let push = |task: FilterTask<'a>| -> Result<bool, String> {
-                let pair = pair_obs.pair();
-                supervise::supervised(
-                    retry_policy,
-                    injector,
-                    Hook::QueuePush,
-                    pair,
-                    Some(&pair_obs),
-                    || Ok(()),
-                )
-                .map_err(|error| format!("queue.push fault: {error}"))?;
+            // Queues one task: `Err` fails the pair, `Ok(false)` means
+            // shutdown is in progress (journal failure). A batch passes
+            // the `queue.push` gate; a sealed pair does not, since
+            // whether the producer or a worker moves it on is timing.
+            let push = |task: Task<'a>| -> Result<bool, String> {
+                if let Task::Batch(_) = task {
+                    supervise::supervised(
+                        retry_policy,
+                        injector,
+                        Hook::QueuePush,
+                        pair_obs.pair(),
+                        Some(&pair_obs),
+                        || Ok(()),
+                    )
+                    .map_err(|error| format!("queue.push fault: {error}"))?;
+                }
                 let mut wait_buf = obs.buffer();
                 let wait_timer = wait_buf.start();
                 let wait = Instant::now();
@@ -487,9 +467,8 @@ fn produce<'a>(
                 Ok(true)
             };
             let (target, query) = (&pair.target.sequence, &pair.query.sequence);
-            let streamed = stream_pair(
-                params, table, target, query, pair_id, cells, extend_q, push, pair_obs,
-            );
+            let streamed =
+                stream_pair(params, table, target, query, pair_id, cells, push, pair_obs);
             heartbeat.fetch_add(1, Ordering::Relaxed);
             streamed
         };
@@ -503,17 +482,18 @@ fn produce<'a>(
     }
 }
 
-/// One filter-pool worker: pops range batches off `filter_q` until it
-/// closes, runs each through [`filter_batch`] and deposits the result
-/// in the pair's cell. A run of tasks of one strand shares one engine —
-/// its DP scratch is drawn per worker and strand, not per range. The
-/// last of the pool's `alive` workers out — normally or unwinding —
-/// closes `extend_q`.
+/// One pool worker: pops tasks off `filter_q` until it closes. A batch
+/// runs through [`filter_batch`] and is deposited in the pair's cell; a
+/// run of tasks of one strand shares one engine — its DP scratch is
+/// drawn per worker and strand, not per range. The worker whose deposit
+/// completes a sealed pair extends it, as does the worker that pops a
+/// pair ([`finish_pair`]). The last of the pool's `alive` workers out —
+/// normally or unwinding — closes `done_q`.
 #[allow(clippy::too_many_arguments)]
-fn filter_worker<'a>(
+fn worker<'a>(
     params: &WgaParams,
-    filter_q: &BoundedQueue<FilterTask<'a>>,
-    extend_q: &BoundedQueue<PairJob<'a>>,
+    filter_q: &BoundedQueue<Task<'a>>,
+    done_q: &BoundedQueue<PairDone>,
     cells: &[Mutex<Option<PairJob<'a>>>],
     alive: &AtomicUsize,
     meter: &StageMeter,
@@ -521,27 +501,27 @@ fn filter_worker<'a>(
     retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) {
-    let _guard = PoolGuard {
-        alive,
-        downstream: extend_q,
-    };
+    let _guard = PoolGuard { alive, done_q };
     let mut wait_buf = obs.buffer();
     // The next task, with the wait for it metered (a named fn, so
     // `wga-lint` sees this stage's pop beside its push).
     fn pop<'a>(
-        filter_q: &BoundedQueue<FilterTask<'a>>,
+        filter_q: &BoundedQueue<Task<'a>>,
         meter: &StageMeter,
         buf: &mut SpanBuf<'_>,
-    ) -> Option<FilterTask<'a>> {
+    ) -> Option<Task<'a>> {
         let wait_timer = buf.start();
         let wait = Instant::now();
         let task = filter_q.pop()?;
         meter.add_idle(wait.elapsed());
-        let pair = task.stream.pair_id as u64;
+        let pair = match &task {
+            Task::Batch(task) => task.stream.pair_id,
+            Task::Extend(job) => job.pair_id,
+        };
         buf.finish_for_pair(
             wait_timer,
             SpanName::QueueWait,
-            pair,
+            pair as u64,
             STRAND_NA,
             QUEUE_FILTER_POP,
             0,
@@ -551,7 +531,18 @@ fn filter_worker<'a>(
     }
     let mut pop = || pop(filter_q, meter, &mut wait_buf);
     let mut next = pop();
-    while let Some(first) = next.take() {
+    while let Some(task) = next.take() {
+        let first = match task {
+            Task::Batch(first) => first,
+            Task::Extend(job) => {
+                // `false`: `done_q` closed, the watchdog is shutting down.
+                if !finish_pair(params, job, done_q, heartbeat, retry_policy, obs) {
+                    return;
+                }
+                next = pop();
+                continue;
+            }
+        };
         let stream = Arc::clone(&first.stream);
         let mut engine = stream.ctx.engine();
         let pair_obs = obs.with_pair(stream.pair_id as u64);
@@ -588,119 +579,91 @@ fn filter_worker<'a>(
                     BatchResult::failed(batch_idx, hits.len() as u64, message)
                 }
             };
-            // `false` only while a shutdown is racing us; the pair is
-            // then reported as dropped by the final assembly.
-            update_cell(cells, extend_q, stream.pair_id, |job| {
+            let complete = update_cell(cells, stream.pair_id, |job| {
                 job.lanes[stream.lane_idx].batches.push(result);
                 job.outstanding -= 1;
             });
             heartbeat.fetch_add(1, Ordering::Relaxed);
+            if let Some(job) = complete {
+                if !finish_pair(params, job, done_q, heartbeat, retry_policy, obs) {
+                    return;
+                }
+            }
             next = pop();
-            if next
-                .as_ref()
-                .is_some_and(|task| Arc::ptr_eq(&task.stream, &stream))
-            {
-                same_stream = next.take();
+            match next.take() {
+                Some(Task::Batch(task)) if Arc::ptr_eq(&task.stream, &stream) => {
+                    same_stream = Some(task);
+                }
+                other => next = other,
             }
         }
     }
 }
 
-/// One extension-pool worker: pops whole pairs off `extend_q` until it
-/// closes, runs [`extend_pair`] under panic containment and hands the
-/// outcome to the collector. The last of the pool's `alive` workers
-/// out closes `done_q`.
-#[allow(clippy::too_many_arguments)]
-fn extend_worker(
+/// Extends a pair with every batch deposited — under its `queue.pop`
+/// gate and panic containment — and hands the outcome to the collector.
+/// `false` if `done_q` had closed.
+fn finish_pair(
     params: &WgaParams,
-    extend_q: &BoundedQueue<PairJob<'_>>,
+    job: PairJob<'_>,
     done_q: &BoundedQueue<PairDone>,
-    alive: &AtomicUsize,
-    meter: &StageMeter,
     heartbeat: &AtomicU64,
     retry_policy: &RetryPolicy,
     obs: Obs<'_>,
-) {
-    let _guard = PoolGuard {
-        alive,
-        downstream: done_q,
-    };
+) -> bool {
     let injector = obs.fault();
-    let mut wait_buf = obs.buffer();
-    loop {
-        let wait_timer = wait_buf.start();
-        let wait = Instant::now();
-        let Some(job) = extend_q.pop() else { break };
-        meter.add_idle(wait.elapsed());
-        wait_buf.finish_for_pair(
-            wait_timer,
-            SpanName::QueueWait,
-            job.pair_id as u64,
-            STRAND_NA,
-            QUEUE_EXTEND_POP,
-            0,
-            0,
-        );
-        let pair_id = job.pair_id;
-        let pair_obs = obs.with_pair(pair_id as u64);
-        let pair = pair_obs.pair();
-        let gate = supervise::supervised(
-            retry_policy,
-            injector,
-            Hook::QueuePop,
-            pair,
-            Some(&pair_obs),
-            || Ok(()),
-        );
-        // A pair whose retry budget an earlier stage already exhausted
-        // fails here instead of burning extension work — the same
-        // `Failed` the other schedules reach through their pair-level
-        // panic containment.
-        let result = match gate {
-            Err(error) => Err(format!("queue.pop fault: {error}")),
-            Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
-                Err(format!("injected fault: pair {pair_id}: retries exhausted"))
-            }
-            Ok(()) => catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
-                .map_err(|payload| panic_message(payload.as_ref())),
-        };
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-        if done_q.push(PairDone { pair_id, result }).is_err() {
-            break;
+    let pair_id = job.pair_id;
+    let pair_obs = obs.with_pair(pair_id as u64);
+    let pair = pair_obs.pair();
+    let gate = supervise::supervised(
+        retry_policy,
+        injector,
+        Hook::QueuePop,
+        pair,
+        Some(&pair_obs),
+        || Ok(()),
+    );
+    // A pair whose retry budget an earlier stage already exhausted
+    // fails here instead of burning extension work — the same `Failed`
+    // the one-thread loop reaches through its pair-level panic
+    // containment.
+    let result = match gate {
+        Err(error) => Err(format!("queue.pop fault: {error}")),
+        Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
+            Err(format!("injected fault: pair {pair_id}: retries exhausted"))
         }
-    }
+        Ok(()) => catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
+            .map_err(|payload| panic_message(payload.as_ref())),
+    };
+    heartbeat.fetch_add(1, Ordering::Relaxed);
+    done_q.push(PairDone { pair_id, result }).is_ok()
 }
 
 /// Applies `update` to a pair's job under its cell's lock (nothing, if
-/// the pair was cancelled) and then, if the producer has sealed the pair
-/// and no queued batch is outstanding, promotes the job to the extension
-/// queue. `false` if that queue had closed.
+/// the pair was cancelled) and returns the job if that left it sealed
+/// with no batch outstanding: the pair is complete, and the caller
+/// moves it on to extension.
 fn update_cell<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
-    extend_q: &BoundedQueue<PairJob<'a>>,
     pair_id: usize,
     update: impl FnOnce(&mut PairJob<'a>),
-) -> bool {
+) -> Option<PairJob<'a>> {
     let mut slot = cells[pair_id].lock();
-    let Some(job) = slot.as_mut() else {
-        return true;
-    };
+    let job = slot.as_mut()?;
     update(job);
-    if !job.sealed || job.outstanding > 0 {
-        return true;
+    if job.sealed && job.outstanding == 0 {
+        slot.take()
+    } else {
+        None
     }
-    let job = slot.take();
-    drop(slot);
-    job.is_none_or(|job| extend_q.push(job).is_ok())
 }
 
-/// Streams both strands of one pair into the filter pool: registers the
-/// pair's cell, opens each strand ([`seed_lane`]: its chaos gate, and a
-/// budgeted strand's clamp — the reverse strand's charges the forward
-/// strand's *queued* tiles, see module docs for the single divergence
-/// this implies), then seeds range after range, moving each range's hits
-/// into a task for `push`, and seals the pair. `Ok(false)` is `push`'s
-/// (shutdown). On `push`'s `Err` — a fault that survived its retry
+/// Streams both strands of one pair into the pool: registers the pair's
+/// cell, opens each strand ([`seed_lane`]: its chaos gate, and a
+/// budgeted strand's clamp, which charges the tiles queued so far),
+/// then seeds range after range, moving each range's hits into a task
+/// for `push`, and seals the pair — pushing it too if no batch is
+/// outstanding. `Ok(false)` is `push`'s (shutdown). On `push`'s `Err` — a fault that survived its retry
 /// budget — or a panic (a `filter.batch` gate's escalation) the pair is
 /// cancelled: workers find its cell empty and drop their deposits, and
 /// the caller fails it through `done_q`.
@@ -712,8 +675,7 @@ fn stream_pair<'a>(
     query: &'a Sequence,
     pair_id: usize,
     cells: &[Mutex<Option<PairJob<'a>>>],
-    extend_q: &BoundedQueue<PairJob<'a>>,
-    push: impl Fn(FilterTask<'a>) -> Result<bool, String>,
+    push: impl Fn(Task<'a>) -> Result<bool, String>,
     obs: Obs<'_>,
 ) -> Result<bool, String> {
     let pair_start = Instant::now();
@@ -765,7 +727,7 @@ fn stream_pair<'a>(
                 ctx_time,
                 batches: Vec::new(),
             };
-            update_cell(cells, extend_q, pair_id, |job| job.lanes.push(lane));
+            update_cell(cells, pair_id, |job| job.lanes.push(lane));
             let query = stream.query.seq();
             for batch_idx in 0..ranges.count() {
                 let kept = kept.as_deref();
@@ -785,25 +747,24 @@ fn stream_pair<'a>(
                     continue;
                 }
                 tiles_queued += hits.len() as u64;
-                update_cell(cells, extend_q, pair_id, |job| job.outstanding += 1);
-                if !push(FilterTask {
+                update_cell(cells, pair_id, |job| job.outstanding += 1);
+                if !push(Task::Batch(FilterTask {
                     stream: Arc::clone(&stream),
                     batch_idx,
                     hits,
-                })? {
+                }))? {
                     return Ok(false);
                 }
             }
-            update_cell(cells, extend_q, pair_id, |job| {
-                job.lanes[lane_idx].seeded = seeded
-            });
+            update_cell(cells, pair_id, |job| job.lanes[lane_idx].seeded = seeded);
         }
         // No hits anywhere, or every batch already deposited: the pair goes
-        // straight to extension (it still carries seeding counters and
+        // to the pool for extension (it still carries seeding counters and
         // clamp events).
-        Ok(update_cell(cells, extend_q, pair_id, |job| {
-            job.sealed = true
-        }))
+        match update_cell(cells, pair_id, |job| job.sealed = true) {
+            Some(job) => push(Task::Extend(job)),
+            None => Ok(true),
+        }
     }))
     .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
     if streamed.is_err() {
@@ -918,7 +879,8 @@ mod tests {
     /// list, cut into the same query ranges, keeps every healthy range's
     /// anchors and records exactly one failed batch — the poisoned hit's
     /// range, by the same index — whether the ranges run inline (the
-    /// one-thread schedule) or through the dataflow filter pool.
+    /// one-thread schedule) or through the dataflow pool, whose worker
+    /// that deposits the last batch extends the pair.
     #[test]
     fn panicking_batch_is_isolated_on_every_schedule() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
@@ -928,7 +890,6 @@ mod tests {
         params.shard_bases = 256;
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, q.len());
         assert_eq!(ranges.count(), 5);
-        let ctx = FilterContext::new(&params, &t, &q);
         let pair_start = Instant::now();
         // A hit every 320 bp — ranges 0, 1, 2 and 3 — then one in range 4
         // that panics its batch (and the batch's one retry).
@@ -938,22 +899,27 @@ mod tests {
             let of = |hit: &&SeedHit| ranges.index_of(hit.query_pos as usize) == idx;
             hits.iter().filter(of).copied().collect()
         };
-
-        let fold = |batches: Vec<BatchResult>| {
-            let mut report = WgaReport::default();
-            let lane = SeededLane::default();
-            let anchors = fold_batches(
-                &params,
-                lane,
-                Duration::ZERO,
+        let stream = Arc::new(Stream {
+            pair_id: 0,
+            lane_idx: 0,
+            strand: Strand::Forward,
+            pair_start,
+            target: &t,
+            query: StrandSeq::Forward(&q),
+            ctx: FilterContext::new(&params, &t, &q),
+        });
+        let job = |batches| PairJob {
+            lanes: vec![Lane {
+                stream: Arc::clone(&stream),
+                seeded: SeededLane::default(),
+                ctx_time: Duration::ZERO,
                 batches,
-                pair_start,
-                &mut report,
-            );
-            (anchors, report)
+            }],
+            ..PairJob::default()
         };
+
         let inline = |hits: &[SeedHit]| {
-            let mut engine = ctx.engine();
+            let mut engine = stream.ctx.engine();
             let batches = (0..ranges.count()).map(|i| {
                 let batch = in_range(hits, i);
                 let scode = STRAND_FWD;
@@ -969,31 +935,12 @@ mod tests {
                     Obs::off(),
                 )
             });
-            fold(batches.collect())
+            extend_pair(&params, job(batches.collect()), Obs::off())
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
-            let extend_q = BoundedQueue::new(1);
-            let stream = Arc::new(Stream {
-                pair_id: 0,
-                lane_idx: 0,
-                strand: Strand::Forward,
-                pair_start,
-                target: &t,
-                query: StrandSeq::Forward(&q),
-                ctx: FilterContext::new(&params, &t, &q),
-            });
-            let (seeded, ctx_time) = (SeededLane::default(), Duration::ZERO);
-            let lane = Lane {
-                stream: Arc::clone(&stream),
-                seeded,
-                ctx_time,
-                batches: Vec::new(),
-            };
-            let cells = [Mutex::new(Some(PairJob {
-                lanes: vec![lane],
-                ..PairJob::default()
-            }))];
+            let done_q = BoundedQueue::new(1);
+            let cells = [Mutex::new(Some(job(Vec::new())))];
             let alive = AtomicUsize::new(2);
             let (meter, heartbeat) = (StageMeter::default(), AtomicU64::new(0));
             let policy = RetryPolicy::default();
@@ -1001,8 +948,8 @@ mod tests {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let obs = Obs::off();
-                        filter_worker(
-                            &params, &filter_q, &extend_q, &cells, &alive, &meter, &heartbeat,
+                        worker(
+                            &params, &filter_q, &done_q, &cells, &alive, &meter, &heartbeat,
                             &policy, obs,
                         )
                     });
@@ -1013,34 +960,34 @@ mod tests {
                         batch_idx,
                         hits: in_range(hits, batch_idx),
                     };
-                    update_cell(&cells, &extend_q, 0, |job| job.outstanding += 1);
-                    assert!(filter_q.push(task).is_ok());
+                    update_cell(&cells, 0, |job| job.outstanding += 1);
+                    assert!(filter_q.push(Task::Batch(task)).is_ok());
                 }
-                assert!(update_cell(&cells, &extend_q, 0, |job| job.sealed = true));
+                // A worker may have deposited every batch already: then
+                // the seal completes the pair, and it goes to the pool.
+                if let Some(job) = update_cell(&cells, 0, |job| job.sealed = true) {
+                    assert!(filter_q.push(Task::Extend(job)).is_ok());
+                }
                 filter_q.close();
             });
-            let mut job = extend_q
+            let done = done_q
                 .pop()
-                .expect("the last deposit, or the seal, promotes the pair");
-            assert!(
-                extend_q.pop().is_none(),
-                "the last worker out closes extend_q"
-            );
-            fold(job.lanes.remove(0).batches)
+                .expect("the worker that completes the pair extends it");
+            assert!(done_q.pop().is_none(), "the last worker out closes done_q");
+            done.result.expect("a failed batch does not fail the pair")
         };
 
-        let (clean, clean_report) = inline(&hits[..4]);
-        assert!(clean_report.events.is_empty());
-        assert!(!clean.is_empty());
-        for (schedule, (anchors, report)) in
-            [("inline", inline(&hits)), ("dataflow pool", pooled(&hits))]
-        {
+        let clean = inline(&hits[..4]);
+        assert!(clean.events.is_empty());
+        assert!(!clean.alignments.is_empty());
+        for (schedule, report) in [("inline", inline(&hits)), ("dataflow pool", pooled(&hits))] {
             assert_eq!(
-                anchors, clean,
+                (report.counters.anchors_passed, &report.alignments),
+                (clean.counters.anchors_passed, &clean.alignments),
                 "{schedule}: healthy batches keep their anchors"
             );
             assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
-            let cells = clean_report.counters.filter_cells;
+            let cells = clean.counters.filter_cells;
             assert_eq!(
                 report.counters.filter_cells, cells,
                 "{schedule}: the failed batch's cells stay out"

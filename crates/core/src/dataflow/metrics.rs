@@ -5,9 +5,9 @@
 //! stage's items, cells and busy time are read off the run's folded
 //! report ([`ExecutorMetrics::from_report`]) on every executor, so
 //! `--metrics-out` means the same thing on each; the dataflow executor
-//! adds what a report cannot know — the time its pools spent blocked on
-//! their queues ([`StageMeter`]), the queues' high-water marks and the
-//! pool sizes.
+//! adds what a report cannot know — the time its producer and pool
+//! spent blocked on their queues ([`StageMeter`]) and the filter queue's
+//! high-water mark.
 
 use crate::dataflow::ExecutorKind;
 use crate::faultsim::FaultInjector;
@@ -16,7 +16,7 @@ use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Time one dataflow worker pool spent blocked on its queue (a relaxed
+/// Time one dataflow stage spent blocked on its queue (a relaxed
 /// atomic — telemetry, not synchronisation).
 #[derive(Debug, Default)]
 pub(crate) struct StageMeter {
@@ -29,7 +29,7 @@ impl StageMeter {
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Writes the pool's idle time and its input queue's high-water
+    /// Writes the stage's idle time and its input queue's high-water
     /// mark into `stage`.
     pub(crate) fn fill(&self, stage: &mut StageMetrics, max_queue_occupancy: usize) {
         stage.idle_us = self.idle_ns.load(Ordering::Relaxed) / 1_000;
@@ -40,7 +40,8 @@ impl StageMeter {
 /// Snapshot of one stage's telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
-    /// Threads in the stage's worker pool (1 for the seeding producer).
+    /// Threads that run the stage: 1 for the seeding producer, the
+    /// pool's `threads` for filtering and extension (one pool runs both).
     pub workers: usize,
     /// Work items processed: tiles planned (seeding), tiles filtered
     /// (filtering), anchors extended-or-absorbed (extension).
@@ -49,11 +50,13 @@ pub struct StageMetrics {
     pub cells: u64,
     /// Cumulative time workers spent doing work, microseconds.
     pub busy_us: u64,
-    /// Cumulative time workers spent blocked on their input queue,
-    /// microseconds.
+    /// Cumulative time the stage spent blocked on its queue,
+    /// microseconds: the producer pushing `filter_q` (seeding), the pool
+    /// popping it (filtering). Extension has no queue of its own and
+    /// reads 0.
     pub idle_us: u64,
-    /// High-water mark of the stage's *input* queue (0 for seeding,
-    /// which has no input queue).
+    /// High-water mark of the stage's *input* queue: `filter_q` for
+    /// filtering, 0 for seeding and extension, which have none.
     pub max_queue_occupancy: u64,
 }
 
@@ -63,15 +66,15 @@ pub struct ExecutorMetrics {
     /// Which schedule produced these metrics: `Barrier` names the
     /// one-thread loop, `Dataflow` the executor at more threads.
     pub executor: ExecutorKind,
-    /// Worker threads per pool.
+    /// Worker threads in the pool (`--threads`).
     pub threads: usize,
     /// Configured bounded-queue capacity.
     pub queue_depth: usize,
     /// Seeding producer telemetry.
     pub seeding: StageMetrics,
-    /// Filter worker pool telemetry.
+    /// Filtering telemetry: the pool's range batches.
     pub filtering: StageMetrics,
-    /// Extension worker pool telemetry.
+    /// Extension telemetry: the pool's completed pairs.
     pub extension: StageMetrics,
     /// Faults injected by `--fault-plan` across the whole run (zero
     /// outside chaos runs; absent in pre-existing metrics JSON).
@@ -88,16 +91,17 @@ impl ExecutorMetrics {
     /// into `out`: each stage's items, cells and busy time come from the
     /// report (pairs replayed from a journal included, work spent on a
     /// pair that went on to fail excluded), the fault totals from the
-    /// run's injector, and every stage has `threads` workers. Idle time
-    /// and queue occupancy read zero, as in the one-thread loop; the
-    /// dataflow executor overwrites what its pools and queues know.
+    /// run's injector; seeding has one worker, filtering and extension
+    /// `threads`. Idle time and queue occupancy read zero, as in the
+    /// one-thread loop; the dataflow executor overwrites what its
+    /// producer, pool and queue know.
     pub(crate) fn from_report(
         threads: usize,
         out: &AssemblyReport,
         injector: Option<&FaultInjector>,
     ) -> ExecutorMetrics {
-        let stage = |items, cells, busy: Duration| StageMetrics {
-            workers: threads,
+        let stage = |workers, items, cells, busy: Duration| StageMetrics {
+            workers,
             items,
             cells,
             busy_us: busy.as_micros() as u64,
@@ -112,9 +116,9 @@ impl ExecutorMetrics {
                 ExecutorKind::Barrier
             },
             threads,
-            seeding: stage(w.filter_tiles, w.seeds, t.seeding),
-            filtering: stage(w.filter_tiles, c.filter_cells, t.filtering),
-            extension: stage(c.anchors_passed, w.extension_cells, t.extension),
+            seeding: stage(1, w.filter_tiles, w.seeds, t.seeding),
+            filtering: stage(threads, w.filter_tiles, c.filter_cells, t.filtering),
+            extension: stage(threads, c.anchors_passed, w.extension_cells, t.extension),
             faults_injected,
             retries,
             ..ExecutorMetrics::default()

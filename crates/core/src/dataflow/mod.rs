@@ -4,18 +4,19 @@
 //! stages: D-SOFT hits stream through queues into the BSW filter arrays
 //! and surviving tiles stream into the GACT-X arrays, so filtering and
 //! extension overlap instead of running to a barrier (PAPER.md §IV).
-//! This module is that architecture in software:
+//! The paper's two arrays are separate silicon; here both are general
+//! threads, so one pool runs both stages:
 //!
 //! * a **seeding producer** walks the target rows one at a time, the row
 //!   with the least work first and a row's pairs smallest first, and
 //!   emits one tile batch per query range of each (pair, strand);
-//! * a **filter worker pool** consumes batches through the shared
-//!   [`crate::filter_engine::FilterContext`] (the BSW array analogue);
-//! * an **extension worker pool** runs GACT-X per independent pair
-//!   stream (the GACT-X array analogue) — the sequential anchor-
-//!   absorption stage stays *within* a stream, so results are
-//!   bit-identical to the one-thread loop after the deterministic
-//!   stream-ordered merge.
+//! * a **worker pool** filters the batches through the shared
+//!   [`crate::filter_engine::FilterContext`] (the BSW array analogue),
+//!   and the worker that completes a pair runs GACT-X over it (the
+//!   GACT-X array analogue) — the sequential anchor-absorption stage
+//!   stays *within* a pair, so results are bit-identical to the
+//!   one-thread loop after the deterministic pair-ordered merge;
+//! * a **collector** journals each finished pair.
 //!
 //! The queues are bounded ([`queue::BoundedQueue`], capacity
 //! `--queue-depth`), providing the same backpressure a fixed-depth
@@ -49,8 +50,8 @@ pub enum ExecutorKind {
     /// The one-thread pair loop ([`crate::pipeline::run_pair`]).
     #[default]
     Barrier,
-    /// Streaming executor: all three stages run concurrently over
-    /// bounded queues.
+    /// Streaming executor: a seeding producer and one pool of filtering
+    /// and extending workers, over bounded queues.
     Dataflow,
 }
 
@@ -82,11 +83,15 @@ impl std::str::FromStr for ExecutorKind {
 mod tests {
     use super::*;
     use crate::config::{FilterEngineKind, ResourceBudget, WgaParams};
-    use crate::genome_pipeline::{align_assemblies_with, AlignOptions};
+    use crate::genome_pipeline::{align_assemblies_observed, align_assemblies_with, AlignOptions};
+    use crate::obs::{Obs, TraceRecorder};
+    use crate::report::{BudgetKind, RunEvent, RunOutcome};
     use genome::assembly::Assembly;
     use genome::evolve::{EvolutionParams, SyntheticPair};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
+    use std::time::Duration;
 
     fn executor_kind_parses() -> Result<(), String> {
         assert_eq!("barrier".parse::<ExecutorKind>()?, ExecutorKind::Barrier);
@@ -179,6 +184,75 @@ mod tests {
         let dataflow = run(&params, &target, &query, 3, 8);
         assert_eq!(serial.canonical_text(), dataflow.canonical_text());
         assert!(dataflow.degraded_pairs() > 0, "budgets should trip");
+    }
+
+    /// The tile budget charges the tiles queued for filtering on both
+    /// schedules, so a deadline that stops every batch before its first
+    /// tile clamps the reverse strand alike at one thread and at two.
+    #[test]
+    fn tile_budget_events_match_the_loop_when_the_deadline_stops_filtering() {
+        let (target, query) = assemblies(808, &[(10_000, 0.25)]);
+        let both = WgaParams {
+            both_strands: true,
+            ..WgaParams::darwin_wga()
+        };
+        let tiles = run(&both, &target, &query, 1, 4).workload.filter_tiles;
+        let params = WgaParams {
+            budget: ResourceBudget {
+                max_filter_tiles: Some(tiles / 2),
+                deadline: Some(Duration::ZERO),
+                ..ResourceBudget::default()
+            },
+            ..both
+        };
+        let tile_events = |threads| -> Vec<RunEvent> {
+            let report = run(&params, &target, &query, threads, 4);
+            let events = report
+                .pairs
+                .into_iter()
+                .flat_map(|pair| match pair.outcome {
+                    RunOutcome::Degraded { events } => events,
+                    _ => Vec::new(),
+                });
+            events
+                .filter(|event| {
+                    matches!(
+                        event,
+                        RunEvent::BudgetExceeded {
+                            budget: BudgetKind::FilterTiles,
+                            ..
+                        }
+                    )
+                })
+                .collect()
+        };
+        let events = tile_events(1);
+        assert_eq!(events.len(), 2, "both strands trip: {events:?}");
+        assert_eq!(tile_events(2), events);
+    }
+
+    /// One producer, the pool's workers and the collector: a traced run
+    /// records spans from no other thread.
+    #[test]
+    fn a_traced_run_records_at_most_threads_plus_two_thread_ids() {
+        let (target, query) = assemblies(909, &[(6_000, 0.2), (5_000, 0.3), (4_000, 0.25)]);
+        let params = WgaParams::darwin_wga();
+        for threads in [2, 3] {
+            let recorder = TraceRecorder::new();
+            let options = AlignOptions {
+                threads,
+                queue_depth: 1,
+                ..AlignOptions::default()
+            };
+            let obs = Obs::new(&recorder);
+            align_assemblies_observed(&params, &target, &query, &options, obs).unwrap();
+            let tids: BTreeSet<u64> = recorder.spans().iter().map(|span| span.tid).collect();
+            assert!(
+                tids.len() <= threads + 2,
+                "--threads {threads}: spans from {} threads",
+                tids.len()
+            );
+        }
     }
 
     #[test]

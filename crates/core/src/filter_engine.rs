@@ -52,7 +52,7 @@ pub struct FilterOutcome {
 }
 
 /// Shared per-(pair, strand) filter state, built once and handed
-/// read-only to every filter worker.
+/// read-only to every worker that filters it.
 ///
 /// Holds the flattened scoring when the `simd` engine runs a gapped
 /// filter stage (nothing otherwise — scalar and ungapped filtering need

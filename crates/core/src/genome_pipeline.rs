@@ -60,8 +60,8 @@ pub struct LocatedAlignment {
 pub struct AlignOptions {
     /// Worker threads, and with them the schedule: `1` runs the pair loop
     /// on the calling thread; more run the dataflow executor
-    /// ([`crate::dataflow`]) with this many filter and this many
-    /// extension workers.
+    /// ([`crate::dataflow`]) with a pool of this many workers, each of
+    /// which filters batches and extends the pairs it completes.
     pub threads: usize,
     /// Checkpoint journal path. When set, completed pairs are made
     /// durable as they finish and a rerun with the same parameters skips
@@ -70,8 +70,9 @@ pub struct AlignOptions {
     /// Read by nothing: [`AlignOptions::threads`] alone picks the
     /// schedule. Kept so callers that still name an executor compile.
     pub executor: ExecutorKind,
-    /// Bounded-queue capacity of the dataflow executor's inter-stage
-    /// queues (ignored at one thread). Must be at least 1.
+    /// Capacity of the dataflow executor's two bounded queues, producer
+    /// → pool and pool → collector (ignored at one thread). Must be at
+    /// least 1.
     pub queue_depth: usize,
     /// Supervised retries per fault site (`--max-retries`): how many
     /// times a transient journal/sink failure — or an injected error —

@@ -134,9 +134,10 @@ pub enum SpanName {
     /// (`items` = anchors in, `cells` = extension DP cells); the
     /// `extend.tile` spans it encloses carry its id as their `parent`.
     Extend,
-    /// Time a dataflow worker spent blocked on a bounded queue
-    /// (`seq` = queue code: 0 producer→filter push, 1 filter pop,
-    /// 2 extension pop, 3 collector pop).
+    /// Time a dataflow thread spent blocked on a bounded queue
+    /// (`seq` = queue code: 0 producer push, 1 worker pop, 3 collector
+    /// pop; 2, the pop of a retired extension queue, only in old
+    /// traces).
     QueueWait,
 }
 

@@ -47,10 +47,12 @@ pub fn run_pair(
 ) -> WgaReport {
     let pair_start = Instant::now();
     let mut report = WgaReport::default();
+    // The pair's tile budget charges the hits handed to `filter_batch`,
+    // run or not, as the dataflow producer charges the hits it queues.
+    let mut tiles_queued = 0u64;
     let mut run_strand = |table: Arc<SeedTable>, query: &Sequence, strand: Strand| {
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.len());
-        let tiles_used = report.workload.filter_tiles;
-        let (mut lane, kept) = seed_lane(params, &table, query, strand, ranges, tiles_used, obs);
+        let (mut lane, kept) = seed_lane(params, &table, query, strand, ranges, tiles_queued, obs);
         // One filter context per strand (the batch's flattened scoring).
         let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
@@ -72,6 +74,7 @@ pub fn run_pair(
                 obs,
             );
             lane.add(cost);
+            tiles_queued += hits.len() as u64;
             batches.push(filter_batch(
                 params,
                 &mut engine,

@@ -13,11 +13,11 @@
 //!
 //! | step | 1 thread ([`crate::pipeline::run_pair`]) | N threads ([`crate::dataflow`]) |
 //! |---|---|---|
-//! | `Journals::replay` | before the walk, a block's journal at a time | before the pools start, the same |
+//! | `Journals::replay` | before the walk, a block's journal at a time | before the pool starts, the same |
 //! | `row_seed_table` | pair loop, once per row of the matrix | producer, once per row |
-//! | `seed_lane` | per strand: the chaos gate; a budget clamps against tiles *executed* | producer, per strand; clamps against tiles *queued* |
-//! | `seed_range` → `filter_batch` | per range, in a plain loop | producer seeds a range and moves its hits into a task; filter pool runs it |
-//! | `fold_batches` + `extend_anchors` | the calling thread | one extension worker per pair |
+//! | `seed_lane` | per strand: the chaos gate; a budget clamps against the tiles queued so far | producer, per strand; the same |
+//! | `seed_range` → `filter_batch` | per range, in a plain loop | producer seeds a range and moves its hits into a task; a pool worker runs it |
+//! | `fold_batches` + `extend_anchors` | the calling thread | the pool worker that deposits the pair's last batch, or pops the sealed pair |
 //! | `Journals::commit` | pair loop, row order, into the pair's block's journal | collector, completion order, the same |
 //! | `fold_pair` | canonical-order assembly into block reports | the same |
 //!

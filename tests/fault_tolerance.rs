@@ -81,7 +81,7 @@ fn kill_after_k_pairs_then_resume_is_equivalent() {
 }
 
 /// The same on the streaming dataflow executor, whose collector journals
-/// pairs as they drain from the extension pool.
+/// pairs as the pool's workers finish extending them.
 #[test]
 fn dataflow_kill_after_k_pairs_then_resume_is_equivalent() {
     let options = AlignOptions {

@@ -242,7 +242,7 @@ proptest! {
         threads in 2usize..9,
         shard_pow in 6usize..11,
     ) {
-        // Tile scheduling order is free: however the dataflow filter pool
+        // Tile scheduling order is free: however the dataflow pool
         // interleaves the ranges (thread count and range size both
         // randomised), the committed chain output — alignments,
         // workload, counters — is exactly the serial pipeline's.

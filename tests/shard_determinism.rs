@@ -2,7 +2,7 @@
 //! canonical output.
 //!
 //! A strand is seeded and filtered one query range at a time, and at more
-//! than one thread the dataflow filter pool runs the ranges in whatever
+//! than one thread the dataflow pool runs the ranges in whatever
 //! order its workers free up, so the *execution order* varies freely
 //! with thread count and scheduler timing. These tests pin the contract
 //! that the *output* does not: `canonical_text` is byte-identical to the
