@@ -60,10 +60,7 @@ impl<T> BoundedQueue<T> {
     pub fn push(&self, item: T) -> Result<(), T> {
         let mut state = self.state.lock();
         while state.items.len() >= self.capacity && !state.closed {
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
         }
         if state.closed {
             return Err(item);
