@@ -1,4 +1,4 @@
-//! The streaming executor: a seeding producer feeds one worker pool
+//! The streaming executor: a planning producer feeds one worker pool
 //! over bounded queues.
 //!
 //! # Topology
@@ -9,22 +9,28 @@
 //! ```
 //!
 //! The producer walks the target rows one at a time, smallest first,
-//! builds each row's seed table once and runs D-SOFT one
-//! query range at a time, moving each range's hits into a task pushed
-//! into `filter_q` — the hits in flight are bounded by the queue, no
-//! strand's list exists (a budgeted strand is seeded whole first, by
-//! [`seed_lane`], keeping only what the shared clamp of
-//! [`crate::budget`] lets through). Workers run batches through the
-//! strand's shared [`FilterContext`] and deposit results into the
-//! pair's cell. Once the producer has sealed the pair, the worker whose
-//! deposit leaves it with no batch outstanding extends it on the spot;
-//! if none is outstanding at the seal, the producer queues the pair as
-//! an extension task instead of extending it itself, which would stall
-//! seeding behind it. Extension runs the sequential anchor-absorption
-//! stage per pair — a pair is one *stream*, so absorption state never
-//! crosses threads — and the finished [`WgaReport`] goes into `done_q`,
-//! where the collector journals it (the pair is the checkpoint unit,
-//! exactly as in the one-thread loop).
+//! and builds each row's seed table once. For each pair it opens both
+//! strands ([`seed_lane`]: the strand's `filter.batch` gate, and a
+//! budgeted strand's whole walk, keeping what the shared clamp of
+//! [`crate::budget`] lets through), registers the pair's cell with every
+//! range of both strands outstanding, and queues one task per query
+//! range into `filter_q`. A worker seeds its range ([`seed_range`]),
+//! lets go of the row's table, filters the hits through the strand's
+//! shared [`FilterContext`] and deposits the result into the pair's
+//! cell, so no strand's hit list exists. The worker whose deposit
+//! leaves no range outstanding extends the pair on the spot; a pair with
+//! no range (an empty query) the producer finishes itself. Extension
+//! runs the sequential anchor-absorption stage per pair — a pair is one
+//! *stream*, so absorption state never crosses threads — and the
+//! finished [`WgaReport`] goes into `done_q`, where the collector
+//! journals it (the pair is the checkpoint unit, as in the one-thread
+//! loop).
+//!
+//! The producer waits until every task it has queued is seeded at two
+//! points: before it builds a row's table, so one table is alive at a
+//! time, and before it opens a reverse strand, so the strand's
+//! `filter.batch` gate fires after the forward strand is seeded, as in
+//! the one-thread loop.
 //!
 //! Only the queues, the pool, its guard and the watchdog live here.
 //! Every step a pair goes through — [`row_seed_table`], [`seed_lane`],
@@ -34,14 +40,13 @@
 //!
 //! # Determinism
 //!
-//! Batches execute and deposit in arbitrary order, each under its
-//! range index; [`fold_batches`] takes them in range order and puts
-//! their survivors back in hit order, so anchors reach
-//! [`extend_anchors`] in the order the one-thread loop produces. The
-//! collector stores per-pair results by pair id and the final report is
-//! assembled in canonical pair order, making the output byte-identical to
-//! `--threads 1` at any thread count (`tests/golden_report.rs` pins
-//! this).
+//! Ranges execute and deposit in arbitrary order, each under its index;
+//! [`fold_batches`] takes them in range order and puts their survivors
+//! back in hit order, so anchors reach [`extend_anchors`] in the order
+//! the one-thread loop produces. The collector stores per-pair results
+//! by pair id and the final report is assembled in canonical pair
+//! order, making the output byte-identical to `--threads 1` at any
+//! thread count (`tests/golden_report.rs` pins this).
 //!
 //! # Shutdown protocol (deadlock freedom)
 //!
@@ -49,9 +54,10 @@
 //! pops — and each stage closes its *downstream* queue when it
 //! finishes: the producer closes `filter_q` when all pairs are planned;
 //! the last worker to exit closes `done_q`, which ends the collector
-//! loop. The close-on-exit is a `Drop` guard, so even a worker panicking
-//! outside its `catch_unwind` layers still releases the collector
-//! instead of deadlocking the scope.
+//! loop, and drops what `filter_q` still holds, which ends any wait of
+//! the producer's. The close-on-exit is a `Drop` guard, so even a worker
+//! panicking outside its `catch_unwind` layers still releases the
+//! producer and the collector instead of deadlocking the scope.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
@@ -82,74 +88,62 @@ use crate::sync::Mutex;
 use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A query strand's sequence: the forward strand borrows the assembly,
-/// the reverse strand owns its reverse complement.
-enum StrandSeq<'a> {
-    Forward(&'a Sequence),
-    Reverse(Sequence),
-}
-
-impl StrandSeq<'_> {
-    fn seq(&self) -> &Sequence {
-        match self {
-            StrandSeq::Forward(s) => s,
-            StrandSeq::Reverse(s) => s,
-        }
-    }
-}
-
-/// What the filter tasks of one (pair, strand) stream share.
+/// What the range tasks of one (pair, strand) share, up to the pair's
+/// extension. The reverse strand owns its reverse-complemented query.
 struct Stream<'a> {
     pair_id: usize,
     lane_idx: usize,
     strand: Strand,
     pair_start: Instant,
     target: &'a Sequence,
-    query: StrandSeq<'a>,
+    query: Cow<'a, Sequence>,
     ctx: FilterContext,
+}
+
+/// What the range tasks of one strand seed from, shared until the last
+/// of them is seeded.
+struct SeedSource {
+    table: Arc<SeedTable>,
+    ranges: QueryRanges,
+    /// A budgeted strand's kept hits, grouped by range ([`seed_lane`]).
+    kept: Option<Vec<SeedHit>>,
+    /// Declared after the table, so dropped after it: once
+    /// [`wait_seeded`] sees the last token go, the table is released.
+    _token: Sender<()>,
+}
+
+/// One query range of one strand: the pool's only task.
+struct RangeTask<'a> {
+    stream: Arc<Stream<'a>>,
+    source: Arc<SeedSource>,
+    idx: usize,
 }
 
 /// One (pair, strand) stream opened by the producer.
 struct Lane<'a> {
     stream: Arc<Stream<'a>>,
-    /// The strand's seeding accounting, written when its last range is
-    /// seeded.
+    /// What opening the strand cost: a budgeted strand's walk and clamps.
     seeded: SeededLane,
     /// [`FilterContext`] build wall-clock (counted as filtering time,
     /// matching the one-thread loop's accounting).
     ctx_time: Duration,
-    /// Filter results in the order they were deposited.
+    /// Range results in the order they were deposited.
     batches: Vec<BatchResult>,
 }
 
 /// All filter-stage state of one chromosome pair in flight.
-#[derive(Default)]
 struct PairJob<'a> {
     pair_id: usize,
     lanes: Vec<Lane<'a>>,
-    /// Filter tasks queued and not yet deposited.
+    /// Range tasks not yet deposited, both strands' counted up front.
     outstanding: usize,
-    /// The producer has queued the pair's last task.
-    sealed: bool,
-}
-
-/// One query range's seed hits for the pool.
-struct FilterTask<'a> {
-    stream: Arc<Stream<'a>>,
-    batch_idx: usize,
-    hits: Vec<SeedHit>,
-}
-
-/// What the pool pops: a range to filter, or a pair that no batch was
-/// outstanding for when the producer sealed it.
-enum Task<'a> {
-    Batch(FilterTask<'a>),
-    Extend(PairJob<'a>),
 }
 
 /// Terminal result of one pair, headed for the collector.
@@ -158,17 +152,21 @@ struct PairDone {
     result: Result<WgaReport, String>,
 }
 
-/// Decrements the pool's live-worker count on drop and closes `done_q`
-/// when this was the last worker — the shutdown cascade survives even a
-/// panic that escapes a worker's `catch_unwind`.
-struct PoolGuard<'q> {
+/// Decrements the pool's live-worker count on drop. The last worker out
+/// closes `done_q` and drops every task left in `filter_q`, so the
+/// shutdown cascade survives even a panic that escapes a worker's
+/// `catch_unwind`.
+struct PoolGuard<'q, 'a> {
     alive: &'q AtomicUsize,
+    filter_q: &'q BoundedQueue<RangeTask<'a>>,
     done_q: &'q BoundedQueue<PairDone>,
 }
 
-impl Drop for PoolGuard<'_> {
+impl Drop for PoolGuard<'_, '_> {
     fn drop(&mut self) {
         if self.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.filter_q.close();
+            while self.filter_q.pop().is_some() {}
             self.done_q.close();
         }
     }
@@ -191,7 +189,7 @@ pub(crate) fn execute(
     let queue_depth = options.queue_depth;
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
 
-    let filter_q: BoundedQueue<Task<'_>> = BoundedQueue::new(queue_depth);
+    let filter_q: BoundedQueue<RangeTask<'_>> = BoundedQueue::new(queue_depth);
     let done_q: BoundedQueue<PairDone> = BoundedQueue::new(queue_depth);
     let cells: Vec<Mutex<Option<PairJob<'_>>>> =
         matrix.pairs.iter().map(|_| Mutex::new(None)).collect();
@@ -229,7 +227,7 @@ pub(crate) fn execute(
                 });
             }));
         }
-        // --- Seeding producer ------------------------------------------
+        // --- Planning producer -----------------------------------------
         {
             let (filter_q, done_q) = (&filter_q, &done_q);
             let (seed_meter, resumed, heartbeat) = (&seed_meter, &resumed, &heartbeat);
@@ -353,25 +351,23 @@ pub(crate) fn execute(
     Ok(assemble(matrix, records, &resumed, run, stalls, metrics))
 }
 
-/// The seeding producer: dispatches target genomes smallest remaining
+/// The planning producer: dispatches target genomes smallest remaining
 /// work first, a genome's rows the same way and a row's pairs smallest
 /// first (ties broken by pair id, so uniform matrices keep the old FIFO
-/// walk), registers each non-resumed pair's cell and streams both its
-/// strands under panic isolation, a range's hits at a time, into
-/// `filter_q` (blocking on backpressure), then the pair itself if no
-/// batch of it is outstanding by then. A row's pairs go back to back,
-/// so one row's seed table is alive at a time, across every block of
-/// the row; a genome's rows go back to back, so only its blocks'
-/// journals are open. Dispatch order never reaches canonical output: the
-/// results are assembled in pair-id order, and fault occurrences are
-/// counted per `(hook, pair)`.
+/// walk), and plans each non-resumed pair's range tasks under panic
+/// isolation ([`plan_pair`]), blocking on `filter_q`'s backpressure. A
+/// row's pairs go back to back, so one row's seed table is alive at a
+/// time, across every block of the row; a genome's rows go back to
+/// back, so only its blocks' journals are open. Dispatch order never
+/// reaches canonical output: the results are assembled in pair-id
+/// order, and fault occurrences are counted per `(hook, pair)`.
 #[allow(clippy::too_many_arguments)]
 fn produce<'a>(
     params: &WgaParams,
     matrix: &'a PairMatrix<'a>,
     resumed: &[bool],
     cells: &[Mutex<Option<PairJob<'a>>>],
-    filter_q: &BoundedQueue<Task<'a>>,
+    filter_q: &BoundedQueue<RangeTask<'a>>,
     done_q: &BoundedQueue<PairDone>,
     seed_meter: &StageMeter,
     builds: &TableBuilds,
@@ -409,90 +405,191 @@ fn produce<'a>(
     });
 
     // The current row's seed table: built lazily at the row's first
-    // dispatched pair (a fully-journaled row never builds) and dropped
-    // before the next row's is built.
+    // dispatched pair (a fully-journaled row never builds), and built
+    // for the next row only once the range tasks holding this one have
+    // all seeded.
     let mut row_table: Option<(usize, Result<Arc<SeedTable>, String>)> = None;
+    let mut seeding = mpsc::channel();
 
     for pair_id in order {
         let pair = &matrix.pairs[pair_id];
         let pair_obs = obs.with_pair(pair_id as u64);
         if row_table.as_ref().is_some_and(|&(row, _)| row != pair.row) {
             row_table = None;
+            wait_seeded(&mut seeding, seed_meter);
         }
-
-        // `Err` fails this pair; `Ok(false)` means a queue closed under
-        // us (shutdown in progress) and the producer is done.
-        let mut dispatch = || -> Result<bool, String> {
-            let (_, table) = row_table.get_or_insert_with(|| {
-                let target = &pair.target.sequence;
-                (
-                    pair.row,
-                    row_seed_table(params, target, pair.row, builds, pair_obs),
-                )
-            });
-            let table = table.as_ref().map_err(|message| message.clone())?;
-            // Queues one task: `Err` fails the pair, `Ok(false)` means
-            // shutdown is in progress (journal failure). A batch passes
-            // the `queue.push` gate; a sealed pair does not, since
-            // whether the producer or a worker moves it on is timing.
-            let push = |task: Task<'a>| -> Result<bool, String> {
-                if let Task::Batch(_) = task {
-                    supervise::supervised(
-                        retry_policy,
-                        injector,
-                        Hook::QueuePush,
-                        pair_obs.pair(),
-                        Some(&pair_obs),
-                        || Ok(()),
-                    )
-                    .map_err(|error| format!("queue.push fault: {error}"))?;
-                }
-                let mut wait_buf = obs.buffer();
-                let wait_timer = wait_buf.start();
-                let wait = Instant::now();
-                if filter_q.push(task).is_err() {
-                    return Ok(false);
-                }
-                seed_meter.add_idle(wait.elapsed());
-                wait_buf.finish_for_pair(
-                    wait_timer,
-                    SpanName::QueueWait,
-                    pair_id as u64,
-                    STRAND_NA,
-                    QUEUE_SEED_PUSH,
-                    0,
-                    0,
-                );
-                heartbeat.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            };
-            let (target, query) = (&pair.target.sequence, &pair.query.sequence);
-            let streamed =
-                stream_pair(params, table, target, query, pair_id, cells, push, pair_obs);
+        // Queues one task: `Err` fails the pair, `Ok(false)` means a
+        // queue closed under us (shutdown) and the producer is done.
+        let push = |task: RangeTask<'a>| -> Result<bool, String> {
+            supervise::supervised(
+                retry_policy,
+                injector,
+                Hook::QueuePush,
+                pair_obs.pair(),
+                Some(&pair_obs),
+                || Ok(()),
+            )
+            .map_err(|error| format!("queue.push fault: {error}"))?;
+            let mut wait_buf = obs.buffer();
+            let wait_timer = wait_buf.start();
+            let wait = Instant::now();
+            if filter_q.push(task).is_err() {
+                return Ok(false);
+            }
+            seed_meter.add_idle(wait.elapsed());
+            wait_buf.finish_for_pair(
+                wait_timer,
+                SpanName::QueueWait,
+                pair_id as u64,
+                STRAND_NA,
+                QUEUE_SEED_PUSH,
+                0,
+                0,
+            );
             heartbeat.fetch_add(1, Ordering::Relaxed);
-            streamed
+            Ok(true)
         };
-        let keep_going = dispatch().unwrap_or_else(|error| {
-            let result = Err(error);
-            done_q.push(PairDone { pair_id, result }).is_ok()
+        let (target, query) = (&pair.target.sequence, &pair.query.sequence);
+        let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.len());
+        let strands = 1 + usize::from(params.both_strands);
+        *cells[pair_id].lock() = Some(PairJob {
+            pair_id,
+            lanes: Vec::new(),
+            outstanding: strands * ranges.count(),
         });
+        let planned = catch_unwind(AssertUnwindSafe(|| {
+            let (_, table) = row_table.get_or_insert_with(|| {
+                let table = row_seed_table(params, target, pair.row, builds, pair_obs);
+                (pair.row, table)
+            });
+            let table = table.as_ref().map_err(String::clone)?;
+            let pair = (target, query, ranges);
+            let planned = plan_pair(
+                params,
+                table,
+                pair,
+                pair_id,
+                cells,
+                &mut seeding,
+                seed_meter,
+                push,
+                pair_obs,
+            )?;
+            if !planned || ranges.count() > 0 {
+                return Ok(planned);
+            }
+            // Nothing to filter or extend: the pair is finished here.
+            let job = cells[pair_id].lock().take();
+            Ok(job.is_none_or(|job| finish_pair(params, job, done_q, heartbeat, obs)))
+        }))
+        .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+        let keep_going = planned.unwrap_or_else(|error| fail_pair(cells, pair_id, error, done_q));
         if !keep_going {
             return;
         }
     }
 }
 
-/// One pool worker: pops tasks off `filter_q` until it closes. A batch
-/// runs through [`filter_batch`] and is deposited in the pair's cell; a
-/// run of tasks of one strand shares one engine — its DP scratch is
-/// drawn per worker and strand, not per range. The worker whose deposit
-/// completes a sealed pair extends it, as does the worker that pops a
-/// pair ([`finish_pair`]). The last of the pool's `alive` workers out —
-/// normally or unwinding — closes `done_q`.
+/// Blocks until every range task queued so far has seeded or been
+/// dropped, metered as the producer's idle time: each task's
+/// [`SeedSource`] holds a clone of the sender and nothing is ever sent,
+/// so the receive returns once the last clone is gone. The tasks to
+/// come get a new channel.
+fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), meter: &StageMeter) {
+    let start = Instant::now();
+    let (token, seeded) = std::mem::replace(seeding, mpsc::channel());
+    drop(token);
+    let _ = seeded.recv();
+    meter.add_idle(start.elapsed());
+}
+
+/// Plans one pair's range tasks: opens each strand ([`seed_lane`]: its
+/// chaos gate, and a budgeted strand's walk, charged for the tiles the
+/// forward strand kept), files its lane in the pair's cell and queues a
+/// task per query range through `push`. `Ok(false)` is `push`'s
+/// (shutdown). On `push`'s `Err` — a fault that survived its retry
+/// budget — or a panic (a `filter.batch` gate's escalation) the caller
+/// fails the pair: workers find its cell empty and drop their deposits.
+#[allow(clippy::too_many_arguments)]
+fn plan_pair<'a>(
+    params: &WgaParams,
+    table: &Arc<SeedTable>,
+    (target, query, ranges): (&'a Sequence, &'a Sequence, QueryRanges),
+    pair_id: usize,
+    cells: &[Mutex<Option<PairJob<'a>>>],
+    seeding: &mut (Sender<()>, Receiver<()>),
+    meter: &StageMeter,
+    push: impl Fn(RangeTask<'a>) -> Result<bool, String>,
+    obs: Obs<'_>,
+) -> Result<bool, String> {
+    let pair_start = Instant::now();
+    let mut strands = vec![(Cow::Borrowed(query), Strand::Forward)];
+    if params.both_strands {
+        strands.push((Cow::Owned(query.reverse_complement()), Strand::Reverse));
+    }
+    let mut tiles_kept = 0u64;
+    for (lane_idx, (query, strand)) in strands.into_iter().enumerate() {
+        if lane_idx > 0 {
+            wait_seeded(seeding, meter);
+        }
+        let (seeded, kept) = seed_lane(params, table, &query, strand, ranges, tiles_kept, obs);
+        tiles_kept += kept.as_ref().map_or(0, |kept| kept.len() as u64);
+        let ctx_start = Instant::now();
+        let ctx = FilterContext::new(params, target, &query);
+        let ctx_time = ctx_start.elapsed();
+        let stream = Arc::new(Stream {
+            pair_id,
+            lane_idx,
+            strand,
+            pair_start,
+            target,
+            query,
+            ctx,
+        });
+        if let Some(job) = cells[pair_id].lock().as_mut() {
+            let (stream, batches) = (Arc::clone(&stream), Vec::new());
+            job.lanes.push(Lane {
+                stream,
+                seeded,
+                ctx_time,
+                batches,
+            });
+        }
+        let (table, _token) = (Arc::clone(table), seeding.0.clone());
+        let source = Arc::new(SeedSource {
+            table,
+            ranges,
+            kept,
+            _token,
+        });
+        for idx in 0..ranges.count() {
+            let (stream, source) = (Arc::clone(&stream), Arc::clone(&source));
+            if !push(RangeTask {
+                stream,
+                source,
+                idx,
+            })? {
+                return Ok(false);
+            }
+        }
+    }
+    Ok(true)
+}
+
+/// One pool worker: pops range tasks off `filter_q` until it closes,
+/// and runs each through the one-thread loop's step — [`seed_range`],
+/// then [`filter_batch`] — letting go of the row's table in between,
+/// then deposits the result in the pair's cell. Its D-SOFT scratch
+/// serves every range it seeds, and a run of tasks of one strand shares
+/// one engine, so its DP scratch is drawn per worker and strand. The
+/// worker whose deposit completes a pair extends it ([`finish_pair`]).
+/// The last of the pool's `alive` workers out — normally or unwinding —
+/// closes `done_q`.
 #[allow(clippy::too_many_arguments)]
 fn worker<'a>(
     params: &WgaParams,
-    filter_q: &BoundedQueue<Task<'a>>,
+    filter_q: &BoundedQueue<RangeTask<'a>>,
     done_q: &BoundedQueue<PairDone>,
     cells: &[Mutex<Option<PairJob<'a>>>],
     alive: &AtomicUsize,
@@ -501,27 +598,27 @@ fn worker<'a>(
     retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) {
-    let _guard = PoolGuard { alive, done_q };
+    let _guard = PoolGuard {
+        alive,
+        filter_q,
+        done_q,
+    };
     let mut wait_buf = obs.buffer();
     // The next task, with the wait for it metered (a named fn, so
     // `wga-lint` sees this stage's pop beside its push).
     fn pop<'a>(
-        filter_q: &BoundedQueue<Task<'a>>,
+        filter_q: &BoundedQueue<RangeTask<'a>>,
         meter: &StageMeter,
         buf: &mut SpanBuf<'_>,
-    ) -> Option<Task<'a>> {
+    ) -> Option<RangeTask<'a>> {
         let wait_timer = buf.start();
         let wait = Instant::now();
         let task = filter_q.pop()?;
         meter.add_idle(wait.elapsed());
-        let pair = match &task {
-            Task::Batch(task) => task.stream.pair_id,
-            Task::Extend(job) => job.pair_id,
-        };
         buf.finish_for_pair(
             wait_timer,
             SpanName::QueueWait,
-            pair as u64,
+            task.stream.pair_id as u64,
             STRAND_NA,
             QUEUE_FILTER_POP,
             0,
@@ -530,27 +627,14 @@ fn worker<'a>(
         Some(task)
     }
     let mut pop = || pop(filter_q, meter, &mut wait_buf);
+    let mut scratch = DsoftScratch::default();
     let mut next = pop();
-    while let Some(task) = next.take() {
-        let first = match task {
-            Task::Batch(first) => first,
-            Task::Extend(job) => {
-                // `false`: `done_q` closed, the watchdog is shutting down.
-                if !finish_pair(params, job, done_q, heartbeat, retry_policy, obs) {
-                    return;
-                }
-                next = pop();
-                continue;
-            }
-        };
+    while let Some(first) = next.take() {
         let stream = Arc::clone(&first.stream);
         let mut engine = stream.ctx.engine();
         let pair_obs = obs.with_pair(stream.pair_id as u64);
         let mut same_stream = Some(first);
-        while let Some(FilterTask {
-            batch_idx, hits, ..
-        }) = same_stream.take()
-        {
+        while let Some(RangeTask { source, idx, .. }) = same_stream.take() {
             let pair = pair_obs.pair();
             let gate = supervise::supervised(
                 retry_policy,
@@ -560,217 +644,116 @@ fn worker<'a>(
                 Some(&pair_obs),
                 || Ok(()),
             );
-            let result = match gate {
-                Ok(()) => filter_batch(
+            let seeded = gate.map(|()| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    seed_range(
+                        params,
+                        &source.table,
+                        &stream.query,
+                        stream.strand,
+                        source.ranges,
+                        idx,
+                        source.kept.as_deref(),
+                        &mut scratch,
+                        pair_obs,
+                    )
+                }))
+            });
+            // Before filtering: the row's table goes as its last range is
+            // seeded.
+            drop(source);
+            let result = match seeded {
+                Ok(Ok((cost, hits))) => Ok(filter_batch(
                     params,
                     &mut engine,
                     stream.target,
-                    stream.query.seq(),
+                    &stream.query,
                     &hits,
+                    cost,
                     stream.pair_start,
                     strand_code(stream.strand),
-                    batch_idx,
+                    idx,
                     pair_obs,
-                ),
+                )),
+                // A seeding panic fails the pair, as in the one-thread loop.
+                Ok(Err(payload)) => Err(panic_message(payload.as_ref())),
                 // A queue fault that survives its retry budget fails the
-                // batch (and, downstream, the pair).
-                Err(error) => {
-                    let message = format!("queue.pop fault: {error}");
-                    BatchResult::failed(batch_idx, hits.len() as u64, message)
-                }
+                // range (and, downstream, degrades the pair).
+                Err(error) => Ok(BatchResult::failed(
+                    idx,
+                    0,
+                    format!("queue.pop fault: {error}"),
+                )),
             };
-            let complete = update_cell(cells, stream.pair_id, |job| {
-                job.lanes[stream.lane_idx].batches.push(result);
-                job.outstanding -= 1;
-            });
+            let moved_on = match result {
+                Ok(result) => deposit(cells, &stream, result)
+                    .is_none_or(|job| finish_pair(params, job, done_q, heartbeat, obs)),
+                Err(error) => fail_pair(cells, stream.pair_id, error, done_q),
+            };
             heartbeat.fetch_add(1, Ordering::Relaxed);
-            if let Some(job) = complete {
-                if !finish_pair(params, job, done_q, heartbeat, retry_policy, obs) {
-                    return;
-                }
+            // `false`: `done_q` closed, the watchdog is shutting down.
+            if !moved_on {
+                return;
             }
             next = pop();
             match next.take() {
-                Some(Task::Batch(task)) if Arc::ptr_eq(&task.stream, &stream) => {
-                    same_stream = Some(task);
-                }
+                Some(task) if Arc::ptr_eq(&task.stream, &stream) => same_stream = Some(task),
                 other => next = other,
             }
         }
     }
 }
 
-/// Extends a pair with every batch deposited — under its `queue.pop`
-/// gate and panic containment — and hands the outcome to the collector.
-/// `false` if `done_q` had closed.
-fn finish_pair(
-    params: &WgaParams,
-    job: PairJob<'_>,
-    done_q: &BoundedQueue<PairDone>,
-    heartbeat: &AtomicU64,
-    retry_policy: &RetryPolicy,
-    obs: Obs<'_>,
-) -> bool {
-    let injector = obs.fault();
-    let pair_id = job.pair_id;
-    let pair_obs = obs.with_pair(pair_id as u64);
-    let pair = pair_obs.pair();
-    let gate = supervise::supervised(
-        retry_policy,
-        injector,
-        Hook::QueuePop,
-        pair,
-        Some(&pair_obs),
-        || Ok(()),
-    );
-    // A pair whose retry budget an earlier stage already exhausted
-    // fails here instead of burning extension work — the same `Failed`
-    // the one-thread loop reaches through its pair-level panic
-    // containment.
-    let result = match gate {
-        Err(error) => Err(format!("queue.pop fault: {error}")),
-        Ok(()) if injector.is_some_and(|inj| inj.is_poisoned(pair_id as u64)) => {
-            Err(format!("injected fault: pair {pair_id}: retries exhausted"))
-        }
-        Ok(()) => catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
-            .map_err(|payload| panic_message(payload.as_ref())),
-    };
-    heartbeat.fetch_add(1, Ordering::Relaxed);
-    done_q.push(PairDone { pair_id, result }).is_ok()
-}
-
-/// Applies `update` to a pair's job under its cell's lock (nothing, if
-/// the pair was cancelled) and returns the job if that left it sealed
-/// with no batch outstanding: the pair is complete, and the caller
-/// moves it on to extension.
-fn update_cell<'a>(
+/// Deposits a range's result in its pair's cell (nothing, if the pair
+/// failed) and returns the job if that left no range outstanding: the
+/// pair is complete, and the caller extends it.
+fn deposit<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
-    pair_id: usize,
-    update: impl FnOnce(&mut PairJob<'a>),
+    stream: &Stream<'a>,
+    result: BatchResult,
 ) -> Option<PairJob<'a>> {
-    let mut slot = cells[pair_id].lock();
+    let mut slot = cells[stream.pair_id].lock();
     let job = slot.as_mut()?;
-    update(job);
-    if job.sealed && job.outstanding == 0 {
+    job.lanes[stream.lane_idx].batches.push(result);
+    job.outstanding -= 1;
+    if job.outstanding == 0 {
         slot.take()
     } else {
         None
     }
 }
 
-/// Streams both strands of one pair into the pool: registers the pair's
-/// cell, opens each strand ([`seed_lane`]: its chaos gate, and a
-/// budgeted strand's clamp, which charges the tiles queued so far),
-/// then seeds range after range, moving each range's hits into a task
-/// for `push`, and seals the pair — pushing it too if no batch is
-/// outstanding. `Ok(false)` is `push`'s (shutdown). On `push`'s `Err` — a fault that survived its retry
-/// budget — or a panic (a `filter.batch` gate's escalation) the pair is
-/// cancelled: workers find its cell empty and drop their deposits, and
-/// the caller fails it through `done_q`.
-#[allow(clippy::too_many_arguments)]
-fn stream_pair<'a>(
-    params: &WgaParams,
-    table: &SeedTable,
-    target: &'a Sequence,
-    query: &'a Sequence,
+/// Fails a pair: empties its cell, so the pool drops its deposits, and
+/// hands `error` to the collector, once however many of its steps fail.
+/// `false` if `done_q` had closed.
+fn fail_pair(
+    cells: &[Mutex<Option<PairJob<'_>>>],
     pair_id: usize,
-    cells: &[Mutex<Option<PairJob<'a>>>],
-    push: impl Fn(Task<'a>) -> Result<bool, String>,
-    obs: Obs<'_>,
-) -> Result<bool, String> {
-    let pair_start = Instant::now();
-    *cells[pair_id].lock() = Some(PairJob {
-        pair_id,
-        ..PairJob::default()
-    });
-    let streamed = catch_unwind(AssertUnwindSafe(|| {
-        let mut scratch = DsoftScratch::default();
-        let mut tiles_queued = 0u64;
-        let mut strands = vec![(StrandSeq::Forward(query), Strand::Forward)];
-        if params.both_strands {
-            strands.push((
-                StrandSeq::Reverse(query.reverse_complement()),
-                Strand::Reverse,
-            ));
-        }
-        for (lane_idx, (query, strand)) in strands.into_iter().enumerate() {
-            let ranges = QueryRanges::new(
-                params.shard_bases,
-                params.dsoft.chunk_size,
-                query.seq().len(),
-            );
-            let (mut seeded, kept) = seed_lane(
-                params,
-                table,
-                query.seq(),
-                strand,
-                ranges,
-                tiles_queued,
-                obs,
-            );
-            let ctx_start = Instant::now();
-            let ctx = FilterContext::new(params, target, query.seq());
-            let ctx_time = ctx_start.elapsed();
-            let stream = Arc::new(Stream {
-                pair_id,
-                lane_idx,
-                strand,
-                pair_start,
-                target,
-                query,
-                ctx,
-            });
-            // The strand's accounting is filed when its last range is seeded.
-            let lane = Lane {
-                stream: Arc::clone(&stream),
-                seeded: SeededLane::default(),
-                ctx_time,
-                batches: Vec::new(),
-            };
-            update_cell(cells, pair_id, |job| job.lanes.push(lane));
-            let query = stream.query.seq();
-            for batch_idx in 0..ranges.count() {
-                let kept = kept.as_deref();
-                let (cost, hits) = seed_range(
-                    params,
-                    table,
-                    query,
-                    strand,
-                    ranges,
-                    batch_idx,
-                    kept,
-                    &mut scratch,
-                    obs,
-                );
-                seeded.add(cost);
-                if hits.is_empty() {
-                    continue;
-                }
-                tiles_queued += hits.len() as u64;
-                update_cell(cells, pair_id, |job| job.outstanding += 1);
-                if !push(Task::Batch(FilterTask {
-                    stream: Arc::clone(&stream),
-                    batch_idx,
-                    hits,
-                }))? {
-                    return Ok(false);
-                }
-            }
-            update_cell(cells, pair_id, |job| job.lanes[lane_idx].seeded = seeded);
-        }
-        // No hits anywhere, or every batch already deposited: the pair goes
-        // to the pool for extension (it still carries seeding counters and
-        // clamp events).
-        match update_cell(cells, pair_id, |job| job.sealed = true) {
-            Some(job) => push(Task::Extend(job)),
-            None => Ok(true),
-        }
-    }))
-    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-    if streamed.is_err() {
-        *cells[pair_id].lock() = None;
+    error: String,
+    done_q: &BoundedQueue<PairDone>,
+) -> bool {
+    if cells[pair_id].lock().take().is_none() {
+        return true;
     }
-    streamed
+    let result = Err(error);
+    done_q.push(PairDone { pair_id, result }).is_ok()
+}
+
+/// Extends a complete pair under panic containment and hands the
+/// outcome to the collector. `false` if `done_q` had closed.
+fn finish_pair(
+    params: &WgaParams,
+    job: PairJob<'_>,
+    done_q: &BoundedQueue<PairDone>,
+    heartbeat: &AtomicU64,
+    obs: Obs<'_>,
+) -> bool {
+    let pair_id = job.pair_id;
+    let pair_obs = obs.with_pair(pair_id as u64);
+    let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
+        .map_err(|payload| panic_message(payload.as_ref()));
+    heartbeat.fetch_add(1, Ordering::Relaxed);
+    done_q.push(PairDone { pair_id, result }).is_ok()
 }
 
 /// The extension stage of one pair: folds each lane's deposited batches
@@ -785,7 +768,7 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
         batches,
     } in job.lanes
     {
-        let (start, query) = (stream.pair_start, stream.query.seq());
+        let (start, query) = (stream.pair_start, &stream.query);
         let anchors = fold_batches(params, seeded, ctx_time, batches, start, &mut report);
         extend_anchors(
             params,
@@ -879,8 +862,9 @@ mod tests {
     /// list, cut into the same query ranges, keeps every healthy range's
     /// anchors and records exactly one failed batch — the poisoned hit's
     /// range, by the same index — whether the ranges run inline (the
-    /// one-thread schedule) or through the dataflow pool, whose worker
-    /// that deposits the last batch extends the pair.
+    /// one-thread schedule) or as the dataflow pool's range tasks, which
+    /// slice it as a budget's kept list; the worker that deposits the
+    /// last range extends the pair.
     #[test]
     fn panicking_batch_is_isolated_on_every_schedule() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
@@ -905,17 +889,18 @@ mod tests {
             strand: Strand::Forward,
             pair_start,
             target: &t,
-            query: StrandSeq::Forward(&q),
+            query: Cow::Borrowed(&q),
             ctx: FilterContext::new(&params, &t, &q),
         });
-        let job = |batches| PairJob {
+        let job = |batches, outstanding| PairJob {
+            pair_id: 0,
             lanes: vec![Lane {
                 stream: Arc::clone(&stream),
                 seeded: SeededLane::default(),
                 ctx_time: Duration::ZERO,
                 batches,
             }],
-            ..PairJob::default()
+            outstanding,
         };
 
         let inline = |hits: &[SeedHit]| {
@@ -929,18 +914,25 @@ mod tests {
                     &t,
                     &q,
                     &batch,
+                    SeededLane::default(),
                     pair_start,
                     scode,
                     i,
                     Obs::off(),
                 )
             });
-            extend_pair(&params, job(batches.collect()), Obs::off())
+            extend_pair(&params, job(batches.collect(), 0), Obs::off())
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
             let done_q = BoundedQueue::new(1);
-            let cells = [Mutex::new(Some(job(Vec::new())))];
+            let cells = [Mutex::new(Some(job(Vec::new(), ranges.count())))];
+            let source = Arc::new(SeedSource {
+                table: Arc::new(SeedTable::build(&t, &params.seed_pattern, 1)),
+                ranges,
+                kept: Some(hits.to_vec()),
+                _token: mpsc::channel().0,
+            });
             let alive = AtomicUsize::new(2);
             let (meter, heartbeat) = (StageMeter::default(), AtomicU64::new(0));
             let policy = RetryPolicy::default();
@@ -954,19 +946,14 @@ mod tests {
                         )
                     });
                 }
-                for batch_idx in 0..ranges.count() {
-                    let task = FilterTask {
-                        stream: Arc::clone(&stream),
-                        batch_idx,
-                        hits: in_range(hits, batch_idx),
+                for idx in 0..ranges.count() {
+                    let (stream, source) = (Arc::clone(&stream), Arc::clone(&source));
+                    let task = RangeTask {
+                        stream,
+                        source,
+                        idx,
                     };
-                    update_cell(&cells, 0, |job| job.outstanding += 1);
-                    assert!(filter_q.push(Task::Batch(task)).is_ok());
-                }
-                // A worker may have deposited every batch already: then
-                // the seal completes the pair, and it goes to the pool.
-                if let Some(job) = update_cell(&cells, 0, |job| job.sealed = true) {
-                    assert!(filter_q.push(Task::Extend(job)).is_ok());
+                    assert!(filter_q.push(task).is_ok());
                 }
                 filter_q.close();
             });

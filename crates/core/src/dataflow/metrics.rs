@@ -6,8 +6,8 @@
 //! report ([`ExecutorMetrics::from_report`]) on every executor, so
 //! `--metrics-out` means the same thing on each; the dataflow executor
 //! adds what a report cannot know — the time its producer and pool
-//! spent blocked on their queues ([`StageMeter`]) and the filter queue's
-//! high-water mark.
+//! spent blocked ([`StageMeter`]) and the filter queue's high-water
+//! mark.
 
 use crate::dataflow::ExecutorKind;
 use crate::faultsim::FaultInjector;
@@ -16,8 +16,8 @@ use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Time one dataflow stage spent blocked on its queue (a relaxed
-/// atomic — telemetry, not synchronisation).
+/// Time one dataflow stage spent blocked (a relaxed atomic — telemetry,
+/// not synchronisation).
 #[derive(Debug, Default)]
 pub(crate) struct StageMeter {
     idle_ns: AtomicU64,
@@ -40,8 +40,8 @@ impl StageMeter {
 /// Snapshot of one stage's telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
-    /// Threads that run the stage: 1 for the seeding producer, the
-    /// pool's `threads` for filtering and extension (one pool runs both).
+    /// Threads that run the stage: `threads` for each, since one pool
+    /// seeds, filters and extends (the one-thread loop is a pool of one).
     pub workers: usize,
     /// Work items processed: tiles planned (seeding), tiles filtered
     /// (filtering), anchors extended-or-absorbed (extension).
@@ -50,9 +50,10 @@ pub struct StageMetrics {
     pub cells: u64,
     /// Cumulative time workers spent doing work, microseconds.
     pub busy_us: u64,
-    /// Cumulative time the stage spent blocked on its queue,
-    /// microseconds: the producer pushing `filter_q` (seeding), the pool
-    /// popping it (filtering). Extension has no queue of its own and
+    /// Cumulative time the stage spent blocked, microseconds: for
+    /// seeding, the producer planning it — pushing `filter_q`, or waiting
+    /// for a row or a forward strand to finish seeding; for filtering,
+    /// the pool popping `filter_q`. Extension has no queue of its own and
     /// reads 0.
     pub idle_us: u64,
     /// High-water mark of the stage's *input* queue: `filter_q` for
@@ -70,7 +71,8 @@ pub struct ExecutorMetrics {
     pub threads: usize,
     /// Configured bounded-queue capacity.
     pub queue_depth: usize,
-    /// Seeding producer telemetry.
+    /// Seeding telemetry: the pool's range tasks, planned by the
+    /// producer.
     pub seeding: StageMetrics,
     /// Filtering telemetry: the pool's range batches.
     pub filtering: StageMetrics,
@@ -91,10 +93,9 @@ impl ExecutorMetrics {
     /// into `out`: each stage's items, cells and busy time come from the
     /// report (pairs replayed from a journal included, work spent on a
     /// pair that went on to fail excluded), the fault totals from the
-    /// run's injector; seeding has one worker, filtering and extension
-    /// `threads`. Idle time and queue occupancy read zero, as in the
-    /// one-thread loop; the dataflow executor overwrites what its
-    /// producer, pool and queue know.
+    /// run's injector; every stage has `threads` workers. Idle time and
+    /// queue occupancy read zero, as in the one-thread loop; the dataflow
+    /// executor overwrites what its producer, pool and queue know.
     pub(crate) fn from_report(
         threads: usize,
         out: &AssemblyReport,
@@ -116,7 +117,7 @@ impl ExecutorMetrics {
                 ExecutorKind::Barrier
             },
             threads,
-            seeding: stage(1, w.filter_tiles, w.seeds, t.seeding),
+            seeding: stage(threads, w.filter_tiles, w.seeds, t.seeding),
             filtering: stage(threads, w.filter_tiles, c.filter_cells, t.filtering),
             extension: stage(threads, c.anchors_passed, w.extension_cells, t.extension),
             faults_injected,

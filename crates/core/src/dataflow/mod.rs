@@ -7,10 +7,11 @@
 //! The paper's two arrays are separate silicon; here both are general
 //! threads, so one pool runs both stages:
 //!
-//! * a **seeding producer** walks the target rows one at a time, the row
-//!   with the least work first and a row's pairs smallest first, and
-//!   emits one tile batch per query range of each (pair, strand);
-//! * a **worker pool** filters the batches through the shared
+//! * a **planning producer** walks the target rows one at a time, the
+//!   row with the least work first and a row's pairs smallest first,
+//!   and queues one task per query range of each (pair, strand);
+//! * a **worker pool** seeds each range, as the paper's host threads
+//!   seed, and filters its hits through the shared
 //!   [`crate::filter_engine::FilterContext`] (the BSW array analogue),
 //!   and the worker that completes a pair runs GACT-X over it (the
 //!   GACT-X array analogue) — the sequential anchor-absorption stage
@@ -36,10 +37,9 @@ pub use queue::BoundedQueue;
 
 pub(crate) use executor::execute;
 
-/// Default bounded-queue capacity (`--queue-depth`). The producer keeps
-/// the filter queue full, so the depth bounds the seed hits in flight:
-/// on a single pair at 64 they held 0.2–0.3 MB more than at 4, which
-/// was no slower (EXPERIMENTS.md, "One schedule").
+/// Default bounded-queue capacity (`--queue-depth`): the range tasks
+/// the producer may plan ahead of the pool (EXPERIMENTS.md, "One
+/// schedule", for why 4).
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
 /// The name of a schedule, as `--metrics-out` and the run summary spell
@@ -50,8 +50,8 @@ pub enum ExecutorKind {
     /// The one-thread pair loop ([`crate::pipeline::run_pair`]).
     #[default]
     Barrier,
-    /// Streaming executor: a seeding producer and one pool of filtering
-    /// and extending workers, over bounded queues.
+    /// Streaming executor: a planning producer and one pool of seeding,
+    /// filtering and extending workers, over bounded queues.
     Dataflow,
 }
 
@@ -84,10 +84,11 @@ mod tests {
     use super::*;
     use crate::config::{FilterEngineKind, ResourceBudget, WgaParams};
     use crate::genome_pipeline::{align_assemblies_observed, align_assemblies_with, AlignOptions};
-    use crate::obs::{Obs, TraceRecorder};
+    use crate::obs::{Obs, Span, SpanName, TraceRecorder};
     use crate::report::{BudgetKind, RunEvent, RunOutcome};
     use genome::assembly::Assembly;
     use genome::evolve::{EvolutionParams, SyntheticPair};
+    use genome::Sequence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -252,6 +253,119 @@ mod tests {
                 "--threads {threads}: spans from {} threads",
                 tids.len()
             );
+        }
+    }
+
+    /// A traced run of a four-chromosome pair at `threads`, cut into
+    /// ranges of 512 bases, with its spans.
+    fn four_rows(params: &WgaParams, threads: usize) -> Vec<Span> {
+        let sizes = [(5_000, 0.2), (4_000, 0.3), (3_000, 0.25), (2_000, 0.2)];
+        let (target, query) = assemblies(111, &sizes);
+        let params = WgaParams {
+            shard_bases: 512,
+            ..params.clone()
+        };
+        let recorder = TraceRecorder::new();
+        let options = AlignOptions {
+            threads,
+            ..AlignOptions::default()
+        };
+        let obs = Obs::new(&recorder);
+        align_assemblies_observed(&params, &target, &query, &options, obs).unwrap();
+        recorder.spans()
+    }
+
+    /// The producer plans and the pool seeds: above one thread no `seed`
+    /// span comes from the thread that builds the tables, unless a
+    /// budget makes that thread walk its strands whole.
+    #[test]
+    fn the_pool_seeds_what_the_producer_plans() {
+        let budgeted = WgaParams {
+            budget: ResourceBudget {
+                max_seed_hits: Some(1_000),
+                ..ResourceBudget::default()
+            },
+            ..WgaParams::darwin_wga()
+        };
+        for threads in [2, 3] {
+            for (params, producer_seeds) in
+                [(WgaParams::darwin_wga(), false), (budgeted.clone(), true)]
+            {
+                let spans = four_rows(&params, threads);
+                let of = |name| spans.iter().filter(move |span| span.name == name);
+                let producer: BTreeSet<u64> =
+                    of(SpanName::SeedTable).map(|span| span.tid).collect();
+                assert_eq!(
+                    producer.len(),
+                    1,
+                    "--threads {threads}: one thread builds the tables"
+                );
+                // A budgeted strand is seeded whole on the producer, and
+                // its tasks slice what the budget kept.
+                let on_producer = |span: &&Span| producer.contains(&span.tid);
+                let (there, elsewhere): (Vec<&Span>, Vec<&Span>) =
+                    of(SpanName::Seed).partition(on_producer);
+                assert_eq!(
+                    (!there.is_empty(), elsewhere.is_empty()),
+                    (producer_seeds, producer_seeds),
+                    "--threads {threads}, budgeted: {producer_seeds}"
+                );
+            }
+        }
+    }
+
+    /// One row's table at a time: no `seed.table` span starts before the
+    /// row built before it has ended its last `seed` span.
+    #[test]
+    fn a_row_table_is_built_once_the_row_before_is_seeded() {
+        for threads in [2, 3] {
+            let spans = four_rows(&WgaParams::darwin_wga(), threads);
+            let mut tables: Vec<_> = spans
+                .iter()
+                .filter(|span| span.name == SpanName::SeedTable)
+                .collect();
+            tables.sort_by_key(|span| span.start_us);
+            assert_eq!(tables.len(), 4, "--threads {threads}");
+            for built in tables.windows(2) {
+                // Four query chromosomes a row: pair `p` is in row `p / 4`.
+                let seeded = spans
+                    .iter()
+                    .filter(|span| span.name == SpanName::Seed && span.pair / 4 == built[0].seq)
+                    .map(|span| span.start_us + span.dur_us);
+                let seeded = seeded.max().expect("the row seeded");
+                assert!(
+                    seeded <= built[1].start_us,
+                    "--threads {threads}: row {} built at {} us, row {} seeded until {seeded} us",
+                    built[1].seq,
+                    built[1].start_us,
+                    built[0].seq
+                );
+            }
+        }
+    }
+
+    /// A pair with no query range has nothing for the pool: the producer
+    /// finishes it, into the loop's report, on one strand or both.
+    #[test]
+    fn a_pair_with_an_empty_query_matches_the_loop() {
+        let (target, mut query) = assemblies(121, &[(6_000, 0.2)]);
+        query.push("chrEmpty", Sequence::default());
+        for both_strands in [false, true] {
+            let params = WgaParams {
+                both_strands,
+                ..WgaParams::darwin_wga()
+            };
+            let serial = run(&params, &target, &query, 1, 4);
+            assert_eq!(serial.pairs.len(), 2);
+            assert!(serial.failed_pairs() == 0 && serial.total_matches() > 0);
+            for threads in [2, 3] {
+                let dataflow = run(&params, &target, &query, threads, 4);
+                assert_eq!(
+                    serial.canonical_text(),
+                    dataflow.canonical_text(),
+                    "--threads {threads}"
+                );
+            }
         }
     }
 

@@ -47,12 +47,13 @@ pub fn run_pair(
 ) -> WgaReport {
     let pair_start = Instant::now();
     let mut report = WgaReport::default();
-    // The pair's tile budget charges the hits handed to `filter_batch`,
-    // run or not, as the dataflow producer charges the hits it queues.
-    let mut tiles_queued = 0u64;
+    // A budgeted reverse strand is charged for the tiles the forward
+    // strand kept, filtered or not, on every schedule.
+    let mut tiles_kept = 0u64;
     let mut run_strand = |table: Arc<SeedTable>, query: &Sequence, strand: Strand| {
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.len());
-        let (mut lane, kept) = seed_lane(params, &table, query, strand, ranges, tiles_queued, obs);
+        let (lane, kept) = seed_lane(params, &table, query, strand, ranges, tiles_kept, obs);
+        tiles_kept += kept.as_ref().map_or(0, |kept| kept.len() as u64);
         // One filter context per strand (the batch's flattened scoring).
         let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
@@ -73,14 +74,13 @@ pub fn run_pair(
                 &mut scratch,
                 obs,
             );
-            lane.add(cost);
-            tiles_queued += hits.len() as u64;
             batches.push(filter_batch(
                 params,
                 &mut engine,
                 target,
                 query,
                 &hits,
+                cost,
                 pair_start,
                 scode,
                 idx,

@@ -6,9 +6,9 @@
 //! parameters alone — not on the thread count. A range is seeded, its
 //! hits are filtered, and only the survivors outlive it: no schedule
 //! holds a strand's hit list (DESIGN.md, "Seed → filter streaming"). One
-//! thread walks the ranges in a plain loop; the dataflow producer seeds
-//! them one after another and queues each range's hits for the filter
-//! pool. Survivors are put back in hit order before the extension sees
+//! thread walks the ranges in a plain loop; the dataflow producer queues
+//! each range as a task, and a pool worker seeds and filters it.
+//! Survivors are put back in hit order before the extension sees
 //! them, so the range size never reaches canonical output.
 
 use std::ops::Range;

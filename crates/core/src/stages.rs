@@ -15,9 +15,9 @@
 //! |---|---|---|
 //! | `Journals::replay` | before the walk, a block's journal at a time | before the pool starts, the same |
 //! | `row_seed_table` | pair loop, once per row of the matrix | producer, once per row |
-//! | `seed_lane` | per strand: the chaos gate; a budget clamps against the tiles queued so far | producer, per strand; the same |
-//! | `seed_range` → `filter_batch` | per range, in a plain loop | producer seeds a range and moves its hits into a task; a pool worker runs it |
-//! | `fold_batches` + `extend_anchors` | the calling thread | the pool worker that deposits the pair's last batch, or pops the sealed pair |
+//! | `seed_lane` | per strand: the chaos gate; a reverse strand's budget is charged for what the forward strand kept | producer, per strand; the same |
+//! | `seed_range` → `filter_batch` | per range, in a plain loop | per range, a pool task; the producer only queues it |
+//! | `fold_batches` + `extend_anchors` | the calling thread | the pool worker that deposits the pair's last range; the producer, for a pair with none |
 //! | `Journals::commit` | pair loop, row order, into the pair's block's journal | collector, completion order, the same |
 //! | `fold_pair` | canonical-order assembly into block reports | the same |
 //!
@@ -79,8 +79,8 @@ pub fn run_extension(
     )
 }
 
-/// Seeding accounting — a strand's, which [`fold_batches`] later writes
-/// into the pair's report, summed from its ranges'.
+/// Seeding accounting — a range's or a strand's, which [`fold_batches`]
+/// sums and writes into the pair's report.
 #[derive(Debug, Default)]
 pub(crate) struct SeededLane {
     /// Seed positions D-SOFT queried.
@@ -92,7 +92,7 @@ pub(crate) struct SeededLane {
 }
 
 impl SeededLane {
-    pub(crate) fn add(&mut self, range: SeededLane) {
+    pub(crate) fn add(&mut self, range: &SeededLane) {
         self.seeds_queried += range.seeds_queried;
         self.raw_hits += range.raw_hits;
         self.seed_time += range.seed_time;
@@ -189,7 +189,7 @@ pub(crate) fn seed_lane(
             obs,
         );
         smallest.absorb(&hits);
-        lane.add(cost);
+        lane.add(&cost);
     }
     let (clamp, mut kept) = smallest.finish(params, tiles_used);
     lane.clamp_events = clamp.events;
@@ -202,6 +202,8 @@ pub(crate) fn seed_lane(
 pub(crate) struct BatchResult {
     /// The batch's range index.
     batch: usize,
+    /// What seeding the range cost.
+    seeded: SeededLane,
     /// The hits that passed, each with its anchor, in hit order within
     /// the batch. The hit is kept so [`fold_batches`] can put a strand's
     /// anchors back in hit order.
@@ -232,10 +234,10 @@ impl BatchResult {
     }
 }
 
-/// Filters one batch of hits with the worker's `engine` (drawn once per
-/// worker and strand from the strand's shared [`FilterContext`], so its
-/// DP scratch serves every batch the worker runs), stopping early if
-/// the pair deadline passes.
+/// Filters one range's hits, seeded at cost `seeded`, with the worker's
+/// `engine` (drawn once per worker and strand from the strand's shared
+/// [`FilterContext`], so its DP scratch serves every batch the worker
+/// runs), stopping early if the pair deadline passes.
 ///
 /// A panic inside the batch is contained: the batch is retried once
 /// (transient poison often clears; a deterministic panic simply fires
@@ -252,6 +254,7 @@ pub(crate) fn filter_batch(
     target: &Sequence,
     query: &Sequence,
     hits: &[SeedHit],
+    seeded: SeededLane,
     pair_start: Instant,
     strand: u8,
     batch_idx: usize,
@@ -293,17 +296,18 @@ pub(crate) fn filter_batch(
                 items: hits.len() as u64,
                 cells,
                 busy: start.elapsed(),
-                failed: None,
+                ..BatchResult::default()
             }
         }))
     };
-    attempt().or_else(|_| attempt()).unwrap_or_else(|payload| {
+    let result = attempt().or_else(|_| attempt()).unwrap_or_else(|payload| {
         BatchResult::failed(
             batch_idx,
             hits.len() as u64,
             panic_message(payload.as_ref()),
         )
-    })
+    });
+    BatchResult { seeded, ..result }
 }
 
 /// Test-only fault injection: a hit at `u32::MAX` (unreachable from
@@ -316,11 +320,11 @@ fn poison_check(hit: SeedHit) {
     }
 }
 
-/// Folds one strand's seeding accounting and its filter batches into
-/// `report`, and returns the strand's anchors in hit order — (target,
-/// query), the order one D-SOFT walk of the whole strand emits — so that
-/// neither the range size nor the order batches finished in reaches the
-/// extension's stable score sort.
+/// Folds one strand's seeding accounting (`lane`'s and each batch's)
+/// and its filter batches into `report`, and returns the strand's
+/// anchors in hit order — (target, query), the order one D-SOFT walk of
+/// the whole strand emits — so that neither the range size nor the order
+/// batches finished in reaches the extension's stable score sort.
 ///
 /// Event order is the same on every schedule: the strand's budget
 /// clamps, one [`RunEvent::BatchFailed`] per failed batch in range
@@ -330,22 +334,19 @@ fn poison_check(hit: SeedHit) {
 /// thread is more than the stage's elapsed time.
 pub(crate) fn fold_batches(
     params: &WgaParams,
-    lane: SeededLane,
+    mut lane: SeededLane,
     ctx_time: Duration,
     mut batches: Vec<BatchResult>,
     pair_start: Instant,
     report: &mut WgaReport,
 ) -> Vec<Anchor> {
-    report.timings.seeding += lane.seed_time;
-    report.workload.seeds += lane.seeds_queried;
-    report.counters.raw_seed_hits += lane.raw_hits;
-    report.events.extend(lane.clamp_events);
-
+    report.events.append(&mut lane.clamp_events);
     batches.sort_by_key(|batch| batch.batch);
     let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
     let mut deadline_hit = false;
     let mut filter_time = ctx_time;
     for batch in batches {
+        lane.add(&batch.seeded);
         if let Some(message) = batch.failed {
             report.events.push(RunEvent::BatchFailed {
                 stage: StageKind::Filtering,
@@ -368,6 +369,9 @@ pub(crate) fn fold_batches(
             pair_start,
         ));
     }
+    report.timings.seeding += lane.seed_time;
+    report.workload.seeds += lane.seeds_queried;
+    report.counters.raw_seed_hits += lane.raw_hits;
     report.timings.filtering += filter_time;
     report.counters.anchors_passed += survivors.len() as u64;
     survivors.sort_unstable_by_key(|&(hit, _)| hit);

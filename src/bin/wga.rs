@@ -15,8 +15,8 @@
 //!     with --baseline); print a run summary and the top chains; write
 //!     MAF if requested. --threads picks the schedule: 1 (the default)
 //!     is a plain loop on the calling thread; N > 1 runs the dataflow
-//!     executor: one producer seeds, a pool of N workers filters and
-//!     extends, and pairs stream through bounded queues of capacity
+//!     executor: one producer plans, a pool of N workers seeds, filters
+//!     and extends, and pairs stream through bounded queues of capacity
 //!     --queue-depth (results are byte-identical either way).
 //!     --executor is still accepted and changes nothing. --metrics-out writes the schedule's per-stage
 //!     telemetry as JSON (`"executor"` is `barrier` at one thread and

@@ -1,13 +1,14 @@
-//! The JSON readers under damaged input, in the pattern of the FASTA
-//! reader's adversaries: one journal record, one trace with every line
-//! kind, one fault plan, one `--metrics-out` payload and one
-//! `profile_report.json`, cut at every prefix and with every byte
-//! replaced by a few troublemakers in turn. Every reader — `json::parse`,
-//! `Journal::open`, `TraceFile::parse`, `FaultPlan::parse`,
-//! `ReportSummary::from_json` — returns a value or a typed error, never
-//! a panic. A nesting bomb, which used to overflow the parser's stack,
-//! is an error in each reader, and a corrupt interior journal line to
-//! the rest of the journal.
+//! The JSON readers — and the MAF reader — under damaged input, in the
+//! pattern of the FASTA reader's adversaries: one journal record, one
+//! trace with every line kind, one fault plan, one `--metrics-out`
+//! payload, one `profile_report.json` and one two-block MAF, cut at
+//! every prefix and with every byte replaced by a few troublemakers in
+//! turn. Every reader — `json::parse`, `Journal::open`,
+//! `TraceFile::parse`, `FaultPlan::parse`, `ReportSummary::from_json`,
+//! `read_maf` — returns a value or a typed error, never a panic. A
+//! nesting bomb, which used to overflow the parser's stack, is an error
+//! in each reader, and a corrupt interior journal line to the rest of
+//! the journal.
 
 use darwin_wga::align::{AlignOp, Alignment, Cigar};
 use darwin_wga::core::config::WgaParams;
@@ -16,10 +17,12 @@ use darwin_wga::core::faultsim::FaultPlan;
 use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
 use darwin_wga::core::journal::{crc32c, params_fingerprint, Journal, PairRecord};
 use darwin_wga::core::json::{self, Json};
+use darwin_wga::core::maf::{read_maf, write_maf};
 use darwin_wga::core::report::{
     BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageKind, StageTimings, Strand, WgaAlignment,
 };
 use darwin_wga::genome::assembly::Assembly;
+use darwin_wga::genome::Sequence;
 use darwin_wga::hwsim::Workload;
 use darwin_wga::profile::diff::ReportSummary;
 use darwin_wga::profile::TraceFile;
@@ -164,6 +167,26 @@ fn metrics() -> String {
     doc.to_string()
 }
 
+/// Two blocks as `wga align` writes them, one a strand.
+fn maf() -> String {
+    let t: Sequence = "ACGTTGCAACGT".parse().expect("bases");
+    let q: Sequence = "ACGATGCACGT".parse().expect("bases");
+    let mut cigar = Cigar::new();
+    cigar.push(AlignOp::Match, 3);
+    cigar.push(AlignOp::Subst, 1);
+    cigar.push(AlignOp::Match, 4);
+    cigar.push(AlignOp::Delete, 1);
+    cigar.push(AlignOp::Match, 3);
+    let alignment = Alignment::new(0, 0, cigar, 700);
+    let alignments = [Strand::Forward, Strand::Reverse].map(|strand| WgaAlignment {
+        alignment: alignment.clone(),
+        strand,
+    });
+    let mut out = Vec::new();
+    write_maf(&mut out, "chrT", &t, "chrQ", &q, &alignments).expect("written");
+    String::from_utf8(out).expect("MAF is text")
+}
+
 fn report() -> String {
     fs::read_to_string(data("golden.profile_report.json")).expect("fixture present")
 }
@@ -172,6 +195,7 @@ fn report() -> String {
 fn read_everywhere(input: &[u8], case: &str) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let _ = TraceFile::read(input);
+        let _ = read_maf(input);
         if let Ok(text) = std::str::from_utf8(input) {
             if let Ok(doc) = json::parse(text) {
                 assert_eq!(
@@ -226,6 +250,9 @@ fn the_undamaged_inputs_read() {
     assert_eq!(FaultPlan::parse(PLAN).expect("plan parses").rules.len(), 2);
     assert_eq!(json::parse(&metrics()).unwrap().to_string(), metrics());
     assert!(ReportSummary::from_json(&report()).is_ok());
+    let blocks = read_maf(maf().as_bytes()).expect("MAF reads");
+    let strands: Vec<Strand> = blocks.iter().map(|block| block.strand).collect();
+    assert_eq!(strands, [Strand::Forward, Strand::Reverse]);
 }
 
 #[test]
@@ -236,6 +263,7 @@ fn every_damaged_input_reads_or_fails_cleanly() {
         PLAN.to_string(),
         metrics(),
         report(),
+        maf(),
     ] {
         for (bytes, case) in damaged(input.as_bytes()) {
             read_everywhere(&bytes, &case);

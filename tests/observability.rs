@@ -244,9 +244,9 @@ fn metrics_json_is_valid_on_every_executor() {
         // Both schedules agree on what work the run contained.
         assert_eq!(metrics.filtering.items, report.workload.filter_tiles);
         assert_eq!(metrics.seeding.cells, report.workload.seeds);
-        // One producer seeds; one pool of `threads` filters and extends.
+        // One pool of `threads` seeds, filters and extends.
         let workers = [metrics.seeding, metrics.filtering, metrics.extension].map(|s| s.workers);
-        assert_eq!(workers, [1, threads, threads], "--threads {threads}");
+        assert_eq!(workers, [threads; 3], "--threads {threads}");
     }
 }
 
