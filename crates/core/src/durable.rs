@@ -82,12 +82,8 @@ fn stage(path: &Path, write: impl FnOnce(&File) -> std::io::Result<()>) -> WgaRe
 /// Steps 3 and 4: flips the name and makes the flip durable.
 fn commit(path: &Path) -> WgaResult<()> {
     let tmp = tmp_path(path);
-    fs::rename(&tmp, path).map_err(|e| {
-        WgaError::io(
-            format!("rename {} -> {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
+    fs::rename(&tmp, path)
+        .map_err(|e| WgaError::io(format!("rename {} -> {}", tmp.display(), path.display()), e))?;
     sync_parent_dir(path)
 }
 
@@ -191,7 +187,10 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"a score=0\na score=1\na score=2\n");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            b"a score=0\na score=1\na score=2\n"
+        );
         // A render that fails midway: the error comes back, the
         // destination keeps the last complete file.
         let torn = write_atomic_with(&path, |w| {
@@ -199,7 +198,10 @@ mod tests {
             Err(std::io::Error::other("render failed"))
         });
         assert!(torn.unwrap_err().to_string().contains("render failed"));
-        assert_eq!(fs::read(&path).unwrap(), b"a score=0\na score=1\na score=2\n");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            b"a score=0\na score=1\na score=2\n"
+        );
         let _ = fs::remove_file(&path);
         let _ = fs::remove_file(tmp_path(&path));
     }
@@ -254,9 +256,7 @@ mod tests {
         )
         .unwrap();
         let injector = FaultInjector::new(plan, 0);
-        assert!(
-            write_atomic_gated(&path, b"x", Some((&injector, Hook::TraceSink))).is_err()
-        );
+        assert!(write_atomic_gated(&path, b"x", Some((&injector, Hook::TraceSink))).is_err());
         assert!(!path.exists());
         let _ = fs::remove_file(&path);
     }
