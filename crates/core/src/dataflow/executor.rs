@@ -57,7 +57,9 @@
 //! loop, and drops what `filter_q` still holds, which ends any wait of
 //! the producer's. The close-on-exit is a `Drop` guard, so even a worker
 //! panicking outside its `catch_unwind` layers still releases the
-//! producer and the collector instead of deadlocking the scope.
+//! producer and the collector instead of deadlocking the scope; and the
+//! collector closes both queues when it exits, so a panic out of a
+//! journal commit releases the producer and the pool the same way.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
@@ -172,6 +174,19 @@ impl Drop for PoolGuard<'_, '_> {
     }
 }
 
+/// Closes both queues when the collector exits, however it exits: a
+/// panic out of a commit (an injected `journal.append` one, say) then
+/// releases the producer and the pool, whose joins the scope would
+/// otherwise wait on forever. On a clean exit both are closed already.
+struct CloseOnExit<'q, 'a>(&'q BoundedQueue<RangeTask<'a>>, &'q BoundedQueue<PairDone>);
+
+impl Drop for CloseOnExit<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+        self.1.close();
+    }
+}
+
 /// Runs every pair of `matrix` through the streaming executor. Called
 /// by [`crate::genome_pipeline::align_matrix`] once parameters are
 /// validated and the journals have replayed their pairs into `records`;
@@ -272,6 +287,7 @@ pub(crate) fn execute(
         }
 
         // --- Collector (this thread): journal + gather -----------------
+        let _close = CloseOnExit(&filter_q, &done_q);
         let mut journal_err: Option<WgaError> = None;
         let mut collector_buf = obs.buffer();
         loop {

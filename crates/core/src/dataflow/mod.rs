@@ -83,7 +83,7 @@ impl std::str::FromStr for ExecutorKind {
 mod tests {
     use super::*;
     use crate::config::{FilterEngineKind, ResourceBudget, WgaParams};
-    use crate::genome_pipeline::{align_assemblies_observed, align_assemblies_with, AlignOptions};
+    use crate::genome_pipeline::{align_assemblies_observed, AlignOptions};
     use crate::obs::{Obs, Span, SpanName, TraceRecorder};
     use crate::report::{BudgetKind, RunEvent, RunOutcome};
     use genome::assembly::Assembly;
@@ -133,7 +133,7 @@ mod tests {
             queue_depth,
             ..AlignOptions::default()
         };
-        align_assemblies_with(params, target, query, &options).unwrap()
+        align_assemblies_observed(params, target, query, &options, Obs::off()).unwrap()
     }
 
     #[test]
@@ -409,10 +409,13 @@ mod tests {
             ..AlignOptions::default()
         };
         let params = WgaParams::darwin_wga();
-        let err = align_assemblies_with(&params, &target, &query, &options(2)).unwrap_err();
+        let err = align_assemblies_observed(&params, &target, &query, &options(2), Obs::off())
+            .unwrap_err();
         assert!(matches!(err, crate::error::WgaError::Config(_)), "{err}");
         // The one-thread loop has no queues.
-        assert!(align_assemblies_with(&params, &target, &query, &options(1)).is_ok());
+        assert!(
+            align_assemblies_observed(&params, &target, &query, &options(1), Obs::off()).is_ok()
+        );
     }
 
     /// CI deadlock-guard entry point: thread count comes from
@@ -446,14 +449,17 @@ mod tests {
             queue_depth: 4,
             ..AlignOptions::default()
         };
-        let first = align_assemblies_with(&params, &target, &query, &options(3)).unwrap();
+        let first =
+            align_assemblies_observed(&params, &target, &query, &options(3), Obs::off()).unwrap();
         assert_eq!(first.resumed_pairs, 0);
-        let second = align_assemblies_with(&params, &target, &query, &options(3)).unwrap();
+        let second =
+            align_assemblies_observed(&params, &target, &query, &options(3), Obs::off()).unwrap();
         assert_eq!(second.resumed_pairs, 4);
         assert_eq!(first.canonical_text(), second.canonical_text());
         // The one-thread loop picks up the dataflow journal (the thread
         // count is not part of the params fingerprint).
-        let third = align_assemblies_with(&params, &target, &query, &options(1)).unwrap();
+        let third =
+            align_assemblies_observed(&params, &target, &query, &options(1), Obs::off()).unwrap();
         assert_eq!(third.resumed_pairs, 4);
         assert_eq!(first.canonical_text(), third.canonical_text());
         let _ = std::fs::remove_file(&path);

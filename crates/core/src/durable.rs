@@ -17,6 +17,19 @@
 //! [`pre_open_check`] creates the tmp file up front so `wga align`
 //! still fails fast on an unwritable output path *before* hours of
 //! alignment work, exactly as the old direct-`File::create` check did.
+//!
+//! A FIFO or a character device (`/dev/null`, a terminal, the pipe
+//! `/dev/stdout` names) is a stream, not a file to replace: it is opened
+//! and written in place, with no tmp sibling and no rename — renaming
+//! over it would put a regular file where the device node was.
+//!
+//! [`pre_open_outputs`] checks a command's outputs before it reads any
+//! input. An output is compared by `(dev, inode)`, so no spelling or
+//! symbolic link of an input can be one, and two outputs — or one and
+//! another's tmp sibling — cannot be one file; a file that does not
+//! exist yet is compared by its canonical directory and name. The
+//! [`Staged`] it returns removes every tmp sibling no write consumed,
+//! so a command that fails leaves none behind.
 
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultKind, Hook, PAIRLESS};
@@ -48,9 +61,10 @@ pub fn pre_open_check(path: &Path) -> WgaResult<()> {
 }
 
 /// Atomically replaces `path` with what `render` writes (tmp + fsync +
-/// rename + parent-dir fsync). The writer is buffered and over the tmp
-/// file itself, so an artifact of any size is staged as it is rendered
-/// and never held in memory.
+/// rename + parent-dir fsync), or writes a FIFO or character device in
+/// place. The writer is buffered and over the tmp file itself, so an
+/// artifact of any size is staged as it is rendered and never held in
+/// memory.
 ///
 /// # Errors
 ///
@@ -60,27 +74,55 @@ pub fn write_atomic_with(
     path: &Path,
     render: impl FnOnce(&mut BufWriter<&File>) -> std::io::Result<()>,
 ) -> WgaResult<()> {
-    stage(path, |file| {
+    let staged = stage(path, |file| {
         let mut writer = BufWriter::new(file);
         render(&mut writer)?;
         // A dropped `BufWriter` swallows its last write's error.
         writer.flush()
     })?;
-    commit(path)
+    commit(path, staged)
 }
 
-/// Steps 1 and 2: writes `path`'s tmp sibling and makes it durable.
-fn stage(path: &Path, write: impl FnOnce(&File) -> std::io::Result<()>) -> WgaResult<()> {
+/// Whether `path` is a stream written in place: an existing FIFO or
+/// character device.
+fn in_place(path: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileTypeExt;
+        let kind = fs::metadata(path).map(|meta| meta.file_type());
+        kind.is_ok_and(|kind| kind.is_fifo() || kind.is_char_device())
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = path;
+        false
+    }
+}
+
+/// Steps 1 and 2: writes `path`'s tmp sibling and makes it durable — or,
+/// for a stream, writes `path` itself. Returns whether it staged.
+fn stage(path: &Path, write: impl FnOnce(&File) -> std::io::Result<()>) -> WgaResult<bool> {
+    if in_place(path) {
+        let file = fs::OpenOptions::new().write(true).open(path);
+        let file = file.map_err(|e| WgaError::io(format!("open {}", path.display()), e))?;
+        write(&file).map_err(|e| WgaError::io(format!("write {}", path.display()), e))?;
+        return Ok(false);
+    }
     let tmp = tmp_path(path);
     let file =
         File::create(&tmp).map_err(|e| WgaError::io(format!("create {}", tmp.display()), e))?;
     write(&file).map_err(|e| WgaError::io(format!("write {}", tmp.display()), e))?;
     file.sync_all()
-        .map_err(|e| WgaError::io(format!("fsync {}", tmp.display()), e))
+        .map_err(|e| WgaError::io(format!("fsync {}", tmp.display()), e))?;
+    Ok(true)
 }
 
-/// Steps 3 and 4: flips the name and makes the flip durable.
-fn commit(path: &Path) -> WgaResult<()> {
+/// Steps 3 and 4, when `path` was `staged`: flips the name and makes the
+/// flip durable.
+fn commit(path: &Path, staged: bool) -> WgaResult<()> {
+    if !staged {
+        return Ok(());
+    }
     let tmp = tmp_path(path);
     fs::rename(&tmp, path)
         .map_err(|e| WgaError::io(format!("rename {} -> {}", tmp.display(), path.display()), e))?;
@@ -133,8 +175,111 @@ pub fn write_atomic_gated(
             }
         }
     }
-    stage(path, |mut file| file.write_all(bytes))?;
-    commit(path)
+    let staged = stage(path, |mut file| file.write_all(bytes))?;
+    commit(path, staged)
+}
+
+/// The tmp siblings [`pre_open_outputs`] staged. Dropping it removes
+/// each one a write has not renamed away, so a command that fails leaves
+/// none behind.
+#[derive(Debug)]
+pub struct Staged(Vec<PathBuf>);
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        for tmp in &self.0 {
+            let _ = fs::remove_file(tmp);
+        }
+    }
+}
+
+/// What names a file however it is spelt: its device and inode where it
+/// exists, its canonical directory and name where it does not yet.
+#[derive(Debug, PartialEq)]
+enum FileId {
+    Inode(u64, u64),
+    New(PathBuf),
+}
+
+fn file_id(path: &Path) -> Option<FileId> {
+    match fs::metadata(path) {
+        #[cfg(unix)]
+        Ok(meta) => {
+            use std::os::unix::fs::MetadataExt;
+            Some(FileId::Inode(meta.dev(), meta.ino()))
+        }
+        #[cfg(not(unix))]
+        Ok(_) => fs::canonicalize(path).ok().map(FileId::New),
+        Err(_) => {
+            let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+            let dir = fs::canonicalize(dir.unwrap_or(Path::new("."))).ok()?;
+            Some(FileId::New(dir.join(path.file_name()?)))
+        }
+    }
+}
+
+/// Checks a command's outputs, each named by its flag, before it reads
+/// any of its `inputs`, then stages the tmp sibling of each it will
+/// replace ([`pre_open_check`]). A `replaced` output is written by
+/// [`write_atomic_with`] or [`write_atomic_gated`]: missing, a regular
+/// file, or a stream written in place. A checkpoint `journal`, read back
+/// and grown in place, is missing or a regular file.
+///
+/// # Errors
+///
+/// [`WgaError::Config`] naming the flag when an output is an input,
+/// when it and another output (or the tmp sibling that one stages
+/// through) are one file, or when it is a file of a kind it cannot be —
+/// a directory, say; [`WgaError::Io`] when a tmp sibling cannot be
+/// created. Nothing is staged unless every check passes.
+pub fn pre_open_outputs(
+    replaced: &[(&str, &Path)],
+    journal: Option<(&str, &Path)>,
+    inputs: &[&Path],
+) -> WgaResult<Staged> {
+    let inputs: Vec<FileId> = inputs.iter().filter_map(|path| file_id(path)).collect();
+    let mut claimed: Vec<(&str, FileId)> = Vec::new();
+    for (i, &(flag, path)) in replaced.iter().chain(&journal).enumerate() {
+        let replace = i < replaced.len();
+        let stream = replace && in_place(path);
+        if !stream && fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
+            let or_stream = if replace {
+                ", FIFO or character device"
+            } else {
+                ""
+            };
+            let path = path.display();
+            return Err(WgaError::config(format!(
+                "{flag} {path}: not a regular file{or_stream}"
+            )));
+        }
+        let Some(id) = file_id(path) else { continue };
+        if inputs.contains(&id) {
+            return Err(WgaError::config(format!(
+                "{flag} {} is an input of the run",
+                path.display()
+            )));
+        }
+        if stream {
+            continue;
+        }
+        let tmp = replace.then(|| file_id(&tmp_path(path))).flatten();
+        for id in std::iter::once(id).chain(tmp) {
+            if let Some((other, _)) = claimed.iter().find(|(_, claim)| *claim == id) {
+                return Err(WgaError::config(format!(
+                    "{other} and {flag} would write one file ({})",
+                    path.display()
+                )));
+            }
+            claimed.push((flag, id));
+        }
+    }
+    let mut staged = Staged(Vec::new());
+    for &(_, path) in replaced.iter().filter(|(_, path)| !in_place(path)) {
+        pre_open_check(path)?;
+        staged.0.push(tmp_path(path));
+    }
+    Ok(staged)
 }
 
 /// Fsyncs `path`'s parent directory so the rename is durable. A no-op

@@ -13,6 +13,12 @@
 //! pairs durable so an interrupted run resumes where it left off with a
 //! byte-identical final report (see [`AssemblyReport::canonical_text`]).
 //!
+//! A two-assembly run ([`align_assemblies_observed`]) and a many-genome
+//! one ([`crate::pangenome::align_many_observed`]) are one call of
+//! `align_matrix` each, under one [`AlignOptions`]: one validation, one
+//! supervision ([`AlignOptions::supervision`]), one trace and one set of
+//! per-stage metrics for the whole matrix.
+//!
 //! The filter stage of every pair runs through the engine selected by
 //! [`WgaParams::filter_engine`] (the scalar reference or the wavefront
 //! batch, see [`crate::filter_engine`]); every schedule builds
@@ -55,7 +61,9 @@ pub struct LocatedAlignment {
     pub aligned: WgaAlignment,
 }
 
-/// Execution options for [`align_assemblies_with`].
+/// Execution options of a run over the pair matrix: one chromosome-pair
+/// matrix for [`align_assemblies_observed`], one a scheduled genome pair
+/// for [`crate::pangenome::align_many_observed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignOptions {
     /// Worker threads, and with them the schedule: `1` runs the pair loop
@@ -63,9 +71,11 @@ pub struct AlignOptions {
     /// ([`crate::dataflow`]) with a pool of this many workers, each of
     /// which filters batches and extends the pairs it completes.
     pub threads: usize,
-    /// Checkpoint journal path. When set, completed pairs are made
-    /// durable as they finish and a rerun with the same parameters skips
-    /// them (see [`crate::journal`]).
+    /// Where completed pairs are made durable as they finish, so a rerun
+    /// with the same parameters skips them (see [`crate::journal`]): the
+    /// journal file of a two-assembly run, or the directory of a
+    /// many-genome run, one `pair_<a>_<b>.journal` a genome pair,
+    /// created as the run starts.
     pub checkpoint: Option<PathBuf>,
     /// Read by nothing: [`AlignOptions::threads`] alone picks the
     /// schedule. Kept so callers that still name an executor compile.
@@ -83,8 +93,13 @@ pub struct AlignOptions {
     /// closed and unfinished pairs fail instead of hanging. `0` (the
     /// default) disables the watchdog; ignored at one thread.
     pub stall_timeout_ms: u64,
-    /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs.
+    /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
+    /// its `"pair"` is a pair id of the whole matrix.
     pub fault_plan: Option<Arc<FaultPlan>>,
+    /// Many-genome runs only: keep the genome pairs where either genome
+    /// ranks the other among its `k` nearest by sketch distance; `None`
+    /// aligns all pairs.
+    pub knn: Option<usize>,
 }
 
 impl Default for AlignOptions {
@@ -97,13 +112,14 @@ impl Default for AlignOptions {
             max_retries: 1,
             stall_timeout_ms: 0,
             fault_plan: None,
+            knn: None,
         }
     }
 }
 
 impl AlignOptions {
-    /// Rejects zero threads, and a zero queue depth above one thread, so a
-    /// caller can check before it reads any input.
+    /// Rejects zero threads, a zero queue depth above one thread and a
+    /// zero `knn`, so a caller can check before it reads any input.
     ///
     /// # Errors
     ///
@@ -115,7 +131,31 @@ impl AlignOptions {
         if self.threads > 1 && self.queue_depth == 0 {
             return Err(WgaError::config("queue depth must be at least 1"));
         }
+        if self.knn == Some(0) {
+            return Err(WgaError::config(
+                "knn must be at least 1 (omit it to align all pairs)",
+            ));
+        }
         Ok(())
+    }
+
+    /// The run's supervision: an injector drawn from the fault plan, and
+    /// the retry policy supervised sites run under — the injector's,
+    /// seeded by the plan, or the default backoff at `max_retries`. The
+    /// matrix run and each caller firing hooks of its own (FASTA reads,
+    /// output sinks) build one each; occurrences are counted by hook, so
+    /// the split never injects a fault twice.
+    pub fn supervision(&self) -> (Option<FaultInjector>, RetryPolicy) {
+        let injector = (self.fault_plan.as_ref())
+            .map(|plan| FaultInjector::new((**plan).clone(), self.max_retries));
+        let policy = injector.as_ref().map_or(
+            RetryPolicy {
+                max_retries: self.max_retries,
+                ..RetryPolicy::default()
+            },
+            FaultInjector::policy,
+        );
+        (injector, policy)
     }
 }
 
@@ -227,8 +267,8 @@ impl AssemblyReport {
 ///
 /// The seed table is built once per target chromosome and reused across
 /// query chromosomes, as a production aligner would. Serial, no
-/// checkpointing; see [`align_assemblies_with`] for the full-featured
-/// entry point with typed errors.
+/// checkpointing; see [`align_assemblies_observed`] for the
+/// full-featured entry point with typed errors.
 ///
 /// # Panics
 ///
@@ -253,8 +293,9 @@ impl AssemblyReport {
 pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly) -> AssemblyReport {
     // With default options the only failure mode is degenerate
     // parameters — a caller bug at this convenience entry point.
-    // `align_assemblies_with` is the typed-error path.
-    let result = align_assemblies_with(params, target, query, &AlignOptions::default());
+    // `align_assemblies_observed` is the typed-error path.
+    let result =
+        align_assemblies_observed(params, target, query, &AlignOptions::default(), Obs::off());
     assert!(
         result.is_ok(),
         "{}",
@@ -268,7 +309,9 @@ pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly)
 }
 
 /// Aligns two assemblies with fault tolerance, parallelism and optional
-/// checkpoint/resume.
+/// checkpoint/resume; spans, counters and histograms flow into `obs`
+/// (see [`crate::obs`]), and [`Obs::off`] costs one branch per
+/// instrumentation site and never changes results.
 ///
 /// Per chromosome pair: the pipeline runs under panic isolation — a
 /// panicking pair is recorded as [`RunOutcome::Failed`] and the run
@@ -280,23 +323,9 @@ pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly)
 ///
 /// # Errors
 ///
-/// [`WgaError::Config`] when the parameters are degenerate or
-/// `options.threads` is zero; [`WgaError::Checkpoint`] /
+/// [`WgaError::Config`] when the parameters or `options` are degenerate
+/// (see [`AlignOptions::validate`]); [`WgaError::Checkpoint`] /
 /// [`WgaError::Io`] when the journal is unusable.
-pub fn align_assemblies_with(
-    params: &WgaParams,
-    target: &Assembly,
-    query: &Assembly,
-    options: &AlignOptions,
-) -> WgaResult<AssemblyReport> {
-    align_assemblies_observed(params, target, query, options, Obs::off())
-}
-
-/// [`align_assemblies_with`] with an observability hook: spans, counters
-/// and histograms flow into `obs` (see [`crate::obs`]). Passing
-/// [`Obs::off`] makes this identical to the plain entry point — the
-/// disabled path costs one branch per instrumentation site and never
-/// changes results.
 pub fn align_assemblies_observed(
     params: &WgaParams,
     target: &Assembly,
@@ -402,7 +431,7 @@ impl<'a> PairMatrix<'a> {
 ///
 /// # Errors
 ///
-/// As [`align_assemblies_with`], for any block.
+/// As [`align_assemblies_observed`], for any block.
 pub(crate) fn align_matrix(
     params: &WgaParams,
     matrix: &PairMatrix<'_>,
@@ -418,18 +447,8 @@ pub(crate) fn align_matrix(
         check_indexable(&chrom.name, chrom.sequence.len())?;
     }
     options.validate()?;
-    let injector = options
-        .fault_plan
-        .as_ref()
-        .map(|plan| FaultInjector::new((**plan).clone(), options.max_retries));
+    let (injector, retry_policy) = options.supervision();
     let obs = obs.with_fault(injector.as_ref());
-    let retry_policy = injector.as_ref().map_or(
-        RetryPolicy {
-            max_retries: options.max_retries,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::policy,
-    );
 
     obs.set_total_pairs(matrix.pairs.len() as u64);
     let (mut journals, records) = Journals::replay(params, matrix, obs)?;
@@ -629,7 +648,7 @@ mod tests {
     #[test]
     fn zero_threads_is_a_config_error() {
         let (target, query) = two_chrom_assemblies();
-        let err = align_assemblies_with(
+        let err = align_assemblies_observed(
             &WgaParams::darwin_wga(),
             &target,
             &query,
@@ -637,6 +656,7 @@ mod tests {
                 threads: 0,
                 ..AlignOptions::default()
             },
+            Obs::off(),
         )
         .unwrap_err();
         assert!(matches!(err, WgaError::Config(_)), "{err}");
@@ -646,11 +666,12 @@ mod tests {
     fn degenerate_params_are_a_config_error() {
         let mut params = WgaParams::darwin_wga();
         params.max_seed_occurrences = 0;
-        let err = align_assemblies_with(
+        let err = align_assemblies_observed(
             &params,
             &Assembly::new("a"),
             &Assembly::new("b"),
             &AlignOptions::default(),
+            Obs::off(),
         )
         .unwrap_err();
         assert!(matches!(err, WgaError::Config(_)), "{err}");
@@ -661,7 +682,7 @@ mod tests {
         let (target, query) = two_chrom_assemblies();
         let params = WgaParams::darwin_wga();
         let serial = align_assemblies(&params, &target, &query);
-        let parallel = align_assemblies_with(
+        let parallel = align_assemblies_observed(
             &params,
             &target,
             &query,
@@ -669,6 +690,7 @@ mod tests {
                 threads: 3,
                 ..AlignOptions::default()
             },
+            Obs::off(),
         )
         .unwrap();
         assert_eq!(serial.canonical_text(), parallel.canonical_text());
@@ -688,9 +710,10 @@ mod tests {
             checkpoint: Some(path.clone()),
             ..AlignOptions::default()
         };
-        let first = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+        let first = align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
         assert_eq!(first.resumed_pairs, 0);
-        let second = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+        let second =
+            align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
         assert_eq!(second.resumed_pairs, 4);
         assert_eq!(first.canonical_text(), second.canonical_text());
         assert_eq!(first.workload, second.workload);

@@ -11,11 +11,13 @@
 //!   count, the one parameter set of the run;
 //! * [`mash`] / [`joblist`] — integer-only bottom-k sketches and the
 //!   all-vs-all joblist, optionally kNN-sparsified;
-//! * the orchestrator ([`align_many`]) — builds the matrix over the
-//!   scheduled joblist pairs and runs it on the thread count's schedule, with
-//!   budgets, fault injection, retry, watchdog and a *per-genome-pair*
-//!   checkpoint journal, so an N-genome run resumes at chromosome-pair
-//!   granularity;
+//! * the orchestrator ([`align_many_observed`]) — builds the matrix over
+//!   the scheduled joblist pairs and runs it on the thread count's
+//!   schedule under the [`AlignOptions`] of any matrix run — budgets,
+//!   fault injection, retry, watchdog, and a checkpoint that is a
+//!   directory of *per-genome-pair* journals, so an N-genome run resumes
+//!   at chromosome-pair granularity — with the same tracing and
+//!   per-stage metrics as a two-assembly run;
 //! * [`plane_sweep`] — dedups overlapping alignments across the merged
 //!   result set;
 //! * [`paf`] — renders the survivors as PAF.
@@ -33,9 +35,8 @@ pub mod paf;
 pub mod plane_sweep;
 
 use crate::config::WgaParams;
-use crate::dataflow::{ExecutorKind, DEFAULT_QUEUE_DEPTH};
+use crate::dataflow::ExecutorMetrics;
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::FaultPlan;
 use crate::genome_pipeline::{align_matrix, AlignOptions, PairMatrix};
 use crate::obs::Obs;
 use crate::report::{FunnelCounters, StageTimings, WgaAlignment};
@@ -45,79 +46,11 @@ use joblist::PairPlan;
 use mash::Sketch;
 use plane_sweep::SweepStats;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::sync::Arc;
 
-/// Options of a many-genome run. The executor knobs mirror
-/// [`AlignOptions`]; `checkpoint_dir` replaces the single journal path
-/// with a directory holding one journal per genome pair.
-#[derive(Debug, Clone)]
-pub struct ManyOptions {
-    /// Worker threads of the run, and with them its schedule (see
-    /// [`AlignOptions::threads`]).
-    pub threads: usize,
-    /// Read by nothing, as [`AlignOptions::executor`].
-    pub executor: ExecutorKind,
-    /// Dataflow queue depth.
-    pub queue_depth: usize,
-    /// Supervised-retry budget per I/O site.
-    pub max_retries: u32,
-    /// Watchdog stall timeout (0 = disabled).
-    pub stall_timeout_ms: u64,
-    /// Fault plan of the run (chaos testing); its `"pair"` is a pair id
-    /// of the whole matrix.
-    pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Checkpoint directory: one `pair_<a>_<b>.journal` per scheduled
-    /// pair, created as the run starts. A rerun pointing at the same
-    /// directory replays completed pairs and recomputes the rest.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Keep only pairs where either genome ranks the other in its `k`
-    /// nearest by sketch distance; `None` = all pairs.
-    pub knn: Option<usize>,
-}
-
-impl Default for ManyOptions {
-    fn default() -> Self {
-        ManyOptions {
-            threads: 1,
-            executor: ExecutorKind::default(),
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-            max_retries: 1,
-            stall_timeout_ms: 0,
-            fault_plan: None,
-            checkpoint_dir: None,
-            knn: None,
-        }
-    }
-}
-
-impl ManyOptions {
-    /// The options of the run's one executor run over the pair matrix.
-    fn align_options(&self) -> AlignOptions {
-        AlignOptions {
-            threads: self.threads,
-            queue_depth: self.queue_depth,
-            max_retries: self.max_retries,
-            stall_timeout_ms: self.stall_timeout_ms,
-            fault_plan: self.fault_plan.clone(),
-            ..AlignOptions::default()
-        }
-    }
-
-    /// [`AlignOptions::validate`], and a `knn` of at least 1 where set.
-    ///
-    /// # Errors
-    ///
-    /// [`WgaError::Config`] naming the option.
-    pub fn validate(&self) -> WgaResult<()> {
-        if self.knn == Some(0) {
-            return Err(WgaError::config(
-                "knn must be at least 1 (omit it to align all pairs)",
-            ));
-        }
-        self.align_options().validate()
-    }
-}
+/// The options of a many-genome run are those of any run over the pair
+/// matrix. Kept, hidden, for callers that still name it.
+#[doc(hidden)]
+pub type ManyOptions = AlignOptions;
 
 /// One genome of the input set, as the canonical report describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,6 +126,10 @@ pub struct ManyReport {
     /// chromosome at most once, for every scheduled pair that aligns
     /// against it.
     pub tables_built: u64,
+    /// Per-stage telemetry of the run: every block carries the whole
+    /// run's, so this is the first block's. Excluded from the canonical
+    /// text, like timings.
+    pub stage_metrics: Option<ExecutorMetrics>,
 }
 
 impl ManyReport {
@@ -270,28 +207,20 @@ impl ManyReport {
     }
 }
 
-/// Aligns every scheduled genome pair; see the module docs.
+/// Aligns every scheduled genome pair in one executor run threaded
+/// through `obs`; see the module docs. `options.checkpoint` is a
+/// directory of one journal a genome pair.
 ///
 /// # Errors
 ///
-/// [`WgaError::Config`] on degenerate parameters, fewer than two
-/// genomes, duplicate genome names or zero threads; journal errors
-/// ([`WgaError::Checkpoint`] / [`WgaError::Io`]) from any pair
-/// propagate.
-pub fn align_many(
-    params: &WgaParams,
-    genomes: &[Assembly],
-    options: &ManyOptions,
-) -> WgaResult<ManyReport> {
-    align_many_observed(params, genomes, options, Obs::off())
-}
-
-/// [`align_many`] with an observability hook threaded through its one
-/// executor run.
+/// [`WgaError::Config`] on degenerate parameters or options (see
+/// [`AlignOptions::validate`]), fewer than two genomes or duplicate
+/// genome names; journal errors ([`WgaError::Checkpoint`] /
+/// [`WgaError::Io`]) from any pair propagate.
 pub fn align_many_observed(
     params: &WgaParams,
     genomes: &[Assembly],
-    options: &ManyOptions,
+    options: &AlignOptions,
     obs: Obs<'_>,
 ) -> WgaResult<ManyReport> {
     if genomes.len() < 2 {
@@ -304,7 +233,7 @@ pub fn align_many_observed(
     if names.len() != genomes.len() {
         return Err(WgaError::config("genome names must be unique"));
     }
-    if let Some(dir) = &options.checkpoint_dir {
+    if let Some(dir) = &options.checkpoint {
         std::fs::create_dir_all(dir)
             .map_err(|e| WgaError::io(format!("checkpoint dir {}", dir.display()), e))?;
     }
@@ -320,12 +249,12 @@ pub fn align_many_observed(
     let scheduled = plans.iter().filter(|plan| plan.scheduled);
     let matrix = PairMatrix::new(scheduled.map(|plan| {
         let checkpoint = options
-            .checkpoint_dir
+            .checkpoint
             .as_ref()
             .map(|dir| dir.join(format!("pair_{:03}_{:03}.journal", plan.a, plan.b)));
         (&genomes[plan.a], &genomes[plan.b], checkpoint)
     }));
-    let (blocks, tables_built) = align_matrix(&scaled, &matrix, &options.align_options(), obs)?;
+    let (blocks, tables_built) = align_matrix(&scaled, &matrix, options, obs)?;
 
     let mut report = ManyReport {
         genomes: genomes
@@ -338,6 +267,7 @@ pub fn align_many_observed(
             .collect(),
         knn: options.knn,
         tables_built,
+        stage_metrics: blocks.first().and_then(|block| block.stage_metrics),
         ..ManyReport::default()
     };
     let mut merged: Vec<ManyAlignment> = Vec::new();
@@ -404,28 +334,32 @@ mod tests {
     fn rejects_degenerate_inputs() {
         let params = WgaParams::darwin_wga();
         let genomes = genome_set();
-        let err = align_many(&params, &genomes[..1], &ManyOptions::default());
+        let run = |genomes: &[Assembly], options: &AlignOptions| {
+            align_many_observed(&params, genomes, options, Obs::off())
+        };
+        let err = run(&genomes[..1], &AlignOptions::default());
         assert!(err.is_err(), "one genome must be rejected");
         let mut dup = genome_set();
         dup[1].name = "g0".into();
-        assert!(align_many(&params, &dup, &ManyOptions::default()).is_err());
-        let zero = ManyOptions {
+        assert!(run(&dup, &AlignOptions::default()).is_err());
+        let zero = AlignOptions {
             threads: 0,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
-        assert!(align_many(&params, &genomes, &zero).is_err());
-        let knn_zero = ManyOptions {
+        assert!(run(&genomes, &zero).is_err());
+        let knn_zero = AlignOptions {
             knn: Some(0),
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
-        assert!(align_many(&params, &genomes, &knn_zero).is_err());
+        assert!(run(&genomes, &knn_zero).is_err());
     }
 
     #[test]
     fn canonical_text_shape() {
         let params = WgaParams::darwin_wga();
         let genomes = genome_set();
-        let report = align_many(&params, &genomes, &ManyOptions::default()).unwrap();
+        let report =
+            align_many_observed(&params, &genomes, &AlignOptions::default(), Obs::off()).unwrap();
         let text = report.canonical_text();
         assert_eq!(text.matches("genome\t").count(), 3);
         assert_eq!(text.matches("mpair\t").count(), 3);

@@ -59,16 +59,16 @@ use genome::evolve::{EvolutionParams, SyntheticPair};
 use genome::markov::MarkovModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seed::SeedTable;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
-use seed::SeedTable;
 use wga_core::config::WgaParams;
 use wga_core::dataflow::ExecutorKind;
-use wga_core::genome_pipeline::{align_assemblies, align_assemblies_observed, align_assemblies_with, AlignOptions};
+use wga_core::genome_pipeline::{align_assemblies, align_assemblies_observed, AlignOptions};
 use wga_core::obs::{Obs, SpanName, TraceRecorder};
-use wga_core::pangenome::{align_many, ManyOptions, ManyReport};
+use wga_core::pangenome::{align_many_observed, ManyReport};
 
 thread_local! {
     /// Bytes this thread has allocated and not yet freed.
@@ -165,7 +165,10 @@ fn measure_all<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let base = ALL_LIVE.load(Ordering::Relaxed);
     ALL_PEAK.store(base, Ordering::Relaxed);
     let value = f();
-    (value, (ALL_PEAK.load(Ordering::Relaxed) - base).max(0) as usize)
+    (
+        value,
+        (ALL_PEAK.load(Ordering::Relaxed) - base).max(0) as usize,
+    )
 }
 
 /// What a sequence of `bases` holds: a 2-bit code and an `N` bit a base,
@@ -191,7 +194,13 @@ fn six_genomes() -> Vec<Assembly> {
 }
 
 fn run(genomes: &[Assembly]) -> ManyReport {
-    align_many(&WgaParams::darwin_wga(), genomes, &ManyOptions::default()).expect("run succeeds")
+    align_many_observed(
+        &WgaParams::darwin_wga(),
+        genomes,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .expect("run succeeds")
 }
 
 #[test]
@@ -237,12 +246,20 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
     followed.push("chrTiny", pair.query.sequence.subsequence(0..400));
 
     let before = LIVE.get();
-    let table = SeedTable::build(&pair.target.sequence, &params.seed_pattern, params.max_seed_occurrences);
+    let table = SeedTable::build(
+        &pair.target.sequence,
+        &params.seed_pattern,
+        params.max_seed_occurrences,
+    );
     let table_bytes = (LIVE.get() - before) as usize;
     // 4 B a window and the directory: large enough that a table still
     // alive under the extension would show.
     let windows = pair.target.sequence.len() + 1 - params.seed_pattern.span();
-    assert!(table.heap_bytes() > 4 * windows, "{} B for {windows} windows", table.heap_bytes());
+    assert!(
+        table.heap_bytes() > 4 * windows,
+        "{} B for {windows} windows",
+        table.heap_bytes()
+    );
     assert!(table_bytes >= table.heap_bytes());
     drop(table);
 
@@ -252,7 +269,10 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
     let (two, peak_followed) = measure(|| align_assemblies(&params, &target, &followed));
     assert_eq!((one.pairs.len(), two.pairs.len()), (1, 2));
     assert!(one.total_matches() > 20_000, "{}", one.total_matches());
-    assert_eq!(one.for_pair("chrT", "chrQ").len(), two.for_pair("chrT", "chrQ").len());
+    assert_eq!(
+        one.for_pair("chrT", "chrQ").len(),
+        two.for_pair("chrT", "chrQ").len()
+    );
     eprintln!(
         "live-heap high-water: {peak_alone} B alone, {peak_followed} B sharing the row's table of {table_bytes} B"
     );
@@ -269,10 +289,20 @@ fn a_table_is_freed_at_its_last_lookup_not_under_the_extension() {
 
     // Sharing is sharing: the row of two pairs built its table once.
     let recorder = TraceRecorder::new();
-    let observed = align_assemblies_observed(&params, &target, &followed, &AlignOptions::default(), Obs::new(&recorder))
-        .expect("run succeeds");
+    let observed = align_assemblies_observed(
+        &params,
+        &target,
+        &followed,
+        &AlignOptions::default(),
+        Obs::new(&recorder),
+    )
+    .expect("run succeeds");
     assert_eq!(observed.pairs.len(), 2);
-    let builds = recorder.spans().iter().filter(|span| span.name == SpanName::SeedTable).count();
+    let builds = recorder
+        .spans()
+        .iter()
+        .filter(|span| span.name == SpanName::SeedTable)
+        .count();
     assert_eq!(builds, 1);
 }
 
@@ -290,20 +320,35 @@ fn the_dataflow_producer_never_holds_two_rows_tables() {
     query.push("q1", model.generate(3_000, &mut rng));
     let table_bytes = |chrom: usize| {
         let sequence = &target.chromosomes()[chrom].sequence;
-        measure_all(|| SeedTable::build(sequence, &params.seed_pattern, params.max_seed_occurrences)).1
+        measure_all(|| {
+            SeedTable::build(sequence, &params.seed_pattern, params.max_seed_occurrences)
+        })
+        .1
     };
     let (large, small) = (table_bytes(0), table_bytes(1));
     assert!(small > 400 * 1024, "{small} B for the smaller table");
 
-    let options = AlignOptions { threads: 2, executor: ExecutorKind::Dataflow, ..AlignOptions::default() };
-    let run = || align_assemblies_with(&params, &target, &query, &options).expect("run succeeds");
+    let options = AlignOptions {
+        threads: 2,
+        executor: ExecutorKind::Dataflow,
+        ..AlignOptions::default()
+    };
+    let run = || {
+        align_assemblies_observed(&params, &target, &query, &options, Obs::off())
+            .expect("run succeeds")
+    };
     // Once unmeasured, so the per-thread kernel scratches are grown.
     run();
     let (report, peak) = measure_all(run);
     assert_eq!((report.pairs.len(), report.failed_pairs()), (4, 0));
-    eprintln!("live-heap high-water over every thread: {peak} B beside tables of {large} and {small} B");
+    eprintln!(
+        "live-heap high-water over every thread: {peak} B beside tables of {large} and {small} B"
+    );
     assert!(peak >= large, "{peak} B: the larger table was built");
-    assert!(peak < large + small / 2, "{peak} B: both rows' tables of {large} and {small} B were live");
+    assert!(
+        peak < large + small / 2,
+        "{peak} B: both rows' tables of {large} and {small} B were live"
+    );
 }
 
 #[test]
@@ -320,12 +365,20 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
     // The same query followed by as much sequence again that aligns to
     // nothing: twice the noise hits, no more survivors.
     let mut doubled_sequence = pair.query.sequence.clone();
-    doubled_sequence.extend(MarkovModel::genome_like().generate(pair.query.sequence.len(), &mut rng).iter());
+    doubled_sequence.extend(
+        MarkovModel::genome_like()
+            .generate(pair.query.sequence.len(), &mut rng)
+            .iter(),
+    );
     let mut doubled = Assembly::new("q");
     doubled.push("chrQ", doubled_sequence);
 
     let before = LIVE.get();
-    let table = SeedTable::build(&pair.target.sequence, &params.seed_pattern, params.max_seed_occurrences);
+    let table = SeedTable::build(
+        &pair.target.sequence,
+        &params.seed_pattern,
+        params.max_seed_occurrences,
+    );
     let table_bytes = (LIVE.get() - before) as usize;
     drop(table);
 
@@ -334,21 +387,33 @@ fn a_pair_holds_its_table_and_sequences_not_its_hits() {
     let (one, peak) = measure(|| align_assemblies(&params, &target, &query));
     let (two, peak_doubled) = measure(|| align_assemblies(&params, &target, &doubled));
     let tiles = (one.workload.filter_tiles, two.workload.filter_tiles);
-    assert!(tiles.0 > 16_000 && tiles.1 > 2 * tiles.0 - tiles.0 / 4, "{tiles:?} filter tiles");
+    assert!(
+        tiles.0 > 16_000 && tiles.1 > 2 * tiles.0 - tiles.0 / 4,
+        "{tiles:?} filter tiles"
+    );
     // What a materialised hit list would add: 8 B a hit of the larger
     // strand, far outside the slack.
     assert!(8 * tiles.0 / 2 > 64 * 1024);
 
     // The reverse strand's copy of the query is the one sequence a pair
     // allocates, at 3/8 B a base; the assemblies are the caller's.
-    let (query_bytes, doubled_bytes) = (packed_bytes(query.total_bases()), packed_bytes(doubled.total_bases()));
+    let (query_bytes, doubled_bytes) = (
+        packed_bytes(query.total_bases()),
+        packed_bytes(doubled.total_bases()),
+    );
     eprintln!(
         "live-heap high-water: {peak} B for {} tiles, {peak_doubled} B for {}, beside a table of {table_bytes} B and queries of {query_bytes} and {doubled_bytes} B",
         tiles.0, tiles.1
     );
     let slack = 64 * 1024;
-    assert!(peak <= table_bytes + query_bytes + slack, "{peak} B for one pair");
-    assert!(peak_doubled <= table_bytes + doubled_bytes + slack, "{peak_doubled} B for the doubled query");
+    assert!(
+        peak <= table_bytes + query_bytes + slack,
+        "{peak} B for one pair"
+    );
+    assert!(
+        peak_doubled <= table_bytes + doubled_bytes + slack,
+        "{peak_doubled} B for the doubled query"
+    );
 }
 
 #[test]
@@ -357,19 +422,34 @@ fn a_fasta_record_is_read_straight_into_its_two_planes() {
     let bases = 200_000;
     let record = MarkovModel::genome_like().generate(bases, &mut StdRng::seed_from_u64(64));
     let mut file = Vec::new();
-    let fasta = [genome::fasta::Record { name: "chr".into(), description: "chr g".into(), sequence: record.clone() }];
+    let fasta = [genome::fasta::Record {
+        name: "chr".into(),
+        description: "chr g".into(),
+        sequence: record.clone(),
+    }];
     genome::fasta::write(&mut file, &fasta).expect("a Vec takes every write");
     let mut genome = Assembly::new("g");
     genome.push("chr", record);
 
     let before = LIVE.get();
-    let (read, peak) = measure(|| Assembly::from_fasta_sized("g", &file[..], file.len()).expect("it was just written"));
+    let (read, peak) = measure(|| {
+        Assembly::from_fasta_sized("g", &file[..], file.len()).expect("it was just written")
+    });
     let held = (LIVE.get() - before) as usize;
     assert_eq!(read, genome);
-    eprintln!("live heap: {peak} B at the peak of the read, {held} B after it, for {} B packed", packed_bytes(bases));
+    eprintln!(
+        "live heap: {peak} B at the peak of the read, {held} B after it, for {} B packed",
+        packed_bytes(bases)
+    );
     let slack = 4 * 1024;
-    assert!(peak <= packed_bytes(bases) + slack, "{peak} B at the peak of reading {bases} bases");
-    assert!(held <= packed_bytes(bases) + slack && held >= packed_bytes(bases), "{held} B held for {bases} bases");
+    assert!(
+        peak <= packed_bytes(bases) + slack,
+        "{peak} B at the peak of reading {bases} bases"
+    );
+    assert!(
+        held <= packed_bytes(bases) + slack && held >= packed_bytes(bases),
+        "{held} B held for {bases} bases"
+    );
 }
 
 #[test]
@@ -378,18 +458,29 @@ fn the_generator_allocates_by_the_lineage_not_by_the_event() {
     let bases = 200_000;
     let params = EvolutionParams::at_distance(1.3);
     let blocks_before = ALLOCATIONS.get();
-    let (pair, peak) = measure(|| SyntheticPair::generate(bases, &params, &mut StdRng::seed_from_u64(65)));
+    let (pair, peak) =
+        measure(|| SyntheticPair::generate(bases, &params, &mut StdRng::seed_from_u64(65)));
     let blocks = ALLOCATIONS.get() - blocks_before;
-    let events = pair.target.indel_events + pair.query.indel_events + pair.target.substitutions + pair.query.substitutions;
+    let events = pair.target.indel_events
+        + pair.query.indel_events
+        + pair.target.substitutions
+        + pair.query.substitutions;
     assert!(events > 150_000, "{events} events");
     // An `Interval` owns its label: one block an element in the ancestor
     // and one in each lineage it survives in. Those follow the elements
     // (176 here), not the events; nothing else may follow either.
-    let labels = pair.ancestral_conserved.len() + pair.target.conserved.len() + pair.query.conserved.len();
+    let labels =
+        pair.ancestral_conserved.len() + pair.target.conserved.len() + pair.query.conserved.len();
     eprintln!(
         "generator: {blocks} blocks ({labels} of them labels) for {events} events, {peak} B at the peak = {:.2} B an ancestral base",
         peak as f64 / bases as f64
     );
-    assert!(blocks - labels <= 64, "{blocks} blocks beside {labels} labels");
-    assert!(peak <= 14 * bases, "{peak} B at the peak of generating from {bases} bases");
+    assert!(
+        blocks - labels <= 64,
+        "{blocks} blocks beside {labels} labels"
+    );
+    assert!(
+        peak <= 14 * bases,
+        "{peak} B at the peak of generating from {bases} bases"
+    );
 }

@@ -12,8 +12,9 @@ use wga_core::budget::clamp_hit_count;
 use wga_core::config::{ResourceBudget, WgaParams};
 use wga_core::filter_engine::run_filter;
 use wga_core::genome_pipeline::{
-    align_assemblies_with, AlignOptions, AssemblyReport, LocatedAlignment,
+    align_assemblies_observed, AlignOptions, AssemblyReport, LocatedAlignment,
 };
+use wga_core::obs::Obs;
 use wga_core::pipeline::WgaPipeline;
 use wga_core::report::{PairOutcome, RunOutcome, Strand, WgaAlignment};
 use wga_core::stages::run_extension;
@@ -211,7 +212,7 @@ proptest! {
                 let params = WgaParams { shard_bases, ..params.clone() };
                 for threads in [1, 2] {
                     let options = AlignOptions { threads, ..AlignOptions::default() };
-                    let run = align_assemblies_with(&params, &t, &q, &options).expect("run succeeds");
+                    let run = align_assemblies_observed(&params, &t, &q, &options, Obs::off()).expect("run succeeds");
                     prop_assert_eq!(
                         run.canonical_text(), expected.clone(),
                         "budget {} shard_bases {} threads {}", which, shard_bases, threads

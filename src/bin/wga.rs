@@ -51,7 +51,8 @@
 //!     --stall-timeout-ms arms the dataflow stall watchdog (0, the
 //!     default, disables it). The MAF, metrics and trace artifacts are
 //!     written atomically (tmp + fsync + rename), so an interrupted run
-//!     never leaves a torn output file.
+//!     never leaves a torn output file; a FIFO or character device
+//!     (`/dev/null`, `/dev/stdout` on a pipe) is written in place.
 //!
 //! wga exons <alignments.maf> <exons.tsv>
 //!     Score exon recovery: which intervals from a `wga generate`
@@ -74,7 +75,8 @@
 //!     byte-identical across thread counts and shard sizes.
 //!     --progress keeps a throttled matrix-wide status line on stderr
 //!     (chromosome pairs done across all genome pairs, ETA), advancing
-//!     as each chromosome pair finishes.
+//!     as each chromosome pair finishes; --trace-out and --metrics-out
+//!     trace and measure the whole matrix as they do an `align` run.
 //!
 //! wga profile report <trace.jsonl>
 //!     Analyse a --trace-out artifact: per-stage time attribution,
@@ -92,14 +94,17 @@
 //! an argument starting with `--` that is not one of the subcommand's
 //! options — or is a second occurrence of one — is an error, never a
 //! file name. `align` and `many` check every option and output path
-//! before they read the first input byte.
+//! before they read the first input byte: an output may not be an
+//! input (by any spelling or link), another output, a directory, or —
+//! for a --checkpoint journal — anything but a regular file, and a run
+//! that fails leaves no tmp file behind.
 //! ```
 
 use darwin_wga::align::Alignment;
 use darwin_wga::chain::chainer::chain_alignments;
 use darwin_wga::chain::metrics;
 use darwin_wga::core::config::{ResourceBudget, WgaParams};
-use darwin_wga::core::dataflow::{ExecutorKind, DEFAULT_QUEUE_DEPTH};
+use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
 use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook, PAIRLESS};
@@ -116,6 +121,7 @@ use darwin_wga::genome::{fasta, Sequence};
 use rand::SeedableRng;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -160,6 +166,7 @@ usage:
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
            [--paf-out out.paf] [--report-out report.txt]
+           [--metrics-out metrics.json] [--trace-out trace.jsonl]
            [--baseline] [--threads N] [--queue-depth N]
            [--filter-engine scalar|simd]
            [--shard-size N] [--checkpoint dir] [--fault-plan plan.json]
@@ -228,13 +235,29 @@ fn parse_opt<T: std::str::FromStr>(
 struct RunFlags {
     baseline: bool,
     progress: bool,
-    threads: usize,
-    queue_depth: usize,
+    /// The run's options but the fault plan and `knn`, set at the start.
+    options: AlignOptions,
     filter_engine: Option<String>,
     shard_size: Option<usize>,
     fault_plan: Option<String>,
-    max_retries: u32,
-    stall_timeout_ms: u64,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+}
+
+/// A started `align` or `many` run: its validated parameters and
+/// options, its genomes, the supervision of the hooks the CLI fires
+/// itself (FASTA reads and the trace/metrics sinks) and the recorder the
+/// trace and the progress meter read.
+struct Run {
+    flags: RunFlags,
+    params: WgaParams,
+    genomes: Vec<Assembly>,
+    injector: Option<FaultInjector>,
+    policy: RetryPolicy,
+    recorder: Option<Arc<TraceRecorder>>,
+    /// Dropped with the run, so any return — an error's too — removes
+    /// each tmp sibling no write consumed.
+    _staged: durable::Staged,
 }
 
 impl RunFlags {
@@ -245,19 +268,38 @@ impl RunFlags {
         Ok(RunFlags {
             baseline: take_flag(args, "--baseline"),
             progress: take_flag(args, "--progress"),
-            threads: parse_opt(args, "--threads", 1)?,
-            queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
+            options: AlignOptions {
+                threads: parse_opt(args, "--threads", 1)?,
+                queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
+                max_retries: parse_opt(args, "--max-retries", 1)?,
+                stall_timeout_ms: parse_opt(args, "--stall-timeout-ms", 0)?,
+                checkpoint: take_opt(args, "--checkpoint")?.map(PathBuf::from),
+                ..AlignOptions::default()
+            },
             filter_engine: take_opt(args, "--filter-engine")?,
             shard_size: take_parsed(args, "--shard-size")?,
             fault_plan: take_opt(args, "--fault-plan")?,
-            max_retries: parse_opt(args, "--max-retries", 1)?,
-            stall_timeout_ms: parse_opt(args, "--stall-timeout-ms", 0)?,
+            trace_out: take_opt(args, "--trace-out")?,
+            metrics_out: take_opt(args, "--metrics-out")?,
         })
     }
 
-    /// The run's parameters — the preset, its engine and range size, and
-    /// `budget` — validated.
-    fn params(&self, budget: ResourceBudget) -> Result<WgaParams, String> {
+    /// Checks every option and output before the first input byte is
+    /// read, then reads the genome `fastas` under the run's supervision.
+    /// The parameters are the preset with its engine, range size and
+    /// `budget`; the options gain the fault plan and `knn`. `outputs` are
+    /// the command's own beside the trace and the metrics; the checkpoint
+    /// is one too where it is a `journal` file, not a directory.
+    /// Returns the run and the `--progress` meter, whose line stops when
+    /// it is dropped.
+    fn start(
+        mut self,
+        budget: ResourceBudget,
+        knn: Option<usize>,
+        fastas: &[String],
+        outputs: &[(&str, &Option<String>)],
+        journal: bool,
+    ) -> Result<(Run, Option<ProgressMeter>), String> {
         let mut params = if self.baseline {
             WgaParams::lastz_baseline()
         } else {
@@ -271,35 +313,92 @@ impl RunFlags {
         }
         params.budget = budget;
         params.validate().map_err(|e| e.to_string())?;
-        Ok(params)
-    }
-
-    /// The `--fault-plan`, read and parsed.
-    fn fault_plan(&self) -> Result<Option<Arc<FaultPlan>>, String> {
         let plan = self
             .fault_plan
-            .as_ref()
-            .map(|p| FaultPlan::from_file(std::path::Path::new(p)));
-        plan.transpose()
-            .map(|plan| plan.map(Arc::new))
-            .map_err(|e| e.to_string())
+            .as_deref()
+            .map(|p| FaultPlan::from_file(Path::new(p)));
+        self.options.fault_plan = plan.transpose().map_err(|e| e.to_string())?.map(Arc::new);
+        self.options.knn = knn;
+        self.options.validate().map_err(|e| e.to_string())?;
+
+        let sinks = [
+            ("--trace-out", &self.trace_out),
+            ("--metrics-out", &self.metrics_out),
+        ];
+        let replaced: Vec<(&str, &Path)> = (outputs.iter().chain(&sinks))
+            .filter_map(|&(flag, path)| Some((flag, Path::new(path.as_deref()?))))
+            .collect();
+        let checkpoint = self.options.checkpoint.as_deref().filter(|_| journal);
+        let inputs: Vec<&Path> = (fastas.iter().chain(&self.fault_plan))
+            .map(Path::new)
+            .collect();
+        let staged = durable::pre_open_outputs(
+            &replaced,
+            checkpoint.map(|path| ("--checkpoint", path)),
+            &inputs,
+        )
+        .map_err(|e| e.to_string())?;
+
+        let (injector, policy) = self.options.supervision();
+        let genomes = fastas
+            .iter()
+            .map(|path| read_genome(path, injector.as_ref(), &policy))
+            .collect::<Result<_, _>>()?;
+        let recorder =
+            (self.trace_out.is_some() || self.progress).then(|| Arc::new(TraceRecorder::new()));
+        let interval = std::time::Duration::from_millis(200);
+        let meter = (recorder.clone().filter(|_| self.progress))
+            .map(|rec| ProgressMeter::start(rec, interval));
+        let run = Run {
+            flags: self,
+            params,
+            genomes,
+            injector,
+            policy,
+            recorder,
+            _staged: staged,
+        };
+        Ok((run, meter))
+    }
+}
+
+impl Run {
+    fn obs(&self) -> Obs<'_> {
+        self.recorder.as_deref().map_or(Obs::off(), Obs::new)
     }
 
-    /// The supervision of the hooks the CLI fires itself (FASTA reads and
-    /// the metrics/trace sinks): an injector drawn from `plan` and the
-    /// retry policy they run under. The executors build their own
-    /// injector from the same plan; occurrence spaces are disjoint by
-    /// hook, so the split never double-injects.
-    fn cli_supervision(&self, plan: Option<&FaultPlan>) -> (Option<FaultInjector>, RetryPolicy) {
-        let injector = plan.map(|plan| FaultInjector::new(plan.clone(), self.max_retries));
-        let policy = injector.as_ref().map_or(
-            RetryPolicy {
-                max_retries: self.max_retries,
-                ..RetryPolicy::default()
-            },
-            FaultInjector::policy,
-        );
-        (injector, policy)
+    /// Writes the trace, then the `metrics` JSON with the process's
+    /// memory under `"process"`: last, so its high-water covers the whole
+    /// command, every other output included.
+    fn finish(&self, metrics: Option<&ExecutorMetrics>) -> Result<(), String> {
+        if let (Some(rec), Some(path)) = (&self.recorder, &self.flags.trace_out) {
+            let mut buf: Vec<u8> = Vec::new();
+            rec.write_trace(&mut buf)
+                .map_err(|e| format!("{path}: {e}"))?;
+            self.write_sink(path, &buf, Hook::TraceSink)?;
+            println!("trace written to {path}");
+        }
+        if let (Some(metrics), Some(path)) = (metrics, &self.flags.metrics_out) {
+            let mut json = metrics.to_json();
+            if let Some(process) = process_memory() {
+                json.push("process", process);
+            }
+            self.write_sink(path, format!("{json}\n").as_bytes(), Hook::MetricsSink)?;
+            println!("stage metrics written to {path}");
+        }
+        Ok(())
+    }
+
+    /// Writes one output artifact atomically under supervision: the write
+    /// is retried with the run's backoff policy, and chaos runs inject
+    /// `metrics.sink` / `trace.sink` faults through the gate inside
+    /// [`durable::write_atomic_gated`].
+    fn write_sink(&self, path: &str, bytes: &[u8], hook: Hook) -> Result<(), String> {
+        let gate = self.injector.as_ref().map(|inj| (inj, hook));
+        supervise::supervised(&self.policy, None, hook, PAIRLESS, None, || {
+            durable::write_atomic_gated(Path::new(path), bytes, gate)
+        })
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -384,15 +483,6 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stages each output's tmp sibling, so an unwritable path fails before
-/// the run, not after hours of alignment.
-fn pre_open(paths: &[&Option<String>]) -> Result<(), String> {
-    for path in paths.iter().copied().flatten() {
-        durable::pre_open_check(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
 /// Reads one genome FASTA under the run's supervision: every attempt
 /// passes the `fasta.read` fault gate, and a failed one is retried under
 /// `policy`. The error names the file, an injected fault's too.
@@ -412,7 +502,7 @@ fn read_genome(
 
 fn read_assembly(path: &str) -> Result<Assembly, String> {
     let file = File::open(path).map_err(|e| e.to_string())?;
-    let name = std::path::Path::new(path)
+    let name = Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.to_string());
@@ -515,11 +605,8 @@ fn cmd_exons(args: &[String]) -> Result<(), String> {
 
 fn cmd_align(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let run = RunFlags::take(&mut args)?;
-    let metrics_out = take_opt(&mut args, "--metrics-out")?;
-    let trace_out = take_opt(&mut args, "--trace-out")?;
+    let flags = RunFlags::take(&mut args)?;
     let maf_path = take_opt(&mut args, "--maf")?;
-    let checkpoint = take_opt(&mut args, "--checkpoint")?;
     let budget = ResourceBudget {
         max_seed_hits: take_parsed(&mut args, "--max-seed-hits")?,
         max_filter_tiles: take_parsed(&mut args, "--max-filter-tiles")?,
@@ -531,25 +618,9 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         return Err(format!("align needs <target.fa> <query.fa>\n{USAGE}"));
     }
 
-    let params = run.params(budget)?;
-    let fault_plan = run.fault_plan()?;
-    let options = AlignOptions {
-        threads: run.threads,
-        checkpoint: checkpoint.map(std::path::PathBuf::from),
-        queue_depth: run.queue_depth,
-        max_retries: run.max_retries,
-        stall_timeout_ms: run.stall_timeout_ms,
-        fault_plan: fault_plan.clone(),
-        ..AlignOptions::default()
-    };
-    options.validate().map_err(|e| e.to_string())?;
-    pre_open(&[&metrics_out, &trace_out, &maf_path])?;
-
-    let (cli_injector, retry_policy) = run.cli_supervision(fault_plan.as_deref());
-    let target = read_genome(&args[0], cli_injector.as_ref(), &retry_policy)?;
-    let query = read_genome(&args[1], cli_injector.as_ref(), &retry_policy)?;
-    let (recorder, meter) = start_recorder(trace_out.is_some(), run.progress);
-    let obs = recorder.as_deref().map_or(Obs::off(), Obs::new);
+    let (run, meter) = flags.start(budget, None, &args, &[("--maf", &maf_path)], true)?;
+    let (target, query) = (&run.genomes[0], &run.genomes[1]);
+    let obs = run.obs();
     eprintln!(
         "aligning {} ({} chromosomes, {} bp) vs {} ({} chromosomes, {} bp) with {}...",
         target.name,
@@ -558,7 +629,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         query.name,
         query.len(),
         query.total_bases(),
-        if run.baseline {
+        if run.flags.baseline {
             "LASTZ-like baseline"
         } else {
             "Darwin-WGA"
@@ -566,7 +637,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     );
 
     let start = std::time::Instant::now();
-    let result = align_assemblies_observed(&params, &target, &query, &options, obs);
+    let result = align_assemblies_observed(&run.params, target, query, &run.flags.options, obs);
     drop(meter);
     let report = result.map_err(|e| e.to_string())?;
     let wall = start.elapsed();
@@ -656,7 +727,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         // Rendered block by block into the tmp sibling, then placed
         // atomically: a crash mid-run can never leave a torn MAF at the
         // destination, and the file is never held in memory.
-        durable::write_atomic_with(std::path::Path::new(&path), |out| {
+        durable::write_atomic_with(Path::new(&path), |out| {
             writeln!(out, "##maf version=1 scoring=darwin-wga")?;
             for tchrom in target.chromosomes() {
                 for qchrom in query.chromosomes() {
@@ -677,68 +748,25 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         println!("MAF written to {path}");
     }
 
-    if let (Some(rec), Some(path)) = (&recorder, &trace_out) {
-        let mut buf: Vec<u8> = Vec::new();
-        rec.write_trace(&mut buf)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let injector = cli_injector.as_ref();
-        write_sink(path, &buf, Hook::TraceSink, injector, &retry_policy)?;
-        println!("trace written to {path}");
-    }
-
-    // Last, so the `"process"` high-water covers the whole command:
-    // chaining, the MAF and the trace included.
-    if let (Some(metrics), Some(path)) = (&report.stage_metrics, &metrics_out) {
-        let mut json = metrics.to_json();
-        if let Some(process) = process_memory() {
-            json.push("process", process);
-        }
-        write_sink(
-            path,
-            format!("{json}\n").as_bytes(),
-            Hook::MetricsSink,
-            cli_injector.as_ref(),
-            &retry_policy,
-        )?;
-        println!("stage metrics written to {path}");
-    }
-    Ok(())
+    run.finish(report.stage_metrics.as_ref())
 }
 
 fn cmd_many(args: &[String]) -> Result<(), String> {
-    use darwin_wga::core::pangenome::{self, ManyOptions};
+    use darwin_wga::core::pangenome;
 
     let mut args = args.to_vec();
-    let run = RunFlags::take(&mut args)?;
+    let flags = RunFlags::take(&mut args)?;
     let knn: Option<usize> = take_parsed(&mut args, "--knn")?;
     let paf_out = take_opt(&mut args, "--paf-out")?;
     let report_out = take_opt(&mut args, "--report-out")?;
-    let checkpoint_dir = take_opt(&mut args, "--checkpoint")?;
     reject_leftover_options(&args)?;
     if args.len() < 2 {
         return Err(format!("many needs at least two genome FASTAs\n{USAGE}"));
     }
 
-    let params = run.params(ResourceBudget::default())?;
-    let fault_plan = run.fault_plan()?;
-    let (cli_injector, retry_policy) = run.cli_supervision(fault_plan.as_deref());
-    let options = ManyOptions {
-        threads: run.threads,
-        queue_depth: run.queue_depth,
-        max_retries: run.max_retries,
-        stall_timeout_ms: run.stall_timeout_ms,
-        fault_plan,
-        checkpoint_dir: checkpoint_dir.map(std::path::PathBuf::from),
-        knn,
-        ..ManyOptions::default()
-    };
-    options.validate().map_err(|e| e.to_string())?;
-    pre_open(&[&paf_out, &report_out])?;
-
-    let genomes: Vec<Assembly> = args
-        .iter()
-        .map(|path| read_genome(path, cli_injector.as_ref(), &retry_policy))
-        .collect::<Result<_, _>>()?;
+    let outputs = [("--paf-out", &paf_out), ("--report-out", &report_out)];
+    let (run, meter) = flags.start(ResourceBudget::default(), knn, &args, &outputs, false)?;
+    let genomes = &run.genomes;
     eprintln!(
         "many-genome alignment: {} genomes, {} total bp, knn={}...",
         genomes.len(),
@@ -746,14 +774,12 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         knn.map_or("all".to_string(), |k| k.to_string()),
     );
 
-    // --progress runs the whole matrix under a trace recorder: the one
-    // run announces the matrix's chromosome-pair total up front and the
-    // meter renders pairs-done / ETA across genome pairs.
-    let (recorder, meter) = start_recorder(false, run.progress);
-    let obs = recorder.as_deref().map_or(Obs::off(), Obs::new);
-
+    // One run over the whole matrix: it announces the matrix's
+    // chromosome-pair total up front, so the meter renders pairs-done /
+    // ETA across genome pairs.
     let start = std::time::Instant::now();
-    let result = pangenome::align_many_observed(&params, &genomes, &options, obs);
+    let result =
+        pangenome::align_many_observed(&run.params, genomes, &run.flags.options, run.obs());
     drop(meter);
     let report = result.map_err(|e| e.to_string())?;
     let wall = start.elapsed();
@@ -768,20 +794,16 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(path) = report_out {
-        durable::write_atomic(
-            std::path::Path::new(&path),
-            report.canonical_text().as_bytes(),
-        )
-        .map_err(|e| e.to_string())?;
+        durable::write_atomic(Path::new(&path), report.canonical_text().as_bytes())
+            .map_err(|e| e.to_string())?;
         println!("canonical report written to {path}");
     }
     if let Some(path) = paf_out {
-        let paf = pangenome::paf::paf_text(&report, &genomes);
-        durable::write_atomic(std::path::Path::new(&path), paf.as_bytes())
-            .map_err(|e| e.to_string())?;
+        let paf = pangenome::paf::paf_text(&report, genomes);
+        durable::write_atomic(Path::new(&path), paf.as_bytes()).map_err(|e| e.to_string())?;
         println!("PAF written to {path}");
     }
-    Ok(())
+    run.finish(report.stage_metrics.as_ref())
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
@@ -804,7 +826,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             let report = ProfileReport::build(&trace, top);
             print!("{}", report.render_table());
             for path in [&json_out, &baseline_out].into_iter().flatten() {
-                durable::write_atomic(std::path::Path::new(path), report.to_json().as_bytes())
+                durable::write_atomic(Path::new(path), report.to_json().as_bytes())
                     .map_err(|e| e.to_string())?;
                 println!("profile report written to {path}");
             }
@@ -844,22 +866,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The run's trace recorder, when `--trace-out` (`traced`) or
-/// `--progress` needs one, and the `--progress` meter reading it; the
-/// meter's line stops when it is dropped.
-fn start_recorder(
-    traced: bool,
-    progress: bool,
-) -> (Option<Arc<TraceRecorder>>, Option<ProgressMeter>) {
-    let recorder = (traced || progress).then(|| Arc::new(TraceRecorder::new()));
-    let meter = recorder.clone().filter(|_| progress);
-    let interval = std::time::Duration::from_millis(200);
-    (
-        recorder,
-        meter.map(|rec| ProgressMeter::start(rec, interval)),
-    )
-}
-
 /// The run's memory as the kernel counts it in `/proc/self/status`, as the
 /// `--metrics-out` `"process"` object (KiB): the resident high-water and
 /// the resident set now, split into anonymous and file-backed pages.
@@ -877,22 +883,4 @@ fn process_memory() -> Option<Json> {
         ("rss_anon_kb", kb("RssAnon")?.into()),
         ("rss_file_kb", kb("RssFile")?.into()),
     ]))
-}
-
-/// Writes one output artifact atomically under supervision: the write is
-/// retried with the run's backoff policy, and chaos runs inject
-/// `metrics.sink` / `trace.sink` faults through the gate inside
-/// [`durable::write_atomic_gated`].
-fn write_sink(
-    path: &str,
-    bytes: &[u8],
-    hook: Hook,
-    injector: Option<&FaultInjector>,
-    policy: &RetryPolicy,
-) -> Result<(), String> {
-    let gate = injector.map(|inj| (inj, hook));
-    supervise::supervised(policy, None, hook, PAIRLESS, None, || {
-        durable::write_atomic_gated(std::path::Path::new(path), bytes, gate)
-    })
-    .map_err(|e| e.to_string())
 }

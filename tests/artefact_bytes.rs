@@ -24,9 +24,10 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics, StageMetrics};
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::journal::{params_fingerprint, Journal};
 use darwin_wga::core::json;
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::obs::TraceLine;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::profile::{diff, ProfileReport, TraceFile};
@@ -63,8 +64,14 @@ fn golden_journal_resumes_every_pair_into_the_golden_report() {
         ..AlignOptions::default()
     };
     let (target, query) = (load("t", "golden.target.fa"), load("q", "golden.query.fa"));
-    let report = align_assemblies_with(&WgaParams::darwin_wga(), &target, &query, &options)
-        .expect("the journal resumes");
+    let report = align_assemblies_observed(
+        &WgaParams::darwin_wga(),
+        &target,
+        &query,
+        &options,
+        Obs::off(),
+    )
+    .expect("the journal resumes");
     assert_eq!(report.resumed_pairs, 4);
     assert_eq!(report.canonical_text(), fixture("golden.report.txt"));
     let _ = fs::remove_file(&path);
@@ -84,7 +91,8 @@ fn a_journal_resumes_across_engines_and_range_sizes() {
             checkpoint: Some(path.clone()),
             ..AlignOptions::default()
         };
-        align_assemblies_with(params, &target, &query, &options).expect("the journal resumes")
+        align_assemblies_observed(params, &target, &query, &options, Obs::off())
+            .expect("the journal resumes")
     };
     let cut = |text: &str| -> String {
         text.lines()

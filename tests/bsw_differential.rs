@@ -21,7 +21,8 @@
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::pipeline::WgaPipeline;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -376,7 +377,8 @@ fn whole_pipeline_identical_across_engines_and_threads() {
             threads,
             ..AlignOptions::default()
         };
-        let report = align_assemblies_with(params, &target, &query, &options).unwrap();
+        let report =
+            align_assemblies_observed(params, &target, &query, &options, Obs::off()).unwrap();
         let alignments = report.alignments.into_iter().map(|a| a.aligned).collect();
         (alignments, report.workload, report.counters)
     };

@@ -16,7 +16,8 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::faultsim::FaultPlan;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions, AssemblyReport};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -86,7 +87,13 @@ fn run_within(
     let target = target.clone();
     let query = query.clone();
     thread::spawn(move || {
-        let _ = tx.send(align_assemblies_with(&params, &target, &query, &opts));
+        let _ = tx.send(align_assemblies_observed(
+            &params,
+            &target,
+            &query,
+            &opts,
+            Obs::off(),
+        ));
     });
     rx.recv_timeout(Duration::from_secs(secs))
         .unwrap_or_else(|_| panic!("{label}: run exceeded {secs}s deadline"))
@@ -277,7 +284,7 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
         ..AlignOptions::default()
     };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        align_assemblies_with(&params, &target, &query, &opts)
+        align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
     }));
     assert!(crashed.is_err(), "injected journal panic must kill the run");
 
@@ -290,6 +297,44 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
     assert_eq!(resumed.resumed_pairs, 2, "two pairs survived the kill");
     assert_eq!(resumed.canonical_text(), golden.canonical_text());
     let _ = std::fs::remove_file(&path);
+}
+
+/// The same kill on the dataflow schedule, under the tightest queues:
+/// the collector's panic closes both queues on its way out, so the
+/// producer and the pool exit and the run dies instead of hanging.
+#[test]
+fn a_journal_panic_kills_a_dataflow_run_instead_of_hanging() {
+    let (target, query) = four_pair_assemblies();
+    for threads in [2, 8] {
+        let path = journal_path(&format!("kill-dataflow-{threads}"));
+        let opts = AlignOptions {
+            threads,
+            queue_depth: 1,
+            checkpoint: Some(path.clone()),
+            fault_plan: Some(plan(
+                5,
+                "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0]}",
+            )),
+            ..AlignOptions::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let (target, query) = (target.clone(), query.clone());
+        thread::spawn(move || {
+            let params = WgaParams::darwin_wga();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
+            }));
+            let _ = tx.send(run.is_err());
+        });
+        let died = rx
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("t={threads}: the killed run hung"));
+        assert!(
+            died,
+            "t={threads}: injected journal panic must kill the run"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// Injected worker panics under the tightest queue configuration

@@ -1,7 +1,8 @@
 //! Determinism and parallel-equivalence integration tests.
 
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::pipeline::WgaPipeline;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -37,7 +38,8 @@ fn parallel_filtering_matches_serial_exactly() {
             threads,
             ..AlignOptions::default()
         };
-        let par = align_assemblies_with(&params, &target, &query, &options).unwrap();
+        let par =
+            align_assemblies_observed(&params, &target, &query, &options, Obs::off()).unwrap();
         let alignments: Vec<_> = par.alignments.into_iter().map(|a| a.aligned).collect();
         assert_eq!(serial.alignments, alignments, "threads={threads}");
         assert_eq!(serial.workload, par.workload);
@@ -69,9 +71,10 @@ fn dataflow_work_order_is_invisible_in_canonical_output() {
     }
 
     let wga = WgaParams::darwin_wga();
-    let reference = align_assemblies_with(&wga, &target, &query, &AlignOptions::default())
-        .expect("one-thread reference run")
-        .canonical_text();
+    let reference =
+        align_assemblies_observed(&wga, &target, &query, &AlignOptions::default(), Obs::off())
+            .expect("one-thread reference run")
+            .canonical_text();
     for threads in [2usize, 8] {
         for queue_depth in [1usize, 64] {
             let options = AlignOptions {
@@ -79,8 +82,8 @@ fn dataflow_work_order_is_invisible_in_canonical_output() {
                 queue_depth,
                 ..AlignOptions::default()
             };
-            let report =
-                align_assemblies_with(&wga, &target, &query, &options).expect("dataflow run");
+            let report = align_assemblies_observed(&wga, &target, &query, &options, Obs::off())
+                .expect("dataflow run");
             assert_eq!(
                 report.canonical_text(),
                 reference,

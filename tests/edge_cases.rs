@@ -612,6 +612,205 @@ mod cli {
         assert_option_rejected(&out, "--max-drift-regression-centi");
     }
 
+    /// Two FASTAs of one identical chromosome, `t.fa` and `q.fa`, in a
+    /// fresh directory: any output of a run over them is non-empty.
+    fn identical_pair_dir(name: &str) -> (PathBuf, String) {
+        let dir = empty_dir(name);
+        let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40);
+        let fasta = format!(">chr1\n{core}\n");
+        for input in ["t.fa", "q.fa"] {
+            std::fs::write(dir.join(input), &fasta).unwrap();
+        }
+        (dir, fasta)
+    }
+
+    /// Every output flag of both run commands against every kind of path
+    /// it could name. A run either writes the bytes where the user asked
+    /// (exit 0) or fails naming the flag before it reads a FASTA (exit 1:
+    /// those cases pass a query that does not exist). No input changes,
+    /// `/dev/null` stays a device, and no tmp sibling is left behind.
+    #[test]
+    fn every_output_flag_writes_where_asked_or_fails_before_reading() {
+        use std::os::unix::fs::FileTypeExt;
+        use std::process::Stdio;
+        let (dir, fasta) = identical_pair_dir("outputs");
+        std::os::unix::fs::symlink("t.fa", dir.join("link.fa")).unwrap();
+        std::fs::create_dir(dir.join("sub")).unwrap();
+        std::fs::create_dir(dir.join("a-dir")).unwrap();
+        // (command, flag, what its file starts with)
+        let flags = [
+            ("align", "--maf", "##maf"),
+            ("align", "--trace-out", "{"),
+            ("align", "--metrics-out", "{"),
+            ("align", "--checkpoint", "{\"format\":\"wga-journal\""),
+            ("many", "--paf-out", "q.chr1\t"),
+            ("many", "--report-out", "genome\t"),
+            ("many", "--trace-out", "{"),
+            ("many", "--metrics-out", "{"),
+        ];
+        // (case, path, whether a replaced output writes it, a journal too)
+        let cases = [
+            ("regular", "out", true, true),
+            ("missing", "out", true, true),
+            ("an input by another spelling", "sub/../t.fa", false, false),
+            ("a symbolic link to an input", "link.fa", false, false),
+            ("a FIFO", "pipe", true, false),
+            ("/dev/null", "/dev/null", true, false),
+            ("a directory", "a-dir", false, false),
+        ];
+        for (command, flag, starts) in flags {
+            for (case, path, replaced_ok, journal_ok) in cases {
+                let ok = if flag == "--checkpoint" {
+                    journal_ok
+                } else {
+                    replaced_ok
+                };
+                let what = format!("{command} {flag} {case}");
+                let _ = std::fs::remove_file(dir.join("out"));
+                if case == "regular" {
+                    std::fs::write(dir.join("out"), "").unwrap();
+                }
+                // A FIFO's bytes are read as they are written.
+                let reader = (case == "a FIFO").then(|| {
+                    let made = Command::new("mkfifo").arg(dir.join("pipe")).status();
+                    assert!(made.unwrap().success(), "{what}: mkfifo");
+                    Command::new("cat")
+                        .arg(dir.join("pipe"))
+                        .stdout(Stdio::piped())
+                        .spawn()
+                        .expect("spawn cat")
+                });
+                let query = if ok { "q.fa" } else { "nope.fa" };
+                let out = wga_in(&dir, &[command, "t.fa", query, flag, path]);
+                let written = match reader {
+                    Some(mut cat) if !ok => {
+                        let _ = cat.kill();
+                        let _ = cat.wait();
+                        None
+                    }
+                    Some(cat) => Some(cat.wait_with_output().unwrap().stdout),
+                    None if ok && path == "out" => Some(std::fs::read(dir.join("out")).unwrap()),
+                    None => None,
+                };
+                let _ = std::fs::remove_file(dir.join("pipe"));
+                if ok {
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    assert_eq!(out.status.code(), Some(0), "{what}: {stderr}");
+                    if let Some(bytes) = written {
+                        let text = String::from_utf8_lossy(&bytes);
+                        assert!(text.starts_with(starts), "{what}: {text}");
+                    }
+                } else {
+                    assert_clean_failure(&out, flag);
+                }
+                for input in ["t.fa", "q.fa"] {
+                    let now = std::fs::read_to_string(dir.join(input)).unwrap();
+                    assert_eq!(now, fasta, "{what} changed {input}");
+                }
+                let null = std::fs::metadata("/dev/null").unwrap().file_type();
+                assert!(null.is_char_device(), "{what} replaced /dev/null");
+                let names = files_in(&dir);
+                assert!(
+                    !names.iter().any(|n| n.ends_with(".tmp")),
+                    "{what}: {names:?}"
+                );
+            }
+        }
+    }
+
+    /// Two output flags naming one file, however it is spelt, or one
+    /// naming the tmp sibling another stages through: a config error
+    /// naming both flags, raised before anything is written.
+    #[test]
+    fn two_outputs_naming_one_file_is_a_config_error() {
+        let (dir, _) = identical_pair_dir("one-file");
+        for args in [
+            &[
+                "align",
+                "t.fa",
+                "q.fa",
+                "--maf",
+                "same.out",
+                "--trace-out",
+                "same.out",
+            ][..],
+            &[
+                "align",
+                "t.fa",
+                "q.fa",
+                "--maf",
+                "same.out",
+                "--metrics-out",
+                "./same.out",
+            ],
+            &[
+                "align",
+                "t.fa",
+                "q.fa",
+                "--maf",
+                "same.out",
+                "--checkpoint",
+                "same.out",
+            ],
+            &[
+                "align",
+                "t.fa",
+                "q.fa",
+                "--maf",
+                "same.out",
+                "--trace-out",
+                "same.out.tmp",
+            ],
+            &[
+                "many",
+                "t.fa",
+                "q.fa",
+                "--paf-out",
+                "same.out",
+                "--report-out",
+                "same.out",
+            ],
+            &[
+                "many",
+                "t.fa",
+                "q.fa",
+                "--trace-out",
+                "same.out",
+                "--metrics-out",
+                "same.out",
+            ],
+        ] {
+            let out = wga_in(&dir, args);
+            assert_clean_failure(&out, args[4]);
+            assert_clean_failure(&out, args[6]);
+            assert_eq!(files_in(&dir), ["q.fa", "t.fa"], "{args:?}");
+        }
+    }
+
+    /// A run that fails after its outputs were pre-opened removes every
+    /// tmp sibling it staged.
+    #[test]
+    fn a_failed_run_leaves_no_tmp_sibling() {
+        let (dir, _) = identical_pair_dir("litter");
+        let outputs = ["--trace-out", "t.jsonl", "--metrics-out", "m.json"];
+        for args in [
+            &["align", "missing.fa", "q.fa", "--maf", "litter.maf"][..],
+            &[
+                "many",
+                "t.fa",
+                "missing.fa",
+                "--paf-out",
+                "p.paf",
+                "--report-out",
+                "r.txt",
+            ],
+        ] {
+            let out = wga_in(&dir, &[args, &outputs].concat());
+            assert_clean_failure(&out, "missing.fa");
+            assert_eq!(files_in(&dir), ["q.fa", "t.fa"], "{args:?}");
+        }
+    }
+
     /// One side of the checked-in golden pair.
     fn golden(side: &str) -> String {
         format!("{}/tests/data/golden.{side}.fa", env!("CARGO_MANIFEST_DIR"))

@@ -1,7 +1,8 @@
 //! Fault-tolerance integration tests: checkpoint/resume equivalence,
 //! budget degradation, and typed errors through the assembly driver.
 
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::core::{config::WgaParams, WgaError};
 use darwin_wga::genome::assembly::Assembly;
@@ -39,8 +40,14 @@ fn journal_path(name: &str) -> PathBuf {
 fn kill_after_k_pairs_then_resume(name: &str, options: AlignOptions) {
     let (target, query) = two_chrom_assemblies();
     let params = WgaParams::darwin_wga();
-    let uninterrupted =
-        align_assemblies_with(&params, &target, &query, &AlignOptions::default()).unwrap();
+    let uninterrupted = align_assemblies_observed(
+        &params,
+        &target,
+        &query,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .unwrap();
     assert_eq!(uninterrupted.pairs.len(), 4);
 
     let path = journal_path(name);
@@ -48,7 +55,7 @@ fn kill_after_k_pairs_then_resume(name: &str, options: AlignOptions) {
         checkpoint: Some(path.clone()),
         ..options
     };
-    let full = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+    let full = align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
     assert_eq!(full.resumed_pairs, 0);
     assert_eq!(full.canonical_text(), uninterrupted.canonical_text());
 
@@ -61,14 +68,14 @@ fn kill_after_k_pairs_then_resume(name: &str, options: AlignOptions) {
     );
     std::fs::write(&path, truncated).unwrap();
 
-    let resumed = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+    let resumed = align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
     assert_eq!(resumed.resumed_pairs, 2);
     assert_eq!(resumed.canonical_text(), uninterrupted.canonical_text());
     assert_eq!(resumed.workload, uninterrupted.workload);
 
     // After the resume the journal is whole again: a third run replays
     // every pair.
-    let replayed = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+    let replayed = align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
     assert_eq!(replayed.resumed_pairs, 4);
     assert_eq!(replayed.canonical_text(), uninterrupted.canonical_text());
     let _ = std::fs::remove_file(&path);
@@ -100,8 +107,14 @@ fn dataflow_kill_after_k_pairs_then_resume_is_equivalent() {
 fn byte_flip_in_journal_interior_rerunds_only_that_pair() {
     let (target, query) = two_chrom_assemblies();
     let params = WgaParams::darwin_wga();
-    let uninterrupted =
-        align_assemblies_with(&params, &target, &query, &AlignOptions::default()).unwrap();
+    let uninterrupted = align_assemblies_observed(
+        &params,
+        &target,
+        &query,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .unwrap();
 
     let path = journal_path("byte-flip");
     let opts = AlignOptions {
@@ -109,7 +122,7 @@ fn byte_flip_in_journal_interior_rerunds_only_that_pair() {
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    align_assemblies_with(&params, &target, &query, &opts).unwrap();
+    align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
 
     // Flip one byte in the second pair record (an interior line, so this
     // is corruption, not a crash-torn tail). The payload stays valid
@@ -125,7 +138,7 @@ fn byte_flip_in_journal_interior_rerunds_only_that_pair() {
     );
     std::fs::write(&path, corrupted).unwrap();
 
-    let resumed = align_assemblies_with(&params, &target, &query, &opts).unwrap();
+    let resumed = align_assemblies_observed(&params, &target, &query, &opts, Obs::off()).unwrap();
     assert_eq!(resumed.resumed_pairs, 3, "only the damaged pair re-runs");
     assert_eq!(resumed.canonical_text(), uninterrupted.canonical_text());
     let stats = resumed
@@ -148,9 +161,16 @@ fn resume_with_different_params_is_rejected() {
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    align_assemblies_with(&WgaParams::darwin_wga(), &target, &query, &opts).unwrap();
-    let err =
-        align_assemblies_with(&WgaParams::lastz_baseline(), &target, &query, &opts).unwrap_err();
+    align_assemblies_observed(&WgaParams::darwin_wga(), &target, &query, &opts, Obs::off())
+        .unwrap();
+    let err = align_assemblies_observed(
+        &WgaParams::lastz_baseline(),
+        &target,
+        &query,
+        &opts,
+        Obs::off(),
+    )
+    .unwrap_err();
     assert!(matches!(err, WgaError::Checkpoint { .. }), "{err}");
     let _ = std::fs::remove_file(&path);
 }
@@ -168,8 +188,14 @@ fn budget_capped_repeat_dense_pair_degrades_gracefully() {
     query.push("chrR", motif.repeat(150).parse().unwrap());
 
     let params = WgaParams::darwin_wga();
-    let unbounded =
-        align_assemblies_with(&params, &target, &query, &AlignOptions::default()).unwrap();
+    let unbounded = align_assemblies_observed(
+        &params,
+        &target,
+        &query,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .unwrap();
     assert_eq!(unbounded.degraded_pairs(), 0);
     assert!(unbounded.workload.filter_tiles > 50);
 
@@ -177,8 +203,14 @@ fn budget_capped_repeat_dense_pair_degrades_gracefully() {
     capped_params.budget.max_filter_tiles = Some(50);
     capped_params.budget.max_extension_cells =
         Some((unbounded.workload.extension_cells / 10).max(1));
-    let capped =
-        align_assemblies_with(&capped_params, &target, &query, &AlignOptions::default()).unwrap();
+    let capped = align_assemblies_observed(
+        &capped_params,
+        &target,
+        &query,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .unwrap();
 
     assert_eq!(capped.pairs.len(), 1);
     assert!(
@@ -203,7 +235,7 @@ fn budget_capped_runs_match_across_thread_counts() {
     let mut params = WgaParams::darwin_wga();
     params.budget.max_filter_tiles = Some(120);
     params.budget.max_seed_hits = Some(400);
-    let serial = align_assemblies_with(
+    let serial = align_assemblies_observed(
         &params,
         &target,
         &query,
@@ -211,9 +243,10 @@ fn budget_capped_runs_match_across_thread_counts() {
             threads: 1,
             ..AlignOptions::default()
         },
+        Obs::off(),
     )
     .unwrap();
-    let parallel = align_assemblies_with(
+    let parallel = align_assemblies_observed(
         &params,
         &target,
         &query,
@@ -221,6 +254,7 @@ fn budget_capped_runs_match_across_thread_counts() {
             threads: 3,
             ..AlignOptions::default()
         },
+        Obs::off(),
     )
     .unwrap();
     assert_eq!(serial.canonical_text(), parallel.canonical_text());
@@ -229,7 +263,7 @@ fn budget_capped_runs_match_across_thread_counts() {
 #[test]
 fn zero_threads_and_degenerate_params_are_typed_errors() {
     let (target, query) = two_chrom_assemblies();
-    let err = align_assemblies_with(
+    let err = align_assemblies_observed(
         &WgaParams::darwin_wga(),
         &target,
         &query,
@@ -237,13 +271,20 @@ fn zero_threads_and_degenerate_params_are_typed_errors() {
             threads: 0,
             ..AlignOptions::default()
         },
+        Obs::off(),
     )
     .unwrap_err();
     assert!(matches!(err, WgaError::Config(_)), "{err}");
 
     let mut params = WgaParams::darwin_wga();
     params.extension_threshold = -1;
-    let err =
-        align_assemblies_with(&params, &target, &query, &AlignOptions::default()).unwrap_err();
+    let err = align_assemblies_observed(
+        &params,
+        &target,
+        &query,
+        &AlignOptions::default(),
+        Obs::off(),
+    )
+    .unwrap_err();
     assert!(matches!(err, WgaError::Config(_)), "{err}");
 }

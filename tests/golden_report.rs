@@ -29,7 +29,8 @@
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
 use darwin_wga::core::dataflow::ExecutorKind;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions, AssemblyReport};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::fasta;
@@ -100,8 +101,8 @@ fn checked_run(
         threads,
         ..AlignOptions::default()
     };
-    let report =
-        align_assemblies_with(&params, target, query, &options).expect("pipeline run succeeds");
+    let report = align_assemblies_observed(&params, target, query, &options, Obs::off())
+        .expect("pipeline run succeeds");
     let run = format!("{engine:?}/{threads}t");
     assert_eq!(report.failed_pairs(), 0, "{run}: failed pairs");
     let got = report.canonical_text();
@@ -133,11 +134,12 @@ fn golden_report_is_stable_across_engines_and_threads() {
                 .collect();
             fasta::write(fs::File::create(dir.join(file)).unwrap(), &records).unwrap();
         }
-        let report = align_assemblies_with(
+        let report = align_assemblies_observed(
             &WgaParams::darwin_wga(),
             &target,
             &query,
             &AlignOptions::default(),
+            Obs::off(),
         )
         .expect("golden run succeeds");
         fs::write(dir.join("golden.report.txt"), report.canonical_text()).unwrap();
@@ -190,8 +192,14 @@ fn golden_journal_replays_exact_size_cigars() {
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    let report = align_assemblies_with(&WgaParams::darwin_wga(), &target, &query, &options)
-        .expect("the golden journal resumes");
+    let report = align_assemblies_observed(
+        &WgaParams::darwin_wga(),
+        &target,
+        &query,
+        &options,
+        Obs::off(),
+    )
+    .expect("the golden journal resumes");
     let _ = fs::remove_file(&path);
     assert_eq!(report.resumed_pairs, 4);
     assert_exact_cigars(&report, "resumed");
@@ -290,11 +298,12 @@ fn n_golden_is_stable_across_engines_and_schedules() {
         }
         let target = load_assembly("golden-target", "golden_n.target.fa");
         let query = load_assembly("golden-query", "golden_n.query.fa");
-        let report = align_assemblies_with(
+        let report = align_assemblies_observed(
             &WgaParams::darwin_wga(),
             &target,
             &query,
             &AlignOptions::default(),
+            Obs::off(),
         )
         .expect("golden run succeeds");
         fs::write(dir.join("golden_n.report.txt"), report.canonical_text()).unwrap();

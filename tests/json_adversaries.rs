@@ -14,10 +14,11 @@ use darwin_wga::align::{AlignOp, Alignment, Cigar};
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics};
 use darwin_wga::core::faultsim::FaultPlan;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::journal::{crc32c, params_fingerprint, Journal, PairRecord};
 use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::maf::{read_maf, write_maf};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::{
     BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageKind, StageTimings, Strand, WgaAlignment,
 };
@@ -352,11 +353,12 @@ fn a_journal_with_a_nesting_bomb_inside_resumes() {
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    let report = align_assemblies_with(
+    let report = align_assemblies_observed(
         &WgaParams::darwin_wga(),
         &load("t", "golden.target.fa"),
         &load("q", "golden.query.fa"),
         &options,
+        Obs::off(),
     )
     .expect("the journal resumes");
     let stats = report.journal_stats.expect("a checkpointed run has stats");

@@ -12,8 +12,9 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::faultsim::FaultPlan;
+use darwin_wga::core::genome_pipeline::AlignOptions;
 use darwin_wga::core::obs::{Obs, SpanName, TraceRecorder};
-use darwin_wga::core::pangenome::{self, paf::paf_text, ManyOptions, ManyReport};
+use darwin_wga::core::pangenome::{self, paf::paf_text, ManyReport};
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
@@ -59,8 +60,8 @@ fn multi_chromosome_genomes() -> Vec<Assembly> {
     vec![g0, g1, g2]
 }
 
-fn run(genomes: &[Assembly], options: &ManyOptions) -> ManyReport {
-    pangenome::align_many(&WgaParams::darwin_wga(), genomes, options)
+fn run(genomes: &[Assembly], options: &AlignOptions) -> ManyReport {
+    pangenome::align_many_observed(&WgaParams::darwin_wga(), genomes, options, Obs::off())
         .expect("many-genome run succeeds")
 }
 
@@ -73,16 +74,16 @@ fn checkpoint_dir(name: &str) -> PathBuf {
 #[test]
 fn byte_identity_across_executors_threads_and_shards() {
     let genomes = clustered_genomes(2, 6_000, 5);
-    let reference = run(&genomes, &ManyOptions::default());
+    let reference = run(&genomes, &AlignOptions::default());
     let expected = reference.canonical_text();
     let expected_paf = paf_text(&reference, &genomes);
     assert!(expected.contains("aln\t"), "reference run found alignments");
     assert!(!expected_paf.is_empty(), "reference run emits PAF");
 
     for threads in [2usize, 3] {
-        let options = ManyOptions {
+        let options = AlignOptions {
             threads,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
         let report = run(&genomes, &options);
         assert_eq!(report.canonical_text(), expected, "{threads}t: report");
@@ -93,12 +94,12 @@ fn byte_identity_across_executors_threads_and_shards() {
     for shard_bases in [512usize, 8_192] {
         let mut params = WgaParams::darwin_wga();
         params.shard_bases = shard_bases;
-        let options = ManyOptions {
+        let options = AlignOptions {
             threads: 3,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
-        let report =
-            pangenome::align_many(&params, &genomes, &options).expect("sharded run succeeds");
+        let report = pangenome::align_many_observed(&params, &genomes, &options, Obs::off())
+            .expect("sharded run succeeds");
         assert_eq!(
             report.canonical_text(),
             expected,
@@ -111,13 +112,13 @@ fn byte_identity_across_executors_threads_and_shards() {
 fn six_genome_run_is_deterministic_across_executors() {
     let genomes = clustered_genomes(3, 4_000, 17);
     assert_eq!(genomes.len(), 6);
-    let serial = run(&genomes, &ManyOptions::default());
+    let serial = run(&genomes, &AlignOptions::default());
     assert_eq!(serial.pairs.len(), 15, "all-vs-all over 6 genomes");
     let dataflow = run(
         &genomes,
-        &ManyOptions {
+        &AlignOptions {
             threads: 3,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         },
     );
     assert_eq!(dataflow.canonical_text(), serial.canonical_text());
@@ -129,12 +130,12 @@ fn knn_skips_distant_pairs_and_keeps_near_alignments() {
     // Three clusters of two: each genome's true neighbour is its
     // cluster mate; everything else is unrelated.
     let genomes = clustered_genomes(3, 5_000, 23);
-    let all = run(&genomes, &ManyOptions::default());
+    let all = run(&genomes, &AlignOptions::default());
     let knn = run(
         &genomes,
-        &ManyOptions {
+        &AlignOptions {
             knn: Some(2),
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         },
     );
 
@@ -192,13 +193,13 @@ fn each_chromosome_is_indexed_once_for_its_row() {
     // Every genome but the last is the target of a row; a table per
     // chromosome of each, whatever runs the row's pairs.
     let genomes = multi_chromosome_genomes();
-    let serial = run(&genomes, &ManyOptions::default());
+    let serial = run(&genomes, &AlignOptions::default());
     assert_eq!(serial.tables_built, 4, "two chromosomes of g0 and of g1");
     let dataflow = run(
         &genomes,
-        &ManyOptions {
+        &AlignOptions {
             threads: 2,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         },
     );
     assert_eq!(
@@ -212,9 +213,9 @@ fn each_chromosome_is_indexed_once_for_its_row() {
     let genomes = clustered_genomes(3, 5_000, 23);
     let knn = run(
         &genomes,
-        &ManyOptions {
+        &AlignOptions {
             knn: Some(1),
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         },
     );
     let targets: std::collections::BTreeSet<&str> = knn
@@ -233,7 +234,7 @@ fn each_chromosome_is_indexed_once_for_its_row() {
 #[test]
 fn kill_mid_matrix_then_resume_matches_uninterrupted() {
     let genomes = multi_chromosome_genomes();
-    let golden = run(&genomes, &ManyOptions::default());
+    let golden = run(&genomes, &AlignOptions::default());
     assert!(
         golden.pairs.iter().all(|p| p.failed == 0),
         "uninterrupted run must be clean"
@@ -254,19 +255,19 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
         .expect("fault plan parses"),
     );
     let dir = checkpoint_dir("kill-resume");
-    let chaos = ManyOptions {
-        checkpoint_dir: Some(dir.clone()),
+    let chaos = AlignOptions {
+        checkpoint: Some(dir.clone()),
         fault_plan: Some(plan),
-        ..ManyOptions::default()
+        ..AlignOptions::default()
     };
     let crashed = catch_unwind(AssertUnwindSafe(|| run(&genomes, &chaos)));
     assert!(crashed.is_err(), "injected journal panic must kill the run");
 
     let resumed = run(
         &genomes,
-        &ManyOptions {
-            checkpoint_dir: Some(dir.clone()),
-            ..ManyOptions::default()
+        &AlignOptions {
+            checkpoint: Some(dir.clone()),
+            ..AlignOptions::default()
         },
     );
     assert_eq!(
@@ -285,9 +286,9 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
 fn checkpointed_rerun_replays_every_pair() {
     let genomes = clustered_genomes(2, 4_000, 41);
     let dir = checkpoint_dir("full-replay");
-    let options = ManyOptions {
-        checkpoint_dir: Some(dir.clone()),
-        ..ManyOptions::default()
+    let options = AlignOptions {
+        checkpoint: Some(dir.clone()),
+        ..AlignOptions::default()
     };
     let first = run(&genomes, &options);
     assert_eq!(first.resumed_pairs, 0);
@@ -314,7 +315,7 @@ fn checkpointed_rerun_replays_every_pair() {
 #[test]
 fn a_checkpoint_directory_cut_mid_matrix_resumes() {
     let genomes = multi_chromosome_genomes();
-    let golden = run(&genomes, &ManyOptions::default());
+    let golden = run(&genomes, &AlignOptions::default());
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/many_ckpt");
     for threads in [1, 2] {
         let dir = checkpoint_dir(&format!("fixture-{threads}"));
@@ -323,10 +324,10 @@ fn a_checkpoint_directory_cut_mid_matrix_resumes() {
             let path = entry.unwrap().path();
             std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
         }
-        let options = ManyOptions {
+        let options = AlignOptions {
             threads,
-            checkpoint_dir: Some(dir.clone()),
-            ..ManyOptions::default()
+            checkpoint: Some(dir.clone()),
+            ..AlignOptions::default()
         };
         let resumed = run(&genomes, &options);
         let label = format!("--threads {threads}");
@@ -355,11 +356,11 @@ fn a_fault_plan_pair_names_one_chromosome_pair_of_the_matrix() {
     )
     .expect("fault plan parses");
     for threads in [1, 2] {
-        let options = ManyOptions {
+        let options = AlignOptions {
             threads,
             max_retries: 0,
             fault_plan: Some(Arc::new(plan.clone())),
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
         let report = run(&genomes, &options);
         let failed: Vec<(&str, &str, u64)> = report
@@ -383,9 +384,9 @@ fn a_traced_run_announces_one_total_and_traces_every_table_build() {
     let genomes = multi_chromosome_genomes();
     for threads in [1, 2] {
         let recorder = TraceRecorder::new();
-        let options = ManyOptions {
+        let options = AlignOptions {
             threads,
-            ..ManyOptions::default()
+            ..AlignOptions::default()
         };
         let report = pangenome::align_many_observed(
             &WgaParams::darwin_wga(),

@@ -27,6 +27,7 @@ use darwin_wga::genome::assembly::Assembly;
 use std::fs;
 use std::io::BufReader;
 use std::path::PathBuf;
+use std::process::{Command, Output};
 
 fn data_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data")
@@ -404,4 +405,64 @@ fn dataflow_run_records_queue_waits_and_extend_lanes() {
         );
     }
     assert!(tiles > 0, "golden run must extend at least one anchor");
+}
+
+/// `wga many` traces and measures its whole matrix as `wga align` does,
+/// and neither output changes a byte of its PAF or report. At one thread
+/// and at two, `wga profile report` reads the trace back and lists every
+/// chromosome pair of the matrix, and the metrics name the schedule and
+/// carry the process's high-water.
+#[test]
+fn many_traces_and_measures_the_matrix_without_changing_an_output() {
+    let dir = std::env::temp_dir().join(format!("wga-obs-many-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let wga = |args: &[&str]| -> Output {
+        let out = Command::new(env!("CARGO_BIN_EXE_wga"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("spawn wga");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        out
+    };
+    // Three genomes of two chromosomes: three genome pairs, 12 pair ids.
+    let genomes = ["golden.target.fa", "golden.query.fa", "golden_n.target.fa"]
+        .map(|file| data_dir().join(file).to_str().unwrap().to_string());
+    for (threads, executor) in [("1", "barrier"), ("2", "dataflow")] {
+        let outputs = |observed: &[&str]| -> (Vec<u8>, Vec<u8>) {
+            let mut args = vec!["many"];
+            args.extend(genomes.iter().map(String::as_str));
+            args.extend(["--threads", threads, "--paf-out", "p.paf"]);
+            args.extend(["--report-out", "r.txt"]);
+            wga(&[&args, observed].concat());
+            let read = |file: &str| fs::read(dir.join(file)).unwrap();
+            (read("p.paf"), read("r.txt"))
+        };
+        let plain = outputs(&[]);
+        let observed = outputs(&["--trace-out", "t.jsonl", "--metrics-out", "m.json"]);
+        assert!(
+            plain == observed,
+            "tracing changed an output at {threads} threads"
+        );
+
+        let profile = wga(&["profile", "report", "t.jsonl", "--top", "1000"]);
+        let table = String::from_utf8_lossy(&profile.stdout);
+        assert!(table.contains(" spans, 12 pairs, "), "{table}");
+        for pair in 0..12 {
+            let listed = format!("pair {pair:>4} ");
+            assert!(
+                table.contains(&listed),
+                "no {listed:?} at {threads}: {table}"
+            );
+        }
+        let metrics = fs::read_to_string(dir.join("m.json")).unwrap();
+        assert!(
+            metrics.contains(&format!("\"executor\":\"{executor}\"")),
+            "{metrics}"
+        );
+        assert!(metrics.contains("\"process\":{\"vm_hwm_kb\":"), "{metrics}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

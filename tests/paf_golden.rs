@@ -15,7 +15,9 @@
 //! ```
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::pangenome::{self, paf::paf_text, ManyOptions, ManyReport};
+use darwin_wga::core::genome_pipeline::AlignOptions;
+use darwin_wga::core::obs::Obs;
+use darwin_wga::core::pangenome::{self, paf::paf_text, ManyReport};
 use darwin_wga::core::report::Strand;
 use darwin_wga::genome::assembly::Assembly;
 use std::fs;
@@ -44,8 +46,9 @@ fn golden_genomes() -> Vec<Assembly> {
     ]
 }
 
-fn run(params: &WgaParams, genomes: &[Assembly], options: &ManyOptions) -> ManyReport {
-    pangenome::align_many(params, genomes, options).expect("many-genome run succeeds")
+fn run(params: &WgaParams, genomes: &[Assembly], options: &AlignOptions) -> ManyReport {
+    pangenome::align_many_observed(params, genomes, options, Obs::off())
+        .expect("many-genome run succeeds")
 }
 
 #[test]
@@ -54,7 +57,7 @@ fn golden_paf_is_stable_across_engines_executors_and_threads() {
     let path = data_dir().join("golden.paf");
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
-        let report = run(&WgaParams::darwin_wga(), &genomes, &ManyOptions::default());
+        let report = run(&WgaParams::darwin_wga(), &genomes, &AlignOptions::default());
         fs::write(&path, paf_text(&report, &genomes)).expect("write golden.paf");
         println!("regenerated {}", path.display());
         return;
@@ -70,9 +73,9 @@ fn golden_paf_is_stable_across_engines_executors_and_threads() {
     for engine in [FilterEngineKind::Scalar, FilterEngineKind::Simd] {
         let params = WgaParams::darwin_wga().with_filter_engine(engine);
         for threads in [1usize, 3, 8] {
-            let options = ManyOptions {
+            let options = AlignOptions {
                 threads,
-                ..ManyOptions::default()
+                ..AlignOptions::default()
             };
             let report = run(&params, &genomes, &options);
             let got = paf_text(&report, &genomes);
@@ -90,7 +93,7 @@ fn golden_paf_is_stable_across_engines_executors_and_threads() {
 #[test]
 fn paf_round_trips_against_its_report() {
     let genomes = golden_genomes();
-    let report = run(&WgaParams::darwin_wga(), &genomes, &ManyOptions::default());
+    let report = run(&WgaParams::darwin_wga(), &genomes, &AlignOptions::default());
     let paf = paf_text(&report, &genomes);
     let lines: Vec<&str> = paf.lines().collect();
     assert_eq!(

@@ -17,7 +17,8 @@ use darwin_wga::align::nw::needleman_wunsch;
 use darwin_wga::align::sw::smith_waterman;
 use darwin_wga::align::xdrop::xdrop_tile;
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::core::pipeline::WgaPipeline;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
@@ -253,7 +254,7 @@ proptest! {
         target.push("t", t);
         query.push("q", q);
         let options = AlignOptions { threads, ..AlignOptions::default() };
-        let report = align_assemblies_with(&sharded, &target, &query, &options).unwrap();
+        let report = align_assemblies_observed(&sharded, &target, &query, &options, Obs::off()).unwrap();
         let alignments: Vec<_> = report.alignments.into_iter().map(|a| a.aligned).collect();
         prop_assert_eq!(&reference.alignments, &alignments);
         prop_assert_eq!(&reference.workload, &report.workload);

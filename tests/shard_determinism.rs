@@ -12,7 +12,8 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::faultsim::FaultPlan;
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions, AssemblyReport};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
+use darwin_wga::core::obs::Obs;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
@@ -51,7 +52,13 @@ fn run_within(
     let target = target.clone();
     let query = query.clone();
     thread::spawn(move || {
-        let _ = tx.send(align_assemblies_with(&params, &target, &query, &opts));
+        let _ = tx.send(align_assemblies_observed(
+            &params,
+            &target,
+            &query,
+            &opts,
+            Obs::off(),
+        ));
     });
     rx.recv_timeout(Duration::from_secs(secs))
         .unwrap_or_else(|_| panic!("{label}: run exceeded {secs}s deadline"))

@@ -33,9 +33,10 @@
 //! and name the count that moved, and why, in CHANGES.md.
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::genome_pipeline::{align_assemblies_with, AlignOptions};
+use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::journal::{params_fingerprint, Journal};
-use darwin_wga::core::pangenome::{self, index::scaled_params, ManyOptions};
+use darwin_wga::core::obs::Obs;
+use darwin_wga::core::pangenome::{self, index::scaled_params};
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
@@ -156,7 +157,7 @@ fn align_lines(
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    align_assemblies_with(params, &target, &query, &options).expect("run succeeds");
+    align_assemblies_observed(params, &target, &query, &options, Obs::off()).expect("run succeeds");
     journal_lines(input, &path, params, &target, &query)
 }
 
@@ -165,12 +166,13 @@ fn align_lines(
 fn many_lines(genomes: &[Assembly], threads: usize, scratch: &Path) -> String {
     let params = WgaParams::darwin_wga();
     let dir = scratch.join(format!("many-{}", genomes.len()));
-    let options = ManyOptions {
+    let options = AlignOptions {
         threads,
-        checkpoint_dir: Some(dir.clone()),
-        ..ManyOptions::default()
+        checkpoint: Some(dir.clone()),
+        ..AlignOptions::default()
     };
-    pangenome::align_many(&params, genomes, &options).expect("many run succeeds");
+    pangenome::align_many_observed(&params, genomes, &options, Obs::off())
+        .expect("many run succeeds");
     let scaled = scaled_params(&params, genomes.len());
     let mut out = String::new();
     for a in 0..genomes.len() {
