@@ -6,7 +6,7 @@
 //! record binding the journal to the run's parameters, then one record
 //! per *completed* chromosome pair (alignments, workload, timings,
 //! outcome), each fsync'd before the pair is considered durable. On
-//! resume, [`crate::genome_pipeline::align_assemblies_with`] replays the
+//! resume, [`crate::genome_pipeline::align_assemblies_observed`] replays the
 //! journaled pairs and recomputes only the rest, producing a report
 //! identical to an uninterrupted run.
 //!

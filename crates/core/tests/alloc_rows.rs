@@ -6,7 +6,7 @@
 //! next target. This binary pins that with a counting `#[global_allocator]`
 //! (std only, a test binary of its own like `crates/seed/tests/alloc_bound.rs`
 //! and `crates/align/tests/alloc_bound.rs`): the live-heap high-water of
-//! `align_many` over six genomes is that over three of them plus a slack
+//! `align_many_observed` over six genomes is that over three of them plus a slack
 //! that does not hold one more table. An index that lives for the run
 //! holds five tables at the end of six genomes and two at the end of
 //! three, and fails here by three tables.
@@ -94,7 +94,7 @@ fn beside_others() -> RwLockReadGuard<'static, ()> {
 }
 
 /// The system allocator with per-thread accounting — one thread runs the
-/// whole of a one-thread `align_many` — and a process-wide count.
+/// whole of a one-thread `align_many_observed` — and a process-wide count.
 struct Counting;
 
 fn resized(from: usize, to: usize) {
