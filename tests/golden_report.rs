@@ -339,3 +339,46 @@ fn n_golden_is_stable_across_engines_and_schedules() {
         }
     }
 }
+
+/// What `wga align` writes per chromosome pair — the MAF and the chain
+/// summary lines of stdout — byte for byte at one thread and at two.
+/// `golden.maf` and `golden.chains.txt` were written by the binary and
+/// are never regenerated: an output change has to explain itself.
+#[test]
+fn wga_align_writes_the_golden_maf_and_chains() {
+    let dir = data_dir();
+    let expected_maf = fs::read(dir.join("golden.maf")).expect("golden.maf present");
+    let expected_chains =
+        fs::read_to_string(dir.join("golden.chains.txt")).expect("golden.chains.txt present");
+    for threads in ["1", "2"] {
+        let maf = std::env::temp_dir().join(format!(
+            "wga-golden-maf-{}-t{threads}.maf",
+            std::process::id()
+        ));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wga"))
+            .arg("align")
+            .arg(dir.join("golden.target.fa"))
+            .arg(dir.join("golden.query.fa"))
+            .args(["--threads", threads, "--maf"])
+            .arg(&maf)
+            .output()
+            .expect("wga runs");
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let chains: String = stdout
+            .lines()
+            .filter(|line| line.starts_with("== chr") || line.starts_with("   chain"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let written = fs::read(&maf).expect("MAF written");
+        let _ = fs::remove_file(&maf);
+        assert_eq!(
+            chains, expected_chains,
+            "chain summary at --threads {threads}"
+        );
+        assert!(
+            written == expected_maf,
+            "MAF differs at --threads {threads}"
+        );
+    }
+}
