@@ -30,43 +30,105 @@ fn mutate(s: &Sequence, rate: f64, rng: &mut StdRng) -> Sequence {
         .collect()
 }
 
-pub fn run() {
-    let mut rng = StdRng::seed_from_u64(9);
+const ISLETS: usize = 5;
+const ISLET_LEN: usize = 25;
+const SPACER_T: usize = 12;
+/// The query spacer is the target's minus a 3-base indel.
+const SPACER_Q: usize = 9;
+/// LASTZ's ungapped stage needs a gap-free block at least this long.
+const LASTZ_BLOCK: usize = 30;
+
+/// A random base unlike every one of `taken`.
+fn unlike(taken: &[Option<Base>], rng: &mut StdRng) -> Base {
+    loop {
+        let b = Base::from_code(rng.gen_range(0..4u8));
+        if !taken.contains(&Some(b)) {
+            break b;
+        }
+    }
+}
+
+/// The query side of a target spacer: `SPACER_Q` bases, each unlike the
+/// target base beside it on both neighbouring islets' diagonals (the
+/// indel sits at the islet boundary on either reading).
+fn query_spacer(sp_t: &Sequence, rng: &mut StdRng) -> Sequence {
+    (0..SPACER_Q)
+        .map(|j| unlike(&[sp_t.get(j), sp_t.get(j + SPACER_T - SPACER_Q)], rng))
+        .collect()
+}
+
+/// Length of the gap-free block holding the islet at `(t, q)`: the islet
+/// plus the identical bases that continue its diagonal on either side.
+fn gap_free_block(target: &Sequence, query: &Sequence, t: usize, q: usize) -> usize {
+    let same = |(a, b): (Base, Base)| a == b;
+    let left = (target.iter().take(t).rev())
+        .zip(query.iter().take(q).rev())
+        .take_while(|&p| same(p))
+        .count();
+    let right = (target.iter().skip(t + ISLET_LEN))
+        .zip(query.iter().skip(q + ISLET_LEN))
+        .take_while(|&p| same(p))
+        .count();
+    left + ISLET_LEN + right
+}
+
+/// Builds the region from `seed` and runs both filters and both
+/// pipelines on it.
+///
+/// # Errors
+///
+/// A gap-free block of `LASTZ_BLOCK` bases or more, or a region on which
+/// the Fig. 9 phenomenon is absent: the ungapped filter passes, the BSW
+/// filter rejects, or Darwin-WGA matches no more bases than LASTZ-like.
+pub fn run(seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let model = MarkovModel::genome_like();
 
     // The "exon": five ~25-bp conserved islets separated by indel-bearing
-    // spacers — every gap-free block is < 30 bp, the LASTZ cutoff.
-    let islets: Vec<Sequence> = (0..5).map(|_| model.generate(25, &mut rng)).collect();
-    let spacers_t: Vec<Sequence> = (0..4).map(|_| model.generate(12, &mut rng)).collect();
+    // spacers.
+    let islets: Vec<Sequence> = (0..ISLETS)
+        .map(|_| model.generate(ISLET_LEN, &mut rng))
+        .collect();
 
-    let mut exon_t = Sequence::new();
-    let mut exon_q = Sequence::new();
-    for (i, islet) in islets.iter().enumerate() {
-        exon_t.extend(islet.iter());
-        exon_q.extend(mutate(islet, 0.04, &mut rng).iter());
-        if i < 4 {
-            let sp = &spacers_t[i];
-            exon_t.extend(sp.iter());
-            // Query spacer: a diverged copy with an indel (3 bases shorter).
-            let sp_q = mutate(&sp.subsequence(0..9), 0.3, &mut rng);
-            exon_q.extend(sp_q.iter());
-        }
-    }
-
-    // Embed in unrelated flanks.
+    // Embed in unrelated flanks whose bases beside the exon differ, so
+    // every islet's diagonal meets a mismatch on both sides.
     let flank = 2_000usize;
     let mut target = model.generate(flank, &mut rng);
-    let exon_t_start = target.len();
-    target.extend(exon_t.iter());
-    target.extend(model.generate(flank, &mut rng).iter());
-    let mut query = model.generate(flank, &mut rng);
-    let exon_q_start = query.len();
-    query.extend(exon_q.iter());
-    query.extend(model.generate(flank, &mut rng).iter());
+    let mut query = model.generate(flank - 1, &mut rng);
+    query.push(unlike(&[target.get(flank - 1)], &mut rng));
+    let (exon_t_start, exon_q_start) = (target.len(), query.len());
+    let mut islet_at = Vec::new();
+    for (i, islet) in islets.iter().enumerate() {
+        islet_at.push((target.len(), query.len()));
+        target.extend(islet.iter());
+        query.extend(mutate(islet, 0.04, &mut rng).iter());
+        if i + 1 < ISLETS {
+            let sp_t = model.generate(SPACER_T, &mut rng);
+            query.extend(query_spacer(&sp_t, &mut rng).iter());
+            target.extend(sp_t.iter());
+        }
+    }
+    let tail = model.generate(flank, &mut rng);
+    query.push(unlike(&[tail.get(0)], &mut rng));
+    query.extend(model.generate(flank - 1, &mut rng).iter());
+    target.extend(tail.iter());
 
-    println!("Constructed a Fig. 9-style region:");
-    println!("  exon: 5 conserved islets of 25 bp separated by indel spacers");
-    println!("  every gap-free block < 30 bp (the LASTZ ungapped cutoff)\n");
+    // Checked at every junction, not assumed from the construction.
+    let longest = (islet_at.iter())
+        .map(|&(t, q)| gap_free_block(&target, &query, t, q))
+        .max()
+        .unwrap_or(0);
+    if longest >= LASTZ_BLOCK {
+        return Err(format!(
+            "fig9 seed {seed}: a {longest}-bp gap-free block reaches the LASTZ cutoff"
+        ));
+    }
+
+    println!("Constructed a Fig. 9-style region (seed {seed}):");
+    println!("  exon: {ISLETS} conserved islets of {ISLET_LEN} bp separated by indel spacers");
+    println!(
+        "  longest gap-free block {longest} bp (< {LASTZ_BLOCK}, the LASTZ ungapped cutoff)\n"
+    );
 
     // --- Compare the two filters on the same seed hit ------------------
     let w = SubstitutionMatrix::darwin_wga();
@@ -112,12 +174,10 @@ pub fn run() {
         darwin.total_matches()
     );
 
-    if darwin.total_matches() > lastz.total_matches() {
-        println!("\n→ The gapped filter recovered the exon that ungapped filtering lost —");
-        println!("  the Fig. 9 phenomenon.");
-    } else {
-        println!(
-            "\n(unexpected: gapped filtering did not win on this seed — rerun with another seed)"
-        );
+    if ug.score >= 3000 || bsw.max_score < 4000 || darwin.total_matches() <= lastz.total_matches() {
+        return Err(format!("fig9 seed {seed}: the Fig. 9 phenomenon is absent"));
     }
+    println!("\n→ The gapped filter recovered the exon that ungapped filtering lost —");
+    println!("  the Fig. 9 phenomenon.");
+    Ok(())
 }

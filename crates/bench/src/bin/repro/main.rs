@@ -23,7 +23,7 @@ usage: repro <artefact> [args]   (every arg is a positive integer)
   fig2                        Fig. 2: ungapped block lengths, close vs distant pair
   fig3   [len=60000]          Fig. 3: browser view of chains over a gene region
   fig8   [len=60000]          Fig. 8: distances re-estimated from alignments
-  fig9                        Fig. 9: an exon that only the gapped filter keeps
+  fig9   [seed=9]             Fig. 9: an exon that only the gapped filter keeps
   fig10  [len=60000]          Fig. 10: GACT vs GACT-X, and GACT-X's DP-cell saving (§III-D)
   table3 [len=80000] [reps=3] Table III (+ Table I / Fig. 8 preamble): sensitivity
   table4                      Table IV + Table VI: ASIC area/power, platform power
@@ -57,7 +57,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "fig2" => numbers(rest, []).map(|[]| fig2::run()),
         "fig3" => numbers(rest, [60_000]).map(|[len]| fig3::run(len)),
         "fig8" => numbers(rest, [60_000]).map(|[len]| fig8::run(len)),
-        "fig9" => numbers(rest, []).map(|[]| fig9::run()),
+        "fig9" => numbers(rest, [9]).and_then(|[seed]| fig9::run(seed as u64)),
         "fig10" => numbers(rest, [60_000]).map(|[len]| fig10::run(len)),
         "table3" => numbers(rest, [80_000, 3]).map(|[len, reps]| table3::run(len, reps as u64)),
         "table4" => numbers(rest, []).map(|[]| table4::run()),
