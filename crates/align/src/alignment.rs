@@ -133,71 +133,6 @@ impl Alignment {
     }
 }
 
-/// Builds a CIGAR by classifying aligned pairs of the given sequences.
-///
-/// `pairs` walk both sequences from the given starts applying ops;
-/// `Match`/`Subst` are chosen per position, so callers that track only
-/// "aligned vs gap" can delegate base comparison here.
-#[derive(Debug)]
-pub struct CigarBuilder<'a> {
-    target: &'a Sequence,
-    query: &'a Sequence,
-    t: usize,
-    q: usize,
-    cigar: Cigar,
-}
-
-impl<'a> CigarBuilder<'a> {
-    /// Starts building at the given coordinates.
-    pub fn new(target: &'a Sequence, query: &'a Sequence, t: usize, q: usize) -> Self {
-        CigarBuilder {
-            target,
-            query,
-            t,
-            q,
-            cigar: Cigar::new(),
-        }
-    }
-
-    /// Consumes one aligned pair, classifying match vs substitution.
-    pub fn aligned(&mut self) {
-        let (a, b) = (self.target.get(self.t), self.query.get(self.q));
-        assert!(
-            a.is_some() && b.is_some(),
-            "aligned pair past a sequence's end"
-        );
-        let op = if a == b && a != Some(Base::N) {
-            AlignOp::Match
-        } else {
-            AlignOp::Subst
-        };
-        self.cigar.push(op, 1);
-        self.t += 1;
-        self.q += 1;
-    }
-
-    /// Consumes `len` query bases as an insertion.
-    pub fn insert(&mut self, len: u32) {
-        self.cigar.push(AlignOp::Insert, len);
-        self.q += len as usize;
-    }
-
-    /// Current target coordinate.
-    pub fn target_pos(&self) -> usize {
-        self.t
-    }
-
-    /// Current query coordinate.
-    pub fn query_pos(&self) -> usize {
-        self.q
-    }
-
-    /// Finishes and returns the CIGAR.
-    pub fn finish(self) -> Cigar {
-        self.cigar
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,15 +157,11 @@ mod tests {
     #[test]
     fn validate_accepts_consistent_alignment() {
         let (t, q) = seqs();
-        let mut b = CigarBuilder::new(&t, &q, 0, 0);
-        for _ in 0..4 {
-            b.aligned();
-        }
-        b.insert(1);
-        for _ in 0..4 {
-            b.aligned();
-        }
-        let a = Alignment::new(0, 0, b.finish(), 1);
+        let mut c = Cigar::new();
+        c.push(AlignOp::Match, 4);
+        c.push(AlignOp::Insert, 1);
+        c.push(AlignOp::Match, 4);
+        let a = Alignment::new(0, 0, c, 1);
         a.validate(&t, &q).unwrap();
         assert_eq!(a.matches(), 8);
     }
@@ -249,15 +180,11 @@ mod tests {
         let (t, q) = seqs();
         let w = SubstitutionMatrix::darwin_wga();
         let g = GapPenalties::darwin_wga();
-        let mut b = CigarBuilder::new(&t, &q, 0, 0);
-        for _ in 0..4 {
-            b.aligned();
-        }
-        b.insert(1);
-        for _ in 0..4 {
-            b.aligned();
-        }
-        let a = Alignment::new(0, 0, b.finish(), 0);
+        let mut c = Cigar::new();
+        c.push(AlignOp::Match, 4);
+        c.push(AlignOp::Insert, 1);
+        c.push(AlignOp::Match, 4);
+        let a = Alignment::new(0, 0, c, 0);
         // matches: A,C,G,T,A,C,G,T = 91+100+100+91+91+100+100+91 = 764
         // gap of 1: 430+30 = 460
         assert_eq!(a.rescore(&t, &q, &w, &g), 764 - 460);

@@ -382,7 +382,6 @@ mod tests {
     fn dataflow_handles_empty_and_unrelated_assemblies() {
         let params = WgaParams::darwin_wga();
         let empty = run(&params, &Assembly::new("a"), &Assembly::new("b"), 2, 4);
-        assert!(empty.alignments.is_empty());
         assert!(empty.pairs.is_empty());
         assert!(empty.stage_metrics.is_some());
 

@@ -3,8 +3,10 @@
 //! Whole-genome alignment runs every query chromosome against every
 //! target chromosome (LASTZ is invoked per chromosome pair and the
 //! results are chained together, §V-B). This driver does the same over
-//! [`genome::assembly::Assembly`] inputs, tagging each alignment with its
-//! chromosome pair.
+//! [`genome::assembly::Assembly`] inputs. A finished chromosome pair is
+//! one [`PairRecord`] — its outcome, sums and alignments — from the
+//! journal to every output: [`AssemblyReport::pairs`] holds them in
+//! pair-id order, and [`by_score`] alone orders alignments across pairs.
 //!
 //! Assembly-scale runs take hours, so the driver is fault tolerant: a
 //! panic inside one chromosome pair is contained ([`RunOutcome::Failed`]
@@ -37,7 +39,7 @@ use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
-use crate::report::{FunnelCounters, PairOutcome, RunOutcome, StageTimings, Strand, WgaAlignment};
+use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand, WgaAlignment};
 use crate::stages::{fold_pair, row_seed_table, Journals, TableBuilds};
 use crate::supervise::{panic_message, RetryPolicy};
 use genome::assembly::{Assembly, Chromosome};
@@ -49,17 +51,6 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One alignment located on a chromosome pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocatedAlignment {
-    /// Target chromosome name.
-    pub target_chrom: String,
-    /// Query chromosome name.
-    pub query_chrom: String,
-    /// The alignment (coordinates within the named chromosomes).
-    pub aligned: WgaAlignment,
-}
 
 /// Execution options of a run over the pair matrix: one chromosome-pair
 /// matrix for [`align_assemblies_observed`], one a scheduled genome pair
@@ -162,8 +153,9 @@ impl AlignOptions {
 /// Assembly-level run output.
 #[derive(Debug, Clone, Default)]
 pub struct AssemblyReport {
-    /// All alignments across chromosome pairs.
-    pub alignments: Vec<LocatedAlignment>,
+    /// Every chromosome pair's record — outcome, sums and alignments,
+    /// best score first — in pair-id (target × query) order.
+    pub pairs: Vec<PairRecord>,
     /// Aggregate workload.
     pub workload: Workload,
     /// Aggregate stage timings.
@@ -171,8 +163,6 @@ pub struct AssemblyReport {
     /// Aggregate funnel counters across all pairs. Excluded from
     /// [`AssemblyReport::canonical_text`], like timings.
     pub counters: FunnelCounters,
-    /// Per-pair outcomes, in canonical (target × query) order.
-    pub pairs: Vec<PairOutcome>,
     /// Pairs replayed from the checkpoint journal instead of recomputed.
     pub resumed_pairs: u64,
     /// Per-stage telemetry of the schedule that ran this report (set by
@@ -190,18 +180,9 @@ pub struct AssemblyReport {
 impl AssemblyReport {
     /// Total matched base pairs.
     pub fn total_matches(&self) -> u64 {
-        self.alignments
-            .iter()
-            .map(|a| a.aligned.alignment.matches())
+        (self.pairs.iter().flat_map(|pair| &pair.alignments))
+            .map(|a| a.alignment.matches())
             .sum()
-    }
-
-    /// Alignments on one chromosome pair.
-    pub fn for_pair(&self, target_chrom: &str, query_chrom: &str) -> Vec<&LocatedAlignment> {
-        self.alignments
-            .iter()
-            .filter(|a| a.target_chrom == target_chrom && a.query_chrom == query_chrom)
-            .collect()
     }
 
     /// Pairs that ran with budget trips or failed worker batches.
@@ -220,12 +201,14 @@ impl AssemblyReport {
             .count()
     }
 
-    /// A deterministic rendering of everything except wall-clock timings,
-    /// for equivalence checks between runs (e.g. interrupted-and-resumed
-    /// vs uninterrupted). Two runs over the same inputs with the same
-    /// parameters and budgets produce identical text regardless of thread
-    /// count or how many pairs were replayed from a journal — timings and
-    /// [`AssemblyReport::resumed_pairs`] are the only fields excluded.
+    /// A deterministic rendering of the run's results, for equivalence
+    /// checks between runs (e.g. interrupted-and-resumed vs
+    /// uninterrupted): each pair's outcome, the alignments in
+    /// [`by_score`] order and the workload. Two runs over the same inputs
+    /// with the same parameters and budgets produce identical text
+    /// regardless of thread count or how many pairs were replayed from a
+    /// journal: timings, counters, [`AssemblyReport::resumed_pairs`],
+    /// stage metrics and journal stats stay out.
     pub fn canonical_text(&self) -> String {
         let mut out = String::new();
         for pair in &self.pairs {
@@ -239,19 +222,19 @@ impl AssemblyReport {
                 pair.target_chrom, pair.query_chrom, tag
             ));
         }
-        for a in &self.alignments {
+        for (pair, a) in by_score(&self.pairs) {
             out.push_str(&format!(
                 "aln\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                a.target_chrom,
-                a.query_chrom,
-                match a.aligned.strand {
+                pair.target_chrom,
+                pair.query_chrom,
+                match a.strand {
                     Strand::Forward => '+',
                     Strand::Reverse => '-',
                 },
-                a.aligned.alignment.target_start,
-                a.aligned.alignment.query_start,
-                a.aligned.alignment.score,
-                a.aligned.alignment.cigar
+                a.alignment.target_start,
+                a.alignment.query_start,
+                a.alignment.score,
+                a.alignment.cigar
             ));
         }
         let w = &self.workload;
@@ -261,6 +244,18 @@ impl AssemblyReport {
         ));
         out
     }
+}
+
+/// The alignments of `pairs`, each beside its pair's record, best score
+/// first; a tie keeps pair-id order, then the record's own. This is the
+/// one order across chromosome pairs: both canonical reports and the PAF
+/// list alignments in it.
+pub fn by_score(pairs: &[PairRecord]) -> Vec<(&PairRecord, &WgaAlignment)> {
+    let mut all: Vec<_> = (pairs.iter())
+        .flat_map(|pair| pair.alignments.iter().map(move |a| (pair, a)))
+        .collect();
+    all.sort_by_key(|(_, a)| std::cmp::Reverse(a.alignment.score));
+    all
 }
 
 /// Aligns every query chromosome against every target chromosome.
@@ -278,7 +273,8 @@ impl AssemblyReport {
 ///
 /// ```
 /// use genome::assembly::Assembly;
-/// use wga_core::{config::WgaParams, genome_pipeline::align_assemblies};
+/// use wga_core::config::WgaParams;
+/// use wga_core::genome_pipeline::{align_assemblies, by_score};
 ///
 /// let mut target = Assembly::new("t");
 /// target.push("chrI", "TTTTACGGTCAGTCGATTGCAGTCCATGGACTGATCTTTT".repeat(20).parse()?);
@@ -287,7 +283,8 @@ impl AssemblyReport {
 ///
 /// let report = align_assemblies(&WgaParams::darwin_wga(), &target, &query);
 /// assert!(report.total_matches() > 500);
-/// assert_eq!(report.alignments[0].target_chrom, "chrI");
+/// let (best_pair, _) = by_score(&report.pairs)[0];
+/// assert_eq!(best_pair.target_chrom, "chrI");
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
 pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly) -> AssemblyReport {
@@ -426,8 +423,8 @@ impl<'a> PairMatrix<'a> {
 /// (a fault plan's `"pair"` is a pair id), one announced pair total, one
 /// seed table a row. Each block's journal replays its pairs and takes
 /// its new ones; `options.checkpoint` is not read. Returns each block's
-/// report — its pairs in canonical order, its alignments stably sorted
-/// by score — and the number of rows that built a table.
+/// report, its pairs' records in pair-id order, and the number of rows
+/// that built a table.
 ///
 /// # Errors
 ///
@@ -517,10 +514,9 @@ fn pair_loop(
 }
 
 /// Folds `records`, one a pair in pair-id order, into their blocks'
-/// reports — a `resumed` one counted as replayed — and sorts each
-/// block's alignments by score, stably. The run's seeding time outside
-/// any pair (its table `builds`) and its watchdog `stalls` go to the
-/// first block; every block carries its journal's recovery stats and
+/// reports, a `resumed` one counted as replayed. The run's seeding time
+/// outside any pair (its table `builds`) and its watchdog `stalls` go to
+/// the first block; every block carries its journal's recovery stats and
 /// the run's `metrics`, read off the blocks' sum.
 pub(crate) fn assemble(
     matrix: &PairMatrix<'_>,
@@ -545,10 +541,7 @@ pub(crate) fn assemble(
         first.counters.stalls_detected += stalls;
     }
     let mut total = AssemblyReport::default();
-    for block in &mut blocks {
-        block
-            .alignments
-            .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
+    for block in &blocks {
         total.workload.merge(&block.workload);
         total.timings.merge(&block.timings);
         total.counters.merge(&block.counters);
@@ -586,18 +579,13 @@ mod tests {
         let (target, query) = two_chrom_assemblies();
         let report = align_assemblies(&WgaParams::darwin_wga(), &target, &query);
         assert!(report.total_matches() > 15_000);
-        let homologous: u64 = report
-            .for_pair("chrI", "chr1")
-            .iter()
-            .chain(report.for_pair("chrII", "chr2").iter())
-            .map(|a| a.aligned.alignment.matches())
-            .sum();
-        let paralogous: u64 = report
-            .for_pair("chrI", "chr2")
-            .iter()
-            .chain(report.for_pair("chrII", "chr1").iter())
-            .map(|a| a.aligned.alignment.matches())
-            .sum();
+        // Pair ids: chrI × {chr1, chr2}, then chrII × {chr1, chr2}.
+        let matches = |ids: [usize; 2]| -> u64 {
+            (ids.iter().flat_map(|&id| &report.pairs[id].alignments))
+                .map(|a| a.alignment.matches())
+                .sum()
+        };
+        let (homologous, paralogous) = (matches([0, 3]), matches([1, 2]));
         assert!(
             homologous > 20 * paralogous.max(1),
             "homologous {homologous} vs cross {paralogous}"
@@ -623,10 +611,10 @@ mod tests {
     fn alignments_validate_within_their_chromosomes() {
         let (target, query) = two_chrom_assemblies();
         let report = align_assemblies(&WgaParams::darwin_wga(), &target, &query);
-        for la in &report.alignments {
-            let t = &target.chromosome(&la.target_chrom).unwrap().sequence;
-            let q = &query.chromosome(&la.query_chrom).unwrap().sequence;
-            la.aligned.alignment.validate(t, q).unwrap();
+        for (pair, a) in by_score(&report.pairs) {
+            let t = &target.chromosome(&pair.target_chrom).unwrap().sequence;
+            let q = &query.chromosome(&pair.query_chrom).unwrap().sequence;
+            a.alignment.validate(t, q).unwrap();
         }
         assert_eq!(report.pairs.len(), 4);
         assert_eq!(report.failed_pairs(), 0);
@@ -640,7 +628,6 @@ mod tests {
             &Assembly::new("a"),
             &Assembly::new("b"),
         );
-        assert!(report.alignments.is_empty());
         assert_eq!(report.total_matches(), 0);
         assert!(report.pairs.is_empty());
     }

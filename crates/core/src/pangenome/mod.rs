@@ -18,9 +18,13 @@
 //!   directory of *per-genome-pair* journals, so an N-genome run resumes
 //!   at chromosome-pair granularity — with the same tracing and
 //!   per-stage metrics as a two-assembly run;
-//! * [`plane_sweep`] — dedups overlapping alignments across the merged
-//!   result set;
+//! * [`plane_sweep`] — dedups overlapping alignments within each
+//!   chromosome pair's record, strand by strand;
 //! * [`paf`] — renders the survivors as PAF.
+//!
+//! A genome pair's result is its block's [`PairRecord`]s, kept whole in
+//! [`ManyPair::records`]; nothing regroups them, and [`by_score`] alone
+//! orders alignments across a genome pair's chromosome pairs.
 //!
 //! Determinism contract: [`ManyReport::canonical_text`] and the PAF are
 //! byte-identical across thread counts and shard sizes.
@@ -37,9 +41,10 @@ pub mod plane_sweep;
 use crate::config::WgaParams;
 use crate::dataflow::ExecutorMetrics;
 use crate::error::{WgaError, WgaResult};
-use crate::genome_pipeline::{align_matrix, AlignOptions, PairMatrix};
+use crate::genome_pipeline::{align_matrix, by_score, AlignOptions, PairMatrix};
+use crate::journal::PairRecord;
 use crate::obs::Obs;
-use crate::report::{FunnelCounters, StageTimings, WgaAlignment};
+use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand};
 use genome::assembly::Assembly;
 use hwsim::Workload;
 use joblist::PairPlan;
@@ -64,7 +69,7 @@ pub struct GenomeSummary {
 }
 
 /// One unordered genome pair's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManyPair {
     /// Target-side genome name (lower index).
     pub target_genome: String,
@@ -74,28 +79,31 @@ pub struct ManyPair {
     pub scheduled: bool,
     /// Sketch hashes the genomes share (the kNN ranking signal).
     pub shared: u64,
-    /// Chromosome pairs that completed cleanly.
-    pub completed: u64,
-    /// Chromosome pairs that completed degraded (budget exceeded).
-    pub degraded: u64,
-    /// Chromosome pairs that failed.
-    pub failed: u64,
+    /// Its chromosome pairs' records in pair-id order, each holding the
+    /// alignments that survived the plane sweep (reverse-strand query
+    /// coordinates on the reverse complement). Empty for a skipped pair.
+    pub records: Vec<PairRecord>,
 }
 
-/// One alignment of the merged, deduplicated set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManyAlignment {
-    /// Target genome name.
-    pub target_genome: String,
-    /// Target chromosome name.
-    pub target_chrom: String,
-    /// Query genome name.
-    pub query_genome: String,
-    /// Query chromosome name.
-    pub query_chrom: String,
-    /// The alignment, coordinates as the pairwise pipeline reports them
-    /// (reverse-strand query coordinates on the reverse complement).
-    pub aligned: WgaAlignment,
+impl ManyPair {
+    fn count(&self, outcome: impl Fn(&RunOutcome) -> bool) -> u64 {
+        self.records.iter().filter(|r| outcome(&r.outcome)).count() as u64
+    }
+
+    /// Chromosome pairs that completed cleanly.
+    pub fn completed(&self) -> u64 {
+        self.count(|o| matches!(o, RunOutcome::Completed))
+    }
+
+    /// Chromosome pairs that completed degraded (budget exceeded).
+    pub fn degraded(&self) -> u64 {
+        self.count(|o| matches!(o, RunOutcome::Degraded { .. }))
+    }
+
+    /// Chromosome pairs that failed.
+    pub fn failed(&self) -> u64 {
+        self.count(|o| matches!(o, RunOutcome::Failed { .. }))
+    }
 }
 
 /// Result of a many-genome run.
@@ -105,9 +113,6 @@ pub struct ManyReport {
     pub genomes: Vec<GenomeSummary>,
     /// Every unordered pair in canonical `(a, b)` order.
     pub pairs: Vec<ManyPair>,
-    /// Surviving alignments after the plane sweep, grouped by pair in
-    /// canonical order, score-descending within a pair.
-    pub alignments: Vec<ManyAlignment>,
     /// Plane-sweep kept/dropped statistics.
     pub sweep: SweepStats,
     /// Aggregate pipeline workload over all scheduled pairs.
@@ -147,7 +152,12 @@ impl ManyReport {
         }
         for pair in &self.pairs {
             let status = if pair.scheduled {
-                format!("c{}d{}f{}", pair.completed, pair.degraded, pair.failed)
+                format!(
+                    "c{}d{}f{}",
+                    pair.completed(),
+                    pair.degraded(),
+                    pair.failed()
+                )
             } else {
                 "skipped".to_string()
             };
@@ -156,22 +166,24 @@ impl ManyReport {
                 pair.target_genome, pair.query_genome, pair.shared, status
             ));
         }
-        for a in &self.alignments {
-            out.push_str(&format!(
-                "aln\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                a.target_genome,
-                a.target_chrom,
-                a.query_genome,
-                a.query_chrom,
-                match a.aligned.strand {
-                    crate::report::Strand::Forward => '+',
-                    crate::report::Strand::Reverse => '-',
-                },
-                a.aligned.alignment.target_start,
-                a.aligned.alignment.query_start,
-                a.aligned.alignment.score,
-                a.aligned.alignment.cigar
-            ));
+        for pair in &self.pairs {
+            for (record, a) in by_score(&pair.records) {
+                out.push_str(&format!(
+                    "aln\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                    pair.target_genome,
+                    record.target_chrom,
+                    pair.query_genome,
+                    record.query_chrom,
+                    match a.strand {
+                        Strand::Forward => '+',
+                        Strand::Reverse => '-',
+                    },
+                    a.alignment.target_start,
+                    a.alignment.query_start,
+                    a.alignment.score,
+                    a.alignment.cigar
+                ));
+            }
         }
         let w = &self.workload;
         out.push_str(&format!(
@@ -189,7 +201,7 @@ impl ManyReport {
     pub fn summary(&self) -> String {
         let scheduled = self.pairs.iter().filter(|p| p.scheduled).count();
         let skipped = self.pairs.len() - scheduled;
-        let failed: u64 = self.pairs.iter().map(|p| p.failed).sum();
+        let failed: u64 = self.pairs.iter().map(ManyPair::failed).sum();
         format!(
             "many-genome run: {} genomes, {} pairs ({} aligned, {} skipped by knn), \
              {} alignments kept, {} dropped as overlaps, {} tables built, \
@@ -270,10 +282,8 @@ pub fn align_many_observed(
         stage_metrics: blocks.first().and_then(|block| block.stage_metrics),
         ..ManyReport::default()
     };
-    let mut merged: Vec<ManyAlignment> = Vec::new();
     let mut blocks = blocks.into_iter();
     for plan in &plans {
-        let (target, query) = (&genomes[plan.a], &genomes[plan.b]);
         // One block a scheduled plan, in joblist order; a skipped plan
         // aligned nothing.
         let inner = plan
@@ -281,32 +291,22 @@ pub fn align_many_observed(
             .then(|| blocks.next())
             .flatten()
             .unwrap_or_default();
-        let (degraded, failed) = (inner.degraded_pairs() as u64, inner.failed_pairs() as u64);
-        report.pairs.push(ManyPair {
-            target_genome: target.name.clone(),
-            query_genome: query.name.clone(),
-            scheduled: plan.scheduled,
-            shared: plan.shared,
-            completed: inner.pairs.len() as u64 - degraded - failed,
-            degraded,
-            failed,
-        });
         report.workload.merge(&inner.workload);
         report.timings.merge(&inner.timings);
         report.counters.merge(&inner.counters);
         report.resumed_pairs += inner.resumed_pairs;
-        merged.extend(inner.alignments.into_iter().map(|located| ManyAlignment {
-            target_genome: target.name.clone(),
-            target_chrom: located.target_chrom,
-            query_genome: query.name.clone(),
-            query_chrom: located.query_chrom,
-            aligned: located.aligned,
-        }));
+        let mut records = inner.pairs;
+        for record in &mut records {
+            plane_sweep::plane_sweep(&mut record.alignments, &mut report.sweep);
+        }
+        report.pairs.push(ManyPair {
+            target_genome: genomes[plan.a].name.clone(),
+            query_genome: genomes[plan.b].name.clone(),
+            scheduled: plan.scheduled,
+            shared: plan.shared,
+            records,
+        });
     }
-
-    let (kept, sweep) = plane_sweep::plane_sweep(merged);
-    report.alignments = kept;
-    report.sweep = sweep;
     Ok(report)
 }
 

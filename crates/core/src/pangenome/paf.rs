@@ -11,8 +11,10 @@
 //! `<genome>.<chromosome>` so one PAF spans the whole genome set
 //! without name collisions.
 
-use super::{ManyAlignment, ManyReport};
-use crate::report::Strand;
+use super::{ManyPair, ManyReport};
+use crate::genome_pipeline::by_score;
+use crate::journal::PairRecord;
+use crate::report::{Strand, WgaAlignment};
 use genome::assembly::Assembly;
 use std::collections::BTreeMap;
 
@@ -29,30 +31,33 @@ pub fn paf_text(report: &ManyReport, genomes: &[Assembly]) -> String {
     let mut lengths: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     for genome in genomes {
         for chrom in genome.chromosomes() {
-            lengths.insert((genome.name.as_str(), chrom.name.as_str()), chrom.sequence.len());
+            lengths.insert(
+                (genome.name.as_str(), chrom.name.as_str()),
+                chrom.sequence.len(),
+            );
         }
     }
     let mut out = String::new();
-    for alignment in &report.alignments {
-        let t_len = lengths.get(&(
-            alignment.target_genome.as_str(),
-            alignment.target_chrom.as_str(),
-        ));
-        let q_len = lengths.get(&(
-            alignment.query_genome.as_str(),
-            alignment.query_chrom.as_str(),
-        ));
-        if let (Some(&t_len), Some(&q_len)) = (t_len, q_len) {
-            out.push_str(&paf_line(alignment, t_len, q_len));
-            out.push('\n');
+    for pair in &report.pairs {
+        for (record, a) in by_score(&pair.records) {
+            let t_len = lengths.get(&(pair.target_genome.as_str(), record.target_chrom.as_str()));
+            let q_len = lengths.get(&(pair.query_genome.as_str(), record.query_chrom.as_str()));
+            if let (Some(&t_len), Some(&q_len)) = (t_len, q_len) {
+                out.push_str(&paf_line((pair, record, a), t_len, q_len));
+                out.push('\n');
+            }
         }
     }
     out
 }
 
-fn paf_line(a: &ManyAlignment, t_len: usize, q_len: usize) -> String {
-    let aln = &a.aligned.alignment;
-    let (strand, q_start, q_end) = match a.aligned.strand {
+fn paf_line(
+    (pair, record, a): (&ManyPair, &PairRecord, &WgaAlignment),
+    t_len: usize,
+    q_len: usize,
+) -> String {
+    let aln = &a.alignment;
+    let (strand, q_start, q_end) = match a.strand {
         Strand::Forward => ('+', aln.query_start, aln.query_end),
         // Alignment coordinates are on the reverse complement; PAF
         // wants the forward strand, which mirrors the interval.
@@ -64,14 +69,14 @@ fn paf_line(a: &ManyAlignment, t_len: usize, q_len: usize) -> String {
     };
     format!(
         "{}.{}\t{}\t{}\t{}\t{}\t{}.{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        a.query_genome,
-        a.query_chrom,
+        pair.query_genome,
+        record.query_chrom,
         q_len,
         q_start,
         q_end,
         strand,
-        a.target_genome,
-        a.target_chrom,
+        pair.target_genome,
+        record.target_chrom,
         t_len,
         aln.target_start,
         aln.target_end,
@@ -84,7 +89,6 @@ fn paf_line(a: &ManyAlignment, t_len: usize, q_len: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::WgaAlignment;
     use align::alignment::Alignment;
     use align::cigar::{AlignOp, Cigar};
 
@@ -95,26 +99,31 @@ mod tests {
         a
     }
 
-    fn alignment(strand: Strand) -> ManyAlignment {
+    fn alignment(strand: Strand) -> WgaAlignment {
         let mut cigar = Cigar::new();
         cigar.push(AlignOp::Match, 10);
         cigar.push(AlignOp::Delete, 2);
         cigar.push(AlignOp::Match, 10);
-        ManyAlignment {
-            target_genome: "ga".into(),
-            target_chrom: "chrI".into(),
-            query_genome: "gb".into(),
-            query_chrom: "chr1".into(),
-            aligned: WgaAlignment {
-                alignment: Alignment::new(8, 4, cigar, 77),
-                strand,
-            },
+        WgaAlignment {
+            alignment: Alignment::new(8, 4, cigar, 77),
+            strand,
         }
     }
 
-    fn report_with(alignments: Vec<ManyAlignment>) -> ManyReport {
+    /// One genome pair, `ga` × `gb`, whose one chromosome pair holds
+    /// `alignments`.
+    fn report_with(alignments: Vec<WgaAlignment>) -> ManyReport {
+        let mut record = PairRecord::failed("chrI", "chr1", String::new());
+        record.outcome = crate::report::RunOutcome::Completed;
+        record.alignments = alignments;
         ManyReport {
-            alignments,
+            pairs: vec![ManyPair {
+                target_genome: "ga".into(),
+                query_genome: "gb".into(),
+                scheduled: true,
+                shared: 0,
+                records: vec![record],
+            }],
             ..ManyReport::default()
         }
     }

@@ -1,18 +1,17 @@
-//! Plane-sweep deduplication of the merged many-genome alignment set.
+//! Plane-sweep deduplication of a many-genome run's alignments.
 //!
 //! All-vs-all matrices re-discover the same homology from several
 //! directions: paralog pairs, both orientations of a repeat, near-tied
-//! chains on adjacent diagonals. The post-filter sweeps each group of
-//! alignments sharing `(target genome, target chromosome, query
-//! genome, query chromosome, strand)` along the target axis and drops
-//! an alignment when a *better* one (higher score; ties broken by
-//! canonical order) covers at least half of both its target span and
-//! its query span. Only surviving alignments can suppress others, and
-//! candidates are judged in a fixed order, so the result is a pure
-//! function of the input set — dedup semantics identical on every
-//! executor and thread count by construction.
+//! chains on adjacent diagonals. The post-filter sweeps one chromosome
+//! pair's alignments a strand at a time along the target axis and drops
+//! an alignment when a *better* one (higher score; ties broken by the
+//! record's order, best score first) covers at least half of both its
+//! target span and its query span. Only surviving alignments can
+//! suppress others, and candidates are judged in a fixed order, so the
+//! result is a pure function of the record — dedup semantics identical
+//! on every executor and thread count by construction.
 
-use super::ManyAlignment;
+use crate::report::{Strand, WgaAlignment};
 
 /// What the sweep did, for the `sweep` line of the canonical report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,18 +23,12 @@ pub struct SweepStats {
 }
 
 /// Half-open span helpers over the underlying alignment coordinates.
-fn target_span(a: &ManyAlignment) -> (usize, usize) {
-    (
-        a.aligned.alignment.target_start,
-        a.aligned.alignment.target_end,
-    )
+fn target_span(a: &WgaAlignment) -> (usize, usize) {
+    (a.alignment.target_start, a.alignment.target_end)
 }
 
-fn query_span(a: &ManyAlignment) -> (usize, usize) {
-    (
-        a.aligned.alignment.query_start,
-        a.aligned.alignment.query_end,
-    )
+fn query_span(a: &WgaAlignment) -> (usize, usize) {
+    (a.alignment.query_start, a.alignment.query_end)
 }
 
 fn overlap(a: (usize, usize), b: (usize, usize)) -> usize {
@@ -43,75 +36,46 @@ fn overlap(a: (usize, usize), b: (usize, usize)) -> usize {
 }
 
 /// True when `better` covers at least half of `worse` on both axes.
-fn shadows(better: &ManyAlignment, worse: &ManyAlignment) -> bool {
+fn shadows(better: &WgaAlignment, worse: &WgaAlignment) -> bool {
     let (wt, wq) = (target_span(worse), query_span(worse));
     let t_overlap = overlap(target_span(better), wt);
     let q_overlap = overlap(query_span(better), wq);
     2 * t_overlap >= wt.1 - wt.0 && 2 * q_overlap >= wq.1 - wq.0
 }
 
-/// Rank of an alignment inside its group: higher score wins; the tie
-/// falls back to canonical input order (earlier wins), so equal-score
+/// Rank of an alignment inside its lane: higher score wins; the tie
+/// falls back to the record's order (earlier wins), so equal-score
 /// duplicates resolve identically everywhere.
-fn beats(a: &ManyAlignment, a_idx: usize, b: &ManyAlignment, b_idx: usize) -> bool {
-    let (sa, sb) = (a.aligned.alignment.score, b.aligned.alignment.score);
+fn beats(a: &WgaAlignment, a_idx: usize, b: &WgaAlignment, b_idx: usize) -> bool {
+    let (sa, sb) = (a.alignment.score, b.alignment.score);
     sa > sb || (sa == sb && a_idx < b_idx)
 }
 
-/// Sweeps the alignment set, returning the survivors in their original
-/// (canonical) order plus the drop statistics.
-pub fn plane_sweep(alignments: Vec<ManyAlignment>) -> (Vec<ManyAlignment>, SweepStats) {
-    let n = alignments.len();
-    // Group by lane: same target genome+chromosome, query
-    // genome+chromosome and strand. Input order within a group is the
-    // canonical order, preserved as the tie-break rank.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| lane_key(&alignments[x]).cmp(&lane_key(&alignments[y])).then(x.cmp(&y)));
-
-    let mut dropped = vec![false; n];
-    let mut start = 0;
-    while start < order.len() {
-        let mut end = start + 1;
-        while end < order.len()
-            && lane_key(&alignments[order[start]]) == lane_key(&alignments[order[end]])
-        {
-            end += 1;
-        }
-        sweep_lane(&alignments, &order[start..end], &mut dropped);
-        start = end;
+/// Sweeps one chromosome pair's alignments, each strand a lane of its
+/// own, and drops the shadowed ones in place: the survivors keep their
+/// order, and `stats` counts both.
+pub fn plane_sweep(alignments: &mut Vec<WgaAlignment>, stats: &mut SweepStats) {
+    let mut dropped = vec![false; alignments.len()];
+    for strand in [Strand::Forward, Strand::Reverse] {
+        let lane: Vec<usize> = (0..alignments.len())
+            .filter(|&i| alignments[i].strand == strand)
+            .collect();
+        sweep_lane(alignments, &lane, &mut dropped);
     }
-
-    let mut kept = Vec::with_capacity(n);
-    let mut stats = SweepStats::default();
-    for (idx, alignment) in alignments.into_iter().enumerate() {
-        if dropped[idx] {
-            stats.dropped += 1;
-        } else {
-            stats.kept += 1;
-            kept.push(alignment);
-        }
-    }
-    (kept, stats)
+    let before = alignments.len();
+    // `retain` visits the alignments once each, in order.
+    let mut verdicts = dropped.into_iter();
+    alignments.retain(|_| !verdicts.next().unwrap_or(false));
+    stats.kept += alignments.len() as u64;
+    stats.dropped += (before - alignments.len()) as u64;
 }
 
-type LaneKey<'a> = (&'a str, &'a str, &'a str, &'a str, bool);
-
-fn lane_key(a: &ManyAlignment) -> LaneKey<'_> {
-    (
-        a.target_genome.as_str(),
-        a.target_chrom.as_str(),
-        a.query_genome.as_str(),
-        a.query_chrom.as_str(),
-        matches!(a.aligned.strand, crate::report::Strand::Reverse),
-    )
-}
-
-/// The sweep proper, over one lane. `members` holds original indices.
+/// The sweep proper, over one lane. `members` holds record indices.
 /// Events advance along the target axis; an active window carries every
 /// alignment whose target interval is still open, so each candidate is
 /// only compared against actual target-overlap, not the whole lane.
-fn sweep_lane(alignments: &[ManyAlignment], members: &[usize], dropped: &mut [bool]) {
-    // Sweep in ascending target_start (ties: canonical order), closing
+fn sweep_lane(alignments: &[WgaAlignment], members: &[usize], dropped: &mut [bool]) {
+    // Sweep in ascending target_start (ties: record order), closing
     // expired intervals as the line advances.
     let mut by_start: Vec<usize> = members.to_vec();
     by_start.sort_by_key(|&i| (target_span(&alignments[i]).0, i));
@@ -139,36 +103,41 @@ fn sweep_lane(alignments: &[ManyAlignment], members: &[usize], dropped: &mut [bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Strand, WgaAlignment};
     use align::alignment::Alignment;
     use align::cigar::{AlignOp, Cigar};
 
-    fn aln(t_start: usize, q_start: usize, len: usize, score: i64) -> ManyAlignment {
+    fn aln(t_start: usize, q_start: usize, len: usize, score: i64) -> WgaAlignment {
         let mut cigar = Cigar::new();
         cigar.push(AlignOp::Match, len as u32);
-        ManyAlignment {
-            target_genome: "a".into(),
-            target_chrom: "chr".into(),
-            query_genome: "b".into(),
-            query_chrom: "chr".into(),
-            aligned: WgaAlignment {
-                alignment: Alignment::new(t_start, q_start, cigar, score),
-                strand: Strand::Forward,
-            },
+        WgaAlignment {
+            alignment: Alignment::new(t_start, q_start, cigar, score),
+            strand: Strand::Forward,
         }
+    }
+
+    fn sweep(mut alignments: Vec<WgaAlignment>) -> (Vec<WgaAlignment>, SweepStats) {
+        let mut stats = SweepStats::default();
+        plane_sweep(&mut alignments, &mut stats);
+        (alignments, stats)
     }
 
     #[test]
     fn heavy_overlap_drops_the_weaker() {
-        let (kept, stats) = plane_sweep(vec![aln(0, 0, 100, 500), aln(10, 10, 100, 300)]);
+        let (kept, stats) = sweep(vec![aln(0, 0, 100, 500), aln(10, 10, 100, 300)]);
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].aligned.alignment.score, 500);
-        assert_eq!(stats, SweepStats { kept: 1, dropped: 1 });
+        assert_eq!(kept[0].alignment.score, 500);
+        assert_eq!(
+            stats,
+            SweepStats {
+                kept: 1,
+                dropped: 1
+            }
+        );
     }
 
     #[test]
     fn disjoint_alignments_all_survive() {
-        let (kept, stats) = plane_sweep(vec![aln(0, 0, 50, 100), aln(200, 200, 50, 90)]);
+        let (kept, stats) = sweep(vec![aln(0, 0, 50, 100), aln(200, 200, 50, 90)]);
         assert_eq!(kept.len(), 2);
         assert_eq!(stats.dropped, 0);
     }
@@ -177,29 +146,33 @@ mod tests {
     fn same_target_different_query_survives() {
         // Two paralogous query copies mapping to one target region:
         // target overlaps fully, query spans are disjoint — keep both.
-        let (kept, _) = plane_sweep(vec![aln(0, 0, 100, 500), aln(0, 1_000, 100, 400)]);
+        let (kept, _) = sweep(vec![aln(0, 0, 100, 500), aln(0, 1_000, 100, 400)]);
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
-    fn different_lanes_never_interact() {
+    fn the_two_strands_never_interact() {
         let mut other = aln(0, 0, 100, 1);
-        other.query_chrom = "chr2".into();
-        let (kept, _) = plane_sweep(vec![aln(0, 0, 100, 500), other]);
+        other.strand = Strand::Reverse;
+        let (kept, _) = sweep(vec![aln(0, 0, 100, 500), other]);
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
-    fn equal_scores_keep_the_canonical_first() {
-        let (kept, _) = plane_sweep(vec![aln(5, 5, 100, 400), aln(0, 0, 100, 400)]);
+    fn equal_scores_keep_the_record_first() {
+        let (kept, _) = sweep(vec![aln(5, 5, 100, 400), aln(0, 0, 100, 400)]);
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].aligned.alignment.target_start, 5, "input order wins ties");
+        assert_eq!(kept[0].alignment.target_start, 5, "record order wins ties");
     }
 
     #[test]
-    fn survivors_keep_canonical_order() {
-        let input = vec![aln(300, 300, 50, 10), aln(0, 0, 50, 20), aln(150, 150, 50, 30)];
-        let (kept, _) = plane_sweep(input.clone());
+    fn survivors_keep_the_record_order() {
+        let input = vec![
+            aln(300, 300, 50, 10),
+            aln(0, 0, 50, 20),
+            aln(150, 150, 50, 30),
+        ];
+        let (kept, _) = sweep(input.clone());
         assert_eq!(kept, input, "no overlap: order must be untouched");
     }
 }

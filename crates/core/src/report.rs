@@ -125,18 +125,6 @@ pub enum RunOutcome {
     },
 }
 
-/// One chromosome pair's outcome within an
-/// [`crate::genome_pipeline::AssemblyReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairOutcome {
-    /// Target chromosome name.
-    pub target_chrom: String,
-    /// Query chromosome name.
-    pub query_chrom: String,
-    /// What happened to the pair.
-    pub outcome: RunOutcome,
-}
-
 /// Funnel counters: how many candidates each stage saw and passed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunnelCounters {

@@ -19,7 +19,7 @@
 //! | `seed_range` → `filter_batch` | per range, in a plain loop | per range, a pool task; the producer only queues it |
 //! | `fold_batches` + `extend_anchors` | the calling thread | the pool worker that deposits the pair's last range; the producer, for a pair with none |
 //! | `Journals::commit` | pair loop, row order, into the pair's block's journal | collector, completion order, the same |
-//! | `fold_pair` | canonical-order assembly into block reports | the same |
+//! | `fold_pair` | pair-id-order assembly of whole records into block reports | the same |
 //!
 //! Budgets, deadlines, batch containment, fault gates, fault-accounting
 //! freeze and journaling therefore cannot drift between the schedules.
@@ -30,12 +30,10 @@ use crate::config::WgaParams;
 use crate::error::WgaResult;
 use crate::faultsim::Hook;
 use crate::filter_engine::FilterEngine;
-use crate::genome_pipeline::{AssemblyReport, LocatedAlignment, PairMatrix};
+use crate::genome_pipeline::{AssemblyReport, PairMatrix};
 use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
-use crate::report::{
-    BudgetKind, PairOutcome, RunEvent, StageKind, Strand, WgaAlignment, WgaReport,
-};
+use crate::report::{BudgetKind, RunEvent, StageKind, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
 use crate::supervise::{self, panic_message, RetryPolicy};
 use align::gactx::{self, ExtendedAlignment};
@@ -680,26 +678,13 @@ impl Journals {
 }
 
 /// Folds one pair — just committed, or replayed — into its block's
-/// report. Callers fold in canonical (target × query) order.
+/// report: its sums are added and its record kept whole. Callers fold
+/// in pair-id order.
 pub(crate) fn fold_pair(out: &mut AssemblyReport, record: PairRecord) {
     out.workload.merge(&record.workload);
     out.timings.merge(&record.timings);
     out.counters.merge(&record.counters);
-    out.alignments.extend(
-        record
-            .alignments
-            .into_iter()
-            .map(|aligned| LocatedAlignment {
-                target_chrom: record.target_chrom.clone(),
-                query_chrom: record.query_chrom.clone(),
-                aligned,
-            }),
-    );
-    out.pairs.push(PairOutcome {
-        target_chrom: record.target_chrom,
-        query_chrom: record.query_chrom,
-        outcome: record.outcome,
-    });
+    out.pairs.push(record);
 }
 
 #[cfg(test)]

@@ -11,12 +11,11 @@ use wga_core::absorb::{merge_into_kept, AbsorptionGrid};
 use wga_core::budget::clamp_hit_count;
 use wga_core::config::{ResourceBudget, WgaParams};
 use wga_core::filter_engine::run_filter;
-use wga_core::genome_pipeline::{
-    align_assemblies_observed, AlignOptions, AssemblyReport, LocatedAlignment,
-};
+use wga_core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
+use wga_core::journal::PairRecord;
 use wga_core::obs::Obs;
 use wga_core::pipeline::WgaPipeline;
-use wga_core::report::{PairOutcome, RunOutcome, Strand, WgaAlignment};
+use wga_core::report::{RunOutcome, Strand, WgaAlignment};
 use wga_core::stages::run_extension;
 
 fn synthetic(distance: f64, len: usize, seed: u64) -> SyntheticPair {
@@ -36,7 +35,7 @@ fn whole_list_oracle(
 ) -> (AssemblyReport, Vec<u64>) {
     let table = SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
     let mut report = AssemblyReport::default();
-    let (mut events, mut hits_per_strand) = (Vec::new(), Vec::new());
+    let (mut events, mut hits_per_strand, mut alignments) = (Vec::new(), Vec::new(), Vec::new());
     let mut strands = vec![(Strand::Forward, query.clone())];
     if params.both_strands {
         strands.push((Strand::Reverse, query.reverse_complement()));
@@ -70,26 +69,25 @@ fn whole_list_oracle(
                 merge_into_kept(&mut kept, ext.alignment);
             }
         }
-        report
-            .alignments
-            .extend(kept.into_iter().map(|alignment| LocatedAlignment {
-                target_chrom: "chrT".into(),
-                query_chrom: "chrQ".into(),
-                aligned: WgaAlignment { alignment, strand },
-            }));
+        alignments.extend(
+            kept.into_iter()
+                .map(|alignment| WgaAlignment { alignment, strand }),
+        );
     }
-    report
-        .alignments
-        .sort_by_key(|a| std::cmp::Reverse(a.aligned.alignment.score));
+    alignments.sort_by_key(|a| std::cmp::Reverse(a.alignment.score));
     let outcome = if events.is_empty() {
         RunOutcome::Completed
     } else {
         RunOutcome::Degraded { events }
     };
-    report.pairs.push(PairOutcome {
+    report.pairs.push(PairRecord {
         target_chrom: "chrT".into(),
         query_chrom: "chrQ".into(),
         outcome,
+        workload: report.workload,
+        timings: report.timings,
+        counters: report.counters,
+        alignments,
     });
     (report, hits_per_strand)
 }

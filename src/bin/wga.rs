@@ -646,7 +646,8 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     println!("wall time:          {wall:?}");
     println!("seeds queried:      {}", report.workload.seeds);
     println!("filter tiles:       {}", report.workload.filter_tiles);
-    println!("alignments:         {}", report.alignments.len());
+    let alignments: usize = report.pairs.iter().map(|p| p.alignments.len()).sum();
+    println!("alignments:         {alignments}");
     println!("matched base pairs: {}", report.total_matches());
     let completed = report.pairs.len() - report.degraded_pairs() - report.failed_pairs();
     println!(
@@ -675,50 +676,44 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Per chromosome pair: chain and summarise.
-    let qn = query.chromosomes().len();
+    // Per chromosome pair, in pair-id order (`ti * qn + qi`): chain and
+    // summarise.
     let mut chain_buf = obs.buffer();
-    for (ti, tchrom) in target.chromosomes().iter().enumerate() {
-        for (qi, qchrom) in query.chromosomes().iter().enumerate() {
-            let alignments: Vec<&Alignment> = report
-                .for_pair(&tchrom.name, &qchrom.name)
-                .iter()
-                .map(|la| &la.aligned.alignment)
-                .collect();
-            if alignments.is_empty() {
-                continue;
-            }
-            let chain_timer = chain_buf.start();
-            let chains = chain_alignments(&alignments, 3000);
-            chain_buf.finish_for_pair(
-                chain_timer,
-                SpanName::Chain,
-                (ti * qn + qi) as u64,
-                STRAND_NA,
-                0,
-                chains.len() as u64,
-                alignments.len() as u64,
-            );
+    for (pair_id, pair) in report.pairs.iter().enumerate() {
+        let alignments: Vec<&Alignment> = pair.alignments.iter().map(|a| &a.alignment).collect();
+        if alignments.is_empty() {
+            continue;
+        }
+        let chain_timer = chain_buf.start();
+        let chains = chain_alignments(&alignments, 3000);
+        chain_buf.finish_for_pair(
+            chain_timer,
+            SpanName::Chain,
+            pair_id as u64,
+            STRAND_NA,
+            0,
+            chains.len() as u64,
+            alignments.len() as u64,
+        );
+        println!(
+            "== {} vs {}: {} alignments, {} chains, {} unique matched bp",
+            pair.target_chrom,
+            pair.query_chrom,
+            alignments.len(),
+            chains.len(),
+            metrics::unique_matched_bases(&chains, &alignments)
+        );
+        for (i, chain) in chains.iter().take(5).enumerate() {
+            let (t0, t1) = chain.target_span(&alignments);
             println!(
-                "== {} vs {}: {} alignments, {} chains, {} unique matched bp",
-                tchrom.name,
-                qchrom.name,
-                alignments.len(),
-                chains.len(),
-                metrics::unique_matched_bases(&chains, &alignments)
+                "   chain {:>2}: score {:>10}  members {:>3}  {}:{}..{}",
+                i + 1,
+                chain.score,
+                chain.len(),
+                pair.target_chrom,
+                t0,
+                t1
             );
-            for (i, chain) in chains.iter().take(5).enumerate() {
-                let (t0, t1) = chain.target_span(&alignments);
-                println!(
-                    "   chain {:>2}: score {:>10}  members {:>3}  {}:{}..{}",
-                    i + 1,
-                    chain.score,
-                    chain.len(),
-                    tchrom.name,
-                    t0,
-                    t1
-                );
-            }
         }
     }
     chain_buf.flush();
@@ -727,20 +722,19 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         // Rendered block by block into the tmp sibling, then placed
         // atomically: a crash mid-run can never leave a torn MAF at the
         // destination, and the file is never held in memory.
+        let chroms = (target.chromosomes().iter())
+            .flat_map(|t| query.chromosomes().iter().map(move |q| (t, q)));
         durable::write_atomic_with(Path::new(&path), |out| {
             writeln!(out, "##maf version=1 scoring=darwin-wga")?;
-            for tchrom in target.chromosomes() {
-                for qchrom in query.chromosomes() {
-                    let located = report.for_pair(&tchrom.name, &qchrom.name);
-                    maf::write_maf_blocks(
-                        &mut *out,
-                        &tchrom.name,
-                        &tchrom.sequence,
-                        &qchrom.name,
-                        &qchrom.sequence,
-                        located.iter().map(|la| &la.aligned),
-                    )?;
-                }
+            for ((tchrom, qchrom), pair) in chroms.zip(&report.pairs) {
+                maf::write_maf_blocks(
+                    &mut *out,
+                    &tchrom.name,
+                    &tchrom.sequence,
+                    &qchrom.name,
+                    &qchrom.sequence,
+                    &pair.alignments,
+                )?;
             }
             Ok(())
         })
@@ -787,10 +781,12 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     println!("== many-genome summary");
     println!("wall time: {wall:?}");
     println!("{}", report.summary());
-    for pair in report.pairs.iter().filter(|p| p.failed > 0) {
+    for pair in report.pairs.iter().filter(|p| p.failed() > 0) {
         eprintln!(
             "warning: {} vs {}: {} chromosome pair(s) failed",
-            pair.target_genome, pair.query_genome, pair.failed
+            pair.target_genome,
+            pair.query_genome,
+            pair.failed()
         );
     }
     if let Some(path) = report_out {

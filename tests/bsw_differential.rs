@@ -379,7 +379,11 @@ fn whole_pipeline_identical_across_engines_and_threads() {
         };
         let report =
             align_assemblies_observed(params, &target, &query, &options, Obs::off()).unwrap();
-        let alignments = report.alignments.into_iter().map(|a| a.aligned).collect();
+        let alignments = report
+            .pairs
+            .into_iter()
+            .flat_map(|p| p.alignments)
+            .collect();
         (alignments, report.workload, report.counters)
     };
     let reference = serial(&scalar_params);

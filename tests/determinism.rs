@@ -40,7 +40,7 @@ fn parallel_filtering_matches_serial_exactly() {
         };
         let par =
             align_assemblies_observed(&params, &target, &query, &options, Obs::off()).unwrap();
-        let alignments: Vec<_> = par.alignments.into_iter().map(|a| a.aligned).collect();
+        let alignments: Vec<_> = par.pairs.into_iter().flat_map(|p| p.alignments).collect();
         assert_eq!(serial.alignments, alignments, "threads={threads}");
         assert_eq!(serial.workload, par.workload);
     }

@@ -12,7 +12,7 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::faultsim::FaultPlan;
-use darwin_wga::core::genome_pipeline::AlignOptions;
+use darwin_wga::core::genome_pipeline::{by_score, AlignOptions};
 use darwin_wga::core::obs::{Obs, SpanName, TraceRecorder};
 use darwin_wga::core::pangenome::{self, paf::paf_text, ManyReport};
 use darwin_wga::genome::assembly::Assembly;
@@ -172,10 +172,11 @@ fn knn_skips_distant_pairs_and_keeps_near_alignments() {
     for (a, b) in mates {
         let (ta, tb) = (genomes[a].name.as_str(), genomes[b].name.as_str());
         let pick = |r: &ManyReport| -> Vec<String> {
-            r.alignments
-                .iter()
-                .filter(|al| al.target_genome == ta && al.query_genome == tb)
-                .map(|al| format!("{:?}", al.aligned))
+            let pair = (r.pairs.iter())
+                .find(|p| p.target_genome == ta && p.query_genome == tb)
+                .expect("every genome pair is listed");
+            (by_score(&pair.records).iter())
+                .map(|(_, a)| format!("{a:?}"))
                 .collect()
         };
         let from_all = pick(&all);
@@ -236,7 +237,7 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
     let genomes = multi_chromosome_genomes();
     let golden = run(&genomes, &AlignOptions::default());
     assert!(
-        golden.pairs.iter().all(|p| p.failed == 0),
+        golden.pairs.iter().all(|p| p.failed() == 0),
         "uninterrupted run must be clean"
     );
     assert_eq!(golden.tables_built, 4);
@@ -366,7 +367,13 @@ fn a_fault_plan_pair_names_one_chromosome_pair_of_the_matrix() {
         let failed: Vec<(&str, &str, u64)> = report
             .pairs
             .iter()
-            .map(|p| (p.target_genome.as_str(), p.query_genome.as_str(), p.failed))
+            .map(|p| {
+                (
+                    p.target_genome.as_str(),
+                    p.query_genome.as_str(),
+                    p.failed(),
+                )
+            })
             .collect();
         assert_eq!(
             failed,

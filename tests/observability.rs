@@ -98,7 +98,7 @@ fn golden_report_is_identical_with_recorder_on() {
 fn trace_jsonl_matches_schema() {
     let recorder = TraceRecorder::new();
     let report = run_golden(&AlignOptions::default(), Obs::new(&recorder));
-    assert!(!report.alignments.is_empty());
+    assert!(report.total_matches() > 0);
 
     let mut out = Vec::new();
     recorder.write_trace(&mut out).expect("trace writes");

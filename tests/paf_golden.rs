@@ -15,7 +15,7 @@
 //! ```
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::genome_pipeline::AlignOptions;
+use darwin_wga::core::genome_pipeline::{by_score, AlignOptions};
 use darwin_wga::core::obs::Obs;
 use darwin_wga::core::pangenome::{self, paf::paf_text, ManyReport};
 use darwin_wga::core::report::Strand;
@@ -96,13 +96,20 @@ fn paf_round_trips_against_its_report() {
     let report = run(&WgaParams::darwin_wga(), &genomes, &AlignOptions::default());
     let paf = paf_text(&report, &genomes);
     let lines: Vec<&str> = paf.lines().collect();
+    let alignments: Vec<_> = (report.pairs.iter())
+        .flat_map(|pair| {
+            by_score(&pair.records)
+                .into_iter()
+                .map(move |(r, a)| (pair, r, a))
+        })
+        .collect();
     assert_eq!(
         lines.len(),
-        report.alignments.len(),
+        alignments.len(),
         "one PAF line per surviving alignment"
     );
 
-    for (line, a) in lines.iter().zip(&report.alignments) {
+    for (line, (pair, record, a)) in lines.iter().zip(alignments) {
         let cols: Vec<&str> = line.split('\t').collect();
         assert_eq!(cols.len(), 12, "mandatory PAF columns: {line}");
         let num = |i: usize| -> usize {
@@ -111,8 +118,14 @@ fn paf_round_trips_against_its_report() {
                 .unwrap_or_else(|_| panic!("col {i} numeric: {line}"))
         };
 
-        assert_eq!(cols[0], format!("{}.{}", a.query_genome, a.query_chrom));
-        assert_eq!(cols[5], format!("{}.{}", a.target_genome, a.target_chrom));
+        assert_eq!(
+            cols[0],
+            format!("{}.{}", pair.query_genome, record.query_chrom)
+        );
+        assert_eq!(
+            cols[5],
+            format!("{}.{}", pair.target_genome, record.target_chrom)
+        );
         let (q_len, q_start, q_end) = (num(1), num(2), num(3));
         let (t_len, t_start, t_end) = (num(6), num(7), num(8));
         assert!(
@@ -124,9 +137,9 @@ fn paf_round_trips_against_its_report() {
             "target interval sane: {line}"
         );
 
-        let aln = &a.aligned.alignment;
+        let aln = &a.alignment;
         assert_eq!((t_start, t_end), (aln.target_start, aln.target_end));
-        match a.aligned.strand {
+        match a.strand {
             Strand::Forward => {
                 assert_eq!(cols[4], "+");
                 assert_eq!((q_start, q_end), (aln.query_start, aln.query_end));

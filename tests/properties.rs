@@ -255,7 +255,7 @@ proptest! {
         query.push("q", q);
         let options = AlignOptions { threads, ..AlignOptions::default() };
         let report = align_assemblies_observed(&sharded, &target, &query, &options, Obs::off()).unwrap();
-        let alignments: Vec<_> = report.alignments.into_iter().map(|a| a.aligned).collect();
+        let alignments: Vec<_> = report.pairs.into_iter().flat_map(|p| p.alignments).collect();
         prop_assert_eq!(&reference.alignments, &alignments);
         prop_assert_eq!(&reference.workload, &report.workload);
         prop_assert_eq!(reference.counters, report.counters);
