@@ -106,7 +106,10 @@ mod tests {
     #[test]
     fn display_formats() {
         let e = WgaError::config("band must be positive");
-        assert_eq!(e.to_string(), "invalid configuration: band must be positive");
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration: band must be positive"
+        );
         let e = WgaError::input("x.fa", "no records");
         assert_eq!(e.to_string(), "x.fa: no records");
         let e = WgaError::checkpoint("run.journal", "parameter mismatch");

@@ -115,8 +115,14 @@ mod tests {
             .filter(|p| p.scheduled)
             .map(|p| (p.a, p.b))
             .collect();
-        assert!(scheduled.contains(&(0, 1)), "cluster A mates kept: {scheduled:?}");
-        assert!(scheduled.contains(&(2, 3)), "cluster B mates kept: {scheduled:?}");
+        assert!(
+            scheduled.contains(&(0, 1)),
+            "cluster A mates kept: {scheduled:?}"
+        );
+        assert!(
+            scheduled.contains(&(2, 3)),
+            "cluster B mates kept: {scheduled:?}"
+        );
         assert!(
             !scheduled.contains(&(0, 2)) && !scheduled.contains(&(1, 3)),
             "cross-cluster pairs pruned: {scheduled:?}"

@@ -161,9 +161,13 @@ mod tests {
     #[test]
     fn n_runs_are_skipped_not_hashed() {
         let clean: Sequence = "ACGTACGTACGTACGTACGT".repeat(4).parse().unwrap();
-        let spiked: Sequence = format!("{}N{}", "ACGTACGTACGTACGTACGT".repeat(2), "ACGTACGTACGTACGTACGT".repeat(2))
-            .parse()
-            .unwrap();
+        let spiked: Sequence = format!(
+            "{}N{}",
+            "ACGTACGTACGTACGTACGT".repeat(2),
+            "ACGTACGTACGTACGTACGT".repeat(2)
+        )
+        .parse()
+        .unwrap();
         let s_clean = Sketch::of_assembly(&assembly("c", clean));
         let s_spiked = Sketch::of_assembly(&assembly("s", spiked));
         // Every spiked hash comes from an N-free window, so it must
