@@ -85,14 +85,14 @@ use crate::stages::{
     extend_anchors, filter_batch, fold_batches, row_seed_table, seed_lane, seed_range, BatchResult,
     Journals, SeededLane, TableBuilds,
 };
-use crate::supervise::{self, panic_message, RetryPolicy};
+use crate::supervise::{self, panic_message, Supervision};
 use crate::sync::Mutex;
 use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -197,7 +197,6 @@ pub(crate) fn execute(
     options: &AlignOptions,
     mut records: Vec<Option<PairRecord>>,
     (journals, builds): (&mut Journals, &TableBuilds),
-    retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
     let threads = options.threads;
@@ -214,29 +213,21 @@ pub(crate) fn execute(
     let filter_meter = StageMeter::default();
     let alive = AtomicUsize::new(threads);
 
-    // Supervision state: the fault injector rides in on `obs` (built by
-    // `align_matrix`), every stage bumps the heartbeat on
-    // each unit of progress, and — when `--stall-timeout-ms` is set — a
-    // watchdog thread escalates a flat heartbeat by closing every queue,
-    // so a wedged run drains into `Failed` pairs instead of hanging.
-    let injector = obs.fault();
-    let heartbeat = AtomicU64::new(0);
+    // The run's supervision rides in on `obs` (attached by
+    // `align_matrix`): every stage beats its heartbeat on each unit of
+    // progress, and — when `--stall-timeout-ms` is set — a watchdog
+    // thread escalates a flat heartbeat by closing every queue, so a
+    // wedged run drains into `Failed` pairs instead of hanging.
     let watchdog_stop = AtomicBool::new(false);
-    let stalls = AtomicU64::new(0);
 
     let (journal_err, escaped) = std::thread::scope(|scope| {
         let mut workers = Vec::new();
         // --- Stall watchdog --------------------------------------------
-        if options.stall_timeout_ms > 0 {
-            let (filter_q, done_q) = (&filter_q, &done_q);
-            let (watchdog_stop, heartbeat, stalls) = (&watchdog_stop, &heartbeat, &stalls);
-            let timeout_ms = options.stall_timeout_ms;
+        let timeout_ms = options.stall_timeout_ms;
+        if let Some(sup) = obs.supervision().filter(|_| timeout_ms > 0) {
+            let (filter_q, done_q, watchdog_stop) = (&filter_q, &done_q, &watchdog_stop);
             workers.push(scope.spawn(move || {
-                supervise::watch_heartbeat(watchdog_stop, heartbeat, timeout_ms, || {
-                    stalls.fetch_add(1, Ordering::Relaxed);
-                    if let Some(inj) = injector {
-                        inj.request_abort();
-                    }
+                sup.watch(watchdog_stop, timeout_ms, || {
                     filter_q.close();
                     done_q.close();
                 });
@@ -245,21 +236,11 @@ pub(crate) fn execute(
         // --- Planning producer -----------------------------------------
         {
             let (filter_q, done_q) = (&filter_q, &done_q);
-            let (seed_meter, resumed, heartbeat) = (&seed_meter, &resumed, &heartbeat);
+            let (seed_meter, resumed) = (&seed_meter, &resumed);
             workers.push(scope.spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     produce(
-                        params,
-                        matrix,
-                        resumed,
-                        cells,
-                        filter_q,
-                        done_q,
-                        seed_meter,
-                        builds,
-                        heartbeat,
-                        retry_policy,
-                        obs,
+                        params, matrix, resumed, cells, filter_q, done_q, seed_meter, builds, obs,
                     )
                 }));
                 // Whatever happened, release the pool.
@@ -270,20 +251,12 @@ pub(crate) fn execute(
         // --- Worker pool ----------------------------------------------
         for _ in 0..threads {
             let (filter_q, done_q) = (&filter_q, &done_q);
-            let (filter_meter, alive, heartbeat) = (&filter_meter, &alive, &heartbeat);
-            workers.push(scope.spawn(move || {
-                worker(
-                    params,
-                    filter_q,
-                    done_q,
-                    cells,
-                    alive,
-                    filter_meter,
-                    heartbeat,
-                    retry_policy,
-                    obs,
-                )
-            }));
+            let (filter_meter, alive) = (&filter_meter, &alive);
+            workers.push(
+                scope.spawn(move || {
+                    worker(params, filter_q, done_q, cells, alive, filter_meter, obs)
+                }),
+            );
         }
 
         // --- Collector (this thread): journal + gather -----------------
@@ -302,9 +275,9 @@ pub(crate) fn execute(
                 0,
                 0,
             );
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+            obs.beat();
             let pair_obs = obs.with_pair(done.pair_id as u64);
-            match journals.commit(matrix, done.pair_id, done.result, retry_policy, pair_obs) {
+            match journals.commit(matrix, done.pair_id, done.result, pair_obs) {
                 Ok(record) => records[done.pair_id] = Some(record),
                 Err(e) => {
                     // The journal is broken: stop feeding the pipeline,
@@ -338,8 +311,7 @@ pub(crate) fn execute(
     }
 
     // --- Deterministic assembly in canonical pair order -----------------
-    let stalls = stalls.load(Ordering::Relaxed);
-    let dropped = if stalls > 0 {
+    let dropped = if obs.supervision().map_or(0, Supervision::stalls) > 0 {
         format!(
             "pair stalled: no progress for {}ms; aborted by watchdog",
             options.stall_timeout_ms
@@ -356,15 +328,14 @@ pub(crate) fn execute(
             })
         });
     let metrics = |total: &AssemblyReport| {
-        let mut metrics = ExecutorMetrics::from_report(threads, total, injector);
+        let mut metrics = ExecutorMetrics::from_report(threads, total, obs);
         metrics.queue_depth = queue_depth;
-        metrics.stalls_detected = stalls;
         seed_meter.fill(&mut metrics.seeding, 0);
         filter_meter.fill(&mut metrics.filtering, filter_q.max_occupancy());
         metrics
     };
     let run = (&*journals, builds);
-    Ok(assemble(matrix, records, &resumed, run, stalls, metrics))
+    Ok(assemble(matrix, records, &resumed, run, metrics))
 }
 
 /// The planning producer: dispatches target genomes smallest remaining
@@ -387,12 +358,8 @@ fn produce<'a>(
     done_q: &BoundedQueue<PairDone>,
     seed_meter: &StageMeter,
     builds: &TableBuilds,
-    heartbeat: &AtomicU64,
-    retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) {
-    let injector = obs.fault();
-
     // Small work drains first so the long tail of one big pair overlaps
     // the rest of the matrix instead of serialising ahead of it (a pair's
     // work estimate is the bases on both sides — every pipeline stage
@@ -437,15 +404,8 @@ fn produce<'a>(
         // Queues one task: `Err` fails the pair, `Ok(false)` means a
         // queue closed under us (shutdown) and the producer is done.
         let push = |task: RangeTask<'a>| -> Result<bool, String> {
-            supervise::supervised(
-                retry_policy,
-                injector,
-                Hook::QueuePush,
-                pair_obs.pair(),
-                Some(&pair_obs),
-                || Ok(()),
-            )
-            .map_err(|error| format!("queue.push fault: {error}"))?;
+            supervise::supervised(Hook::QueuePush, &pair_obs, || Ok(()))
+                .map_err(|error| format!("queue.push fault: {error}"))?;
             let mut wait_buf = obs.buffer();
             let wait_timer = wait_buf.start();
             let wait = Instant::now();
@@ -462,7 +422,7 @@ fn produce<'a>(
                 0,
                 0,
             );
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+            obs.beat();
             Ok(true)
         };
         let (target, query) = (&pair.target.sequence, &pair.query.sequence);
@@ -496,10 +456,10 @@ fn produce<'a>(
             }
             // Nothing to filter or extend: the pair is finished here.
             let job = cells[pair_id].lock().take();
-            Ok(job.is_none_or(|job| finish_pair(params, job, done_q, heartbeat, obs)))
+            Ok(job.is_none_or(|job| finish_pair(params, job, done_q, obs)))
         }))
         .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-        heartbeat.fetch_add(1, Ordering::Relaxed);
+        obs.beat();
         let keep_going = planned.unwrap_or_else(|error| fail_pair(cells, pair_id, error, done_q));
         if !keep_going {
             return;
@@ -602,7 +562,6 @@ fn plan_pair<'a>(
 /// worker whose deposit completes a pair extends it ([`finish_pair`]).
 /// The last of the pool's `alive` workers out — normally or unwinding —
 /// closes `done_q`.
-#[allow(clippy::too_many_arguments)]
 fn worker<'a>(
     params: &WgaParams,
     filter_q: &BoundedQueue<RangeTask<'a>>,
@@ -610,8 +569,6 @@ fn worker<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
     alive: &AtomicUsize,
     meter: &StageMeter,
-    heartbeat: &AtomicU64,
-    retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) {
     let _guard = PoolGuard {
@@ -651,15 +608,7 @@ fn worker<'a>(
         let pair_obs = obs.with_pair(stream.pair_id as u64);
         let mut same_stream = Some(first);
         while let Some(RangeTask { source, idx, .. }) = same_stream.take() {
-            let pair = pair_obs.pair();
-            let gate = supervise::supervised(
-                retry_policy,
-                obs.fault(),
-                Hook::QueuePop,
-                pair,
-                Some(&pair_obs),
-                || Ok(()),
-            );
+            let gate = supervise::supervised(Hook::QueuePop, &pair_obs, || Ok(()));
             let seeded = gate.map(|()| {
                 catch_unwind(AssertUnwindSafe(|| {
                     seed_range(
@@ -703,10 +652,10 @@ fn worker<'a>(
             };
             let moved_on = match result {
                 Ok(result) => deposit(cells, &stream, result)
-                    .is_none_or(|job| finish_pair(params, job, done_q, heartbeat, obs)),
+                    .is_none_or(|job| finish_pair(params, job, done_q, obs)),
                 Err(error) => fail_pair(cells, stream.pair_id, error, done_q),
             };
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+            obs.beat();
             // `false`: `done_q` closed, the watchdog is shutting down.
             if !moved_on {
                 return;
@@ -761,14 +710,13 @@ fn finish_pair(
     params: &WgaParams,
     job: PairJob<'_>,
     done_q: &BoundedQueue<PairDone>,
-    heartbeat: &AtomicU64,
     obs: Obs<'_>,
 ) -> bool {
     let pair_id = job.pair_id;
     let pair_obs = obs.with_pair(pair_id as u64);
     let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
         .map_err(|payload| panic_message(payload.as_ref()));
-    heartbeat.fetch_add(1, Ordering::Relaxed);
+    obs.beat();
     done_q.push(PairDone { pair_id, result }).is_ok()
 }
 
@@ -950,16 +898,12 @@ mod tests {
                 _token: mpsc::channel().0,
             });
             let alive = AtomicUsize::new(2);
-            let (meter, heartbeat) = (StageMeter::default(), AtomicU64::new(0));
-            let policy = RetryPolicy::default();
+            let meter = StageMeter::default();
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let obs = Obs::off();
-                        worker(
-                            &params, &filter_q, &done_q, &cells, &alive, &meter, &heartbeat,
-                            &policy, obs,
-                        )
+                        worker(&params, &filter_q, &done_q, &cells, &alive, &meter, obs)
                     });
                 }
                 for idx in 0..ranges.count() {

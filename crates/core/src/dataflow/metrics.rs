@@ -13,6 +13,8 @@ use crate::dataflow::ExecutorKind;
 use crate::faultsim::FaultInjector;
 use crate::genome_pipeline::AssemblyReport;
 use crate::json::Json;
+use crate::obs::Obs;
+use crate::supervise::Supervision;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -92,14 +94,15 @@ impl ExecutorMetrics {
     /// The telemetry of a run on `threads` whose pairs are all folded
     /// into `out`: each stage's items, cells and busy time come from the
     /// report (pairs replayed from a journal included, work spent on a
-    /// pair that went on to fail excluded), the fault totals from the
-    /// run's injector; every stage has `threads` workers. Idle time and
-    /// queue occupancy read zero, as in the one-thread loop; the dataflow
-    /// executor overwrites what its producer, pool and queue know.
+    /// pair that went on to fail excluded), the fault totals and the
+    /// stall count from `obs`'s supervision; every stage has `threads`
+    /// workers. Idle time and queue occupancy read zero, as in the
+    /// one-thread loop; the dataflow executor overwrites what its
+    /// producer, pool and queue know.
     pub(crate) fn from_report(
         threads: usize,
         out: &AssemblyReport,
-        injector: Option<&FaultInjector>,
+        obs: Obs<'_>,
     ) -> ExecutorMetrics {
         let stage = |workers, items, cells, busy: Duration| StageMetrics {
             workers,
@@ -108,6 +111,8 @@ impl ExecutorMetrics {
             busy_us: busy.as_micros() as u64,
             ..StageMetrics::default()
         };
+        let sup = obs.supervision();
+        let injector = sup.and_then(Supervision::injector);
         let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
         let (w, c, t) = (&out.workload, &out.counters, &out.timings);
         ExecutorMetrics {
@@ -122,6 +127,7 @@ impl ExecutorMetrics {
             extension: stage(threads, c.anchors_passed, w.extension_cells, t.extension),
             faults_injected,
             retries,
+            stalls_detected: sup.map_or(0, Supervision::stalls),
             ..ExecutorMetrics::default()
         }
     }

@@ -32,7 +32,9 @@
 //! so a command that fails leaves none behind.
 
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::{FaultInjector, FaultKind, Hook, PAIRLESS};
+use crate::faultsim::{FaultKind, Hook};
+use crate::obs::Obs;
+use crate::supervise::Supervision;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -136,47 +138,44 @@ fn commit(path: &Path, staged: bool) -> WgaResult<()> {
 ///
 /// As [`write_atomic_with`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> WgaResult<()> {
-    write_atomic_gated(path, bytes, None)
+    let staged = stage(path, |mut file| file.write_all(bytes))?;
+    commit(path, staged)
 }
 
-/// [`write_atomic`] with a fault-injection gate: `error` injections
-/// fail before any byte is written, `short-write` injections truncate
-/// the tmp payload halfway and fail *before the rename* — the
-/// destination survives either way, which is what the chaos suite
-/// asserts.
+/// [`write_atomic`] behind one probe of `hook`, a sink's fault gate, at
+/// `obs`'s pair: `error` injections fail before any byte is written,
+/// `short-write` injections truncate the tmp payload halfway and fail
+/// *before the rename* — the destination survives either way, which is
+/// what the chaos suite asserts. An injected stall sleeps its whole
+/// length: the watchdog that can cut one short belongs to the matrix
+/// run, which is over before a sink writes.
 ///
 /// # Errors
 ///
 /// [`WgaError::Io`] on any real or injected failure.
-pub fn write_atomic_gated(
-    path: &Path,
-    bytes: &[u8],
-    gate: Option<(&FaultInjector, Hook)>,
-) -> WgaResult<()> {
-    if let Some((injector, hook)) = gate {
-        match injector.probe(hook, PAIRLESS) {
-            None => {}
-            Some((FaultKind::ShortWrite, _)) => {
-                // The simulated crash: data partially staged, rename never ran.
-                stage(path, |mut file| file.write_all(&bytes[..bytes.len() / 2]))?;
-                return Err(WgaError::io(
-                    format!("write {}", tmp_path(path).display()),
-                    std::io::Error::other("injected short write"),
-                ));
-            }
-            Some((FaultKind::Latency, ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            Some((FaultKind::Error | FaultKind::Panic, _)) => {
-                return Err(WgaError::io(
-                    format!("write {}", path.display()),
-                    std::io::Error::other("injected I/O error"),
-                ));
-            }
+pub fn write_atomic_gated(path: &Path, bytes: &[u8], hook: Hook, obs: &Obs<'_>) -> WgaResult<()> {
+    let injector = obs.supervision().and_then(Supervision::injector);
+    match injector.and_then(|injector| injector.probe(hook, obs.pair())) {
+        None => {}
+        Some((FaultKind::ShortWrite, _)) => {
+            // The simulated crash: data partially staged, rename never ran.
+            stage(path, |mut file| file.write_all(&bytes[..bytes.len() / 2]))?;
+            return Err(WgaError::io(
+                format!("write {}", tmp_path(path).display()),
+                std::io::Error::other("injected short write"),
+            ));
+        }
+        Some((FaultKind::Latency, ms)) => {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        Some((FaultKind::Error | FaultKind::Panic, _)) => {
+            return Err(WgaError::io(
+                format!("write {}", path.display()),
+                std::io::Error::other("injected I/O error"),
+            ));
         }
     }
-    let staged = stage(path, |mut file| file.write_all(bytes))?;
-    commit(path, staged)
+    write_atomic(path, bytes)
 }
 
 /// The tmp siblings [`pre_open_outputs`] staged. Dropping it removes
@@ -377,8 +376,9 @@ mod tests {
              {\"hook\":\"metrics.sink\",\"kind\":\"short-write\",\"at\":[0]}]}",
         )
         .unwrap();
-        let injector = FaultInjector::new(plan, 0);
-        let err = write_atomic_gated(&path, b"new-content", Some((&injector, Hook::MetricsSink)));
+        let sup = Supervision::new(Some(plan), 0);
+        let obs = Obs::off().with_supervision(&sup);
+        let err = write_atomic_gated(&path, b"new-content", Hook::MetricsSink, &obs);
         assert!(err.is_err());
         assert_eq!(
             fs::read(&path).unwrap(),
@@ -386,7 +386,7 @@ mod tests {
             "a torn sink write must never reach the destination"
         );
         // The next (un-injected) attempt goes through.
-        write_atomic_gated(&path, b"new-content", Some((&injector, Hook::MetricsSink))).unwrap();
+        write_atomic_gated(&path, b"new-content", Hook::MetricsSink, &obs).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"new-content");
         let _ = fs::remove_file(&path);
         let _ = fs::remove_file(tmp_path(&path));
@@ -400,8 +400,9 @@ mod tests {
              {\"hook\":\"trace.sink\",\"kind\":\"error\",\"at\":[0]}]}",
         )
         .unwrap();
-        let injector = FaultInjector::new(plan, 0);
-        assert!(write_atomic_gated(&path, b"x", Some((&injector, Hook::TraceSink))).is_err());
+        let sup = Supervision::new(Some(plan), 0);
+        let obs = Obs::off().with_supervision(&sup);
+        assert!(write_atomic_gated(&path, b"x", Hook::TraceSink, &obs).is_err());
         assert!(!path.exists());
         let _ = fs::remove_file(&path);
     }

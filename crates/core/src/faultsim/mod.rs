@@ -6,43 +6,47 @@
 //! metrics/trace sinks — and for each hook lists which occurrences to
 //! fail and how: an error return, an injected panic, artificial
 //! latency, or a short write. The [`FaultInjector`] built from the plan
-//! is threaded through both schedules via [`crate::obs::Obs`], so the
-//! same plan perturbs the one-thread pair loop and the dataflow
-//! executor at the same logical points.
+//! is part of the run's [`crate::supervise::Supervision`], which
+//! [`crate::obs::Obs`] carries to every hook — the CLI's FASTA reads and
+//! sinks as well as both schedules — so the same plan perturbs the
+//! one-thread pair loop and the dataflow executor at the same logical
+//! points, and one set of totals counts every injection of a command.
 //!
 //! # Determinism
 //!
-//! Occurrences are counted per `(hook, pair)`, and the retry budget for
-//! injected errors is shared per `(hook, pair)` across *all* worker
-//! threads touching that pair. Given the same plan and seed, every
+//! Occurrences are counted per `(hook, pair)`. A compute gate
+//! ([`FaultInjector::gate`]) shares its retry budget for injected errors
+//! per `(hook, pair)` across *all* worker threads touching that pair; an
+//! I/O site ([`crate::supervise::supervised`]) counts attempts per call.
+//! Given the same plan and seed, every
 //! thread count therefore injects the same number of faults, burns the
 //! same number of retries, and fails the same pairs — the
 //! chaos-determinism acceptance gate (`tests/chaos.rs`) compares
-//! `canonical_text` across thread counts byte for byte. Backoff delays come from
-//! [`crate::supervise::RetryPolicy`] (integer-only splitmix64 jitter);
+//! `canonical_text` across thread counts byte for byte. Backoff delays
+//! come from the supervision's [`crate::supervise::RetryPolicy`]
+//! (integer-only splitmix64 jitter);
 //! this module never reads a wall clock, so it sits in the linter's
 //! `[determinism]` set.
 //!
-//! Every injection is recorded as a [`crate::obs::SpanName::Fault`]
-//! span (`seq` = hook code, `items` = occurrence index, `cells` = kind
-//! code), so a chaos run is auditable from its trace.
+//! Every injection at a gate is recorded as a
+//! [`crate::obs::SpanName::Fault`] span (`seq` = hook code, `items` =
+//! kind code, `cells` = 0, `pair` = the handle's pair, [`NO_PAIR`](crate::obs::NO_PAIR)
+//! for a FASTA read), so a chaos run is auditable from its trace. A sink's
+//! fault is probed by `durable` after the trace and the metrics are
+//! rendered, so neither artifact counts it.
 
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};
 use crate::obs::Obs;
-use crate::supervise::RetryPolicy;
+use crate::supervise::{RetryPolicy, Supervision};
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
-
-/// Pair id used for hooks with no chromosome-pair context (FASTA reads,
-/// metrics/trace sinks).
-pub const PAIRLESS: u64 = u64::MAX;
 
 /// The named points where faults can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,7 +126,7 @@ pub enum FaultKind {
     /// containment of the executors).
     Panic,
     /// The operation stalls for `ms` milliseconds before succeeding
-    /// (exercises the watchdog; interruptible via [`FaultInjector::request_abort`]).
+    /// (exercises the watchdog, whose stall cuts it short).
     Latency,
     /// A sink write stops halfway through (exercises atomic-write
     /// crash safety); behaves like [`FaultKind::Error`] elsewhere.
@@ -174,7 +178,8 @@ pub struct FaultRule {
     /// Which occurrences of the hook (per pair) to hit, 0-based.
     pub at: Vec<u64>,
     /// Restrict to one pair id, an index over the run's whole pair
-    /// matrix (`None` = every pair, including [`PAIRLESS`] hooks).
+    /// matrix (`None` = every pair, including the
+    /// [`NO_PAIR`](crate::obs::NO_PAIR) of FASTA reads and sinks).
     pub pair: Option<u64>,
     /// Stall duration for [`FaultKind::Latency`], milliseconds.
     pub ms: u64,
@@ -278,7 +283,6 @@ pub struct PairFaults {
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    policy: RetryPolicy,
     /// Occurrence counters per `(hook code, pair)`.
     occurrences: Mutex<HashMap<(u64, u64), u64>>,
     /// Injected-error attempts per `(hook code, pair)` — shared across
@@ -292,36 +296,20 @@ pub struct FaultInjector {
     poisoned: Mutex<HashSet<u64>>,
     injected_total: AtomicU64,
     retries_total: AtomicU64,
-    /// Set by the watchdog (or a test) to cut injected latency short.
-    abort: AtomicBool,
 }
 
 impl FaultInjector {
-    /// Builds an injector for one run. `max_retries` comes from
-    /// `--max-retries`; the backoff seed comes from the plan.
-    pub fn new(plan: FaultPlan, max_retries: u32) -> FaultInjector {
-        let policy = RetryPolicy {
-            max_retries,
-            seed: plan.seed,
-            ..RetryPolicy::default()
-        };
+    /// Builds an injector for one run.
+    pub fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector {
             plan,
-            policy,
             occurrences: Mutex::new(HashMap::new()),
             attempts: Mutex::new(HashMap::new()),
             per_pair: Mutex::new(HashMap::new()),
             poisoned: Mutex::new(HashSet::new()),
             injected_total: AtomicU64::new(0),
             retries_total: AtomicU64::new(0),
-            abort: AtomicBool::new(false),
         }
-    }
-
-    /// The retry policy (shared with the journal/sink `supervised`
-    /// wrappers so all supervised retries pace identically).
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Consumes the next `(hook, pair)` occurrence and returns the
@@ -379,34 +367,26 @@ impl FaultInjector {
         )
     }
 
-    /// Asks in-flight injected latency to end early (the watchdog's
-    /// escalation path; sleeping hooks then abort their pair).
-    pub fn request_abort(&self) {
-        self.abort.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`FaultInjector::request_abort`] has fired.
-    pub fn abort_requested(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
-
-    /// Sleeps `ms` in slices, returning `true` if cut short by
-    /// [`FaultInjector::request_abort`].
-    fn sleep_sliced(&self, ms: u64) -> bool {
+    /// Sleeps an injected stall of `ms` in slices, returning `true` if
+    /// cut short: the watchdog of `obs`'s supervision has counted a
+    /// stall (its escalation path; sleeping hooks then abort their pair).
+    fn sleep_sliced(ms: u64, obs: &Obs<'_>) -> bool {
+        let stalled = || obs.supervision().is_some_and(|sup| sup.stalls() > 0);
         let mut remaining = ms;
         while remaining > 0 {
-            if self.abort_requested() {
+            if stalled() {
                 return true;
             }
             let slice = remaining.min(10);
             thread::sleep(Duration::from_millis(slice));
             remaining -= slice;
         }
-        self.abort_requested()
+        stalled()
     }
 
-    /// Compute-stage gate (filter batches, extension tiles). Injected
-    /// errors are retried internally with the supervised backoff; when
+    /// Compute-stage gate (filter batches, extension tiles) at `obs`'s
+    /// pair. Injected errors are retried internally under `obs`'s retry
+    /// policy; when
     /// the shared `(hook, pair)` retry budget is exhausted the pair is
     /// poisoned and the gate aborts it by panicking — both schedules
     /// already contain pair-level panics, so the pair lands as `Failed`
@@ -433,7 +413,7 @@ impl FaultInjector {
             obs.fault_span(hook.code(), kind.code());
             match kind {
                 FaultKind::Latency => {
-                    if self.sleep_sliced(ms) {
+                    if Self::sleep_sliced(ms, obs) {
                         self.poison(pair);
                         // lint: allow(panics): watchdog-aborted stall — the pair must fail, not resume half-stalled
                         panic!(
@@ -455,7 +435,10 @@ impl FaultInjector {
                         *slot += 1;
                         attempt
                     };
-                    if attempt >= self.policy.max_retries {
+                    let policy = obs
+                        .supervision()
+                        .map_or_else(RetryPolicy::default, Supervision::policy);
+                    if attempt >= policy.max_retries {
                         self.poison(pair);
                         // lint: allow(panics): retry budget exhausted — escalate to a pair-level failure on every executor
                         panic!(
@@ -464,15 +447,15 @@ impl FaultInjector {
                         );
                     }
                     self.count_retry(pair);
-                    self.policy
-                        .sleep_backoff((hook.code() << 32) | (pair & 0xFFFF_FFFF), attempt);
+                    policy.sleep_backoff((hook.code() << 32) | (pair & 0xFFFF_FFFF), attempt);
                 }
             }
         }
     }
 
-    /// I/O gate (journal appends/fsyncs, queue operations, FASTA reads),
-    /// the one [`crate::supervise::supervised`] runs before each attempt:
+    /// I/O gate (journal appends/fsyncs, queue operations, FASTA reads) at
+    /// `obs`'s pair, the one [`crate::supervise::supervised`] runs before
+    /// each attempt:
     /// injected faults surface as an error return for its retries;
     /// latency sleeps in place. Never panics except for explicit
     /// [`FaultKind::Panic`] rules, and not for those on a queue
@@ -487,18 +470,17 @@ impl FaultInjector {
     /// # Panics
     ///
     /// Only for [`FaultKind::Panic`] injections off the queues.
-    pub fn gate_io(&self, hook: Hook, pair: u64, obs: Option<&Obs<'_>>) -> WgaResult<()> {
+    pub fn gate_io(&self, hook: Hook, obs: &Obs<'_>) -> WgaResult<()> {
+        let pair = obs.pair();
         let Some((kind, ms)) = self.probe(hook, pair) else {
             return Ok(());
         };
-        if let Some(obs) = obs {
-            obs.fault_span(hook.code(), kind.code());
-        }
+        obs.fault_span(hook.code(), kind.code());
         let injected =
             |msg: &str| WgaError::io(hook.as_str(), io::Error::other(format!("injected {msg}")));
         match kind {
             FaultKind::Latency => {
-                if self.sleep_sliced(ms) {
+                if Self::sleep_sliced(ms, obs) {
                     return Err(injected("stall aborted by watchdog"));
                 }
                 Ok(())
@@ -519,6 +501,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn plan(rules: &str) -> FaultPlan {
         FaultPlan::parse(&format!(
@@ -566,10 +549,9 @@ mod tests {
 
     #[test]
     fn probe_counts_occurrences_per_pair() {
-        let inj = FaultInjector::new(
-            plan("{\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[1]}"),
-            1,
-        );
+        let inj = FaultInjector::new(plan(
+            "{\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[1]}",
+        ));
         // Occurrence 0 misses, occurrence 1 hits — independently per pair.
         assert!(inj.probe(Hook::ExtendTile, 0).is_none());
         assert!(inj.probe(Hook::ExtendTile, 3).is_none());
@@ -581,25 +563,25 @@ mod tests {
 
     #[test]
     fn gate_io_errors_then_clears() {
-        let inj = FaultInjector::new(
-            plan("{\"hook\":\"journal.append\",\"kind\":\"error\",\"at\":[0],\"pair\":2}"),
-            1,
-        );
-        assert!(inj.gate_io(Hook::JournalAppend, 2, None).is_err());
-        assert!(inj.gate_io(Hook::JournalAppend, 2, None).is_ok());
-        assert!(inj.gate_io(Hook::JournalAppend, 1, None).is_ok());
+        let inj = FaultInjector::new(plan(
+            "{\"hook\":\"journal.append\",\"kind\":\"error\",\"at\":[0],\"pair\":2}",
+        ));
+        let (two, one) = (Obs::off().with_pair(2), Obs::off().with_pair(1));
+        assert!(inj.gate_io(Hook::JournalAppend, &two).is_err());
+        assert!(inj.gate_io(Hook::JournalAppend, &two).is_ok());
+        assert!(inj.gate_io(Hook::JournalAppend, &one).is_ok());
     }
 
     #[test]
     fn gate_retries_then_survives() {
-        let mut inj = FaultInjector::new(
-            plan("{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0]}"),
+        let sup = Supervision::new(
+            Some(plan(
+                "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0]}",
+            )),
             2,
         );
-        // No-sleep policy keeps the test fast.
-        inj.policy.base_ms = 0;
-        inj.policy.cap_ms = 0;
-        let obs = Obs::off().with_pair(5).with_fault(Some(&inj));
+        let inj = sup.injector().unwrap();
+        let obs = Obs::off().with_pair(5).with_supervision(&sup);
         obs.fault_gate(Hook::FilterBatch);
         assert_eq!(inj.totals(), (1, 1));
         assert!(!inj.is_poisoned(5));
@@ -614,14 +596,15 @@ mod tests {
 
     #[test]
     fn gate_exhaustion_poisons_and_panics() {
-        let mut inj = FaultInjector::new(
-            plan("{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1]}"),
+        let sup = Supervision::new(
+            Some(plan(
+                "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1]}",
+            )),
             1,
         );
-        inj.policy.base_ms = 0;
-        inj.policy.cap_ms = 0;
+        let inj = sup.injector().unwrap();
+        let obs = Obs::off().with_pair(0).with_supervision(&sup);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let obs = Obs::off().with_pair(0).with_fault(Some(&inj));
             obs.fault_gate(Hook::FilterBatch);
         }));
         assert!(caught.is_err(), "exhaustion must abort the pair");
@@ -629,7 +612,6 @@ mod tests {
         assert_eq!(inj.totals(), (2, 1), "two injections, one retry");
         // A later gate on the poisoned pair aborts immediately.
         let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let obs = Obs::off().with_pair(0).with_fault(Some(&inj));
             obs.fault_gate(Hook::FilterBatch);
         }));
         assert!(again.is_err());
@@ -638,16 +620,24 @@ mod tests {
 
     #[test]
     fn latency_gate_sleeps_and_can_abort() {
-        let inj = FaultInjector::new(
-            plan("{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":5}"),
+        let obs = Obs::off().with_pair(0);
+        let inj = FaultInjector::new(plan(
+            "{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":5}",
+        ));
+        assert!(inj.gate_io(Hook::QueuePop, &obs).is_ok());
+        let sup = Supervision::new(
+            Some(plan(
+                "{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":60000}",
+            )),
             1,
         );
-        assert!(inj.gate_io(Hook::QueuePop, 0, None).is_ok());
-        let inj2 = FaultInjector::new(
-            plan("{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":60000}"),
-            1,
-        );
-        inj2.request_abort();
-        assert!(inj2.gate_io(Hook::QueuePop, 0, None).is_err());
+        // A flat heartbeat trips the watchdog, which cuts the stall short.
+        sup.watch(&AtomicBool::new(false), 1, || {});
+        let obs = obs.with_supervision(&sup);
+        assert!(sup
+            .injector()
+            .unwrap()
+            .gate_io(Hook::QueuePop, &obs)
+            .is_err());
     }
 }

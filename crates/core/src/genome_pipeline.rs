@@ -35,13 +35,13 @@
 use crate::config::WgaParams;
 use crate::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::{FaultInjector, FaultPlan};
+use crate::faultsim::FaultPlan;
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
 use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand, WgaAlignment};
 use crate::stages::{fold_pair, row_seed_table, Journals, TableBuilds};
-use crate::supervise::{panic_message, RetryPolicy};
+use crate::supervise::{panic_message, Supervision};
 use genome::assembly::{Assembly, Chromosome};
 use hwsim::Workload;
 use seed::table::MAX_TARGET_LEN;
@@ -130,23 +130,14 @@ impl AlignOptions {
         Ok(())
     }
 
-    /// The run's supervision: an injector drawn from the fault plan, and
-    /// the retry policy supervised sites run under — the injector's,
-    /// seeded by the plan, or the default backoff at `max_retries`. The
-    /// matrix run and each caller firing hooks of its own (FASTA reads,
-    /// output sinks) build one each; occurrences are counted by hook, so
-    /// the split never injects a fault twice.
-    pub fn supervision(&self) -> (Option<FaultInjector>, RetryPolicy) {
-        let injector = (self.fault_plan.as_ref())
-            .map(|plan| FaultInjector::new((**plan).clone(), self.max_retries));
-        let policy = injector.as_ref().map_or(
-            RetryPolicy {
-                max_retries: self.max_retries,
-                ..RetryPolicy::default()
-            },
-            FaultInjector::policy,
-        );
-        (injector, policy)
+    /// The run's supervision: the default backoff at `max_retries`, and
+    /// a chaos run's injector drawn from the fault plan, which seeds the
+    /// backoff jitter. A caller firing hooks of its own (FASTA reads,
+    /// output sinks) builds it once and hands it to the matrix run on
+    /// its [`Obs`] ([`Obs::with_supervision`]), so one set of totals
+    /// counts every fault of the command.
+    pub fn supervision(&self) -> Supervision {
+        Supervision::new(self.fault_plan.as_deref().cloned(), self.max_retries)
     }
 }
 
@@ -419,12 +410,13 @@ impl<'a> PairMatrix<'a> {
     }
 }
 
-/// Aligns every pair of `matrix` in one executor run: one fault injector
-/// (a fault plan's `"pair"` is a pair id), one announced pair total, one
-/// seed table a row. Each block's journal replays its pairs and takes
-/// its new ones; `options.checkpoint` is not read. Returns each block's
-/// report, its pairs' records in pair-id order, and the number of rows
-/// that built a table.
+/// Aligns every pair of `matrix` in one executor run: one supervision
+/// (`obs`'s, or else one built from `options`; a fault plan's `"pair"`
+/// is a pair id), one announced pair total, one seed table a row. Each
+/// block's journal replays its pairs and takes its new ones;
+/// `options.checkpoint` is not read. Returns each block's report, its
+/// pairs' records in pair-id order, and the number of rows that built a
+/// table.
 ///
 /// # Errors
 ///
@@ -444,17 +436,17 @@ pub(crate) fn align_matrix(
         check_indexable(&chrom.name, chrom.sequence.len())?;
     }
     options.validate()?;
-    let (injector, retry_policy) = options.supervision();
-    let obs = obs.with_fault(injector.as_ref());
+    let own = obs.supervision().is_none().then(|| options.supervision());
+    let obs = own.as_ref().map_or(obs, |own| obs.with_supervision(own));
 
     obs.set_total_pairs(matrix.pairs.len() as u64);
     let (mut journals, records) = Journals::replay(params, matrix, obs)?;
     let builds = TableBuilds::default();
     let run = (&mut journals, &builds);
     let blocks = if options.threads > 1 {
-        crate::dataflow::execute(params, matrix, options, records, run, &retry_policy, obs)?
+        crate::dataflow::execute(params, matrix, options, records, run, obs)?
     } else {
-        pair_loop(params, matrix, records, run, &retry_policy, obs)?
+        pair_loop(params, matrix, records, run, obs)?
     };
     Ok((blocks, builds.count.load(Ordering::Relaxed)))
 }
@@ -470,7 +462,6 @@ fn pair_loop(
     matrix: &PairMatrix<'_>,
     mut records: Vec<Option<PairRecord>>,
     (journals, builds): (&mut Journals, &TableBuilds),
-    retry_policy: &RetryPolicy,
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
@@ -496,34 +487,32 @@ fn pair_loop(
                 }))
                 .map_err(|payload| panic_message(payload.as_ref()))
             });
-            records[pair_id] =
-                Some(journals.commit(matrix, pair_id, result, retry_policy, pair_obs)?);
+            records[pair_id] = Some(journals.commit(matrix, pair_id, result, pair_obs)?);
         }
     }
     // Every pair was replayed or committed: a failed commit returned.
     let records = records.into_iter().flatten();
-    let metrics = |total: &AssemblyReport| ExecutorMetrics::from_report(1, total, obs.fault());
+    let metrics = |total: &AssemblyReport| ExecutorMetrics::from_report(1, total, obs);
     Ok(assemble(
         matrix,
         records,
         &resumed,
         (journals, builds),
-        0,
         metrics,
     ))
 }
 
 /// Folds `records`, one a pair in pair-id order, into their blocks'
 /// reports, a `resumed` one counted as replayed. The run's seeding time
-/// outside any pair (its table `builds`) and its watchdog `stalls` go to
-/// the first block; every block carries its journal's recovery stats and
-/// the run's `metrics`, read off the blocks' sum.
+/// outside any pair (its table `builds`) and the watchdog stalls the
+/// `metrics` count go to the first block; every block carries its
+/// journal's recovery stats and the run's `metrics`, read off the
+/// blocks' sum.
 pub(crate) fn assemble(
     matrix: &PairMatrix<'_>,
     records: impl IntoIterator<Item = PairRecord>,
     resumed: &[bool],
     (journals, builds): (&Journals, &TableBuilds),
-    stalls: u64,
     metrics: impl FnOnce(&AssemblyReport) -> ExecutorMetrics,
 ) -> Vec<AssemblyReport> {
     let mut blocks: Vec<AssemblyReport> = (journals.stats.iter())
@@ -538,7 +527,6 @@ pub(crate) fn assemble(
     }
     if let Some(first) = blocks.first_mut() {
         first.timings.seeding += Duration::from_nanos(builds.ns.load(Ordering::Relaxed));
-        first.counters.stalls_detected += stalls;
     }
     let mut total = AssemblyReport::default();
     for block in &blocks {
@@ -549,6 +537,9 @@ pub(crate) fn assemble(
     let metrics = metrics(&total);
     for block in &mut blocks {
         block.stage_metrics = Some(metrics);
+    }
+    if let Some(first) = blocks.first_mut() {
+        first.counters.stalls_detected += metrics.stalls_detected;
     }
     blocks
 }

@@ -1,13 +1,15 @@
 //! Unified observability layer: trace spans, counters, histograms.
 //!
-//! Every schedule ([`crate::pipeline::run_pair`] at one or many
-//! threads, the streaming dataflow executor, both behind
-//! [`crate::genome_pipeline::align_assemblies_observed`]) threads an
-//! [`Obs`] handle through the stage functions' hot loops. The handle is a `Copy`
-//! few-word value wrapping an optional `&TraceRecorder`; when
+//! Both schedules ([`crate::pipeline::run_pair`] at one thread, the
+//! streaming dataflow executor at more, both behind
+//! [`crate::genome_pipeline::align_assemblies_observed`]) thread an
+//! [`Obs`] handle through the stage functions' hot loops. The handle is
+//! a `Copy` few-word value wrapping an optional `&TraceRecorder`, the
+//! run's optional [`Supervision`] and the pair it attributes to; when
 //! observability is off (the default for every pre-existing entry
-//! point) the option is `None` and every instrumentation call reduces
-//! to a single branch.
+//! point) the recorder is `None` and every instrumentation call reduces
+//! to a single branch, and so does every fault gate without a
+//! supervision. Every span of one recorder is timed from its start.
 //!
 //! Three primitives:
 //!
@@ -36,9 +38,11 @@ mod progress;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
+use crate::faultsim::Hook;
 use crate::journal::PairRecord;
 use crate::json::Json;
 use crate::report::Strand;
+use crate::supervise::Supervision;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -186,7 +190,7 @@ pub struct Span {
     /// Sequence number disambiguating sibling spans (batch index,
     /// anchor index, …).
     pub seq: u64,
-    /// Microseconds since the observation epoch.
+    /// Microseconds since the recorder started.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
@@ -409,14 +413,13 @@ impl HistKind {
 ///
 /// `Copy` and a few words wide; cloning it into worker closures is
 /// free. When disabled (`rec == None`) every method is a branch on a
-/// register — no time is read, no atomics touched. The optional fault
-/// injector rides along the same way: `None` (the default everywhere)
-/// makes every `fault_gate` call a single branch.
+/// register — no time is read, no atomics touched. The run's
+/// supervision rides along the same way: `None` (the default
+/// everywhere) makes every `fault_gate` call a single branch.
 #[derive(Clone, Copy)]
 pub struct Obs<'a> {
     rec: Option<&'a TraceRecorder>,
-    fault: Option<&'a crate::faultsim::FaultInjector>,
-    epoch: Instant,
+    sup: Option<&'a Supervision>,
     pair: u64,
 }
 
@@ -424,7 +427,7 @@ impl std::fmt::Debug for Obs<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.rec.is_some())
-            .field("faults", &self.fault.is_some())
+            .field("supervised", &self.sup.is_some())
             .field("pair", &self.pair)
             .finish()
     }
@@ -435,8 +438,7 @@ impl Obs<'static> {
     pub fn off() -> Obs<'static> {
         Obs {
             rec: None,
-            fault: None,
-            epoch: Instant::now(),
+            sup: None,
             pair: NO_PAIR,
         }
     }
@@ -447,9 +449,7 @@ impl<'a> Obs<'a> {
     pub fn new(recorder: &'a TraceRecorder) -> Obs<'a> {
         Obs {
             rec: Some(recorder),
-            fault: None,
-            epoch: Instant::now(),
-            pair: NO_PAIR,
+            ..Obs::off()
         }
     }
 
@@ -458,41 +458,51 @@ impl<'a> Obs<'a> {
         Obs { pair, ..self }
     }
 
-    /// A copy of this handle carrying (or dropping) a fault injector.
-    /// Hook points reach it through [`Obs::fault_gate`].
-    pub fn with_fault(self, fault: Option<&'a crate::faultsim::FaultInjector>) -> Obs<'a> {
-        Obs { fault, ..self }
+    /// A copy of this handle carrying the run's supervision: its retry
+    /// policy, fault injector and watchdog heartbeat.
+    pub fn with_supervision(self, sup: &'a Supervision) -> Obs<'a> {
+        Obs {
+            sup: Some(sup),
+            ..self
+        }
     }
 
-    /// The fault injector riding on this handle, if any.
-    pub fn fault(&self) -> Option<&'a crate::faultsim::FaultInjector> {
-        self.fault
+    /// The supervision riding on this handle, if any.
+    pub fn supervision(&self) -> Option<&'a Supervision> {
+        self.sup
+    }
+
+    /// Records one unit of progress for the stall watchdog.
+    pub fn beat(&self) {
+        if let Some(sup) = self.sup {
+            sup.beat();
+        }
     }
 
     /// Runs the fault-injection gate for `hook` at this handle's pair.
-    /// A single branch when no injector is attached. May sleep, return
-    /// after an injected-error retry, or panic (injected panics and
-    /// exhausted retries escalate through the executors' existing
+    /// A single branch when no supervision is attached. May sleep,
+    /// return after an injected-error retry, or panic (injected panics
+    /// and exhausted retries escalate through the executors' existing
     /// pair-level panic isolation) — see [`crate::faultsim`].
     #[inline]
-    pub fn fault_gate(&self, hook: crate::faultsim::Hook) {
-        if let Some(injector) = self.fault {
+    pub fn fault_gate(&self, hook: Hook) {
+        if let Some(injector) = self.sup.and_then(Supervision::injector) {
             injector.gate(hook, self);
         }
     }
 
     /// Records one injected fault as a [`SpanName::Fault`] span
-    /// (`seq` = hook code, `items` = fault-kind code). Called by the
-    /// injector itself so every injection is auditable in the trace.
+    /// (`seq` = hook code, `items` = fault-kind code, `cells` = 0).
+    /// Called by the injector itself so every injection is auditable in
+    /// the trace.
     pub fn fault_span(&self, hook_code: u64, kind_code: u64) {
         if let Some(rec) = self.rec {
-            let now = Instant::now();
             let mut spans = vec![Span {
                 name: SpanName::Fault,
                 pair: self.pair,
                 strand: STRAND_NA,
                 seq: hook_code,
-                start_us: now.saturating_duration_since(self.epoch).as_micros() as u64,
+                start_us: rec.since_start(Instant::now()),
                 dur_us: 0,
                 items: kind_code,
                 cells: 0,
@@ -602,13 +612,15 @@ impl<'a> Obs<'a> {
         id: u64,
         parent: u64,
     ) {
-        let Some(start) = timer.0 else { return };
+        let (Some(rec), Some(start)) = (self.rec, timer.0) else {
+            return;
+        };
         spans.push(Span {
             name,
             pair,
             strand,
             seq,
-            start_us: start.saturating_duration_since(self.epoch).as_micros() as u64,
+            start_us: rec.since_start(start),
             dur_us: start.elapsed().as_micros() as u64,
             items,
             cells,
@@ -775,7 +787,8 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// An empty recorder; the progress clock starts now.
+    /// An empty recorder; the progress clock and the span epoch start
+    /// now.
     pub fn new() -> TraceRecorder {
         TraceRecorder {
             spans: Mutex::new(Vec::new()),
@@ -804,6 +817,12 @@ impl TraceRecorder {
 
     fn set_total_pairs(&self, pairs: u64) {
         self.total_pairs.store(pairs, Ordering::Relaxed);
+    }
+
+    /// Microseconds from the recorder's start to `at`: every span's
+    /// `start_us`.
+    fn since_start(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.started).as_micros() as u64
     }
 
     /// Current value of one funnel counter.

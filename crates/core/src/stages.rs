@@ -35,7 +35,7 @@ use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
 use crate::report::{BudgetKind, RunEvent, StageKind, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
-use crate::supervise::{self, panic_message, RetryPolicy};
+use crate::supervise::{self, panic_message, Supervision};
 use align::gactx::{self, ExtendedAlignment};
 use genome::Sequence;
 use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
@@ -615,14 +615,11 @@ impl Journals {
         matrix: &PairMatrix<'_>,
         pair_id: usize,
         result: Result<WgaReport, String>,
-        policy: &RetryPolicy,
         obs: Obs<'_>,
     ) -> WgaResult<PairRecord> {
         let pair = &matrix.pairs[pair_id];
-        let faults = obs
-            .fault()
-            .map(|injector| injector.take_pair(obs.pair()))
-            .unwrap_or_default();
+        let injector = obs.supervision().and_then(Supervision::injector);
+        let faults = (injector.map(|injector| injector.take_pair(obs.pair()))).unwrap_or_default();
         let journaled = result.is_ok() && !self.broken;
         let record = match result {
             Ok(mut report) => {
@@ -654,18 +651,10 @@ impl Journals {
             // Chaos runs inject `journal.append` faults before the append
             // and `journal.sync` faults after it. Retries count into the
             // injector's run totals: the pair's own are frozen in `record`.
-            let (id, injector) = (obs.pair(), obs.fault());
-            supervise::supervised(
-                policy,
-                injector,
-                Hook::JournalAppend,
-                id,
-                Some(&obs),
-                || {
-                    journal.append(&record)?;
-                    injector.map_or(Ok(()), |inj| inj.gate_io(Hook::JournalSync, id, Some(&obs)))
-                },
-            )?;
+            supervise::supervised(Hook::JournalAppend, &obs, || {
+                journal.append(&record)?;
+                injector.map_or(Ok(()), |inj| inj.gate_io(Hook::JournalSync, &obs))
+            })?;
             buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
             self.broken = false;
         }

@@ -1,5 +1,7 @@
-//! Supervision primitives: capped-exponential retry with deterministic
-//! jitter, and a heartbeat watchdog for the dataflow executor.
+//! A run's supervision: capped-exponential retry with deterministic
+//! jitter, the fault injector of a chaos run, and a heartbeat watchdog
+//! for the dataflow executor — one [`Supervision`] a run, carried by
+//! its [`Obs`] handle.
 //!
 //! This module is deliberately panic-free (`wga-lint` fails any panic site):
 //! the supervisor must never take down the run it is supervising. It is
@@ -8,21 +10,24 @@
 //! a given `--fault-plan` retries with exactly the same delays every
 //! time, on every executor.
 //!
-//! Three consumers:
+//! `wga align` and `wga many` build one [`Supervision`] a command and
+//! reach it through one [`Obs`] for their FASTA reads, the matrix run
+//! and their output sinks; a library caller whose `Obs` carries none
+//! gets one built from its `AlignOptions`. Three consumers:
 //!
-//! * [`crate::faultsim::FaultInjector::gate`] uses [`RetryPolicy`] to
-//!   pace its internal retry loop for injected errors.
+//! * [`crate::faultsim::FaultInjector::gate`] paces its internal retry
+//!   loop for injected errors with the supervision's [`RetryPolicy`].
 //! * Every I/O fault site — journal appends, dataflow queue operations,
 //!   the CLI's FASTA reads and output sinks — is one [`supervised`]
 //!   call, which gates it, retries *real* and injected transient
 //!   failures with the same policy and counts the retries.
-//! * The dataflow executor spawns [`watch_heartbeat`] when
+//! * The dataflow executor spawns [`Supervision::watch`] when
 //!   `--stall-timeout-ms` is set; it escalates a stage that stops
 //!   making progress (see `DESIGN.md`, "Fault injection &
 //!   supervision").
 
 use crate::error::WgaResult;
-use crate::faultsim::{FaultInjector, Hook};
+use crate::faultsim::{FaultInjector, FaultPlan, Hook};
 use crate::obs::Obs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
@@ -102,75 +107,125 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The supervision of one run: the [`RetryPolicy`] every supervised
+/// site runs under, a chaos run's [`FaultInjector`], and the heartbeat
+/// and stall count of the stall watchdog ([`Supervision::watch`]).
+/// [`Obs::with_supervision`] carries it to every hook.
+#[derive(Debug)]
+pub struct Supervision {
+    policy: RetryPolicy,
+    injector: Option<FaultInjector>,
+    heartbeat: AtomicU64,
+    stalls: AtomicU64,
+}
+
+impl Supervision {
+    /// Retries each site `max_retries` times; a fault `plan` adds the
+    /// injector and seeds the backoff jitter.
+    pub fn new(plan: Option<FaultPlan>, max_retries: u32) -> Supervision {
+        let policy = RetryPolicy {
+            max_retries,
+            seed: plan.as_ref().map_or(0, |plan| plan.seed),
+            ..RetryPolicy::default()
+        };
+        Supervision {
+            policy,
+            injector: plan.map(FaultInjector::new),
+            heartbeat: AtomicU64::new(0),
+            stalls: AtomicU64::new(0),
+        }
+    }
+
+    /// The retry policy of every supervised site.
+    pub fn policy(&self) -> RetryPolicy {
+        self.policy
+    }
+
+    /// The fault injector of a chaos run.
+    pub fn injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_ref()
+    }
+
+    /// Records one unit of progress for the watchdog.
+    pub fn beat(&self) {
+        self.heartbeat.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Watchdog stall escalations so far.
+    pub fn stalls(&self) -> u64 {
+        self.stalls.load(Ordering::Relaxed)
+    }
+
+    /// Heartbeat watchdog: polls the heartbeat until `stop` is set; if
+    /// it does not advance for `timeout_ms`, counts a stall — which cuts
+    /// every injected stall short from then on — calls `on_stall` and
+    /// returns. Workers [`Supervision::beat`] on every unit of progress
+    /// (planned pair, filtered batch, extended pair, journaled record),
+    /// so a wedged stage — not a merely slow one — is what trips it.
+    ///
+    /// The rest of the escalation is the closure's job: the dataflow
+    /// executor closes its bounded queues there, which unblocks every
+    /// worker parked on a push/pop and lets the run drain; pairs left
+    /// unfinished surface as `Failed`, never as a hang.
+    pub fn watch(&self, stop: &AtomicBool, timeout_ms: u64, on_stall: impl FnOnce()) {
+        // Poll at a fraction of the timeout so detection latency stays
+        // within ~2 windows without burning CPU.
+        let poll_ms = (timeout_ms / 4).clamp(1, 50);
+        let mut last = self.heartbeat.load(Ordering::Relaxed);
+        let mut idle_ms = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            thread::sleep(Duration::from_millis(poll_ms));
+            let now = self.heartbeat.load(Ordering::Relaxed);
+            if now != last {
+                last = now;
+                idle_ms = 0;
+            } else {
+                idle_ms = idle_ms.saturating_add(poll_ms);
+                if idle_ms >= timeout_ms {
+                    self.stalls.fetch_add(1, Ordering::Relaxed);
+                    on_stall();
+                    return;
+                }
+            }
+        }
+    }
+}
+
 /// One supervised fault site — a journal append, a queue operation, a
-/// FASTA read, an output sink. `op` runs under `policy`: an `Err` is
-/// retried up to `policy.max_retries` times after the backoff keyed to
-/// `(hook, pair)`, each retry counted against `pair` in `injector`'s
-/// totals. In a chaos run every attempt first passes the injector's
+/// FASTA read, an output sink — at `obs`'s pair. `op` runs under the
+/// supervision's policy ([`RetryPolicy::default`] without one): an
+/// `Err` is retried up to `max_retries` times after the backoff keyed to
+/// `(hook, pair)`, each retry counted against the pair in the injector's
+/// totals. In a chaos run every attempt first passes
 /// [`FaultInjector::gate_io`] at `hook`, so an injected error fails the
-/// attempt like a real one. A sink, whose short write `durable` stages,
-/// gates inside `op` and passes no injector here.
+/// attempt like a real one — except a sink's, which gates inside `op`
+/// (`durable::write_atomic_gated`, where a short write stages half the
+/// bytes), so each attempt probes its hook once.
 pub fn supervised<T>(
-    policy: &RetryPolicy,
-    injector: Option<&FaultInjector>,
     hook: Hook,
-    pair: u64,
-    obs: Option<&Obs<'_>>,
+    obs: &Obs<'_>,
     mut op: impl FnMut() -> WgaResult<T>,
 ) -> WgaResult<T> {
+    let (pair, sup) = (obs.pair(), obs.supervision());
+    let policy = sup.map_or_else(RetryPolicy::default, Supervision::policy);
+    let injector = sup.and_then(Supervision::injector);
+    let gate = injector.filter(|_| !matches!(hook, Hook::MetricsSink | Hook::TraceSink));
     let site = (hook.code() << 32) | (pair & 0xFFFF_FFFF);
     let mut attempt = 0u32;
     loop {
-        let result = match injector {
-            Some(inj) => inj.gate_io(hook, pair, obs).and_then(|()| op()),
+        let result = match gate {
+            Some(injector) => injector.gate_io(hook, obs).and_then(|()| op()),
             None => op(),
         };
         match result {
             Err(_) if attempt < policy.max_retries => {
-                if let Some(inj) = injector {
-                    inj.count_retry(pair);
+                if let Some(injector) = injector {
+                    injector.count_retry(pair);
                 }
                 policy.sleep_backoff(site, attempt);
                 attempt += 1;
             }
             result => return result,
-        }
-    }
-}
-
-/// Heartbeat watchdog: polls `heartbeat` until `stop` is set; if the
-/// counter does not advance for `timeout_ms`, calls `on_stall` once and
-/// returns. Workers bump the heartbeat on every unit of progress
-/// (planned pair, filtered batch, extended pair, journaled record), so
-/// a wedged stage — not a merely slow one — is what trips it.
-///
-/// The escalation itself is the closure's job: the dataflow executor
-/// closes its bounded queues there, which unblocks every worker parked
-/// on a push/pop and lets the run drain; pairs left unfinished surface
-/// as `Failed`, never as a hang.
-pub fn watch_heartbeat(
-    stop: &AtomicBool,
-    heartbeat: &AtomicU64,
-    timeout_ms: u64,
-    on_stall: impl FnOnce(),
-) {
-    // Poll at a fraction of the timeout so detection latency stays
-    // within ~2 windows without burning CPU.
-    let poll_ms = (timeout_ms / 4).clamp(1, 50);
-    let mut last = heartbeat.load(Ordering::Relaxed);
-    let mut idle_ms = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        thread::sleep(Duration::from_millis(poll_ms));
-        let now = heartbeat.load(Ordering::Relaxed);
-        if now != last {
-            last = now;
-            idle_ms = 0;
-        } else {
-            idle_ms = idle_ms.saturating_add(poll_ms);
-            if idle_ms >= timeout_ms {
-                on_stall();
-                return;
-            }
         }
     }
 }
@@ -222,10 +277,19 @@ mod tests {
         seed: 1,
     };
 
+    fn no_sleep(plan: Option<FaultPlan>) -> Supervision {
+        Supervision {
+            policy: NO_SLEEP,
+            ..Supervision::new(plan, 0)
+        }
+    }
+
     #[test]
     fn supervised_succeeds_after_transient_failures() {
         let failures = AtomicUsize::new(2);
-        let out = supervised(&NO_SLEEP, None, Hook::JournalAppend, 9, None, || {
+        let sup = no_sleep(None);
+        let obs = Obs::off().with_pair(9).with_supervision(&sup);
+        let out = supervised(Hook::JournalAppend, &obs, || {
             if failures.load(Ordering::Relaxed) > 0 {
                 failures.fetch_sub(1, Ordering::Relaxed);
                 Err(WgaError::config("transient"))
@@ -238,12 +302,16 @@ mod tests {
 
     #[test]
     fn supervised_exhausts_and_returns_last_error() {
-        let policy = RetryPolicy {
-            max_retries: 2,
-            ..NO_SLEEP
+        let sup = Supervision {
+            policy: RetryPolicy {
+                max_retries: 2,
+                ..NO_SLEEP
+            },
+            ..no_sleep(None)
         };
+        let obs = Obs::off().with_pair(9).with_supervision(&sup);
         let attempts = AtomicUsize::new(0);
-        let out: WgaResult<()> = supervised(&policy, None, Hook::JournalAppend, 9, None, || {
+        let out: WgaResult<()> = supervised(Hook::JournalAppend, &obs, || {
             attempts.fetch_add(1, Ordering::Relaxed);
             Err(WgaError::config("permanent"))
         });
@@ -253,15 +321,16 @@ mod tests {
 
     #[test]
     fn supervised_gates_every_attempt_and_counts_the_retries() {
-        let plan = crate::faultsim::FaultPlan::parse(
+        let plan = FaultPlan::parse(
             "{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[\
              {\"hook\":\"queue.pop\",\"kind\":\"error\",\"at\":[0]},\
              {\"hook\":\"queue.pop\",\"kind\":\"panic\",\"at\":[1]}]}",
         )
         .unwrap();
-        let injector = FaultInjector::new(plan, 0);
+        let sup = no_sleep(Some(plan));
+        let obs = Obs::off().with_pair(4).with_supervision(&sup);
         let ran = AtomicUsize::new(0);
-        let out = supervised(&NO_SLEEP, Some(&injector), Hook::QueuePop, 4, None, || {
+        let out = supervised(Hook::QueuePop, &obs, || {
             ran.fetch_add(1, Ordering::Relaxed);
             Ok(())
         });
@@ -269,6 +338,7 @@ mod tests {
         // An injected error, then a queue panic that fails like one, then
         // a clean gate: the operation ran once, after two retries.
         assert_eq!(ran.load(Ordering::Relaxed), 1);
+        let injector = sup.injector().unwrap();
         assert_eq!(injector.totals(), (2, 2));
         assert_eq!(injector.take_pair(4).retries, 2);
     }
@@ -276,32 +346,34 @@ mod tests {
     #[test]
     fn watchdog_trips_on_a_flat_heartbeat() {
         let stop = AtomicBool::new(false);
-        let beat = AtomicU64::new(0);
+        let sup = Supervision::new(None, 0);
         let stalled = AtomicUsize::new(0);
-        watch_heartbeat(&stop, &beat, 20, || {
+        sup.watch(&stop, 20, || {
             stalled.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(stalled.load(Ordering::Relaxed), 1);
+        assert_eq!(sup.stalls(), 1);
     }
 
     #[test]
     fn watchdog_stays_quiet_while_progress_flows() {
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let beat = std::sync::Arc::new(AtomicU64::new(0));
-        let stalled = std::sync::Arc::new(AtomicUsize::new(0));
-        let (s2, b2, st2) = (stop.clone(), beat.clone(), stalled.clone());
-        let watcher = thread::spawn(move || {
-            watch_heartbeat(&s2, &b2, 500, || {
-                st2.fetch_add(1, Ordering::Relaxed);
+        let stop = AtomicBool::new(false);
+        let sup = Supervision::new(None, 0);
+        let stalled = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                sup.watch(&stop, 500, || {
+                    stalled.fetch_add(1, Ordering::Relaxed);
+                });
             });
+            for _ in 0..10 {
+                sup.beat();
+                thread::sleep(Duration::from_millis(5));
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(watcher.join().is_ok());
         });
-        for _ in 0..10 {
-            beat.fetch_add(1, Ordering::Relaxed);
-            thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
-        let joined = watcher.join();
-        assert!(joined.is_ok());
         assert_eq!(stalled.load(Ordering::Relaxed), 0);
+        assert_eq!(sup.stalls(), 0);
     }
 }

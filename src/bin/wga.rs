@@ -46,8 +46,11 @@
 //!     bound work per pair; a tripped budget degrades the run
 //!     (truncating the worst-scoring work first) instead of aborting it.
 //!     --fault-plan loads a deterministic fault-injection plan for chaos
-//!     testing (see DESIGN.md "Fault injection & supervision"). --max-retries sets
-//!     the supervised retry budget per fault site (default 1);
+//!     testing (see DESIGN.md "Fault injection & supervision"); the
+//!     metrics and trace count its faults and retries, the FASTA reads'
+//!     too, but not a sink's, which fires once both are rendered.
+//!     --max-retries sets the supervised retry budget per fault site
+//!     (default 1);
 //!     --stall-timeout-ms arms the dataflow stall watchdog (0, the
 //!     default, disables it). The MAF, metrics and trace artifacts are
 //!     written atomically (tmp + fsync + rename), so an interrupted run
@@ -107,13 +110,13 @@ use darwin_wga::core::config::{ResourceBudget, WgaParams};
 use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
-use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook, PAIRLESS};
+use darwin_wga::core::faultsim::{FaultPlan, Hook};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
-use darwin_wga::core::supervise::{self, RetryPolicy};
+use darwin_wga::core::supervise::{self, Supervision};
 use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -245,15 +248,14 @@ struct RunFlags {
 }
 
 /// A started `align` or `many` run: its validated parameters and
-/// options, its genomes, the supervision of the hooks the CLI fires
-/// itself (FASTA reads and the trace/metrics sinks) and the recorder the
-/// trace and the progress meter read.
+/// options, its genomes, the one supervision of its FASTA reads, matrix
+/// run and trace/metrics sinks, and the recorder the trace and the
+/// progress meter read.
 struct Run {
     flags: RunFlags,
     params: WgaParams,
     genomes: Vec<Assembly>,
-    injector: Option<FaultInjector>,
-    policy: RetryPolicy,
+    supervision: Supervision,
     recorder: Option<Arc<TraceRecorder>>,
     /// Dropped with the run, so any return — an error's too — removes
     /// each tmp sibling no write consumed.
@@ -339,32 +341,32 @@ impl RunFlags {
         )
         .map_err(|e| e.to_string())?;
 
-        let (injector, policy) = self.options.supervision();
-        let genomes = fastas
-            .iter()
-            .map(|path| read_genome(path, injector.as_ref(), &policy))
-            .collect::<Result<_, _>>()?;
         let recorder =
             (self.trace_out.is_some() || self.progress).then(|| Arc::new(TraceRecorder::new()));
-        let interval = std::time::Duration::from_millis(200);
-        let meter = (recorder.clone().filter(|_| self.progress))
-            .map(|rec| ProgressMeter::start(rec, interval));
-        let run = Run {
+        let mut run = Run {
+            supervision: self.options.supervision(),
             flags: self,
             params,
-            genomes,
-            injector,
-            policy,
+            genomes: Vec::new(),
             recorder,
             _staged: staged,
         };
+        run.genomes = (fastas.iter())
+            .map(|path| read_genome(path, run.obs()))
+            .collect::<Result<_, _>>()?;
+        let interval = std::time::Duration::from_millis(200);
+        let meter = (run.recorder.clone().filter(|_| run.flags.progress))
+            .map(|rec| ProgressMeter::start(rec, interval));
         Ok((run, meter))
     }
 }
 
 impl Run {
+    /// The command's one handle: its recorder, if any, and its
+    /// supervision.
     fn obs(&self) -> Obs<'_> {
-        self.recorder.as_deref().map_or(Obs::off(), Obs::new)
+        let obs = self.recorder.as_deref().map_or(Obs::off(), Obs::new);
+        obs.with_supervision(&self.supervision)
     }
 
     /// Writes the trace, then the `metrics` JSON with the process's
@@ -392,11 +394,12 @@ impl Run {
     /// Writes one output artifact atomically under supervision: the write
     /// is retried with the run's backoff policy, and chaos runs inject
     /// `metrics.sink` / `trace.sink` faults through the gate inside
-    /// [`durable::write_atomic_gated`].
+    /// [`durable::write_atomic_gated`], after both artifacts are
+    /// rendered, so neither counts them.
     fn write_sink(&self, path: &str, bytes: &[u8], hook: Hook) -> Result<(), String> {
-        let gate = self.injector.as_ref().map(|inj| (inj, hook));
-        supervise::supervised(&self.policy, None, hook, PAIRLESS, None, || {
-            durable::write_atomic_gated(Path::new(path), bytes, gate)
+        let obs = self.obs();
+        supervise::supervised(hook, &obs, || {
+            durable::write_atomic_gated(Path::new(path), bytes, hook, &obs)
         })
         .map_err(|e| e.to_string())
     }
@@ -483,15 +486,12 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads one genome FASTA under the run's supervision: every attempt
-/// passes the `fasta.read` fault gate, and a failed one is retried under
-/// `policy`. The error names the file, an injected fault's too.
-fn read_genome(
-    path: &str,
-    injector: Option<&FaultInjector>,
-    policy: &RetryPolicy,
-) -> Result<Assembly, String> {
-    supervise::supervised(policy, injector, Hook::FastaRead, PAIRLESS, None, || {
+/// Reads one genome FASTA under the run's supervision on `obs`: every
+/// attempt passes the `fasta.read` fault gate, and a failed one is
+/// retried under the run's policy. The error names the file, an injected
+/// fault's too.
+fn read_genome(path: &str, obs: Obs<'_>) -> Result<Assembly, String> {
+    supervise::supervised(Hook::FastaRead, &obs, || {
         read_assembly(path).map_err(|message| WgaError::input(path, message))
     })
     .map_err(|e| match e {

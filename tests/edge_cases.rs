@@ -852,6 +852,9 @@ mod cli {
     /// naming the file, before it starts.
     #[test]
     fn many_and_align_read_their_genomes_under_the_fasta_read_hook() {
+        use darwin_wga::core::faultsim::Hook;
+        use darwin_wga::core::obs::{SpanName, TraceLine, NO_PAIR};
+
         let dir = empty_dir("fasta-read");
         let (t, q) = (golden("target"), golden("query"));
         let plan = dir.join("plan.json");
@@ -862,21 +865,43 @@ mod cli {
         )
         .unwrap();
         let plan = plan.to_str().unwrap();
-        let paf_of = |flags: &[&str]| -> Vec<u8> {
-            let mut args = vec!["many", t.as_str(), q.as_str(), "--paf-out", "out.paf"];
-            args.extend_from_slice(flags);
-            let out = wga_in(&dir, &args);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
-            std::fs::read(dir.join("out.paf")).unwrap()
-        };
-        let clean = paf_of(&[]);
-        assert!(!clean.is_empty());
-        assert!(
-            paf_of(&["--fault-plan", plan]) == clean,
-            "the retried read changed the PAF"
-        );
-        for subcommand in ["many", "align"] {
+        for (subcommand, output) in [("many", "--paf-out"), ("align", "--maf")] {
+            let run = |flags: &[&str]| -> Vec<u8> {
+                let mut args = vec![subcommand, t.as_str(), q.as_str(), output, "out"];
+                args.extend_from_slice(flags);
+                let out = wga_in(&dir, &args);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+                std::fs::read(dir.join("out")).unwrap()
+            };
+            let clean = run(&[]);
+            assert!(!clean.is_empty());
+            let observed = ["--metrics-out", "m.json", "--trace-out", "t.jsonl"];
+            let retried = run(&[&observed[..], &["--fault-plan", plan]].concat());
+            assert!(
+                retried == clean,
+                "{subcommand}: the retried read changed the output"
+            );
+
+            // The read's fault and retry are the run's: in its metrics and,
+            // as one pairless `fault` span, in its trace.
+            let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
+            let doc = json::parse(metrics.trim_end()).expect("metrics JSON parses");
+            for key in ["faults_injected", "retries"] {
+                assert_eq!(doc.get_u64(key), Ok(Some(1)), "{subcommand}: {key}");
+            }
+            let trace = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
+            let faults: Vec<_> = (trace.lines())
+                .map(|line| TraceLine::from_json(&json::parse(line).unwrap()).unwrap())
+                .filter_map(|line| match line {
+                    TraceLine::Span(span) if span.name == SpanName::Fault => Some(span),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(faults.len(), 1, "{subcommand}: {faults:?}");
+            assert_eq!(faults[0].seq, Hook::FastaRead.code());
+            assert_eq!(faults[0].pair, NO_PAIR);
+
             let args = [
                 subcommand,
                 &t,
@@ -889,6 +914,69 @@ mod cli {
             let out = wga_in(&dir, &args);
             assert_clean_failure(&out, &format!("{t}: fasta.read: injected I/O error"));
         }
+    }
+
+    /// A sink probes its hook once an attempt, inside its atomic write:
+    /// with no retry, a torn write at the second occurrence never fires,
+    /// and one at the first fails the run before the rename, leaving the
+    /// old files whole and no tmp sibling.
+    #[test]
+    fn align_probes_each_sink_once_an_attempt() {
+        let dir = empty_dir("sink-probe");
+        let (t, q) = (golden("target"), golden("query"));
+        let plan_at = |at: u64| -> String {
+            let path = dir.join(format!("plan{at}.json"));
+            let rule = |hook| format!(r#"{{"hook":"{hook}","kind":"short-write","at":[{at}]}}"#);
+            let faults = [rule("metrics.sink"), rule("trace.sink")].join(",");
+            let plan = format!(r#"{{"format":"wga-fault-plan","version":1,"faults":[{faults}]}}"#);
+            std::fs::write(&path, plan).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let run = |plan: &str| {
+            let args = [
+                "align",
+                &t,
+                &q,
+                "--metrics-out",
+                "m.json",
+                "--trace-out",
+                "t.jsonl",
+                "--max-retries",
+                "0",
+                "--fault-plan",
+                plan,
+            ];
+            wga_in(&dir, &args)
+        };
+        let out = run(&plan_at(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        let (metrics, trace) = (dir.join("m.json"), dir.join("t.jsonl"));
+        let metrics_bytes = std::fs::read(&metrics).unwrap();
+        let trace_bytes = std::fs::read(&trace).unwrap();
+        let text = String::from_utf8(metrics_bytes.clone()).unwrap();
+        assert!(json::parse(text.trim_end()).is_ok(), "{text}");
+        let trace_text = String::from_utf8(trace_bytes.clone()).unwrap();
+        assert!(trace_text.starts_with("{\"schema\":"), "{trace_text}");
+        for line in trace_text.lines() {
+            assert!(json::parse(line).is_ok(), "{line}");
+        }
+
+        let out = run(&plan_at(0));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert_eq!(
+            stderr.lines().last(),
+            Some("error: write t.jsonl.tmp: injected short write"),
+            "{stderr}"
+        );
+        assert_eq!(std::fs::read(&metrics).unwrap(), metrics_bytes);
+        assert_eq!(std::fs::read(&trace).unwrap(), trace_bytes);
+        let left: Vec<String> = files_in(&dir)
+            .into_iter()
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(left.is_empty(), "{left:?}");
     }
 }
 
