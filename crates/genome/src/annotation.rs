@@ -126,7 +126,10 @@ impl CoordinateMap {
 
     /// Descendant position of ancestral base `pos`, if it survives.
     pub fn lookup(&self, pos: usize) -> Option<usize> {
-        self.map.get(pos).filter(|&&p| p != DELETED).map(|&p| p as usize)
+        self.map
+            .get(pos)
+            .filter(|&&p| p != DELETED)
+            .map(|&p| p as usize)
     }
 
     /// Projects an ancestral interval to the descendant: the smallest

@@ -81,7 +81,10 @@ impl Assembly {
     /// Propagates [`FastaError`] from the reader; returns
     /// [`FastaError::DuplicateName`] when two records share a name, so
     /// malformed user input surfaces as an error rather than a panic.
-    pub fn from_fasta<R: BufRead>(name: impl Into<String>, reader: R) -> Result<Assembly, FastaError> {
+    pub fn from_fasta<R: BufRead>(
+        name: impl Into<String>,
+        reader: R,
+    ) -> Result<Assembly, FastaError> {
         Assembly::from_fasta_sized(name, reader, 0)
     }
 
@@ -142,7 +145,10 @@ mod tests {
     fn from_fasta_rejects_duplicate_records() {
         let input = b">chrI\nACGT\n>chrI\nTTTT\n";
         let err = Assembly::from_fasta("dup", &input[..]).unwrap_err();
-        assert!(matches!(err, FastaError::DuplicateName { ref name } if name == "chrI"), "{err}");
+        assert!(
+            matches!(err, FastaError::DuplicateName { ref name } if name == "chrI"),
+            "{err}"
+        );
     }
 
     #[test]

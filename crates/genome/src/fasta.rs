@@ -152,7 +152,11 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
                 .to_string();
             let mut sequence = Sequence::new();
             sequence.reserve_hint(byte_len.saturating_sub(consumed));
-            current = Some(Record { name, description, sequence });
+            current = Some(Record {
+                name,
+                description,
+                sequence,
+            });
         } else {
             let rec = current
                 .as_mut()
@@ -161,8 +165,8 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
                 if byte.is_ascii_whitespace() {
                     continue;
                 }
-                let base = Base::from_ascii(byte)
-                    .ok_or(FastaError::InvalidBase { line: number, byte })?;
+                let base =
+                    Base::from_ascii(byte).ok_or(FastaError::InvalidBase { line: number, byte })?;
                 rec.sequence.push(base);
             }
         }
@@ -180,7 +184,11 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
 /// Propagates I/O errors from the writer.
 pub fn write<W: Write>(mut writer: W, records: &[Record]) -> io::Result<()> {
     for rec in records {
-        let header = if rec.description.is_empty() { &rec.name } else { &rec.description };
+        let header = if rec.description.is_empty() {
+            &rec.name
+        } else {
+            &rec.description
+        };
         write_record(&mut writer, header, &rec.sequence)?;
     }
     writer.flush()
@@ -188,7 +196,11 @@ pub fn write<W: Write>(mut writer: W, records: &[Record]) -> io::Result<()> {
 
 /// Writes one record: `>header`, then the sequence 70 bases a line, each
 /// unpacked into one line's buffer — nothing as long as the sequence is.
-pub(crate) fn write_record<W: Write>(writer: &mut W, header: &str, sequence: &Sequence) -> io::Result<()> {
+pub(crate) fn write_record<W: Write>(
+    writer: &mut W,
+    header: &str,
+    sequence: &Sequence,
+) -> io::Result<()> {
     writeln!(writer, ">{header}")?;
     let mut line = Vec::new();
     for start in (0..sequence.len()).step_by(70) {
@@ -239,7 +251,13 @@ mod tests {
     fn non_utf8_sequence_byte_is_an_invalid_base_with_its_line() {
         let err = read(&b">a\nACGT\n\nAC\xffT\n"[..]).unwrap_err();
         assert!(
-            matches!(err, FastaError::InvalidBase { line: 4, byte: 0xff }),
+            matches!(
+                err,
+                FastaError::InvalidBase {
+                    line: 4,
+                    byte: 0xff
+                }
+            ),
             "{err}"
         );
         // In a header the line number is all there is to say.
@@ -252,7 +270,11 @@ mod tests {
         let input = b">chr1 test\nACGT\nacgt\n\n>chr2\nTTTT\n>empty\n";
         let expected = read(&input[..]).unwrap();
         for byte_len in [0, 3, input.len(), 10 * input.len(), usize::MAX] {
-            assert_eq!(read_sized(&input[..], byte_len).unwrap(), expected, "hint {byte_len}");
+            assert_eq!(
+                read_sized(&input[..], byte_len).unwrap(),
+                expected,
+                "hint {byte_len}"
+            );
         }
     }
 

@@ -76,11 +76,20 @@ impl Sequence {
         // first base highest, a short last chunk moved up to the top.
         let word = |chunk: &[Base], bits: usize, shift: u8| {
             let field = |base: &Base| u64::from(base.code() >> shift) & ((1 << bits) - 1);
-            chunk.iter().fold(0, |word, base| word << bits | field(base)) << (64 - bits * chunk.len())
+            chunk
+                .iter()
+                .fold(0, |word, base| word << bits | field(base))
+                << (64 - bits * chunk.len())
         };
         Sequence {
-            codes: bases.chunks(CODES_PER_WORD).map(|chunk| word(chunk, 2, 0)).collect(),
-            ns: bases.chunks(NS_PER_WORD).map(|chunk| word(chunk, 1, 2)).collect(),
+            codes: bases
+                .chunks(CODES_PER_WORD)
+                .map(|chunk| word(chunk, 2, 0))
+                .collect(),
+            ns: bases
+                .chunks(NS_PER_WORD)
+                .map(|chunk| word(chunk, 1, 2))
+                .collect(),
             len: bases.len(),
         }
     }
@@ -145,8 +154,12 @@ impl Sequence {
     /// is pushed.
     pub fn reserve_hint(&mut self, additional: usize) {
         let total = self.len.saturating_add(additional);
-        let _ = self.codes.try_reserve_exact(total.div_ceil(CODES_PER_WORD) - self.codes.len());
-        let _ = self.ns.try_reserve_exact(total.div_ceil(NS_PER_WORD) - self.ns.len());
+        let _ = self
+            .codes
+            .try_reserve_exact(total.div_ceil(CODES_PER_WORD) - self.codes.len());
+        let _ = self
+            .ns
+            .try_reserve_exact(total.div_ceil(NS_PER_WORD) - self.ns.len());
     }
 
     /// Gives back the capacity growth left beyond the bases held.
@@ -166,7 +179,11 @@ impl Sequence {
             let word = |at: usize| plane.get(at).copied().unwrap_or(0);
             word(at) << by | word(at + 1) >> 1 >> (63 - by)
         };
-        let codes = from(&self.codes, pos / CODES_PER_WORD, 2 * (pos % CODES_PER_WORD));
+        let codes = from(
+            &self.codes,
+            pos / CODES_PER_WORD,
+            2 * (pos % CODES_PER_WORD),
+        );
         let ns = from(&self.ns, pos / NS_PER_WORD, pos % NS_PER_WORD);
         (codes, ns >> 32)
     }
@@ -179,8 +196,17 @@ impl Sequence {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn window<'a>(&self, range: Range<usize>, reversed: bool, out: &'a mut Vec<Base>) -> &'a [Base] {
-        assert!(range.start <= range.end && range.end <= self.len, "window {range:?} of {} bases", self.len);
+    pub fn window<'a>(
+        &self,
+        range: Range<usize>,
+        reversed: bool,
+        out: &'a mut Vec<Base>,
+    ) -> &'a [Base] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "window {range:?} of {} bases",
+            self.len
+        );
         out.resize(range.len(), Base::A);
         let mut chunk = [Base::A; CODES_PER_WORD];
         for (index, from) in range.clone().step_by(CODES_PER_WORD).enumerate() {
@@ -219,7 +245,11 @@ impl Sequence {
     ///
     /// Panics if the range is out of bounds.
     pub fn subsequence(&self, range: Range<usize>) -> Sequence {
-        assert!(range.end <= self.len, "subsequence {range:?} of {} bases", self.len);
+        assert!(
+            range.end <= self.len,
+            "subsequence {range:?} of {} bases",
+            self.len
+        );
         self.iter().skip(range.start).take(range.len()).collect()
     }
 
@@ -230,9 +260,11 @@ impl Sequence {
 
     /// Iterator over bases.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { sequence: self, range: 0..self.len }
+        Iter {
+            sequence: self,
+            range: 0..self.len,
+        }
     }
-
 }
 
 /// Iterator over a [`Sequence`]'s bases; see [`Sequence::iter`]. Skipping
@@ -264,12 +296,16 @@ impl Iterator for Iter<'_> {
 impl DoubleEndedIterator for Iter<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<Base> {
-        self.range.next_back().map(|index| self.sequence.base(index))
+        self.range
+            .next_back()
+            .map(|index| self.sequence.base(index))
     }
 
     #[inline]
     fn nth_back(&mut self, n: usize) -> Option<Base> {
-        self.range.nth_back(n).map(|index| self.sequence.base(index))
+        self.range
+            .nth_back(n)
+            .map(|index| self.sequence.base(index))
     }
 }
 
@@ -357,9 +393,15 @@ mod tests {
     fn subsequence_and_window_agree() {
         let s: Sequence = "ACGTACGT".parse().unwrap();
         let mut scratch = Vec::new();
-        assert_eq!(s.subsequence(2..6).to_bases(), s.window(2..6, false, &mut scratch));
+        assert_eq!(
+            s.subsequence(2..6).to_bases(),
+            s.window(2..6, false, &mut scratch)
+        );
         assert_eq!(s.subsequence(2..6).to_string(), "GTAC");
-        assert_eq!(s.window(2..6, true, &mut scratch), [Base::C, Base::A, Base::T, Base::G]);
+        assert_eq!(
+            s.window(2..6, true, &mut scratch),
+            [Base::C, Base::A, Base::T, Base::G]
+        );
     }
 
     #[test]

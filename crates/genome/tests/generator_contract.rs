@@ -57,7 +57,13 @@ fn a_draw_equal_to_a_running_sum_falls_in_the_next_bin() {
     };
     let (initial, rows) = (model.initial(), model.transition());
     let on_a = word(sum(&rows[0], 0));
-    let words = vec![word(sum(initial, 1)), word(sum(&rows[2], 2)), 0, on_a - (1 << 11), on_a];
+    let words = vec![
+        word(sum(initial, 1)),
+        word(sum(&rows[2], 2)),
+        0,
+        on_a - (1 << 11),
+        on_a,
+    ];
     let mut out = vec![Base::N];
     let mut rng = Replay(words.into_iter());
     model.generate_into(&mut out, 5, &mut rng);
@@ -98,6 +104,9 @@ fn an_unevolved_pair_draws_three_rolls_a_base_a_lineage() {
     let pair = SyntheticPair::generate(len as usize, &params, &mut rng);
     assert_eq!(pair.target.sequence, pair.ancestor);
     assert_eq!(pair.query.sequence, pair.ancestor);
-    assert_eq!((pair.target.indel_events, pair.target.substitutions), (0, 0));
+    assert_eq!(
+        (pair.target.indel_events, pair.target.substitutions),
+        (0, 0)
+    );
     assert_eq!(rng.1, len + 2 * (3 * len + 1));
 }

@@ -30,7 +30,9 @@ fn lengths() -> Vec<usize> {
 /// 64-base seam), and in runs of 1, 19, 40 and 700 that start just
 /// short of a seam.
 fn models(len: usize, rng: &mut StdRng) -> Vec<Vec<Base>> {
-    let clean: Vec<Base> = (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+    let clean: Vec<Base> = (0..len)
+        .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+        .collect();
     let with_n = |at: &mut dyn Iterator<Item = usize>| {
         let mut bases = clean.clone();
         for at in at.filter(|&at| at < len) {
@@ -54,8 +56,16 @@ fn models(len: usize, rng: &mut StdRng) -> Vec<Vec<Base>> {
 /// Every class of range over `len` bases: empty (first, inside, last),
 /// whole, and each pair of ends taken from both sides of the seams.
 fn ranges(len: usize) -> Vec<std::ops::Range<usize>> {
-    let mut ends = vec![0, 1, 2, 30, 31, 32, 33, 34, 62, 63, 64, 65, 66, 95, 96, 97, 127, 128, 129];
-    ends.extend([len / 2, len.saturating_sub(65), len.saturating_sub(33), len.saturating_sub(1), len]);
+    let mut ends = vec![
+        0, 1, 2, 30, 31, 32, 33, 34, 62, 63, 64, 65, 66, 95, 96, 97, 127, 128, 129,
+    ];
+    ends.extend([
+        len / 2,
+        len.saturating_sub(65),
+        len.saturating_sub(33),
+        len.saturating_sub(1),
+        len,
+    ]);
     ends.retain(|&end| end <= len);
     ends.sort_unstable();
     ends.dedup();
@@ -88,7 +98,11 @@ fn window_equals_the_model_forward_and_reversed_over_every_range_class() {
                 assert_eq!(forward, model[range.clone()], "{range:?} of {len}");
                 let mut expected = model[range.clone()].to_vec();
                 expected.reverse();
-                assert_eq!(packed.window(range.clone(), true, &mut scratch), expected, "{range:?} of {len}, reversed");
+                assert_eq!(
+                    packed.window(range.clone(), true, &mut scratch),
+                    expected,
+                    "{range:?} of {len}, reversed"
+                );
                 windows += 2;
             }
         }
@@ -100,7 +114,8 @@ fn window_equals_the_model_forward_and_reversed_over_every_range_class() {
 fn window_past_the_end_panics() {
     let packed: Sequence = "ACGT".repeat(16).parse().unwrap();
     for range in [0..65, 64..65, 65..65] {
-        let caught = std::panic::catch_unwind(|| packed.window(range.clone(), false, &mut Vec::new()).len());
+        let caught =
+            std::panic::catch_unwind(|| packed.window(range.clone(), false, &mut Vec::new()).len());
         assert!(caught.is_err(), "{range:?}");
     }
 }
@@ -117,18 +132,38 @@ fn readers_and_builders_agree_with_the_model() {
             }
             assert_eq!((packed.get(len), packed.get(len + 64)), (None, None));
             assert!(packed.iter().eq(model.iter().copied()), "iter of {len}");
-            assert!(packed.iter().rev().eq(model.iter().rev().copied()), "iter().rev() of {len}");
+            assert!(
+                packed.iter().rev().eq(model.iter().rev().copied()),
+                "iter().rev() of {len}"
+            );
             assert_eq!(packed.iter().len(), len);
             // `skip`/`take` from either end go through `nth`/`nth_back`.
             for (skip, take) in [(0, 33), (31, 2), (63, 66), (len / 2, len)] {
                 let expected: Vec<Base> = model.iter().skip(skip).take(take).copied().collect();
-                assert!(packed.iter().skip(skip).take(take).eq(expected.iter().copied()), "skip {skip} take {take}");
-                assert!(packed.iter().skip(skip).take(take).rev().eq(expected.iter().rev().copied()));
+                assert!(
+                    packed
+                        .iter()
+                        .skip(skip)
+                        .take(take)
+                        .eq(expected.iter().copied()),
+                    "skip {skip} take {take}"
+                );
+                assert!(packed
+                    .iter()
+                    .skip(skip)
+                    .take(take)
+                    .rev()
+                    .eq(expected.iter().rev().copied()));
                 let end = len.min(skip + take);
                 assert_eq!(packed.subsequence(len.min(skip)..end).to_bases(), expected);
             }
-            let complemented: Vec<Base> = model.iter().rev().map(|base| base.complement()).collect();
-            assert_eq!(packed.reverse_complement().to_bases(), complemented, "{len}");
+            let complemented: Vec<Base> =
+                model.iter().rev().map(|base| base.complement()).collect();
+            assert_eq!(
+                packed.reverse_complement().to_bases(),
+                complemented,
+                "{len}"
+            );
 
             // push after push, and extend in two parts cut anywhere.
             let mut pushed = Sequence::new();
@@ -212,7 +247,11 @@ fn fasta_write_wraps_at_seventy_columns_from_the_planes() {
     let mut rng = StdRng::seed_from_u64(37);
     for len in [0usize, 1, 69, 70, 71, 140, 141, 960] {
         let model = models(len, &mut rng).swap_remove(1);
-        let record = fasta::Record { name: "r".into(), description: String::new(), sequence: model.clone().into() };
+        let record = fasta::Record {
+            name: "r".into(),
+            description: String::new(),
+            sequence: model.clone().into(),
+        };
         let mut written = Vec::new();
         fasta::write(&mut written, std::slice::from_ref(&record)).unwrap();
         let mut expected = b">r\n".to_vec();

@@ -28,17 +28,113 @@ use std::process::Command;
 
 /// `(prefix, the arguments after it)`.
 const CALLS: [(&str, &[&str]); 11] = [
-    ("near", &["--len", "50000", "--distance", "0.30", "--seed", "1", "--chroms", "1"]),
-    ("far", &["--len", "80000", "--distance", "1.30", "--seed", "2", "--chroms", "1"]),
-    ("chroms", &["--len", "60000", "--distance", "0.30", "--seed", "3", "--chroms", "4"]),
-    ("c0", &["--len", "20000", "--distance", "0.15", "--seed", "11", "--chroms", "1"]),
-    ("c1", &["--len", "20000", "--distance", "0.15", "--seed", "12", "--chroms", "1"]),
-    ("c2", &["--len", "20000", "--distance", "0.15", "--seed", "13", "--chroms", "1"]),
-    ("c3", &["--len", "20000", "--distance", "0.15", "--seed", "14", "--chroms", "1"]),
-    ("identical", &["--len", "30000", "--distance", "0", "--seed", "5"]),
-    ("saturated", &["--len", "30000", "--distance", "2.5", "--seed", "6"]),
-    ("uneven", &["--len", "70001", "--chroms", "7", "--seed", "7"]),
-    ("big", &["--len", "1000000", "--distance", "0.5", "--seed", "2"]),
+    (
+        "near",
+        &[
+            "--len",
+            "50000",
+            "--distance",
+            "0.30",
+            "--seed",
+            "1",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "far",
+        &[
+            "--len",
+            "80000",
+            "--distance",
+            "1.30",
+            "--seed",
+            "2",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "chroms",
+        &[
+            "--len",
+            "60000",
+            "--distance",
+            "0.30",
+            "--seed",
+            "3",
+            "--chroms",
+            "4",
+        ],
+    ),
+    (
+        "c0",
+        &[
+            "--len",
+            "20000",
+            "--distance",
+            "0.15",
+            "--seed",
+            "11",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "c1",
+        &[
+            "--len",
+            "20000",
+            "--distance",
+            "0.15",
+            "--seed",
+            "12",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "c2",
+        &[
+            "--len",
+            "20000",
+            "--distance",
+            "0.15",
+            "--seed",
+            "13",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "c3",
+        &[
+            "--len",
+            "20000",
+            "--distance",
+            "0.15",
+            "--seed",
+            "14",
+            "--chroms",
+            "1",
+        ],
+    ),
+    (
+        "identical",
+        &["--len", "30000", "--distance", "0", "--seed", "5"],
+    ),
+    (
+        "saturated",
+        &["--len", "30000", "--distance", "2.5", "--seed", "6"],
+    ),
+    (
+        "uneven",
+        &["--len", "70001", "--chroms", "7", "--seed", "7"],
+    ),
+    (
+        "big",
+        &["--len", "1000000", "--distance", "0.5", "--seed", "2"],
+    ),
 ];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -61,7 +157,11 @@ fn generated() -> String {
             .args(args)
             .output()
             .expect("spawn wga");
-        assert!(out.status.success(), "{prefix}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{prefix}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         writeln!(text, "# wga generate {prefix} {}", args.join(" ")).unwrap();
         for suffix in ["target.fa", "query.fa", "exons.tsv"] {
             let name = format!("{prefix}.{suffix}");
