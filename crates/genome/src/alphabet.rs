@@ -101,7 +101,7 @@ impl Base {
 
     /// The uppercase ASCII letter for this base.
     #[inline]
-    pub fn to_ascii(self) -> u8 {
+    pub const fn to_ascii(self) -> u8 {
         match self {
             Base::A => b'A',
             Base::C => b'C',
@@ -144,21 +144,17 @@ impl Base {
 
     /// Whether this is a purine (`A` or `G`).
     #[inline]
-    pub fn is_purine(self) -> bool {
+    pub const fn is_purine(self) -> bool {
         matches!(self, Base::A | Base::G)
     }
 
     /// The transition partner of an unambiguous base (`A↔G`, `C↔T`);
-    /// `N` maps to itself.
+    /// `N` maps to itself. A lookup by code, not a `match`, which a
+    /// compiler may lower to a jump on the base.
     #[inline]
     pub fn transition_partner(self) -> Base {
-        match self {
-            Base::A => Base::G,
-            Base::G => Base::A,
-            Base::C => Base::T,
-            Base::T => Base::C,
-            Base::N => Base::N,
-        }
+        const PARTNER: [Base; 5] = [Base::G, Base::T, Base::A, Base::C, Base::N];
+        PARTNER[self as usize]
     }
 }
 

@@ -96,18 +96,22 @@ impl CoordinateMap {
             "{descendant_len} bases exceed the {} a coordinate map can address",
             Self::MAX_DESCENDANT_LEN
         );
-        let mut prev: Option<u32> = None;
-        for &entry in map.iter().filter(|&&entry| entry != DELETED) {
-            assert!(
-                prev.is_none_or(|p| entry > p),
-                "coordinate map not increasing"
-            );
-            assert!(
-                (entry as usize) < descendant_len,
-                "coordinate {entry} out of bounds"
-            );
-            prev = Some(entry);
+        // Survivors in order, each above the one before: checked without
+        // a branch an entry, as one flag over the map. `last` is one past
+        // the latest survivor.
+        let (mut last, mut increasing) = (0u64, true);
+        for &entry in &map {
+            let survives = entry != DELETED;
+            increasing &= !survives || u64::from(entry) >= last;
+            last = if survives { u64::from(entry) + 1 } else { last };
         }
+        assert!(increasing, "coordinate map not increasing");
+        // Increasing, so the last survivor is the largest.
+        assert!(
+            last as usize <= descendant_len,
+            "coordinate {} out of bounds",
+            last - 1
+        );
         CoordinateMap {
             map,
             descendant_len,

@@ -155,9 +155,14 @@ mod tests {
     fn fasta_round_trip() {
         let a = sample();
         let mut buf = Vec::new();
-        for c in a.chromosomes() {
-            fasta::write_record(&mut buf, &c.name, &c.sequence).unwrap();
-        }
+        let records: Vec<fasta::Record> = (a.chromosomes().iter())
+            .map(|c| fasta::Record {
+                name: c.name.clone(),
+                description: String::new(),
+                sequence: c.sequence.clone(),
+            })
+            .collect();
+        fasta::write(&mut buf, &records).unwrap();
         let b = Assembly::from_fasta("test1", &buf[..]).unwrap();
         assert_eq!(a, b);
     }

@@ -16,7 +16,7 @@
 
 use crate::alphabet::Base;
 use crate::annotation::{CoordinateMap, Interval, DELETED};
-use crate::markov::{threshold, unit, MarkovModel};
+use crate::markov::{fires, peek_units, threshold, unit, MarkovModel};
 use crate::sequence::Sequence;
 use rand::Rng;
 
@@ -165,15 +165,21 @@ impl SyntheticPair {
         params: &EvolutionParams,
         rng: &mut R,
     ) -> SyntheticPair {
+        let model = MarkovModel::genome_like();
         // A byte a base while the lineages read it, packed once after.
         let mut ancestor = Vec::new();
-        MarkovModel::genome_like().generate_into(&mut ancestor, len, rng);
-        let ancestral_conserved = place_conserved_elements(len, params, rng);
-        let target = evolve_lineage(&ancestor, &ancestral_conserved, params, rng);
-        let query = evolve_lineage(&ancestor, &ancestral_conserved, params, rng);
+        model.generate_into(&mut ancestor, len, rng);
+        let conserved = place_conserved_elements(len, params, rng);
+        // One lineage's bytes while it is drawn, the same buffer for both:
+        // fresh pages cost more than the bytes written to them.
+        let mut bases = Vec::new();
+        let target = evolve_lineage(&ancestor, &conserved, params, &model, &mut bases, rng);
+        let query = evolve_lineage(&ancestor, &conserved, params, &model, &mut bases, rng);
+        // Gone before the ancestor is packed, which is the last peak.
+        drop(bases);
         SyntheticPair {
             ancestor: Sequence::from_bases(ancestor),
-            ancestral_conserved,
+            ancestral_conserved: conserved,
             target,
             query,
             params: params.clone(),
@@ -205,8 +211,10 @@ fn place_conserved_elements<R: Rng + ?Sized>(
     if window < 40 {
         return intervals;
     }
+    let length = Geometric::with_mean(params.conserved_mean_len as f64);
     for (index, wstart) in (0..n_elements).map(|i| (i, i * window)) {
-        let elen = sample_geometric(params.conserved_mean_len as f64, rng)
+        let elen = length
+            .sample(rng)
             .clamp(30, window.saturating_sub(1).max(30));
         if elen + 1 >= window {
             continue;
@@ -221,32 +229,71 @@ fn place_conserved_elements<R: Rng + ?Sized>(
     intervals
 }
 
-/// Geometric sample with the given mean (support ≥ 1).
-fn sample_geometric<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> usize {
-    let mean = mean.max(1.0);
-    let p = 1.0 / mean;
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as usize
+/// Geometric lengths with a given mean (support ≥ 1). The divisor
+/// `ln(1 − 1/mean)` is worked out once, not once a sample: the same `f64`
+/// operations on the same mean, so the same bits.
+struct Geometric {
+    ln_q: f64,
 }
 
-/// Power-law (discrete Pareto) sample on `[lo, hi]` with exponent ~1.6.
-fn sample_power_law<R: Rng + ?Sized>(lo: usize, hi: usize, rng: &mut R) -> usize {
-    let alpha = 1.6f64;
-    let (lo_f, hi_f) = (lo as f64, hi as f64);
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let exp = 1.0 - alpha;
-    let x = (lo_f.powf(exp) + u * (hi_f.powf(exp) - lo_f.powf(exp))).powf(1.0 / exp);
-    (x as usize).clamp(lo, hi)
+impl Geometric {
+    fn with_mean(mean: f64) -> Geometric {
+        let p = 1.0 / mean.max(1.0);
+        Geometric {
+            ln_q: (1.0 - p).ln(),
+        }
+    }
+
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        (u.ln() / self.ln_q).ceil().max(1.0) as usize
+    }
+}
+
+/// Power-law (discrete Pareto) lengths on `[lo, hi]` with exponent ~1.6,
+/// the powers of the bounds worked out once (as [`Geometric`]'s divisor).
+struct PowerLaw {
+    lo: usize,
+    hi: usize,
+    lo_pow: f64,
+    hi_pow: f64,
+    inv_exp: f64,
+}
+
+impl PowerLaw {
+    fn on(lo: usize, hi: usize) -> PowerLaw {
+        let alpha = 1.6f64;
+        let exp = 1.0 - alpha;
+        PowerLaw {
+            lo,
+            hi,
+            lo_pow: (lo as f64).powf(exp),
+            hi_pow: (hi as f64).powf(exp),
+            inv_exp: 1.0 / exp,
+        }
+    }
+
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let x = (self.lo_pow + u * (self.hi_pow - self.lo_pow)).powf(self.inv_exp);
+        (x as usize).clamp(self.lo, self.hi)
+    }
 }
 
 /// Evolves one lineage for `params.distance / 2` substitutions per site.
 /// `conserved` is sorted and disjoint, as [`place_conserved_elements`]
-/// leaves it. Which draws are made and in what order is the contract
-/// (DESIGN.md "Synthetic genomes"): change memory, never a draw.
+/// leaves it; insertions are drawn from `model`. The descendant is built
+/// in `bases`, whatever it held, and left there. Which draws are made and
+/// in what order is the contract (DESIGN.md "Synthetic genomes"): change
+/// memory, never a draw.
 fn evolve_lineage<R: Rng + ?Sized>(
     ancestor: &[Base],
     conserved: &[Interval],
     params: &EvolutionParams,
+    model: &MarkovModel,
+    bases: &mut Vec<Base>,
     rng: &mut R,
 ) -> Lineage {
     debug_assert!(conserved.windows(2).all(|w| w[0].end <= w[1].start));
@@ -269,83 +316,126 @@ fn evolve_lineage<R: Rng + ?Sized>(
     let inside = rolls_at(params.conserved_rate_factor, params.conserved_indel_factor);
     let long_indel = threshold(params.long_indel_prob);
     let transition = threshold(params.transition_fraction);
+    let turnover_len = Geometric::with_mean(params.turnover_mean_len as f64);
+    let long_len = PowerLaw::on(10, params.long_indel_max.max(10));
+    let short_len = Geometric::with_mean(params.short_indel_mean);
 
-    // Built a byte a base (a duplication splices into the middle) and
-    // packed once at the end; every insertion appends in place.
-    let mut sequence = Vec::with_capacity(params.expected_descendant_len(ancestor.len()));
-    let mut map: Vec<u32> = Vec::with_capacity(ancestor.len());
+    // Every draw reads through one cursor, its position in a register.
+    let rng = &mut rng.cursor();
+    let room = params.expected_descendant_len(ancestor.len());
+    let mut sequence = Descendant::in_buffer(std::mem::take(bases), room);
+    // One entry an ancestral base: a deletion leaves its entries as they
+    // start, a copied base writes its own.
+    let mut map = vec![DELETED; ancestor.len()];
     let mut substitutions = 0u64;
     let mut indel_events = 0u64;
     let mut indel_bases = 0u64;
 
-    let insert_model = MarkovModel::genome_like();
-    // The first conserved element that ends past `pos`.
+    // The first conserved element that ends past `pos`, the rolls at
+    // `pos`, and the first position they may not hold at: where that
+    // element starts or ends.
     let mut element = 0usize;
+    let mut rolls = &outside;
+    let mut edge = 0usize;
     let mut pos = 0usize;
     while pos < ancestor.len() {
-        while conserved.get(element).is_some_and(|iv| iv.end <= pos) {
-            element += 1;
+        if pos >= edge {
+            while conserved.get(element).is_some_and(|iv| iv.end <= pos) {
+                element += 1;
+            }
+            (rolls, edge) = match conserved.get(element) {
+                Some(iv) if iv.start <= pos => (&inside, iv.end),
+                Some(iv) => (&outside, iv.start),
+                None => (&outside, ancestor.len()),
+            };
         }
-        let in_element = conserved.get(element).is_some_and(|iv| iv.start <= pos);
-        let rolls = if in_element { &inside } else { &outside };
         // Turnover: a lineage-specific long insertion (transposon gain).
         // Conserved elements resist turnover like they resist substitutions.
         if unit(rng) < rolls.turnover {
-            let len = sample_geometric(params.turnover_mean_len as f64, rng).max(50);
-            insert_model.generate_into(&mut sequence, len, rng);
+            let len = turnover_len.sample(rng).max(50);
+            sequence.append_chain(model, len, rng);
             indel_events += 1;
             indel_bases += len as u64;
         }
         if unit(rng) < rolls.indel {
             // Indel event: deletion or insertion with equal probability.
             let len = if unit(rng) < long_indel {
-                sample_power_law(10, params.long_indel_max.max(10), rng)
+                long_len.sample(rng)
             } else {
-                sample_geometric(params.short_indel_mean, rng)
+                short_len.sample(rng)
             };
             indel_events += 1;
             indel_bases += len as u64;
             if rng.gen::<bool>() {
                 // Deletion: skip `len` ancestral bases.
-                let end = (pos + len).min(ancestor.len());
-                map.resize(map.len() + (end - pos), DELETED);
-                pos = end;
+                pos = (pos + len).min(ancestor.len());
                 continue;
             }
             // Insertion before the current base, which is copied after it.
-            insert_model.generate_into(&mut sequence, len, rng);
+            sequence.append_chain(model, len, rng);
         }
         let mut base = ancestor[pos];
-        if base != Base::N && unit(rng) < rolls.substitution {
-            substitutions += 1;
-            base = if unit(rng) < transition {
-                base.transition_partner()
-            } else {
-                // One of the two transversions, uniformly, in `Base::DNA`
-                // order: a purine's are C and T, a pyrimidine's A and G.
-                let options = if base.is_purine() {
-                    [Base::C, Base::T]
-                } else {
-                    [Base::A, Base::G]
-                };
-                options[rng.gen_range(0..options.len())]
+        // The substitution roll and, if it fires, the transition roll,
+        // none for `N`. Both are peeked where the cursor holds them and
+        // taken by count, so that whether the second is taken is an
+        // addition, not a branch: the roll fires at one base in two at
+        // the larger distances.
+        let (substituted, transversion) = match peek_units::<_, 2>(rng) {
+            _ if base == Base::N => (0, 0),
+            Some([roll, kind]) => {
+                let substituted = fires(roll, rolls.substitution);
+                rng.skip_u64s(1 + (substituted >> 63) as usize);
+                (
+                    substituted >> 63,
+                    (substituted & !fires(kind, transition)) >> 63,
+                )
+            }
+            None => {
+                let substituted = unit(rng) < rolls.substitution;
+                let transversion = substituted && unit(rng) >= transition;
+                (u64::from(substituted), u64::from(transversion))
+            }
+        };
+        substitutions += substituted;
+        if transversion == 1 {
+            // One of the two transversions, uniformly, in `Base::DNA`
+            // order: a purine's are C and T, a pyrimidine's A and G. By
+            // lookup, not a branch on the base.
+            const TRANSVERSIONS: [[Base; 2]; 5] = {
+                let mut table = [[Base::N; 2]; 5];
+                let mut code = 0;
+                while code < Base::DNA.len() {
+                    table[code] = if Base::DNA[code].is_purine() {
+                        [Base::C, Base::T]
+                    } else {
+                        [Base::A, Base::G]
+                    };
+                    code += 1;
+                }
+                table
             };
+            let options = TRANSVERSIONS[base as usize];
+            base = options[rng.gen_range(0..options.len())];
+        } else {
+            base = [base, base.transition_partner()][substituted as usize];
         }
-        map.push(sequence.len() as u32);
+        map[pos] = sequence.len as u32;
         sequence.push(base);
         pos += 1;
     }
+    *bases = sequence.finish();
+    let sequence = bases;
 
     // Segmental duplications: copy a segment to a random position.
     let expected_dups = params.duplications_per_mbp * (sequence.len() as f64 / 1e6);
     let n_dups = poisson_like(expected_dups, rng);
+    let dup_len = Geometric::with_mean(params.duplication_mean_len as f64);
     let mut shifts = Shifts::default();
     for _ in 0..n_dups {
         if sequence.len() < 2 * params.duplication_mean_len {
             break;
         }
-        let dlen = sample_geometric(params.duplication_mean_len as f64, rng)
-            .clamp(100, sequence.len() / 2);
+        let dlen = dup_len.sample(rng).clamp(100, sequence.len() / 2);
         let src = rng.gen_range(0..sequence.len() - dlen);
         let dst = rng.gen_range(0..sequence.len());
         // Appended, then turned into place.
@@ -362,12 +452,68 @@ fn evolve_lineage<R: Rng + ?Sized>(
         .collect();
 
     Lineage {
-        sequence: Sequence::from_bases(sequence),
+        sequence: Sequence::from_slice(sequence),
         coordinates,
         conserved: conserved_projected,
         substitutions,
         indel_events,
         indel_bases,
+    }
+}
+
+/// A lineage's descendant while it is drawn: a buffer sized before the
+/// first base (`EvolutionParams::expected_descendant_len`) and the bases
+/// written so far, so a base is a store and a local count, not a `Vec`
+/// push. Running past the expectation is the one growth path. The buffer
+/// is owned, not borrowed, so its pointer and length are locals too.
+struct Descendant {
+    bases: Vec<Base>,
+    len: usize,
+}
+
+/// Room for at least `least` bases in `bases`: the one growth path, out
+/// of line. It borrows the buffer alone: a `&mut Descendant` to a call
+/// that is not inlined would keep `len` in memory for the whole loop.
+#[cold]
+#[inline(never)]
+fn grow(bases: &mut Vec<Base>, least: usize) {
+    bases.resize(least.max(2 * bases.len()), Base::A);
+}
+
+impl Descendant {
+    /// Room for `room` bases in `bases`, whose contents are dropped.
+    #[inline]
+    fn in_buffer(mut bases: Vec<Base>, room: usize) -> Descendant {
+        bases.clear();
+        bases.resize(room, Base::A);
+        Descendant { bases, len: 0 }
+    }
+
+    #[inline]
+    fn push(&mut self, base: Base) {
+        if self.len == self.bases.len() {
+            grow(&mut self.bases, self.len + 1);
+        }
+        self.bases[self.len] = base;
+        self.len += 1;
+    }
+
+    /// Appends `len` bases of a fresh chain of `model`. Inlined, as
+    /// [`MarkovModel::fill`] is, so the lineage's cursor stays a register.
+    #[inline(always)]
+    fn append_chain<R: Rng + ?Sized>(&mut self, model: &MarkovModel, len: usize, rng: &mut R) {
+        if self.bases.len() - self.len < len {
+            grow(&mut self.bases, self.len + len);
+        }
+        model.fill(&mut self.bases[self.len..self.len + len], rng);
+        self.len += len;
+    }
+
+    /// The bases written.
+    #[inline]
+    fn finish(mut self) -> Vec<Base> {
+        self.bases.truncate(self.len);
+        self.bases
     }
 }
 
@@ -404,16 +550,32 @@ impl Shifts {
     }
 
     /// Moves every surviving entry of `map` (increasing) to where the
-    /// recorded insertions left it.
-    fn apply(&self, map: &mut [u32]) {
-        let (mut at, mut moved) = (0, 0);
-        for entry in map.iter_mut().filter(|entry| **entry != DELETED) {
-            while at < self.0.len() && self.0[at].0 <= *entry as usize {
-                moved += self.0[at].1 as u32;
-                at += 1;
-            }
-            *entry += moved;
+    /// recorded insertions left it. Survivors increase, so those an
+    /// insertion moves are a suffix of them: the map is cut where each
+    /// recorded start is first reached, and each piece's survivors move
+    /// by what every start before them adds.
+    fn apply(&self, mut map: &mut [u32]) {
+        let mut moved = 0;
+        for &(first, dlen) in &self.0 {
+            let cut = (map.iter())
+                .position(|&entry| entry != DELETED && entry as usize >= first)
+                .unwrap_or(map.len());
+            let (before, rest) = map.split_at_mut(cut);
+            shift(before, moved);
+            map = rest;
+            moved += dlen as u32;
         }
+        shift(map, moved);
+    }
+}
+
+/// Adds `by` to every entry of `map` but the [`DELETED`] ones.
+fn shift(map: &mut [u32], by: u32) {
+    if by == 0 {
+        return;
+    }
+    for entry in map {
+        *entry += if *entry == DELETED { 0 } else { by };
     }
 }
 

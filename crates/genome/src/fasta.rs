@@ -175,7 +175,11 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
     Ok(records)
 }
 
-/// Writes records as FASTA with 70-column wrapping.
+/// Writes records as FASTA with 70-column wrapping. The text is laid out
+/// from the sequences' packed planes straight into one buffer of
+/// [`CHUNK`] bytes, handed to `writer` in one `write_all` each time it
+/// fills: an unbuffered `File` is a write every 64 KiB, not one a line,
+/// and nothing as long as the sequence is held besides the sequence.
 ///
 /// A `&mut W` may be passed for writers that should remain usable afterwards.
 ///
@@ -183,36 +187,47 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
 ///
 /// Propagates I/O errors from the writer.
 pub fn write<W: Write>(mut writer: W, records: &[Record]) -> io::Result<()> {
+    const COLUMNS: usize = 70;
+    let mut text = Vec::with_capacity(CHUNK + COLUMNS);
     for rec in records {
         let header = if rec.description.is_empty() {
             &rec.name
         } else {
             &rec.description
         };
-        write_record(&mut writer, header, &rec.sequence)?;
+        text.push(b'>');
+        text.extend_from_slice(header.as_bytes());
+        text.push(b'\n');
+        let mut column = 0;
+        for (letters, count) in rec.sequence.letters() {
+            let mut letters = &letters[..count];
+            while !letters.is_empty() {
+                let (line, rest) = letters.split_at(letters.len().min(COLUMNS - column));
+                text.extend_from_slice(line);
+                column += line.len();
+                if column == COLUMNS {
+                    text.push(b'\n');
+                    column = 0;
+                }
+                letters = rest;
+            }
+            if text.len() >= CHUNK {
+                writer.write_all(&text)?;
+                text.clear();
+            }
+        }
+        if column > 0 {
+            text.push(b'\n');
+        }
     }
+    writer.write_all(&text)?;
     writer.flush()
 }
 
-/// Writes one record: `>header`, then the sequence 70 bases a line, each
-/// unpacked into one line's buffer — nothing as long as the sequence is.
-pub(crate) fn write_record<W: Write>(
-    writer: &mut W,
-    header: &str,
-    sequence: &Sequence,
-) -> io::Result<()> {
-    writeln!(writer, ">{header}")?;
-    let mut line = Vec::new();
-    for start in (0..sequence.len()).step_by(70) {
-        let bases = sequence.window(start..sequence.len().min(start + 70), false, &mut line);
-        let mut ascii = [b'\n'; 71];
-        for (letter, base) in ascii.iter_mut().zip(bases) {
-            *letter = base.to_ascii();
-        }
-        writer.write_all(&ascii[..bases.len() + 1])?;
-    }
-    Ok(())
-}
+/// Bytes of FASTA text [`write`] gathers before it writes them: enough
+/// that a write is rare, few enough that the buffer's pages are touched
+/// once and reused, not one fresh page every 4 KiB of the file.
+const CHUNK: usize = 64 * 1024;
 
 #[cfg(test)]
 mod tests {

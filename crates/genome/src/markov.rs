@@ -6,10 +6,11 @@
 
 use crate::alphabet::Base;
 use crate::sequence::Sequence;
-use rand::Rng;
+use rand::{Cursor, Rng};
+use std::fmt;
 
 /// A first-order Markov model over `{A, C, G, T}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct MarkovModel {
     initial: [f64; 4],
     transition: [[f64; 4]; 4],
@@ -17,11 +18,22 @@ pub struct MarkovModel {
     /// initial distribution at [`INITIAL`], the [`threshold`] of each of
     /// its first three running sums.
     thresholds: [[u64; 3]; 5],
+    /// Per bucket of draws (`k >> BUCKET_SHIFT`), the [`successors`] byte
+    /// every draw in it has, or [`MIXED`] where a threshold falls inside
+    /// the bucket and its draws are counted one by one.
+    buckets: [u16; BUCKETS],
 }
 
 /// The row of [`MarkovModel::thresholds`] a chain's first base is drawn
 /// from.
 const INITIAL: usize = 4;
+
+/// Equal spans the 2⁵³ draws are split into for [`MarkovModel::buckets`];
+/// a draw's bucket is its top ten bits.
+const BUCKETS: usize = 1 << 10;
+const BUCKET_SHIFT: u32 = 53 - BUCKETS.trailing_zeros();
+/// A bucket whose draws do not all have one successor byte.
+const MIXED: u16 = 0x100;
 
 impl MarkovModel {
     /// A model with genome-like composition: ~41% GC (typical for the
@@ -49,10 +61,12 @@ impl MarkovModel {
         // The rows by state code, then the initial distribution at `INITIAL`.
         let mut rows = [initial; INITIAL + 1];
         rows[..INITIAL].copy_from_slice(&transition);
+        let thresholds = rows.map(|row| sum_thresholds(&row));
         MarkovModel {
             initial,
             transition,
-            thresholds: rows.map(|row| sum_thresholds(&row)),
+            thresholds,
+            buckets: buckets(&thresholds),
         }
     }
 
@@ -76,20 +90,88 @@ impl MarkovModel {
     /// Appends `len` bases of a fresh chain to `out`: one draw a base, the
     /// first from the initial distribution (none when `len` is 0).
     pub fn generate_into<R: Rng + ?Sized>(&self, out: &mut Vec<Base>, len: usize, rng: &mut R) {
-        out.reserve(len);
-        let mut row = &self.thresholds[INITIAL];
-        for _ in 0..len {
-            // The first index whose running sum exceeds the draw (3 if
-            // none does), counted instead of searched: the sums never
-            // decrease, so the draw is at or above exactly the ones
-            // before that index.
-            let k = unit(rng);
-            let state =
-                usize::from(k >= row[0]) + usize::from(k >= row[1]) + usize::from(k >= row[2]);
-            out.push(Base::from_code(state as u8));
-            row = &self.thresholds[state];
+        let start = out.len();
+        out.resize(start + len, Base::A);
+        self.fill(&mut out[start..], &mut rng.cursor());
+    }
+
+    /// Overwrites `out` with a fresh chain of `out.len()` bases, drawn as
+    /// [`MarkovModel::generate_into`] draws them. Inlined into every
+    /// caller: a call that took `rng`'s address would keep a cursor's
+    /// position in memory for the caller's whole loop.
+    #[inline(always)]
+    pub(crate) fn fill<R: Rng + ?Sized>(&self, out: &mut [Base], rng: &mut R) {
+        let Some((first, rest)) = out.split_first_mut() else {
+            return;
+        };
+        let mut state = count(unit(rng), &self.thresholds[INITIAL]);
+        *first = Base::from_code(state);
+        for base in rest {
+            // The draw decides where every state goes before the chain
+            // says which state it is in: only the shift depends on the
+            // base before.
+            state = self.successor_byte(unit(rng)) >> (2 * state) & 0b11;
+            *base = Base::from_code(state);
         }
     }
+
+    /// [`successors`] of the draw `k < 2⁵³`, read from its bucket unless
+    /// the bucket is mixed: only a bucket one of the twelve thresholds
+    /// falls inside is, so at most twelve of the 1 024.
+    #[inline]
+    fn successor_byte(&self, k: u64) -> u8 {
+        match self.buckets[(k >> BUCKET_SHIFT) as usize] {
+            MIXED => successors(&self.thresholds, k),
+            byte => byte as u8,
+        }
+    }
+}
+
+impl fmt::Debug for MarkovModel {
+    /// The model's probabilities; its thresholds and buckets are worked
+    /// out from them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MarkovModel")
+            .field("initial", &self.initial)
+            .field("transition", &self.transition)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The state each state moves to on draw `k`, two bits each, state `s`'s
+/// at bits `2s` and `2s + 1`: the same three compares a row as [`count`],
+/// made for the four transition rows at once.
+#[inline]
+fn successors(thresholds: &[[u64; 3]; 5], k: u64) -> u8 {
+    let mut packed = 0;
+    for (state, row) in thresholds[..INITIAL].iter().enumerate() {
+        packed |= count(k, row) << (2 * state);
+    }
+    packed
+}
+
+/// Every bucket's successor byte, or [`MIXED`]. Each two-bit field counts
+/// thresholds at or below the draw, so it never decreases as the draw
+/// grows: equal at a bucket's first and last draw, the byte is that value
+/// at every draw between.
+fn buckets(thresholds: &[[u64; 3]; 5]) -> [u16; BUCKETS] {
+    let mut buckets = [MIXED; BUCKETS];
+    for (bucket, entry) in (0u64..).zip(&mut buckets) {
+        let first = successors(thresholds, bucket << BUCKET_SHIFT);
+        let last = successors(thresholds, ((bucket + 1) << BUCKET_SHIFT) - 1);
+        if first == last {
+            *entry = u16::from(first);
+        }
+    }
+    buckets
+}
+
+/// The first index whose running sum exceeds the draw `k` (3 if none
+/// does), counted instead of searched: the sums never decrease, so the
+/// draw is at or above exactly the ones before that index.
+#[inline]
+fn count(k: u64, row: &[u64; 3]) -> u8 {
+    u8::from(k >= row[0]) + u8::from(k >= row[1]) + u8::from(k >= row[2])
 }
 
 impl Default for MarkovModel {
@@ -114,14 +196,31 @@ pub(crate) fn unit<R: Rng + ?Sized>(rng: &mut R) -> u64 {
     rng.next_u64() >> 11
 }
 
+/// The [`unit`]s of the cursor's next `N` draws, without taking them, if
+/// its generator holds them already.
+#[inline]
+pub(crate) fn peek_units<R: Rng + ?Sized, const N: usize>(rng: &Cursor<'_, R>) -> Option<[u64; N]> {
+    rng.peek_u64s().map(|words| words.map(|word| word >> 11))
+}
+
 /// `⌈p · 2⁵³⌉`, what a [`unit`] draw `k` is compared with in place of
 /// `p`: `k · 2⁻⁵³ < p ⇔ k < threshold(p)`, and `k · 2⁻⁵³ >= p ⇔
 /// k >= threshold(p)` unless `p` is NaN. Exact: scaling by 2⁵³ rounds
 /// nothing, and for an integer `k`, `k < x ⇔ k < ⌈x⌉`. The saturating cast makes `p ≤ 0`
-/// and NaN 0, which no draw is below, and `p ≥ 1` at least 2⁵³, which
-/// every draw is below.
+/// and NaN 0, which no draw is below, and `p ≥ 1` 2⁵³, which every draw
+/// is below: a threshold is never above 2⁵³ (see [`fires`]).
 pub(crate) fn threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
+    ((p * (1u64 << 53) as f64).ceil() as u64).min(1 << 53)
+}
+
+/// `k − threshold` with the sign bit set exactly when the roll fires
+/// (`k < threshold`): both are at most 2⁵³, so the difference is
+/// negative exactly then. Arithmetic where a compare would do, so that
+/// outcomes can be combined by `&` and shifts and a compiler has no `bool`
+/// to branch on.
+#[inline]
+pub(crate) fn fires(k: u64, threshold: u64) -> u64 {
+    k.wrapping_sub(threshold)
 }
 
 #[cfg(test)]
@@ -193,6 +292,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_successor_byte_is_each_rows_three_compare_count() {
+        // At one unit either side of every threshold, and at the first and
+        // last draw of every bucket: the byte's field for each state is
+        // the count `generate_into` made for that row, by bucket or not.
+        let model = MarkovModel::genome_like();
+        let at_thresholds = (model.thresholds.iter().flatten()).flat_map(|&t| [t - 1, t, t + 1]);
+        let bucket_ends =
+            (0..BUCKETS as u64).flat_map(|b| [b << BUCKET_SHIFT, ((b + 1) << BUCKET_SHIFT) - 1]);
+        let mut mixed = 0;
+        for k in at_thresholds.chain(bucket_ends) {
+            let byte = model.successor_byte(k);
+            for (state, row) in model.thresholds[..INITIAL].iter().enumerate() {
+                let count = row.iter().filter(|&&t| k >= t).count();
+                assert_eq!(
+                    usize::from(byte >> (2 * state) & 0b11),
+                    count,
+                    "k {k} state {state}"
+                );
+            }
+            mixed += usize::from(model.buckets[(k >> BUCKET_SHIFT) as usize] == MIXED);
+        }
+        // Mixed buckets exist, so both ways of reading the byte are tried.
+        assert!(mixed > 0);
     }
 
     #[test]

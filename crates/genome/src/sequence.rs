@@ -24,6 +24,67 @@ const UNPACK: [[Base; 4]; 256] = {
     table
 };
 
+/// One plane of `BITS` a base built from the bases' codes, `field`
+/// picking each base's bits out of eight codes read as a little-endian
+/// word: eight bases a step, each step's fields [`gather`]ed into place,
+/// a short last word of the plane moved up to the top.
+fn pack<const BITS: u32>(codes: &[u8], field: impl Fn(u64) -> u64) -> Vec<u64> {
+    let eight = |group: [u8; 8]| gather::<BITS>(field(u64::from_le_bytes(group)));
+    let word = |bases: &[u8]| {
+        let (groups, rest) = bases.as_chunks::<8>();
+        let mut word = groups
+            .iter()
+            .fold(0, |word, &group| word << (8 * BITS) | eight(group));
+        let mut filled = 8 * groups.len();
+        if !rest.is_empty() {
+            // Zero past the end, as the planes are.
+            let mut last = [0; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            word = word << (8 * BITS) | eight(last);
+            filled += 8;
+        }
+        word << (64 - BITS as usize * filled)
+    };
+    codes.chunks(64 / BITS as usize).map(word).collect()
+}
+
+/// The `BITS`-bit fields at the bottom of each byte of `word` (one bit
+/// or two; the rest of each byte zero), gathered into `8 · BITS` bits with
+/// the first byte's field highest: byte `i`'s at bit `BITS · (7 − i)`.
+/// Each step halves the count of fields, joining neighbours pairwise.
+#[inline]
+fn gather<const BITS: u32>(word: u64) -> u64 {
+    // Last byte first, so the first byte's field ends up highest.
+    let mut word = word.swap_bytes();
+    // Fields `lane` bits apart and `width / 2` wide become fields twice
+    // as far apart and `width` wide, each the upper of a pair shifted
+    // down onto the lower: bits 8 apart, then 16, then 32.
+    for (lane, every) in [
+        (8, 0x0001_0001_0001_0001),
+        (16, 0x0000_0001_0000_0001),
+        (32, 1),
+    ] {
+        let width = BITS * lane / 4;
+        word = (word | word >> (lane - width / 2)) & (every * ((1 << width) - 1));
+    }
+    word
+}
+
+/// The four letters a byte of the code plane holds, first base first.
+const LETTERS: [[u8; 4]; 256] = {
+    let mut table = [[0; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 0;
+        while k < 4 {
+            table[byte][k] = Base::DNA[(byte >> (6 - 2 * k)) & 0b11].to_ascii();
+            k += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
 /// An owned DNA sequence over the extended alphabet.
 ///
 /// Two bit planes and a length, 3/8 of a byte a base whatever the
@@ -72,24 +133,17 @@ impl Sequence {
 
     /// Builds a sequence from raw bases.
     pub fn from_bases(bases: Vec<Base>) -> Sequence {
-        // A word at a time: `bits` of every base's code from `shift` up,
-        // first base highest, a short last chunk moved up to the top.
-        let word = |chunk: &[Base], bits: usize, shift: u8| {
-            let field = |base: &Base| u64::from(base.code() >> shift) & ((1 << bits) - 1);
-            chunk
-                .iter()
-                .fold(0, |word, base| word << bits | field(base))
-                << (64 - bits * chunk.len())
-        };
+        Sequence::from_slice(&bases)
+    }
+
+    /// [`Sequence::from_bases`] of borrowed bases.
+    pub(crate) fn from_slice(bases: &[Base]) -> Sequence {
+        let codes = Base::codes_of(bases);
         Sequence {
-            codes: bases
-                .chunks(CODES_PER_WORD)
-                .map(|chunk| word(chunk, 2, 0))
-                .collect(),
-            ns: bases
-                .chunks(NS_PER_WORD)
-                .map(|chunk| word(chunk, 1, 2))
-                .collect(),
+            // A=0 … T=3 are their own 2-bit codes (and `N`'s is zero); N=4
+            // is the bit above.
+            codes: pack::<2>(codes, |word| word & 0x0303_0303_0303_0303),
+            ns: pack::<1>(codes, |word| word >> 2 & 0x0101_0101_0101_0101),
             len: bases.len(),
         }
     }
@@ -230,6 +284,27 @@ impl Sequence {
             }
         }
         out
+    }
+
+    /// The sequence's uppercase letters, 32 at a time (the last piece
+    /// fewer): one code-plane word each, four letters a byte of it from a
+    /// table, then its `N` bits, usually none, patched in. What a FASTA
+    /// file is written from: no base is unpacked one by one.
+    pub(crate) fn letters(&self) -> impl Iterator<Item = ([u8; CODES_PER_WORD], usize)> + '_ {
+        self.codes.iter().enumerate().map(|(index, &codes)| {
+            let mut letters = [0; CODES_PER_WORD];
+            for (four, byte) in letters.chunks_exact_mut(4).zip(codes.to_be_bytes()) {
+                four.copy_from_slice(&LETTERS[usize::from(byte)]);
+            }
+            // This word's 32 `N` bits, the first base's at bit 31.
+            let mut ns = self.ns[index / 2] << (CODES_PER_WORD * (index % 2)) >> CODES_PER_WORD;
+            while ns != 0 {
+                letters[31 - ns.trailing_zeros() as usize] = Base::N.to_ascii();
+                ns &= ns - 1;
+            }
+            let count = (self.len - index * CODES_PER_WORD).min(CODES_PER_WORD);
+            (letters, count)
+        })
     }
 
     /// Every base, one byte each.

@@ -123,7 +123,7 @@ use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::{fasta, Sequence};
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -412,9 +412,14 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let seed: u64 = parse_opt(&mut args, "--seed", 42)?;
     let chroms: usize = parse_opt(&mut args, "--chroms", 1)?;
     reject_leftover_options(&args)?;
-    let prefix = args
-        .first()
+    let (prefix, stray) = args
+        .split_first()
         .ok_or_else(|| format!("generate needs an output prefix\n{USAGE}"))?;
+    if let Some(arg) = stray.first() {
+        return Err(format!(
+            "unexpected argument {arg}: generate takes one <prefix>\n{USAGE}"
+        ));
+    }
     if chroms == 0 {
         return Err("--chroms must be at least 1".into());
     }
@@ -471,9 +476,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         query_records.push(make(format!("chr{}", c + 1), pair.query.sequence));
     }
 
+    // `fasta::write` renders a file whole and writes it at once.
     let write_fa = |path: &str, records: &[fasta::Record]| -> Result<(), String> {
         let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        fasta::write(BufWriter::new(file), records).map_err(|e| format!("{path}: {e}"))
+        fasta::write(file, records).map_err(|e| format!("{path}: {e}"))
     };
     write_fa(&format!("{prefix}.target.fa"), &target_records)?;
     write_fa(&format!("{prefix}.query.fa"), &query_records)?;

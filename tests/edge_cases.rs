@@ -524,6 +524,27 @@ mod cli {
     }
 
     #[test]
+    fn generate_names_a_stray_positional() {
+        let dir = empty_dir("generate-stray");
+        // Used to exit 0 having written `x.*` and ignored `y`.
+        for args in [
+            &["generate", "x", "y", "--len", "100"][..],
+            &["generate", "x", "--len", "100", "y"],
+        ] {
+            let out = wga_in(&dir, args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert_eq!(
+                stderr.lines().next(),
+                Some("error: unexpected argument y: generate takes one <prefix>"),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        }
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+    }
+
+    #[test]
     fn generate_rejects_a_non_finite_or_negative_distance() {
         let dir = empty_dir("generate-distance");
         for bad in ["inf", "nan", "-1"] {
