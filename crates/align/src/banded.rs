@@ -170,7 +170,9 @@ mod tests {
     fn tolerates_small_indels_within_band() {
         let (w, g) = dw();
         // Query has a 3-base deletion relative to target.
-        let t: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGGATCGGATTACA".parse().unwrap();
+        let t: Sequence = "ACGGTCAGTCGATTGCAGTCAGCTAGCTAGGATCGGATTACA"
+            .parse()
+            .unwrap();
         let q: Sequence = "ACGGTCAGTCGAGCAGTCAGCTAGCTAGGATCGGATTACA".parse().unwrap();
         let banded = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 8);
         let full = smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g);
@@ -182,7 +184,9 @@ mod tests {
     fn misses_alignments_outside_band() {
         let (w, g) = dw();
         // 20-base offset: alignment lies on a far diagonal.
-        let t: Sequence = format!("{}{}", "T".repeat(20), "ACGGTCAGTCGA").parse().unwrap();
+        let t: Sequence = format!("{}{}", "T".repeat(20), "ACGGTCAGTCGA")
+            .parse()
+            .unwrap();
         let q: Sequence = "ACGGTCAGTCGA".parse().unwrap();
         let wide = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 32);
         let narrow = banded_smith_waterman(&t.to_bases(), &q.to_bases(), &w, &g, 4);

@@ -233,7 +233,8 @@ mod tests {
         let a = r.alignment.unwrap();
         assert_eq!(a.cigar.count(crate::cigar::AlignOp::Delete), 2);
         assert_eq!(a.matches(), 24);
-        a.validate(&t.parse().unwrap(), &q.parse().unwrap()).unwrap();
+        a.validate(&t.parse().unwrap(), &q.parse().unwrap())
+            .unwrap();
     }
 
     #[test]

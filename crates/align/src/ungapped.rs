@@ -81,7 +81,11 @@ pub fn ungapped_extend(
     // Right from the end of the seed, left from its start.
     let right = diagonal(seed_t + seed_len, seed_q + seed_len);
     let (right_best, right_best_len) = walk_diagonal(right, w, xdrop, &mut cells);
-    let left = target.iter().take(seed_t).rev().zip(query.iter().take(seed_q).rev());
+    let left = target
+        .iter()
+        .take(seed_t)
+        .rev()
+        .zip(query.iter().take(seed_q).rev());
     let (left_best, left_best_len) = walk_diagonal(left, w, xdrop, &mut cells);
 
     let score = seed_score + left_best + right_best;

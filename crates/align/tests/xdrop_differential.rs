@@ -187,7 +187,12 @@ fn homopolymers_and_short_repeats_break_ties_identically() {
     }
     // Scores where a substitution, a gap-open and a gap-extension cost the
     // same, so `>=` against `>` anywhere in the recurrences shows.
-    let w = SubstitutionMatrix::from_table([[2, -2, -2, -2], [-2, 2, -2, -2], [-2, -2, 2, -2], [-2, -2, -2, 2]]);
+    let w = SubstitutionMatrix::from_table([
+        [2, -2, -2, -2],
+        [-2, 2, -2, -2],
+        [-2, -2, 2, -2],
+        [-2, -2, -2, 2],
+    ]);
     let g = GapPenalties::new(1, 1);
     let mut rng = StdRng::seed_from_u64(77);
     for _ in 0..200 {

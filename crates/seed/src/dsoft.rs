@@ -174,7 +174,10 @@ fn walk<E: Copy + Into<u64>>(
     // held, as Darwin's D-SOFT holds them: a hit count per target bin,
     // and the first hit of every bin the chunk has touched — the list
     // that says which counts to read and clear when the chunk ends.
-    let DsoftScratch { bin_counts, first_hits } = scratch;
+    let DsoftScratch {
+        bin_counts,
+        first_hits,
+    } = scratch;
     bin_counts.resize(table.position_end().div_ceil(params.bin_size), 0);
 
     let end = query
@@ -184,7 +187,11 @@ fn walk<E: Copy + Into<u64>>(
     // First multiple of the stride at or after the shard start — the
     // same positions the whole-query walk samples inside this range.
     let mut qpos = qrange.start.div_ceil(params.query_stride) * params.query_stride;
-    let variants = if params.transitions { pattern.weight() } else { 0 };
+    let variants = if params.transitions {
+        pattern.weight()
+    } else {
+        0
+    };
     while qpos < end {
         let chunk_end = (qpos - qpos % params.chunk_size)
             .saturating_add(params.chunk_size)

@@ -75,7 +75,12 @@ impl SeedPattern {
                 }
             }
         }
-        SeedPattern { sampled, span, runs, n_mask }
+        SeedPattern {
+            sampled,
+            span,
+            runs,
+            n_mask,
+        }
     }
 
     /// A contiguous k-mer seed (all positions sampled).
@@ -129,10 +134,12 @@ impl SeedPattern {
 
     /// [`SeedPattern::extract`] for a pattern wider than a packed window.
     fn extract_wide(&self, seq: &Sequence, pos: usize) -> Option<u64> {
-        self.sampled.iter().try_fold(0u64, |word, &off| match seq.get(pos + off)? {
-            Base::N => None,
-            base => Some((word << 2) | u64::from(base.code())),
-        })
+        self.sampled
+            .iter()
+            .try_fold(0u64, |word, &off| match seq.get(pos + off)? {
+                Base::N => None,
+                base => Some((word << 2) | u64::from(base.code())),
+            })
     }
 
     /// The word of every window of `seq`, in position order: what
@@ -140,7 +147,12 @@ impl SeedPattern {
     /// positions where it returns `None`.
     pub fn words<'a>(&'a self, seq: &'a Sequence) -> Words<'a> {
         let windows = (seq.len() + 1).saturating_sub(self.span);
-        Words { pattern: self, seq, pos: 0, windows }
+        Words {
+            pattern: self,
+            seq,
+            pos: 0,
+            windows,
+        }
     }
 
     /// `exact` with the base in its 2-bit field `field` (0 is the last
@@ -215,7 +227,8 @@ impl Iterator for Words<'_> {
             return acc;
         }
         for block in (self.pos..self.windows).step_by(32) {
-            let ((mut codes, mut ns), (mut next_codes, mut next_ns)) = (self.seq.packed(block), self.seq.packed(block + 32));
+            let ((mut codes, mut ns), (mut next_codes, mut next_ns)) =
+                (self.seq.packed(block), self.seq.packed(block + 32));
             for pos in block..self.windows.min(block + 32) {
                 if let Some(word) = self.pattern.gather(codes, ns) {
                     acc = f(acc, (pos, word));
@@ -261,7 +274,10 @@ impl FromStr for SeedPattern {
 /// parameter fingerprint hashes this rendering, so it must not move.
 impl fmt::Debug for SeedPattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SeedPattern").field("sampled", &self.sampled).field("span", &self.span).finish()
+        f.debug_struct("SeedPattern")
+            .field("sampled", &self.sampled)
+            .field("span", &self.span)
+            .finish()
     }
 }
 
@@ -383,7 +399,11 @@ mod tests {
             let mut mutated = s.to_bases();
             mutated[off] = mutated[off].transition_partner();
             let variant = SeedPattern::transition_variant(exact, p.weight() - 1 - k);
-            assert_eq!(variant, p.extract(&mutated.into(), 0).unwrap(), "variant {k}");
+            assert_eq!(
+                variant,
+                p.extract(&mutated.into(), 0).unwrap(),
+                "variant {k}"
+            );
         }
     }
 

@@ -116,8 +116,17 @@ impl Directory<'_> {
         let Ok(hit) = bucket.binary_search_by(|entry| run_of(entry).cmp(&run)) else {
             return &[];
         };
-        let from = hit - bucket[..hit].iter().rev().take_while(|entry| run_of(entry) == run).count();
-        let to = hit + bucket[hit..].iter().take_while(|entry| run_of(entry) == run).count();
+        let from = hit
+            - bucket[..hit]
+                .iter()
+                .rev()
+                .take_while(|entry| run_of(entry) == run)
+                .count();
+        let to = hit
+            + bucket[hit..]
+                .iter()
+                .take_while(|entry| run_of(entry) == run)
+                .count();
         &bucket[from..to]
     }
 
@@ -150,7 +159,9 @@ impl SeedTable {
     /// what an uncapped table keeps: 4 B a window for the default seed,
     /// plus at most half a byte a window of directory.
     pub fn build(target: &Sequence, pattern: &SeedPattern, max_occurrences: usize) -> SeedTable {
-        let windows = (target.len() + 1).saturating_sub(pattern.span()).min(MAX_TARGET_LEN);
+        let windows = (target.len() + 1)
+            .saturating_sub(pattern.span())
+            .min(MAX_TARGET_LEN);
 
         let word_bits = 2 * pattern.weight() as u32;
         let pos_bits = windows.next_power_of_two().trailing_zeros();
@@ -166,14 +177,31 @@ impl SeedTable {
 
         // bounds[p] is where bucket p's stretch of the sorted run starts.
         let mut bounds = vec![0u32; (1usize << directory_bits) + 1];
-        indexed_words(pattern, target).for_each(|(_, word)| bounds[(word >> key_bits) as usize + 1] += 1);
+        indexed_words(pattern, target)
+            .for_each(|(_, word)| bounds[(word >> key_bits) as usize + 1] += 1);
         accumulate(&mut bounds);
 
         let widths = (key_bits, pos_bits);
         if key_bits + pos_bits <= u32::BITS {
-            assemble(pattern, target, max_occurrences, bounds, widths, |entry| entry as u32, Entries::Narrow)
+            assemble(
+                pattern,
+                target,
+                max_occurrences,
+                bounds,
+                widths,
+                |entry| entry as u32,
+                Entries::Narrow,
+            )
         } else {
-            assemble(pattern, target, max_occurrences, bounds, widths, |entry| entry, Entries::Wide)
+            assemble(
+                pattern,
+                target,
+                max_occurrences,
+                bounds,
+                widths,
+                |entry| entry,
+                Entries::Wide,
+            )
         }
     }
 
@@ -199,7 +227,9 @@ impl SeedTable {
             Entries::Wide(entries) => (&[], directory.run(entries, word)),
         };
         (0..narrow.len() + wide.len()).map(move |i| {
-            let entry = narrow.get(i).map_or_else(|| wide[i], |&entry| u64::from(entry));
+            let entry = narrow
+                .get(i)
+                .map_or_else(|| wide[i], |&entry| u64::from(entry));
             (entry & directory.position_mask()) as u32
         })
     }
@@ -293,7 +323,10 @@ fn assemble<E: Copy + Ord + Into<u64>>(
         // A run of equal keys is one word: it cannot leave its bucket.
         while start < end {
             let key = key_of(entries[start]);
-            let run = entries[start..end].iter().take_while(|&&next| key_of(next) == key).count();
+            let run = entries[start..end]
+                .iter()
+                .take_while(|&&next| key_of(next) == key)
+                .count();
             if run > max_occurrences {
                 dropped_repeats += run as u64;
             } else {
@@ -396,7 +429,9 @@ mod tests {
             let mut state = len as u64;
             (0..len)
                 .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     genome::Base::from_code((state >> 33) as u8 % 4)
                 })
                 .collect()
@@ -421,16 +456,28 @@ mod tests {
             let target = lcg_dna(windows + pattern.span() - 1);
             let table = SeedTable::build(&target, &pattern, usize::MAX);
             let label = format!("{pattern} over {windows} windows");
-            assert_eq!(table.pos_bits, windows.next_power_of_two().trailing_zeros(), "{label}");
+            assert_eq!(
+                table.pos_bits,
+                windows.next_power_of_two().trailing_zeros(),
+                "{label}"
+            );
             assert_eq!(table.directory.len(), (1 << directory_bits) + 1, "{label}");
-            assert_eq!(table.key_bits, 2 * pattern.weight() as u32 - directory_bits, "{label}");
+            assert_eq!(
+                table.key_bits,
+                2 * pattern.weight() as u32 - directory_bits,
+                "{label}"
+            );
             let (bytes, entries) = match &table.entries {
                 Entries::Narrow(entries) => (4, entries.len()),
                 Entries::Wide(entries) => (8, entries.len()),
             };
             assert_eq!(bytes, entry_bytes, "{label}");
             assert_eq!(entries, windows, "one entry a window");
-            assert_eq!(table.heap_bytes(), entry_bytes * windows + 4 * ((1 << directory_bits) + 1), "{label}");
+            assert_eq!(
+                table.heap_bytes(),
+                entry_bytes * windows + 4 * ((1 << directory_bits) + 1),
+                "{label}"
+            );
         }
     }
 
@@ -439,14 +486,18 @@ mod tests {
         // One window per `N`-separated 6-mer. A 12-bit word behind an
         // 8-bit directory: the first four bases pick the bucket, the last
         // two are the key, above the 6 bits of a position of 57 windows.
-        let t: Sequence = "AAAATT N CCCCGG N AAAAAA N AAAAAC N CCCCGG N AAAATT N AAAAAA N CCCCGG N GGGGGG"
-            .replace(' ', "")
-            .parse()
-            .unwrap();
+        let t: Sequence =
+            "AAAATT N CCCCGG N AAAAAA N AAAAAC N CCCCGG N AAAATT N AAAAAA N CCCCGG N GGGGGG"
+                .replace(' ', "")
+                .parse()
+                .unwrap();
         let p = SeedPattern::exact(6);
         let word = |kmer: &str| p.extract(&kmer.parse().unwrap(), 0).unwrap();
         let table = SeedTable::build(&t, &p, usize::MAX);
-        assert_eq!((table.key_bits, table.pos_bits, table.distinct_words()), (4, 6, 5));
+        assert_eq!(
+            (table.key_bits, table.pos_bits, table.distinct_words()),
+            (4, 6, 5)
+        );
         let Entries::Narrow(entries) = &table.entries else {
             panic!("10 bits of entry are a u32");
         };
@@ -454,12 +505,24 @@ mod tests {
             let prefix = (word(&format!("{prefix}AA")) >> 4) as usize;
             let range = table.directory[prefix] as usize..table.directory[prefix + 1] as usize;
             let split = |entry: &u32| (entry >> 6, entry & 0b11_1111);
-            entries[range].iter().map(split).unzip::<_, _, Vec<u32>, Vec<u32>>()
+            entries[range]
+                .iter()
+                .map(split)
+                .unzip::<_, _, Vec<u32>, Vec<u32>>()
         };
         // A run that opens its bucket, one that closes it, one between…
-        assert_eq!(bucket("AAAA"), (vec![0b0000, 0b0000, 0b0001, 0b1111, 0b1111], vec![14, 42, 21, 0, 35]));
+        assert_eq!(
+            bucket("AAAA"),
+            (
+                vec![0b0000, 0b0000, 0b0001, 0b1111, 0b1111],
+                vec![14, 42, 21, 0, 35]
+            )
+        );
         // …and one that is all of it.
-        assert_eq!(bucket("CCCC"), (vec![0b1010, 0b1010, 0b1010], vec![7, 28, 49]));
+        assert_eq!(
+            bucket("CCCC"),
+            (vec![0b1010, 0b1010, 0b1010], vec![7, 28, 49])
+        );
         assert_eq!(lookup(&table, word("AAAAAA")), [14, 42]);
         assert_eq!(lookup(&table, word("AAAAAC")), [21]);
         assert_eq!(lookup(&table, word("AAAATT")), [0, 35]);

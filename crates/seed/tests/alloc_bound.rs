@@ -123,7 +123,11 @@ const KIB: usize = 1024;
 /// Directory bits of the default seed's table over `windows` windows:
 /// ⌈log2 windows⌉ − 4, at least 8 — 8 to 16 windows a bucket.
 fn directory_bits(windows: usize) -> u32 {
-    windows.next_power_of_two().trailing_zeros().saturating_sub(4).max(8)
+    windows
+        .next_power_of_two()
+        .trailing_zeros()
+        .saturating_sub(4)
+        .max(8)
 }
 
 /// The most the default seed's table over `windows` windows keeps: a
@@ -159,9 +163,17 @@ fn table_keeps_4_bytes_a_window_behind_a_directory_of_8_to_16_windows_a_bucket()
         assert_eq!(table.positions_indexed() as usize, windows);
         assert_eq!(directory_bits(windows), bits);
         // Nothing is dropped: every window is an entry.
-        assert_eq!(table.heap_bytes(), table_bound(windows), "{windows} windows");
+        assert_eq!(
+            table.heap_bytes(),
+            table_bound(windows),
+            "{windows} windows"
+        );
         // `heap_bytes` is the table's heap to the byte.
-        assert_eq!(built.retained, table.heap_bytes() + cloned, "{windows} windows");
+        assert_eq!(
+            built.retained,
+            table.heap_bytes() + cloned,
+            "{windows} windows"
+        );
         eprintln!(
             "build: {:.2} B/window resident, {:.2} B/window peak, {windows} windows of {} distinct words",
             built.retained as f64 / windows as f64,
@@ -209,21 +221,43 @@ fn poly_a_a_crowded_bucket_repeats_and_random_sequence_cost_alike() {
     let random = random_dna(len, 47);
     let random = measure(|| SeedTable::build(&random, &pattern, usize::MAX));
     assert_eq!(random.value.positions_indexed() as usize, windows);
-    assert!(random.peak <= table_bound(windows) + pattern_bytes(&pattern), "{} B", random.peak);
-    let crowds = [("sprinkled", sprinkled, windows / 8), ("poly-A", pure, windows), ("repeats", repeats, 0)];
+    assert!(
+        random.peak <= table_bound(windows) + pattern_bytes(&pattern),
+        "{} B",
+        random.peak
+    );
+    let crowds = [
+        ("sprinkled", sprinkled, windows / 8),
+        ("poly-A", pure, windows),
+        ("repeats", repeats, 0),
+    ];
     for (name, target, crowd) in crowds {
         let built = measure(|| SeedTable::build(&target, &pattern, usize::MAX));
-        assert!(built.value.lookup(0).len() >= crowd, "{name}: the poly-A word crowds bucket 0");
+        assert!(
+            built.value.lookup(0).len() >= crowd,
+            "{name}: the poly-A word crowds bucket 0"
+        );
         let words = built.value.distinct_words();
         if name == "repeats" {
-            assert!((7_490..=7_500).contains(&words), "{name}: {words} distinct words");
+            assert!(
+                (7_490..=7_500).contains(&words),
+                "{name}: {words} distinct words"
+            );
         }
         eprintln!(
             "{name}: {} B resident, {} B peak for {windows} windows of {words} words; random: {} B, {} B",
             built.retained, built.peak, random.retained, random.peak
         );
-        assert_eq!(built.value.heap_bytes(), random.value.heap_bytes(), "{name}");
-        assert_eq!((built.retained, built.peak), (random.retained, random.peak), "{name}");
+        assert_eq!(
+            built.value.heap_bytes(),
+            random.value.heap_bytes(),
+            "{name}"
+        );
+        assert_eq!(
+            (built.retained, built.peak),
+            (random.retained, random.peak),
+            "{name}"
+        );
     }
 }
 

@@ -58,7 +58,9 @@ impl SeedTable {
         let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
         let slice = &target.to_bases();
         let mut positions_indexed = 0u64;
-        let end = target.len().saturating_sub(pattern.span().saturating_sub(1));
+        let end = target
+            .len()
+            .saturating_sub(pattern.span().saturating_sub(1));
         for pos in 0..end {
             if let Some(word) = extract(pattern, slice, pos) {
                 index.entry(word).or_default().push(pos as u32);

@@ -31,9 +31,9 @@ use genome::{Base, Sequence};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::RangeInclusive;
 use seed::dsoft::{dsoft_seeds, dsoft_seeds_range, merge_dsoft_results, DsoftParams};
 use seed::{SeedPattern, SeedTable};
+use std::ops::RangeInclusive;
 
 /// Random bases, an `N` run (shorter than the spans or longer), or a
 /// short unit repeated (homopolymers,
@@ -59,9 +59,14 @@ fn messy_dna(max_segments: usize) -> impl Strategy<Value = Sequence> {
 /// same word and key widths over a wider window.
 fn spaced(weight: usize, gap: usize) -> SeedPattern {
     let (left, right) = (weight / 2, weight - weight / 2);
-    format!("{}{}{}", "1".repeat(left), "0".repeat(gap), "1".repeat(right))
-        .parse()
-        .expect("a pattern")
+    format!(
+        "{}{}{}",
+        "1".repeat(left),
+        "0".repeat(gap),
+        "1".repeat(right)
+    )
+    .parse()
+    .expect("a pattern")
 }
 
 /// Narrow words (the directory covers every bit), the default spaced
@@ -127,7 +132,9 @@ fn probe_words(sequence: &Sequence, pattern: &SeedPattern) -> Vec<u64> {
     let neighbours: Vec<u64> = words
         .iter()
         .step_by(7)
-        .flat_map(|&word| (0..pattern.weight()).map(move |field| SeedPattern::transition_variant(word, field)))
+        .flat_map(|&word| {
+            (0..pattern.weight()).map(move |field| SeedPattern::transition_variant(word, field))
+        })
         .collect();
     words.extend(neighbours);
     let word_bits = 2 * pattern.weight();
@@ -229,9 +236,19 @@ fn generated_cases_exercise_bands_and_the_repeat_cap() {
 /// What [`SeedTable::build`] must share with the oracle's table of the
 /// same target: the three counts, the slice behind every probe word, and
 /// the end of the positions.
-fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, pattern: &SeedPattern, cap: usize, label: &str) -> SeedTable {
+fn assert_answers_like(
+    oracle: &hash_oracle::SeedTable,
+    target: &Sequence,
+    pattern: &SeedPattern,
+    cap: usize,
+    label: &str,
+) -> SeedTable {
     let table = SeedTable::build(target, pattern, cap);
-    assert_eq!(table.positions_indexed(), oracle.positions_indexed(), "{label}");
+    assert_eq!(
+        table.positions_indexed(),
+        oracle.positions_indexed(),
+        "{label}"
+    );
     assert_eq!(table.dropped_repeats(), oracle.dropped_repeats(), "{label}");
     assert_eq!(table.distinct_words(), oracle.distinct_words(), "{label}");
     let mut largest = None;
@@ -240,7 +257,11 @@ fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, patte
         assert_eq!(found, oracle.lookup(word), "{label}: word {word:#x}");
         largest = largest.max(found.last().copied());
     }
-    assert_eq!(table.position_end(), largest.map_or(0, |pos| pos as usize + 1), "{label}");
+    assert_eq!(
+        table.position_end(),
+        largest.map_or(0, |pos| pos as usize + 1),
+        "{label}"
+    );
     table
 }
 
@@ -254,7 +275,9 @@ fn assert_answers_like(oracle: &hash_oracle::SeedTable, target: &Sequence, patte
 fn seam_targets() -> Vec<Vec<Base>> {
     let mut rng = StdRng::seed_from_u64(7);
     let mut random = |len: usize| -> Vec<Base> {
-        (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect()
+        (0..len)
+            .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+            .collect()
     };
     let spoil = |mut bases: Vec<Base>, at: &mut dyn Iterator<Item = usize>| {
         for at in at {
@@ -270,8 +293,14 @@ fn seam_targets() -> Vec<Vec<Base>> {
         for rest in [0usize, 1, 31, 32, 33, 63, 64, 65] {
             let len = 64 * words + rest;
             targets.push(random(len));
-            targets.push(spoil(random(len), &mut [0, len.saturating_sub(1)].into_iter()));
-            targets.push(spoil(random(len), &mut (1..=len / 32 + 1).flat_map(|seam| [32 * seam - 1, 32 * seam])));
+            targets.push(spoil(
+                random(len),
+                &mut [0, len.saturating_sub(1)].into_iter(),
+            ));
+            targets.push(spoil(
+                random(len),
+                &mut (1..=len / 32 + 1).flat_map(|seam| [32 * seam - 1, 32 * seam]),
+            ));
             for run in [1usize, 19, 40, 700] {
                 targets.push(spoil(random(len), &mut (59..59 + run)));
             }
@@ -295,7 +324,10 @@ fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
         format!("1{}1", "0".repeat(31)).parse().unwrap(),
         wide.parse().unwrap(),
     ];
-    assert_eq!(patterns.iter().map(SeedPattern::span).collect::<Vec<_>>(), [19, 4, 31, 32, 33, 40]);
+    assert_eq!(
+        patterns.iter().map(SeedPattern::span).collect::<Vec<_>>(),
+        [19, 4, 31, 32, 33, 40]
+    );
     let targets = seam_targets();
     for pattern in &patterns {
         let mut with_n = 0;
@@ -304,7 +336,12 @@ fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
             let mut expected = Vec::new();
             for pos in 0..bases.len() + 3 {
                 let word = hash_oracle::extract(pattern, bases, pos);
-                assert_eq!(pattern.extract(&packed, pos), word, "{pattern} at {pos} of {}", bases.len());
+                assert_eq!(
+                    pattern.extract(&packed, pos),
+                    word,
+                    "{pattern} at {pos} of {}",
+                    bases.len()
+                );
                 expected.extend(word.map(|word| (pos, word)));
             }
             with_n += usize::from(expected.len() + pattern.span() <= bases.len());
@@ -314,12 +351,25 @@ fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
             let stepped: Vec<(usize, u64)> = words.by_ref().take(3).collect();
             let mut rest = Vec::new();
             words.for_each(|word| rest.push(word));
-            assert_eq!([stepped, rest].concat(), expected, "{pattern} over {} bases", bases.len());
+            assert_eq!(
+                [stepped, rest].concat(),
+                expected,
+                "{pattern} over {} bases",
+                bases.len()
+            );
             let mut whole = Vec::new();
             pattern.words(&packed).for_each(|word| whole.push(word));
-            assert_eq!(whole, expected, "{pattern} over {} bases, rolled", bases.len());
+            assert_eq!(
+                whole,
+                expected,
+                "{pattern} over {} bases, rolled",
+                bases.len()
+            );
         }
-        assert!(with_n >= 100, "{pattern}: an `N` cost only {with_n} targets a window");
+        assert!(
+            with_n >= 100,
+            "{pattern}: an `N` cost only {with_n} targets a window"
+        );
     }
 }
 
@@ -331,8 +381,19 @@ fn packed_extract_and_words_equal_the_bytewise_extract_at_every_position() {
 fn layout(pattern: &SeedPattern, windows: usize) -> (u32, usize) {
     let word_bits = 2 * pattern.weight() as u32;
     let pos_bits = windows.next_power_of_two().trailing_zeros();
-    let directory_bits = pos_bits.saturating_sub(4).max(8).max((word_bits + pos_bits).saturating_sub(64)).min(word_bits);
-    (directory_bits, if word_bits - directory_bits + pos_bits <= 32 { 4 } else { 8 })
+    let directory_bits = pos_bits
+        .saturating_sub(4)
+        .max(8)
+        .max((word_bits + pos_bits).saturating_sub(64))
+        .min(word_bits);
+    (
+        directory_bits,
+        if word_bits - directory_bits + pos_bits <= 32 {
+            4
+        } else {
+            8
+        },
+    )
 }
 
 /// Tables of `2^k − 1`, `2^k` and `2^k + 1` windows for every `k` of
@@ -362,15 +423,20 @@ fn directory_and_position_edges(ks: RangeInclusive<u32>, spoiled_ks: RangeInclus
         for windows in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
             for (pattern, cap) in &patterns {
                 let mut rng = StdRng::seed_from_u64(64 * windows as u64 + pattern.weight() as u64);
-                let clean: Sequence =
-                    (0..windows + pattern.span() - 1).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+                let clean: Sequence = (0..windows + pattern.span() - 1)
+                    .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+                    .collect();
                 let (bits, entry_bytes) = layout(pattern, windows);
                 let label = format!("{pattern} over {windows} windows, cap {cap}, {bits}-bit directory, {entry_bytes} B entries");
                 let oracle = hash_oracle::SeedTable::build(&clean, pattern, *cap);
                 assert_eq!(oracle.positions_indexed(), windows as u64, "{label}");
                 let table = assert_answers_like(&oracle, &clean, pattern, *cap, &label);
                 let kept = windows - table.dropped_repeats() as usize;
-                assert_eq!(table.heap_bytes(), entry_bytes * kept + 4 * ((1 << bits) + 1), "{label}");
+                assert_eq!(
+                    table.heap_bytes(),
+                    entry_bytes * kept + 4 * ((1 << bits) + 1),
+                    "{label}"
+                );
                 if table.dropped_repeats() == 0 {
                     assert_eq!(table.position_end(), windows, "{label}: the last window");
                 }
@@ -378,7 +444,13 @@ fn directory_and_position_edges(ks: RangeInclusive<u32>, spoiled_ks: RangeInclus
                     let target = spoiled(&clean, pattern.span());
                     let oracle = hash_oracle::SeedTable::build(&target, pattern, (*cap).min(1000));
                     assert!(oracle.positions_indexed() < windows as u64);
-                    assert_answers_like(&oracle, &target, pattern, (*cap).min(1000), &format!("spoiled, {label}"));
+                    assert_answers_like(
+                        &oracle,
+                        &target,
+                        pattern,
+                        (*cap).min(1000),
+                        &format!("spoiled, {label}"),
+                    );
                 }
             }
         }
@@ -394,7 +466,10 @@ fn every_directory_and_position_width_answers_like_the_hash_table() {
 /// 17-bit directory), spoiled at 2^17: the release job runs it, a debug
 /// build skips it.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "minutes in a debug build; the release job runs it")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "minutes in a debug build; the release job runs it"
+)]
 fn directory_and_position_widths_past_2_16_windows_answer_like_the_hash_table() {
     directory_and_position_edges(17..=20, 17..=17);
 }
@@ -412,19 +487,40 @@ fn bucket_edges_target(pattern: &SeedPattern, run: usize, positions: usize, seed
     let span = pattern.span();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut random = |n: usize| -> Vec<Base> {
-        (0..n).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect()
+        (0..n)
+            .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+            .collect()
     };
     let unit = random(span + 4);
     let mut bases = vec![Base::A; span + run - 1];
     bases.push(Base::C);
     bases.extend(random(3));
-    bases.extend([Base::A, Base::C, Base::G, Base::T].iter().cycle().take(span + 4 * run));
+    bases.extend(
+        [Base::A, Base::C, Base::G, Base::T]
+            .iter()
+            .cycle()
+            .take(span + 4 * run),
+    );
     bases.push(Base::N);
-    bases.extend(unit.iter().chain(&random(2)).chain(&unit).chain(&random(1)).chain(&unit));
+    bases.extend(
+        unit.iter()
+            .chain(&random(2))
+            .chain(&unit)
+            .chain(&random(1))
+            .chain(&unit),
+    );
     bases.push(Base::G);
     bases.extend(vec![Base::T; span + run - 1]);
-    let windows = |bases: &[Base]| (0..bases.len()).filter_map(|pos| hash_oracle::extract(pattern, bases, pos)).count();
-    assert!(windows(&bases) <= positions, "{} windows before padding", windows(&bases));
+    let windows = |bases: &[Base]| {
+        (0..bases.len())
+            .filter_map(|pos| hash_oracle::extract(pattern, bases, pos))
+            .count()
+    };
+    assert!(
+        windows(&bases) <= positions,
+        "{} windows before padding",
+        windows(&bases)
+    );
     // Padding goes in front, so poly-T still ends the target.
     let mut padded = random(positions - windows(&bases));
     padded.push(Base::C);
@@ -466,9 +562,15 @@ fn every_entry_width_answers_like_the_hash_table() {
     for (k, positions, entry_bytes) in widths {
         for pattern in [SeedPattern::exact(k), spaced(k, 12)] {
             let edges = bucket_edges_target(&pattern, RUN, positions, k as u64);
-            for (name, target) in [("spoiled", spoiled(&edges, pattern.span())), ("edges", edges)] {
+            for (name, target) in [
+                ("spoiled", spoiled(&edges, pattern.span())),
+                ("edges", edges),
+            ] {
                 let (bits, bytes) = layout(&pattern, target.len() + 1 - pattern.span());
-                assert_eq!(bytes, entry_bytes, "{pattern}, {name}, {positions} positions");
+                assert_eq!(
+                    bytes, entry_bytes,
+                    "{pattern}, {name}, {positions} positions"
+                );
                 let query = related_query(&target, 7 * k as u64);
                 let uncapped = hash_oracle::SeedTable::build(&target, &pattern, usize::MAX);
                 let poly_a = uncapped.lookup(0).len();
@@ -481,8 +583,13 @@ fn every_entry_width_answers_like_the_hash_table() {
                 let run = poly_a.max(RUN);
                 for cap in [1, run, run - 1, usize::MAX] {
                     let oracle = hash_oracle::SeedTable::build(&target, &pattern, cap);
-                    assert_eq!(oracle.lookup(0).len(), if cap >= poly_a { poly_a } else { 0 });
-                    let label = format!("{pattern}, {name}, {bits}-bit directory, {bytes} B entries, cap {cap}");
+                    assert_eq!(
+                        oracle.lookup(0).len(),
+                        if cap >= poly_a { poly_a } else { 0 }
+                    );
+                    let label = format!(
+                        "{pattern}, {name}, {bits}-bit directory, {bytes} B entries, cap {cap}"
+                    );
                     let table = assert_answers_like(&oracle, &target, &pattern, cap, &label);
                     for transitions in [false, true] {
                         let params = DsoftParams {
@@ -494,7 +601,12 @@ fn every_entry_width_answers_like_the_hash_table() {
                         };
                         assert_eq!(
                             dsoft_seeds(&table, &query, &params),
-                            hash_oracle::dsoft_seeds_range(&oracle, &query, &params, 0..query.len()),
+                            hash_oracle::dsoft_seeds_range(
+                                &oracle,
+                                &query,
+                                &params,
+                                0..query.len()
+                            ),
                             "{label}, transitions {transitions}"
                         );
                     }
@@ -523,7 +635,9 @@ fn targets_about_the_span_answer_like_the_hash_table() {
         let span = pattern.span();
         for len in [0, 1, span - 1, span, span + 1, 2 * span] {
             let mut rng = StdRng::seed_from_u64((span * 100 + len) as u64);
-            let clean: Vec<Base> = (0..len).map(|_| Base::from_code(rng.gen_range(0u8..4))).collect();
+            let clean: Vec<Base> = (0..len)
+                .map(|_| Base::from_code(rng.gen_range(0u8..4)))
+                .collect();
             for (n_first, n_last) in [(false, false), (true, false), (false, true), (true, true)] {
                 let mut bases = clean.clone();
                 if let [first, .., last] = &mut bases[..] {
@@ -545,7 +659,13 @@ fn targets_about_the_span_answer_like_the_hash_table() {
                 let table = assert_answers_like(&oracle, &target, pattern, usize::MAX, &label);
                 let query: Sequence = clean.iter().chain(&clean).copied().collect();
                 for transitions in [false, true] {
-                    let params = DsoftParams { chunk_size: 8, bin_size: 8, threshold: 1, transitions, query_stride: 1 };
+                    let params = DsoftParams {
+                        chunk_size: 8,
+                        bin_size: 8,
+                        threshold: 1,
+                        transitions,
+                        query_stride: 1,
+                    };
                     assert_eq!(
                         dsoft_seeds(&table, &query, &params),
                         hash_oracle::dsoft_seeds_range(&oracle, &query, &params, 0..query.len()),
