@@ -133,8 +133,6 @@ pub struct Lineage {
 /// A complete synthetic species pair with ground truth.
 #[derive(Debug, Clone)]
 pub struct SyntheticPair {
-    /// The ancestral sequence.
-    pub ancestor: Sequence,
     /// Conserved elements in ancestral coordinates.
     pub ancestral_conserved: Vec<Interval>,
     /// The "target" descendant (lineage A).
@@ -166,7 +164,7 @@ impl SyntheticPair {
         rng: &mut R,
     ) -> SyntheticPair {
         let model = MarkovModel::genome_like();
-        // A byte a base while the lineages read it, packed once after.
+        // A byte a base, and only while the two lineages read it.
         let mut ancestor = Vec::new();
         model.generate_into(&mut ancestor, len, rng);
         let conserved = place_conserved_elements(len, params, rng);
@@ -175,10 +173,8 @@ impl SyntheticPair {
         let mut bases = Vec::new();
         let target = evolve_lineage(&ancestor, &conserved, params, &model, &mut bases, rng);
         let query = evolve_lineage(&ancestor, &conserved, params, &model, &mut bases, rng);
-        // Gone before the ancestor is packed, which is the last peak.
-        drop(bases);
+        drop((ancestor, bases));
         SyntheticPair {
-            ancestor: Sequence::from_bases(ancestor),
             ancestral_conserved: conserved,
             target,
             query,

@@ -201,8 +201,10 @@ fn an_unevolved_pair_draws_three_rolls_a_base_a_lineage() {
     };
     let mut rng = Counted(StdRng::seed_from_u64(8), 0);
     let pair = SyntheticPair::generate(len as usize, &params, &mut rng);
-    assert_eq!(pair.target.sequence, pair.ancestor);
-    assert_eq!(pair.query.sequence, pair.ancestor);
+    // The ancestor is the first thing drawn: the same seed's chain.
+    let ancestor = MarkovModel::genome_like().generate(len as usize, &mut StdRng::seed_from_u64(8));
+    assert_eq!(pair.target.sequence, ancestor);
+    assert_eq!(pair.query.sequence, ancestor);
     assert_eq!(
         (pair.target.indel_events, pair.target.substitutions),
         (0, 0)
