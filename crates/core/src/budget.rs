@@ -9,7 +9,7 @@
 //! through `stages::seed_lane`, so the truncation arithmetic and the
 //! [`RunEvent::BudgetExceeded`] records cannot drift apart — and of how
 //! a strand that is never held whole still keeps exactly the prefix
-//! those rules name ([`SmallestHits`]).
+//! those rules name (`SmallestHits`).
 
 use crate::config::{ResourceBudget, WgaParams};
 use crate::report::{BudgetKind, RunEvent, StageKind};

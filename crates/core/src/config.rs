@@ -211,7 +211,7 @@ pub struct WgaParams {
     /// Per-run resource budgets (unbounded by default).
     pub budget: ResourceBudget,
     /// Bases per query range — the unit a strand is seeded and
-    /// filtered in on every schedule (see [`crate::shard`]). Purely a
+    /// filtered in on every schedule (see the `shard` module). Purely a
     /// performance knob: canonical output is byte-identical for every
     /// size. Cuts are rounded up to whole D-SOFT chunks so
     /// diagonal-band counts never split across ranges.
@@ -260,7 +260,7 @@ impl WgaParams {
     /// as [`WgaParams::darwin_wga`], so any sensitivity difference between
     /// the two pipelines is attributable to the filtering stage alone —
     /// the controlled comparison behind the paper's Table III claim that
-    /// "the added sensitivity can be completely attributed to [the]
+    /// "the added sensitivity can be completely attributed to \[the\]
     /// gapped filtering stage" (§VI-B). [`ExtensionStage::Ydrop`] is the
     /// untiled software extension LASTZ actually ships.
     pub fn lastz_baseline() -> WgaParams {

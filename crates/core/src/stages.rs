@@ -8,7 +8,7 @@
 //! (`row_seed_table`, `Journals`, `fold_pair`) each exist once, and the
 //! thread count picks one of two *schedules* over them, both walking one
 //! pair matrix (`genome_pipeline::PairMatrix`). The unit between seeding
-//! and filtering is one query range ([`QueryRanges`]) on both: no
+//! and filtering is one query range (`QueryRanges`) on both: no
 //! schedule holds a strand's hits.
 //!
 //! | step | 1 thread ([`crate::pipeline::run_pair`]) | N threads ([`crate::dataflow`]) |

@@ -66,7 +66,7 @@ impl Interval {
 /// Maps ancestral coordinates to descendant coordinates.
 ///
 /// One `u32` an ancestral base: the descendant position at which base `i`
-/// survives (possibly substituted), or [`DELETED`]. Positions are strictly
+/// survives (possibly substituted), or `DELETED` (`u32::MAX`). Positions are strictly
 /// increasing over the surviving entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoordinateMap {
@@ -79,7 +79,7 @@ pub struct CoordinateMap {
 pub(crate) const DELETED: u32 = u32::MAX;
 
 impl CoordinateMap {
-    /// The longest descendant a map addresses: positions below [`DELETED`].
+    /// The longest descendant a map addresses: positions below `u32::MAX`.
     pub const MAX_DESCENDANT_LEN: usize = DELETED as usize - 1;
 
     /// Builds a map from one entry an ancestral base, [`DELETED`] for a

@@ -177,7 +177,7 @@ pub fn read_sized<R: BufRead>(mut reader: R, byte_len: usize) -> Result<Vec<Reco
 
 /// Writes records as FASTA with 70-column wrapping. The text is laid out
 /// from the sequences' packed planes straight into one buffer of
-/// [`CHUNK`] bytes, handed to `writer` in one `write_all` each time it
+/// `CHUNK` bytes, handed to `writer` in one `write_all` each time it
 /// fills: an unbuffered `File` is a write every 64 KiB, not one a line,
 /// and nothing as long as the sequence is held besides the sequence.
 ///
