@@ -58,18 +58,6 @@ impl TilingParams {
         }
     }
 
-    /// The untiled software Y-drop extension of the LASTZ-like baseline:
-    /// same scoring and drop rule as GACT-X, in a tile large enough that
-    /// genome-scale extensions rarely need more than a few.
-    pub fn ydrop(y: i64) -> TilingParams {
-        TilingParams {
-            tile_size: 8192,
-            overlap: 256,
-            y,
-            edge_traceback: false,
-        }
-    }
-
     /// Validates parameter sanity, once per extension: the tile geometry,
     /// and that a full tile under this scoring stays inside the kernel's
     /// 32-bit scores (see [`scores_fit_i32`]), so no tile has to fall back
@@ -629,40 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn ydrop_and_gactx_find_equivalent_alignments() {
-        let (w, g) = dw();
-        let mut rng = StdRng::seed_from_u64(7);
-        let t = random_seq(2000, &mut rng);
-        let q: Sequence = t
-            .iter()
-            .map(|b| {
-                if rng.gen::<f64>() < 0.08 {
-                    Base::from_code(rng.gen_range(0..4u8))
-                } else {
-                    b
-                }
-            })
-            .collect();
-        let ydrop = TilingParams::ydrop(9430);
-        let ydrop = extend_alignment(&t, &q, 1000, 1000, &w, &g, &ydrop).unwrap();
-        let gactx = TilingParams::gactx_default();
-        let gactx = extend_alignment(&t, &q, 1000, 1000, &w, &g, &gactx).unwrap();
-        let ratio = ydrop.alignment.matches() as f64 / gactx.alignment.matches() as f64;
-        assert!(
-            (0.95..=1.05).contains(&ratio),
-            "y-drop {} vs gact-x {}",
-            ydrop.alignment.matches(),
-            gactx.alignment.matches()
-        );
-    }
-
-    #[test]
-    fn ydrop_returns_none_on_garbage_anchor() {
+    fn returns_none_on_garbage_anchor() {
         let (w, g) = dw();
         let t: Sequence = "AAAAAAAAAA".parse().unwrap();
         let q: Sequence = "CCCCCCCCCC".parse().unwrap();
-        let ydrop = TilingParams::ydrop(9430);
-        assert!(extend_alignment(&t, &q, 5, 5, &w, &g, &ydrop).is_none());
+        let gactx = TilingParams::gactx_default();
+        assert!(extend_alignment(&t, &q, 5, 5, &w, &g, &gactx).is_none());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * the *extension* algorithms — [`xdrop`] (the per-tile X-drop kernel)
 //!   and [`gactx`] (GACT-X tiled extension, the paper's contribution),
 //!   whose tiling parameters also give the prior Darwin algorithm GACT
-//!   that Fig. 10 compares against and the LASTZ baseline's untiled
-//!   Y-drop extension.
+//!   that Fig. 10 compares against.
 //!
 //! # Quick start
 //!

@@ -158,28 +158,13 @@ impl std::str::FromStr for FilterEngineKind {
 pub enum ExtensionStage {
     /// GACT-X tiled extension (Darwin-WGA).
     GactX(TilingParams),
-    /// GACT with a traceback-memory budget (Fig. 10 comparison).
-    Gact {
-        /// Traceback memory per tile, bytes.
-        traceback_bytes: u64,
-    },
-    /// Untiled software Y-drop extension (LASTZ baseline).
-    Ydrop {
-        /// Y-drop threshold.
-        y: i64,
-    },
 }
 
 impl ExtensionStage {
     /// The tiling the shared extension driver runs this stage with.
     pub fn tiling(&self) -> TilingParams {
-        match *self {
-            ExtensionStage::GactX(t) => t,
-            ExtensionStage::Gact { traceback_bytes } => {
-                TilingParams::gact_with_memory(traceback_bytes)
-            }
-            ExtensionStage::Ydrop { y } => TilingParams::ydrop(y),
-        }
+        let ExtensionStage::GactX(t) = *self;
+        t
     }
 }
 
@@ -261,8 +246,7 @@ impl WgaParams {
     /// the two pipelines is attributable to the filtering stage alone —
     /// the controlled comparison behind the paper's Table III claim that
     /// "the added sensitivity can be completely attributed to \[the\]
-    /// gapped filtering stage" (§VI-B). [`ExtensionStage::Ydrop`] is the
-    /// untiled software extension LASTZ actually ships.
+    /// gapped filtering stage" (§VI-B).
     pub fn lastz_baseline() -> WgaParams {
         WgaParams {
             filter: FilterStage::Ungapped(UngappedFilterParams::default()),
@@ -339,33 +323,19 @@ impl WgaParams {
                 }
             }
         }
-        match self.extension {
-            ExtensionStage::GactX(t) => {
-                if t.tile_size == 0 {
-                    return Err(WgaError::config("extension tile size must be positive"));
-                }
-                if t.overlap >= t.tile_size {
-                    return Err(WgaError::config(
-                        "extension overlap must be smaller than the tile size",
-                    ));
-                }
-                if t.y <= 0 {
-                    return Err(WgaError::config("extension X-drop Y must be positive"));
-                }
-            }
-            ExtensionStage::Gact { traceback_bytes } => {
-                if traceback_bytes == 0 {
-                    return Err(WgaError::config("GACT traceback memory must be positive"));
-                }
-            }
-            ExtensionStage::Ydrop { y } => {
-                if y <= 0 {
-                    return Err(WgaError::config("Y-drop threshold must be positive"));
-                }
-            }
+        let t = self.extension.tiling();
+        if t.tile_size == 0 {
+            return Err(WgaError::config("extension tile size must be positive"));
         }
-        let tile = self.extension.tiling().tile_size;
-        if !scores_fit_i32(tile, tile, &self.scoring, &self.gaps) {
+        if t.overlap >= t.tile_size {
+            return Err(WgaError::config(
+                "extension overlap must be smaller than the tile size",
+            ));
+        }
+        if t.y <= 0 {
+            return Err(WgaError::config("extension X-drop Y must be positive"));
+        }
+        if !scores_fit_i32(t.tile_size, t.tile_size, &self.scoring, &self.gaps) {
             return Err(WgaError::config(
                 "extension tile too large (or gap penalties negative) for the kernel's 32-bit scores",
             ));
@@ -398,14 +368,10 @@ mod tests {
         assert_eq!(p.gaps.open, 430);
         assert_eq!(p.gaps.extend, 30);
         assert_eq!(p.seed_pattern.weight(), 12);
-        match p.extension {
-            ExtensionStage::GactX(t) => {
-                assert_eq!(t.tile_size, 1920);
-                assert_eq!(t.overlap, 128);
-                assert_eq!(t.y, 9430);
-            }
-            _ => panic!("default extension must be GACT-X"),
-        }
+        let t = p.extension.tiling();
+        assert_eq!(t.tile_size, 1920);
+        assert_eq!(t.overlap, 128);
+        assert_eq!(t.y, 9430);
     }
 
     #[test]
@@ -424,14 +390,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_shipped_configs() {
-        for p in [
-            WgaParams::darwin_wga(),
-            WgaParams::lastz_baseline(),
-            WgaParams {
-                extension: ExtensionStage::Ydrop { y: 9430 },
-                ..WgaParams::lastz_baseline()
-            },
-        ] {
+        for p in [WgaParams::darwin_wga(), WgaParams::lastz_baseline()] {
             p.validate().unwrap();
         }
     }
@@ -495,15 +454,14 @@ mod tests {
         });
         assert_rejected(p, "overlap");
         let mut p = WgaParams::darwin_wga();
-        p.extension = ExtensionStage::Gact {
-            traceback_bytes: 1 << 40,
-        };
-        assert_rejected(p.clone(), "32-bit");
-        p.extension = ExtensionStage::Gact { traceback_bytes: 0 };
-        assert_rejected(p, "traceback");
+        p.extension = ExtensionStage::GactX(TilingParams::gact_with_memory(1 << 40));
+        assert_rejected(p, "32-bit");
         let mut p = WgaParams::darwin_wga();
-        p.extension = ExtensionStage::Ydrop { y: 0 };
-        assert_rejected(p, "Y-drop");
+        p.extension = ExtensionStage::GactX(TilingParams {
+            y: 0,
+            ..TilingParams::gactx_default()
+        });
+        assert_rejected(p, "X-drop Y");
     }
 
     #[test]

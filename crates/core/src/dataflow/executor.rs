@@ -32,7 +32,7 @@
 //! `filter.batch` gate fires after the forward strand is seeded, as in
 //! the one-thread loop.
 //!
-//! Only the queues, the pool, its guard and the watchdog live here.
+//! Only the queues, the pool and its guards live here.
 //! Every step a pair goes through — [`row_seed_table`], [`seed_lane`],
 //! [`seed_range`], [`filter_batch`], [`fold_batches`],
 //! [`extend_anchors`], [`Journals::commit`], [`assemble`] — is the
@@ -85,14 +85,14 @@ use crate::stages::{
     extend_anchors, filter_batch, fold_batches, row_seed_table, seed_lane, seed_range, BatchResult,
     Journals, SeededLane, TableBuilds,
 };
-use crate::supervise::{self, panic_message, Supervision};
+use crate::supervise::{self, panic_message};
 use crate::sync::Mutex;
 use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -213,26 +213,8 @@ pub(crate) fn execute(
     let filter_meter = StageMeter::default();
     let alive = AtomicUsize::new(threads);
 
-    // The run's supervision rides in on `obs` (attached by
-    // `align_matrix`): every stage beats its heartbeat on each unit of
-    // progress, and — when `--stall-timeout-ms` is set — a watchdog
-    // thread escalates a flat heartbeat by closing every queue, so a
-    // wedged run drains into `Failed` pairs instead of hanging.
-    let watchdog_stop = AtomicBool::new(false);
-
     let (journal_err, escaped) = std::thread::scope(|scope| {
         let mut workers = Vec::new();
-        // --- Stall watchdog --------------------------------------------
-        let timeout_ms = options.stall_timeout_ms;
-        if let Some(sup) = obs.supervision().filter(|_| timeout_ms > 0) {
-            let (filter_q, done_q, watchdog_stop) = (&filter_q, &done_q, &watchdog_stop);
-            workers.push(scope.spawn(move || {
-                sup.watch(watchdog_stop, timeout_ms, || {
-                    filter_q.close();
-                    done_q.close();
-                });
-            }));
-        }
         // --- Planning producer -----------------------------------------
         {
             let (filter_q, done_q) = (&filter_q, &done_q);
@@ -275,7 +257,6 @@ pub(crate) fn execute(
                 0,
                 0,
             );
-            obs.beat();
             let pair_obs = obs.with_pair(done.pair_id as u64);
             match journals.commit(matrix, done.pair_id, done.result, pair_obs) {
                 Ok(record) => records[done.pair_id] = Some(record),
@@ -289,7 +270,6 @@ pub(crate) fn execute(
             }
         }
         collector_buf.flush();
-        watchdog_stop.store(true, Ordering::Relaxed);
         // Every handle is joined by hand, so a panic that escaped a
         // worker's containment layers arrives here as an `Err` instead
         // of unwinding out of the scope.
@@ -311,20 +291,13 @@ pub(crate) fn execute(
     }
 
     // --- Deterministic assembly in canonical pair order -----------------
-    let dropped = if obs.supervision().map_or(0, Supervision::stalls) > 0 {
-        format!(
-            "pair stalled: no progress for {}ms; aborted by watchdog",
-            options.stall_timeout_ms
-        )
-    } else {
-        "pair dropped: dataflow run aborted".to_string()
-    };
     let records = records
         .into_iter()
         .zip(&matrix.pairs)
         .map(|(record, pair)| {
             record.unwrap_or_else(|| {
-                PairRecord::failed(&pair.target.name, &pair.query.name, dropped.clone())
+                let dropped = "pair dropped: dataflow run aborted".to_string();
+                PairRecord::failed(&pair.target.name, &pair.query.name, dropped)
             })
         });
     let metrics = |total: &AssemblyReport| {
@@ -422,7 +395,6 @@ fn produce<'a>(
                 0,
                 0,
             );
-            obs.beat();
             Ok(true)
         };
         let (target, query) = (&pair.target.sequence, &pair.query.sequence);
@@ -459,7 +431,6 @@ fn produce<'a>(
             Ok(job.is_none_or(|job| finish_pair(params, job, done_q, obs)))
         }))
         .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-        obs.beat();
         let keep_going = planned.unwrap_or_else(|error| fail_pair(cells, pair_id, error, done_q));
         if !keep_going {
             return;
@@ -655,8 +626,7 @@ fn worker<'a>(
                     .is_none_or(|job| finish_pair(params, job, done_q, obs)),
                 Err(error) => fail_pair(cells, stream.pair_id, error, done_q),
             };
-            obs.beat();
-            // `false`: `done_q` closed, the watchdog is shutting down.
+            // `false`: `done_q` closed, the run is shutting down.
             if !moved_on {
                 return;
             }
@@ -716,7 +686,6 @@ fn finish_pair(
     let pair_obs = obs.with_pair(pair_id as u64);
     let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
         .map_err(|payload| panic_message(payload.as_ref()));
-    obs.beat();
     done_q.push(PairDone { pair_id, result }).is_ok()
 }
 

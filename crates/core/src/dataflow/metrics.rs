@@ -86,19 +86,17 @@ pub struct ExecutorMetrics {
     /// Supervised retries consumed recovering from injected or real
     /// transient failures.
     pub retries: u64,
-    /// Watchdog stall escalations over the whole run.
-    pub stalls_detected: u64,
 }
 
 impl ExecutorMetrics {
     /// The telemetry of a run on `threads` whose pairs are all folded
     /// into `out`: each stage's items, cells and busy time come from the
     /// report (pairs replayed from a journal included, work spent on a
-    /// pair that went on to fail excluded), the fault totals and the
-    /// stall count from `obs`'s supervision; every stage has `threads`
-    /// workers. Idle time and queue occupancy read zero, as in the
-    /// one-thread loop; the dataflow executor overwrites what its
-    /// producer, pool and queue know.
+    /// pair that went on to fail excluded), the fault totals from
+    /// `obs`'s supervision; every stage has `threads` workers. Idle
+    /// time and queue occupancy read zero, as in the one-thread loop;
+    /// the dataflow executor overwrites what its producer, pool and
+    /// queue know.
     pub(crate) fn from_report(
         threads: usize,
         out: &AssemblyReport,
@@ -111,8 +109,7 @@ impl ExecutorMetrics {
             busy_us: busy.as_micros() as u64,
             ..StageMetrics::default()
         };
-        let sup = obs.supervision();
-        let injector = sup.and_then(Supervision::injector);
+        let injector = obs.supervision().and_then(Supervision::injector);
         let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
         let (w, c, t) = (&out.workload, &out.counters, &out.timings);
         ExecutorMetrics {
@@ -127,7 +124,6 @@ impl ExecutorMetrics {
             extension: stage(threads, c.anchors_passed, w.extension_cells, t.extension),
             faults_injected,
             retries,
-            stalls_detected: sup.map_or(0, Supervision::stalls),
             ..ExecutorMetrics::default()
         }
     }
@@ -156,7 +152,6 @@ impl ExecutorMetrics {
             ("extension", stage(&self.extension)),
             ("faults_injected", self.faults_injected.into()),
             ("retries", self.retries.into()),
-            ("stalls_detected", self.stalls_detected.into()),
         ])
     }
 
@@ -175,10 +170,10 @@ impl ExecutorMetrics {
         } else {
             String::new()
         };
-        let chaos = if self.faults_injected > 0 || self.retries > 0 || self.stalls_detected > 0 {
+        let chaos = if self.faults_injected > 0 || self.retries > 0 {
             format!(
-                "\n  supervision faults_injected={} retries={} stalls_detected={}",
-                self.faults_injected, self.retries, self.stalls_detected
+                "\n  supervision faults_injected={} retries={}",
+                self.faults_injected, self.retries
             )
         } else {
             String::new()
@@ -258,14 +253,15 @@ mod tests {
                    \"extension\":{\"workers\":2,\"items\":1,\"cells\":2,\"busy_us\":3,\"idle_us\":4,\"max_queue_occupancy\":5}}";
         let value = crate::json::parse(old).unwrap();
         assert_eq!(value.u64("threads"), Ok(2));
-        for field in ["faults_injected", "retries", "stalls_detected"] {
+        for field in ["faults_injected", "retries"] {
             assert_eq!(value.get_u64(field), Ok(None), "{field} is absent");
         }
-        // The other direction: a payload from when extension speculated
-        // carries a counter this struct no longer has. It still parses,
-        // and the fields that remain read as before.
-        let speculative = old.replacen('{', "{\"spec_discard\":7,", 1);
-        let value = crate::json::parse(&speculative).unwrap();
+        // The other direction: a payload from when extension speculated,
+        // or from when stalls were counted, carries a counter this
+        // struct no longer has. It still parses, and the fields that
+        // remain read as before.
+        let retired = old.replacen('{', "{\"spec_discard\":7,\"stalls_detected\":0,", 1);
+        let value = crate::json::parse(&retired).unwrap();
         assert_eq!(value.u64("spec_discard"), Ok(7));
         assert_eq!(value.u64("queue_depth"), Ok(8));
     }

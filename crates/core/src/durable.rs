@@ -147,8 +147,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> WgaResult<()> {
 /// `short-write` injections truncate the tmp payload halfway and fail
 /// *before the rename* — the destination survives either way, which is
 /// what the chaos suite asserts. An injected stall sleeps its whole
-/// length: the watchdog that can cut one short belongs to the matrix
-/// run, which is over before a sink writes.
+/// length before the write, as it does at every other hook.
 ///
 /// # Errors
 ///

@@ -126,7 +126,7 @@ pub enum FaultKind {
     /// containment of the executors).
     Panic,
     /// The operation stalls for `ms` milliseconds before succeeding
-    /// (exercises the watchdog, whose stall cuts it short).
+    /// (exercises backpressure behind a slow stage).
     Latency,
     /// A sink write stops halfway through (exercises atomic-write
     /// crash safety); behaves like [`FaultKind::Error`] elsewhere.
@@ -367,23 +367,6 @@ impl FaultInjector {
         )
     }
 
-    /// Sleeps an injected stall of `ms` in slices, returning `true` if
-    /// cut short: the watchdog of `obs`'s supervision has counted a
-    /// stall (its escalation path; sleeping hooks then abort their pair).
-    fn sleep_sliced(ms: u64, obs: &Obs<'_>) -> bool {
-        let stalled = || obs.supervision().is_some_and(|sup| sup.stalls() > 0);
-        let mut remaining = ms;
-        while remaining > 0 {
-            if stalled() {
-                return true;
-            }
-            let slice = remaining.min(10);
-            thread::sleep(Duration::from_millis(slice));
-            remaining -= slice;
-        }
-        stalled()
-    }
-
     /// Compute-stage gate (filter batches, extension tiles) at `obs`'s
     /// pair. Injected errors are retried internally under `obs`'s retry
     /// policy; when
@@ -394,8 +377,8 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// By design: for [`FaultKind::Panic`] injections, on retry-budget
-    /// exhaustion, and when the watchdog aborts an injected stall.
+    /// By design: for [`FaultKind::Panic`] injections and on
+    /// retry-budget exhaustion.
     pub fn gate(&self, hook: Hook, obs: &Obs<'_>) {
         let pair = obs.pair();
         if self.is_poisoned(pair) {
@@ -413,14 +396,7 @@ impl FaultInjector {
             obs.fault_span(hook.code(), kind.code());
             match kind {
                 FaultKind::Latency => {
-                    if Self::sleep_sliced(ms, obs) {
-                        self.poison(pair);
-                        // lint: allow(panics): watchdog-aborted stall — the pair must fail, not resume half-stalled
-                        panic!(
-                            "injected fault: {} pair {pair}: stall aborted by watchdog",
-                            hook.as_str()
-                        );
-                    }
+                    thread::sleep(Duration::from_millis(ms));
                     return;
                 }
                 FaultKind::Panic => {
@@ -464,8 +440,8 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// [`WgaError::Io`] for `error`/`short-write` injections, queue
-    /// panics and watchdog-aborted stalls.
+    /// [`WgaError::Io`] for `error`/`short-write` injections and queue
+    /// panics.
     ///
     /// # Panics
     ///
@@ -480,9 +456,7 @@ impl FaultInjector {
             |msg: &str| WgaError::io(hook.as_str(), io::Error::other(format!("injected {msg}")));
         match kind {
             FaultKind::Latency => {
-                if Self::sleep_sliced(ms, obs) {
-                    return Err(injected("stall aborted by watchdog"));
-                }
+                thread::sleep(Duration::from_millis(ms));
                 Ok(())
             }
             FaultKind::Panic if matches!(hook, Hook::QueuePush | Hook::QueuePop) => Err(injected(
@@ -501,7 +475,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     fn plan(rules: &str) -> FaultPlan {
         FaultPlan::parse(&format!(
@@ -619,25 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_gate_sleeps_and_can_abort() {
+    fn latency_gate_sleeps() {
         let obs = Obs::off().with_pair(0);
         let inj = FaultInjector::new(plan(
             "{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":5}",
         ));
         assert!(inj.gate_io(Hook::QueuePop, &obs).is_ok());
-        let sup = Supervision::new(
-            Some(plan(
-                "{\"hook\":\"queue.pop\",\"kind\":\"latency\",\"at\":[0],\"ms\":60000}",
-            )),
-            1,
-        );
-        // A flat heartbeat trips the watchdog, which cuts the stall short.
-        sup.watch(&AtomicBool::new(false), 1, || {});
-        let obs = obs.with_supervision(&sup);
-        assert!(sup
-            .injector()
-            .unwrap()
-            .gate_io(Hook::QueuePop, &obs)
-            .is_err());
     }
 }

@@ -79,11 +79,6 @@ pub struct AlignOptions {
     /// times a transient journal/sink failure — or an injected error —
     /// is retried with capped-exponential backoff before escalating.
     pub max_retries: u32,
-    /// Dataflow stall watchdog timeout (`--stall-timeout-ms`): when a
-    /// dataflow run makes no progress for this long, its queues are
-    /// closed and unfinished pairs fail instead of hanging. `0` (the
-    /// default) disables the watchdog; ignored at one thread.
-    pub stall_timeout_ms: u64,
     /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
     /// its `"pair"` is a pair id of the whole matrix.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -101,7 +96,6 @@ impl Default for AlignOptions {
             executor: ExecutorKind::Barrier,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_retries: 1,
-            stall_timeout_ms: 0,
             fault_plan: None,
             knn: None,
         }
@@ -504,10 +498,9 @@ fn pair_loop(
 
 /// Folds `records`, one a pair in pair-id order, into their blocks'
 /// reports, a `resumed` one counted as replayed. The run's seeding time
-/// outside any pair (its table `builds`) and the watchdog stalls the
-/// `metrics` count go to the first block; every block carries its
-/// journal's recovery stats and the run's `metrics`, read off the
-/// blocks' sum.
+/// outside any pair (its table `builds`) goes to the first block; every
+/// block carries its journal's recovery stats and the run's `metrics`,
+/// read off the blocks' sum.
 pub(crate) fn assemble(
     matrix: &PairMatrix<'_>,
     records: impl IntoIterator<Item = PairRecord>,
@@ -537,9 +530,6 @@ pub(crate) fn assemble(
     let metrics = metrics(&total);
     for block in &mut blocks {
         block.stage_metrics = Some(metrics);
-    }
-    if let Some(first) = blocks.first_mut() {
-        first.counters.stalls_detected += metrics.stalls_detected;
     }
     blocks
 }

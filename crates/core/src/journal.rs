@@ -448,7 +448,9 @@ fn encode_record(record: &PairRecord) -> String {
                 ("alignments_kept", c.alignments_kept.into()),
                 ("faults_injected", c.faults_injected.into()),
                 ("retries", c.retries.into()),
-                ("stalls_detected", c.stalls_detected.into()),
+                // Fixed, so version-2 records keep their bytes and old
+                // readers find the member they expect; decoding ignores it.
+                ("stalls_detected", 0u64.into()),
             ]),
         ),
         (
@@ -606,7 +608,6 @@ fn decode_counters(value: Option<&Json>) -> Result<FunnelCounters, String> {
         alignments_kept: opt("alignments_kept")?,
         faults_injected: opt("faults_injected")?,
         retries: opt("retries")?,
-        stalls_detected: opt("stalls_detected")?,
     })
 }
 
@@ -713,7 +714,6 @@ mod tests {
                 alignments_kept: 1,
                 faults_injected: 1,
                 retries: 1,
-                stalls_detected: 0,
             },
             alignments: vec![WgaAlignment {
                 alignment: Alignment::new(5, 9, cigar, 1234),
@@ -763,10 +763,11 @@ mod tests {
         let legacy = strip_crc(&encode_record(&record));
         assert_eq!(decode_record(&legacy).unwrap(), record);
         // So must records carrying a counter the struct no longer has —
-        // the waste of speculative extension, or the hits filtered, which
-        // always equalled `workload.filter_tiles` — with or without
-        // their own checksum.
+        // the waste of speculative extension, the hits filtered, which
+        // always equalled `workload.filter_tiles`, or a stall count
+        // other than the fixed 0 — with or without their own checksum.
         for (now, then) in [
+            ("\"stalls_detected\":0}", "\"stalls_detected\":4}"),
             (
                 "\"stalls_detected\":0}",
                 "\"stalls_detected\":0,\"spec_discard\":2}",

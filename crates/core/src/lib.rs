@@ -6,8 +6,8 @@
 //! * **Darwin-WGA** ([`config::WgaParams::darwin_wga`]): D-SOFT seeding →
 //!   banded Smith-Waterman *gapped* filtering → GACT-X extension.
 //! * **LASTZ-like baseline** ([`config::WgaParams::lastz_baseline`]): the
-//!   same seeding → X-drop *ungapped* filtering → software Y-drop
-//!   extension.
+//!   same seeding → X-drop *ungapped* filtering → the same GACT-X
+//!   extension, so a sensitivity difference is the filter's alone.
 //!
 //! Replacing the middle stage is the paper's contribution: ungapped
 //! filtering discards true homologies whose gap-free blocks are shorter

@@ -459,7 +459,7 @@ impl<'a> Obs<'a> {
     }
 
     /// A copy of this handle carrying the run's supervision: its retry
-    /// policy, fault injector and watchdog heartbeat.
+    /// policy and fault injector.
     pub fn with_supervision(self, sup: &'a Supervision) -> Obs<'a> {
         Obs {
             sup: Some(sup),
@@ -470,13 +470,6 @@ impl<'a> Obs<'a> {
     /// The supervision riding on this handle, if any.
     pub fn supervision(&self) -> Option<&'a Supervision> {
         self.sup
-    }
-
-    /// Records one unit of progress for the stall watchdog.
-    pub fn beat(&self) {
-        if let Some(sup) = self.sup {
-            sup.beat();
-        }
     }
 
     /// Runs the fault-injection gate for `hook` at this handle's pair.

@@ -14,7 +14,7 @@
 //! * the orchestrator ([`align_many_observed`]) — builds the matrix over
 //!   the scheduled joblist pairs and runs it on the thread count's
 //!   schedule under the [`AlignOptions`] of any matrix run — budgets,
-//!   fault injection, retry, watchdog, and a checkpoint that is a
+//!   fault injection, retry, and a checkpoint that is a
 //!   directory of *per-genome-pair* journals, so an N-genome run resumes
 //!   at chromosome-pair granularity — with the same tracing and
 //!   per-stage metrics as a two-assembly run;

@@ -3,11 +3,11 @@
 //! [`run_pair`] runs all three stages over a target/query pair in a
 //! plain loop on the calling thread: the one-thread schedule, and the
 //! oracle the dataflow executor is compared against. The
-//! filtering and extension stages are swappable via [`crate::config`],
-//! so the same driver is both Darwin-WGA (D-SOFT → BSW gapped filter →
-//! GACT-X) and the LASTZ-like baseline (D-SOFT → ungapped filter →
-//! Y-drop), matching the paper's design where only the middle stage
-//! changes between the compared systems. [`WgaPipeline`] is `run_pair`
+//! filtering stage is swappable via [`crate::config`], so the same
+//! driver is both Darwin-WGA (D-SOFT → BSW gapped filter → GACT-X) and
+//! the LASTZ-like baseline (D-SOFT → ungapped filter → GACT-X),
+//! matching the paper's design where only the middle stage changes
+//! between the compared systems. [`WgaPipeline`] is `run_pair`
 //! behind validated parameters.
 
 use crate::config::WgaParams;

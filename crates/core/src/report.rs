@@ -70,7 +70,7 @@ pub enum StageKind {
     Seeding,
     /// Gapped or ungapped filtering.
     Filtering,
-    /// GACT-X / Y-drop extension.
+    /// GACT-X extension.
     Extension,
 }
 
@@ -147,8 +147,6 @@ pub struct FunnelCounters {
     /// Supervised retries this pair consumed recovering from injected
     /// or real transient failures.
     pub retries: u64,
-    /// Watchdog stall escalations attributed to this pair.
-    pub stalls_detected: u64,
 }
 
 impl FunnelCounters {
@@ -161,7 +159,6 @@ impl FunnelCounters {
         self.alignments_kept += other.alignments_kept;
         self.faults_injected += other.faults_injected;
         self.retries += other.retries;
-        self.stalls_detected += other.stalls_detected;
     }
 }
 
@@ -274,7 +271,6 @@ mod tests {
             alignments_kept: 2,
             faults_injected: 2,
             retries: 1,
-            stalls_detected: 1,
         };
         a.merge(&a.clone());
         assert_eq!(a.raw_seed_hits, 10);
@@ -282,6 +278,5 @@ mod tests {
         assert_eq!(a.alignments_kept, 4);
         assert_eq!(a.faults_injected, 4);
         assert_eq!(a.retries, 2);
-        assert_eq!(a.stalls_detected, 2);
     }
 }

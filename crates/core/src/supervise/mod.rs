@@ -1,7 +1,6 @@
 //! A run's supervision: capped-exponential retry with deterministic
-//! jitter, the fault injector of a chaos run, and a heartbeat watchdog
-//! for the dataflow executor — one [`Supervision`] a run, carried by
-//! its [`Obs`] handle.
+//! jitter and the fault injector of a chaos run — one [`Supervision`]
+//! a run, carried by its [`Obs`] handle.
 //!
 //! This module is deliberately panic-free (`wga-lint` fails any panic site):
 //! the supervisor must never take down the run it is supervising. It is
@@ -13,7 +12,7 @@
 //! `wga align` and `wga many` build one [`Supervision`] a command and
 //! reach it through one [`Obs`] for their FASTA reads, the matrix run
 //! and their output sinks; a library caller whose `Obs` carries none
-//! gets one built from its `AlignOptions`. Three consumers:
+//! gets one built from its `AlignOptions`. Two consumers:
 //!
 //! * [`crate::faultsim::FaultInjector::gate`] paces its internal retry
 //!   loop for injected errors with the supervision's [`RetryPolicy`].
@@ -21,15 +20,10 @@
 //!   the CLI's FASTA reads and output sinks — is one [`supervised`]
 //!   call, which gates it, retries *real* and injected transient
 //!   failures with the same policy and counts the retries.
-//! * The dataflow executor spawns [`Supervision::watch`] when
-//!   `--stall-timeout-ms` is set; it escalates a stage that stops
-//!   making progress (see `DESIGN.md`, "Fault injection &
-//!   supervision").
 
 use crate::error::WgaResult;
 use crate::faultsim::{FaultInjector, FaultPlan, Hook};
 use crate::obs::Obs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
@@ -108,15 +102,12 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// The supervision of one run: the [`RetryPolicy`] every supervised
-/// site runs under, a chaos run's [`FaultInjector`], and the heartbeat
-/// and stall count of the stall watchdog ([`Supervision::watch`]).
+/// site runs under and a chaos run's [`FaultInjector`].
 /// [`Obs::with_supervision`] carries it to every hook.
 #[derive(Debug)]
 pub struct Supervision {
     policy: RetryPolicy,
     injector: Option<FaultInjector>,
-    heartbeat: AtomicU64,
-    stalls: AtomicU64,
 }
 
 impl Supervision {
@@ -131,8 +122,6 @@ impl Supervision {
         Supervision {
             policy,
             injector: plan.map(FaultInjector::new),
-            heartbeat: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
         }
     }
 
@@ -144,50 +133,6 @@ impl Supervision {
     /// The fault injector of a chaos run.
     pub fn injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
-    }
-
-    /// Records one unit of progress for the watchdog.
-    pub fn beat(&self) {
-        self.heartbeat.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Watchdog stall escalations so far.
-    pub fn stalls(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
-    }
-
-    /// Heartbeat watchdog: polls the heartbeat until `stop` is set; if
-    /// it does not advance for `timeout_ms`, counts a stall — which cuts
-    /// every injected stall short from then on — calls `on_stall` and
-    /// returns. Workers [`Supervision::beat`] on every unit of progress
-    /// (planned pair, filtered batch, extended pair, journaled record),
-    /// so a wedged stage — not a merely slow one — is what trips it.
-    ///
-    /// The rest of the escalation is the closure's job: the dataflow
-    /// executor closes its bounded queues there, which unblocks every
-    /// worker parked on a push/pop and lets the run drain; pairs left
-    /// unfinished surface as `Failed`, never as a hang.
-    pub fn watch(&self, stop: &AtomicBool, timeout_ms: u64, on_stall: impl FnOnce()) {
-        // Poll at a fraction of the timeout so detection latency stays
-        // within ~2 windows without burning CPU.
-        let poll_ms = (timeout_ms / 4).clamp(1, 50);
-        let mut last = self.heartbeat.load(Ordering::Relaxed);
-        let mut idle_ms = 0u64;
-        while !stop.load(Ordering::Relaxed) {
-            thread::sleep(Duration::from_millis(poll_ms));
-            let now = self.heartbeat.load(Ordering::Relaxed);
-            if now != last {
-                last = now;
-                idle_ms = 0;
-            } else {
-                idle_ms = idle_ms.saturating_add(poll_ms);
-                if idle_ms >= timeout_ms {
-                    self.stalls.fetch_add(1, Ordering::Relaxed);
-                    on_stall();
-                    return;
-                }
-            }
-        }
     }
 }
 
@@ -234,7 +179,7 @@ pub fn supervised<T>(
 mod tests {
     use super::*;
     use crate::error::WgaError;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn backoff_is_capped_and_deterministic() {
@@ -341,39 +286,5 @@ mod tests {
         let injector = sup.injector().unwrap();
         assert_eq!(injector.totals(), (2, 2));
         assert_eq!(injector.take_pair(4).retries, 2);
-    }
-
-    #[test]
-    fn watchdog_trips_on_a_flat_heartbeat() {
-        let stop = AtomicBool::new(false);
-        let sup = Supervision::new(None, 0);
-        let stalled = AtomicUsize::new(0);
-        sup.watch(&stop, 20, || {
-            stalled.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(stalled.load(Ordering::Relaxed), 1);
-        assert_eq!(sup.stalls(), 1);
-    }
-
-    #[test]
-    fn watchdog_stays_quiet_while_progress_flows() {
-        let stop = AtomicBool::new(false);
-        let sup = Supervision::new(None, 0);
-        let stalled = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            let watcher = scope.spawn(|| {
-                sup.watch(&stop, 500, || {
-                    stalled.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            for _ in 0..10 {
-                sup.beat();
-                thread::sleep(Duration::from_millis(5));
-            }
-            stop.store(true, Ordering::Relaxed);
-            assert!(watcher.join().is_ok());
-        });
-        assert_eq!(stalled.load(Ordering::Relaxed), 0);
-        assert_eq!(sup.stalls(), 0);
     }
 }

@@ -50,9 +50,7 @@
 //!     metrics and trace count its faults and retries, the FASTA reads'
 //!     too, but not a sink's, which fires once both are rendered.
 //!     --max-retries sets the supervised retry budget per fault site
-//!     (default 1);
-//!     --stall-timeout-ms arms the dataflow stall watchdog (0, the
-//!     default, disables it). The MAF, metrics and trace artifacts are
+//!     (default 1). The MAF, metrics and trace artifacts are
 //!     written atomically (tmp + fsync + rename), so an interrupted run
 //!     never leaves a torn output file; a FIFO or character device
 //!     (`/dev/null`, `/dev/stdout` on a pipe) is written in place.
@@ -86,7 +84,7 @@
 //!     busy/queue-wait/idle per worker, a critical-path estimate
 //!     through seed -> filter -> extend, the K slowest filter batches
 //!     and extension tiles, and the workload's modeled FPGA cycles.
-//!     --json (or --baseline) writes the integer-only
+//!     --json writes the integer-only
 //!     profile_report.json atomically, byte-identical for one trace.
 //!
 //! wga profile diff <old.json> <new.json>
@@ -165,7 +163,7 @@ usage:
             [--checkpoint run.journal]
             [--max-seed-hits N] [--max-filter-tiles N]
             [--max-extension-cells N] [--deadline-ms N]
-            [--fault-plan plan.json] [--max-retries N] [--stall-timeout-ms N]
+            [--fault-plan plan.json] [--max-retries N]
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
            [--paf-out out.paf] [--report-out report.txt]
@@ -173,9 +171,8 @@ usage:
            [--baseline] [--threads N] [--queue-depth N]
            [--filter-engine scalar|simd]
            [--shard-size N] [--checkpoint dir] [--fault-plan plan.json]
-           [--max-retries N] [--stall-timeout-ms N] [--progress]
-  wga profile report <trace.jsonl> [--json out.json] [--baseline out.json]
-                     [--top K]
+           [--max-retries N] [--progress]
+  wga profile report <trace.jsonl> [--json out.json] [--top K]
   wga profile diff <old.json> <new.json> [--max-share-regression-centi N]
 ";
 
@@ -274,7 +271,6 @@ impl RunFlags {
                 threads: parse_opt(args, "--threads", 1)?,
                 queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
                 max_retries: parse_opt(args, "--max-retries", 1)?,
-                stall_timeout_ms: parse_opt(args, "--stall-timeout-ms", 0)?,
                 checkpoint: take_opt(args, "--checkpoint")?.map(PathBuf::from),
                 ..AlignOptions::default()
             },
@@ -815,7 +811,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         Some("report") => {
             let mut args = args[1..].to_vec();
             let json_out = take_opt(&mut args, "--json")?;
-            let baseline_out = take_opt(&mut args, "--baseline")?;
             let top: usize = parse_opt(&mut args, "--top", 5)?;
             reject_leftover_options(&args)?;
             let [trace_path] = args.as_slice() else {
@@ -827,8 +822,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 TraceFile::read(BufReader::new(file)).map_err(|e| format!("{trace_path}: {e}"))?;
             let report = ProfileReport::build(&trace, top);
             print!("{}", report.render_table());
-            for path in [&json_out, &baseline_out].into_iter().flatten() {
-                durable::write_atomic(Path::new(path), report.to_json().as_bytes())
+            if let Some(path) = json_out {
+                durable::write_atomic(Path::new(&path), report.to_json().as_bytes())
                     .map_err(|e| e.to_string())?;
                 println!("profile report written to {path}");
             }

@@ -227,7 +227,6 @@ fn metrics_json_is_pinned() {
         extension: stage(2, 7),
         faults_injected: 1,
         retries: 2,
-        stalls_detected: 3,
     };
     assert_eq!(
         metrics.to_json().to_string(),
@@ -235,6 +234,6 @@ fn metrics_json_is_pinned() {
          \"seeding\":{\"workers\":1,\"items\":3,\"cells\":30,\"busy_us\":300,\"idle_us\":4,\"max_queue_occupancy\":5},\
          \"filtering\":{\"workers\":2,\"items\":5,\"cells\":50,\"busy_us\":500,\"idle_us\":6,\"max_queue_occupancy\":7},\
          \"extension\":{\"workers\":2,\"items\":7,\"cells\":70,\"busy_us\":700,\"idle_us\":8,\"max_queue_occupancy\":9},\
-         \"faults_injected\":1,\"retries\":2,\"stalls_detected\":3}"
+         \"faults_injected\":1,\"retries\":2}"
     );
 }

@@ -603,6 +603,9 @@ mod cli {
         assert_option_rejected(&out, "--thread");
         let out = wga(&["align", good, good, "--baseline", "--baseline"]);
         assert_option_rejected(&out, "--baseline");
+        // A retired knob is an option no longer.
+        let out = wga(&["align", good, good, "--stall-timeout-ms", "5"]);
+        assert_option_rejected(&out, "--stall-timeout-ms");
     }
 
     #[test]
@@ -613,15 +616,20 @@ mod cli {
         assert_option_rejected(&out, "--knnn");
         let out = wga(&["many", fa, fa, "--threads", "1", "--threads", "1"]);
         assert_option_rejected(&out, "--threads");
+        let out = wga(&["many", fa, fa, "--stall-timeout-ms", "5"]);
+        assert_option_rejected(&out, "--stall-timeout-ms");
         let out = wga(&["exons", "a.maf", "e.tsv", "--coverge", "0.5"]);
         assert_option_rejected(&out, "--coverge");
         let out = wga(&["profile", "report", "t.jsonl", "--jsn", "o.json"]);
         assert_option_rejected(&out, "--jsn");
         let out = wga(&["profile", "diff", "a.json", "b.json", "--max-drift", "1"]);
         assert_option_rejected(&out, "--max-drift");
-        // The retired gate flags are options no longer.
+        // The retired gate flags, and `--json`'s retired twin, are
+        // options no longer.
         let out = wga(&["profile", "report", "t.jsonl", "--max-drift-centi", "0"]);
         assert_option_rejected(&out, "--max-drift-centi");
+        let out = wga(&["profile", "report", "t.jsonl", "--baseline", "x.json"]);
+        assert_option_rejected(&out, "--baseline");
         let out = wga(&[
             "profile",
             "diff",
