@@ -17,7 +17,7 @@ use align::gactx::TilingParams;
 use genome::evolve::SpeciesPair;
 use seed::SeedPattern;
 use wga_bench::{paper_pair, run_and_measure};
-use wga_core::config::{ExtensionStage, FilterStage, WgaParams};
+use wga_core::config::{FilterStage, WgaParams};
 
 pub fn run(genome_len: usize) {
     // The dm6-dp4 stand-in: distant enough that filtering choices matter.
@@ -80,12 +80,12 @@ pub fn run(genome_len: usize) {
     );
     for te in [320usize, 640, 1280, 1920, 3840] {
         let mut params = WgaParams::darwin_wga();
-        params.extension = ExtensionStage::GactX(TilingParams {
+        params.extension = TilingParams {
             tile_size: te,
             overlap: 128.min(te / 4),
             y: 9430,
             edge_traceback: false,
-        });
+        };
         let m = run_and_measure(params, &pair);
         println!(
             "   {:>6} {:>12} {:>12.1} {:>13} KB",

@@ -11,10 +11,9 @@
 //! a strand that is never held whole still keeps exactly the prefix
 //! those rules name (`SmallestHits`).
 
-use crate::config::{ResourceBudget, WgaParams};
+use crate::config::WgaParams;
 use crate::report::{BudgetKind, RunEvent, StageKind};
 use seed::SeedHit;
-use std::time::Instant;
 
 /// Result of clamping one strand's seed-hit list against the seed-hit
 /// and filter-tile budgets: how many hits to keep (a prefix — hits
@@ -34,8 +33,8 @@ pub struct HitClamp {
 /// hit list.
 ///
 /// Both schedules pass the tiles *queued* for filtering so far — the
-/// hits handed to a filter batch, whether or not a deadline or a failed
-/// batch kept them from running — so a clamp never waits on filtering.
+/// hits handed to a filter batch, whether or not a failed batch kept
+/// them from running — so a clamp never waits on filtering.
 pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitClamp {
     let mut take = hits;
     let mut events = Vec::new();
@@ -122,17 +121,6 @@ impl SmallestHits {
         self.kept.sort_unstable();
         self.kept.truncate(clamp.take);
         (clamp, self.kept)
-    }
-}
-
-/// Builds the [`BudgetKind::Deadline`] event every executor records when
-/// the per-pair wall-clock deadline interrupts a stage.
-pub fn deadline_event(budget: &ResourceBudget, stage: StageKind, pair_start: Instant) -> RunEvent {
-    RunEvent::BudgetExceeded {
-        budget: BudgetKind::Deadline,
-        stage,
-        limit: budget.deadline.map_or(0, |d| d.as_millis() as u64),
-        observed: pair_start.elapsed().as_millis() as u64,
     }
 }
 
@@ -228,27 +216,6 @@ mod tests {
             let (clamp, kept) = smallest.finish(&p, tiles_used);
             assert_eq!(clamp, clamp_hit_count(&p, 1000, tiles_used));
             assert_eq!(kept, sorted[..clamp.take]);
-        }
-    }
-
-    #[test]
-    fn deadline_event_reports_limit_and_elapsed() {
-        let budget = ResourceBudget {
-            deadline: Some(std::time::Duration::from_millis(7)),
-            ..ResourceBudget::default()
-        };
-        let start = Instant::now() - std::time::Duration::from_millis(20);
-        match deadline_event(&budget, StageKind::Extension, start) {
-            RunEvent::BudgetExceeded {
-                budget: BudgetKind::Deadline,
-                stage: StageKind::Extension,
-                limit,
-                observed,
-            } => {
-                assert_eq!(limit, 7);
-                assert!(observed >= 20);
-            }
-            other => panic!("unexpected event {other:?}"),
         }
     }
 }

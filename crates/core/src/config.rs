@@ -5,7 +5,6 @@ use align::gactx::TilingParams;
 use align::xdrop::scores_fit_i32;
 use genome::{GapPenalties, SubstitutionMatrix};
 use seed::{DsoftParams, SeedPattern};
-use std::time::{Duration, Instant};
 
 /// Resource budgets for one chromosome-pair run.
 ///
@@ -29,21 +28,6 @@ pub struct ResourceBudget {
     /// before each anchor extension, so the cap may be overshot by at
     /// most one extension's cells.
     pub max_extension_cells: Option<u64>,
-    /// Wall-clock deadline per chromosome-pair run, measured from
-    /// pipeline start (shared seed-table construction, amortised across
-    /// pairs, is excluded). Inherently non-deterministic: use the cell /
-    /// tile budgets when reproducibility matters.
-    pub deadline: Option<Duration>,
-}
-
-impl ResourceBudget {
-    /// Whether the per-pair deadline has passed, measured from `start`.
-    pub fn deadline_exceeded(&self, start: Instant) -> bool {
-        match self.deadline {
-            Some(deadline) => start.elapsed() > deadline,
-            None => false,
-        }
-    }
 }
 
 /// Gapped (BSW) filter parameters — Darwin-WGA's filtering stage.
@@ -153,21 +137,6 @@ impl std::str::FromStr for FilterEngineKind {
     }
 }
 
-/// Which extension algorithm the pipeline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtensionStage {
-    /// GACT-X tiled extension (Darwin-WGA).
-    GactX(TilingParams),
-}
-
-impl ExtensionStage {
-    /// The tiling the shared extension driver runs this stage with.
-    pub fn tiling(&self) -> TilingParams {
-        let ExtensionStage::GactX(t) = *self;
-        t
-    }
-}
-
 /// Full pipeline parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WgaParams {
@@ -187,8 +156,8 @@ pub struct WgaParams {
     /// (results are identical either way; ignored for ungapped
     /// filtering).
     pub filter_engine: FilterEngineKind,
-    /// Extension stage.
-    pub extension: ExtensionStage,
+    /// GACT-X tiled extension (Darwin-WGA's extension stage).
+    pub extension: TilingParams,
     /// Extension threshold `H_e`: alignments scoring below are dropped.
     pub extension_threshold: i64,
     /// Also search the reverse-complement strand of the query.
@@ -230,7 +199,7 @@ impl WgaParams {
             max_seed_occurrences: 1000,
             filter: FilterStage::Gapped(GappedFilterParams::default()),
             filter_engine: FilterEngineKind::default(),
-            extension: ExtensionStage::GactX(TilingParams::gactx_default()),
+            extension: TilingParams::gactx_default(),
             extension_threshold: 4000,
             both_strands: false,
             budget: ResourceBudget::default(),
@@ -323,7 +292,7 @@ impl WgaParams {
                 }
             }
         }
-        let t = self.extension.tiling();
+        let t = self.extension;
         if t.tile_size == 0 {
             return Err(WgaError::config("extension tile size must be positive"));
         }
@@ -368,7 +337,7 @@ mod tests {
         assert_eq!(p.gaps.open, 430);
         assert_eq!(p.gaps.extend, 30);
         assert_eq!(p.seed_pattern.weight(), 12);
-        let t = p.extension.tiling();
+        let t = p.extension;
         assert_eq!(t.tile_size, 1920);
         assert_eq!(t.overlap, 128);
         assert_eq!(t.y, 9430);
@@ -446,40 +415,30 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_extension() {
         let mut p = WgaParams::darwin_wga();
-        p.extension = ExtensionStage::GactX(align::gactx::TilingParams {
+        p.extension = TilingParams {
             tile_size: 128,
             overlap: 128,
             y: 9430,
             edge_traceback: false,
-        });
+        };
         assert_rejected(p, "overlap");
         let mut p = WgaParams::darwin_wga();
-        p.extension = ExtensionStage::GactX(TilingParams::gact_with_memory(1 << 40));
+        p.extension = TilingParams::gact_with_memory(1 << 40);
         assert_rejected(p, "32-bit");
         let mut p = WgaParams::darwin_wga();
-        p.extension = ExtensionStage::GactX(TilingParams {
+        p.extension = TilingParams {
             y: 0,
             ..TilingParams::gactx_default()
-        });
+        };
         assert_rejected(p, "X-drop Y");
     }
 
     #[test]
-    fn budget_defaults_unbounded_and_deadline_check() {
+    fn budget_defaults_unbounded() {
         let b = ResourceBudget::default();
+        assert_eq!(b.max_seed_hits, None);
         assert_eq!(b.max_filter_tiles, None);
-        assert!(!b.deadline_exceeded(Instant::now()));
-        let tight = ResourceBudget {
-            deadline: Some(Duration::from_nanos(1)),
-            ..ResourceBudget::default()
-        };
-        let start = Instant::now() - Duration::from_millis(5);
-        assert!(tight.deadline_exceeded(start));
-        let p = WgaParams {
-            budget: tight,
-            ..WgaParams::darwin_wga()
-        };
-        p.validate().unwrap();
+        assert_eq!(b.max_extension_cells, None);
     }
 
     #[test]

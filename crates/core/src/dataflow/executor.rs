@@ -103,7 +103,6 @@ struct Stream<'a> {
     pair_id: usize,
     lane_idx: usize,
     strand: Strand,
-    pair_start: Instant,
     target: &'a Sequence,
     query: Cow<'a, Sequence>,
     ctx: FilterContext,
@@ -470,7 +469,6 @@ fn plan_pair<'a>(
     push: impl Fn(RangeTask<'a>) -> Result<bool, String>,
     obs: Obs<'_>,
 ) -> Result<bool, String> {
-    let pair_start = Instant::now();
     let mut strands = vec![(Cow::Borrowed(query), Strand::Forward)];
     if params.both_strands {
         strands.push((Cow::Owned(query.reverse_complement()), Strand::Reverse));
@@ -489,7 +487,6 @@ fn plan_pair<'a>(
             pair_id,
             lane_idx,
             strand,
-            pair_start,
             target,
             query,
             ctx,
@@ -606,7 +603,6 @@ fn worker<'a>(
                     &stream.query,
                     &hits,
                     cost,
-                    stream.pair_start,
                     strand_code(stream.strand),
                     idx,
                     pair_obs,
@@ -701,18 +697,9 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
         batches,
     } in job.lanes
     {
-        let (start, query) = (stream.pair_start, &stream.query);
-        let anchors = fold_batches(params, seeded, ctx_time, batches, start, &mut report);
-        extend_anchors(
-            params,
-            stream.target,
-            query,
-            stream.strand,
-            anchors,
-            start,
-            &mut report,
-            obs,
-        );
+        let anchors = fold_batches(seeded, ctx_time, batches, &mut report);
+        let (target, query, strand) = (stream.target, &stream.query, stream.strand);
+        extend_anchors(params, target, query, strand, anchors, &mut report, obs);
     }
     report
         .alignments
@@ -807,7 +794,6 @@ mod tests {
         params.shard_bases = 256;
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, q.len());
         assert_eq!(ranges.count(), 5);
-        let pair_start = Instant::now();
         // A hit every 320 bp — ranges 0, 1, 2 and 3 — then one in range 4
         // that panics its batch (and the batch's one retry).
         let mut hits: Vec<SeedHit> = (0..4).map(|i| SeedHit::new(i * 320, i * 320)).collect();
@@ -820,7 +806,6 @@ mod tests {
             pair_id: 0,
             lane_idx: 0,
             strand: Strand::Forward,
-            pair_start,
             target: &t,
             query: Cow::Borrowed(&q),
             ctx: FilterContext::new(&params, &t, &q),
@@ -848,7 +833,6 @@ mod tests {
                     &q,
                     &batch,
                     SeededLane::default(),
-                    pair_start,
                     scode,
                     i,
                     Obs::off(),

@@ -92,7 +92,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
-    use std::time::Duration;
 
     fn executor_kind_parses() -> Result<(), String> {
         assert_eq!("barrier".parse::<ExecutorKind>()?, ExecutorKind::Barrier);
@@ -176,7 +175,6 @@ mod tests {
                 max_seed_hits: Some(40),
                 max_filter_tiles: Some(60),
                 max_extension_cells: Some(2_000_000),
-                ..ResourceBudget::default()
             },
             both_strands: true,
             ..WgaParams::darwin_wga()
@@ -187,11 +185,11 @@ mod tests {
         assert!(dataflow.degraded_pairs() > 0, "budgets should trip");
     }
 
-    /// The tile budget charges the tiles queued for filtering on both
-    /// schedules, so a deadline that stops every batch before its first
-    /// tile clamps the reverse strand alike at one thread and at two.
+    /// The tile budget spans both strands: the reverse strand is charged
+    /// for the tiles the forward strand kept, alike at one thread and at
+    /// two.
     #[test]
-    fn tile_budget_events_match_the_loop_when_the_deadline_stops_filtering() {
+    fn tile_budget_events_match_the_loop_on_both_strands() {
         let (target, query) = assemblies(808, &[(10_000, 0.25)]);
         let both = WgaParams {
             both_strands: true,
@@ -201,7 +199,6 @@ mod tests {
         let params = WgaParams {
             budget: ResourceBudget {
                 max_filter_tiles: Some(tiles / 2),
-                deadline: Some(Duration::ZERO),
                 ..ResourceBudget::default()
             },
             ..both

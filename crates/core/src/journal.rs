@@ -20,7 +20,7 @@
 //! counted in [`JournalStats`]. Only a header mismatch (wrong format,
 //! wrong parameter fingerprint) aborts the resume.
 
-use crate::config::WgaParams;
+use crate::config::{ResourceBudget, WgaParams};
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};
 use crate::report::{
@@ -128,18 +128,45 @@ impl PairRecord {
 
 /// Fingerprint of a parameter set, stored in the journal header so a
 /// resume with different parameters is rejected instead of silently
-/// mixing results. FNV-1a over the canonical debug rendering, with the
-/// output-neutral knobs — the filter engine and the query range size —
-/// reset to the [`WgaParams::darwin_wga`] defaults, so a journal resumes
-/// whichever of them wrote it.
+/// mixing results. FNV-1a over a fixed rendering of `params`: the text
+/// `WgaParams`' derived `Debug` printed when the fingerprint was pinned,
+/// written out field by field so that a later change to the struct
+/// cannot orphan the journals written before it. Nested values keep
+/// their `Debug`. The output-neutral knobs — the filter engine and the
+/// query range size — are printed at their [`WgaParams::darwin_wga`]
+/// defaults, and `deadline: None` stands for a retired budget, so a
+/// journal resumes whichever engine and range size wrote it. The
+/// destructuring names every field, so a new one does not compile until
+/// it is rendered or declared output-neutral here.
 pub fn params_fingerprint(params: &WgaParams) -> String {
-    let defaults = WgaParams::darwin_wga();
-    let neutral = WgaParams {
-        filter_engine: defaults.filter_engine,
-        shard_bases: defaults.shard_bases,
-        ..params.clone()
-    };
-    let repr = format!("{neutral:?}");
+    let WgaParams {
+        scoring,
+        gaps,
+        seed_pattern,
+        dsoft,
+        max_seed_occurrences,
+        filter,
+        filter_engine: _,
+        extension,
+        extension_threshold,
+        both_strands,
+        budget:
+            ResourceBudget {
+                max_seed_hits,
+                max_filter_tiles,
+                max_extension_cells,
+            },
+        shard_bases: _,
+    } = params;
+    let repr = format!(
+        "WgaParams {{ scoring: {scoring:?}, gaps: {gaps:?}, seed_pattern: {seed_pattern:?}, \
+         dsoft: {dsoft:?}, max_seed_occurrences: {max_seed_occurrences:?}, filter: {filter:?}, \
+         filter_engine: Simd, extension: GactX({extension:?}), \
+         extension_threshold: {extension_threshold:?}, both_strands: {both_strands:?}, \
+         budget: ResourceBudget {{ max_seed_hits: {max_seed_hits:?}, \
+         max_filter_tiles: {max_filter_tiles:?}, max_extension_cells: {max_extension_cells:?}, \
+         deadline: None }}, shard_bases: 2048 }}"
+    );
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in repr.bytes() {
         hash ^= byte as u64;
@@ -350,7 +377,6 @@ fn budget_kind_name(kind: BudgetKind) -> &'static str {
         BudgetKind::SeedHits => "seed_hits",
         BudgetKind::FilterTiles => "filter_tiles",
         BudgetKind::ExtensionCells => "extension_cells",
-        BudgetKind::Deadline => "deadline",
     }
 }
 
@@ -472,7 +498,6 @@ fn decode_budget_kind(name: &str) -> Result<BudgetKind, String> {
         "seed_hits" => Ok(BudgetKind::SeedHits),
         "filter_tiles" => Ok(BudgetKind::FilterTiles),
         "extension_cells" => Ok(BudgetKind::ExtensionCells),
-        "deadline" => Ok(BudgetKind::Deadline),
         other => Err(format!("unknown budget kind {other:?}")),
     }
 }
@@ -669,6 +694,7 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
 mod tests {
     use super::*;
     use crate::config::FilterEngineKind;
+    use align::gactx::TilingParams;
 
     fn sample_record() -> PairRecord {
         let mut cigar = Cigar::new();
@@ -872,12 +898,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The fingerprint hashes `WgaParams`' `Debug` rendering, so a
-    /// renamed field or a changed derive silently orphans every journal
-    /// written before it. These are the values the parent of PR 21
-    /// wrote: while they hold, its `--checkpoint` journals still resume.
+    /// A changed rendering silently orphans every journal written before
+    /// it. The presets' values date from when the filter engine left the
+    /// fingerprint. The third, with every budget set, both strands and a
+    /// non-default tiling, is what the derived `Debug` rendering gave
+    /// before the text was written out. While they hold, those journals
+    /// still resume.
     #[test]
-    fn fingerprints_of_the_two_presets_are_pinned() {
+    fn fingerprints_are_pinned() {
         assert_eq!(
             params_fingerprint(&WgaParams::darwin_wga()),
             "c101066a06e1bd8f"
@@ -886,6 +914,22 @@ mod tests {
             params_fingerprint(&WgaParams::lastz_baseline()),
             "5f947ee48ae4fce9"
         );
+        let budgeted = WgaParams {
+            extension: TilingParams {
+                tile_size: 1024,
+                overlap: 64,
+                y: 5000,
+                edge_traceback: true,
+            },
+            both_strands: true,
+            budget: ResourceBudget {
+                max_seed_hits: Some(100_000),
+                max_filter_tiles: Some(50_000),
+                max_extension_cells: Some(1 << 30),
+            },
+            ..WgaParams::darwin_wga()
+        };
+        assert_eq!(params_fingerprint(&budgeted), "9cf6f044ed7fa9c2");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub fn run_pair(
     query: &Sequence,
     obs: Obs<'_>,
 ) -> WgaReport {
-    let pair_start = Instant::now();
     let mut report = WgaReport::default();
     // A budgeted reverse strand is charged for the tiles the forward
     // strand kept, filtered or not, on every schedule.
@@ -81,24 +80,14 @@ pub fn run_pair(
                 query,
                 &hits,
                 cost,
-                pair_start,
                 scode,
                 idx,
                 obs,
             ));
         }
         drop((scratch, engine, table));
-        let anchors = fold_batches(params, lane, ctx_time, batches, pair_start, &mut report);
-        extend_anchors(
-            params,
-            target,
-            query,
-            strand,
-            anchors,
-            pair_start,
-            &mut report,
-            obs,
-        );
+        let anchors = fold_batches(lane, ctx_time, batches, &mut report);
+        extend_anchors(params, target, query, strand, anchors, &mut report, obs);
     };
     if params.both_strands {
         run_strand(Arc::clone(&table), query, Strand::Forward);

@@ -58,9 +58,6 @@ pub enum BudgetKind {
     FilterTiles,
     /// [`crate::config::ResourceBudget::max_extension_cells`] (per pair).
     ExtensionCells,
-    /// [`crate::config::ResourceBudget::deadline`] (per pair; the
-    /// `limit`/`observed` fields are milliseconds).
-    Deadline,
 }
 
 /// Which pipeline stage an event occurred in.
@@ -85,8 +82,7 @@ pub enum RunEvent {
         budget: BudgetKind,
         /// Stage that was truncated.
         stage: StageKind,
-        /// The configured limit (milliseconds for
-        /// [`BudgetKind::Deadline`]).
+        /// The configured limit.
         limit: u64,
         /// What the stage observed / would have used when it tripped.
         observed: u64,

@@ -21,11 +21,11 @@
 //! | `Journals::commit` | pair loop, row order, into the pair's block's journal | collector, completion order, the same |
 //! | `fold_pair` | pair-id-order assembly of whole records into block reports | the same |
 //!
-//! Budgets, deadlines, batch containment, fault gates, fault-accounting
-//! freeze and journaling therefore cannot drift between the schedules.
+//! Budgets, batch containment, fault gates, fault-accounting freeze and
+//! journaling therefore cannot drift between the schedules.
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
-use crate::budget::{deadline_event, SmallestHits};
+use crate::budget::SmallestHits;
 use crate::config::WgaParams;
 use crate::error::WgaResult;
 use crate::faultsim::Hook;
@@ -73,7 +73,7 @@ pub fn run_extension(
         anchor.query_pos.min(query.len()),
         &params.scoring,
         &params.gaps,
-        &params.extension.tiling(),
+        &params.extension,
     )
 }
 
@@ -206,9 +206,6 @@ pub(crate) struct BatchResult {
     /// the batch. The hit is kept so [`fold_batches`] can put a strand's
     /// anchors back in hit order.
     survivors: Vec<(SeedHit, Anchor)>,
-    /// Hits actually filtered (< `items` when the pair deadline stopped
-    /// the batch early; 0 for a failed batch).
-    processed: u64,
     /// Hits the batch carried.
     items: u64,
     /// DP cells evaluated.
@@ -235,7 +232,7 @@ impl BatchResult {
 /// Filters one range's hits, seeded at cost `seeded`, with the worker's
 /// `engine` (drawn once per worker and strand from the strand's shared
 /// [`FilterContext`], so its DP scratch serves every batch the worker
-/// runs), stopping early if the pair deadline passes.
+/// runs).
 ///
 /// A panic inside the batch is contained: the batch is retried once
 /// (transient poison often clears; a deterministic panic simply fires
@@ -253,7 +250,6 @@ pub(crate) fn filter_batch(
     query: &Sequence,
     hits: &[SeedHit],
     seeded: SeededLane,
-    pair_start: Instant,
     strand: u8,
     batch_idx: usize,
     obs: Obs<'_>,
@@ -264,12 +260,8 @@ pub(crate) fn filter_batch(
             let mut buf = obs.buffer();
             let batch_timer = buf.start();
             let mut survivors = Vec::new();
-            let mut processed = 0u64;
             let mut cells = 0u64;
             for &hit in hits {
-                if params.budget.deadline_exceeded(pair_start) {
-                    break;
-                }
                 #[cfg(test)]
                 poison_check(hit);
                 let tile_timer = obs.timer();
@@ -277,20 +269,18 @@ pub(crate) fn filter_batch(
                 obs.filter_tile(&tile_timer, outcome.cells);
                 cells += outcome.cells;
                 survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
-                processed += 1;
             }
             buf.finish(
                 batch_timer,
                 SpanName::FilterBatch,
                 strand,
                 batch_idx as u64,
-                processed,
+                hits.len() as u64,
                 cells,
             );
             BatchResult {
                 batch: batch_idx,
                 survivors,
-                processed,
                 items: hits.len() as u64,
                 cells,
                 busy: start.elapsed(),
@@ -325,23 +315,21 @@ fn poison_check(hit: SeedHit) {
 /// batches finished in reaches the extension's stable score sort.
 ///
 /// Event order is the same on every schedule: the strand's budget
-/// clamps, one [`RunEvent::BatchFailed`] per failed batch in range
-/// order, then a filtering-deadline event if any batch stopped short.
+/// clamps, then one [`RunEvent::BatchFailed`] per failed batch in range
+/// order. A batch that ran adds its `items` filter tiles, a failed one
+/// none.
 /// Filtering time is `ctx_time` (the filter context's build) plus every
 /// batch's own wall-clock: time spent filtering, which at more than one
 /// thread is more than the stage's elapsed time.
 pub(crate) fn fold_batches(
-    params: &WgaParams,
     mut lane: SeededLane,
     ctx_time: Duration,
     mut batches: Vec<BatchResult>,
-    pair_start: Instant,
     report: &mut WgaReport,
 ) -> Vec<Anchor> {
     report.events.append(&mut lane.clamp_events);
     batches.sort_by_key(|batch| batch.batch);
     let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
-    let mut deadline_hit = false;
     let mut filter_time = ctx_time;
     for batch in batches {
         lane.add(&batch.seeded);
@@ -354,18 +342,10 @@ pub(crate) fn fold_batches(
             });
             continue;
         }
-        report.workload.filter_tiles += batch.processed;
+        report.workload.filter_tiles += batch.items;
         report.counters.filter_cells += batch.cells;
-        deadline_hit |= batch.processed < batch.items;
         filter_time += batch.busy;
         survivors.extend(batch.survivors);
-    }
-    if deadline_hit {
-        report.events.push(deadline_event(
-            &params.budget,
-            StageKind::Filtering,
-            pair_start,
-        ));
     }
     report.timings.seeding += lane.seed_time;
     report.workload.seeds += lane.seeds_queried;
@@ -376,26 +356,22 @@ pub(crate) fn fold_batches(
     survivors.into_iter().map(|(_, anchor)| anchor).collect()
 }
 
-/// Extends `anchors` best-scoring-first with anchor absorption, budget
-/// enforcement and deadline checks, appending results into `report`.
+/// Extends `anchors` best-scoring-first with anchor absorption and
+/// budget enforcement, appending results into `report`.
 ///
 /// One thread extends a pair on every schedule: whether an anchor is
 /// extended at all depends on what the better-scoring anchors before it
 /// absorbed, so extensions run ahead of this loop are mostly thrown
 /// away (EXPERIMENTS.md, "Speculative-extension waste"). The
-/// extension-cell budget and the pair deadline are checked before each
-/// anchor; on a trip a [`RunEvent::BudgetExceeded`] is recorded and the
-/// remaining (worse-scoring) anchors are skipped.
-///
-/// `pair_start` anchors the per-pair wall-clock deadline.
-#[allow(clippy::too_many_arguments)]
+/// extension-cell budget is checked before each anchor; on a trip a
+/// [`RunEvent::BudgetExceeded`] is recorded and the remaining
+/// (worse-scoring) anchors are skipped.
 pub(crate) fn extend_anchors(
     params: &WgaParams,
     target: &Sequence,
     query: &Sequence,
     strand: Strand,
     mut anchors: Vec<Anchor>,
-    pair_start: Instant,
     report: &mut WgaReport,
     obs: Obs<'_>,
 ) {
@@ -426,14 +402,6 @@ pub(crate) fn extend_anchors(
                 });
                 break;
             }
-        }
-        if params.budget.deadline_exceeded(pair_start) {
-            report.events.push(deadline_event(
-                &params.budget,
-                StageKind::Extension,
-                pair_start,
-            ));
-            break;
         }
         if grid.covers(anchor.target_pos, anchor.query_pos) {
             report.counters.anchors_absorbed += 1;

@@ -41,9 +41,8 @@
 //!     knob: output is byte-identical for any value. --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
 //!     resumes where it left off (at any --filter-engine and
-//!     --shard-size; the other parameters must match). The
-//!     --max-*/--deadline-ms budgets
-//!     bound work per pair; a tripped budget degrades the run
+//!     --shard-size; the other parameters must match). The --max-*
+//!     budgets bound work per pair; a tripped budget degrades the run
 //!     (truncating the worst-scoring work first) instead of aborting it.
 //!     --fault-plan loads a deterministic fault-injection plan for chaos
 //!     testing (see DESIGN.md "Fault injection & supervision"); the
@@ -162,7 +161,7 @@ usage:
             [--filter-engine scalar|simd] [--shard-size N]
             [--checkpoint run.journal]
             [--max-seed-hits N] [--max-filter-tiles N]
-            [--max-extension-cells N] [--deadline-ms N]
+            [--max-extension-cells N]
             [--fault-plan plan.json] [--max-retries N]
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
@@ -613,7 +612,6 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         max_seed_hits: take_parsed(&mut args, "--max-seed-hits")?,
         max_filter_tiles: take_parsed(&mut args, "--max-filter-tiles")?,
         max_extension_cells: take_parsed(&mut args, "--max-extension-cells")?,
-        deadline: take_parsed(&mut args, "--deadline-ms")?.map(std::time::Duration::from_millis),
     };
     reject_leftover_options(&args)?;
     if args.len() != 2 {

@@ -606,6 +606,8 @@ mod cli {
         // A retired knob is an option no longer.
         let out = wga(&["align", good, good, "--stall-timeout-ms", "5"]);
         assert_option_rejected(&out, "--stall-timeout-ms");
+        let out = wga(&["align", good, good, "--deadline-ms", "5"]);
+        assert_option_rejected(&out, "--deadline-ms");
     }
 
     #[test]
