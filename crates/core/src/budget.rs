@@ -5,65 +5,53 @@
 //! ([`crate::dataflow`]) — must degrade *identically* when a
 //! [`crate::config::ResourceBudget`] trips: the golden-report and
 //! fault-tolerance suites compare their outputs byte for byte. This
-//! module is the single implementation of the clamp rules, consumed
-//! through `stages::seed_lane`, so the truncation arithmetic and the
-//! [`RunEvent::BudgetExceeded`] records cannot drift apart — and of how
-//! a strand that is never held whole still keeps exactly the prefix
-//! those rules name (`SmallestHits`).
+//! module is the single implementation of the filter-tile clamp,
+//! consumed through `stages::seed_lane`, so the truncation arithmetic
+//! and the [`RunEvent::BudgetExceeded`] record cannot drift apart — and
+//! of how a strand that is never held whole still keeps exactly the
+//! prefix that clamp names (`SmallestHits`).
 
 use crate::config::WgaParams;
-use crate::report::{BudgetKind, RunEvent, StageKind};
+use crate::report::{BudgetKind, RunEvent};
 use seed::SeedHit;
 
-/// Result of clamping one strand's seed-hit list against the seed-hit
-/// and filter-tile budgets: how many hits to keep (a prefix — hits
-/// arrive in stable positional order, so truncation is deterministic)
-/// and the budget events tripped along the way.
+/// Result of clamping one strand's seed-hit list against the filter-tile
+/// budget: how many hits to keep (a prefix — hits arrive in stable
+/// positional order, so truncation is deterministic) and the budget
+/// event, if it tripped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HitClamp {
-    /// Number of leading hits that fit within the budgets.
+    /// Number of leading hits that fit within the budget.
     pub take: usize,
-    /// One [`RunEvent::BudgetExceeded`] per tripped budget, in the order
-    /// they were evaluated (seed hits, then filter tiles).
-    pub events: Vec<RunEvent>,
+    /// The [`RunEvent::BudgetExceeded`] of a tripped budget.
+    pub event: Option<RunEvent>,
 }
 
-/// Applies the seed-hit budget (per strand) and the filter-tile budget
-/// (per pair, `tiles_used` consumed so far) to a strand's `hits`-long
-/// hit list.
+/// Applies the filter-tile budget (per pair, `tiles_used` consumed so
+/// far) to a strand's `hits`-long hit list: each hit is one filter tile.
 ///
 /// Both schedules pass the tiles *queued* for filtering so far — the
 /// hits handed to a filter batch, whether or not a failed batch kept
 /// them from running — so a clamp never waits on filtering.
 pub fn clamp_hit_count(params: &WgaParams, hits: usize, tiles_used: u64) -> HitClamp {
-    let mut take = hits;
-    let mut events = Vec::new();
-    if let Some(limit) = params.budget.max_seed_hits {
-        if take as u64 > limit {
-            events.push(RunEvent::BudgetExceeded {
-                budget: BudgetKind::SeedHits,
-                stage: StageKind::Seeding,
-                limit,
-                observed: take as u64,
-            });
-            take = limit as usize;
-        }
-    }
+    let mut clamp = HitClamp {
+        take: hits,
+        event: None,
+    };
     if let Some(limit) = params.budget.max_filter_tiles {
         // The tile budget spans both strands of the pair: only the tiles
         // not yet consumed remain available to this strand.
         let remaining = limit.saturating_sub(tiles_used);
-        if take as u64 > remaining {
-            events.push(RunEvent::BudgetExceeded {
+        if hits as u64 > remaining {
+            clamp.event = Some(RunEvent::BudgetExceeded {
                 budget: BudgetKind::FilterTiles,
-                stage: StageKind::Filtering,
                 limit,
-                observed: tiles_used + take as u64,
+                observed: tiles_used + hits as u64,
             });
-            take = remaining as usize;
+            clamp.take = remaining as usize;
         }
     }
-    HitClamp { take, events }
+    clamp
 }
 
 /// The `cap` smallest hits of a stream, and how many hits it had, in
@@ -80,15 +68,12 @@ pub(crate) struct SmallestHits {
 }
 
 impl SmallestHits {
-    /// Room for the most hits the budgets could let through with
+    /// Room for the most hits the budget could let through with
     /// `tiles_used` filter tiles already spent.
     pub(crate) fn new(params: &WgaParams, tiles_used: u64) -> SmallestHits {
-        let budget = &params.budget;
-        let tiles_left = budget
-            .max_filter_tiles
-            .map(|limit| limit.saturating_sub(tiles_used));
-        let cap = budget.max_seed_hits.into_iter().chain(tiles_left).min();
-        let cap = cap.map_or(usize::MAX, |cap| usize::try_from(cap).unwrap_or(usize::MAX));
+        let cap = params.budget.max_filter_tiles.map_or(usize::MAX, |limit| {
+            usize::try_from(limit.saturating_sub(tiles_used)).unwrap_or(usize::MAX)
+        });
         SmallestHits {
             cap,
             kept: Vec::new(),
@@ -136,32 +121,11 @@ mod tests {
         }
     }
 
-    fn tripped(budget: BudgetKind, stage: StageKind, limit: u64, observed: u64) -> RunEvent {
-        RunEvent::BudgetExceeded {
-            budget,
-            stage,
-            limit,
-            observed,
-        }
-    }
-
     #[test]
     fn unbounded_budget_keeps_everything() {
         let clamp = clamp_hit_count(&params_with(ResourceBudget::default()), 1000, 0);
         assert_eq!(clamp.take, 1000);
-        assert!(clamp.events.is_empty());
-    }
-
-    #[test]
-    fn seed_hit_budget_truncates_and_records() {
-        let p = params_with(ResourceBudget {
-            max_seed_hits: Some(25),
-            ..ResourceBudget::default()
-        });
-        let clamp = clamp_hit_count(&p, 100, 0);
-        assert_eq!(clamp.take, 25);
-        let seeding = tripped(BudgetKind::SeedHits, StageKind::Seeding, 25, 100);
-        assert_eq!(clamp.events, [seeding]);
+        assert_eq!(clamp.event, None);
     }
 
     #[test]
@@ -173,32 +137,21 @@ mod tests {
         // First strand takes the full 40; second strand only gets 20.
         let first = clamp_hit_count(&p, 40, 0);
         assert_eq!(first.take, 40);
-        assert!(first.events.is_empty());
+        assert_eq!(first.event, None);
         let second = clamp_hit_count(&p, 40, 40);
         assert_eq!(second.take, 20);
-        let filtering = tripped(BudgetKind::FilterTiles, StageKind::Filtering, 60, 80);
-        assert_eq!(second.events, [filtering]);
-    }
-
-    #[test]
-    fn both_budgets_trip_in_order() {
-        let p = params_with(ResourceBudget {
-            max_seed_hits: Some(50),
-            max_filter_tiles: Some(30),
-            ..ResourceBudget::default()
-        });
-        let clamp = clamp_hit_count(&p, 100, 0);
-        assert_eq!(clamp.take, 30);
-        let seeding = tripped(BudgetKind::SeedHits, StageKind::Seeding, 50, 100);
-        let filtering = tripped(BudgetKind::FilterTiles, StageKind::Filtering, 30, 50);
-        assert_eq!(clamp.events, [seeding, filtering]);
+        let filtering = RunEvent::BudgetExceeded {
+            budget: BudgetKind::FilterTiles,
+            limit: 60,
+            observed: 80,
+        };
+        assert_eq!(second.event, Some(filtering));
     }
 
     #[test]
     fn smallest_hits_keeps_the_clamped_prefix_in_bounded_memory() {
         let p = params_with(ResourceBudget {
-            max_seed_hits: Some(10),
-            max_filter_tiles: Some(12),
+            max_filter_tiles: Some(10),
             ..ResourceBudget::default()
         });
         // 1000 distinct hits in a scrambled order, fed in uneven pieces.

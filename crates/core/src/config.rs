@@ -10,19 +10,19 @@ use seed::{DsoftParams, SeedPattern};
 ///
 /// The paper's workloads are 100–137 Mbp genome pairs where filtering
 /// dominates runtime (§III-A); a single repeat-dense chromosome can blow
-/// up seed hits and filter tiles by orders of magnitude. Budgets bound
-/// each stage's work: when a budget trips, the stage truncates
-/// *deterministically* (work is processed best-first where a score
-/// exists, in stable positional order otherwise), a
-/// [`crate::report::RunEvent::BudgetExceeded`] event is recorded, and
-/// the run continues instead of OOMing or hanging.
+/// up seed hits, and with them filter tiles, by orders of magnitude.
+/// Budgets bound the filter's and the extension's work: when a budget
+/// trips, the stage truncates *deterministically* (work is processed
+/// best-first where a score exists, in stable positional order
+/// otherwise), a [`crate::report::RunEvent::BudgetExceeded`] event is
+/// recorded, and the run continues instead of OOMing or hanging.
 ///
 /// All limits default to `None` (unbounded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
-    /// Maximum seed hits handed to the filter per query strand.
-    pub max_seed_hits: Option<u64>,
-    /// Maximum filter tiles per chromosome-pair run (both strands).
+    /// Maximum filter tiles per chromosome-pair run (both strands). Each
+    /// seed hit handed to the filter is one tile (§III-A), so this is
+    /// also the cap on the pair's seed hits.
     pub max_filter_tiles: Option<u64>,
     /// Maximum extension DP cells per chromosome-pair run. Checked
     /// before each anchor extension, so the cap may be overshot by at
@@ -436,7 +436,6 @@ mod tests {
     #[test]
     fn budget_defaults_unbounded() {
         let b = ResourceBudget::default();
-        assert_eq!(b.max_seed_hits, None);
         assert_eq!(b.max_filter_tiles, None);
         assert_eq!(b.max_extension_cells, None);
     }

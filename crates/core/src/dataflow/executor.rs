@@ -711,7 +711,7 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
 mod tests {
     use super::*;
     use crate::obs::{TraceRecorder, STRAND_FWD};
-    use crate::report::{RunEvent, StageKind};
+    use crate::report::RunEvent;
     use genome::assembly::Assembly;
     use genome::Base;
 
@@ -894,16 +894,11 @@ mod tests {
             );
             match &report.events[..] {
                 [RunEvent::BatchFailed {
-                    stage,
                     batch,
                     items,
                     message,
                 }] => {
-                    assert_eq!(
-                        (*stage, *batch, *items),
-                        (StageKind::Filtering, 4, 1),
-                        "{schedule}"
-                    );
+                    assert_eq!((*batch, *items), (4, 1), "{schedule}");
                     assert!(message.contains("poisoned"), "{schedule}: {message}");
                 }
                 other => panic!("{schedule}: expected one failed batch, got {other:?}"),

@@ -172,7 +172,6 @@ mod tests {
         let (target, query) = assemblies(202, &[(10_000, 0.25)]);
         let params = WgaParams {
             budget: ResourceBudget {
-                max_seed_hits: Some(40),
                 max_filter_tiles: Some(60),
                 max_extension_cells: Some(2_000_000),
             },
@@ -279,7 +278,7 @@ mod tests {
     fn the_pool_seeds_what_the_producer_plans() {
         let budgeted = WgaParams {
             budget: ResourceBudget {
-                max_seed_hits: Some(1_000),
+                max_filter_tiles: Some(1_000),
                 ..ResourceBudget::default()
             },
             ..WgaParams::darwin_wga()

@@ -221,7 +221,9 @@ fn file_id(path: &Path) -> Option<FileId> {
 /// replace ([`pre_open_check`]). A `replaced` output is written by
 /// [`write_atomic_with`] or [`write_atomic_gated`]: missing, a regular
 /// file, or a stream written in place. A checkpoint `journal`, read back
-/// and grown in place, is missing or a regular file.
+/// and grown in place, is missing or a regular file; its tmp sibling,
+/// which a repair of a damaged journal is written through, is claimed
+/// like an output's but not staged.
 ///
 /// # Errors
 ///
@@ -261,12 +263,14 @@ pub fn pre_open_outputs(
         if stream {
             continue;
         }
-        let tmp = replace.then(|| file_id(&tmp_path(path))).flatten();
-        for id in std::iter::once(id).chain(tmp) {
+        // A journal stages its repairs through the tmp sibling too.
+        let tmp = tmp_path(path);
+        let tmp_id = file_id(&tmp).map(|tmp_id| (tmp.as_path(), tmp_id));
+        for (name, id) in std::iter::once((path, id)).chain(tmp_id) {
             if let Some((other, _)) = claimed.iter().find(|(_, claim)| *claim == id) {
                 return Err(WgaError::config(format!(
                     "{other} and {flag} would write one file ({})",
-                    path.display()
+                    name.display()
                 )));
             }
             claimed.push((flag, id));

@@ -21,10 +21,11 @@
 //! wrong parameter fingerprint) aborts the resume.
 
 use crate::config::{ResourceBudget, WgaParams};
+use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};
 use crate::report::{
-    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageKind, StageTimings, Strand, WgaAlignment,
+    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageTimings, Strand, WgaAlignment,
 };
 use align::cigar::MAX_RUN;
 use align::{AlignOp, Alignment, Cigar};
@@ -134,8 +135,9 @@ impl PairRecord {
 /// cannot orphan the journals written before it. Nested values keep
 /// their `Debug`. The output-neutral knobs — the filter engine and the
 /// query range size — are printed at their [`WgaParams::darwin_wga`]
-/// defaults, and `deadline: None` stands for a retired budget, so a
-/// journal resumes whichever engine and range size wrote it. The
+/// defaults, and `max_seed_hits: None` and `deadline: None` stand for
+/// retired budgets, so a journal resumes whichever engine and range size
+/// wrote it, and one written under a retired budget is refused. The
 /// destructuring names every field, so a new one does not compile until
 /// it is rendered or declared output-neutral here.
 pub fn params_fingerprint(params: &WgaParams) -> String {
@@ -152,7 +154,6 @@ pub fn params_fingerprint(params: &WgaParams) -> String {
         both_strands,
         budget:
             ResourceBudget {
-                max_seed_hits,
                 max_filter_tiles,
                 max_extension_cells,
             },
@@ -163,7 +164,7 @@ pub fn params_fingerprint(params: &WgaParams) -> String {
          dsoft: {dsoft:?}, max_seed_occurrences: {max_seed_occurrences:?}, filter: {filter:?}, \
          filter_engine: Simd, extension: GactX({extension:?}), \
          extension_threshold: {extension_threshold:?}, both_strands: {both_strands:?}, \
-         budget: ResourceBudget {{ max_seed_hits: {max_seed_hits:?}, \
+         budget: ResourceBudget {{ max_seed_hits: None, \
          max_filter_tiles: {max_filter_tiles:?}, max_extension_cells: {max_extension_cells:?}, \
          deadline: None }}, shard_bases: 2048 }}"
     );
@@ -192,8 +193,9 @@ impl Journal {
     /// Damaged records are tolerated: a torn final line (crash
     /// mid-append) is dropped, and a corrupt interior record — bad
     /// JSON or a CRC mismatch — is skipped so its pair re-runs. Both
-    /// are counted in [`Journal::stats`] and pruned from the file so
-    /// the damage does not accumulate across resumes.
+    /// are counted in [`Journal::stats`] and pruned from the file
+    /// (rewritten whole by [`durable::write_atomic`]) so the damage
+    /// does not accumulate across resumes.
     ///
     /// # Errors
     ///
@@ -259,7 +261,9 @@ impl Journal {
                 // The file still contains the dropped bytes; appending
                 // after a torn tail would corrupt the next record, so
                 // shrink the journal back to its valid lines (in
-                // original record order) before reopening for append.
+                // original record order) before reopening for append —
+                // atomically, so a crash mid-repair leaves the old file
+                // or the repaired one, never a short or headerless one.
                 if dropped_any {
                     let mut content = String::with_capacity(text.len());
                     for line in kept {
@@ -272,7 +276,7 @@ impl Journal {
         }
         stats.records_recovered = recovered.len() as u64;
         if let Some(content) = &rewrite {
-            std::fs::write(path, content).map_err(|e| WgaError::io(&display, e))?;
+            durable::write_atomic(path, content.as_bytes())?;
         }
 
         let mut file = OpenOptions::new()
@@ -372,19 +376,12 @@ fn micros(d: Duration) -> Json {
     Json::Int(d.as_micros() as i128)
 }
 
-fn budget_kind_name(kind: BudgetKind) -> &'static str {
+/// A budget's journal name and that of the stage it truncates, which
+/// every record still spells out for the readers that decoded it.
+fn budget_kind_names(kind: BudgetKind) -> (&'static str, &'static str) {
     match kind {
-        BudgetKind::SeedHits => "seed_hits",
-        BudgetKind::FilterTiles => "filter_tiles",
-        BudgetKind::ExtensionCells => "extension_cells",
-    }
-}
-
-fn stage_kind_name(stage: StageKind) -> &'static str {
-    match stage {
-        StageKind::Seeding => "seeding",
-        StageKind::Filtering => "filtering",
-        StageKind::Extension => "extension",
+        BudgetKind::FilterTiles => ("filter_tiles", "filtering"),
+        BudgetKind::ExtensionCells => ("extension_cells", "extension"),
     }
 }
 
@@ -392,24 +389,25 @@ fn encode_event(event: &RunEvent) -> Json {
     match event {
         RunEvent::BudgetExceeded {
             budget,
-            stage,
             limit,
             observed,
-        } => Json::obj([
-            ("type", "budget".into()),
-            ("budget", budget_kind_name(*budget).into()),
-            ("stage", stage_kind_name(*stage).into()),
-            ("limit", (*limit).into()),
-            ("observed", (*observed).into()),
-        ]),
+        } => {
+            let (budget, stage) = budget_kind_names(*budget);
+            Json::obj([
+                ("type", "budget".into()),
+                ("budget", budget.into()),
+                ("stage", stage.into()),
+                ("limit", (*limit).into()),
+                ("observed", (*observed).into()),
+            ])
+        }
         RunEvent::BatchFailed {
-            stage,
             batch,
             items,
             message,
         } => Json::obj([
             ("type", "batch_failed".into()),
-            ("stage", stage_kind_name(*stage).into()),
+            ("stage", "filtering".into()),
             ("batch", (*batch).into()),
             ("items", (*items).into()),
             ("message", message.as_str().into()),
@@ -495,32 +493,21 @@ fn encode_record(record: &PairRecord) -> String {
 
 fn decode_budget_kind(name: &str) -> Result<BudgetKind, String> {
     match name {
-        "seed_hits" => Ok(BudgetKind::SeedHits),
         "filter_tiles" => Ok(BudgetKind::FilterTiles),
         "extension_cells" => Ok(BudgetKind::ExtensionCells),
         other => Err(format!("unknown budget kind {other:?}")),
     }
 }
 
-fn decode_stage_kind(name: &str) -> Result<StageKind, String> {
-    match name {
-        "seeding" => Ok(StageKind::Seeding),
-        "filtering" => Ok(StageKind::Filtering),
-        "extension" => Ok(StageKind::Extension),
-        other => Err(format!("unknown stage kind {other:?}")),
-    }
-}
-
+/// The `"stage"` member is not read: it follows from the event.
 fn decode_event(value: &Json) -> Result<RunEvent, String> {
     match value.str("type")? {
         "budget" => Ok(RunEvent::BudgetExceeded {
             budget: decode_budget_kind(value.str("budget")?)?,
-            stage: decode_stage_kind(value.str("stage")?)?,
             limit: value.u64("limit")?,
             observed: value.u64("observed")?,
         }),
         "batch_failed" => Ok(RunEvent::BatchFailed {
-            stage: decode_stage_kind(value.str("stage")?)?,
             batch: value.u64("batch")? as usize,
             items: value.u64("items")?,
             message: value.str("message")?.to_string(),
@@ -708,12 +695,10 @@ mod tests {
                 events: vec![
                     RunEvent::BudgetExceeded {
                         budget: BudgetKind::FilterTiles,
-                        stage: StageKind::Filtering,
                         limit: 100,
                         observed: 250,
                     },
                     RunEvent::BatchFailed {
-                        stage: StageKind::Filtering,
                         batch: 3,
                         items: 7,
                         message: "panicked at\nline".into(),
@@ -858,6 +843,14 @@ mod tests {
         }
     }
 
+    /// A journal's inode: a repair written in place keeps it, one
+    /// renamed over the journal does not.
+    #[cfg(unix)]
+    fn inode(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(path).unwrap().ino()
+    }
+
     #[test]
     fn journal_resume_recovers_completed_pairs() {
         let dir = std::env::temp_dir();
@@ -876,7 +869,13 @@ mod tests {
             f.write_all(b"{\"target_chrom\":\"chrII\",\"query_ch")
                 .unwrap();
         }
+        #[cfg(unix)]
+        let torn = inode(&path);
         let mut journal = Journal::open(&path, &fp).unwrap();
+        assert!(journal.stats().torn_tail_dropped);
+        #[cfg(unix)]
+        assert_ne!(inode(&path), torn, "the repair is renamed into place");
+        assert!(!durable::tmp_path(&path).exists());
         assert_eq!(journal.recovered.len(), 1);
         let rec = journal.take("chr\"I\\", "chr1").unwrap();
         assert_eq!(rec, sample_record());
@@ -900,10 +899,10 @@ mod tests {
 
     /// A changed rendering silently orphans every journal written before
     /// it. The presets' values date from when the filter engine left the
-    /// fingerprint. The third, with every budget set, both strands and a
-    /// non-default tiling, is what the derived `Debug` rendering gave
-    /// before the text was written out. While they hold, those journals
-    /// still resume.
+    /// fingerprint. The third, with both remaining budgets set, both
+    /// strands and a non-default tiling, is what the rendering gave while
+    /// a seed-hit budget could still be set. While they hold, those
+    /// journals still resume.
     #[test]
     fn fingerprints_are_pinned() {
         assert_eq!(
@@ -923,13 +922,60 @@ mod tests {
             },
             both_strands: true,
             budget: ResourceBudget {
-                max_seed_hits: Some(100_000),
                 max_filter_tiles: Some(50_000),
                 max_extension_cells: Some(1 << 30),
             },
             ..WgaParams::darwin_wga()
         };
-        assert_eq!(params_fingerprint(&budgeted), "9cf6f044ed7fa9c2");
+        assert_eq!(params_fingerprint(&budgeted), "3dc4edb959035bcc");
+    }
+
+    /// A record with one event of each kind production builds encodes to
+    /// the bytes it did while every event carried its stage, so journals
+    /// written before and after resume each other.
+    #[test]
+    fn degraded_record_bytes_are_pinned() {
+        let record = PairRecord {
+            target_chrom: "chrI".into(),
+            query_chrom: "chr1".into(),
+            outcome: RunOutcome::Degraded {
+                events: vec![
+                    RunEvent::BudgetExceeded {
+                        budget: BudgetKind::FilterTiles,
+                        limit: 100,
+                        observed: 250,
+                    },
+                    RunEvent::BudgetExceeded {
+                        budget: BudgetKind::ExtensionCells,
+                        limit: 4000,
+                        observed: 4100,
+                    },
+                    RunEvent::BatchFailed {
+                        batch: 3,
+                        items: 7,
+                        message: "injected".into(),
+                    },
+                ],
+            },
+            workload: Workload::default(),
+            timings: StageTimings::default(),
+            counters: FunnelCounters::default(),
+            alignments: Vec::new(),
+        };
+        let line = concat!(
+            r#"{"target_chrom":"chrI","query_chrom":"chr1","outcome":{"status":"degraded","events":["#,
+            r#"{"type":"budget","budget":"filter_tiles","stage":"filtering","limit":100,"observed":250},"#,
+            r#"{"type":"budget","budget":"extension_cells","stage":"extension","limit":4000,"observed":4100},"#,
+            r#"{"type":"batch_failed","stage":"filtering","batch":3,"items":7,"message":"injected"}]},"#,
+            r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
+            r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
+            r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
+            r#""alignments_kept":0,"faults_injected":0,"retries":0,"stalls_detected":0},"#,
+            r#""alignments":[],"crc":1315370280}"#,
+            "\n"
+        );
+        assert_eq!(encode_record(&record), line);
+        assert_eq!(decode_record(line.trim_end()).unwrap(), record);
     }
 
     #[test]
@@ -969,7 +1015,12 @@ mod tests {
             rec.target_chrom = "chrII".into();
             f.write_all(encode_record(&rec).as_bytes()).unwrap();
         }
+        #[cfg(unix)]
+        let damaged = inode(&path);
         let journal = Journal::open(&path, &fp).unwrap();
+        #[cfg(unix)]
+        assert_ne!(inode(&path), damaged, "the repair is renamed into place");
+        assert!(!durable::tmp_path(&path).exists());
         assert_eq!(journal.recovered.len(), 2, "both valid records survive");
         let stats = journal.stats();
         assert_eq!(stats.records_recovered, 2);

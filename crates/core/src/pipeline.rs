@@ -314,30 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_hit_budget_truncates_per_strand() {
-        use crate::config::ResourceBudget;
-        use crate::report::{BudgetKind, RunEvent};
-
-        let pair = synthetic(0.1, 30_000, 2);
-        let params = WgaParams {
-            budget: ResourceBudget {
-                max_seed_hits: Some(25),
-                ..ResourceBudget::default()
-            },
-            ..WgaParams::darwin_wga()
-        };
-        let report = WgaPipeline::new(params).run(&pair.target.sequence, &pair.query.sequence);
-        assert!(report.workload.filter_tiles <= 25);
-        assert!(report.events.iter().any(|e| matches!(
-            e,
-            RunEvent::BudgetExceeded {
-                budget: BudgetKind::SeedHits,
-                ..
-            }
-        )));
-    }
-
-    #[test]
     fn extension_cell_budget_bounds_cells() {
         use crate::config::ResourceBudget;
         use crate::report::{BudgetKind, RunEvent};

@@ -49,30 +49,22 @@ impl StageTimings {
     }
 }
 
-/// Which resource budget a [`RunEvent::BudgetExceeded`] refers to.
+/// Which resource budget a [`RunEvent::BudgetExceeded`] refers to; each
+/// truncates one stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// [`crate::config::ResourceBudget::max_seed_hits`] (per strand).
-    SeedHits,
-    /// [`crate::config::ResourceBudget::max_filter_tiles`] (per pair).
+    /// [`crate::config::ResourceBudget::max_filter_tiles`] (per pair),
+    /// which truncates filtering.
     FilterTiles,
-    /// [`crate::config::ResourceBudget::max_extension_cells`] (per pair).
+    /// [`crate::config::ResourceBudget::max_extension_cells`] (per pair),
+    /// which truncates extension.
     ExtensionCells,
 }
 
-/// Which pipeline stage an event occurred in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Seed-table lookup / D-SOFT banding.
-    Seeding,
-    /// Gapped or ungapped filtering.
-    Filtering,
-    /// GACT-X extension.
-    Extension,
-}
-
 /// One noteworthy event of a pipeline run: graceful degradation instead
-/// of unbounded work (budgets) or process death (worker panics).
+/// of unbounded work (budgets) or process death (worker panics). The
+/// stage an event occurred in follows from the event: a budget's from
+/// its [`BudgetKind`], a failed batch's is always filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunEvent {
     /// A resource budget tripped; the stage truncated its work
@@ -80,8 +72,6 @@ pub enum RunEvent {
     BudgetExceeded {
         /// Which budget tripped.
         budget: BudgetKind,
-        /// Stage that was truncated.
-        stage: StageKind,
         /// The configured limit.
         limit: u64,
         /// What the stage observed / would have used when it tripped.
@@ -91,9 +81,7 @@ pub enum RunEvent {
     /// or was failed by a queue fault; its items were dropped from the
     /// result.
     BatchFailed {
-        /// Stage the batch belonged to.
-        stage: StageKind,
-        /// Batch index within the stage dispatch.
+        /// The batch's query range index within its strand.
         batch: usize,
         /// Number of work items the batch carried.
         items: u64,
@@ -247,7 +235,6 @@ mod tests {
         assert_eq!(report.outcome(), RunOutcome::Completed);
         report.events.push(RunEvent::BudgetExceeded {
             budget: BudgetKind::FilterTiles,
-            stage: StageKind::Filtering,
             limit: 10,
             observed: 25,
         });

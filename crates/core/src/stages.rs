@@ -33,7 +33,7 @@ use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, PairMatrix};
 use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
-use crate::report::{BudgetKind, RunEvent, StageKind, Strand, WgaAlignment, WgaReport};
+use crate::report::{BudgetKind, RunEvent, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
 use crate::supervise::{self, panic_message, Supervision};
 use align::gactx::{self, ExtendedAlignment};
@@ -86,7 +86,7 @@ pub(crate) struct SeededLane {
     raw_hits: u64,
     /// D-SOFT wall-clock, range by range.
     seed_time: Duration,
-    clamp_events: Vec<RunEvent>,
+    clamp_event: Option<RunEvent>,
 }
 
 impl SeededLane {
@@ -144,8 +144,8 @@ pub(crate) fn seed_range(
 }
 
 /// Opens one query strand: fires the strand's `filter.batch` chaos gate
-/// and, when a seed-hit or filter-tile budget is set, settles what the
-/// budget keeps. Returns the strand's accounting and, for a budgeted
+/// and, when a filter-tile budget is set, settles what the budget
+/// keeps. Returns the strand's accounting and, for a budgeted
 /// strand, the hits to filter, grouped by range and in hit order inside
 /// one; `None` means the caller streams. Either way the caller then
 /// takes [`seed_range`] → [`filter_batch`] one range at a time.
@@ -154,7 +154,7 @@ pub(crate) fn seed_range(
 /// pair, so `filter.batch` occurrence indices are the same on every
 /// schedule; its escalation panic fails just this pair.
 ///
-/// A budget keeps the first `take` hits of the strand in (target,
+/// The budget keeps the first `take` hits of the strand in (target,
 /// query) order and reports how many there were, which only the whole
 /// walk can say: the strand is seeded here, range after range, holding
 /// no more than [`SmallestHits`] does.
@@ -169,7 +169,7 @@ pub(crate) fn seed_lane(
 ) -> (SeededLane, Option<Vec<SeedHit>>) {
     obs.fault_gate(Hook::FilterBatch);
     let mut lane = SeededLane::default();
-    if params.budget.max_seed_hits.is_none() && params.budget.max_filter_tiles.is_none() {
+    if params.budget.max_filter_tiles.is_none() {
         return (lane, None);
     }
     let mut smallest = SmallestHits::new(params, tiles_used);
@@ -190,7 +190,7 @@ pub(crate) fn seed_lane(
         lane.add(&cost);
     }
     let (clamp, mut kept) = smallest.finish(params, tiles_used);
-    lane.clamp_events = clamp.events;
+    lane.clamp_event = clamp.event;
     kept.sort_by_key(|hit| ranges.index_of(hit.query_pos as usize));
     (lane, Some(kept))
 }
@@ -327,7 +327,7 @@ pub(crate) fn fold_batches(
     mut batches: Vec<BatchResult>,
     report: &mut WgaReport,
 ) -> Vec<Anchor> {
-    report.events.append(&mut lane.clamp_events);
+    report.events.extend(lane.clamp_event.take());
     batches.sort_by_key(|batch| batch.batch);
     let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
     let mut filter_time = ctx_time;
@@ -335,7 +335,6 @@ pub(crate) fn fold_batches(
         lane.add(&batch.seeded);
         if let Some(message) = batch.failed {
             report.events.push(RunEvent::BatchFailed {
-                stage: StageKind::Filtering,
                 batch: batch.batch,
                 items: batch.items,
                 message,
@@ -396,7 +395,6 @@ pub(crate) fn extend_anchors(
             if report.workload.extension_cells >= limit {
                 report.events.push(RunEvent::BudgetExceeded {
                     budget: BudgetKind::ExtensionCells,
-                    stage: StageKind::Extension,
                     limit,
                     observed: report.workload.extension_cells,
                 });

@@ -45,7 +45,7 @@ fn whole_list_oracle(
         report.workload.seeds += seeding.seeds_queried;
         hits_per_strand.push(seeding.hits.len() as u64);
         let clamp = clamp_hit_count(params, seeding.hits.len(), report.workload.filter_tiles);
-        events.extend(clamp.events);
+        events.extend(clamp.event);
         let mut anchors = Vec::new();
         for &hit in &seeding.hits[..clamp.take] {
             report.workload.filter_tiles += 1;
@@ -194,7 +194,8 @@ proptest! {
         q.push("chrQ", query.clone());
         let budgets = [
             ResourceBudget::default(),
-            ResourceBudget { max_seed_hits: Some(hits[0].min(hits[1]) / 2), ..ResourceBudget::default() },
+            // The forward strand trips it.
+            ResourceBudget { max_filter_tiles: Some(hits[0] / 2), ..ResourceBudget::default() },
             // The forward strand fits; the reverse strand trips it.
             ResourceBudget { max_filter_tiles: Some(hits[0] + hits[1] / 2), ..ResourceBudget::default() },
         ];

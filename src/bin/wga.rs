@@ -41,9 +41,11 @@
 //!     knob: output is byte-identical for any value. --checkpoint
 //!     makes completed pairs durable in a journal so an interrupted run
 //!     resumes where it left off (at any --filter-engine and
-//!     --shard-size; the other parameters must match). The --max-*
-//!     budgets bound work per pair; a tripped budget degrades the run
-//!     (truncating the worst-scoring work first) instead of aborting it.
+//!     --shard-size; the other parameters must match). The
+//!     --max-filter-tiles and --max-extension-cells budgets bound work
+//!     per pair; a tripped budget degrades the run (filter tiles past
+//!     the cap in positional order, extensions worst-scoring first)
+//!     instead of aborting it.
 //!     --fault-plan loads a deterministic fault-injection plan for chaos
 //!     testing (see DESIGN.md "Fault injection & supervision"); the
 //!     metrics and trace count its faults and retries, the FASTA reads'
@@ -160,8 +162,7 @@ usage:
             (--progress advances as each chromosome pair finishes)
             [--filter-engine scalar|simd] [--shard-size N]
             [--checkpoint run.journal]
-            [--max-seed-hits N] [--max-filter-tiles N]
-            [--max-extension-cells N]
+            [--max-filter-tiles N] [--max-extension-cells N]
             [--fault-plan plan.json] [--max-retries N]
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
@@ -609,7 +610,6 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
     let flags = RunFlags::take(&mut args)?;
     let maf_path = take_opt(&mut args, "--maf")?;
     let budget = ResourceBudget {
-        max_seed_hits: take_parsed(&mut args, "--max-seed-hits")?,
         max_filter_tiles: take_parsed(&mut args, "--max-filter-tiles")?,
         max_extension_cells: take_parsed(&mut args, "--max-extension-cells")?,
     };

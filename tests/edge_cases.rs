@@ -608,6 +608,8 @@ mod cli {
         assert_option_rejected(&out, "--stall-timeout-ms");
         let out = wga(&["align", good, good, "--deadline-ms", "5"]);
         assert_option_rejected(&out, "--deadline-ms");
+        let out = wga(&["align", good, good, "--max-seed-hits", "5"]);
+        assert_option_rejected(&out, "--max-seed-hits");
     }
 
     #[test]
@@ -792,6 +794,16 @@ mod cli {
                 "--trace-out",
                 "same.out.tmp",
             ],
+            // A damaged journal is repaired through its tmp sibling.
+            &[
+                "align",
+                "t.fa",
+                "q.fa",
+                "--maf",
+                "j.journal.tmp",
+                "--checkpoint",
+                "j.journal",
+            ],
             &[
                 "many",
                 "t.fa",
@@ -845,6 +857,49 @@ mod cli {
     /// One side of the checked-in golden pair.
     fn golden(side: &str) -> String {
         format!("{}/tests/data/golden.{side}.fa", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// A filter-tile budget below what the golden pair's chromosome pairs
+    /// filter (127 to 268 tiles each) degrades the pairs it cuts, and
+    /// cuts them alike at one thread and at two.
+    #[test]
+    fn align_max_filter_tiles_degrades_alike_at_one_and_two_threads() {
+        let dir = empty_dir("tile-budget");
+        let (t, q) = (golden("target"), golden("query"));
+        let run = |threads: &str| -> (String, Vec<u8>) {
+            let args = [
+                "align",
+                t.as_str(),
+                q.as_str(),
+                "--max-filter-tiles",
+                "150",
+                "--threads",
+                threads,
+                "--maf",
+                "out.maf",
+            ];
+            let out = wga_in(&dir, &args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "--threads {threads}: {stderr}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            (stdout, std::fs::read(dir.join("out.maf")).unwrap())
+        };
+        let (stdout, one_thread) = run("1");
+        assert!(
+            stdout.contains("chromosome pairs:   1 completed, 3 degraded, 0 failed"),
+            "{stdout}"
+        );
+        let unbudgeted = format!("{}/tests/data/golden.maf", env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            one_thread != std::fs::read(unbudgeted).unwrap(),
+            "the budget cut nothing"
+        );
+        let (stdout, two_threads) = run("2");
+        assert!(
+            stdout.contains("1 completed, 3 degraded, 0 failed"),
+            "{stdout}"
+        );
+        assert!(two_threads == one_thread, "--threads 2 changed the MAF");
     }
 
     /// `--executor` is parsed and read by nothing: `--threads` picks the

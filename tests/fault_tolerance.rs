@@ -234,7 +234,6 @@ fn budget_capped_runs_match_across_thread_counts() {
     let (target, query) = two_chrom_assemblies();
     let mut params = WgaParams::darwin_wga();
     params.budget.max_filter_tiles = Some(120);
-    params.budget.max_seed_hits = Some(400);
     let serial = align_assemblies_observed(
         &params,
         &target,

@@ -20,7 +20,7 @@ use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::maf::{read_maf, write_maf};
 use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::{
-    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageKind, StageTimings, Strand, WgaAlignment,
+    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageTimings, Strand, WgaAlignment,
 };
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::Sequence;
@@ -90,12 +90,10 @@ fn journal_record(query_chrom: &str) -> String {
             events: vec![
                 RunEvent::BudgetExceeded {
                     budget: BudgetKind::FilterTiles,
-                    stage: StageKind::Filtering,
                     limit: 100,
                     observed: 250,
                 },
                 RunEvent::BatchFailed {
-                    stage: StageKind::Extension,
                     batch: 3,
                     items: 7,
                     message: "panicked at\nline".into(),
