@@ -454,9 +454,9 @@ fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), meter: &StageMeter) {
 /// chaos gate, and a budgeted strand's walk, charged for the tiles the
 /// forward strand kept), files its lane in the pair's cell and queues a
 /// task per query range through `push`. `Ok(false)` is `push`'s
-/// (shutdown). On `push`'s `Err` — a fault that survived its retry
-/// budget — or a panic (a `filter.batch` gate's escalation) the caller
-/// fails the pair: workers find its cell empty and drop their deposits.
+/// (shutdown). On `push`'s `Err` — an injected queue fault — or a
+/// panic (a `filter.batch` gate's injection) the caller fails the pair:
+/// workers find its cell empty and drop their deposits.
 #[allow(clippy::too_many_arguments)]
 fn plan_pair<'a>(
     params: &WgaParams,
@@ -609,8 +609,8 @@ fn worker<'a>(
                 )),
                 // A seeding panic fails the pair, as in the one-thread loop.
                 Ok(Err(payload)) => Err(panic_message(payload.as_ref())),
-                // A queue fault that survives its retry budget fails the
-                // range (and, downstream, degrades the pair).
+                // A queue fault fails the range (and, downstream, degrades
+                // the pair).
                 Err(error) => Ok(BatchResult::failed(
                     idx,
                     0,
@@ -795,7 +795,7 @@ mod tests {
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, q.len());
         assert_eq!(ranges.count(), 5);
         // A hit every 320 bp — ranges 0, 1, 2 and 3 — then one in range 4
-        // that panics its batch (and the batch's one retry).
+        // that panics its batch.
         let mut hits: Vec<SeedHit> = (0..4).map(|i| SeedHit::new(i * 320, i * 320)).collect();
         hits.push(SeedHit::new(u32::MAX as usize, 1100));
         let in_range = |hits: &[SeedHit], idx: usize| -> Vec<SeedHit> {

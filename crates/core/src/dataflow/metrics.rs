@@ -10,11 +10,9 @@
 //! mark.
 
 use crate::dataflow::ExecutorKind;
-use crate::faultsim::FaultInjector;
 use crate::genome_pipeline::AssemblyReport;
 use crate::json::Json;
 use crate::obs::Obs;
-use crate::supervise::Supervision;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -83,17 +81,14 @@ pub struct ExecutorMetrics {
     /// Faults injected by `--fault-plan` across the whole run (zero
     /// outside chaos runs; absent in pre-existing metrics JSON).
     pub faults_injected: u64,
-    /// Supervised retries consumed recovering from injected or real
-    /// transient failures.
-    pub retries: u64,
 }
 
 impl ExecutorMetrics {
     /// The telemetry of a run on `threads` whose pairs are all folded
     /// into `out`: each stage's items, cells and busy time come from the
     /// report (pairs replayed from a journal included, work spent on a
-    /// pair that went on to fail excluded), the fault totals from
-    /// `obs`'s supervision; every stage has `threads` workers. Idle
+    /// pair that went on to fail excluded), the fault total from
+    /// `obs`'s injector; every stage has `threads` workers. Idle
     /// time and queue occupancy read zero, as in the one-thread loop;
     /// the dataflow executor overwrites what its producer, pool and
     /// queue know.
@@ -109,8 +104,6 @@ impl ExecutorMetrics {
             busy_us: busy.as_micros() as u64,
             ..StageMetrics::default()
         };
-        let injector = obs.supervision().and_then(Supervision::injector);
-        let (faults_injected, retries) = injector.map_or((0, 0), FaultInjector::totals);
         let (w, c, t) = (&out.workload, &out.counters, &out.timings);
         ExecutorMetrics {
             executor: if threads > 1 {
@@ -122,8 +115,7 @@ impl ExecutorMetrics {
             seeding: stage(threads, w.filter_tiles, w.seeds, t.seeding),
             filtering: stage(threads, w.filter_tiles, c.filter_cells, t.filtering),
             extension: stage(threads, c.anchors_passed, w.extension_cells, t.extension),
-            faults_injected,
-            retries,
+            faults_injected: obs.injector().map_or(0, |injector| injector.injected()),
             ..ExecutorMetrics::default()
         }
     }
@@ -151,7 +143,6 @@ impl ExecutorMetrics {
             ("filtering", stage(&self.filtering)),
             ("extension", stage(&self.extension)),
             ("faults_injected", self.faults_injected.into()),
-            ("retries", self.retries.into()),
         ])
     }
 
@@ -170,11 +161,8 @@ impl ExecutorMetrics {
         } else {
             String::new()
         };
-        let chaos = if self.faults_injected > 0 || self.retries > 0 {
-            format!(
-                "\n  supervision faults_injected={} retries={}",
-                self.faults_injected, self.retries
-            )
+        let chaos = if self.faults_injected > 0 {
+            format!("\n  chaos faults_injected={}", self.faults_injected)
         } else {
             String::new()
         };
@@ -224,7 +212,7 @@ mod tests {
         assert!(metrics.summary().contains("executor=dataflow"));
         assert!(metrics.summary().contains("queue-depth=64"));
         assert!(
-            !metrics.summary().contains("supervision"),
+            !metrics.summary().contains("chaos"),
             "clean runs stay clean in the summary"
         );
         let barrier = ExecutorMetrics {
@@ -235,7 +223,6 @@ mod tests {
         assert!(!barrier.summary().contains("queue-depth"));
         let chaotic = ExecutorMetrics {
             faults_injected: 3,
-            retries: 2,
             ..metrics
         };
         assert!(chaotic.summary().contains("faults_injected=3"));
@@ -243,8 +230,8 @@ mod tests {
 
     #[test]
     fn metrics_json_without_fault_counters_still_parses() {
-        // A `--metrics-out` payload written before the supervision
-        // counters existed: it must keep parsing, and consumers read
+        // A `--metrics-out` payload written before the fault counters
+        // existed: it must keep parsing, and consumers read
         // the absent counters as zero (the same tolerant-key
         // convention the journal uses for `FunnelCounters`).
         let old = "{\"executor\":\"dataflow\",\"threads\":2,\"queue_depth\":8,\
@@ -257,12 +244,17 @@ mod tests {
             assert_eq!(value.get_u64(field), Ok(None), "{field} is absent");
         }
         // The other direction: a payload from when extension speculated,
-        // or from when stalls were counted, carries a counter this
-        // struct no longer has. It still parses, and the fields that
-        // remain read as before.
-        let retired = old.replacen('{', "{\"spec_discard\":7,\"stalls_detected\":0,", 1);
+        // from when stalls were counted, or from when faults were
+        // retried, carries a counter this struct no longer has. It still
+        // parses, and the fields that remain read as before.
+        let retired = old.replacen(
+            '{',
+            "{\"spec_discard\":7,\"stalls_detected\":0,\"retries\":2,",
+            1,
+        );
         let value = crate::json::parse(&retired).unwrap();
         assert_eq!(value.u64("spec_discard"), Ok(7));
+        assert_eq!(value.u64("retries"), Ok(2));
         assert_eq!(value.u64("queue_depth"), Ok(8));
     }
 }

@@ -34,7 +34,6 @@
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::{FaultKind, Hook};
 use crate::obs::Obs;
-use crate::supervise::Supervision;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -146,17 +145,19 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> WgaResult<()> {
 /// `obs`'s pair: `error` injections fail before any byte is written,
 /// `short-write` injections truncate the tmp payload halfway and fail
 /// *before the rename* — the destination survives either way, which is
-/// what the chaos suite asserts. An injected stall sleeps its whole
-/// length before the write, as it does at every other hook.
+/// what the chaos suite asserts. A `crash` aborts the process before
+/// the write, as it does at every other hook.
 ///
 /// # Errors
 ///
 /// [`WgaError::Io`] on any real or injected failure.
 pub fn write_atomic_gated(path: &Path, bytes: &[u8], hook: Hook, obs: &Obs<'_>) -> WgaResult<()> {
-    let injector = obs.supervision().and_then(Supervision::injector);
-    match injector.and_then(|injector| injector.probe(hook, obs.pair())) {
+    match obs
+        .injector()
+        .and_then(|injector| injector.probe(hook, obs.pair()))
+    {
         None => {}
-        Some((FaultKind::ShortWrite, _)) => {
+        Some(FaultKind::ShortWrite) => {
             // The simulated crash: data partially staged, rename never ran.
             stage(path, |mut file| file.write_all(&bytes[..bytes.len() / 2]))?;
             return Err(WgaError::io(
@@ -164,10 +165,7 @@ pub fn write_atomic_gated(path: &Path, bytes: &[u8], hook: Hook, obs: &Obs<'_>) 
                 std::io::Error::other("injected short write"),
             ));
         }
-        Some((FaultKind::Latency, ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some((FaultKind::Error | FaultKind::Panic, _)) => {
+        Some(_) => {
             return Err(WgaError::io(
                 format!("write {}", path.display()),
                 std::io::Error::other("injected I/O error"),
@@ -307,7 +305,7 @@ fn sync_parent_dir(path: &Path) -> WgaResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultsim::FaultPlan;
+    use crate::faultsim::{FaultInjector, FaultPlan};
 
     fn tmp_dir_file(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("wga-durable-{}-{name}", std::process::id()))
@@ -379,8 +377,8 @@ mod tests {
              {\"hook\":\"metrics.sink\",\"kind\":\"short-write\",\"at\":[0]}]}",
         )
         .unwrap();
-        let sup = Supervision::new(Some(plan), 0);
-        let obs = Obs::off().with_supervision(&sup);
+        let injector = FaultInjector::new(plan);
+        let obs = Obs::off().with_injector(&injector);
         let err = write_atomic_gated(&path, b"new-content", Hook::MetricsSink, &obs);
         assert!(err.is_err());
         assert_eq!(
@@ -403,8 +401,8 @@ mod tests {
              {\"hook\":\"trace.sink\",\"kind\":\"error\",\"at\":[0]}]}",
         )
         .unwrap();
-        let sup = Supervision::new(Some(plan), 0);
-        let obs = Obs::off().with_supervision(&sup);
+        let injector = FaultInjector::new(plan);
+        let obs = Obs::off().with_injector(&injector);
         assert!(write_atomic_gated(&path, b"x", Hook::TraceSink, &obs).is_err());
         assert!(!path.exists());
         let _ = fs::remove_file(&path);

@@ -18,7 +18,7 @@
 //! A two-assembly run ([`align_assemblies_observed`]) and a many-genome
 //! one ([`crate::pangenome::align_many_observed`]) are one call of
 //! `align_matrix` each, under one [`AlignOptions`]: one validation, one
-//! supervision ([`AlignOptions::supervision`]), one trace and one set of
+//! fault injector ([`AlignOptions::injector`]), one trace and one set of
 //! per-stage metrics for the whole matrix.
 //!
 //! The filter stage of every pair runs through the engine selected by
@@ -35,13 +35,13 @@
 use crate::config::WgaParams;
 use crate::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use crate::error::{WgaError, WgaResult};
-use crate::faultsim::FaultPlan;
+use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
 use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand, WgaAlignment};
 use crate::stages::{fold_pair, row_seed_table, Journals, TableBuilds};
-use crate::supervise::{panic_message, Supervision};
+use crate::supervise::panic_message;
 use genome::assembly::{Assembly, Chromosome};
 use hwsim::Workload;
 use seed::table::MAX_TARGET_LEN;
@@ -75,10 +75,6 @@ pub struct AlignOptions {
     /// → pool and pool → collector (ignored at one thread). Must be at
     /// least 1.
     pub queue_depth: usize,
-    /// Supervised retries per fault site (`--max-retries`): how many
-    /// times a transient journal/sink failure — or an injected error —
-    /// is retried with capped-exponential backoff before escalating.
-    pub max_retries: u32,
     /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
     /// its `"pair"` is a pair id of the whole matrix.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -95,7 +91,6 @@ impl Default for AlignOptions {
             checkpoint: None,
             executor: ExecutorKind::Barrier,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            max_retries: 1,
             fault_plan: None,
             knn: None,
         }
@@ -124,14 +119,13 @@ impl AlignOptions {
         Ok(())
     }
 
-    /// The run's supervision: the default backoff at `max_retries`, and
-    /// a chaos run's injector drawn from the fault plan, which seeds the
-    /// backoff jitter. A caller firing hooks of its own (FASTA reads,
-    /// output sinks) builds it once and hands it to the matrix run on
-    /// its [`Obs`] ([`Obs::with_supervision`]), so one set of totals
-    /// counts every fault of the command.
-    pub fn supervision(&self) -> Supervision {
-        Supervision::new(self.fault_plan.as_deref().cloned(), self.max_retries)
+    /// A chaos run's fault injector, drawn from the fault plan. A caller
+    /// firing hooks of its own (FASTA reads, output sinks) builds it once
+    /// and hands it to the matrix run on its [`Obs`]
+    /// ([`Obs::with_injector`]), so one total counts every fault of the
+    /// command.
+    pub fn injector(&self) -> Option<FaultInjector> {
+        (self.fault_plan.as_deref().cloned()).map(FaultInjector::new)
     }
 }
 
@@ -301,7 +295,7 @@ pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly)
 /// every completed (or degraded) pair is fsync'd to the journal before
 /// the driver moves on, and a rerun pointing at the same journal replays
 /// those pairs instead of recomputing them; failed pairs are *not*
-/// journaled, so a rerun retries them.
+/// journaled, so a rerun computes them again.
 ///
 /// # Errors
 ///
@@ -404,7 +398,7 @@ impl<'a> PairMatrix<'a> {
     }
 }
 
-/// Aligns every pair of `matrix` in one executor run: one supervision
+/// Aligns every pair of `matrix` in one executor run: one fault injector
 /// (`obs`'s, or else one built from `options`; a fault plan's `"pair"`
 /// is a pair id), one announced pair total, one seed table a row. Each
 /// block's journal replays its pairs and takes its new ones;
@@ -430,8 +424,12 @@ pub(crate) fn align_matrix(
         check_indexable(&chrom.name, chrom.sequence.len())?;
     }
     options.validate()?;
-    let own = obs.supervision().is_none().then(|| options.supervision());
-    let obs = own.as_ref().map_or(obs, |own| obs.with_supervision(own));
+    let own = if obs.injector().is_none() {
+        options.injector()
+    } else {
+        None
+    };
+    let obs = own.as_ref().map_or(obs, |own| obs.with_injector(own));
 
     obs.set_total_pairs(matrix.pairs.len() as u64);
     let (mut journals, records) = Journals::replay(params, matrix, obs)?;

@@ -98,7 +98,7 @@ pub struct PairRecord {
     /// Query chromosome name.
     pub query_chrom: String,
     /// Completed or degraded (failed pairs are *not* journaled, so a
-    /// resume retries them).
+    /// resume computes them again).
     pub outcome: RunOutcome,
     /// The pair's workload counters.
     pub workload: Workload,
@@ -113,7 +113,7 @@ pub struct PairRecord {
 
 impl PairRecord {
     /// The record of a pair that produced nothing. Never journaled (a
-    /// rerun retries the pair); it is what the run's report folds in.
+    /// rerun computes the pair again); it is what the run's report folds in.
     pub(crate) fn failed(target_chrom: &str, query_chrom: &str, error: String) -> PairRecord {
         PairRecord {
             target_chrom: target_chrom.to_string(),
@@ -470,10 +470,12 @@ fn encode_record(record: &PairRecord) -> String {
                 ("anchors_passed", c.anchors_passed.into()),
                 ("anchors_absorbed", c.anchors_absorbed.into()),
                 ("alignments_kept", c.alignments_kept.into()),
-                ("faults_injected", c.faults_injected.into()),
-                ("retries", c.retries.into()),
                 // Fixed, so version-2 records keep their bytes and old
-                // readers find the member they expect; decoding ignores it.
+                // readers find the members they expect; decoding ignores
+                // them. A journaled pair met no injected fault (one fails
+                // its pair), and nothing retries or watches for stalls.
+                ("faults_injected", 0u64.into()),
+                ("retries", 0u64.into()),
                 ("stalls_detected", 0u64.into()),
             ]),
         ),
@@ -618,8 +620,6 @@ fn decode_counters(value: Option<&Json>) -> Result<FunnelCounters, String> {
         anchors_passed: opt("anchors_passed")?,
         anchors_absorbed: opt("anchors_absorbed")?,
         alignments_kept: opt("alignments_kept")?,
-        faults_injected: opt("faults_injected")?,
-        retries: opt("retries")?,
     })
 }
 
@@ -723,8 +723,6 @@ mod tests {
                 anchors_passed: 3,
                 anchors_absorbed: 1,
                 alignments_kept: 1,
-                faults_injected: 1,
-                retries: 1,
             },
             alignments: vec![WgaAlignment {
                 alignment: Alignment::new(5, 9, cigar, 1234),
@@ -775,10 +773,13 @@ mod tests {
         assert_eq!(decode_record(&legacy).unwrap(), record);
         // So must records carrying a counter the struct no longer has —
         // the waste of speculative extension, the hits filtered, which
-        // always equalled `workload.filter_tiles`, or a stall count
-        // other than the fixed 0 — with or without their own checksum.
+        // always equalled `workload.filter_tiles`, or a stall, retry or
+        // fault count other than the fixed 0 — with or without their own
+        // checksum.
         for (now, then) in [
             ("\"stalls_detected\":0}", "\"stalls_detected\":4}"),
+            ("\"retries\":0,", "\"retries\":3,"),
+            ("\"faults_injected\":0,", "\"faults_injected\":2,"),
             (
                 "\"stalls_detected\":0}",
                 "\"stalls_detected\":0,\"spec_discard\":2}",

@@ -5,11 +5,11 @@
 //! [`crate::genome_pipeline::align_assemblies_observed`]) thread an
 //! [`Obs`] handle through the stage functions' hot loops. The handle is
 //! a `Copy` few-word value wrapping an optional `&TraceRecorder`, the
-//! run's optional [`Supervision`] and the pair it attributes to; when
+//! run's optional [`FaultInjector`] and the pair it attributes to; when
 //! observability is off (the default for every pre-existing entry
 //! point) the recorder is `None` and every instrumentation call reduces
-//! to a single branch, and so does every fault gate without a
-//! supervision. Every span of one recorder is timed from its start.
+//! to a single branch, and so does every fault gate without an
+//! injector. Every span of one recorder is timed from its start.
 //!
 //! Three primitives:
 //!
@@ -38,11 +38,10 @@ mod progress;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
-use crate::faultsim::Hook;
+use crate::faultsim::{FaultInjector, Hook};
 use crate::journal::PairRecord;
 use crate::json::Json;
 use crate::report::Strand;
-use crate::supervise::Supervision;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -413,13 +412,13 @@ impl HistKind {
 ///
 /// `Copy` and a few words wide; cloning it into worker closures is
 /// free. When disabled (`rec == None`) every method is a branch on a
-/// register — no time is read, no atomics touched. The run's
-/// supervision rides along the same way: `None` (the default
+/// register — no time is read, no atomics touched. A chaos run's
+/// fault injector rides along the same way: `None` (the default
 /// everywhere) makes every `fault_gate` call a single branch.
 #[derive(Clone, Copy)]
 pub struct Obs<'a> {
     rec: Option<&'a TraceRecorder>,
-    sup: Option<&'a Supervision>,
+    injector: Option<&'a FaultInjector>,
     pair: u64,
 }
 
@@ -427,7 +426,7 @@ impl std::fmt::Debug for Obs<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.rec.is_some())
-            .field("supervised", &self.sup.is_some())
+            .field("chaos", &self.injector.is_some())
             .field("pair", &self.pair)
             .finish()
     }
@@ -438,7 +437,7 @@ impl Obs<'static> {
     pub fn off() -> Obs<'static> {
         Obs {
             rec: None,
-            sup: None,
+            injector: None,
             pair: NO_PAIR,
         }
     }
@@ -458,28 +457,26 @@ impl<'a> Obs<'a> {
         Obs { pair, ..self }
     }
 
-    /// A copy of this handle carrying the run's supervision: its retry
-    /// policy and fault injector.
-    pub fn with_supervision(self, sup: &'a Supervision) -> Obs<'a> {
+    /// A copy of this handle carrying a chaos run's fault injector.
+    pub fn with_injector(self, injector: &'a FaultInjector) -> Obs<'a> {
         Obs {
-            sup: Some(sup),
+            injector: Some(injector),
             ..self
         }
     }
 
-    /// The supervision riding on this handle, if any.
-    pub fn supervision(&self) -> Option<&'a Supervision> {
-        self.sup
+    /// The fault injector riding on this handle, if any.
+    pub fn injector(&self) -> Option<&'a FaultInjector> {
+        self.injector
     }
 
     /// Runs the fault-injection gate for `hook` at this handle's pair.
-    /// A single branch when no supervision is attached. May sleep,
-    /// return after an injected-error retry, or panic (injected panics
-    /// and exhausted retries escalate through the executors' existing
-    /// pair-level panic isolation) — see [`crate::faultsim`].
+    /// A single branch when no injector is attached. Panics on an
+    /// injection, which fails the pair through the executors' existing
+    /// pair-level panic isolation — see [`crate::faultsim`].
     #[inline]
     pub fn fault_gate(&self, hook: Hook) {
-        if let Some(injector) = self.sup.and_then(Supervision::injector) {
+        if let Some(injector) = self.injector {
             injector.gate(hook, self);
         }
     }
@@ -515,8 +512,8 @@ impl<'a> Obs<'a> {
     /// Folds one finished pair — committed, failed or replayed from a
     /// journal — into the funnel counters (no-op when disabled). The
     /// record is what the run's report is folded from, so the counters
-    /// and the report cannot disagree: a retried batch's tiles count
-    /// once, a failed pair's not at all, a replayed pair's as journaled.
+    /// and the report cannot disagree: a failed pair's tiles count not
+    /// at all, a replayed pair's as journaled.
     pub fn pair_done(&self, record: &PairRecord) {
         if let Some(rec) = self.rec {
             let (work, funnel) = (&record.workload, &record.counters);

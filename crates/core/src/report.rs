@@ -77,9 +77,8 @@ pub enum RunEvent {
         /// What the stage observed / would have used when it tripped.
         observed: u64,
     },
-    /// A filter batch panicked twice (its first run and its one retry)
-    /// or was failed by a queue fault; its items were dropped from the
-    /// result.
+    /// A filter batch panicked or was failed by a queue fault; its items
+    /// were dropped from the result.
     BatchFailed {
         /// The batch's query range index within its strand.
         batch: usize,
@@ -125,12 +124,6 @@ pub struct FunnelCounters {
     pub anchors_absorbed: u64,
     /// Alignments surviving the extension threshold.
     pub alignments_kept: u64,
-    /// Faults injected into this pair by `--fault-plan` (zero outside
-    /// chaos runs; absent in records serialized before the field).
-    pub faults_injected: u64,
-    /// Supervised retries this pair consumed recovering from injected
-    /// or real transient failures.
-    pub retries: u64,
 }
 
 impl FunnelCounters {
@@ -141,8 +134,6 @@ impl FunnelCounters {
         self.anchors_passed += other.anchors_passed;
         self.anchors_absorbed += other.anchors_absorbed;
         self.alignments_kept += other.alignments_kept;
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
     }
 }
 
@@ -252,14 +243,10 @@ mod tests {
             anchors_passed: 3,
             anchors_absorbed: 1,
             alignments_kept: 2,
-            faults_injected: 2,
-            retries: 1,
         };
         a.merge(&a.clone());
         assert_eq!(a.raw_seed_hits, 10);
         assert_eq!(a.filter_cells, 800);
         assert_eq!(a.alignments_kept, 4);
-        assert_eq!(a.faults_injected, 4);
-        assert_eq!(a.retries, 2);
     }
 }

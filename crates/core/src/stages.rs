@@ -35,7 +35,7 @@ use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
 use crate::report::{BudgetKind, RunEvent, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
-use crate::supervise::{self, panic_message, Supervision};
+use crate::supervise::{self, panic_message};
 use align::gactx::{self, ExtendedAlignment};
 use genome::Sequence;
 use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
@@ -152,7 +152,7 @@ pub(crate) fn seed_range(
 ///
 /// The gate fires once per (pair, strand) on the thread driving the
 /// pair, so `filter.batch` occurrence indices are the same on every
-/// schedule; its escalation panic fails just this pair.
+/// schedule; an injection there panics and fails just this pair.
 ///
 /// The budget keeps the first `take` hits of the strand in (target,
 /// query) order and reports how many there were, which only the whole
@@ -234,11 +234,9 @@ impl BatchResult {
 /// [`FilterContext`], so its DP scratch serves every batch the worker
 /// runs).
 ///
-/// A panic inside the batch is contained: the batch is retried once
-/// (transient poison often clears; a deterministic panic simply fires
-/// again), and a second panic yields a failed result that
-/// [`fold_batches`] records as [`RunEvent::BatchFailed`] while every
-/// other batch's anchors are kept. The `filter.batch` span carries
+/// A panic inside the batch is contained: it yields a failed result
+/// that [`fold_batches`] records as [`RunEvent::BatchFailed`] while
+/// every other batch's anchors are kept. The `filter.batch` span carries
 /// `batch_idx` as its `seq`.
 ///
 /// [`FilterContext`]: crate::filter_engine::FilterContext
@@ -254,41 +252,39 @@ pub(crate) fn filter_batch(
     batch_idx: usize,
     obs: Obs<'_>,
 ) -> BatchResult {
-    let mut attempt = || {
-        catch_unwind(AssertUnwindSafe(|| {
-            let start = Instant::now();
-            let mut buf = obs.buffer();
-            let batch_timer = buf.start();
-            let mut survivors = Vec::new();
-            let mut cells = 0u64;
-            for &hit in hits {
-                #[cfg(test)]
-                poison_check(hit);
-                let tile_timer = obs.timer();
-                let outcome = engine.filter_hit(params, target, query, hit);
-                obs.filter_tile(&tile_timer, outcome.cells);
-                cells += outcome.cells;
-                survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
-            }
-            buf.finish(
-                batch_timer,
-                SpanName::FilterBatch,
-                strand,
-                batch_idx as u64,
-                hits.len() as u64,
-                cells,
-            );
-            BatchResult {
-                batch: batch_idx,
-                survivors,
-                items: hits.len() as u64,
-                cells,
-                busy: start.elapsed(),
-                ..BatchResult::default()
-            }
-        }))
-    };
-    let result = attempt().or_else(|_| attempt()).unwrap_or_else(|payload| {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let start = Instant::now();
+        let mut buf = obs.buffer();
+        let batch_timer = buf.start();
+        let mut survivors = Vec::new();
+        let mut cells = 0u64;
+        for &hit in hits {
+            #[cfg(test)]
+            poison_check(hit);
+            let tile_timer = obs.timer();
+            let outcome = engine.filter_hit(params, target, query, hit);
+            obs.filter_tile(&tile_timer, outcome.cells);
+            cells += outcome.cells;
+            survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
+        }
+        buf.finish(
+            batch_timer,
+            SpanName::FilterBatch,
+            strand,
+            batch_idx as u64,
+            hits.len() as u64,
+            cells,
+        );
+        BatchResult {
+            batch: batch_idx,
+            survivors,
+            items: hits.len() as u64,
+            cells,
+            busy: start.elapsed(),
+            ..BatchResult::default()
+        }
+    }))
+    .unwrap_or_else(|payload| {
         BatchResult::failed(
             batch_idx,
             hits.len() as u64,
@@ -561,21 +557,19 @@ impl Journals {
         ))
     }
 
-    /// Finishes computed pair `pair_id`: freezes the pair's fault
-    /// accounting into its counters *before* the record is journaled so
-    /// a resumed run replays the same numbers, folds the record into the
+    /// Finishes computed pair `pair_id`: folds the record into the
     /// trace's counters ([`Obs::pair_done`]; failed or not, so a progress
     /// meter reaches `pairs N/N` on a run that is over), and appends it
-    /// under supervision to its block's journal.
+    /// to its block's journal behind the `journal.append` and
+    /// `journal.sync` fault sites.
     ///
     /// A failed pair (`Err` carrying the panic or fault message) is not
-    /// journaled, so a rerun retries it, and its per-pair fault
-    /// accounting is dropped (the run totals keep it).
+    /// journaled, so a rerun computes it again.
     ///
     /// # Errors
     ///
-    /// The block's journal would not reopen, or the append failed beyond
-    /// its retry budget.
+    /// The block's journal would not reopen, or the append failed; the
+    /// command ends, and the records already appended stay durable.
     pub(crate) fn commit(
         &mut self,
         matrix: &PairMatrix<'_>,
@@ -584,23 +578,17 @@ impl Journals {
         obs: Obs<'_>,
     ) -> WgaResult<PairRecord> {
         let pair = &matrix.pairs[pair_id];
-        let injector = obs.supervision().and_then(Supervision::injector);
-        let faults = (injector.map(|injector| injector.take_pair(obs.pair()))).unwrap_or_default();
         let journaled = result.is_ok() && !self.broken;
         let record = match result {
-            Ok(mut report) => {
-                report.counters.faults_injected += faults.injected;
-                report.counters.retries += faults.retries;
-                PairRecord {
-                    target_chrom: pair.target.name.clone(),
-                    query_chrom: pair.query.name.clone(),
-                    outcome: report.outcome(),
-                    workload: report.workload,
-                    timings: report.timings,
-                    counters: report.counters,
-                    alignments: report.alignments,
-                }
-            }
+            Ok(report) => PairRecord {
+                target_chrom: pair.target.name.clone(),
+                query_chrom: pair.query.name.clone(),
+                outcome: report.outcome(),
+                workload: report.workload,
+                timings: report.timings,
+                counters: report.counters,
+                alignments: report.alignments,
+            },
             Err(error) => PairRecord::failed(&pair.target.name, &pair.query.name, error),
         };
         obs.pair_done(&record);
@@ -615,12 +603,9 @@ impl Journals {
             let mut buf = obs.buffer();
             let ckpt_timer = buf.start();
             // Chaos runs inject `journal.append` faults before the append
-            // and `journal.sync` faults after it. Retries count into the
-            // injector's run totals: the pair's own are frozen in `record`.
-            supervise::supervised(Hook::JournalAppend, &obs, || {
-                journal.append(&record)?;
-                injector.map_or(Ok(()), |inj| inj.gate_io(Hook::JournalSync, &obs))
-            })?;
+            // and `journal.sync` faults after it, once its fsync is done.
+            supervise::supervised(Hook::JournalAppend, &obs, || journal.append(&record))?;
+            supervise::supervised(Hook::JournalSync, &obs, || Ok(()))?;
             buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
             self.broken = false;
         }

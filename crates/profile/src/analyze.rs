@@ -107,7 +107,7 @@ pub struct Attribution {
     /// Discarded speculative extensions as a share of all extension
     /// work, centi-percent: `discard * 10000 / (discard + committed)`.
     pub discard_centi: u64,
-    /// Number of `fault` spans (injected-fault retries observed).
+    /// Number of `fault` spans, one per injected fault.
     pub fault_spans: u64,
 }
 

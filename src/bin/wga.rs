@@ -47,11 +47,13 @@
 //!     the cap in positional order, extensions worst-scoring first)
 //!     instead of aborting it.
 //!     --fault-plan loads a deterministic fault-injection plan for chaos
-//!     testing (see DESIGN.md "Fault injection & supervision"); the
-//!     metrics and trace count its faults and retries, the FASTA reads'
-//!     too, but not a sink's, which fires once both are rendered.
-//!     --max-retries sets the supervised retry budget per fault site
-//!     (default 1). The MAF, metrics and trace artifacts are
+//!     testing (see DESIGN.md "Fault injection & crash-only recovery").
+//!     Nothing is retried: an injected fault fails its pair, or at a
+//!     journal, FASTA read or sink ends the command with exit 1, and a
+//!     `crash` aborts the process; a rerun with the same --checkpoint
+//!     resumes from the journal. The metrics and trace count the faults
+//!     of pairs that failed, but not a sink's, which fires once both
+//!     are rendered. The MAF, metrics and trace artifacts are
 //!     written atomically (tmp + fsync + rename), so an interrupted run
 //!     never leaves a torn output file; a FIFO or character device
 //!     (`/dev/null`, `/dev/stdout` on a pipe) is written in place.
@@ -109,13 +111,13 @@ use darwin_wga::core::config::{ResourceBudget, WgaParams};
 use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
 use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
-use darwin_wga::core::faultsim::{FaultPlan, Hook};
+use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
-use darwin_wga::core::supervise::{self, Supervision};
+use darwin_wga::core::supervise;
 use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -163,7 +165,7 @@ usage:
             [--filter-engine scalar|simd] [--shard-size N]
             [--checkpoint run.journal]
             [--max-filter-tiles N] [--max-extension-cells N]
-            [--fault-plan plan.json] [--max-retries N]
+            [--fault-plan plan.json]
   wga exons <alignments.maf> <exons.tsv> [--coverage F]
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
            [--paf-out out.paf] [--report-out report.txt]
@@ -171,7 +173,7 @@ usage:
            [--baseline] [--threads N] [--queue-depth N]
            [--filter-engine scalar|simd]
            [--shard-size N] [--checkpoint dir] [--fault-plan plan.json]
-           [--max-retries N] [--progress]
+           [--progress]
   wga profile report <trace.jsonl> [--json out.json] [--top K]
   wga profile diff <old.json> <new.json> [--max-share-regression-centi N]
 ";
@@ -245,14 +247,14 @@ struct RunFlags {
 }
 
 /// A started `align` or `many` run: its validated parameters and
-/// options, its genomes, the one supervision of its FASTA reads, matrix
-/// run and trace/metrics sinks, and the recorder the trace and the
-/// progress meter read.
+/// options, its genomes, the one fault injector of its FASTA reads,
+/// matrix run and trace/metrics sinks, and the recorder the trace and
+/// the progress meter read.
 struct Run {
     flags: RunFlags,
     params: WgaParams,
     genomes: Vec<Assembly>,
-    supervision: Supervision,
+    injector: Option<FaultInjector>,
     recorder: Option<Arc<TraceRecorder>>,
     /// Dropped with the run, so any return — an error's too — removes
     /// each tmp sibling no write consumed.
@@ -270,7 +272,6 @@ impl RunFlags {
             options: AlignOptions {
                 threads: parse_opt(args, "--threads", 1)?,
                 queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
-                max_retries: parse_opt(args, "--max-retries", 1)?,
                 checkpoint: take_opt(args, "--checkpoint")?.map(PathBuf::from),
                 ..AlignOptions::default()
             },
@@ -283,7 +284,7 @@ impl RunFlags {
     }
 
     /// Checks every option and output before the first input byte is
-    /// read, then reads the genome `fastas` under the run's supervision.
+    /// read, then reads the genome `fastas` behind the run's fault gate.
     /// The parameters are the preset with its engine, range size and
     /// `budget`; the options gain the fault plan and `knn`. `outputs` are
     /// the command's own beside the trace and the metrics; the checkpoint
@@ -340,7 +341,7 @@ impl RunFlags {
         let recorder =
             (self.trace_out.is_some() || self.progress).then(|| Arc::new(TraceRecorder::new()));
         let mut run = Run {
-            supervision: self.options.supervision(),
+            injector: self.options.injector(),
             flags: self,
             params,
             genomes: Vec::new(),
@@ -358,11 +359,11 @@ impl RunFlags {
 }
 
 impl Run {
-    /// The command's one handle: its recorder, if any, and its
-    /// supervision.
+    /// The command's one handle: its recorder and its fault injector,
+    /// if any.
     fn obs(&self) -> Obs<'_> {
         let obs = self.recorder.as_deref().map_or(Obs::off(), Obs::new);
-        obs.with_supervision(&self.supervision)
+        (self.injector.as_ref()).map_or(obs, |injector| obs.with_injector(injector))
     }
 
     /// Writes the trace, then the `metrics` JSON with the process's
@@ -387,17 +388,15 @@ impl Run {
         Ok(())
     }
 
-    /// Writes one output artifact atomically under supervision: the write
-    /// is retried with the run's backoff policy, and chaos runs inject
+    /// Writes one output artifact atomically, once: a failed write ends
+    /// the command with exit 1, and the journal of a `--checkpoint` run
+    /// stays as its last append left it. Chaos runs inject
     /// `metrics.sink` / `trace.sink` faults through the gate inside
     /// [`durable::write_atomic_gated`], after both artifacts are
     /// rendered, so neither counts them.
     fn write_sink(&self, path: &str, bytes: &[u8], hook: Hook) -> Result<(), String> {
-        let obs = self.obs();
-        supervise::supervised(hook, &obs, || {
-            durable::write_atomic_gated(Path::new(path), bytes, hook, &obs)
-        })
-        .map_err(|e| e.to_string())
+        durable::write_atomic_gated(Path::new(path), bytes, hook, &self.obs())
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -488,10 +487,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads one genome FASTA under the run's supervision on `obs`: every
-/// attempt passes the `fasta.read` fault gate, and a failed one is
-/// retried under the run's policy. The error names the file, an injected
-/// fault's too.
+/// Reads one genome FASTA behind the `fasta.read` fault gate of `obs`'s
+/// injector, once. The error names the file, an injected fault's too.
 fn read_genome(path: &str, obs: Obs<'_>) -> Result<Assembly, String> {
     supervise::supervised(Hook::FastaRead, &obs, || {
         read_assembly(path).map_err(|message| WgaError::input(path, message))

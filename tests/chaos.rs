@@ -1,22 +1,29 @@
-//! Chaos suite: deterministic fault injection through the supervised
-//! retry/backoff layer, on both schedules.
+//! Chaos suite: deterministic fault injection on both schedules, with
+//! the checkpoint journal as the one recovery mechanism.
 //!
-//! The invariants under test mirror DESIGN.md's escalation ladder:
+//! The invariants under test mirror DESIGN.md's failure ladder:
 //!
-//! * every (hook x kind) injection terminates — no hangs, no aborts of
-//!   the whole run unless the plan explicitly panics outside pair
-//!   containment (the "kill" scenario);
-//! * the same `--fault-plan` + seed yields the same injection sites,
-//!   the same retry counts, and byte-identical `canonical_text` across
-//!   the one-thread loop and the dataflow executor for completing pairs;
-//! * retry-budget exhaustion fails exactly the targeted pair, on both
+//! * every (hook x kind) injection terminates — no hangs: a compute or
+//!   queue fault fails its pair, a journal fault ends the run with an
+//!   error and leaves the journal to resume from, and only a plan that
+//!   panics outside pair containment kills the run (the "kill"
+//!   scenario);
+//! * the same `--fault-plan` yields the same injection sites, the same
+//!   failed pairs and byte-identical `canonical_text` across the
+//!   one-thread loop and the dataflow executor;
+//! * an injected error fails exactly the targeted pair, on both
 //!   schedules, identically;
 //! * a run killed at an injected fault point resumes from its
 //!   checkpoint into the byte-identical golden report.
+//!
+//! `tests/crash_points.rs` aborts the `wga` process at every durability
+//! boundary and resumes each crash.
 
 use darwin_wga::core::config::WgaParams;
+use darwin_wga::core::error::WgaResult;
 use darwin_wga::core::faultsim::FaultPlan;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
+use darwin_wga::core::journal::PairRecord;
 use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::genome::assembly::Assembly;
@@ -55,13 +62,21 @@ fn four_pair_assemblies() -> (Assembly, Assembly) {
     (target, query)
 }
 
-fn plan(seed: u64, faults: &str) -> Arc<FaultPlan> {
+fn plan(faults: &str) -> Arc<FaultPlan> {
     Arc::new(
         FaultPlan::parse(&format!(
-            "{{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":{seed},\"faults\":[{faults}]}}"
+            "{{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[{faults}]}}"
         ))
         .expect("fault plan parses"),
     )
+}
+
+/// What records hold of their pairs' results — outcome, workload and
+/// alignments — without the timings that vary run to run.
+fn results(pairs: &[PairRecord]) -> Vec<String> {
+    (pairs.iter())
+        .map(|p| format!("{:?} {:?} {:?}", p.outcome, p.workload, p.alignments))
+        .collect()
 }
 
 fn journal_path(name: &str) -> PathBuf {
@@ -72,8 +87,9 @@ fn journal_path(name: &str) -> PathBuf {
 }
 
 /// Runs an alignment on its own thread with a hard deadline, so a
-/// supervision bug that hangs a queue fails the test instead of the CI
-/// job. Panics inside the run also fail here, with the payload message.
+/// fault-handling bug that hangs a queue fails the test instead of the
+/// CI job. Panics inside the run also fail here, with the payload
+/// message.
 fn run_within(
     secs: u64,
     params: &WgaParams,
@@ -82,6 +98,19 @@ fn run_within(
     opts: AlignOptions,
     label: &str,
 ) -> AssemblyReport {
+    result_within(secs, params, target, query, opts, label)
+        .unwrap_or_else(|e| panic!("{label}: run errored: {e}"))
+}
+
+/// [`run_within`] for a run that may end with an error.
+fn result_within(
+    secs: u64,
+    params: &WgaParams,
+    target: &Assembly,
+    query: &Assembly,
+    opts: AlignOptions,
+    label: &str,
+) -> WgaResult<AssemblyReport> {
     let (tx, rx) = mpsc::channel();
     let params = params.clone();
     let target = target.clone();
@@ -97,7 +126,6 @@ fn run_within(
     });
     rx.recv_timeout(Duration::from_secs(secs))
         .unwrap_or_else(|_| panic!("{label}: run exceeded {secs}s deadline"))
-        .unwrap_or_else(|e| panic!("{label}: run errored: {e}"))
 }
 
 /// The fault-free one-thread run every recovered run is compared to.
@@ -117,19 +145,21 @@ fn fault_free(params: &WgaParams, target: &Assembly, query: &Assembly) -> Assemb
 const SCHEDULES: [(&str, usize); 2] = [("serial", 1), ("dataflow", 3)];
 
 /// Every hook x kind combination that stays inside pair containment
-/// terminates with a well-formed report on every schedule where the
-/// hook can fire. `at:[0]` with `max_retries: 2` means recoverable
-/// kinds retry and complete; `panic` fails the pair but never the run.
+/// terminates on every schedule where the hook can fire. Nothing is
+/// retried: at a compute or queue hook the pair fails and the run
+/// completes; at a journal hook the run ends with an error, and a rerun
+/// on the same journal resumes into the fault-free report.
 #[test]
 fn fault_matrix_terminates_on_every_executor() {
     let (target, query) = one_pair_assemblies();
     let params = WgaParams::darwin_wga();
-    let kinds = ["error", "panic", "latency", "short-write"];
+    let clean = fault_free(&params, &target, &query);
+    let kinds = ["error", "panic", "short-write"];
     let default_depth = AlignOptions::default().queue_depth;
     for kind in kinds {
         let fault = |hook: &str| {
-            let one = format!("{{\"hook\":\"{hook}\",\"kind\":\"{kind}\",\"at\":[0],\"ms\":1}}");
-            Some(plan(9, &one))
+            let one = format!("{{\"hook\":\"{hook}\",\"kind\":\"{kind}\",\"at\":[0]}}");
+            Some(plan(&one))
         };
         // Compute-stage hooks fire on both schedules; queue hooks only
         // exist on the dataflow executor, here at its tightest queues.
@@ -141,12 +171,16 @@ fn fault_matrix_terminates_on_every_executor() {
             let opts = AlignOptions {
                 threads,
                 queue_depth,
-                max_retries: 2,
                 fault_plan: fault(hook),
                 ..AlignOptions::default()
             };
             let report = run_within(60, &params, &target, &query, opts, hook);
             assert_eq!(report.pairs.len(), 1, "{hook}/{kind}/{name}");
+            assert_ne!(
+                report.canonical_text(),
+                clean.canonical_text(),
+                "{hook}/{kind}/{name}: the fault must cost its pair something"
+            );
         }
         // Journal hooks fire on checkpointed runs. `panic` here lands
         // outside pair containment by design (the "kill" scenario,
@@ -154,16 +188,27 @@ fn fault_matrix_terminates_on_every_executor() {
         if kind != "panic" {
             for hook in ["journal.append", "journal.sync"] {
                 for (name, threads) in SCHEDULES {
+                    let label = format!("{hook}/{kind}/{name}");
                     let path = journal_path(&format!("matrix-{hook}-{kind}-{name}"));
                     let opts = AlignOptions {
                         threads,
                         checkpoint: Some(path.clone()),
-                        max_retries: 2,
                         fault_plan: fault(hook),
                         ..AlignOptions::default()
                     };
-                    let report = run_within(60, &params, &target, &query, opts, hook);
-                    assert_eq!(report.pairs.len(), 1, "{hook}/{kind}/{name}");
+                    let err = result_within(60, &params, &target, &query, opts, &label)
+                        .expect_err("a journal fault ends the run");
+                    assert!(err.to_string().contains(hook), "{label}: {err}");
+                    let resume = AlignOptions {
+                        threads,
+                        checkpoint: Some(path.clone()),
+                        ..AlignOptions::default()
+                    };
+                    let resumed = run_within(60, &params, &target, &query, resume, &label);
+                    // A fault after the append leaves the pair durable.
+                    let durable = u64::from(hook == "journal.sync");
+                    assert_eq!(resumed.resumed_pairs, durable, "{label}");
+                    assert_eq!(resumed.canonical_text(), clean.canonical_text(), "{label}");
                     let _ = std::fs::remove_file(&path);
                 }
             }
@@ -171,68 +216,57 @@ fn fault_matrix_terminates_on_every_executor() {
     }
 }
 
-/// Recoverable injections are invisible in canonical output and
-/// accounted identically everywhere: the same plan + seed produces the
-/// same injection count, the same retry count, and byte-identical
-/// canonical text on both schedules — which also equals the
-/// fault-free run, because every fault was absorbed by a retry.
+/// The chaos determinism gate: the same plan injects at the same sites
+/// and fails the same pairs on both schedules, so `canonical_text` and
+/// the injection count agree byte for byte. An error at pair 1's first
+/// filter batch fails it; one at every pair's first extension tile fails
+/// the two related pairs (0 and 3) and misses the unrelated pair 2,
+/// which never extends.
 #[test]
 fn same_plan_is_deterministic_across_executors() {
     let (target, query) = four_pair_assemblies();
     let params = WgaParams::darwin_wga();
     let clean = fault_free(&params, &target, &query);
-    let faults = "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0]},\
+    let faults = "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0],\"pair\":1},\
                   {\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[0]}";
-    let mut seen: Vec<(u64, u64)> = Vec::new();
+    let mut seen: Vec<(String, Option<u64>)> = Vec::new();
     for (name, threads) in SCHEDULES {
         let opts = AlignOptions {
             threads,
-            max_retries: 2,
-            fault_plan: Some(plan(42, faults)),
+            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
         let report = run_within(120, &params, &target, &query, opts, name);
-        for pair in &report.pairs {
-            assert!(
-                matches!(pair.outcome, RunOutcome::Completed),
-                "{name}: {}x{} should absorb the fault via retry: {:?}",
-                pair.target_chrom,
-                pair.query_chrom,
-                pair.outcome
-            );
-        }
+        let failed: Vec<bool> = (report.pairs.iter())
+            .map(|pair| matches!(pair.outcome, RunOutcome::Failed { .. }))
+            .collect();
+        assert_eq!(failed, [true, true, false, true], "{name}");
         assert_eq!(
-            report.canonical_text(),
-            clean.canonical_text(),
-            "{name}: recovered faults must not change output"
+            results(&report.pairs[2..3]),
+            results(&clean.pairs[2..3]),
+            "{name}: the pair no fault reached is untouched"
         );
-        seen.push((report.counters.faults_injected, report.counters.retries));
+        let injected = report.stage_metrics.map(|m| m.faults_injected);
+        seen.push((report.canonical_text(), injected));
     }
-    let (injected, retries) = seen[0];
-    assert!(injected > 0, "plan must actually fire: {seen:?}");
-    assert!(
-        retries > 0,
-        "injected errors must consume retries: {seen:?}"
-    );
-    assert_eq!(seen[0], seen[1], "injection and retry counts diverged");
+    assert_eq!(seen[0].1, Some(3), "one injection a failed pair");
+    assert_eq!(seen[0], seen[1], "the schedules diverged");
 }
 
-/// Exhausting the retry budget on one pair fails exactly that pair —
-/// identically on the one-thread loop and the dataflow executor — while
-/// every other pair completes untouched.
+/// An injected error fails exactly its pair — identically on the
+/// one-thread loop and the dataflow executor — while every other pair
+/// completes untouched. Nothing retries it: the error's first
+/// occurrence is the pair's end.
 #[test]
-fn retry_exhaustion_fails_the_same_pair_on_every_executor() {
+fn an_injected_error_fails_exactly_its_pair_on_every_executor() {
     let (target, query) = four_pair_assemblies();
     let params = WgaParams::darwin_wga();
-    // max_retries 1 allows attempts 0 and 1; injecting occurrences 0..2
-    // guarantees exhaustion no matter how the retry interleaves.
-    let faults = "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1,2],\"pair\":1}";
+    let faults = "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0],\"pair\":1}";
     let mut canon: Vec<String> = Vec::new();
     for (name, threads) in SCHEDULES {
         let opts = AlignOptions {
             threads,
-            max_retries: 1,
-            fault_plan: Some(plan(13, faults)),
+            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
         let report = run_within(120, &params, &target, &query, opts, name);
@@ -240,9 +274,9 @@ fn retry_exhaustion_fails_the_same_pair_on_every_executor() {
         for (idx, pair) in report.pairs.iter().enumerate() {
             if idx == 1 {
                 match &pair.outcome {
-                    RunOutcome::Failed { error } => assert!(
-                        error.contains("retries exhausted"),
-                        "{name}: unexpected failure message: {error}"
+                    RunOutcome::Failed { error } => assert_eq!(
+                        error, "injected fault: filter.batch pair 1: error",
+                        "{name}"
                     ),
                     other => panic!("{name}: pair 1 should fail, got {other:?}"),
                 }
@@ -258,7 +292,7 @@ fn retry_exhaustion_fails_the_same_pair_on_every_executor() {
     }
     assert_eq!(
         canon[0], canon[1],
-        "the schedules diverged under exhaustion"
+        "the schedules diverged on a failed pair"
     );
 }
 
@@ -278,7 +312,6 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
         threads: 1,
         checkpoint: Some(path.clone()),
         fault_plan: Some(plan(
-            5,
             "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0],\"pair\":2}",
         )),
         ..AlignOptions::default()
@@ -312,7 +345,6 @@ fn a_journal_panic_kills_a_dataflow_run_instead_of_hanging() {
             queue_depth: 1,
             checkpoint: Some(path.clone()),
             fault_plan: Some(plan(
-                5,
                 "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0]}",
             )),
             ..AlignOptions::default()
@@ -349,15 +381,14 @@ fn dataflow_shutdown_is_clean_under_injected_panics() {
     let clean = fault_free(&params, &target, &query);
     // Pair 3 (chrII x chr2) is a related pair with real extension work;
     // the unrelated cross pairs produce no anchors, so their
-    // `extend.tile` hook never fires. Two panics: the injected one,
-    // then the poisoned-pair re-abort if anything retries into it.
-    let faults = "{\"hook\":\"extend.tile\",\"kind\":\"panic\",\"at\":[0,1],\"pair\":3}";
+    // `extend.tile` hook never fires.
+    let faults = "{\"hook\":\"extend.tile\",\"kind\":\"panic\",\"at\":[0],\"pair\":3}";
     for threads in [2, 8] {
         let label = format!("dataflow t={threads}");
         let opts = AlignOptions {
             threads,
             queue_depth: 1,
-            fault_plan: Some(plan(3, faults)),
+            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
         let report = run_within(120, &params, &target, &query, opts, &label);
@@ -391,73 +422,84 @@ fn dataflow_shutdown_is_clean_under_injected_panics() {
 /// A strand is seeded and filtered one query range at a time, but the
 /// `filter.batch` hook still fires once per (pair, strand): occurrence
 /// *k* is the *k*-th strand of the pair, never its *k*-th range. With
-/// both strands on, `"at":[0,1]` injects before the forward strand's
-/// first range and before the reverse strand's first range, and a third
-/// occurrence does not exist — identically on both schedules.
+/// both strands on, `"at":[0]` injects before the forward strand's first
+/// range and `"at":[1]` before the reverse strand's, each failing the
+/// pair, and a third occurrence does not exist — identically on both
+/// schedules.
 #[test]
 fn filter_batch_occurrences_count_strands_not_ranges() {
-    use darwin_wga::core::genome_pipeline::align_assemblies_observed;
-    use darwin_wga::core::obs::{Obs, SpanName, TraceRecorder, STRAND_FWD, STRAND_REV};
+    use darwin_wga::core::obs::{SpanName, TraceRecorder, STRAND_FWD, STRAND_REV};
 
     let (target, query) = four_pair_assemblies();
     let mut params = WgaParams::darwin_wga();
     params.both_strands = true;
     params.shard_bases = 512; // a dozen ranges and more a strand
     let clean = fault_free(&params, &target, &query);
-    let latency = |at: &str| {
-        plan(5, &format!("{{\"hook\":\"filter.batch\",\"kind\":\"latency\",\"at\":{at},\"ms\":1,\"pair\":0}}"))
+    let error_at = |at: &str| {
+        plan(&format!(
+            "{{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":{at},\"pair\":0}}"
+        ))
     };
     for (name, threads) in SCHEDULES {
         let options = |at: &str| AlignOptions {
             threads,
-            fault_plan: Some(latency(at)),
+            fault_plan: Some(error_at(at)),
             ..AlignOptions::default()
         };
-        let recorder = TraceRecorder::new();
-        let report = align_assemblies_observed(
-            &params,
-            &target,
-            &query,
-            &options("[0,1]"),
-            Obs::new(&recorder),
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(report.canonical_text(), clean.canonical_text(), "{name}");
-        assert_eq!(report.counters.faults_injected, 2, "{name}");
-        let spans = recorder.spans();
-        let of_pair_0 =
-            |name: SpanName| spans.iter().filter(move |s| s.pair == 0 && s.name == name);
-        let mut faults: Vec<u64> = of_pair_0(SpanName::Fault).map(|s| s.start_us).collect();
-        faults.sort_unstable();
-        let seeded = |strand: u8| {
-            let starts = of_pair_0(SpanName::Seed)
-                .filter(move |s| s.strand == strand)
-                .map(|s| s.start_us);
-            (
-                starts.clone().min().expect("seeded"),
-                starts.clone().max().expect("seeded"),
-                starts.count(),
+        // Occurrence 0 opens the forward strand, occurrence 1 the reverse.
+        for (at, opened) in [("[0]", STRAND_FWD), ("[1]", STRAND_REV)] {
+            let label = format!("{name} at {at}");
+            let recorder = TraceRecorder::new();
+            let report = align_assemblies_observed(
+                &params,
+                &target,
+                &query,
+                &options(at),
+                Obs::new(&recorder),
             )
-        };
-        let ((fwd_first, fwd_last, fwd_ranges), (rev_first, _, rev_ranges)) =
-            (seeded(STRAND_FWD), seeded(STRAND_REV));
-        assert!(
-            fwd_ranges > 10 && rev_ranges > 10,
-            "{name}: {fwd_ranges} + {rev_ranges} ranges"
-        );
-        assert_eq!(faults.len(), 2, "{name}");
-        assert!(
-            faults[0] <= fwd_first,
-            "{name}: occurrence 0 opens the forward strand"
-        );
-        assert!(
-            fwd_last <= faults[1] && faults[1] <= rev_first,
-            "{name}: occurrence 1 opens the reverse strand, not the forward strand's second range"
-        );
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            match &report.pairs[0].outcome {
+                RunOutcome::Failed { error } => assert_eq!(
+                    error, "injected fault: filter.batch pair 0: error",
+                    "{label}"
+                ),
+                other => panic!("{label}: pair 0 should fail, got {other:?}"),
+            }
+            assert_eq!(
+                results(&report.pairs[1..]),
+                results(&clean.pairs[1..]),
+                "{label}"
+            );
+            let spans = recorder.spans();
+            let of_pair_0 =
+                |name: SpanName| spans.iter().filter(move |s| s.pair == 0 && s.name == name);
+            let faults: Vec<u64> = of_pair_0(SpanName::Fault).map(|s| s.start_us).collect();
+            assert_eq!(faults.len(), 1, "{label}");
+            let seeded = |strand: u8| {
+                (of_pair_0(SpanName::Seed).filter(move |s| s.strand == strand))
+                    .map(|s| s.start_us)
+                    .collect::<Vec<_>>()
+            };
+            let (fwd, rev) = (seeded(STRAND_FWD), seeded(STRAND_REV));
+            assert!(rev.is_empty(), "{label}: the reverse strand never seeds");
+            if opened == STRAND_FWD {
+                assert!(
+                    fwd.is_empty(),
+                    "{label}: the fault opens the forward strand"
+                );
+            } else {
+                assert!(fwd.len() > 10, "{label}: {} forward ranges", fwd.len());
+                assert!(
+                    fwd.iter().all(|&start| start <= faults[0]),
+                    "{label}: the fault opens the reverse strand, not a forward range"
+                );
+            }
+        }
 
         let none = run_within(120, &params, &target, &query, options("[2,3,4]"), name);
         assert_eq!(
-            none.counters.faults_injected, 0,
+            none.stage_metrics.map(|m| m.faults_injected),
+            Some(0),
             "{name}: a pair has two strands"
         );
         assert_eq!(none.canonical_text(), clean.canonical_text(), "{name}");

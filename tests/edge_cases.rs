@@ -610,6 +610,8 @@ mod cli {
         assert_option_rejected(&out, "--deadline-ms");
         let out = wga(&["align", good, good, "--max-seed-hits", "5"]);
         assert_option_rejected(&out, "--max-seed-hits");
+        let out = wga(&["align", good, good, "--max-retries", "1"]);
+        assert_option_rejected(&out, "--max-retries");
     }
 
     #[test]
@@ -932,25 +934,27 @@ mod cli {
         assert_clean_failure(&out, "invalid value for --executor: bogus");
     }
 
-    /// Both run subcommands load their genomes through the supervised
-    /// `fasta.read` hook: an injected read error with a retry left
-    /// changes no output byte, and with no retry left the run fails
-    /// naming the file, before it starts.
+    /// Both run subcommands load their genomes behind the `fasta.read`
+    /// fault gate, one occurrence a file and nothing retried: an injected
+    /// read error fails the run before it starts, naming the file it hit,
+    /// and an occurrence no read reaches changes no output byte and
+    /// counts no fault. The retry knob is an option no longer.
     #[test]
     fn many_and_align_read_their_genomes_under_the_fasta_read_hook() {
-        use darwin_wga::core::faultsim::Hook;
-        use darwin_wga::core::obs::{SpanName, TraceLine, NO_PAIR};
+        use darwin_wga::core::obs::{SpanName, TraceLine};
 
         let dir = empty_dir("fasta-read");
         let (t, q) = (golden("target"), golden("query"));
-        let plan = dir.join("plan.json");
-        std::fs::write(
-            &plan,
-            r#"{"format":"wga-fault-plan","version":1,"faults":[
-                {"hook":"fasta.read","kind":"error","at":[0]}]}"#,
-        )
-        .unwrap();
-        let plan = plan.to_str().unwrap();
+        let plan_at = |at: u64| -> String {
+            let path = dir.join(format!("plan{at}.json"));
+            let plan = format!(
+                r#"{{"format":"wga-fault-plan","version":1,"faults":[
+                    {{"hook":"fasta.read","kind":"error","at":[{at}]}}]}}"#
+            );
+            std::fs::write(&path, plan).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let missed = plan_at(2);
         for (subcommand, output) in [("many", "--paf-out"), ("align", "--maf")] {
             let run = |flags: &[&str]| -> Vec<u8> {
                 let mut args = vec![subcommand, t.as_str(), q.as_str(), output, "out"];
@@ -963,49 +967,37 @@ mod cli {
             let clean = run(&[]);
             assert!(!clean.is_empty());
             let observed = ["--metrics-out", "m.json", "--trace-out", "t.jsonl"];
-            let retried = run(&[&observed[..], &["--fault-plan", plan]].concat());
+            let unhit = run(&[&observed[..], &["--fault-plan", &missed]].concat());
             assert!(
-                retried == clean,
-                "{subcommand}: the retried read changed the output"
+                unhit == clean,
+                "{subcommand}: an unhit plan changed the output"
             );
-
-            // The read's fault and retry are the run's: in its metrics and,
-            // as one pairless `fault` span, in its trace.
             let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
             let doc = json::parse(metrics.trim_end()).expect("metrics JSON parses");
-            for key in ["faults_injected", "retries"] {
-                assert_eq!(doc.get_u64(key), Ok(Some(1)), "{subcommand}: {key}");
-            }
+            assert_eq!(doc.get_u64("faults_injected"), Ok(Some(0)), "{subcommand}");
+            assert_eq!(doc.get_u64("retries"), Ok(None), "{subcommand}");
             let trace = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
-            let faults: Vec<_> = (trace.lines())
+            let faults = (trace.lines())
                 .map(|line| TraceLine::from_json(&json::parse(line).unwrap()).unwrap())
-                .filter_map(|line| match line {
-                    TraceLine::Span(span) if span.name == SpanName::Fault => Some(span),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(faults.len(), 1, "{subcommand}: {faults:?}");
-            assert_eq!(faults[0].seq, Hook::FastaRead.code());
-            assert_eq!(faults[0].pair, NO_PAIR);
+                .filter(
+                    |line| matches!(line, TraceLine::Span(span) if span.name == SpanName::Fault),
+                )
+                .count();
+            assert_eq!(faults, 0, "{subcommand}");
 
-            let args = [
-                subcommand,
-                &t,
-                &q,
-                "--fault-plan",
-                plan,
-                "--max-retries",
-                "0",
-            ];
-            let out = wga_in(&dir, &args);
-            assert_clean_failure(&out, &format!("{t}: fasta.read: injected I/O error"));
+            for (at, file) in [(0, &t), (1, &q)] {
+                let out = wga_in(&dir, &[subcommand, &t, &q, "--fault-plan", &plan_at(at)]);
+                assert_clean_failure(&out, &format!("{file}: fasta.read: injected I/O error"));
+            }
+            let out = wga_in(&dir, &[subcommand, &t, &q, "--max-retries", "1"]);
+            assert_option_rejected(&out, "--max-retries");
         }
     }
 
-    /// A sink probes its hook once an attempt, inside its atomic write:
-    /// with no retry, a torn write at the second occurrence never fires,
-    /// and one at the first fails the run before the rename, leaving the
-    /// old files whole and no tmp sibling.
+    /// A sink probes its hook once, inside its atomic write, and is not
+    /// retried: a torn write at the second occurrence never fires, and
+    /// one at the first fails the run before the rename, leaving the old
+    /// files whole and no tmp sibling.
     #[test]
     fn align_probes_each_sink_once_an_attempt() {
         let dir = empty_dir("sink-probe");
@@ -1027,8 +1019,6 @@ mod cli {
                 "m.json",
                 "--trace-out",
                 "t.jsonl",
-                "--max-retries",
-                "0",
                 "--fault-plan",
                 plan,
             ];

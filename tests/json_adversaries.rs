@@ -146,7 +146,7 @@ const TRACE: &str = concat!(
 
 const PLAN: &str = "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":42,\"faults\":[\
     {\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,2],\"pair\":1},\
-    {\"hook\":\"journal.append\",\"kind\":\"latency\",\"at\":[0],\"ms\":25}]}";
+    {\"hook\":\"journal.append\",\"kind\":\"crash\",\"at\":[0],\"ms\":25}]}";
 
 fn metrics() -> String {
     let mut doc = ExecutorMetrics {

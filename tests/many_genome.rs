@@ -345,8 +345,8 @@ fn a_checkpoint_directory_cut_mid_matrix_resumes() {
 
 /// A fault plan's `"pair"` names one chromosome pair of the whole
 /// matrix: over three one-chromosome genomes, pair 0 is (c0t × c0q)'s
-/// only pair, and an error there with no retry fails that pair and no
-/// other genome pair's first.
+/// only pair, and an error there fails that pair and no other genome
+/// pair's first.
 #[test]
 fn a_fault_plan_pair_names_one_chromosome_pair_of_the_matrix() {
     let mut genomes = clustered_genomes(2, 3_000, 7);
@@ -359,7 +359,6 @@ fn a_fault_plan_pair_names_one_chromosome_pair_of_the_matrix() {
     for threads in [1, 2] {
         let options = AlignOptions {
             threads,
-            max_retries: 0,
             fault_plan: Some(Arc::new(plan.clone())),
             ..AlignOptions::default()
         };

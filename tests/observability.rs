@@ -251,8 +251,8 @@ fn metrics_json_is_valid_on_every_executor() {
     }
 }
 
-/// A pair that fails still finishes: with one pair's retry budget
-/// exhausted, `pairs.done` reaches `pairs.total` on every schedule (a
+/// A pair that fails still finishes: with one pair failed by an
+/// injected error, `pairs.done` reaches `pairs.total` on every schedule (a
 /// `--progress` meter must not end a finished run at `pairs 3/4` with a
 /// live ETA), and the canonical report is the same on both.
 #[test]
@@ -270,7 +270,6 @@ fn failed_pair_still_counts_as_done_on_every_schedule() {
         let recorder = TraceRecorder::new();
         let options = AlignOptions {
             threads,
-            max_retries: 1,
             fault_plan: Some(plan.clone()),
             ..AlignOptions::default()
         };

@@ -7,8 +7,7 @@
 //! with thread count and scheduler timing. These tests pin the contract
 //! that the *output* does not: `canonical_text` is byte-identical to the
 //! unsharded serial baseline across thread counts x shard sizes, and stays
-//! identical when a seeded fault plan forces shard-level retries along
-//! the way.
+//! identical across them when a fault plan fails pairs along the way.
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::faultsim::FaultPlan;
@@ -128,30 +127,31 @@ fn sharded_runs_match_unsharded_baseline() {
 
 #[test]
 fn sharded_runs_match_under_fault_injection() {
-    // Shard-level retries must escalate exactly like pair-level ones:
-    // recoverable faults at the first filter batch and the first
-    // extension tile are retried, and the recovered output is still
-    // byte-identical to the clean unsharded baseline on every
-    // thread-count row.
+    // An injected error fails its pair the same way sharded or not: an
+    // error at the related pair's first extension tile fails it, the
+    // decoy pair completes, and the output of every thread-count row
+    // with small shards is byte-identical to the unsharded serial run
+    // under the same plan.
     let (target, query) = assemblies();
-    let golden = unsharded_baseline(&target, &query);
-    let sharded = with_shard(256);
-    let faults = concat!(
-        "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0],\"ms\":1},",
-        "{\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[0],\"ms\":1}"
-    );
-    for (name, threads) in MATRIX {
+    let fault = "{\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[0]}";
+    let faulted = |shard_bases, (name, threads)| {
         let opts = AlignOptions {
             threads,
-            max_retries: 2,
-            fault_plan: Some(plan(17, faults)),
+            fault_plan: Some(plan(17, fault)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &sharded, &target, &query, opts, name);
+        let report = run_within(120, &with_shard(shard_bases), &target, &query, opts, name);
+        report.canonical_text()
+    };
+    let golden = faulted(1 << 30, MATRIX[0]);
+    assert!(golden.contains("pair\tchrI\tchr1\tfailed"), "{golden}");
+    assert!(golden.contains("pair\tchrII\tchr1\tcompleted"), "{golden}");
+    for row in MATRIX {
         assert_eq!(
             golden,
-            report.canonical_text(),
-            "{name}: recovered faults must not change sharded output"
+            faulted(256, row),
+            "{}: a failed pair must not change sharded output",
+            row.0
         );
     }
 }
@@ -163,12 +163,11 @@ fn sharded_panic_escalates_to_identical_pair_failure() {
     // byte-identical across the whole matrix.
     let (target, query) = assemblies();
     let sharded = with_shard(256);
-    let fault = "{\"hook\":\"extend.tile\",\"kind\":\"panic\",\"at\":[0],\"ms\":1}";
+    let fault = "{\"hook\":\"extend.tile\",\"kind\":\"panic\",\"at\":[0]}";
     let mut reference: Option<String> = None;
     for (name, threads) in MATRIX {
         let opts = AlignOptions {
             threads,
-            max_retries: 2,
             fault_plan: Some(plan(17, fault)),
             ..AlignOptions::default()
         };
