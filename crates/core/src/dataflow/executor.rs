@@ -62,17 +62,20 @@
 //! journal commit releases the producer and the pool the same way.
 
 use crate::config::WgaParams;
-use crate::dataflow::metrics::{ExecutorMetrics, StageMeter};
-use crate::obs::{strand_code, Obs, SpanBuf, SpanName, STRAND_NA};
+use crate::dataflow::metrics::ExecutorMetrics;
+use crate::obs::{strand_code, Obs, SpanBuf};
 
-/// `seq` codes on `queue.wait` spans, naming the queue a thread blocked
-/// on (see `SpanName::QueueWait`). Code 2 named the retired extension
+/// `seq` codes on `queue.wait` spans, naming what a thread blocked on
+/// (see `SpanName::QueueWait`). Code 2 named the retired extension
 /// queue and is not reused, so old traces read the same.
 pub const QUEUE_SEED_PUSH: u64 = 0;
 /// Worker blocked popping `filter_q`.
 pub const QUEUE_FILTER_POP: u64 = 1;
 /// Collector blocked popping `done_q`.
 pub const QUEUE_DONE_POP: u64 = 3;
+/// Producer waiting for the range tasks it queued to seed
+/// ([`wait_seeded`]).
+pub const QUEUE_SEEDED: u64 = 4;
 use crate::dataflow::queue::BoundedQueue;
 use crate::error::{WgaError, WgaResult};
 use crate::faultsim::Hook;
@@ -83,7 +86,7 @@ use crate::report::{Strand, WgaReport};
 use crate::shard::QueryRanges;
 use crate::stages::{
     extend_anchors, filter_batch, fold_batches, row_seed_table, seed_lane, seed_range, BatchResult,
-    Journals, SeededLane, TableBuilds,
+    Journals, LaneCost, TableBuilds,
 };
 use crate::supervise::{self, panic_message};
 use crate::sync::Mutex;
@@ -91,11 +94,11 @@ use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// What the range tasks of one (pair, strand) share, up to the pair's
 /// extension. The reverse strand owns its reverse-complemented query.
@@ -131,10 +134,7 @@ struct RangeTask<'a> {
 struct Lane<'a> {
     stream: Arc<Stream<'a>>,
     /// What opening the strand cost: a budgeted strand's walk and clamps.
-    seeded: SeededLane,
-    /// [`FilterContext`] build wall-clock (counted as filtering time,
-    /// matching the one-thread loop's accounting).
-    ctx_time: Duration,
+    opened: LaneCost,
     /// Range results in the order they were deposited.
     batches: Vec<BatchResult>,
 }
@@ -208,37 +208,34 @@ pub(crate) fn execute(
         matrix.pairs.iter().map(|_| Mutex::new(None)).collect();
     let cells = &cells[..];
 
-    let seed_meter = StageMeter::default();
-    let filter_meter = StageMeter::default();
     let alive = AtomicUsize::new(threads);
 
-    let (journal_err, escaped) = std::thread::scope(|scope| {
-        let mut workers = Vec::new();
+    // Each thread returns the microseconds it spent blocked: the sum of
+    // its `queue.wait` spans, the producer's seeding's idle time and
+    // the pool's filtering's.
+    let (journal_err, escaped, idle_us) = std::thread::scope(|scope| {
         // --- Planning producer -----------------------------------------
-        {
-            let (filter_q, done_q) = (&filter_q, &done_q);
-            let (seed_meter, resumed) = (&seed_meter, &resumed);
-            workers.push(scope.spawn(move || {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
+        let producer = {
+            let (filter_q, done_q, resumed) = (&filter_q, &done_q, &resumed);
+            scope.spawn(move || {
+                let idle_us = catch_unwind(AssertUnwindSafe(|| {
                     produce(
-                        params, matrix, resumed, cells, filter_q, done_q, seed_meter, builds, obs,
+                        params, matrix, resumed, cells, filter_q, done_q, builds, obs,
                     )
                 }));
                 // Whatever happened, release the pool.
                 filter_q.close();
-            }));
-        }
+                idle_us.unwrap_or_default()
+            })
+        };
 
         // --- Worker pool ----------------------------------------------
-        for _ in 0..threads {
-            let (filter_q, done_q) = (&filter_q, &done_q);
-            let (filter_meter, alive) = (&filter_meter, &alive);
-            workers.push(
-                scope.spawn(move || {
-                    worker(params, filter_q, done_q, cells, alive, filter_meter, obs)
-                }),
-            );
-        }
+        let pool: Vec<_> = (0..threads)
+            .map(|_| {
+                let (filter_q, done_q, alive) = (&filter_q, &done_q, &alive);
+                scope.spawn(move || worker(params, filter_q, done_q, cells, alive, obs))
+            })
+            .collect();
 
         // --- Collector (this thread): journal + gather -----------------
         let _close = CloseOnExit(&filter_q, &done_q);
@@ -247,15 +244,7 @@ pub(crate) fn execute(
         loop {
             let wait_timer = collector_buf.start();
             let Some(done) = done_q.pop() else { break };
-            collector_buf.finish_for_pair(
-                wait_timer,
-                SpanName::QueueWait,
-                done.pair_id as u64,
-                STRAND_NA,
-                QUEUE_DONE_POP,
-                0,
-                0,
-            );
+            collector_buf.finish_wait(wait_timer, done.pair_id as u64, QUEUE_DONE_POP);
             let pair_obs = obs.with_pair(done.pair_id as u64);
             match journals.commit(matrix, done.pair_id, done.result, pair_obs) {
                 Ok(record) => records[done.pair_id] = Some(record),
@@ -273,12 +262,15 @@ pub(crate) fn execute(
         // worker's containment layers arrives here as an `Err` instead
         // of unwinding out of the scope.
         let mut escaped = None;
-        for worker in workers {
-            if let Err(payload) = worker.join() {
+        let mut join = |thread: std::thread::ScopedJoinHandle<'_, u64>| {
+            thread.join().unwrap_or_else(|payload| {
                 escaped.get_or_insert(payload);
-            }
-        }
-        (journal_err, escaped)
+                0
+            })
+        };
+        let seed_idle = join(producer);
+        let filter_idle: u64 = pool.into_iter().map(&mut join).sum();
+        (journal_err, escaped, [seed_idle, filter_idle])
     });
     if let Some(payload) = escaped {
         // An executor bug, not a pair failure; surface it like the
@@ -302,8 +294,8 @@ pub(crate) fn execute(
     let metrics = |total: &AssemblyReport| {
         let mut metrics = ExecutorMetrics::from_report(threads, total, obs);
         metrics.queue_depth = queue_depth;
-        seed_meter.fill(&mut metrics.seeding, 0);
-        filter_meter.fill(&mut metrics.filtering, filter_q.max_occupancy());
+        [metrics.seeding.idle_us, metrics.filtering.idle_us] = idle_us;
+        metrics.filtering.max_queue_occupancy = filter_q.max_occupancy() as u64;
         metrics
     };
     let run = (&*journals, builds);
@@ -320,6 +312,8 @@ pub(crate) fn execute(
 /// back, so only its blocks' journals are open. Dispatch order never
 /// reaches canonical output: the results are assembled in pair-id
 /// order, and fault occurrences are counted per `(hook, pair)`.
+/// Returns the microseconds it spent blocked, pushing `filter_q` or in
+/// [`wait_seeded`].
 #[allow(clippy::too_many_arguments)]
 fn produce<'a>(
     params: &WgaParams,
@@ -328,10 +322,9 @@ fn produce<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
     filter_q: &BoundedQueue<RangeTask<'a>>,
     done_q: &BoundedQueue<PairDone>,
-    seed_meter: &StageMeter,
     builds: &TableBuilds,
     obs: Obs<'_>,
-) {
+) -> u64 {
     // Small work drains first so the long tail of one big pair overlaps
     // the rest of the matrix instead of serialising ahead of it (a pair's
     // work estimate is the bases on both sides — every pipeline stage
@@ -365,13 +358,14 @@ fn produce<'a>(
     // all seeded.
     let mut row_table: Option<(usize, Result<Arc<SeedTable>, String>)> = None;
     let mut seeding = mpsc::channel();
+    let idle_us = Cell::new(0);
 
     for pair_id in order {
         let pair = &matrix.pairs[pair_id];
         let pair_obs = obs.with_pair(pair_id as u64);
         if row_table.as_ref().is_some_and(|&(row, _)| row != pair.row) {
             row_table = None;
-            wait_seeded(&mut seeding, seed_meter);
+            wait_seeded(&mut seeding, &idle_us, pair_obs);
         }
         // Queues one task: `Err` fails the pair, `Ok(false)` means a
         // queue closed under us (shutdown) and the producer is done.
@@ -380,20 +374,11 @@ fn produce<'a>(
                 .map_err(|error| format!("queue.push fault: {error}"))?;
             let mut wait_buf = obs.buffer();
             let wait_timer = wait_buf.start();
-            let wait = Instant::now();
             if filter_q.push(task).is_err() {
                 return Ok(false);
             }
-            seed_meter.add_idle(wait.elapsed());
-            wait_buf.finish_for_pair(
-                wait_timer,
-                SpanName::QueueWait,
-                pair_id as u64,
-                STRAND_NA,
-                QUEUE_SEED_PUSH,
-                0,
-                0,
-            );
+            let waited = wait_buf.finish_wait(wait_timer, pair_id as u64, QUEUE_SEED_PUSH);
+            idle_us.set(idle_us.get() + waited);
             Ok(true)
         };
         let (target, query) = (&pair.target.sequence, &pair.query.sequence);
@@ -417,8 +402,7 @@ fn produce<'a>(
                 pair,
                 pair_id,
                 cells,
-                &mut seeding,
-                seed_meter,
+                (&mut seeding, &idle_us),
                 push,
                 pair_obs,
             )?;
@@ -432,22 +416,26 @@ fn produce<'a>(
         .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
         let keep_going = planned.unwrap_or_else(|error| fail_pair(cells, pair_id, error, done_q));
         if !keep_going {
-            return;
+            break;
         }
     }
+    idle_us.get()
 }
 
 /// Blocks until every range task queued so far has seeded or been
-/// dropped, metered as the producer's idle time: each task's
+/// dropped, under a `queue.wait` span (code [`QUEUE_SEEDED`]) whose
+/// duration is added to the producer's `idle_us`: each task's
 /// [`SeedSource`] holds a clone of the sender and nothing is ever sent,
 /// so the receive returns once the last clone is gone. The tasks to
 /// come get a new channel.
-fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), meter: &StageMeter) {
-    let start = Instant::now();
+fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), idle_us: &Cell<u64>, obs: Obs<'_>) {
+    let mut buf = obs.buffer();
+    let wait_timer = buf.start();
     let (token, seeded) = std::mem::replace(seeding, mpsc::channel());
     drop(token);
     let _ = seeded.recv();
-    meter.add_idle(start.elapsed());
+    let waited = buf.finish_wait(wait_timer, obs.pair(), QUEUE_SEEDED);
+    idle_us.set(idle_us.get() + waited);
 }
 
 /// Plans one pair's range tasks: opens each strand ([`seed_lane`]: its
@@ -464,8 +452,7 @@ fn plan_pair<'a>(
     (target, query, ranges): (&'a Sequence, &'a Sequence, QueryRanges),
     pair_id: usize,
     cells: &[Mutex<Option<PairJob<'a>>>],
-    seeding: &mut (Sender<()>, Receiver<()>),
-    meter: &StageMeter,
+    (seeding, idle_us): (&mut (Sender<()>, Receiver<()>), &Cell<u64>),
     push: impl Fn(RangeTask<'a>) -> Result<bool, String>,
     obs: Obs<'_>,
 ) -> Result<bool, String> {
@@ -476,13 +463,11 @@ fn plan_pair<'a>(
     let mut tiles_kept = 0u64;
     for (lane_idx, (query, strand)) in strands.into_iter().enumerate() {
         if lane_idx > 0 {
-            wait_seeded(seeding, meter);
+            wait_seeded(seeding, idle_us, obs);
         }
-        let (seeded, kept) = seed_lane(params, table, &query, strand, ranges, tiles_kept, obs);
+        let (opened, kept) = seed_lane(params, table, &query, strand, ranges, tiles_kept, obs);
         tiles_kept += kept.as_ref().map_or(0, |kept| kept.len() as u64);
-        let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, &query);
-        let ctx_time = ctx_start.elapsed();
         let stream = Arc::new(Stream {
             pair_id,
             lane_idx,
@@ -495,8 +480,7 @@ fn plan_pair<'a>(
             let (stream, batches) = (Arc::clone(&stream), Vec::new());
             job.lanes.push(Lane {
                 stream,
-                seeded,
-                ctx_time,
+                opened,
                 batches,
             });
         }
@@ -529,48 +513,38 @@ fn plan_pair<'a>(
 /// one engine, so its DP scratch is drawn per worker and strand. The
 /// worker whose deposit completes a pair extends it ([`finish_pair`]).
 /// The last of the pool's `alive` workers out — normally or unwinding —
-/// closes `done_q`.
+/// closes `done_q`. Returns the microseconds the worker spent blocked
+/// popping `filter_q`.
 fn worker<'a>(
     params: &WgaParams,
     filter_q: &BoundedQueue<RangeTask<'a>>,
     done_q: &BoundedQueue<PairDone>,
     cells: &[Mutex<Option<PairJob<'a>>>],
     alive: &AtomicUsize,
-    meter: &StageMeter,
     obs: Obs<'_>,
-) {
+) -> u64 {
     let _guard = PoolGuard {
         alive,
         filter_q,
         done_q,
     };
-    let mut wait_buf = obs.buffer();
-    // The next task, with the wait for it metered (a named fn, so
-    // `wga-lint` sees this stage's pop beside its push).
+    let (mut wait_buf, mut idle_us) = (obs.buffer(), 0);
+    // The next task, its wait a `queue.wait` span added to `idle_us` (a
+    // named fn, so `wga-lint` sees this stage's pop beside its push).
     fn pop<'a>(
         filter_q: &BoundedQueue<RangeTask<'a>>,
-        meter: &StageMeter,
         buf: &mut SpanBuf<'_>,
+        idle_us: &mut u64,
     ) -> Option<RangeTask<'a>> {
         let wait_timer = buf.start();
-        let wait = Instant::now();
         let task = filter_q.pop()?;
-        meter.add_idle(wait.elapsed());
-        buf.finish_for_pair(
-            wait_timer,
-            SpanName::QueueWait,
-            task.stream.pair_id as u64,
-            STRAND_NA,
-            QUEUE_FILTER_POP,
-            0,
-            0,
-        );
+        *idle_us += buf.finish_wait(wait_timer, task.stream.pair_id as u64, QUEUE_FILTER_POP);
         Some(task)
     }
-    let mut pop = || pop(filter_q, meter, &mut wait_buf);
+    let mut pop = || pop(filter_q, &mut wait_buf, &mut idle_us);
     let mut scratch = DsoftScratch::default();
     let mut next = pop();
-    while let Some(first) = next.take() {
+    'tasks: while let Some(first) = next.take() {
         let stream = Arc::clone(&first.stream);
         let mut engine = stream.ctx.engine();
         let pair_obs = obs.with_pair(stream.pair_id as u64);
@@ -624,7 +598,7 @@ fn worker<'a>(
             };
             // `false`: `done_q` closed, the run is shutting down.
             if !moved_on {
-                return;
+                break 'tasks;
             }
             next = pop();
             match next.take() {
@@ -633,6 +607,7 @@ fn worker<'a>(
             }
         }
     }
+    idle_us
 }
 
 /// Deposits a range's result in its pair's cell (nothing, if the pair
@@ -692,12 +667,11 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
     let mut report = WgaReport::default();
     for Lane {
         stream,
-        seeded,
-        ctx_time,
+        opened,
         batches,
     } in job.lanes
     {
-        let anchors = fold_batches(seeded, ctx_time, batches, &mut report);
+        let anchors = fold_batches(opened, batches, &mut report);
         let (target, query, strand) = (stream.target, &stream.query, stream.strand);
         extend_anchors(params, target, query, strand, anchors, &mut report, obs);
     }
@@ -710,7 +684,7 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{TraceRecorder, STRAND_FWD};
+    use crate::obs::{SpanName, TraceRecorder, STRAND_FWD};
     use crate::report::RunEvent;
     use genome::assembly::Assembly;
     use genome::Base;
@@ -814,8 +788,7 @@ mod tests {
             pair_id: 0,
             lanes: vec![Lane {
                 stream: Arc::clone(&stream),
-                seeded: SeededLane::default(),
-                ctx_time: Duration::ZERO,
+                opened: LaneCost::default(),
                 batches,
             }],
             outstanding,
@@ -832,7 +805,7 @@ mod tests {
                     &t,
                     &q,
                     &batch,
-                    SeededLane::default(),
+                    LaneCost::default(),
                     scode,
                     i,
                     Obs::off(),
@@ -851,12 +824,11 @@ mod tests {
                 _token: mpsc::channel().0,
             });
             let alive = AtomicUsize::new(2);
-            let meter = StageMeter::default();
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let obs = Obs::off();
-                        worker(&params, &filter_q, &done_q, &cells, &alive, &meter, obs)
+                        worker(&params, &filter_q, &done_q, &cells, &alive, obs)
                     });
                 }
                 for idx in 0..ranges.count() {

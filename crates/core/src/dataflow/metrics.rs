@@ -6,36 +6,15 @@
 //! report ([`ExecutorMetrics::from_report`]) on every executor, so
 //! `--metrics-out` means the same thing on each; the dataflow executor
 //! adds what a report cannot know — the time its producer and pool
-//! spent blocked ([`StageMeter`]) and the filter queue's high-water
-//! mark.
+//! spent blocked, which each thread returns as the sum of its
+//! `queue.wait` spans, and the filter queue's high-water mark. Every
+//! duration here is a sum of spans' `dur_us` (see [`crate::obs`]).
 
 use crate::dataflow::ExecutorKind;
 use crate::genome_pipeline::AssemblyReport;
 use crate::json::Json;
 use crate::obs::Obs;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Time one dataflow stage spent blocked (a relaxed atomic — telemetry,
-/// not synchronisation).
-#[derive(Debug, Default)]
-pub(crate) struct StageMeter {
-    idle_ns: AtomicU64,
-}
-
-impl StageMeter {
-    pub(crate) fn add_idle(&self, d: Duration) {
-        self.idle_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Writes the stage's idle time and its input queue's high-water
-    /// mark into `stage`.
-    pub(crate) fn fill(&self, stage: &mut StageMetrics, max_queue_occupancy: usize) {
-        stage.idle_us = self.idle_ns.load(Ordering::Relaxed) / 1_000;
-        stage.max_queue_occupancy = max_queue_occupancy as u64;
-    }
-}
 
 /// Snapshot of one stage's telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,13 +27,18 @@ pub struct StageMetrics {
     pub items: u64,
     /// DP cells evaluated (seed positions queried, for seeding).
     pub cells: u64,
-    /// Cumulative time workers spent doing work, microseconds.
+    /// Cumulative time workers spent doing work, microseconds: the
+    /// stage's [`StageTimings`](crate::report::StageTimings) field, the
+    /// sum of its spans' `dur_us` over the run's pairs (`seed.table` +
+    /// `seed` for seeding, `filter.batch` for filtering, `extend` for
+    /// extension).
     pub busy_us: u64,
-    /// Cumulative time the stage spent blocked, microseconds: for
-    /// seeding, the producer planning it — pushing `filter_q`, or waiting
-    /// for a row or a forward strand to finish seeding; for filtering,
-    /// the pool popping `filter_q`. Extension has no queue of its own and
-    /// reads 0.
+    /// Cumulative time the stage spent blocked, microseconds, the sum of
+    /// its `queue.wait` spans' `dur_us`: for seeding, the producer
+    /// planning it — pushing `filter_q` (code 0), or waiting for a row or
+    /// a forward strand to finish seeding (code 4); for filtering, the
+    /// pool popping `filter_q` (code 1). The one-thread loop and
+    /// extension, which has no queue of its own, read 0.
     pub idle_us: u64,
     /// High-water mark of the stage's *input* queue: `filter_q` for
     /// filtering, 0 for seeding and extension, which have none.
@@ -180,27 +164,6 @@ impl ExecutorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meter_accumulates_idle_and_fills_the_queue_side() {
-        let m = StageMeter::default();
-        m.add_idle(Duration::from_micros(100));
-        m.add_idle(Duration::from_micros(150));
-        let mut s = StageMetrics {
-            workers: 1,
-            items: 7,
-            cells: 100,
-            busy_us: 1500,
-            ..StageMetrics::default()
-        };
-        m.fill(&mut s, 7);
-        assert_eq!((s.idle_us, s.max_queue_occupancy), (250, 7));
-        assert_eq!(
-            (s.workers, s.items, s.cells, s.busy_us),
-            (1, 7, 100, 1500),
-            "the report's side stays"
-        );
-    }
 
     #[test]
     fn summary_names_the_executor_its_queue_and_any_chaos() {

@@ -282,18 +282,20 @@ pub fn pre_open_outputs(
     Ok(staged)
 }
 
-/// Fsyncs `path`'s parent directory so the rename is durable. A no-op
-/// on platforms where directories cannot be opened for syncing.
-fn sync_parent_dir(path: &Path) -> WgaResult<()> {
+/// Fsyncs `path`'s parent directory (the working directory for a bare
+/// name) so a rename or a new file's directory entry is durable. A
+/// no-op on platforms where directories cannot be opened for syncing.
+pub(crate) fn sync_parent_dir(path: &Path) -> WgaResult<()> {
     #[cfg(unix)]
     {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let handle = File::open(dir)
-                .map_err(|e| WgaError::io(format!("open dir {}", dir.display()), e))?;
-            handle
-                .sync_all()
-                .map_err(|e| WgaError::io(format!("fsync dir {}", dir.display()), e))?;
-        }
+        let dir = (path.parent())
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        let handle =
+            File::open(dir).map_err(|e| WgaError::io(format!("open dir {}", dir.display()), e))?;
+        handle
+            .sync_all()
+            .map_err(|e| WgaError::io(format!("fsync dir {}", dir.display()), e))?;
     }
     #[cfg(not(unix))]
     {

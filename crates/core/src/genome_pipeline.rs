@@ -517,7 +517,7 @@ pub(crate) fn assemble(
         fold_pair(&mut blocks[pair.block], record);
     }
     if let Some(first) = blocks.first_mut() {
-        first.timings.seeding += Duration::from_nanos(builds.ns.load(Ordering::Relaxed));
+        first.timings.seeding += Duration::from_micros(builds.us.load(Ordering::Relaxed));
     }
     let mut total = AssemblyReport::default();
     for block in &blocks {

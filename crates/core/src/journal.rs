@@ -293,6 +293,9 @@ impl Journal {
             file.write_all(format!("{header}\n").as_bytes())
                 .and_then(|()| file.sync_data())
                 .map_err(|e| WgaError::io(&display, e))?;
+            // The file may be new: its directory entry must outlive a
+            // power loss as its fsync'd records do.
+            durable::sync_parent_dir(path)?;
         }
 
         Ok(Journal {

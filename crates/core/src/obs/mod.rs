@@ -11,6 +11,10 @@
 //! to a single branch, and so does every fault gate without an
 //! injector. Every span of one recorder is timed from its start.
 //!
+//! This module alone reads the clock, and a stage interval is timed
+//! once, by its span: [`SpanBuf::finish`] returns the span's `dur_us`,
+//! recorder or not, for the caller to charge to its stage.
+//!
 //! Three primitives:
 //!
 //! * **Spans** ([`Span`]) — named, timestamped intervals (`seed`,
@@ -44,7 +48,7 @@ use crate::json::Json;
 use crate::report::Strand;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// `pair` value for spans not attributed to a chromosome pair.
 pub const NO_PAIR: u64 = u64::MAX;
@@ -137,10 +141,12 @@ pub enum SpanName {
     /// (`items` = anchors in, `cells` = extension DP cells); the
     /// `extend.tile` spans it encloses carry its id as their `parent`.
     Extend,
-    /// Time a dataflow thread spent blocked on a bounded queue
-    /// (`seq` = queue code: 0 producer push, 1 worker pop, 3 collector
-    /// pop; 2, the pop of a retired extension queue, only in old
-    /// traces).
+    /// Time a dataflow thread spent blocked (`seq` = queue code: 0
+    /// producer push, 1 worker pop, 3 collector pop, 4 producer waiting
+    /// for the range tasks it queued to seed; 2, the pop of a retired
+    /// extension queue, only in old traces). Codes 0 and 4 sum to the
+    /// seeding stage's `idle_us` in `--metrics-out`, code 1 to the
+    /// filtering stage's.
     QueueWait,
 }
 
@@ -412,7 +418,7 @@ impl HistKind {
 ///
 /// `Copy` and a few words wide; cloning it into worker closures is
 /// free. When disabled (`rec == None`) every method is a branch on a
-/// register — no time is read, no atomics touched. A chaos run's
+/// register — no atomics touched, no time read but a span's own. A chaos run's
 /// fault injector rides along the same way: `None` (the default
 /// everywhere) makes every `fault_gate` call a single branch.
 #[derive(Clone, Copy)]
@@ -559,9 +565,9 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Starts a timer, or an inert one when disabled. The single
-    /// branch + optional clock read is the entire per-call cost on the
-    /// disabled path.
+    /// Starts a timer, or an inert one when disabled, for a span no
+    /// stage is charged (a filter tile, an `extend.tile`). The single
+    /// branch is the entire per-call cost on the disabled path.
     #[inline]
     pub fn timer(&self) -> SpanTimer {
         SpanTimer(self.rec.map(|_| Instant::now()))
@@ -601,29 +607,46 @@ impl<'a> Obs<'a> {
         cells: u64,
         id: u64,
         parent: u64,
-    ) {
-        let (Some(rec), Some(start)) = (self.rec, timer.0) else {
-            return;
+    ) -> u64 {
+        let Some(start) = timer.0 else {
+            return 0;
         };
-        spans.push(Span {
-            name,
-            pair,
-            strand,
-            seq,
-            start_us: rec.since_start(start),
-            dur_us: start.elapsed().as_micros() as u64,
-            items,
-            cells,
-            tid: thread_id(),
-            id: if id == NO_SPAN { alloc_span_id() } else { id },
-            parent,
-        });
+        let dur_us = start.elapsed().as_micros() as u64;
+        if let Some(rec) = self.rec {
+            spans.push(Span {
+                name,
+                pair,
+                strand,
+                seq,
+                start_us: rec.since_start(start),
+                dur_us,
+                items,
+                cells,
+                tid: thread_id(),
+                id: if id == NO_SPAN { alloc_span_id() } else { id },
+                parent,
+            });
+        }
+        dur_us
     }
 }
 
-/// A started (or inert) span clock from [`Obs::timer`].
+/// A started span clock, or an inert one from a disabled [`Obs::timer`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpanTimer(Option<Instant>);
+
+impl SpanTimer {
+    /// A clock started now (also for an interval no span records, like
+    /// a command's wall time, which [`SpanTimer::read`] returns).
+    pub fn now() -> SpanTimer {
+        SpanTimer(Some(Instant::now()))
+    }
+
+    /// The time since the clock started, zero for an inert one.
+    pub fn read(&self) -> Duration {
+        self.0.map_or(Duration::ZERO, |start| start.elapsed())
+    }
+}
 
 /// Per-worker span buffer. Spans accumulate locally and hit the shared
 /// recorder once, at [`SpanBuf::flush`] (called automatically on drop).
@@ -643,10 +666,11 @@ impl std::fmt::Debug for SpanBuf<'_> {
 }
 
 impl SpanBuf<'_> {
-    /// Starts a timer for a span that will end in [`SpanBuf::finish`].
+    /// Starts the clock of a span that will end in [`SpanBuf::finish`],
+    /// on a disabled handle too.
     #[inline]
     pub fn start(&self) -> SpanTimer {
-        self.obs.timer()
+        SpanTimer::now()
     }
 
     /// Pre-allocates a span id the caller can hand to
@@ -667,7 +691,8 @@ impl SpanBuf<'_> {
         self.parent = parent;
     }
 
-    /// Completes a span attributed to the handle's pair.
+    /// Completes a span attributed to the handle's pair. Each `finish*`
+    /// returns the span's `dur_us`, recorded or not (0 if inert).
     pub fn finish(
         &mut self,
         timer: SpanTimer,
@@ -676,9 +701,9 @@ impl SpanBuf<'_> {
         seq: u64,
         items: u64,
         cells: u64,
-    ) {
+    ) -> u64 {
         let pair = self.obs.pair;
-        self.finish_for_pair(timer, name, pair, strand, seq, items, cells);
+        self.finish_for_pair(timer, name, pair, strand, seq, items, cells)
     }
 
     /// Completes a span under a pre-allocated id from
@@ -696,7 +721,7 @@ impl SpanBuf<'_> {
         seq: u64,
         items: u64,
         cells: u64,
-    ) {
+    ) -> u64 {
         let obs = self.obs;
         let pair = obs.pair;
         obs.push_span(
@@ -710,7 +735,7 @@ impl SpanBuf<'_> {
             cells,
             id,
             NO_SPAN,
-        );
+        )
     }
 
     /// Completes a span attributed to an explicit pair (for buffers
@@ -725,7 +750,7 @@ impl SpanBuf<'_> {
         seq: u64,
         items: u64,
         cells: u64,
-    ) {
+    ) -> u64 {
         let obs = self.obs;
         let parent = self.parent;
         obs.push_span(
@@ -739,7 +764,13 @@ impl SpanBuf<'_> {
             cells,
             NO_SPAN,
             parent,
-        );
+        )
+    }
+
+    /// Completes a `queue.wait` span: a wait of kind `code` (the
+    /// dataflow executor's queue codes) attributed to `pair`.
+    pub(crate) fn finish_wait(&mut self, timer: SpanTimer, pair: u64, code: u64) -> u64 {
+        self.finish_for_pair(timer, SpanName::QueueWait, pair, STRAND_NA, code, 0, 0)
     }
 
     /// Hands buffered spans to the recorder, leaving the buffer empty.
@@ -881,7 +912,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_handle_records_nothing_and_reads_no_clock() {
+    fn off_handle_records_nothing_and_times_only_spans() {
         let obs = Obs::off();
         assert!(obs.rec.is_none());
         let timer = obs.timer();
@@ -891,8 +922,10 @@ mod tests {
         let mut buf = obs.buffer();
         assert_eq!(buf.alloc_id(), NO_SPAN);
         let t = buf.start();
-        assert!(t.0.is_none());
-        buf.finish(t, SpanName::Seed, STRAND_FWD, 0, 1, 2);
+        assert!(t.0.is_some(), "a span's own clock runs without a recorder");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let dur_us = buf.finish(t, SpanName::Seed, STRAND_FWD, 0, 1, 2);
+        assert!(dur_us >= 2_000, "the stage is charged {dur_us} us");
         assert!(buf.spans.is_empty(), "no span without a recorder");
     }
 
@@ -914,12 +947,12 @@ mod tests {
         record.workload.extension_rows = 40;
         obs.pair_done(&record);
 
-        {
+        let dur_us = {
             let mut buf = obs.buffer();
             let t = buf.start();
-            buf.finish(t, SpanName::FilterBatch, STRAND_FWD, 7, 64, 640);
+            buf.finish(t, SpanName::FilterBatch, STRAND_FWD, 7, 64, 640)
             // drop flushes
-        }
+        };
 
         assert_eq!(rec.counter(Counter::FilterTiles), 1);
         assert_eq!(rec.counter(Counter::FilterCells), 640);
@@ -936,6 +969,7 @@ mod tests {
         assert_eq!(spans[0].pair, 3);
         assert_eq!(spans[0].seq, 7);
         assert_eq!(spans[0].items, 64);
+        assert_eq!(spans[0].dur_us, dur_us, "finish returns the span's dur_us");
     }
 
     #[test]

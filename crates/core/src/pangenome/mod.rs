@@ -40,6 +40,7 @@ pub mod plane_sweep;
 
 use crate::config::WgaParams;
 use crate::dataflow::ExecutorMetrics;
+use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::genome_pipeline::{align_matrix, by_score, AlignOptions, PairMatrix};
 use crate::journal::PairRecord;
@@ -248,6 +249,7 @@ pub fn align_many_observed(
     if let Some(dir) = &options.checkpoint {
         std::fs::create_dir_all(dir)
             .map_err(|e| WgaError::io(format!("checkpoint dir {}", dir.display()), e))?;
+        durable::sync_parent_dir(dir)?;
     }
 
     // One scaled parameter set for the whole run.

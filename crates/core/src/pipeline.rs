@@ -12,17 +12,17 @@
 
 use crate::config::WgaParams;
 use crate::filter_engine::FilterContext;
-use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
+use crate::obs::{strand_code, Obs};
 use crate::report::{Strand, WgaReport};
 use crate::shard::QueryRanges;
 use crate::stages::{
-    extend_anchors, filter_batch, fold_batches, seed_lane, seed_range, timed_seed_table,
+    extend_anchors, filter_batch, fold_batches, seed_lane, seed_range, seed_table,
 };
 use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::SeedTable;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Runs the full pipeline on one target/query pair against a pre-built
 /// seed table of `target` (table construction amortises across many
@@ -54,9 +54,7 @@ pub fn run_pair(
         let (lane, kept) = seed_lane(params, &table, query, strand, ranges, tiles_kept, obs);
         tiles_kept += kept.as_ref().map_or(0, |kept| kept.len() as u64);
         // One filter context per strand (the batch's flattened scoring).
-        let ctx_start = Instant::now();
         let ctx = FilterContext::new(params, target, query);
-        let ctx_time = ctx_start.elapsed();
         let scode = strand_code(strand);
         let kept = kept.as_deref();
         let (mut scratch, mut engine) = (DsoftScratch::default(), ctx.engine());
@@ -86,7 +84,7 @@ pub fn run_pair(
             ));
         }
         drop((scratch, engine, table));
-        let anchors = fold_batches(lane, ctx_time, batches, &mut report);
+        let anchors = fold_batches(lane, batches, &mut report);
         extend_anchors(params, target, query, strand, anchors, &mut report, obs);
     };
     if params.both_strands {
@@ -155,20 +153,9 @@ impl WgaPipeline {
     /// funnel counters are folded from finished pair records
     /// ([`Obs::pair_done`]), which only the assembly drivers keep.
     pub fn run_observed(&self, target: &Sequence, query: &Sequence, obs: Obs<'_>) -> WgaReport {
-        let mut buf = obs.buffer();
-        let table_timer = buf.start();
-        let (table, build_time) = timed_seed_table(&self.params, target);
-        buf.finish(
-            table_timer,
-            SpanName::SeedTable,
-            STRAND_NA,
-            0,
-            1,
-            target.len() as u64,
-        );
-        buf.flush();
+        let (table, build_us) = seed_table(&self.params, target, 0, obs);
         let mut report = run_pair(&self.params, Arc::new(table), target, query, obs);
-        report.timings.seeding += build_time;
+        report.timings.seeding += Duration::from_micros(build_us);
         report
     }
 }
@@ -369,7 +356,7 @@ mod tests {
     /// each strand: the cuts follow `shard_bases`.
     #[test]
     fn run_pair_spawns_nothing_and_cuts_the_ranges_shard_bases_cut() {
-        use crate::obs::{thread_id, TraceRecorder, STRAND_FWD, STRAND_REV};
+        use crate::obs::{thread_id, SpanName, TraceRecorder, STRAND_FWD, STRAND_REV};
 
         let pair = synthetic(0.2, 20_000, 8);
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);

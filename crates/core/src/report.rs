@@ -24,14 +24,17 @@ pub struct WgaAlignment {
     pub strand: Strand,
 }
 
-/// Wall-clock time spent per pipeline stage.
+/// Time spent per pipeline stage: each field the sum of its stage's
+/// span durations, each a whole number of microseconds (the spans'
+/// `dur_us`, see [`crate::obs`]). The journal writes it as
+/// `timings_us`, and `--metrics-out`'s `busy_us` reads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Seeding (table build + D-SOFT).
+    /// Seeding: `seed.table` + `seed` spans.
     pub seeding: Duration,
-    /// Filtering (all tiles).
+    /// Filtering: `filter.batch` spans.
     pub filtering: Duration,
-    /// Extension (all anchors).
+    /// Extension: `extend` spans.
     pub extension: Duration,
 }
 
@@ -144,7 +147,7 @@ pub struct WgaReport {
     pub alignments: Vec<WgaAlignment>,
     /// Hardware-relevant workload (feeds the `hwsim` models).
     pub workload: Workload,
-    /// Stage wall-clock timings of this (software) run.
+    /// Stage timings of this (software) run: sums of its spans' durations.
     pub timings: StageTimings,
     /// Stage funnel counters.
     pub counters: FunnelCounters,

@@ -33,7 +33,7 @@ use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, PairMatrix};
 use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
-use crate::report::{BudgetKind, RunEvent, Strand, WgaAlignment, WgaReport};
+use crate::report::{BudgetKind, RunEvent, StageTimings, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
 use crate::supervise::{self, panic_message};
 use align::gactx::{self, ExtendedAlignment};
@@ -44,19 +44,30 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Builds the seed table for `target`, returning it with the wall-clock
-/// the build took.
-///
-/// Every schedule times the table build through this one helper and
-/// adds only the returned duration to `timings.seeding` — measuring it
-/// around a larger span (the old pattern) silently folded filtering and
-/// extension time into the seeding figure.
-pub(crate) fn timed_seed_table(params: &WgaParams, target: &Sequence) -> (SeedTable, Duration) {
-    let start = Instant::now();
+/// The seed table of `target`, built under a `seed.table` span
+/// (`seq` = `row`); returns it with the span's duration in
+/// microseconds, the seeding time the build is charged.
+pub(crate) fn seed_table(
+    params: &WgaParams,
+    target: &Sequence,
+    row: usize,
+    obs: Obs<'_>,
+) -> (SeedTable, u64) {
+    let mut buf = obs.buffer();
+    let table_timer = buf.start();
     let table = SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
-    (table, start.elapsed())
+    let bases = target.len() as u64;
+    let build_us = buf.finish(
+        table_timer,
+        SpanName::SeedTable,
+        STRAND_NA,
+        row as u64,
+        1,
+        bases,
+    );
+    (table, build_us)
 }
 
 /// Runs the configured extension from one anchor.
@@ -77,23 +88,23 @@ pub fn run_extension(
     )
 }
 
-/// Seeding accounting — a range's or a strand's, which [`fold_batches`]
-/// sums and writes into the pair's report.
+/// What a query range, or a whole strand, cost — D-SOFT's counts and
+/// its `seed` and `filter.batch` spans' durations — which
+/// [`fold_batches`] sums and writes into the pair's report.
 #[derive(Debug, Default)]
-pub(crate) struct SeededLane {
+pub(crate) struct LaneCost {
     /// Seed positions D-SOFT queried.
     seeds_queried: u64,
     raw_hits: u64,
-    /// D-SOFT wall-clock, range by range.
-    seed_time: Duration,
+    timings: StageTimings,
     clamp_event: Option<RunEvent>,
 }
 
-impl SeededLane {
-    pub(crate) fn add(&mut self, range: &SeededLane) {
+impl LaneCost {
+    pub(crate) fn add(&mut self, range: &LaneCost) {
         self.seeds_queried += range.seeds_queried;
         self.raw_hits += range.raw_hits;
-        self.seed_time += range.seed_time;
+        self.timings.merge(&range.timings);
     }
 }
 
@@ -113,20 +124,18 @@ pub(crate) fn seed_range(
     kept: Option<&[SeedHit]>,
     scratch: &mut DsoftScratch,
     obs: Obs<'_>,
-) -> (SeededLane, Vec<SeedHit>) {
+) -> (LaneCost, Vec<SeedHit>) {
     if let Some(kept) = kept {
         let range_of = |hit: &SeedHit| ranges.index_of(hit.query_pos as usize);
         let start = kept.partition_point(|hit| range_of(hit) < idx);
         let len = kept[start..].partition_point(|hit| range_of(hit) == idx);
-        return (SeededLane::default(), kept[start..start + len].to_vec());
+        return (LaneCost::default(), kept[start..start + len].to_vec());
     }
     let mut buf = obs.buffer();
     let seed_timer = buf.start();
-    let start = Instant::now();
     let seeding = dsoft_seeds_range_in(table, query, &params.dsoft, ranges.get(idx), scratch);
-    let seed_time = start.elapsed();
     let (found, seeds_queried) = (seeding.hits.len() as u64, seeding.seeds_queried);
-    buf.finish(
+    let seed_us = buf.finish(
         seed_timer,
         SpanName::Seed,
         strand_code(strand),
@@ -134,12 +143,12 @@ pub(crate) fn seed_range(
         found,
         seeds_queried,
     );
-    let cost = SeededLane {
+    let mut cost = LaneCost {
         seeds_queried,
         raw_hits: seeding.raw_hits,
-        seed_time,
-        ..SeededLane::default()
+        ..LaneCost::default()
     };
+    cost.timings.seeding = Duration::from_micros(seed_us);
     (cost, seeding.hits)
 }
 
@@ -166,9 +175,9 @@ pub(crate) fn seed_lane(
     ranges: QueryRanges,
     tiles_used: u64,
     obs: Obs<'_>,
-) -> (SeededLane, Option<Vec<SeedHit>>) {
+) -> (LaneCost, Option<Vec<SeedHit>>) {
     obs.fault_gate(Hook::FilterBatch);
-    let mut lane = SeededLane::default();
+    let mut lane = LaneCost::default();
     if params.budget.max_filter_tiles.is_none() {
         return (lane, None);
     }
@@ -200,8 +209,8 @@ pub(crate) fn seed_lane(
 pub(crate) struct BatchResult {
     /// The batch's range index.
     batch: usize,
-    /// What seeding the range cost.
-    seeded: SeededLane,
+    /// What seeding and filtering the range cost.
+    cost: LaneCost,
     /// The hits that passed, each with its anchor, in hit order within
     /// the batch. The hit is kept so [`fold_batches`] can put a strand's
     /// anchors back in hit order.
@@ -210,8 +219,6 @@ pub(crate) struct BatchResult {
     items: u64,
     /// DP cells evaluated.
     cells: u64,
-    /// Filter wall-clock of the batch.
-    busy: Duration,
     /// Why the batch produced nothing: the message of its second panic,
     /// or of the scheduling fault that kept it from running.
     failed: Option<String>,
@@ -229,7 +236,7 @@ impl BatchResult {
     }
 }
 
-/// Filters one range's hits, seeded at cost `seeded`, with the worker's
+/// Filters one range's hits, seeded at `cost`, with the worker's
 /// `engine` (drawn once per worker and strand from the strand's shared
 /// [`FilterContext`], so its DP scratch serves every batch the worker
 /// runs).
@@ -237,7 +244,8 @@ impl BatchResult {
 /// A panic inside the batch is contained: it yields a failed result
 /// that [`fold_batches`] records as [`RunEvent::BatchFailed`] while
 /// every other batch's anchors are kept. The `filter.batch` span carries
-/// `batch_idx` as its `seq`.
+/// `batch_idx` as its `seq`, and its duration is added to `cost`'s
+/// filtering time.
 ///
 /// [`FilterContext`]: crate::filter_engine::FilterContext
 #[allow(clippy::too_many_arguments)]
@@ -247,13 +255,12 @@ pub(crate) fn filter_batch(
     target: &Sequence,
     query: &Sequence,
     hits: &[SeedHit],
-    seeded: SeededLane,
+    mut cost: LaneCost,
     strand: u8,
     batch_idx: usize,
     obs: Obs<'_>,
 ) -> BatchResult {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let start = Instant::now();
         let mut buf = obs.buffer();
         let batch_timer = buf.start();
         let mut survivors = Vec::new();
@@ -267,7 +274,7 @@ pub(crate) fn filter_batch(
             cells += outcome.cells;
             survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
         }
-        buf.finish(
+        let busy_us = buf.finish(
             batch_timer,
             SpanName::FilterBatch,
             strand,
@@ -275,12 +282,12 @@ pub(crate) fn filter_batch(
             hits.len() as u64,
             cells,
         );
+        cost.timings.filtering += Duration::from_micros(busy_us);
         BatchResult {
             batch: batch_idx,
             survivors,
             items: hits.len() as u64,
             cells,
-            busy: start.elapsed(),
             ..BatchResult::default()
         }
     }))
@@ -291,7 +298,7 @@ pub(crate) fn filter_batch(
             panic_message(payload.as_ref()),
         )
     });
-    BatchResult { seeded, ..result }
+    BatchResult { cost, ..result }
 }
 
 /// Test-only fault injection: a hit at `u32::MAX` (unreachable from
@@ -304,8 +311,8 @@ fn poison_check(hit: SeedHit) {
     }
 }
 
-/// Folds one strand's seeding accounting (`lane`'s and each batch's)
-/// and its filter batches into `report`, and returns the strand's
+/// Folds one strand's costs (`lane`'s and each batch's) and its filter
+/// batches into `report`, and returns the strand's
 /// anchors in hit order — (target, query), the order one D-SOFT walk of
 /// the whole strand emits — so that neither the range size nor the order
 /// batches finished in reaches the extension's stable score sort.
@@ -314,21 +321,19 @@ fn poison_check(hit: SeedHit) {
 /// clamps, then one [`RunEvent::BatchFailed`] per failed batch in range
 /// order. A batch that ran adds its `items` filter tiles, a failed one
 /// none.
-/// Filtering time is `ctx_time` (the filter context's build) plus every
-/// batch's own wall-clock: time spent filtering, which at more than one
-/// thread is more than the stage's elapsed time.
+/// The stage times are the sums of the strand's `seed` and
+/// `filter.batch` spans: time spent seeding and filtering, which at
+/// more than one thread is more than the stages' elapsed time.
 pub(crate) fn fold_batches(
-    mut lane: SeededLane,
-    ctx_time: Duration,
+    mut lane: LaneCost,
     mut batches: Vec<BatchResult>,
     report: &mut WgaReport,
 ) -> Vec<Anchor> {
     report.events.extend(lane.clamp_event.take());
     batches.sort_by_key(|batch| batch.batch);
     let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
-    let mut filter_time = ctx_time;
     for batch in batches {
-        lane.add(&batch.seeded);
+        lane.add(&batch.cost);
         if let Some(message) = batch.failed {
             report.events.push(RunEvent::BatchFailed {
                 batch: batch.batch,
@@ -339,13 +344,11 @@ pub(crate) fn fold_batches(
         }
         report.workload.filter_tiles += batch.items;
         report.counters.filter_cells += batch.cells;
-        filter_time += batch.busy;
         survivors.extend(batch.survivors);
     }
-    report.timings.seeding += lane.seed_time;
+    report.timings.merge(&lane.timings);
     report.workload.seeds += lane.seeds_queried;
     report.counters.raw_seed_hits += lane.raw_hits;
-    report.timings.filtering += filter_time;
     report.counters.anchors_passed += survivors.len() as u64;
     survivors.sort_unstable_by_key(|&(hit, _)| hit);
     survivors.into_iter().map(|(_, anchor)| anchor).collect()
@@ -370,7 +373,6 @@ pub(crate) fn extend_anchors(
     report: &mut WgaReport,
     obs: Obs<'_>,
 ) {
-    let ext_start = Instant::now();
     let anchors_in = anchors.len() as u64;
     let scode = strand_code(strand);
     let mut buf = obs.buffer();
@@ -404,7 +406,7 @@ pub(crate) fn extend_anchors(
         // Chaos hook: per-pair extension is serial on every schedule,
         // so `extend.tile` occurrence indices line up across them.
         obs.fault_gate(Hook::ExtendTile);
-        let anchor_timer = buf.start();
+        let anchor_timer = obs.timer();
         let Some(ext) = run_extension(params, target, query, anchor) else {
             continue;
         };
@@ -431,7 +433,7 @@ pub(crate) fn extend_anchors(
         }
     }
     buf.set_parent(crate::obs::NO_SPAN);
-    buf.finish_with_id(
+    let lane_us = buf.finish_with_id(
         lane_timer,
         lane_id,
         SpanName::Extend,
@@ -440,26 +442,26 @@ pub(crate) fn extend_anchors(
         anchors_in,
         lane_cells,
     );
+    report.timings.extension += Duration::from_micros(lane_us);
     report.counters.alignments_kept += kept.len() as u64;
     report.alignments.extend(
         kept.into_iter()
             .map(|alignment| WgaAlignment { alignment, strand }),
     );
-    report.timings.extension += ext_start.elapsed();
 }
 
-/// The seed tables a run built and their build wall-clock, which no
-/// pair's record holds: relaxed atomics, since the dataflow producer
-/// builds on its own thread.
+/// The seed tables a run built and their `seed.table` spans' summed
+/// duration in microseconds, which no pair's record holds: relaxed
+/// atomics, since the dataflow producer builds on its own thread.
 #[derive(Debug, Default)]
 pub(crate) struct TableBuilds {
     pub(crate) count: AtomicU64,
-    pub(crate) ns: AtomicU64,
+    pub(crate) us: AtomicU64,
 }
 
-/// The seed table of target row `row`, built by the calling thread under
-/// a `seed.table` span and counted into `builds`. A panic is contained
-/// to an error message that fails every pair of the row.
+/// The seed table of target row `row`, built by the calling thread
+/// ([`seed_table`]) and counted into `builds`. A panic is contained to
+/// an error message that fails every pair of the row.
 pub(crate) fn row_seed_table(
     params: &WgaParams,
     target: &Sequence,
@@ -467,23 +469,10 @@ pub(crate) fn row_seed_table(
     builds: &TableBuilds,
     obs: Obs<'_>,
 ) -> Result<Arc<SeedTable>, String> {
-    let mut buf = obs.buffer();
-    let table_timer = buf.start();
     catch_unwind(AssertUnwindSafe(|| {
-        let (table, build_time) = timed_seed_table(params, target);
-        let bases = target.len() as u64;
-        buf.finish(
-            table_timer,
-            SpanName::SeedTable,
-            STRAND_NA,
-            row as u64,
-            1,
-            bases,
-        );
+        let (table, build_us) = seed_table(params, target, row, obs);
         builds.count.fetch_add(1, Ordering::Relaxed);
-        builds
-            .ns
-            .fetch_add(build_time.as_nanos() as u64, Ordering::Relaxed);
+        builds.us.fetch_add(build_us, Ordering::Relaxed);
         Arc::new(table)
     }))
     .map_err(|payload| {

@@ -115,7 +115,7 @@ use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
-use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, TraceRecorder, STRAND_NA};
+use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, SpanTimer, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::core::supervise;
 use darwin_wga::genome::annotation::CoordinateMap;
@@ -633,11 +633,11 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         },
     );
 
-    let start = std::time::Instant::now();
+    let clock = SpanTimer::now();
     let result = align_assemblies_observed(&run.params, target, query, &run.flags.options, obs);
     drop(meter);
     let report = result.map_err(|e| e.to_string())?;
-    let wall = start.elapsed();
+    let wall = clock.read();
 
     println!("== run summary");
     println!("wall time:          {wall:?}");
@@ -768,12 +768,12 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
     // One run over the whole matrix: it announces the matrix's
     // chromosome-pair total up front, so the meter renders pairs-done /
     // ETA across genome pairs.
-    let start = std::time::Instant::now();
+    let clock = SpanTimer::now();
     let result =
         pangenome::align_many_observed(&run.params, genomes, &run.flags.options, run.obs());
     drop(meter);
     let report = result.map_err(|e| e.to_string())?;
-    let wall = start.elapsed();
+    let wall = clock.read();
 
     println!("== many-genome summary");
     println!("wall time: {wall:?}");

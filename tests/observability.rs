@@ -383,7 +383,11 @@ fn dataflow_run_records_queue_waits_and_extend_lanes() {
         .collect();
     assert!(!waits.is_empty(), "dataflow run must record queue waits");
     for w in &waits {
-        assert!(w.seq <= 3, "queue code out of range: {}", w.seq);
+        assert!(
+            [0, 1, 3, 4].contains(&w.seq),
+            "unknown queue code: {}",
+            w.seq
+        );
     }
 
     let lanes: std::collections::HashMap<u64, u64> = spans
@@ -462,6 +466,77 @@ fn many_traces_and_measures_the_matrix_without_changing_an_output() {
             "{metrics}"
         );
         assert!(metrics.contains("\"process\":{\"vm_hwm_kb\":"), "{metrics}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One clock: every `--metrics-out` duration of a `wga align` run is the
+/// sum of its spans' `dur_us` in the same run's trace, at one thread and
+/// at two. Busy time: seeding is `seed.table` + `seed`, filtering
+/// `filter.batch`, extension `extend`. Idle time: seeding is `queue.wait`
+/// codes 0 and 4, filtering code 1, extension nothing.
+#[test]
+fn metrics_durations_are_sums_of_the_trace_spans() {
+    let dir = std::env::temp_dir().join(format!("wga-obs-clock-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let inputs = ["golden.target.fa", "golden.query.fa"]
+        .map(|file| data_dir().join(file).to_str().unwrap().to_string());
+    for threads in ["1", "2"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_wga"))
+            .current_dir(&dir)
+            .args(["align", &inputs[0], &inputs[1], "--threads", threads])
+            .args(["--trace-out", "t.jsonl", "--metrics-out", "m.json"])
+            .output()
+            .expect("spawn wga");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{threads} threads: {stderr}");
+
+        let trace = fs::read_to_string(dir.join("t.jsonl")).unwrap();
+        let spans: Vec<_> = trace
+            .lines()
+            .filter_map(
+                |line| match TraceLine::from_json(&json::parse(line).unwrap()) {
+                    Ok(TraceLine::Span(span)) => Some(span),
+                    _ => None,
+                },
+            )
+            .collect();
+        let sum = |names: &[SpanName], codes: &[u64]| -> u64 {
+            (spans.iter())
+                .filter(|s| names.contains(&s.name))
+                .filter(|s| s.name != SpanName::QueueWait || codes.contains(&s.seq))
+                .map(|s| s.dur_us)
+                .sum()
+        };
+        let metrics = json::parse(&fs::read_to_string(dir.join("m.json")).unwrap()).unwrap();
+        let stage = |name: &str, key: &str| int_field(metrics.member(name).unwrap(), key);
+        let wait = [SpanName::QueueWait];
+        for (name, busy, idle) in [
+            (
+                "seeding",
+                sum(&[SpanName::SeedTable, SpanName::Seed], &[]),
+                sum(&wait, &[0, 4]),
+            ),
+            (
+                "filtering",
+                sum(&[SpanName::FilterBatch], &[]),
+                sum(&wait, &[1]),
+            ),
+            ("extension", sum(&[SpanName::Extend], &[]), 0),
+        ] {
+            assert!(busy > 0, "{threads} threads: no {name} spans");
+            assert_eq!(
+                stage(name, "busy_us"),
+                busy,
+                "{name} busy, {threads} threads"
+            );
+            assert_eq!(
+                stage(name, "idle_us"),
+                idle,
+                "{name} idle, {threads} threads"
+            );
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }
