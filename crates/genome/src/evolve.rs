@@ -15,7 +15,7 @@
 //! distant pairs.
 
 use crate::alphabet::Base;
-use crate::annotation::{CoordinateMap, Interval, DELETED};
+use crate::annotation::{CoordinateMap, Interval, Run};
 use crate::markov::{fires, peek_units, threshold, unit, MarkovModel};
 use crate::sequence::Sequence;
 use rand::Rng;
@@ -128,6 +128,8 @@ pub struct Lineage {
     pub indel_events: u64,
     /// Total inserted + deleted bases.
     pub indel_bases: u64,
+    /// Number of segmental duplications applied.
+    pub duplications: u64,
 }
 
 /// A complete synthetic species pair with ground truth.
@@ -320,9 +322,10 @@ fn evolve_lineage<R: Rng + ?Sized>(
     let rng = &mut rng.cursor();
     let room = params.expected_descendant_len(ancestor.len());
     let mut sequence = Descendant::in_buffer(std::mem::take(bases), room);
-    // One entry an ancestral base: a deletion leaves its entries as they
-    // start, a copied base writes its own.
-    let mut map = vec![DELETED; ancestor.len()];
+    // One run an event and one to close the last, sized from the rolls'
+    // expected count with room for its spread: one allocation.
+    let events = ancestor.len() as f64 * (p_turnover.min(1.0) + p_indel);
+    let mut map = RunBuilder::with_capacity(events as usize + 4 * events.sqrt() as usize + 1);
     let mut substitutions = 0u64;
     let mut indel_events = 0u64;
     let mut indel_bases = 0u64;
@@ -350,6 +353,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
         if unit(rng) < rolls.turnover {
             let len = turnover_len.sample(rng).max(50);
             sequence.append_chain(model, len, rng);
+            map.cut(pos, pos, sequence.len);
             indel_events += 1;
             indel_bases += len as u64;
         }
@@ -364,11 +368,14 @@ fn evolve_lineage<R: Rng + ?Sized>(
             indel_bases += len as u64;
             if rng.gen::<bool>() {
                 // Deletion: skip `len` ancestral bases.
-                pos = (pos + len).min(ancestor.len());
+                let next = (pos + len).min(ancestor.len());
+                map.cut(pos, next, sequence.len);
+                pos = next;
                 continue;
             }
             // Insertion before the current base, which is copied after it.
             sequence.append_chain(model, len, rng);
+            map.cut(pos, pos, sequence.len);
         }
         let mut base = ancestor[pos];
         // The substitution roll and, if it fires, the transition roll,
@@ -415,10 +422,10 @@ fn evolve_lineage<R: Rng + ?Sized>(
         } else {
             base = [base, base.transition_partner()][substituted as usize];
         }
-        map[pos] = sequence.len as u32;
         sequence.push(base);
         pos += 1;
     }
+    map.cut(ancestor.len(), ancestor.len(), sequence.len);
     *bases = sequence.finish();
     let sequence = bases;
 
@@ -439,9 +446,8 @@ fn evolve_lineage<R: Rng + ?Sized>(
         sequence[dst..].rotate_right(dlen);
         shifts.insert_at(dst, dlen);
     }
-    shifts.apply(&mut map);
-
-    let coordinates = CoordinateMap::from_positions(map, sequence.len());
+    let runs = shifts.apply(map.runs);
+    let coordinates = CoordinateMap::from_runs(runs, ancestor.len(), sequence.len());
     let conserved_projected = conserved
         .iter()
         .filter_map(|iv| coordinates.project(iv))
@@ -454,6 +460,7 @@ fn evolve_lineage<R: Rng + ?Sized>(
         substitutions,
         indel_events,
         indel_bases,
+        duplications: shifts.0.len() as u64,
     }
 }
 
@@ -521,8 +528,44 @@ struct Rolls {
     substitution: u64,
 }
 
+/// A lineage's coordinate map while it is drawn: the runs closed so far
+/// and where the open one starts. A copied base moves both coordinates and
+/// writes nothing; an event that moves one of them alone (a turnover gain,
+/// an insertion, a deletion) cuts the open run.
+struct RunBuilder {
+    runs: Vec<Run>,
+    ancestor: usize,
+    descendant: usize,
+}
+
+impl RunBuilder {
+    fn with_capacity(runs: usize) -> RunBuilder {
+        RunBuilder {
+            runs: Vec::with_capacity(runs),
+            ancestor: 0,
+            descendant: 0,
+        }
+    }
+
+    /// Closes the open run before ancestral base `end`, if it holds a base,
+    /// and opens the next at `(ancestor, descendant)`. The casts hold for
+    /// any map that is built: `CoordinateMap::from_runs` refuses a longer
+    /// ancestor or descendant than a `u32` addresses.
+    #[inline]
+    fn cut(&mut self, end: usize, ancestor: usize, descendant: usize) {
+        if end > self.ancestor {
+            self.runs.push(Run {
+                ancestor: self.ancestor as u32,
+                descendant: self.descendant as u32,
+                len: (end - self.ancestor) as u32,
+            });
+        }
+        (self.ancestor, self.descendant) = (ancestor, descendant);
+    }
+}
+
 /// What a lineage's duplications do to its coordinate map, composed so the
-/// map is walked once, not once a duplication. An insertion moves the
+/// runs are walked once, not once a duplication. An insertion moves the
 /// positions at or past it right and keeps their order, so each shifts a
 /// suffix of the positions as they were before any: `(first position
 /// shifted, by how much)`, sorted.
@@ -545,33 +588,47 @@ impl Shifts {
             .insert(at, (dst.saturating_sub(moved).max(from), dlen));
     }
 
-    /// Moves every surviving entry of `map` (increasing) to where the
-    /// recorded insertions left it. Survivors increase, so those an
-    /// insertion moves are a suffix of them: the map is cut where each
-    /// recorded start is first reached, and each piece's survivors move
-    /// by what every start before them adds.
-    fn apply(&self, mut map: &mut [u32]) {
-        let mut moved = 0;
-        for &(first, dlen) in &self.0 {
-            let cut = (map.iter())
-                .position(|&entry| entry != DELETED && entry as usize >= first)
-                .unwrap_or(map.len());
-            let (before, rest) = map.split_at_mut(cut);
-            shift(before, moved);
-            map = rest;
-            moved += dlen as u32;
+    /// Moves the runs (increasing) to where the recorded insertions left
+    /// them: a run an insertion lands strictly inside is split there, and
+    /// each piece moves by what every recorded start at or before its
+    /// first base adds.
+    fn apply(&self, runs: Vec<Run>) -> Vec<Run> {
+        if self.0.is_empty() {
+            return runs;
         }
-        shift(map, moved);
-    }
-}
-
-/// Adds `by` to every entry of `map` but the [`DELETED`] ones.
-fn shift(map: &mut [u32], by: u32) {
-    if by == 0 {
-        return;
-    }
-    for entry in map {
-        *entry += if *entry == DELETED { 0 } else { by };
+        let mut moved = Vec::with_capacity(runs.len() + self.0.len());
+        let (mut starts, mut by) = (self.0.iter().peekable(), 0u32);
+        for mut run in runs {
+            loop {
+                // Every start at or before the run's first base moves all
+                // of it; the next start, if it falls inside, ends the piece.
+                while let Some((_, dlen)) =
+                    starts.next_if(|&&(first, _)| first <= run.descendant as usize)
+                {
+                    by += *dlen as u32;
+                }
+                let head = match starts.peek() {
+                    Some(&&(first, _)) if first < run.descendant as usize + run.len as usize => {
+                        first as u32 - run.descendant
+                    }
+                    _ => run.len,
+                };
+                moved.push(Run {
+                    descendant: run.descendant + by,
+                    len: head,
+                    ..run
+                });
+                if head == run.len {
+                    break;
+                }
+                run = Run {
+                    ancestor: run.ancestor + head,
+                    descendant: run.descendant + head,
+                    len: run.len - head,
+                };
+            }
+        }
+        moved
     }
 }
 
@@ -798,36 +855,90 @@ mod tests {
         assert!(pairs[2].distance > pairs[3].distance);
     }
 
+    /// Where each ancestral base lands, if it survives, once the runs are
+    /// checked to be a map of a `len`-base descendant.
+    fn per_base(runs: Vec<Run>, ancestor_len: usize, len: usize) -> Vec<Option<usize>> {
+        let map = CoordinateMap::from_runs(runs, ancestor_len, len);
+        (0..ancestor_len).map(|pos| map.lookup(pos)).collect()
+    }
+
     #[test]
-    fn composed_shifts_equal_one_map_walk_per_duplication() {
+    fn composed_shifts_equal_one_walk_per_duplication() {
         let mut rng = StdRng::seed_from_u64(9);
-        for round in 0..200 {
-            let mut walked: Vec<u32> = (0..60u32)
-                .map(|i| {
-                    if rng.gen_range(0..4) == 0 {
-                        DELETED
-                    } else {
-                        3 * i + round % 3
-                    }
-                })
-                .collect();
-            let mut composed = walked.clone();
+        for round in 0..300 {
+            // Runs of one to eight bases, a gap of zero to three on each
+            // side between them.
+            let (mut runs, mut ancestor, mut descendant) = (Vec::new(), 0u32, 0u32);
+            while ancestor < 60 {
+                ancestor += rng.gen_range(0..4);
+                descendant += rng.gen_range(0..4);
+                let len = rng.gen_range(1..9);
+                runs.push(Run {
+                    ancestor,
+                    descendant,
+                    len,
+                });
+                (ancestor, descendant) = (ancestor + len, descendant + len);
+            }
+            let ancestor_len = ancestor as usize;
+            let mut len = descendant as usize;
+            let mut walked = per_base(runs.clone(), ancestor_len, len);
             let mut shifts = Shifts::default();
-            let mut len = 200usize;
             for _ in 0..rng.gen_range(0..12) {
-                let (dst, dlen) = (rng.gen_range(0..len), rng.gen_range(1..40usize));
-                for entry in walked
-                    .iter_mut()
-                    .filter(|e| **e != DELETED && **e as usize >= dst)
-                {
-                    *entry += dlen as u32;
+                // On a run's first base, on its last, on any of its bases
+                // (strictly inside it if it has three or more), or
+                // anywhere: a run's bases where earlier duplications moved
+                // them.
+                let run = runs[rng.gen_range(0..runs.len())];
+                let at = |i: u32| walked[(run.ancestor + i) as usize].unwrap();
+                let dst = match rng.gen_range(0..4) {
+                    0 => at(0),
+                    1 => at(run.len - 1),
+                    2 => at(rng.gen_range(0..run.len)),
+                    _ => rng.gen_range(0..=len),
+                };
+                let dlen = rng.gen_range(1..40usize);
+                for position in walked.iter_mut().flatten().filter(|p| **p >= dst) {
+                    *position += dlen;
                 }
                 shifts.insert_at(dst, dlen);
                 len += dlen;
             }
-            shifts.apply(&mut composed);
-            assert_eq!(composed, walked, "round {round}: {:?}", shifts.0);
+            let composed = shifts.apply(runs.clone());
+            assert!(composed.len() <= runs.len() + shifts.0.len());
+            assert_eq!(
+                per_base(composed, ancestor_len, len),
+                walked,
+                "round {round}: {:?}",
+                shifts.0
+            );
         }
+    }
+
+    #[test]
+    fn a_lineage_holds_a_run_an_event_and_one_more() {
+        let pairs = [
+            (0.0, 50_000),
+            (0.3, 50_000),
+            (1.3, 50_000),
+            (2.0, 50_000),
+            (0.5, 1_000_000),
+        ];
+        let mut duplications = 0;
+        for (distance, len) in pairs {
+            let p = pair(distance, len, 2);
+            for lin in [&p.target, &p.query] {
+                let runs = lin.coordinates.runs().len() as u64;
+                assert!(
+                    runs <= lin.indel_events + lin.duplications + 1,
+                    "distance {distance}: {runs} runs for {} events and {} duplications",
+                    lin.indel_events,
+                    lin.duplications
+                );
+                duplications += lin.duplications;
+            }
+        }
+        assert!(duplications > 0, "no duplication fired");
     }
 
     #[test]
