@@ -1,11 +1,11 @@
-//! The streaming executor: a planning producer feeds one worker pool
-//! over bounded queues.
+//! The streaming executor: the calling thread plans, and one worker
+//! pool seeds, filters, extends and commits, over one bounded queue.
 //!
 //! # Topology
 //!
 //! ```text
-//! producer ──filter_q──▶ workers ──done_q──▶ collector
-//! (1 thread)  (bounded)  (N threads) (bounded) (main thread)
+//! calling thread (producer) ──filter_q──▶ worker pool
+//!                            (bounded)    (N threads: seed, filter, extend, commit)
 //! ```
 //!
 //! The producer walks the target rows one at a time, smallest first,
@@ -21,10 +21,10 @@
 //! leaves no range outstanding extends the pair on the spot; a pair with
 //! no range (an empty query) the producer finishes itself. Extension
 //! runs the sequential anchor-absorption stage per pair — a pair is one
-//! *stream*, so absorption state never crosses threads — and the
-//! finished [`WgaReport`] goes into `done_q`, where the collector
-//! journals it (the pair is the checkpoint unit, as in the one-thread
-//! loop).
+//! *stream*, so absorption state never crosses threads — and the thread
+//! that finishes or fails a pair journals it ([`Journals::commit`]) under
+//! the commit lock, in completion order (the pair is the checkpoint
+//! unit, as in the one-thread loop).
 //!
 //! The producer waits until every task it has queued is seeded at two
 //! points: before it builds a row's table, so one table is alive at a
@@ -32,9 +32,9 @@
 //! `filter.batch` gate fires after the forward strand is seeded, as in
 //! the one-thread loop.
 //!
-//! Only the queues, the pool and its guards live here.
-//! Every step a pair goes through — [`row_seed_table`], [`seed_lane`],
-//! [`seed_range`], [`filter_batch`], [`fold_batches`],
+//! Only the queue, the pool, the commit lock and the pool's guard live
+//! here. Every step a pair goes through — [`row_seed_table`],
+//! [`seed_lane`], [`seed_range`], [`filter_batch`], [`fold_batches`],
 //! [`extend_anchors`], [`Journals::commit`], [`assemble`] — is the
 //! function the one-thread loop calls (see [`crate::stages`]).
 //!
@@ -43,23 +43,23 @@
 //! Ranges execute and deposit in arbitrary order, each under its index;
 //! [`fold_batches`] takes them in range order and puts their survivors
 //! back in hit order, so anchors reach [`extend_anchors`] in the order
-//! the one-thread loop produces. The collector stores per-pair results
-//! by pair id and the final report is assembled in canonical pair
-//! order, making the output byte-identical to `--threads 1` at any
-//! thread count (`tests/golden_report.rs` pins this).
+//! the one-thread loop produces. Commits store per-pair results by pair
+//! id and the final report is assembled in canonical pair order, making
+//! the output byte-identical to `--threads 1` at any thread count
+//! (`tests/golden_report.rs` pins this).
 //!
 //! # Shutdown protocol (deadlock freedom)
 //!
-//! Queues form an acyclic chain — no worker pushes into the queue it
-//! pops — and each stage closes its *downstream* queue when it
-//! finishes: the producer closes `filter_q` when all pairs are planned;
-//! the last worker to exit closes `done_q`, which ends the collector
-//! loop, and drops what `filter_q` still holds, which ends any wait of
-//! the producer's. The close-on-exit is a `Drop` guard, so even a worker
-//! panicking outside its `catch_unwind` layers still releases the
-//! producer and the collector instead of deadlocking the scope; and the
-//! collector closes both queues when it exits, so a panic out of a
-//! journal commit releases the producer and the pool the same way.
+//! No thread holds the commit lock or a pair's cell across a queue
+//! operation, and no worker pushes into the queue it pops. The calling
+//! thread closes `filter_q` once the producer returns, however it
+//! returns. The first journal error closes it too, so the producer stops
+//! planning and the pool drains what is in flight. The last worker to
+//! exit drops what `filter_q` still holds, which ends any wait of the
+//! producer's, and a worker unwinding closes it. Both are a `Drop`
+//! guard, so even a panic that escapes a worker's `catch_unwind` layers
+//! — one out of a journal commit, say — releases the producer instead of
+//! deadlocking the scope.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::ExecutorMetrics;
@@ -67,17 +67,16 @@ use crate::obs::{strand_code, Obs, SpanBuf};
 
 /// `seq` codes on `queue.wait` spans, naming what a thread blocked on
 /// (see `SpanName::QueueWait`). Code 2 named the retired extension
-/// queue and is not reused, so old traces read the same.
+/// queue and code 3 the retired collector's queue; neither is reused,
+/// so old traces read the same.
 pub const QUEUE_SEED_PUSH: u64 = 0;
 /// Worker blocked popping `filter_q`.
 pub const QUEUE_FILTER_POP: u64 = 1;
-/// Collector blocked popping `done_q`.
-pub const QUEUE_DONE_POP: u64 = 3;
 /// Producer waiting for the range tasks it queued to seed
 /// ([`wait_seeded`]).
 pub const QUEUE_SEEDED: u64 = 4;
 use crate::dataflow::queue::BoundedQueue;
-use crate::error::{WgaError, WgaResult};
+use crate::error::WgaResult;
 use crate::faultsim::Hook;
 use crate::filter_engine::FilterContext;
 use crate::genome_pipeline::{assemble, AlignOptions, AssemblyReport, MatrixPair, PairMatrix};
@@ -147,42 +146,29 @@ struct PairJob<'a> {
     outstanding: usize,
 }
 
-/// Terminal result of one pair, headed for the collector.
-struct PairDone {
-    pair_id: usize,
-    result: Result<WgaReport, String>,
-}
+/// Journals one finished or failed pair: the calling thread's commit
+/// lock over the journals, every pair's record by pair id and the first
+/// journal error, taken by whichever thread finishes the pair.
+type Commit<'c> = dyn Fn(usize, Result<WgaReport, String>) + Sync + 'c;
 
 /// Decrements the pool's live-worker count on drop. The last worker out
-/// closes `done_q` and drops every task left in `filter_q`, so the
-/// shutdown cascade survives even a panic that escapes a worker's
-/// `catch_unwind`.
+/// drops every task left in `filter_q`, and a worker unwinding closes
+/// it, so the shutdown cascade survives even a panic that escapes a
+/// worker's `catch_unwind`.
 struct PoolGuard<'q, 'a> {
     alive: &'q AtomicUsize,
     filter_q: &'q BoundedQueue<RangeTask<'a>>,
-    done_q: &'q BoundedQueue<PairDone>,
 }
 
 impl Drop for PoolGuard<'_, '_> {
     fn drop(&mut self) {
-        if self.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let last = self.alive.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last || std::thread::panicking() {
             self.filter_q.close();
-            while self.filter_q.pop().is_some() {}
-            self.done_q.close();
         }
-    }
-}
-
-/// Closes both queues when the collector exits, however it exits: a
-/// panic out of a commit (an injected `journal.append` one, say) then
-/// releases the producer and the pool, whose joins the scope would
-/// otherwise wait on forever. On a clean exit both are closed already.
-struct CloseOnExit<'q, 'a>(&'q BoundedQueue<RangeTask<'a>>, &'q BoundedQueue<PairDone>);
-
-impl Drop for CloseOnExit<'_, '_> {
-    fn drop(&mut self) {
-        self.0.close();
-        self.1.close();
+        if last {
+            while self.filter_q.pop().is_some() {}
+        }
     }
 }
 
@@ -194,7 +180,7 @@ pub(crate) fn execute(
     params: &WgaParams,
     matrix: &PairMatrix<'_>,
     options: &AlignOptions,
-    mut records: Vec<Option<PairRecord>>,
+    records: Vec<Option<PairRecord>>,
     (journals, builds): (&mut Journals, &TableBuilds),
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
@@ -203,80 +189,72 @@ pub(crate) fn execute(
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
 
     let filter_q: BoundedQueue<RangeTask<'_>> = BoundedQueue::new(queue_depth);
-    let done_q: BoundedQueue<PairDone> = BoundedQueue::new(queue_depth);
     let cells: Vec<Mutex<Option<PairJob<'_>>>> =
         matrix.pairs.iter().map(|_| Mutex::new(None)).collect();
     let cells = &cells[..];
-
     let alive = AtomicUsize::new(threads);
+    let commits = Mutex::new((&mut *journals, records, None));
+    let commit = |pair_id: usize, result| {
+        let mut commits = commits.lock();
+        let (journals, records, journal_err) = &mut *commits;
+        let pair_obs = obs.with_pair(pair_id as u64);
+        match journals.commit(matrix, pair_id, result, pair_obs) {
+            Ok(record) => records[pair_id] = Some(record),
+            Err(e) => {
+                // The journal is broken: stop feeding the pipeline, drain
+                // what's in flight, and surface the error after the scope
+                // ends.
+                journal_err.get_or_insert(e);
+                filter_q.close();
+            }
+        }
+    };
 
     // Each thread returns the microseconds it spent blocked: the sum of
     // its `queue.wait` spans, the producer's seeding's idle time and
     // the pool's filtering's.
-    let (journal_err, escaped, idle_us) = std::thread::scope(|scope| {
-        // --- Planning producer -----------------------------------------
-        let producer = {
-            let (filter_q, done_q, resumed) = (&filter_q, &done_q, &resumed);
-            scope.spawn(move || {
-                let idle_us = catch_unwind(AssertUnwindSafe(|| {
-                    produce(
-                        params, matrix, resumed, cells, filter_q, done_q, builds, obs,
-                    )
-                }));
-                // Whatever happened, release the pool.
-                filter_q.close();
-                idle_us.unwrap_or_default()
-            })
-        };
-
-        // --- Worker pool ----------------------------------------------
+    let (escaped, idle_us) = std::thread::scope(|scope| {
         let pool: Vec<_> = (0..threads)
             .map(|_| {
-                let (filter_q, done_q, alive) = (&filter_q, &done_q, &alive);
-                scope.spawn(move || worker(params, filter_q, done_q, cells, alive, obs))
+                let (filter_q, alive, commit) = (&filter_q, &alive, &commit);
+                scope.spawn(move || worker(params, filter_q, cells, commit, alive, obs))
             })
             .collect();
-
-        // --- Collector (this thread): journal + gather -----------------
-        let _close = CloseOnExit(&filter_q, &done_q);
-        let mut journal_err: Option<WgaError> = None;
-        let mut collector_buf = obs.buffer();
-        loop {
-            let wait_timer = collector_buf.start();
-            let Some(done) = done_q.pop() else { break };
-            collector_buf.finish_wait(wait_timer, done.pair_id as u64, QUEUE_DONE_POP);
-            let pair_obs = obs.with_pair(done.pair_id as u64);
-            match journals.commit(matrix, done.pair_id, done.result, pair_obs) {
-                Ok(record) => records[done.pair_id] = Some(record),
-                Err(e) => {
-                    // The journal is broken: stop feeding the pipeline,
-                    // drain what's in flight, and surface the error
-                    // after the scope ends.
-                    journal_err = Some(e);
-                    filter_q.close();
-                }
-            }
-        }
-        collector_buf.flush();
-        // Every handle is joined by hand, so a panic that escaped a
-        // worker's containment layers arrives here as an `Err` instead
-        // of unwinding out of the scope.
-        let mut escaped = None;
-        let mut join = |thread: std::thread::ScopedJoinHandle<'_, u64>| {
-            thread.join().unwrap_or_else(|payload| {
-                escaped.get_or_insert(payload);
-                0
-            })
+        // The producer plans on this thread; whatever happens, it then
+        // releases the pool.
+        let produced = catch_unwind(AssertUnwindSafe(|| {
+            produce(
+                params, matrix, &resumed, cells, &filter_q, &commit, builds, obs,
+            )
+        }));
+        filter_q.close();
+        let (mut escaped, seed_idle) = match produced {
+            Ok(idle_us) => (None, idle_us),
+            Err(payload) => (Some(payload), 0),
         };
-        let seed_idle = join(producer);
-        let filter_idle: u64 = pool.into_iter().map(&mut join).sum();
-        (journal_err, escaped, [seed_idle, filter_idle])
+        // Every worker is joined by hand, so a panic that escaped its
+        // containment layers arrives here as an `Err` instead of
+        // unwinding out of the scope.
+        let filter_idle: u64 = pool
+            .into_iter()
+            .map(|thread| {
+                thread.join().unwrap_or_else(|payload| {
+                    escaped.get_or_insert(payload);
+                    0
+                })
+            })
+            .sum();
+        (escaped, [seed_idle, filter_idle])
     });
     if let Some(payload) = escaped {
-        // An executor bug, not a pair failure; surface it like the
-        // one-thread loop would.
+        // An executor bug or a panic out of a commit, not a pair failure;
+        // surface it like the one-thread loop would.
         resume_unwind(payload);
     }
+    let (records, journal_err) = {
+        let mut commits = commits.lock();
+        (std::mem::take(&mut commits.1), commits.2.take())
+    };
     if let Some(e) = journal_err {
         return Err(e);
     }
@@ -311,8 +289,9 @@ pub(crate) fn execute(
 /// time, across every block of the row; a genome's rows go back to
 /// back, so only its blocks' journals are open. Dispatch order never
 /// reaches canonical output: the results are assembled in pair-id
-/// order, and fault occurrences are counted per `(hook, pair)`.
-/// Returns the microseconds it spent blocked, pushing `filter_q` or in
+/// order, and fault occurrences are counted per `(hook, pair)`. A pair
+/// it finishes or fails it hands to `commit` itself. Returns the
+/// microseconds it spent blocked, pushing `filter_q` or in
 /// [`wait_seeded`].
 #[allow(clippy::too_many_arguments)]
 fn produce<'a>(
@@ -321,7 +300,7 @@ fn produce<'a>(
     resumed: &[bool],
     cells: &[Mutex<Option<PairJob<'a>>>],
     filter_q: &BoundedQueue<RangeTask<'a>>,
-    done_q: &BoundedQueue<PairDone>,
+    commit: &Commit<'_>,
     builds: &TableBuilds,
     obs: Obs<'_>,
 ) -> u64 {
@@ -396,7 +375,7 @@ fn produce<'a>(
             });
             let table = table.as_ref().map_err(String::clone)?;
             let pair = (target, query, ranges);
-            let planned = plan_pair(
+            plan_pair(
                 params,
                 table,
                 pair,
@@ -405,18 +384,21 @@ fn produce<'a>(
                 (&mut seeding, &idle_us),
                 push,
                 pair_obs,
-            )?;
-            if !planned || ranges.count() > 0 {
-                return Ok(planned);
-            }
-            // Nothing to filter or extend: the pair is finished here.
-            let job = cells[pair_id].lock().take();
-            Ok(job.is_none_or(|job| finish_pair(params, job, done_q, obs)))
+            )
         }))
         .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-        let keep_going = planned.unwrap_or_else(|error| fail_pair(cells, pair_id, error, done_q));
-        if !keep_going {
-            break;
+        // Commits stay outside the containment: a panic out of one is
+        // the run's, not the pair's.
+        match planned {
+            Ok(false) => break,
+            // Nothing to filter or extend: the pair is finished here.
+            Ok(true) if ranges.count() == 0 => {
+                if let Some(job) = cells[pair_id].lock().take() {
+                    finish_pair(params, job, commit, obs);
+                }
+            }
+            Ok(true) => {}
+            Err(error) => fail_pair(cells, pair_id, error, commit),
         }
     }
     idle_us.get()
@@ -511,23 +493,19 @@ fn plan_pair<'a>(
 /// then deposits the result in the pair's cell. Its D-SOFT scratch
 /// serves every range it seeds, and a run of tasks of one strand shares
 /// one engine, so its DP scratch is drawn per worker and strand. The
-/// worker whose deposit completes a pair extends it ([`finish_pair`]).
-/// The last of the pool's `alive` workers out — normally or unwinding —
-/// closes `done_q`. Returns the microseconds the worker spent blocked
-/// popping `filter_q`.
+/// worker whose deposit completes a pair extends and commits it
+/// ([`finish_pair`]). The last of the pool's `alive` workers out —
+/// normally or unwinding — empties `filter_q`. Returns the microseconds
+/// the worker spent blocked popping `filter_q`.
 fn worker<'a>(
     params: &WgaParams,
     filter_q: &BoundedQueue<RangeTask<'a>>,
-    done_q: &BoundedQueue<PairDone>,
     cells: &[Mutex<Option<PairJob<'a>>>],
+    commit: &Commit<'_>,
     alive: &AtomicUsize,
     obs: Obs<'_>,
 ) -> u64 {
-    let _guard = PoolGuard {
-        alive,
-        filter_q,
-        done_q,
-    };
+    let _guard = PoolGuard { alive, filter_q };
     let (mut wait_buf, mut idle_us) = (obs.buffer(), 0);
     // The next task, its wait a `queue.wait` span added to `idle_us` (a
     // named fn, so `wga-lint` sees this stage's pop beside its push).
@@ -544,7 +522,7 @@ fn worker<'a>(
     let mut pop = || pop(filter_q, &mut wait_buf, &mut idle_us);
     let mut scratch = DsoftScratch::default();
     let mut next = pop();
-    'tasks: while let Some(first) = next.take() {
+    while let Some(first) = next.take() {
         let stream = Arc::clone(&first.stream);
         let mut engine = stream.ctx.engine();
         let pair_obs = obs.with_pair(stream.pair_id as u64);
@@ -591,14 +569,13 @@ fn worker<'a>(
                     format!("queue.pop fault: {error}"),
                 )),
             };
-            let moved_on = match result {
-                Ok(result) => deposit(cells, &stream, result)
-                    .is_none_or(|job| finish_pair(params, job, done_q, obs)),
-                Err(error) => fail_pair(cells, stream.pair_id, error, done_q),
-            };
-            // `false`: `done_q` closed, the run is shutting down.
-            if !moved_on {
-                break 'tasks;
+            match result {
+                Ok(result) => {
+                    if let Some(job) = deposit(cells, &stream, result) {
+                        finish_pair(params, job, commit, obs);
+                    }
+                }
+                Err(error) => fail_pair(cells, stream.pair_id, error, commit),
             }
             next = pop();
             match next.take() {
@@ -630,34 +607,26 @@ fn deposit<'a>(
 }
 
 /// Fails a pair: empties its cell, so the pool drops its deposits, and
-/// hands `error` to the collector, once however many of its steps fail.
-/// `false` if `done_q` had closed.
+/// commits `error`, once however many of its steps fail.
 fn fail_pair(
     cells: &[Mutex<Option<PairJob<'_>>>],
     pair_id: usize,
     error: String,
-    done_q: &BoundedQueue<PairDone>,
-) -> bool {
-    if cells[pair_id].lock().take().is_none() {
-        return true;
+    commit: &Commit<'_>,
+) {
+    if cells[pair_id].lock().take().is_some() {
+        commit(pair_id, Err(error));
     }
-    let result = Err(error);
-    done_q.push(PairDone { pair_id, result }).is_ok()
 }
 
-/// Extends a complete pair under panic containment and hands the
-/// outcome to the collector. `false` if `done_q` had closed.
-fn finish_pair(
-    params: &WgaParams,
-    job: PairJob<'_>,
-    done_q: &BoundedQueue<PairDone>,
-    obs: Obs<'_>,
-) -> bool {
+/// Extends a complete pair under panic containment and commits the
+/// outcome.
+fn finish_pair(params: &WgaParams, job: PairJob<'_>, commit: &Commit<'_>, obs: Obs<'_>) {
     let pair_id = job.pair_id;
     let pair_obs = obs.with_pair(pair_id as u64);
     let result = catch_unwind(AssertUnwindSafe(|| extend_pair(params, job, pair_obs)))
         .map_err(|payload| panic_message(payload.as_ref()));
-    done_q.push(PairDone { pair_id, result }).is_ok()
+    commit(pair_id, result);
 }
 
 /// The extension stage of one pair: folds each lane's deposited batches
@@ -815,7 +784,6 @@ mod tests {
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
-            let done_q = BoundedQueue::new(1);
             let cells = [Mutex::new(Some(job(Vec::new(), ranges.count())))];
             let source = Arc::new(SeedSource {
                 table: Arc::new(SeedTable::build(&t, &params.seed_pattern, 1)),
@@ -824,11 +792,15 @@ mod tests {
                 _token: mpsc::channel().0,
             });
             let alive = AtomicUsize::new(2);
+            let committed = Mutex::new(Vec::new());
+            let commit = |pair_id: usize, result: Result<WgaReport, String>| {
+                committed.lock().push((pair_id, result));
+            };
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let obs = Obs::off();
-                        worker(&params, &filter_q, &done_q, &cells, &alive, obs)
+                        worker(&params, &filter_q, &cells, &commit, &alive, obs)
                     });
                 }
                 for idx in 0..ranges.count() {
@@ -842,11 +814,12 @@ mod tests {
                 }
                 filter_q.close();
             });
-            let done = done_q
+            let mut committed = committed.lock();
+            let (pair_id, result) = committed
                 .pop()
-                .expect("the worker that completes the pair extends it");
-            assert!(done_q.pop().is_none(), "the last worker out closes done_q");
-            done.result.expect("a failed batch does not fail the pair")
+                .expect("the worker that completes the pair extends and commits it");
+            assert!(committed.is_empty() && pair_id == 0, "one commit");
+            result.expect("a failed batch does not fail the pair")
         };
 
         let clean = inline(&hits[..4]);

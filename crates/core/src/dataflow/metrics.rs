@@ -34,11 +34,12 @@ pub struct StageMetrics {
     /// extension).
     pub busy_us: u64,
     /// Cumulative time the stage spent blocked, microseconds, the sum of
-    /// its `queue.wait` spans' `dur_us`: for seeding, the producer
-    /// planning it — pushing `filter_q` (code 0), or waiting for a row or
-    /// a forward strand to finish seeding (code 4); for filtering, the
-    /// pool popping `filter_q` (code 1). The one-thread loop and
-    /// extension, which has no queue of its own, read 0.
+    /// its `queue.wait` spans' `dur_us`: for seeding, the producer on
+    /// the calling thread planning it — pushing `filter_q` (code 0), or
+    /// waiting for a row or a forward strand to finish seeding (code 4);
+    /// for filtering, the pool popping `filter_q` (code 1). The
+    /// one-thread loop and extension, which has no queue of its own (the
+    /// worker that completes a pair extends and commits it), read 0.
     pub idle_us: u64,
     /// High-water mark of the stage's *input* queue: `filter_q` for
     /// filtering, 0 for seeding and extension, which have none.

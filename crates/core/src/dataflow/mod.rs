@@ -7,21 +7,22 @@
 //! The paper's two arrays are separate silicon; here both are general
 //! threads, so one pool runs both stages:
 //!
-//! * a **planning producer** walks the target rows one at a time, the
-//!   row with the least work first and a row's pairs smallest first,
-//!   and queues one task per query range of each (pair, strand);
+//! * a **planning producer**, on the calling thread, walks the target
+//!   rows one at a time, the row with the least work first and a row's
+//!   pairs smallest first, and queues one task per query range of each
+//!   (pair, strand);
 //! * a **worker pool** seeds each range, as the paper's host threads
 //!   seed, and filters its hits through the shared
 //!   [`crate::filter_engine::FilterContext`] (the BSW array analogue),
 //!   and the worker that completes a pair runs GACT-X over it (the
 //!   GACT-X array analogue) — the sequential anchor-absorption stage
 //!   stays *within* a pair, so results are bit-identical to the
-//!   one-thread loop after the deterministic pair-ordered merge;
-//! * a **collector** journals each finished pair.
+//!   one-thread loop after the deterministic pair-ordered merge — and
+//!   journals it under one commit lock.
 //!
-//! The queues are bounded ([`queue::BoundedQueue`], capacity
-//! `--queue-depth`), providing the same backpressure a fixed-depth
-//! hardware FIFO does. Per-stage telemetry ([`StageMetrics`]) reports
+//! `--threads N` runs N workers beside the calling thread. The one queue
+//! is bounded ([`queue::BoundedQueue`], capacity `--queue-depth`),
+//! providing the same backpressure a fixed-depth hardware FIFO does. Per-stage telemetry ([`StageMetrics`]) reports
 //! queue occupancy, busy/idle time and items/cells processed — the
 //! software equivalent of the paper's array-utilisation numbers.
 //!
@@ -50,8 +51,9 @@ pub enum ExecutorKind {
     /// The one-thread pair loop ([`crate::pipeline::run_pair`]).
     #[default]
     Barrier,
-    /// Streaming executor: a planning producer and one pool of seeding,
-    /// filtering and extending workers, over bounded queues.
+    /// Streaming executor: a planning producer on the calling thread and
+    /// one pool of seeding, filtering, extending and committing workers,
+    /// over one bounded queue.
     Dataflow,
 }
 
@@ -228,10 +230,10 @@ mod tests {
         assert_eq!(tile_events(2), events);
     }
 
-    /// One producer, the pool's workers and the collector: a traced run
-    /// records spans from no other thread.
+    /// The calling thread and the pool's workers: a traced run records
+    /// spans from no other thread.
     #[test]
-    fn a_traced_run_records_at_most_threads_plus_two_thread_ids() {
+    fn a_traced_run_records_at_most_threads_plus_one_thread_ids() {
         let (target, query) = assemblies(909, &[(6_000, 0.2), (5_000, 0.3), (4_000, 0.25)]);
         let params = WgaParams::darwin_wga();
         for threads in [2, 3] {
@@ -245,7 +247,7 @@ mod tests {
             align_assemblies_observed(&params, &target, &query, &options, obs).unwrap();
             let tids: BTreeSet<u64> = recorder.spans().iter().map(|span| span.tid).collect();
             assert!(
-                tids.len() <= threads + 2,
+                tids.len() <= threads + 1,
                 "--threads {threads}: spans from {} threads",
                 tids.len()
             );

@@ -71,9 +71,8 @@ pub struct AlignOptions {
     /// Read by nothing: [`AlignOptions::threads`] alone picks the
     /// schedule. Kept so callers that still name an executor compile.
     pub executor: ExecutorKind,
-    /// Capacity of the dataflow executor's two bounded queues, producer
-    /// → pool and pool → collector (ignored at one thread). Must be at
-    /// least 1.
+    /// Capacity of the dataflow executor's one bounded queue, producer
+    /// → pool (ignored at one thread). Must be at least 1.
     pub queue_depth: usize,
     /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
     /// its `"pair"` is a pair id of the whole matrix.

@@ -142,11 +142,11 @@ pub enum SpanName {
     /// `extend.tile` spans it encloses carry its id as their `parent`.
     Extend,
     /// Time a dataflow thread spent blocked (`seq` = queue code: 0
-    /// producer push, 1 worker pop, 3 collector pop, 4 producer waiting
-    /// for the range tasks it queued to seed; 2, the pop of a retired
-    /// extension queue, only in old traces). Codes 0 and 4 sum to the
-    /// seeding stage's `idle_us` in `--metrics-out`, code 1 to the
-    /// filtering stage's.
+    /// producer push, 1 worker pop, 4 producer waiting for the range
+    /// tasks it queued to seed; 2, the pop of a retired extension queue,
+    /// and 3, the pop of a retired collector's queue, only in old
+    /// traces). Codes 0 and 4 sum to the seeding stage's `idle_us` in
+    /// `--metrics-out`, code 1 to the filtering stage's.
     QueueWait,
 }
 
@@ -739,7 +739,7 @@ impl SpanBuf<'_> {
     }
 
     /// Completes a span attributed to an explicit pair (for buffers
-    /// shared across pairs, like the dataflow collector's).
+    /// shared across pairs, like a dataflow worker's).
     #[allow(clippy::too_many_arguments)]
     pub fn finish_for_pair(
         &mut self,

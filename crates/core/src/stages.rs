@@ -18,7 +18,7 @@
 //! | `seed_lane` | per strand: the chaos gate; a reverse strand's budget is charged for what the forward strand kept | producer, per strand; the same |
 //! | `seed_range` → `filter_batch` | per range, in a plain loop | per range, a pool task; the producer only queues it |
 //! | `fold_batches` + `extend_anchors` | the calling thread | the pool worker that deposits the pair's last range; the producer, for a pair with none |
-//! | `Journals::commit` | pair loop, row order, into the pair's block's journal | collector, completion order, the same |
+//! | `Journals::commit` | pair loop, row order, into the pair's block's journal | the worker that extends the pair (the producer, for a pair it finishes or fails), completion order, under the commit lock, the same |
 //! | `fold_pair` | pair-id-order assembly of whole records into block reports | the same |
 //!
 //! Budgets, batch containment, fault gates, fault-accounting freeze and

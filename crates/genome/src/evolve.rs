@@ -429,23 +429,26 @@ fn evolve_lineage<R: Rng + ?Sized>(
     *bases = sequence.finish();
     let sequence = bases;
 
-    // Segmental duplications: copy a segment to a random position.
+    // Segmental duplications: copy a segment to a random position. A
+    // copy's draws depend on the length alone, so every copy is drawn
+    // first and all are made in one pass.
     let expected_dups = params.duplications_per_mbp * (sequence.len() as f64 / 1e6);
     let n_dups = poisson_like(expected_dups, rng);
     let dup_len = Geometric::with_mean(params.duplication_mean_len as f64);
+    let (mut copies, mut len) = (Vec::new(), sequence.len());
     let mut shifts = Shifts::default();
     for _ in 0..n_dups {
-        if sequence.len() < 2 * params.duplication_mean_len {
+        if len < 2 * params.duplication_mean_len {
             break;
         }
-        let dlen = dup_len.sample(rng).clamp(100, sequence.len() / 2);
-        let src = rng.gen_range(0..sequence.len() - dlen);
-        let dst = rng.gen_range(0..sequence.len());
-        // Appended, then turned into place.
-        sequence.extend_from_within(src..src + dlen);
-        sequence[dst..].rotate_right(dlen);
+        let dlen = dup_len.sample(rng).clamp(100, len / 2);
+        let src = rng.gen_range(0..len - dlen);
+        let dst = rng.gen_range(0..len);
+        copies.push((src, dst, dlen));
         shifts.insert_at(dst, dlen);
+        len += dlen;
     }
+    duplicate(sequence, &copies);
     let runs = shifts.apply(map.runs);
     let coordinates = CoordinateMap::from_runs(runs, ancestor.len(), sequence.len());
     let conserved_projected = conserved
@@ -629,6 +632,68 @@ impl Shifts {
             }
         }
         moved
+    }
+}
+
+/// Makes each `(src, dst, len)` copy in turn — the `len` bases at `src`
+/// inserted before `dst`, both positions in the sequence as the copies
+/// before it left it — in one pass over the bases. The copies are first
+/// resolved to pieces of the sequence as it was before any, copies of
+/// copies included, in O(copies²); their bases are gathered aside, the
+/// vector grows once, and back to front each untouched stretch moves
+/// right to its place and each copy is written into its own: O(len +
+/// copies²).
+fn duplicate(sequence: &mut Vec<Base>, copies: &[(usize, usize, usize)]) {
+    if copies.is_empty() {
+        return;
+    }
+    // The sequence as pieces `(first base before any copy, len, copied)`,
+    // in order.
+    let mut pieces = vec![(0, sequence.len(), false)];
+    for &(src, dst, len) in copies {
+        let (mut copy, mut at) = (Vec::new(), 0);
+        for &(from, n, _) in &pieces {
+            let (lo, hi) = (src.max(at), (src + len).min(at + n));
+            if lo < hi {
+                copy.push((from + lo - at, hi - lo, true));
+            }
+            at += n;
+        }
+        // Before the piece that starts at `dst`, once the piece it falls
+        // strictly inside, if any, is split there.
+        let (mut i, mut at) = (0, 0);
+        while i < pieces.len() && at + pieces[i].1 <= dst {
+            at += pieces[i].1;
+            i += 1;
+        }
+        if at < dst {
+            let (from, n, copied) = pieces[i];
+            let head = dst - at;
+            pieces[i].1 = head;
+            i += 1;
+            pieces.insert(i, (from + head, n - head, copied));
+        }
+        pieces.splice(i..i, copy);
+    }
+    let mut aside: Vec<Base> = Vec::new();
+    for &(from, n, copied) in &pieces {
+        if copied {
+            aside.extend_from_slice(&sequence[from..from + n]);
+        }
+    }
+    let mut end = sequence.len() + aside.len();
+    sequence.reserve_exact(aside.len());
+    sequence.resize(end, Base::A);
+    // Back to front, every stretch still to move lies left of `end`.
+    for &(from, n, copied) in pieces.iter().rev() {
+        end -= n;
+        if copied {
+            let rest = aside.len() - n;
+            sequence[end..end + n].copy_from_slice(&aside[rest..]);
+            aside.truncate(rest);
+        } else {
+            sequence.copy_within(from..from + n, end);
+        }
     }
 }
 
@@ -912,6 +977,59 @@ mod tests {
                 "round {round}: {:?}",
                 shifts.0
             );
+        }
+    }
+
+    /// Each copy appended, then the tail turned into place: the
+    /// duplication loop before [`duplicate`], O(len) a copy.
+    fn duplicate_by_rotation(sequence: &mut Vec<Base>, copies: &[(usize, usize, usize)]) {
+        for &(src, dst, len) in copies {
+            sequence.extend_from_within(src..src + len);
+            sequence[dst..].rotate_right(len);
+        }
+    }
+
+    #[test]
+    fn duplications_in_one_pass_equal_one_rotation_a_copy() {
+        let mut rng = StdRng::seed_from_u64(54);
+        let random = |rng: &mut StdRng, len: usize| -> Vec<Base> {
+            (0..len)
+                .map(|_| Base::from_code(rng.gen_range(0..4)))
+                .collect()
+        };
+        // Nested by hand: a copy into an earlier copy, one from a span
+        // across two, and copies to both ends.
+        let mut cases = vec![
+            (
+                random(&mut rng, 100),
+                vec![(10, 50, 20), (45, 55, 30), (0, 60, 10)],
+            ),
+            (
+                random(&mut rng, 100),
+                vec![(5, 0, 10), (0, 110, 30), (90, 140, 50)],
+            ),
+            (random(&mut rng, 7), vec![(0, 7, 3)]),
+        ];
+        // Dozens of copies on short sequences, drawn as the lineage draws
+        // them but from one base on and to either end, so most land in or
+        // copy from earlier ones.
+        for _ in 0..300 {
+            let start = rng.gen_range(2..200);
+            let (mut copies, mut len) = (Vec::new(), start);
+            for _ in 0..rng.gen_range(0..60) {
+                let dlen = rng.gen_range(1..=len / 2);
+                let src = rng.gen_range(0..=len - dlen);
+                let dst = rng.gen_range(0..=len);
+                copies.push((src, dst, dlen));
+                len += dlen;
+            }
+            cases.push((random(&mut rng, start), copies));
+        }
+        for (bases, copies) in cases {
+            let (mut one_pass, mut rotated) = (bases.clone(), bases);
+            duplicate(&mut one_pass, &copies);
+            duplicate_by_rotation(&mut rotated, &copies);
+            assert_eq!(one_pass, rotated, "{copies:?}");
         }
     }
 

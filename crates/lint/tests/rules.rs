@@ -146,10 +146,10 @@ fn workspace_is_clean_under_checked_in_manifest() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The deadlock rule really parsed the dataflow: the two-queue
-    // chain (producer → pool → collector) must be present and acyclic.
-    assert_eq!(a.queues, 2);
-    assert_eq!(a.edges, 1);
+    // The deadlock rule really parsed the dataflow: its one queue
+    // (producer → pool) must be present, with no edge and no cycle.
+    assert_eq!(a.queues, 1);
+    assert_eq!(a.edges, 0);
     assert_eq!(a.cycles, 0);
     // Every non-test fn is reached from an entry point, an example or
     // benchmark, or an oracle.

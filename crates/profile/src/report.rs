@@ -312,6 +312,21 @@ mod tests {
         assert!(table.contains("filter.batch"));
     }
 
+    /// Code 3 named the pop of a collector's queue the dataflow executor
+    /// no longer has: a trace written before still reads, and its wait
+    /// is a wait like any other.
+    #[test]
+    fn a_retired_queue_code_still_reports() {
+        let collector_wait = "{\"span\":\"queue.wait\",\"pair\":0,\"strand\":2,\"seq\":3,\"start_us\":30,\"dur_us\":7,\"items\":0,\"cells\":0,\"tid\":2,\"id\":7,\"parent\":0}\n";
+        let t = TraceFile::parse(&format!("{TRACE}{collector_wait}")).unwrap();
+        assert_eq!(t.spans.len(), 3);
+        let report = ProfileReport::build(&t, 5);
+        let waiter = report.attr.workers.iter().find(|w| w.tid == 2);
+        assert_eq!(waiter.map(|w| (w.spans, w.wait_us)), Some((1, 7)));
+        assert!(report.to_json().contains("\"stage\":\"queue.wait\""));
+        assert!(report.render_table().contains("worker tid   2"));
+    }
+
     #[test]
     fn centi_formatting_is_fixed_width_fraction() {
         assert_eq!(fmt_centi(0), "0.00%");

@@ -333,40 +333,65 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
 }
 
 /// The same kill on the dataflow schedule, under the tightest queues:
-/// the collector's panic closes both queues on its way out, so the
-/// producer and the pool exit and the run dies instead of hanging.
+/// the worker whose commit panics closes the queue on its way out, so
+/// the producer and the rest of the pool exit and the run dies instead
+/// of hanging.
 #[test]
 fn a_journal_panic_kills_a_dataflow_run_instead_of_hanging() {
     let (target, query) = four_pair_assemblies();
     for threads in [2, 8] {
-        let path = journal_path(&format!("kill-dataflow-{threads}"));
-        let opts = AlignOptions {
-            threads,
-            queue_depth: 1,
-            checkpoint: Some(path.clone()),
-            fault_plan: Some(plan(
-                "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0]}",
-            )),
-            ..AlignOptions::default()
-        };
-        let (tx, rx) = mpsc::channel();
-        let (target, query) = (target.clone(), query.clone());
-        thread::spawn(move || {
-            let params = WgaParams::darwin_wga();
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
-            }));
-            let _ = tx.send(run.is_err());
-        });
-        let died = rx
-            .recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| panic!("t={threads}: the killed run hung"));
-        assert!(
-            died,
-            "t={threads}: injected journal panic must kill the run"
-        );
-        let _ = std::fs::remove_file(&path);
+        let fault = r#"{"hook":"journal.append","kind":"panic","at":[0]}"#;
+        dies_within_two_minutes(&target, &query, threads, fault, "kill-dataflow");
     }
+}
+
+/// A pair with an empty query the calling thread finishes and commits
+/// itself: a panic out of that commit kills the run too, rather than
+/// failing the pair.
+#[test]
+fn a_journal_panic_in_the_calling_threads_commit_kills_the_run() {
+    let (target, mut query) = four_pair_assemblies();
+    query.push("chrEmpty", Default::default());
+    // Pair 2 is chrI × chrEmpty.
+    let fault = r#"{"hook":"journal.append","kind":"panic","pair":2,"at":[0]}"#;
+    dies_within_two_minutes(&target, &query, 2, fault, "kill-producer");
+}
+
+/// Runs `fault` with a checkpoint at `threads` and `--queue-depth 1` on
+/// a thread of its own and asserts that the run panics within two
+/// minutes.
+fn dies_within_two_minutes(
+    target: &Assembly,
+    query: &Assembly,
+    threads: usize,
+    fault: &str,
+    name: &str,
+) {
+    let path = journal_path(&format!("{name}-{threads}"));
+    let opts = AlignOptions {
+        threads,
+        queue_depth: 1,
+        checkpoint: Some(path.clone()),
+        fault_plan: Some(plan(fault)),
+        ..AlignOptions::default()
+    };
+    let (tx, rx) = mpsc::channel();
+    let (target, query) = (target.clone(), query.clone());
+    thread::spawn(move || {
+        let params = WgaParams::darwin_wga();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
+        }));
+        let _ = tx.send(run.is_err());
+    });
+    let died = rx
+        .recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("{name} t={threads}: the killed run hung"));
+    assert!(
+        died,
+        "{name} t={threads}: injected journal panic must kill the run"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Injected worker panics under the tightest queue configuration

@@ -9,7 +9,8 @@
 //! (`SIGABRT`), and a rerun of the same command, without the plan, on
 //! the same `--checkpoint`, which must exit 0 with output bytes
 //! identical to the clean run's — for `align`, `tests/data/golden.maf`.
-//! Both subcommands run at one thread and at two.
+//! Both subcommands run at one thread and at two, and `align` at three
+//! too, where three workers commit the pairs they finish.
 
 #![cfg(unix)]
 
@@ -132,7 +133,8 @@ fn assert_success(out: &Output, label: &str) {
 
 /// Crashes `case` once at each crash point its clean run counts and
 /// resumes each crash; `expected` pins the clean run's first output.
-fn crash_at_every_point(name: &str, case: &Case, expected: Option<&[u8]>) {
+/// Returns the number of crash points.
+fn crash_at_every_point(name: &str, case: &Case, expected: Option<&[u8]>) -> usize {
     let clean_dir = empty_dir(&format!("{name}-clean"));
     assert_success(&case.run(&clean_dir, &[]), name);
     let clean = case.outputs(&clean_dir);
@@ -175,14 +177,18 @@ fn crash_at_every_point(name: &str, case: &Case, expected: Option<&[u8]>) {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+    points.len()
 }
 
 #[test]
 fn align_resumes_from_a_crash_at_every_durability_boundary() {
     let golden = fs::read(data("golden.maf")).expect("golden.maf present");
-    for threads in ["1", "2"] {
+    // The golden pair's four records and both sinks, at every thread
+    // count: who commits a pair moves no crash point.
+    for threads in ["1", "2", "3"] {
         let name = format!("align-t{threads}");
-        crash_at_every_point(&name, &Case::align(threads), Some(&golden));
+        let points = crash_at_every_point(&name, &Case::align(threads), Some(&golden));
+        assert_eq!(points, 10, "{name}");
     }
 }
 
@@ -190,6 +196,6 @@ fn align_resumes_from_a_crash_at_every_durability_boundary() {
 fn many_resumes_from_a_crash_at_every_durability_boundary() {
     for threads in ["1", "2"] {
         let name = format!("many-t{threads}");
-        crash_at_every_point(&name, &Case::many(threads), None);
+        let _ = crash_at_every_point(&name, &Case::many(threads), None);
     }
 }

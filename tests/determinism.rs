@@ -49,8 +49,8 @@ fn parallel_filtering_matches_serial_exactly() {
 /// The dataflow producer dispatches pairs smallest-remaining-work
 /// first, which on this deliberately lopsided matrix (chromosome sizes
 /// 12k / 3k / 6k vs 9k / 2k) is very different from FIFO pair-id
-/// order. The canonical report must not notice: the collector
-/// assembles results in pair-id order and fault occurrences are scoped
+/// order. The canonical report must not notice: results are committed
+/// by pair id and assembled in pair-id order, fault occurrences are scoped
 /// per (hook, pair), so scheduling policy is invisible in the output
 /// bytes across thread counts and queue depths.
 #[test]

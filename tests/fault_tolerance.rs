@@ -87,8 +87,8 @@ fn kill_after_k_pairs_then_resume_is_equivalent() {
     kill_after_k_pairs_then_resume("kill-resume", AlignOptions::default());
 }
 
-/// The same on the streaming dataflow executor, whose collector journals
-/// pairs as the pool's workers finish extending them.
+/// The same on the streaming dataflow executor, whose pool workers
+/// journal pairs as they finish extending them.
 #[test]
 fn dataflow_kill_after_k_pairs_then_resume_is_equivalent() {
     let options = AlignOptions {
