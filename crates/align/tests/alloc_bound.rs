@@ -17,8 +17,8 @@
 //! The allocator counts what was *asked for*. Of a reserved arena only
 //! the pages rows were packed into are ever resident — `traceback_bytes`
 //! of them, which `xdrop`'s unit tests pin to the arena's length, 4 bits
-//! a stored cell; EXPERIMENTS.md ("Performance ledger — PR 22") has the
-//! resident-set readings.
+//! a stored cell; EXPERIMENTS.md ("Performance ledger — PRs 14–29",
+//! PR 22) has the measured saving.
 //!
 //! The filter kernels are held to the same rule: a warm scratch filters
 //! tile after tile without allocating, a tile window unpacks into a warm

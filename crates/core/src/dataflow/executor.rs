@@ -59,7 +59,10 @@
 //! producer's, and a worker unwinding closes it. Both are a `Drop`
 //! guard, so even a panic that escapes a worker's `catch_unwind` layers
 //! — one out of a journal commit, say — releases the producer instead of
-//! deadlocking the scope.
+//! deadlocking the scope. If the OS refuses a worker thread, the calling
+//! thread starts no more, plans nothing and closes `filter_q`, so the
+//! workers already started exit, and the run returns the refusal as an
+//! error.
 
 use crate::config::WgaParams;
 use crate::dataflow::metrics::ExecutorMetrics;
@@ -76,10 +79,9 @@ pub const QUEUE_FILTER_POP: u64 = 1;
 /// ([`wait_seeded`]).
 pub const QUEUE_SEEDED: u64 = 4;
 use crate::dataflow::queue::BoundedQueue;
-use crate::error::WgaResult;
-use crate::faultsim::Hook;
+use crate::error::{panic_message, WgaError, WgaResult};
 use crate::filter_engine::FilterContext;
-use crate::genome_pipeline::{assemble, AlignOptions, AssemblyReport, MatrixPair, PairMatrix};
+use crate::genome_pipeline::{assemble, AssemblyReport, MatrixPair, PairMatrix};
 use crate::journal::PairRecord;
 use crate::report::{Strand, WgaReport};
 use crate::shard::QueryRanges;
@@ -87,7 +89,6 @@ use crate::stages::{
     extend_anchors, filter_batch, fold_batches, row_seed_table, seed_lane, seed_range, BatchResult,
     Journals, LaneCost, TableBuilds,
 };
-use crate::supervise::{self, panic_message};
 use crate::sync::Mutex;
 use genome::Sequence;
 use seed::dsoft::DsoftScratch;
@@ -172,20 +173,25 @@ impl Drop for PoolGuard<'_, '_> {
     }
 }
 
-/// Runs every pair of `matrix` through the streaming executor. Called
-/// by [`crate::genome_pipeline::align_matrix`] once parameters are
+/// Runs every pair of `matrix` through the streaming executor, a pool of
+/// `threads` workers fed through a queue `queue_depth` deep. Called by
+/// [`crate::genome_pipeline::align_matrix`] once parameters are
 /// validated and the journals have replayed their pairs into `records`;
 /// the producer skips those.
+///
+/// # Errors
+///
+/// The first journal error, or [`WgaError::Io`] if the OS refuses a
+/// worker thread.
 pub(crate) fn execute(
     params: &WgaParams,
     matrix: &PairMatrix<'_>,
-    options: &AlignOptions,
+    threads: usize,
+    queue_depth: usize,
     records: Vec<Option<PairRecord>>,
     (journals, builds): (&mut Journals, &TableBuilds),
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
-    let threads = options.threads;
-    let queue_depth = options.queue_depth;
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
 
     let filter_q: BoundedQueue<RangeTask<'_>> = BoundedQueue::new(queue_depth);
@@ -213,20 +219,26 @@ pub(crate) fn execute(
     // Each thread returns the microseconds it spent blocked: the sum of
     // its `queue.wait` spans, the producer's seeding's idle time and
     // the pool's filtering's.
-    let (escaped, idle_us) = std::thread::scope(|scope| {
+    let (escaped, idle_us, refused) = std::thread::scope(|scope| {
+        let mut refused = None;
         let pool: Vec<_> = (0..threads)
-            .map(|_| {
+            .map_while(|_| {
                 let (filter_q, alive, commit) = (&filter_q, &alive, &commit);
-                scope.spawn(move || worker(params, filter_q, cells, commit, alive, obs))
+                let work = move || worker(params, filter_q, cells, commit, alive, obs);
+                let spawned = std::thread::Builder::new().spawn_scoped(scope, work);
+                spawned.map_err(|error| refused = Some(error)).ok()
             })
             .collect();
-        // The producer plans on this thread; whatever happens, it then
-        // releases the pool.
-        let produced = catch_unwind(AssertUnwindSafe(|| {
-            produce(
-                params, matrix, &resumed, cells, &filter_q, &commit, builds, obs,
-            )
-        }));
+        // The producer plans on this thread, unless the OS refused a
+        // worker; whatever happens, it then releases the pool.
+        let produced = match refused {
+            None => catch_unwind(AssertUnwindSafe(|| {
+                produce(
+                    params, matrix, &resumed, cells, &filter_q, &commit, builds, obs,
+                )
+            })),
+            Some(_) => Ok(0),
+        };
         filter_q.close();
         let (mut escaped, seed_idle) = match produced {
             Ok(idle_us) => (None, idle_us),
@@ -244,12 +256,15 @@ pub(crate) fn execute(
                 })
             })
             .sum();
-        (escaped, [seed_idle, filter_idle])
+        (escaped, [seed_idle, filter_idle], refused)
     });
     if let Some(payload) = escaped {
         // An executor bug or a panic out of a commit, not a pair failure;
         // surface it like the one-thread loop would.
         resume_unwind(payload);
+    }
+    if let Some(error) = refused {
+        return Err(WgaError::io("starting a worker thread", error));
     }
     let (records, journal_err) = {
         let mut commits = commits.lock();
@@ -346,19 +361,17 @@ fn produce<'a>(
             row_table = None;
             wait_seeded(&mut seeding, &idle_us, pair_obs);
         }
-        // Queues one task: `Err` fails the pair, `Ok(false)` means a
-        // queue closed under us (shutdown) and the producer is done.
-        let push = |task: RangeTask<'a>| -> Result<bool, String> {
-            supervise::supervised(Hook::QueuePush, &pair_obs, || Ok(()))
-                .map_err(|error| format!("queue.push fault: {error}"))?;
+        // Queues one task: `false` means the queue closed under us
+        // (shutdown) and the producer is done.
+        let push = |task: RangeTask<'a>| -> bool {
             let mut wait_buf = obs.buffer();
             let wait_timer = wait_buf.start();
             if filter_q.push(task).is_err() {
-                return Ok(false);
+                return false;
             }
             let waited = wait_buf.finish_wait(wait_timer, pair_id as u64, QUEUE_SEED_PUSH);
             idle_us.set(idle_us.get() + waited);
-            Ok(true)
+            true
         };
         let (target, query) = (&pair.target.sequence, &pair.query.sequence);
         let ranges = QueryRanges::new(params.shard_bases, params.dsoft.chunk_size, query.len());
@@ -375,7 +388,7 @@ fn produce<'a>(
             });
             let table = table.as_ref().map_err(String::clone)?;
             let pair = (target, query, ranges);
-            plan_pair(
+            Ok(plan_pair(
                 params,
                 table,
                 pair,
@@ -384,7 +397,7 @@ fn produce<'a>(
                 (&mut seeding, &idle_us),
                 push,
                 pair_obs,
-            )
+            ))
         }))
         .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
         // Commits stay outside the containment: a panic out of one is
@@ -423,10 +436,10 @@ fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), idle_us: &Cell<u64>, ob
 /// Plans one pair's range tasks: opens each strand ([`seed_lane`]: its
 /// chaos gate, and a budgeted strand's walk, charged for the tiles the
 /// forward strand kept), files its lane in the pair's cell and queues a
-/// task per query range through `push`. `Ok(false)` is `push`'s
-/// (shutdown). On `push`'s `Err` — an injected queue fault — or a
-/// panic (a `filter.batch` gate's injection) the caller fails the pair:
-/// workers find its cell empty and drop their deposits.
+/// task per query range through `push`. `false` is `push`'s
+/// (shutdown). On a panic (a `filter.batch` gate's injection, say) the
+/// caller fails the pair: workers find its cell empty and drop their
+/// deposits.
 #[allow(clippy::too_many_arguments)]
 fn plan_pair<'a>(
     params: &WgaParams,
@@ -435,9 +448,9 @@ fn plan_pair<'a>(
     pair_id: usize,
     cells: &[Mutex<Option<PairJob<'a>>>],
     (seeding, idle_us): (&mut (Sender<()>, Receiver<()>), &Cell<u64>),
-    push: impl Fn(RangeTask<'a>) -> Result<bool, String>,
+    push: impl Fn(RangeTask<'a>) -> bool,
     obs: Obs<'_>,
-) -> Result<bool, String> {
+) -> bool {
     let mut strands = vec![(Cow::Borrowed(query), Strand::Forward)];
     if params.both_strands {
         strands.push((Cow::Owned(query.reverse_complement()), Strand::Reverse));
@@ -479,12 +492,12 @@ fn plan_pair<'a>(
                 stream,
                 source,
                 idx,
-            })? {
-                return Ok(false);
+            }) {
+                return false;
             }
         }
     }
-    Ok(true)
+    true
 }
 
 /// One pool worker: pops range tasks off `filter_q` until it closes,
@@ -528,54 +541,46 @@ fn worker<'a>(
         let pair_obs = obs.with_pair(stream.pair_id as u64);
         let mut same_stream = Some(first);
         while let Some(RangeTask { source, idx, .. }) = same_stream.take() {
-            let gate = supervise::supervised(Hook::QueuePop, &pair_obs, || Ok(()));
-            let seeded = gate.map(|()| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    seed_range(
-                        params,
-                        &source.table,
-                        &stream.query,
-                        stream.strand,
-                        source.ranges,
-                        idx,
-                        source.kept.as_deref(),
-                        &mut scratch,
-                        pair_obs,
-                    )
-                }))
-            });
+            let seeded = catch_unwind(AssertUnwindSafe(|| {
+                seed_range(
+                    params,
+                    &source.table,
+                    &stream.query,
+                    stream.strand,
+                    source.ranges,
+                    idx,
+                    source.kept.as_deref(),
+                    &mut scratch,
+                    pair_obs,
+                )
+            }));
             // Before filtering: the row's table goes as its last range is
             // seeded.
             drop(source);
-            let result = match seeded {
-                Ok(Ok((cost, hits))) => Ok(filter_batch(
-                    params,
-                    &mut engine,
-                    stream.target,
-                    &stream.query,
-                    &hits,
-                    cost,
-                    strand_code(stream.strand),
-                    idx,
-                    pair_obs,
-                )),
-                // A seeding panic fails the pair, as in the one-thread loop.
-                Ok(Err(payload)) => Err(panic_message(payload.as_ref())),
-                // A queue fault fails the range (and, downstream, degrades
-                // the pair).
-                Err(error) => Ok(BatchResult::failed(
-                    idx,
-                    0,
-                    format!("queue.pop fault: {error}"),
-                )),
-            };
-            match result {
-                Ok(result) => {
+            match seeded {
+                Ok((cost, hits)) => {
+                    let result = filter_batch(
+                        params,
+                        &mut engine,
+                        stream.target,
+                        &stream.query,
+                        &hits,
+                        cost,
+                        strand_code(stream.strand),
+                        idx,
+                        pair_obs,
+                    );
                     if let Some(job) = deposit(cells, &stream, result) {
                         finish_pair(params, job, commit, obs);
                     }
                 }
-                Err(error) => fail_pair(cells, stream.pair_id, error, commit),
+                // A seeding panic fails the pair, as in the one-thread loop.
+                Err(payload) => fail_pair(
+                    cells,
+                    stream.pair_id,
+                    panic_message(payload.as_ref()),
+                    commit,
+                ),
             }
             next = pop();
             match next.take() {
@@ -653,6 +658,8 @@ fn extend_pair(params: &WgaParams, job: PairJob<'_>, obs: Obs<'_>) -> WgaReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::QUEUE_DEPTH;
+    use crate::genome_pipeline::{align_matrix, AlignOptions};
     use crate::obs::{SpanName, TraceRecorder, STRAND_FWD};
     use crate::report::RunEvent;
     use genome::assembly::Assembly;
@@ -697,9 +704,9 @@ mod tests {
             ..AlignOptions::default()
         };
         let recorder = TraceRecorder::new();
+        let obs = Obs::new(&recorder);
         let (blocks, tables_built) =
-            crate::genome_pipeline::align_matrix(&params, &matrix, &options, Obs::new(&recorder))
-                .expect("the run completes");
+            align_matrix(&params, &matrix, &options, QUEUE_DEPTH, obs).expect("the run completes");
         assert_eq!(
             blocks
                 .iter()

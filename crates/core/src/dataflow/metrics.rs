@@ -54,7 +54,8 @@ pub struct ExecutorMetrics {
     pub executor: ExecutorKind,
     /// Worker threads in the pool (`--threads`).
     pub threads: usize,
-    /// Configured bounded-queue capacity.
+    /// The bounded queue's capacity: [`QUEUE_DEPTH`](super::QUEUE_DEPTH)
+    /// above one thread, 0 for the one-thread loop, which has no queue.
     pub queue_depth: usize,
     /// Seeding telemetry: the pool's range tasks, planned by the
     /// producer.

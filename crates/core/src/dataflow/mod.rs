@@ -21,8 +21,11 @@
 //!   journals it under one commit lock.
 //!
 //! `--threads N` runs N workers beside the calling thread. The one queue
-//! is bounded ([`queue::BoundedQueue`], capacity `--queue-depth`),
-//! providing the same backpressure a fixed-depth hardware FIFO does. Per-stage telemetry ([`StageMetrics`]) reports
+//! is bounded ([`queue::BoundedQueue`]) at a fixed [`QUEUE_DEPTH`], as
+//! the paper's FIFOs are fixed-depth hardware: it provides their
+//! backpressure and is no knob — no flag, option or variable sets it,
+//! and output is byte-identical at any depth (the executor's tests sweep
+//! 1, 3 and 64). Per-stage telemetry ([`StageMetrics`]) reports
 //! queue occupancy, busy/idle time and items/cells processed — the
 //! software equivalent of the paper's array-utilisation numbers.
 //!
@@ -38,10 +41,9 @@ pub use queue::BoundedQueue;
 
 pub(crate) use executor::execute;
 
-/// Default bounded-queue capacity (`--queue-depth`): the range tasks
-/// the producer may plan ahead of the pool (EXPERIMENTS.md, "One
-/// schedule", for why 4).
-pub const DEFAULT_QUEUE_DEPTH: usize = 4;
+/// The bounded queue's capacity: the range tasks the producer may plan
+/// ahead of the pool (EXPERIMENTS.md, "One schedule", for why 4).
+pub const QUEUE_DEPTH: usize = 4;
 
 /// The name of a schedule, as `--metrics-out` and the run summary spell
 /// it. The thread count picks the schedule; `--executor` and
@@ -85,7 +87,9 @@ impl std::str::FromStr for ExecutorKind {
 mod tests {
     use super::*;
     use crate::config::{FilterEngineKind, ResourceBudget, WgaParams};
-    use crate::genome_pipeline::{align_assemblies_observed, AlignOptions};
+    use crate::genome_pipeline::{
+        align_assemblies_observed, align_matrix, AlignOptions, AssemblyReport, PairMatrix,
+    };
     use crate::obs::{Obs, Span, SpanName, TraceRecorder};
     use crate::report::{BudgetKind, RunEvent, RunOutcome};
     use genome::assembly::Assembly;
@@ -122,19 +126,24 @@ mod tests {
         (target, query)
     }
 
+    /// A run of `target` against `query` at `threads`, the queue
+    /// `queue_depth` deep: the one way to set a depth other than
+    /// [`QUEUE_DEPTH`].
     fn run(
         params: &WgaParams,
         target: &Assembly,
         query: &Assembly,
         threads: usize,
         queue_depth: usize,
-    ) -> crate::genome_pipeline::AssemblyReport {
+    ) -> AssemblyReport {
         let options = AlignOptions {
             threads,
-            queue_depth,
             ..AlignOptions::default()
         };
-        align_assemblies_observed(params, target, query, &options, Obs::off()).unwrap()
+        let matrix = PairMatrix::new([(target, query, None)]);
+        let obs = Obs::off();
+        let (mut blocks, _) = align_matrix(params, &matrix, &options, queue_depth, obs).unwrap();
+        blocks.pop().unwrap_or_default()
     }
 
     #[test]
@@ -240,11 +249,10 @@ mod tests {
             let recorder = TraceRecorder::new();
             let options = AlignOptions {
                 threads,
-                queue_depth: 1,
                 ..AlignOptions::default()
             };
-            let obs = Obs::new(&recorder);
-            align_assemblies_observed(&params, &target, &query, &options, obs).unwrap();
+            let matrix = PairMatrix::new([(&target, &query, None)]);
+            align_matrix(&params, &matrix, &options, 1, Obs::new(&recorder)).unwrap();
             let tids: BTreeSet<u64> = recorder.spans().iter().map(|span| span.tid).collect();
             assert!(
                 tids.len() <= threads + 1,
@@ -397,24 +405,6 @@ mod tests {
         assert_eq!(dataflow.pairs.len(), 1);
     }
 
-    #[test]
-    fn zero_queue_depth_is_a_config_error() {
-        let (target, query) = assemblies(505, &[(4_000, 0.1)]);
-        let options = |threads| AlignOptions {
-            threads,
-            queue_depth: 0,
-            ..AlignOptions::default()
-        };
-        let params = WgaParams::darwin_wga();
-        let err = align_assemblies_observed(&params, &target, &query, &options(2), Obs::off())
-            .unwrap_err();
-        assert!(matches!(err, crate::error::WgaError::Config(_)), "{err}");
-        // The one-thread loop has no queues.
-        assert!(
-            align_assemblies_observed(&params, &target, &query, &options(1), Obs::off()).is_ok()
-        );
-    }
-
     /// CI deadlock-guard entry point: thread count comes from
     /// `WGA_DATAFLOW_THREADS` (default 2) so the same test runs the
     /// suite's queue machinery at different pool sizes under `timeout`.
@@ -443,7 +433,6 @@ mod tests {
         let options = |threads| AlignOptions {
             threads,
             checkpoint: Some(path.clone()),
-            queue_depth: 4,
             ..AlignOptions::default()
         };
         let first =

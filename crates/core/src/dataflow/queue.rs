@@ -38,7 +38,8 @@ impl<T> BoundedQueue<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero (a zero-capacity rendezvous channel
-    /// is not supported — the CLI validates `--queue-depth >= 1`).
+    /// is not supported; the executor's queue is
+    /// [`QUEUE_DEPTH`](super::QUEUE_DEPTH) deep).
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         assert!(capacity >= 1, "queue capacity must be at least 1");
         BoundedQueue {

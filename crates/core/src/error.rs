@@ -99,6 +99,18 @@ impl std::error::Error for WgaError {
     }
 }
 
+/// Extracts a human-readable message from a caught panic payload: the
+/// text a contained panic leaves in a failed pair or batch.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

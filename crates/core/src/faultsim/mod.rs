@@ -1,24 +1,26 @@
 //! Deterministic, seedable fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] (`--fault-plan plan.json`) names *hook points* in
-//! the pipeline — FASTA reads, journal appends/fsyncs,
-//! bounded-queue pushes/pops, filter batches, extension tiles, and the
-//! metrics/trace sinks — and for each hook lists which occurrences to
-//! fail and how: an error return, an injected panic, a short write, or
-//! a crash of the whole process. The [`FaultInjector`] built from the
-//! plan rides on [`crate::obs::Obs`] to every hook — the CLI's FASTA
-//! reads and sinks as well as both schedules — so the same plan perturbs
-//! the one-thread pair loop and the dataflow executor at the same
-//! logical points, and one total counts every injection of a command.
+//! the pipeline — FASTA reads, journal appends/fsyncs, filter batches,
+//! extension tiles, and the metrics/trace sinks — and for each hook
+//! lists which occurrences to fail and how: an error return, an injected
+//! panic, a short write, or a crash of the whole process. The
+//! [`FaultInjector`] built from the plan rides on [`crate::obs::Obs`] to
+//! every hook — the CLI's FASTA reads and sinks as well as both
+//! schedules — and one total counts every injection of a command. Every
+//! hook is a logical point both schedules reach alike (a pair's strand,
+//! tile, commit), none a piece of one schedule's plumbing, so one plan
+//! hits the same points on the one-thread pair loop and the dataflow
+//! executor.
 //!
 //! # Crash-only recovery
 //!
-//! Nothing is retried. A fault at a compute gate or a queue operation
-//! fails its pair; one at a journal append or fsync, a FASTA read or a
-//! sink ends the command with an error; a `crash` aborts the process at
-//! the hook. The checkpoint journal is the one recovery mechanism: a
-//! rerun with the same `--checkpoint` replays every pair made durable
-//! before the fault and computes the rest.
+//! Nothing is retried. A fault at a compute gate fails its pair; one at
+//! a journal append or fsync, a FASTA read or a sink ends the command
+//! with an error; a `crash` aborts the process at the hook. The
+//! checkpoint journal is the one recovery mechanism: a rerun with the
+//! same `--checkpoint` replays every pair made durable before the fault
+//! and computes the rest.
 //!
 //! # Determinism
 //!
@@ -46,38 +48,33 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The named points where faults can be injected.
+/// The named points where faults can be injected. Each variant's value
+/// is its wire code ([`Hook::code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hook {
     /// Opening/parsing an input FASTA (CLI `read_assembly`).
-    FastaRead,
+    FastaRead = 0,
     /// Appending a pair record to the checkpoint journal.
-    JournalAppend,
+    JournalAppend = 1,
     /// Fsyncing the checkpoint journal after an append.
-    JournalSync,
-    /// Pushing into a dataflow bounded queue.
-    QueuePush,
-    /// Popping from a dataflow bounded queue.
-    QueuePop,
+    JournalSync = 2,
     /// Opening one query strand for filtering: one occurrence per
     /// (pair, strand) on both schedules, never one per query range.
-    FilterBatch,
+    FilterBatch = 5,
     /// Extending one anchor in the extension stage.
-    ExtendTile,
+    ExtendTile = 6,
     /// Writing the `--metrics-out` artifact.
-    MetricsSink,
+    MetricsSink = 7,
     /// Writing the `--trace-out` artifact.
-    TraceSink,
+    TraceSink = 8,
 }
 
 impl Hook {
     /// Every hook, in wire-code order.
-    pub const ALL: [Hook; 9] = [
+    pub const ALL: [Hook; 7] = [
         Hook::FastaRead,
         Hook::JournalAppend,
         Hook::JournalSync,
-        Hook::QueuePush,
-        Hook::QueuePop,
         Hook::FilterBatch,
         Hook::ExtendTile,
         Hook::MetricsSink,
@@ -90,8 +87,6 @@ impl Hook {
             Hook::FastaRead => "fasta.read",
             Hook::JournalAppend => "journal.append",
             Hook::JournalSync => "journal.sync",
-            Hook::QueuePush => "queue.push",
-            Hook::QueuePop => "queue.pop",
             Hook::FilterBatch => "filter.batch",
             Hook::ExtendTile => "extend.tile",
             Hook::MetricsSink => "metrics.sink",
@@ -104,21 +99,19 @@ impl Hook {
         Hook::ALL.into_iter().find(|h| h.as_str() == s)
     }
 
-    /// Stable numeric code (index into [`Hook::ALL`]), used as the
-    /// `seq` field of fault spans.
+    /// Stable numeric code, the `seq` field of fault spans. Codes 3 and
+    /// 4 were the retired `queue.push` and `queue.pop` hooks and are
+    /// never reused, so an old trace's fault spans read the same.
     pub fn code(self) -> u64 {
-        Hook::ALL
-            .iter()
-            .position(|h| *h == self)
-            .map_or(0, |i| i as u64)
+        self as u64
     }
 }
 
 /// What an injected fault does at its hook point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The operation returns an error: at a compute gate or a queue
-    /// operation the pair fails, elsewhere the command does.
+    /// The operation returns an error: at a compute gate the pair
+    /// fails, elsewhere the command does.
     Error = 0,
     /// The operation panics (exercises the batch/pair panic
     /// containment of the executors).
@@ -328,22 +321,18 @@ impl FaultInjector {
         }
     }
 
-    /// I/O gate (journal appends/fsyncs, queue operations, FASTA reads) at
-    /// `obs`'s pair, the one [`crate::supervise::supervised`] runs before
-    /// its operation: injected faults surface as an error return. Never
-    /// panics except for explicit [`FaultKind::Panic`] rules, and not for
-    /// those on a queue operation either, which fails like an error
-    /// instead: a worker parked on a queue must not unwind out of its
-    /// pool.
+    /// I/O gate (journal appends/fsyncs, FASTA reads) at `obs`'s pair,
+    /// the one [`Obs::io_gate`] runs before its caller's operation:
+    /// injected faults surface as an error return. Never panics except
+    /// for explicit [`FaultKind::Panic`] rules.
     ///
     /// # Errors
     ///
-    /// [`WgaError::Io`] for `error`/`short-write` injections and queue
-    /// panics.
+    /// [`WgaError::Io`] for `error`/`short-write` injections.
     ///
     /// # Panics
     ///
-    /// Only for [`FaultKind::Panic`] injections off the queues.
+    /// Only for [`FaultKind::Panic`] injections.
     pub fn gate_io(&self, hook: Hook, obs: &Obs<'_>) -> WgaResult<()> {
         let pair = obs.pair();
         let Some(kind) = self.probe(hook, pair) else {
@@ -353,9 +342,6 @@ impl FaultInjector {
         let injected =
             |msg: &str| WgaError::io(hook.as_str(), io::Error::other(format!("injected {msg}")));
         match kind {
-            FaultKind::Panic if matches!(hook, Hook::QueuePush | Hook::QueuePop) => Err(injected(
-                &format!("fault: {} pair {pair}: panic", hook.as_str()),
-            )),
             FaultKind::Panic => {
                 // lint: allow(panics): the injected panic itself — exercises the executors' panic containment
                 panic!("injected fault: {} pair {pair}: panic", hook.as_str());
@@ -403,18 +389,23 @@ mod tests {
         .is_err());
     }
 
+    /// The retired `latency` kind and the retired queue hooks are
+    /// configuration errors that name what they retired.
     #[test]
-    fn a_latency_rule_is_a_config_error_naming_the_kind() {
-        let err = FaultPlan::parse(
-            "{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[\
-             {\"hook\":\"journal.append\",\"kind\":\"latency\",\"at\":[0],\"ms\":25}]}",
-        )
-        .expect_err("latency is retired");
-        assert!(matches!(err, WgaError::Config(_)), "{err:?}");
-        assert!(
-            err.to_string().contains("unknown kind \"latency\""),
-            "{err}"
-        );
+    fn a_retired_kind_or_hook_is_a_config_error_naming_it() {
+        for (hook, kind, named) in [
+            ("journal.append", "latency", "unknown kind \"latency\""),
+            ("queue.push", "error", "unknown hook \"queue.push\""),
+            ("queue.pop", "error", "unknown hook \"queue.pop\""),
+        ] {
+            let err = FaultPlan::parse(&format!(
+                "{{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[\
+                 {{\"hook\":\"{hook}\",\"kind\":\"{kind}\",\"at\":[0],\"ms\":25}}]}}"
+            ))
+            .expect_err("retired");
+            assert!(matches!(err, WgaError::Config(_)), "{err:?}");
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]
@@ -426,6 +417,12 @@ mod tests {
             assert_eq!(FaultKind::parse(k.as_str()), Some(k));
         }
         assert_eq!(Hook::parse("bogus"), None);
+        let codes = Hook::ALL.map(Hook::code);
+        assert_eq!(
+            codes,
+            [0, 1, 2, 5, 6, 7, 8],
+            "wire codes outlive a retired hook"
+        );
         let codes = FaultKind::ALL.map(FaultKind::code);
         assert_eq!(codes, [0, 1, 3, 4], "wire codes outlive a retired kind");
     }
@@ -455,6 +452,37 @@ mod tests {
         assert!(inj.gate_io(Hook::JournalAppend, &one).is_ok());
     }
 
+    /// The gate a journal append, a journal sync or a FASTA read passes
+    /// before its operation: an injected error or short write is the
+    /// caller's error, a `panic` rule panics, and the next occurrence
+    /// passes untouched — nothing is retried. Without an injector the
+    /// gate always passes.
+    #[test]
+    fn io_gate_fails_its_caller_then_passes() {
+        let inj = FaultInjector::new(plan(
+            "{\"hook\":\"journal.append\",\"kind\":\"error\",\"at\":[0]},\
+             {\"hook\":\"journal.append\",\"kind\":\"short-write\",\"at\":[1]},\
+             {\"hook\":\"fasta.read\",\"kind\":\"panic\",\"at\":[0]}",
+        ));
+        let obs = Obs::off().with_pair(4).with_injector(&inj);
+        let err = obs
+            .io_gate(Hook::JournalAppend)
+            .expect_err("an injected error");
+        assert_eq!(err.to_string(), "journal.append: injected I/O error");
+        let err = obs.io_gate(Hook::JournalAppend).expect_err("a short write");
+        assert_eq!(err.to_string(), "journal.append: injected short write");
+        assert!(obs.io_gate(Hook::JournalAppend).is_ok());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            obs.io_gate(Hook::FastaRead)
+        }));
+        let payload = caught.expect_err("a panic rule panics at the gate");
+        let message = crate::error::panic_message(payload.as_ref());
+        assert_eq!(message, "injected fault: fasta.read pair 4: panic");
+        assert!(obs.io_gate(Hook::FastaRead).is_ok());
+        assert_eq!(inj.injected(), 3);
+        assert!(Obs::off().io_gate(Hook::JournalSync).is_ok());
+    }
+
     #[test]
     fn an_injected_error_at_a_compute_gate_fails_the_pair() {
         let inj = FaultInjector::new(plan(
@@ -465,7 +493,7 @@ mod tests {
             obs.fault_gate(Hook::FilterBatch);
         }));
         let payload = caught.expect_err("an injected error fails the pair");
-        let message = crate::supervise::panic_message(payload.as_ref());
+        let message = crate::error::panic_message(payload.as_ref());
         assert_eq!(message, "injected fault: filter.batch pair 5: error");
         // Nothing is retried: the next occurrence passes untouched.
         obs.fault_gate(Hook::FilterBatch);

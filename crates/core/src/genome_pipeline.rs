@@ -33,15 +33,14 @@
 //! byte-identical across engines and thread counts.
 
 use crate::config::WgaParams;
-use crate::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
-use crate::error::{WgaError, WgaResult};
+use crate::dataflow::{ExecutorKind, ExecutorMetrics, QUEUE_DEPTH};
+use crate::error::{panic_message, WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
 use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand, WgaAlignment};
 use crate::stages::{fold_pair, row_seed_table, Journals, TableBuilds};
-use crate::supervise::panic_message;
 use genome::assembly::{Assembly, Chromosome};
 use hwsim::Workload;
 use seed::table::MAX_TARGET_LEN;
@@ -71,9 +70,6 @@ pub struct AlignOptions {
     /// Read by nothing: [`AlignOptions::threads`] alone picks the
     /// schedule. Kept so callers that still name an executor compile.
     pub executor: ExecutorKind,
-    /// Capacity of the dataflow executor's one bounded queue, producer
-    /// → pool (ignored at one thread). Must be at least 1.
-    pub queue_depth: usize,
     /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
     /// its `"pair"` is a pair id of the whole matrix.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -89,16 +85,20 @@ impl Default for AlignOptions {
             threads: 1,
             checkpoint: None,
             executor: ExecutorKind::Barrier,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             fault_plan: None,
             knn: None,
         }
     }
 }
 
+/// The most worker threads a run may ask for: a fixed bound, not a
+/// knob, so a mistyped `--threads` is a configuration error before any
+/// input is read, not a pool the OS refuses halfway.
+pub const MAX_THREADS: usize = 1_024;
+
 impl AlignOptions {
-    /// Rejects zero threads, a zero queue depth above one thread and a
-    /// zero `knn`, so a caller can check before it reads any input.
+    /// Rejects zero threads, more than [`MAX_THREADS`] and a zero `knn`,
+    /// so a caller can check before it reads any input.
     ///
     /// # Errors
     ///
@@ -107,8 +107,10 @@ impl AlignOptions {
         if self.threads == 0 {
             return Err(WgaError::config("threads must be at least 1"));
         }
-        if self.threads > 1 && self.queue_depth == 0 {
-            return Err(WgaError::config("queue depth must be at least 1"));
+        if self.threads > MAX_THREADS {
+            return Err(WgaError::config(format!(
+                "threads must be at most {MAX_THREADS}"
+            )));
         }
         if self.knn == Some(0) {
             return Err(WgaError::config(
@@ -309,7 +311,7 @@ pub fn align_assemblies_observed(
     obs: Obs<'_>,
 ) -> WgaResult<AssemblyReport> {
     let matrix = PairMatrix::new([(target, query, options.checkpoint.clone())]);
-    let (mut blocks, _) = align_matrix(params, &matrix, options, obs)?;
+    let (mut blocks, _) = align_matrix(params, &matrix, options, QUEUE_DEPTH, obs)?;
     Ok(blocks.pop().unwrap_or_default())
 }
 
@@ -399,11 +401,13 @@ impl<'a> PairMatrix<'a> {
 
 /// Aligns every pair of `matrix` in one executor run: one fault injector
 /// (`obs`'s, or else one built from `options`; a fault plan's `"pair"`
-/// is a pair id), one announced pair total, one seed table a row. Each
-/// block's journal replays its pairs and takes its new ones;
-/// `options.checkpoint` is not read. Returns each block's report, its
-/// pairs' records in pair-id order, and the number of rows that built a
-/// table.
+/// is a pair id), one announced pair total, one seed table a row. Above
+/// one thread the dataflow executor's queue holds `queue_depth` tasks:
+/// [`QUEUE_DEPTH`] in every production run, other depths only in the
+/// executor's own tests. Each block's journal replays its pairs and
+/// takes its new ones; `options.checkpoint` is not read. Returns each
+/// block's report, its pairs' records in pair-id order, and the number
+/// of rows that built a table.
 ///
 /// # Errors
 ///
@@ -412,6 +416,7 @@ pub(crate) fn align_matrix(
     params: &WgaParams,
     matrix: &PairMatrix<'_>,
     options: &AlignOptions,
+    queue_depth: usize,
     obs: Obs<'_>,
 ) -> WgaResult<(Vec<AssemblyReport>, u64)> {
     params.validate()?;
@@ -435,7 +440,8 @@ pub(crate) fn align_matrix(
     let builds = TableBuilds::default();
     let run = (&mut journals, &builds);
     let blocks = if options.threads > 1 {
-        crate::dataflow::execute(params, matrix, options, records, run, obs)?
+        let threads = options.threads;
+        crate::dataflow::execute(params, matrix, threads, queue_depth, records, run, obs)?
     } else {
         pair_loop(params, matrix, records, run, obs)?
     };
@@ -610,21 +616,23 @@ mod tests {
         assert!(report.pairs.is_empty());
     }
 
+    /// Zero threads and more than the cap are rejected by `validate`,
+    /// before any input is read or any thread is started.
     #[test]
-    fn zero_threads_is_a_config_error() {
+    fn threads_outside_one_to_the_cap_are_a_config_error() {
         let (target, query) = two_chrom_assemblies();
-        let err = align_assemblies_observed(
-            &WgaParams::darwin_wga(),
-            &target,
-            &query,
-            &AlignOptions {
-                threads: 0,
-                ..AlignOptions::default()
-            },
-            Obs::off(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, WgaError::Config(_)), "{err}");
+        let options = |threads| AlignOptions {
+            threads,
+            ..AlignOptions::default()
+        };
+        assert!(options(MAX_THREADS).validate().is_ok());
+        for (threads, named) in [(0, "at least 1"), (1_000_000, "at most 1024")] {
+            let (params, options) = (WgaParams::darwin_wga(), options(threads));
+            let err = align_assemblies_observed(&params, &target, &query, &options, Obs::off())
+                .unwrap_err();
+            assert!(matches!(err, WgaError::Config(_)), "{err}");
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]
@@ -659,6 +667,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(serial.canonical_text(), parallel.canonical_text());
+        let depth = parallel.stage_metrics.map(|metrics| metrics.queue_depth);
+        assert_eq!(depth, Some(QUEUE_DEPTH), "production runs at the constant");
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod pipeline;
 pub mod report;
 pub(crate) mod shard;
 pub mod stages;
-pub mod supervise;
 mod sync;
 
 pub use config::WgaParams;

@@ -42,6 +42,7 @@ mod progress;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
+use crate::error::WgaResult;
 use crate::faultsim::{FaultInjector, Hook};
 use crate::journal::PairRecord;
 use crate::json::Json;
@@ -484,6 +485,23 @@ impl<'a> Obs<'a> {
     pub fn fault_gate(&self, hook: Hook) {
         if let Some(injector) = self.injector {
             injector.gate(hook, self);
+        }
+    }
+
+    /// Runs the I/O fault gate for `hook` at this handle's pair: a
+    /// journal append or sync, or a FASTA read, passes it and then runs
+    /// its operation once. A single branch when no injector is attached;
+    /// an injection is the caller's error — see
+    /// [`FaultInjector::gate_io`].
+    ///
+    /// # Errors
+    ///
+    /// The injected [`WgaError::Io`](crate::error::WgaError::Io).
+    #[inline]
+    pub fn io_gate(&self, hook: Hook) -> WgaResult<()> {
+        match self.injector {
+            Some(injector) => injector.gate_io(hook, self),
+            None => Ok(()),
         }
     }
 

@@ -39,7 +39,7 @@ pub mod paf;
 pub mod plane_sweep;
 
 use crate::config::WgaParams;
-use crate::dataflow::ExecutorMetrics;
+use crate::dataflow::{ExecutorMetrics, QUEUE_DEPTH};
 use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::genome_pipeline::{align_matrix, by_score, AlignOptions, PairMatrix};
@@ -268,7 +268,7 @@ pub fn align_many_observed(
             .map(|dir| dir.join(format!("pair_{:03}_{:03}.journal", plan.a, plan.b)));
         (&genomes[plan.a], &genomes[plan.b], checkpoint)
     }));
-    let (blocks, tables_built) = align_matrix(&scaled, &matrix, options, obs)?;
+    let (blocks, tables_built) = align_matrix(&scaled, &matrix, options, QUEUE_DEPTH, obs)?;
 
     let mut report = ManyReport {
         genomes: genomes

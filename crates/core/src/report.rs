@@ -80,7 +80,7 @@ pub enum RunEvent {
         /// What the stage observed / would have used when it tripped.
         observed: u64,
     },
-    /// A filter batch panicked or was failed by a queue fault; its items
+    /// A filter batch panicked — the one way a batch fails; its items
     /// were dropped from the result.
     BatchFailed {
         /// The batch's query range index within its strand.

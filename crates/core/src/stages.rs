@@ -27,7 +27,7 @@
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
 use crate::budget::SmallestHits;
 use crate::config::WgaParams;
-use crate::error::WgaResult;
+use crate::error::{panic_message, WgaResult};
 use crate::faultsim::Hook;
 use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, PairMatrix};
@@ -35,7 +35,6 @@ use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
 use crate::report::{BudgetKind, RunEvent, StageTimings, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
-use crate::supervise::{self, panic_message};
 use align::gactx::{self, ExtendedAlignment};
 use genome::Sequence;
 use seed::dsoft::{dsoft_seeds_range_in, DsoftScratch};
@@ -219,21 +218,9 @@ pub(crate) struct BatchResult {
     items: u64,
     /// DP cells evaluated.
     cells: u64,
-    /// Why the batch produced nothing: the message of its second panic,
-    /// or of the scheduling fault that kept it from running.
+    /// Why the batch produced nothing: the message of the panic that
+    /// failed it, the one way a batch fails.
     failed: Option<String>,
-}
-
-impl BatchResult {
-    /// Batch `batch` of `items` hits that produced nothing.
-    pub(crate) fn failed(batch: usize, items: u64, message: String) -> BatchResult {
-        BatchResult {
-            batch,
-            items,
-            failed: Some(message),
-            ..BatchResult::default()
-        }
-    }
 }
 
 /// Filters one range's hits, seeded at `cost`, with the worker's
@@ -291,12 +278,11 @@ pub(crate) fn filter_batch(
             ..BatchResult::default()
         }
     }))
-    .unwrap_or_else(|payload| {
-        BatchResult::failed(
-            batch_idx,
-            hits.len() as u64,
-            panic_message(payload.as_ref()),
-        )
+    .unwrap_or_else(|payload| BatchResult {
+        batch: batch_idx,
+        items: hits.len() as u64,
+        failed: Some(panic_message(payload.as_ref())),
+        ..BatchResult::default()
     });
     BatchResult { cost, ..result }
 }
@@ -593,8 +579,9 @@ impl Journals {
             let ckpt_timer = buf.start();
             // Chaos runs inject `journal.append` faults before the append
             // and `journal.sync` faults after it, once its fsync is done.
-            supervise::supervised(Hook::JournalAppend, &obs, || journal.append(&record))?;
-            supervise::supervised(Hook::JournalSync, &obs, || Ok(()))?;
+            obs.io_gate(Hook::JournalAppend)?;
+            journal.append(&record)?;
+            obs.io_gate(Hook::JournalSync)?;
             buf.finish(ckpt_timer, SpanName::Checkpoint, STRAND_NA, 0, 1, 0);
             self.broken = false;
         }

@@ -17,8 +17,8 @@
 //!     is a plain loop on the calling thread; N > 1 runs the dataflow
 //!     executor: the calling thread plans, a pool of N workers seeds,
 //!     filters, extends and journals, and ranges stream through one
-//!     bounded queue of capacity --queue-depth (results are
-//!     byte-identical either way).
+//!     bounded queue, 4 tasks deep (results are byte-identical either
+//!     way). --threads is at most 1024.
 //!     --executor is still accepted and changes nothing. --metrics-out writes the schedule's per-stage
 //!     telemetry as JSON (`"executor"` is `barrier` at one thread and
 //!     `dataflow` above), with the process's resident
@@ -109,7 +109,7 @@ use darwin_wga::align::Alignment;
 use darwin_wga::chain::chainer::chain_alignments;
 use darwin_wga::chain::metrics;
 use darwin_wga::core::config::{ResourceBudget, WgaParams};
-use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics, DEFAULT_QUEUE_DEPTH};
+use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics};
 use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
 use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook};
@@ -118,7 +118,6 @@ use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, SpanTimer, TraceRecorder, STRAND_NA};
 use darwin_wga::core::report::RunOutcome;
-use darwin_wga::core::supervise;
 use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
@@ -160,7 +159,6 @@ usage:
   wga generate <prefix> [--len N] [--distance D] [--seed S] [--chroms N]
             (--len is split evenly over --chroms, the remainder dropped)
   wga align <target.fa> <query.fa> [--baseline] [--threads N] [--maf out.maf]
-            [--queue-depth N]
             [--metrics-out metrics.json] [--trace-out trace.jsonl] [--progress]
             (--progress advances as each chromosome pair finishes)
             [--filter-engine scalar|simd] [--shard-size N]
@@ -171,7 +169,7 @@ usage:
   wga many <genome1.fa> <genome2.fa> [more.fa ...] [--knn K]
            [--paf-out out.paf] [--report-out report.txt]
            [--metrics-out metrics.json] [--trace-out trace.jsonl]
-           [--baseline] [--threads N] [--queue-depth N]
+           [--baseline] [--threads N]
            [--filter-engine scalar|simd]
            [--shard-size N] [--checkpoint dir] [--fault-plan plan.json]
            [--progress]
@@ -272,7 +270,6 @@ impl RunFlags {
             progress: take_flag(args, "--progress"),
             options: AlignOptions {
                 threads: parse_opt(args, "--threads", 1)?,
-                queue_depth: parse_opt(args, "--queue-depth", DEFAULT_QUEUE_DEPTH)?,
                 checkpoint: take_opt(args, "--checkpoint")?.map(PathBuf::from),
                 ..AlignOptions::default()
             },
@@ -491,13 +488,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 /// Reads one genome FASTA behind the `fasta.read` fault gate of `obs`'s
 /// injector, once. The error names the file, an injected fault's too.
 fn read_genome(path: &str, obs: Obs<'_>) -> Result<Assembly, String> {
-    supervise::supervised(Hook::FastaRead, &obs, || {
-        read_assembly(path).map_err(|message| WgaError::input(path, message))
-    })
-    .map_err(|e| match e {
-        WgaError::Input { .. } => e.to_string(),
-        injected => format!("{path}: {injected}"),
-    })
+    obs.io_gate(Hook::FastaRead)
+        .map_err(|injected| format!("{path}: {injected}"))?;
+    read_assembly(path).map_err(|message| WgaError::input(path, message).to_string())
 }
 
 fn read_assembly(path: &str) -> Result<Assembly, String> {

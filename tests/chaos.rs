@@ -3,8 +3,8 @@
 //!
 //! The invariants under test mirror DESIGN.md's failure ladder:
 //!
-//! * every (hook x kind) injection terminates — no hangs: a compute or
-//!   queue fault fails its pair, a journal fault ends the run with an
+//! * every (hook x kind) injection terminates — no hangs: a compute
+//!   fault fails its pair, a journal fault ends the run with an
 //!   error and leaves the journal to resume from, and only a plan that
 //!   panics outside pair containment kills the run (the "kill"
 //!   scenario);
@@ -145,32 +145,28 @@ fn fault_free(params: &WgaParams, target: &Assembly, query: &Assembly) -> Assemb
 const SCHEDULES: [(&str, usize); 2] = [("serial", 1), ("dataflow", 3)];
 
 /// Every hook x kind combination that stays inside pair containment
-/// terminates on every schedule where the hook can fire. Nothing is
-/// retried: at a compute or queue hook the pair fails and the run
-/// completes; at a journal hook the run ends with an error, and a rerun
-/// on the same journal resumes into the fault-free report.
+/// terminates on both schedules. Nothing is retried: at a compute hook
+/// the pair fails and the run completes; at a journal hook the run ends
+/// with an error, and a rerun on the same journal resumes into the
+/// fault-free report.
 #[test]
 fn fault_matrix_terminates_on_every_executor() {
     let (target, query) = one_pair_assemblies();
     let params = WgaParams::darwin_wga();
     let clean = fault_free(&params, &target, &query);
     let kinds = ["error", "panic", "short-write"];
-    let default_depth = AlignOptions::default().queue_depth;
     for kind in kinds {
         let fault = |hook: &str| {
             let one = format!("{{\"hook\":\"{hook}\",\"kind\":\"{kind}\",\"at\":[0]}}");
             Some(plan(&one))
         };
-        // Compute-stage hooks fire on both schedules; queue hooks only
-        // exist on the dataflow executor, here at its tightest queues.
+        // Compute-stage hooks fire on both schedules.
         let compute = ["filter.batch", "extend.tile"]
             .into_iter()
-            .flat_map(|hook| SCHEDULES.map(|(name, threads)| (hook, name, threads, default_depth)));
-        let queue = ["queue.push", "queue.pop"].map(|hook| (hook, "dataflow", 3, 1));
-        for (hook, name, threads, queue_depth) in compute.chain(queue) {
+            .flat_map(|hook| SCHEDULES.map(|(name, threads)| (hook, name, threads)));
+        for (hook, name, threads) in compute {
             let opts = AlignOptions {
                 threads,
-                queue_depth,
                 fault_plan: fault(hook),
                 ..AlignOptions::default()
             };
@@ -332,10 +328,9 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The same kill on the dataflow schedule, under the tightest queues:
-/// the worker whose commit panics closes the queue on its way out, so
-/// the producer and the rest of the pool exit and the run dies instead
-/// of hanging.
+/// The same kill on the dataflow schedule: the worker whose commit
+/// panics closes the queue on its way out, so the producer and the rest
+/// of the pool exit and the run dies instead of hanging.
 #[test]
 fn a_journal_panic_kills_a_dataflow_run_instead_of_hanging() {
     let (target, query) = four_pair_assemblies();
@@ -357,9 +352,8 @@ fn a_journal_panic_in_the_calling_threads_commit_kills_the_run() {
     dies_within_two_minutes(&target, &query, 2, fault, "kill-producer");
 }
 
-/// Runs `fault` with a checkpoint at `threads` and `--queue-depth 1` on
-/// a thread of its own and asserts that the run panics within two
-/// minutes.
+/// Runs `fault` with a checkpoint at `threads` on a thread of its own
+/// and asserts that the run panics within two minutes.
 fn dies_within_two_minutes(
     target: &Assembly,
     query: &Assembly,
@@ -370,7 +364,6 @@ fn dies_within_two_minutes(
     let path = journal_path(&format!("{name}-{threads}"));
     let opts = AlignOptions {
         threads,
-        queue_depth: 1,
         checkpoint: Some(path.clone()),
         fault_plan: Some(plan(fault)),
         ..AlignOptions::default()
@@ -394,9 +387,8 @@ fn dies_within_two_minutes(
     let _ = std::fs::remove_file(&path);
 }
 
-/// Injected worker panics under the tightest queue configuration
-/// (`queue_depth 1`) shut the dataflow executor down cleanly at 2 and 8
-/// threads: the poisoned pair lands `Failed`, the queues drain,
+/// Injected worker panics shut the dataflow executor down cleanly at 2
+/// and 8 threads: the poisoned pair lands `Failed`, the queues drain,
 /// and the surviving pairs' output is byte-identical to a fault-free
 /// run.
 #[test]
@@ -412,7 +404,6 @@ fn dataflow_shutdown_is_clean_under_injected_panics() {
         let label = format!("dataflow t={threads}");
         let opts = AlignOptions {
             threads,
-            queue_depth: 1,
             fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };

@@ -199,7 +199,7 @@ mod cli {
         let (fa, out) = (fa.to_str().unwrap(), out.to_str().unwrap());
         let shared: [(&[&str], &str); 4] = [
             (&["--threads", "0"], "threads must be"),
-            (&["--threads", "2", "--queue-depth", "0"], "queue depth"),
+            (&["--threads", "1000000"], "threads must be at most 1024"),
             (&["--shard-size", "0"], "shard_bases"),
             (&["--filter-engine", "batched"], r#""scalar" or "simd""#),
         ];
@@ -214,6 +214,10 @@ mod cli {
                 assert_clean_failure(&run, named);
                 assert!(!String::from_utf8_lossy(&run.stderr).contains("in.fa"));
             }
+            // The queue's depth is fixed: `--queue-depth` is no option.
+            let run = wga(&[command, fa, fa, "--queue-depth", "4"]);
+            assert_option_rejected(&run, "--queue-depth");
+            assert!(!String::from_utf8_lossy(&run.stderr).contains("in.fa"));
         }
     }
 

@@ -93,7 +93,6 @@ fn kill_after_k_pairs_then_resume_is_equivalent() {
 fn dataflow_kill_after_k_pairs_then_resume_is_equivalent() {
     let options = AlignOptions {
         threads: 3,
-        queue_depth: 2,
         ..AlignOptions::default()
     };
     kill_after_k_pairs_then_resume("dataflow-kill-resume", options);
