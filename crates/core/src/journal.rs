@@ -11,16 +11,17 @@
 //! identical to an uninterrupted run.
 //!
 //! Every line is one [`crate::json`] object, rendered and parsed there
-//! (the workspace deliberately has no JSON dependency). Since format
-//! version 2 every record carries a trailing CRC32C over its own bytes,
-//! so bit rot is detected rather than silently decoded; version-1
-//! journals (no CRC) still decode. Damage is tolerated, not fatal: a
-//! torn final line (crash mid-append) is dropped, a corrupt *interior*
-//! record is skipped — its pair simply re-runs on resume — and both are
-//! counted in [`JournalStats`]. Only a header mismatch (wrong format,
-//! wrong parameter fingerprint) aborts the resume.
+//! (the workspace deliberately has no JSON dependency). Every record
+//! carries a trailing CRC32C over its own bytes, so bit rot is detected
+//! rather than silently decoded. Damage is tolerated, not fatal: a torn
+//! final line (crash mid-append) is dropped, a corrupt *interior* record
+//! is skipped — its pair simply re-runs on resume — and both are counted
+//! in [`JournalStats`]. Only the header aborts a resume: another format,
+//! another format version or another parameter fingerprint. A checkpoint
+//! belongs to one run of one binary, so a refused one costs a rerun, not
+//! a wrong answer.
 
-use crate::config::{ResourceBudget, WgaParams};
+use crate::config::{FilterEngineKind, WgaParams};
 use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};
@@ -38,8 +39,8 @@ use std::time::Duration;
 
 /// Journal format marker.
 const FORMAT: &str = "wga-journal";
-/// Journal format version written to new headers (2 = CRC'd records).
-const VERSION: u64 = 2;
+/// Journal format version: the one written and the only one read.
+const VERSION: u64 = 3;
 
 /// CRC32C (Castagnoli) lookup table, built at compile time. The
 /// reflected polynomial matches the SSE4.2 `crc32` instruction and the
@@ -66,8 +67,7 @@ const CRC32C_TABLE: [u32; 256] = {
 };
 
 /// CRC32C (Castagnoli) of `bytes` — the per-record checksum appended to
-/// every journal line since format version 2. Table-driven and
-/// integer-only.
+/// every journal record. Table-driven and integer-only.
 pub fn crc32c(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
@@ -104,8 +104,7 @@ pub struct PairRecord {
     pub workload: Workload,
     /// The pair's stage timings (microsecond granularity).
     pub timings: StageTimings,
-    /// The pair's funnel counters. Records written before this field
-    /// existed decode as all-zero counters.
+    /// The pair's funnel counters.
     pub counters: FunnelCounters,
     /// The pair's alignments, best score first.
     pub alignments: Vec<WgaAlignment>,
@@ -129,47 +128,19 @@ impl PairRecord {
 
 /// Fingerprint of a parameter set, stored in the journal header so a
 /// resume with different parameters is rejected instead of silently
-/// mixing results. FNV-1a over a fixed rendering of `params`: the text
-/// `WgaParams`' derived `Debug` printed when the fingerprint was pinned,
-/// written out field by field so that a later change to the struct
-/// cannot orphan the journals written before it. Nested values keep
-/// their `Debug`. The output-neutral knobs — the filter engine and the
-/// query range size — are printed at their [`WgaParams::darwin_wga`]
-/// defaults, and `max_seed_hits: None` and `deadline: None` stand for
-/// retired budgets, so a journal resumes whichever engine and range size
-/// wrote it, and one written under a retired budget is refused. The
-/// destructuring names every field, so a new one does not compile until
-/// it is rendered or declared output-neutral here.
+/// mixing results: FNV-1a over the `Debug` text of `params` with the
+/// output-neutral knobs — the filter engine and the query range size —
+/// fixed, so a journal resumes whichever of them wrote it. Every other
+/// field, a new one included, is fingerprinted; a field is declared
+/// output-neutral by fixing it here.
 pub fn params_fingerprint(params: &WgaParams) -> String {
-    let WgaParams {
-        scoring,
-        gaps,
-        seed_pattern,
-        dsoft,
-        max_seed_occurrences,
-        filter,
-        filter_engine: _,
-        extension,
-        extension_threshold,
-        both_strands,
-        budget:
-            ResourceBudget {
-                max_filter_tiles,
-                max_extension_cells,
-            },
-        shard_bases: _,
-    } = params;
-    let repr = format!(
-        "WgaParams {{ scoring: {scoring:?}, gaps: {gaps:?}, seed_pattern: {seed_pattern:?}, \
-         dsoft: {dsoft:?}, max_seed_occurrences: {max_seed_occurrences:?}, filter: {filter:?}, \
-         filter_engine: Simd, extension: GactX({extension:?}), \
-         extension_threshold: {extension_threshold:?}, both_strands: {both_strands:?}, \
-         budget: ResourceBudget {{ max_seed_hits: None, \
-         max_filter_tiles: {max_filter_tiles:?}, max_extension_cells: {max_extension_cells:?}, \
-         deadline: None }}, shard_bases: 2048 }}"
-    );
+    let neutral = WgaParams {
+        filter_engine: FilterEngineKind::Simd,
+        shard_bases: 0,
+        ..params.clone()
+    };
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in repr.bytes() {
+    for byte in format!("{neutral:?}").bytes() {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -200,8 +171,8 @@ impl Journal {
     /// # Errors
     ///
     /// [`WgaError::Io`] on filesystem failure; [`WgaError::Checkpoint`]
-    /// when the journal belongs to a run with different parameters or
-    /// is not a wga journal at all.
+    /// when the journal belongs to a run with different parameters, has
+    /// another format version or is not a wga journal at all.
     pub fn open(path: &Path, fingerprint: &str) -> WgaResult<Journal> {
         let display = path.display().to_string();
         // A byte that is not UTF-8 is damage to its line, which then
@@ -341,12 +312,12 @@ fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
     if value.get("format").and_then(Json::as_str) != Some(FORMAT) {
         return Err("not a wga journal".into());
     }
-    match value.get_u64("version")? {
-        // Version 1 journals predate per-record CRCs; their records
-        // simply skip the CRC check.
-        Some(1 | VERSION) => {}
-        Some(v) => return Err(format!("unsupported journal version {v}")),
-        None => return Err("missing journal version".into()),
+    let version = value.u64("version")?;
+    if version != VERSION {
+        return Err(format!(
+            "journal version {version}, but this binary reads version {VERSION}; delete it \
+             and rerun"
+        ));
     }
     match value.get("params_fingerprint").and_then(Json::as_str) {
         Some(f) if f == fingerprint => Ok(()),
@@ -379,12 +350,10 @@ fn micros(d: Duration) -> Json {
     Json::Int(d.as_micros() as i128)
 }
 
-/// A budget's journal name and that of the stage it truncates, which
-/// every record still spells out for the readers that decoded it.
-fn budget_kind_names(kind: BudgetKind) -> (&'static str, &'static str) {
+fn budget_kind_name(kind: BudgetKind) -> &'static str {
     match kind {
-        BudgetKind::FilterTiles => ("filter_tiles", "filtering"),
-        BudgetKind::ExtensionCells => ("extension_cells", "extension"),
+        BudgetKind::FilterTiles => "filter_tiles",
+        BudgetKind::ExtensionCells => "extension_cells",
     }
 }
 
@@ -394,23 +363,18 @@ fn encode_event(event: &RunEvent) -> Json {
             budget,
             limit,
             observed,
-        } => {
-            let (budget, stage) = budget_kind_names(*budget);
-            Json::obj([
-                ("type", "budget".into()),
-                ("budget", budget.into()),
-                ("stage", stage.into()),
-                ("limit", (*limit).into()),
-                ("observed", (*observed).into()),
-            ])
-        }
+        } => Json::obj([
+            ("type", "budget".into()),
+            ("budget", budget_kind_name(*budget).into()),
+            ("limit", (*limit).into()),
+            ("observed", (*observed).into()),
+        ]),
         RunEvent::BatchFailed {
             batch,
             items,
             message,
         } => Json::obj([
             ("type", "batch_failed".into()),
-            ("stage", "filtering".into()),
             ("batch", (*batch).into()),
             ("items", (*items).into()),
             ("message", message.as_str().into()),
@@ -473,13 +437,6 @@ fn encode_record(record: &PairRecord) -> String {
                 ("anchors_passed", c.anchors_passed.into()),
                 ("anchors_absorbed", c.anchors_absorbed.into()),
                 ("alignments_kept", c.alignments_kept.into()),
-                // Fixed, so version-2 records keep their bytes and old
-                // readers find the members they expect; decoding ignores
-                // them. A journaled pair met no injected fault (one fails
-                // its pair), and nothing retries or watches for stalls.
-                ("faults_injected", 0u64.into()),
-                ("retries", 0u64.into()),
-                ("stalls_detected", 0u64.into()),
             ]),
         ),
         (
@@ -504,7 +461,6 @@ fn decode_budget_kind(name: &str) -> Result<BudgetKind, String> {
     }
 }
 
-/// The `"stage"` member is not read: it follows from the event.
 fn decode_event(value: &Json) -> Result<RunEvent, String> {
     match value.str("type")? {
         "budget" => Ok(RunEvent::BudgetExceeded {
@@ -608,21 +564,13 @@ fn decode_workload(value: &Json) -> Result<Workload, String> {
     })
 }
 
-/// Decodes the funnel counters. Tolerant on two axes so old journals
-/// stay readable: a missing `counters` object (records predating the
-/// field) and missing individual keys (counters added later) both decode
-/// as zero.
-fn decode_counters(value: Option<&Json>) -> Result<FunnelCounters, String> {
-    let Some(value) = value else {
-        return Ok(FunnelCounters::default());
-    };
-    let opt = |key: &str| value.get_u64(key).map(Option::unwrap_or_default);
+fn decode_counters(value: &Json) -> Result<FunnelCounters, String> {
     Ok(FunnelCounters {
-        raw_seed_hits: opt("raw_seed_hits")?,
-        filter_cells: opt("filter_cells")?,
-        anchors_passed: opt("anchors_passed")?,
-        anchors_absorbed: opt("anchors_absorbed")?,
-        alignments_kept: opt("alignments_kept")?,
+        raw_seed_hits: value.u64("raw_seed_hits")?,
+        filter_cells: value.u64("filter_cells")?,
+        anchors_passed: value.u64("anchors_passed")?,
+        anchors_absorbed: value.u64("anchors_absorbed")?,
+        alignments_kept: value.u64("alignments_kept")?,
     })
 }
 
@@ -657,21 +605,18 @@ fn verify_crc(line: &str, expected: u32) -> Result<(), String> {
 
 fn decode_record(line: &str) -> Result<PairRecord, String> {
     let value = json::parse(line)?;
-    // Version-2 records carry a CRC; version-1 records (no crc field)
-    // are accepted unchecked.
-    if let Some(crc) = value.get_u64("crc")? {
-        verify_crc(
-            line,
-            u32::try_from(crc).map_err(|_| "crc field is not a u32")?,
-        )?;
-    }
+    let crc = value.u64("crc")?;
+    verify_crc(
+        line,
+        u32::try_from(crc).map_err(|_| "crc field is not a u32")?,
+    )?;
     Ok(PairRecord {
         target_chrom: value.str("target_chrom")?.to_string(),
         query_chrom: value.str("query_chrom")?.to_string(),
         outcome: decode_outcome(value.member("outcome")?)?,
         workload: decode_workload(value.member("workload")?)?,
         timings: decode_timings(value.member("timings_us")?)?,
-        counters: decode_counters(value.get("counters"))?,
+        counters: decode_counters(value.member("counters")?)?,
         alignments: value
             .arr("alignments")?
             .iter()
@@ -683,7 +628,7 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FilterEngineKind;
+    use crate::config::ResourceBudget;
     use align::gactx::TilingParams;
 
     fn sample_record() -> PairRecord {
@@ -743,62 +688,11 @@ mod tests {
         assert_eq!(parsed, record);
     }
 
-    /// Reverts an encoded line to its version-1 form: no crc field.
+    /// An encoded line without its crc member.
     fn strip_crc(line: &str) -> String {
         let trimmed = line.trim_end();
         let idx = trimmed.rfind(",\"crc\":").expect("encoded line has a crc");
         format!("{}}}", &trimmed[..idx])
-    }
-
-    #[test]
-    fn record_without_counters_decodes_as_zero() {
-        // A version-1 journal line written before the counters field
-        // (or the crc) existed.
-        let record = sample_record();
-        let line = strip_crc(&encode_record(&record));
-        let start = line
-            .find(",\"counters\":")
-            .expect("encoded line has counters");
-        let end = start + line[start..].find('}').expect("counters object closes") + 1;
-        let legacy = format!("{}{}", &line[..start], &line[end..]);
-        assert_ne!(legacy, line, "counters field should have been stripped");
-        let parsed = decode_record(legacy.trim_end()).unwrap();
-        assert_eq!(parsed.counters, FunnelCounters::default());
-        assert_eq!(parsed.workload, record.workload);
-        assert_eq!(parsed.alignments, record.alignments);
-    }
-
-    #[test]
-    fn record_without_crc_decodes_unchecked() {
-        // Version-1 records have no crc member and must decode as-is.
-        let record = sample_record();
-        let legacy = strip_crc(&encode_record(&record));
-        assert_eq!(decode_record(&legacy).unwrap(), record);
-        // So must records carrying a counter the struct no longer has —
-        // the waste of speculative extension, the hits filtered, which
-        // always equalled `workload.filter_tiles`, or a stall, retry or
-        // fault count other than the fixed 0 — with or without their own
-        // checksum.
-        for (now, then) in [
-            ("\"stalls_detected\":0}", "\"stalls_detected\":4}"),
-            ("\"retries\":0,", "\"retries\":3,"),
-            ("\"faults_injected\":0,", "\"faults_injected\":2,"),
-            (
-                "\"stalls_detected\":0}",
-                "\"stalls_detected\":0,\"spec_discard\":2}",
-            ),
-            (
-                "\"raw_seed_hits\":25,",
-                "\"raw_seed_hits\":25,\"hits_filtered\":20,",
-            ),
-        ] {
-            let old = legacy.replace(now, then);
-            assert_ne!(old, legacy);
-            assert_eq!(decode_record(&old).unwrap(), record);
-            let crc = crc32c(old.as_bytes());
-            let sealed = format!("{},\"crc\":{crc}}}", &old[..old.len() - 1]);
-            assert_eq!(decode_record(&sealed).unwrap(), record);
-        }
     }
 
     #[test]
@@ -901,21 +795,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A changed rendering silently orphans every journal written before
-    /// it. The presets' values date from when the filter engine left the
-    /// fingerprint. The third, with both remaining budgets set, both
-    /// strands and a non-default tiling, is what the rendering gave while
-    /// a seed-hit budget could still be set. While they hold, those
-    /// journals still resume.
+    /// The presets' fingerprints and that of a parameter set with both
+    /// budgets set, both strands and a non-default tiling. A change to
+    /// what is hashed refuses every checkpoint written before it, so it
+    /// shows here first.
     #[test]
     fn fingerprints_are_pinned() {
         assert_eq!(
             params_fingerprint(&WgaParams::darwin_wga()),
-            "c101066a06e1bd8f"
+            "582dc525cbc13cc5"
         );
         assert_eq!(
             params_fingerprint(&WgaParams::lastz_baseline()),
-            "5f947ee48ae4fce9"
+            "14e04c4962661589"
         );
         let budgeted = WgaParams {
             extension: TilingParams {
@@ -931,12 +823,10 @@ mod tests {
             },
             ..WgaParams::darwin_wga()
         };
-        assert_eq!(params_fingerprint(&budgeted), "3dc4edb959035bcc");
+        assert_eq!(params_fingerprint(&budgeted), "4cd4b3c01221c334");
     }
 
-    /// A record with one event of each kind production builds encodes to
-    /// the bytes it did while every event carried its stage, so journals
-    /// written before and after resume each other.
+    /// A record with one event of each kind production builds, as bytes.
     #[test]
     fn degraded_record_bytes_are_pinned() {
         let record = PairRecord {
@@ -968,14 +858,13 @@ mod tests {
         };
         let line = concat!(
             r#"{"target_chrom":"chrI","query_chrom":"chr1","outcome":{"status":"degraded","events":["#,
-            r#"{"type":"budget","budget":"filter_tiles","stage":"filtering","limit":100,"observed":250},"#,
-            r#"{"type":"budget","budget":"extension_cells","stage":"extension","limit":4000,"observed":4100},"#,
-            r#"{"type":"batch_failed","stage":"filtering","batch":3,"items":7,"message":"injected"}]},"#,
+            r#"{"type":"budget","budget":"filter_tiles","limit":100,"observed":250},"#,
+            r#"{"type":"budget","budget":"extension_cells","limit":4000,"observed":4100},"#,
+            r#"{"type":"batch_failed","batch":3,"items":7,"message":"injected"}]},"#,
             r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
             r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
             r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
-            r#""alignments_kept":0,"faults_injected":0,"retries":0,"stalls_detected":0},"#,
-            r#""alignments":[],"crc":1315370280}"#,
+            r#""alignments_kept":0},"alignments":[],"crc":3841588303}"#,
             "\n"
         );
         assert_eq!(encode_record(&record), line);
@@ -1010,28 +899,41 @@ mod tests {
             let mut journal = Journal::open(&path, &fp).unwrap();
             journal.append(&sample_record()).unwrap();
         }
+        // Bad JSON, a record with no crc, and one whose crc holds but
+        // that lacks a counter.
+        let mut bad = sample_record();
+        bad.target_chrom = "chrIII".into();
+        let no_crc = strip_crc(&encode_record(&bad));
+        bad.target_chrom = "chrIV".into();
+        let short = strip_crc(&encode_record(&bad)).replace("\"raw_seed_hits\":25,", "");
+        let crc = crc32c(short.as_bytes());
+        let short = format!("{},\"crc\":{crc}}}", &short[..short.len() - 1]);
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            // A corrupt line *followed by* a valid line is interior
+            // Corrupt lines *followed by* a valid line are interior
             // corruption, not a torn tail.
-            f.write_all(b"{garbage\n").unwrap();
+            for bad in ["{garbage", &no_crc, &short] {
+                f.write_all(format!("{bad}\n").as_bytes()).unwrap();
+            }
             let mut rec = sample_record();
             rec.target_chrom = "chrII".into();
             f.write_all(encode_record(&rec).as_bytes()).unwrap();
         }
         #[cfg(unix)]
         let damaged = inode(&path);
-        let journal = Journal::open(&path, &fp).unwrap();
+        let mut journal = Journal::open(&path, &fp).unwrap();
         #[cfg(unix)]
         assert_ne!(inode(&path), damaged, "the repair is renamed into place");
         assert!(!durable::tmp_path(&path).exists());
         assert_eq!(journal.recovered.len(), 2, "both valid records survive");
+        assert!(journal.take("chrIII", "chr1").is_none(), "its pair reruns");
+        assert!(journal.take("chrIV", "chr1").is_none(), "its pair reruns");
         let stats = journal.stats();
         assert_eq!(stats.records_recovered, 2);
-        assert_eq!(stats.corrupt_records_skipped, 1);
+        assert_eq!(stats.corrupt_records_skipped, 3);
         assert!(!stats.torn_tail_dropped);
         drop(journal);
-        // The corrupt line was pruned on open, so a second resume is
+        // The corrupt lines were pruned on open, so a second resume is
         // clean.
         let journal = Journal::open(&path, &fp).unwrap();
         assert_eq!(journal.stats().corrupt_records_skipped, 0);

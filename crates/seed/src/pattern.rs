@@ -24,7 +24,7 @@ use std::str::FromStr;
 /// assert_eq!(p.span(), 19);
 /// assert_eq!(p.weight(), 12);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeedPattern {
     /// Offsets of the `1` positions within the span.
     sampled: Vec<usize>,
@@ -267,17 +267,6 @@ impl FromStr for SeedPattern {
             return Err(ParsePatternError::UntrimmedEnds);
         }
         Ok(SeedPattern::new(sampled, s.len()))
-    }
-}
-
-/// The pattern itself, without what `new` derives from it: a journal's
-/// parameter fingerprint hashes this rendering, so it must not move.
-impl fmt::Debug for SeedPattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SeedPattern")
-            .field("sampled", &self.sampled)
-            .field("span", &self.span)
-            .finish()
     }
 }
 

@@ -15,6 +15,14 @@
 //! and the report of the fixture trace. The journal header and the
 //! `--metrics-out` object of a fixed value are pinned as literals.
 //!
+//! That command wrote a version-2 journal, kept as `golden.v2.journal`:
+//! its header is refused now. `golden.journal` is the same journal
+//! converted to version 3 record by record, not rerun: the fixed-zero
+//! `faults_injected`, `retries` and `stalls_detected` counters dropped,
+//! each CRC recomputed and the header rewritten with version 3 and the
+//! new parameter fingerprint. Every other value, timings included, is
+//! the one the command wrote.
+//!
 //! The trace's two `hwsim.*` lines are modeled cycles the binary then
 //! wrote as spans; the reader skips them. `golden.profile_report.json`
 //! was rewritten by the same command when the report's `modeled` member
@@ -160,7 +168,7 @@ fn journal_header_is_pinned() {
     drop(Journal::open(&path, &params_fingerprint(&WgaParams::darwin_wga())).unwrap());
     assert_eq!(
         fs::read_to_string(&path).unwrap(),
-        "{\"format\":\"wga-journal\",\"version\":2,\"params_fingerprint\":\"c101066a06e1bd8f\"}\n"
+        "{\"format\":\"wga-journal\",\"version\":3,\"params_fingerprint\":\"582dc525cbc13cc5\"}\n"
     );
     let _ = fs::remove_file(&path);
 }

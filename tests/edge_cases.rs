@@ -908,6 +908,44 @@ mod cli {
         assert!(two_threads == one_thread, "--threads 2 changed the MAF");
     }
 
+    /// A version-2 journal, the golden run's before the format dropped
+    /// its retired members, is refused at its header by `align` and by
+    /// `many`: exit 1 naming the journal and both versions. The file keeps
+    /// its bytes and its inode, so the refusal came before any repair.
+    #[test]
+    fn a_version_2_journal_is_refused_and_left_as_it_was() {
+        use std::os::unix::fs::MetadataExt;
+        let v2 = format!(
+            "{}/tests/data/golden.v2.journal",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let bytes = std::fs::read(v2).unwrap();
+        let dir = empty_dir("v2-journal");
+        std::fs::create_dir(dir.join("ckpt")).unwrap();
+        let (t, q) = (golden("target"), golden("query"));
+        for (command, checkpoint, journal) in [
+            ("align", "run.journal", "run.journal"),
+            ("many", "ckpt", "ckpt/pair_000_001.journal"),
+        ] {
+            let path = dir.join(journal);
+            std::fs::write(&path, &bytes).unwrap();
+            let inode = std::fs::metadata(&path).unwrap().ino();
+            let out = wga_in(&dir, &[command, &t, &q, "--checkpoint", checkpoint]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+            let error = stderr.lines().last().unwrap_or_default();
+            assert!(
+                error.starts_with("error: checkpoint"),
+                "{command}: {stderr}"
+            );
+            for named in [journal, "version 2", "version 3"] {
+                assert!(error.contains(named), "{command}: {stderr}");
+            }
+            assert!(std::fs::read(&path).unwrap() == bytes, "{command}");
+            assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "{command}");
+        }
+    }
+
     /// `--executor` is parsed and read by nothing: `--threads` picks the
     /// schedule, and neither changes an output byte. A value naming no
     /// schedule is still refused.

@@ -310,7 +310,12 @@ fn checkpointed_rerun_replays_every_pair() {
 /// executor run, then cut mid-matrix by hand: the journal of block
 /// (g0, g1) is whole (four records), the journal of block (g0, g2) holds
 /// its header and its first record (chrI × chrI), and block (g1, g2) has
-/// no journal. Resumed from a copy, one thread and two (the dataflow
+/// no journal. Its journals were written as version 2 and converted to
+/// version 3 record by record, not rerun: the fixed-zero
+/// `faults_injected`, `retries` and `stalls_detected` counters dropped,
+/// each CRC recomputed and each header rewritten with version 3 and the
+/// new parameter fingerprint; every other value and the cut are as
+/// written. Resumed from a copy, one thread and two (the dataflow
 /// executor) both replay exactly those five chromosome pairs and end in the
 /// uninterrupted run's report and PAF.
 #[test]
