@@ -168,7 +168,9 @@ fn extension_cost(len: usize) -> Measured<ExtendedAlignment> {
         evolution.turnover_per_kb = 0.0;
         let pair = SyntheticPair::generate(len, &evolution, &mut rng);
         let (t, q) = (&pair.target.sequence, &pair.query.sequence);
-        let anchors = pair.orthologous_pairs();
+        let anchors: Vec<(usize, usize)> = (pair.orthologous_runs().into_iter())
+            .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+            .collect();
         let (at, aq) = anchors[anchors.len() / 2];
         let (w, g) = scoring();
         measure(|| {

@@ -128,7 +128,9 @@ fn evolved_pairs_are_identical_at_three_distances() {
             &pair.target.sequence.to_bases(),
             &pair.query.sequence.to_bases(),
         );
-        let anchors = pair.orthologous_pairs();
+        let anchors: Vec<(usize, usize)> = (pair.orthologous_runs().into_iter())
+            .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+            .collect();
         assert!(
             anchors.len() > 100,
             "d={distance}: {} orthologous pairs",

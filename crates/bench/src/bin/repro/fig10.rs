@@ -13,8 +13,8 @@
 //! each extension fills, an exact count, back §III-D's claim that
 //! GACT-X needs about half GACT's cycles at equal memory.
 
-use align::cigar::AlignOp;
 use align::gactx::{extend_alignment, TilingParams};
+use chain::metrics::truth_score;
 use genome::evolve::SpeciesPair;
 use genome::Sequence;
 use hwsim::gactx_array::GactXBank;
@@ -31,33 +31,10 @@ struct Outcome {
     cells: u64,
     matched: u64,
     true_matched: u64,
-    precision: f64,
+    aligned: u64,
     bp_per_sec: f64,
     hw_tiles_per_sec: f64,
     peak_traceback: u64,
-}
-
-/// Counts aligned pairs of an alignment that are ground-truth orthologous.
-fn true_pairs(
-    alignment: &align::Alignment,
-    truth: &std::collections::HashSet<(usize, usize)>,
-) -> u64 {
-    let (mut t, mut q) = (alignment.target_start, alignment.query_start);
-    let mut hits = 0u64;
-    for op in alignment.cigar.iter_ops() {
-        match op {
-            AlignOp::Match | AlignOp::Subst => {
-                if truth.contains(&(t, q)) {
-                    hits += 1;
-                }
-                t += 1;
-                q += 1;
-            }
-            AlignOp::Insert => q += 1,
-            AlignOp::Delete => t += 1,
-        }
-    }
-    hits
 }
 
 fn run_extender(
@@ -66,14 +43,12 @@ fn run_extender(
     target: &Sequence,
     query: &Sequence,
     anchors: &[Anchor],
-    truth: &std::collections::HashSet<(usize, usize)>,
+    truth: &[(usize, usize, usize)],
 ) -> Outcome {
     let w = genome::SubstitutionMatrix::darwin_wga();
     let g = genome::GapPenalties::darwin_wga();
     let start = Instant::now();
-    let mut matched = 0u64;
-    let mut truem = 0u64;
-    let mut aligned_bp = 0u64;
+    let mut alignments = Vec::new();
     let (mut extensions, mut tiles, mut cells, mut rows) = (0u64, 0u64, 0u64, 0u64);
     let mut peak = 0u64;
     for anchor in anchors {
@@ -86,9 +61,7 @@ fn run_extender(
             &g,
             params,
         ) {
-            matched += ext.alignment.matches();
-            truem += true_pairs(&ext.alignment, truth);
-            aligned_bp += ext.alignment.cigar.aligned_pairs();
+            alignments.push(ext.alignment);
             extensions += 1;
             tiles += ext.stats.tiles;
             cells += ext.stats.cells;
@@ -97,6 +70,7 @@ fn run_extender(
         }
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+    let score = truth_score(truth, alignments.iter().map(|a| (a, true)));
     // Hardware throughput for this workload on one FPGA GACT-X-style array.
     let bank = GactXBank {
         num_arrays: 1,
@@ -108,10 +82,10 @@ fn run_extender(
         tile: params.tile_size,
         extensions,
         cells,
-        matched,
-        true_matched: truem,
-        precision: truem as f64 / aligned_bp.max(1) as f64,
-        bp_per_sec: aligned_bp as f64 / elapsed,
+        matched: alignments.iter().map(|a| a.matches()).sum(),
+        true_matched: score.correct_bp,
+        aligned: score.aligned_bp,
+        bp_per_sec: score.aligned_bp as f64 / elapsed,
         hw_tiles_per_sec: tiles as f64 / hw_seconds,
         peak_traceback: peak,
     }
@@ -145,8 +119,7 @@ pub fn run(genome_len: usize) {
         params.filter.threshold()
     );
 
-    let truth: std::collections::HashSet<(usize, usize)> =
-        pair.orthologous_pairs().into_iter().collect();
+    let truth = pair.orthologous_runs();
     let extend = |label, tiling| {
         run_extender(
             label,
@@ -183,7 +156,7 @@ pub fn run(genome_len: usize) {
             o.matched,
             o.true_matched,
             o.true_matched as f64 / reference.true_matched.max(1) as f64,
-            o.precision * 100.0,
+            o.true_matched as f64 / o.aligned.max(1) as f64 * 100.0,
             o.bp_per_sec / reference.bp_per_sec.max(1e-9),
             o.hw_tiles_per_sec / reference.hw_tiles_per_sec.max(1e-9),
         );

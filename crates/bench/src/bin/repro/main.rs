@@ -29,7 +29,7 @@ usage: repro <artefact> [args]   (every arg is a positive integer)
   table4                      Table IV + Table VI: ASIC area/power, platform power
   table5 [len=80000]          Table V: runtimes and workload; filter cost and rates (§I, §VI-C)
   noise  [len=60000] [reps=3] §VI-B: false positives against shuffled targets
-  exons  [len=60000]          §V-E: exon recovery against a TBLASTX-like oracle
+  exons  [len=60000]          §V-E: exon recovery against the exons alignable by truth
   ablations [len=50000]       Table II: design-parameter ablations
 ";
 

@@ -9,11 +9,11 @@
 #![warn(missing_docs)]
 
 use chain::chainer::{chain_alignments, Chain};
-use chain::metrics;
+use chain::metrics::{self, TruthScore};
 use genome::evolve::{EvolutionParams, SpeciesPair, SyntheticPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wga_core::{config::WgaParams, pipeline::WgaPipeline, WgaReport};
+use wga_core::{config::WgaParams, pipeline::WgaPipeline, Strand, WgaReport};
 
 /// Minimum chain score used throughout (the LASTZ default threshold).
 pub const CHAIN_MIN_SCORE: i64 = 3000;
@@ -48,6 +48,8 @@ pub struct RunMetrics {
     pub exons_found: usize,
     /// Conserved elements assessed.
     pub exons_total: usize,
+    /// Every alignment, either strand, scored against the ortholog runs.
+    pub truth: TruthScore,
 }
 
 /// Runs `params` on a pair and computes chains + metrics.
@@ -59,6 +61,10 @@ pub fn run_and_measure(params: WgaParams, pair: &SyntheticPair) -> RunMetrics {
     let unique_matched = metrics::unique_matched_bases(&chains, &alignments);
     let top10_score = metrics::top_k_total(&chains, 10);
     let exons = metrics::exon_recovery(&chains, &alignments, &pair.target.conserved, 0.5);
+    let truth = metrics::truth_score(
+        &pair.orthologous_runs(),
+        (report.alignments.iter()).map(|a| (&a.alignment, a.strand == Strand::Forward)),
+    );
     RunMetrics {
         report,
         chains,
@@ -67,6 +73,7 @@ pub fn run_and_measure(params: WgaParams, pair: &SyntheticPair) -> RunMetrics {
         top10_score,
         exons_found: exons.found,
         exons_total: exons.total,
+        truth,
     }
 }
 
@@ -90,6 +97,7 @@ mod tests {
         assert!(m.matched >= m.unique_matched);
         assert!(m.top10_score > 0);
         assert!(m.exons_total > 0);
+        assert!(0 < m.truth.correct_bp && m.truth.correct_bp <= m.truth.aligned_bp);
         assert!(!m.chains.is_empty());
     }
 

@@ -4,7 +4,8 @@
 //! matched base pairs in all chains, and recovered orthologous exons —
 //! and noise as the false-positive rate against a dinucleotide-shuffled
 //! target. All four metrics are implemented here, plus the ungapped
-//! block-length distribution of Fig. 2.
+//! block-length distribution of Fig. 2 and the score of a set of
+//! alignments against the evolution model's ground truth.
 
 use crate::chainer::Chain;
 use align::cigar::Runs;
@@ -114,6 +115,58 @@ pub fn aligned_target_intervals(alignment: &Alignment) -> Vec<(usize, usize)> {
         intervals.push((start, t));
     }
     intervals
+}
+
+/// A set of alignments scored against the ground-truth ortholog runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TruthScore {
+    /// Orthologous base pairs in the truth: the runs' total length.
+    pub truth_bp: u64,
+    /// Aligned (`=` and `X`) columns, on either strand.
+    pub aligned_bp: u64,
+    /// Aligned columns on a run's own diagonal: the truth pairs them.
+    pub correct_bp: u64,
+}
+
+/// Scores `alignments`, each with whether it is on the forward strand,
+/// against ortholog `runs` `(target_pos, query_pos, len)` in increasing
+/// target order, as `genome::annotation::orthologous_runs` returns them.
+///
+/// Each gap-free block of aligned columns is walked against the runs its
+/// target span meets. The truth pairs forward positions only, so a
+/// reverse-strand column counts as aligned, never as correct.
+pub fn truth_score<'a>(
+    runs: &[(usize, usize, usize)],
+    alignments: impl IntoIterator<Item = (&'a Alignment, bool)>,
+) -> TruthScore {
+    let mut score = TruthScore {
+        truth_bp: runs.iter().map(|&(_, _, len)| len as u64).sum(),
+        ..TruthScore::default()
+    };
+    for (alignment, forward) in alignments {
+        let (mut t, mut q) = (alignment.target_start, alignment.query_start);
+        for (op, count) in alignment.cigar.runs() {
+            let n = count as usize;
+            if matches!(op, AlignOp::Match | AlignOp::Subst) {
+                score.aligned_bp += n as u64;
+                if forward {
+                    let first = runs.partition_point(|&(rt, _, len)| rt + len <= t);
+                    score.correct_bp += (runs[first..].iter())
+                        .take_while(|&&(rt, _, _)| rt < t + n)
+                        .filter(|&&(rt, rq, _)| rt + q == t + rq)
+                        .map(|&(rt, _, len)| ((rt + len).min(t + n) - rt.max(t)) as u64)
+                        .sum::<u64>();
+                }
+            }
+            if op != AlignOp::Insert {
+                t += n;
+            }
+            if op != AlignOp::Delete {
+                q += n;
+            }
+        }
+    }
+    score
 }
 
 /// Exon-recovery counting (the Table III "Exon Counts" columns).
@@ -372,6 +425,37 @@ mod tests {
         assert_eq!(r.found, 1);
         let r = exon_recovery(&chains, &alignments, &exons, 0.2);
         assert_eq!(r.found, 2);
+    }
+
+    #[test]
+    fn truth_score_counts_columns_on_a_runs_diagonal() {
+        // Target 0..50 pairs with query 10..60, target 60..100 with 65..105.
+        let runs = [(0, 10, 50), (60, 65, 40)];
+        let ops = [
+            (AlignOp::Match, 30),
+            (AlignOp::Subst, 20),
+            (AlignOp::Delete, 10),
+            (AlignOp::Insert, 5),
+            (AlignOp::Match, 40),
+        ];
+        let correct = aln(0, 10, &ops, 0);
+        let full = TruthScore {
+            truth_bp: 90,
+            aligned_bp: 90,
+            correct_bp: 90,
+        };
+        assert_eq!(truth_score(&runs, [(&correct, true)]), full);
+        // The same columns on the reverse strand, or one base off the
+        // diagonal, are aligned but not correct.
+        let shifted = aln(0, 11, &ops, 0);
+        for scored in [(&correct, false), (&shifted, true)] {
+            let score = truth_score(&runs, [scored]);
+            assert_eq!((score.aligned_bp, score.correct_bp), (90, 0));
+        }
+        // An alignment straddling both runs without the gaps: only the
+        // first run's diagonal is walked correctly.
+        let straddle = aln(40, 50, &[(AlignOp::Match, 30)], 0);
+        assert_eq!(truth_score(&runs, [(&straddle, true)]).correct_bp, 10);
     }
 
     #[test]

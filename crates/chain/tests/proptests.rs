@@ -5,19 +5,83 @@ use chain::chainer::chain_alignments;
 use chain::gapcost::LooseGapCost;
 use chain::metrics;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn alignment_strategy() -> impl Strategy<Value = Alignment> {
-    (0usize..1_000_000, 0usize..1_000_000, 20u32..500, 1i64..50_000).prop_map(
-        |(t, q, len, score)| {
+    (
+        0usize..1_000_000,
+        0usize..1_000_000,
+        20u32..500,
+        1i64..50_000,
+    )
+        .prop_map(|(t, q, len, score)| {
             let mut c = Cigar::new();
             c.push(AlignOp::Match, len);
             Alignment::new(t, q, c, score)
-        },
-    )
+        })
+}
+
+/// Ortholog runs `(target, query, len)` sorted and disjoint in both
+/// coordinates, from gaps of zero or more bases on either side.
+fn runs_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    prop::collection::vec((0usize..4, 0usize..4, 1usize..9), 0..12).prop_map(|steps| {
+        let (mut t, mut q) = (0, 0);
+        (steps.into_iter())
+            .map(|(gap_t, gap_q, len)| {
+                (t, q) = (t + gap_t, q + gap_q);
+                let run = (t, q, len);
+                (t, q) = (t + len, q + len);
+                run
+            })
+            .collect()
+    })
+}
+
+/// A short alignment of random operations near the runs, with its strand.
+fn scored_alignment_strategy() -> impl Strategy<Value = (Alignment, bool)> {
+    let ops = prop::collection::vec((0usize..4, 1u32..6), 0..10);
+    (0usize..50, 0usize..50, ops, any::<bool>()).prop_map(|(t, q, ops, forward)| {
+        let mut c = Cigar::new();
+        for (op, count) in ops {
+            let op = [
+                AlignOp::Match,
+                AlignOp::Subst,
+                AlignOp::Insert,
+                AlignOp::Delete,
+            ][op];
+            c.push(op, count);
+        }
+        (Alignment::new(t, q, c, 0), forward)
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn truth_score_equals_its_per_base_expansion(
+        runs in runs_strategy(),
+        alignments in prop::collection::vec(scored_alignment_strategy(), 0..6),
+    ) {
+        let truth: HashSet<(usize, usize)> = (runs.iter())
+            .flat_map(|&(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+            .collect();
+        let (mut aligned, mut correct) = (0u64, 0u64);
+        for (a, forward) in &alignments {
+            let (mut t, mut q) = (a.target_start, a.query_start);
+            for op in a.cigar.iter_ops() {
+                if matches!(op, AlignOp::Match | AlignOp::Subst) {
+                    aligned += 1;
+                    correct += (*forward && truth.contains(&(t, q))) as u64;
+                }
+                t += (op != AlignOp::Insert) as usize;
+                q += (op != AlignOp::Delete) as usize;
+            }
+        }
+        let score = metrics::truth_score(&runs, alignments.iter().map(|(a, f)| (a, *f)));
+        prop_assert_eq!(score.truth_bp, truth.len() as u64);
+        prop_assert_eq!((score.aligned_bp, score.correct_bp), (aligned, correct));
+    }
 
     #[test]
     fn every_alignment_lands_in_exactly_one_chain(

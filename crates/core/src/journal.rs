@@ -33,7 +33,7 @@ use align::{AlignOp, Alignment, Cigar};
 use hwsim::Workload;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -174,6 +174,7 @@ impl Journal {
     /// when the journal belongs to a run with different parameters, has
     /// another format version or is not a wga journal at all.
     pub fn open(path: &Path, fingerprint: &str) -> WgaResult<Journal> {
+        check_header(path, fingerprint)?;
         let display = path.display().to_string();
         // A byte that is not UTF-8 is damage to its line, which then
         // fails to decode like any other corrupt record.
@@ -193,11 +194,8 @@ impl Journal {
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| !l.trim().is_empty());
-            if let Some((header_no, header)) = nonempty.next() {
+            if let Some((_, header)) = nonempty.next() {
                 needs_header = false;
-                check_header(header, fingerprint).map_err(|m| {
-                    WgaError::checkpoint(&display, format!("line {}: {m}", header_no + 1))
-                })?;
                 let rest: Vec<(usize, &&str)> = nonempty.collect();
                 let last_idx = rest.len().saturating_sub(1);
                 let mut kept: Vec<&str> = vec![*header];
@@ -307,7 +305,39 @@ impl Journal {
     }
 }
 
-fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
+/// Refuses the journal at `path`, as [`Journal::open`] does, when its
+/// header — its first non-blank line — names another format, version or
+/// parameter fingerprint. A missing or blank file passes. Reads the
+/// header alone, so a command can check its checkpoint before its inputs.
+///
+/// # Errors
+///
+/// [`WgaError::Io`] when the file cannot be read;
+/// [`WgaError::Checkpoint`] when another run's journal is there.
+pub fn check_header(path: &Path, fingerprint: &str) -> WgaResult<()> {
+    let display = path.display().to_string();
+    let mut reader = match File::open(path) {
+        Ok(file) => BufReader::new(file),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(WgaError::io(&display, e)),
+    };
+    let (mut bytes, mut line_no) = (Vec::new(), 0);
+    loop {
+        bytes.clear();
+        line_no += 1;
+        let read = (reader.read_until(b'\n', &mut bytes)).map_err(|e| WgaError::io(&display, e))?;
+        if read == 0 {
+            return Ok(());
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Some(line) = text.lines().next().filter(|l| !l.trim().is_empty()) {
+            return header_matches(line, fingerprint)
+                .map_err(|m| WgaError::checkpoint(&display, format!("line {line_no}: {m}")));
+        }
+    }
+}
+
+fn header_matches(line: &str, fingerprint: &str) -> Result<(), String> {
     let value = json::parse(line)?;
     if value.get("format").and_then(Json::as_str) != Some(FORMAT) {
         return Err("not a wga journal".into());

@@ -180,7 +180,8 @@ mod tests {
             .run(&pair.target.sequence, &pair.query.sequence);
         // Ground truth has ~30K orthologous pairs at ~95% identity; the
         // pipeline must recover the bulk of them.
-        let truth = pair.orthologous_pairs().len() as f64;
+        let truth: usize = pair.orthologous_runs().iter().map(|run| run.2).sum();
+        let truth = truth as f64;
         let found = report.total_matches() as f64;
         assert!(found > 0.6 * truth, "found {found} of {truth}");
         // Funnel consistency.

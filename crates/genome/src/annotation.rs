@@ -197,34 +197,46 @@ impl CoordinateMap {
     }
 }
 
-/// Ground-truth orthologous base pairs between two descendants of a common
-/// ancestor: ancestral bases surviving in *both* lineages.
+/// Ground-truth orthologs between two descendants of a common ancestor:
+/// the ancestral bases surviving in *both* lineages, as gap-free runs.
 ///
-/// Returns `(pos_in_a, pos_in_b)` pairs in increasing order. One merge of
-/// the two run lists: each overlap of a run of `a` with a run of `b` is a
-/// gap-free stretch of pairs.
-pub fn orthologous_pairs(a: &CoordinateMap, b: &CoordinateMap) -> Vec<(usize, usize)> {
+/// Returns `(pos_in_a, pos_in_b, len)` triples, each `len` bases long
+/// and in increasing order in both coordinates. One merge of the two run
+/// lists: each overlap of a run of `a` with a run of `b` is one triple.
+pub fn orthologous_runs(a: &CoordinateMap, b: &CoordinateMap) -> Vec<(usize, usize, usize)> {
     assert_eq!(
         a.ancestor_len(),
         b.ancestor_len(),
         "maps have different ancestors"
     );
-    let mut pairs = Vec::new();
+    let mut runs = Vec::new();
     let (mut runs_a, mut runs_b) = (a.runs.iter().peekable(), b.runs.iter().peekable());
     while let (Some(&ra), Some(&rb)) = (runs_a.peek(), runs_b.peek()) {
         let start = ra.ancestor.max(rb.ancestor) as usize;
-        let (end_a, end_b) = (ra.ancestor_end(), rb.ancestor_end());
-        let da = ra.descendant as usize + (start - ra.ancestor as usize);
-        let db = rb.descendant as usize + (start - rb.ancestor as usize);
-        pairs.extend((0..end_a.min(end_b).saturating_sub(start)).map(|i| (da + i, db + i)));
+        let end = ra.ancestor_end().min(rb.ancestor_end());
+        if start < end {
+            let da = ra.descendant as usize + (start - ra.ancestor as usize);
+            let db = rb.descendant as usize + (start - rb.ancestor as usize);
+            runs.push((da, db, end - start));
+        }
         // The run that ends first overlaps nothing further.
-        if end_a <= end_b {
+        if ra.ancestor_end() <= rb.ancestor_end() {
             runs_a.next();
         } else {
             runs_b.next();
         }
     }
-    pairs
+    runs
+}
+
+/// Bases of `interval` on the first coordinates of `runs`, which are
+/// sorted and disjoint there as [`orthologous_runs`] returns them.
+pub(crate) fn truth_overlap(runs: &[(usize, usize, usize)], interval: &Interval) -> usize {
+    let first = runs.partition_point(|&(a, _, len)| a + len <= interval.start);
+    (runs[first..].iter())
+        .take_while(|&&(a, _, _)| a < interval.end)
+        .map(|&(a, _, len)| (a + len).min(interval.end) - a.max(interval.start))
+        .sum()
 }
 
 #[cfg(test)]
@@ -283,7 +295,7 @@ mod tests {
         Some((lo, survivors.next_back().unwrap_or(lo) + 1))
     }
 
-    /// `orthologous_pairs` as a walk over every ancestral base.
+    /// `orthologous_runs`, expanded, as a walk over every ancestral base.
     fn pairs_per_base(a: &[Option<usize>], b: &[Option<usize>]) -> Vec<(usize, usize)> {
         (a.iter().zip(b))
             .filter_map(|(&pa, &pb)| Some((pa?, pb?)))
@@ -362,11 +374,26 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(
-                orthologous_pairs(&a, &b),
-                pairs_per_base(&bases_a, &bases_b),
-                "round {round}"
-            );
+            let runs = orthologous_runs(&a, &b);
+            let pairs: Vec<(usize, usize)> = (runs.iter())
+                .flat_map(|&(pa, pb, len)| (0..len).map(move |i| (pa + i, pb + i)))
+                .collect();
+            assert_eq!(pairs, pairs_per_base(&bases_a, &bases_b), "round {round}");
+            // Every interval of `a`'s coordinates, runs' edges and all:
+            // `below[pos]` pairs lie before `pos`.
+            let len = a.descendant_len() + 1;
+            let below: Vec<usize> = (0..=len)
+                .map(|pos| pairs.iter().filter(|&&(pa, _)| pa < pos).count())
+                .collect();
+            for start in 0..=len {
+                for end in start..=len {
+                    assert_eq!(
+                        truth_overlap(&runs, &Interval::new(start, end, "e")),
+                        below[end] - below[start],
+                        "round {round}: {start}..{end}"
+                    );
+                }
+            }
         }
     }
 
@@ -395,9 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn orthologous_pairs_intersect_survivors() {
+    fn orthologous_runs_intersect_survivors() {
         let a = map(&[(0, 0, 1), (2, 1, 2)], 4, 3);
         let b = map(&[(0, 0, 3)], 4, 3);
-        assert_eq!(orthologous_pairs(&a, &b), vec![(0, 0), (1, 2)]);
+        assert_eq!(orthologous_runs(&a, &b), vec![(0, 0, 1), (1, 2, 1)]);
     }
 }

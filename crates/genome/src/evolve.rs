@@ -15,7 +15,7 @@
 //! distant pairs.
 
 use crate::alphabet::Base;
-use crate::annotation::{CoordinateMap, Interval, Run};
+use crate::annotation::{truth_overlap, CoordinateMap, Interval, Run};
 use crate::markov::{fires, peek_units, threshold, unit, MarkovModel};
 use crate::sequence::Sequence;
 use rand::Rng;
@@ -184,9 +184,24 @@ impl SyntheticPair {
         }
     }
 
-    /// Ground-truth orthologous base pairs `(target_pos, query_pos)`.
-    pub fn orthologous_pairs(&self) -> Vec<(usize, usize)> {
-        crate::annotation::orthologous_pairs(&self.target.coordinates, &self.query.coordinates)
+    /// Ground-truth orthologs as gap-free runs `(target_pos, query_pos,
+    /// len)`, in increasing order in both coordinates.
+    pub fn orthologous_runs(&self) -> Vec<(usize, usize, usize)> {
+        crate::annotation::orthologous_runs(&self.target.coordinates, &self.query.coordinates)
+    }
+
+    /// The conserved elements alignable by truth, in target coordinates:
+    /// those with at least half their ancestral bases surviving in both
+    /// lineages. The maps are monotone, so those bases are exactly the
+    /// runs' target positions inside the element's projection.
+    pub fn alignable_exons(&self) -> Vec<Interval> {
+        let runs = self.orthologous_runs();
+        (self.ancestral_conserved.iter())
+            .filter_map(|exon| {
+                let projected = self.target.coordinates.project(exon)?;
+                (2 * truth_overlap(&runs, &projected) >= exon.len()).then_some(projected)
+            })
+            .collect()
     }
 }
 
@@ -784,6 +799,13 @@ mod tests {
         SyntheticPair::generate(len, &EvolutionParams::at_distance(distance), &mut rng)
     }
 
+    /// The ground truth one `(target_pos, query_pos)` pair a base.
+    fn ortholog_bases(p: &SyntheticPair) -> Vec<(usize, usize)> {
+        (p.orthologous_runs().into_iter())
+            .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+            .collect()
+    }
+
     #[test]
     fn lengths_are_plausible() {
         // Turnover insertions inflate the descendant relative to the
@@ -817,7 +839,7 @@ mod tests {
         let close = pair(0.05, 20_000, 3);
         let far = pair(0.6, 20_000, 3);
         let identity = |p: &SyntheticPair| {
-            let pairs = p.orthologous_pairs();
+            let pairs = ortholog_bases(p);
             let matches = pairs
                 .iter()
                 .filter(|&&(t, q)| p.target.sequence.get(t) == p.query.sequence.get(q))
@@ -833,7 +855,7 @@ mod tests {
     #[test]
     fn conserved_elements_evolve_slower() {
         let p = pair(0.5, 50_000, 4);
-        let pairs = p.orthologous_pairs();
+        let pairs = ortholog_bases(&p);
         // Build reverse lookup: target position -> inside conserved?
         let mut cons = vec![false; p.target.sequence.len()];
         for iv in &p.target.conserved {
@@ -866,7 +888,7 @@ mod tests {
     fn transition_bias_present() {
         let p = pair(0.4, 50_000, 5);
         let (mut ts, mut tv) = (0u64, 0u64);
-        for &(t, q) in &p.orthologous_pairs() {
+        for (t, q) in ortholog_bases(&p) {
             let (a, b) = (
                 p.target.sequence.get(t).unwrap(),
                 p.query.sequence.get(q).unwrap(),
@@ -888,20 +910,13 @@ mod tests {
         // The Fig. 2 property: mean distance between indels in the true
         // alignment shrinks as distance grows.
         let block_mean = |p: &SyntheticPair| {
-            let pairs = p.orthologous_pairs();
-            let mut blocks = Vec::new();
-            let mut cur = 1usize;
-            for w in pairs.windows(2) {
-                let ((t0, q0), (t1, q1)) = (w[0], w[1]);
-                if t1 == t0 + 1 && q1 == q0 + 1 {
-                    cur += 1;
-                } else {
-                    blocks.push(cur);
-                    cur = 1;
-                }
-            }
-            blocks.push(cur);
-            blocks.iter().sum::<usize>() as f64 / blocks.len() as f64
+            // Runs that abut in both coordinates are one block.
+            let runs = p.orthologous_runs();
+            let joins = (runs.windows(2))
+                .filter(|w| w[0].0 + w[0].2 == w[1].0 && w[0].1 + w[0].2 == w[1].1)
+                .count();
+            let bases: usize = runs.iter().map(|run| run.2).sum();
+            bases as f64 / (runs.len() - joins) as f64
         };
         let close = pair(0.1, 60_000, 6);
         let far = pair(0.6, 60_000, 6);
@@ -918,6 +933,28 @@ mod tests {
         assert!(pairs[0].distance > pairs[1].distance);
         assert!(pairs[1].distance > pairs[2].distance);
         assert!(pairs[2].distance > pairs[3].distance);
+    }
+
+    /// The §V-E exon oracle keeps its meaning: at `repro exons`' length
+    /// and seeds, fewer exons are alignable by truth at ce11-cb4's
+    /// distance than at dm6-droSim1's.
+    #[test]
+    fn alignable_exon_share_shrinks_with_distance() {
+        let species = SpeciesPair::paper_pairs();
+        let share = |i: usize| {
+            let mut rng = StdRng::seed_from_u64(3000 + i as u64);
+            let p = SyntheticPair::generate(60_000, &species[i].evolution_params(), &mut rng);
+            let alignable = p.alignable_exons();
+            assert!(alignable
+                .iter()
+                .all(|exon| p.target.conserved.contains(exon)));
+            (alignable.len(), p.target.conserved.len())
+        };
+        let ((far, far_total), (near, near_total)) = (share(0), share(3));
+        assert!(
+            far * near_total < near * far_total,
+            "{far}/{far_total} vs {near}/{near_total}"
+        );
     }
 
     /// Where each ancestral base lands, if it survives, once the runs are

@@ -16,9 +16,9 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let pair = SyntheticPair::generate(50_000, &EvolutionParams::at_distance(0.2), &mut rng);
 //!
-//! // Ground truth the paper never had:
-//! let orthologs = pair.orthologous_pairs();
-//! assert!(orthologs.len() > 40_000);
+//! // Ground truth the paper never had, as gap-free ortholog runs:
+//! let orthologs: usize = pair.orthologous_runs().iter().map(|run| run.2).sum();
+//! assert!(orthologs > 40_000);
 //! ```
 
 #![warn(missing_docs)]

@@ -18,12 +18,19 @@ fn main() {
 
     println!("Generating a {genome_len}-bp synthetic pair at distance {distance} subst/site...");
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let pair = SyntheticPair::generate(genome_len, &EvolutionParams::at_distance(distance), &mut rng);
+    let pair = SyntheticPair::generate(
+        genome_len,
+        &EvolutionParams::at_distance(distance),
+        &mut rng,
+    );
     println!(
         "  target: {} bp, query: {} bp, ground-truth orthologous bases: {}",
         pair.target.sequence.len(),
         pair.query.sequence.len(),
-        pair.orthologous_pairs().len()
+        pair.orthologous_runs()
+            .iter()
+            .map(|run| run.2)
+            .sum::<usize>()
     );
 
     println!("\nRunning the Darwin-WGA pipeline...");
@@ -44,7 +51,10 @@ fn main() {
 
     let alignments = report.forward_alignments();
     let chains = chain_alignments(&alignments, 3000);
-    println!("\nChains (AXTCHAIN-style, linearGap=loose): {}", chains.len());
+    println!(
+        "\nChains (AXTCHAIN-style, linearGap=loose): {}",
+        chains.len()
+    );
     for (i, score) in metrics::top_k_scores(&chains, 5).iter().enumerate() {
         println!("  chain {}: score {}", i + 1, score);
     }

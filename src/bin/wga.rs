@@ -114,6 +114,7 @@ use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
 use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
+use darwin_wga::core::journal;
 use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, SpanTimer, TraceRecorder, STRAND_NA};
@@ -335,6 +336,11 @@ impl RunFlags {
             &inputs,
         )
         .map_err(|e| e.to_string())?;
+        // Another run's journal is refused before either FASTA is read.
+        if let Some(path) = checkpoint {
+            journal::check_header(path, &journal::params_fingerprint(&params))
+                .map_err(|e| e.to_string())?;
+        }
 
         let recorder =
             (self.trace_out.is_some() || self.progress).then(|| Arc::new(TraceRecorder::new()));

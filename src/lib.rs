@@ -11,9 +11,8 @@
 //! | [`genome`] | Sequences, FASTA, scoring, synthetic evolution model, shuffling |
 //! | [`align`] | SW/NW, banded SW (BSW), ungapped X-drop, GACT, GACT-X |
 //! | [`seed`] | Spaced seeds, seed table, D-SOFT diagonal-band seeding |
-//! | [`chain`] | AXTCHAIN-style chaining + sensitivity metrics |
+//! | [`chain`] | AXTCHAIN-style chaining + sensitivity metrics, scored against the ground truth |
 //! | [`hwsim`] | Systolic-array / FPGA / ASIC / DRAM cycle+power models |
-//! | [`protein`] | Translated (TBLASTX-like) search — the paper's §IX future work |
 //! | [`core`] | The Darwin-WGA pipeline and the LASTZ-like baseline |
 //! | [`profile`] | Trace analysis: attribution, critical path, the traced workload's modeled cycles |
 //!
@@ -37,7 +36,6 @@ pub use align;
 pub use chain;
 pub use genome;
 pub use hwsim;
-pub use protein;
 pub use seed;
 /// The Darwin-WGA pipeline crate (`wga-core`).
 pub use wga_core as core;

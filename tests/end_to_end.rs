@@ -3,7 +3,7 @@
 
 use darwin_wga::chain::chainer::chain_alignments;
 use darwin_wga::chain::metrics;
-use darwin_wga::core::{config::WgaParams, maf, pipeline::WgaPipeline};
+use darwin_wga::core::{config::WgaParams, maf, pipeline::WgaPipeline, Strand};
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::SeedableRng;
 
@@ -19,10 +19,9 @@ fn full_pipeline_recovers_most_orthologs_on_moderate_pair() {
         WgaPipeline::new(WgaParams::darwin_wga()).run(&pair.target.sequence, &pair.query.sequence);
 
     // Ground truth recall: matched bases vs true orthologous identical bases.
-    let truth: Vec<(usize, usize)> = pair.orthologous_pairs();
-    let true_identical = truth
-        .iter()
-        .filter(|&&(t, q)| pair.target.sequence.get(t) == pair.query.sequence.get(q))
+    let true_identical = (pair.orthologous_runs().into_iter())
+        .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+        .filter(|&(t, q)| pair.target.sequence.get(t) == pair.query.sequence.get(q))
         .count() as f64;
     // Note the numerator is not strictly bounded by the denominator:
     // around indels the aligner legitimately places gaps differently from
@@ -32,7 +31,10 @@ fn full_pipeline_recovers_most_orthologs_on_moderate_pair() {
     // indicate duplicate alignments instead.
     let recall = report.total_matches() as f64 / true_identical;
     assert!(recall > 0.55, "recall {recall}");
-    assert!(recall < 1.35, "recall {recall} suspiciously high (duplicates?)");
+    assert!(
+        recall < 1.35,
+        "recall {recall} suspiciously high (duplicates?)"
+    );
 
     // Every alignment must be internally consistent with the sequences.
     for wa in &report.alignments {
@@ -51,33 +53,14 @@ fn full_pipeline_recovers_most_orthologs_on_moderate_pair() {
 
 #[test]
 fn precision_against_ground_truth_is_high() {
-    use darwin_wga::align::AlignOp;
     let pair = pair(0.3, 30_000, 2);
     let report =
         WgaPipeline::new(WgaParams::darwin_wga()).run(&pair.target.sequence, &pair.query.sequence);
-    let truth: std::collections::HashSet<(usize, usize)> =
-        pair.orthologous_pairs().into_iter().collect();
-
-    let (mut aligned, mut correct) = (0u64, 0u64);
-    for wa in &report.alignments {
-        let a = &wa.alignment;
-        let (mut t, mut q) = (a.target_start, a.query_start);
-        for op in a.cigar.iter_ops() {
-            match op {
-                AlignOp::Match | AlignOp::Subst => {
-                    aligned += 1;
-                    if truth.contains(&(t, q)) {
-                        correct += 1;
-                    }
-                    t += 1;
-                    q += 1;
-                }
-                AlignOp::Insert => q += 1,
-                AlignOp::Delete => t += 1,
-            }
-        }
-    }
-    let precision = correct as f64 / aligned.max(1) as f64;
+    let score = metrics::truth_score(
+        &pair.orthologous_runs(),
+        (report.alignments.iter()).map(|wa| (&wa.alignment, wa.strand == Strand::Forward)),
+    );
+    let precision = score.correct_bp as f64 / score.aligned_bp.max(1) as f64;
     assert!(precision > 0.75, "precision {precision}");
 }
 

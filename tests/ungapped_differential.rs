@@ -35,7 +35,9 @@ use std::collections::HashMap;
 const HUGE_XDROP: i32 = i32::MAX / 4;
 
 fn random_bases(rng: &mut StdRng, len: usize) -> Vec<Base> {
-    (0..len).map(|_| Base::from_code(rng.gen_range(0..4))).collect()
+    (0..len)
+        .map(|_| Base::from_code(rng.gen_range(0..4)))
+        .collect()
 }
 
 /// A mutated copy of `src`: per-base substitution and indel noise.
@@ -200,7 +202,10 @@ fn finite_xdrop_is_bounded_by_naive_and_monotone() {
             );
             prev = score;
         }
-        assert_eq!(prev, naive, "trial {trial}: unbounded X-drop != naive optimum");
+        assert_eq!(
+            prev, naive,
+            "trial {trial}: unbounded X-drop != naive optimum"
+        );
     }
 }
 
@@ -211,8 +216,9 @@ fn unbounded_xdrop_equals_naive_on_evolved_exon_islands() {
     // Distance 0.5 with the default conserved_indel_factor keeps islands
     // recognisable but indel-dense — the regime the paper targets.
     let pair = SyntheticPair::generate(12_000, &EvolutionParams::at_distance(0.5), &mut rng);
-    let mut orth = pair.orthologous_pairs();
-    orth.sort_unstable();
+    let orth: Vec<(usize, usize)> = (pair.orthologous_runs().into_iter())
+        .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+        .collect();
     let t = &pair.target.sequence.to_bases();
     let q = &pair.query.sequence.to_bases();
 
@@ -239,7 +245,10 @@ fn unbounded_xdrop_equals_naive_on_evolved_exon_islands() {
         assert_eq!(got, naive, "island {:?} at target {}", iv.label, tp);
         checked += 1;
     }
-    assert!(checked >= 8, "only {checked} islands had orthologous anchors");
+    assert!(
+        checked >= 8,
+        "only {checked} islands had orthologous anchors"
+    );
 }
 
 #[test]
@@ -255,8 +264,9 @@ fn gapped_filter_recovers_islands_the_ungapped_filter_drops() {
     let gaps = GapPenalties::darwin_wga();
     let mut rng = StdRng::seed_from_u64(20_260_805);
     let pair = SyntheticPair::generate(30_000, &EvolutionParams::at_distance(0.45), &mut rng);
-    let mut orth = pair.orthologous_pairs();
-    orth.sort_unstable();
+    let orth: Vec<(usize, usize)> = (pair.orthologous_runs().into_iter())
+        .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+        .collect();
     let t = &pair.target.sequence.to_bases();
     let q = &pair.query.sequence.to_bases();
 
@@ -293,7 +303,18 @@ fn gapped_filter_recovers_islands_the_ungapped_filter_drops() {
         let best_ungapped = anchors
             .iter()
             .step_by(step)
-            .map(|&(tp, qp)| ungapped_extend(&pair.target.sequence, &pair.query.sequence, tp, qp, 1, &w, 910).score)
+            .map(|&(tp, qp)| {
+                ungapped_extend(
+                    &pair.target.sequence,
+                    &pair.query.sequence,
+                    tp,
+                    qp,
+                    1,
+                    &w,
+                    910,
+                )
+                .score
+            })
             .max()
             .unwrap();
 
