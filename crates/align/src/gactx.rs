@@ -99,9 +99,13 @@ pub struct ExtensionStats {
     pub cells: u64,
     /// DP rows processed across all tiles.
     pub rows: u64,
-    /// Peak per-tile traceback memory (bytes at 4 bits/cell): the longest
-    /// the kernel's pointer arena was over the extension's tiles.
+    /// Peak per-tile traceback memory (bytes at 4 bits/cell): the largest
+    /// band a tile's pointers cover, what the hardware stores.
     pub peak_traceback_bytes: u64,
+    /// The longest the kernel's pointer arena was over the extension's
+    /// tiles: the rows traceback could read plus one gap's worth, at most
+    /// `peak_traceback_bytes`.
+    pub peak_arena_bytes: u64,
 }
 
 impl ExtensionStats {
@@ -111,6 +115,7 @@ impl ExtensionStats {
         self.cells += other.cells;
         self.rows += other.rows;
         self.peak_traceback_bytes = self.peak_traceback_bytes.max(other.peak_traceback_bytes);
+        self.peak_arena_bytes = self.peak_arena_bytes.max(other.peak_arena_bytes);
     }
 }
 
@@ -149,10 +154,10 @@ struct ExtendScratch {
 thread_local! {
     /// One scratch per worker thread, shared by all the extensions the
     /// thread runs: after its largest tile a worker allocates nothing but
-    /// the CIGARs it returns, and holds that tile's `traceback_bytes` (at
-    /// up to twice that in arena capacity) plus a few rows. Its contents
-    /// never carry meaning from one tile to the next, so results do not
-    /// depend on what ran before.
+    /// the CIGARs it returns, and keeps resident the most pointers any
+    /// tile packed (at most that tile's `traceback_bytes`) plus a few
+    /// rows. Its contents never carry meaning from one tile to the next,
+    /// so results do not depend on what ran before.
     static SCRATCH: RefCell<ExtendScratch> = RefCell::new(ExtendScratch::default());
 }
 
@@ -247,6 +252,9 @@ impl<'a> Anchored<'a> {
             stats.cells += tile.cells;
             stats.rows += tile.rows as u64;
             stats.peak_traceback_bytes = stats.peak_traceback_bytes.max(tile.traceback_bytes);
+            stats.peak_arena_bytes = stats
+                .peak_arena_bytes
+                .max(scratch.tile.packed_bytes() as u64);
             if tile.max_score <= 0 {
                 break;
             }

@@ -37,6 +37,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+// `xdrop`'s unit tests include the reference kernel of `tests/`, which
+// names this crate as its users do.
+#[cfg(test)]
+extern crate self as align;
+
 pub mod alignment;
 pub mod banded;
 pub mod bsw_fast;

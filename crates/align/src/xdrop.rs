@@ -19,6 +19,14 @@
 //!   once the row is finalised its live cells are packed two to a byte
 //!   into one flat arena, row after row with no padding, under a per-row
 //!   `(jstart, offset, len)` table — the only thing traceback reads;
+//! * GACT-X traces back from the tile's maximum, so the arena keeps the
+//!   rows traceback can read plus one gap's worth of rows: a row more
+//!   than `⌊(y − open) / extend⌋` rows past the best so far is packed
+//!   only while the arena stays inside the bytes it has already reached.
+//!   Past that, rows are computed unpacked from a one-row checkpoint of
+//!   the last packed row, and a later row that raises `Vmax` restores the
+//!   checkpoint and replays them, packing them. Edge traceback (GACT)
+//!   packs every row;
 //! * all of it lives in a reusable [`TileScratch`], so a run of tiles
 //!   allocates nothing per row and nothing per tile except the CIGAR it
 //!   returns.
@@ -57,16 +65,25 @@ mod ptr {
     pub const F_OPEN: u8 = 0b1000;
 }
 
-/// Where one stored row's pointers live in the arena.
+/// Where one packed row's pointers live in the arena.
 #[derive(Debug, Clone, Copy)]
 struct RowSpan {
-    /// First stored column (0 is the boundary column).
-    jstart: usize,
-    /// Arena index of that column's pointer, in nibbles: nibble `k` is
+    /// Arena index of the row's first pointer, in nibbles: nibble `k` is
     /// the low (even `k`) or high (odd `k`) half of arena byte `k / 2`.
     offset: usize,
-    /// Stored columns; the last one is always live.
-    len: usize,
+    /// First stored column (0 is the boundary column), and the stored
+    /// columns, the last of which is always live. Both are at most
+    /// `n + 1`, which `scores_fit_i32` holds under 2^27.
+    jstart: u32,
+    len: u32,
+}
+
+impl RowSpan {
+    /// The arena nibble of column `j`'s pointer, if the row stored it.
+    fn nibble(&self, j: usize) -> Option<usize> {
+        let k = j.checked_sub(self.jstart as usize)?;
+        (k < self.len as usize).then(|| self.offset + k)
+    }
 }
 
 /// V and F (gap-in-target, moving top→down) of one cell of a rolling row;
@@ -103,8 +120,17 @@ pub struct TileScratch {
     /// zero. Its capacity is the largest window's cell count, reserved
     /// in one piece.
     ptrs: Vec<u8>,
-    /// One entry per stored row.
+    /// One entry per packed row.
     rows: Vec<RowSpan>,
+    /// V and F of the last packed row over its stored range and the
+    /// sentinels around it, while the rows after it go unpacked.
+    checkpoint: Vec<Scores>,
+    /// The longest the arena has been: the bytes whose pages are resident
+    /// already, which rows past the best may fill for free.
+    high_water: usize,
+    /// Rows computed a second time, from a checkpoint.
+    #[cfg(test)]
+    replayed_rows: u64,
 }
 
 impl TileScratch {
@@ -112,6 +138,26 @@ impl TileScratch {
     pub fn new() -> TileScratch {
         TileScratch::default()
     }
+
+    /// Bytes of pointers the last tile packed: at most its
+    /// `traceback_bytes`, and all of them when it packed every row.
+    pub(crate) fn packed_bytes(&self) -> usize {
+        self.ptrs.len()
+    }
+}
+
+/// The last packed row and the DP state after it: what the rows that
+/// follow it unpacked are replayed from.
+#[derive(Debug, Clone, Copy, Default)]
+struct Checkpoint {
+    row: usize,
+    /// First stored column, end of the stored range and first live column.
+    jstart: usize,
+    jend: usize,
+    first_live: usize,
+    /// `Vmax` and the live threshold after the row.
+    vmax: i32,
+    live_from: i32,
 }
 
 /// Result of one X-drop tile.
@@ -129,9 +175,9 @@ pub struct TileResult {
     pub cigar: Cigar,
     /// DP cells computed.
     pub cells: u64,
-    /// Bytes of traceback memory the tile needed at 4 bits/cell — the
-    /// hardware BRAM requirement this tile would impose, and exactly the
-    /// length of the software's pointer arena.
+    /// Bytes of traceback memory the tile's band needs at 4 bits/cell —
+    /// the hardware BRAM requirement this tile would impose, and the most
+    /// the software's pointer arena holds for it.
     pub traceback_bytes: u64,
     /// Number of rows that had at least one live cell.
     pub rows: usize,
@@ -262,6 +308,10 @@ pub fn xdrop_tile_scratch(
         row_buf,
         ptrs,
         rows,
+        checkpoint,
+        high_water,
+        #[cfg(test)]
+        replayed_rows,
     } = scratch;
     // Columns −1..=n+1 at indices 0..=n+2; whatever an earlier tile left
     // behind is never read (see the sentinel writes below).
@@ -282,6 +332,9 @@ pub fn xdrop_tile_scratch(
     // of a reservation cost nothing until a row is packed into them. If
     // the reservation fails, `pack_row` grows the arena as it goes.
     let _ = ptrs.try_reserve_exact(((n + 1) * (m + 1)).div_ceil(2));
+    // So is the row table, at one entry a row: grown by doubling, it too
+    // left its outgrown copies behind.
+    let _ = rows.try_reserve_exact(m + 1);
 
     // Row 0: origin plus leading deletions while above the drop threshold.
     prev[1] = Scores { v: 0, f: NEG_INF };
@@ -303,21 +356,40 @@ pub fn xdrop_tile_scratch(
     prev[jend + 1] = PRUNED;
     pack_row(ptrs, 0, &row_buf[..jend]);
     rows.push(RowSpan {
-        jstart: 0,
         offset: 0,
-        len: jend,
+        jstart: 0,
+        len: jend as u32,
     });
     let mut cells = jend as u64;
-    // Cells stored so far: the arena's length in nibbles.
+    // Cells packed so far: the arena's length in nibbles.
     let mut stored_cells = jend;
+    // Cells of the band, packed or not: what the hardware stores.
+    let mut band_cells = jend;
     let mut max_row_width = jend;
     // Best cell of the final column over the rows that reach it (edge
     // traceback), earliest row first on ties.
     let mut best_in_last_col = (jend == n + 1).then(|| (0usize, prev[n + 1].v));
     // The stored range of the previous row ends at `prev_jend`
     // (exclusive); its first live column is `prev_first_live`.
+    let mut prev_jstart = 0usize;
     let mut prev_jend = jend;
     let mut prev_first_live = 0usize;
+
+    // GACT-X's traceback reads no row below its maximum's, so a row more
+    // than `reach` rows below the best so far is packed only while the
+    // arena stays under its high-water. `packing` is false from the
+    // first row that is not until a row raises `Vmax`; then the rows
+    // after the checkpoint are replayed. Rows 1 to `counted` have been
+    // counted into the result; each had a live cell, so with row 0 they
+    // are the tile's `rows`.
+    let reach = if edge_traceback {
+        usize::MAX
+    } else {
+        gap_reach(gaps, y)
+    };
+    let mut packing = true;
+    let mut saved = Checkpoint::default();
+    let mut counted = 0usize;
 
     let (mut max_i, mut max_j) = (0usize, 0usize);
     let mut row = RowState {
@@ -331,7 +403,8 @@ pub fn xdrop_tile_scratch(
         left_e: NEG_INF,
     };
 
-    for i in 1..=m {
+    let mut i = 1;
+    while i <= m {
         // Column 0 (left boundary: a pure leading insertion) is live while
         // its score is above the drop threshold. That score falls and Vmax
         // rises row by row, so once dead it stays dead and `jstart` never
@@ -381,7 +454,14 @@ pub fn xdrop_tile_scratch(
             (cur[j + 1], row_ptrs[j - jstart]) = row.cell(j, NEG_INF, PRUNED, 0);
             j += 1;
         }
-        cells += (j - jstart) as u64;
+        let first_pass = i > counted;
+        if first_pass {
+            cells += (j - jstart) as u64;
+        }
+        #[cfg(test)]
+        if !first_pass {
+            *replayed_rows += 1;
+        }
         if let Some(j) = row.max_j {
             (max_i, max_j) = (i, j);
         }
@@ -401,23 +481,60 @@ pub fn xdrop_tile_scratch(
         // column n, beyond which the next row never looks.
         jend = jstart + last_live + 1;
         let len = jend - jstart;
-        pack_row(ptrs, stored_cells, &row_ptrs[..len]);
         cur[jstart] = PRUNED;
         debug_assert!(jend == n + 1 || cur[jend + 1].v == NEG_INF);
-        rows.push(RowSpan {
-            jstart,
-            offset: stored_cells,
-            len,
-        });
-        stored_cells += len;
-        max_row_width = max_row_width.max(len);
-        if jend == n + 1 && best_in_last_col.is_none_or(|(_, s)| cur[n + 1].v > s) {
-            best_in_last_col = Some((i, cur[n + 1].v));
+        if first_pass {
+            counted = i;
+            band_cells += len;
+            max_row_width = max_row_width.max(len);
+            if jend == n + 1 && best_in_last_col.is_none_or(|(_, s)| cur[n + 1].v > s) {
+                best_in_last_col = Some((i, cur[n + 1].v));
+            }
+        }
+        // A replayed row lies above the row that raised `Vmax` (`max_i`
+        // is not rolled back), so it is always packed. The first row left
+        // unpacked did not raise `Vmax` either, so the checkpoint's `Vmax`
+        // and threshold are the ones every unpacked row is computed under.
+        if packing
+            && (i.saturating_sub(max_i) <= reach || (stored_cells + len).div_ceil(2) <= *high_water)
+        {
+            pack_row(ptrs, stored_cells, &row_ptrs[..len]);
+            rows.push(RowSpan {
+                offset: stored_cells,
+                jstart: jstart as u32,
+                len: len as u32,
+            });
+            stored_cells += len;
+        } else if packing {
+            packing = false;
+            checkpoint.clear();
+            checkpoint.extend_from_slice(&prev[prev_jstart..prev_jend + 2]);
+            saved = Checkpoint {
+                row: i - 1,
+                jstart: prev_jstart,
+                jend: prev_jend,
+                first_live: prev_first_live,
+                vmax: row.vmax,
+                live_from: row.live_from,
+            };
+        } else if row.max_j.is_some() {
+            // Traceback will read this row and every unpacked one before
+            // it: replay them from the checkpoint, packing them.
+            packing = true;
+            prev[saved.jstart..saved.jend + 2].copy_from_slice(checkpoint);
+            (prev_jstart, prev_jend, prev_first_live) =
+                (saved.jstart, saved.jend, saved.first_live);
+            (row.vmax, row.live_from) = (saved.vmax, saved.live_from);
+            i = saved.row + 1;
+            continue;
         }
         std::mem::swap(prev, cur);
+        prev_jstart = jstart;
         prev_jend = jend;
         prev_first_live = jstart + first_live;
+        i += 1;
     }
+    *high_water = (*high_water).max(ptrs.len());
     let mut vmax = row.vmax;
 
     // Traceback: from the global maximum (GACT-X), or from the best cell
@@ -429,7 +546,8 @@ pub fn xdrop_tile_scratch(
     if edge_traceback {
         let mut best: Option<(usize, usize, i32)> = None;
         if let Some(last) = rows.last() {
-            for j in last.jstart..last.jstart + last.len {
+            let first = last.jstart as usize;
+            for j in first..first + last.len as usize {
                 let score = prev[j + 1].v;
                 if score > DEAD && best.is_none_or(|(_, _, s)| score > s) {
                     best = Some((rows.len() - 1, j, score));
@@ -453,9 +571,21 @@ pub fn xdrop_tile_scratch(
         max_query: max_i,
         cigar,
         cells,
-        traceback_bytes: (stored_cells as u64).div_ceil(2),
-        rows: rows.len(),
+        traceback_bytes: (band_cells as u64).div_ceil(2),
+        rows: counted + 1,
         max_row_width,
+    }
+}
+
+/// Rows past the best so far that are packed whatever the arena's
+/// high-water: the most rows one gap can span before the drop test ends
+/// it, `⌊(y − open) / extend⌋` (300 under Table II). A later maximum
+/// further down than that is rare, and is replayed from the checkpoint.
+fn gap_reach(gaps: &GapPenalties, y: i32) -> usize {
+    if gaps.extend > 0 {
+        ((y - gaps.open).max(0) / gaps.extend) as usize
+    } else {
+        usize::MAX
     }
 }
 
@@ -549,7 +679,11 @@ impl RowState {
 /// Appends one finalised row's pointers to the arena, which holds `stored`
 /// nibbles so far. An odd `stored` left the last byte's high nibble open:
 /// the row's first pointer goes there, the rest two to a byte, and an odd
-/// tail leaves its own high nibble zero for the next row.
+/// tail leaves its own high nibble zero for the next row. Out of line so
+/// the pair loop is compiled where its chunk size is known: inlined into
+/// the kernel, the compiler may leave `extend` out of line with the
+/// chunk size as an argument, a scalar loop with a division.
+#[inline(never)]
 fn pack_row(arena: &mut Vec<u8>, stored: usize, mut row: &[u8]) {
     debug_assert_eq!(arena.len(), stored.div_ceil(2));
     if stored % 2 == 1 {
@@ -582,8 +716,7 @@ fn traceback(
 ) -> Cigar {
     let ptr_at = |i: usize, j: usize| -> u8 {
         rows.get(i)
-            .filter(|row| j >= row.jstart && j - row.jstart < row.len)
-            .map(|row| row.offset + j - row.jstart)
+            .and_then(|row| row.nibble(j))
             .and_then(|nibble| {
                 ptrs.get(nibble / 2)
                     .map(|byte| byte >> (4 * (nibble % 2)) & 0xF)
@@ -638,6 +771,11 @@ fn traceback(
     cigar.reverse();
     cigar
 }
+
+// The ragged-row kernel `tests/xdrop_differential.rs` holds this one to.
+#[cfg(test)]
+#[path = "../tests/ragged_oracle/mod.rs"]
+mod ragged_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -787,7 +925,7 @@ mod tests {
             let mut stored = 0;
             for row in &scratch.rows {
                 assert_eq!(row.offset, stored);
-                stored += row.len;
+                stored += row.len as usize;
                 odd_len |= row.len % 2 == 1;
                 even_len |= row.len % 2 == 0;
                 odd_jstart |= row.jstart % 2 == 1;
@@ -804,6 +942,48 @@ mod tests {
         }
         // Every shape that decides which half of a byte a pointer takes.
         assert!(odd_len && even_len && odd_jstart && odd_total);
+    }
+
+    #[test]
+    fn a_maximum_past_an_unpacked_stretch_replays_it_from_the_checkpoint() {
+        // Identity, then 100 rows that lose score along the diagonal (a
+        // transition at every base but each fifth, an A match: −9 net),
+        // then identity again. At y = 1000 rows more than 19 past the
+        // best go unpacked in a cold scratch until a later row raises
+        // Vmax and they are replayed; traceback then walks through them.
+        let (w, g) = dw();
+        let arm = "ACGGTCAGTCGATTGCAGTCTTAGCCATGA";
+        let lossy_t = concat!(
+            "GGATACACAAGTCTAACACATGCTACACTACCAAACCCCAGGCCACCTGA",
+            "AGTCACGAGAGAGAAGGGTAGCTTACAGAAGTATAGTATAACCAACTGGA",
+        );
+        let lossy_q = concat!(
+            "AAGCATGTGAACTCAGTGTACATCATGTCATTGGATTTTAAATTATTCAA",
+            "GACTATAGAAAGAGAAAACAATCCATGAGAACGCAACGCAGTTGATCAAA",
+        );
+        let t: Sequence = format!("{arm}{lossy_t}{arm}").parse().unwrap();
+        let q: Sequence = format!("{arm}{lossy_q}{arm}").parse().unwrap();
+        let (t, q) = (t.to_bases(), q.to_bases());
+        let y = 1000;
+        assert_eq!(gap_reach(&g, y as i32), 19);
+        for edge in [false, true] {
+            let scratch = &mut TileScratch::new();
+            let r = xdrop_tile_scratch(&t, &q, &w, &g, y, edge, scratch);
+            let oracle = super::ragged_oracle::xdrop_tile_with_mode(&t, &q, &w, &g, y, edge);
+            assert_eq!(r, oracle, "edge {edge}");
+            assert_eq!((r.max_target, r.max_query), (t.len(), q.len()));
+            let replayed = scratch.replayed_rows;
+            if edge {
+                assert_eq!(replayed, 0, "edge traceback packs every row");
+            } else {
+                assert!(replayed > 60, "{replayed} rows replayed");
+            }
+            // Every row is packed in the end, so the arena is the band.
+            assert_eq!(scratch.ptrs.len() as u64, r.traceback_bytes);
+            // Warm, the arena's high-water covers the stretch: no replay.
+            assert_eq!(xdrop_tile_scratch(&t, &q, &w, &g, y, edge, scratch), oracle);
+            assert_eq!(scratch.replayed_rows, replayed);
+        }
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! sequences; both would fail here, as does an arena of one byte per cell.
 //!
 //! The allocator counts what was *asked for*. Of a reserved arena only
-//! the pages rows were packed into are ever resident — `traceback_bytes`
-//! of them, which `xdrop`'s unit tests pin to the arena's length, 4 bits
-//! a stored cell; EXPERIMENTS.md ("Performance ledger — PRs 14–29",
-//! PR 22) has the measured saving.
+//! the pages rows were packed into are ever resident — at most
+//! `traceback_bytes` of them: GACT-X packs the rows traceback can read
+//! plus one gap's worth past the best, and `xdrop`'s unit tests pin the
+//! arena's length to `traceback_bytes`, 4 bits a stored cell, for a tile
+//! that packs every row. EXPERIMENTS.md has the measured savings of the
+//! one reservation and of the packing ("Traceback memory: rows past a
+//! tile's best").
 //!
 //! The filter kernels are held to the same rule: a warm scratch filters
 //! tile after tile without allocating, a tile window unpacks into a warm
@@ -27,7 +30,9 @@
 
 use align::banded::banded_smith_waterman;
 use align::bsw_fast::{BswBatch, BswScratch};
-use align::gactx::{extend_alignment, extend_left, ExtendedAlignment, TilingParams};
+use align::gactx::{
+    extend_alignment, extend_left, ExtendedAlignment, ExtensionStats, TilingParams,
+};
 use align::xdrop::{xdrop_tile_scratch, TileScratch};
 use genome::evolve::{EvolutionParams, SyntheticPair};
 use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
@@ -239,6 +244,50 @@ fn extension_peak_heap_is_one_window_of_nibbles_and_constant_in_length() {
             s.rows
         );
     }
+}
+
+#[test]
+fn far_extensions_pack_a_fraction_of_the_band() {
+    // At distance 1.3 the X-drop band outlives the alignment by most of
+    // a tile, and traceback reads no row past a tile's maximum. From
+    // seven anchors on one thread, as a worker runs them: the arena
+    // packs at most the band of any tile, a cold one a sixth of it, and
+    // over all seven its high-water stays under 70 % of the largest band
+    // (63 %, EXPERIMENTS.md "Traceback memory: rows past a tile's best").
+    let extensions = std::thread::spawn(|| {
+        let mut rng = StdRng::seed_from_u64(13);
+        let evolution = EvolutionParams::at_distance(1.30);
+        let pair = SyntheticPair::generate(20_000, &evolution, &mut rng);
+        let (t, q) = (&pair.target.sequence, &pair.query.sequence);
+        let runs = pair.orthologous_runs();
+        let (w, g) = scoring();
+        let params = TilingParams::gactx_default();
+        (1..8)
+            .filter_map(|k| {
+                let (at, aq, _) = runs[k * runs.len() / 8];
+                extend_alignment(t, q, at, aq, &w, &g, &params).map(|ext| ext.stats)
+            })
+            .collect::<Vec<_>>()
+    })
+    .join()
+    .expect("measurement thread");
+    assert_eq!(extensions.len(), 6);
+    let mut all = ExtensionStats::default();
+    for stats in &extensions {
+        assert!(stats.peak_arena_bytes <= stats.peak_traceback_bytes);
+        all.merge(stats);
+    }
+    let (cold, band) = (
+        extensions[0].peak_arena_bytes,
+        extensions[0].peak_traceback_bytes,
+    );
+    assert!(6 * cold < band, "cold: {cold} B packed of a {band} B band");
+    let (packed, band) = (all.peak_arena_bytes, all.peak_traceback_bytes);
+    assert!(band > 600_000, "largest band {band} B");
+    assert!(
+        10 * packed < 7 * band,
+        "{packed} B packed of a {band} B band"
+    );
 }
 
 #[test]

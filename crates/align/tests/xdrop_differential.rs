@@ -22,6 +22,7 @@ use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const NO_DROP: i64 = i64::MAX / 8;
 
@@ -33,7 +34,18 @@ fn scoring() -> (SubstitutionMatrix, GapPenalties) {
 /// asserts the full results match; returns the GACT-X (global-maximum)
 /// one. The kernel runs on the caller's scratch, whatever it last held.
 fn check_tile(t: &[Base], q: &[Base], y: i64, scratch: &mut TileScratch) -> TileResult {
-    let (w, g) = scoring();
+    check_tile_under(t, q, &scoring().1, y, scratch)
+}
+
+/// [`check_tile`] under other gap penalties.
+fn check_tile_under(
+    t: &[Base],
+    q: &[Base],
+    g: &GapPenalties,
+    y: i64,
+    scratch: &mut TileScratch,
+) -> TileResult {
+    let (w, g) = (scoring().0, *g);
     let mut check = |edge: bool| {
         let expected = ragged_oracle::xdrop_tile_with_mode(t, q, &w, &g, y, edge);
         let got = xdrop_tile_scratch(t, q, &w, &g, y, edge, scratch);
@@ -48,8 +60,11 @@ fn check_tile(t: &[Base], q: &[Base], y: i64, scratch: &mut TileScratch) -> Tile
         );
         got
     };
+    // GACT-X first: a cold scratch's arena has no high-water yet, so its
+    // rows past the best go unpacked; edge traceback packs every row.
+    let gactx = check(false);
     check(true);
-    check(false)
+    gactx
 }
 
 fn text(bases: &[Base]) -> String {
@@ -441,8 +456,57 @@ fn flanked_related_pair() -> impl Strategy<Value = (Sequence, Sequence)> {
         })
 }
 
+/// Evolved pairs at distances 0.15 and 0.45 with their orthologous
+/// positions, made once for every case that cuts windows from them.
+type Evolved = (Vec<Base>, Vec<Base>, Vec<(usize, usize)>);
+
+fn evolved_pairs() -> &'static [Evolved] {
+    static PAIRS: OnceLock<Vec<Evolved>> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        [0.15, 0.45]
+            .into_iter()
+            .enumerate()
+            .map(|(k, distance)| {
+                let mut rng = StdRng::seed_from_u64(120 + k as u64);
+                let pair = SyntheticPair::generate(
+                    4_000,
+                    &EvolutionParams::at_distance(distance),
+                    &mut rng,
+                );
+                let anchors = (pair.orthologous_runs().into_iter())
+                    .flat_map(|(t, q, len)| (0..len).map(move |i| (t + i, q + i)))
+                    .collect();
+                (
+                    pair.target.sequence.to_bases(),
+                    pair.query.sequence.to_bases(),
+                    anchors,
+                )
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Where a gap spans at most a few rows — gap extension dear enough
+    /// that `⌊(y − open) / extend⌋ ≤ reach` — a cold scratch leaves the
+    /// rows past the best unpacked and replays them whenever a later row
+    /// raises Vmax: the tile is still the oracle's, field for field.
+    #[test]
+    fn a_short_gap_reach_replays_unpacked_rows_identically(
+        pair in 0usize..2,
+        anchor in any::<usize>(),
+        size in 16usize..480,
+        y in 1000i64..9430,
+        reach in 0i64..4,
+    ) {
+        let (t, q, anchors) = &evolved_pairs()[pair];
+        let (t0, q0) = anchors[anchor % anchors.len()];
+        let (tw, qw) = (&t[t0..(t0 + size).min(t.len())], &q[q0..(q0 + size).min(q.len())]);
+        let gaps = GapPenalties::new(430, ((y - 430) / (reach + 1) + 1) as i32);
+        check_tile_under(tw, qw, &gaps, y, &mut TileScratch::new());
+    }
 
     /// GACT-X extends a local alignment, so it can never beat the optimal
     /// local alignment — from any anchor, at any tile size, in either

@@ -18,6 +18,7 @@ use crate::alphabet::Base;
 use crate::annotation::{truth_overlap, CoordinateMap, Interval, Run};
 use crate::markov::{fires, peek_units, threshold, unit, MarkovModel};
 use crate::sequence::Sequence;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Parameters of the two-lineage evolution model.
@@ -182,6 +183,19 @@ impl SyntheticPair {
             query,
             params: params.clone(),
         }
+    }
+
+    /// [`SyntheticPair::generate`] over the seeded generator, compiled
+    /// once, in this crate: a caller elsewhere links this copy instead of
+    /// instantiating its own, whose code placement, and so its speed,
+    /// would move with unrelated edits to that caller.
+    #[inline(never)]
+    pub fn generate_seeded(
+        len: usize,
+        params: &EvolutionParams,
+        rng: &mut StdRng,
+    ) -> SyntheticPair {
+        SyntheticPair::generate(len, params, rng)
     }
 
     /// Ground-truth orthologs as gap-free runs `(target_pos, query_pos,
@@ -791,7 +805,6 @@ impl SpeciesPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn pair(distance: f64, len: usize, seed: u64) -> SyntheticPair {

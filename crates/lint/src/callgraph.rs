@@ -34,9 +34,9 @@ use crate::symbols::{FileSymbols, FnDef};
 /// Keywords that can precede `(` without being a call.
 const KEYWORDS: &[&str] = &[
     "if", "while", "match", "return", "for", "in", "loop", "let", "move", "as", "mut", "ref",
-    "else", "use", "pub", "where", "fn", "impl", "dyn", "unsafe", "await", "yield", "box",
-    "true", "false", "self", "Self", "super", "crate", "static", "const", "type", "enum",
-    "struct", "trait", "mod", "extern", "union", "break", "continue",
+    "else", "use", "pub", "where", "fn", "impl", "dyn", "unsafe", "await", "yield", "box", "true",
+    "false", "self", "Self", "super", "crate", "static", "const", "type", "enum", "struct",
+    "trait", "mod", "extern", "union", "break", "continue",
 ];
 
 /// The workspace call graph.
@@ -156,6 +156,11 @@ impl Graph {
         }
         path.reverse();
         path.iter().map(|&i| self.fns[i].qual()).collect()
+    }
+
+    /// The qualified name of `node`, empty for none.
+    pub fn qual_of(&self, node: Option<usize>) -> String {
+        node.map(|n| self.fns[n].qual()).unwrap_or_default()
     }
 
     /// The innermost fn whose body contains token `tok` of file `file`,
@@ -347,9 +352,7 @@ pub fn build(files: &[String], lexed: &[Lexed<'_>], syms: &[FileSymbols]) -> Gra
                                     .map(|c| {
                                         c.iter()
                                             .copied()
-                                            .filter(|&k| {
-                                                g.fns[k].impl_type.as_deref() == Some(&ty)
-                                            })
+                                            .filter(|&k| g.fns[k].impl_type.as_deref() == Some(&ty))
                                             .collect()
                                     })
                                     .unwrap_or_default();
@@ -482,13 +485,19 @@ mod tests {
     }
 
     fn id(g: &Graph, name: &str) -> usize {
-        g.fns.iter().position(|f| f.name == name).unwrap_or(usize::MAX)
+        g.fns
+            .iter()
+            .position(|f| f.name == name)
+            .unwrap_or(usize::MAX)
     }
 
     #[test]
     fn plain_call_prefers_same_file() {
         let g = graph(&[
-            ("crates/a/src/lib.rs", "fn top() { helper(); }\nfn helper() {}"),
+            (
+                "crates/a/src/lib.rs",
+                "fn top() { helper(); }\nfn helper() {}",
+            ),
             ("crates/b/src/lib.rs", "fn helper() {}"),
         ]);
         let top = id(&g, "top");

@@ -96,6 +96,9 @@ pub struct Site {
     /// Root-relative path, `/`-separated.
     pub file: String,
     pub line: u32,
+    /// Qualified name of the fn the finding sits in (for `dead`, the fn
+    /// itself); empty outside one, as for a queue cycle or an oracle.
+    pub func: String,
     pub msg: String,
     pub status: SiteStatus,
     /// Call path witnessing the finding (`entry -> … -> site` for
@@ -236,7 +239,9 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
     analysis.unknown_edges = graph.unknown_count();
     analysis.entry_fns = roots.len();
     analysis.reachable_fns = entry_seen.iter().filter(|&&s| s).count();
-    analysis.timings.push(("callgraph", t0.elapsed().as_micros()));
+    analysis
+        .timings
+        .push(("callgraph", t0.elapsed().as_micros()));
 
     // A `self.unwrap()` / `self.expect(..)` whose enclosing impl
     // defines that method is a resolved call, not a panic site (the
@@ -273,7 +278,8 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 if is_self_method(fi, raw.tok) {
                     continue;
                 }
-                let reachable = graph.enclosing_fn(fi, raw.tok).filter(|&n| entry_seen[n]);
+                let enclosing = graph.enclosing_fn(fi, raw.tok);
+                let reachable = enclosing.filter(|&n| entry_seen[n]);
                 let (msg, chain) = match reachable {
                     Some(node) if !raw.waived => {
                         let chain = graph.chain(&entry_parent, &entry_seen, node);
@@ -290,6 +296,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                     rule: "panics",
                     file: rel_names[fi].clone(),
                     line: raw.line,
+                    func: graph.qual_of(enclosing),
                     msg,
                     status: SiteStatus::of(raw.waived),
                     chain,
@@ -311,6 +318,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                     rule: "determinism",
                     file: rel_names[fi].clone(),
                     line: raw.line,
+                    func: graph.qual_of(graph.enclosing_fn(fi, raw.tok)),
                     msg: raw.msg,
                     status: SiteStatus::of(raw.waived),
                     chain: Vec::new(),
@@ -325,12 +333,21 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
     // --- taint: surface superset + tainted sinks --------------------
     if on("taint") {
         let t = Instant::now();
-        let tr = taint::analyze(cfg, &files, &lexed, &dirs, &graph, &entry_parent, &entry_seen);
+        let tr = taint::analyze(
+            cfg,
+            &files,
+            &lexed,
+            &dirs,
+            &graph,
+            &entry_parent,
+            &entry_seen,
+        );
         for site in tr.sites {
             analysis.sites.push(Site {
                 rule: "taint",
                 file: rel_names[site.file].clone(),
                 line: site.line,
+                func: site.func,
                 msg: site.msg,
                 status: SiteStatus::of(site.waived),
                 chain: site.chain,
@@ -355,7 +372,11 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
         let oracle_hits: Vec<Vec<usize>> = cfg
             .oracles
             .iter()
-            .map(|oracle| (0..graph.fns.len()).filter(|&i| names_oracle(&graph, i, oracle)).collect())
+            .map(|oracle| {
+                (0..graph.fns.len())
+                    .filter(|&i| names_oracle(&graph, i, oracle))
+                    .collect()
+            })
             .collect();
         // An entry is stale when the search reaches what it names without
         // it: the list stays as short as the tests need.
@@ -378,6 +399,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 rule: "dead",
                 file: "[oracles]".into(),
                 line: 0,
+                func: String::new(),
                 msg: format!("oracle `{}` {}", oracle, stale),
                 status: SiteStatus::Violation,
                 chain: Vec::new(),
@@ -391,7 +413,11 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 rule: "dead",
                 file: rel_names[f.file].clone(),
                 line: f.line,
-                msg: format!("{} is reached from no entry point, entry dir or oracle", f.qual()),
+                func: f.qual(),
+                msg: format!(
+                    "{} is reached from no entry point, entry dir or oracle",
+                    f.qual()
+                ),
                 status: SiteStatus::of(dirs[f.file].waived("dead", f.line)),
                 chain: Vec::new(),
             });
@@ -413,6 +439,7 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
                 rule: "deadlock",
                 file: rel_names[fi].clone(),
                 line: raw.line,
+                func: graph.qual_of(graph.enclosing_fn(fi, raw.tok)),
                 msg: raw.msg,
                 status: SiteStatus::of(raw.waived),
                 chain: Vec::new(),
@@ -454,7 +481,10 @@ fn entry_dir_names(cfg: &Config) -> Result<BTreeSet<String>, LintError> {
     let mut names = BTreeSet::new();
     for src in &sources {
         let lexed = lexer::lex(src);
-        let idents = lexed.toks.iter().filter(|t| t.kind == lexer::TokKind::Ident);
+        let idents = lexed
+            .toks
+            .iter()
+            .filter(|t| t.kind == lexer::TokKind::Ident);
         names.extend(idents.map(|t| t.text.to_string()));
     }
     Ok(names)

@@ -1,5 +1,5 @@
 //! Report rendering: a human summary for the terminal and the
-//! schema-3 `lint_report.json` CI consumes.
+//! schema-4 `lint_report.json` CI consumes.
 //!
 //! The JSON is **byte-stable**: same tree + same manifest ⇒ identical
 //! bytes, so CI can diff it against a committed expectations file.
@@ -7,9 +7,14 @@
 //! they would make every run unique. Every finding is serialized
 //! (violations and waived) with its call chain when the rule produced
 //! one, so waiver drift shows up in the diff too, not just hard
-//! failures.
+//! failures. A finding is keyed by rule, file, enclosing fn and
+//! message, never by line, and the findings are sorted by that key: an
+//! edit that moves code but changes no finding leaves them as they
+//! were. Counts that follow every added or removed fn — the call graph's
+//! and the `dead` rule's reached fns — share the one `graph` line, which
+//! CI leaves out of its diff.
 
-use crate::{Analysis, SiteStatus};
+use crate::{Analysis, Site, SiteStatus};
 
 /// Human-readable report. Violations are listed `file:line [rule]`,
 /// one per line, so terminals and editors can jump to them; findings
@@ -52,7 +57,13 @@ pub fn human(a: &Analysis) -> String {
         out.push_str("  timing     ");
         for (i, (name, micros)) in a.timings.iter().enumerate() {
             let sep = if i == 0 { " " } else { ", " };
-            out.push_str(&format!("{}{} {}.{:01}ms", sep, name, micros / 1000, (micros % 1000) / 100));
+            out.push_str(&format!(
+                "{}{} {}.{:01}ms",
+                sep,
+                name,
+                micros / 1000,
+                (micros % 1000) / 100
+            ));
         }
         out.push('\n');
     }
@@ -92,31 +103,32 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// `lint_report.json` body, schema 3. Deterministic byte-for-byte:
-/// no timestamps, no timings, sites already sorted by (file, line,
-/// rule) upstream.
+/// What a finding is compared by: everything the JSON writes of it.
+fn finding_key(s: &Site) -> (&str, &str, &str, &str, bool, &[String]) {
+    let waived = s.status == SiteStatus::Waived;
+    (&s.file, &s.func, s.rule, &s.msg, waived, &s.chain)
+}
+
+/// `lint_report.json` body, schema 4. Deterministic byte-for-byte: no
+/// timestamps, no timings, no line numbers; findings in key order.
 pub fn json(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"wga-lint\",\n");
-    out.push_str("  \"lint_schema\": 3,\n");
+    out.push_str("  \"lint_schema\": 4,\n");
     out.push_str(&format!("  \"files\": {},\n", a.files_scanned));
     let waived = a.sites.len() - a.total_violations();
     out.push_str(&format!("  \"violations\": {},\n", a.total_violations()));
     out.push_str(&format!("  \"waived\": {},\n", waived));
     out.push_str(&format!(
-        "  \"graph\": {{\"fns\": {}, \"call_edges\": {}, \"unknown_edges\": {}, \"entry_fns\": {}, \"reachable_fns\": {}}},\n",
-        a.fns, a.call_edges, a.unknown_edges, a.entry_fns, a.reachable_fns
+        "  \"graph\": {{\"fns\": {}, \"call_edges\": {}, \"unknown_edges\": {}, \"entry_fns\": {}, \"reachable_fns\": {}, \"dead_reached\": {}}},\n",
+        a.fns, a.call_edges, a.unknown_edges, a.entry_fns, a.reachable_fns, a.dead_reached
     ));
     out.push_str("  \"rules\": {\n");
     for (i, rule) in a.enabled.iter().enumerate() {
         let s = a.stats(rule);
         let comma = if i + 1 == a.enabled.len() { "" } else { "," };
         match *rule {
-            "dead" => out.push_str(&format!(
-                "    \"dead\": {{\"reached\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
-                a.dead_reached, s.found, s.waived, s.violations, comma
-            )),
             "deadlock" => out.push_str(&format!(
                 "    \"deadlock\": {{\"queues\": {}, \"edges\": {}, \"cycles\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
                 a.queues, a.edges, a.cycles, s.found, s.waived, s.violations, comma
@@ -129,8 +141,10 @@ pub fn json(a: &Analysis) -> String {
     }
     out.push_str("  },\n");
     out.push_str("  \"findings\": [\n");
-    for (i, s) in a.sites.iter().enumerate() {
-        let comma = if i + 1 == a.sites.len() { "" } else { "," };
+    let mut sites: Vec<&Site> = a.sites.iter().collect();
+    sites.sort_by(|x, y| finding_key(x).cmp(&finding_key(y)));
+    for (i, s) in sites.iter().enumerate() {
+        let comma = if i + 1 == sites.len() { "" } else { "," };
         let status = match s.status {
             SiteStatus::Violation => "violation",
             SiteStatus::Waived => "waived",
@@ -142,10 +156,10 @@ pub fn json(a: &Analysis) -> String {
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"status\": \"{}\", \"msg\": \"{}\", \"chain\": [{}]}}{}\n",
+            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"fn\": \"{}\", \"status\": \"{}\", \"msg\": \"{}\", \"chain\": [{}]}}{}\n",
             s.rule,
             esc(&s.file),
-            s.line,
+            esc(&s.func),
             status,
             esc(&s.msg),
             chain,
@@ -170,6 +184,7 @@ mod tests {
                     rule: "panics",
                     file: "src/a.rs".into(),
                     line: 3,
+                    func: "parse".into(),
                     msg: ".unwrap()".into(),
                     status: SiteStatus::Waived,
                     chain: Vec::new(),
@@ -178,7 +193,9 @@ mod tests {
                     rule: "panics",
                     file: "src/a.rs".into(),
                     line: 7,
-                    msg: ".expect( — reachable from pipeline entry points via execute -> step".into(),
+                    func: "Parser::step".into(),
+                    msg: ".expect( — reachable from pipeline entry points via execute -> step"
+                        .into(),
                     status: SiteStatus::Violation,
                     chain: vec!["execute".into(), "step".into()],
                 },
@@ -186,6 +203,7 @@ mod tests {
                     rule: "panics",
                     file: "src/b.rs".into(),
                     line: 9,
+                    func: String::new(),
                     msg: "unreachable!".into(),
                     status: SiteStatus::Violation,
                     chain: Vec::new(),
@@ -206,20 +224,44 @@ mod tests {
     }
 
     #[test]
-    fn json_is_schema_3_with_graph_and_chains() {
+    fn json_is_schema_4_with_graph_and_chains() {
         let j = json(&sample());
-        assert!(j.contains("\"lint_schema\": 3"));
+        assert!(j.contains("\"lint_schema\": 4"));
         assert!(j.contains("\"violations\": 2"));
         assert!(j.contains("\"waived\": 1"));
         assert!(!j.contains("baseline"));
         assert!(j.contains(
-            "\"graph\": {\"fns\": 12, \"call_edges\": 18, \"unknown_edges\": 4, \"entry_fns\": 2, \"reachable_fns\": 9}"
+            "\"graph\": {\"fns\": 12, \"call_edges\": 18, \"unknown_edges\": 4, \"entry_fns\": 2, \"reachable_fns\": 9, \"dead_reached\": 11}"
         ));
         assert!(j.contains("\"chain\": [\"execute\", \"step\"]"));
         assert!(j.contains("\"status\": \"waived\""));
-        assert!(j.contains(
-            "\"dead\": {\"reached\": 11, \"found\": 0, \"waived\": 0, \"violations\": 0}"
-        ));
+        assert!(j.contains("\"dead\": {\"found\": 0, \"waived\": 0, \"violations\": 0}"));
+        assert!(j.contains("\"file\": \"src/a.rs\", \"fn\": \"Parser::step\", \"status\""));
+    }
+
+    #[test]
+    fn json_findings_are_keyed_by_fn_not_line() {
+        // Moving every finding, and swapping two in one file, changes
+        // the human report's locations and nothing of the JSON but the
+        // graph line.
+        let a = sample();
+        let mut moved = sample();
+        moved.sites[0].line = 40;
+        moved.sites[2].line = 1;
+        moved.fns += 1;
+        moved.dead_reached += 1;
+        let body = |j: String| -> Vec<String> {
+            j.lines()
+                .filter(|l| !l.starts_with("  \"graph\": "))
+                .map(String::from)
+                .collect()
+        };
+        assert_ne!(json(&a), json(&moved));
+        assert_eq!(body(json(&a)), body(json(&moved)));
+        assert!(!json(&a).contains("\"line\""));
+        // A changed message is a changed finding.
+        moved.sites[1].msg.push('!');
+        assert_ne!(body(json(&a)), body(json(&moved)));
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub struct TaintSite {
     /// File index the finding anchors to.
     pub file: usize,
     pub line: u32,
+    /// The fn it anchors to: the file's first reachable fn, or the sink.
+    pub func: String,
     pub msg: String,
     pub waived: bool,
     /// Call path: for surface findings `entry -> … -> fn-in-file`; for
@@ -88,6 +90,7 @@ pub fn analyze(
             report.sites.push(TaintSite {
                 file: fi,
                 line: graph.fns[node].line,
+                func: graph.fns[node].qual(),
                 msg: "module is reachable from pipeline entry points but listed in \
                       neither [determinism] nor [determinism-exempt] — classify it"
                     .to_string(),
@@ -140,6 +143,7 @@ pub fn analyze(
             report.sites.push(TaintSite {
                 file: sink_file,
                 line: sink_line,
+                func: graph.fns[sink].qual(),
                 msg: format!(
                     "canonical sink {} transitively calls {} ({} at {}:{})",
                     graph.fns[sink].qual(),
@@ -165,11 +169,7 @@ mod tests {
     use crate::rules::scan_directives;
     use crate::symbols::extract;
 
-    fn run_taint(
-        manifest: &str,
-        srcs: &[(&str, &str)],
-        entries: &[&str],
-    ) -> (TaintReport, Graph) {
+    fn run_taint(manifest: &str, srcs: &[(&str, &str)], entries: &[&str]) -> (TaintReport, Graph) {
         let cfg = Config::parse(PathBuf::new(), manifest).expect("manifest");
         let files: Vec<PathBuf> = srcs.iter().map(|(p, _)| PathBuf::from(p)).collect();
         let names: Vec<String> = srcs.iter().map(|(p, _)| p.to_string()).collect();

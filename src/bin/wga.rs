@@ -450,7 +450,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let mut exons = String::from("#chrom\tlabel\tstart\tend\n");
     let (mut t_total, mut q_total, mut exon_total) = (0usize, 0usize, 0usize);
     for c in 0..chroms {
-        let pair = SyntheticPair::generate(len / chroms, &params, &mut rng);
+        let pair = SyntheticPair::generate_seeded(len / chroms, &params, &mut rng);
         let make = |name: String, sequence: Sequence| fasta::Record {
             description: format!(
                 "{name} synthetic len={} distance={distance}",
