@@ -375,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_filter_tile() {
+    fn validate_rejects_zero_filter_tile_size() {
         let mut p = WgaParams::darwin_wga();
         p.filter = FilterStage::Gapped(GappedFilterParams {
             tile_size: 0,

@@ -503,7 +503,8 @@ fn plan_pair<'a>(
 /// One pool worker: pops range tasks off `filter_q` until it closes,
 /// and runs each through the one-thread loop's step — [`seed_range`],
 /// then [`filter_batch`] — letting go of the row's table in between,
-/// then deposits the result in the pair's cell. Its D-SOFT scratch
+/// then deposits the result in the pair's cell; a panic in either step
+/// fails the pair. Its D-SOFT scratch
 /// serves every range it seeds, and a run of tasks of one strand shares
 /// one engine, so its DP scratch is drawn per worker and strand. The
 /// worker whose deposit completes a pair extends and commits it
@@ -541,8 +542,8 @@ fn worker<'a>(
         let pair_obs = obs.with_pair(stream.pair_id as u64);
         let mut same_stream = Some(first);
         while let Some(RangeTask { source, idx, .. }) = same_stream.take() {
-            let seeded = catch_unwind(AssertUnwindSafe(|| {
-                seed_range(
+            let filtered = catch_unwind(AssertUnwindSafe(|| {
+                let (cost, hits) = seed_range(
                     params,
                     &source.table,
                     &stream.query,
@@ -552,29 +553,30 @@ fn worker<'a>(
                     source.kept.as_deref(),
                     &mut scratch,
                     pair_obs,
+                );
+                // Before filtering: the row's table goes as its last
+                // range is seeded.
+                drop(source);
+                filter_batch(
+                    params,
+                    &mut engine,
+                    stream.target,
+                    &stream.query,
+                    &hits,
+                    cost,
+                    strand_code(stream.strand),
+                    idx,
+                    pair_obs,
                 )
             }));
-            // Before filtering: the row's table goes as its last range is
-            // seeded.
-            drop(source);
-            match seeded {
-                Ok((cost, hits)) => {
-                    let result = filter_batch(
-                        params,
-                        &mut engine,
-                        stream.target,
-                        &stream.query,
-                        &hits,
-                        cost,
-                        strand_code(stream.strand),
-                        idx,
-                        pair_obs,
-                    );
+            match filtered {
+                Ok(result) => {
                     if let Some(job) = deposit(cells, &stream, result) {
                         finish_pair(params, job, commit, obs);
                     }
                 }
-                // A seeding panic fails the pair, as in the one-thread loop.
+                // A seeding or filtering panic fails the pair, as in the
+                // one-thread loop.
                 Err(payload) => fail_pair(
                     cells,
                     stream.pair_id,
@@ -661,7 +663,7 @@ mod tests {
     use crate::dataflow::QUEUE_DEPTH;
     use crate::genome_pipeline::{align_matrix, AlignOptions};
     use crate::obs::{SpanName, TraceRecorder, STRAND_FWD};
-    use crate::report::RunEvent;
+    use crate::report::RunOutcome;
     use genome::assembly::Assembly;
     use genome::Base;
 
@@ -727,16 +729,15 @@ mod tests {
         assert_eq!(rows, [1, 0], "the smaller row first, each built once");
     }
 
-    /// Batch containment is one piece of code ([`filter_batch`] +
-    /// [`fold_batches`]), so it is tested once: the same poisoned hit
-    /// list, cut into the same query ranges, keeps every healthy range's
-    /// anchors and records exactly one failed batch — the poisoned hit's
-    /// range, by the same index — whether the ranges run inline (the
-    /// one-thread schedule) or as the dataflow pool's range tasks, which
-    /// slice it as a budget's kept list; the worker that deposits the
-    /// last range extends the pair.
+    /// A panic in a filter batch fails its pair on every schedule, and a
+    /// failed pair is rerun, never replayed: the same poisoned hit list,
+    /// cut into the same query ranges, panics in range 4's batch whether
+    /// the ranges run inline under the one-thread loop's pair-level
+    /// containment or as the dataflow pool's range tasks (which slice it
+    /// as a budget's kept list). Either way the pair is `Failed` and not
+    /// journaled, and a rerun on the same checkpoint computes it.
     #[test]
-    fn panicking_batch_is_isolated_on_every_schedule() {
+    fn panicking_batch_fails_its_pair_on_every_schedule() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40); // 1280 bp
         let t: Sequence = core.parse().unwrap();
         let q = t.clone();
@@ -771,23 +772,25 @@ mod tests {
         };
 
         let inline = |hits: &[SeedHit]| {
-            let mut engine = stream.ctx.engine();
-            let batches = (0..ranges.count()).map(|i| {
-                let batch = in_range(hits, i);
-                let scode = STRAND_FWD;
-                filter_batch(
-                    &params,
-                    &mut engine,
-                    &t,
-                    &q,
-                    &batch,
-                    LaneCost::default(),
-                    scode,
-                    i,
-                    Obs::off(),
-                )
-            });
-            extend_pair(&params, job(batches.collect(), 0), Obs::off())
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut engine = stream.ctx.engine();
+                let batches = (0..ranges.count()).map(|i| {
+                    let batch = in_range(hits, i);
+                    filter_batch(
+                        &params,
+                        &mut engine,
+                        &t,
+                        &q,
+                        &batch,
+                        LaneCost::default(),
+                        STRAND_FWD,
+                        i,
+                        Obs::off(),
+                    )
+                });
+                extend_pair(&params, job(batches.collect(), 0), Obs::off())
+            }))
+            .map_err(|payload| panic_message(payload.as_ref()))
         };
         let pooled = |hits: &[SeedHit]| {
             let filter_q = BoundedQueue::new(2);
@@ -822,39 +825,50 @@ mod tests {
                 filter_q.close();
             });
             let mut committed = committed.lock();
-            let (pair_id, result) = committed
-                .pop()
-                .expect("the worker that completes the pair extends and commits it");
+            let (pair_id, result) = committed.pop().expect("the pair is committed");
             assert!(committed.is_empty() && pair_id == 0, "one commit");
-            result.expect("a failed batch does not fail the pair")
+            result
         };
 
-        let clean = inline(&hits[..4]);
+        let clean = inline(&hits[..4]).expect("a clean pair completes");
         assert!(clean.events.is_empty());
         assert!(!clean.alignments.is_empty());
-        for (schedule, report) in [("inline", inline(&hits)), ("dataflow pool", pooled(&hits))] {
-            assert_eq!(
-                (report.counters.anchors_passed, &report.alignments),
-                (clean.counters.anchors_passed, &clean.alignments),
-                "{schedule}: healthy batches keep their anchors"
+        let mut target = Assembly::new("t");
+        target.push("t0", t.clone());
+        let mut query = Assembly::new("q");
+        query.push("q0", q.clone());
+        for (schedule, threads, result) in [
+            ("inline", 1, inline(&hits)),
+            ("dataflow pool", 2, pooled(&hits)),
+        ] {
+            let error = result.expect_err(schedule);
+            assert!(error.contains("poisoned"), "{schedule}: {error}");
+            let path = std::env::temp_dir().join(format!(
+                "wga-poisoned-batch-{}-{threads}.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let matrix = PairMatrix::new([(&target, &query, Some(path.clone()))]);
+            let (mut journals, replayed) = Journals::replay(&params, &matrix, Obs::off()).unwrap();
+            assert_eq!(replayed, [None]);
+            let record = journals.commit(&matrix, 0, Err(error), Obs::off()).unwrap();
+            assert!(
+                matches!(record.outcome, RunOutcome::Failed { .. }),
+                "{schedule}"
             );
-            assert_eq!(report.workload.filter_tiles, 4, "{schedule}");
-            let cells = clean.counters.filter_cells;
-            assert_eq!(
-                report.counters.filter_cells, cells,
-                "{schedule}: the failed batch's cells stay out"
-            );
-            match &report.events[..] {
-                [RunEvent::BatchFailed {
-                    batch,
-                    items,
-                    message,
-                }] => {
-                    assert_eq!((*batch, *items), (4, 1), "{schedule}");
-                    assert!(message.contains("poisoned"), "{schedule}: {message}");
-                }
-                other => panic!("{schedule}: expected one failed batch, got {other:?}"),
-            }
+            let lines = |path| std::fs::read_to_string(path).unwrap().lines().count();
+            assert_eq!(lines(&path), 1, "{schedule}: only the header is journaled");
+            // The rerun computes the pair, which is then journaled.
+            let options = AlignOptions {
+                threads,
+                ..AlignOptions::default()
+            };
+            let (blocks, _) = align_matrix(&params, &matrix, &options, QUEUE_DEPTH, Obs::off())
+                .expect("the rerun completes");
+            assert_eq!(blocks[0].resumed_pairs, 0, "{schedule}: nothing replays");
+            assert_eq!(blocks[0].failed_pairs(), 0, "{schedule}");
+            assert_eq!(lines(&path), 2, "{schedule}: the rerun journals the pair");
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

@@ -286,7 +286,7 @@ pub fn align_assemblies(params: &WgaParams, target: &Assembly, query: &Assembly)
 }
 
 /// Aligns two assemblies with fault tolerance, parallelism and optional
-/// checkpoint/resume; spans, counters and histograms flow into `obs`
+/// checkpoint/resume; spans and counters flow into `obs`
 /// (see [`crate::obs`]), and [`Obs::off`] costs one branch per
 /// instrumentation site and never changes results.
 ///

@@ -388,28 +388,17 @@ fn budget_kind_name(kind: BudgetKind) -> &'static str {
 }
 
 fn encode_event(event: &RunEvent) -> Json {
-    match event {
-        RunEvent::BudgetExceeded {
-            budget,
-            limit,
-            observed,
-        } => Json::obj([
-            ("type", "budget".into()),
-            ("budget", budget_kind_name(*budget).into()),
-            ("limit", (*limit).into()),
-            ("observed", (*observed).into()),
-        ]),
-        RunEvent::BatchFailed {
-            batch,
-            items,
-            message,
-        } => Json::obj([
-            ("type", "batch_failed".into()),
-            ("batch", (*batch).into()),
-            ("items", (*items).into()),
-            ("message", message.as_str().into()),
-        ]),
-    }
+    let RunEvent::BudgetExceeded {
+        budget,
+        limit,
+        observed,
+    } = event;
+    Json::obj([
+        ("type", "budget".into()),
+        ("budget", budget_kind_name(*budget).into()),
+        ("limit", (*limit).into()),
+        ("observed", (*observed).into()),
+    ])
 }
 
 fn encode_outcome(outcome: &RunOutcome) -> Json {
@@ -497,11 +486,6 @@ fn decode_event(value: &Json) -> Result<RunEvent, String> {
             budget: decode_budget_kind(value.str("budget")?)?,
             limit: value.u64("limit")?,
             observed: value.u64("observed")?,
-        }),
-        "batch_failed" => Ok(RunEvent::BatchFailed {
-            batch: value.u64("batch")? as usize,
-            items: value.u64("items")?,
-            message: value.str("message")?.to_string(),
         }),
         other => Err(format!("unknown event type {other:?}")),
     }
@@ -676,10 +660,10 @@ mod tests {
                         limit: 100,
                         observed: 250,
                     },
-                    RunEvent::BatchFailed {
-                        batch: 3,
-                        items: 7,
-                        message: "panicked at\nline".into(),
+                    RunEvent::BudgetExceeded {
+                        budget: BudgetKind::ExtensionCells,
+                        limit: 4000,
+                        observed: 4100,
                     },
                 ],
             },
@@ -856,7 +840,7 @@ mod tests {
         assert_eq!(params_fingerprint(&budgeted), "4cd4b3c01221c334");
     }
 
-    /// A record with one event of each kind production builds, as bytes.
+    /// A record with one event of each budget kind, as bytes.
     #[test]
     fn degraded_record_bytes_are_pinned() {
         let record = PairRecord {
@@ -874,11 +858,6 @@ mod tests {
                         limit: 4000,
                         observed: 4100,
                     },
-                    RunEvent::BatchFailed {
-                        batch: 3,
-                        items: 7,
-                        message: "injected".into(),
-                    },
                 ],
             },
             workload: Workload::default(),
@@ -889,16 +868,55 @@ mod tests {
         let line = concat!(
             r#"{"target_chrom":"chrI","query_chrom":"chr1","outcome":{"status":"degraded","events":["#,
             r#"{"type":"budget","budget":"filter_tiles","limit":100,"observed":250},"#,
+            r#"{"type":"budget","budget":"extension_cells","limit":4000,"observed":4100}]},"#,
+            r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
+            r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
+            r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
+            r#""alignments_kept":0},"alignments":[],"crc":1888802412}"#,
+            "\n"
+        );
+        assert_eq!(encode_record(&record), line);
+        assert_eq!(decode_record(line.trim_end()).unwrap(), record);
+    }
+
+    /// A v3 record whose events include a `batch_failed`, an event no
+    /// longer written (a panicking filter batch now fails its pair): its
+    /// CRC holds, but it is skipped and counted like any undecodable
+    /// interior record, so its pair reruns instead of replaying a
+    /// partial result.
+    #[test]
+    fn a_batch_failed_record_is_skipped_and_its_pair_reruns() {
+        let batch_failed = concat!(
+            r#"{"target_chrom":"chrI","query_chrom":"chr1","outcome":{"status":"degraded","events":["#,
+            r#"{"type":"budget","budget":"filter_tiles","limit":100,"observed":250},"#,
             r#"{"type":"budget","budget":"extension_cells","limit":4000,"observed":4100},"#,
             r#"{"type":"batch_failed","batch":3,"items":7,"message":"injected"}]},"#,
             r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
             r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
             r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
             r#""alignments_kept":0},"alignments":[],"crc":3841588303}"#,
-            "\n"
         );
-        assert_eq!(encode_record(&record), line);
-        assert_eq!(decode_record(line.trim_end()).unwrap(), record);
+        let err = decode_record(batch_failed).unwrap_err();
+        assert!(err.contains("unknown event type \"batch_failed\""), "{err}");
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("wga-journal-batch-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let fp = params_fingerprint(&WgaParams::darwin_wga());
+        drop(Journal::open(&path, &fp).unwrap());
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(format!("{batch_failed}\n").as_bytes()).unwrap();
+            f.write_all(encode_record(&sample_record()).as_bytes())
+                .unwrap();
+        }
+        let mut journal = Journal::open(&path, &fp).unwrap();
+        let stats = journal.stats();
+        assert_eq!(stats.records_recovered, 1);
+        assert_eq!(stats.corrupt_records_skipped, 1);
+        assert!(!stats.torn_tail_dropped);
+        assert!(journal.take("chrI", "chr1").is_none(), "its pair reruns");
+        assert!(journal.take("chr\"I\\", "chr1").is_some());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::fmt::{self, Write as _};
 
 /// Deepest nesting [`parse`] accepts. The deepest artefact nests 4
-/// levels (a hist line's buckets, a degraded journal record's events);
+/// levels (a degraded journal record's events);
 /// past this the input is damage, and the parser returns an error rather
 /// than recurse off the stack.
 pub const MAX_DEPTH: usize = 64;

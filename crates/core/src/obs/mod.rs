@@ -1,4 +1,4 @@
-//! Unified observability layer: trace spans, counters, histograms.
+//! Unified observability layer: trace spans and funnel counters.
 //!
 //! Both schedules ([`crate::pipeline::run_pair`] at one thread, the
 //! streaming dataflow executor at more, both behind
@@ -15,7 +15,7 @@
 //! once, by its span: [`SpanBuf::finish`] returns the span's `dur_us`,
 //! recorder or not, for the caller to charge to its stage.
 //!
-//! Three primitives:
+//! Two primitives:
 //!
 //! * **Spans** ([`Span`]) — named, timestamped intervals (`seed`,
 //!   `filter.batch`, `extend.tile`, `chain`, `checkpoint`, …) gathered
@@ -27,19 +27,14 @@
 //!   time from the same [`PairRecord`] the run's report is folded from
 //!   ([`Obs::pair_done`]), so a trace counts exactly what the report
 //!   does.
-//! * **Histograms** ([`Log2Histogram`]) — log2-bucketed latency and
-//!   size distributions (per-tile filter latency, per-tile DP cells,
-//!   extension tiles per anchor).
 //!
 //! The [`TraceRecorder`] renders everything as JSONL with
 //! deterministic integer-only fields, one [`TraceLine`] a line: this
 //! module alone defines what a trace line is, in both directions
 //! (`wga profile` reads traces back through [`TraceLine::from_json`]).
 
-mod histogram;
 mod progress;
 
-pub use histogram::{Log2Histogram, LOG2_BUCKETS};
 pub use progress::{render_progress_line, ProgressMeter, ProgressSnapshot};
 
 use crate::error::WgaResult;
@@ -228,9 +223,6 @@ pub enum TraceLine {
     /// `{"counter":NAME,"value":N}`, by wire name, so a reader keeps a
     /// counter this recorder no longer has.
     Counter(String, u64),
-    /// `{"hist":NAME,"total":N,"buckets":[[bucket,count],…]}`, empty
-    /// buckets omitted, ascending.
-    Hist(HistKind, u64, Vec<(usize, u64)>),
 }
 
 impl TraceLine {
@@ -255,23 +247,10 @@ impl TraceLine {
                 ("counter", name.as_str().into()),
                 ("value", (*value).into()),
             ]),
-            TraceLine::Hist(kind, total, buckets) => Json::obj([
-                ("hist", kind.as_str().into()),
-                ("total", (*total).into()),
-                (
-                    "buckets",
-                    Json::Arr(
-                        buckets
-                            .iter()
-                            .map(|&(bucket, count)| Json::Arr(vec![bucket.into(), count.into()]))
-                            .collect(),
-                    ),
-                ),
-            ]),
         }
     }
 
-    /// Reads one line: its kind, a known span or histogram name, and
+    /// Reads one line: its kind, a known span name, and
     /// every field of that kind, present (`tid`/`id`/`parent` aside) and
     /// a `u64`. Errors name what is wrong.
     pub fn from_json(doc: &Json) -> Result<TraceLine, String> {
@@ -305,26 +284,7 @@ impl TraceLine {
         if let Some(name) = doc.get("counter").and_then(Json::as_str) {
             return Ok(TraceLine::Counter(name.to_string(), doc.u64("value")?));
         }
-        if let Some(name) = doc.get("hist").and_then(Json::as_str) {
-            let kind = HistKind::ALL
-                .into_iter()
-                .find(|k| k.as_str() == name)
-                .ok_or_else(|| format!("unknown histogram {name:?}"))?;
-            let buckets = doc
-                .arr("buckets")?
-                .iter()
-                .map(|entry| match entry.as_arr() {
-                    Some([bucket, count]) => bucket
-                        .as_u64()
-                        .zip(count.as_u64())
-                        .map(|(bucket, count)| (bucket as usize, count))
-                        .ok_or("bucket entry is not two integers"),
-                    _ => Err("bucket entry is not [index, count]"),
-                })
-                .collect::<Result<_, _>>()?;
-            return Ok(TraceLine::Hist(kind, doc.u64("total")?, buckets));
-        }
-        Err("line is neither a schema header, a span, a counter, nor a histogram".into())
+        Err("line is neither a schema header, a span, nor a counter".into())
     }
 }
 
@@ -379,38 +339,6 @@ impl Counter {
             Counter::ExtensionCells => "extend.cells",
             Counter::ExtensionRows => "extend.rows",
             Counter::AlignmentsKept => "alignments.kept",
-        }
-    }
-}
-
-/// Histogram families maintained by the recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HistKind {
-    /// Wall-clock nanoseconds per gapped filter tile.
-    FilterTileNs,
-    /// DP cells per gapped filter tile.
-    FilterTileCells,
-    /// GACT-X tiles per extended anchor.
-    ExtendTilesPerAnchor,
-}
-
-/// Number of [`HistKind`] variants.
-pub const HIST_COUNT: usize = 3;
-
-impl HistKind {
-    /// Every histogram kind, for rendering and schema tests.
-    pub const ALL: [HistKind; HIST_COUNT] = [
-        HistKind::FilterTileNs,
-        HistKind::FilterTileCells,
-        HistKind::ExtendTilesPerAnchor,
-    ];
-
-    /// The wire name used in trace JSONL `hist` lines.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            HistKind::FilterTileNs => "filter.tile_ns",
-            HistKind::FilterTileCells => "filter.tile_cells",
-            HistKind::ExtendTilesPerAnchor => "extend.tiles_per_anchor",
         }
     }
 }
@@ -568,14 +496,6 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Records one histogram sample (no-op when disabled).
-    #[inline]
-    pub fn observe(&self, hist: HistKind, value: u64) {
-        if let Some(rec) = self.rec {
-            rec.observe(hist, value);
-        }
-    }
-
     /// Forwards the run's total pair count to the recorder.
     pub fn set_total_pairs(&self, pairs: u64) {
         if let Some(rec) = self.rec {
@@ -584,22 +504,11 @@ impl<'a> Obs<'a> {
     }
 
     /// Starts a timer, or an inert one when disabled, for a span no
-    /// stage is charged (a filter tile, an `extend.tile`). The single
-    /// branch is the entire per-call cost on the disabled path.
+    /// stage is charged (an `extend.tile`). The single branch is the
+    /// entire per-call cost on the disabled path.
     #[inline]
     pub fn timer(&self) -> SpanTimer {
         SpanTimer(self.rec.map(|_| Instant::now()))
-    }
-
-    /// Per-filter-tile instrumentation: the latency and cell
-    /// histograms. `timer` must come from [`Obs::timer`] taken just
-    /// before the tile ran.
-    #[inline]
-    pub fn filter_tile(&self, timer: &SpanTimer, cells: u64) {
-        if let (Some(rec), Some(start)) = (self.rec, timer.0) {
-            rec.observe(HistKind::FilterTileNs, start.elapsed().as_nanos() as u64);
-            rec.observe(HistKind::FilterTileCells, cells);
-        }
     }
 
     /// A fresh span buffer bound to this handle. One per worker/batch;
@@ -810,13 +719,12 @@ impl Drop for SpanBuf<'_> {
 }
 
 /// The concrete recorder behind `--trace-out` / `--progress`:
-/// span list under one mutex (touched once per batch flush), relaxed
-/// atomic counters, and fixed log2 histograms.
+/// span list under one mutex (touched once per batch flush) and relaxed
+/// atomic counters.
 #[derive(Debug)]
 pub struct TraceRecorder {
     spans: Mutex<Vec<Span>>,
     counters: [AtomicU64; COUNTER_COUNT],
-    hists: [Log2Histogram; HIST_COUNT],
     total_pairs: AtomicU64,
     /// Pairs and DP cells folded in by [`Obs::pair_replayed`]: counted
     /// in the trace, kept out of the progress rate and ETA.
@@ -832,7 +740,6 @@ impl TraceRecorder {
         TraceRecorder {
             spans: Mutex::new(Vec::new()),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| Log2Histogram::new()),
             total_pairs: AtomicU64::new(0),
             replayed_pairs: AtomicU64::new(0),
             replayed_cells: AtomicU64::new(0),
@@ -850,10 +757,6 @@ impl TraceRecorder {
         self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    fn observe(&self, hist: HistKind, value: u64) {
-        self.hists[hist as usize].observe(value);
-    }
-
     fn set_total_pairs(&self, pairs: u64) {
         self.total_pairs.store(pairs, Ordering::Relaxed);
     }
@@ -867,11 +770,6 @@ impl TraceRecorder {
     /// Current value of one funnel counter.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// One of the recorder's histograms.
-    pub fn histogram(&self, hist: HistKind) -> &Log2Histogram {
-        &self.hists[hist as usize]
     }
 
     /// A copy of every span flushed so far, sorted by
@@ -898,20 +796,15 @@ impl TraceRecorder {
 
     /// Writes the full trace as JSONL, one [`TraceLine`] a line: the
     /// `{"schema":N}` header (see [`TRACE_SCHEMA`]), every span in
-    /// timeline order, every funnel counter, then every histogram family.
+    /// timeline order, then every funnel counter.
     pub fn write_trace<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         let spans = self.spans().into_iter().map(TraceLine::Span);
         let counters = Counter::ALL
             .into_iter()
             .map(|c| TraceLine::Counter(c.as_str().to_string(), self.counter(c)));
-        let hists = HistKind::ALL.into_iter().map(|kind| {
-            let hist = self.histogram(kind);
-            TraceLine::Hist(kind, hist.total(), hist.snapshot())
-        });
         for line in std::iter::once(TraceLine::Schema(TRACE_SCHEMA))
             .chain(spans)
             .chain(counters)
-            .chain(hists)
         {
             writeln!(w, "{}", line.to_json())?;
         }
@@ -935,7 +828,6 @@ mod tests {
         assert!(obs.rec.is_none());
         let timer = obs.timer();
         assert!(timer.0.is_none(), "a disabled timer never reads the clock");
-        obs.filter_tile(&timer, 100); // must be a no-op, not a panic
         obs.pair_done(&PairRecord::failed("chrI", "chr1", String::new()));
         let mut buf = obs.buffer();
         assert_eq!(buf.alloc_id(), NO_SPAN);
@@ -948,15 +840,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_recorder_collects_spans_counters_hists() {
+    fn trace_recorder_collects_spans_and_counters() {
         let rec = TraceRecorder::new();
         let obs = Obs::new(&rec).with_pair(3);
         assert!(obs.rec.is_some());
         assert_eq!(obs.pair(), 3);
 
-        let timer = obs.timer();
-        obs.filter_tile(&timer, 640);
-        obs.observe(HistKind::ExtendTilesPerAnchor, 5);
         let mut record = PairRecord::failed("chrI", "chr1", String::new());
         record.workload.filter_tiles = 1;
         record.counters.filter_cells = 640;
@@ -978,8 +867,6 @@ mod tests {
         assert_eq!(rec.counter(Counter::ExtensionCells), 1_000);
         assert_eq!(rec.counter(Counter::ExtensionRows), 40);
         assert_eq!(rec.counter(Counter::PairsDone), 1);
-        assert_eq!(rec.histogram(HistKind::ExtendTilesPerAnchor).total(), 1);
-        assert_eq!(rec.histogram(HistKind::FilterTileCells).total(), 1);
 
         let spans = rec.spans();
         assert_eq!(spans.len(), 1);
@@ -1038,12 +925,8 @@ mod tests {
             ),
             (r#"{"span":"seed","strand":0,"pair":-1}"#, "\"pair\""),
             (
-                r#"{"hist":"filter.tile_ns","total":1,"buckets":[[1]]}"#,
-                "bucket entry",
-            ),
-            (
-                r#"{"hist":"nope","total":0,"buckets":[]}"#,
-                "unknown histogram",
+                r#"{"hist":"filter.tile_ns","total":0,"buckets":[]}"#,
+                "neither",
             ),
             (r#"{"other":1}"#, "neither"),
         ] {
@@ -1088,8 +971,6 @@ mod tests {
     fn write_trace_is_parseable_jsonl() {
         let rec = TraceRecorder::new();
         let obs = Obs::new(&rec);
-        let timer = obs.timer();
-        obs.filter_tile(&timer, 64);
         let mut buf = obs.with_pair(0).buffer();
         let t = buf.start();
         buf.finish(t, SpanName::Seed, STRAND_FWD, 0, 10, 0);
@@ -1101,7 +982,6 @@ mod tests {
         let mut schema = 0;
         let mut spans = 0;
         let mut counters = 0;
-        let mut hists = 0;
         for (i, line) in text.lines().enumerate() {
             let value = crate::json::parse(line).expect("valid JSON line");
             let parsed = TraceLine::from_json(&value).expect("a trace line");
@@ -1118,12 +998,10 @@ mod tests {
                 }
                 TraceLine::Span(_) => spans += 1,
                 TraceLine::Counter(..) => counters += 1,
-                TraceLine::Hist(..) => hists += 1,
             }
         }
         assert_eq!(schema, 1);
         assert_eq!(spans, 1);
         assert_eq!(counters, COUNTER_COUNT);
-        assert_eq!(hists, HIST_COUNT);
     }
 }

@@ -149,8 +149,8 @@ impl WgaPipeline {
 
     /// [`WgaPipeline::run`] with an observation handle. The report is
     /// byte-identical whether `obs` is live or [`Obs::off`]; the
-    /// recorder only *watches* the run. It gets spans and histograms: its
-    /// funnel counters are folded from finished pair records
+    /// recorder only *watches* the run. It gets spans: its funnel
+    /// counters are folded from finished pair records
     /// ([`Obs::pair_done`]), which only the assembly drivers keep.
     pub fn run_observed(&self, target: &Sequence, query: &Sequence, obs: Obs<'_>) -> WgaReport {
         let (table, build_us) = seed_table(&self.params, target, 0, obs);

@@ -65,9 +65,8 @@ pub enum BudgetKind {
 }
 
 /// One noteworthy event of a pipeline run: graceful degradation instead
-/// of unbounded work (budgets) or process death (worker panics). The
-/// stage an event occurred in follows from the event: a budget's from
-/// its [`BudgetKind`], a failed batch's is always filtering.
+/// of unbounded work. The stage an event occurred in follows from its
+/// [`BudgetKind`]. A panic is not an event: it fails its pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunEvent {
     /// A resource budget tripped; the stage truncated its work
@@ -80,16 +79,6 @@ pub enum RunEvent {
         /// What the stage observed / would have used when it tripped.
         observed: u64,
     },
-    /// A filter batch panicked — the one way a batch fails; its items
-    /// were dropped from the result.
-    BatchFailed {
-        /// The batch's query range index within its strand.
-        batch: usize,
-        /// Number of work items the batch carried.
-        items: u64,
-        /// The panic message.
-        message: String,
-    },
 }
 
 /// Per-chromosome-pair status of an assembly-scale run.
@@ -97,14 +86,13 @@ pub enum RunEvent {
 pub enum RunOutcome {
     /// The pair ran to completion with no degradation.
     Completed,
-    /// The pair produced results, but budgets tripped and/or worker
-    /// batches failed along the way.
+    /// The pair produced results, but budgets tripped along the way.
     Degraded {
         /// What was truncated or dropped.
         events: Vec<RunEvent>,
     },
-    /// The pair produced no results (its worker panicked outside any
-    /// recoverable scope); the rest of the run continued.
+    /// The pair produced no results (a panic or fault in any of its
+    /// stages); the rest of the run continued.
     Failed {
         /// The panic/error message.
         error: String,
@@ -151,8 +139,8 @@ pub struct WgaReport {
     pub timings: StageTimings,
     /// Stage funnel counters.
     pub counters: FunnelCounters,
-    /// Degradation events (tripped budgets, failed worker batches), in
-    /// the order they occurred. Empty for a clean run.
+    /// Degradation events (tripped budgets), in the order they
+    /// occurred. Empty for a clean run.
     pub events: Vec<RunEvent>,
 }
 

@@ -21,7 +21,7 @@
 //! | `Journals::commit` | pair loop, row order, into the pair's block's journal | the worker that extends the pair (the producer, for a pair it finishes or fails), completion order, under the commit lock, the same |
 //! | `fold_pair` | pair-id-order assembly of whole records into block reports | the same |
 //!
-//! Budgets, batch containment, fault gates, fault-accounting freeze and
+//! Budgets, fault gates, fault-accounting freeze and
 //! journaling therefore cannot drift between the schedules.
 
 use crate::absorb::{merge_into_kept, AbsorptionGrid};
@@ -32,7 +32,7 @@ use crate::faultsim::Hook;
 use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, PairMatrix};
 use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
-use crate::obs::{strand_code, HistKind, Obs, SpanName, STRAND_NA};
+use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
 use crate::report::{BudgetKind, RunEvent, StageTimings, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
 use align::gactx::{self, ExtendedAlignment};
@@ -204,7 +204,7 @@ pub(crate) fn seed_lane(
 }
 
 /// What filtering one batch of seed hits — one query range's — produced.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BatchResult {
     /// The batch's range index.
     batch: usize,
@@ -218,9 +218,6 @@ pub(crate) struct BatchResult {
     items: u64,
     /// DP cells evaluated.
     cells: u64,
-    /// Why the batch produced nothing: the message of the panic that
-    /// failed it, the one way a batch fails.
-    failed: Option<String>,
 }
 
 /// Filters one range's hits, seeded at `cost`, with the worker's
@@ -228,11 +225,10 @@ pub(crate) struct BatchResult {
 /// [`FilterContext`], so its DP scratch serves every batch the worker
 /// runs).
 ///
-/// A panic inside the batch is contained: it yields a failed result
-/// that [`fold_batches`] records as [`RunEvent::BatchFailed`] while
-/// every other batch's anchors are kept. The `filter.batch` span carries
-/// `batch_idx` as its `seq`, and its duration is added to `cost`'s
-/// filtering time.
+/// A panic inside the batch is not contained here: it fails the pair,
+/// through the pair-level containment of whichever schedule runs it.
+/// The `filter.batch` span carries `batch_idx` as its `seq`, and its
+/// duration is added to `cost`'s filtering time.
 ///
 /// [`FilterContext`]: crate::filter_engine::FilterContext
 #[allow(clippy::too_many_arguments)]
@@ -247,49 +243,38 @@ pub(crate) fn filter_batch(
     batch_idx: usize,
     obs: Obs<'_>,
 ) -> BatchResult {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut buf = obs.buffer();
-        let batch_timer = buf.start();
-        let mut survivors = Vec::new();
-        let mut cells = 0u64;
-        for &hit in hits {
-            #[cfg(test)]
-            poison_check(hit);
-            let tile_timer = obs.timer();
-            let outcome = engine.filter_hit(params, target, query, hit);
-            obs.filter_tile(&tile_timer, outcome.cells);
-            cells += outcome.cells;
-            survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
-        }
-        let busy_us = buf.finish(
-            batch_timer,
-            SpanName::FilterBatch,
-            strand,
-            batch_idx as u64,
-            hits.len() as u64,
-            cells,
-        );
-        cost.timings.filtering += Duration::from_micros(busy_us);
-        BatchResult {
-            batch: batch_idx,
-            survivors,
-            items: hits.len() as u64,
-            cells,
-            ..BatchResult::default()
-        }
-    }))
-    .unwrap_or_else(|payload| BatchResult {
+    let mut buf = obs.buffer();
+    let batch_timer = buf.start();
+    let mut survivors = Vec::new();
+    let mut cells = 0u64;
+    for &hit in hits {
+        #[cfg(test)]
+        poison_check(hit);
+        let outcome = engine.filter_hit(params, target, query, hit);
+        cells += outcome.cells;
+        survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
+    }
+    let busy_us = buf.finish(
+        batch_timer,
+        SpanName::FilterBatch,
+        strand,
+        batch_idx as u64,
+        hits.len() as u64,
+        cells,
+    );
+    cost.timings.filtering += Duration::from_micros(busy_us);
+    BatchResult {
         batch: batch_idx,
+        cost,
+        survivors,
         items: hits.len() as u64,
-        failed: Some(panic_message(payload.as_ref())),
-        ..BatchResult::default()
-    });
-    BatchResult { cost, ..result }
+        cells,
+    }
 }
 
 /// Test-only fault injection: a hit at `u32::MAX` (unreachable from
 /// real seeding: the seed table's last position is one below it) panics
-/// inside the filter batch.
+/// inside the filter batch, and so fails its pair.
 #[cfg(test)]
 fn poison_check(hit: SeedHit) {
     if hit.target_pos == u32::MAX {
@@ -303,10 +288,8 @@ fn poison_check(hit: SeedHit) {
 /// the whole strand emits — so that neither the range size nor the order
 /// batches finished in reaches the extension's stable score sort.
 ///
-/// Event order is the same on every schedule: the strand's budget
-/// clamps, then one [`RunEvent::BatchFailed`] per failed batch in range
-/// order. A batch that ran adds its `items` filter tiles, a failed one
-/// none.
+/// The strand's budget clamp, if any, is its one event. Each batch adds
+/// its `items` filter tiles.
 /// The stage times are the sums of the strand's `seed` and
 /// `filter.batch` spans: time spent seeding and filtering, which at
 /// more than one thread is more than the stages' elapsed time.
@@ -320,14 +303,6 @@ pub(crate) fn fold_batches(
     let mut survivors: Vec<(SeedHit, Anchor)> = Vec::new();
     for batch in batches {
         lane.add(&batch.cost);
-        if let Some(message) = batch.failed {
-            report.events.push(RunEvent::BatchFailed {
-                batch: batch.batch,
-                items: batch.items,
-                message,
-            });
-            continue;
-        }
         report.workload.filter_tiles += batch.items;
         report.counters.filter_cells += batch.cells;
         survivors.extend(batch.survivors);
@@ -396,7 +371,6 @@ pub(crate) fn extend_anchors(
         let Some(ext) = run_extension(params, target, query, anchor) else {
             continue;
         };
-        obs.observe(HistKind::ExtendTilesPerAnchor, ext.stats.tiles);
         lane_cells += ext.stats.cells;
         buf.finish(
             anchor_timer,

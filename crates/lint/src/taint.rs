@@ -132,7 +132,7 @@ pub fn analyze(
         let (parent, seen) = graph.reach(&[sink]);
         // All source fns this sink can reach, in node order.
         for (node, src) in source_of.iter().enumerate() {
-            let Some((line, kind)) = src else { continue };
+            let Some((_, kind)) = src else { continue };
             if !seen[node] {
                 continue;
             }
@@ -145,12 +145,11 @@ pub fn analyze(
                 line: sink_line,
                 func: graph.fns[sink].qual(),
                 msg: format!(
-                    "canonical sink {} transitively calls {} ({} at {}:{})",
+                    "canonical sink {} transitively calls {} ({} at {})",
                     graph.fns[sink].qual(),
                     graph.fns[node].qual(),
                     kind,
                     graph.files[graph.fns[node].file],
-                    line
                 ),
                 waived,
                 chain,

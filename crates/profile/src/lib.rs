@@ -1,7 +1,7 @@
 //! Trace analysis for `wga --trace-out` artifacts (`wga profile`).
 //!
-//! PR 4's observability layer writes spans, funnel counters and log2
-//! histograms as JSONL; this crate is the consumer that turns those
+//! The observability layer (`wga_core::obs`) writes spans and funnel counters as
+//! JSONL; this crate is the consumer that turns those
 //! bytes into decisions:
 //!
 //! * [`trace`] — a streaming, schema-validated JSONL reader

@@ -2,29 +2,20 @@
 //!
 //! One pass over the input, each line read by `wga_core::obs`'s own
 //! [`TraceLine::from_json`] — the module that writes trace lines is the
-//! one that defines them — into [`Span`]s, counters and histograms.
-//! Validation is strict — every line must be the schema header, a span,
-//! a counter or a histogram, names must come from the observability
-//! layer's taxonomy, integer fields must be present and non-negative,
-//! and histogram buckets must be ascending and sum to their totals — so
-//! everything downstream (attribution, the report) can assume a
-//! well-formed timeline. The `hwsim.bsw`/`hwsim.gactx` lines of older
-//! traces, modeled cycles posing as spans, are skipped.
+//! one that defines them — into [`Span`]s and counters. Validation is
+//! strict — every line must be the schema header, a span or a counter,
+//! names must come from the observability layer's taxonomy, and integer
+//! fields must be present and non-negative — so everything downstream
+//! (attribution, the report) can assume a well-formed timeline. Two
+//! kinds of line of older traces are skipped: the `hwsim.bsw` /
+//! `hwsim.gactx` lines, modeled cycles posing as spans, and the `hist`
+//! lines of the retired log2 histograms, which no report read.
 
 use crate::ProfileError;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use wga_core::json;
-use wga_core::obs::{Counter, HistKind, Span, SpanName, TraceLine, TRACE_SCHEMA};
-
-/// One parsed histogram line: total plus the sparse ascending buckets.
-#[derive(Debug)]
-pub struct HistRec {
-    /// Declared sample total (equals the bucket sum — validated).
-    pub total: u64,
-    /// Sparse `(bucket, count)` pairs, ascending.
-    pub buckets: Vec<(usize, u64)>,
-}
+use wga_core::obs::{Counter, Span, SpanName, TraceLine, TRACE_SCHEMA};
 
 /// A fully parsed and validated trace.
 #[derive(Debug)]
@@ -38,8 +29,6 @@ pub struct TraceFile {
     /// trace (older schemas) are present with value 0, except
     /// `extend.tiles`, which is present only in traces that carry it.
     pub counters: BTreeMap<String, u64>,
-    /// Histograms by kind.
-    pub hists: BTreeMap<HistKind, HistRec>,
 }
 
 impl TraceFile {
@@ -48,7 +37,7 @@ impl TraceFile {
         // Traces written while extension still speculated carry a
         // `shard.spec_discard` counter the recorder no longer has; it
         // stays readable (and reads 0 from traces without it), as older
-        // traces' `hwsim.*` lines, skipped below, do.
+        // traces' `hwsim.*` and `hist` lines, skipped below, do.
         let known_counters: Vec<&str> = Counter::ALL
             .iter()
             .map(|c| c.as_str())
@@ -65,7 +54,6 @@ impl TraceFile {
             .map(|c| (c.to_string(), 0u64))
             .collect();
         let mut seen_counters: BTreeMap<String, ()> = BTreeMap::new();
-        let mut hists: BTreeMap<HistKind, HistRec> = BTreeMap::new();
 
         for (idx, line) in reader.lines().enumerate() {
             let lineno = idx + 1;
@@ -75,7 +63,9 @@ impl TraceFile {
                 continue;
             }
             let doc = json::parse(&line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-            if matches!(doc.str("span"), Ok("hwsim.bsw" | "hwsim.gactx")) {
+            if matches!(doc.str("span"), Ok("hwsim.bsw" | "hwsim.gactx"))
+                || doc.get("hist").is_some()
+            {
                 continue;
             }
             match TraceLine::from_json(&doc).map_err(at)? {
@@ -100,29 +90,6 @@ impl TraceFile {
                     }
                     counters.insert(name, value);
                 }
-                TraceLine::Hist(kind, total, buckets) => {
-                    if hists.contains_key(&kind) {
-                        return Err(at(format!("duplicate histogram line {:?}", kind.as_str())));
-                    }
-                    let mut sum = 0u64;
-                    let mut last: Option<usize> = None;
-                    for &(bucket, count) in &buckets {
-                        if count == 0 {
-                            return Err(at("empty buckets must be omitted".into()));
-                        }
-                        if last.is_some_and(|l| bucket <= l) {
-                            return Err(at("buckets not strictly ascending".into()));
-                        }
-                        last = Some(bucket);
-                        sum = sum.saturating_add(count);
-                    }
-                    if sum != total {
-                        return Err(at(format!(
-                            "bucket counts sum to {sum}, total says {total}"
-                        )));
-                    }
-                    hists.insert(kind, HistRec { total, buckets });
-                }
             }
         }
 
@@ -130,7 +97,6 @@ impl TraceFile {
             schema: schema.unwrap_or(1),
             spans,
             counters,
-            hists,
         })
     }
 
@@ -173,8 +139,6 @@ mod tests {
             0,
             "missing counters default to 0"
         );
-        assert_eq!(t.hists[&HistKind::FilterTileNs].total, 3);
-        assert_eq!(t.hists[&HistKind::FilterTileNs].buckets, [(2, 1), (5, 2)]);
     }
 
     #[test]
@@ -196,9 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn retired_hwsim_lines_are_skipped() {
+    fn retired_hwsim_and_hist_lines_are_skipped() {
         let hwsim = r#"{"span":"hwsim.bsw","pair":0,"strand":2,"seq":0,"start_us":9,"dur_us":0,"items":3,"cells":7}"#;
-        let t = TraceFile::parse(&format!("{MINI}{hwsim}\n")).expect("parses");
+        // Malformed as a histogram, too: a skipped line is not validated.
+        let hist = r#"{"hist":"filter.tile_ns","total":5,"buckets":[[5,1],[2,1]]}"#;
+        let t = TraceFile::parse(&format!("{MINI}{hwsim}\n{hist}\n")).expect("parses");
         assert_eq!(t.spans.len(), 1);
     }
 
@@ -231,13 +197,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.msg.contains("unknown span name"), "{err}");
-    }
-
-    #[test]
-    fn bad_histograms_are_rejected() {
-        let descending = r#"{"hist":"filter.tile_ns","total":2,"buckets":[[5,1],[2,1]]}"#;
-        assert!(TraceFile::parse(descending).is_err());
-        let bad_total = r#"{"hist":"filter.tile_ns","total":5,"buckets":[[2,1]]}"#;
-        assert!(TraceFile::parse(bad_total).is_err());
     }
 }

@@ -24,7 +24,7 @@
 //!     `dataflow` above), with the process's resident
 //!     high-water and its anonymous / file-backed split under
 //!     `"process"` where `/proc/self/status` is readable. --trace-out
-//!     writes one JSON line per pipeline span plus latency histograms (see DESIGN.md
+//!     writes one JSON line per pipeline span and funnel counter (see DESIGN.md
 //!     "Observability"). --progress keeps a throttled one-line status on
 //!     stderr (pairs done, filter survival, cells/s and ETA of the pairs
 //!     this run computes), advancing as each chromosome pair finishes.

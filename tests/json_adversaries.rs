@@ -93,10 +93,10 @@ fn journal_record(query_chrom: &str) -> String {
                     limit: 100,
                     observed: 250,
                 },
-                RunEvent::BatchFailed {
-                    batch: 3,
-                    items: 7,
-                    message: "panicked at\nline".into(),
+                RunEvent::BudgetExceeded {
+                    budget: BudgetKind::ExtensionCells,
+                    limit: 4000,
+                    observed: 4100,
                 },
             ],
         },
@@ -237,15 +237,16 @@ fn the_undamaged_inputs_read() {
     let journal = Journal::open(&path, &fingerprint()).expect("journal opens");
     assert_eq!(journal.stats().records_recovered, 1);
     let _ = fs::remove_file(&path);
+    // The retired `hist` line is skipped: one span, one counter read.
     let trace = TraceFile::parse(TRACE).expect("trace parses");
-    assert_eq!(
-        (
-            trace.spans.len(),
-            trace.counter("filter.tiles"),
-            trace.hists.len()
-        ),
-        (1, 4, 1)
-    );
+    assert_eq!((trace.spans.len(), trace.counter("filter.tiles")), (1, 4));
+    let without_hist: String = TRACE
+        .lines()
+        .filter(|l| !l.contains("\"hist\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let plain = TraceFile::parse(&without_hist).expect("trace parses");
+    assert_eq!((plain.spans, plain.counters), (trace.spans, trace.counters));
     assert_eq!(FaultPlan::parse(PLAN).expect("plan parses").rules.len(), 2);
     assert_eq!(json::parse(&metrics()).unwrap().to_string(), metrics());
     assert!(ReportSummary::from_json(&report()).is_ok());

@@ -9,8 +9,8 @@
 //! 2. **Trace schema** — `TraceRecorder::write_trace` emits JSONL that
 //!    the repo's own JSON parser accepts: every span line carries the
 //!    full integer field set and a known span name; every counter line
-//!    carries a known counter name and non-negative value; every
-//!    histogram line carries sorted log2 buckets that sum to its total.
+//!    carries a known counter name and non-negative value; nothing else
+//!    is written (the retired `hist` lines in particular).
 //! 3. **Metrics universality** — both schedules report
 //!    [`ExecutorMetrics`] whose JSON round-trips through the parser and
 //!    is tagged with the schedule that produced it.
@@ -20,8 +20,7 @@ use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::obs::{
-    Counter, HistKind, Log2Histogram, Obs, SpanName, TraceLine, TraceRecorder, NO_SPAN, STRAND_NA,
-    TRACE_SCHEMA,
+    Counter, Obs, SpanName, TraceLine, TraceRecorder, NO_SPAN, STRAND_NA, TRACE_SCHEMA,
 };
 use darwin_wga::genome::assembly::Assembly;
 use std::fs;
@@ -93,7 +92,7 @@ fn golden_report_is_identical_with_recorder_on() {
 /// Every span line in the trace parses, uses a known span name, and
 /// carries the full integer schema; counter lines carry a known counter
 /// name and a non-negative value, with exactly one line per counter;
-/// histogram lines carry sorted buckets summing to their totals.
+/// no other line, a retired `hist` line in particular, is written.
 #[test]
 fn trace_jsonl_matches_schema() {
     let recorder = TraceRecorder::new();
@@ -103,12 +102,11 @@ fn trace_jsonl_matches_schema() {
     let mut out = Vec::new();
     recorder.write_trace(&mut out).expect("trace writes");
     let text = String::from_utf8(out).expect("trace is UTF-8");
+    assert!(!text.contains("\"hist\""), "a retired hist line is written");
 
     let known: Vec<&str> = SpanName::ALL.iter().map(|n| n.as_str()).collect();
-    let known_hists: Vec<&str> = HistKind::ALL.iter().map(|h| h.as_str()).collect();
     let known_counters: Vec<&str> = Counter::ALL.iter().map(|c| c.as_str()).collect();
     let mut seen_spans = Vec::new();
-    let mut seen_hists = Vec::new();
     let mut seen_counters = Vec::new();
     let mut seen_schema = 0usize;
     for (idx, line) in text.lines().enumerate() {
@@ -139,25 +137,8 @@ fn trace_jsonl_matches_schema() {
             assert!(known_counters.contains(&name), "unknown counter {name:?}");
             int_field(&doc, "value");
             seen_counters.push(name.to_string());
-        } else if let Some(name) = doc.get("hist").and_then(Json::as_str) {
-            assert!(known_hists.contains(&name), "unknown histogram {name:?}");
-            let total = int_field(&doc, "total");
-            let buckets = doc.get("buckets").and_then(Json::as_arr).expect("buckets");
-            let mut sum = 0u64;
-            let mut last_bucket = None;
-            for entry in buckets {
-                let pair = entry.as_arr().expect("bucket entry is [index, count]");
-                assert_eq!(pair.len(), 2);
-                let (b, c) = (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap());
-                assert!(last_bucket < Some(b), "buckets not strictly ascending");
-                assert!(c > 0, "empty buckets must be omitted");
-                last_bucket = Some(b);
-                sum += c;
-            }
-            assert_eq!(sum, total, "{name}: bucket counts must sum to total");
-            seen_hists.push(name.to_string());
         } else {
-            panic!("line is neither a schema header, a span, a counter, nor a histogram: {line:?}");
+            panic!("line is neither a schema header, a span, nor a counter: {line:?}");
         }
     }
     assert_eq!(seen_schema, 1, "exactly one schema header");
@@ -170,7 +151,7 @@ fn trace_jsonl_matches_schema() {
         );
     }
     // The serial golden run must produce the core span taxonomy,
-    // including the schema-2 lane-level `extend` span…
+    // including the schema-2 lane-level `extend` span.
     for required in [
         "seed.table",
         "seed",
@@ -181,14 +162,6 @@ fn trace_jsonl_matches_schema() {
         assert!(
             seen_spans.iter().any(|s| s == required),
             "required span {required:?} missing from trace"
-        );
-    }
-    // …and one line per histogram kind.
-    for required in known_hists {
-        assert_eq!(
-            seen_hists.iter().filter(|h| *h == required).count(),
-            1,
-            "expected exactly one {required:?} line"
         );
     }
 }
@@ -313,27 +286,6 @@ fn fully_resumed_run_spends_no_cells_in_progress() {
         let cells = recorder.counter(Counter::FilterCells);
         assert_eq!(cells, report.counters.filter_cells, "--threads {threads}");
         assert!(cells > 0);
-    }
-}
-
-/// Log2 histogram boundary behaviour via the public API: 0 → bucket 0,
-/// powers of two open new buckets, `u64::MAX` lands in the last one.
-#[test]
-fn histogram_bucket_boundaries() {
-    let h = Log2Histogram::new();
-    for v in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
-        h.observe(v);
-    }
-    assert_eq!(h.total(), 8);
-    let snapshot = h.snapshot();
-    // 0→b0; 1→b1; 2,3→b2; 4→b3; 1023→b10; 1024→b11; MAX→b64.
-    assert_eq!(
-        snapshot,
-        vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1), (11, 1), (64, 1)]
-    );
-    // Bucket b > 0 opens at 2^(b-1).
-    for (bucket, _) in snapshot.into_iter().filter(|&(b, _)| b > 0) {
-        assert_eq!(Log2Histogram::bucket_index(1 << (bucket - 1)), bucket);
     }
 }
 
