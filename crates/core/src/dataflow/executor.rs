@@ -65,7 +65,6 @@
 //! error.
 
 use crate::config::WgaParams;
-use crate::dataflow::metrics::ExecutorMetrics;
 use crate::obs::{strand_code, Obs, SpanBuf};
 
 /// `seq` codes on `queue.wait` spans, naming what a thread blocked on
@@ -94,7 +93,6 @@ use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -216,10 +214,7 @@ pub(crate) fn execute(
         }
     };
 
-    // Each thread returns the microseconds it spent blocked: the sum of
-    // its `queue.wait` spans, the producer's seeding's idle time and
-    // the pool's filtering's.
-    let (escaped, idle_us, refused) = std::thread::scope(|scope| {
+    let (escaped, refused) = std::thread::scope(|scope| {
         let mut refused = None;
         let pool: Vec<_> = (0..threads)
             .map_while(|_| {
@@ -237,26 +232,19 @@ pub(crate) fn execute(
                     params, matrix, &resumed, cells, &filter_q, &commit, builds, obs,
                 )
             })),
-            Some(_) => Ok(0),
+            Some(_) => Ok(()),
         };
         filter_q.close();
-        let (mut escaped, seed_idle) = match produced {
-            Ok(idle_us) => (None, idle_us),
-            Err(payload) => (Some(payload), 0),
-        };
+        let mut escaped = produced.err();
         // Every worker is joined by hand, so a panic that escaped its
         // containment layers arrives here as an `Err` instead of
         // unwinding out of the scope.
-        let filter_idle: u64 = pool
-            .into_iter()
-            .map(|thread| {
-                thread.join().unwrap_or_else(|payload| {
-                    escaped.get_or_insert(payload);
-                    0
-                })
-            })
-            .sum();
-        (escaped, [seed_idle, filter_idle], refused)
+        for thread in pool {
+            if let Err(payload) = thread.join() {
+                escaped.get_or_insert(payload);
+            }
+        }
+        (escaped, refused)
     });
     if let Some(payload) = escaped {
         // An executor bug or a panic out of a commit, not a pair failure;
@@ -284,15 +272,7 @@ pub(crate) fn execute(
                 PairRecord::failed(&pair.target.name, &pair.query.name, dropped)
             })
         });
-    let metrics = |total: &AssemblyReport| {
-        let mut metrics = ExecutorMetrics::from_report(threads, total, obs);
-        metrics.queue_depth = queue_depth;
-        [metrics.seeding.idle_us, metrics.filtering.idle_us] = idle_us;
-        metrics.filtering.max_queue_occupancy = filter_q.max_occupancy() as u64;
-        metrics
-    };
-    let run = (&*journals, builds);
-    Ok(assemble(matrix, records, &resumed, run, metrics))
+    Ok(assemble(matrix, records, &resumed, (&*journals, builds)))
 }
 
 /// The planning producer: dispatches target genomes smallest remaining
@@ -305,9 +285,7 @@ pub(crate) fn execute(
 /// back, so only its blocks' journals are open. Dispatch order never
 /// reaches canonical output: the results are assembled in pair-id
 /// order, and fault occurrences are counted per `(hook, pair)`. A pair
-/// it finishes or fails it hands to `commit` itself. Returns the
-/// microseconds it spent blocked, pushing `filter_q` or in
-/// [`wait_seeded`].
+/// it finishes or fails it hands to `commit` itself.
 #[allow(clippy::too_many_arguments)]
 fn produce<'a>(
     params: &WgaParams,
@@ -318,7 +296,7 @@ fn produce<'a>(
     commit: &Commit<'_>,
     builds: &TableBuilds,
     obs: Obs<'_>,
-) -> u64 {
+) {
     // Small work drains first so the long tail of one big pair overlaps
     // the rest of the matrix instead of serialising ahead of it (a pair's
     // work estimate is the bases on both sides — every pipeline stage
@@ -352,14 +330,13 @@ fn produce<'a>(
     // all seeded.
     let mut row_table: Option<(usize, Result<Arc<SeedTable>, String>)> = None;
     let mut seeding = mpsc::channel();
-    let idle_us = Cell::new(0);
 
     for pair_id in order {
         let pair = &matrix.pairs[pair_id];
         let pair_obs = obs.with_pair(pair_id as u64);
         if row_table.as_ref().is_some_and(|&(row, _)| row != pair.row) {
             row_table = None;
-            wait_seeded(&mut seeding, &idle_us, pair_obs);
+            wait_seeded(&mut seeding, pair_obs);
         }
         // Queues one task: `false` means the queue closed under us
         // (shutdown) and the producer is done.
@@ -369,8 +346,7 @@ fn produce<'a>(
             if filter_q.push(task).is_err() {
                 return false;
             }
-            let waited = wait_buf.finish_wait(wait_timer, pair_id as u64, QUEUE_SEED_PUSH);
-            idle_us.set(idle_us.get() + waited);
+            wait_buf.finish_wait(wait_timer, pair_id as u64, QUEUE_SEED_PUSH);
             true
         };
         let (target, query) = (&pair.target.sequence, &pair.query.sequence);
@@ -394,7 +370,7 @@ fn produce<'a>(
                 pair,
                 pair_id,
                 cells,
-                (&mut seeding, &idle_us),
+                &mut seeding,
                 push,
                 pair_obs,
             ))
@@ -414,23 +390,20 @@ fn produce<'a>(
             Err(error) => fail_pair(cells, pair_id, error, commit),
         }
     }
-    idle_us.get()
 }
 
 /// Blocks until every range task queued so far has seeded or been
-/// dropped, under a `queue.wait` span (code [`QUEUE_SEEDED`]) whose
-/// duration is added to the producer's `idle_us`: each task's
-/// [`SeedSource`] holds a clone of the sender and nothing is ever sent,
-/// so the receive returns once the last clone is gone. The tasks to
-/// come get a new channel.
-fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), idle_us: &Cell<u64>, obs: Obs<'_>) {
+/// dropped, under a `queue.wait` span (code [`QUEUE_SEEDED`]): each
+/// task's [`SeedSource`] holds a clone of the sender and nothing is ever
+/// sent, so the receive returns once the last clone is gone. The tasks
+/// to come get a new channel.
+fn wait_seeded(seeding: &mut (Sender<()>, Receiver<()>), obs: Obs<'_>) {
     let mut buf = obs.buffer();
     let wait_timer = buf.start();
     let (token, seeded) = std::mem::replace(seeding, mpsc::channel());
     drop(token);
     let _ = seeded.recv();
-    let waited = buf.finish_wait(wait_timer, obs.pair(), QUEUE_SEEDED);
-    idle_us.set(idle_us.get() + waited);
+    buf.finish_wait(wait_timer, obs.pair(), QUEUE_SEEDED);
 }
 
 /// Plans one pair's range tasks: opens each strand ([`seed_lane`]: its
@@ -447,7 +420,7 @@ fn plan_pair<'a>(
     (target, query, ranges): (&'a Sequence, &'a Sequence, QueryRanges),
     pair_id: usize,
     cells: &[Mutex<Option<PairJob<'a>>>],
-    (seeding, idle_us): (&mut (Sender<()>, Receiver<()>), &Cell<u64>),
+    seeding: &mut (Sender<()>, Receiver<()>),
     push: impl Fn(RangeTask<'a>) -> bool,
     obs: Obs<'_>,
 ) -> bool {
@@ -458,7 +431,7 @@ fn plan_pair<'a>(
     let mut tiles_kept = 0u64;
     for (lane_idx, (query, strand)) in strands.into_iter().enumerate() {
         if lane_idx > 0 {
-            wait_seeded(seeding, idle_us, obs);
+            wait_seeded(seeding, obs);
         }
         let (opened, kept) = seed_lane(params, table, &query, strand, ranges, tiles_kept, obs);
         tiles_kept += kept.as_ref().map_or(0, |kept| kept.len() as u64);
@@ -509,8 +482,7 @@ fn plan_pair<'a>(
 /// one engine, so its DP scratch is drawn per worker and strand. The
 /// worker whose deposit completes a pair extends and commits it
 /// ([`finish_pair`]). The last of the pool's `alive` workers out —
-/// normally or unwinding — empties `filter_q`. Returns the microseconds
-/// the worker spent blocked popping `filter_q`.
+/// normally or unwinding — empties `filter_q`.
 fn worker<'a>(
     params: &WgaParams,
     filter_q: &BoundedQueue<RangeTask<'a>>,
@@ -518,22 +490,21 @@ fn worker<'a>(
     commit: &Commit<'_>,
     alive: &AtomicUsize,
     obs: Obs<'_>,
-) -> u64 {
+) {
     let _guard = PoolGuard { alive, filter_q };
-    let (mut wait_buf, mut idle_us) = (obs.buffer(), 0);
-    // The next task, its wait a `queue.wait` span added to `idle_us` (a
-    // named fn, so `wga-lint` sees this stage's pop beside its push).
+    let mut wait_buf = obs.buffer();
+    // The next task, its wait a `queue.wait` span (a named fn, so
+    // `wga-lint` sees this stage's pop beside its push).
     fn pop<'a>(
         filter_q: &BoundedQueue<RangeTask<'a>>,
         buf: &mut SpanBuf<'_>,
-        idle_us: &mut u64,
     ) -> Option<RangeTask<'a>> {
         let wait_timer = buf.start();
         let task = filter_q.pop()?;
-        *idle_us += buf.finish_wait(wait_timer, task.stream.pair_id as u64, QUEUE_FILTER_POP);
+        buf.finish_wait(wait_timer, task.stream.pair_id as u64, QUEUE_FILTER_POP);
         Some(task)
     }
-    let mut pop = || pop(filter_q, &mut wait_buf, &mut idle_us);
+    let mut pop = || pop(filter_q, &mut wait_buf);
     let mut scratch = DsoftScratch::default();
     let mut next = pop();
     while let Some(first) = next.take() {
@@ -591,7 +562,6 @@ fn worker<'a>(
             }
         }
     }
-    idle_us
 }
 
 /// Deposits a range's result in its pair's cell (nothing, if the pair

@@ -25,18 +25,17 @@
 //! the paper's FIFOs are fixed-depth hardware: it provides their
 //! backpressure and is no knob — no flag, option or variable sets it,
 //! and output is byte-identical at any depth (the executor's tests sweep
-//! 1, 3 and 64). Per-stage telemetry ([`StageMetrics`]) reports
-//! queue occupancy, busy/idle time and items/cells processed — the
+//! 1, 3 and 64). What each stage costs is read off the run's trace
+//! spans, the producer's and the pool's `queue.wait` spans included
+//! (`wga profile`; `--metrics-out` writes the same profile) — the
 //! software equivalent of the paper's array-utilisation numbers.
 //!
 //! It runs whenever `--threads` is above 1; one thread runs the pair loop
 //! ([`crate::pipeline::run_pair`]) instead.
 
 mod executor;
-mod metrics;
 mod queue;
 
-pub use metrics::{ExecutorMetrics, StageMetrics};
 pub use queue::BoundedQueue;
 
 pub(crate) use executor::execute;
@@ -45,9 +44,9 @@ pub(crate) use executor::execute;
 /// ahead of the pool (EXPERIMENTS.md, "One schedule", for why 4).
 pub const QUEUE_DEPTH: usize = 4;
 
-/// The name of a schedule, as `--metrics-out` and the run summary spell
-/// it. The thread count picks the schedule; `--executor` and
-/// `AlignOptions::executor` still parse one, and nothing reads it.
+/// The name of a schedule. The thread count picks the schedule;
+/// `--executor` and `AlignOptions::executor` still parse one, and
+/// nothing reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// The one-thread pair loop ([`crate::pipeline::run_pair`]).
@@ -57,16 +56,6 @@ pub enum ExecutorKind {
     /// one pool of seeding, filtering, extending and committing workers,
     /// over one bounded queue.
     Dataflow,
-}
-
-impl ExecutorKind {
-    /// Stable lower-case name, used in metrics JSON and CLI summaries.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ExecutorKind::Barrier => "barrier",
-            ExecutorKind::Dataflow => "dataflow",
-        }
-    }
 }
 
 impl std::str::FromStr for ExecutorKind {
@@ -110,8 +99,6 @@ mod tests {
         executor_kind_parses().unwrap();
         assert!("streaming".parse::<ExecutorKind>().is_err());
         assert_eq!(ExecutorKind::default(), ExecutorKind::Barrier);
-        assert_eq!(ExecutorKind::Barrier.as_str(), "barrier");
-        assert_eq!(ExecutorKind::Dataflow.as_str(), "dataflow");
     }
 
     fn assemblies(seed: u64, sizes: &[(usize, f64)]) -> (Assembly, Assembly) {
@@ -152,28 +139,13 @@ mod tests {
         let params = WgaParams::darwin_wga();
         let serial = run(&params, &target, &query, 1, 64);
         assert!(serial.total_matches() > 0);
-        let sm = serial.stage_metrics.expect("the loop sets metrics too");
-        assert_eq!((sm.executor, sm.threads), (ExecutorKind::Barrier, 1));
-        assert_eq!(sm.filtering.items, serial.workload.filter_tiles);
-        let work = |m: &ExecutorMetrics| {
-            [m.seeding, m.filtering, m.extension].map(|stage| (stage.items, stage.cells))
-        };
         for threads in [2, 4] {
             for queue_depth in [1, 3, 64] {
                 let dataflow = run(&params, &target, &query, threads, queue_depth);
                 let at = format!("threads={threads} queue_depth={queue_depth}");
                 assert_eq!(serial.canonical_text(), dataflow.canonical_text(), "{at}");
-                assert_eq!(serial.workload, dataflow.workload);
-                let metrics = dataflow.stage_metrics.expect("dataflow sets metrics");
-                assert_eq!(metrics.executor, ExecutorKind::Dataflow);
-                assert_eq!(
-                    (metrics.threads, metrics.queue_depth),
-                    (threads, queue_depth)
-                );
-                assert!(metrics.filtering.max_queue_occupancy <= queue_depth as u64);
-                // Both read every stage's work off the folded report.
-                assert_eq!(work(&metrics), work(&sm), "{at}");
-                assert_eq!(metrics.extension.workers, threads);
+                assert_eq!(serial.workload, dataflow.workload, "{at}");
+                assert_eq!(serial.counters, dataflow.counters, "{at}");
             }
         }
     }
@@ -389,7 +361,6 @@ mod tests {
         let params = WgaParams::darwin_wga();
         let empty = run(&params, &Assembly::new("a"), &Assembly::new("b"), 2, 4);
         assert!(empty.pairs.is_empty());
-        assert!(empty.stage_metrics.is_some());
 
         // Unrelated sequences: zero hits on some pairs exercises the
         // zero-batch fast path (pair goes straight to extension).

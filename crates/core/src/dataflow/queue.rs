@@ -28,7 +28,8 @@ pub struct BoundedQueue<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// High-water mark, for [`super::StageMetrics`] occupancy telemetry.
+    /// High-water mark: the tests' check that the queue stays bounded.
+    #[cfg(test)]
     max_occupancy: usize,
 }
 
@@ -46,6 +47,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                #[cfg(test)]
                 max_occupancy: 0,
             }),
             not_empty: Condvar::new(),
@@ -67,7 +69,10 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         state.items.push_back(item);
-        state.max_occupancy = state.max_occupancy.max(state.items.len());
+        #[cfg(test)]
+        {
+            state.max_occupancy = state.max_occupancy.max(state.items.len());
+        }
         drop(state);
         self.not_empty.notify_one();
         Ok(())
@@ -104,7 +109,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Highest number of items the queue ever held at once.
-    pub fn max_occupancy(&self) -> usize {
+    #[cfg(test)]
+    fn max_occupancy(&self) -> usize {
         self.state.lock().max_occupancy
     }
 }

@@ -35,8 +35,8 @@
 //! [`crate::obs::SpanName::Fault`] span (`seq` = hook code, `items` =
 //! kind code, `cells` = 0, `pair` = the handle's pair, [`NO_PAIR`](crate::obs::NO_PAIR)
 //! for a FASTA read), so a chaos run is auditable from its trace. A sink's
-//! fault is probed by `durable` after the trace and the metrics are
-//! rendered, so neither artifact counts it.
+//! fault is probed by `durable` after its artifact is rendered and ends
+//! the command, so no artifact counts it.
 
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};

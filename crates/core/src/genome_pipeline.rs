@@ -18,8 +18,8 @@
 //! A two-assembly run ([`align_assemblies_observed`]) and a many-genome
 //! one ([`crate::pangenome::align_many_observed`]) are one call of
 //! `align_matrix` each, under one [`AlignOptions`]: one validation, one
-//! fault injector ([`AlignOptions::injector`]), one trace and one set of
-//! per-stage metrics for the whole matrix.
+//! fault injector ([`AlignOptions::injector`]) and one trace for the
+//! whole matrix.
 //!
 //! The filter stage of every pair runs through the engine selected by
 //! [`WgaParams::filter_engine`] (the scalar reference or the wavefront
@@ -33,7 +33,7 @@
 //! byte-identical across engines and thread counts.
 
 use crate::config::WgaParams;
-use crate::dataflow::{ExecutorKind, ExecutorMetrics, QUEUE_DEPTH};
+use crate::dataflow::{ExecutorKind, QUEUE_DEPTH};
 use crate::error::{panic_message, WgaError, WgaResult};
 use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
@@ -145,11 +145,6 @@ pub struct AssemblyReport {
     pub counters: FunnelCounters,
     /// Pairs replayed from the checkpoint journal instead of recomputed.
     pub resumed_pairs: u64,
-    /// Per-stage telemetry of the schedule that ran this report (set by
-    /// both). Excluded from
-    /// [`AssemblyReport::canonical_text`], like timings: telemetry varies
-    /// run to run, results do not.
-    pub stage_metrics: Option<ExecutorMetrics>,
     /// What journal recovery found when this run resumed from a
     /// checkpoint (`None` without a checkpoint). Excluded from
     /// [`AssemblyReport::canonical_text`]: recovery circumstances vary,
@@ -187,8 +182,8 @@ impl AssemblyReport {
     /// [`by_score`] order and the workload. Two runs over the same inputs
     /// with the same parameters and budgets produce identical text
     /// regardless of thread count or how many pairs were replayed from a
-    /// journal: timings, counters, [`AssemblyReport::resumed_pairs`],
-    /// stage metrics and journal stats stay out.
+    /// journal: timings, counters, [`AssemblyReport::resumed_pairs`]
+    /// and journal stats stay out.
     pub fn canonical_text(&self) -> String {
         let mut out = String::new();
         for pair in &self.pairs {
@@ -489,27 +484,18 @@ fn pair_loop(
     }
     // Every pair was replayed or committed: a failed commit returned.
     let records = records.into_iter().flatten();
-    let metrics = |total: &AssemblyReport| ExecutorMetrics::from_report(1, total, obs);
-    Ok(assemble(
-        matrix,
-        records,
-        &resumed,
-        (journals, builds),
-        metrics,
-    ))
+    Ok(assemble(matrix, records, &resumed, (journals, builds)))
 }
 
 /// Folds `records`, one a pair in pair-id order, into their blocks'
 /// reports, a `resumed` one counted as replayed. The run's seeding time
 /// outside any pair (its table `builds`) goes to the first block; every
-/// block carries its journal's recovery stats and the run's `metrics`,
-/// read off the blocks' sum.
+/// block carries its journal's recovery stats.
 pub(crate) fn assemble(
     matrix: &PairMatrix<'_>,
     records: impl IntoIterator<Item = PairRecord>,
     resumed: &[bool],
     (journals, builds): (&Journals, &TableBuilds),
-    metrics: impl FnOnce(&AssemblyReport) -> ExecutorMetrics,
 ) -> Vec<AssemblyReport> {
     let mut blocks: Vec<AssemblyReport> = (journals.stats.iter())
         .map(|&journal_stats| AssemblyReport {
@@ -523,16 +509,6 @@ pub(crate) fn assemble(
     }
     if let Some(first) = blocks.first_mut() {
         first.timings.seeding += Duration::from_micros(builds.us.load(Ordering::Relaxed));
-    }
-    let mut total = AssemblyReport::default();
-    for block in &blocks {
-        total.workload.merge(&block.workload);
-        total.timings.merge(&block.timings);
-        total.counters.merge(&block.counters);
-    }
-    let metrics = metrics(&total);
-    for block in &mut blocks {
-        block.stage_metrics = Some(metrics);
     }
     blocks
 }
@@ -667,8 +643,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(serial.canonical_text(), parallel.canonical_text());
-        let depth = parallel.stage_metrics.map(|metrics| metrics.queue_depth);
-        assert_eq!(depth, Some(QUEUE_DEPTH), "production runs at the constant");
     }
 
     #[test]

@@ -141,8 +141,7 @@ pub enum SpanName {
     /// producer push, 1 worker pop, 4 producer waiting for the range
     /// tasks it queued to seed; 2, the pop of a retired extension queue,
     /// and 3, the pop of a retired collector's queue, only in old
-    /// traces). Codes 0 and 4 sum to the seeding stage's `idle_us` in
-    /// `--metrics-out`, code 1 to the filtering stage's.
+    /// traces).
     QueueWait,
 }
 
@@ -209,9 +208,10 @@ pub struct Span {
     pub parent: u64,
 }
 
-/// One line of a `--trace-out` file: what [`TraceRecorder::write_trace`]
-/// renders and `wga profile` reads back, both through this type. Every
-/// value is an integer, so a line is deterministic in shape.
+/// One line of a `--trace-out` file: what [`TraceRecorder::lines`]
+/// yields, [`TraceRecorder::write_trace`] renders and `wga profile` reads
+/// back, all through this type. Every value is an integer, so a line is
+/// deterministic in shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceLine {
     /// `{"schema":N}`, the first line since schema 2 ([`TRACE_SCHEMA`]).
@@ -252,12 +252,19 @@ impl TraceLine {
 
     /// Reads one line: its kind, a known span name, and
     /// every field of that kind, present (`tid`/`id`/`parent` aside) and
-    /// a `u64`. Errors name what is wrong.
-    pub fn from_json(doc: &Json) -> Result<TraceLine, String> {
+    /// a `u64`. Errors name what is wrong. `None` is a retired line of an
+    /// older trace, which every reader skips unread: a `hwsim.bsw` /
+    /// `hwsim.gactx` span (modeled cycles posing as a span) or a `hist`
+    /// line of the log2 histograms no report read.
+    pub fn from_json(doc: &Json) -> Result<Option<TraceLine>, String> {
         if doc.get("schema").is_some() {
-            return doc.u64("schema").map(TraceLine::Schema);
+            return doc.u64("schema").map(|v| Some(TraceLine::Schema(v)));
         }
-        if let Some(name) = doc.get("span").and_then(Json::as_str) {
+        let span = doc.get("span").and_then(Json::as_str);
+        if matches!(span, Some("hwsim.bsw" | "hwsim.gactx")) || doc.get("hist").is_some() {
+            return Ok(None);
+        }
+        if let Some(name) = span {
             let name = SpanName::ALL
                 .into_iter()
                 .find(|n| n.as_str() == name)
@@ -267,7 +274,7 @@ impl TraceLine {
                 return Err(format!("strand code out of range: {strand}"));
             }
             let schema_2 = |key: &str| doc.get_u64(key).map(Option::unwrap_or_default);
-            return Ok(TraceLine::Span(Span {
+            return Ok(Some(TraceLine::Span(Span {
                 name,
                 pair: doc.u64("pair")?,
                 strand: strand as u8,
@@ -279,10 +286,11 @@ impl TraceLine {
                 tid: schema_2("tid")?,
                 id: schema_2("id")?,
                 parent: schema_2("parent")?,
-            }));
+            })));
         }
         if let Some(name) = doc.get("counter").and_then(Json::as_str) {
-            return Ok(TraceLine::Counter(name.to_string(), doc.u64("value")?));
+            let value = doc.u64("value")?;
+            return Ok(Some(TraceLine::Counter(name.to_string(), value)));
         }
         Err("line is neither a schema header, a span, nor a counter".into())
     }
@@ -696,8 +704,8 @@ impl SpanBuf<'_> {
 
     /// Completes a `queue.wait` span: a wait of kind `code` (the
     /// dataflow executor's queue codes) attributed to `pair`.
-    pub(crate) fn finish_wait(&mut self, timer: SpanTimer, pair: u64, code: u64) -> u64 {
-        self.finish_for_pair(timer, SpanName::QueueWait, pair, STRAND_NA, code, 0, 0)
+    pub(crate) fn finish_wait(&mut self, timer: SpanTimer, pair: u64, code: u64) {
+        self.finish_for_pair(timer, SpanName::QueueWait, pair, STRAND_NA, code, 0, 0);
     }
 
     /// Hands buffered spans to the recorder, leaving the buffer empty.
@@ -794,18 +802,22 @@ impl TraceRecorder {
         }
     }
 
-    /// Writes the full trace as JSONL, one [`TraceLine`] a line: the
-    /// `{"schema":N}` header (see [`TRACE_SCHEMA`]), every span in
-    /// timeline order, then every funnel counter.
-    pub fn write_trace<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+    /// The full trace, one [`TraceLine`] a line: the `{"schema":N}`
+    /// header (see [`TRACE_SCHEMA`]), every span in timeline order, then
+    /// every funnel counter.
+    pub fn lines(&self) -> impl Iterator<Item = TraceLine> + '_ {
         let spans = self.spans().into_iter().map(TraceLine::Span);
         let counters = Counter::ALL
             .into_iter()
             .map(|c| TraceLine::Counter(c.as_str().to_string(), self.counter(c)));
-        for line in std::iter::once(TraceLine::Schema(TRACE_SCHEMA))
+        std::iter::once(TraceLine::Schema(TRACE_SCHEMA))
             .chain(spans)
             .chain(counters)
-        {
+    }
+
+    /// Writes [`TraceRecorder::lines`] as JSONL.
+    pub fn write_trace<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+        for line in self.lines() {
             writeln!(w, "{}", line.to_json())?;
         }
         Ok(())
@@ -904,13 +916,13 @@ mod tests {
             )
         );
         let doc = crate::json::parse(&line).unwrap();
-        assert_eq!(TraceLine::from_json(&doc), Ok(TraceLine::Span(span)));
+        assert_eq!(TraceLine::from_json(&doc), Ok(Some(TraceLine::Span(span))));
         // A schema-1 span: no tid/id/parent, read as zero.
         let old = crate::json::parse(
             r#"{"span":"seed","pair":0,"strand":0,"seq":0,"start_us":1,"dur_us":2,"items":3,"cells":4}"#,
         )
         .unwrap();
-        let Ok(TraceLine::Span(old)) = TraceLine::from_json(&old) else {
+        let Ok(Some(TraceLine::Span(old))) = TraceLine::from_json(&old) else {
             panic!("schema-1 span")
         };
         assert_eq!(
@@ -924,14 +936,20 @@ mod tests {
                 "strand code out of range",
             ),
             (r#"{"span":"seed","strand":0,"pair":-1}"#, "\"pair\""),
-            (
-                r#"{"hist":"filter.tile_ns","total":0,"buckets":[]}"#,
-                "neither",
-            ),
             (r#"{"other":1}"#, "neither"),
         ] {
             let err = TraceLine::from_json(&crate::json::parse(bad).unwrap()).unwrap_err();
             assert!(err.contains(why), "{bad}: {err}");
+        }
+        // Retired lines read as nothing, unvalidated: a malformed
+        // histogram too.
+        for retired in [
+            r#"{"span":"hwsim.bsw","pair":0,"strand":2,"seq":0,"start_us":9,"dur_us":0,"items":3,"cells":7}"#,
+            r#"{"span":"hwsim.gactx"}"#,
+            r#"{"hist":"filter.tile_ns","total":5,"buckets":[[5,1],[2,1]]}"#,
+        ] {
+            let doc = crate::json::parse(retired).unwrap();
+            assert_eq!(TraceLine::from_json(&doc), Ok(None), "{retired}");
         }
     }
 
@@ -979,12 +997,16 @@ mod tests {
         let mut out = Vec::new();
         rec.write_trace(&mut out).expect("write to Vec");
         let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<TraceLine> = rec.lines().collect();
+        assert_eq!(text.lines().count(), lines.len());
         let mut schema = 0;
         let mut spans = 0;
         let mut counters = 0;
-        for (i, line) in text.lines().enumerate() {
+        for ((i, line), recorded) in text.lines().enumerate().zip(lines) {
             let value = crate::json::parse(line).expect("valid JSON line");
             let parsed = TraceLine::from_json(&value).expect("a trace line");
+            let parsed = parsed.expect("no retired line is written");
+            assert_eq!(parsed, recorded, "reads back to the recorded line");
             assert_eq!(
                 parsed.to_json().to_string(),
                 line,

@@ -16,8 +16,8 @@
 //!   schedule under the [`AlignOptions`] of any matrix run — budgets,
 //!   fault injection, and a checkpoint that is a
 //!   directory of *per-genome-pair* journals, so an N-genome run resumes
-//!   at chromosome-pair granularity — with the same tracing and
-//!   per-stage metrics as a two-assembly run;
+//!   at chromosome-pair granularity — with the same tracing as a
+//!   two-assembly run;
 //! * [`plane_sweep`] — dedups overlapping alignments within each
 //!   chromosome pair's record, strand by strand;
 //! * [`paf`] — renders the survivors as PAF.
@@ -39,7 +39,7 @@ pub mod paf;
 pub mod plane_sweep;
 
 use crate::config::WgaParams;
-use crate::dataflow::{ExecutorMetrics, QUEUE_DEPTH};
+use crate::dataflow::QUEUE_DEPTH;
 use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::genome_pipeline::{align_matrix, by_score, AlignOptions, PairMatrix};
@@ -132,10 +132,6 @@ pub struct ManyReport {
     /// chromosome at most once, for every scheduled pair that aligns
     /// against it.
     pub tables_built: u64,
-    /// Per-stage telemetry of the run: every block carries the whole
-    /// run's, so this is the first block's. Excluded from the canonical
-    /// text, like timings.
-    pub stage_metrics: Option<ExecutorMetrics>,
 }
 
 impl ManyReport {
@@ -281,7 +277,6 @@ pub fn align_many_observed(
             .collect(),
         knn: options.knn,
         tables_built,
-        stage_metrics: blocks.first().and_then(|block| block.stage_metrics),
         ..ManyReport::default()
     };
     let mut blocks = blocks.into_iter();

@@ -27,7 +27,7 @@ pub struct WgaAlignment {
 /// Time spent per pipeline stage: each field the sum of its stage's
 /// span durations, each a whole number of microseconds (the spans'
 /// `dur_us`, see [`crate::obs`]). The journal writes it as
-/// `timings_us`, and `--metrics-out`'s `busy_us` reads it.
+/// `timings_us`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Seeding: `seed.table` + `seed` spans.

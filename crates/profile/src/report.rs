@@ -101,6 +101,12 @@ impl ProfileReport {
     /// Serialises the report: fixed field order, integers only, one
     /// top-level member per line. Byte-identical for identical traces.
     pub fn to_json(&self) -> String {
+        self.to_doc().to_lines()
+    }
+
+    /// The report as one JSON object, the members [`ProfileReport::to_json`]
+    /// writes a line each.
+    pub fn to_doc(&self) -> Json {
         let (a, m) = (&self.attr, &self.modeled);
         let stages = a.stages.iter().map(|s| {
             Json::obj([
@@ -180,7 +186,6 @@ impl ProfileReport {
                 ]),
             ),
         ])
-        .to_lines()
     }
 
     /// Renders the human-readable table `wga profile report` prints.

@@ -2,14 +2,16 @@
 //!
 //! One pass over the input, each line read by `wga_core::obs`'s own
 //! [`TraceLine::from_json`] — the module that writes trace lines is the
-//! one that defines them — into [`Span`]s and counters. Validation is
-//! strict — every line must be the schema header, a span or a counter,
-//! names must come from the observability layer's taxonomy, and integer
-//! fields must be present and non-negative — so everything downstream
-//! (attribution, the report) can assume a well-formed timeline. Two
-//! kinds of line of older traces are skipped: the `hwsim.bsw` /
-//! `hwsim.gactx` lines, modeled cycles posing as spans, and the `hist`
-//! lines of the retired log2 histograms, which no report read.
+//! one that defines them — and folded into [`Span`]s and counters, the
+//! same fold a live recorder's [`TraceRecorder::lines`] go through
+//! ([`TraceFile::from_lines`]). Validation is strict — every line must
+//! be the schema header, a span or a counter, names must come from the
+//! observability layer's taxonomy, and integer fields must be present
+//! and non-negative — so everything downstream (attribution, the
+//! report) can assume a well-formed timeline. The retired lines of
+//! older traces, which `from_json` reads as nothing, are skipped.
+//!
+//! [`TraceRecorder::lines`]: wga_core::obs::TraceRecorder::lines
 
 use crate::ProfileError;
 use std::collections::BTreeMap;
@@ -34,10 +36,38 @@ pub struct TraceFile {
 impl TraceFile {
     /// Reads and validates a whole trace from `reader`.
     pub fn read<R: BufRead>(reader: R) -> Result<TraceFile, ProfileError> {
+        let lines = reader.lines().enumerate().map(|(idx, line)| {
+            let lineno = idx + 1;
+            let at = |msg: String| ProfileError::at(lineno, msg);
+            let line = line.map_err(|e| at(format!("read failed: {e}")))?;
+            if line.trim().is_empty() {
+                return Ok(None);
+            }
+            let doc = json::parse(&line).map_err(|e| at(format!("invalid JSON: {e}")))?;
+            let line = TraceLine::from_json(&doc).map_err(at)?;
+            Ok(line.map(|line| (lineno, line)))
+        });
+        TraceFile::fold(lines)
+    }
+
+    /// The trace of a live recorder's [`TraceRecorder::lines`], folded as
+    /// [`TraceFile::read`] folds a file's, with no text in between.
+    ///
+    /// [`TraceRecorder::lines`]: wga_core::obs::TraceRecorder::lines
+    pub fn from_lines(
+        lines: impl IntoIterator<Item = TraceLine>,
+    ) -> Result<TraceFile, ProfileError> {
+        TraceFile::fold((1..).zip(lines).map(|line| Ok(Some(line))))
+    }
+
+    /// Folds `(line number, line)`s into spans and counters, validating
+    /// their order and names; `None` is a line with nothing to fold.
+    fn fold(
+        lines: impl Iterator<Item = Result<Option<(usize, TraceLine)>, ProfileError>>,
+    ) -> Result<TraceFile, ProfileError> {
         // Traces written while extension still speculated carry a
         // `shard.spec_discard` counter the recorder no longer has; it
-        // stays readable (and reads 0 from traces without it), as older
-        // traces' `hwsim.*` and `hist` lines, skipped below, do.
+        // stays readable (and reads 0 from traces without it).
         let known_counters: Vec<&str> = Counter::ALL
             .iter()
             .map(|c| c.as_str())
@@ -45,7 +75,8 @@ impl TraceFile {
             .collect();
 
         let mut schema: Option<u64> = None;
-        let mut spans = Vec::new();
+        // A recorder's lines know their count, a file's do not.
+        let mut spans = Vec::with_capacity(lines.size_hint().0);
         // `extend.tiles` is newer than the profile report: its absence is
         // what tells the report's workload to sum `extend.tile` spans.
         let mut counters: BTreeMap<String, u64> = known_counters
@@ -55,20 +86,12 @@ impl TraceFile {
             .collect();
         let mut seen_counters: BTreeMap<String, ()> = BTreeMap::new();
 
-        for (idx, line) in reader.lines().enumerate() {
-            let lineno = idx + 1;
+        for line in lines {
+            let Some((lineno, line)) = line? else {
+                continue;
+            };
             let at = |msg: String| ProfileError::at(lineno, msg);
-            let line = line.map_err(|e| at(format!("read failed: {e}")))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = json::parse(&line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-            if matches!(doc.str("span"), Ok("hwsim.bsw" | "hwsim.gactx"))
-                || doc.get("hist").is_some()
-            {
-                continue;
-            }
-            match TraceLine::from_json(&doc).map_err(at)? {
+            match line {
                 TraceLine::Schema(declared) => {
                     if lineno != 1 {
                         return Err(at("schema header must be the first line".into()));
@@ -166,6 +189,30 @@ mod tests {
         let hist = r#"{"hist":"filter.tile_ns","total":5,"buckets":[[5,1],[2,1]]}"#;
         let t = TraceFile::parse(&format!("{MINI}{hwsim}\n{hist}\n")).expect("parses");
         assert_eq!(t.spans.len(), 1);
+    }
+
+    /// A recorder's lines fold into the trace its rendered text reads
+    /// back as.
+    #[test]
+    fn recorder_lines_fold_as_their_text_reads() {
+        use wga_core::obs::{Obs, TraceRecorder, STRAND_FWD};
+
+        let recorder = TraceRecorder::new();
+        let mut buf = Obs::new(&recorder).with_pair(2).buffer();
+        for seq in 0..3 {
+            let timer = buf.start();
+            buf.finish(timer, SpanName::FilterBatch, STRAND_FWD, seq, 4, 40);
+        }
+        buf.flush();
+        let mut text = Vec::new();
+        recorder.write_trace(&mut text).expect("written");
+        let read = TraceFile::read(&text[..]).expect("parses");
+        let folded = TraceFile::from_lines(recorder.lines()).expect("folds");
+        assert_eq!(read.spans.len(), 3);
+        assert_eq!(
+            (read.schema, read.spans, read.counters),
+            (folded.schema, folded.spans, folded.counters)
+        );
     }
 
     #[test]

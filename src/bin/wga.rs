@@ -19,16 +19,16 @@
 //!     filters, extends and journals, and ranges stream through one
 //!     bounded queue, 4 tasks deep (results are byte-identical either
 //!     way). --threads is at most 1024.
-//!     --executor is still accepted and changes nothing. --metrics-out writes the schedule's per-stage
-//!     telemetry as JSON (`"executor"` is `barrier` at one thread and
-//!     `dataflow` above), with the process's resident
-//!     high-water and its anonymous / file-backed split under
-//!     `"process"` where `/proc/self/status` is readable. --trace-out
-//!     writes one JSON line per pipeline span and funnel counter (see DESIGN.md
-//!     "Observability"). --progress keeps a throttled one-line status on
-//!     stderr (pairs done, filter survival, cells/s and ETA of the pairs
-//!     this run computes), advancing as each chromosome pair finishes.
-//!     Neither flag changes results.
+//!     --executor is still accepted and changes nothing. --trace-out
+//!     writes one JSON line per pipeline span and funnel counter (see
+//!     DESIGN.md "Observability"). --metrics-out writes the profile of
+//!     the same spans, the bytes `wga profile report <trace> --json`
+//!     writes, with the process's resident high-water and its anonymous
+//!     / file-backed split as one more line, `"process"`, where
+//!     `/proc/self/status` is readable. --progress keeps a throttled
+//!     one-line status on stderr (pairs done, filter survival, cells/s
+//!     and ETA of the pairs this run computes), advancing as each
+//!     chromosome pair finishes. None of the three changes results.
 //!     --filter-engine picks the BSW kernel for gapped filtering:
 //!     `scalar`, the row-major reference, or `simd` (the default), the
 //!     anti-diagonal wavefront, which runs a tile in explicit SSE2/AVX2
@@ -53,8 +53,8 @@
 //!     journal, FASTA read or sink ends the command with exit 1, and a
 //!     `crash` aborts the process; a rerun with the same --checkpoint
 //!     resumes from the journal. The metrics and trace count the faults
-//!     of pairs that failed, but not a sink's, which fires once both
-//!     are rendered. The MAF, metrics and trace artifacts are
+//!     of pairs that failed, but not a sink's, which ends the command
+//!     once its file is rendered. The MAF, metrics and trace artifacts are
 //!     written atomically (tmp + fsync + rename), so an interrupted run
 //!     never leaves a torn output file; a FIFO or character device
 //!     (`/dev/null`, `/dev/stdout` on a pipe) is written in place.
@@ -94,6 +94,7 @@
 //! wga profile diff <old.json> <new.json>
 //!     Exit nonzero when a stage's share of pipeline time grew by more
 //!     than --max-share-regression-centi (default 500 = 5 points).
+//!     Either file may be a --metrics-out file.
 //!
 //! In every subcommand --help (or -h) prints the usage and exits 0, and
 //! an argument starting with `--` that is not one of the subcommand's
@@ -109,7 +110,7 @@ use darwin_wga::align::Alignment;
 use darwin_wga::chain::chainer::chain_alignments;
 use darwin_wga::chain::metrics;
 use darwin_wga::core::config::{ResourceBudget, WgaParams};
-use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics};
+use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::durable;
 use darwin_wga::core::error::WgaError;
 use darwin_wga::core::faultsim::{FaultInjector, FaultPlan, Hook};
@@ -123,6 +124,7 @@ use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::{fasta, Sequence};
+use darwin_wga::profile::{ProfileReport, TraceFile};
 use rand::SeedableRng;
 use std::fs::File;
 use std::io::{BufReader, Write as _};
@@ -248,8 +250,8 @@ struct RunFlags {
 
 /// A started `align` or `many` run: its validated parameters and
 /// options, its genomes, the one fault injector of its FASTA reads,
-/// matrix run and trace/metrics sinks, and the recorder the trace and
-/// the progress meter read.
+/// matrix run and trace/metrics sinks, and the recorder the trace, the
+/// metrics and the progress meter read.
 struct Run {
     flags: RunFlags,
     params: WgaParams,
@@ -342,8 +344,8 @@ impl RunFlags {
                 .map_err(|e| e.to_string())?;
         }
 
-        let recorder =
-            (self.trace_out.is_some() || self.progress).then(|| Arc::new(TraceRecorder::new()));
+        let observed = self.trace_out.is_some() || self.metrics_out.is_some() || self.progress;
+        let recorder = observed.then(|| Arc::new(TraceRecorder::new()));
         let mut run = Run {
             injector: self.options.injector(),
             flags: self,
@@ -370,10 +372,12 @@ impl Run {
         (self.injector.as_ref()).map_or(obs, |injector| obs.with_injector(injector))
     }
 
-    /// Writes the trace, then the `metrics` JSON with the process's
-    /// memory under `"process"`: last, so its high-water covers the whole
-    /// command, every other output included.
-    fn finish(&self, metrics: Option<&ExecutorMetrics>) -> Result<(), String> {
+    /// Writes the trace, then the metrics: the profile of the
+    /// recorder's spans, as `wga profile report --json` writes it, with
+    /// the process's memory as its first member, `"process"`. Last, so
+    /// its high-water covers the whole command, every other output
+    /// included.
+    fn finish(&self) -> Result<(), String> {
         if let (Some(rec), Some(path)) = (&self.recorder, &self.flags.trace_out) {
             let mut buf: Vec<u8> = Vec::new();
             rec.write_trace(&mut buf)
@@ -381,12 +385,13 @@ impl Run {
             self.write_sink(path, &buf, Hook::TraceSink)?;
             println!("trace written to {path}");
         }
-        if let (Some(metrics), Some(path)) = (metrics, &self.flags.metrics_out) {
-            let mut json = metrics.to_json();
-            if let Some(process) = process_memory() {
-                json.push("process", process);
+        if let (Some(rec), Some(path)) = (&self.recorder, &self.flags.metrics_out) {
+            let trace = TraceFile::from_lines(rec.lines()).map_err(|e| format!("{path}: {e}"))?;
+            let mut doc = ProfileReport::build(&trace, 5).to_doc();
+            if let (Json::Obj(members), Some(process)) = (&mut doc, process_memory()) {
+                members.insert(0, ("process".to_string(), process));
             }
-            self.write_sink(path, format!("{json}\n").as_bytes(), Hook::MetricsSink)?;
+            self.write_sink(path, doc.to_lines().as_bytes(), Hook::MetricsSink)?;
             println!("stage metrics written to {path}");
         }
         Ok(())
@@ -654,9 +659,6 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         report.failed_pairs(),
         report.resumed_pairs
     );
-    if let Some(metrics) = &report.stage_metrics {
-        println!("{}", metrics.summary());
-    }
     for pair in &report.pairs {
         match &pair.outcome {
             RunOutcome::Completed => {}
@@ -739,7 +741,7 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
         println!("MAF written to {path}");
     }
 
-    run.finish(report.stage_metrics.as_ref())
+    run.finish()
 }
 
 fn cmd_many(args: &[String]) -> Result<(), String> {
@@ -796,11 +798,11 @@ fn cmd_many(args: &[String]) -> Result<(), String> {
         durable::write_atomic(Path::new(&path), paf.as_bytes()).map_err(|e| e.to_string())?;
         println!("PAF written to {path}");
     }
-    run.finish(report.stage_metrics.as_ref())
+    run.finish()
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use darwin_wga::profile::{diff as pdiff, ProfileReport, TraceFile};
+    use darwin_wga::profile::diff as pdiff;
 
     match args.first().map(String::as_str) {
         Some("report") => {
@@ -859,7 +861,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 /// The run's memory as the kernel counts it in `/proc/self/status`, as the
-/// `--metrics-out` `"process"` object (KiB): the resident high-water and
+/// `--metrics-out` `"process"` member (KiB): the resident high-water and
 /// the resident set now, split into anonymous and file-backed pages.
 /// `None` where the file or a field cannot be read.
 fn process_memory() -> Option<Json> {

@@ -98,11 +98,25 @@ fn run_within(
     opts: AlignOptions,
     label: &str,
 ) -> AssemblyReport {
+    injected_within(secs, params, target, query, opts, label).0
+}
+
+/// [`run_within`], with the number of faults the run injected.
+fn injected_within(
+    secs: u64,
+    params: &WgaParams,
+    target: &Assembly,
+    query: &Assembly,
+    opts: AlignOptions,
+    label: &str,
+) -> (AssemblyReport, u64) {
     result_within(secs, params, target, query, opts, label)
         .unwrap_or_else(|e| panic!("{label}: run errored: {e}"))
 }
 
-/// [`run_within`] for a run that may end with an error.
+/// [`injected_within`] for a run that may end with an error. The plan's
+/// injector rides on the run's `Obs`, as the CLI's does, so its count
+/// is the run's.
 fn result_within(
     secs: u64,
     params: &WgaParams,
@@ -110,19 +124,17 @@ fn result_within(
     query: &Assembly,
     opts: AlignOptions,
     label: &str,
-) -> WgaResult<AssemblyReport> {
+) -> WgaResult<(AssemblyReport, u64)> {
     let (tx, rx) = mpsc::channel();
     let params = params.clone();
     let target = target.clone();
     let query = query.clone();
     thread::spawn(move || {
-        let _ = tx.send(align_assemblies_observed(
-            &params,
-            &target,
-            &query,
-            &opts,
-            Obs::off(),
-        ));
+        let injector = opts.injector();
+        let obs = (injector.as_ref()).map_or(Obs::off(), |i| Obs::off().with_injector(i));
+        let report = align_assemblies_observed(&params, &target, &query, &opts, obs);
+        let injected = injector.map_or(0, |injector| injector.injected());
+        let _ = tx.send(report.map(|report| (report, injected)));
     });
     rx.recv_timeout(Duration::from_secs(secs))
         .unwrap_or_else(|_| panic!("{label}: run exceeded {secs}s deadline"))
@@ -225,14 +237,14 @@ fn same_plan_is_deterministic_across_executors() {
     let clean = fault_free(&params, &target, &query);
     let faults = "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0],\"pair\":1},\
                   {\"hook\":\"extend.tile\",\"kind\":\"error\",\"at\":[0]}";
-    let mut seen: Vec<(String, Option<u64>)> = Vec::new();
+    let mut seen: Vec<(String, u64)> = Vec::new();
     for (name, threads) in SCHEDULES {
         let opts = AlignOptions {
             threads,
             fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &params, &target, &query, opts, name);
+        let (report, injected) = injected_within(120, &params, &target, &query, opts, name);
         let failed: Vec<bool> = (report.pairs.iter())
             .map(|pair| matches!(pair.outcome, RunOutcome::Failed { .. }))
             .collect();
@@ -242,10 +254,9 @@ fn same_plan_is_deterministic_across_executors() {
             results(&clean.pairs[2..3]),
             "{name}: the pair no fault reached is untouched"
         );
-        let injected = report.stage_metrics.map(|m| m.faults_injected);
         seen.push((report.canonical_text(), injected));
     }
-    assert_eq!(seen[0].1, Some(3), "one injection a failed pair");
+    assert_eq!(seen[0].1, 3, "one injection a failed pair");
     assert_eq!(seen[0], seen[1], "the schedules diverged");
 }
 
@@ -512,12 +523,9 @@ fn filter_batch_occurrences_count_strands_not_ranges() {
             }
         }
 
-        let none = run_within(120, &params, &target, &query, options("[2,3,4]"), name);
-        assert_eq!(
-            none.stage_metrics.map(|m| m.faults_injected),
-            Some(0),
-            "{name}: a pair has two strands"
-        );
+        let (none, injected) =
+            injected_within(120, &params, &target, &query, options("[2,3,4]"), name);
+        assert_eq!(injected, 0, "{name}: a pair has two strands");
         assert_eq!(none.canonical_text(), clean.canonical_text(), "{name}");
     }
 }

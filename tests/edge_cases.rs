@@ -258,10 +258,11 @@ mod cli {
         assert_clean_failure(&out, "t.jsonl");
     }
 
-    /// `--metrics-out` works on the one-thread loop too, which it names
-    /// `barrier`.
+    /// `--metrics-out` alone records the run's spans, and writes their
+    /// profile — the run's filter batches among its stages — with the
+    /// process's memory.
     #[test]
-    fn align_metrics_out_works_on_the_barrier_executor() {
+    fn align_metrics_out_profiles_a_run_without_a_trace_out() {
         let core = "ACGGTCAGTCGATTGCAGTCCATGGACTGATC".repeat(40);
         let fa = tmp("obs-metrics.fa", &format!(">chr1\n{core}\n"));
         let metrics =
@@ -277,7 +278,6 @@ mod cli {
         assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
         let json = std::fs::read_to_string(&metrics).unwrap();
         let _ = std::fs::remove_file(&metrics);
-        assert!(json.contains("\"executor\":\"barrier\""), "{json}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("stage metrics"), "stdout: {stdout}");
         // The process's memory from /proc/self/status. The kernel keeps
@@ -295,6 +295,12 @@ mod cli {
         let (hwm, anon, file) = (kb("vm_hwm_kb"), kb("rss_anon_kb"), kb("rss_file_kb"));
         assert!(anon > 0 && file > 0, "{json}");
         assert!(anon + file <= hwm, "{json}");
+        assert_eq!(doc.u64("profile_schema"), Ok(2), "{json}");
+        let stages = doc.arr("stages").unwrap_or_else(|e| panic!("{e}: {json}"));
+        let batch = (stages.iter())
+            .find(|stage| stage.str("stage") == Ok("filter.batch"))
+            .unwrap_or_else(|| panic!("no filter.batch stage: {json}"));
+        assert!(batch.u64("spans").is_ok_and(|spans| spans > 0), "{json}");
     }
 
     /// The metrics file is written last, so its `"process"` high-water
@@ -1022,14 +1028,15 @@ mod cli {
             );
             let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
             let doc = json::parse(metrics.trim_end()).expect("metrics JSON parses");
-            assert_eq!(doc.get_u64("faults_injected"), Ok(Some(0)), "{subcommand}");
+            let faults = doc.member("faults").and_then(|faults| faults.u64("spans"));
+            assert_eq!(faults, Ok(0), "{subcommand}");
             assert_eq!(doc.get_u64("retries"), Ok(None), "{subcommand}");
             let trace = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
             let faults = (trace.lines())
                 .map(|line| TraceLine::from_json(&json::parse(line).unwrap()).unwrap())
-                .filter(
-                    |line| matches!(line, TraceLine::Span(span) if span.name == SpanName::Fault),
-                )
+                .filter(|line| {
+                    matches!(line, Some(TraceLine::Span(span)) if span.name == SpanName::Fault)
+                })
                 .count();
             assert_eq!(faults, 0, "{subcommand}");
 

@@ -12,7 +12,6 @@
 
 use darwin_wga::align::{AlignOp, Alignment, Cigar};
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::dataflow::{ExecutorKind, ExecutorMetrics};
 use darwin_wga::core::faultsim::FaultPlan;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions};
 use darwin_wga::core::journal::{crc32c, params_fingerprint, Journal, PairRecord};
@@ -26,7 +25,7 @@ use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::Sequence;
 use darwin_wga::hwsim::Workload;
 use darwin_wga::profile::diff::ReportSummary;
-use darwin_wga::profile::TraceFile;
+use darwin_wga::profile::{ProfileReport, TraceFile};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -148,22 +147,20 @@ const PLAN: &str = "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":42,\"f
     {\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,2],\"pair\":1},\
     {\"hook\":\"journal.append\",\"kind\":\"crash\",\"at\":[0],\"ms\":25}]}";
 
+/// A `--metrics-out` file as `wga` writes it: the profile of the run's
+/// trace ([`TRACE`] here) with the process's memory as its first line.
 fn metrics() -> String {
-    let mut doc = ExecutorMetrics {
-        executor: ExecutorKind::Dataflow,
-        threads: 2,
-        queue_depth: 8,
-        ..ExecutorMetrics::default()
+    let trace = TraceFile::parse(TRACE).expect("trace parses");
+    let mut doc = ProfileReport::build(&trace, 5).to_doc();
+    let process = Json::obj([
+        ("vm_hwm_kb", 3008u64.into()),
+        ("rss_anon_kb", 1020u64.into()),
+        ("rss_file_kb", 1960u64.into()),
+    ]);
+    if let Json::Obj(members) = &mut doc {
+        members.insert(0, ("process".to_string(), process));
     }
-    .to_json();
-    doc.push(
-        "process",
-        Json::obj([
-            ("vm_hwm_kb", 3008u64.into()),
-            ("rss_anon_kb", 1020u64.into()),
-        ]),
-    );
-    doc.to_string()
+    doc.to_lines()
 }
 
 /// Two blocks as `wga align` writes them, one a strand.
@@ -248,7 +245,8 @@ fn the_undamaged_inputs_read() {
     let plain = TraceFile::parse(&without_hist).expect("trace parses");
     assert_eq!((plain.spans, plain.counters), (trace.spans, trace.counters));
     assert_eq!(FaultPlan::parse(PLAN).expect("plan parses").rules.len(), 2);
-    assert_eq!(json::parse(&metrics()).unwrap().to_string(), metrics());
+    assert_eq!(json::parse(&metrics()).unwrap().to_lines(), metrics());
+    assert!(ReportSummary::from_json(&metrics()).is_ok());
     assert!(ReportSummary::from_json(&report()).is_ok());
     let blocks = read_maf(maf().as_bytes()).expect("MAF reads");
     let strands: Vec<Strand> = blocks.iter().map(|block| block.strand).collect();

@@ -11,12 +11,12 @@
 //!    full integer field set and a known span name; every counter line
 //!    carries a known counter name and non-negative value; nothing else
 //!    is written (the retired `hist` lines in particular).
-//! 3. **Metrics universality** — both schedules report
-//!    [`ExecutorMetrics`] whose JSON round-trips through the parser and
-//!    is tagged with the schedule that produced it.
+//! 3. **Metrics are the trace's profile** — on both schedules and in
+//!    both run commands, `--metrics-out` writes what
+//!    `wga profile report --json` writes for the same run's trace, plus
+//!    the process's memory on one more line.
 
 use darwin_wga::core::config::{FilterEngineKind, WgaParams};
-use darwin_wga::core::dataflow::ExecutorKind;
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::obs::{
@@ -25,7 +25,7 @@ use darwin_wga::core::obs::{
 use darwin_wga::genome::assembly::Assembly;
 use std::fs;
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn data_dir() -> PathBuf {
@@ -186,42 +186,75 @@ fn checkpointed_run_traces_checkpoint_spans() {
     assert_eq!(checkpoints, 4, "one checkpoint span per journaled pair");
 }
 
-/// Both schedules emit metrics; the JSON parses and names the schedule.
+/// `wga` run in `dir` with `args`, which must exit 0.
+fn wga_in(dir: &Path, args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_wga"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn wga");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    out
+}
+
+/// Checks the `--metrics-out` file `metrics` of the run that wrote the
+/// trace `trace`, both in `dir`: less its `"process"` line it is the
+/// bytes `wga profile report <trace> --json` writes, and `wga profile
+/// diff` reads it. Returns the metrics, parsed.
+fn metrics_are_the_profile_of(dir: &Path, metrics: &str, trace: &str, at: &str) -> Json {
+    wga_in(dir, &["profile", "report", trace, "--json", "r.json"]);
+    let text = fs::read_to_string(dir.join(metrics)).unwrap();
+    let process: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("\"process\":"))
+        .collect();
+    assert_eq!(process.len(), 1, "{at}: {text}");
+    assert!(
+        process[0].starts_with("\"process\":{\"vm_hwm_kb\":"),
+        "{at}: {text}"
+    );
+    let profile: String = (text.split_inclusive('\n'))
+        .filter(|line| !line.starts_with("\"process\":"))
+        .collect();
+    let report = fs::read_to_string(dir.join("r.json")).unwrap();
+    assert!(profile == report, "{at}:\n{text}\nagainst\n{report}");
+    wga_in(dir, &["profile", "diff", metrics, metrics]);
+    json::parse(&text).expect("metrics JSON parses")
+}
+
+/// `--metrics-out` is the profile of the run's own trace, for `wga
+/// align` at one thread and at two and for `wga many` at two: the same
+/// bytes as `wga profile report` of the trace beside it, less the
+/// `"process"` line, a file `wga profile diff` reads, and a
+/// `filter.batch` stage whose items are the run's filter tiles.
 #[test]
-fn metrics_json_is_valid_on_every_executor() {
-    for (threads, executor, tag) in [
-        (1, ExecutorKind::Barrier, "barrier"),
-        (2, ExecutorKind::Dataflow, "dataflow"),
-    ] {
-        let options = AlignOptions {
-            threads,
-            ..AlignOptions::default()
-        };
-        let report = run_golden(&options, Obs::off());
-        let metrics = report.stage_metrics.expect("metrics on both schedules");
-        assert_eq!(metrics.executor, executor);
-        let doc = json::parse(&metrics.to_json().to_string()).expect("metrics JSON parses");
-        assert_eq!(doc.get("executor").and_then(Json::as_str), Some(tag));
-        for stage in ["seeding", "filtering", "extension"] {
-            let s = doc.get(stage).unwrap_or_else(|| panic!("missing {stage}"));
-            for key in [
-                "workers",
-                "items",
-                "cells",
-                "busy_us",
-                "idle_us",
-                "max_queue_occupancy",
-            ] {
-                int_field(s, key);
-            }
+fn metrics_out_is_the_profile_report_of_the_runs_trace() {
+    let dir = std::env::temp_dir().join(format!("wga-obs-metrics-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let [target, query] = ["golden.target.fa", "golden.query.fa"]
+        .map(|file| data_dir().join(file).to_str().unwrap().to_string());
+    let observed = ["--trace-out", "t.jsonl", "--metrics-out", "m.json"];
+    for (command, threads) in [("align", "1"), ("align", "2"), ("many", "2")] {
+        let at = format!("{command} --threads {threads}");
+        let args = [command, &target, &query, "--threads", threads];
+        let out = wga_in(&dir, &[&args[..], &observed].concat());
+        let metrics = metrics_are_the_profile_of(&dir, "m.json", "t.jsonl", &at);
+        let stages = metrics.arr("stages").unwrap();
+        let batches = (stages.iter())
+            .find(|stage| stage.str("stage") == Ok("filter.batch"))
+            .unwrap_or_else(|| panic!("{at}: no filter.batch stage"));
+        let tiles = metrics.member("workload").unwrap().u64("filter_tiles");
+        assert!(tiles.as_ref().is_ok_and(|&tiles| tiles > 0), "{at}");
+        assert_eq!(batches.u64("items"), tiles, "{at}");
+        if command == "align" {
+            let line = format!("filter tiles:       {}\n", tiles.unwrap());
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains(&line), "{at}: no {line:?} in {stdout}");
         }
-        // Both schedules agree on what work the run contained.
-        assert_eq!(metrics.filtering.items, report.workload.filter_tiles);
-        assert_eq!(metrics.seeding.cells, report.workload.seeds);
-        // One pool of `threads` seeds, filters and extends.
-        let workers = [metrics.seeding, metrics.filtering, metrics.extension].map(|s| s.workers);
-        assert_eq!(workers, [threads; 3], "--threads {threads}");
     }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A pair that fails still finishes: with one pair failed by an
@@ -303,7 +336,10 @@ fn span_line_is_byte_stable() {
     assert_eq!(spans.len(), 1);
     let line = TraceLine::Span(spans[0]).to_json().to_string();
     let doc = json::parse(&line).expect("span line parses");
-    assert_eq!(TraceLine::from_json(&doc), Ok(TraceLine::Span(spans[0])));
+    assert_eq!(
+        TraceLine::from_json(&doc),
+        Ok(Some(TraceLine::Span(spans[0])))
+    );
     assert_eq!(doc.get("span").and_then(Json::as_str), Some("chain"));
     assert_eq!(int_field(&doc, "pair"), 3);
     assert_eq!(int_field(&doc, "seq"), 7);
@@ -367,27 +403,18 @@ fn dataflow_run_records_queue_waits_and_extend_lanes() {
 /// `wga many` traces and measures its whole matrix as `wga align` does,
 /// and neither output changes a byte of its PAF or report. At one thread
 /// and at two, `wga profile report` reads the trace back and lists every
-/// chromosome pair of the matrix, and the metrics name the schedule and
-/// carry the process's high-water.
+/// chromosome pair of the matrix, and the metrics are its profile with
+/// the process's high-water.
 #[test]
 fn many_traces_and_measures_the_matrix_without_changing_an_output() {
     let dir = std::env::temp_dir().join(format!("wga-obs-many-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    let wga = |args: &[&str]| -> Output {
-        let out = Command::new(env!("CARGO_BIN_EXE_wga"))
-            .current_dir(&dir)
-            .args(args)
-            .output()
-            .expect("spawn wga");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-        out
-    };
+    let wga = |args: &[&str]| wga_in(&dir, args);
     // Three genomes of two chromosomes: three genome pairs, 12 pair ids.
     let genomes = ["golden.target.fa", "golden.query.fa", "golden_n.target.fa"]
         .map(|file| data_dir().join(file).to_str().unwrap().to_string());
-    for (threads, executor) in [("1", "barrier"), ("2", "dataflow")] {
+    for threads in ["1", "2"] {
         let outputs = |observed: &[&str]| -> (Vec<u8>, Vec<u8>) {
             let mut args = vec!["many"];
             args.extend(genomes.iter().map(String::as_str));
@@ -414,21 +441,16 @@ fn many_traces_and_measures_the_matrix_without_changing_an_output() {
                 "no {listed:?} at {threads}: {table}"
             );
         }
-        let metrics = fs::read_to_string(dir.join("m.json")).unwrap();
-        assert!(
-            metrics.contains(&format!("\"executor\":\"{executor}\"")),
-            "{metrics}"
-        );
-        assert!(metrics.contains("\"process\":{\"vm_hwm_kb\":"), "{metrics}");
+        let at = format!("many --threads {threads}");
+        metrics_are_the_profile_of(&dir, "m.json", "t.jsonl", &at);
     }
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// One clock: every `--metrics-out` duration of a `wga align` run is the
 /// sum of its spans' `dur_us` in the same run's trace, at one thread and
-/// at two. Busy time: seeding is `seed.table` + `seed`, filtering
-/// `filter.batch`, extension `extend`. Idle time: seeding is `queue.wait`
-/// codes 0 and 4, filtering code 1, extension nothing.
+/// at two: each stage's `total_us` is its span name's, `queue.wait`
+/// (the time the producer and the pool spent blocked) included.
 #[test]
 fn metrics_durations_are_sums_of_the_trace_spans() {
     let dir = std::env::temp_dir().join(format!("wga-obs-clock-{}", std::process::id()));
@@ -437,59 +459,44 @@ fn metrics_durations_are_sums_of_the_trace_spans() {
     let inputs = ["golden.target.fa", "golden.query.fa"]
         .map(|file| data_dir().join(file).to_str().unwrap().to_string());
     for threads in ["1", "2"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_wga"))
-            .current_dir(&dir)
-            .args(["align", &inputs[0], &inputs[1], "--threads", threads])
-            .args(["--trace-out", "t.jsonl", "--metrics-out", "m.json"])
-            .output()
-            .expect("spawn wga");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{threads} threads: {stderr}");
+        let args = ["align", &inputs[0], &inputs[1], "--threads", threads];
+        wga_in(
+            &dir,
+            &[
+                &args[..],
+                &["--trace-out", "t.jsonl", "--metrics-out", "m.json"],
+            ]
+            .concat(),
+        );
 
         let trace = fs::read_to_string(dir.join("t.jsonl")).unwrap();
         let spans: Vec<_> = trace
             .lines()
             .filter_map(
                 |line| match TraceLine::from_json(&json::parse(line).unwrap()) {
-                    Ok(TraceLine::Span(span)) => Some(span),
+                    Ok(Some(TraceLine::Span(span))) => Some(span),
                     _ => None,
                 },
             )
             .collect();
-        let sum = |names: &[SpanName], codes: &[u64]| -> u64 {
-            (spans.iter())
-                .filter(|s| names.contains(&s.name))
-                .filter(|s| s.name != SpanName::QueueWait || codes.contains(&s.seq))
-                .map(|s| s.dur_us)
-                .sum()
-        };
         let metrics = json::parse(&fs::read_to_string(dir.join("m.json")).unwrap()).unwrap();
-        let stage = |name: &str, key: &str| int_field(metrics.member(name).unwrap(), key);
-        let wait = [SpanName::QueueWait];
-        for (name, busy, idle) in [
-            (
-                "seeding",
-                sum(&[SpanName::SeedTable, SpanName::Seed], &[]),
-                sum(&wait, &[0, 4]),
-            ),
-            (
-                "filtering",
-                sum(&[SpanName::FilterBatch], &[]),
-                sum(&wait, &[1]),
-            ),
-            ("extension", sum(&[SpanName::Extend], &[]), 0),
-        ] {
-            assert!(busy > 0, "{threads} threads: no {name} spans");
-            assert_eq!(
-                stage(name, "busy_us"),
-                busy,
-                "{name} busy, {threads} threads"
-            );
-            assert_eq!(
-                stage(name, "idle_us"),
-                idle,
-                "{name} idle, {threads} threads"
-            );
+        let stages = metrics.arr("stages").unwrap();
+        for name in SpanName::ALL {
+            let of_name = || spans.iter().filter(|s| s.name == name);
+            let stage = (stages.iter())
+                .find(|stage| stage.str("stage") == Ok(name.as_str()))
+                .unwrap_or_else(|| panic!("{threads} threads: no {} stage", name.as_str()));
+            let at = format!("{}, {threads} threads", name.as_str());
+            assert_eq!(int_field(stage, "spans"), of_name().count() as u64, "{at}");
+            let busy: u64 = of_name().map(|s| s.dur_us).sum();
+            assert_eq!(int_field(stage, "total_us"), busy, "{at}");
+        }
+        for name in [SpanName::Seed, SpanName::FilterBatch, SpanName::Extend] {
+            assert!(spans.iter().any(|s| s.name == name), "{threads} threads");
+        }
+        if threads == "2" {
+            let waits = spans.iter().filter(|s| s.name == SpanName::QueueWait);
+            assert!(waits.count() > 0, "the producer and the pool wait");
         }
     }
     let _ = fs::remove_dir_all(&dir);
