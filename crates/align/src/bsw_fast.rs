@@ -178,6 +178,37 @@ impl BswBatch {
             &mut scratch.wide,
         )
     }
+
+    /// [`BswBatch::run_tile`] on the `i16` kernel of one lane width,
+    /// `"sse2"` or `"avx2"`, instead of the widest the host offers;
+    /// `None` where the tile does not fit `i16` lanes
+    /// ([`BswBatch::tile_uses_simd`]), the host lacks the feature or
+    /// `feature` names neither. Only the differential tests call it, so
+    /// that each width the dispatch can pick is run by a test.
+    #[doc(hidden)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    pub fn run_tile_i16(
+        &self,
+        feature: &str,
+        tcodes: &[u8],
+        qcodes: &[u8],
+        scratch: &mut BswScratch,
+    ) -> Option<BandedOutcome> {
+        #[cfg(target_arch = "x86_64")]
+        if self.tile_uses_simd(tcodes.len(), qcodes.len()) {
+            let (lut, band) = (&self.lut16, self.band);
+            return crate::bsw_simd::wavefront_i16_width(
+                feature,
+                tcodes,
+                qcodes,
+                lut,
+                &self.gaps,
+                band,
+                &mut scratch.narrow,
+            );
+        }
+        None
+    }
 }
 
 /// The band sweep of both kernels: geometry, score staging, argmax,

@@ -59,6 +59,34 @@ pub(crate) fn wavefront_i16(
     unsafe { wavefront_i16_sse2(tcodes, qcodes, lut16, oe, ext, band, s) }
 }
 
+/// Runs one tile on the kernel of one lane width, named by its feature —
+/// `"sse2"` (8 lanes) or `"avx2"` (16) — and not on the widest the host
+/// offers, as [`wavefront_i16`] does; `None` where the host lacks the
+/// feature or `feature` names neither. The differential tests call it
+/// (through [`crate::bsw_fast::BswBatch::run_tile_i16`]) so that every
+/// width runs in a test.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn wavefront_i16_width(
+    feature: &str,
+    tcodes: &[u8],
+    qcodes: &[u8],
+    lut16: &[i16; 64],
+    gaps: &GapPenalties,
+    band: usize,
+    s: &mut Diagonals<i16>,
+) -> Option<BandedOutcome> {
+    let (oe, ext) = ((gaps.open + gaps.extend) as i16, gaps.extend as i16);
+    match feature {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        "sse2" => Some(unsafe { wavefront_i16_sse2(tcodes, qcodes, lut16, oe, ext, band, s) }),
+        "avx2" if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: the probe in the guard found AVX2.
+            Some(unsafe { wavefront_i16_avx2(tcodes, qcodes, lut16, oe, ext, band, s) })
+        }
+        _ => None,
+    }
+}
+
 /// Generates one `i16` kernel per instruction set: the shared sweep of
 /// [`crate::bsw_fast`] — same band geometry, staging, sentinels and argmax
 /// tie-break — with the diagonal update emitted as explicit saturating

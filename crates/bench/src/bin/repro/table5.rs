@@ -1,8 +1,9 @@
 //! Table V — runtimes, workload, and accelerator improvements.
 //!
 //! For each species pair we run the LASTZ-like baseline and the
-//! Darwin-WGA pipeline in software, measure their wall-clock stage times
-//! and workloads, then roll up:
+//! Darwin-WGA pipeline in software under a trace recorder, read their
+//! stage times off the trace's spans and their workloads off the report,
+//! then roll up:
 //!
 //! * LASTZ runtime — the baseline's measured software time;
 //! * workload — seeds / filter tiles / extension tiles (paper columns);
@@ -24,7 +25,7 @@
 
 use align::banded::banded_smith_waterman;
 use align::ungapped::ungapped_extend;
-use genome::evolve::SpeciesPair;
+use genome::evolve::{SpeciesPair, SyntheticPair};
 use genome::markov::MarkovModel;
 use genome::{GapPenalties, SubstitutionMatrix};
 use hwsim::perf::{
@@ -36,8 +37,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
-use wga_bench::{paper_pair, run_and_measure};
+use wga_bench::paper_pair;
 use wga_core::config::WgaParams;
+use wga_core::obs::{Obs, SpanName, TraceRecorder};
+use wga_core::pipeline::WgaPipeline;
+use wga_core::WgaReport;
 
 /// Calls of each filter timed for the per-hit cost.
 const UNGAPPED_CALLS: u32 = 200_000;
@@ -67,22 +71,20 @@ pub fn run(genome_len: usize) {
     for (i, sp) in SpeciesPair::paper_pairs().iter().enumerate() {
         let pair = paper_pair(sp, genome_len, 2000 + i as u64);
 
-        let lastz = run_and_measure(WgaParams::lastz_baseline(), &pair);
-        let darwin = run_and_measure(WgaParams::darwin_wga(), &pair);
+        let (_, lastz) = traced_run(WgaParams::lastz_baseline(), &pair);
+        let (darwin, [seeding_s, filtering_s, extension_s]) =
+            traced_run(WgaParams::darwin_wga(), &pair);
 
-        let lastz_s = lastz.report.timings.total().as_secs_f64();
-        let iso_sw_s = darwin.report.timings.total().as_secs_f64();
-        let w = darwin.report.workload;
+        let lastz_s: f64 = lastz.iter().sum();
+        let iso_sw_s = seeding_s + filtering_s + extension_s;
+        let w = darwin.workload;
 
         // Software throughputs measured from this very run.
         let sw = SoftwareThroughput {
-            seeds_per_second: w.seeds as f64
-                / darwin.report.timings.seeding.as_secs_f64().max(1e-9),
-            filter_tiles_per_second: w.filter_tiles as f64
-                / darwin.report.timings.filtering.as_secs_f64().max(1e-9),
+            seeds_per_second: w.seeds as f64 / seeding_s.max(1e-9),
+            filter_tiles_per_second: w.filter_tiles as f64 / filtering_s.max(1e-9),
             ungapped_filters_per_second: 0.0,
-            extension_tiles_per_second: w.extension_tiles as f64
-                / darwin.report.timings.extension.as_secs_f64().max(1e-9),
+            extension_tiles_per_second: w.extension_tiles as f64 / extension_s.max(1e-9),
         };
 
         by_stage.push((sp.name(), software_runtime(&w, &sw)));
@@ -158,6 +160,26 @@ pub fn run(genome_len: usize) {
         perf_per_dollar_improvement(gapped_s, &cpu, 1.0 / fpga.filter_tiles_per_second(), &fpga)
     );
     println!("  225K tiles/s, which ran on 36 threads).");
+}
+
+/// Runs `params` on `pair` under a [`TraceRecorder`] and returns the
+/// report with the run's seconds by stage: the summed `dur_us` of its
+/// `seed.table` + `seed`, `filter.batch` and `extend` spans.
+fn traced_run(params: WgaParams, pair: &SyntheticPair) -> (WgaReport, [f64; 3]) {
+    let recorder = TraceRecorder::new();
+    let (target, query) = (&pair.target.sequence, &pair.query.sequence);
+    let report = WgaPipeline::new(params).run_observed(target, query, Obs::new(&recorder));
+    let mut stage_us = [0u64; 3];
+    for span in recorder.spans() {
+        let stage = match span.name {
+            SpanName::SeedTable | SpanName::Seed => 0,
+            SpanName::FilterBatch => 1,
+            SpanName::Extend => 2,
+            _ => continue,
+        };
+        stage_us[stage] += span.dur_us;
+    }
+    (report, stage_us.map(|us| us as f64 / 1e6))
 }
 
 /// Mean seconds per call of the ungapped and of the gapped filter on one

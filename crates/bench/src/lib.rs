@@ -33,7 +33,7 @@ pub fn pair_at_distance(distance: f64, len: usize, seed: u64) -> SyntheticPair {
 /// Everything the Table III columns need from one pipeline run.
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
-    /// The raw pipeline report (workload, timings, alignments).
+    /// The raw pipeline report (workload, counters, alignments).
     pub report: WgaReport,
     /// Chains over the forward-strand alignments.
     pub chains: Vec<Chain>,

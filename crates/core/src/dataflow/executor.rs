@@ -86,7 +86,7 @@ use crate::report::{Strand, WgaReport};
 use crate::shard::QueryRanges;
 use crate::stages::{
     extend_anchors, filter_batch, fold_batches, row_seed_table, seed_lane, seed_range, BatchResult,
-    Journals, LaneCost, TableBuilds,
+    Journals, LaneCost,
 };
 use crate::sync::Mutex;
 use genome::Sequence;
@@ -94,7 +94,7 @@ use seed::dsoft::DsoftScratch;
 use seed::{SeedHit, SeedTable};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
@@ -187,7 +187,7 @@ pub(crate) fn execute(
     threads: usize,
     queue_depth: usize,
     records: Vec<Option<PairRecord>>,
-    (journals, builds): (&mut Journals, &TableBuilds),
+    (journals, builds): (&mut Journals, &AtomicU64),
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
@@ -272,7 +272,7 @@ pub(crate) fn execute(
                 PairRecord::failed(&pair.target.name, &pair.query.name, dropped)
             })
         });
-    Ok(assemble(matrix, records, &resumed, (&*journals, builds)))
+    Ok(assemble(matrix, records, &resumed, journals))
 }
 
 /// The planning producer: dispatches target genomes smallest remaining
@@ -294,7 +294,7 @@ fn produce<'a>(
     cells: &[Mutex<Option<PairJob<'a>>>],
     filter_q: &BoundedQueue<RangeTask<'a>>,
     commit: &Commit<'_>,
-    builds: &TableBuilds,
+    builds: &AtomicU64,
     obs: Obs<'_>,
 ) {
     // Small work drains first so the long tail of one big pair overlaps

@@ -39,17 +39,16 @@ use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
-use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand, WgaAlignment};
-use crate::stages::{fold_pair, row_seed_table, Journals, TableBuilds};
+use crate::report::{FunnelCounters, RunOutcome, Strand, WgaAlignment};
+use crate::stages::{fold_pair, row_seed_table, Journals};
 use genome::assembly::{Assembly, Chromosome};
 use hwsim::Workload;
 use seed::table::MAX_TARGET_LEN;
 use seed::SeedTable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Execution options of a run over the pair matrix: one chromosome-pair
 /// matrix for [`align_assemblies_observed`], one a scheduled genome pair
@@ -138,10 +137,8 @@ pub struct AssemblyReport {
     pub pairs: Vec<PairRecord>,
     /// Aggregate workload.
     pub workload: Workload,
-    /// Aggregate stage timings.
-    pub timings: StageTimings,
     /// Aggregate funnel counters across all pairs. Excluded from
-    /// [`AssemblyReport::canonical_text`], like timings.
+    /// [`AssemblyReport::canonical_text`].
     pub counters: FunnelCounters,
     /// Pairs replayed from the checkpoint journal instead of recomputed.
     pub resumed_pairs: u64,
@@ -182,7 +179,7 @@ impl AssemblyReport {
     /// [`by_score`] order and the workload. Two runs over the same inputs
     /// with the same parameters and budgets produce identical text
     /// regardless of thread count or how many pairs were replayed from a
-    /// journal: timings, counters, [`AssemblyReport::resumed_pairs`]
+    /// journal: counters, [`AssemblyReport::resumed_pairs`]
     /// and journal stats stay out.
     pub fn canonical_text(&self) -> String {
         let mut out = String::new();
@@ -432,7 +429,7 @@ pub(crate) fn align_matrix(
 
     obs.set_total_pairs(matrix.pairs.len() as u64);
     let (mut journals, records) = Journals::replay(params, matrix, obs)?;
-    let builds = TableBuilds::default();
+    let builds = AtomicU64::new(0);
     let run = (&mut journals, &builds);
     let blocks = if options.threads > 1 {
         let threads = options.threads;
@@ -440,7 +437,7 @@ pub(crate) fn align_matrix(
     } else {
         pair_loop(params, matrix, records, run, obs)?
     };
-    Ok((blocks, builds.count.load(Ordering::Relaxed)))
+    Ok((blocks, builds.load(Ordering::Relaxed)))
 }
 
 /// The one-thread schedule: rows in order, a row's pairs in column
@@ -453,7 +450,7 @@ fn pair_loop(
     params: &WgaParams,
     matrix: &PairMatrix<'_>,
     mut records: Vec<Option<PairRecord>>,
-    (journals, builds): (&mut Journals, &TableBuilds),
+    (journals, builds): (&mut Journals, &AtomicU64),
     obs: Obs<'_>,
 ) -> WgaResult<Vec<AssemblyReport>> {
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
@@ -484,18 +481,17 @@ fn pair_loop(
     }
     // Every pair was replayed or committed: a failed commit returned.
     let records = records.into_iter().flatten();
-    Ok(assemble(matrix, records, &resumed, (journals, builds)))
+    Ok(assemble(matrix, records, &resumed, journals))
 }
 
 /// Folds `records`, one a pair in pair-id order, into their blocks'
-/// reports, a `resumed` one counted as replayed. The run's seeding time
-/// outside any pair (its table `builds`) goes to the first block; every
-/// block carries its journal's recovery stats.
+/// reports, a `resumed` one counted as replayed. Every block carries
+/// its journal's recovery stats.
 pub(crate) fn assemble(
     matrix: &PairMatrix<'_>,
     records: impl IntoIterator<Item = PairRecord>,
     resumed: &[bool],
-    (journals, builds): (&Journals, &TableBuilds),
+    journals: &Journals,
 ) -> Vec<AssemblyReport> {
     let mut blocks: Vec<AssemblyReport> = (journals.stats.iter())
         .map(|&journal_stats| AssemblyReport {
@@ -506,9 +502,6 @@ pub(crate) fn assemble(
     for ((pair, record), &resumed) in matrix.pairs.iter().zip(records).zip(resumed) {
         blocks[pair.block].resumed_pairs += u64::from(resumed);
         fold_pair(&mut blocks[pair.block], record);
-    }
-    if let Some(first) = blocks.first_mut() {
-        first.timings.seeding += Duration::from_micros(builds.us.load(Ordering::Relaxed));
     }
     blocks
 }

@@ -4,8 +4,8 @@
 //! LASTZ-style invocation (§V-B), so hours of completed work must not be
 //! lost to one late crash. The journal is a JSON-lines file: a header
 //! record binding the journal to the run's parameters, then one record
-//! per *completed* chromosome pair (alignments, workload, timings,
-//! outcome), each fsync'd before the pair is considered durable. On
+//! per *completed* chromosome pair (outcome, workload, funnel counters,
+//! alignments), each fsync'd before the pair is considered durable. On
 //! resume, [`crate::genome_pipeline::align_assemblies_observed`] replays the
 //! journaled pairs and recomputes only the rest, producing a report
 //! identical to an uninterrupted run.
@@ -25,9 +25,7 @@ use crate::config::{FilterEngineKind, WgaParams};
 use crate::durable;
 use crate::error::{WgaError, WgaResult};
 use crate::json::{self, Json};
-use crate::report::{
-    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageTimings, Strand, WgaAlignment,
-};
+use crate::report::{BudgetKind, FunnelCounters, RunEvent, RunOutcome, Strand, WgaAlignment};
 use align::cigar::MAX_RUN;
 use align::{AlignOp, Alignment, Cigar};
 use hwsim::Workload;
@@ -35,12 +33,11 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Journal format marker.
 const FORMAT: &str = "wga-journal";
 /// Journal format version: the one written and the only one read.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// CRC32C (Castagnoli) lookup table, built at compile time. The
 /// reflected polynomial matches the SSE4.2 `crc32` instruction and the
@@ -102,8 +99,11 @@ pub struct PairRecord {
     pub outcome: RunOutcome,
     /// The pair's workload counters.
     pub workload: Workload,
-    /// The pair's stage timings (microsecond granularity).
-    pub timings: StageTimings,
+    /// No value, and not journaled: a stage's time is its spans'
+    /// `dur_us`, so a record is a function of the run's inputs. Kept
+    /// only for the `bench/` crate's `PairRecord` literal, which names it.
+    #[doc(hidden)]
+    pub timings: (),
     /// The pair's funnel counters.
     pub counters: FunnelCounters,
     /// The pair's alignments, best score first.
@@ -119,7 +119,7 @@ impl PairRecord {
             query_chrom: query_chrom.to_string(),
             outcome: RunOutcome::Failed { error },
             workload: Workload::default(),
-            timings: StageTimings::default(),
+            timings: (),
             counters: FunnelCounters::default(),
             alignments: Vec::new(),
         }
@@ -376,10 +376,6 @@ impl From<&Workload> for Json {
     }
 }
 
-fn micros(d: Duration) -> Json {
-    Json::Int(d.as_micros() as i128)
-}
-
 fn budget_kind_name(kind: BudgetKind) -> &'static str {
     match kind {
         BudgetKind::FilterTiles => "filter_tiles",
@@ -434,20 +430,12 @@ fn encode_alignment(wa: &WgaAlignment) -> Json {
 }
 
 fn encode_record(record: &PairRecord) -> String {
-    let (t, c) = (&record.timings, &record.counters);
+    let c = &record.counters;
     let mut line = Json::obj([
         ("target_chrom", record.target_chrom.as_str().into()),
         ("query_chrom", record.query_chrom.as_str().into()),
         ("outcome", encode_outcome(&record.outcome)),
         ("workload", (&record.workload).into()),
-        (
-            "timings_us",
-            Json::obj([
-                ("seeding", micros(t.seeding)),
-                ("filtering", micros(t.filtering)),
-                ("extension", micros(t.extension)),
-            ]),
-        ),
         (
             "counters",
             Json::obj([
@@ -588,14 +576,6 @@ fn decode_counters(value: &Json) -> Result<FunnelCounters, String> {
     })
 }
 
-fn decode_timings(value: &Json) -> Result<StageTimings, String> {
-    Ok(StageTimings {
-        seeding: Duration::from_micros(value.u64("seeding")?),
-        filtering: Duration::from_micros(value.u64("filtering")?),
-        extension: Duration::from_micros(value.u64("extension")?),
-    })
-}
-
 /// Checks the trailing `,"crc":N` self-checksum of an encoded record
 /// line. `expected` is the parsed crc field value; the checksum covers
 /// the record with that trailing field stripped and the closing brace
@@ -629,7 +609,7 @@ fn decode_record(line: &str) -> Result<PairRecord, String> {
         query_chrom: value.str("query_chrom")?.to_string(),
         outcome: decode_outcome(value.member("outcome")?)?,
         workload: decode_workload(value.member("workload")?)?,
-        timings: decode_timings(value.member("timings_us")?)?,
+        timings: (),
         counters: decode_counters(value.member("counters")?)?,
         alignments: value
             .arr("alignments")?
@@ -674,11 +654,7 @@ mod tests {
                 extension_cells: 4000,
                 extension_rows: 40,
             },
-            timings: StageTimings {
-                seeding: Duration::from_micros(1500),
-                filtering: Duration::from_micros(2500),
-                extension: Duration::from_micros(3500),
-            },
+            timings: (),
             counters: FunnelCounters {
                 raw_seed_hits: 25,
                 filter_cells: 6400,
@@ -861,7 +837,7 @@ mod tests {
                 ],
             },
             workload: Workload::default(),
-            timings: StageTimings::default(),
+            timings: (),
             counters: FunnelCounters::default(),
             alignments: Vec::new(),
         };
@@ -870,16 +846,15 @@ mod tests {
             r#"{"type":"budget","budget":"filter_tiles","limit":100,"observed":250},"#,
             r#"{"type":"budget","budget":"extension_cells","limit":4000,"observed":4100}]},"#,
             r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
-            r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
             r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
-            r#""alignments_kept":0},"alignments":[],"crc":1888802412}"#,
+            r#""alignments_kept":0},"alignments":[],"crc":475620731}"#,
             "\n"
         );
         assert_eq!(encode_record(&record), line);
         assert_eq!(decode_record(line.trim_end()).unwrap(), record);
     }
 
-    /// A v3 record whose events include a `batch_failed`, an event no
+    /// A record whose events include a `batch_failed`, an event no
     /// longer written (a panicking filter batch now fails its pair): its
     /// CRC holds, but it is skipped and counted like any undecodable
     /// interior record, so its pair reruns instead of replaying a
@@ -892,9 +867,8 @@ mod tests {
             r#"{"type":"budget","budget":"extension_cells","limit":4000,"observed":4100},"#,
             r#"{"type":"batch_failed","batch":3,"items":7,"message":"injected"}]},"#,
             r#""workload":{"seeds":0,"filter_tiles":0,"extension_tiles":0,"extension_cells":0,"extension_rows":0},"#,
-            r#""timings_us":{"seeding":0,"filtering":0,"extension":0},"#,
             r#""counters":{"raw_seed_hits":0,"filter_cells":0,"anchors_passed":0,"anchors_absorbed":0,"#,
-            r#""alignments_kept":0},"alignments":[],"crc":3841588303}"#,
+            r#""alignments_kept":0},"alignments":[],"crc":3169692681}"#,
         );
         let err = decode_record(batch_failed).unwrap_err();
         assert!(err.contains("unknown event type \"batch_failed\""), "{err}");

@@ -45,7 +45,7 @@ use crate::error::{WgaError, WgaResult};
 use crate::genome_pipeline::{align_matrix, by_score, AlignOptions, PairMatrix};
 use crate::journal::PairRecord;
 use crate::obs::Obs;
-use crate::report::{FunnelCounters, RunOutcome, StageTimings, Strand};
+use crate::report::{FunnelCounters, RunOutcome, Strand};
 use genome::assembly::Assembly;
 use hwsim::Workload;
 use joblist::PairPlan;
@@ -118,9 +118,6 @@ pub struct ManyReport {
     pub sweep: SweepStats,
     /// Aggregate pipeline workload over all scheduled pairs.
     pub workload: Workload,
-    /// Aggregate stage timings (telemetry; excluded from canonical
-    /// output).
-    pub timings: StageTimings,
     /// Aggregate funnel counters (telemetry; excluded from canonical
     /// output).
     pub counters: FunnelCounters,
@@ -138,7 +135,7 @@ impl ManyReport {
     /// The deterministic comparison surface: genome roster, pair
     /// outcomes, surviving alignments, workload and sweep statistics.
     /// Byte-identical across thread counts and shard sizes;
-    /// timings, counters and resume provenance stay out.
+    /// counters and resume provenance stay out.
     pub fn canonical_text(&self) -> String {
         let mut out = String::new();
         for genome in &self.genomes {
@@ -289,7 +286,6 @@ pub fn align_many_observed(
             .flatten()
             .unwrap_or_default();
         report.workload.merge(&inner.workload);
-        report.timings.merge(&inner.timings);
         report.counters.merge(&inner.counters);
         report.resumed_pairs += inner.resumed_pairs;
         let mut records = inner.pairs;

@@ -22,7 +22,6 @@ use genome::Sequence;
 use seed::dsoft::DsoftScratch;
 use seed::SeedTable;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Runs the full pipeline on one target/query pair against a pre-built
 /// seed table of `target` (table construction amortises across many
@@ -153,10 +152,8 @@ impl WgaPipeline {
     /// counters are folded from finished pair records
     /// ([`Obs::pair_done`]), which only the assembly drivers keep.
     pub fn run_observed(&self, target: &Sequence, query: &Sequence, obs: Obs<'_>) -> WgaReport {
-        let (table, build_us) = seed_table(&self.params, target, 0, obs);
-        let mut report = run_pair(&self.params, Arc::new(table), target, query, obs);
-        report.timings.seeding += Duration::from_micros(build_us);
-        report
+        let table = seed_table(&self.params, target, 0, obs);
+        run_pair(&self.params, Arc::new(table), target, query, obs)
     }
 }
 

@@ -1,8 +1,7 @@
-//! Run reports: alignments, workload counters, stage timings.
+//! Run reports: alignments, workload and funnel counters, events.
 
 use align::Alignment;
 use hwsim::Workload;
-use std::time::Duration;
 
 /// Query strand an alignment was found on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -22,34 +21,6 @@ pub struct WgaAlignment {
     pub alignment: Alignment,
     /// Query strand.
     pub strand: Strand,
-}
-
-/// Time spent per pipeline stage: each field the sum of its stage's
-/// span durations, each a whole number of microseconds (the spans'
-/// `dur_us`, see [`crate::obs`]). The journal writes it as
-/// `timings_us`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Seeding: `seed.table` + `seed` spans.
-    pub seeding: Duration,
-    /// Filtering: `filter.batch` spans.
-    pub filtering: Duration,
-    /// Extension: `extend` spans.
-    pub extension: Duration,
-}
-
-impl StageTimings {
-    /// Total of all stages.
-    pub fn total(&self) -> Duration {
-        self.seeding + self.filtering + self.extension
-    }
-
-    /// Merges another timing record (summing stages).
-    pub fn merge(&mut self, other: &StageTimings) {
-        self.seeding += other.seeding;
-        self.filtering += other.filtering;
-        self.extension += other.extension;
-    }
 }
 
 /// Which resource budget a [`RunEvent::BudgetExceeded`] refers to; each
@@ -135,8 +106,11 @@ pub struct WgaReport {
     pub alignments: Vec<WgaAlignment>,
     /// Hardware-relevant workload (feeds the `hwsim` models).
     pub workload: Workload,
-    /// Stage timings of this (software) run: sums of its spans' durations.
-    pub timings: StageTimings,
+    /// No value: a stage's time is its spans' `dur_us` (see
+    /// [`crate::obs`]). Kept only for the `bench/` crate's `PairRecord`
+    /// literal, which names it.
+    #[doc(hidden)]
+    pub timings: (),
     /// Stage funnel counters.
     pub counters: FunnelCounters,
     /// Degradation events (tripped budgets), in the order they
@@ -197,18 +171,6 @@ mod tests {
         };
         assert_eq!(report.forward_alignments().len(), 1);
         assert_eq!(report.total_matches(), 20);
-    }
-
-    #[test]
-    fn timings_total_and_merge() {
-        let mut t = StageTimings {
-            seeding: Duration::from_secs(1),
-            filtering: Duration::from_secs(2),
-            extension: Duration::from_secs(3),
-        };
-        assert_eq!(t.total(), Duration::from_secs(6));
-        t.merge(&t.clone());
-        assert_eq!(t.total(), Duration::from_secs(12));
     }
 
     #[test]

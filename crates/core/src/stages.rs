@@ -33,7 +33,7 @@ use crate::filter_engine::FilterEngine;
 use crate::genome_pipeline::{AssemblyReport, PairMatrix};
 use crate::journal::{params_fingerprint, Journal, JournalStats, PairRecord};
 use crate::obs::{strand_code, Obs, SpanName, STRAND_NA};
-use crate::report::{BudgetKind, RunEvent, StageTimings, Strand, WgaAlignment, WgaReport};
+use crate::report::{BudgetKind, RunEvent, Strand, WgaAlignment, WgaReport};
 use crate::shard::QueryRanges;
 use align::gactx::{self, ExtendedAlignment};
 use genome::Sequence;
@@ -43,22 +43,20 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The seed table of `target`, built under a `seed.table` span
-/// (`seq` = `row`); returns it with the span's duration in
-/// microseconds, the seeding time the build is charged.
+/// (`seq` = `row`).
 pub(crate) fn seed_table(
     params: &WgaParams,
     target: &Sequence,
     row: usize,
     obs: Obs<'_>,
-) -> (SeedTable, u64) {
+) -> SeedTable {
     let mut buf = obs.buffer();
     let table_timer = buf.start();
     let table = SeedTable::build(target, &params.seed_pattern, params.max_seed_occurrences);
     let bases = target.len() as u64;
-    let build_us = buf.finish(
+    buf.finish(
         table_timer,
         SpanName::SeedTable,
         STRAND_NA,
@@ -66,7 +64,7 @@ pub(crate) fn seed_table(
         1,
         bases,
     );
-    (table, build_us)
+    table
 }
 
 /// Runs the configured extension from one anchor.
@@ -88,14 +86,13 @@ pub fn run_extension(
 }
 
 /// What a query range, or a whole strand, cost — D-SOFT's counts and
-/// its `seed` and `filter.batch` spans' durations — which
-/// [`fold_batches`] sums and writes into the pair's report.
+/// a budgeted strand's clamp — which [`fold_batches`] sums and writes
+/// into the pair's report.
 #[derive(Debug, Default)]
 pub(crate) struct LaneCost {
     /// Seed positions D-SOFT queried.
     seeds_queried: u64,
     raw_hits: u64,
-    timings: StageTimings,
     clamp_event: Option<RunEvent>,
 }
 
@@ -103,7 +100,6 @@ impl LaneCost {
     pub(crate) fn add(&mut self, range: &LaneCost) {
         self.seeds_queried += range.seeds_queried;
         self.raw_hits += range.raw_hits;
-        self.timings.merge(&range.timings);
     }
 }
 
@@ -134,7 +130,7 @@ pub(crate) fn seed_range(
     let seed_timer = buf.start();
     let seeding = dsoft_seeds_range_in(table, query, &params.dsoft, ranges.get(idx), scratch);
     let (found, seeds_queried) = (seeding.hits.len() as u64, seeding.seeds_queried);
-    let seed_us = buf.finish(
+    buf.finish(
         seed_timer,
         SpanName::Seed,
         strand_code(strand),
@@ -142,12 +138,11 @@ pub(crate) fn seed_range(
         found,
         seeds_queried,
     );
-    let mut cost = LaneCost {
+    let cost = LaneCost {
         seeds_queried,
         raw_hits: seeding.raw_hits,
         ..LaneCost::default()
     };
-    cost.timings.seeding = Duration::from_micros(seed_us);
     (cost, seeding.hits)
 }
 
@@ -227,8 +222,7 @@ pub(crate) struct BatchResult {
 ///
 /// A panic inside the batch is not contained here: it fails the pair,
 /// through the pair-level containment of whichever schedule runs it.
-/// The `filter.batch` span carries `batch_idx` as its `seq`, and its
-/// duration is added to `cost`'s filtering time.
+/// The `filter.batch` span carries `batch_idx` as its `seq`.
 ///
 /// [`FilterContext`]: crate::filter_engine::FilterContext
 #[allow(clippy::too_many_arguments)]
@@ -238,7 +232,7 @@ pub(crate) fn filter_batch(
     target: &Sequence,
     query: &Sequence,
     hits: &[SeedHit],
-    mut cost: LaneCost,
+    cost: LaneCost,
     strand: u8,
     batch_idx: usize,
     obs: Obs<'_>,
@@ -254,7 +248,7 @@ pub(crate) fn filter_batch(
         cells += outcome.cells;
         survivors.extend(outcome.anchor.map(|anchor| (hit, anchor)));
     }
-    let busy_us = buf.finish(
+    buf.finish(
         batch_timer,
         SpanName::FilterBatch,
         strand,
@@ -262,7 +256,6 @@ pub(crate) fn filter_batch(
         hits.len() as u64,
         cells,
     );
-    cost.timings.filtering += Duration::from_micros(busy_us);
     BatchResult {
         batch: batch_idx,
         cost,
@@ -290,9 +283,6 @@ fn poison_check(hit: SeedHit) {
 ///
 /// The strand's budget clamp, if any, is its one event. Each batch adds
 /// its `items` filter tiles.
-/// The stage times are the sums of the strand's `seed` and
-/// `filter.batch` spans: time spent seeding and filtering, which at
-/// more than one thread is more than the stages' elapsed time.
 pub(crate) fn fold_batches(
     mut lane: LaneCost,
     mut batches: Vec<BatchResult>,
@@ -307,7 +297,6 @@ pub(crate) fn fold_batches(
         report.counters.filter_cells += batch.cells;
         survivors.extend(batch.survivors);
     }
-    report.timings.merge(&lane.timings);
     report.workload.seeds += lane.seeds_queried;
     report.counters.raw_seed_hits += lane.raw_hits;
     report.counters.anchors_passed += survivors.len() as u64;
@@ -367,7 +356,7 @@ pub(crate) fn extend_anchors(
         // Chaos hook: per-pair extension is serial on every schedule,
         // so `extend.tile` occurrence indices line up across them.
         obs.fault_gate(Hook::ExtendTile);
-        let anchor_timer = obs.timer();
+        let anchor_timer = buf.start();
         let Some(ext) = run_extension(params, target, query, anchor) else {
             continue;
         };
@@ -393,7 +382,7 @@ pub(crate) fn extend_anchors(
         }
     }
     buf.set_parent(crate::obs::NO_SPAN);
-    let lane_us = buf.finish_with_id(
+    buf.finish_with_id(
         lane_timer,
         lane_id,
         SpanName::Extend,
@@ -402,7 +391,6 @@ pub(crate) fn extend_anchors(
         anchors_in,
         lane_cells,
     );
-    report.timings.extension += Duration::from_micros(lane_us);
     report.counters.alignments_kept += kept.len() as u64;
     report.alignments.extend(
         kept.into_iter()
@@ -410,29 +398,20 @@ pub(crate) fn extend_anchors(
     );
 }
 
-/// The seed tables a run built and their `seed.table` spans' summed
-/// duration in microseconds, which no pair's record holds: relaxed
-/// atomics, since the dataflow producer builds on its own thread.
-#[derive(Debug, Default)]
-pub(crate) struct TableBuilds {
-    pub(crate) count: AtomicU64,
-    pub(crate) us: AtomicU64,
-}
-
 /// The seed table of target row `row`, built by the calling thread
-/// ([`seed_table`]) and counted into `builds`. A panic is contained to
-/// an error message that fails every pair of the row.
+/// ([`seed_table`]) and counted into `builds` (relaxed: the dataflow
+/// producer builds on its own thread). A panic is contained to an
+/// error message that fails every pair of the row.
 pub(crate) fn row_seed_table(
     params: &WgaParams,
     target: &Sequence,
     row: usize,
-    builds: &TableBuilds,
+    builds: &AtomicU64,
     obs: Obs<'_>,
 ) -> Result<Arc<SeedTable>, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let (table, build_us) = seed_table(params, target, row, obs);
-        builds.count.fetch_add(1, Ordering::Relaxed);
-        builds.us.fetch_add(build_us, Ordering::Relaxed);
+        let table = seed_table(params, target, row, obs);
+        builds.fetch_add(1, Ordering::Relaxed);
         Arc::new(table)
     }))
     .map_err(|payload| {
@@ -534,7 +513,7 @@ impl Journals {
                 query_chrom: pair.query.name.clone(),
                 outcome: report.outcome(),
                 workload: report.workload,
-                timings: report.timings,
+                timings: (),
                 counters: report.counters,
                 alignments: report.alignments,
             },
@@ -572,7 +551,6 @@ impl Journals {
 /// in pair-id order.
 pub(crate) fn fold_pair(out: &mut AssemblyReport, record: PairRecord) {
     out.workload.merge(&record.workload);
-    out.timings.merge(&record.timings);
     out.counters.merge(&record.counters);
     out.pairs.push(record);
 }

@@ -45,8 +45,7 @@ fn main() {
     println!("  alignments kept:    {}", report.alignments.len());
     println!("  matched base pairs: {}", report.total_matches());
     println!(
-        "  stage times: seed {:?}, filter {:?}, extend {:?}",
-        report.timings.seeding, report.timings.filtering, report.timings.extension
+        "  stage times: run `wga align --trace-out t.jsonl`, then `wga profile report t.jsonl`"
     );
 
     let alignments = report.forward_alignments();

@@ -1,8 +1,8 @@
 //! The bytes of the artefacts `wga` writes, pinned.
 //!
-//! `tests/data/golden.journal`, `golden.trace.jsonl` and
-//! `golden.profile_report.json` were written by the binary as it stood
-//! before `wga_core::json` became the one JSON writer:
+//! `tests/data/golden.trace.jsonl` and `golden.profile_report.json`
+//! were written by the binary as it stood before `wga_core::json` became
+//! the one JSON writer:
 //!
 //! ```text
 //! wga align golden.target.fa golden.query.fa --threads 1 \
@@ -16,13 +16,14 @@
 //! file of that run, less its `"process"` line. The journal header is
 //! pinned as a literal.
 //!
-//! That command wrote a version-2 journal, kept as `golden.v2.journal`:
-//! its header is refused now. `golden.journal` is the same journal
-//! converted to version 3 record by record, not rerun: the fixed-zero
-//! `faults_injected`, `retries` and `stalls_detected` counters dropped,
-//! each CRC recomputed and the header rewritten with version 3 and the
-//! new parameter fingerprint. Every other value, timings included, is
-//! the one the command wrote.
+//! That command wrote a version-2 journal, kept as `golden.v2.journal`.
+//! Version 3 dropped the fixed-zero `faults_injected`, `retries` and
+//! `stalls_detected` counters, and `golden.v3.journal` is that journal
+//! converted record by record. Both headers are refused now. Version 4
+//! dropped the per-pair stage times, the one member that differed from
+//! run to run, so a journal is a function of the run's inputs:
+//! `golden.journal` is what the first command writes at version 4, byte
+//! for byte, and `tests/determinism.rs` runs it to check so.
 //!
 //! The trace's two `hwsim.*` lines are modeled cycles the binary then
 //! wrote as spans; the reader skips them. `golden.profile_report.json`
@@ -168,7 +169,7 @@ fn journal_header_is_pinned() {
     drop(Journal::open(&path, &params_fingerprint(&WgaParams::darwin_wga())).unwrap());
     assert_eq!(
         fs::read_to_string(&path).unwrap(),
-        "{\"format\":\"wga-journal\",\"version\":3,\"params_fingerprint\":\"582dc525cbc13cc5\"}\n"
+        "{\"format\":\"wga-journal\",\"version\":4,\"params_fingerprint\":\"582dc525cbc13cc5\"}\n"
     );
     let _ = fs::remove_file(&path);
 }

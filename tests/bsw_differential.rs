@@ -16,7 +16,11 @@
 //! from each as it does in production: Darwin's, whose tiles up to 327
 //! bases a side fit the `i16` lanes on x86-64, and the same scoring
 //! × 400, whose entries and gap penalties pass `i16`, so that every tile
-//! of it runs the `i32` kernel on any host.
+//! of it runs the `i32` kernel on any host. The batch's dispatch takes
+//! the widest `i16` lanes the host has, so a Darwin tile that fits them
+//! also runs on each width directly (`BswBatch::run_tile_i16`): SSE2's
+//! 8 lanes as well as AVX2's 16. A width the host lacks prints one
+//! `skipped: no <feature>` line to stderr.
 
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
@@ -29,6 +33,8 @@ use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use darwin_wga::genome::{Base, GapPenalties, SubstitutionMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Write;
+use std::sync::OnceLock;
 
 const THRESHOLD: i64 = 4000;
 
@@ -45,21 +51,57 @@ fn wide_scoring() -> (SubstitutionMatrix, GapPenalties) {
     (SubstitutionMatrix::from_table(table), gaps)
 }
 
+/// The `i16` lane widths this host runs, by feature name. Each one it
+/// lacks is reported once, on a `skipped: no <feature>` line written
+/// straight to stderr, past the harness's capture, so a kernel left
+/// untested shows in a passing run.
+fn i16_widths() -> &'static [&'static str] {
+    static WIDTHS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    WIDTHS.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        let host = [
+            ("sse2", std::arch::is_x86_feature_detected!("sse2")),
+            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let host = [("sse2", false), ("avx2", false)];
+        let mut widths = Vec::new();
+        for (feature, present) in host {
+            if present {
+                widths.push(feature);
+            } else {
+                let _ = writeln!(std::io::stderr(), "skipped: no {feature}");
+            }
+        }
+        widths
+    })
+}
+
 /// Runs one tile through the scalar kernel and a fresh batch under each
-/// scoring, asserts the full outcomes match, and returns Darwin's (so
-/// callers can build surviving sets).
+/// scoring — and, where the tile takes the `i16` lanes, through each
+/// lane width the host has — asserts the full outcomes match, and
+/// returns Darwin's (so callers can build surviving sets).
 fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) -> BandedOutcome {
     let (n, m) = (t.len(), q.len());
     let [(darwin, _), (_, wide_simd)] = [scoring(), wide_scoring()].map(|(w, g)| {
         let batch = BswBatch::new(&w, &g, band);
         let simd = batch.tile_uses_simd(n, m);
         let scalar = banded_smith_waterman(t, q, &w, &g, band);
-        let fast = batch.run_tile(Base::codes_of(t), Base::codes_of(q), scratch);
+        let (tcodes, qcodes) = (Base::codes_of(t), Base::codes_of(q));
+        let fast = batch.run_tile(tcodes, qcodes, scratch);
         let max = w.max_score();
         assert_eq!(
             scalar, fast,
             "simd={simd} max match {max}: band={band} n={n} m={m}"
         );
+        for &feature in i16_widths().iter().filter(|_| simd) {
+            let lanes = batch.run_tile_i16(feature, tcodes, qcodes, scratch);
+            assert_eq!(
+                Some(scalar),
+                lanes,
+                "{feature} lanes: band={band} n={n} m={m}"
+            );
+        }
         (scalar, simd)
     });
     assert!(
@@ -151,6 +193,36 @@ fn thousand_seeded_random_tiles_are_identical() {
         }
     }
     assert!(tiles >= 1000, "only {tiles} tiles exercised");
+}
+
+/// The per-width entry point runs exactly the tiles the dispatch would
+/// give the `i16` lanes, on a width the host has and no other.
+#[test]
+fn each_i16_width_runs_a_fitting_tile_and_only_that() {
+    let mut scratch = BswScratch::default();
+    let mut rng = StdRng::seed_from_u64(616);
+    let t = random_bases(&mut rng, 320, 0);
+    let q = mutate(&mut rng, &t, 0.1, 0.02);
+    let (tcodes, qcodes) = (Base::codes_of(&t), Base::codes_of(&q));
+    let (w, g) = scoring();
+    let batch = BswBatch::new(&w, &g, 32);
+    let scalar = banded_smith_waterman(&t, &q, &w, &g, 32);
+    let fits = batch.tile_uses_simd(t.len(), q.len());
+    for feature in ["sse2", "avx2"] {
+        let lanes = batch.run_tile_i16(feature, tcodes, qcodes, &mut scratch);
+        let expected = (fits && i16_widths().contains(&feature)).then_some(scalar);
+        assert_eq!(lanes, expected, "{feature}");
+    }
+    assert_eq!(
+        batch.run_tile_i16("neon", tcodes, qcodes, &mut scratch),
+        None
+    );
+    let (w, g) = wide_scoring();
+    let wide = BswBatch::new(&w, &g, 32);
+    for &feature in i16_widths() {
+        let lanes = wide.run_tile_i16(feature, tcodes, qcodes, &mut scratch);
+        assert_eq!(lanes, None, "{feature} ran a wide-score tile");
+    }
 }
 
 #[test]

@@ -71,8 +71,8 @@ fn plan(faults: &str) -> Arc<FaultPlan> {
     )
 }
 
-/// What records hold of their pairs' results — outcome, workload and
-/// alignments — without the timings that vary run to run.
+/// What records hold of their pairs' results: outcome, workload and
+/// alignments.
 fn results(pairs: &[PairRecord]) -> Vec<String> {
     (pairs.iter())
         .map(|p| format!("{:?} {:?} {:?}", p.outcome, p.workload, p.alignments))

@@ -7,6 +7,8 @@ use darwin_wga::core::pipeline::WgaPipeline;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::SeedableRng;
+use std::fs;
+use std::process::{Command, Stdio};
 
 fn pair(seed: u64) -> SyntheticPair {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -98,4 +100,58 @@ fn generation_is_seed_stable_across_calls() {
     assert_eq!(a.target.sequence, b.target.sequence);
     assert_eq!(a.query.sequence, b.query.sequence);
     assert_eq!(a.ancestral_conserved, b.ancestral_conserved);
+}
+
+/// A `--checkpoint` journal is a function of the run's inputs: two
+/// one-thread `wga align` runs of the golden pair write the bytes of
+/// `tests/data/golden.journal`, a two-thread run writes the same lines
+/// in the order its pairs completed, and two one-thread `wga many` runs
+/// write the same `pair_000_001.journal`.
+#[test]
+fn a_checkpoint_journal_is_a_function_of_its_inputs() {
+    let dir = std::env::temp_dir().join(format!("wga-determinism-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let data = |file: &str| format!("{}/tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
+    let (target, query) = (data("golden.target.fa"), data("golden.query.fa"));
+    let runs = [
+        ("align", "1", "one.journal"),
+        ("align", "1", "again.journal"),
+        ("align", "2", "two.journal"),
+        ("many", "1", "many"),
+        ("many", "1", "many_again"),
+    ];
+    let children: Vec<_> = (runs.iter())
+        .map(|&(command, threads, checkpoint)| {
+            Command::new(env!("CARGO_BIN_EXE_wga"))
+                .current_dir(&dir)
+                .args([command, &target, &query, "--threads", threads])
+                .args(["--checkpoint", checkpoint])
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn wga")
+        })
+        .collect();
+    for (child, run) in children.into_iter().zip(&runs) {
+        let out = child.wait_with_output().expect("wga runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{run:?}: {stderr}");
+    }
+    let read = |file: &str| fs::read_to_string(dir.join(file)).expect("journal written");
+    let golden = fs::read_to_string(data("golden.journal")).expect("fixture present");
+    assert_eq!(read("one.journal"), golden, "a one-thread journal");
+    assert_eq!(read("again.journal"), golden, "a second one-thread journal");
+    let sorted = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(sorted(&read("two.journal")), sorted(&golden), "--threads 2");
+    assert_eq!(
+        read("many/pair_000_001.journal"),
+        read("many_again/pair_000_001.journal"),
+        "wga many"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

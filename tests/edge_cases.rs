@@ -915,46 +915,51 @@ mod cli {
         assert!(two_threads == one_thread, "--threads 2 changed the MAF");
     }
 
-    /// A version-2 journal, the golden run's before the format dropped
-    /// its retired members, is refused at its header by `align` and by
-    /// `many`: exit 1 naming the journal and both versions. The file keeps
-    /// its bytes and its inode, so the refusal came before any repair.
+    /// A journal of an older version — the golden run's as version 2
+    /// wrote it, before the format dropped its retired counters, and as
+    /// version 3 wrote it, before it dropped its stage times — is refused
+    /// at its header by `align` and by `many`: exit 1 naming the journal
+    /// and both versions. The file keeps its bytes and its inode, so the
+    /// refusal came before any repair.
     #[test]
     fn a_version_2_journal_is_refused_and_left_as_it_was() {
         use std::os::unix::fs::MetadataExt;
-        let v2 = format!(
-            "{}/tests/data/golden.v2.journal",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let bytes = std::fs::read(v2).unwrap();
-        let dir = empty_dir("v2-journal");
-        std::fs::create_dir(dir.join("ckpt")).unwrap();
+        let dir = empty_dir("old-journal");
         let (t, q) = (golden("target"), golden("query"));
-        for (command, checkpoint, journal) in [
-            ("align", "run.journal", "run.journal"),
-            ("many", "ckpt", "ckpt/pair_000_001.journal"),
-        ] {
-            let path = dir.join(journal);
-            std::fs::write(&path, &bytes).unwrap();
-            let inode = std::fs::metadata(&path).unwrap().ino();
-            let out = wga_in(&dir, &[command, &t, &q, "--checkpoint", checkpoint]);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
-            let error = stderr.lines().last().unwrap_or_default();
-            assert!(
-                error.starts_with("error: checkpoint"),
-                "{command}: {stderr}"
+        for version in ["2", "3"] {
+            let fixture = format!(
+                "{}/tests/data/golden.v{version}.journal",
+                env!("CARGO_MANIFEST_DIR")
             );
-            for named in [journal, "version 2", "version 3"] {
-                assert!(error.contains(named), "{command}: {stderr}");
+            let bytes = std::fs::read(fixture).unwrap();
+            let ckpt = format!("ckpt{version}");
+            std::fs::create_dir(dir.join(&ckpt)).unwrap();
+            let (run, pair) = (
+                format!("run{version}.journal"),
+                format!("{ckpt}/pair_000_001.journal"),
+            );
+            for (command, checkpoint, journal) in [("align", &run, &run), ("many", &ckpt, &pair)] {
+                let path = dir.join(journal);
+                std::fs::write(&path, &bytes).unwrap();
+                let inode = std::fs::metadata(&path).unwrap().ino();
+                let out = wga_in(&dir, &[command, &t, &q, "--checkpoint", checkpoint]);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let label = format!("{command} v{version}: {stderr}");
+                assert_eq!(out.status.code(), Some(1), "{label}");
+                let error = stderr.lines().last().unwrap_or_default();
+                assert!(error.starts_with("error: checkpoint"), "{label}");
+                let named = [journal, &format!("version {version}"), "version 4"];
+                for named in named {
+                    assert!(error.contains(named), "{label}");
+                }
+                // `align` refuses it before reading either FASTA; `many`
+                // plans its pairs from the genomes before it opens one.
+                if command == "align" {
+                    assert!(!stderr.contains("aligning"), "{label}");
+                }
+                assert!(std::fs::read(&path).unwrap() == bytes, "{label}");
+                assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "{label}");
             }
-            // `align` refuses it before reading either FASTA; `many`
-            // plans its pairs from the genomes before it opens one.
-            if command == "align" {
-                assert!(!stderr.contains("aligning"), "{command}: {stderr}");
-            }
-            assert!(std::fs::read(&path).unwrap() == bytes, "{command}");
-            assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "{command}");
         }
     }
 

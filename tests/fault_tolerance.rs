@@ -33,7 +33,7 @@ fn journal_path(name: &str) -> PathBuf {
 
 /// The acceptance test for checkpoint/resume: a run interrupted after k
 /// completed pairs, then resumed, must produce a final report that is
-/// byte-identical (excluding wall-clock timings) to an uninterrupted run.
+/// byte-identical to an uninterrupted run.
 /// The kill is simulated by truncating the journal back to the header +
 /// the first k=2 completed pairs, with a torn partial record at the tail
 /// (the crash-mid-append signature).

@@ -19,7 +19,7 @@ use darwin_wga::core::json::{self, Json};
 use darwin_wga::core::maf::{read_maf, write_maf};
 use darwin_wga::core::obs::Obs;
 use darwin_wga::core::report::{
-    BudgetKind, FunnelCounters, RunEvent, RunOutcome, StageTimings, Strand, WgaAlignment,
+    BudgetKind, FunnelCounters, RunEvent, RunOutcome, Strand, WgaAlignment,
 };
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::Sequence;
@@ -31,7 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 fn data(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,11 +105,7 @@ fn journal_record(query_chrom: &str) -> String {
             extension_cells: 4000,
             extension_rows: 40,
         },
-        timings: StageTimings {
-            seeding: Duration::from_micros(1500),
-            filtering: Duration::from_micros(2500),
-            extension: Duration::from_micros(3500),
-        },
+        timings: (),
         counters: FunnelCounters {
             raw_seed_hits: 25,
             filter_cells: 6400,

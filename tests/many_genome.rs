@@ -306,18 +306,13 @@ fn checkpointed_rerun_replays_every_pair() {
 }
 
 /// `tests/data/many_ckpt/` is a `--checkpoint` directory written over
-/// [`multi_chromosome_genomes`] by the code before `wga many` became one
-/// executor run, then cut mid-matrix by hand: the journal of block
-/// (g0, g1) is whole (four records), the journal of block (g0, g2) holds
-/// its header and its first record (chrI × chrI), and block (g1, g2) has
-/// no journal. Its journals were written as version 2 and converted to
-/// version 3 record by record, not rerun: the fixed-zero
-/// `faults_injected`, `retries` and `stalls_detected` counters dropped,
-/// each CRC recomputed and each header rewritten with version 3 and the
-/// new parameter fingerprint; every other value and the cut are as
-/// written. Resumed from a copy, one thread and two (the dataflow
-/// executor) both replay exactly those five chromosome pairs and end in the
-/// uninterrupted run's report and PAF.
+/// [`multi_chromosome_genomes`] by a one-thread run at journal version 4
+/// (`align_many_observed` with `threads: 1`), then cut mid-matrix: the
+/// journal of block (g0, g1) is whole (four records), the journal of
+/// block (g0, g2) holds its header and its first record (chrI × chrI),
+/// and block (g1, g2) has no journal. Resumed from a copy, one thread and
+/// two (the dataflow executor) both replay exactly those five chromosome
+/// pairs and end in the uninterrupted run's report and PAF.
 #[test]
 fn a_checkpoint_directory_cut_mid_matrix_resumes() {
     let genomes = multi_chromosome_genomes();
