@@ -201,15 +201,14 @@ pub fn lex(src: &str) -> Lexed<'_> {
             b'\'' => {
                 // Lifetime or char literal. A lifetime is '<ident> not
                 // followed by a closing quote ('a, 'static); everything
-                // else ('x', '\n', '"', '\'') is a char literal.
-                if i + 1 < n
-                    && is_ident_start(b[i + 1])
-                    && !(i + 2 < n && b[i + 2] == b'\'')
-                {
-                    let mut j = i + 1;
-                    while j < n && is_ident_continue(b[j]) {
-                        j += 1;
-                    }
+                // else ('x', '═', '\n', '"', '\'') is a char literal. The
+                // whole identifier run is checked, not its first byte: a
+                // multi-byte char is several identifier bytes.
+                let mut j = i + 1;
+                while j < n && is_ident_continue(b[j]) {
+                    j += 1;
+                }
+                if i + 1 < n && is_ident_start(b[i + 1]) && !(j < n && b[j] == b'\'') {
                     toks.push(Tok {
                         kind: TokKind::Lifetime,
                         text: &src[i..j],
@@ -575,6 +574,20 @@ mod tests {
             .map(|t| t.text)
             .collect();
         assert_eq!(lts, vec!["'a", "'a", "'static"]);
+    }
+
+    #[test]
+    fn a_multi_byte_char_is_a_char_not_a_lifetime() {
+        let src = "fn f(b: bool) -> char { if b { '═' } else { '─' } }\nfn g() {}";
+        let lexed = lex(src);
+        let chars: Vec<_> = lexed
+            .toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Char)
+            .map(|t| t.text)
+            .collect();
+        assert_eq!(chars, vec!["'═'", "'─'"]);
+        assert!(lexed.toks.iter().all(|t| t.kind != TokKind::Lifetime));
     }
 
     #[test]
