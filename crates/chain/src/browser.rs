@@ -71,11 +71,7 @@ pub fn render(
             let b = &alignments[pair[1]];
             let gap_t = b.target_start.saturating_sub(a.target_end);
             let gap_q = b.query_start.saturating_sub(a.query_end);
-            let ch = if gap_t > 0 && gap_q > 0 {
-                '═'
-            } else {
-                '─'
-            };
+            let ch = if gap_t > 0 && gap_q > 0 { '═' } else { '─' };
             for c in row
                 .iter_mut()
                 .take(scale(b.target_start))
@@ -132,8 +128,8 @@ mod tests {
     fn renders_blocks_and_gap_styles() {
         let alignments = vec![
             block(0, 0, 100),
-            block(200, 100, 100),  // target gap only → '─'
-            block(400, 300, 100),  // both gaps → '═'
+            block(200, 100, 100), // target gap only → '─'
+            block(400, 300, 100), // both gaps → '═'
         ];
         let chains = vec![simple_chain(vec![0, 1, 2], 10_000)];
         let genes = vec![Interval::new(50, 150, "g1")];

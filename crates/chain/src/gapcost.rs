@@ -7,9 +7,7 @@
 //! with the final slope beyond the table.
 
 /// Breakpoint positions of the `loose` table.
-const POSITIONS: [u64; 11] = [
-    1, 2, 3, 11, 111, 2111, 12111, 32111, 72111, 152111, 252111,
-];
+const POSITIONS: [u64; 11] = [1, 2, 3, 11, 111, 2111, 12111, 32111, 72111, 152111, 252111];
 /// One-sided gap costs (identical for target and query gaps in `loose`).
 const ONE_SIDED: [u64; 11] = [
     325, 360, 400, 450, 600, 1100, 3600, 7600, 15600, 31600, 56600,

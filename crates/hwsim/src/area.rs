@@ -126,8 +126,16 @@ mod tests {
     #[test]
     fn default_reproduces_table_4_totals() {
         let p = AsicProvisioning::darwin_wga();
-        assert!((p.total_area_mm2() - 35.92).abs() < 0.01, "{}", p.total_area_mm2());
-        assert!((p.total_power_w() - 43.34).abs() < 0.01, "{}", p.total_power_w());
+        assert!(
+            (p.total_area_mm2() - 35.92).abs() < 0.01,
+            "{}",
+            p.total_area_mm2()
+        );
+        assert!(
+            (p.total_power_w() - 43.34).abs() < 0.01,
+            "{}",
+            p.total_power_w()
+        );
     }
 
     #[test]

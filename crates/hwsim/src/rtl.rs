@@ -210,10 +210,9 @@ pub fn simulate_bsw_tile(
                     (pe.v_out, pe.e_out)
                 };
 
-                let e_val = (left_v.saturating_sub(open + extend))
-                    .max(left_e.saturating_sub(extend));
-                let f_val =
-                    (up_v.saturating_sub(open + extend)).max(up_f.saturating_sub(extend));
+                let e_val =
+                    (left_v.saturating_sub(open + extend)).max(left_e.saturating_sub(extend));
+                let f_val = (up_v.saturating_sub(open + extend)).max(up_f.saturating_sub(extend));
                 let sub = if diag_v > NEG_INF / 2 {
                     diag_v + w.score(target[j], qbase) as i64
                 } else {

@@ -97,7 +97,13 @@ pub fn simulate_gactx_tile(
     // column 0..=n: V and F values. Starts as DP row 0 (leading-deletion
     // costs).
     let mut boundary_v: Vec<i64> = (0..=n)
-        .map(|j| if j == 0 { 0 } else { -(open + extend * j as i64) })
+        .map(|j| {
+            if j == 0 {
+                0
+            } else {
+                -(open + extend * j as i64)
+            }
+        })
         .collect();
     let mut boundary_f: Vec<i64> = vec![NEG_INF; n + 1];
 
@@ -185,7 +191,11 @@ pub fn simulate_gactx_tile(
                     let diag = if j == jstart {
                         if jstart == 1 {
                             let edge = -(open + extend * (row as i64));
-                            if edge >= vmax - y { edge } else { NEG_INF }
+                            if edge >= vmax - y {
+                                edge
+                            } else {
+                                NEG_INF
+                            }
                         } else {
                             NEG_INF
                         }
@@ -258,7 +268,10 @@ pub fn simulate_gactx_tile(
         }
         let cols = stripe.ptrs.len() as u64;
         compute_cycles += array.stripe_cycles(cols);
-        let stripe_dead = stripe.ptrs.iter().all(|col| col.iter().all(|&p| p == ptr::STOP));
+        let stripe_dead = stripe
+            .ptrs
+            .iter()
+            .all(|col| col.iter().all(|&p| p == ptr::STOP));
         stripes.push(stripe);
         boundary_v = next_boundary_v;
         boundary_f = next_boundary_f;

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{Lexed, TokKind, match_delim};
+use crate::lexer::{match_delim, Lexed, TokKind};
 use crate::rules::{Directives, RawSite};
 
 /// One scope: a named fn body or an anonymous closure body.
@@ -157,7 +157,9 @@ pub fn analyze(files: &[(&Lexed<'_>, &Directives)]) -> EffectsReport {
         }
     }
     report.edges.sort();
-    report.edges.dedup_by(|a, b| a.from == b.from && a.to == b.to);
+    report
+        .edges
+        .dedup_by(|a, b| a.from == b.from && a.to == b.to);
 
     // Pass 5: cycle detection over queue nodes. Each cycle is
     // attributed to the scope that contributed its first edge, so the
@@ -218,8 +220,7 @@ fn collect_queue_names(lexed: &Lexed<'_>, queues: &mut Vec<String>) {
         while k >= 1 && (toks[k - 1].text == "&" || toks[k - 1].text == "mut") {
             k -= 1;
         }
-        let ascription =
-            k >= 2 && toks[k - 1].text == ":" && toks[k - 2].kind == TokKind::Ident;
+        let ascription = k >= 2 && toks[k - 1].text == ":" && toks[k - 2].kind == TokKind::Ident;
         let assignment = k >= 2
             && toks[k - 1].text == "="
             && toks[k - 2].kind == TokKind::Ident
@@ -244,9 +245,7 @@ fn collect_scopes(lexed: &Lexed<'_>, file: usize, scopes: &mut Vec<Scope>) {
         }
         let t = &toks[i];
         // Named fn: `fn name … {body}`.
-        if t.text == "fn"
-            && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident)
-        {
+        if t.text == "fn" && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident) {
             let name = toks[i + 1].text.to_string();
             if let Some(open) = body_open(toks, i + 2) {
                 if let Some(close) = match_delim(toks, open, "{", "}") {
@@ -510,7 +509,10 @@ fn collect(b_q: &BoundedQueue<u32>) { while b_q.pop().is_some() {} }
         let r = run(&[CHAIN]);
         assert_eq!(r.queues, vec!["a_q".to_string(), "b_q".to_string()]);
         assert_eq!(r.edges.len(), 1, "{:?}", r.edges);
-        assert_eq!((r.edges[0].from.as_str(), r.edges[0].to.as_str()), ("a_q", "b_q"));
+        assert_eq!(
+            (r.edges[0].from.as_str(), r.edges[0].to.as_str()),
+            ("a_q", "b_q")
+        );
         assert!(r.cycles.is_empty());
         assert!(r.sites.is_empty());
     }

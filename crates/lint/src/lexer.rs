@@ -454,7 +454,12 @@ fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
 }
 
 /// Index of the closing delimiter matching the opener at `open_idx`.
-pub(crate) fn match_delim(toks: &[Tok<'_>], open_idx: usize, open: &str, close: &str) -> Option<usize> {
+pub(crate) fn match_delim(
+    toks: &[Tok<'_>],
+    open_idx: usize,
+    open: &str,
+    close: &str,
+) -> Option<usize> {
     let mut depth = 0i64;
     for (k, t) in toks.iter().enumerate().skip(open_idx) {
         if t.text == open {
@@ -687,11 +692,7 @@ fn kept() { a.unwrap(); }
     fn multiline_string_advances_lines() {
         let src = "let a = \"line\nbreak\";\nlet b = 2;";
         let lexed = lex(src);
-        let b_tok = lexed
-            .toks
-            .iter()
-            .find(|t| t.text == "b")
-            .map(|t| t.line);
+        let b_tok = lexed.toks.iter().find(|t| t.text == "b").map(|t| t.line);
         assert_eq!(b_tok, Some(3));
     }
 }

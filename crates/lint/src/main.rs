@@ -49,10 +49,7 @@ fn parse_args() -> Result<Args, LintError> {
                 Some(v) => match RULES.iter().find(|r| **r == v) {
                     Some(r) => args.rules.push(r),
                     None => {
-                        return Err(LintError::Usage(format!(
-                            "unknown rule `{}`\n{}",
-                            v, USAGE
-                        )));
+                        return Err(LintError::Usage(format!("unknown rule `{}`\n{}", v, USAGE)));
                     }
                 },
                 None => return Err(LintError::Usage(USAGE.into())),

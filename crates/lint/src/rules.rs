@@ -6,7 +6,7 @@
 //! are added in `lib.rs`; this module only answers "where does the
 //! pattern occur, and is that line waived".
 
-use crate::lexer::{Lexed, TokKind, item_end};
+use crate::lexer::{item_end, Lexed, TokKind};
 
 /// One waiver: `// lint: allow(<rule>): <why>` covering a line range.
 ///
@@ -72,9 +72,7 @@ pub fn scan_directives(lexed: &Lexed<'_>) -> Directives {
         let rule = rest[..close].trim();
         // A waiver must say why; `allow(rule)` with no rationale is
         // ignored, so the underlying site stays a violation.
-        let why = rest[close + 1..]
-            .trim_start_matches(':')
-            .trim();
+        let why = rest[close + 1..].trim_start_matches(':').trim();
         if rule.is_empty() || why.is_empty() {
             continue;
         }
@@ -189,9 +187,7 @@ pub fn determinism(lexed: &Lexed<'_>, dir: &Directives) -> Vec<RawSite> {
         while k >= 1 && (toks[k - 1].text == "&" || toks[k - 1].text == "mut") {
             k -= 1;
         }
-        let ascription = k >= 2
-            && toks[k - 1].text == ":"
-            && toks[k - 2].kind == TokKind::Ident;
+        let ascription = k >= 2 && toks[k - 1].text == ":" && toks[k - 2].kind == TokKind::Ident;
         let assignment = k >= 2
             && toks[k - 1].text == "="
             && toks[k - 2].kind == TokKind::Ident

@@ -243,9 +243,7 @@ pub fn extract(lexed: &Lexed<'_>, file: usize) -> FileSymbols {
 
         // fn name(..) [-> T] { body }   (or `;` for trait decls).
         // `fn` followed by `(` is a fn-pointer type, not an item.
-        if t.text == "fn"
-            && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident)
-        {
+        if t.text == "fn" && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Ident) {
             let name = toks[i + 1].text.to_string();
             let ctx = ctxs.last();
             let body = body_open(toks, i + 2)
@@ -282,8 +280,7 @@ pub fn extract(lexed: &Lexed<'_>, file: usize) -> FileSymbols {
     if !macro_fns.is_empty() {
         // An invocation is "item position" when it is not inside any
         // extracted fn body (a call-position macro is just a call).
-        let bodies: Vec<(usize, usize)> =
-            out.fns.iter().filter_map(|f| f.body).collect();
+        let bodies: Vec<(usize, usize)> = out.fns.iter().filter_map(|f| f.body).collect();
         let mut i = 0usize;
         while i + 2 < toks.len() {
             let inside_fn = bodies.iter().any(|&(s, e)| s <= i && i <= e);
@@ -295,9 +292,7 @@ pub fn extract(lexed: &Lexed<'_>, file: usize) -> FileSymbols {
                 if let Some((_, body)) = macro_fns.iter().find(|(n, _)| *n == toks[i].text) {
                     // First identifier argument names the generated fn.
                     if let Some(close) = match_delim(toks, i + 2, "(", ")") {
-                        let arg = toks[i + 3..close]
-                            .iter()
-                            .find(|a| a.kind == TokKind::Ident);
+                        let arg = toks[i + 3..close].iter().find(|a| a.kind == TokKind::Ident);
                         if let Some(arg) = arg {
                             out.fns.push(FnDef {
                                 name: arg.text.to_string(),

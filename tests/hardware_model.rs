@@ -5,8 +5,8 @@ use darwin_wga::hwsim::area::AsicProvisioning;
 use darwin_wga::hwsim::bsw_array::BswBank;
 use darwin_wga::hwsim::gactx_array::GactXBank;
 use darwin_wga::hwsim::perf::{
-    accelerated_runtime, perf_per_dollar_improvement, perf_per_watt_improvement,
-    software_runtime, SoftwareThroughput, Workload,
+    accelerated_runtime, perf_per_dollar_improvement, perf_per_watt_improvement, software_runtime,
+    SoftwareThroughput, Workload,
 };
 use darwin_wga::hwsim::platform::{AcceleratorConfig, CpuConfig};
 
