@@ -1,5 +1,5 @@
 //! Wavefront BSW — the filtering kernel (§IV), one prepared batch over
-//! two lane widths.
+//! the `i16` lanes and the scalar oracle.
 //!
 //! The hardware computes banded Smith-Waterman on a linear systolic array
 //! that processes one *anti-diagonal* of the band per cycle: every cell on
@@ -8,7 +8,7 @@
 //! module is the software transcription of that dataflow:
 //!
 //! * sequences are read as their **byte codes** (2-bit bases plus the
-//!   `N` code, one byte each) against score tables that [`BswBatch`]
+//!   `N` code, one byte each) against a score table that [`BswBatch`]
 //!   flattens once and every worker thread shares read-only;
 //! * the DP runs in **anti-diagonal order** over flat rolling buffers
 //!   indexed by row `i` — the software image of the systolic array's
@@ -18,50 +18,51 @@
 //! * the kernel is **score-only** (no traceback), which is exactly what
 //!   the filter stage consumes: `V_max` and its position.
 //!
-//! One sweep (`sweep`) drives both lane widths: a tile whose scores
-//! provably fit 16 bits updates its diagonals in saturating `i16` vector
-//! lanes ([`crate::bsw_simd`]), any other tile in the exact `i32` loop of
-//! `bsw_wavefront`, which the compiler autovectorises. Either way the
-//! result is bit-identical to [`crate::banded::banded_smith_waterman`] —
-//! same scores, same argmax coordinates, same cell counts — which the
-//! differential-oracle harness (`tests/bsw_differential.rs`) enforces over
-//! thousands of random and adversarial tiles.
+//! Like the paper's array of fixed-width PEs, there is one fast kernel:
+//! the sweep (`sweep`) updates a tile whose scores provably fit 16 bits in
+//! saturating `i16` vector lanes ([`crate::bsw_simd`]). Any other tile —
+//! a scoring wider than the lanes, a tile past their score bound, every
+//! tile on a host that is not x86-64 — runs the row-major oracle,
+//! [`crate::banded::banded_smith_waterman`]. The lanes are bit-identical
+//! to it — same scores, same argmax coordinates, same cell counts — which
+//! the differential-oracle harness (`tests/bsw_differential.rs`) enforces
+//! over thousands of random and adversarial tiles.
 
 // Allocation-free inner loops are this kernel's whole point;
 // `crates/align/tests/alloc_bound.rs` counts them.
 
-use crate::banded::BandedOutcome;
+use crate::banded::{banded_smith_waterman, BandedOutcome};
 use genome::{Base, GapPenalties, SubstitutionMatrix};
-
-const NEG_INF: i32 = i32::MIN / 4;
 
 /// The widest vector [`crate::bsw_simd`] emits, in `i16` lanes: buffers
 /// are padded by this many rows so the last vector of a diagonal may
 /// harmlessly overhang.
+#[cfg(target_arch = "x86_64")]
 const LANES_MAX: usize = 16;
 
-/// One wavefront's rolling state in lanes of `T`, indexed by row `i`:
-/// `V` on diagonals `d-2`, `d-1` and `d`, `E`/`F` on `d-1` and `d`, and
-/// the diagonal's staged substitution scores. Buffers grow to the largest
-/// tile seen and are then reused allocation-free.
+/// One wavefront's rolling state, indexed by row `i`: `V` on diagonals
+/// `d-2`, `d-1` and `d`, `E`/`F` on `d-1` and `d`, and the diagonal's
+/// staged substitution scores. Buffers grow to the largest tile seen and
+/// are then reused allocation-free.
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Default)]
-pub(crate) struct Diagonals<T> {
-    pub(crate) v_pprev: Vec<T>,
-    pub(crate) v_prev: Vec<T>,
-    pub(crate) v_cur: Vec<T>,
-    pub(crate) e_prev: Vec<T>,
-    pub(crate) e_cur: Vec<T>,
-    pub(crate) f_prev: Vec<T>,
-    pub(crate) f_cur: Vec<T>,
-    pub(crate) scores: Vec<T>,
+pub(crate) struct Diagonals {
+    pub(crate) v_pprev: Vec<i16>,
+    pub(crate) v_prev: Vec<i16>,
+    pub(crate) v_cur: Vec<i16>,
+    pub(crate) e_prev: Vec<i16>,
+    pub(crate) e_cur: Vec<i16>,
+    pub(crate) f_prev: Vec<i16>,
+    pub(crate) f_cur: Vec<i16>,
+    pub(crate) scores: Vec<i16>,
 }
 
 /// Reusable per-worker buffers for [`BswBatch::run_tile`]: the rolling
-/// wavefront of each lane width.
+/// wavefront of the `i16` lanes (the oracle brings its own rows).
 #[derive(Debug, Default)]
 pub struct BswScratch {
-    wide: Diagonals<i32>,
-    narrow: Diagonals<i16>,
+    #[cfg(target_arch = "x86_64")]
+    lanes: Diagonals,
 }
 
 /// The scoring of one filter stage, flattened once for tile after tile.
@@ -70,26 +71,26 @@ pub struct BswScratch {
 /// one across all filter workers; each worker brings its own
 /// [`BswScratch`]. Construction decides once whether the scoring fits
 /// 16-bit lanes and whether the host is x86-64;
-/// [`BswBatch::run_tile`] then routes each tile to the narrowest exact
-/// kernel its size allows.
+/// [`BswBatch::run_tile`] then runs each tile on the lanes where its size
+/// allows and on the oracle otherwise.
 ///
 /// # Examples
 ///
 /// ```
 /// use align::bsw_fast::{BswBatch, BswScratch};
-/// use genome::{Base, GapPenalties, Sequence, SubstitutionMatrix};
+/// use genome::{GapPenalties, Sequence, SubstitutionMatrix};
 ///
 /// let t = "ACGTACGTACGT".parse::<Sequence>()?.to_bases();
 /// let (w, g) = (SubstitutionMatrix::darwin_wga(), GapPenalties::darwin_wga());
 /// let batch = BswBatch::new(&w, &g, 4);
-/// let out = batch.run_tile(Base::codes_of(&t), Base::codes_of(&t), &mut BswScratch::default());
+/// let out = batch.run_tile(&t, &t, &mut BswScratch::default());
 /// assert_eq!(out.max_score, 3 * (91 + 100 + 100 + 91));
 /// # Ok::<(), genome::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct BswBatch {
-    lut: [i32; 64],
-    lut16: [i16; 64],
+    lut: [i16; 64],
+    scoring: SubstitutionMatrix,
     gaps: GapPenalties,
     band: usize,
     /// Largest substitution score; bounds achievable V values.
@@ -100,22 +101,21 @@ pub struct BswBatch {
 }
 
 impl BswBatch {
-    /// Flattens the scoring into code-indexed tables (entry
+    /// Flattens the scoring into a code-indexed table (entry
     /// `(a << 3) | b` holds `w.score(a, b)`, so a lookup needs no bounds
     /// check). Where the scoring or the host rules 16-bit lanes out,
-    /// every tile runs the `i32` kernel; otherwise the 16-bit kernel takes
-    /// AVX2's 16 lanes where the host has them and SSE2's 8 otherwise.
+    /// every tile runs the oracle; otherwise the lanes are AVX2's 16
+    /// where the host has them and SSE2's 8 otherwise.
     pub fn new(w: &SubstitutionMatrix, gaps: &GapPenalties, band: usize) -> BswBatch {
-        let (mut lut, mut lut16) = ([0i32; 64], [0i16; 64]);
+        let mut lut = [0i16; 64];
         let (mut max_match, mut entries_fit) = (0i64, true);
         for a in 0u8..5 {
             for b in 0u8..5 {
                 let s = w.score(Base::from_code(a), Base::from_code(b));
-                let slot = ((a as usize) << 3) | b as usize;
-                lut[slot] = s;
                 // The floor is reserved for the -inf sentinel.
                 entries_fit &= s <= i16::MAX as i32 && s > i16::MIN as i32;
-                lut16[slot] = s.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+                lut[((a as usize) << 3) | b as usize] =
+                    s.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
                 max_match = max_match.max(s as i64);
             }
         }
@@ -127,7 +127,7 @@ impl BswBatch {
         let narrow = entries_fit && penalties_fit && cfg!(target_arch = "x86_64");
         BswBatch {
             lut,
-            lut16,
+            scoring: w.clone(),
             gaps: *gaps,
             band,
             max_match,
@@ -136,101 +136,78 @@ impl BswBatch {
     }
 
     /// Whether a tile of `n` target by `m` query bases runs on the `i16`
-    /// SIMD kernel (as opposed to the exact `i32` kernel).
+    /// SIMD lanes (as opposed to the oracle).
     pub fn tile_uses_simd(&self, n: usize, m: usize) -> bool {
         // Score bound: V <= min(n, m) * max_match must fit i16, so no
         // cell value and no substitution candidate can saturate upward.
         self.narrow && (n.min(m) as i64).saturating_mul(self.max_match) <= i16::MAX as i64
     }
 
-    /// Runs one filter tile over windows of the pair's byte codes
-    /// ([`Base::codes_of`]).
-    ///
-    /// Bit-identical to running
-    /// [`crate::banded::banded_smith_waterman`] on the same windows,
-    /// whichever kernel runs.
+    /// Runs one filter tile over windows of the pair: on the `i16` lanes
+    /// where [`BswBatch::tile_uses_simd`] admits it, on
+    /// [`crate::banded::banded_smith_waterman`] otherwise — with the same
+    /// outcome either way.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
     pub fn run_tile(
         &self,
-        tcodes: &[u8],
-        qcodes: &[u8],
+        target: &[Base],
+        query: &[Base],
         scratch: &mut BswScratch,
     ) -> BandedOutcome {
         #[cfg(target_arch = "x86_64")]
-        {
-            if self.tile_uses_simd(tcodes.len(), qcodes.len()) {
-                let (lut, band) = (&self.lut16, self.band);
-                return crate::bsw_simd::wavefront_i16(
-                    tcodes,
-                    qcodes,
-                    lut,
-                    &self.gaps,
-                    band,
-                    &mut scratch.narrow,
-                );
-            }
+        if self.tile_uses_simd(target.len(), query.len()) {
+            let (t, q) = (Base::codes_of(target), Base::codes_of(query));
+            let (lut, gaps, band) = (&self.lut, &self.gaps, self.band);
+            return crate::bsw_simd::wavefront_i16(t, q, lut, gaps, band, &mut scratch.lanes);
         }
-        bsw_wavefront(
-            tcodes,
-            qcodes,
-            &self.lut,
-            &self.gaps,
-            self.band,
-            &mut scratch.wide,
-        )
+        banded_smith_waterman(target, query, &self.scoring, &self.gaps, self.band)
     }
 
-    /// [`BswBatch::run_tile`] on the `i16` kernel of one lane width,
-    /// `"sse2"` or `"avx2"`, instead of the widest the host offers;
-    /// `None` where the tile does not fit `i16` lanes
-    /// ([`BswBatch::tile_uses_simd`]), the host lacks the feature or
-    /// `feature` names neither. Only the differential tests call it, so
-    /// that each width the dispatch can pick is run by a test.
+    /// [`BswBatch::run_tile`] on the `i16` lanes of one width, `"sse2"`
+    /// or `"avx2"`, instead of the widest the host offers; `None` where
+    /// the tile does not fit `i16` lanes ([`BswBatch::tile_uses_simd`]),
+    /// the host lacks the feature or `feature` names neither. Only tests
+    /// call it, so that each width the dispatch can pick is run by one.
     #[doc(hidden)]
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
     pub fn run_tile_i16(
         &self,
         feature: &str,
-        tcodes: &[u8],
-        qcodes: &[u8],
+        target: &[Base],
+        query: &[Base],
         scratch: &mut BswScratch,
     ) -> Option<BandedOutcome> {
         #[cfg(target_arch = "x86_64")]
-        if self.tile_uses_simd(tcodes.len(), qcodes.len()) {
-            let (lut, band) = (&self.lut16, self.band);
-            return crate::bsw_simd::wavefront_i16_width(
-                feature,
-                tcodes,
-                qcodes,
-                lut,
-                &self.gaps,
-                band,
-                &mut scratch.narrow,
-            );
+        if self.tile_uses_simd(target.len(), query.len()) {
+            let (t, q) = (Base::codes_of(target), Base::codes_of(query));
+            let (lut, gaps, band) = (&self.lut, &self.gaps, self.band);
+            let lanes = &mut scratch.lanes;
+            return crate::bsw_simd::wavefront_i16_width(feature, t, q, lut, gaps, band, lanes);
         }
         None
     }
 }
 
-/// The band sweep of both kernels: geometry, score staging, argmax,
+/// The band sweep of the `i16` lanes: geometry, score staging, argmax,
 /// sentinels and buffer rotation, with `update(diagonals, lo, width)`
 /// computing rows `lo..lo + width` of the current diagonal from the two
 /// before it.
 ///
 /// Computes the same cell set as the scalar kernel — `|i - j| <= band`
 /// intersected with the matrix, out-of-band neighbours reading `V = 0`,
-/// `E = F = -inf` — and returns an identical [`BandedOutcome`]: the
-/// scalar's row-major first-improvement argmax is exactly the
-/// lexicographically smallest `(i, j)` attaining the maximum, which the
-/// wavefront sweep reproduces by preferring smaller `i` on ties.
+/// `E = F = -inf` (the `i16` floor) — and returns an identical
+/// [`BandedOutcome`]: the scalar's row-major first-improvement argmax is
+/// exactly the lexicographically smallest `(i, j)` attaining the maximum,
+/// which the wavefront sweep reproduces by preferring smaller `i` on ties.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
+pub(crate) fn sweep(
     tcodes: &[u8],
     qcodes: &[u8],
-    lut: &[T; 64],
-    neg_inf: T,
+    lut: &[i16; 64],
     band: usize,
-    s: &mut Diagonals<T>,
-    mut update: impl FnMut(&mut Diagonals<T>, usize, usize),
+    s: &mut Diagonals,
+    mut update: impl FnMut(&mut Diagonals, usize, usize),
 ) -> BandedOutcome {
     let (n, m) = (tcodes.len(), qcodes.len());
     if n == 0 || m == 0 {
@@ -248,18 +225,17 @@ pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
         &mut s.scores,
     ] {
         if buf.len() < len {
-            buf.resize(len, T::default());
+            buf.resize(len, 0);
         }
     }
     // Boundary state feeding diagonal 2 (cell (1,1) only): row 0 and
     // column 0 read V = 0 with no live gap chains.
-    let zero = T::default();
-    s.v_prev[..2].fill(zero);
-    s.v_pprev[..2].fill(zero);
-    s.e_prev[..2].fill(neg_inf);
-    s.f_prev[..2].fill(neg_inf);
+    s.v_prev[..2].fill(0);
+    s.v_pprev[..2].fill(0);
+    s.e_prev[..2].fill(i16::MIN);
+    s.f_prev[..2].fill(i16::MIN);
 
-    let (mut best, mut best_i, mut best_j, mut cells) = (zero, 0usize, 0usize, 0u64);
+    let (mut best, mut best_i, mut best_j, mut cells) = (0i16, 0usize, 0usize, 0u64);
     for d in 2..=(m + n) {
         // Rows intersecting diagonal d: 1 <= i <= m, 1 <= j = d-i <= n,
         // |j - i| <= band.
@@ -279,7 +255,7 @@ pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
         // the row index advances. Indexed by `k < width` over three
         // width-long slices, so the gather has no bounds checks and
         // vectorises (iterating `sc` with `enumerate` kept them, and cost
-        // the i16 kernel a third of its speed).
+        // the lanes a third of their speed).
         let ts = &tcodes[d - hi - 1..d - lo];
         let qs = &qcodes[lo - 1..hi];
         let sc = &mut s.scores[..width];
@@ -292,8 +268,8 @@ pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
         // improvement is the lexicographically smallest (i, j) maximum,
         // so on a tied diagonal the smallest row wins.
         let vc = &s.v_cur[lo..=hi];
-        let diag_max = vc.iter().copied().max().unwrap_or(zero);
-        if diag_max > best || (diag_max == best && best > zero) {
+        let diag_max = vc.iter().copied().max().unwrap_or(0);
+        if diag_max > best || (diag_max == best && best > 0) {
             let i = lo + vc.iter().position(|&v| v == diag_max).unwrap_or(0);
             if diag_max > best || i < best_i {
                 (best, best_i, best_j) = (diag_max, i, d - i);
@@ -304,9 +280,9 @@ pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
         // this diagonal's computed range on either side (also repairing
         // the row a vector overhang clobbered at hi + 1).
         for row in [lo - 1, hi + 1] {
-            s.v_cur[row] = zero;
-            s.e_cur[row] = neg_inf;
-            s.f_cur[row] = neg_inf;
+            s.v_cur[row] = 0;
+            s.e_cur[row] = i16::MIN;
+            s.f_cur[row] = i16::MIN;
         }
 
         // Rotate: d-1 becomes d-2, d becomes d-1, and the old d-2 buffer
@@ -325,46 +301,6 @@ pub(crate) fn sweep<T: Copy + Default + Ord + Into<i64>>(
     }
 }
 
-/// The exact kernel: [`sweep`] with a branch-free `i32` diagonal update
-/// the compiler can vectorise.
-fn bsw_wavefront(
-    tcodes: &[u8],
-    qcodes: &[u8],
-    lut: &[i32; 64],
-    gaps: &GapPenalties,
-    band: usize,
-    s: &mut Diagonals<i32>,
-) -> BandedOutcome {
-    let (open_extend, extend) = (gaps.open + gaps.extend, gaps.extend);
-    sweep(tcodes, qcodes, lut, NEG_INF, band, s, |s, lo, width| {
-        // Neighbour views, all indexed by row: the left neighbour (i, j-1)
-        // and upper neighbour (i-1, j) live on diagonal d-1 at rows i and
-        // i-1; the substitution source (i-1, j-1) on d-2 at row i-1. The
-        // sweep's sentinels make out-of-band reads yield V = 0,
-        // E = F = -inf, so the loop is branch-free.
-        let hi = lo + width - 1;
-        let (vl, el) = (&s.v_prev[lo..=hi], &s.e_prev[lo..=hi]);
-        let (vu, fu, vd) = (
-            &s.v_prev[lo - 1..hi],
-            &s.f_prev[lo - 1..hi],
-            &s.v_pprev[lo - 1..hi],
-        );
-        let sc = &s.scores[..width];
-        let (vc, ec, fc) = (
-            &mut s.v_cur[lo..=hi],
-            &mut s.e_cur[lo..=hi],
-            &mut s.f_cur[lo..=hi],
-        );
-        for k in 0..width {
-            let e = (vl[k] - open_extend).max(el[k] - extend);
-            let f = (vu[k] - open_extend).max(fu[k] - extend);
-            vc[k] = (vd[k] + sc[k]).max(e).max(f).max(0);
-            ec[k] = e;
-            fc[k] = f;
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,8 +316,7 @@ mod tests {
     fn assert_identical_on(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) {
         let (w, g) = dw();
         let scalar = banded_smith_waterman(t, q, &w, &g, band);
-        let fast =
-            BswBatch::new(&w, &g, band).run_tile(Base::codes_of(t), Base::codes_of(q), scratch);
+        let fast = BswBatch::new(&w, &g, band).run_tile(t, q, scratch);
         assert_eq!(scalar, fast, "band={band} n={} m={}", t.len(), q.len());
     }
 
@@ -467,11 +402,11 @@ mod tests {
         let mut scratch = BswScratch::default();
         let batch = BswBatch::new(&w, &g, 4);
         assert_eq!(
-            batch.run_tile(Base::codes_of(&t), &[], &mut scratch),
+            batch.run_tile(&t, &[], &mut scratch),
             BandedOutcome::default()
         );
         assert_eq!(
-            batch.run_tile(&[], Base::codes_of(&t), &mut scratch),
+            batch.run_tile(&[], &t, &mut scratch),
             BandedOutcome::default()
         );
     }
@@ -479,7 +414,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_differently_sized_tiles() {
         let mut scratch = BswScratch::default();
-        // 400 runs the i32 kernel, the rest the i16 lanes on x86-64.
+        // 400 runs the oracle, the rest the i16 lanes on x86-64.
         for len in [1usize, 7, 64, 3, 320, 5, 400, 17] {
             let t = seq(&"ACGGTCAGT".repeat(len.div_ceil(9))[..len]);
             let q = seq(&"ACGGTCTGT".repeat(len.div_ceil(9))[..len]);
@@ -488,10 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_tiles_and_wide_penalties_run_the_i32_kernel_and_still_match() {
+    fn oversized_tiles_and_wide_penalties_run_the_oracle_and_still_match() {
         // 400 x 400 at max match 100 exceeds the i16 bound (40000), so
-        // the tile must route to the exact i32 kernel; so must every tile
-        // of a scoring whose gap open does not fit 16 bits.
+        // the tile must route to the oracle; so must every tile of a
+        // scoring whose gap open does not fit 16 bits.
         let (w, g) = dw();
         let t = seq(&"ACGT".repeat(100)).to_bases();
         let batch = BswBatch::new(&w, &g, 32);

@@ -2,16 +2,15 @@
 //!
 //! The paper's systolic array updates every cell of an anti-diagonal in
 //! the same cycle. [`crate::bsw_fast`] transcribes that dataflow into one
-//! band sweep whose exact `i32` diagonal update the compiler
-//! autovectorises at the x86-64 baseline (SSE2, four `i32` lanes); this
-//! module is the same update with *explicit* `std::arch` intrinsics over
-//! saturating `i16` lanes — eight per SSE2 vector, sixteen per AVX2
-//! vector — which is the lane layout real CPU Smith-Waterman engines use.
+//! band sweep; this module is its diagonal update, in explicit
+//! `std::arch` intrinsics over saturating `i16` lanes — eight per SSE2
+//! vector, sixteen per AVX2 vector — which is the lane layout real CPU
+//! Smith-Waterman engines use.
 //!
 //! # Exactness
 //!
-//! The `i16` update is bit-identical to the `i32` one (and hence to the
-//! scalar reference) whenever the guard below holds, because:
+//! The `i16` update is bit-identical to the scalar reference's `i32`
+//! arithmetic whenever the guard below holds, because:
 //!
 //! * cell scores are bounded: `0 <= V(i,j) <= min(n, m) * max_match`
 //!   (a local alignment of `min(n, m)` pairs, each scoring at most
@@ -26,9 +25,10 @@
 //!
 //! [`crate::bsw_fast::BswBatch`] checks the guard per tile
 //! ([`crate::bsw_fast::BswBatch::tile_uses_simd`]); tiles that fail it
-//! (oversized tiles, oversized penalties, a non-x86-64 host) run the
-//! exact `i32` kernel. The differential oracle in
-//! `tests/bsw_differential.rs` holds both to the scalar reference.
+//! (oversized tiles, oversized scores or penalties, a non-x86-64 host)
+//! run the scalar reference itself,
+//! [`crate::banded::banded_smith_waterman`]. The differential oracle in
+//! `tests/bsw_differential.rs` holds the lanes to it.
 
 #[cfg(target_arch = "x86_64")]
 use {
@@ -46,7 +46,7 @@ pub(crate) fn wavefront_i16(
     lut16: &[i16; 64],
     gaps: &GapPenalties,
     band: usize,
-    s: &mut Diagonals<i16>,
+    s: &mut Diagonals,
 ) -> BandedOutcome {
     let (oe, ext) = ((gaps.open + gaps.extend) as i16, gaps.extend as i16);
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -73,7 +73,7 @@ pub(crate) fn wavefront_i16_width(
     lut16: &[i16; 64],
     gaps: &GapPenalties,
     band: usize,
-    s: &mut Diagonals<i16>,
+    s: &mut Diagonals,
 ) -> Option<BandedOutcome> {
     let (oe, ext) = ((gaps.open + gaps.extend) as i16, gaps.extend as i16);
     match feature {
@@ -112,11 +112,11 @@ macro_rules! wavefront_i16_kernel {
             oe: i16,
             ext: i16,
             band: usize,
-            s: &mut Diagonals<i16>,
+            s: &mut Diagonals,
         ) -> BandedOutcome {
             use std::arch::x86_64::*;
             let (voe, vext, zero) = ($set1(oe), $set1(ext), $set1(0));
-            sweep(tcodes, qcodes, lut16, i16::MIN, band, s, |s, lo, width| {
+            sweep(tcodes, qcodes, lut16, band, s, |s, lo, width| {
                 // The vectorised systolic update: all rows of the
                 // diagonal step together, $lanes at a time.
                 let (vp, ep, fp) = (s.v_prev.as_ptr(), s.e_prev.as_ptr(), s.f_prev.as_ptr());

@@ -9,8 +9,8 @@
 //!   banded Smith-Waterman, "BSW") — plus [`bsw_fast`], the wavefront
 //!   BSW that mirrors the systolic array's anti-diagonal dataflow and is
 //!   bit-identical to [`banded`]: one prepared batch that runs each tile
-//!   in exact `i32` lanes or, where its scores fit, in the explicit
-//!   SSE2/AVX2 `i16` lanes of [`bsw_simd`];
+//!   in the explicit SSE2/AVX2 `i16` lanes of [`bsw_simd`] where its
+//!   scores fit them, and on [`banded`] itself otherwise;
 //! * the *extension* algorithms — [`xdrop`] (the per-tile X-drop kernel)
 //!   and [`gactx`] (GACT-X tiled extension, the paper's contribution),
 //!   whose tiling parameters also give the prior Darwin algorithm GACT

@@ -20,8 +20,8 @@
 //! plus one gap's worth past the best, and `xdrop`'s unit tests pin the
 //! arena's length to `traceback_bytes`, 4 bits a stored cell, for a tile
 //! that packs every row. EXPERIMENTS.md has the measured savings of the
-//! one reservation and of the packing ("Traceback memory: rows past a
-//! tile's best").
+//! packing ("Performance ledger — PRs 34, 35, 46, 47, 53 and 58",
+//! PR 58).
 //!
 //! The filter kernels are held to the same rule: a warm scratch filters
 //! tile after tile without allocating, a tile window unpacks into a warm
@@ -40,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Write;
 
 thread_local! {
     /// Bytes this thread has allocated and not yet freed (signed: a thread
@@ -253,7 +254,8 @@ fn far_extensions_pack_a_fraction_of_the_band() {
     // seven anchors on one thread, as a worker runs them: the arena
     // packs at most the band of any tile, a cold one a sixth of it, and
     // over all seven its high-water stays under 70 % of the largest band
-    // (63 %, EXPERIMENTS.md "Traceback memory: rows past a tile's best").
+    // (63 %, EXPERIMENTS.md "Performance ledger — PRs 34, 35, 46, 47, 53
+    // and 58", PR 58).
     let extensions = std::thread::spawn(|| {
         let mut rng = StdRng::seed_from_u64(13);
         let evolution = EvolutionParams::at_distance(1.30);
@@ -378,7 +380,6 @@ fn filter_kernels_and_tile_windows_allocate_nothing_per_tile_or_row() {
         .map(|_| Base::from_code(rng.gen_range(0u8..4)))
         .collect();
     let bases = seq.to_bases();
-    let codes = Base::codes_of(&bases);
     // The pipeline's filter tiles are 320 bases a side with a band of 32;
     // at that size every tile fits the SIMD engine's i16 score bound.
     let (tile, band) = (320, 32);
@@ -395,29 +396,32 @@ fn filter_kernels_and_tile_windows_allocate_nothing_per_tile_or_row() {
         .collect();
 
     // A warm scratch: one full-size tile first, then 200 of any size, on
-    // the i16 lanes and, under a gap open past i16, on the i32 kernel.
-    let run = |g: &GapPenalties| {
-        let batch = BswBatch::new(&w, g, band);
+    // each i16 lane width the host has. A width it lacks prints one
+    // `skipped: no <feature>` line to stderr.
+    let batch = BswBatch::new(&w, &g, band);
+    assert_eq!(
+        batch.tile_uses_simd(tile, tile),
+        cfg!(target_arch = "x86_64")
+    );
+    for feature in ["sse2", "avx2"] {
         let scratch = &mut BswScratch::default();
-        batch.run_tile(&codes[..tile], &codes[tile..2 * tile], scratch);
-        let simd = batch.tile_uses_simd(tile, tile);
-        let cells = measure(|| {
+        let (t, q) = (&bases[..tile], &bases[tile..2 * tile]);
+        if batch.run_tile_i16(feature, t, q, scratch).is_none() {
+            let _ = writeln!(std::io::stderr(), "skipped: no {feature}");
+            continue;
+        }
+        let run = measure(|| {
             let cells = tiles.iter().map(|&(t, q, n, m)| {
+                let (t, q) = (&bases[t..t + n], &bases[q..q + m]);
                 batch
-                    .run_tile(&codes[t..t + n], &codes[q..q + m], scratch)
-                    .cells
+                    .run_tile_i16(feature, t, q, scratch)
+                    .map(|out| out.cells)
             });
-            cells.sum::<u64>()
+            cells.sum::<Option<u64>>()
         });
-        (simd, cells)
-    };
-    let ((simd, simd_run), (wide, wide_run)) = (run(&g), run(&GapPenalties::new(40_000, 30)));
-    assert_eq!(simd, cfg!(target_arch = "x86_64"));
-    assert!(!wide);
-    assert_eq!(wide_run.value, simd_run.value);
-    assert!(wide_run.value > 500_000, "{} cells", wide_run.value);
-    assert_eq!(wide_run.allocs, 0, "i32 kernel over {} tiles", tiles.len());
-    assert_eq!(simd_run.allocs, 0, "i16 lanes over {} tiles", tiles.len());
+        assert!(run.value > Some(500_000), "{:?} cells", run.value);
+        assert_eq!(run.allocs, 0, "{feature} lanes over {} tiles", tiles.len());
+    }
 
     // A tile window unpacks into its warm buffer, either way round.
     let window = &mut Vec::new();

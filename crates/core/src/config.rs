@@ -109,8 +109,8 @@ pub enum FilterEngineKind {
     /// anti-diagonal DP over reused flat buffers, no per-tile allocation.
     /// A tile whose scores fit 16 bits runs in saturating `i16` lanes
     /// (8 per SSE2 vector, 16 per AVX2 vector, [`align::bsw_simd`]), any
-    /// other tile — every tile on a host that is not x86-64 — in exact
-    /// `i32` lanes. The default.
+    /// other tile — every tile on a host that is not x86-64 — on the
+    /// `scalar` kernel. The default.
     #[default]
     Simd,
 }

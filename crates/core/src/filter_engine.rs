@@ -21,8 +21,8 @@
 //!   [`FilterContext`], each worker reusing one [`BswScratch`] across its
 //!   whole run of tiles — the software analogue of streaming tiles
 //!   through the paper's systolic array. A tile whose scores fit 16 bits
-//!   runs in explicit SSE2/AVX2 `i16` lanes on x86-64, any other in
-//!   exact `i32` lanes; the batch alone decides.
+//!   runs in explicit SSE2/AVX2 `i16` lanes on x86-64, any other on the
+//!   `scalar` kernel; the batch alone decides.
 //!
 //! Both produce bit-identical [`FilterOutcome`]s (same scores, anchor
 //! coordinates and cell counts); `tests/bsw_differential.rs` enforces
@@ -132,9 +132,7 @@ impl FilterEngine<'_> {
                     query.window(q_range, false, qw),
                 );
                 let out = match self.batch {
-                    Some(batch) => {
-                        batch.run_tile(Base::codes_of(t), Base::codes_of(q), &mut self.scratch)
-                    }
+                    Some(batch) => batch.run_tile(t, q, &mut self.scratch),
                     None => banded_smith_waterman(t, q, &params.scoring, &params.gaps, f.band),
                 };
                 let anchor = (out.max_score >= f.threshold).then(|| Anchor {
@@ -209,7 +207,7 @@ mod tests {
     }
 
     /// 400-base filter tiles: past the `i16` bound at Darwin's top score
-    /// of 100, so every full tile runs the `i32` kernel.
+    /// of 100, so every full tile runs the oracle.
     fn wide_tiles() -> WgaParams {
         let mut params = WgaParams::darwin_wga();
         if let FilterStage::Gapped(f) = &mut params.filter {
@@ -250,7 +248,7 @@ mod tests {
         let simd = batch_of(darwin()).expect("a batch");
         assert_eq!(simd.tile_uses_simd(320, 320), cfg!(target_arch = "x86_64"));
         let wide = batch_of(wide_tiles()).expect("a batch");
-        assert!(!wide.tile_uses_simd(400, 400), "i32 lanes past 327 bases");
+        assert!(!wide.tile_uses_simd(400, 400), "the oracle past 327 bases");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! A two-assembly run ([`align_assemblies_observed`]) and a many-genome
 //! one ([`crate::pangenome::align_many_observed`]) are one call of
 //! `align_matrix` each, under one [`AlignOptions`]: one validation, one
-//! fault injector ([`AlignOptions::injector`]) and one trace for the
-//! whole matrix.
+//! fault injector (the caller's, on its [`Obs`]:
+//! [`Obs::with_injector`]) and one trace for the whole matrix.
 //!
 //! The filter stage of every pair runs through the engine selected by
 //! [`WgaParams::filter_engine`] (the scalar reference or the wavefront
@@ -35,7 +35,6 @@
 use crate::config::WgaParams;
 use crate::dataflow::{ExecutorKind, QUEUE_DEPTH};
 use crate::error::{panic_message, WgaError, WgaResult};
-use crate::faultsim::{FaultInjector, FaultPlan};
 use crate::journal::{JournalStats, PairRecord};
 use crate::obs::Obs;
 use crate::pipeline::run_pair;
@@ -69,9 +68,6 @@ pub struct AlignOptions {
     /// Read by nothing: [`AlignOptions::threads`] alone picks the
     /// schedule. Kept so callers that still name an executor compile.
     pub executor: ExecutorKind,
-    /// Fault-injection plan (`--fault-plan`). `None` outside chaos runs;
-    /// its `"pair"` is a pair id of the whole matrix.
-    pub fault_plan: Option<Arc<FaultPlan>>,
     /// Many-genome runs only: keep the genome pairs where either genome
     /// ranks the other among its `k` nearest by sketch distance; `None`
     /// aligns all pairs.
@@ -84,7 +80,6 @@ impl Default for AlignOptions {
             threads: 1,
             checkpoint: None,
             executor: ExecutorKind::Barrier,
-            fault_plan: None,
             knn: None,
         }
     }
@@ -117,15 +112,6 @@ impl AlignOptions {
             ));
         }
         Ok(())
-    }
-
-    /// A chaos run's fault injector, drawn from the fault plan. A caller
-    /// firing hooks of its own (FASTA reads, output sinks) builds it once
-    /// and hands it to the matrix run on its [`Obs`]
-    /// ([`Obs::with_injector`]), so one total counts every fault of the
-    /// command.
-    pub fn injector(&self) -> Option<FaultInjector> {
-        (self.fault_plan.as_deref().cloned()).map(FaultInjector::new)
     }
 }
 
@@ -392,8 +378,8 @@ impl<'a> PairMatrix<'a> {
 }
 
 /// Aligns every pair of `matrix` in one executor run: one fault injector
-/// (`obs`'s, or else one built from `options`; a fault plan's `"pair"`
-/// is a pair id), one announced pair total, one seed table a row. Above
+/// (`obs`'s, if any; a fault plan's `"pair"` is a pair id), one
+/// announced pair total, one seed table a row. Above
 /// one thread the dataflow executor's queue holds `queue_depth` tasks:
 /// [`QUEUE_DEPTH`] in every production run, other depths only in the
 /// executor's own tests. Each block's journal replays its pairs and
@@ -420,13 +406,6 @@ pub(crate) fn align_matrix(
         check_indexable(&chrom.name, chrom.sequence.len())?;
     }
     options.validate()?;
-    let own = if obs.injector().is_none() {
-        options.injector()
-    } else {
-        None
-    };
-    let obs = own.as_ref().map_or(obs, |own| obs.with_injector(own));
-
     obs.set_total_pairs(matrix.pairs.len() as u64);
     let (mut journals, records) = Journals::replay(params, matrix, obs)?;
     let builds = AtomicU64::new(0);

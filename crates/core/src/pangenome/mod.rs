@@ -52,6 +52,7 @@ use joblist::PairPlan;
 use mash::Sketch;
 use plane_sweep::SweepStats;
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 /// The options of a many-genome run are those of any run over the pair
 /// matrix. Kept, hidden, for callers that still name it.
@@ -213,9 +214,16 @@ impl ManyReport {
     }
 }
 
+/// The journal of genome pair `a`-`b` (indices into the run's genomes)
+/// in checkpoint directory `dir`: `pair_<a>_<b>.journal`, three digits
+/// each at least.
+pub fn pair_journal(dir: &Path, a: usize, b: usize) -> PathBuf {
+    dir.join(format!("pair_{a:03}_{b:03}.journal"))
+}
+
 /// Aligns every scheduled genome pair in one executor run threaded
 /// through `obs`; see the module docs. `options.checkpoint` is a
-/// directory of one journal a genome pair.
+/// directory of one journal a genome pair ([`pair_journal`]).
 ///
 /// # Errors
 ///
@@ -255,10 +263,7 @@ pub fn align_many_observed(
     // consecutive and share its rows, one seed table a chromosome.
     let scheduled = plans.iter().filter(|plan| plan.scheduled);
     let matrix = PairMatrix::new(scheduled.map(|plan| {
-        let checkpoint = options
-            .checkpoint
-            .as_ref()
-            .map(|dir| dir.join(format!("pair_{:03}_{:03}.journal", plan.a, plan.b)));
+        let checkpoint = (options.checkpoint.as_ref()).map(|dir| pair_journal(dir, plan.a, plan.b));
         (&genomes[plan.a], &genomes[plan.b], checkpoint)
     }));
     let (blocks, tables_built) = align_matrix(&scaled, &matrix, options, QUEUE_DEPTH, obs)?;

@@ -32,8 +32,8 @@
 //!     --filter-engine picks the BSW kernel for gapped filtering:
 //!     `scalar`, the row-major reference, or `simd` (the default), the
 //!     anti-diagonal wavefront, which runs a tile in explicit SSE2/AVX2
-//!     16-bit lanes wherever its scores fit them and in exact 32-bit
-//!     lanes otherwise. Results are identical either way, and a
+//!     16-bit lanes wherever its scores fit them and on the `scalar`
+//!     kernel otherwise. Results are identical either way, and a
 //!     --checkpoint journal resumes under either engine. --shard-size sets the
 //!     bases per query range (rounded up to whole D-SOFT chunks; default
 //!     2048): a strand is seeded and filtered one range at a time on
@@ -119,6 +119,7 @@ use darwin_wga::core::journal;
 use darwin_wga::core::json::Json;
 use darwin_wga::core::maf;
 use darwin_wga::core::obs::{Obs, ProgressMeter, SpanName, SpanTimer, TraceRecorder, STRAND_NA};
+use darwin_wga::core::pangenome;
 use darwin_wga::core::report::RunOutcome;
 use darwin_wga::genome::annotation::CoordinateMap;
 use darwin_wga::genome::assembly::Assembly;
@@ -239,7 +240,7 @@ fn parse_opt<T: std::str::FromStr>(
 struct RunFlags {
     baseline: bool,
     progress: bool,
-    /// The run's options but the fault plan and `knn`, set at the start.
+    /// The run's options but `knn`, set at the start.
     options: AlignOptions,
     filter_engine: Option<String>,
     shard_size: Option<usize>,
@@ -287,9 +288,9 @@ impl RunFlags {
     /// Checks every option and output before the first input byte is
     /// read, then reads the genome `fastas` behind the run's fault gate.
     /// The parameters are the preset with its engine, range size and
-    /// `budget`; the options gain the fault plan and `knn`. `outputs` are
-    /// the command's own beside the trace and the metrics; the checkpoint
-    /// is one too where it is a `journal` file, not a directory.
+    /// `budget`; the options gain `knn`. `outputs` are the command's own
+    /// beside the trace and the metrics; the checkpoint is one too where
+    /// it is a `journal` file, not a directory of pair journals.
     /// Returns the run and the `--progress` meter, whose line stops when
     /// it is dropped.
     fn start(
@@ -313,11 +314,11 @@ impl RunFlags {
         }
         params.budget = budget;
         params.validate().map_err(|e| e.to_string())?;
-        let plan = self
-            .fault_plan
-            .as_deref()
-            .map(|p| FaultPlan::from_file(Path::new(p)));
-        self.options.fault_plan = plan.transpose().map_err(|e| e.to_string())?.map(Arc::new);
+        let plan = (self.fault_plan.as_deref()).map(|p| FaultPlan::from_file(Path::new(p)));
+        let injector = plan
+            .transpose()
+            .map_err(|e| e.to_string())?
+            .map(FaultInjector::new);
         self.options.knn = knn;
         self.options.validate().map_err(|e| e.to_string())?;
 
@@ -338,16 +339,27 @@ impl RunFlags {
             &inputs,
         )
         .map_err(|e| e.to_string())?;
-        // Another run's journal is refused before either FASTA is read.
+        // Another run's journal is refused before any FASTA is read: the
+        // journal of `align`, or each pair journal in the directory of
+        // `many`, whose pairs align under the parameters scaled to the
+        // genome count.
         if let Some(path) = checkpoint {
             journal::check_header(path, &journal::params_fingerprint(&params))
                 .map_err(|e| e.to_string())?;
+        } else if let Some(dir) = &self.options.checkpoint {
+            let n = fastas.len();
+            let scaled = pangenome::index::scaled_params(&params, n);
+            let fingerprint = journal::params_fingerprint(&scaled);
+            for (a, b) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+                journal::check_header(&pangenome::pair_journal(dir, a, b), &fingerprint)
+                    .map_err(|e| e.to_string())?;
+            }
         }
 
         let observed = self.trace_out.is_some() || self.metrics_out.is_some() || self.progress;
         let recorder = observed.then(|| Arc::new(TraceRecorder::new()));
         let mut run = Run {
-            injector: self.options.injector(),
+            injector,
             flags: self,
             params,
             genomes: Vec::new(),
@@ -745,8 +757,6 @@ fn cmd_align(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_many(args: &[String]) -> Result<(), String> {
-    use darwin_wga::core::pangenome;
-
     let mut args = args.to_vec();
     let flags = RunFlags::take(&mut args)?;
     let knn: Option<usize> = take_parsed(&mut args, "--knn")?;

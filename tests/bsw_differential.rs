@@ -3,24 +3,24 @@
 //!
 //! `align::bsw_fast::BswBatch` re-derives the banded DP in anti-diagonal
 //! order over reused buffers, in explicit `i16` SIMD lanes (SSE2/AVX2)
-//! where a tile's scores fit them and in exact `i32` lanes otherwise.
-//! This harness proves both are *bit-identical* to
-//! `align::banded::banded_smith_waterman` — same `max_score`, same argmax
+//! where a tile's scores fit them, and hands any other tile to
+//! `align::banded::banded_smith_waterman` itself. This harness proves the
+//! lanes *bit-identical* to that oracle — same `max_score`, same argmax
 //! coordinates (including the scalar's row-major tie-break), same cell
 //! counts — over thousands of seeded-random tiles, adversarial
-//! constructions (including lane-boundary lengths and saturation-edge
-//! tiles), and whole-pipeline runs, and that both engines pass the
-//! exact same set of tiles at the paper's `H_f = 4000` threshold.
+//! constructions (including lane-boundary lengths and tiles either side
+//! of the lanes' score bound), and whole-pipeline runs, and that both
+//! engines pass the exact same set of tiles at the paper's `H_f = 4000`
+//! threshold.
 //!
-//! Every tile runs under two scorings, and the batch picks its lanes
-//! from each as it does in production: Darwin's, whose tiles up to 327
-//! bases a side fit the `i16` lanes on x86-64, and the same scoring
-//! × 400, whose entries and gap penalties pass `i16`, so that every tile
-//! of it runs the `i32` kernel on any host. The batch's dispatch takes
-//! the widest `i16` lanes the host has, so a Darwin tile that fits them
-//! also runs on each width directly (`BswBatch::run_tile_i16`): SSE2's
-//! 8 lanes as well as AVX2's 16. A width the host lacks prints one
-//! `skipped: no <feature>` line to stderr.
+//! Every tile runs under Darwin's scoring, whose tiles up to 327 bases a
+//! side fit the `i16` lanes on x86-64, and the batch picks its route as
+//! it does in production. The dispatch takes the widest `i16` lanes the
+//! host has, so a tile that fits them also runs on each width directly
+//! (`BswBatch::run_tile_i16`): SSE2's 8 lanes as well as AVX2's 16. A
+//! width the host lacks prints one `skipped: no <feature>` line to
+//! stderr. Under the same scoring × 400, whose entries and gap penalties
+//! pass `i16`, no tile may take the lanes on any host.
 
 use darwin_wga::align::banded::{banded_smith_waterman, tile_around, BandedOutcome};
 use darwin_wga::align::bsw_fast::{BswBatch, BswScratch};
@@ -77,38 +77,33 @@ fn i16_widths() -> &'static [&'static str] {
     })
 }
 
-/// Runs one tile through the scalar kernel and a fresh batch under each
-/// scoring — and, where the tile takes the `i16` lanes, through each
-/// lane width the host has — asserts the full outcomes match, and
-/// returns Darwin's (so callers can build surviving sets).
+/// Runs one tile through the scalar kernel and a fresh batch under
+/// Darwin's scoring — and, where the tile takes the `i16` lanes, through
+/// each lane width the host has — asserts the full outcomes match, and
+/// returns them (so callers can build surviving sets). Under the wide
+/// scoring the tile must not take the lanes.
 fn check_tile(t: &[Base], q: &[Base], band: usize, scratch: &mut BswScratch) -> BandedOutcome {
     let (n, m) = (t.len(), q.len());
-    let [(darwin, _), (_, wide_simd)] = [scoring(), wide_scoring()].map(|(w, g)| {
-        let batch = BswBatch::new(&w, &g, band);
-        let simd = batch.tile_uses_simd(n, m);
-        let scalar = banded_smith_waterman(t, q, &w, &g, band);
-        let (tcodes, qcodes) = (Base::codes_of(t), Base::codes_of(q));
-        let fast = batch.run_tile(tcodes, qcodes, scratch);
-        let max = w.max_score();
-        assert_eq!(
-            scalar, fast,
-            "simd={simd} max match {max}: band={band} n={n} m={m}"
-        );
-        for &feature in i16_widths().iter().filter(|_| simd) {
-            let lanes = batch.run_tile_i16(feature, tcodes, qcodes, scratch);
-            assert_eq!(
-                Some(scalar),
-                lanes,
-                "{feature} lanes: band={band} n={n} m={m}"
-            );
-        }
-        (scalar, simd)
-    });
+    let (w, g) = wide_scoring();
     assert!(
-        !wide_simd,
+        !BswBatch::new(&w, &g, band).tile_uses_simd(n, m),
         "a wide-score tile took the i16 lanes: n={n} m={m}"
     );
-    darwin
+    let (w, g) = scoring();
+    let batch = BswBatch::new(&w, &g, band);
+    let simd = batch.tile_uses_simd(n, m);
+    let scalar = banded_smith_waterman(t, q, &w, &g, band);
+    let fast = batch.run_tile(t, q, scratch);
+    assert_eq!(scalar, fast, "simd={simd}: band={band} n={n} m={m}");
+    for &feature in i16_widths().iter().filter(|_| simd) {
+        let lanes = batch.run_tile_i16(feature, t, q, scratch);
+        assert_eq!(
+            Some(scalar),
+            lanes,
+            "{feature} lanes: band={band} n={n} m={m}"
+        );
+    }
+    scalar
 }
 
 fn random_bases(rng: &mut StdRng, len: usize, n_fraction_millis: u64) -> Vec<Base> {
@@ -203,24 +198,20 @@ fn each_i16_width_runs_a_fitting_tile_and_only_that() {
     let mut rng = StdRng::seed_from_u64(616);
     let t = random_bases(&mut rng, 320, 0);
     let q = mutate(&mut rng, &t, 0.1, 0.02);
-    let (tcodes, qcodes) = (Base::codes_of(&t), Base::codes_of(&q));
     let (w, g) = scoring();
     let batch = BswBatch::new(&w, &g, 32);
     let scalar = banded_smith_waterman(&t, &q, &w, &g, 32);
     let fits = batch.tile_uses_simd(t.len(), q.len());
     for feature in ["sse2", "avx2"] {
-        let lanes = batch.run_tile_i16(feature, tcodes, qcodes, &mut scratch);
+        let lanes = batch.run_tile_i16(feature, &t, &q, &mut scratch);
         let expected = (fits && i16_widths().contains(&feature)).then_some(scalar);
         assert_eq!(lanes, expected, "{feature}");
     }
-    assert_eq!(
-        batch.run_tile_i16("neon", tcodes, qcodes, &mut scratch),
-        None
-    );
+    assert_eq!(batch.run_tile_i16("neon", &t, &q, &mut scratch), None);
     let (w, g) = wide_scoring();
     let wide = BswBatch::new(&w, &g, 32);
     for &feature in i16_widths() {
-        let lanes = wide.run_tile_i16(feature, tcodes, qcodes, &mut scratch);
+        let lanes = wide.run_tile_i16(feature, &t, &q, &mut scratch);
         assert_eq!(lanes, None, "{feature} ran a wide-score tile");
     }
 }
@@ -329,7 +320,9 @@ fn lane_boundary_adversaries_are_identical() {
     // Saturation boundary: identical homopolymer-free sequences of length
     // L score ~L*match, so lengths around i16::MAX / max_match straddle
     // the `tile_uses_simd` cutoff — both the widest i16 tiles and the
-    // first i32-fallback tiles get exercised, and must agree either way.
+    // first tiles handed to the oracle get exercised, and must agree
+    // either way. Random ACGT stays below i16::MAX either side, so
+    // `all_c_tiles_either_side_of_the_i16_cutoff` pins the cutoff itself.
     let (w, _) = scoring();
     let max_match = (0u8..4)
         .flat_map(|a| (0u8..4).map(move |b| (a, b)))
@@ -361,6 +354,23 @@ fn lane_boundary_adversaries_are_identical() {
 }
 
 #[test]
+fn all_c_tiles_either_side_of_the_i16_cutoff() {
+    // An all-C tile scores 100 a base down its diagonal: 327 bases score
+    // 32 700 and fit the i16 lanes, 328 score 32 800 and must run the
+    // oracle. A cutoff one base wider, or a route that gives the lanes a
+    // tile past it, saturates the second at i16::MAX.
+    let (w, g) = scoring();
+    let batch = BswBatch::new(&w, &g, 32);
+    let mut scratch = BswScratch::default();
+    for (len, score, fits) in [(327usize, 32_700i64, true), (328, 32_800, false)] {
+        let t = vec![Base::C; len];
+        assert_eq!(check_tile(&t, &t, 32, &mut scratch).max_score, score);
+        let lanes = fits && cfg!(target_arch = "x86_64");
+        assert_eq!(batch.tile_uses_simd(len, len), lanes, "{len} bases");
+    }
+}
+
+#[test]
 fn surviving_tile_sets_are_identical() {
     // The acceptance property the pipeline actually depends on: both
     // engines pass exactly the same tiles at H_f = 4000.
@@ -381,8 +391,7 @@ fn surviving_tile_sets_are_identical() {
         let qpos = tpos.saturating_sub(jitter.gen_range(0usize..48));
         let (tr, qr) = tile_around(tpos, qpos, 320, t.len(), q.len());
         let scalar = banded_smith_waterman(&t[tr.clone()], &q[qr.clone()], &w, &g, 32);
-        let (tcodes, qcodes) = (Base::codes_of(&t[tr]), Base::codes_of(&q[qr]));
-        let simd = batch.run_tile(tcodes, qcodes, &mut scratch);
+        let simd = batch.run_tile(&t[tr], &q[qr], &mut scratch);
         assert_eq!(scalar, simd, "tile {k}");
         if scalar.max_score >= THRESHOLD {
             scalar_survivors.push(k);
@@ -405,22 +414,18 @@ fn surviving_tile_sets_are_identical() {
 #[test]
 fn encoded_kernel_matches_base_wrapper() {
     // One batch and scratch carried across tiles of shrinking and growing
-    // size agree with a fresh batch and scratch per tile, under both
-    // scorings.
+    // size agree with a fresh batch and scratch per tile.
     let mut rng = StdRng::seed_from_u64(99);
     let t = random_bases(&mut rng, 300, 30);
     let q = mutate(&mut rng, &t, 0.1, 0.05);
-    for (w, g) in [scoring(), wide_scoring()] {
-        let batch = BswBatch::new(&w, &g, 32);
-        let mut scratch = BswScratch::default();
-        for len in [300, 17, 200, 300] {
-            let (t, q) = (&t[..len], &q[..len.min(q.len())]);
-            let (tcodes, qcodes) = (Base::codes_of(t), Base::codes_of(q));
-            let warm = batch.run_tile(tcodes, qcodes, &mut scratch);
-            let fresh =
-                BswBatch::new(&w, &g, 32).run_tile(tcodes, qcodes, &mut BswScratch::default());
-            assert_eq!(warm, fresh, "max match {} len={len}", w.max_score());
-        }
+    let (w, g) = scoring();
+    let batch = BswBatch::new(&w, &g, 32);
+    let mut scratch = BswScratch::default();
+    for len in [300, 17, 200, 300] {
+        let (t, q) = (&t[..len], &q[..len.min(q.len())]);
+        let warm = batch.run_tile(t, q, &mut scratch);
+        let fresh = BswBatch::new(&w, &g, 32).run_tile(t, q, &mut BswScratch::default());
+        assert_eq!(warm, fresh, "len={len}");
     }
 }
 

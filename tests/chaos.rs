@@ -21,7 +21,7 @@
 
 use darwin_wga::core::config::WgaParams;
 use darwin_wga::core::error::WgaResult;
-use darwin_wga::core::faultsim::FaultPlan;
+use darwin_wga::core::faultsim::{FaultInjector, FaultPlan};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::journal::PairRecord;
 use darwin_wga::core::obs::Obs;
@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -62,13 +62,11 @@ fn four_pair_assemblies() -> (Assembly, Assembly) {
     (target, query)
 }
 
-fn plan(faults: &str) -> Arc<FaultPlan> {
-    Arc::new(
-        FaultPlan::parse(&format!(
-            "{{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[{faults}]}}"
-        ))
-        .expect("fault plan parses"),
-    )
+fn plan(faults: &str) -> FaultPlan {
+    FaultPlan::parse(&format!(
+        "{{\"format\":\"wga-fault-plan\",\"version\":1,\"faults\":[{faults}]}}"
+    ))
+    .expect("fault plan parses")
 }
 
 /// What records hold of their pairs' results: outcome, workload and
@@ -96,9 +94,10 @@ fn run_within(
     target: &Assembly,
     query: &Assembly,
     opts: AlignOptions,
+    plan: Option<FaultPlan>,
     label: &str,
 ) -> AssemblyReport {
-    injected_within(secs, params, target, query, opts, label).0
+    injected_within(secs, params, target, query, opts, plan, label).0
 }
 
 /// [`run_within`], with the number of faults the run injected.
@@ -108,9 +107,10 @@ fn injected_within(
     target: &Assembly,
     query: &Assembly,
     opts: AlignOptions,
+    plan: Option<FaultPlan>,
     label: &str,
 ) -> (AssemblyReport, u64) {
-    result_within(secs, params, target, query, opts, label)
+    result_within(secs, params, target, query, opts, plan, label)
         .unwrap_or_else(|e| panic!("{label}: run errored: {e}"))
 }
 
@@ -123,6 +123,7 @@ fn result_within(
     target: &Assembly,
     query: &Assembly,
     opts: AlignOptions,
+    plan: Option<FaultPlan>,
     label: &str,
 ) -> WgaResult<(AssemblyReport, u64)> {
     let (tx, rx) = mpsc::channel();
@@ -130,7 +131,7 @@ fn result_within(
     let target = target.clone();
     let query = query.clone();
     thread::spawn(move || {
-        let injector = opts.injector();
+        let injector = plan.map(FaultInjector::new);
         let obs = (injector.as_ref()).map_or(Obs::off(), |i| Obs::off().with_injector(i));
         let report = align_assemblies_observed(&params, &target, &query, &opts, obs);
         let injected = injector.map_or(0, |injector| injector.injected());
@@ -148,6 +149,7 @@ fn fault_free(params: &WgaParams, target: &Assembly, query: &Assembly) -> Assemb
         target,
         query,
         AlignOptions::default(),
+        None,
         "fault-free",
     )
 }
@@ -179,10 +181,9 @@ fn fault_matrix_terminates_on_every_executor() {
         for (hook, name, threads) in compute {
             let opts = AlignOptions {
                 threads,
-                fault_plan: fault(hook),
                 ..AlignOptions::default()
             };
-            let report = run_within(60, &params, &target, &query, opts, hook);
+            let report = run_within(60, &params, &target, &query, opts, fault(hook), hook);
             assert_eq!(report.pairs.len(), 1, "{hook}/{kind}/{name}");
             assert_ne!(
                 report.canonical_text(),
@@ -201,18 +202,18 @@ fn fault_matrix_terminates_on_every_executor() {
                     let opts = AlignOptions {
                         threads,
                         checkpoint: Some(path.clone()),
-                        fault_plan: fault(hook),
                         ..AlignOptions::default()
                     };
-                    let err = result_within(60, &params, &target, &query, opts, &label)
-                        .expect_err("a journal fault ends the run");
+                    let err =
+                        result_within(60, &params, &target, &query, opts, fault(hook), &label)
+                            .expect_err("a journal fault ends the run");
                     assert!(err.to_string().contains(hook), "{label}: {err}");
                     let resume = AlignOptions {
                         threads,
                         checkpoint: Some(path.clone()),
                         ..AlignOptions::default()
                     };
-                    let resumed = run_within(60, &params, &target, &query, resume, &label);
+                    let resumed = run_within(60, &params, &target, &query, resume, None, &label);
                     // A fault after the append leaves the pair durable.
                     let durable = u64::from(hook == "journal.sync");
                     assert_eq!(resumed.resumed_pairs, durable, "{label}");
@@ -241,10 +242,10 @@ fn same_plan_is_deterministic_across_executors() {
     for (name, threads) in SCHEDULES {
         let opts = AlignOptions {
             threads,
-            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
-        let (report, injected) = injected_within(120, &params, &target, &query, opts, name);
+        let faults = Some(plan(faults));
+        let (report, injected) = injected_within(120, &params, &target, &query, opts, faults, name);
         let failed: Vec<bool> = (report.pairs.iter())
             .map(|pair| matches!(pair.outcome, RunOutcome::Failed { .. }))
             .collect();
@@ -273,10 +274,17 @@ fn an_injected_error_fails_exactly_its_pair_on_every_executor() {
     for (name, threads) in SCHEDULES {
         let opts = AlignOptions {
             threads,
-            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &params, &target, &query, opts, name);
+        let report = run_within(
+            120,
+            &params,
+            &target,
+            &query,
+            opts,
+            Some(plan(faults)),
+            name,
+        );
         assert_eq!(report.pairs.len(), 4, "{name}");
         for (idx, pair) in report.pairs.iter().enumerate() {
             if idx == 1 {
@@ -318,13 +326,14 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
     let opts = AlignOptions {
         threads: 1,
         checkpoint: Some(path.clone()),
-        fault_plan: Some(plan(
-            "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0],\"pair\":2}",
-        )),
         ..AlignOptions::default()
     };
+    let injector = FaultInjector::new(plan(
+        "{\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0],\"pair\":2}",
+    ));
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
+        let obs = Obs::off().with_injector(&injector);
+        align_assemblies_observed(&params, &target, &query, &opts, obs)
     }));
     assert!(crashed.is_err(), "injected journal panic must kill the run");
 
@@ -333,7 +342,7 @@ fn kill_at_injected_fault_then_resume_matches_golden() {
         checkpoint: Some(path.clone()),
         ..AlignOptions::default()
     };
-    let resumed = run_within(120, &params, &target, &query, resume, "resume");
+    let resumed = run_within(120, &params, &target, &query, resume, None, "resume");
     assert_eq!(resumed.resumed_pairs, 2, "two pairs survived the kill");
     assert_eq!(resumed.canonical_text(), golden.canonical_text());
     let _ = std::fs::remove_file(&path);
@@ -376,15 +385,16 @@ fn dies_within_two_minutes(
     let opts = AlignOptions {
         threads,
         checkpoint: Some(path.clone()),
-        fault_plan: Some(plan(fault)),
         ..AlignOptions::default()
     };
+    let injector = FaultInjector::new(plan(fault));
     let (tx, rx) = mpsc::channel();
     let (target, query) = (target.clone(), query.clone());
     thread::spawn(move || {
         let params = WgaParams::darwin_wga();
         let run = catch_unwind(AssertUnwindSafe(|| {
-            align_assemblies_observed(&params, &target, &query, &opts, Obs::off())
+            let obs = Obs::off().with_injector(&injector);
+            align_assemblies_observed(&params, &target, &query, &opts, obs)
         }));
         let _ = tx.send(run.is_err());
     });
@@ -415,10 +425,17 @@ fn dataflow_shutdown_is_clean_under_injected_panics() {
         let label = format!("dataflow t={threads}");
         let opts = AlignOptions {
             threads,
-            fault_plan: Some(plan(faults)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &params, &target, &query, opts, &label);
+        let report = run_within(
+            120,
+            &params,
+            &target,
+            &query,
+            opts,
+            Some(plan(faults)),
+            &label,
+        );
         assert_eq!(report.pairs.len(), 4, "{label}");
         let failed = &report.pairs[3];
         match &failed.outcome {
@@ -468,23 +485,18 @@ fn filter_batch_occurrences_count_strands_not_ranges() {
         ))
     };
     for (name, threads) in SCHEDULES {
-        let options = |at: &str| AlignOptions {
+        let options = AlignOptions {
             threads,
-            fault_plan: Some(error_at(at)),
             ..AlignOptions::default()
         };
         // Occurrence 0 opens the forward strand, occurrence 1 the reverse.
         for (at, opened) in [("[0]", STRAND_FWD), ("[1]", STRAND_REV)] {
             let label = format!("{name} at {at}");
             let recorder = TraceRecorder::new();
-            let report = align_assemblies_observed(
-                &params,
-                &target,
-                &query,
-                &options(at),
-                Obs::new(&recorder),
-            )
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let injector = FaultInjector::new(error_at(at));
+            let obs = Obs::new(&recorder).with_injector(&injector);
+            let report = align_assemblies_observed(&params, &target, &query, &options, obs)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             match &report.pairs[0].outcome {
                 RunOutcome::Failed { error } => assert_eq!(
                     error, "injected fault: filter.batch pair 0: error",
@@ -523,8 +535,15 @@ fn filter_batch_occurrences_count_strands_not_ranges() {
             }
         }
 
-        let (none, injected) =
-            injected_within(120, &params, &target, &query, options("[2,3,4]"), name);
+        let (none, injected) = injected_within(
+            120,
+            &params,
+            &target,
+            &query,
+            options,
+            Some(error_at("[2,3,4]")),
+            name,
+        );
         assert_eq!(injected, 0, "{name}: a pair has two strands");
         assert_eq!(none.canonical_text(), clean.canonical_text(), "{name}");
     }

@@ -952,15 +952,36 @@ mod cli {
                 for named in named {
                     assert!(error.contains(named), "{label}");
                 }
-                // `align` refuses it before reading either FASTA; `many`
-                // plans its pairs from the genomes before it opens one.
-                if command == "align" {
-                    assert!(!stderr.contains("aligning"), "{label}");
+                // Both refuse it before reading any FASTA: no banner.
+                for banner in ["aligning", "many-genome alignment:"] {
+                    assert!(!stderr.contains(banner), "{label}");
                 }
                 assert!(std::fs::read(&path).unwrap() == bytes, "{label}");
                 assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "{label}");
             }
         }
+    }
+
+    /// `many` aligns under the parameters scaled to its genome count, so
+    /// a pair journal of the unscaled preset — the golden `align`
+    /// journal — is another run's, refused before any FASTA is read.
+    #[test]
+    fn many_refuses_a_pair_journal_of_the_unscaled_preset_before_its_banner() {
+        let dir = empty_dir("many-unscaled-journal");
+        let (t, q) = (golden("target"), golden("query"));
+        let fixture = format!("{}/tests/data/golden.journal", env!("CARGO_MANIFEST_DIR"));
+        let bytes = std::fs::read(fixture).unwrap();
+        std::fs::create_dir(dir.join("ckpt")).unwrap();
+        let path = dir.join("ckpt/pair_000_001.journal");
+        std::fs::write(&path, &bytes).unwrap();
+        let out = wga_in(&dir, &["many", &t, &q, "--checkpoint", "ckpt"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let error = stderr.lines().last().unwrap_or_default();
+        assert!(error.starts_with("error: checkpoint"), "{stderr}");
+        assert!(error.contains("ckpt/pair_000_001.journal"), "{stderr}");
+        assert!(!stderr.contains("many-genome alignment:"), "{stderr}");
+        assert!(std::fs::read(&path).unwrap() == bytes);
     }
 
     /// `--executor` is parsed and read by nothing: `--threads` picks the

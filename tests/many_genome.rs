@@ -11,7 +11,7 @@
 //! one pair total, one fault injector and its table builds in the trace.
 
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::faultsim::FaultPlan;
+use darwin_wga::core::faultsim::{FaultInjector, FaultPlan};
 use darwin_wga::core::genome_pipeline::{by_score, AlignOptions};
 use darwin_wga::core::obs::{Obs, SpanName, TraceRecorder};
 use darwin_wga::core::pangenome::{self, paf::paf_text, ManyReport};
@@ -21,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// `2 * clusters` genomes, one chromosome each: each cluster is a
 /// target/query pair descended from one ancestor, so within-cluster
@@ -61,7 +60,11 @@ fn multi_chromosome_genomes() -> Vec<Assembly> {
 }
 
 fn run(genomes: &[Assembly], options: &AlignOptions) -> ManyReport {
-    pangenome::align_many_observed(&WgaParams::darwin_wga(), genomes, options, Obs::off())
+    run_observed(genomes, options, Obs::off())
+}
+
+fn run_observed(genomes: &[Assembly], options: &AlignOptions, obs: Obs<'_>) -> ManyReport {
+    pangenome::align_many_observed(&WgaParams::darwin_wga(), genomes, options, obs)
         .expect("many-genome run succeeds")
 }
 
@@ -248,20 +251,19 @@ fn kill_mid_matrix_then_resume_matches_uninterrupted() {
     // row (g0, chrI) — pairs 0 and 1 of (g0 × g1), 4 and 5 of (g0 × g2) —
     // is durable whole, then row (g0, chrII) makes pair 2 durable and
     // dies appending pair 3.
-    let plan = Arc::new(
-        FaultPlan::parse(
-            "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":7,\"faults\":[\
-             {\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0],\"pair\":3}]}",
-        )
-        .expect("fault plan parses"),
-    );
+    let plan = FaultPlan::parse(
+        "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":7,\"faults\":[\
+         {\"hook\":\"journal.append\",\"kind\":\"panic\",\"at\":[0],\"pair\":3}]}",
+    )
+    .expect("fault plan parses");
+    let injector = FaultInjector::new(plan);
     let dir = checkpoint_dir("kill-resume");
     let chaos = AlignOptions {
         checkpoint: Some(dir.clone()),
-        fault_plan: Some(plan),
         ..AlignOptions::default()
     };
-    let crashed = catch_unwind(AssertUnwindSafe(|| run(&genomes, &chaos)));
+    let obs = Obs::off().with_injector(&injector);
+    let crashed = catch_unwind(AssertUnwindSafe(|| run_observed(&genomes, &chaos, obs)));
     assert!(crashed.is_err(), "injected journal panic must kill the run");
 
     let resumed = run(
@@ -359,10 +361,10 @@ fn a_fault_plan_pair_names_one_chromosome_pair_of_the_matrix() {
     for threads in [1, 2] {
         let options = AlignOptions {
             threads,
-            fault_plan: Some(Arc::new(plan.clone())),
             ..AlignOptions::default()
         };
-        let report = run(&genomes, &options);
+        let injector = FaultInjector::new(plan.clone());
+        let report = run_observed(&genomes, &options, Obs::off().with_injector(&injector));
         let failed: Vec<(&str, &str, u64)> = report
             .pairs
             .iter()

@@ -263,23 +263,22 @@ fn metrics_out_is_the_profile_report_of_the_runs_trace() {
 /// live ETA), and the canonical report is the same on both.
 #[test]
 fn failed_pair_still_counts_as_done_on_every_schedule() {
-    use darwin_wga::core::faultsim::FaultPlan;
+    use darwin_wga::core::faultsim::{FaultInjector, FaultPlan};
 
     let plan = FaultPlan::parse(concat!(
         "{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":13,\"faults\":[",
         "{\"hook\":\"filter.batch\",\"kind\":\"error\",\"at\":[0,1,2],\"pair\":1}]}"
     ))
     .expect("fault plan parses");
-    let plan = std::sync::Arc::new(plan);
     let mut canon: Vec<String> = Vec::new();
     for threads in [1, 3] {
         let recorder = TraceRecorder::new();
         let options = AlignOptions {
             threads,
-            fault_plan: Some(plan.clone()),
             ..AlignOptions::default()
         };
-        let report = run_golden(&options, Obs::new(&recorder));
+        let injector = FaultInjector::new(plan.clone());
+        let report = run_golden(&options, Obs::new(&recorder).with_injector(&injector));
         assert_eq!(report.failed_pairs(), 1, "--threads {threads}");
         let progress = recorder.progress();
         assert_eq!(progress.pairs_total, 4, "--threads {threads}");

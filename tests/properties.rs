@@ -79,8 +79,7 @@ proptest! {
         // The swapped argmax must attain the same maximum in the
         // transposed matrix; spot-check via the wavefront engine too.
         let (tb, qb) = (t.to_bases(), q.to_bases());
-        let wf_rev = BswBatch::new(&w, &g, band)
-            .run_tile(Base::codes_of(&qb), Base::codes_of(&tb), &mut BswScratch::default());
+        let wf_rev = BswBatch::new(&w, &g, band).run_tile(&qb, &tb, &mut BswScratch::default());
         prop_assert_eq!(rev, wf_rev);
     }
 
@@ -94,8 +93,7 @@ proptest! {
         prop_assert!(banded.max_score <= full.best_score,
             "banded {} > full {}", banded.max_score, full.best_score);
         let (tb, qb) = (t.to_bases(), q.to_bases());
-        let wf = BswBatch::new(&w, &g, band)
-            .run_tile(Base::codes_of(&tb), Base::codes_of(&qb), &mut BswScratch::default());
+        let wf = BswBatch::new(&w, &g, band).run_tile(&tb, &qb, &mut BswScratch::default());
         prop_assert!(wf.max_score <= full.best_score);
         prop_assert_eq!(wf, banded);
     }

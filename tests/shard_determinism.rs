@@ -10,14 +10,14 @@
 //! identical across them when a fault plan fails pairs along the way.
 
 use darwin_wga::core::config::WgaParams;
-use darwin_wga::core::faultsim::FaultPlan;
+use darwin_wga::core::faultsim::{FaultInjector, FaultPlan};
 use darwin_wga::core::genome_pipeline::{align_assemblies_observed, AlignOptions, AssemblyReport};
 use darwin_wga::core::obs::Obs;
 use darwin_wga::genome::assembly::Assembly;
 use darwin_wga::genome::evolve::{EvolutionParams, SyntheticPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -44,6 +44,7 @@ fn run_within(
     target: &Assembly,
     query: &Assembly,
     opts: AlignOptions,
+    plan: Option<FaultPlan>,
     label: &str,
 ) -> AssemblyReport {
     let (tx, rx) = mpsc::channel();
@@ -51,12 +52,10 @@ fn run_within(
     let target = target.clone();
     let query = query.clone();
     thread::spawn(move || {
+        let injector = plan.map(FaultInjector::new);
+        let obs = (injector.as_ref()).map_or(Obs::off(), |i| Obs::off().with_injector(i));
         let _ = tx.send(align_assemblies_observed(
-            &params,
-            &target,
-            &query,
-            &opts,
-            Obs::off(),
+            &params, &target, &query, &opts, obs,
         ));
     });
     rx.recv_timeout(Duration::from_secs(secs))
@@ -86,6 +85,7 @@ fn unsharded_baseline(target: &Assembly, query: &Assembly) -> String {
         target,
         query,
         options,
+        None,
         "baseline",
     );
     assert!(
@@ -95,13 +95,11 @@ fn unsharded_baseline(target: &Assembly, query: &Assembly) -> String {
     baseline.canonical_text()
 }
 
-fn plan(seed: u64, faults: &str) -> Arc<FaultPlan> {
-    Arc::new(
-        FaultPlan::parse(&format!(
-            "{{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":{seed},\"faults\":[{faults}]}}"
-        ))
-        .expect("fault plan parses"),
-    )
+fn plan(seed: u64, faults: &str) -> Option<FaultPlan> {
+    let plan = FaultPlan::parse(&format!(
+        "{{\"format\":\"wga-fault-plan\",\"version\":1,\"seed\":{seed},\"faults\":[{faults}]}}"
+    ));
+    Some(plan.expect("fault plan parses"))
 }
 
 #[test]
@@ -116,7 +114,7 @@ fn sharded_runs_match_unsharded_baseline() {
             threads,
             ..AlignOptions::default()
         };
-        let report = run_within(120, &sharded, &target, &query, opts, name);
+        let report = run_within(120, &sharded, &target, &query, opts, None, name);
         assert_eq!(
             golden,
             report.canonical_text(),
@@ -137,10 +135,10 @@ fn sharded_runs_match_under_fault_injection() {
     let faulted = |shard_bases, (name, threads)| {
         let opts = AlignOptions {
             threads,
-            fault_plan: Some(plan(17, fault)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &with_shard(shard_bases), &target, &query, opts, name);
+        let params = with_shard(shard_bases);
+        let report = run_within(120, &params, &target, &query, opts, plan(17, fault), name);
         report.canonical_text()
     };
     let golden = faulted(1 << 30, MATRIX[0]);
@@ -168,10 +166,9 @@ fn sharded_panic_escalates_to_identical_pair_failure() {
     for (name, threads) in MATRIX {
         let opts = AlignOptions {
             threads,
-            fault_plan: Some(plan(17, fault)),
             ..AlignOptions::default()
         };
-        let report = run_within(120, &sharded, &target, &query, opts, name);
+        let report = run_within(120, &sharded, &target, &query, opts, plan(17, fault), name);
         let text = report.canonical_text();
         assert!(
             text.contains("pair\tchrI\tchr1\tfailed"),
