@@ -50,22 +50,25 @@
 //!
 //! # Shutdown protocol (deadlock freedom)
 //!
-//! No thread holds the commit lock or a pair's cell across a queue
-//! operation, and no worker pushes into the queue it pops. The calling
-//! thread closes `filter_q` once the producer returns, however it
-//! returns. The first journal error closes it too, so the producer stops
-//! planning and the pool drains what is in flight. The last worker to
-//! exit drops what `filter_q` still holds, which ends any wait of the
+//! The calling thread owns `filter_q`'s one push half ([`PushHalf`],
+//! neither `Send` nor `Sync`) and the pool holds only its pop side, so
+//! no worker pushes into the queue it pops: that would not compile. No
+//! thread holds the commit lock or a pair's cell across a queue
+//! operation. The push half is moved into the producer and dropped as
+//! it returns or unwinds, which closes `filter_q`; the first journal
+//! error closes it too, once the commit lock is let go, so the producer
+//! stops planning and the pool drains what is in flight. The last worker
+//! to exit drops what `filter_q` still holds, which ends any wait of the
 //! producer's, and a worker unwinding closes it. Both are a `Drop`
 //! guard, so even a panic that escapes a worker's `catch_unwind` layers
 //! — one out of a journal commit, say — releases the producer instead of
 //! deadlocking the scope. If the OS refuses a worker thread, the calling
-//! thread starts no more, plans nothing and closes `filter_q`, so the
+//! thread starts no more, plans nothing and drops the push half, so the
 //! workers already started exit, and the run returns the refusal as an
 //! error.
 
 use crate::config::WgaParams;
-use crate::obs::{strand_code, Obs, SpanBuf};
+use crate::obs::{strand_code, Obs};
 
 /// `seq` codes on `queue.wait` spans, naming what a thread blocked on
 /// (see `SpanName::QueueWait`). Code 2 named the retired extension
@@ -77,7 +80,7 @@ pub const QUEUE_FILTER_POP: u64 = 1;
 /// Producer waiting for the range tasks it queued to seed
 /// ([`wait_seeded`]).
 pub const QUEUE_SEEDED: u64 = 4;
-use crate::dataflow::queue::BoundedQueue;
+use crate::dataflow::queue::{self, BoundedQueue, PushHalf};
 use crate::error::{panic_message, WgaError, WgaResult};
 use crate::filter_engine::FilterContext;
 use crate::genome_pipeline::{assemble, AssemblyReport, MatrixPair, PairMatrix};
@@ -192,7 +195,7 @@ pub(crate) fn execute(
 ) -> WgaResult<Vec<AssemblyReport>> {
     let resumed: Vec<bool> = records.iter().map(Option::is_some).collect();
 
-    let filter_q: BoundedQueue<RangeTask<'_>> = BoundedQueue::new(queue_depth);
+    let (push_half, filter_q) = queue::bounded(queue_depth);
     let cells: Vec<Mutex<Option<PairJob<'_>>>> =
         matrix.pairs.iter().map(|_| Mutex::new(None)).collect();
     let cells = &cells[..];
@@ -207,8 +210,9 @@ pub(crate) fn execute(
             Err(e) => {
                 // The journal is broken: stop feeding the pipeline, drain
                 // what's in flight, and surface the error after the scope
-                // ends.
+                // ends. The queue closes once the lock is let go.
                 journal_err.get_or_insert(e);
+                drop(commits);
                 filter_q.close();
             }
         }
@@ -225,16 +229,19 @@ pub(crate) fn execute(
             })
             .collect();
         // The producer plans on this thread, unless the OS refused a
-        // worker; whatever happens, it then releases the pool.
+        // worker; however it ends, the push half goes, which closes the
+        // queue and releases the pool.
         let produced = match refused {
             None => catch_unwind(AssertUnwindSafe(|| {
                 produce(
-                    params, matrix, &resumed, cells, &filter_q, &commit, builds, obs,
+                    params, matrix, &resumed, cells, push_half, &commit, builds, obs,
                 )
             })),
-            Some(_) => Ok(()),
+            Some(_) => {
+                drop(push_half);
+                Ok(())
+            }
         };
-        filter_q.close();
         let mut escaped = produced.err();
         // Every worker is joined by hand, so a panic that escaped its
         // containment layers arrives here as an `Err` instead of
@@ -279,20 +286,21 @@ pub(crate) fn execute(
 /// work first, a genome's rows the same way and a row's pairs smallest
 /// first (ties broken by pair id, so uniform matrices keep the old FIFO
 /// walk), and plans each non-resumed pair's range tasks under panic
-/// isolation ([`plan_pair`]), blocking on `filter_q`'s backpressure. A
+/// isolation ([`plan_pair`]), blocking on the queue's backpressure. A
 /// row's pairs go back to back, so one row's seed table is alive at a
 /// time, across every block of the row; a genome's rows go back to
 /// back, so only its blocks' journals are open. Dispatch order never
 /// reaches canonical output: the results are assembled in pair-id
 /// order, and fault occurrences are counted per `(hook, pair)`. A pair
-/// it finishes or fails it hands to `commit` itself.
+/// it finishes or fails it hands to `commit` itself. It owns the queue's
+/// push half, so the queue closes as it returns or unwinds.
 #[allow(clippy::too_many_arguments)]
 fn produce<'a>(
     params: &WgaParams,
     matrix: &'a PairMatrix<'a>,
     resumed: &[bool],
     cells: &[Mutex<Option<PairJob<'a>>>],
-    filter_q: &BoundedQueue<RangeTask<'a>>,
+    filter_q: PushHalf<RangeTask<'a>>,
     commit: &Commit<'_>,
     builds: &AtomicU64,
     obs: Obs<'_>,
@@ -493,18 +501,13 @@ fn worker<'a>(
 ) {
     let _guard = PoolGuard { alive, filter_q };
     let mut wait_buf = obs.buffer();
-    // The next task, its wait a `queue.wait` span (a named fn, so
-    // `wga-lint` sees this stage's pop beside its push).
-    fn pop<'a>(
-        filter_q: &BoundedQueue<RangeTask<'a>>,
-        buf: &mut SpanBuf<'_>,
-    ) -> Option<RangeTask<'a>> {
-        let wait_timer = buf.start();
+    // The next task, its wait a `queue.wait` span.
+    let mut pop = || {
+        let wait_timer = wait_buf.start();
         let task = filter_q.pop()?;
-        buf.finish_wait(wait_timer, task.stream.pair_id as u64, QUEUE_FILTER_POP);
+        wait_buf.finish_wait(wait_timer, task.stream.pair_id as u64, QUEUE_FILTER_POP);
         Some(task)
-    }
-    let mut pop = || pop(filter_q, &mut wait_buf);
+    };
     let mut scratch = DsoftScratch::default();
     let mut next = pop();
     while let Some(first) = next.take() {
@@ -763,7 +766,7 @@ mod tests {
             .map_err(|payload| panic_message(payload.as_ref()))
         };
         let pooled = |hits: &[SeedHit]| {
-            let filter_q = BoundedQueue::new(2);
+            let (push_half, filter_q) = queue::bounded(2);
             let cells = [Mutex::new(Some(job(Vec::new(), ranges.count())))];
             let source = Arc::new(SeedSource {
                 table: Arc::new(SeedTable::build(&t, &params.seed_pattern, 1)),
@@ -790,9 +793,9 @@ mod tests {
                         source,
                         idx,
                     };
-                    assert!(filter_q.push(task).is_ok());
+                    assert!(push_half.push(task).is_ok());
                 }
-                filter_q.close();
+                drop(push_half);
             });
             let mut committed = committed.lock();
             let (pair_id, result) = committed.pop().expect("the pair is committed");

@@ -21,11 +21,14 @@
 //!   journals it under one commit lock.
 //!
 //! `--threads N` runs N workers beside the calling thread. The one queue
-//! is bounded ([`queue::BoundedQueue`]) at a fixed [`QUEUE_DEPTH`], as
-//! the paper's FIFOs are fixed-depth hardware: it provides their
-//! backpressure and is no knob — no flag, option or variable sets it,
-//! and output is byte-identical at any depth (the executor's tests sweep
-//! 1, 3 and 64). What each stage costs is read off the run's trace
+//! is bounded at a fixed [`QUEUE_DEPTH`], as the paper's FIFOs are
+//! fixed-depth hardware: it provides their backpressure and is no knob —
+//! no flag, option or variable sets it, and output is byte-identical at
+//! any depth (the executor's tests sweep 1, 3 and 64). Work flows one
+//! way, as between the paper's arrays: the queue's push half is neither
+//! `Send` nor `Sync` and stays with the producer, and the pool holds only
+//! the pop side, so a worker that fed the queue it pops would not
+//! compile. What each stage costs is read off the run's trace
 //! spans, the producer's and the pool's `queue.wait` spans included
 //! (`wga profile`; `--metrics-out` writes the same profile) — the
 //! software equivalent of the paper's array-utilisation numbers.
@@ -35,8 +38,6 @@
 
 mod executor;
 mod queue;
-
-pub use queue::BoundedQueue;
 
 pub(crate) use executor::execute;
 
@@ -377,14 +378,23 @@ mod tests {
     }
 
     /// CI deadlock-guard entry point: thread count comes from
-    /// `WGA_DATAFLOW_THREADS` (default 2) so the same test runs the
+    /// `WGA_DATAFLOW_THREADS` (2 when unset) so the same test runs the
     /// suite's queue machinery at different pool sizes under `timeout`.
+    /// A set value that is not a count of 1 or more fails the test
+    /// rather than quietly rerunning the 2-thread case.
     #[test]
     fn dataflow_stress_env_threads() {
-        let threads: usize = std::env::var("WGA_DATAFLOW_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
+        let threads = match std::env::var("WGA_DATAFLOW_THREADS") {
+            Err(std::env::VarError::NotPresent) => 2,
+            Ok(v) => v
+                .parse()
+                .ok()
+                .filter(|&n: &usize| n >= 1)
+                .unwrap_or_else(|| {
+                    panic!("WGA_DATAFLOW_THREADS={v:?} is not a thread count of 1 or more")
+                }),
+            Err(e) => panic!("WGA_DATAFLOW_THREADS: {e}"),
+        };
         let (target, query) = assemblies(606, &[(9_000, 0.2), (7_000, 0.35), (5_000, 0.15)]);
         let params = WgaParams::darwin_wga();
         let serial = run(&params, &target, &query, 1, 64);

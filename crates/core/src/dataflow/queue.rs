@@ -1,6 +1,12 @@
-//! Bounded MPMC queue with backpressure — the software analogue of the
-//! fixed-depth hardware FIFOs between Darwin-WGA's D-SOFT, BSW and
-//! GACT-X arrays.
+//! Bounded queue with backpressure, one producer and many consumers —
+//! the software analogue of the fixed-depth hardware FIFOs between
+//! Darwin-WGA's D-SOFT, BSW and GACT-X arrays.
+//!
+//! [`bounded`] makes the queue's two sides. The [`PushHalf`] is the one
+//! way to push: neither `Send` nor `Sync`, it never leaves the thread
+//! that made it, and dropping it closes the queue. The shared
+//! [`BoundedQueue`] only pops and closes, so a consumer cannot feed the
+//! queue it drains: that cycle does not compile.
 //!
 //! Built on the crate's non-poisoning `sync::Mutex` and `std::sync::Condvar`.
 //! Lock poisoning is deliberately ignored (there, and on the two
@@ -11,17 +17,25 @@
 
 use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::Condvar;
+use std::marker::PhantomData;
+use std::sync::{Arc, Condvar};
 
-/// A blocking bounded FIFO shared by producers and consumers.
+/// The shared pop side of a blocking bounded FIFO.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     /// Signalled when an item is pushed or the queue closes (wakes `pop`).
     not_empty: Condvar,
     /// Signalled when an item is popped or the queue closes (wakes `push`).
     not_full: Condvar,
     capacity: usize,
+}
+
+/// The queue's one push half. A raw pointer is neither `Send` nor
+/// `Sync`, so neither is the half.
+pub(crate) struct PushHalf<T> {
+    queue: Arc<BoundedQueue<T>>,
+    _this_thread: PhantomData<*const ()>,
 }
 
 #[derive(Debug)]
@@ -33,37 +47,47 @@ struct State<T> {
     max_occupancy: usize,
 }
 
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a zero-capacity rendezvous channel
-    /// is not supported; the executor's queue is
-    /// [`QUEUE_DEPTH`](super::QUEUE_DEPTH) deep).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        assert!(capacity >= 1, "queue capacity must be at least 1");
-        BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-                #[cfg(test)]
-                max_occupancy: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
+/// Makes a queue holding at most `capacity` items: its push half and its
+/// pop side.
+///
+/// # Panics
+///
+/// Panics if `capacity` is zero (a zero-capacity rendezvous channel
+/// is not supported; the executor's queue is
+/// [`QUEUE_DEPTH`](super::QUEUE_DEPTH) deep).
+pub(crate) fn bounded<T>(capacity: usize) -> (PushHalf<T>, Arc<BoundedQueue<T>>) {
+    assert!(capacity >= 1, "queue capacity must be at least 1");
+    let queue = Arc::new(BoundedQueue {
+        state: Mutex::new(State {
+            items: VecDeque::with_capacity(capacity),
+            closed: false,
+            #[cfg(test)]
+            max_occupancy: 0,
+        }),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+        capacity,
+    });
+    let half = PushHalf {
+        queue: Arc::clone(&queue),
+        _this_thread: PhantomData,
+    };
+    (half, queue)
+}
 
+impl<T> PushHalf<T> {
     /// Pushes an item, blocking while the queue is full (backpressure).
     ///
     /// Returns `Err(item)` when the queue has been closed — the caller
     /// is racing a shutdown and should drop the work.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
+        let queue = &*self.queue;
+        let mut state = queue.state.lock();
+        while state.items.len() >= queue.capacity && !state.closed {
+            state = queue
+                .not_full
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner());
         }
         if state.closed {
             return Err(item);
@@ -74,15 +98,24 @@ impl<T> BoundedQueue<T> {
             state.max_occupancy = state.max_occupancy.max(state.items.len());
         }
         drop(state);
-        self.not_empty.notify_one();
+        queue.not_empty.notify_one();
         Ok(())
     }
+}
 
+impl<T> Drop for PushHalf<T> {
+    /// Closes the queue, however the producer ends.
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
+impl<T> BoundedQueue<T> {
     /// Pops the oldest item, blocking while the queue is empty.
     ///
     /// Returns `None` once the queue is closed *and* drained — consumers
     /// use this as their termination signal.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -100,9 +133,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Closes the queue: blocked pushers fail, and poppers drain the
-    /// remaining items before seeing `None`. Idempotent.
-    pub fn close(&self) {
+    /// Closes the queue: a blocked or later push fails, and poppers
+    /// drain the remaining items before seeing `None`. Idempotent.
+    pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -117,107 +150,121 @@ impl<T> BoundedQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    //! Every push below happens on the test's own thread, the one the
+    //! push half cannot leave, and every pop on a spawned thread.
+
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread;
     use std::time::Duration;
+
+    /// Pops on a new thread until the queue ends.
+    fn drain<T: Send + 'static>(queue: &Arc<BoundedQueue<T>>) -> thread::JoinHandle<Vec<T>> {
+        let queue = Arc::clone(queue);
+        thread::spawn(move || std::iter::from_fn(|| queue.pop()).collect())
+    }
 
     #[test]
     fn fifo_order_preserved() {
-        let q = BoundedQueue::new(8);
+        let (push, queue) = bounded(8);
         for i in 0..5 {
-            q.push(i).unwrap();
+            push.push(i).unwrap();
         }
-        for i in 0..5 {
-            assert_eq!(q.pop(), Some(i));
-        }
+        drop(push);
+        assert_eq!(drain(&queue).join().unwrap(), [0, 1, 2, 3, 4]);
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_rejected() {
-        let _ = BoundedQueue::<u32>::new(0);
+        let _ = bounded::<u32>(0);
+    }
+
+    #[test]
+    fn dropping_the_push_half_closes_the_queue() {
+        // A popper blocked on the empty queue wakes with `None`.
+        let (push, queue) = bounded::<u32>(4);
+        let popper = drain(&queue);
+        thread::sleep(Duration::from_millis(20));
+        assert!(!popper.is_finished(), "pop should block while empty");
+        drop(push);
+        assert!(popper.join().unwrap().is_empty());
+        // Items queued before the drop are drained first.
+        let (push, queue) = bounded(4);
+        push.push(1).unwrap();
+        push.push(2).unwrap();
+        drop(push);
+        assert_eq!(drain(&queue).join().unwrap(), [1, 2]);
     }
 
     #[test]
     fn close_drains_then_ends() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.close();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        // Idempotent close, and pushes after close are refused.
-        q.close();
-        assert_eq!(q.push(3), Err(3));
+        let (push, queue) = bounded(4);
+        push.push(1).unwrap();
+        push.push(2).unwrap();
+        let consumer = Arc::clone(&queue);
+        let popped = thread::spawn(move || {
+            consumer.close();
+            let popped = std::iter::from_fn(|| consumer.pop()).collect::<Vec<_>>();
+            // Idempotent close.
+            consumer.close();
+            popped
+        });
+        assert_eq!(popped.join().unwrap(), [1, 2]);
+        assert_eq!(push.push(3), Err(3), "a closed queue hands the item back");
     }
 
     #[test]
     fn push_blocks_at_capacity_until_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(10).unwrap();
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || q2.push(20));
-        // The pusher must be blocked: the queue is at capacity.
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!pusher.is_finished(), "push should block while full");
-        assert_eq!(q.pop(), Some(10));
-        pusher.join().unwrap().unwrap();
-        assert_eq!(q.pop(), Some(20));
-        assert_eq!(q.max_occupancy(), 1);
-    }
-
-    #[test]
-    fn close_unblocks_waiting_pusher_and_popper() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(1).unwrap();
-        let qp = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || qp.push(2));
-        let qc = Arc::clone(&q);
-        let closer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            qc.close();
+        let (push, queue) = bounded(1);
+        push.push(10).unwrap();
+        let about_to_pop = Arc::new(AtomicBool::new(false));
+        let (consumer, flag) = (Arc::clone(&queue), Arc::clone(&about_to_pop));
+        let popper = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(30));
+            flag.store(true, Ordering::Release);
+            std::iter::from_fn(|| consumer.pop()).collect::<Vec<_>>()
         });
-        assert_eq!(pusher.join().unwrap(), Err(2));
-        closer.join().unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
+        push.push(20).unwrap();
+        assert!(
+            about_to_pop.load(Ordering::Acquire),
+            "push should block while full"
+        );
+        drop(push);
+        assert_eq!(popper.join().unwrap(), [10, 20]);
+        assert_eq!(queue.max_occupancy(), 1);
     }
 
     #[test]
-    fn concurrent_producers_consumers_deliver_everything() {
-        const PER_PRODUCER: usize = 500;
-        let q = Arc::new(BoundedQueue::new(4));
-        let mut handles = Vec::new();
-        for p in 0..3 {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    q.push(p * PER_PRODUCER + i).unwrap();
-                }
-            }));
+    fn a_pop_side_close_fails_a_blocked_push_and_hands_its_item_back() {
+        let (push, queue) = bounded(1);
+        push.push(1).unwrap();
+        let closer = Arc::clone(&queue);
+        let closer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            closer.close();
+        });
+        assert_eq!(push.push(2), Err(2));
+        closer.join().unwrap();
+        assert_eq!(push.push(3), Err(3));
+        assert_eq!(drain(&queue).join().unwrap(), [1]);
+    }
+
+    #[test]
+    fn one_producer_many_consumers_deliver_everything() {
+        const ITEMS: usize = 1_500;
+        let (push, queue) = bounded(4);
+        let consumers: Vec<_> = (0..3).map(|_| drain(&queue)).collect();
+        for i in 0..ITEMS {
+            push.push(i).unwrap();
         }
-        let mut consumers = Vec::new();
-        for _ in 0..2 {
-            let q = Arc::clone(&q);
-            consumers.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(item) = q.pop() {
-                    got.push(item);
-                }
-                got
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        q.close();
+        drop(push);
         let mut all: Vec<usize> = consumers
             .into_iter()
             .flat_map(|c| c.join().unwrap())
             .collect();
         all.sort_unstable();
-        assert_eq!(all, (0..3 * PER_PRODUCER).collect::<Vec<_>>());
-        assert!(q.max_occupancy() <= 4);
+        assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
+        assert!(queue.max_occupancy() <= 4);
     }
 }

@@ -23,8 +23,7 @@
 //!
 //! Closures are not separate nodes here: a closure body sits inside its
 //! enclosing fn's token range, so `execute` reaches the stages its
-//! spawned closures call. (The effects pass in [`crate::effects`] keeps
-//! closures separate — the queue graph needs the opposite choice.)
+//! spawned closures call.
 
 use std::collections::BTreeMap;
 

@@ -28,15 +28,15 @@
 //!   against, and at trait-impl and macro-generated fns, which the
 //!   language or a macro calls. A stale `[oracles]` entry is a finding
 //!   too.
-//! * **deadlock** — workspace-wide: the stage→queue graph over every
-//!   `BoundedQueue` must be acyclic ([`effects`]).
 //!
 //! Some invariants are checked more directly elsewhere, so the linter
 //! leaves them alone: `// SAFETY:` comments by rustc's and clippy's
 //! workspace lints, allocation in the kernels' hot loops by
 //! `crates/align/tests/alloc_bound.rs`, floats and clocks by the
 //! byte-identical `canonical_text` goldens, lock/queue interleavings by
-//! the TSAN job and the timeout-wrapped dataflow suites.
+//! the TSAN job and the timeout-wrapped dataflow suites, and the
+//! dataflow queue's one-way flow by its push half's type, which cannot
+//! reach a worker.
 //!
 //! Any rule can be waived per site with
 //! `// lint: allow(<rule>): <why>` — the *why* is mandatory.
@@ -53,7 +53,6 @@
 
 pub mod callgraph;
 pub mod config;
-pub mod effects;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -68,7 +67,7 @@ use std::time::Instant;
 pub use config::{Config, LintError};
 
 /// All rule names, in reporting order.
-pub const RULES: &[&str] = &["panics", "determinism", "taint", "dead", "deadlock"];
+pub const RULES: &[&str] = &["panics", "determinism", "taint", "dead"];
 
 /// What became of one rule hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +96,7 @@ pub struct Site {
     pub file: String,
     pub line: u32,
     /// Qualified name of the fn the finding sits in (for `dead`, the fn
-    /// itself); empty outside one, as for a queue cycle or an oracle.
+    /// itself); empty outside one, as for an oracle.
     pub func: String,
     pub msg: String,
     pub status: SiteStatus,
@@ -129,10 +128,6 @@ pub struct Analysis {
     pub reachable_fns: usize,
     /// Fns the `dead` rule's name-mention closure reached.
     pub dead_reached: usize,
-    /// Deadlock-rule queue-graph shape.
-    pub queues: usize,
-    pub edges: usize,
-    pub cycles: usize,
     /// Rules that actually ran, in [`RULES`] order.
     pub enabled: Vec<&'static str>,
     /// Per-rule wall time in microseconds, in [`RULES`] order for the
@@ -423,29 +418,6 @@ pub fn run(cfg: &Config, enabled: &[&'static str]) -> Result<Analysis, LintError
             });
         }
         analysis.timings.push(("dead", t.elapsed().as_micros()));
-    }
-
-    // --- deadlock: the workspace-wide queue graph is acyclic ---------
-    if on("deadlock") {
-        let t = Instant::now();
-        let pairs: Vec<(&lexer::Lexed<'_>, &rules::Directives)> =
-            lexed.iter().zip(dirs.iter()).collect();
-        let dl = effects::analyze(&pairs);
-        analysis.queues = dl.queues.len();
-        analysis.edges = dl.edges.len();
-        analysis.cycles = dl.cycles.len();
-        for (fi, raw) in dl.sites {
-            analysis.sites.push(Site {
-                rule: "deadlock",
-                file: rel_names[fi].clone(),
-                line: raw.line,
-                func: graph.qual_of(graph.enclosing_fn(fi, raw.tok)),
-                msg: raw.msg,
-                status: SiteStatus::of(raw.waived),
-                chain: Vec::new(),
-            });
-        }
-        analysis.timings.push(("deadlock", t.elapsed().as_micros()));
     }
 
     analysis

@@ -23,7 +23,7 @@ struct Args {
 }
 
 const USAGE: &str = "wga-lint [--root DIR] [--manifest PATH] [--rule NAME]... \
-[--json PATH] [--no-json]\n  rules: panics, determinism, taint, dead, deadlock \
+[--json PATH] [--no-json]\n  rules: panics, determinism, taint, dead \
 (default: all)";
 
 fn parse_args() -> Result<Args, LintError> {

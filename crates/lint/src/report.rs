@@ -1,5 +1,5 @@
 //! Report rendering: a human summary for the terminal and the
-//! schema-4 `lint_report.json` CI consumes.
+//! schema-5 `lint_report.json` CI consumes.
 //!
 //! The JSON is **byte-stable**: same tree + same manifest ⇒ identical
 //! bytes, so CI can diff it against a committed expectations file.
@@ -37,12 +37,6 @@ pub fn human(a: &Analysis) -> String {
                 out.push_str(&format!(
                     "  dead        {} of {} fns reached, {} found, {} waived, {} violations\n",
                     a.dead_reached, a.fns, s.found, s.waived, s.violations
-                ));
-            }
-            "deadlock" => {
-                out.push_str(&format!(
-                    "  deadlock    {} queues, {} edges, {} cycles, {} found, {} waived, {} violations\n",
-                    a.queues, a.edges, a.cycles, s.found, s.waived, s.violations
                 ));
             }
             _ => {
@@ -109,13 +103,13 @@ fn finding_key(s: &Site) -> (&str, &str, &str, &str, bool, &[String]) {
     (&s.file, &s.func, s.rule, &s.msg, waived, &s.chain)
 }
 
-/// `lint_report.json` body, schema 4. Deterministic byte-for-byte: no
+/// `lint_report.json` body, schema 5. Deterministic byte-for-byte: no
 /// timestamps, no timings, no line numbers; findings in key order.
 pub fn json(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"wga-lint\",\n");
-    out.push_str("  \"lint_schema\": 4,\n");
+    out.push_str("  \"lint_schema\": 5,\n");
     out.push_str(&format!("  \"files\": {},\n", a.files_scanned));
     let waived = a.sites.len() - a.total_violations();
     out.push_str(&format!("  \"violations\": {},\n", a.total_violations()));
@@ -128,16 +122,10 @@ pub fn json(a: &Analysis) -> String {
     for (i, rule) in a.enabled.iter().enumerate() {
         let s = a.stats(rule);
         let comma = if i + 1 == a.enabled.len() { "" } else { "," };
-        match *rule {
-            "deadlock" => out.push_str(&format!(
-                "    \"deadlock\": {{\"queues\": {}, \"edges\": {}, \"cycles\": {}, \"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
-                a.queues, a.edges, a.cycles, s.found, s.waived, s.violations, comma
-            )),
-            other => out.push_str(&format!(
-                "    \"{}\": {{\"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
-                other, s.found, s.waived, s.violations, comma
-            )),
-        }
+        out.push_str(&format!(
+            "    \"{}\": {{\"found\": {}, \"waived\": {}, \"violations\": {}}}{}\n",
+            rule, s.found, s.waived, s.violations, comma
+        ));
     }
     out.push_str("  },\n");
     out.push_str("  \"findings\": [\n");
@@ -215,18 +203,15 @@ mod tests {
             entry_fns: 2,
             reachable_fns: 9,
             dead_reached: 11,
-            queues: 3,
-            edges: 2,
-            cycles: 0,
-            enabled: vec!["panics", "determinism", "taint", "dead", "deadlock"],
+            enabled: vec!["panics", "determinism", "taint", "dead"],
             timings: vec![("callgraph", 1234), ("panics", 567)],
         }
     }
 
     #[test]
-    fn json_is_schema_4_with_graph_and_chains() {
+    fn json_is_schema_5_with_graph_and_chains() {
         let j = json(&sample());
-        assert!(j.contains("\"lint_schema\": 4"));
+        assert!(j.contains("\"lint_schema\": 5"));
         assert!(j.contains("\"violations\": 2"));
         assert!(j.contains("\"waived\": 1"));
         assert!(!j.contains("baseline"));

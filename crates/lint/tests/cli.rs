@@ -1,11 +1,12 @@
 //! The binary's answer to a rule it no longer has: a script still asking
-//! for `hot-loop` or `unsafe` must fail loudly, not lint nothing.
+//! for `hot-loop`, `unsafe` or `deadlock` must fail loudly, not lint
+//! nothing.
 
 use std::process::Command;
 
 #[test]
 fn a_deleted_rule_is_a_usage_error_naming_the_rules_that_remain() {
-    for rule in ["hot-loop", "unsafe"] {
+    for rule in ["hot-loop", "unsafe", "deadlock"] {
         let out = Command::new(env!("CARGO_BIN_EXE_wga-lint"))
             .args(["--rule", rule, "--no-json"])
             .output()
@@ -17,7 +18,7 @@ fn a_deleted_rule_is_a_usage_error_naming_the_rules_that_remain() {
             "{stderr}"
         );
         assert!(
-            stderr.contains("rules: panics, determinism, taint, dead, deadlock "),
+            stderr.contains("rules: panics, determinism, taint, dead "),
             "{stderr}"
         );
         assert!(out.stdout.is_empty(), "--rule {rule} linted something");

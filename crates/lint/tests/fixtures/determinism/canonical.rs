@@ -22,7 +22,7 @@ pub fn point_reads_are_fine(scores: &HashMap<String, i64>) -> i64 {
 }
 
 pub fn ordered_iteration_is_fine(ordered: BTreeMap<String, i64>) -> Vec<i64> {
-    // Distinct name on purpose: queue/hash identity is lexical (by
+    // Distinct name on purpose: hash identity is lexical (by
     // name), so reusing a hash-bound name for a BTreeMap would flag.
     ordered.into_values().collect()
 }

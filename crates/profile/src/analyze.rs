@@ -100,7 +100,9 @@ pub struct Attribution {
     pub top_filter_batches: Vec<TopSpan>,
     /// Slowest `extend.tile` spans, slowest first.
     pub top_extend_tiles: Vec<TopSpan>,
-    /// `shard.spec_discard` counter value.
+    /// `shard.spec_discard` counter value, nonzero only in a trace
+    /// written while extension speculation ran. The JSON's
+    /// `speculation` member keeps it; the table does not print it.
     pub spec_discard: u64,
     /// Number of `extend.tile` spans (committed extensions).
     pub extended_tiles: u64,

@@ -253,13 +253,6 @@ impl ProfileReport {
                 );
             }
         }
-        let _ = writeln!(
-            out,
-            "speculation: {} discarded vs {} committed extensions ({} of extension work)",
-            a.spec_discard,
-            a.extended_tiles,
-            fmt_centi(a.discard_centi)
-        );
         if a.fault_spans > 0 {
             let _ = writeln!(out, "faults: {} injected-fault spans", a.fault_spans);
         }

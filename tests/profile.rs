@@ -151,6 +151,22 @@ fn resumed_run_trace_counters_equal_the_report_on_every_executor() {
     }
 }
 
+/// Nothing has counted discarded speculative extensions since the
+/// speculation went: a fresh run's table has no line for them, on
+/// either schedule.
+#[test]
+fn a_fresh_runs_table_has_no_speculation_line() {
+    for threads in SCHEDULES {
+        let trace = TraceFile::parse(&golden_trace(threads)).expect("parses");
+        let table = ProfileReport::build(&trace, 5).render_table();
+        assert!(table.contains("modeled on the FPGA"), "{table}");
+        assert!(
+            !table.lines().any(|line| line.starts_with("speculation:")),
+            "--threads {threads}: {table}"
+        );
+    }
+}
+
 #[test]
 fn attribution_reconstructs_the_timeline() {
     let trace = TraceFile::parse(&golden_trace(3)).expect("parses");
